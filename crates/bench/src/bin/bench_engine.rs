@@ -24,6 +24,7 @@ use scriptflow_core::{BackendChoice, BackendKind};
 use scriptflow_datakit::codec::Json;
 use scriptflow_datakit::{Batch, CmpOp, DataType, Schema, Value};
 use scriptflow_workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp};
+use scriptflow_workflow::trace::counter_fields;
 use scriptflow_workflow::{
     EngineConfig, ExecMode, PartitionStrategy, ResultCache, RunMetrics, TraceJson, Workflow,
     WorkflowBuilder,
@@ -145,17 +146,16 @@ fn operators_json(metrics: &RunMetrics) -> Json {
             .operators
             .iter()
             .map(|m| {
-                Json::Object(vec![
+                let mut fields = vec![
                     ("name".into(), Json::Str(m.name.clone())),
                     ("workers".into(), Json::Int(m.workers as i64)),
                     ("inputTuples".into(), Json::Int(m.input_tuples as i64)),
                     ("outputTuples".into(), Json::Int(m.output_tuples as i64)),
-                    ("batchesSkipped".into(), Json::Int(m.batches_skipped as i64)),
-                    ("spilledBlocks".into(), Json::Int(m.spilled_blocks as i64)),
-                    ("cacheHits".into(), Json::Int(m.cache_hits as i64)),
-                    ("busySecs".into(), Json::Float(m.busy.as_secs_f64())),
-                    ("state".into(), Json::Str(m.state.label().into())),
-                ])
+                ];
+                fields.extend(counter_fields(&m.counters));
+                fields.push(("busySecs".into(), Json::Float(m.busy.as_secs_f64())));
+                fields.push(("state".into(), Json::Str(m.state.label().into())));
+                Json::Object(fields)
             })
             .collect(),
     )
@@ -189,8 +189,8 @@ fn measure(
     }
     let last = last.expect("at least one rep");
     let layout = if columnar { "columnar" } else { "row" };
-    let skipped = last.pool.as_ref().map_or(0, |p| p.batches_skipped);
-    let spilled = last.pool.as_ref().map_or(0, |p| p.spilled_blocks);
+    let counters = last.counters();
+    let (skipped, spilled) = (counters.batches_skipped, counters.spilled_blocks);
     let tps = tuples as f64 / best.max(1e-9);
     println!(
         "{workload:>16}  {:>8}  {layout:>8}  p={parallelism}  {tuples:>8} tuples  {:>10.3} ms  {:>12.0} tuples/s  {skipped:>5} skipped  {spilled:>5} spilled",
@@ -210,10 +210,9 @@ fn measure(
         ("tuples".into(), Json::Int(tuples)),
         ("elapsed_secs".into(), Json::Float(best)),
         ("tuples_per_sec".into(), Json::Float(tps)),
-        ("batchesSkipped".into(), Json::Int(skipped as i64)),
-        ("spilledBlocks".into(), Json::Int(spilled as i64)),
-        ("operators".into(), operators_json(&last.metrics)),
     ];
+    fields.extend(counter_fields(&counters));
+    fields.push(("operators".into(), operators_json(&last.metrics)));
     // One extra observed run (untimed) to archive a sampled trace; only
     // the pooled executor has the live observability layer.
     if mode == ExecMode::Pooled {
@@ -249,7 +248,7 @@ fn measure_edit_rerun(parallelism: usize, tuples: i64) -> Vec<Json> {
         let start = Instant::now();
         let res = exec.run(&wf).expect("bench workflow must run");
         let secs = start.elapsed().as_secs_f64();
-        let pool = res.pool.as_ref().expect("pooled run reports pool stats");
+        let counters = res.counters();
         if leg == "cold" {
             cold_published = res.cache_published;
         }
@@ -258,23 +257,25 @@ fn measure_edit_rerun(parallelism: usize, tuples: i64) -> Vec<Json> {
             "edit_rerun",
             "pooled",
             secs * 1e3,
-            pool.cache_hits,
-            pool.cache_misses,
+            counters.cache_hits,
+            counters.cache_misses,
             res.cache_published,
         );
-        out.push(Json::Object(vec![
+        let mut fields = vec![
             ("workload".into(), Json::Str("edit_rerun".into())),
             ("mode".into(), Json::Str("pooled".into())),
             ("leg".into(), Json::Str(leg.into())),
             ("parallelism".into(), Json::Int(parallelism as i64)),
             ("tuples".into(), Json::Int(tuples)),
             ("elapsed_secs".into(), Json::Float(secs)),
-            ("cacheHits".into(), Json::Int(pool.cache_hits as i64)),
-            ("cacheMisses".into(), Json::Int(pool.cache_misses as i64)),
-            ("cacheBytes".into(), Json::Int(pool.cache_bytes as i64)),
-            ("cachePublished".into(), Json::Int(res.cache_published as i64)),
-            ("operators".into(), operators_json(&res.metrics)),
-        ]));
+        ];
+        fields.extend(counter_fields(&counters));
+        fields.push((
+            "cachePublished".into(),
+            Json::Int(res.cache_published as i64),
+        ));
+        fields.push(("operators".into(), operators_json(&res.metrics)));
+        out.push(Json::Object(fields));
     }
     // Budgeted leg: a fresh cache one byte short of holding the whole
     // cold publish, so the commit's cost-aware eviction must fire.
@@ -286,35 +287,39 @@ fn measure_edit_rerun(parallelism: usize, tuples: i64) -> Vec<Json> {
     let start = Instant::now();
     let res = exec.run(&wf).expect("bench workflow must run");
     let secs = start.elapsed().as_secs_f64();
-    let pool = res.pool.as_ref().expect("pooled run reports pool stats");
+    let counters = res.counters();
     println!(
         "{:>16}  {:>8}  leg=budg  p={parallelism}  {tuples:>8} tuples  {:>10.3} ms  {:>3} evictions  {:>9} live / {:>9} budget bytes",
         "edit_rerun",
         "pooled",
         secs * 1e3,
-        pool.cache_evictions,
+        counters.cache_evictions,
         cache.bytes(),
         budget,
     );
-    out.push(Json::Object(vec![
+    let mut fields = vec![
         ("workload".into(), Json::Str("edit_rerun".into())),
         ("mode".into(), Json::Str("pooled".into())),
         ("leg".into(), Json::Str("budgeted".into())),
         ("parallelism".into(), Json::Int(parallelism as i64)),
         ("tuples".into(), Json::Int(tuples)),
         ("elapsed_secs".into(), Json::Float(secs)),
-        ("cacheHits".into(), Json::Int(pool.cache_hits as i64)),
-        ("cacheMisses".into(), Json::Int(pool.cache_misses as i64)),
+    ];
+    fields.extend(counter_fields(&counters));
+    fields.extend([
         ("cacheBudget".into(), Json::Int(budget as i64)),
-        ("cachePublished".into(), Json::Int(res.cache_published as i64)),
-        ("cacheEvictions".into(), Json::Int(pool.cache_evictions as i64)),
+        (
+            "cachePublished".into(),
+            Json::Int(res.cache_published as i64),
+        ),
         ("cacheLiveBytes".into(), Json::Int(cache.bytes() as i64)),
         (
             "cacheEvictedBytes".into(),
             Json::Int(cache.evicted_bytes() as i64),
         ),
         ("operators".into(), operators_json(&res.metrics)),
-    ]));
+    ]);
+    out.push(Json::Object(fields));
     out
 }
 

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use scriptflow_core::{BackendKind, ExecutionMetrics, Paradigm, RunReport};
 use scriptflow_simcluster::SimTime;
-use scriptflow_workflow::{EngineRun, PoolStats, ProgressTrace};
+use scriptflow_workflow::{EngineRun, OpCounters, PoolStats, ProgressTrace};
 
 /// One task execution: the comparable report plus the real output.
 #[derive(Debug, Clone)]
@@ -74,27 +74,11 @@ pub struct BackendRun {
     pub trace: ProgressTrace,
     /// Pool scheduling counters; `Some` only on the pooled live backend.
     pub pool: Option<PoolStats>,
-    /// Whole input batches dropped by zone-map checks across the DAG
-    /// (0 unless the calibration enables the columnar batch path).
-    pub batches_skipped: u64,
-    /// Compressed spill blocks written across the DAG (0 unless the
-    /// calibration sets a memory budget and a blocking operator
-    /// outgrew it).
-    pub spilled_blocks: u64,
-    /// Compressed bytes across all spilled blocks.
-    pub spilled_bytes: u64,
-    /// Operators served from the result cache (0 unless the
-    /// calibration enables the cache and the run was warm).
-    pub cache_hits: u64,
-    /// Cacheable operators computed fresh (0 with the cache off).
-    pub cache_misses: u64,
-    /// Compressed bytes replayed from cached segments.
-    pub cache_bytes: u64,
+    /// Data counters summed across the DAG (zone-map skips, spill and
+    /// result-cache traffic; all 0 on the paper's calibration).
+    pub counters: OpCounters,
     /// Compressed bytes sealed into the cache by this run.
     pub cache_published: u64,
-    /// Entries evicted by the cache's byte budget while this run's
-    /// recordings were committed (0 with the cache unbounded).
-    pub cache_evictions: u64,
 }
 
 impl BackendRun {
@@ -104,17 +88,11 @@ impl BackendRun {
         BackendRun {
             kind: engine.kind,
             run,
-            wall_clock: engine.wall_clock,
+            wall_clock: engine.wall_clock(),
+            counters: engine.counters(),
             trace: engine.trace,
             pool: engine.pool,
-            batches_skipped: engine.batches_skipped,
-            spilled_blocks: engine.spilled_blocks,
-            spilled_bytes: engine.spilled_bytes,
-            cache_hits: engine.cache_hits,
-            cache_misses: engine.cache_misses,
-            cache_bytes: engine.cache_bytes,
             cache_published: engine.cache_published,
-            cache_evictions: engine.cache_evictions,
         }
     }
 

@@ -402,7 +402,7 @@ fn run_with_config(
         "DICE",
         Paradigm::Workflow,
         params.config_string(),
-        engine.makespan,
+        engine.makespan(),
         total_workers,
         listing::dice_workflow_listing().lines().count(),
         operator_count,

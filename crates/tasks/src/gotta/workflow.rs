@@ -190,7 +190,7 @@ fn run_with_config(
         "GOTTA",
         Paradigm::Workflow,
         params.config_string(),
-        engine.makespan,
+        engine.makespan(),
         total_workers,
         listing::count_loc(&listing::gotta_workflow_listing()),
         operator_count,

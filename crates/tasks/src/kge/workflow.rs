@@ -522,7 +522,7 @@ fn run_with_config(
         "KGE",
         Paradigm::Workflow,
         params.config_string(),
-        engine.makespan,
+        engine.makespan(),
         total_workers,
         listing::count_loc(&listing::kge_workflow_listing()),
         operator_count,

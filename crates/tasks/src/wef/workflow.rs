@@ -174,7 +174,7 @@ fn run_with_config(
         "WEF",
         Paradigm::Workflow,
         params.config_string(),
-        engine.makespan,
+        engine.makespan(),
         total_workers,
         listing::count_loc(&listing::wef_workflow_listing()),
         operator_count,

@@ -22,5 +22,5 @@ fn main() {
     let wf = b.build().unwrap();
     let cfg = EngineConfig { cluster: ClusterSpec::paper_cluster(), batch_size: 400, ..EngineConfig::default() };
     let res = SimExecutor::new(cfg).run(&wf).unwrap();
-    println!("two equal 18ms stages over 6800 tuples: {:.2}s (expect ~130 pipelined, ~250 serialized)", res.makespan.as_secs_f64());
+    println!("two equal 18ms stages over 6800 tuples: {:.2}s (expect ~130 pipelined, ~250 serialized)", res.makespan().as_secs_f64());
 }

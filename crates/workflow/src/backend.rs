@@ -1,19 +1,17 @@
-//! One execution surface over both engines.
+//! One execution surface, and one result type, over both engines.
 //!
 //! The crate ships two executors for the same [`Workflow`] DAG: the
 //! deterministic virtual-clock [`SimExecutor`] behind the paper figures,
 //! and the pooled [`LiveExecutor`] that runs the identical operators on
-//! real OS threads. They grew different result shapes
-//! ([`crate::exec_sim::SimRunResult`] vs
-//! [`crate::exec_live::LiveRunResult`]), so every caller that wanted to
-//! offer both had to duplicate construction and result handling.
+//! real OS threads. Both — and the multi-tenant
+//! [`crate::service::WorkflowService`] — return the same [`EngineRun`]:
+//! a [`ProgressTrace`] that always ends with a terminal sample, unified
+//! [`RunMetrics`] whose per-operator [`crate::OpCounters`] sum to the
+//! run totals, and the backend-specific extras (`pool`,
+//! `worker_timeline`) left empty where they do not apply.
 //!
-//! [`ExecBackend`] collapses that: pick a backend (usually from a
-//! [`BackendKind`] threaded down from a `--backend` flag), call
-//! [`ExecBackend::run`], and get one [`EngineRun`] — output rows, a
-//! [`ProgressTrace`] that always ends with a terminal sample, unified
-//! [`RunMetrics`], and the backend-specific extras (`wall_clock`,
-//! [`PoolStats`]) as `Option`s.
+//! [`ExecBackend`] picks the executor (usually from a [`BackendKind`]
+//! threaded down from a `--backend` flag) and collects the sink rows.
 //!
 //! # Examples
 //!
@@ -53,41 +51,36 @@ use scriptflow_simcluster::SimTime;
 use crate::cost::EngineConfig;
 use crate::dag::Workflow;
 use crate::exec_live::{LiveExecutor, PoolStats};
-use crate::exec_sim::SimExecutor;
-use crate::metrics::RunMetrics;
+use crate::exec_sim::{SimExecutor, WorkerInterval};
+use crate::metrics::{OpCounters, RunMetrics};
 use crate::operator::WorkflowResult;
 use crate::ops::SinkHandle;
 use crate::trace::ProgressTrace;
 
-/// The unified result of one workflow run on either backend.
-///
-/// Normalizes [`crate::exec_sim::SimRunResult`] and
-/// [`crate::exec_live::LiveRunResult`] into one shape so callers
+/// The result of one workflow run, whichever engine produced it:
+/// [`SimExecutor::run`], [`LiveExecutor::run`] and the service's
+/// [`crate::service::RunReport`] all hand back this type, so callers
 /// (task drivers, study experiments, `repro`/`bench_engine`) handle
-/// both backends with the same code path.
+/// every backend with the same code path.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
     /// Which backend produced the run.
     pub kind: BackendKind,
     /// Rows collected from the sink handle passed to
-    /// [`ExecBackend::run`] (empty for [`ExecBackend::run_detached`]).
+    /// [`ExecBackend::run`] (empty when an executor is driven directly).
     pub rows: Vec<Tuple>,
-    /// Completion time on the backend's own clock: virtual seconds for
-    /// [`BackendKind::Sim`], measured wall-clock mapped onto the same
-    /// axis for [`BackendKind::Live`] (see [`BackendKind::time_unit`]).
-    pub makespan: SimTime,
-    /// Measured host time; `None` for the simulator, whose wall-clock
-    /// cost is incidental.
-    pub wall_clock: Option<Duration>,
-    /// Per-operator instrumentation counters, identical in shape across
-    /// backends.
+    /// Measured host time of a live run. Zero on the simulator, whose
+    /// host cost is incidental — its time is [`EngineRun::makespan`].
+    pub elapsed: Duration,
+    /// Per-operator telemetry, identical in shape across backends. Run
+    /// totals are computed from it ([`EngineRun::counters`]).
     pub metrics: RunMetrics,
-    /// Per-operator progress samples. Both backends guarantee at least
-    /// the terminal sample, so `trace.completion_sample()` works on any
-    /// successful [`EngineRun`].
+    /// Per-operator progress samples. Pooled and simulated runs hold at
+    /// least the terminal sample (interval samples need `with_trace`),
+    /// so `trace.completion_sample()` works on any successful run; the
+    /// thread-per-worker baseline leaves it empty.
     pub trace: ProgressTrace,
-    /// Pool scheduling counters; `Some` only for the pooled live
-    /// backend.
+    /// Pool scheduling counters; `Some` only for pooled live runs.
     pub pool: Option<PoolStats>,
     /// Faulted quanta replayed under the [`EngineConfig::retry`] budget
     /// (0 with the default disabled policy). The simulator counts
@@ -95,44 +88,40 @@ pub struct EngineRun {
     pub retries_attempted: u64,
     /// Retried workers/tasks that still finished cleanly.
     pub retries_succeeded: u64,
-    /// Whole input batches dropped by zone-map checks, summed across
-    /// operators (0 unless [`EngineConfig::columnar`] is enabled and a
-    /// batch's min/max statistics proved no row could pass a filter or
-    /// join probe).
-    pub batches_skipped: u64,
-    /// Compressed spill blocks written, summed across operators (0
-    /// unless [`EngineConfig::memory_budget`] — or a per-operator
-    /// override — forced a blocking operator past its budget).
-    pub spilled_blocks: u64,
-    /// Compressed bytes across all spilled blocks.
-    pub spilled_bytes: u64,
-    /// Spilled blocks read back (partition joins, run merges).
-    pub spill_reads: u64,
-    /// Operators served straight from the result cache, summed across
-    /// the DAG (0 unless [`EngineConfig::result_cache`] is set and a
-    /// prior run published the fingerprint).
-    pub cache_hits: u64,
-    /// Operators that ran under a result cache, missed, and recorded
-    /// their output for publication.
-    pub cache_misses: u64,
-    /// Compressed bytes decoded from the cache to serve the hits.
-    pub cache_bytes: u64,
-    /// Compressed bytes this run added to the cache (0 for dirty runs —
-    /// only fault-free, retry-free runs publish).
+    /// Compressed bytes this run added to the result cache (0 without a
+    /// cache, and 0 for runs that faulted or retried — only clean runs
+    /// publish their recordings).
     pub cache_published: u64,
-    /// Entries the cache's byte budget evicted while this run's
-    /// recordings were committed (0 when the cache is unbounded).
-    pub cache_evictions: u64,
+    /// Per-worker busy intervals (simulator only, and only with
+    /// [`SimExecutor::with_worker_timeline`]).
+    pub worker_timeline: Vec<WorkerInterval>,
 }
 
 impl EngineRun {
+    /// Completion time on the backend's own clock: virtual time for
+    /// [`BackendKind::Sim`], measured wall-clock mapped onto the same
+    /// axis for [`BackendKind::Live`] (see [`BackendKind::time_unit`]).
+    pub fn makespan(&self) -> SimTime {
+        self.metrics.makespan
+    }
+
+    /// Measured host time; `None` for the simulator.
+    pub fn wall_clock(&self) -> Option<Duration> {
+        (self.kind == BackendKind::Live).then_some(self.elapsed)
+    }
+
     /// Completion time in the backend's seconds (virtual or wall-clock;
     /// [`BackendKind::time_unit`] names which).
     pub fn seconds(&self) -> f64 {
-        match (self.kind, self.wall_clock) {
-            (BackendKind::Live, Some(elapsed)) => elapsed.as_secs_f64(),
-            _ => self.makespan.as_secs_f64(),
+        match self.wall_clock() {
+            Some(elapsed) => elapsed.as_secs_f64(),
+            None => self.makespan().as_secs_f64(),
         }
+    }
+
+    /// The run's data counters, summed over its operators.
+    pub fn counters(&self) -> OpCounters {
+        self.metrics.totals()
     }
 }
 
@@ -209,79 +198,17 @@ impl ExecBackend {
     /// Execute `wf` without collecting sink rows (`rows` stays empty).
     /// For callers that only want timing/metrics, e.g. `bench_engine`.
     pub fn run_detached(&self, wf: &Workflow) -> WorkflowResult<EngineRun> {
-        let (_, result) = self.run_observed(wf);
-        result
+        self.run_observed(wf).1
     }
 
-    /// Execute `wf`, handing the progress trace back even on failure —
-    /// the union of [`SimExecutor::run_observed`] and
-    /// [`LiveExecutor::run_observed`]. `rows` stays empty; snapshot the
+    /// Execute `wf`, handing the progress trace back even on failure
+    /// (see [`SimExecutor::run_observed`] and
+    /// [`LiveExecutor::run_observed`]). `rows` stays empty; snapshot the
     /// sink handle afterwards if needed.
     pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         match self {
-            ExecBackend::Sim(exec) => {
-                let (trace, result) = exec.run_observed(wf);
-                let result = result.map(|res| EngineRun {
-                    kind: BackendKind::Sim,
-                    rows: Vec::new(),
-                    makespan: res.makespan,
-                    wall_clock: None,
-                    batches_skipped: res
-                        .metrics
-                        .operators
-                        .iter()
-                        .map(|m| m.batches_skipped)
-                        .sum(),
-                    spilled_blocks: res
-                        .metrics
-                        .operators
-                        .iter()
-                        .map(|m| m.spilled_blocks)
-                        .sum(),
-                    spilled_bytes: res.metrics.operators.iter().map(|m| m.spilled_bytes).sum(),
-                    spill_reads: res.metrics.operators.iter().map(|m| m.spill_reads).sum(),
-                    cache_hits: res.metrics.operators.iter().map(|m| m.cache_hits).sum(),
-                    cache_misses: res.metrics.operators.iter().map(|m| m.cache_misses).sum(),
-                    cache_bytes: res.metrics.operators.iter().map(|m| m.cache_bytes).sum(),
-                    cache_published: res.cache_published,
-                    cache_evictions: res
-                        .metrics
-                        .operators
-                        .iter()
-                        .map(|m| m.cache_evictions)
-                        .sum(),
-                    metrics: res.metrics,
-                    trace: res.trace,
-                    pool: None,
-                    retries_attempted: res.retries_attempted,
-                    retries_succeeded: res.retries_succeeded,
-                });
-                (trace, result)
-            }
-            ExecBackend::Live(exec) => {
-                let (trace, result) = exec.run_observed(wf);
-                let result = result.map(|res| EngineRun {
-                    kind: BackendKind::Live,
-                    rows: Vec::new(),
-                    makespan: res.metrics.makespan,
-                    wall_clock: Some(res.elapsed),
-                    batches_skipped: res.pool.as_ref().map_or(0, |p| p.batches_skipped),
-                    spilled_blocks: res.pool.as_ref().map_or(0, |p| p.spilled_blocks),
-                    spilled_bytes: res.pool.as_ref().map_or(0, |p| p.spilled_bytes),
-                    spill_reads: res.pool.as_ref().map_or(0, |p| p.spill_reads),
-                    cache_hits: res.pool.as_ref().map_or(0, |p| p.cache_hits),
-                    cache_misses: res.pool.as_ref().map_or(0, |p| p.cache_misses),
-                    cache_bytes: res.pool.as_ref().map_or(0, |p| p.cache_bytes),
-                    cache_published: res.cache_published,
-                    cache_evictions: res.pool.as_ref().map_or(0, |p| p.cache_evictions),
-                    metrics: res.metrics,
-                    trace: res.trace,
-                    retries_attempted: res.pool.as_ref().map_or(0, |p| p.retries_attempted),
-                    retries_succeeded: res.pool.as_ref().map_or(0, |p| p.retries_succeeded),
-                    pool: res.pool,
-                });
-                (trace, result)
-            }
+            ExecBackend::Sim(exec) => exec.run_observed(wf),
+            ExecBackend::Live(exec) => exec.run_observed(wf),
         }
     }
 }
@@ -329,8 +256,8 @@ mod tests {
         assert_eq!(live.kind, BackendKind::Live);
         assert_eq!(sim.rows.len(), 50);
         assert_eq!(live.rows.len(), 50);
-        assert!(sim.wall_clock.is_none() && sim.pool.is_none());
-        assert!(live.wall_clock.is_some() && live.pool.is_some());
+        assert!(sim.wall_clock().is_none() && sim.pool.is_none());
+        assert!(live.wall_clock().is_some() && live.pool.is_some());
         assert!(sim.seconds() > 0.0);
         assert!(live.seconds() > 0.0);
     }
@@ -414,153 +341,235 @@ mod tests {
         }
     }
 
-    #[test]
-    fn columnar_config_reaches_both_backends() {
+    fn sorted_rows(run: &EngineRun) -> Vec<String> {
+        let mut v: Vec<String> = run.rows.iter().map(|t| t.to_string()).collect();
+        v.sort();
+        v
+    }
+
+    /// However a counter reached the result — the per-operator metrics,
+    /// the run totals, the pool stats, the terminal trace sample — it
+    /// must be the same number.
+    fn assert_counters_conserved(run: &EngineRun, what: &str) {
+        let per_op: OpCounters = run.metrics.operators.iter().map(|m| m.counters).sum();
+        assert_eq!(per_op, run.metrics.totals(), "{what}: run totals");
+        if let Some(pool) = &run.pool {
+            assert_eq!(per_op, **pool, "{what}: pool stats");
+        }
+        let (_, terminal) = run.trace.samples.last().expect("terminal sample");
+        let sampled: OpCounters = terminal.iter().map(|s| s.counters).sum();
+        assert_eq!(per_op, sampled, "{what}: terminal trace sample");
+    }
+
+    /// A sorted-id scan behind a selective comparison filter: every
+    /// sealed batch past id=20 is prunable by its zone map.
+    fn selective_wf() -> (Workflow, SinkHandle) {
         use scriptflow_datakit::CmpOp;
-        for kind in BackendKind::ALL {
-            let build = |()| {
-                let schema = Schema::of(&[("id", DataType::Int)]);
-                let batch =
-                    Batch::from_rows(schema, (0..300).map(|i| vec![Value::Int(i)]).collect())
-                        .unwrap();
-                let mut b = WorkflowBuilder::new();
-                let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
-                let filt = b.add(
-                    Arc::new(FilterOp::cmp("sel", "id", CmpOp::Lt, Value::Int(20))),
-                    1,
-                );
-                let sink_op = SinkOp::new("sink");
-                let handle = sink_op.handle();
-                let sink = b.add(Arc::new(sink_op), 1);
-                b.connect(scan, filt, 0, PartitionStrategy::RoundRobin);
-                b.connect(filt, sink, 0, PartitionStrategy::Single);
-                (b.build().unwrap(), handle)
-            };
-            let run_mode = |columnar: bool| {
-                let (wf, handle) = build(());
-                let config = EngineConfig {
-                    batch_size: 32,
-                    columnar,
-                    ..EngineConfig::default()
-                };
-                ExecBackend::of_kind(kind, config)
-                    .run(&wf, &handle)
-                    .unwrap()
-            };
-            let row = run_mode(false);
-            let col = run_mode(true);
-            let key = |r: &EngineRun| {
-                let mut v: Vec<String> = r.rows.iter().map(|t| t.to_string()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(key(&row), key(&col), "{kind}: modes must agree on rows");
-            assert_eq!(row.batches_skipped, 0, "{kind}: row mode never skips");
-            assert!(
-                col.batches_skipped > 0,
-                "{kind}: columnar mode must prune batches past id=20"
-            );
-        }
+        let schema = Schema::of(&[("id", DataType::Int)]);
+        let batch =
+            Batch::from_rows(schema, (0..300).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
+        let filt = b.add(
+            Arc::new(FilterOp::cmp("sel", "id", CmpOp::Lt, Value::Int(20))),
+            1,
+        );
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(scan, filt, 0, PartitionStrategy::RoundRobin);
+        b.connect(filt, sink, 0, PartitionStrategy::Single);
+        (b.build().unwrap(), handle)
     }
 
-    #[test]
-    fn spill_counters_surface_on_both_backends() {
+    /// A many-to-many hash join whose build side outgrows a 256-byte
+    /// budget.
+    fn join_wf() -> (Workflow, SinkHandle) {
         use crate::ops::HashJoinOp;
-        for kind in BackendKind::ALL {
-            let build = || {
-                let build_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);
-                let build_rows = Batch::from_rows(
-                    build_schema,
-                    (0..70i64)
-                        .map(|i| vec![Value::Int(i % 11), Value::Str(format!("b{i}"))])
-                        .collect(),
-                )
-                .unwrap();
-                let probe_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
-                let probe_rows = Batch::from_rows(
-                    probe_schema,
-                    (0..50i64)
-                        .map(|i| vec![Value::Int(i), Value::Int(i % 14)])
-                        .collect(),
-                )
-                .unwrap();
-                let mut b = WorkflowBuilder::new();
-                let bs = b.add(Arc::new(ScanOp::new("build", build_rows)), 1);
-                let ps = b.add(Arc::new(ScanOp::new("probe", probe_rows)), 1);
-                let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), 1);
-                let sink_op = SinkOp::new("sink");
-                let handle = sink_op.handle();
-                let sink = b.add(Arc::new(sink_op), 1);
-                b.connect(bs, join, 0, PartitionStrategy::Hash(vec!["k".into()]));
-                b.connect(ps, join, 1, PartitionStrategy::Hash(vec!["k".into()]));
-                b.connect(join, sink, 0, PartitionStrategy::Single);
-                (b.build().unwrap(), handle)
-            };
-            let run_budget = |budget: Option<usize>| {
-                let (wf, handle) = build();
-                let config = EngineConfig {
-                    batch_size: 16,
-                    memory_budget: budget,
-                    ..EngineConfig::default()
-                };
-                ExecBackend::of_kind(kind, config).run(&wf, &handle).unwrap()
-            };
-            let unbounded = run_budget(None);
-            let bounded = run_budget(Some(256));
-            let key = |r: &EngineRun| {
-                let mut v: Vec<String> = r.rows.iter().map(|t| t.to_string()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(
-                key(&unbounded),
-                key(&bounded),
-                "{kind}: spilling must not change rows"
-            );
-            assert_eq!(unbounded.spilled_blocks, 0, "{kind}: no budget, no spill");
-            assert!(bounded.spilled_blocks > 0, "{kind}: tiny budget must spill");
-            assert!(bounded.spilled_bytes > 0, "{kind}");
-            assert!(bounded.spill_reads > 0, "{kind}");
-            let m = bounded.metrics.by_name("join").unwrap();
-            assert_eq!(m.spilled_blocks, bounded.spilled_blocks, "{kind}");
-        }
+        let build_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);
+        let build_rows = Batch::from_rows(
+            build_schema,
+            (0..70i64)
+                .map(|i| vec![Value::Int(i % 11), Value::Str(format!("b{i}"))])
+                .collect(),
+        )
+        .unwrap();
+        let probe_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
+        let probe_rows = Batch::from_rows(
+            probe_schema,
+            (0..50i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 14)])
+                .collect(),
+        )
+        .unwrap();
+        let mut b = WorkflowBuilder::new();
+        let bs = b.add(Arc::new(ScanOp::new("build", build_rows)), 1);
+        let ps = b.add(Arc::new(ScanOp::new("probe", probe_rows)), 1);
+        let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), 1);
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(bs, join, 0, PartitionStrategy::Hash(vec!["k".into()]));
+        b.connect(ps, join, 1, PartitionStrategy::Hash(vec!["k".into()]));
+        b.connect(join, sink, 0, PartitionStrategy::Single);
+        (b.build().unwrap(), handle)
     }
 
-    #[test]
-    fn result_cache_serves_warm_reruns_on_both_backends() {
-        use crate::cache::ResultCache;
-        for kind in BackendKind::ALL {
-            let cache = Arc::new(ResultCache::new());
-            let config = || EngineConfig::default().with_result_cache(cache.clone());
-            let key = |r: &EngineRun| {
-                let mut v: Vec<String> = r.rows.iter().map(|t| t.to_string()).collect();
-                v.sort();
-                v
+    fn run_with(
+        kind: BackendKind,
+        config: EngineConfig,
+        build: fn() -> (Workflow, SinkHandle),
+    ) -> EngineRun {
+        let (wf, handle) = build();
+        ExecBackend::of_kind(kind, config)
+            .run(&wf, &handle)
+            .unwrap()
+    }
+
+    fn columnar_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
+        let run_mode = |columnar: bool| {
+            let config = EngineConfig {
+                batch_size: 32,
+                columnar,
+                ..EngineConfig::default()
             };
+            run_with(kind, config, selective_wf)
+        };
+        let (row, col) = (run_mode(false), run_mode(true));
+        assert_eq!(
+            row.counters().batches_skipped,
+            0,
+            "{kind}: row mode never skips"
+        );
+        assert!(
+            col.counters().batches_skipped > 0,
+            "{kind}: columnar mode must prune batches past id=20"
+        );
+        vec![("row", row), ("columnar", col)]
+    }
 
-            let (wf, handle) = build_wf(100);
-            let cold = ExecBackend::of_kind(kind, config()).run(&wf, &handle).unwrap();
-            assert_eq!(cold.cache_hits, 0, "{kind}: cold run cannot hit");
-            assert!(cold.cache_misses > 0, "{kind}: cold run must record");
-            assert!(cold.cache_published > 0, "{kind}: clean cold run publishes");
+    fn budget_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
+        let run_budget = |memory_budget: Option<usize>| {
+            let config = EngineConfig {
+                batch_size: 16,
+                memory_budget,
+                ..EngineConfig::default()
+            };
+            run_with(kind, config, join_wf)
+        };
+        let (unbounded, bounded) = (run_budget(None), run_budget(Some(256)));
+        assert_eq!(
+            unbounded.counters().spilled_blocks,
+            0,
+            "{kind}: no budget, no spill"
+        );
+        let spilled = bounded.counters();
+        assert!(spilled.spilled_blocks > 0, "{kind}: tiny budget must spill");
+        assert!(spilled.spilled_bytes > 0, "{kind}");
+        assert!(spilled.spill_reads > 0, "{kind}");
+        let join = bounded.metrics.by_name("join").unwrap();
+        assert_eq!(
+            join.counters.spilled_blocks, spilled.spilled_blocks,
+            "{kind}"
+        );
+        vec![("unbounded", unbounded), ("256-byte budget", bounded)]
+    }
 
-            // A separately built but content-identical workflow hits.
-            let (wf2, handle2) = build_wf(100);
-            let warm = ExecBackend::of_kind(kind, config())
-                .run(&wf2, &handle2)
-                .unwrap();
-            assert!(warm.cache_hits > 0, "{kind}: warm rerun must hit");
-            assert!(warm.cache_bytes > 0, "{kind}: hits decode real bytes");
-            assert_eq!(warm.cache_published, 0, "{kind}: nothing new to publish");
-            assert_eq!(key(&cold), key(&warm), "{kind}: hit must reproduce rows");
+    fn even_wf() -> (Workflow, SinkHandle) {
+        build_wf(100)
+    }
 
-            // Cache off (default config): same rows, no counters.
-            let (wf3, handle3) = build_wf(100);
-            let off = ExecBackend::of_kind(kind, EngineConfig::default())
-                .run(&wf3, &handle3)
-                .unwrap();
-            assert_eq!(off.cache_hits + off.cache_misses + off.cache_published, 0);
-            assert_eq!(key(&off), key(&warm), "{kind}: cache must not change rows");
+    fn cache_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
+        use crate::cache::ResultCache;
+        let cache = Arc::new(ResultCache::new());
+        let config = || EngineConfig::default().with_result_cache(cache.clone());
+
+        let cold = run_with(kind, config(), even_wf);
+        assert_eq!(cold.counters().cache_hits, 0, "{kind}: cold run cannot hit");
+        assert!(
+            cold.counters().cache_misses > 0,
+            "{kind}: cold run must record"
+        );
+        assert!(cold.cache_published > 0, "{kind}: clean cold run publishes");
+
+        // A separately built but content-identical workflow hits.
+        let warm = run_with(kind, config(), even_wf);
+        assert!(
+            warm.counters().cache_hits > 0,
+            "{kind}: warm rerun must hit"
+        );
+        assert!(
+            warm.counters().cache_bytes > 0,
+            "{kind}: hits decode real bytes"
+        );
+        assert_eq!(warm.cache_published, 0, "{kind}: nothing new to publish");
+
+        // Cache off (default config): same rows, no counters.
+        let off = run_with(kind, EngineConfig::default(), even_wf);
+        assert!(
+            off.counters().is_zero() && off.cache_published == 0,
+            "{kind}"
+        );
+        vec![("cold", cold), ("warm", warm), ("cache off", off)]
+    }
+
+    fn budgeted_cache_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
+        use crate::cache::ResultCache;
+        let config =
+            |cache: &Arc<ResultCache>| EngineConfig::default().with_result_cache(Arc::clone(cache));
+        // A cold run against an unbounded cache sizes a budget one byte
+        // short of holding everything, so the commit must evict.
+        let sizing = run_with(kind, config(&Arc::new(ResultCache::new())), even_wf);
+        let budget = sizing.cache_published - 1;
+        let cache = Arc::new(ResultCache::new().with_byte_budget(budget));
+
+        let budgeted = run_with(kind, config(&cache), even_wf);
+        assert!(
+            budgeted.counters().cache_evictions > 0,
+            "{kind}: the tight budget must evict at commit"
+        );
+        assert!(cache.bytes() <= budget, "{kind}: ceiling holds");
+
+        let rerun = run_with(kind, config(&cache), even_wf);
+        let consulted = rerun.counters();
+        assert!(
+            consulted.cache_hits > 0 || consulted.cache_misses > 0,
+            "{kind}: the cache was consulted"
+        );
+        vec![
+            ("unbounded", sizing),
+            ("budgeted", budgeted),
+            ("rerun", rerun),
+        ]
+    }
+
+    /// Every counter family on both backends: each scenario's legs agree
+    /// on rows (the feature changes telemetry, never results), show the
+    /// counters the feature must produce, and conserve them along the
+    /// whole path from operator to run result.
+    #[test]
+    fn counters_surface_and_conserve_on_both_backends() {
+        type Legs = fn(BackendKind) -> Vec<(&'static str, EngineRun)>;
+        let scenarios: [(&str, Legs); 4] = [
+            ("columnar", columnar_legs),
+            ("memory budget", budget_legs),
+            ("result cache", cache_legs),
+            ("budgeted cache", budgeted_cache_legs),
+        ];
+        for (scenario, legs) in scenarios {
+            for kind in BackendKind::ALL {
+                let runs = legs(kind);
+                let (first, reference) = &runs[0];
+                for (leg, run) in &runs {
+                    let what = format!("{scenario}/{kind}/{leg}");
+                    assert_eq!(
+                        sorted_rows(run),
+                        sorted_rows(reference),
+                        "{what}: rows differ from the `{first}` leg"
+                    );
+                    assert_counters_conserved(run, &what);
+                }
+            }
         }
     }
 

@@ -76,12 +76,15 @@ use scriptflow_datakit::blockstore::{BlockAppender, Segment};
 use scriptflow_datakit::{ColumnarBatch, Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::SimDuration;
 
+use crate::backend::EngineRun;
 use crate::cost::CostProfile;
 use crate::dag::{OpId, Workflow, WorkflowBuilder};
+use crate::metrics::OpCounters;
 use crate::operator::{
     Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
 };
 use crate::spill::SPILL_BLOCK_ROWS;
+use crate::trace::ProgressTrace;
 
 /// Lock `m`, recovering from a poisoned mutex instead of propagating the
 /// panic. Cache state is seal-once — entries are inserted whole and
@@ -1120,33 +1123,33 @@ pub fn commit_recordings_as(
     stats
 }
 
-/// Fold a commit's eviction counts into a finished run's per-operator
-/// metrics, so `cacheEvictions` surfaces through the same telemetry
-/// spine as hits and misses. Shared by both executors and the service
-/// finalizer.
-pub(crate) fn apply_evictions_to_metrics(
-    stats: &CommitStats,
-    metrics: &mut crate::metrics::RunMetrics,
-) {
-    for (name, n) in &stats.per_op {
-        if let Some(m) = metrics.operators.iter_mut().find(|m| &m.name == name) {
-            m.cache_evictions += n;
+impl CommitStats {
+    /// Fold this commit into the finished run it published: the
+    /// published bytes, and — evictions happen at commit time, after
+    /// the last sample was taken — each publishing operator's eviction
+    /// count in the run's metrics and in the terminal sample of both
+    /// copies of its trace (`observed` is the copy handed back beside
+    /// the result). The pool's totals are recomputed to match. Shared
+    /// by both executors and the service finalizer.
+    pub(crate) fn apply_to(&self, run: &mut EngineRun, observed: &mut ProgressTrace) {
+        run.cache_published = self.published;
+        for (name, n) in &self.per_op {
+            let evicted = OpCounters {
+                cache_evictions: *n,
+                ..OpCounters::default()
+            };
+            if let Some(m) = run.metrics.operators.iter_mut().find(|m| &m.name == name) {
+                m.counters += evicted;
+            }
+            for trace in [&mut run.trace, &mut *observed] {
+                let terminal = trace.samples.last_mut().map(|(_, snaps)| snaps);
+                if let Some(s) = terminal.and_then(|t| t.iter_mut().find(|s| &s.name == name)) {
+                    s.counters += evicted;
+                }
+            }
         }
-    }
-}
-
-/// Fold a commit's eviction counts into the trace's terminal sample —
-/// evictions happen at commit time, after the last sample was taken.
-pub(crate) fn apply_evictions_to_trace(
-    stats: &CommitStats,
-    trace: &mut crate::trace::ProgressTrace,
-) {
-    let Some((_, snaps)) = trace.samples.last_mut() else {
-        return;
-    };
-    for (name, n) in &stats.per_op {
-        if let Some(s) = snaps.iter_mut().find(|s| &s.name == name) {
-            s.cache_evictions += n;
+        if let Some(pool) = run.pool.as_mut() {
+            pool.counters = run.metrics.totals();
         }
     }
 }

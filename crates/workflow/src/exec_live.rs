@@ -84,12 +84,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
+use scriptflow_core::BackendKind;
 use scriptflow_datakit::{ColumnarBatch, SharedBatch, Tuple};
-use scriptflow_simcluster::{Language, SimDuration, SimTime};
+use scriptflow_simcluster::{SimDuration, SimTime};
 
+use crate::backend::EngineRun;
 use crate::dag::{OpId, Workflow};
 use crate::fault::{CompiledFaults, FaultPlan, TupleAction, TupleTrigger};
-use crate::metrics::{OperatorMetrics, OperatorState, RunMetrics};
+use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryConfig, RetryPolicy};
@@ -168,33 +170,24 @@ pub struct PoolStats {
     /// Tasks that replayed at least one faulted quantum and still
     /// finished cleanly (their operators end `Completed`, not `Failed`).
     pub retries_succeeded: u64,
-    /// Whole input batches dropped by zone-map checks across all
-    /// operators (0 unless [`LiveExecutor::with_columnar`] is enabled
-    /// and a batch's statistics proved no row could pass).
-    pub batches_skipped: u64,
-    /// Compressed blocks written to the spill store across all operators
-    /// (0 unless a memory budget forced a blocking operator to spill).
-    pub spilled_blocks: u64,
-    /// Compressed bytes across all spilled blocks.
-    pub spilled_bytes: u64,
-    /// Spilled blocks read back (partition joins, run merges).
-    pub spill_reads: u64,
-    /// Operators served from the result cache — each served operator
-    /// counts once (0 unless [`LiveExecutor::with_result_cache`]).
-    pub cache_hits: u64,
-    /// Operators that ran under a result cache, missed, and recorded
-    /// their output for publication.
-    pub cache_misses: u64,
-    /// Compressed bytes decoded from the cache across all served
-    /// operators.
-    pub cache_bytes: u64,
-    /// Cache entries evicted when this run's recordings were committed
-    /// (0 unless the cache has a byte budget and this run's publications
-    /// displaced earlier entries).
-    pub cache_evictions: u64,
+    /// The run's data counters, summed over its operators (equal to
+    /// [`RunMetrics::totals`] of the same run). Readable through the
+    /// stats themselves: `stats.spilled_blocks`.
+    pub counters: OpCounters,
 }
 
-/// Result of a live run.
+impl std::ops::Deref for PoolStats {
+    type Target = OpCounters;
+
+    fn deref(&self) -> &OpCounters {
+        &self.counters
+    }
+}
+
+/// Result of a live run: an alias of the engine-wide [`EngineRun`].
+/// `kind` is [`BackendKind::Live`], `elapsed` is the measured wall-clock
+/// and `metrics.makespan` mirrors it; `pool` is `None` and `trace` empty
+/// in thread-per-worker mode.
 ///
 /// # Examples
 ///
@@ -216,23 +209,7 @@ pub struct PoolStats {
 /// assert_eq!(res.metrics.by_name("sink").unwrap().input_tuples, 8);
 /// assert!(!res.trace.is_empty(), "pooled runs always carry a final sample");
 /// ```
-#[derive(Debug, Clone)]
-pub struct LiveRunResult {
-    /// Wall-clock execution time.
-    pub elapsed: Duration,
-    /// Instrumentation counters (`makespan` mirrors `elapsed`).
-    pub metrics: RunMetrics,
-    /// Pool scheduling counters; `None` in thread-per-worker mode.
-    pub pool: Option<PoolStats>,
-    /// Per-operator progress samples (pooled mode). Always holds at
-    /// least the terminal sample; interval samples require
-    /// [`LiveExecutor::with_trace`]. Empty in thread-per-worker mode.
-    pub trace: ProgressTrace,
-    /// Compressed bytes this run added to the result cache (0 without
-    /// [`LiveExecutor::with_result_cache`], and 0 for runs that faulted
-    /// or retried — only clean runs publish their recordings).
-    pub cache_published: u64,
-}
+pub type LiveRunResult = EngineRun;
 
 /// The real-thread workflow executor.
 ///
@@ -526,14 +503,14 @@ impl LiveExecutor {
     /// let res = LiveExecutor::new(4).run(&wf).unwrap();
     /// assert_eq!(res.metrics.by_name("sink").unwrap().input_tuples, 6);
     /// ```
-    pub fn run(&self, wf: &Workflow) -> WorkflowResult<LiveRunResult> {
+    pub fn run(&self, wf: &Workflow) -> WorkflowResult<EngineRun> {
         self.run_observed(wf).1
     }
 
     /// Execute `wf`, returning the progress trace alongside the result.
     ///
     /// Unlike [`LiveExecutor::run`] — whose trace travels inside
-    /// [`LiveRunResult`] and is therefore lost on `Err` — this always
+    /// [`EngineRun`] and is therefore lost on `Err` — this always
     /// hands the trace back, so a failed run can still be replayed to
     /// see which operator reached [`crate::OperatorState::Failed`]. In
     /// thread-per-worker mode the trace is empty.
@@ -570,7 +547,7 @@ impl LiveExecutor {
     /// let (_, last) = trace.samples.last().unwrap();
     /// assert!(last.iter().any(|s| s.state == OperatorState::Failed));
     /// ```
-    pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<LiveRunResult>) {
+    pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         match self.mode {
             ExecMode::Pooled => {
                 let Some(cache) = self.result_cache.clone() else {
@@ -579,81 +556,21 @@ impl LiveExecutor {
                 // The replay-read charge only prices the simulator's
                 // virtual clock; live replay cost is real wall-clock.
                 let plan = crate::cache::prepare(wf, &cache, SimDuration::ZERO);
-                let (mut trace, result) = self.run_pooled(&plan.wf);
-                let result = result.map(|mut res| {
+                let (mut trace, mut result) = self.run_pooled(&plan.wf);
+                if let Ok(res) = &mut result {
                     // Publish only recordings from clean runs: a faulted
                     // or replayed quantum may have teed partial output.
                     let clean = res
                         .pool
                         .is_some_and(|p| p.faults_injected == 0 && p.retries_attempted == 0);
                     if clean {
-                        let stats =
-                            crate::cache::commit_recordings_as(&plan.recordings, &cache, None);
-                        res.cache_published = stats.published;
-                        if let Some(pool) = res.pool.as_mut() {
-                            pool.cache_evictions = stats.evictions;
-                        }
-                        crate::cache::apply_evictions_to_metrics(&stats, &mut res.metrics);
-                        crate::cache::apply_evictions_to_trace(&stats, &mut res.trace);
-                        crate::cache::apply_evictions_to_trace(&stats, &mut trace);
+                        crate::cache::commit_recordings_as(&plan.recordings, &cache, None)
+                            .apply_to(res, &mut trace);
                     }
-                    res
-                });
+                }
                 (trace, result)
             }
             ExecMode::ThreadPerWorker => (ProgressTrace::default(), self.run_threads(wf)),
-        }
-    }
-
-    /// Assemble metrics for a pooled run from the tracer's probes.
-    fn result_pooled(
-        wf: &Workflow,
-        elapsed: Duration,
-        tracer: &LiveTracer,
-        pool: PoolStats,
-        trace: ProgressTrace,
-    ) -> LiveRunResult {
-        assemble_live_result(
-            &ops_meta(wf),
-            wf.total_workers(),
-            elapsed,
-            tracer,
-            pool,
-            trace,
-        )
-    }
-
-    /// Assemble metrics for a thread-per-worker run from raw counters.
-    fn result_threads(
-        wf: &Workflow,
-        elapsed: Duration,
-        in_counts: &[AtomicU64],
-        out_counts: &[AtomicU64],
-    ) -> LiveRunResult {
-        let operators: Vec<OperatorMetrics> = wf
-            .ops()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let mut m =
-                    OperatorMetrics::new(n.factory.name(), n.factory.language(), n.parallelism);
-                m.input_tuples = in_counts[i].load(Ordering::Relaxed);
-                m.output_tuples = out_counts[i].load(Ordering::Relaxed);
-                m.state = OperatorState::Completed;
-                m
-            })
-            .collect();
-        LiveRunResult {
-            elapsed,
-            metrics: RunMetrics {
-                makespan: makespan_of(elapsed),
-                operators,
-                total_workers: wf.total_workers(),
-                events: 0,
-            },
-            pool: None,
-            trace: ProgressTrace::default(),
-            cache_published: 0,
         }
     }
 }
@@ -662,76 +579,38 @@ fn makespan_of(elapsed: Duration) -> SimTime {
     SimTime::ZERO + SimDuration::from_micros(elapsed.as_micros().min(u128::from(u64::MAX)) as u64)
 }
 
-/// Everything metrics assembly needs from one workflow node, captured
-/// so a run finalized long after submission (service mode) does not
-/// have to hold the DAG. Includes the planner's cache markers: a served
-/// operator's instances never execute, so its hit counters can only
-/// come from the factory, at capture time.
-pub(crate) struct OpMeta {
-    pub(crate) name: String,
-    pub(crate) language: Language,
-    pub(crate) workers: usize,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
-    pub(crate) cache_bytes: u64,
-}
-
-/// Capture an [`OpMeta`] per operator.
-pub(crate) fn ops_meta(wf: &Workflow) -> Vec<OpMeta> {
-    wf.ops()
-        .iter()
-        .map(|n| {
-            let (cache_hits, cache_bytes) = match n.factory.cache_replay() {
-                Some((_blocks, bytes)) => (1, bytes),
-                None => (0, 0),
-            };
-            OpMeta {
-                name: n.factory.name().to_owned(),
-                language: n.factory.language(),
-                workers: n.parallelism,
-                cache_hits,
-                cache_misses: u64::from(n.factory.cache_recording()),
-                cache_bytes,
-            }
-        })
-        .collect()
-}
-
-/// Assemble a [`LiveRunResult`] from a finished run core's probes.
-/// Shared by the single-run pooled path and the multi-tenant service's
-/// per-run finalizer.
+/// Assemble an [`EngineRun`] from a finished run core's probes. `ops`
+/// is the run's initial per-operator telemetry
+/// ([`OperatorMetrics::for_workflow`], captured at submission so a run
+/// finalized later does not have to hold the DAG); everything counted
+/// since is read back from `tracer`. Shared by the single-run pooled
+/// path and the multi-tenant service's per-run finalizer.
 pub(crate) fn assemble_live_result(
-    ops: &[OpMeta],
+    ops: &[OperatorMetrics],
     total_workers: usize,
     elapsed: Duration,
     tracer: &LiveTracer,
-    mut pool: PoolStats,
+    pool: PoolStats,
     trace: ProgressTrace,
-) -> LiveRunResult {
-    pool.cache_hits = ops.iter().map(|o| o.cache_hits).sum();
-    pool.cache_misses = ops.iter().map(|o| o.cache_misses).sum();
-    pool.cache_bytes = ops.iter().map(|o| o.cache_bytes).sum();
+) -> EngineRun {
     let operators: Vec<OperatorMetrics> = ops
         .iter()
         .enumerate()
-        .map(|(i, meta)| {
+        .map(|(i, initial)| {
             let probe = tracer.probe(i);
-            let mut m = OperatorMetrics::new(meta.name.clone(), meta.language, meta.workers);
-            m.input_tuples = probe.input_tuples();
-            m.output_tuples = probe.output_tuples();
-            m.batches_skipped = probe.batches_skipped();
-            m.spilled_blocks = probe.spilled_blocks();
-            m.spilled_bytes = probe.spilled_bytes();
-            m.spill_reads = probe.spill_reads();
-            m.cache_hits = meta.cache_hits;
-            m.cache_misses = meta.cache_misses;
-            m.cache_bytes = meta.cache_bytes;
-            m.busy = probe.busy();
-            m.state = probe.state();
-            m
+            OperatorMetrics {
+                input_tuples: probe.input_tuples(),
+                output_tuples: probe.output_tuples(),
+                counters: probe.counters(),
+                busy: probe.busy(),
+                state: probe.state(),
+                ..initial.clone()
+            }
         })
         .collect();
-    LiveRunResult {
+    EngineRun {
+        kind: BackendKind::Live,
+        rows: Vec::new(),
         elapsed,
         metrics: RunMetrics {
             makespan: makespan_of(elapsed),
@@ -739,9 +618,12 @@ pub(crate) fn assemble_live_result(
             total_workers,
             events: 0,
         },
-        pool: Some(pool),
         trace,
+        retries_attempted: pool.retries_attempted,
+        retries_succeeded: pool.retries_succeeded,
+        pool: Some(pool),
         cache_published: 0,
+        worker_timeline: Vec::new(),
     }
 }
 
@@ -957,6 +839,11 @@ impl Pool {
                     s.run_finished(*run);
                 }
             } else {
+                // Workers check `shutdown` and start waiting under the
+                // run-queue lock; notifying under it too means a worker
+                // between its check and its wait cannot miss the wake-up
+                // and sleep for ever.
+                let _queue = self.run_queue.lock();
                 self.cv.notify_all();
                 self.sampler_cv.notify_all();
             }
@@ -1063,29 +950,17 @@ impl Pool {
             stall_recoveries: self.stall_recoveries.load(Ordering::Relaxed),
             retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
             retries_succeeded: self.retries_succeeded.load(Ordering::Relaxed),
-            batches_skipped: self.tracer.total_batches_skipped(),
-            spilled_blocks: self.tracer.total_spilled_blocks(),
-            spilled_bytes: self.tracer.total_spilled_bytes(),
-            spill_reads: self.tracer.total_spill_reads(),
-            // Cache counters live on the planner's factory markers, not
-            // in the pool; `assemble_live_result` fills them from the
-            // captured OpMeta.
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_bytes: 0,
-            // Evictions happen at commit time, after the pool is done;
-            // the committing caller sets them.
-            cache_evictions: 0,
+            counters: self.tracer.totals(),
         }
     }
 
-    /// Drain the quantum's spill counters into the tracer. Called on
-    /// every successful processing step; faulting paths discard the
-    /// counters instead (`collector.take_spill()`), mirroring how the
-    /// quantum's partial output is discarded before a replay.
-    fn drain_spill(&self, op: usize, collector: &mut OutputCollector) {
-        let (blocks, bytes, reads) = collector.take_spill();
-        self.tracer.on_spill(op, blocks, bytes, reads);
+    /// Drain what the step counted into the tracer. Called after every
+    /// successful processing step; faulting paths call
+    /// [`OutputCollector::discard`] instead, so a replayed quantum's
+    /// counters — like its partial output — are regenerated, never
+    /// double-counted.
+    fn drain_counters(&self, op: usize, collector: &mut OutputCollector) {
+        self.tracer.add_counters(op, &collector.take_counters());
     }
 
     /// Request that `tid` runs (again) soon. Idempotent; safe from any
@@ -1502,8 +1377,7 @@ impl Pool {
             let port = replay.port;
             for t in replay.tuples {
                 if let Err(e) = inner.instance.on_tuple(t, port, &mut inner.collector) {
-                    let _ = inner.collector.take();
-                    let _ = inner.collector.take_spill();
+                    inner.collector.discard();
                     if self.try_retry(meta, inner) {
                         inner.replay = Some(ReplayBatch {
                             port,
@@ -1516,7 +1390,7 @@ impl Pool {
                     return RunOutcome::More;
                 }
             }
-            self.drain_spill(meta.op, &mut inner.collector);
+            self.drain_counters(meta.op, &mut inner.collector);
             if !inner.collector.is_empty() {
                 let out = inner.collector.take();
                 if let Err(e) = self.forward(meta, inner, out) {
@@ -1592,9 +1466,7 @@ impl Pool {
                             self.tracer.on_input(meta.op, n);
                             if let Err(e) = inner.instance.on_batch(&cb, port, &mut inner.collector)
                             {
-                                let _ = inner.collector.take();
-                                let _ = inner.collector.take_batches_skipped();
-                                let _ = inner.collector.take_spill();
+                                inner.collector.discard();
                                 if self.try_retry(meta, inner) {
                                     inner.replay = Some(ReplayBatch {
                                         port,
@@ -1606,11 +1478,7 @@ impl Pool {
                                 self.fail_task(meta.op, inner, e);
                                 break 'consume Some(RunOutcome::More);
                             }
-                            let skipped = inner.collector.take_batches_skipped();
-                            if skipped > 0 {
-                                self.tracer.on_batches_skipped(meta.op, skipped);
-                            }
-                            self.drain_spill(meta.op, &mut inner.collector);
+                            self.drain_counters(meta.op, &mut inner.collector);
                             if !inner.collector.is_empty() {
                                 let out = inner.collector.take();
                                 if let Err(e) = self.forward(meta, inner, out) {
@@ -1658,8 +1526,7 @@ impl Pool {
                     for t in tuples {
                         if let Err(e) = inner.instance.on_tuple(t, port, &mut inner.collector) {
                             if trigger.is_none() {
-                                let _ = inner.collector.take();
-                                let _ = inner.collector.take_spill();
+                                inner.collector.discard();
                                 if self.try_retry(meta, inner) {
                                     inner.replay = Some(ReplayBatch {
                                         port,
@@ -1673,7 +1540,7 @@ impl Pool {
                             break 'consume Some(RunOutcome::More);
                         }
                     }
-                    self.drain_spill(meta.op, &mut inner.collector);
+                    self.drain_counters(meta.op, &mut inner.collector);
                     if !inner.collector.is_empty() {
                         let out = inner.collector.take();
                         if let Err(e) = self.forward(meta, inner, out) {
@@ -1703,7 +1570,7 @@ impl Pool {
                             self.fail_task(meta.op, inner, e);
                             break 'consume Some(RunOutcome::More);
                         }
-                        self.drain_spill(meta.op, &mut inner.collector);
+                        self.drain_counters(meta.op, &mut inner.collector);
                         if !inner.collector.is_empty() {
                             let out = inner.collector.take();
                             if let Err(e) = self.forward(meta, inner, out) {
@@ -1999,8 +1866,7 @@ impl Pool {
                         // The faulted quantum's partial output is
                         // discarded; the stashed replay (or re-queued
                         // source chunk) regenerates it.
-                        let _ = inner.collector.take();
-                        let _ = inner.collector.take_spill();
+                        inner.collector.discard();
                     } else {
                         let name = self.tracer.probe(task.meta.op).name().to_owned();
                         self.fail_task(
@@ -2210,7 +2076,7 @@ pub(crate) fn build_tasks(
 }
 
 impl LiveExecutor {
-    fn run_pooled(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<LiveRunResult>) {
+    fn run_pooled(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         let start = Instant::now();
 
         // A fault plan naming an unknown operator is a harness bug:
@@ -2235,12 +2101,7 @@ impl LiveExecutor {
 
         let n_tasks = tasks.len();
         let pool_threads = self.pool_size.unwrap_or_else(default_pool_size).max(1);
-        let names: Vec<String> = wf
-            .ops()
-            .iter()
-            .map(|n| n.factory.name().to_owned())
-            .collect();
-        let workers: Vec<usize> = wf.ops().iter().map(|n| n.parallelism).collect();
+        let ops = OperatorMetrics::for_workflow(wf);
         let pool = Pool {
             tasks,
             run_queue: Mutex::new(VecDeque::new()),
@@ -2252,7 +2113,7 @@ impl LiveExecutor {
             pool_threads,
             idle_threads: AtomicUsize::new(0),
             stall_recoveries: AtomicU64::new(0),
-            tracer: LiveTracer::new(names, &workers),
+            tracer: LiveTracer::primed(&ops),
             task_runs: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
             retries_attempted: AtomicU64::new(0),
@@ -2321,7 +2182,14 @@ impl LiveExecutor {
         }
 
         let elapsed = start.elapsed();
-        let result = Self::result_pooled(wf, elapsed, &pool.tracer, pool.stats(), trace.clone());
+        let result = assemble_live_result(
+            &ops,
+            wf.total_workers(),
+            elapsed,
+            &pool.tracer,
+            pool.stats(),
+            trace.clone(),
+        );
         (trace, Ok(result))
     }
 }
@@ -2338,7 +2206,7 @@ enum LegacyMsg {
 }
 
 impl LiveExecutor {
-    fn run_threads(&self, wf: &Workflow) -> WorkflowResult<LiveRunResult> {
+    fn run_threads(&self, wf: &Workflow) -> WorkflowResult<EngineRun> {
         let start = Instant::now();
 
         // Channel per (op, worker): all upstream workers share one sender.
@@ -2539,7 +2407,29 @@ impl LiveExecutor {
         }
 
         let elapsed = start.elapsed();
-        Ok(Self::result_threads(wf, elapsed, &in_counts, &out_counts))
+        let mut operators = OperatorMetrics::for_workflow(wf);
+        for (i, m) in operators.iter_mut().enumerate() {
+            m.input_tuples = in_counts[i].load(Ordering::Relaxed);
+            m.output_tuples = out_counts[i].load(Ordering::Relaxed);
+            m.state = OperatorState::Completed;
+        }
+        Ok(EngineRun {
+            kind: BackendKind::Live,
+            rows: Vec::new(),
+            elapsed,
+            metrics: RunMetrics {
+                makespan: makespan_of(elapsed),
+                operators,
+                total_workers: wf.total_workers(),
+                events: 0,
+            },
+            trace: ProgressTrace::default(),
+            pool: None,
+            retries_attempted: 0,
+            retries_succeeded: 0,
+            cache_published: 0,
+            worker_timeline: Vec::new(),
+        })
     }
 }
 
@@ -2623,12 +2513,12 @@ mod tests {
             "selective predicate over sorted ids must prune whole batches"
         );
         let m = res_col.metrics.by_name("sel").unwrap();
-        assert_eq!(m.batches_skipped, stats.batches_skipped);
+        assert_eq!(m.counters.batches_skipped, stats.batches_skipped);
         assert_eq!(m.input_tuples, 800, "skipped batches still count as input");
         // The terminal trace sample carries the per-operator counter too.
         let (_, last) = res_col.trace.samples.last().unwrap();
         let sel = last.iter().find(|s| s.name == "sel").unwrap();
-        assert_eq!(sel.batches_skipped, stats.batches_skipped);
+        assert_eq!(sel.counters.batches_skipped, stats.batches_skipped);
     }
 
     #[test]
@@ -3001,14 +2891,17 @@ mod tests {
         let stats = res_spill.pool.unwrap();
         assert!(stats.spilled_blocks > 0, "tiny budget must force a spill");
         assert!(stats.spilled_bytes > 0);
-        assert!(stats.spill_reads > 0, "spilled partitions must be read back");
+        assert!(
+            stats.spill_reads > 0,
+            "spilled partitions must be read back"
+        );
         let m = res_spill.metrics.by_name("join").unwrap();
-        assert_eq!(m.spilled_blocks, stats.spilled_blocks);
-        assert_eq!(m.spill_reads, stats.spill_reads);
+        assert_eq!(m.counters.spilled_blocks, stats.spilled_blocks);
+        assert_eq!(m.counters.spill_reads, stats.spill_reads);
         // The terminal trace sample carries the per-operator counter too.
         let (_, last) = res_spill.trace.samples.last().unwrap();
         let join_snap = last.iter().find(|s| s.name == "join").unwrap();
-        assert_eq!(join_snap.spilled_blocks, stats.spilled_blocks);
+        assert_eq!(join_snap.counters.spilled_blocks, stats.spilled_blocks);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 
 use std::collections::VecDeque;
 
+use scriptflow_core::BackendKind;
 use scriptflow_datakit::{ColumnarBatch, Tuple};
 use scriptflow_simcluster::des::{self, Scheduler, SimModel};
 use scriptflow_simcluster::{Language, SimDuration, SimTime};
 
+use crate::backend::EngineRun;
 use crate::cost::EngineConfig;
 use crate::dag::{EdgeId, OpId, Workflow};
 use crate::metrics::{OperatorMetrics, OperatorState, RunMetrics};
@@ -67,32 +69,6 @@ pub struct WorkerInterval {
     pub start: SimTime,
     /// Service end.
     pub end: SimTime,
-}
-
-/// Result of a simulated run.
-#[derive(Debug, Clone)]
-pub struct SimRunResult {
-    /// End-to-end virtual time, including job submission overhead.
-    pub makespan: SimTime,
-    /// Instrumentation counters.
-    pub metrics: RunMetrics,
-    /// Sampled progress timeline. Always holds at least the terminal
-    /// sample; interval samples require [`SimExecutor::with_trace`].
-    pub trace: ProgressTrace,
-    /// Per-worker busy intervals (empty unless
-    /// [`SimExecutor::with_worker_timeline`] was configured).
-    pub worker_timeline: Vec<WorkerInterval>,
-    /// Faulted quanta replayed under an [`EngineConfig::retry`] budget
-    /// (0 without a policy — and the run is then byte-identical to the
-    /// pre-retry engine).
-    pub retries_attempted: u64,
-    /// Workers that replayed at least one faulted quantum and still
-    /// finished cleanly.
-    pub retries_succeeded: u64,
-    /// Compressed bytes this run published into the result cache (0
-    /// without [`EngineConfig::result_cache`], or when a dirty run —
-    /// one that spent retries — discarded its recordings).
-    pub cache_published: u64,
 }
 
 /// Per-worker runtime state.
@@ -206,10 +182,7 @@ impl<'a> SimState<'a> {
                     },
                     input_tuples: m.input_tuples,
                     output_tuples: m.output_tuples,
-                    batches_skipped: m.batches_skipped,
-                    spilled_blocks: m.spilled_blocks,
-                    cache_hits: m.cache_hits,
-                    cache_evictions: m.cache_evictions,
+                    counters: m.counters,
                 })
                 .collect();
             self.trace.samples.push((next, snaps));
@@ -599,12 +572,7 @@ impl<'a> SimModel for SimState<'a> {
                             let schema = tuples[0].schema().clone();
                             let cb = ColumnarBatch::from_tuples(schema, &tuples);
                             if let Err(e) = inst.on_batch(&cb, port, &mut collector) {
-                                let _ = collector.take();
-                                let _ = collector.take_batches_skipped();
                                 fault = Some(e);
-                            } else {
-                                self.metrics[op.0].batches_skipped +=
-                                    collector.take_batches_skipped();
                             }
                         } else {
                             for t in tuples {
@@ -679,18 +647,22 @@ impl<'a> SimModel for SimState<'a> {
                         self.workers[worker].port_done = vec![true];
                     }
                 }
-                // Spill I/O the quantum incurred: count it, then charge
-                // it as calibrated per-block time. The worker stays busy
-                // through the charge and its outputs depart only once
-                // the blocks are durable, so spilling shows up as real
-                // virtual latency. `delta` is zero whenever no budget is
-                // set, keeping unbounded runs event-for-event identical.
-                let (s_blocks, s_bytes, s_reads) = collector.take_spill();
-                self.metrics[op.0].spilled_blocks += s_blocks;
-                self.metrics[op.0].spilled_bytes += s_bytes;
-                self.metrics[op.0].spill_reads += s_reads;
-                let delta = self.cfg.spill_write_per_block * s_blocks
-                    + self.cfg.spill_read_per_block * s_reads;
+                // What the quantum counted (a faulted quantum returned
+                // above, dropping its collector and counters with it).
+                // Spill I/O is then charged as calibrated per-block
+                // time: the worker stays busy through the charge and its
+                // outputs depart only once the blocks are durable, so
+                // spilling shows up as real virtual latency. `delta` is
+                // zero whenever no budget is set, keeping unbounded runs
+                // event-for-event identical.
+                let counted = collector.take_counters();
+                let delta = if counted.is_zero() {
+                    SimDuration::ZERO
+                } else {
+                    self.metrics[op.0].counters += counted;
+                    self.cfg.spill_write_per_block * counted.spilled_blocks
+                        + self.cfg.spill_read_per_block * counted.spill_reads
+                };
                 if delta > SimDuration::ZERO {
                     let w = &mut self.workers[worker];
                     w.busy = true;
@@ -759,7 +731,7 @@ impl SimExecutor {
     }
 
     /// Record every worker's busy intervals into the result's
-    /// [`SimRunResult::worker_timeline`] (Gantt data).
+    /// [`EngineRun::worker_timeline`] (Gantt data).
     pub fn with_worker_timeline(mut self) -> Self {
         self.record_timeline = true;
         self
@@ -795,14 +767,14 @@ impl SimExecutor {
 
     /// Execute `wf` to completion; returns the makespan and metrics, or
     /// the first operator-level error.
-    pub fn run(&self, wf: &Workflow) -> WorkflowResult<SimRunResult> {
+    pub fn run(&self, wf: &Workflow) -> WorkflowResult<EngineRun> {
         self.run_observed(wf).1
     }
 
     /// Execute `wf`, returning the progress trace alongside the result.
     ///
     /// Unlike [`SimExecutor::run`] — whose trace travels inside
-    /// [`SimRunResult`] and is therefore lost on `Err` — this always
+    /// [`EngineRun`] and is therefore lost on `Err` — this always
     /// hands the trace back, so a failed run can still be replayed to
     /// see which operator reached
     /// [`crate::metrics::OperatorState::Failed`]. The trace always ends
@@ -817,31 +789,24 @@ impl SimExecutor {
     /// [`EngineConfig::cache_read_per_block`] per decoded block),
     /// unedited upstream cones are skipped, and on clean completion —
     /// no retries spent — the run's recorded outputs are published back.
-    pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<SimRunResult>) {
+    pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         let Some(cache) = self.config.result_cache.clone() else {
             return self.run_observed_inner(wf);
         };
         let plan = crate::cache::prepare(wf, &cache, self.config.cache_read_per_block);
-        let (mut trace, res) = self.run_observed_inner(&plan.wf);
-        let res = res.map(|mut r| {
+        let (mut trace, mut result) = self.run_observed_inner(&plan.wf);
+        if let Ok(run) = &mut result {
             // Publish only a clean run: a replayed quantum tees its
             // held batch's output twice, which must never be sealed.
-            if r.retries_attempted == 0 {
-                let stats = crate::cache::commit_recordings_as(&plan.recordings, &cache, None);
-                r.cache_published = stats.published;
-                // Evictions happen at commit, after the last sample:
-                // fold them into the metrics and the terminal sample of
-                // both trace copies.
-                crate::cache::apply_evictions_to_metrics(&stats, &mut r.metrics);
-                crate::cache::apply_evictions_to_trace(&stats, &mut r.trace);
-                crate::cache::apply_evictions_to_trace(&stats, &mut trace);
+            if run.retries_attempted == 0 {
+                crate::cache::commit_recordings_as(&plan.recordings, &cache, None)
+                    .apply_to(run, &mut trace);
             }
-            r
-        });
-        (trace, res)
+        }
+        (trace, result)
     }
 
-    fn run_observed_inner(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<SimRunResult>) {
+    fn run_observed_inner(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         let machine_count = self.config.cluster.worker_count().max(1);
 
         // --- Static placement -------------------------------------------
@@ -933,16 +898,7 @@ impl SimExecutor {
             })
             .collect();
 
-        let metrics: Vec<OperatorMetrics> = wf
-            .ops()
-            .iter()
-            .map(|n| {
-                let mut m =
-                    OperatorMetrics::new(n.factory.name(), n.factory.language(), n.parallelism);
-                m.prime_cache_counters(n.factory.as_ref());
-                m
-            })
-            .collect();
+        let metrics = OperatorMetrics::for_workflow(wf);
 
         let op_remaining: Vec<usize> = wf.ops().iter().map(|n| n.parallelism).collect();
 
@@ -1036,8 +992,10 @@ impl SimExecutor {
         let trace = state.trace;
         (
             trace.clone(),
-            Ok(SimRunResult {
-                makespan,
+            Ok(EngineRun {
+                kind: BackendKind::Sim,
+                rows: Vec::new(),
+                elapsed: std::time::Duration::ZERO,
                 metrics: RunMetrics {
                     makespan,
                     operators,
@@ -1045,10 +1003,11 @@ impl SimExecutor {
                     events: sched.processed(),
                 },
                 trace,
-                worker_timeline: state.timeline,
+                pool: None,
                 retries_attempted: state.retries_attempted,
                 retries_succeeded: state.retries_succeeded,
                 cache_published: 0,
+                worker_timeline: state.timeline,
             }),
         )
     }
@@ -1106,7 +1065,7 @@ mod tests {
 
         let res = SimExecutor::new(cfg()).run(&wf).unwrap();
         assert_eq!(handle.len(), 50);
-        assert!(res.makespan > SimTime::ZERO);
+        assert!(res.makespan() > SimTime::ZERO);
         let m = res.metrics.by_name("even").unwrap();
         assert_eq!(m.input_tuples, 100);
         assert_eq!(m.output_tuples, 50);
@@ -1319,18 +1278,31 @@ mod tests {
             rows_row, rows_col,
             "both batch modes must emit identical rows"
         );
-        assert_eq!(res_row.metrics.by_name("sel").unwrap().batches_skipped, 0);
-        let skipped = res_col.metrics.by_name("sel").unwrap().batches_skipped;
+        assert_eq!(
+            res_row
+                .metrics
+                .by_name("sel")
+                .unwrap()
+                .counters
+                .batches_skipped,
+            0
+        );
+        let skipped = res_col
+            .metrics
+            .by_name("sel")
+            .unwrap()
+            .counters
+            .batches_skipped;
         assert!(skipped > 0, "selective predicate must prune whole batches");
         // The terminal trace sample carries the same counter.
         let (_, last) = res_col.trace.samples.last().unwrap();
         let sel = last.iter().find(|s| s.name == "sel").unwrap();
-        assert_eq!(sel.batches_skipped, skipped);
+        assert_eq!(sel.counters.batches_skipped, skipped);
         assert!(
-            res_col.makespan < res_row.makespan,
+            res_col.makespan() < res_row.makespan(),
             "columnar discount must shrink the makespan: {} vs {}",
-            res_col.makespan,
-            res_row.makespan
+            res_col.makespan(),
+            res_row.makespan()
         );
     }
 
@@ -1421,25 +1393,36 @@ mod tests {
             "spilled join must emit identical rows"
         );
         assert_eq!(
-            res_mem.metrics.by_name("join").unwrap().spilled_blocks,
+            res_mem
+                .metrics
+                .by_name("join")
+                .unwrap()
+                .counters
+                .spilled_blocks,
             0,
             "unbounded run must not spill"
         );
         let m = res_spill.metrics.by_name("join").unwrap();
-        assert!(m.spilled_blocks > 0, "tiny budget must spill blocks");
-        assert!(m.spilled_bytes > 0);
-        assert!(m.spill_reads > 0, "partition join must read blocks back");
+        assert!(
+            m.counters.spilled_blocks > 0,
+            "tiny budget must spill blocks"
+        );
+        assert!(m.counters.spilled_bytes > 0);
+        assert!(
+            m.counters.spill_reads > 0,
+            "partition join must read blocks back"
+        );
         // Spill I/O is charged on the virtual clock.
         assert!(
-            res_spill.makespan > res_mem.makespan,
+            res_spill.makespan() > res_mem.makespan(),
             "spill quanta must extend the makespan: {} vs {}",
-            res_spill.makespan,
-            res_mem.makespan
+            res_spill.makespan(),
+            res_mem.makespan()
         );
         // The terminal trace sample carries the spill counter.
         let (_, last) = res_spill.trace.samples.last().unwrap();
         let join_snap = last.iter().find(|s| s.name == "join").unwrap();
-        assert_eq!(join_snap.spilled_blocks, m.spilled_blocks);
+        assert_eq!(join_snap.counters.spilled_blocks, m.counters.spilled_blocks);
     }
 
     #[test]
@@ -1458,7 +1441,7 @@ mod tests {
             b.connect(scan, filt, 0, PartitionStrategy::RoundRobin);
             b.connect(filt, sink, 0, PartitionStrategy::Single);
             let wf = b.build().unwrap();
-            SimExecutor::new(cfg()).run(&wf).unwrap().makespan
+            SimExecutor::new(cfg()).run(&wf).unwrap().makespan()
         };
         let one = run_with(1);
         let four = run_with(4);
@@ -1496,7 +1479,7 @@ mod tests {
             let wf = b.build().unwrap();
             let mut config = cfg();
             config.pipelining = pipelining;
-            SimExecutor::new(config).run(&wf).unwrap().makespan
+            SimExecutor::new(config).run(&wf).unwrap().makespan()
         };
         let with = build(true);
         let without = build(false);
@@ -1548,7 +1531,7 @@ mod tests {
             b.connect(filt, sink, 0, PartitionStrategy::Single);
             b.build().unwrap()
         };
-        let base = SimExecutor::new(cfg()).run(&build()).unwrap().makespan;
+        let base = SimExecutor::new(cfg()).run(&build()).unwrap().makespan();
         let paused = SimExecutor::new(cfg())
             .with_pause(
                 SimTime::from_micros(60_000),
@@ -1556,7 +1539,7 @@ mod tests {
             )
             .run(&build())
             .unwrap()
-            .makespan;
+            .makespan();
         let delta = paused.as_secs_f64() - base.as_secs_f64();
         assert!(
             (1.8..2.3).contains(&delta),
@@ -1625,7 +1608,7 @@ mod tests {
             b.connect(filt, sink, 0, PartitionStrategy::Single);
             let wf = b.build().unwrap();
             let r = SimExecutor::new(cfg()).run(&wf).unwrap();
-            (r.makespan, r.metrics.events)
+            (r.makespan(), r.metrics.events)
         };
         assert_eq!(run(), run());
     }

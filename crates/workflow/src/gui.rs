@@ -355,7 +355,7 @@ mod tests {
             .run(&wf)
             .unwrap();
         assert!(!res.worker_timeline.is_empty());
-        let text = render_gantt(&wf, &res.worker_timeline, res.makespan, 40);
+        let text = render_gantt(&wf, &res.worker_timeline, res.makespan(), 40);
         // One row per worker: scan(1) + filter(2) + sink(1) = 4 + axis.
         assert_eq!(text.lines().count(), 5, "{text}");
         assert!(text.contains('#'));

@@ -65,10 +65,14 @@
 //! * **One execution surface over both engines** — a
 //!   [`backend::ExecBackend`] selected from a
 //!   [`scriptflow_core::BackendKind`] runs the same built DAG on either
-//!   executor and normalizes the result into one
-//!   [`backend::EngineRun`] (rows, trace, metrics, wall-clock/pool
-//!   extras), so task drivers and benches thread a `--backend` flag
-//!   instead of duplicating executor construction.
+//!   executor; both return the same [`backend::EngineRun`] (rows,
+//!   trace, metrics, wall-clock/pool extras), so task drivers and
+//!   benches thread a `--backend` flag instead of duplicating executor
+//!   construction.
+//! * **One counter set** — the data counters every operator box shows
+//!   (batches skipped, spill and cache traffic) are one value type,
+//!   [`metrics::OpCounters`], carried unchanged from the operator's
+//!   [`OutputCollector`] to the trace, the metrics and the run totals.
 //!
 //! [`Language`]: scriptflow_simcluster::Language
 
@@ -98,9 +102,9 @@ pub use cache::{commit_recordings_as, CacheEntry, CachePlan, CommitStats, Publis
 pub use cost::{CostProfile, EngineConfig};
 pub use dag::{EdgeId, OpId, Workflow, WorkflowBuilder};
 pub use exec_live::{ExecMode, LiveExecutor, LiveRunResult, PoolStats};
-pub use exec_sim::{SimExecutor, SimRunResult};
+pub use exec_sim::SimExecutor;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use metrics::{OperatorMetrics, OperatorState, RunMetrics};
+pub use metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 pub use operator::{Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult};
 pub use partition::{CompiledPartitioner, PartitionStrategy};
 pub use retry::{Backoff, RetryConfig, RetryPolicy};

@@ -5,7 +5,14 @@
 //! data being processed by each operator" (§III-A). These types are that
 //! information; [`crate::gui`] renders them.
 
+use std::iter::Sum;
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use scriptflow_simcluster::{Language, SimDuration, SimTime};
+
+use crate::dag::Workflow;
+use crate::operator::OperatorFactory;
 
 /// Lifecycle state of an operator, as displayed in the GUI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,8 +92,124 @@ impl OperatorState {
     }
 }
 
-/// Per-operator runtime counters (the two numbers on every box in the
-/// paper's Fig. 9: input tuples and output tuples).
+/// Defines [`OpCounters`], its atomic mirror and its wire-key table from
+/// one field list, in [`crate::trace::TraceJson`] key order. A new data
+/// counter is one more entry here plus the call that increments it.
+macro_rules! op_counters {
+    ($($(#[$doc:meta])* $field:ident => $key:literal,)+) => {
+        /// The data counters one operator accumulates while it runs —
+        /// everything beyond the Fig.-9 tuple counts. One value of this
+        /// type travels unchanged from the operator's
+        /// [`crate::OutputCollector`] through the executors' telemetry
+        /// ([`crate::trace_live::LiveTracer`] or the simulator's
+        /// per-operator state) into [`OperatorMetrics`],
+        /// [`crate::trace::OperatorSnapshot`], `TraceJson` and the run
+        /// totals ([`RunMetrics::totals`]).
+        ///
+        /// # Examples
+        ///
+        /// ```
+        /// use scriptflow_workflow::OpCounters;
+        ///
+        /// let mut total = OpCounters::default();
+        /// assert!(total.is_zero());
+        /// total += OpCounters { spilled_blocks: 2, spilled_bytes: 64, ..OpCounters::default() };
+        /// total += OpCounters { spilled_blocks: 1, ..OpCounters::default() };
+        /// assert_eq!(total.spilled_blocks, 3);
+        /// assert!(total.wire().any(|(key, v)| key == "spilledBytes" && v == 64));
+        /// ```
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OpCounters {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl OpCounters {
+            /// True when nothing was counted (the executors' per-quantum
+            /// drain returns early on this).
+            pub fn is_zero(&self) -> bool {
+                ($(self.$field)|+) == 0
+            }
+
+            /// `(wire key, value)` per counter, in `TraceJson` key order.
+            pub fn wire(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($key, self.$field)),+].into_iter()
+            }
+
+            /// Rebuild a counter set from its wire form: `value_of` is
+            /// asked for each key once.
+            pub fn from_wire(mut value_of: impl FnMut(&str) -> u64) -> Self {
+                OpCounters { $($field: value_of($key)),+ }
+            }
+        }
+
+        impl AddAssign for OpCounters {
+            fn add_assign(&mut self, other: OpCounters) {
+                $(self.$field += other.$field;)+
+            }
+        }
+
+        /// Lock-free mirror of [`OpCounters`]: what a live
+        /// [`crate::trace_live::OperatorProbe`] accumulates from pool
+        /// threads. The values publish no other data, so every access is
+        /// relaxed.
+        #[derive(Debug, Default)]
+        pub(crate) struct AtomicOpCounters {
+            $($field: AtomicU64,)+
+        }
+
+        impl AtomicOpCounters {
+            pub(crate) fn add(&self, c: &OpCounters) {
+                $(if c.$field != 0 {
+                    self.$field.fetch_add(c.$field, Ordering::Relaxed);
+                })+
+            }
+
+            pub(crate) fn load(&self) -> OpCounters {
+                OpCounters { $($field: self.$field.load(Ordering::Relaxed)),+ }
+            }
+        }
+    };
+}
+
+op_counters! {
+    /// Whole input batches dropped by the operator's zone-map check
+    /// (per-batch min/max statistics proved no row could pass) without
+    /// reading their columns.
+    batches_skipped => "batchesSkipped",
+    /// Compressed blocks written to the spill store when the operator's
+    /// buffered state outgrew its memory budget. 0 without a budget.
+    spilled_blocks => "spilledBlocks",
+    /// 1 when the operator was served from the result cache (it never
+    /// ran; a replay source emitted its sealed output). 0 otherwise.
+    cache_hits => "cacheHits",
+    /// Cache entries evicted to admit the operator's published output
+    /// (non-zero only when the run's cache has a byte budget; counted
+    /// when the run commits).
+    cache_evictions => "cacheEvictions",
+    /// Compressed bytes across all spilled blocks.
+    spilled_bytes => "spilledBytes",
+    /// Spilled blocks read back (partition joins, run merges).
+    spill_reads => "spillReads",
+    /// 1 when the operator ran under a result cache, missed, and
+    /// recorded its output for publication. 0 otherwise.
+    cache_misses => "cacheMisses",
+    /// Compressed bytes decoded from the cache to serve the operator
+    /// (non-zero only with `cache_hits`).
+    cache_bytes => "cacheBytes",
+}
+
+impl Sum for OpCounters {
+    fn sum<I: Iterator<Item = OpCounters>>(iter: I) -> OpCounters {
+        iter.fold(OpCounters::default(), |mut acc, c| {
+            acc += c;
+            acc
+        })
+    }
+}
+
+/// Per-operator runtime telemetry: the two numbers on every box in the
+/// paper's Fig. 9 (input and output tuples) plus the operator's
+/// [`OpCounters`].
 #[derive(Debug, Clone)]
 pub struct OperatorMetrics {
     /// Operator display name.
@@ -99,30 +222,8 @@ pub struct OperatorMetrics {
     pub input_tuples: u64,
     /// Tuples emitted across all workers.
     pub output_tuples: u64,
-    /// Whole input batches dropped by the operator's zone-map check
-    /// (per-batch min/max statistics proved no row could pass) without
-    /// reading their columns. Non-zero only on the columnar path.
-    pub batches_skipped: u64,
-    /// Compressed blocks written to the spill store when the operator's
-    /// buffered state outgrew its memory budget. 0 without a budget.
-    pub spilled_blocks: u64,
-    /// Compressed bytes across all spilled blocks.
-    pub spilled_bytes: u64,
-    /// Spilled blocks read back (partition joins, run merges).
-    pub spill_reads: u64,
-    /// 1 when this operator was served from the result cache (it never
-    /// ran; a replay source emitted its sealed output). 0 otherwise.
-    pub cache_hits: u64,
-    /// 1 when this operator ran under a result cache, missed, and
-    /// recorded its output for publication. 0 otherwise.
-    pub cache_misses: u64,
-    /// Compressed bytes decoded from the cache to serve this operator
-    /// (non-zero only with [`OperatorMetrics::cache_hits`]).
-    pub cache_bytes: u64,
-    /// Cache entries evicted to admit this operator's published output
-    /// (non-zero only when the run's cache has a byte budget and this
-    /// operator's publication displaced earlier entries).
-    pub cache_evictions: u64,
+    /// Data counters summed across all workers.
+    pub counters: OpCounters,
     /// Summed busy time across workers.
     pub busy: SimDuration,
     /// Current lifecycle state.
@@ -149,14 +250,7 @@ impl OperatorMetrics {
             workers,
             input_tuples: 0,
             output_tuples: 0,
-            batches_skipped: 0,
-            spilled_blocks: 0,
-            spilled_bytes: 0,
-            spill_reads: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_bytes: 0,
-            cache_evictions: 0,
+            counters: OpCounters::default(),
             busy: SimDuration::ZERO,
             state: OperatorState::Initializing,
         }
@@ -165,16 +259,31 @@ impl OperatorMetrics {
     /// Prime the cache counters from the factory markers the planner
     /// leaves on a cache-aware workflow (see [`crate::cache`]): a replay
     /// factory is one hit (with its served bytes), a recording factory
-    /// is one miss. Both executors call this when initializing
-    /// per-operator telemetry, because a served operator's instances
-    /// never execute.
-    pub fn prime_cache_counters(&mut self, factory: &dyn crate::operator::OperatorFactory) {
+    /// is one miss. A served operator's instances never execute, so
+    /// these cannot flow through an [`crate::OutputCollector`].
+    pub fn prime_cache_counters(&mut self, factory: &dyn OperatorFactory) {
         if let Some((_blocks, bytes)) = factory.cache_replay() {
-            self.cache_hits = 1;
-            self.cache_bytes = bytes;
+            self.counters.cache_hits = 1;
+            self.counters.cache_bytes = bytes;
         } else if factory.cache_recording() {
-            self.cache_misses = 1;
+            self.counters.cache_misses = 1;
         }
+    }
+
+    /// The telemetry every run of `wf` starts from, one entry per
+    /// operator in [`crate::OpId`] order with the cache counters primed.
+    /// Both executors and the service build their per-operator state
+    /// from this.
+    pub fn for_workflow(wf: &Workflow) -> Vec<OperatorMetrics> {
+        wf.ops()
+            .iter()
+            .map(|n| {
+                let mut m =
+                    OperatorMetrics::new(n.factory.name(), n.factory.language(), n.parallelism);
+                m.prime_cache_counters(n.factory.as_ref());
+                m
+            })
+            .collect()
     }
 }
 
@@ -200,6 +309,11 @@ impl RunMetrics {
             .filter(|m| m.output_tuples == 0 && m.input_tuples > 0)
             .map(|m| m.input_tuples)
             .sum()
+    }
+
+    /// The run's data counters: the sum over its operators.
+    pub fn totals(&self) -> OpCounters {
+        self.operators.iter().map(|m| m.counters).sum()
     }
 
     /// Look up an operator's metrics by name.
@@ -248,6 +362,38 @@ mod tests {
         let u = m.utilization(SimTime::from_micros(10_000_000));
         assert!((u - 0.25).abs() < 1e-9, "{u}");
         assert_eq!(m.utilization(SimTime::ZERO), 0.0);
+    }
+
+    #[test]
+    fn counters_add_sum_and_mirror_atomically() {
+        let a = OpCounters {
+            batches_skipped: 2,
+            spilled_bytes: 100,
+            ..OpCounters::default()
+        };
+        let b = OpCounters {
+            spilled_bytes: 28,
+            cache_hits: 1,
+            ..OpCounters::default()
+        };
+        let total: OpCounters = [a, b].into_iter().sum();
+        assert_eq!(total.batches_skipped, 2);
+        assert_eq!(total.spilled_bytes, 128);
+        assert_eq!(total.cache_hits, 1);
+        assert!(!total.is_zero() && OpCounters::default().is_zero());
+
+        let mirror = AtomicOpCounters::default();
+        mirror.add(&a);
+        mirror.add(&b);
+        assert_eq!(mirror.load(), total);
+
+        // Every field has a distinct wire key and survives the wire.
+        let keys: std::collections::BTreeSet<_> = total.wire().map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), total.wire().count());
+        let back = OpCounters::from_wire(|key| {
+            total.wire().find(|(k, _)| *k == key).map_or(0, |(_, v)| v)
+        });
+        assert_eq!(back, total);
     }
 
     #[test]

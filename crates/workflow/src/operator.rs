@@ -7,6 +7,7 @@ use scriptflow_datakit::{ColumnarBatch, DataError, Schema, SchemaRef, Tuple, Val
 use scriptflow_simcluster::Language;
 
 use crate::cost::CostProfile;
+use crate::metrics::OpCounters;
 
 /// Result alias for workflow operations.
 pub type WorkflowResult<T> = Result<T, WorkflowError>;
@@ -85,17 +86,15 @@ impl WorkflowError {
     }
 }
 
-/// Collects tuples an operator emits while handling input.
+/// Collects tuples an operator emits while handling input, plus the
+/// [`OpCounters`] it accrues doing so.
 ///
 /// Output is port-less: an operator has exactly one output stream which
 /// the DAG may fan out to several downstream edges (Texera's model).
 #[derive(Debug, Default)]
 pub struct OutputCollector {
     tuples: Vec<Tuple>,
-    batches_skipped: u64,
-    spilled_blocks: u64,
-    spilled_bytes: u64,
-    spill_reads: u64,
+    counters: OpCounters,
 }
 
 impl OutputCollector {
@@ -116,58 +115,51 @@ impl OutputCollector {
 
     /// Record one zone-map batch prune: the operator's statistics check
     /// proved no row of an input batch could pass, so the whole batch was
-    /// dropped without reading its columns. Executors drain this via
-    /// [`OutputCollector::take_batches_skipped`] into their telemetry.
+    /// dropped without reading its columns.
     pub fn note_batch_skipped(&mut self) {
-        self.batches_skipped += 1;
-    }
-
-    /// Zone-map prunes recorded since the last drain.
-    pub fn batches_skipped(&self) -> u64 {
-        self.batches_skipped
-    }
-
-    /// Drain the zone-map prune counter.
-    pub fn take_batches_skipped(&mut self) -> u64 {
-        std::mem::take(&mut self.batches_skipped)
+        self.counters.batches_skipped += 1;
     }
 
     /// Record one spilled block of `bytes` compressed bytes: the operator
     /// exceeded its memory budget and persisted part of its state to the
-    /// block store. Executors drain this via
-    /// [`OutputCollector::take_spill`] into their telemetry.
+    /// block store.
     pub fn note_spill_write(&mut self, bytes: u64) {
-        self.spilled_blocks += 1;
-        self.spilled_bytes += bytes;
+        self.counters.spilled_blocks += 1;
+        self.counters.spilled_bytes += bytes;
     }
 
     /// Record one block read back from a spilled segment.
     pub fn note_spill_read(&mut self) {
-        self.spill_reads += 1;
+        self.counters.spill_reads += 1;
+    }
+
+    /// Counters accrued since the last drain.
+    pub fn counters(&self) -> &OpCounters {
+        &self.counters
+    }
+
+    /// Zone-map prunes recorded since the last drain.
+    pub fn batches_skipped(&self) -> u64 {
+        self.counters.batches_skipped
     }
 
     /// Blocks spilled since the last drain.
     pub fn spilled_blocks(&self) -> u64 {
-        self.spilled_blocks
+        self.counters.spilled_blocks
     }
 
-    /// Compressed bytes spilled since the last drain.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes
+    /// Drain the counters. Executors call this after every successful
+    /// processing step and add the value to their per-operator telemetry.
+    pub fn take_counters(&mut self) -> OpCounters {
+        std::mem::take(&mut self.counters)
     }
 
-    /// Spilled blocks read back since the last drain.
-    pub fn spill_reads(&self) -> u64 {
-        self.spill_reads
-    }
-
-    /// Drain the spill counters as `(blocks, bytes, reads)`.
-    pub fn take_spill(&mut self) -> (u64, u64, u64) {
-        (
-            std::mem::take(&mut self.spilled_blocks),
-            std::mem::take(&mut self.spilled_bytes),
-            std::mem::take(&mut self.spill_reads),
-        )
+    /// Throw away a faulted quantum's partial output *and* its counters,
+    /// so the quantum's replay (see [`crate::retry`]) regenerates both
+    /// exactly once.
+    pub fn discard(&mut self) {
+        self.tuples.clear();
+        self.counters = OpCounters::default();
     }
 
     /// The tuples emitted since `mark` (a value of

@@ -762,7 +762,7 @@ mod tests {
         let mut rows: Vec<String> = out.take().iter().map(|t| format!("{t:?}")).collect();
         rows.sort();
         let blocks = out.spilled_blocks();
-        let reads = out.spill_reads();
+        let reads = out.counters().spill_reads;
         (rows, blocks, reads)
     }
 

@@ -814,7 +814,8 @@ mod tests {
             inst.on_tuple(probe_tuple(i, i % 17), 1, &mut out).unwrap();
         }
         inst.on_port_complete(1, &mut out).unwrap();
-        (out.take(), out.take_spill().0, out.take_batches_skipped())
+        let counted = out.take_counters();
+        (out.take(), counted.spilled_blocks, counted.batches_skipped)
     }
 
     fn sorted_strings(rows: &[Tuple]) -> Vec<String> {
@@ -858,7 +859,7 @@ mod tests {
         for i in 0..60 {
             inst.on_tuple(probe_tuple(i, 1000 + i), 1, &mut out).unwrap();
         }
-        let reads_before_probe = out.spill_reads();
+        let reads_before_probe = out.counters().spill_reads;
         inst.on_port_complete(1, &mut out).unwrap();
         assert!(out.is_empty(), "disjoint keys must produce no matches");
         assert!(
@@ -867,7 +868,7 @@ mod tests {
         );
         // Skipped probe blocks are never decompressed; only build blocks
         // (and any repartitioning) pay reads.
-        assert!(out.spill_reads() >= reads_before_probe);
+        assert!(out.counters().spill_reads >= reads_before_probe);
     }
 
     #[test]

@@ -529,7 +529,7 @@ mod tests {
         inst.on_batch(&columnar(&(101..=105).collect::<Vec<_>>()), 0, &mut out)
             .unwrap();
         assert_eq!(out.len(), 15);
-        assert_eq!(out.take_batches_skipped(), 1);
+        assert_eq!(out.take_counters().batches_skipped, 1);
         assert_eq!(out.batches_skipped(), 0);
     }
 

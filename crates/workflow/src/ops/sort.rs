@@ -408,7 +408,7 @@ mod tests {
             "512-byte budget must force sorted runs to spill"
         );
         inst.on_port_complete(0, &mut out).unwrap();
-        assert!(out.spill_reads() > 0, "merge must read runs back");
+        assert!(out.counters().spill_reads > 0, "merge must read runs back");
         let spilled = out.take();
         let keys = |ts: &[Tuple]| -> Vec<i64> {
             ts.iter().map(|t| t.get_int("a").unwrap()).collect()

@@ -59,7 +59,7 @@
 //! # Observability
 //!
 //! Every run feeds its own [`LiveTracer`]; the finished [`RunReport`]
-//! carries the same [`LiveRunResult`] (metrics + [`PoolStats`]) a solo
+//! carries the same [`EngineRun`] (metrics + [`PoolStats`]) a solo
 //! pooled run produces, the terminal [`ProgressTrace`], and
 //! [`RunReport::trace_json`] exports it tagged with tenant and run id
 //! ([`crate::trace::TraceJson::from_trace_labeled`]). Per-tenant
@@ -102,16 +102,14 @@ use parking_lot::{Condvar, Mutex};
 use scriptflow_core::fingerprint::OpFingerprint;
 use scriptflow_simcluster::SimDuration;
 
-use crate::cache::{
-    apply_evictions_to_metrics, apply_evictions_to_trace, commit_recordings_as, prepare,
-    CacheRecording, CommitStats, ResultCache,
-};
+use crate::backend::EngineRun;
+use crate::cache::{commit_recordings_as, prepare, CacheRecording, CommitStats, ResultCache};
 use crate::dag::Workflow;
 use crate::exec_live::{
-    assemble_live_result, build_tasks, default_pool_size, ops_meta, LiveRunResult, OpMeta, Pool,
-    PoolStats, QuantumScheduler, Task,
+    assemble_live_result, build_tasks, default_pool_size, Pool, PoolStats, QuantumScheduler, Task,
 };
 use crate::fault::{CompiledFaults, FaultPlan};
+use crate::metrics::{OpCounters, OperatorMetrics};
 use crate::operator::{OperatorFactory, WorkflowError, WorkflowResult};
 use crate::retry::RetryConfig;
 use crate::trace::{ProgressTrace, TraceJson};
@@ -509,7 +507,7 @@ pub struct RunReport {
     /// The run's outcome: the same result shape a solo pooled
     /// [`crate::exec_live::LiveExecutor`] run produces, or the fault
     /// that failed it (drain semantics — see [`crate::fault`]).
-    pub result: WorkflowResult<LiveRunResult>,
+    pub result: WorkflowResult<EngineRun>,
     /// Terminal progress trace (present even when `result` is `Err`,
     /// like [`crate::exec_live::LiveExecutor::run_observed`]).
     pub trace: ProgressTrace,
@@ -646,25 +644,20 @@ pub struct TenantStats {
     pub quanta: u64,
     /// Wall-clock the pool spent inside this tenant's quanta.
     pub busy: Duration,
-    /// Compressed bytes this tenant's finished runs spilled under a
-    /// memory budget (charged against
-    /// [`TenantQuota::with_spill_budget`]).
-    pub spilled_bytes: u64,
-    /// Operators this tenant's runs were served straight from the
-    /// shared result cache (each served operator counts once).
-    pub cache_hits: u64,
-    /// Operators that ran under the shared result cache, missed, and
-    /// recorded their output.
-    pub cache_misses: u64,
+    /// Data counters summed over this tenant's finished runs, failed
+    /// ones included: `spilled_bytes` is what
+    /// [`TenantQuota::with_spill_budget`] charges, `cache_hits` /
+    /// `cache_misses` count operators served from / recorded into the
+    /// shared result cache, and `cache_evictions` counts entries the
+    /// cache's byte budget evicted while this tenant's recordings were
+    /// committed (evicted bytes are credited back to their owning
+    /// tenant's live footprint, so they no longer count against
+    /// [`TenantQuota::with_cache_budget`]).
+    pub counters: OpCounters,
     /// Compressed bytes this tenant's cleanly finished runs added to
     /// the shared result cache (charged against
     /// [`TenantQuota::with_cache_budget`]).
     pub cache_published: u64,
-    /// Entries the shared cache's byte budget evicted while this
-    /// tenant's recordings were committed. Evicted bytes are credited
-    /// back to their owning tenant's live footprint, so these no longer
-    /// count against [`TenantQuota::with_cache_budget`].
-    pub cache_evictions: u64,
 }
 
 /// Point-in-time service snapshot.
@@ -696,7 +689,7 @@ struct PendingRun {
     submitted: Instant,
     tasks: Vec<Task>,
     faults: Option<CompiledFaults>,
-    ops: Vec<OpMeta>,
+    ops: Vec<OperatorMetrics>,
     total_workers: usize,
     factories: Vec<Arc<dyn OperatorFactory>>,
     sink_ids: Vec<usize>,
@@ -737,7 +730,7 @@ struct ActiveRun {
     weight: u64,
     submitted: Instant,
     dispatched: Instant,
-    ops: Vec<OpMeta>,
+    ops: Vec<OperatorMetrics>,
     total_workers: usize,
     sink_ids: Vec<usize>,
     /// Cache-enabled runs: the whole-DAG fingerprint that holds
@@ -832,7 +825,7 @@ impl Shared {
                 cs.columnar,
                 cs.memory_budget,
             );
-            p.ops = ops_meta(&plan.wf);
+            p.ops = OperatorMetrics::for_workflow(&plan.wf);
             p.total_workers = plan.wf.total_workers();
             cache_fp = Some(cs.workflow_fp);
             recordings = plan.recordings;
@@ -840,9 +833,7 @@ impl Shared {
         for f in &p.factories {
             f.reset_shared_state();
         }
-        let names: Vec<String> = p.ops.iter().map(|o| o.name.clone()).collect();
-        let workers: Vec<usize> = p.ops.iter().map(|o| o.workers).collect();
-        let tracer = LiveTracer::new(names, &workers);
+        let tracer = LiveTracer::primed(&p.ops);
         let sched: Weak<dyn QuantumScheduler> = Arc::downgrade(this) as Weak<dyn QuantumScheduler>;
         let core = Arc::new(Pool::for_service(
             p.tasks,
@@ -910,7 +901,6 @@ impl Shared {
         } else {
             CommitStats::default()
         };
-        apply_evictions_to_trace(&commit, &mut trace);
         let result = match err {
             Some(e) => Err(e),
             None => Ok({
@@ -922,26 +912,22 @@ impl Shared {
                     pool_stats,
                     trace.clone(),
                 );
-                res.cache_published = commit.published;
-                apply_evictions_to_metrics(&commit, &mut res.metrics);
-                apply_evictions_to_trace(&commit, &mut res.trace);
-                if let Some(pool) = res.pool.as_mut() {
-                    pool.cache_evictions = commit.evictions;
-                }
+                commit.apply_to(&mut res, &mut trace);
                 res
             }),
         };
-        // Spill accounting comes from the tracer, not the result: a run
-        // that failed after spilling still consumed the disk.
-        let run_spill = run.core.tracer().total_spilled_bytes();
+        // A failed run is charged from the tracer, not the result it
+        // does not have: a run that failed after spilling still consumed
+        // the disk. (It never commits, so the tracer's view is whole.)
+        let counters = match &result {
+            Ok(res) => res.counters(),
+            Err(_) => run.core.tracer().totals(),
+        };
         if let Some(t) = st.tenants.get_mut(&run.tenant) {
             t.in_flight = t.in_flight.saturating_sub(1);
             t.stats.completed += 1;
-            t.stats.spilled_bytes += run_spill;
-            t.stats.cache_hits += run.ops.iter().map(|o| o.cache_hits).sum::<u64>();
-            t.stats.cache_misses += run.ops.iter().map(|o| o.cache_misses).sum::<u64>();
+            t.stats.counters += counters;
             t.stats.cache_published += commit.published;
-            t.stats.cache_evictions += commit.evictions;
             if result.is_err() {
                 t.stats.failed += 1;
             }
@@ -1232,7 +1218,7 @@ impl WorkflowService {
                 opts.memory_budget,
             )
         };
-        let ops = ops_meta(wf);
+        let ops = OperatorMetrics::for_workflow(wf);
         let total_workers = wf.total_workers();
         let factories: Vec<Arc<dyn OperatorFactory>> =
             wf.ops().iter().map(|n| Arc::clone(&n.factory)).collect();
@@ -1256,7 +1242,10 @@ impl WorkflowService {
         // A tenant whose drained runs already spilled its ceiling is a
         // noisy spiller: refuse new work instead of letting it keep
         // converting the shared pool's disk into its own buffer space.
-        let spilled_bytes = st.tenants.get(tenant).map_or(0, |t| t.stats.spilled_bytes);
+        let spilled_bytes = st
+            .tenants
+            .get(tenant)
+            .map_or(0, |t| t.stats.counters.spilled_bytes);
         if let Some(budget) = quota.spill_budget {
             if spilled_bytes >= budget {
                 Self::reject(&mut st, tenant);
@@ -1567,9 +1556,9 @@ mod tests {
         // Tenant-labeled accounting matches.
         let alice = svc.tenant_stats("alice").unwrap();
         let bob = svc.tenant_stats("bob").unwrap();
-        assert!(alice.cache_misses > 0 && alice.cache_published > 0);
-        assert_eq!(alice.cache_hits, 0);
-        assert!(bob.cache_hits > 0);
+        assert!(alice.counters.cache_misses > 0 && alice.cache_published > 0);
+        assert_eq!(alice.counters.cache_hits, 0);
+        assert!(bob.counters.cache_hits > 0);
         assert_eq!(bob.cache_published, 0);
         assert!(svc.result_cache().entries() > 0);
     }

@@ -156,10 +156,10 @@ mod tests {
         assert_eq!(seg.manifest().row_count, 100);
         assert!(seg.manifest().block_count > 1);
         assert_eq!(out.spilled_blocks(), seg.manifest().block_count);
-        assert!(out.spilled_bytes() > 0);
+        assert!(out.counters().spilled_bytes > 0);
 
         let back = read_segment(&seg, &mut out).unwrap();
-        assert_eq!(out.spill_reads(), seg.manifest().block_count);
+        assert_eq!(out.counters().spill_reads, seg.manifest().block_count);
         let rows: Vec<_> = back.iter().map(|t| t.values().to_vec()).collect();
         let want: Vec<_> = ts.iter().map(|t| t.values().to_vec()).collect();
         assert_eq!(rows, want);

@@ -14,7 +14,7 @@
 use scriptflow_datakit::codec::Json;
 use scriptflow_simcluster::SimTime;
 
-use crate::metrics::OperatorState;
+use crate::metrics::{OpCounters, OperatorState};
 
 /// One operator's status at one sample instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,19 +27,9 @@ pub struct OperatorSnapshot {
     pub input_tuples: u64,
     /// Tuples emitted so far.
     pub output_tuples: u64,
-    /// Whole batches pruned so far by the operator's zone-map check
-    /// (columnar path only; 0 on the row path).
-    pub batches_skipped: u64,
-    /// Compressed blocks spilled so far under a memory budget (0 when
-    /// the run is unbounded).
-    pub spilled_blocks: u64,
-    /// Result-cache hits charged to the operator (1 when its output was
-    /// served from a sealed segment; 0 otherwise or with the cache off).
-    pub cache_hits: u64,
-    /// Cache entries evicted to admit this operator's published output
-    /// (0 unless the run's cache has a byte budget; set on the terminal
-    /// sample when the run commits).
-    pub cache_evictions: u64,
+    /// Data counters so far (cache evictions land on the terminal
+    /// sample, when the run commits).
+    pub counters: OpCounters,
 }
 
 /// A sampled execution timeline.
@@ -113,6 +103,15 @@ pub fn render_timeline(trace: &ProgressTrace) -> String {
     out
 }
 
+/// `counters` as JSON object fields under their wire keys
+/// ([`OpCounters::wire`]) — how every document that reports counters
+/// (`TraceJson`, `BENCH_engine.json`) spells them.
+pub fn counter_fields(counters: &OpCounters) -> impl Iterator<Item = (String, Json)> {
+    counters
+        .wire()
+        .map(|(key, v)| (key.to_owned(), Json::Int(v as i64)))
+}
+
 /// A [`ProgressTrace`] as a JSON document — the wire format a web
 /// front-end (or `BENCH_engine.json`) consumes, with a lossless
 /// round-trip back into the in-memory trace.
@@ -123,8 +122,11 @@ pub fn render_timeline(trace: &ProgressTrace) -> String {
 /// {"trace":"progress","samples":[
 ///   {"atMicros":0,"operators":[
 ///     {"name":"scan","state":"Running","color":"blue",
-///      "inputTuples":0,"outputTuples":10}]}]}
+///      "inputTuples":0,"outputTuples":10,"batchesSkipped":0,…}]}]}
 /// ```
+///
+/// After `outputTuples` every operator carries one key per
+/// [`OpCounters`] field, in [`OpCounters::wire`] order.
 ///
 /// # Examples
 ///
@@ -159,17 +161,15 @@ impl TraceJson {
                 let operators: Vec<Json> = snaps
                     .iter()
                     .map(|s| {
-                        Json::Object(vec![
+                        let mut kv = vec![
                             ("name".into(), Json::Str(s.name.clone())),
                             ("state".into(), Json::Str(s.state.label().into())),
                             ("color".into(), Json::Str(s.state.color().into())),
                             ("inputTuples".into(), Json::Int(s.input_tuples as i64)),
                             ("outputTuples".into(), Json::Int(s.output_tuples as i64)),
-                            ("batchesSkipped".into(), Json::Int(s.batches_skipped as i64)),
-                            ("spilledBlocks".into(), Json::Int(s.spilled_blocks as i64)),
-                            ("cacheHits".into(), Json::Int(s.cache_hits as i64)),
-                            ("cacheEvictions".into(), Json::Int(s.cache_evictions as i64)),
-                        ])
+                        ];
+                        kv.extend(counter_fields(&s.counters));
+                        Json::Object(kv)
                     })
                     .collect();
                 Json::Object(vec![
@@ -265,7 +265,7 @@ impl TraceJson {
     /// ```
     /// use scriptflow_simcluster::SimTime;
     /// use scriptflow_workflow::trace::{OperatorSnapshot, ProgressTrace, TraceJson};
-    /// use scriptflow_workflow::OperatorState;
+    /// use scriptflow_workflow::{OpCounters, OperatorState};
     ///
     /// let trace = ProgressTrace {
     ///     samples: vec![(
@@ -275,10 +275,7 @@ impl TraceJson {
     ///             state: OperatorState::Completed,
     ///             input_tuples: 0,
     ///             output_tuples: 9,
-    ///             batches_skipped: 0,
-    ///             spilled_blocks: 0,
-    ///             cache_hits: 0,
-    ///             cache_evictions: 0,
+    ///             counters: OpCounters::default(),
     ///         }],
     ///     )],
     /// };
@@ -330,15 +327,9 @@ impl TraceJson {
                         .ok_or_else(|| format!("unknown operator state `{label}`"))?,
                     input_tuples: int(op, "inputTuples")?.max(0) as u64,
                     output_tuples: int(op, "outputTuples")?.max(0) as u64,
-                    // Absent in documents written before the columnar
-                    // path existed; default rather than reject them.
-                    batches_skipped: int(op, "batchesSkipped").unwrap_or(0).max(0) as u64,
-                    // Likewise absent in pre-spill documents.
-                    spilled_blocks: int(op, "spilledBlocks").unwrap_or(0).max(0) as u64,
-                    // Likewise absent in pre-cache documents.
-                    cache_hits: int(op, "cacheHits").unwrap_or(0).max(0) as u64,
-                    // Likewise absent in pre-eviction documents.
-                    cache_evictions: int(op, "cacheEvictions").unwrap_or(0).max(0) as u64,
+                    // Documents written before a counter existed lack
+                    // its key; default rather than reject them.
+                    counters: OpCounters::from_wire(|key| int(op, key).unwrap_or(0).max(0) as u64),
                 });
             }
             out.samples.push((at, snaps));
@@ -357,10 +348,7 @@ mod tests {
             state,
             input_tuples: inp,
             output_tuples: out,
-            batches_skipped: 0,
-            spilled_blocks: 0,
-            cache_hits: 0,
-            cache_evictions: 0,
+            counters: OpCounters::default(),
         }
     }
 
@@ -425,15 +413,17 @@ mod tests {
     #[test]
     fn trace_json_roundtrips_skip_counts_and_defaults_when_absent() {
         let mut trace = sample_trace();
-        trace.samples[1].1[0].batches_skipped = 7;
-        trace.samples[1].1[0].spilled_blocks = 5;
-        trace.samples[1].1[0].cache_hits = 1;
-        trace.samples[1].1[0].cache_evictions = 2;
+        // Every counter gets a distinct value: 1, 2, … in wire order.
+        let mut next = 0;
+        trace.samples[1].1[0].counters = OpCounters::from_wire(|_| {
+            next += 1;
+            next
+        });
         let text = TraceJson::from_trace(&trace).to_string_compact();
-        assert!(text.contains("\"batchesSkipped\":7"));
-        assert!(text.contains("\"spilledBlocks\":5"));
-        assert!(text.contains("\"cacheHits\":1"));
-        assert!(text.contains("\"cacheEvictions\":2"));
+        assert!(text.contains("\"batchesSkipped\":1"));
+        assert!(text.contains("\"spilledBlocks\":2"));
+        assert!(text.contains("\"cacheHits\":3"));
+        assert!(text.contains("\"cacheEvictions\":4"));
         let back = TraceJson::parse(&text).unwrap();
         assert_eq!(back.samples, trace.samples);
         // Documents written before the columnar, spill, and cache paths
@@ -441,10 +431,43 @@ mod tests {
         let legacy = "{\"samples\":[{\"atMicros\":0,\"operators\":[{\"name\":\"x\",\
                       \"state\":\"Completed\",\"inputTuples\":3,\"outputTuples\":2}]}]}";
         let back = TraceJson::parse(legacy).unwrap();
-        assert_eq!(back.samples[0].1[0].batches_skipped, 0);
-        assert_eq!(back.samples[0].1[0].spilled_blocks, 0);
-        assert_eq!(back.samples[0].1[0].cache_hits, 0);
-        assert_eq!(back.samples[0].1[0].cache_evictions, 0);
+        assert!(back.samples[0].1[0].counters.is_zero());
+    }
+
+    /// The wire format is a contract with archived traces and web
+    /// front-ends: per-operator keys keep their names and order, and a
+    /// new counter may only be appended.
+    #[test]
+    fn trace_json_operator_keys_are_golden() {
+        let text = TraceJson::from_trace(&sample_trace()).to_string_compact();
+        let first_op = text
+            .split("\"operators\":[{")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .expect("the first sample has an operator");
+        let keys: Vec<&str> = first_op
+            .split(',')
+            .filter_map(|field| field.split(':').next())
+            .map(|key| key.trim_matches('"'))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "name",
+                "state",
+                "color",
+                "inputTuples",
+                "outputTuples",
+                "batchesSkipped",
+                "spilledBlocks",
+                "cacheHits",
+                "cacheEvictions",
+                "spilledBytes",
+                "spillReads",
+                "cacheMisses",
+                "cacheBytes",
+            ]
+        );
     }
 
     #[test]

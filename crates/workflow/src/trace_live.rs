@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use scriptflow_simcluster::{SimDuration, SimTime};
 
-use crate::metrics::OperatorState;
+use crate::metrics::{AtomicOpCounters, OpCounters, OperatorMetrics, OperatorState};
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 
 /// Monotone `u8` encoding of [`OperatorState`] for lock-free state
@@ -86,10 +86,7 @@ pub struct OperatorProbe {
     state: AtomicU8,
     input_tuples: AtomicU64,
     output_tuples: AtomicU64,
-    batches_skipped: AtomicU64,
-    spilled_blocks: AtomicU64,
-    spilled_bytes: AtomicU64,
-    spill_reads: AtomicU64,
+    counters: AtomicOpCounters,
     busy_nanos: AtomicU64,
     attempts: AtomicU64,
     retries: AtomicU64,
@@ -106,10 +103,7 @@ impl OperatorProbe {
             state: AtomicU8::new(state_code(OperatorState::Initializing)),
             input_tuples: AtomicU64::new(0),
             output_tuples: AtomicU64::new(0),
-            batches_skipped: AtomicU64::new(0),
-            spilled_blocks: AtomicU64::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            spill_reads: AtomicU64::new(0),
+            counters: AtomicOpCounters::default(),
             busy_nanos: AtomicU64::new(0),
             attempts: AtomicU64::new(workers as u64),
             retries: AtomicU64::new(0),
@@ -175,64 +169,22 @@ impl OperatorProbe {
         self.output_tuples.load(Ordering::Relaxed)
     }
 
-    /// Whole input batches this operator's zone-map checks pruned
-    /// (columnar path only; see
-    /// [`crate::OutputCollector::note_batch_skipped`]).
+    /// The operator's data counters so far: everything the executor
+    /// drained from its workers' [`crate::OutputCollector`]s through
+    /// [`LiveTracer::add_counters`].
     ///
     /// # Examples
     ///
     /// ```
     /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["filter".to_owned()], &[1]);
-    /// tracer.on_batches_skipped(0, 3);
-    /// assert_eq!(tracer.probe(0).batches_skipped(), 3);
-    /// ```
-    pub fn batches_skipped(&self) -> u64 {
-        self.batches_skipped.load(Ordering::Relaxed)
-    }
-
-    /// Compressed blocks this operator spilled past its memory budget
-    /// (see [`crate::OutputCollector::note_spill_write`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
+    /// use scriptflow_workflow::OpCounters;
     /// let tracer = LiveTracer::new(vec!["join".to_owned()], &[1]);
-    /// tracer.on_spill(0, 2, 512, 0);
-    /// assert_eq!(tracer.probe(0).spilled_blocks(), 2);
+    /// let spilled = OpCounters { spilled_blocks: 2, spilled_bytes: 512, ..OpCounters::default() };
+    /// tracer.add_counters(0, &spilled);
+    /// assert_eq!(tracer.probe(0).counters(), spilled);
     /// ```
-    pub fn spilled_blocks(&self) -> u64 {
-        self.spilled_blocks.load(Ordering::Relaxed)
-    }
-
-    /// Compressed bytes across this operator's spilled blocks.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["join".to_owned()], &[1]);
-    /// tracer.on_spill(0, 2, 512, 0);
-    /// assert_eq!(tracer.probe(0).spilled_bytes(), 512);
-    /// ```
-    pub fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Spilled blocks this operator read back (partition joins, run
-    /// merges).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["join".to_owned()], &[1]);
-    /// tracer.on_spill(0, 0, 0, 3);
-    /// assert_eq!(tracer.probe(0).spill_reads(), 3);
-    /// ```
-    pub fn spill_reads(&self) -> u64 {
-        self.spill_reads.load(Ordering::Relaxed)
+    pub fn counters(&self) -> OpCounters {
+        self.counters.load()
     }
 
     /// Summed busy (run-quantum) time across this operator's workers.
@@ -336,13 +288,7 @@ impl OperatorProbe {
             state: self.state(),
             input_tuples: self.input_tuples(),
             output_tuples: self.output_tuples(),
-            batches_skipped: self.batches_skipped(),
-            spilled_blocks: self.spilled_blocks(),
-            // Live cache accounting rides on the planner's factory
-            // markers and surfaces through `PoolStats`, not the probes;
-            // evictions land on the terminal sample at commit time.
-            cache_hits: 0,
-            cache_evictions: 0,
+            counters: self.counters(),
         }
     }
 
@@ -415,6 +361,18 @@ impl LiveTracer {
                 .map(|(n, &w)| OperatorProbe::new(n, w))
                 .collect(),
         }
+    }
+
+    /// A tracer for the operators `ops` describes, each probe starting
+    /// from that operator's initial counters — how the cache markers
+    /// [`OperatorMetrics::for_workflow`] primes reach live snapshots.
+    pub(crate) fn primed(ops: &[OperatorMetrics]) -> Self {
+        let workers: Vec<usize> = ops.iter().map(|m| m.workers).collect();
+        let tracer = LiveTracer::new(ops.iter().map(|m| m.name.clone()).collect(), &workers);
+        for (op, m) in ops.iter().enumerate() {
+            tracer.add_counters(op, &m.counters);
+        }
+        tracer
     }
 
     /// Number of traced operators.
@@ -499,49 +457,27 @@ impl LiveTracer {
             .fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Hook: `n` whole input batches at a worker of `op` were pruned by
-    /// its zone-map statistics check (the executor drains the
-    /// [`crate::OutputCollector`] skip counter here after each
-    /// `on_batch` call).
+    /// Hook: a worker of `op` finished a processing step having counted
+    /// `counters` (the executor drains its [`crate::OutputCollector`]
+    /// here after each successful step; a faulted step's counters are
+    /// discarded instead). Most steps count nothing and return early.
     ///
     /// # Examples
     ///
     /// ```
     /// use scriptflow_workflow::trace_live::LiveTracer;
+    /// use scriptflow_workflow::OpCounters;
     /// let tracer = LiveTracer::new(vec!["filter".to_owned()], &[1]);
-    /// tracer.on_batches_skipped(0, 2);
-    /// assert_eq!(tracer.probe(0).batches_skipped(), 2);
+    /// let skipped = OpCounters { batches_skipped: 2, ..OpCounters::default() };
+    /// tracer.add_counters(0, &skipped);
+    /// tracer.add_counters(0, &skipped);
+    /// assert_eq!(tracer.probe(0).counters().batches_skipped, 4);
     /// ```
-    pub fn on_batches_skipped(&self, op: usize, n: u64) {
-        self.probes[op]
-            .batches_skipped
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Hook: a worker of `op` performed spill I/O — `blocks` compressed
-    /// blocks totalling `bytes` were written past the memory budget and
-    /// `reads` previously spilled blocks were read back (the executor
-    /// drains the [`crate::OutputCollector`] spill counters here after
-    /// each run quantum).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["join".to_owned()], &[1]);
-    /// tracer.on_spill(0, 4, 1_024, 2);
-    /// assert_eq!(tracer.probe(0).spilled_blocks(), 4);
-    /// assert_eq!(tracer.probe(0).spilled_bytes(), 1_024);
-    /// assert_eq!(tracer.probe(0).spill_reads(), 2);
-    /// ```
-    pub fn on_spill(&self, op: usize, blocks: u64, bytes: u64, reads: u64) {
-        if blocks == 0 && bytes == 0 && reads == 0 {
+    pub fn add_counters(&self, op: usize, counters: &OpCounters) {
+        if counters.is_zero() {
             return;
         }
-        let probe = &self.probes[op];
-        probe.spilled_blocks.fetch_add(blocks, Ordering::Relaxed);
-        probe.spilled_bytes.fetch_add(bytes, Ordering::Relaxed);
-        probe.spill_reads.fetch_add(reads, Ordering::Relaxed);
+        self.probes[op].counters.add(counters);
     }
 
     /// Hook: a producer found a mailbox of `op` full and yielded.
@@ -691,62 +627,21 @@ impl LiveTracer {
         self.probes.iter().map(OperatorProbe::retries).sum()
     }
 
-    /// Total zone-map batch prunes across all operators.
+    /// The run's data counters so far: the sum over all operators.
     ///
     /// # Examples
     ///
     /// ```
     /// use scriptflow_workflow::trace_live::LiveTracer;
+    /// use scriptflow_workflow::OpCounters;
     /// let tracer = LiveTracer::new(vec!["a".to_owned(), "b".to_owned()], &[1, 1]);
-    /// tracer.on_batches_skipped(0, 2);
-    /// tracer.on_batches_skipped(1, 1);
-    /// assert_eq!(tracer.total_batches_skipped(), 3);
+    /// let one = OpCounters { spill_reads: 1, ..OpCounters::default() };
+    /// tracer.add_counters(0, &one);
+    /// tracer.add_counters(1, &one);
+    /// assert_eq!(tracer.totals().spill_reads, 2);
     /// ```
-    pub fn total_batches_skipped(&self) -> u64 {
-        self.probes.iter().map(OperatorProbe::batches_skipped).sum()
-    }
-
-    /// Total spilled blocks across all operators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["a".to_owned(), "b".to_owned()], &[1, 1]);
-    /// tracer.on_spill(0, 2, 64, 1);
-    /// tracer.on_spill(1, 3, 96, 0);
-    /// assert_eq!(tracer.total_spilled_blocks(), 5);
-    /// ```
-    pub fn total_spilled_blocks(&self) -> u64 {
-        self.probes.iter().map(OperatorProbe::spilled_blocks).sum()
-    }
-
-    /// Total compressed bytes spilled across all operators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["a".to_owned()], &[1]);
-    /// tracer.on_spill(0, 2, 64, 0);
-    /// assert_eq!(tracer.total_spilled_bytes(), 64);
-    /// ```
-    pub fn total_spilled_bytes(&self) -> u64 {
-        self.probes.iter().map(OperatorProbe::spilled_bytes).sum()
-    }
-
-    /// Total spilled-block read-backs across all operators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["a".to_owned()], &[1]);
-    /// tracer.on_spill(0, 0, 0, 4);
-    /// assert_eq!(tracer.total_spill_reads(), 4);
-    /// ```
-    pub fn total_spill_reads(&self) -> u64 {
-        self.probes.iter().map(OperatorProbe::spill_reads).sum()
+    pub fn totals(&self) -> OpCounters {
+        self.probes.iter().map(OperatorProbe::counters).sum()
     }
 
     /// Total backpressure stalls across all operators.
@@ -918,33 +813,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_skip_counts_accumulate_and_total() {
+    fn counters_accumulate_total_and_reach_snapshots() {
         let t = tracer();
-        t.on_batches_skipped(0, 2);
-        t.on_batches_skipped(0, 1);
-        t.on_batches_skipped(1, 4);
-        assert_eq!(t.probe(0).batches_skipped(), 3);
-        assert_eq!(t.probe(1).batches_skipped(), 4);
-        assert_eq!(t.total_batches_skipped(), 7);
+        let step = |batches_skipped, spilled_blocks, spilled_bytes, spill_reads| OpCounters {
+            batches_skipped,
+            spilled_blocks,
+            spilled_bytes,
+            spill_reads,
+            ..OpCounters::default()
+        };
+        t.add_counters(0, &step(2, 2, 128, 1));
+        t.add_counters(0, &step(1, 1, 64, 2));
+        t.add_counters(1, &step(4, 0, 0, 0));
+        t.add_counters(1, &OpCounters::default()); // no-op fast path
+        assert_eq!(t.probe(0).counters(), step(3, 3, 192, 3));
+        assert_eq!(t.probe(1).counters(), step(4, 0, 0, 0));
+        assert_eq!(t.totals(), step(7, 3, 192, 3));
         let (_, snaps) = t.snapshot();
-        assert_eq!(snaps[0].batches_skipped, 3);
+        assert_eq!(snaps[0].counters, step(3, 3, 192, 3));
+        assert_eq!(snaps[1].counters.spilled_blocks, 0);
     }
 
     #[test]
-    fn spill_counts_accumulate_and_total() {
-        let t = tracer();
-        t.on_spill(0, 2, 128, 1);
-        t.on_spill(0, 1, 64, 2);
-        t.on_spill(1, 0, 0, 0); // no-op fast path
-        assert_eq!(t.probe(0).spilled_blocks(), 3);
-        assert_eq!(t.probe(0).spilled_bytes(), 192);
-        assert_eq!(t.probe(0).spill_reads(), 3);
-        assert_eq!(t.total_spilled_blocks(), 3);
-        assert_eq!(t.total_spilled_bytes(), 192);
-        assert_eq!(t.total_spill_reads(), 3);
+    fn primed_tracer_starts_from_the_initial_counters() {
+        let mut served = OperatorMetrics::new("served", scriptflow_simcluster::Language::Python, 1);
+        served.counters.cache_hits = 1;
+        served.counters.cache_bytes = 77;
+        let t = LiveTracer::primed(&[served.clone()]);
+        assert_eq!(t.probe(0).name(), "served");
         let (_, snaps) = t.snapshot();
-        assert_eq!(snaps[0].spilled_blocks, 3);
-        assert_eq!(snaps[1].spilled_blocks, 0);
+        assert_eq!(snaps[0].counters, served.counters);
     }
 
     #[test]

@@ -83,14 +83,14 @@ fn main() {
     println!("\nGantt (worker busy intervals):");
     print!(
         "{}",
-        gui::render_gantt(&wf, &res.worker_timeline, res.makespan, 60)
+        gui::render_gantt(&wf, &res.worker_timeline, res.makespan(), 60)
     );
     println!(
         "\nutilization: {}",
         res.metrics
             .operators
             .iter()
-            .map(|m| format!("{} {:.0}%", m.name, m.utilization(res.makespan) * 100.0))
+            .map(|m| format!("{} {:.0}%", m.name, m.utilization(res.makespan()) * 100.0))
             .collect::<Vec<_>>()
             .join(", ")
     );

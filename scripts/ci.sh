@@ -18,6 +18,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark crate tests (the API surface the frozen benchmark/ tree compiles against)"
+bash benchmark/run.sh test
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

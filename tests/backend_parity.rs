@@ -200,16 +200,16 @@ fn tiny_budget_changes_no_rows_on_any_task() {
                 "{task}/{kind}: a memory budget must not change task results"
             );
             assert_eq!(
-                full.spilled_blocks, 0,
+                full.counters.spilled_blocks, 0,
                 "{task}/{kind}: the unbounded engine never spills"
             );
             if *has_join {
                 assert!(
-                    capped.spilled_blocks > 0,
+                    capped.counters.spilled_blocks > 0,
                     "{task}/{kind}: the tiny budget must force the join build side to spill"
                 );
                 assert!(
-                    capped.spilled_bytes > 0,
+                    capped.counters.spilled_bytes > 0,
                     "{task}/{kind}: spilled blocks carry compressed bytes"
                 );
             }
@@ -261,7 +261,7 @@ fn columnar_mode_changes_no_rows_on_any_task() {
                 "{task}/{kind}: columnar mode must not change task results"
             );
             assert_eq!(
-                r.batches_skipped, 0,
+                r.counters.batches_skipped, 0,
                 "{task}/{kind}: the row engine never consults zone maps"
             );
         }
@@ -347,13 +347,13 @@ fn warm_cache_rerun_changes_no_rows_on_any_task() {
                 baseline.run.output, warm.run.output,
                 "{task}/{kind}: a served warm rerun must not change task results"
             );
-            assert_eq!(cold.cache_hits, 0, "{task}/{kind}: an empty cache cannot hit");
+            assert_eq!(cold.counters.cache_hits, 0, "{task}/{kind}: an empty cache cannot hit");
             assert!(
                 cold.cache_published > 0,
                 "{task}/{kind}: the cold run must publish sealed segments"
             );
             assert!(
-                warm.cache_hits > 0,
+                warm.counters.cache_hits > 0,
                 "{task}/{kind}: the warm rerun must serve from the cache"
             );
             assert_eq!(

@@ -225,7 +225,7 @@ fn warm_rerun_after_eviction_matches_cache_free_rows_on_both_backends() {
             .run_detached(&wf)
             .expect("budgeted cold run");
         assert!(
-            budgeted.cache_evictions > 0,
+            budgeted.counters().cache_evictions > 0,
             "{kind:?}: the tight budget must evict at commit"
         );
         assert!(cache.bytes() <= budget, "{kind:?}: ceiling holds");
@@ -247,7 +247,7 @@ fn warm_rerun_after_eviction_matches_cache_free_rows_on_both_backends() {
             "{kind:?}: warm-after-eviction rows diverged"
         );
         assert!(
-            warm.cache_hits > 0 || warm.cache_misses > 0,
+            warm.counters().cache_hits > 0 || warm.counters().cache_misses > 0,
             "{kind:?}: the cache was consulted"
         );
         assert!(cache.bytes() <= budget, "{kind:?}: ceiling holds after rerun");

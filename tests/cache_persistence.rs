@@ -96,7 +96,10 @@ fn restart_serves_warm_reruns_byte_identical_from_disk() {
     let warm = cached_backend(&session2)
         .run_detached(&wf)
         .expect("warm run");
-    assert!(warm.cache_hits > 0, "restarted rerun is served from disk");
+    assert!(
+        warm.counters().cache_hits > 0,
+        "restarted rerun is served from disk"
+    );
     assert_eq!(warm.cache_published, 0, "nothing new to publish");
     assert_eq!(sorted_rows(&h), baseline, "served rows are byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
@@ -140,15 +143,22 @@ fn corrupt_and_truncated_segments_degrade_to_misses() {
     let cache = Arc::new(ResultCache::persistent(&dir).expect("reopen store"));
     let (wf, h) = pipeline();
     let rerun = cached_backend(&cache).run_detached(&wf).expect("rerun");
-    assert_eq!(rerun.cache_hits, 0, "damaged entries must not serve");
-    assert!(rerun.cache_misses > 0, "every operator recomputes");
+    assert_eq!(
+        rerun.counters().cache_hits,
+        0,
+        "damaged entries must not serve"
+    );
+    assert!(
+        rerun.counters().cache_misses > 0,
+        "every operator recomputes"
+    );
     assert!(rerun.cache_published > 0, "fresh segments are republished");
     assert_eq!(sorted_rows(&h), baseline, "recomputed rows are identical");
 
     // The repaired store now serves again.
     let (wf, h) = pipeline();
     let warm = cached_backend(&cache).run_detached(&wf).expect("warm run");
-    assert!(warm.cache_hits > 0);
+    assert!(warm.counters().cache_hits > 0);
     assert_eq!(sorted_rows(&h), baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -175,7 +185,10 @@ fn budgeted_store_restarts_with_only_surviving_entries() {
         );
         let (wf, _h) = pipeline();
         let run = cached_backend(&cache).run_detached(&wf).expect("cold run");
-        assert!(run.cache_evictions > 0, "tight budget evicts at commit");
+        assert!(
+            run.counters().cache_evictions > 0,
+            "tight budget evicts at commit"
+        );
         (cache.bytes(), cache.fingerprints())
     };
     let reopened = ResultCache::persistent(&dir).expect("reopen store");
@@ -209,11 +222,11 @@ fn cross_process_round_trip_when_env_directed() {
     match expect.as_str() {
         "cold" => {
             assert!(run.cache_published > 0, "cold process must publish");
-            assert_eq!(run.cache_hits, 0, "store was empty");
+            assert_eq!(run.counters().cache_hits, 0, "store was empty");
         }
         _ => {
             assert!(
-                run.cache_hits > 0,
+                run.counters().cache_hits > 0,
                 "warm process must be served from the segments the first process persisted"
             );
             assert_eq!(run.cache_published, 0, "nothing new to publish");

@@ -219,7 +219,7 @@ fn sim_executor_is_deterministic_end_to_end() {
     let run = || {
         let (wf, h) = gnarly(3_000, 4);
         let res = SimExecutor::new(EngineConfig::default()).run(&wf).unwrap();
-        (res.makespan, res.metrics.events, fingerprints(&h))
+        (res.makespan(), res.metrics.events, fingerprints(&h))
     };
     let a = run();
     let b = run();

@@ -249,7 +249,7 @@ fn run_rows(
         .expect("genome runs");
     let mut rows: Vec<String> = run.rows.iter().map(|t| format!("{t:?}")).collect();
     rows.sort_unstable();
-    (rows, run.cache_hits, run.cache_misses)
+    (rows, run.counters().cache_hits, run.counters().cache_misses)
 }
 
 /// The sweep: 16 seeds × both backends. Cold-populate a cache, apply

@@ -7,14 +7,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use scriptflow::core::Calibration;
+use scriptflow::core::{BackendKind, Calibration};
 use scriptflow::datakit::{Batch, DataError, DataType, Schema, Value};
 use scriptflow::simcluster::{ClusterSpec, SimDuration};
 use scriptflow::tasks::dice::{workflow::build_dice_workflow, DiceParams};
 use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkOp};
 use scriptflow::workflow::{
-    render_timeline, EngineConfig, LiveExecutor, OperatorState, PartitionStrategy, ProgressTrace,
-    SimExecutor, TraceJson, WorkflowBuilder,
+    render_timeline, EngineConfig, ExecBackend, LiveExecutor, OperatorState, PartitionStrategy,
+    ProgressTrace, ResultCache, SimExecutor, TraceJson, Workflow, WorkflowBuilder,
 };
 
 /// The last sample, flattened to comparable per-operator facts.
@@ -111,4 +111,60 @@ fn failing_operator_surfaces_failed_state_in_live_trace() {
     let (_, snaps) = trace.samples.last().expect("trace present on failure");
     let fragile = snaps.iter().find(|s| s.name == "fragile").expect("probe");
     assert_eq!(fragile.state, OperatorState::Failed);
+}
+
+/// A cache-served operator never executes, so its hit can only reach
+/// the trace from the planner's marker. Both backends must show it on
+/// every sample of the warm run — in the observed trace, the result's
+/// copy and the exported JSON alike.
+#[test]
+fn served_operator_shows_its_cache_hit_in_the_trace_on_both_backends() {
+    fn pipeline() -> Workflow {
+        let schema = Schema::of(&[("id", DataType::Int)]);
+        let batch =
+            Batch::from_rows(schema, (0..200i64).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
+        let even = b.add(
+            Arc::new(FilterOp::new("even", |t| Ok(t.get_int("id")? % 2 == 0))),
+            2,
+        );
+        let sink = b.add(Arc::new(SinkOp::new("sink")), 1);
+        b.connect(scan, even, 0, PartitionStrategy::RoundRobin);
+        b.connect(even, sink, 0, PartitionStrategy::Single);
+        b.build().unwrap()
+    }
+    for kind in BackendKind::ALL {
+        let cache = Arc::new(ResultCache::new());
+        let backend = || {
+            ExecBackend::of_kind(
+                kind,
+                EngineConfig::default().with_result_cache(cache.clone()),
+            )
+        };
+        let (cold_trace, cold) = backend().run_observed(&pipeline());
+        cold.expect("cold run");
+        let (_, snaps) = cold_trace.samples.last().expect("terminal sample");
+        assert!(
+            snaps.iter().all(|s| s.counters.cache_hits == 0),
+            "{kind}: nothing to serve on a cold cache"
+        );
+
+        let (observed, warm) = backend().run_observed(&pipeline());
+        let warm = warm.expect("warm run");
+        // The frontier `even` is served; its upstream cone is skipped.
+        let served = warm.metrics.by_name("even").expect("served operator");
+        assert_eq!(served.counters.cache_hits, 1, "{kind}");
+        let text = TraceJson::from_trace(&observed).to_string_compact();
+        let parsed = TraceJson::parse(&text).expect("parse back");
+        for (what, trace) in [
+            ("observed", &observed),
+            ("result", &warm.trace),
+            ("json", &parsed),
+        ] {
+            let (_, snaps) = trace.samples.last().expect("terminal sample");
+            let even = snaps.iter().find(|s| s.name == "even").expect("snapshot");
+            assert_eq!(even.counters, served.counters, "{kind}/{what}");
+        }
+    }
 }

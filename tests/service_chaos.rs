@@ -398,7 +398,7 @@ fn noisy_spiller_is_rejected_while_neighbor_stays_admitted() {
         )
         .expect("first spilling run is admitted");
     assert!(first.wait().result.is_ok());
-    let spilled = svc.tenant_stats("spiller").unwrap().spilled_bytes;
+    let spilled = svc.tenant_stats("spiller").unwrap().counters.spilled_bytes;
     assert!(spilled > 0, "the budgeted join must have spilled");
     let first_rows = sorted_rows(&spill_sink);
     assert!(!first_rows.is_empty());
@@ -431,7 +431,7 @@ fn noisy_spiller_is_rejected_while_neighbor_stays_admitted() {
         .expect("non-spilling neighbor stays admitted");
     assert!(quiet.wait().result.is_ok());
     assert_eq!(sorted_rows(&quiet_sink).len(), 1_000);
-    assert_eq!(svc.tenant_stats("quiet").unwrap().spilled_bytes, 0);
+    assert_eq!(svc.tenant_stats("quiet").unwrap().counters.spilled_bytes, 0);
 
     drop(svc);
     assert_threads_drained(baseline, "noisy spiller quota");
