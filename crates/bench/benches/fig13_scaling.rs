@@ -19,9 +19,7 @@ fn fig13a_dice(c: &mut Criterion) {
     g.sample_size(10);
     for pairs in [10usize, 200] {
         g.bench_with_input(BenchmarkId::new("script", pairs), &pairs, |b, &n| {
-            b.iter(|| {
-                dice::script::run_script(black_box(&DiceParams::new(n, 1)), &cal).unwrap()
-            })
+            b.iter(|| dice::script::run_script(black_box(&DiceParams::new(n, 1)), &cal).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("workflow", pairs), &pairs, |b, &n| {
             b.iter(|| {
@@ -91,8 +89,7 @@ fn fig13d_gotta(c: &mut Criterion) {
             &paragraphs,
             |b, &n| {
                 b.iter(|| {
-                    gotta::workflow::run_workflow(black_box(&GottaParams::new(n, 1)), &cal)
-                        .unwrap()
+                    gotta::workflow::run_workflow(black_box(&GottaParams::new(n, 1)), &cal).unwrap()
                 })
             },
         );

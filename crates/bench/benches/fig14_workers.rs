@@ -50,9 +50,7 @@ fn fig14c_kge(c: &mut Criterion) {
     g.sample_size(10);
     for w in WORKERS {
         g.bench_with_input(BenchmarkId::new("script", w), &w, |b, &w| {
-            b.iter(|| {
-                kge::script::run_script(black_box(&KgeParams::new(68_000, w)), &cal).unwrap()
-            })
+            b.iter(|| kge::script::run_script(black_box(&KgeParams::new(68_000, w)), &cal).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("workflow", w), &w, |b, &w| {
             b.iter(|| {

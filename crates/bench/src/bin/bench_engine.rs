@@ -281,8 +281,7 @@ fn measure_edit_rerun(parallelism: usize, tuples: i64) -> Vec<Json> {
     // cold publish, so the commit's cost-aware eviction must fire.
     let budget = cold_published.saturating_sub(1).max(1);
     let cache = Arc::new(ResultCache::new().with_byte_budget(budget));
-    let exec =
-        backend::live_executor(backend::LIVE_BATCH).with_result_cache(Arc::clone(&cache));
+    let exec = backend::live_executor(backend::LIVE_BATCH).with_result_cache(Arc::clone(&cache));
     let wf = filter_pipeline(tuples, parallelism);
     let start = Instant::now();
     let res = exec.run(&wf).expect("bench workflow must run");

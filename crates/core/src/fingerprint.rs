@@ -192,7 +192,10 @@ mod tests {
         assert_ne!(fp_of(|h| h.write_u64(1)), fp_of(|h| h.write_u64(2)));
         assert_ne!(fp_of(|h| h.write_i64(1)), fp_of(|h| h.write_u64(1)));
         assert_ne!(fp_of(|h| h.write_f64(0.0)), fp_of(|h| h.write_f64(-0.0)));
-        assert_ne!(fp_of(|h| h.write_bool(true)), fp_of(|h| h.write_bool(false)));
+        assert_ne!(
+            fp_of(|h| h.write_bool(true)),
+            fp_of(|h| h.write_bool(false))
+        );
         assert_ne!(
             fp_of(|h| h.write_bytes(b"ab")),
             fp_of(|h| h.write_str("ab")),

@@ -40,8 +40,8 @@ pub mod report;
 
 pub use backend::{BackendChoice, BackendKind};
 pub use calibration::Calibration;
-pub use fingerprint::{Fingerprinter, OpFingerprint};
 pub use experiment::{Artifact, Experiment, ExperimentMeta, Registry};
+pub use fingerprint::{Fingerprinter, OpFingerprint};
 pub use metrics::{ExecutionMetrics, RunReport};
 pub use paradigm::Paradigm;
 pub use report::{Figure, Series, Table};

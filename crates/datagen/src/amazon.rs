@@ -34,7 +34,12 @@ pub struct AmazonCatalog {
 }
 
 const CATEGORIES: [&str; 6] = [
-    "Kitchen", "Books", "Electronics", "Garden", "Sports", "Toys",
+    "Kitchen",
+    "Books",
+    "Electronics",
+    "Garden",
+    "Sports",
+    "Toys",
 ];
 const NOUNS: [&str; 8] = [
     "Espresso Maker",

@@ -21,7 +21,11 @@ pub struct BratError {
 
 impl std::fmt::Display for BratError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "brat parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "brat parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -110,10 +114,8 @@ pub fn parse_ann_file(ann: &str, text: &str) -> Result<Vec<Annotation>, BratErro
     for a in &mut annotations {
         if a.kind == AnnotationKind::Event {
             if let Some(trigger) = &a.trigger {
-                let (_, start, end, covered) = spans
-                    .iter()
-                    .find(|(k, ..)| k == trigger)
-                    .ok_or(BratError {
+                let (_, start, end, covered) =
+                    spans.iter().find(|(k, ..)| k == trigger).ok_or(BratError {
                         line: 0,
                         message: format!("event {} references missing trigger {trigger}", a.key),
                     })?;

@@ -273,9 +273,21 @@ impl MaccrobatDataset {
                     Value::Str(a.key.clone()),
                     Value::Str(if is_entity { "T" } else { "E" }.to_owned()),
                     Value::Str(a.ann_type.clone()),
-                    if is_entity { Value::Int(a.start as i64) } else { Value::Null },
-                    if is_entity { Value::Int(a.end as i64) } else { Value::Null },
-                    if is_entity { Value::Str(a.text.clone()) } else { Value::Null },
+                    if is_entity {
+                        Value::Int(a.start as i64)
+                    } else {
+                        Value::Null
+                    },
+                    if is_entity {
+                        Value::Int(a.end as i64)
+                    } else {
+                        Value::Null
+                    },
+                    if is_entity {
+                        Value::Str(a.text.clone())
+                    } else {
+                        Value::Null
+                    },
                     match &a.trigger {
                         Some(t) => Value::Str(t.clone()),
                         None => Value::Null,

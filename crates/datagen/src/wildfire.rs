@@ -7,10 +7,10 @@ use scriptflow_datakit::{Batch, BatchBuilder, DataType, Schema, SchemaRef, Value
 
 /// The four climate framings of §II-B, in label order.
 pub const FRAMINGS: [&str; 4] = [
-    "climate_link",      // explicit link between wildfire and climate change
-    "climate_action",    // suggests climate actions
-    "other_adversity",   // attributes climate change to other adversities
-    "not_relevant",      // not relevant
+    "climate_link",    // explicit link between wildfire and climate change
+    "climate_action",  // suggests climate actions
+    "other_adversity", // attributes climate change to other adversities
+    "not_relevant",    // not relevant
 ];
 
 /// One labelled tweet.
@@ -120,12 +120,7 @@ impl WildfireDataset {
             bb.push_row(vec![
                 Value::Int(t.id),
                 Value::Str(t.text.clone()),
-                Value::List(
-                    t.framings
-                        .iter()
-                        .map(|f| Value::Str(f.clone()))
-                        .collect(),
-                ),
+                Value::List(t.framings.iter().map(|f| Value::Str(f.clone())).collect()),
             ])
             .expect("generator rows conform to schema");
         }

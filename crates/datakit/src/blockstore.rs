@@ -679,11 +679,7 @@ fn encode_opt_stats(stats: Option<&BatchStats>, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_opt_stats(
-    buf: &[u8],
-    pos: &mut usize,
-    arity: usize,
-) -> DataResult<Option<BatchStats>> {
+fn decode_opt_stats(buf: &[u8], pos: &mut usize, arity: usize) -> DataResult<Option<BatchStats>> {
     match take(buf, pos, 1)?[0] {
         0 => Ok(None),
         1 => {
@@ -826,8 +822,7 @@ mod tests {
             vec![vec![Value::Float(1.0)], vec![Value::Null]],
         )
         .unwrap();
-        let nan =
-            ColumnarBatch::from_rows(schema, vec![vec![Value::Float(f64::NAN)]]).unwrap();
+        let nan = ColumnarBatch::from_rows(schema, vec![vec![Value::Float(f64::NAN)]]).unwrap();
         let mut app = BlockAppender::new();
         app.append(&clean);
         app.append(&nan);
@@ -841,8 +836,7 @@ mod tests {
     #[test]
     fn all_null_block_is_identity_for_range_merge() {
         let schema = Schema::of(&[("x", DataType::Int)]);
-        let vals =
-            ColumnarBatch::from_rows(schema.clone(), vec![vec![Value::Int(4)]]).unwrap();
+        let vals = ColumnarBatch::from_rows(schema.clone(), vec![vec![Value::Int(4)]]).unwrap();
         let nulls = ColumnarBatch::from_rows(schema, vec![vec![Value::Null]]).unwrap();
         let mut app = BlockAppender::new();
         app.append(&vals);
@@ -907,7 +901,10 @@ mod tests {
         for i in 0..image.len() {
             let mut bad = image.clone();
             bad[i] ^= 0x40;
-            assert!(Segment::decode(&bad).is_err(), "flip at byte {i} must not decode");
+            assert!(
+                Segment::decode(&bad).is_err(),
+                "flip at byte {i} must not decode"
+            );
         }
     }
 

@@ -24,11 +24,7 @@ impl MultiLabelModel {
     /// label order. Each head trains on the same features with its own
     /// binary targets (and its own seed, like the paper's four separate
     /// fine-tuning runs).
-    pub fn fit(
-        labels: &[&str],
-        examples: &[(String, Vec<String>)],
-        base: TrainConfig,
-    ) -> Self {
+    pub fn fit(labels: &[&str], examples: &[(String, Vec<String>)], base: TrainConfig) -> Self {
         assert!(!labels.is_empty(), "need at least one label");
         assert!(!examples.is_empty(), "cannot train on an empty dataset");
         let vectorizer = TfIdfVectorizer::fit(examples.iter().map(|(t, _)| t.as_str()));
@@ -113,7 +109,10 @@ mod tests {
                 format!("wildfire smoke and emissions action {i}"),
                 vec!["climate_link".to_owned(), "climate_action".to_owned()],
             ));
-            v.push((format!("just a nice sunny day {i}"), vec!["not_relevant".to_owned()]));
+            v.push((
+                format!("just a nice sunny day {i}"),
+                vec!["not_relevant".to_owned()],
+            ));
         }
         v
     }

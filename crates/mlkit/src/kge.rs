@@ -188,10 +188,8 @@ mod tests {
     fn top_k_matches_full_sort() {
         let scorer = KgeScorer::new(vec![0.5, 0.5], vec![0.1, -0.2]);
         let table = EmbeddingTable::random(2, 0..100, 7);
-        let all: Vec<(i64, f32)> = scorer.top_k(
-            (0..100).map(|id| (id, table.get(id).unwrap())),
-            100,
-        );
+        let all: Vec<(i64, f32)> =
+            scorer.top_k((0..100).map(|id| (id, table.get(id).unwrap())), 100);
         let top5 = scorer.top_k((0..100).map(|id| (id, table.get(id).unwrap())), 5);
         assert_eq!(&all[..5], &top5[..]);
         // Scores weakly decreasing.
@@ -202,7 +200,8 @@ mod tests {
 
     #[test]
     fn reverse_lookup() {
-        let rl = ReverseLookup::from_pairs([(1, "Espresso Maker".to_owned()), (2, "Novel".to_owned())]);
+        let rl =
+            ReverseLookup::from_pairs([(1, "Espresso Maker".to_owned()), (2, "Novel".to_owned())]);
         assert_eq!(rl.name(1), Some("Espresso Maker"));
         assert_eq!(rl.name(9), None);
         assert_eq!(rl.len(), 2);

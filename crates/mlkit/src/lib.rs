@@ -37,8 +37,8 @@ pub use eval::{accuracy, exact_match, f1_binary, hits_at_k};
 pub use kge::{EmbeddingTable, KgeScorer};
 pub use logreg::LogisticRegression;
 pub use naive_bayes::{macro_f1, ConfusionMatrix, NaiveBayes};
-pub use split::{kfold, train_test_split};
 pub use sparse::SparseVector;
+pub use split::{kfold, train_test_split};
 pub use text::{tokenize, Vocabulary};
 pub use tfidf::TfIdfVectorizer;
 pub use transformer::{ClozeAnswerer, ModelProfile};

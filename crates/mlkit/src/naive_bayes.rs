@@ -47,10 +47,7 @@ impl NaiveBayes {
         }
 
         let n = examples.len() as f64;
-        let log_prior = class_counts
-            .iter()
-            .map(|&c| (c as f64 / n).ln())
-            .collect();
+        let log_prior = class_counts.iter().map(|&c| (c as f64 / n).ln()).collect();
         let v = vocab.len() as f64;
         let log_likelihood = token_counts
             .into_iter()
@@ -146,11 +143,7 @@ impl ConfusionMatrix {
     /// Build from aligned predictions and gold labels.
     pub fn build(pred: &[&str], gold: &[&str]) -> Self {
         assert_eq!(pred.len(), gold.len(), "prediction/gold length mismatch");
-        let mut labels: Vec<String> = pred
-            .iter()
-            .chain(gold)
-            .map(|s| (*s).to_owned())
-            .collect();
+        let mut labels: Vec<String> = pred.iter().chain(gold).map(|s| (*s).to_owned()).collect();
         labels.sort_unstable();
         labels.dedup();
         let index = |l: &str| labels.iter().position(|x| x == l).expect("collected");
@@ -191,9 +184,15 @@ mod tests {
     fn examples() -> Vec<(String, String)> {
         let mut v = Vec::new();
         for i in 0..8 {
-            v.push((format!("wildfire smoke and climate change {i}"), "climate".to_owned()));
+            v.push((
+                format!("wildfire smoke and climate change {i}"),
+                "climate".to_owned(),
+            ));
             v.push((format!("the cat sat on the sofa {i}"), "pets".to_owned()));
-            v.push((format!("election results and parliament votes {i}"), "politics".to_owned()));
+            v.push((
+                format!("election results and parliament votes {i}"),
+                "politics".to_owned(),
+            ));
         }
         v
     }
@@ -250,10 +249,12 @@ mod tests {
         use crate::split::train_test_split;
         let data = examples();
         let (train_idx, test_idx) = train_test_split(data.len(), 0.25, 5);
-        let train: Vec<(String, String)> =
-            train_idx.iter().map(|&i| data[i].clone()).collect();
+        let train: Vec<(String, String)> = train_idx.iter().map(|&i| data[i].clone()).collect();
         let model = NaiveBayes::fit(&train);
-        let pred: Vec<&str> = test_idx.iter().map(|&i| model.predict(&data[i].0)).collect();
+        let pred: Vec<&str> = test_idx
+            .iter()
+            .map(|&i| model.predict(&data[i].0))
+            .collect();
         let gold: Vec<&str> = test_idx.iter().map(|&i| data[i].1.as_str()).collect();
         assert!(macro_f1(&pred, &gold) > 0.8);
     }

@@ -72,11 +72,7 @@ impl SparseVector {
 
     /// Euclidean norm.
     pub fn norm(&self) -> f32 {
-        self.entries
-            .iter()
-            .map(|(_, v)| v * v)
-            .sum::<f32>()
-            .sqrt()
+        self.entries.iter().map(|(_, v)| v * v).sum::<f32>().sqrt()
     }
 
     /// Scale in place.

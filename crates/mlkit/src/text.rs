@@ -79,10 +79,7 @@ impl Vocabulary {
 
     /// Encode a text into ids, skipping out-of-vocabulary tokens.
     pub fn encode(&self, text: &str) -> Vec<u32> {
-        tokenize(text)
-            .iter()
-            .filter_map(|t| self.id(t))
-            .collect()
+        tokenize(text).iter().filter_map(|t| self.id(t)).collect()
     }
 }
 

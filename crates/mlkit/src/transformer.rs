@@ -142,7 +142,10 @@ mod tests {
     #[test]
     fn extractive_answer_finds_masked_token() {
         let m = ClozeAnswerer::new();
-        let ans = m.answer(PASSAGE, "the patient presented with complaints of [MASK] and a cough");
+        let ans = m.answer(
+            PASSAGE,
+            "the patient presented with complaints of [MASK] and a cough",
+        );
         assert_eq!(ans, "fever");
     }
 

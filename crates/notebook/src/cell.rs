@@ -380,8 +380,11 @@ mod tests {
     #[test]
     fn markdown_cells_run_as_noops_and_count_zero_loc() {
         let mut nb = Notebook::new("md");
-        nb.push(Cell::markdown("intro", "# A title
-Some prose."));
+        nb.push(Cell::markdown(
+            "intro",
+            "# A title
+Some prose.",
+        ));
         nb.push(Cell::new("code", "x = 1", |k| {
             k.set("x", 1i64);
             Ok(())

@@ -145,9 +145,7 @@ mod tests {
                 .reads(&["data"])
                 .writes(&["predicted"]),
         );
-        nb.push(
-            Cell::new("Write", "write(data)", |_| Ok(())).reads(&["data"]),
-        );
+        nb.push(Cell::new("Write", "write(data)", |_| Ok(())).reads(&["data"]));
         nb
     }
 

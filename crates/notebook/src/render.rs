@@ -101,7 +101,14 @@ mod tests {
         let nb = notebook();
         let text = render(&nb);
         let lines: Vec<&str> = text.lines().collect();
-        let first = lines.iter().position(|l| l.contains("data = load()")).unwrap();
-        assert!(lines[first + 1].starts_with("        print(len(data))"), "{}", lines[first + 1]);
+        let first = lines
+            .iter()
+            .position(|l| l.contains("data = load()"))
+            .unwrap();
+        assert!(
+            lines[first + 1].starts_with("        print(len(data))"),
+            "{}",
+            lines[first + 1]
+        );
     }
 }

@@ -275,7 +275,13 @@ impl RayRuntime {
         }
         match self.run_stage(tasks, submit) {
             Ok(results) => {
-                self.record_span(SpanKind::Stage, format!("stage[{n_tasks} tasks]"), submit, 0, true);
+                self.record_span(
+                    SpanKind::Stage,
+                    format!("stage[{n_tasks} tasks]"),
+                    submit,
+                    0,
+                    true,
+                );
                 Ok(results)
             }
             Err(e) => {
@@ -449,10 +455,12 @@ impl RayRuntime {
         id: scriptflow_simcluster::store::ObjectId,
         task: &str,
     ) -> RayResult<SimDuration> {
-        self.store.get_cost_by_id(id).map_err(|_| RayError::TaskFailed {
-            task: task.to_owned(),
-            message: format!("declared input object {} missing", id.0),
-        })
+        self.store
+            .get_cost_by_id(id)
+            .map_err(|_| RayError::TaskFailed {
+                task: task.to_owned(),
+                message: format!("declared input object {} missing", id.0),
+            })
     }
 }
 
@@ -488,11 +496,9 @@ mod tests {
             .parallel_map(
                 (0..4)
                     .map(|i| {
-                        RayTask::new(
-                            format!("t{i}"),
-                            SimDuration::from_secs(1 + i),
-                            move |_| Ok(i),
-                        )
+                        RayTask::new(format!("t{i}"), SimDuration::from_secs(1 + i), move |_| {
+                            Ok(i)
+                        })
                     })
                     .collect(),
             )
@@ -510,7 +516,9 @@ mod tests {
             let t0 = rt.now();
             rt.parallel_map(
                 (0..4)
-                    .map(|i| RayTask::new(format!("t{i}"), SimDuration::from_secs(1), move |_| Ok(i)))
+                    .map(|i| {
+                        RayTask::new(format!("t{i}"), SimDuration::from_secs(1), move |_| Ok(i))
+                    })
                     .collect::<Vec<_>>(),
             )
             .unwrap();
@@ -518,7 +526,10 @@ mod tests {
         };
         let one = run(1);
         let four = run(4);
-        assert!(one > 3.9, "1 CPU should serialize 4 seconds of tasks: {one}");
+        assert!(
+            one > 3.9,
+            "1 CPU should serialize 4 seconds of tasks: {one}"
+        );
         assert!(four < 1.5, "4 CPUs should overlap: {four}");
     }
 
@@ -558,7 +569,10 @@ mod tests {
         .with_num_cpus(8)])
             .unwrap();
         let elapsed = rt.now().since(t0).as_secs_f64();
-        assert!((1.0..1.2).contains(&elapsed), "8 CPUs over 8s work: {elapsed}");
+        assert!(
+            (1.0..1.2).contains(&elapsed),
+            "8 CPUs over 8s work: {elapsed}"
+        );
     }
 
     #[test]
@@ -686,8 +700,12 @@ mod tests {
     fn armed_stage_abort_kills_the_whole_stage() {
         let mut rt = runtime(2);
         rt.arm_stage_abort(2, "node lost");
-        rt.parallel_map(vec![RayTask::new("t0", SimDuration::from_millis(1), |_| Ok(0))])
-            .unwrap();
+        rt.parallel_map(vec![RayTask::new(
+            "t0",
+            SimDuration::from_millis(1),
+            |_| Ok(0),
+        )])
+        .unwrap();
         let err = rt
             .parallel_map(
                 (0..3)
@@ -706,8 +724,12 @@ mod tests {
         assert_eq!(last.label, "stage[3 tasks] ABORTED");
         assert!(!last.ok);
         // The fault disarms after firing: the next stage runs normally.
-        rt.parallel_map(vec![RayTask::new("t1", SimDuration::from_millis(1), |_| Ok(1))])
-            .unwrap();
+        rt.parallel_map(vec![RayTask::new(
+            "t1",
+            SimDuration::from_millis(1),
+            |_| Ok(1),
+        )])
+        .unwrap();
         assert!(rt.spans().last().unwrap().ok);
     }
 
@@ -715,9 +737,11 @@ mod tests {
     fn organic_task_failure_records_aborted_stage_span() {
         let mut rt = runtime(1);
         let err = rt
-            .parallel_map(vec![RayTask::new("bad", SimDuration::from_millis(1), |_| {
-                Err::<i64, _>(RayTask::<i64>::failure("bad", "boom"))
-            })])
+            .parallel_map(vec![RayTask::new(
+                "bad",
+                SimDuration::from_millis(1),
+                |_| Err::<i64, _>(RayTask::<i64>::failure("bad", "boom")),
+            )])
             .unwrap_err();
         assert!(err.to_string().contains("boom"));
         let span = rt.spans().last().unwrap();

@@ -114,11 +114,7 @@ impl TypedStore {
     pub fn evict_lru(&mut self, target_bytes: u64) -> Vec<ObjectId> {
         let mut evicted = Vec::new();
         while self.model.resident_bytes() > target_bytes {
-            let Some((&victim, _)) = self
-                .access
-                .iter()
-                .min_by_key(|(_, stamp)| **stamp)
-            else {
+            let Some((&victim, _)) = self.access.iter().min_by_key(|(_, stamp)| **stamp) else {
                 break;
             };
             self.model.delete(victim).expect("victim is resident");

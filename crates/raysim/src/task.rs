@@ -98,9 +98,11 @@ mod tests {
     fn builder_configures_task() {
         let mut store = TypedStore::new(ObjectStoreModel::default());
         let (r, _) = store.put(7i64, 8);
-        let t = RayTask::new("t", SimDuration::from_millis(5), move |d| {
-            Ok(*d.get(r)? * 2)
-        })
+        let t = RayTask::new(
+            "t",
+            SimDuration::from_millis(5),
+            move |d| Ok(*d.get(r)? * 2),
+        )
         .with_num_cpus(2)
         .with_input(r);
         assert_eq!(t.num_cpus, 2);

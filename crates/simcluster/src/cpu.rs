@@ -127,7 +127,9 @@ mod tests {
     #[test]
     fn parallel_cpus_overlap() {
         let mut pool = CpuPool::new(4);
-        let rs: Vec<_> = (0..4).map(|_| pool.reserve(SimTime::ZERO, 1, d(100))).collect();
+        let rs: Vec<_> = (0..4)
+            .map(|_| pool.reserve(SimTime::ZERO, 1, d(100)))
+            .collect();
         for r in &rs {
             assert_eq!(r.start, t(0));
             assert_eq!(r.finish, t(100));

@@ -174,9 +174,7 @@ mod tests {
             t.boundary(Language::Python, Language::Python, 1_000_000),
             SimDuration::ZERO
         );
-        assert!(
-            t.boundary(Language::Python, Language::Scala, 1_000_000) > SimDuration::ZERO
-        );
+        assert!(t.boundary(Language::Python, Language::Scala, 1_000_000) > SimDuration::ZERO);
     }
 
     #[test]

@@ -93,7 +93,10 @@ impl SimDuration {
     /// Scale by a dimensionless factor (e.g. a language multiplier),
     /// rounding to the nearest µs.
     pub fn scale(self, factor: f64) -> SimDuration {
-        assert!(factor.is_finite() && factor >= 0.0, "invalid factor: {factor}");
+        assert!(
+            factor.is_finite() && factor >= 0.0,
+            "invalid factor: {factor}"
+        );
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }
@@ -166,7 +169,10 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::ZERO + SimDuration::from_secs(1) + SimDuration::from_millis(500);
         assert_eq!(t.as_micros(), 1_500_000);
-        assert_eq!(t.since(SimTime::from_micros(500_000)).as_micros(), 1_000_000);
+        assert_eq!(
+            t.since(SimTime::from_micros(500_000)).as_micros(),
+            1_000_000
+        );
         assert_eq!((SimDuration::from_secs(1) * 3).as_micros(), 3_000_000);
         assert_eq!(
             (SimDuration::from_secs(3) - SimDuration::from_secs(1)).as_micros(),

@@ -446,7 +446,10 @@ impl Experiment for EditLoop {
 
     fn paper_reference(&self) -> Artifact {
         let mut t = Table::new("no paper artifact (engine extension)", &LOOP_COLUMNS);
-        t.push_row(vec!["§III-A/§III-B, qualitative".into(); LOOP_COLUMNS.len()]);
+        t.push_row(vec![
+            "§III-A/§III-B, qualitative".into();
+            LOOP_COLUMNS.len()
+        ]);
         Artifact::Table(t)
     }
 }
@@ -468,7 +471,10 @@ mod tests {
         // The serve frontier of a fully-warm rerun is the single last
         // cacheable operator; its whole upstream cone is skipped.
         assert_eq!(o.warm_hits, 1, "{o:?}");
-        assert_eq!(o.warm_misses, 0, "identical rerun must not recompute: {o:?}");
+        assert_eq!(
+            o.warm_misses, 0,
+            "identical rerun must not recompute: {o:?}"
+        );
         // Replaying sealed segments is charged far below recomputation
         // on the virtual clock.
         assert!(o.warm_secs < o.cold_secs, "{o:?}");

@@ -67,8 +67,8 @@ pub fn observe_spill(products: usize, kind: BackendKind) -> SpillObservation {
     let p = KgeParams::new(products, 1)
         .with_fusion(3)
         .with_join_language(Language::Scala);
-    let unbounded = kge::workflow::run_workflow_on(&p, &Calibration::paper(), kind)
-        .expect("unbounded KGE run");
+    let unbounded =
+        kge::workflow::run_workflow_on(&p, &Calibration::paper(), kind).expect("unbounded KGE run");
     let mut cal = Calibration::paper();
     cal.wf_memory_budget = Some(SPILL_BUDGET);
     let budgeted = kge::workflow::run_workflow_on(&p, &cal, kind).expect("budgeted KGE run");

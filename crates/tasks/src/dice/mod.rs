@@ -97,9 +97,7 @@ pub fn oracle(dataset: &MaccrobatDataset) -> Vec<String> {
                         let trigger = report
                             .annotations
                             .iter()
-                            .find(|t| {
-                                t.kind == AnnotationKind::Entity && &t.key == trigger_key
-                            })
+                            .find(|t| t.kind == AnnotationKind::Entity && &t.key == trigger_key)
                             .expect("generator guarantees trigger exists");
                         let sent = report
                             .sentence_of(trigger.start)
@@ -151,7 +149,13 @@ mod tests {
         let rows = oracle(&ds);
         // Every entity row names a sentence containing its text.
         for row in rows.iter().filter(|r| r.contains("|kind=T|")) {
-            let text = row.split("|text=").nth(1).unwrap().split('|').next().unwrap();
+            let text = row
+                .split("|text=")
+                .nth(1)
+                .unwrap()
+                .split('|')
+                .next()
+                .unwrap();
             let sentence = row.split("|sentence=").nth(1).unwrap();
             assert!(
                 sentence.contains(text),

@@ -134,7 +134,8 @@ pub fn run_script(params: &DiceParams, cal: &Calibration) -> Result<TaskRun, Cel
         nb.push(
             Cell::new("wrangle", listing::dice_script_cell_wrangle(), move |k| {
                 let chunks = k.get::<Vec<Vec<usize>>>("parsed_chunks")?;
-                let ds_ref = *k.get::<scriptflow_raysim::ObjRef<Arc<MaccrobatDataset>>>("ds_ref")?;
+                let ds_ref =
+                    *k.get::<scriptflow_raysim::ObjRef<Arc<MaccrobatDataset>>>("ds_ref")?;
                 let tasks: Vec<RayTask<Vec<String>>> = chunks
                     .iter()
                     .enumerate()

@@ -338,7 +338,9 @@ pub fn engine_config(cal: &Calibration) -> EngineConfig {
         // A fresh per-run cache: records and publishes, but never hits.
         // Warm reruns come from `run_workflow_cached`, which shares one
         // cache across invocations.
-        result_cache: cal.wf_result_cache.then(|| ResultCache::for_run(cal.wf_cache_byte_budget)),
+        result_cache: cal
+            .wf_result_cache
+            .then(|| ResultCache::for_run(cal.wf_cache_byte_budget)),
         cache_read_per_block: cal.wf_cache_read_per_block,
         ..EngineConfig::default()
     }

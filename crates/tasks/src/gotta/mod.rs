@@ -39,7 +39,11 @@ impl GottaParams {
 
     /// Generate the input dataset.
     pub fn dataset(&self, cal: &Calibration) -> FsqaDataset {
-        FsqaDataset::generate(self.paragraphs, cal.gotta_questions_per_paragraph, self.seed)
+        FsqaDataset::generate(
+            self.paragraphs,
+            cal.gotta_questions_per_paragraph,
+            self.seed,
+        )
     }
 
     /// Human-readable config string.
@@ -51,11 +55,7 @@ impl GottaParams {
 /// Per-question generation work after batching amortization: the total
 /// work over `paragraphs` scales as `P^exponent`, so each question's
 /// share is `base · P^(exponent-1)`.
-pub fn amortized_question_work(
-    base: SimDuration,
-    paragraphs: usize,
-    exponent: f64,
-) -> SimDuration {
+pub fn amortized_question_work(base: SimDuration, paragraphs: usize, exponent: f64) -> SimDuration {
     let p = paragraphs.max(1) as f64;
     base.scale(p.powf(exponent - 1.0))
 }

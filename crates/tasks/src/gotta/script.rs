@@ -50,29 +50,33 @@ pub fn run_script(params: &GottaParams, cal: &Calibration) -> Result<TaskRun, Ce
         );
         let per_paragraph = cal.gotta_questions_per_paragraph as u64;
         nb.push(
-            Cell::new("inference", "preds = ray.get([infer.remote(c) for c in chunks])", move |k| {
-                let model_ref =
-                    *k.get::<scriptflow_raysim::ObjRef<ClozeAnswerer>>("model_ref")?;
-                let tasks: Vec<RayTask<Vec<String>>> = ds
-                    .examples
-                    .iter()
-                    .map(|example| {
-                        let example = example.clone();
-                        RayTask::new(
-                            format!("infer_p{}", example.id),
-                            q_work * per_paragraph,
-                            move |d| {
-                                let model = d.get(model_ref)?;
-                                Ok(infer_paragraph(&model, &example))
-                            },
-                        )
-                        .with_input(model_ref)
-                    })
-                    .collect();
-                let preds = k.ray().parallel_map(tasks)?;
-                k.set("preds", preds);
-                Ok(())
-            })
+            Cell::new(
+                "inference",
+                "preds = ray.get([infer.remote(c) for c in chunks])",
+                move |k| {
+                    let model_ref =
+                        *k.get::<scriptflow_raysim::ObjRef<ClozeAnswerer>>("model_ref")?;
+                    let tasks: Vec<RayTask<Vec<String>>> = ds
+                        .examples
+                        .iter()
+                        .map(|example| {
+                            let example = example.clone();
+                            RayTask::new(
+                                format!("infer_p{}", example.id),
+                                q_work * per_paragraph,
+                                move |d| {
+                                    let model = d.get(model_ref)?;
+                                    Ok(infer_paragraph(&model, &example))
+                                },
+                            )
+                            .with_input(model_ref)
+                        })
+                        .collect();
+                    let preds = k.ray().parallel_map(tasks)?;
+                    k.set("preds", preds);
+                    Ok(())
+                },
+            )
             .reads(&["model_ref"])
             .writes(&["preds"]),
         );
@@ -116,7 +120,9 @@ mod tests {
         let cal = Calibration::paper();
         let t1 = run_script(&GottaParams::new(1, 1), &cal).unwrap().seconds();
         let t4 = run_script(&GottaParams::new(4, 1), &cal).unwrap().seconds();
-        let t16 = run_script(&GottaParams::new(16, 1), &cal).unwrap().seconds();
+        let t16 = run_script(&GottaParams::new(16, 1), &cal)
+            .unwrap()
+            .seconds();
         assert!((150.0..180.0).contains(&t1), "t1 {t1}");
         assert!((430.0..500.0).contains(&t4), "t4 {t4}");
         assert!((1290.0..1490.0).contains(&t16), "t16 {t16}");

@@ -23,10 +23,7 @@ use crate::common::TaskRun;
 pub fn run_script_actors(params: &GottaParams, cal: &Calibration) -> Result<TaskRun, CellError> {
     let dataset = std::sync::Arc::new(params.dataset(cal));
     let workers = params.workers.max(1);
-    let mut kernel = Kernel::new(
-        &ClusterSpec::paper_cluster(),
-        RayConfig::with_cpus(workers),
-    );
+    let mut kernel = Kernel::new(&ClusterSpec::paper_cluster(), RayConfig::with_cpus(workers));
 
     let mut nb = Notebook::new("gotta-actors");
     // Cell 1: spin up the actors — each ships the model ONCE.
@@ -164,8 +161,12 @@ mod tests {
     #[test]
     fn actor_calls_overlap_across_workers() {
         let cal = Calibration::paper();
-        let one = run_script_actors(&GottaParams::new(8, 1), &cal).unwrap().seconds();
-        let four = run_script_actors(&GottaParams::new(8, 4), &cal).unwrap().seconds();
+        let one = run_script_actors(&GottaParams::new(8, 1), &cal)
+            .unwrap()
+            .seconds();
+        let four = run_script_actors(&GottaParams::new(8, 4), &cal)
+            .unwrap()
+            .seconds();
         assert!(four < one * 0.45, "four {four} vs one {one}");
     }
 }

@@ -95,11 +95,12 @@ pub fn oracle(catalog: &AmazonCatalog, top_k: usize) -> Vec<String> {
         catalog.user_embedding.clone(),
         catalog.relation_embedding.clone(),
     );
-    let candidates = catalog
-        .products
-        .iter()
-        .filter(|p| p.in_stock)
-        .map(|p| (p.id, catalog.embeddings.get(p.id).expect("embedding exists")));
+    let candidates = catalog.products.iter().filter(|p| p.in_stock).map(|p| {
+        (
+            p.id,
+            catalog.embeddings.get(p.id).expect("embedding exists"),
+        )
+    });
     let ranked = scorer.top_k(candidates, top_k);
     let lookup = catalog.reverse_lookup();
     ranked

@@ -44,64 +44,68 @@ pub fn run_script(params: &KgeParams, cal: &Calibration) -> Result<TaskRun, Cell
         let top_k = cal.kge_top_k;
         let n_products = params.products;
         nb.push(
-            Cell::new("score_and_rank", "scored = ray.get(futures); top = rank(scored)", move |k| {
-                let emb_ref =
-                    *k.get::<scriptflow_raysim::ObjRef<Arc<AmazonCatalog>>>("emb_ref")?;
-                let chunk = n_products.div_ceil(workers);
-                let tasks: Vec<RayTask<Vec<(i64, f32)>>> = (0..workers)
-                    .map(|wi| {
-                        let lo = wi * chunk;
-                        let hi = ((wi + 1) * chunk).min(n_products);
-                        let span = hi.saturating_sub(lo);
-                        RayTask::new(
-                            format!("score_{wi}"),
-                            per_product * span as u64,
-                            move |d| {
-                                let cat = d.get(emb_ref)?;
-                                let scorer = KgeScorer::new(
-                                    cat.user_embedding.clone(),
-                                    cat.relation_embedding.clone(),
-                                );
-                                Ok(cat.products[lo..hi]
-                                    .iter()
-                                    .filter(|p| p.in_stock)
-                                    .map(|p| {
-                                        let e =
-                                            cat.embeddings.get(p.id).expect("embedding exists");
-                                        (p.id, scorer.score(e))
-                                    })
-                                    .collect())
-                            },
-                        )
-                        .with_input(emb_ref)
-                    })
-                    .filter(|t| t.work > scriptflow_simcluster::SimDuration::ZERO)
-                    .collect();
-                let scored = k.ray().parallel_map(tasks)?;
-                // Driver-side rank + lookup (pandas nlargest + merge).
-                let cat = k.ray().get(emb_ref)?;
-                let mut all: Vec<(i64, f32)> = scored.into_iter().flatten().collect();
-                all.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                all.truncate(top_k);
-                let lookup = cat.reverse_lookup();
-                let rows: Vec<String> = all
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, (id, score))| {
-                        format!(
-                            "rank={}|id={id}|name={}|score={score:.4}",
-                            rank + 1,
-                            lookup.name(*id).expect("name exists"),
-                        )
-                    })
-                    .collect();
-                k.set("top_products", rows);
-                Ok(())
-            })
+            Cell::new(
+                "score_and_rank",
+                "scored = ray.get(futures); top = rank(scored)",
+                move |k| {
+                    let emb_ref =
+                        *k.get::<scriptflow_raysim::ObjRef<Arc<AmazonCatalog>>>("emb_ref")?;
+                    let chunk = n_products.div_ceil(workers);
+                    let tasks: Vec<RayTask<Vec<(i64, f32)>>> = (0..workers)
+                        .map(|wi| {
+                            let lo = wi * chunk;
+                            let hi = ((wi + 1) * chunk).min(n_products);
+                            let span = hi.saturating_sub(lo);
+                            RayTask::new(
+                                format!("score_{wi}"),
+                                per_product * span as u64,
+                                move |d| {
+                                    let cat = d.get(emb_ref)?;
+                                    let scorer = KgeScorer::new(
+                                        cat.user_embedding.clone(),
+                                        cat.relation_embedding.clone(),
+                                    );
+                                    Ok(cat.products[lo..hi]
+                                        .iter()
+                                        .filter(|p| p.in_stock)
+                                        .map(|p| {
+                                            let e =
+                                                cat.embeddings.get(p.id).expect("embedding exists");
+                                            (p.id, scorer.score(e))
+                                        })
+                                        .collect())
+                                },
+                            )
+                            .with_input(emb_ref)
+                        })
+                        .filter(|t| t.work > scriptflow_simcluster::SimDuration::ZERO)
+                        .collect();
+                    let scored = k.ray().parallel_map(tasks)?;
+                    // Driver-side rank + lookup (pandas nlargest + merge).
+                    let cat = k.ray().get(emb_ref)?;
+                    let mut all: Vec<(i64, f32)> = scored.into_iter().flatten().collect();
+                    all.sort_by(|a, b| {
+                        b.1.partial_cmp(&a.1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then_with(|| a.0.cmp(&b.0))
+                    });
+                    all.truncate(top_k);
+                    let lookup = cat.reverse_lookup();
+                    let rows: Vec<String> = all
+                        .iter()
+                        .enumerate()
+                        .map(|(rank, (id, score))| {
+                            format!(
+                                "rank={}|id={id}|name={}|score={score:.4}",
+                                rank + 1,
+                                lookup.name(*id).expect("name exists"),
+                            )
+                        })
+                        .collect();
+                    k.set("top_products", rows);
+                    Ok(())
+                },
+            )
             .reads(&["emb_ref"])
             .writes(&["top_products"]),
         );
@@ -140,8 +144,12 @@ mod tests {
     fn fig13c_script_anchors() {
         // Paper: 90.69 s @6.8k and 975.46 s @68k.
         let cal = Calibration::paper();
-        let small = run_script(&KgeParams::new(6_800, 1), &cal).unwrap().seconds();
-        let large = run_script(&KgeParams::new(68_000, 1), &cal).unwrap().seconds();
+        let small = run_script(&KgeParams::new(6_800, 1), &cal)
+            .unwrap()
+            .seconds();
+        let large = run_script(&KgeParams::new(68_000, 1), &cal)
+            .unwrap()
+            .seconds();
         assert!((85.0..105.0).contains(&small), "6.8k {small}");
         assert!((930.0..1020.0).contains(&large), "68k {large}");
     }
@@ -150,9 +158,15 @@ mod tests {
     fn fig14c_script_worker_scaling() {
         // Paper: 975.46 / 459.46 / 273.89 s at 1 / 2 / 4 workers.
         let cal = Calibration::paper();
-        let one = run_script(&KgeParams::new(68_000, 1), &cal).unwrap().seconds();
-        let two = run_script(&KgeParams::new(68_000, 2), &cal).unwrap().seconds();
-        let four = run_script(&KgeParams::new(68_000, 4), &cal).unwrap().seconds();
+        let one = run_script(&KgeParams::new(68_000, 1), &cal)
+            .unwrap()
+            .seconds();
+        let two = run_script(&KgeParams::new(68_000, 2), &cal)
+            .unwrap()
+            .seconds();
+        let four = run_script(&KgeParams::new(68_000, 4), &cal)
+            .unwrap()
+            .seconds();
         assert!(one > two && two > four);
         let s2 = one / two;
         let s4 = one / four;

@@ -130,7 +130,12 @@ pub fn wef_script_listing() -> String {
     let mut s = String::from(
         "import torch\nimport pandas as pd\nfrom transformers import AutoModel, AutoTokenizer\nfrom torch.utils.data import DataLoader\ntweets = pd.read_csv('wildfire_tweets.csv')\nFRAMINGS = ['climate_link', 'climate_action',\n            'other_adversity', 'not_relevant']\ntokenizer = AutoTokenizer.from_pretrained('bert-base-uncased')\nencodings = tokenizer(list(tweets.text), truncation=True,\n                      padding=True, return_tensors='pt')\n",
     );
-    for f in ["climate_link", "climate_action", "other_adversity", "not_relevant"] {
+    for f in [
+        "climate_link",
+        "climate_action",
+        "other_adversity",
+        "not_relevant",
+    ] {
         s.push_str(&format!(
             "model_{f} = AutoModel.from_pretrained('bert-base-uncased')\nlabels_{f} = tweets.framings.str.contains('{f}').astype(int)\nloader_{f} = DataLoader(list(zip(encodings.input_ids, labels_{f})),\n                        batch_size=16, shuffle=True)\nfor epoch in range(EPOCHS):\n    for batch, labels in loader_{f}:\n        loss = model_{f}(batch, labels=labels).loss\n        loss.backward()\n        optimizer.step()\n        optimizer.zero_grad()\n",
         ));
@@ -146,7 +151,12 @@ pub fn wef_workflow_listing() -> String {
     let mut s = String::from(
         "workflow: wef-framing-ensemble\noperators:\n  - id: tweets-scan\n    type: CSVScan\n    path: wildfire_tweets.csv\n    workers: 1\n  - id: tokenize\n    type: PythonUDF\n    code: |\n      def tokenize(row):\n        row.tokens = tokenizer(row.text, truncation=True)\n        return row\n",
     );
-    for f in ["climate_link", "climate_action", "other_adversity", "not_relevant"] {
+    for f in [
+        "climate_link",
+        "climate_action",
+        "other_adversity",
+        "not_relevant",
+    ] {
         s.push_str(&format!(
             "  - id: train-{f}\n    type: PythonUDF\n    blocking_ports: [0]\n    code: |\n      buffer = []\n      def on_tuple(row):\n        buffer.append((row.tokens, '{f}' in row.framings))\n      def on_finish():\n        model = finetune_bert(buffer, epochs=3)\n        emit(evaluate(model, buffer))\n"
         ));
@@ -250,7 +260,10 @@ mod tests {
                 let ratio = m as f64 / p as f64;
                 (0.5..2.0).contains(&ratio)
             };
-            assert!(close(script, paper_script), "{task} script {script} vs {paper_script}");
+            assert!(
+                close(script, paper_script),
+                "{task} script {script} vs {paper_script}"
+            );
             assert!(close(wf, paper_wf), "{task} workflow {wf} vs {paper_wf}");
         }
     }

@@ -80,9 +80,7 @@ use crate::backend::EngineRun;
 use crate::cost::CostProfile;
 use crate::dag::{OpId, Workflow, WorkflowBuilder};
 use crate::metrics::OpCounters;
-use crate::operator::{
-    Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
-};
+use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult};
 use crate::spill::SPILL_BLOCK_ROWS;
 use crate::trace::ProgressTrace;
 
@@ -345,7 +343,11 @@ impl ResultCache {
                 // Corrupt, truncated, or forged: degrade to a miss.
                 if let Some(stored) = inner.entries.remove(&fp.0) {
                     inner.bytes = inner.bytes.saturating_sub(stored.bytes);
-                    credit_owner(&mut inner.owner_bytes, stored.owner.as_deref(), stored.bytes);
+                    credit_owner(
+                        &mut inner.owner_bytes,
+                        stored.owner.as_deref(),
+                        stored.bytes,
+                    );
                 }
                 disk.remove_entry(fp.0);
                 self.sync_manifest(&inner);
@@ -541,7 +543,11 @@ fn evict_to_budget(
         inner.bytes = inner.bytes.saturating_sub(stored.bytes);
         inner.evictions += 1;
         inner.evicted_bytes += stored.bytes;
-        credit_owner(&mut inner.owner_bytes, stored.owner.as_deref(), stored.bytes);
+        credit_owner(
+            &mut inner.owner_bytes,
+            stored.owner.as_deref(),
+            stored.bytes,
+        );
         if let Some(disk) = disk {
             disk.remove_entry(fp);
         }
@@ -660,8 +666,7 @@ impl DiskStore {
         }
         for line in lines {
             let mut parts = line.splitn(6, ' ');
-            let Some(fp) = parts.next().and_then(|s| u128::from_str_radix(s, 16).ok())
-            else {
+            let Some(fp) = parts.next().and_then(|s| u128::from_str_radix(s, 16).ok()) else {
                 continue;
             };
             let Some(rows) = parts.next().and_then(|s| s.parse().ok()) else {
@@ -979,9 +984,8 @@ pub struct CachePlan {
 pub fn prepare(wf: &Workflow, cache: &ResultCache, read_per_block: SimDuration) -> CachePlan {
     let n = wf.ops().len();
 
-    let cacheable = |id: OpId| {
-        wf.op(id).factory.shared_state_id().is_none() && !wf.out_edges(id).is_empty()
-    };
+    let cacheable =
+        |id: OpId| wf.op(id).factory.shared_state_id().is_none() && !wf.out_edges(id).is_empty();
 
     // Classify in reverse topological order: sinks are always computed
     // (their rows are the run's results); a non-sink is needed only if
@@ -1173,8 +1177,8 @@ mod tests {
 
     fn linear(n: i64) -> (Workflow, crate::ops::SinkHandle) {
         let mut b = WorkflowBuilder::new();
-        let batch = Batch::from_rows(schema(), (0..n).map(|i| vec![Value::Int(i)]).collect())
-            .unwrap();
+        let batch =
+            Batch::from_rows(schema(), (0..n).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         let s = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
         let f = b.add(
             Arc::new(FilterOp::cmp("filter", "id", CmpOp::Ge, Value::Int(0))),
@@ -1246,15 +1250,17 @@ mod tests {
 
         // The third publish must evict — and the victim is the cheap
         // entry, not the expensive one and not the newcomer.
-        let out =
-            cache.publish_costed(OpFingerprint(3), &schema, &rows(100), cheap, None);
+        let out = cache.publish_costed(OpFingerprint(3), &schema, &rows(100), cheap, None);
         assert!(out.admitted);
         assert_eq!(out.evictions, 1);
         assert_eq!(out.evicted_bytes, per_entry);
         assert!(cache.bytes() <= per_entry * 2, "budget holds after publish");
         assert!(cache.lookup(OpFingerprint(1)).is_some(), "expensive kept");
         assert!(cache.lookup(OpFingerprint(2)).is_none(), "cheap evicted");
-        assert!(cache.lookup(OpFingerprint(3)).is_some(), "newcomer admitted");
+        assert!(
+            cache.lookup(OpFingerprint(3)).is_some(),
+            "newcomer admitted"
+        );
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.evicted_bytes(), per_entry);
         assert_eq!(
@@ -1318,7 +1324,10 @@ mod tests {
         let total = cache.bytes();
         assert_eq!(cache.evictions(), 0);
         cache.set_byte_budget(Some(total / 2));
-        assert!(cache.bytes() <= total / 2, "shrinking the budget evicts now");
+        assert!(
+            cache.bytes() <= total / 2,
+            "shrinking the budget evicts now"
+        );
         assert!(cache.evictions() > 0);
     }
 
@@ -1449,7 +1458,10 @@ mod tests {
         std::fs::write(&seg, &image).unwrap();
         let cache = ResultCache::persistent(&dir).unwrap();
         assert_eq!(cache.entries(), 1, "manifest still lists the entry");
-        assert!(cache.lookup(OpFingerprint(7)).is_none(), "corruption is a miss");
+        assert!(
+            cache.lookup(OpFingerprint(7)).is_none(),
+            "corruption is a miss"
+        );
         assert_eq!(cache.entries(), 0, "the bad entry is dropped");
         assert_eq!(cache.bytes(), 0, "its bytes are released");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1517,11 +1529,7 @@ mod tests {
         let cache = ResultCache::new();
         // Seed the cache with the filter's output under its fingerprint.
         let filter_id = wf.op_by_name("filter").unwrap();
-        cache.publish(
-            wf.fingerprint(filter_id),
-            wf.schema(filter_id),
-            &rows(20),
-        );
+        cache.publish(wf.fingerprint(filter_id), wf.schema(filter_id), &rows(20));
         let plan = prepare(&wf, &cache, SimDuration::from_micros(900));
         assert_eq!(plan.hits, 1);
         assert_eq!(plan.misses, 0, "everything upstream of the hit skipped");

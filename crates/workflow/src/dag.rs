@@ -547,10 +547,7 @@ mod tests {
         let wf = b.build().unwrap();
         let c = wf.clone();
         assert_eq!(wf.workflow_fingerprint(), c.workflow_fingerprint());
-        assert!(Arc::ptr_eq(
-            &wf.op(OpId(0)).factory,
-            &c.op(OpId(0)).factory
-        ));
+        assert!(Arc::ptr_eq(&wf.op(OpId(0)).factory, &c.op(OpId(0)).factory));
     }
 
     #[test]

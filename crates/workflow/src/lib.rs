@@ -98,7 +98,9 @@ pub mod trace;
 pub mod trace_live;
 
 pub use backend::{EngineRun, ExecBackend};
-pub use cache::{commit_recordings_as, CacheEntry, CachePlan, CommitStats, PublishOutcome, ResultCache};
+pub use cache::{
+    commit_recordings_as, CacheEntry, CachePlan, CommitStats, PublishOutcome, ResultCache,
+};
 pub use cost::{CostProfile, EngineConfig};
 pub use dag::{EdgeId, OpId, Workflow, WorkflowBuilder};
 pub use exec_live::{ExecMode, LiveExecutor, LiveRunResult, PoolStats};

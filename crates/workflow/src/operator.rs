@@ -453,7 +453,9 @@ mod tests {
 
     #[test]
     fn duplicate_operator_error_is_typed_and_descriptive() {
-        let e = WorkflowError::DuplicateOperator { name: "scan".into() };
+        let e = WorkflowError::DuplicateOperator {
+            name: "scan".into(),
+        };
         assert!(e.to_string().contains("duplicate operator name `scan`"));
         assert_ne!(e, WorkflowError::InvalidDag("duplicate".into()));
     }

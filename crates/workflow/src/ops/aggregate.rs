@@ -260,9 +260,8 @@ impl Operator for AggregateInstance {
             // Per-group footprint: the representative values' stable wire
             // size plus the fixed per-group bookkeeping (agg states, map
             // entry). Updates to existing groups don't grow state.
-            self.groups_bytes += rep.iter().map(Value::encoded_len).sum::<usize>()
-                + 32 * self.aggs.len()
-                + 48;
+            self.groups_bytes +=
+                rep.iter().map(Value::encoded_len).sum::<usize>() + 32 * self.aggs.len() + 48;
             self.groups.insert(
                 key.clone(),
                 (rep, self.aggs.iter().map(|_| AggState::new()).collect()),
@@ -462,8 +461,7 @@ impl AggregateInstance {
         schema: &SchemaRef,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        let tuples =
-            read_segment(seg, out).map_err(|e| WorkflowError::from_data(&self.name, e))?;
+        let tuples = read_segment(seg, out).map_err(|e| WorkflowError::from_data(&self.name, e))?;
         let cols: Vec<&str> = self.group_by.iter().map(String::as_str).collect();
         let g = cols.len();
         let mut merged: HashMap<HashKey, (Vec<Value>, Vec<AggState>)> = HashMap::new();
@@ -487,7 +485,9 @@ impl AggregateInstance {
                 let base = g + 4 * i;
                 st.count += vals[base].as_int().unwrap_or(0).max(0) as u64;
                 st.sum += vals[base + 1].as_float().unwrap_or(0.0);
-                st.min = st.min.min(vals[base + 2].as_float().unwrap_or(f64::INFINITY));
+                st.min = st
+                    .min
+                    .min(vals[base + 2].as_float().unwrap_or(f64::INFINITY));
                 st.max = st
                     .max
                     .max(vals[base + 3].as_float().unwrap_or(f64::NEG_INFINITY));
@@ -750,7 +750,11 @@ mod tests {
 
     /// Run `op` over `n` tuples spread across 7 groups, optionally under
     /// an engine-level budget, returning (sorted rows, blocks, reads).
-    fn run_agg_budgeted(op: &AggregateOp, budget: Option<usize>, n: i64) -> (Vec<String>, u64, u64) {
+    fn run_agg_budgeted(
+        op: &AggregateOp,
+        budget: Option<usize>,
+        n: i64,
+    ) -> (Vec<String>, u64, u64) {
         let mut inst = op.create();
         inst.set_memory_budget(budget);
         let mut out = OutputCollector::new();

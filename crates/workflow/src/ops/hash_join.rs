@@ -256,7 +256,8 @@ impl HashJoinInstance {
     /// Per-partition flush threshold: keep each partition's buffered
     /// remainder within its share of the budget.
     fn flush_at(&self) -> usize {
-        self.budget.map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1))
+        self.budget
+            .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1))
     }
 
     /// The build table hit the budget: switch to grace mode by draining
@@ -324,7 +325,9 @@ impl HashJoinInstance {
                 let names: Vec<&str> = keys.iter().map(String::as_str).collect();
                 for block in seg.blocks() {
                     out.note_spill_read();
-                    let batch = block.decode().map_err(|e| WorkflowError::from_data(&name, e))?;
+                    let batch = block
+                        .decode()
+                        .map_err(|e| WorkflowError::from_data(&name, e))?;
                     for t in batch.to_tuples() {
                         let key = HashKey::from_tuple(&t, &names)
                             .map_err(|e| WorkflowError::from_data(&name, e))?;
@@ -344,7 +347,9 @@ impl HashJoinInstance {
             let names: Vec<&str> = self.build_keys.iter().map(String::as_str).collect();
             for block in build_seg.blocks() {
                 out.note_spill_read();
-                let batch = block.decode().map_err(|e| WorkflowError::from_data(&name, e))?;
+                let batch = block
+                    .decode()
+                    .map_err(|e| WorkflowError::from_data(&name, e))?;
                 for t in batch.to_tuples() {
                     let key = HashKey::from_tuple(&t, &names)
                         .map_err(|e| WorkflowError::from_data(&name, e))?;
@@ -368,7 +373,9 @@ impl HashJoinInstance {
                 }
             }
             out.note_spill_read();
-            let batch = block.decode().map_err(|e| WorkflowError::from_data(&name, e))?;
+            let batch = block
+                .decode()
+                .map_err(|e| WorkflowError::from_data(&name, e))?;
             let names: Vec<&str> = probe_names.iter().map(String::as_str).collect();
             for t in batch.to_tuples() {
                 let schema = self.ensure_out_schema(&t, build_schema)?;
@@ -405,7 +412,9 @@ impl Operator for HashJoinInstance {
                 }
                 let key = self.key_of(&tuple, &self.build_keys.clone())?;
                 if let Some(spill) = self.spill.as_mut() {
-                    let flush_at = self.budget.map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
+                    let flush_at = self
+                        .budget
+                        .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
                     spill.build[key.bucket_salted(0, SPILL_FANOUT)].push(tuple, flush_at, out);
                     return Ok(());
                 }
@@ -421,7 +430,9 @@ impl Operator for HashJoinInstance {
                 if let Some(spill) = self.spill.as_mut() {
                     // Grace mode: probing is deferred until the probe port
                     // completes and partitions join pairwise.
-                    let flush_at = self.budget.map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
+                    let flush_at = self
+                        .budget
+                        .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
                     spill.probe[key.bucket_salted(0, SPILL_FANOUT)].push(tuple, flush_at, out);
                     return Ok(());
                 }
@@ -453,17 +464,12 @@ impl Operator for HashJoinInstance {
             0 => {
                 // Seal the build partitions under their manifests; probe
                 // tuples keep streaming into probe partitions.
-                spill.build_sealed = spill
-                    .build
-                    .drain(..)
-                    .map(|w| w.seal(out))
-                    .collect();
+                spill.build_sealed = spill.build.drain(..).map(|w| w.seal(out)).collect();
                 self.spill = Some(spill);
             }
             1 => {
                 let builds = std::mem::take(&mut spill.build_sealed);
-                let probes: Vec<Segment> =
-                    spill.probe.drain(..).map(|w| w.seal(out)).collect();
+                let probes: Vec<Segment> = spill.probe.drain(..).map(|w| w.seal(out)).collect();
                 // The build schema is global to the join; per-partition
                 // derivation would mis-pad LeftOuter rows whose build
                 // partition happens to be empty.
@@ -857,7 +863,8 @@ mod tests {
         }
         inst.on_port_complete(0, &mut out).unwrap();
         for i in 0..60 {
-            inst.on_tuple(probe_tuple(i, 1000 + i), 1, &mut out).unwrap();
+            inst.on_tuple(probe_tuple(i, 1000 + i), 1, &mut out)
+                .unwrap();
         }
         let reads_before_probe = out.counters().spill_reads;
         inst.on_port_complete(1, &mut out).unwrap();
@@ -891,7 +898,11 @@ mod tests {
             inst.on_tuple(build_tuple(i, "b"), 0, &mut out).unwrap();
         }
         inst.on_port_complete(0, &mut out).unwrap();
-        assert_eq!(out.spilled_blocks(), 0, "override must shadow engine budget");
+        assert_eq!(
+            out.spilled_blocks(),
+            0,
+            "override must shadow engine budget"
+        );
     }
 
     #[test]

@@ -222,8 +222,7 @@ impl Operator for SortInstance {
             return Ok(());
         }
         // K-way merge of the sealed runs plus the final in-memory run.
-        let mut cursors: Vec<RunCursor> =
-            self.runs.drain(..).map(RunCursor::spilled).collect();
+        let mut cursors: Vec<RunCursor> = self.runs.drain(..).map(RunCursor::spilled).collect();
         cursors.push(RunCursor::in_memory(std::mem::take(&mut self.buffer)));
         let keys = self.keys.clone();
         let name = self.name.clone();
@@ -395,7 +394,10 @@ mod tests {
         let rows: Vec<Tuple> = (0..200)
             .map(|i| tuple((i * 37) % 101, if i % 2 == 0 { "even" } else { "odd" }))
             .collect();
-        let in_memory = run_sort(&SortOp::new("s", &[("a", SortOrder::Ascending)]), rows.clone());
+        let in_memory = run_sort(
+            &SortOp::new("s", &[("a", SortOrder::Ascending)]),
+            rows.clone(),
+        );
 
         let op = SortOp::new("s", &[("a", SortOrder::Ascending)]).with_memory_budget(512);
         let mut inst = op.create();
@@ -410,9 +412,8 @@ mod tests {
         inst.on_port_complete(0, &mut out).unwrap();
         assert!(out.counters().spill_reads > 0, "merge must read runs back");
         let spilled = out.take();
-        let keys = |ts: &[Tuple]| -> Vec<i64> {
-            ts.iter().map(|t| t.get_int("a").unwrap()).collect()
-        };
+        let keys =
+            |ts: &[Tuple]| -> Vec<i64> { ts.iter().map(|t| t.get_int("a").unwrap()).collect() };
         assert_eq!(keys(&spilled), keys(&in_memory));
     }
 
@@ -436,7 +437,11 @@ mod tests {
         for i in 0..100 {
             inst.on_tuple(tuple(i, "x"), 0, &mut out).unwrap();
         }
-        assert_eq!(out.spilled_blocks(), 0, "override must shadow engine budget");
+        assert_eq!(
+            out.spilled_blocks(),
+            0,
+            "override must shadow engine budget"
+        );
     }
 
     #[test]

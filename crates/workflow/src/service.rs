@@ -875,11 +875,9 @@ impl Shared {
     /// whole-DAG fingerprint as pending `p` — dispatching now would
     /// recompute work the active run is about to publish.
     fn cache_blocked(active: &[ActiveRun], p: &PendingRun) -> bool {
-        p.cache.as_ref().is_some_and(|cs| {
-            active
-                .iter()
-                .any(|r| r.cache_fp == Some(cs.workflow_fp))
-        })
+        p.cache
+            .as_ref()
+            .is_some_and(|cs| active.iter().any(|r| r.cache_fp == Some(cs.workflow_fp)))
     }
 
     /// Assemble a drained run's report, settle tenant accounting, and
@@ -893,9 +891,8 @@ impl Shared {
         // replayed quantum may have teed partial output (the same
         // discipline as the solo executors). Entries are charged to the
         // submitting tenant so quota accounting can track live bytes.
-        let clean = err.is_none()
-            && pool_stats.faults_injected == 0
-            && pool_stats.retries_attempted == 0;
+        let clean =
+            err.is_none() && pool_stats.faults_injected == 0 && pool_stats.retries_attempted == 0;
         let commit = if clean {
             commit_recordings_as(&run.recordings, &self.cache, Some(&run.tenant))
         } else {
@@ -1548,7 +1545,10 @@ mod tests {
         let pool_b = res_b.pool.expect("pooled run");
         assert!(pool_a.cache_misses > 0, "leader records the prefix");
         assert_eq!(pool_a.cache_hits, 0, "nothing published before the leader");
-        assert!(res_a.cache_published > 0, "leader publishes on clean finish");
+        assert!(
+            res_a.cache_published > 0,
+            "leader publishes on clean finish"
+        );
         assert!(pool_b.cache_hits > 0, "follower is served from the cache");
         assert_eq!(pool_b.cache_misses, 0, "follower recomputes nothing");
         assert_eq!(res_b.cache_published, 0, "follower has nothing new");

@@ -57,10 +57,7 @@ fn main() {
     let mut b = WorkflowBuilder::new();
     let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
     let work = b.add(
-        Arc::new(
-            FilterOp::new("work", |_| Ok(true))
-                .with_cost(CostProfile::per_tuple_micros(400)),
-        ),
+        Arc::new(FilterOp::new("work", |_| Ok(true)).with_cost(CostProfile::per_tuple_micros(400))),
         2,
     );
     let sink = b.add(Arc::new(SinkOp::new("sink")), 1);

@@ -38,7 +38,10 @@ fn main() {
     assert_eq!(sc.output, expected, "script output matches the oracle");
     assert_eq!(wf.output, expected, "workflow output matches the oracle");
 
-    println!("\nMACCROBAT-EE rows: {} (both paradigms identical)", expected.len());
+    println!(
+        "\nMACCROBAT-EE rows: {} (both paradigms identical)",
+        expected.len()
+    );
     for row in expected.iter().take(5) {
         println!("  {row}");
     }

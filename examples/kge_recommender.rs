@@ -42,11 +42,8 @@ fn main() {
 
     println!("\n== modularity sweep (Fig. 12b) ==");
     for fusion in 1..=6 {
-        let run = workflow::run_workflow(
-            &KgeParams::new(6_800, 1).with_fusion(fusion),
-            &cal,
-        )
-        .expect("workflow run");
+        let run = workflow::run_workflow(&KgeParams::new(6_800, 1).with_fusion(fusion), &cal)
+            .expect("workflow run");
         println!(
             "  {fusion} logical operator(s): {:8.2}s  ({} DAG nodes)",
             run.seconds(),

@@ -31,7 +31,10 @@ fn main() {
             "predicted = text_clf.fit(data).predict(data)",
             |k| {
                 let data = k.get::<Vec<i64>>("data")?;
-                k.set("predicted", data.iter().map(|x| x % 2).collect::<Vec<i64>>());
+                k.set(
+                    "predicted",
+                    data.iter().map(|x| x % 2).collect::<Vec<i64>>(),
+                );
                 Ok(())
             },
         )
@@ -49,12 +52,18 @@ fn main() {
     let graph = LineageGraph::from_notebook(&nb);
     println!("== notebook lineage (reconstructed from reads/writes) ==");
     for i in 0..nb.len() {
-        println!("  cell {} ({}) depends on {:?}", i, nb.cells()[i].name(), graph.deps(i));
+        println!(
+            "  cell {} ({}) depends on {:?}",
+            i,
+            nb.cells()[i].name(),
+            graph.deps(i)
+        );
     }
 
     // The paper's point: users may execute Write before Sentiment_Analysis.
     let mut kernel = Kernel::new(&ClusterSpec::single_node(2), RayConfig::default());
-    nb.run_in_order(&[0, 2, 1], &mut kernel).expect("reordered run works");
+    nb.run_in_order(&[0, 2, 1], &mut kernel)
+        .expect("reordered run works");
     println!(
         "\nout-of-order run [Load, Write, Sentiment_Analysis] is fine: audit -> {:?}",
         graph.audit(&nb, &[0, 2, 1])
@@ -64,7 +73,10 @@ fn main() {
     let mut fresh = Kernel::new(&ClusterSpec::single_node(2), RayConfig::default());
     let err = nb.run_cell(1, &mut fresh).unwrap_err();
     println!("running cell 1 first -> cell-level trace: {err}");
-    println!("lineage audit flags it statically: {:?}", graph.audit(&nb, &[1, 0, 2]));
+    println!(
+        "lineage audit flags it statically: {:?}",
+        graph.audit(&nb, &[1, 0, 2])
+    );
 
     // ---------- Workflow paradigm: the same hazard is unrepresentable --
     println!("\n== workflow paradigm ==");
@@ -105,6 +117,8 @@ fn main() {
     bad.connect(s, f, 0, PartitionStrategy::RoundRobin);
     bad.connect(f, k, 0, PartitionStrategy::Single);
     let wf_bad = bad.build().unwrap();
-    let err = SimExecutor::new(EngineConfig::default()).run(&wf_bad).unwrap_err();
+    let err = SimExecutor::new(EngineConfig::default())
+        .run(&wf_bad)
+        .unwrap_err();
     println!("failing operator -> operator-level trace: {err}");
 }

@@ -53,7 +53,12 @@ fn main() {
     let handle = sink_op.handle();
     let sink = b.add(Arc::new(sink_op), 1);
     b.connect(scan, filter, 0, PartitionStrategy::RoundRobin);
-    b.connect(filter, agg, 0, PartitionStrategy::Hash(vec!["sensor".into()]));
+    b.connect(
+        filter,
+        agg,
+        0,
+        PartitionStrategy::Hash(vec!["sensor".into()]),
+    );
     b.connect(agg, sink, 0, PartitionStrategy::Single);
     let wf = b.build().expect("valid workflow");
 
@@ -65,7 +70,10 @@ fn main() {
         ..EngineConfig::default()
     };
     let sim = SimExecutor::new(cfg).run(&wf).expect("sim run");
-    println!("== simulated run ==\n{}", gui::render_run_ascii(&wf, &sim.metrics));
+    println!(
+        "== simulated run ==\n{}",
+        gui::render_run_ascii(&wf, &sim.metrics)
+    );
 
     let mut sim_rows: Vec<(String, i64, f64, f64)> = handle
         .results()

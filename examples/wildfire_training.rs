@@ -42,7 +42,14 @@ fn main() {
     let acc = subset_accuracy(&dataset, &{
         let mut o = sc.output.clone();
         o.sort_by_key(|r| {
-            r.split('=').nth(1).unwrap().split('|').next().unwrap().parse::<i64>().unwrap()
+            r.split('=')
+                .nth(1)
+                .unwrap()
+                .split('|')
+                .next()
+                .unwrap()
+                .parse::<i64>()
+                .unwrap()
         });
         o
     });

@@ -152,7 +152,11 @@ fn tiny_budget_changes_no_rows_on_any_task() {
     let unbounded = Calibration::paper();
     let mut tiny = Calibration::paper();
     tiny.wf_memory_budget = Some(1 << 10);
-    let tasks: [(&str, bool, Box<dyn Fn(&Calibration, BackendKind) -> BackendRun>); 4] = [
+    let tasks: [(
+        &str,
+        bool,
+        Box<dyn Fn(&Calibration, BackendKind) -> BackendRun>,
+    ); 4] = [
         (
             "dice",
             true,
@@ -286,7 +290,10 @@ fn columnar_mode_changes_no_rows_on_any_task() {
 #[test]
 fn warm_cache_rerun_changes_no_rows_on_any_task() {
     let cal = Calibration::paper();
-    let tasks: [(&str, Box<dyn Fn(BackendKind, Option<&Arc<ResultCache>>) -> BackendRun>); 4] = [
+    let tasks: [(
+        &str,
+        Box<dyn Fn(BackendKind, Option<&Arc<ResultCache>>) -> BackendRun>,
+    ); 4] = [
         (
             "dice",
             Box::new(|k, cache| {
@@ -347,7 +354,10 @@ fn warm_cache_rerun_changes_no_rows_on_any_task() {
                 baseline.run.output, warm.run.output,
                 "{task}/{kind}: a served warm rerun must not change task results"
             );
-            assert_eq!(cold.counters.cache_hits, 0, "{task}/{kind}: an empty cache cannot hit");
+            assert_eq!(
+                cold.counters.cache_hits, 0,
+                "{task}/{kind}: an empty cache cannot hit"
+            );
             assert!(
                 cold.cache_published > 0,
                 "{task}/{kind}: the cold run must publish sealed segments"

@@ -31,17 +31,29 @@ fn pipeline(seed: u64) -> (Workflow, SinkHandle) {
     let schema = Schema::of(&[("id", DataType::Int)]);
     let batch = Batch::from_rows(
         schema,
-        (0..ROWS).map(|i| vec![Value::Int((i * 7 + shift) % 211)]).collect(),
+        (0..ROWS)
+            .map(|i| vec![Value::Int((i * 7 + shift) % 211)])
+            .collect(),
     )
     .expect("rows conform");
     let mut b = WorkflowBuilder::new();
     let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
     let keep = b.add(
-        Arc::new(FilterOp::cmp("keep", "id", CmpOp::Ge, Value::Int(10 + shift))),
+        Arc::new(FilterOp::cmp(
+            "keep",
+            "id",
+            CmpOp::Ge,
+            Value::Int(10 + shift),
+        )),
         2,
     );
     let trim = b.add(
-        Arc::new(FilterOp::cmp("trim", "id", CmpOp::Le, Value::Int(190 - shift))),
+        Arc::new(FilterOp::cmp(
+            "trim",
+            "id",
+            CmpOp::Le,
+            Value::Int(190 - shift),
+        )),
         1,
     );
     let sink_op = SinkOp::new("sink");
@@ -50,7 +62,10 @@ fn pipeline(seed: u64) -> (Workflow, SinkHandle) {
     b.connect(scan, keep, 0, PartitionStrategy::RoundRobin);
     b.connect(keep, trim, 0, PartitionStrategy::RoundRobin);
     b.connect(trim, sink, 0, PartitionStrategy::Single);
-    (b.build().expect("cache chaos pipeline is a valid DAG"), handle)
+    (
+        b.build().expect("cache chaos pipeline is a valid DAG"),
+        handle,
+    )
 }
 
 fn sorted_rows(h: &SinkHandle) -> Vec<String> {
@@ -97,8 +112,16 @@ fn faults_mid_recording_never_publish_partial_segments_across_32_seeds() {
         let (wf, _h) = pipeline(seed);
         let (_trace, result) = executor(&cache).with_faults(plan(kind)).run_observed(&wf);
         result.expect_err("no retry budget: the fault fails the run");
-        assert_eq!(cache.entries(), 0, "seed {seed} {kind}@{at}: failed run published");
-        assert_eq!(cache.bytes(), 0, "seed {seed} {kind}@{at}: failed run leaked bytes");
+        assert_eq!(
+            cache.entries(),
+            0,
+            "seed {seed} {kind}@{at}: failed run published"
+        );
+        assert_eq!(
+            cache.bytes(),
+            0,
+            "seed {seed} {kind}@{at}: failed run leaked bytes"
+        );
 
         // Recovered fault: the run succeeds, but it was dirty — the
         // replayed quanta could have double-recorded, so publication is
@@ -114,16 +137,30 @@ fn faults_mid_recording_never_publish_partial_segments_across_32_seeds() {
             stats.faults_injected > 0,
             "seed {seed} {kind}@{at}: the fault must actually fire"
         );
-        assert_eq!(sorted_rows(&h), clean, "seed {seed} {kind}@{at}: recovered rows");
-        assert_eq!(res.cache_published, 0, "seed {seed} {kind}@{at}: dirty run published");
-        assert_eq!(cache.entries(), 0, "seed {seed} {kind}@{at}: dirty run leaked entries");
+        assert_eq!(
+            sorted_rows(&h),
+            clean,
+            "seed {seed} {kind}@{at}: recovered rows"
+        );
+        assert_eq!(
+            res.cache_published, 0,
+            "seed {seed} {kind}@{at}: dirty run published"
+        );
+        assert_eq!(
+            cache.entries(),
+            0,
+            "seed {seed} {kind}@{at}: dirty run leaked entries"
+        );
 
         // First clean run publishes sealed segments...
         let (wf, h) = pipeline(seed);
         let (_trace, result) = executor(&cache).run_observed(&wf);
         let res = result.unwrap_or_else(|e| panic!("seed {seed}: clean run: {e}"));
         assert_eq!(sorted_rows(&h), clean, "seed {seed}: clean rows");
-        assert!(res.cache_published > 0, "seed {seed}: clean run must publish");
+        assert!(
+            res.cache_published > 0,
+            "seed {seed}: clean run must publish"
+        );
         assert!(cache.entries() > 0, "seed {seed}: cache populated");
 
         // ...and a warm rerun serves them with identical rows.
@@ -132,7 +169,11 @@ fn faults_mid_recording_never_publish_partial_segments_across_32_seeds() {
         let res = result.unwrap_or_else(|e| panic!("seed {seed}: warm run: {e}"));
         let stats = res.pool.expect("pooled mode reports stats");
         assert!(stats.cache_hits > 0, "seed {seed}: warm rerun must hit");
-        assert_eq!(sorted_rows(&h), clean, "seed {seed}: served rows are byte-identical");
+        assert_eq!(
+            sorted_rows(&h),
+            clean,
+            "seed {seed}: served rows are byte-identical"
+        );
     }
 }
 
@@ -172,7 +213,10 @@ fn panicked_recording_run_leaves_the_shared_cache_usable() {
     let (wf, h) = pipeline(seed);
     let (_trace, result) = executor(&cache).run_observed(&wf);
     let res = result.expect("clean run succeeds on the shared cache");
-    assert!(res.cache_published > 0, "clean run publishes after the panics");
+    assert!(
+        res.cache_published > 0,
+        "clean run publishes after the panics"
+    );
     assert_eq!(sorted_rows(&h), clean);
 
     let (wf, h) = pipeline(seed);
@@ -196,7 +240,8 @@ fn cache_chaos_retries_env_matrix() {
     if !armed {
         for retry in [Some(RetryConfig::uniform(RetryPolicy::disabled())), None] {
             let (wf, _h) = pipeline(seed);
-            let mut exec = executor(&cache).with_faults(FaultPlan::new(seed).kill_worker("keep", 30));
+            let mut exec =
+                executor(&cache).with_faults(FaultPlan::new(seed).kill_worker("keep", 30));
             if let Some(r) = retry {
                 exec = exec.with_retry(r);
             }
@@ -215,8 +260,15 @@ fn cache_chaos_retries_env_matrix() {
         .run_observed(&wf);
     let res = result.unwrap_or_else(|e| panic!("armed leg: {e}"));
     assert_eq!(sorted_rows(&h), clean, "armed leg: zero lost rows");
-    assert_eq!(res.cache_published, 0, "armed leg: recovered run must not publish");
-    assert_eq!(cache.entries(), 0, "armed leg: cache untouched by the dirty run");
+    assert_eq!(
+        res.cache_published, 0,
+        "armed leg: recovered run must not publish"
+    );
+    assert_eq!(
+        cache.entries(),
+        0,
+        "armed leg: cache untouched by the dirty run"
+    );
 
     let (wf, h) = pipeline(seed);
     let (_trace, result) = executor(&cache).run_observed(&wf);

@@ -37,9 +37,11 @@ fn entry_bytes() -> u64 {
 /// scan → keep → trim → sink; three cacheable operators so a tight
 /// budget must evict some of what a cold run publishes.
 fn pipeline(n: i64) -> (Workflow, SinkHandle) {
-    let batch =
-        Batch::from_rows(schema(), (0..n).map(|i| vec![Value::Int(i * 3 % 97)]).collect())
-            .expect("rows conform");
+    let batch = Batch::from_rows(
+        schema(),
+        (0..n).map(|i| vec![Value::Int(i * 3 % 97)]).collect(),
+    )
+    .expect("rows conform");
     let mut b = WorkflowBuilder::new();
     let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
     let keep = b.add(
@@ -83,7 +85,13 @@ fn budget_is_a_hard_ceiling_after_every_publish() {
     assert_eq!(cache.byte_budget(), Some(budget));
     for i in 0..40u64 {
         let cost = SimDuration::from_micros((i % 7) * 950);
-        cache.publish_costed(OpFingerprint(u128::from(i)), &schema(), &rows(100), cost, None);
+        cache.publish_costed(
+            OpFingerprint(u128::from(i)),
+            &schema(),
+            &rows(100),
+            cost,
+            None,
+        );
         assert!(
             cache.bytes() <= budget,
             "publish {i}: {} bytes exceeds budget {budget}",
@@ -250,6 +258,9 @@ fn warm_rerun_after_eviction_matches_cache_free_rows_on_both_backends() {
             warm.counters().cache_hits > 0 || warm.counters().cache_misses > 0,
             "{kind:?}: the cache was consulted"
         );
-        assert!(cache.bytes() <= budget, "{kind:?}: ceiling holds after rerun");
+        assert!(
+            cache.bytes() <= budget,
+            "{kind:?}: ceiling holds after rerun"
+        );
     }
 }

@@ -71,13 +71,43 @@ fn every_spec_field_mutation_changes_the_fingerprint() {
     let mut edited_rows = rows.clone();
     edited_rows[7] = -7;
     let mutations = [
-        ("scan data", filter_fp(&edited_rows, "scan", "f", 5, CmpOp::Gt, 10, Language::Python, 2)),
-        ("scan name", filter_fp(&rows, "scan2", "f", 5, CmpOp::Gt, 10, Language::Python, 2)),
-        ("filter name", filter_fp(&rows, "scan", "g", 5, CmpOp::Gt, 10, Language::Python, 2)),
-        ("literal", filter_fp(&rows, "scan", "f", 6, CmpOp::Gt, 10, Language::Python, 2)),
-        ("comparison", filter_fp(&rows, "scan", "f", 5, CmpOp::Ge, 10, Language::Python, 2)),
-        ("cost", filter_fp(&rows, "scan", "f", 5, CmpOp::Gt, 11, Language::Python, 2)),
-        ("language", filter_fp(&rows, "scan", "f", 5, CmpOp::Gt, 10, Language::Scala, 2)),
+        (
+            "scan data",
+            filter_fp(
+                &edited_rows,
+                "scan",
+                "f",
+                5,
+                CmpOp::Gt,
+                10,
+                Language::Python,
+                2,
+            ),
+        ),
+        (
+            "scan name",
+            filter_fp(&rows, "scan2", "f", 5, CmpOp::Gt, 10, Language::Python, 2),
+        ),
+        (
+            "filter name",
+            filter_fp(&rows, "scan", "g", 5, CmpOp::Gt, 10, Language::Python, 2),
+        ),
+        (
+            "literal",
+            filter_fp(&rows, "scan", "f", 6, CmpOp::Gt, 10, Language::Python, 2),
+        ),
+        (
+            "comparison",
+            filter_fp(&rows, "scan", "f", 5, CmpOp::Ge, 10, Language::Python, 2),
+        ),
+        (
+            "cost",
+            filter_fp(&rows, "scan", "f", 5, CmpOp::Gt, 11, Language::Python, 2),
+        ),
+        (
+            "language",
+            filter_fp(&rows, "scan", "f", 5, CmpOp::Gt, 10, Language::Scala, 2),
+        ),
     ];
     let mut seen = HashSet::from([base.0]);
     for (what, fp) in mutations {
@@ -127,8 +157,11 @@ fn commutative_input_reordering_preserves_the_fingerprint() {
     let join_fp = |swap: bool| {
         let schema = Schema::of(&[("k", DataType::Int)]);
         let mk = |n: i64| {
-            Batch::from_rows(schema.clone(), (0..n).map(|i| vec![Value::Int(i)]).collect())
-                .expect("rows conform")
+            Batch::from_rows(
+                schema.clone(),
+                (0..n).map(|i| vec![Value::Int(i)]).collect(),
+            )
+            .expect("rows conform")
         };
         let mut b = WorkflowBuilder::new();
         let x = b.add(Arc::new(ScanOp::new("x", mk(3))), 1);
@@ -180,8 +213,12 @@ impl Genome {
         let n_a = 40 + rng.below(60) as i64;
         let n_b = 40 + rng.below(60) as i64;
         Genome {
-            rows_a: (0..n_a).map(|i| (i * 7 + rng.below(5) as i64) % 200).collect(),
-            rows_b: (0..n_b).map(|i| (i * 11 + rng.below(5) as i64) % 200).collect(),
+            rows_a: (0..n_a)
+                .map(|i| (i * 7 + rng.below(5) as i64) % 200)
+                .collect(),
+            rows_b: (0..n_b)
+                .map(|i| (i * 11 + rng.below(5) as i64) % 200)
+                .collect(),
             cut_a: rng.below(100) as i64,
             cut_b: rng.below(100) as i64,
             cut_tail: rng.below(150) as i64,
@@ -218,7 +255,12 @@ impl Genome {
         );
         let u = b.add(Arc::new(UnionOp::new("union", 2)), 1);
         let tail = b.add(
-            Arc::new(FilterOp::cmp("tail", "id", CmpOp::Le, Value::Int(self.cut_tail))),
+            Arc::new(FilterOp::cmp(
+                "tail",
+                "id",
+                CmpOp::Le,
+                Value::Int(self.cut_tail),
+            )),
             2,
         );
         let sink_op = SinkOp::new("sink");

@@ -61,7 +61,9 @@ fn kge_equivalence_across_all_configurations() {
         assert_eq!(wf.output, expected, "fusion {fusion}");
     }
     for params in [
-        kge::KgeParams::new(700, 2).with_fusion(3).with_pandas_join(),
+        kge::KgeParams::new(700, 2)
+            .with_fusion(3)
+            .with_pandas_join(),
         kge::KgeParams::new(700, 2)
             .with_fusion(3)
             .with_join_language(Language::Scala),
@@ -78,8 +80,8 @@ fn worker_count_never_changes_results() {
         .expect("script")
         .output;
     for workers in [2, 3, 4, 8] {
-        let run = kge::script::run_script(&kge::KgeParams::new(900, workers), &cal)
-            .expect("script");
+        let run =
+            kge::script::run_script(&kge::KgeParams::new(900, workers), &cal).expect("script");
         assert_eq!(run.output, baseline, "workers={workers}");
         let wf = kge::workflow::run_workflow(&kge::KgeParams::new(900, workers), &cal)
             .expect("workflow");

@@ -63,7 +63,9 @@ fn spec_sim_live_and_dataframe_agree() {
 
     // (b) live threads (fresh spec: sinks are per-instance).
     let live_spec = spec::parse(spec_text).expect("valid spec");
-    LiveExecutor::new(4).run(&live_spec.workflow).expect("live run");
+    LiveExecutor::new(4)
+        .run(&live_spec.workflow)
+        .expect("live run");
     let live_rows = collect(
         live_spec.sinks["out"]
             .results()
@@ -114,9 +116,7 @@ fn spec_sim_live_and_dataframe_agree() {
     // Group sums via group_count for n, manual fold for sum.
     let mut df_rows: Vec<(String, i64, f64)> = Vec::new();
     for label in ["a", "b", "c"] {
-        let group = joined
-            .filter(|t| Ok(t.get_str("label")? == label))
-            .unwrap();
+        let group = joined.filter(|t| Ok(t.get_str("label")? == label)).unwrap();
         if group.is_empty() {
             continue;
         }

@@ -176,7 +176,10 @@ fn unbudgeted_faults_mid_spill_drain_cleanly() {
                     .any(|(n, s)| n == "join" && *s == OperatorState::Failed),
                 "seed {seed}: {st:?}"
             );
-            assert!(st.iter().all(|(_, s)| s.is_terminal()), "seed {seed}: {st:?}");
+            assert!(
+                st.iter().all(|(_, s)| s.is_terminal()),
+                "seed {seed}: {st:?}"
+            );
             prints.push(format!("{st:?} | {err}"));
         }
         assert_eq!(prints[0], prints[1], "seed {seed}: deterministic drain");

@@ -57,7 +57,9 @@ fn gotta_workflow_runs_on_real_threads() {
         .map(|t| t.get_str("row").unwrap().to_owned())
         .collect();
     rows.sort_unstable();
-    let expected = gotta::script::run_script(&params, &cal).expect("script").output;
+    let expected = gotta::script::run_script(&params, &cal)
+        .expect("script")
+        .output;
     assert_eq!(rows, expected);
     assert!(gotta::exact_match_of(&rows) > 0.5);
 }
