@@ -1,7 +1,6 @@
 //! Engine throughput harness: pooled vs thread-per-worker live execution.
 //!
-//! Unlike the Criterion bench (which needs dev-dependencies), this is a
-//! plain binary so CI can run it and archive machine-readable numbers:
+//! A plain binary, so CI can run it and archive machine-readable numbers:
 //!
 //! ```text
 //! cargo run --release -p scriptflow-bench --bin bench_engine
@@ -448,8 +447,19 @@ fn main() {
         configs.extend(measure_edit_rerun(4, n));
     }
 
+    // Provenance: cargo is the only build there is; the commit is the
+    // checkout's HEAD, or "unknown" outside a git checkout.
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
     let doc = Json::Object(vec![
         ("bench".into(), Json::Str("engine".into())),
+        ("build".into(), Json::Str("cargo".into())),
+        ("commit".into(), Json::Str(commit)),
         ("quick".into(), Json::Bool(quick)),
         ("backend".into(), Json::Str(choice.label().into())),
         ("configs".into(), Json::Array(configs)),

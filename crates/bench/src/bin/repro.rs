@@ -39,7 +39,8 @@ use scriptflow_tasks::BackendRun;
 /// live traces.
 fn backend_comparison(choice: BackendChoice) {
     let cal = Calibration::paper();
-    let runs: [(&str, Box<dyn Fn(BackendKind) -> BackendRun>); 4] = [
+    type TaskFn<'a> = Box<dyn Fn(BackendKind) -> BackendRun + 'a>;
+    let runs: [(&str, TaskFn); 4] = [
         (
             "dice",
             Box::new(|k| {

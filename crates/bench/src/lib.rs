@@ -1,16 +1,14 @@
 //! # scriptflow-bench
 //!
-//! Benchmark harness. Two entry points:
+//! Benchmark harness. The entry points:
 //!
 //! * `cargo run --release -p scriptflow-bench --bin repro` — regenerates
 //!   **every table and figure** of the paper (Fig. 12a/b, Table I,
 //!   Fig. 13a–d, Fig. 14a–c) plus the mechanism ablations, printing each
 //!   measured artifact next to the paper's reference numbers.
-//! * `cargo bench` — Criterion benches, one target per experiment family,
-//!   measuring the wall-clock cost of regenerating each artifact (the
-//!   simulated experiments are deterministic, so Criterion tracks harness
-//!   performance regressions rather than cluster noise), plus a live
-//!   threaded-engine micro-benchmark.
+//! * `--bin bench_engine` / `--bin bench_service` — live-engine throughput
+//!   per executor configuration and the service's closed-loop latency
+//!   curve, written to `BENCH_engine.json`.
 
 #![warn(missing_docs)]
 

@@ -64,9 +64,10 @@ impl fmt::Display for BackendKind {
 }
 
 /// A CLI-level backend selection: one backend, or both side by side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
     /// Simulator only (the default everywhere).
+    #[default]
     Sim,
     /// Live executor only.
     Live,
@@ -106,12 +107,6 @@ impl BackendChoice {
             BackendChoice::Live => "live",
             BackendChoice::Both => "both",
         }
-    }
-}
-
-impl Default for BackendChoice {
-    fn default() -> Self {
-        BackendChoice::Sim
     }
 }
 

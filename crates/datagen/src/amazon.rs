@@ -1,7 +1,6 @@
 //! Amazon-like product catalogue + user knowledge graph (the KGE data).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scriptflow_simcluster::SplitMix64;
 
 use scriptflow_datakit::{Batch, BatchBuilder, DataType, Schema, SchemaRef, Value};
 use scriptflow_mlkit::kge::{EmbeddingTable, ReverseLookup};
@@ -56,16 +55,16 @@ impl AmazonCatalog {
     /// Generate `n_products` candidates with `dim`-dimensional
     /// embeddings. Roughly 12% of products are out of stock.
     pub fn generate(n_products: usize, dim: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut products = Vec::with_capacity(n_products);
         for id in 0..n_products {
-            let noun = NOUNS[rng.random_range(0..NOUNS.len())];
-            let category = CATEGORIES[rng.random_range(0..CATEGORIES.len())];
+            let noun = NOUNS[rng.range(0..NOUNS.len())];
+            let category = CATEGORIES[rng.range(0..CATEGORIES.len())];
             products.push(Product {
                 id: id as i64,
                 name: format!("{noun} #{id}"),
                 category: category.to_owned(),
-                in_stock: !rng.random_bool(0.12),
+                in_stock: !rng.bool(0.12),
             });
         }
         let embeddings = EmbeddingTable::random(dim, 0..n_products as i64, seed ^ 0xE1B);
@@ -138,8 +137,8 @@ impl AmazonCatalog {
     }
 }
 
-fn unit_vector(dim: usize, rng: &mut StdRng) -> Vec<f32> {
-    let mut v: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+fn unit_vector(dim: usize, rng: &mut SplitMix64) -> Vec<f32> {
+    let mut v: Vec<f32> = (0..dim).map(|_| rng.range(-1.0..1.0)).collect();
     let n = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
     for x in &mut v {
         *x /= n;

@@ -1,8 +1,7 @@
 //! Few-shot QA paragraphs with cloze questions (the GOTTA inference
 //! data).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scriptflow_simcluster::SplitMix64;
 
 use scriptflow_datakit::{Batch, BatchBuilder, DataType, Schema, SchemaRef, Value};
 use scriptflow_mlkit::transformer::ClozeQuestion;
@@ -34,13 +33,13 @@ impl FsqaDataset {
     /// Generate `n_paragraphs` passages with `questions_per_paragraph`
     /// cloze questions each.
     pub fn generate(n_paragraphs: usize, questions_per_paragraph: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut examples = Vec::with_capacity(n_paragraphs);
         for id in 0..n_paragraphs {
-            let subject = SUBJECTS[rng.random_range(0..SUBJECTS.len())];
-            let symptom = SYMPTOMS[rng.random_range(0..SYMPTOMS.len())];
-            let treatment = TREATMENTS[rng.random_range(0..TREATMENTS.len())];
-            let duration = DURATIONS[rng.random_range(0..DURATIONS.len())];
+            let subject = SUBJECTS[rng.range(0..SUBJECTS.len())];
+            let symptom = SYMPTOMS[rng.range(0..SYMPTOMS.len())];
+            let treatment = TREATMENTS[rng.range(0..TREATMENTS.len())];
+            let duration = DURATIONS[rng.range(0..DURATIONS.len())];
             let paragraph = format!(
                 "The {subject} reported {symptom} lasting several {duration}. \
                  Doctors recommended {treatment} as the first response. \

@@ -1,7 +1,6 @@
 //! MACCROBAT-like clinical case reports with annotation files.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scriptflow_simcluster::SplitMix64;
 
 use scriptflow_datakit::{Batch, BatchBuilder, DataType, Schema, SchemaRef, Value};
 
@@ -112,14 +111,14 @@ impl MaccrobatDataset {
     /// Generate `n_pairs` file pairs with `sentences_per_report` sentences
     /// each.
     pub fn generate(n_pairs: usize, sentences_per_report: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let reports = (0..n_pairs)
             .map(|doc| Self::generate_report(doc as i64, sentences_per_report, &mut rng))
             .collect();
         MaccrobatDataset { reports }
     }
 
-    fn generate_report(doc_id: i64, n_sentences: usize, rng: &mut StdRng) -> CaseReport {
+    fn generate_report(doc_id: i64, n_sentences: usize, rng: &mut SplitMix64) -> CaseReport {
         let mut text = String::new();
         let mut sentences = Vec::with_capacity(n_sentences);
         let mut annotations: Vec<Annotation> = Vec::new();
@@ -130,10 +129,10 @@ impl MaccrobatDataset {
             let start = text.len();
             if s == 0 {
                 // Demographic lead sentence (like the paper's sample).
-                let age = AGES[rng.random_range(0..AGES.len())];
-                let sex = SEXES[rng.random_range(0..SEXES.len())];
-                let event = EVENTS[rng.random_range(0..EVENTS.len())];
-                let symptom = SYMPTOMS[rng.random_range(0..SYMPTOMS.len())];
+                let age = AGES[rng.range(0..AGES.len())];
+                let sex = SEXES[rng.range(0..SEXES.len())];
+                let event = EVENTS[rng.range(0..EVENTS.len())];
+                let symptom = SYMPTOMS[rng.range(0..SYMPTOMS.len())];
 
                 text.push_str("The patient was a ");
                 push_entity(&mut text, &mut annotations, &mut t_counter, "Age", age);
@@ -159,12 +158,12 @@ impl MaccrobatDataset {
                 push_event(
                     &mut annotations,
                     &mut e_counter,
-                    EVENT_TYPES[rng.random_range(0..EVENT_TYPES.len())],
+                    EVENT_TYPES[rng.range(0..EVENT_TYPES.len())],
                     &trigger_key,
                 );
             } else {
-                let event = EVENTS[rng.random_range(0..EVENTS.len())];
-                let symptom = SYMPTOMS[rng.random_range(0..SYMPTOMS.len())];
+                let event = EVENTS[rng.range(0..EVENTS.len())];
+                let symptom = SYMPTOMS[rng.range(0..SYMPTOMS.len())];
                 text.push_str("Later the patient was ");
                 let trigger_key = push_entity(
                     &mut text,
@@ -184,11 +183,11 @@ impl MaccrobatDataset {
                 text.push('.');
                 // Some events lack a resolvable trigger (the condition the
                 // DICE filter step tests for).
-                if rng.random_bool(0.8) {
+                if rng.bool(0.8) {
                     push_event(
                         &mut annotations,
                         &mut e_counter,
-                        EVENT_TYPES[rng.random_range(0..EVENT_TYPES.len())],
+                        EVENT_TYPES[rng.range(0..EVENT_TYPES.len())],
                         &trigger_key,
                     );
                 } else {
@@ -197,7 +196,7 @@ impl MaccrobatDataset {
                             e_counter += 1;
                             e_counter
                         }),
-                        ann_type: EVENT_TYPES[rng.random_range(0..EVENT_TYPES.len())].to_owned(),
+                        ann_type: EVENT_TYPES[rng.range(0..EVENT_TYPES.len())].to_owned(),
                         kind: AnnotationKind::Event,
                         start: 0,
                         end: 0,

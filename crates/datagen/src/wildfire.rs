@@ -1,7 +1,6 @@
 //! Wildfire tweets with climate framings (the WEF training data).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scriptflow_simcluster::SplitMix64;
 
 use scriptflow_datakit::{Batch, BatchBuilder, DataType, Schema, SchemaRef, Value};
 
@@ -57,33 +56,33 @@ const IRRELEVANT_PHRASES: [&str; 3] = [
 impl WildfireDataset {
     /// Generate `n` tweets.
     pub fn generate(n: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut tweets = Vec::with_capacity(n);
         for id in 0..n {
-            let fire = FIRES[rng.random_range(0..FIRES.len())];
+            let fire = FIRES[rng.range(0..FIRES.len())];
             let mut framings = Vec::new();
             let mut parts: Vec<String> = vec![format!("{fire} fire update:")];
             // Not-relevant tweets are exclusive; others can combine (the
             // paper: "one to four climate framings").
-            if rng.random_bool(0.25) {
+            if rng.bool(0.25) {
                 framings.push(FRAMINGS[3].to_owned());
-                parts.push(IRRELEVANT_PHRASES[rng.random_range(0..3)].to_owned());
+                parts.push(IRRELEVANT_PHRASES[rng.range(0..3)].to_owned());
             } else {
-                if rng.random_bool(0.7) {
+                if rng.bool(0.7) {
                     framings.push(FRAMINGS[0].to_owned());
-                    parts.push(LINK_PHRASES[rng.random_range(0..3)].to_owned());
+                    parts.push(LINK_PHRASES[rng.range(0..3)].to_owned());
                 }
-                if rng.random_bool(0.5) {
+                if rng.bool(0.5) {
                     framings.push(FRAMINGS[1].to_owned());
-                    parts.push(ACTION_PHRASES[rng.random_range(0..3)].to_owned());
+                    parts.push(ACTION_PHRASES[rng.range(0..3)].to_owned());
                 }
-                if rng.random_bool(0.3) {
+                if rng.bool(0.3) {
                     framings.push(FRAMINGS[2].to_owned());
-                    parts.push(ADVERSITY_PHRASES[rng.random_range(0..3)].to_owned());
+                    parts.push(ADVERSITY_PHRASES[rng.range(0..3)].to_owned());
                 }
                 if framings.is_empty() {
                     framings.push(FRAMINGS[0].to_owned());
-                    parts.push(LINK_PHRASES[rng.random_range(0..3)].to_owned());
+                    parts.push(LINK_PHRASES[rng.range(0..3)].to_owned());
                 }
             }
             tweets.push(Tweet {

@@ -119,7 +119,7 @@ fn decode_value(buf: &[u8], pos: &mut usize) -> DataResult<Value> {
         }
         TAG_BYTES => {
             let len = take_u32(buf, pos)?;
-            Value::Bytes(bytes::Bytes::from(take(buf, pos, len)?.to_vec()))
+            Value::Bytes(take(buf, pos, len)?.into())
         }
         TAG_LIST => {
             let len = take_u32(buf, pos)?;

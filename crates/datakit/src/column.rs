@@ -1,6 +1,6 @@
 //! Columnar batch representation with per-batch statistics.
 //!
-//! The row-oriented [`Batch`](crate::Batch) moves `Vec<Tuple>`s of boxed
+//! The row-oriented [`Batch`] moves `Vec<Tuple>`s of boxed
 //! [`Value`]s between operators, so every hot inner loop (filter
 //! predicates, join key extraction, aggregate kernels) pays a dynamic
 //! `Value` match per cell. [`ColumnarBatch`] stores the same data as one
@@ -45,7 +45,7 @@ impl Bitmap {
     /// A bitmap of `len` bits, all valid.
     pub fn all_valid(len: usize) -> Self {
         let mut words = vec![u64::MAX; len.div_ceil(64)];
-        if len % 64 != 0 {
+        if !len.is_multiple_of(64) {
             if let Some(last) = words.last_mut() {
                 *last = (1u64 << (len % 64)) - 1;
             }

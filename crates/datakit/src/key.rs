@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn unhashable_types_rejected() {
         assert!(HashKey::from_value(&Value::List(vec![])).is_err());
-        assert!(HashKey::from_value(&Value::Bytes(bytes::Bytes::new())).is_err());
+        assert!(HashKey::from_value(&Value::Bytes([].into())).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Dynamically typed cell values.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The type of a [`Value`], used in [`crate::Schema`] declarations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +56,7 @@ pub enum Value {
     /// UTF-8 string.
     Str(String),
     /// Raw bytes.
-    Bytes(bytes::Bytes),
+    Bytes(Arc<[u8]>),
     /// List of values.
     List(Vec<Value>),
 }
@@ -143,7 +144,7 @@ impl Value {
     }
 
     /// Borrow the payload, if this is a bytes value.
-    pub fn as_bytes(&self) -> Option<&bytes::Bytes> {
+    pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Bytes(b) => Some(b),
             _ => None,
@@ -216,8 +217,8 @@ impl From<String> for Value {
         Value::Str(s)
     }
 }
-impl From<bytes::Bytes> for Value {
-    fn from(b: bytes::Bytes) -> Self {
+impl From<Arc<[u8]>> for Value {
+    fn from(b: Arc<[u8]>) -> Self {
         Value::Bytes(b)
     }
 }
@@ -287,7 +288,7 @@ mod tests {
             "[1, a]"
         );
         assert_eq!(
-            Value::Bytes(bytes::Bytes::from_static(b"abc")).to_string(),
+            Value::Bytes(b"abc".as_slice().into()).to_string(),
             "<3 bytes>"
         );
     }

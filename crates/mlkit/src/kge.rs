@@ -6,8 +6,7 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scriptflow_simcluster::SplitMix64;
 
 /// A dense embedding table: entity id → vector.
 #[derive(Debug, Clone)]
@@ -29,9 +28,9 @@ impl EmbeddingTable {
     /// A table with seeded random unit vectors for `ids`.
     pub fn random(dim: usize, ids: impl IntoIterator<Item = i64>, seed: u64) -> Self {
         let mut t = EmbeddingTable::new(dim);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         for id in ids {
-            let mut v: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let mut v: Vec<f32> = (0..dim).map(|_| rng.range(-1.0..1.0)).collect();
             let n = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-6);
             for x in &mut v {
                 *x /= n;

@@ -4,9 +4,7 @@
 //! classifiers: the WEF task fine-tunes four of these over TF-IDF
 //! features. Training is seeded and fully deterministic.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use scriptflow_simcluster::SplitMix64;
 
 use crate::sparse::SparseVector;
 
@@ -56,9 +54,9 @@ impl LogisticRegression {
         let mut weights = vec![0.0f32; dim];
         let mut bias = 0.0f32;
         let mut order: Vec<usize> = (0..xs.len()).collect();
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = SplitMix64::seed_from_u64(config.seed);
         for _ in 0..config.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &i in &order {
                 let x = &xs[i];
                 let y = if ys[i] { 1.0f32 } else { 0.0 };

@@ -1,9 +1,7 @@
 //! Dataset splitting utilities: train/test split and k-fold cross
 //! validation, both seeded and deterministic.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use scriptflow_simcluster::SplitMix64;
 
 /// Shuffle `0..n` deterministically and split into
 /// `(train indices, test indices)` with `test_fraction` held out.
@@ -16,8 +14,8 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>,
         "test fraction must be in (0, 1)"
     );
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    rng.shuffle(&mut idx);
     let n_test = ((n as f64) * test_fraction).round() as usize;
     assert!(
         n_test > 0 && n_test < n,
@@ -36,8 +34,8 @@ pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
     assert!(k >= 2, "k-fold needs k >= 2");
     assert!(n >= k, "need at least one element per fold");
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    rng.shuffle(&mut idx);
 
     let base = n / k;
     let extra = n % k;

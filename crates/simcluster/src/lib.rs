@@ -19,6 +19,8 @@
 //! * [`lang`] — per-language execution and serialization cost profiles
 //!   (Python vs Scala vs Java …), the substrate for the paper's
 //!   language-efficiency experiment (Table I),
+//! * [`rng::SplitMix64`] — the one seeded generator behind every
+//!   dataset, fault plan and property-test case in the workspace,
 //! * [`topology`] — machine and cluster specs with the paper's GCP
 //!   defaults (4 workers × 8 vCPUs × 64 GB).
 //!
@@ -32,6 +34,7 @@ pub mod cpu;
 pub mod des;
 pub mod lang;
 pub mod net;
+pub mod rng;
 pub mod store;
 pub mod time;
 pub mod topology;
@@ -40,6 +43,7 @@ pub use cpu::CpuPool;
 pub use des::{Scheduler, SimModel};
 pub use lang::{Language, LanguageProfile, LanguageTable};
 pub use net::NetworkModel;
+pub use rng::SplitMix64;
 pub use store::ObjectStoreModel;
 pub use time::{SimDuration, SimTime};
 pub use topology::{ClusterSpec, MachineSpec};

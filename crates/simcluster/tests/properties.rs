@@ -1,52 +1,83 @@
-//! Property tests over the simulation substrate's invariants.
+//! Property tests over the simulation substrate's invariants. Each is a
+//! loop over seeded cases: case `i` draws its inputs from
+//! `SplitMix64::new(i)`, and a failure names that seed.
 
-use proptest::prelude::*;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use scriptflow_simcluster::des::{self, Scheduler, SimModel};
 use scriptflow_simcluster::store::StoreConfig;
-use scriptflow_simcluster::{CpuPool, ObjectStoreModel, SimDuration, SimTime};
+use scriptflow_simcluster::{CpuPool, ObjectStoreModel, SimDuration, SimTime, SplitMix64};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u64 = 128;
 
-    /// CPU pool conservation: total reserved CPU-time never exceeds
-    /// capacity × makespan, and no reservation starts before `now`.
-    #[test]
-    fn cpu_pool_conserves_capacity(
-        cpus in 1usize..8,
-        jobs in prop::collection::vec((1u64..500, 1usize..4), 1..40),
-    ) {
+/// Check `property` on `CASES` seeded input streams. The failing case's
+/// own assertion is printed as it unwinds; this names the seed to replay.
+fn for_seeds(property: impl Fn(&mut SplitMix64)) {
+    for seed in 0..CASES {
+        let outcome = catch_unwind(AssertUnwindSafe(|| property(&mut SplitMix64::new(seed))));
+        assert!(
+            outcome.is_ok(),
+            "property failed on SplitMix64::new({seed})"
+        );
+    }
+}
+
+fn vec_of<T>(
+    rng: &mut SplitMix64,
+    len: Range<usize>,
+    mut item: impl FnMut(&mut SplitMix64) -> T,
+) -> Vec<T> {
+    (0..rng.range(len)).map(|_| item(rng)).collect()
+}
+
+/// CPU pool conservation: total reserved CPU-time never exceeds
+/// capacity × makespan, and no reservation starts before `now`.
+#[test]
+fn cpu_pool_conserves_capacity() {
+    for_seeds(|rng| {
+        let cpus = rng.range(1..8usize);
+        let jobs = vec_of(rng, 1..40, |r| (r.range(1..500u64), r.range(1..4usize)));
         let mut pool = CpuPool::new(cpus);
         let mut total_work = 0u64;
         let mut makespan = SimTime::ZERO;
         for (dur, want) in jobs {
             let want = want.min(cpus);
             let r = pool.reserve(SimTime::ZERO, want, SimDuration::from_micros(dur));
-            prop_assert!(r.start >= SimTime::ZERO);
-            prop_assert_eq!(r.finish.as_micros() - r.start.as_micros(), dur);
+            assert!(r.start >= SimTime::ZERO);
+            assert_eq!(r.finish.as_micros() - r.start.as_micros(), dur);
             total_work += dur * want as u64;
             makespan = makespan.max(r.finish);
         }
-        prop_assert!(total_work <= cpus as u64 * makespan.as_micros(),
-            "work {total_work} exceeds {cpus} CPUs over {makespan}");
-    }
+        assert!(
+            total_work <= cpus as u64 * makespan.as_micros(),
+            "work {total_work} exceeds {cpus} CPUs over {makespan}"
+        );
+    });
+}
 
-    /// FCFS: a later single-CPU reservation never starts before an
-    /// earlier one issued at the same instant.
-    #[test]
-    fn cpu_pool_is_fcfs(durations in prop::collection::vec(1u64..300, 2..30)) {
+/// FCFS: a later single-CPU reservation never starts before an
+/// earlier one issued at the same instant.
+#[test]
+fn cpu_pool_is_fcfs() {
+    for_seeds(|rng| {
+        let durations = vec_of(rng, 2..30, |r| r.range(1..300u64));
         let mut pool = CpuPool::new(2);
         let mut last_start = SimTime::ZERO;
         for d in durations {
             let r = pool.reserve(SimTime::ZERO, 1, SimDuration::from_micros(d));
-            prop_assert!(r.start >= last_start, "start went backwards");
+            assert!(r.start >= last_start, "start went backwards");
             last_start = r.start;
         }
-    }
+    });
+}
 
-    /// Object store accounting: resident bytes equal puts minus deletes,
-    /// and get costs grow monotonically with object size.
-    #[test]
-    fn object_store_accounting(sizes in prop::collection::vec(1u64..10_000, 1..30)) {
+/// Object store accounting: resident bytes equal puts minus deletes,
+/// and get costs grow monotonically with object size.
+#[test]
+fn object_store_accounting() {
+    for_seeds(|rng| {
+        let sizes = vec_of(rng, 1..30, |r| r.range(1..10_000u64));
         let mut store = ObjectStoreModel::new(StoreConfig {
             op_latency: SimDuration::from_micros(5),
             copy_bytes_per_sec: 1e6,
@@ -59,7 +90,7 @@ proptest! {
             let (id, _) = store.put(*s);
             ids.push((id, *s));
             expected += s;
-            prop_assert_eq!(store.resident_bytes(), expected);
+            assert_eq!(store.resident_bytes(), expected);
         }
         // Bigger objects cost at least as much to fetch.
         let mut by_size = ids.clone();
@@ -69,21 +100,24 @@ proptest! {
             .map(|(id, _)| store.get(*id).unwrap().as_micros())
             .collect();
         for w in costs.windows(2) {
-            prop_assert!(w[0] <= w[1]);
+            assert!(w[0] <= w[1]);
         }
         for (id, s) in ids {
             store.delete(id).unwrap();
             expected -= s;
-            prop_assert_eq!(store.resident_bytes(), expected);
+            assert_eq!(store.resident_bytes(), expected);
         }
-    }
+    });
+}
 
-    /// DES causality: events always fire in nondecreasing time order, for
-    /// arbitrary schedules with chained follow-ups.
-    #[test]
-    fn des_time_is_monotone(
-        seeds in prop::collection::vec((0u64..10_000, 0u8..4), 1..50),
-    ) {
+/// DES causality: events always fire in nondecreasing time order, for
+/// arbitrary schedules with chained follow-ups.
+#[test]
+fn des_time_is_monotone() {
+    for_seeds(|rng| {
+        let seeds = vec_of(rng, 1..50, |r| {
+            (r.range(0..10_000u64), r.range(0..4u64) as u8)
+        });
         struct Chain {
             fired: Vec<u64>,
         }
@@ -104,9 +138,9 @@ proptest! {
             expected_events += 1 + u64::from(*hops);
         }
         des::run(&mut model, &mut sched);
-        prop_assert_eq!(model.fired.len() as u64, expected_events);
+        assert_eq!(model.fired.len() as u64, expected_events);
         for w in model.fired.windows(2) {
-            prop_assert!(w[0] <= w[1], "time went backwards: {:?}", w);
+            assert!(w[0] <= w[1], "time went backwards: {:?}", w);
         }
-    }
+    });
 }

@@ -109,7 +109,7 @@ fn report_from_trace(
 
 /// Run a load → parse → count → sink pipeline on the pooled live
 /// executor with a seeded fault plan that panics the parse operator at
-/// tuple [`FAULT_AT`], then read the partial trace back.
+/// tuple `FAULT_AT`, then read the partial trace back.
 pub fn observe_workflow_fault(seed: u64) -> FaultReport {
     // "parse" drops malformed rows (every 7th id); the fault plan kills
     // it from outside at tuple FAULT_AT.

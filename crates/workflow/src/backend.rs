@@ -129,7 +129,7 @@ impl EngineRun {
 /// over [`SimExecutor`] and the pooled [`LiveExecutor`].
 pub enum ExecBackend {
     /// The deterministic virtual-clock simulator.
-    Sim(SimExecutor),
+    Sim(Box<SimExecutor>),
     /// The pooled live executor (real OS threads, measured wall-clock).
     Live(LiveExecutor),
 }
@@ -137,7 +137,7 @@ pub enum ExecBackend {
 impl ExecBackend {
     /// Simulator backend over `config`.
     pub fn sim(config: EngineConfig) -> Self {
-        ExecBackend::Sim(SimExecutor::new(config))
+        ExecBackend::from_sim(SimExecutor::new(config))
     }
 
     /// Pooled live backend reusing `config`'s edge batch size, retry
@@ -173,7 +173,7 @@ impl ExecBackend {
 
     /// Wrap an already-configured simulator (pauses, trace interval, …).
     pub fn from_sim(exec: SimExecutor) -> Self {
-        ExecBackend::Sim(exec)
+        ExecBackend::Sim(Box::new(exec))
     }
 
     /// Which backend this is.

@@ -69,7 +69,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use scriptflow_core::fingerprint::OpFingerprint;
 use scriptflow_datakit::blockstore::{BlockAppender, Segment};
@@ -82,19 +82,8 @@ use crate::dag::{OpId, Workflow, WorkflowBuilder};
 use crate::metrics::OpCounters;
 use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult};
 use crate::spill::SPILL_BLOCK_ROWS;
+use crate::sync::lock;
 use crate::trace::ProgressTrace;
-
-/// Lock `m`, recovering from a poisoned mutex instead of propagating the
-/// panic. Cache state is seal-once — entries are inserted whole and
-/// never mutated in place, and recording buffers are rebuilt from marks
-/// on every tee — so the state behind a poisoned lock is still
-/// consistent and `into_inner` is safe. Without this, a panic fault
-/// landing while a recording sink holds its buffer lock poisons the
-/// mutex and cascades panics into every unrelated tenant sharing the
-/// service cache.
-fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One sealed cache entry: an operator's complete output multiset as a
 /// compressed segment, plus the counters telemetry reports when the
@@ -252,7 +241,7 @@ impl ResultCache {
     /// Install (or clear) the byte budget, evicting immediately if the
     /// current footprint exceeds the new cap.
     pub fn set_byte_budget(&self, bytes: Option<u64>) {
-        let mut inner = recover(&self.inner);
+        let mut inner = lock(&self.inner);
         inner.budget = bytes;
         let swept = evict_to_budget(&mut inner, self.disk.as_ref(), None);
         if swept.0 > 0 {
@@ -262,7 +251,7 @@ impl ResultCache {
 
     /// The configured byte budget, if any.
     pub fn byte_budget(&self) -> Option<u64> {
-        recover(&self.inner).budget
+        lock(&self.inner).budget
     }
 
     /// Open (or create) a cache rooted at `dir`. Entries published here
@@ -321,7 +310,7 @@ impl ResultCache {
     /// persistent cache, still decodes cleanly — a corrupt or truncated
     /// segment file is dropped here and reported as a miss).
     pub fn lookup(&self, fp: OpFingerprint) -> Option<Arc<CacheEntry>> {
-        let mut inner = recover(&self.inner);
+        let mut inner = lock(&self.inner);
         let stored = inner.entries.get(&fp.0)?;
         if let Slot::Loaded(entry) = &stored.slot {
             return Some(Arc::clone(entry));
@@ -386,7 +375,7 @@ impl ResultCache {
         // Seal outside the lock; insertion re-checks for a racing writer.
         let entry = CacheEntry::seal(schema, tuples);
         let bytes = entry.bytes;
-        let mut inner = recover(&self.inner);
+        let mut inner = lock(&self.inner);
         if inner.entries.contains_key(&fp.0) {
             return PublishOutcome {
                 added: 0,
@@ -451,31 +440,31 @@ impl ResultCache {
     /// Total compressed bytes held (never exceeds the byte budget after
     /// a publish returns).
     pub fn bytes(&self) -> u64 {
-        recover(&self.inner).bytes
+        lock(&self.inner).bytes
     }
 
     /// Number of sealed entries held.
     pub fn entries(&self) -> usize {
-        recover(&self.inner).entries.len()
+        lock(&self.inner).entries.len()
     }
 
     /// Entries evicted since the cache was created.
     pub fn evictions(&self) -> u64 {
-        recover(&self.inner).evictions
+        lock(&self.inner).evictions
     }
 
     /// Compressed bytes released by eviction since the cache was
     /// created (`bytes() == Σ published − Σ evicted`, minus corrupt
     /// entries dropped on load).
     pub fn evicted_bytes(&self) -> u64 {
-        recover(&self.inner).evicted_bytes
+        lock(&self.inner).evicted_bytes
     }
 
     /// Compressed bytes currently attributed to `owner` — publications
     /// minus what eviction has since released, the figure tenant cache
     /// quotas meter.
     pub fn owner_bytes(&self, owner: &str) -> u64 {
-        recover(&self.inner)
+        lock(&self.inner)
             .owner_bytes
             .get(owner)
             .copied()
@@ -485,7 +474,7 @@ impl ResultCache {
     /// Fingerprints currently resident, sorted (a deterministic view
     /// for eviction tests and debugging).
     pub fn fingerprints(&self) -> Vec<OpFingerprint> {
-        let inner = recover(&self.inner);
+        let inner = lock(&self.inner);
         let mut fps: Vec<u128> = inner.entries.keys().copied().collect();
         fps.sort_unstable();
         fps.into_iter().map(OpFingerprint).collect()
@@ -860,7 +849,7 @@ impl OperatorFactory for RecordingFactory {
         // Called more than once per plan (DAG validation probes every
         // source, then the executor chunks it): each call yields the
         // operator's complete output, so replace rather than append.
-        let mut rows = recover(&self.rows);
+        let mut rows = lock(&self.rows);
         rows.clear();
         for p in &parts {
             rows.extend(p.iter().cloned());
@@ -900,7 +889,7 @@ impl RecordingOp {
     fn tee(&self, out: &OutputCollector, mark: usize) {
         let emitted = out.emitted_since(mark);
         if !emitted.is_empty() {
-            recover(&self.rows).extend_from_slice(emitted);
+            lock(&self.rows).extend_from_slice(emitted);
         }
     }
 }
@@ -1114,7 +1103,7 @@ pub fn commit_recordings_as(
 ) -> CommitStats {
     let mut stats = CommitStats::default();
     for r in recordings {
-        let rows = recover(&r.rows);
+        let rows = lock(&r.rows);
         let cost = r.setup + r.per_tuple * rows.len() as u64;
         let out = cache.publish_costed(r.fingerprint, &r.schema, &rows, cost, owner);
         stats.published += out.added;
@@ -1403,7 +1392,7 @@ mod tests {
         let plan = prepare(&wf, &cache, SimDuration::ZERO);
         let rec = &plan.recordings[0];
         {
-            let mut buf = recover(&rec.rows);
+            let mut buf = lock(&rec.rows);
             buf.clear();
             buf.extend(rows(10));
         }

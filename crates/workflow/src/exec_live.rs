@@ -5,8 +5,9 @@
 //!
 //! 1. **Correctness cross-check** — both executors must produce identical
 //!    data outputs for any workflow (the integration suite asserts this).
-//! 2. **Engine-overhead benchmarking** — Criterion benches drive it to
-//!    measure the real cost of the pipelined architecture on the host.
+//! 2. **Engine-overhead benchmarking** — `bench_engine` and the repo
+//!    benchmark drive it to measure the real cost of the pipelined
+//!    architecture on the host.
 //!
 //! Two execution modes are available (see [`ExecMode`]):
 //!
@@ -79,11 +80,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 use scriptflow_core::BackendKind;
 use scriptflow_datakit::{ColumnarBatch, SharedBatch, Tuple};
 use scriptflow_simcluster::{SimDuration, SimTime};
@@ -95,6 +95,7 @@ use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryConfig, RetryPolicy};
+use crate::sync::{lock, wait, wait_for};
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 use crate::trace_live::LiveTracer;
 
@@ -824,7 +825,7 @@ impl Pool {
             }
             return;
         }
-        self.run_queue.lock().push_back(tid);
+        lock(&self.run_queue).push_back(tid);
         self.cv.notify_one();
     }
 
@@ -843,7 +844,7 @@ impl Pool {
                 // run-queue lock; notifying under it too means a worker
                 // between its check and its wait cannot miss the wake-up
                 // and sleep for ever.
-                let _queue = self.run_queue.lock();
+                let _queue = lock(&self.run_queue);
                 self.cv.notify_all();
                 self.sampler_cv.notify_all();
             }
@@ -899,11 +900,6 @@ impl Pool {
         (0..self.tasks.len()).collect()
     }
 
-    /// Number of tasks in this run.
-    pub(crate) fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Every task reached `Done` (the shutdown flag flipped).
     pub(crate) fn finished(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
@@ -919,7 +915,7 @@ impl Pool {
 
     /// Take the run's first recorded error, if any.
     pub(crate) fn take_error(&self) -> Option<WorkflowError> {
-        self.error.lock().take()
+        lock(&self.error).take()
     }
 
     /// The run's live observability probes.
@@ -1003,7 +999,7 @@ impl Pool {
     /// untainted part of the pipeline finish.
     fn fail_op(&self, op: usize, e: WorkflowError) {
         self.tracer.on_failed(op);
-        let mut g = self.error.lock();
+        let mut g = lock(&self.error);
         if g.is_none() {
             *g = Some(e);
         }
@@ -1058,7 +1054,7 @@ impl Pool {
     }
 
     fn wake_waiters(&self, tid: usize) {
-        let waiters = std::mem::take(&mut *self.tasks[tid].waiters.lock());
+        let waiters = std::mem::take(&mut *lock(&self.tasks[tid].waiters));
         for w in waiters {
             self.schedule(w);
         }
@@ -1070,7 +1066,7 @@ impl Pool {
     fn discard_inbox(&self, tid: usize) {
         let task = &self.tasks[tid];
         let mut consumed = false;
-        while task.inbox.queue.lock().pop_front().is_some() {
+        while lock(&task.inbox.queue).pop_front().is_some() {
             consumed = true;
             self.tracer.on_mailbox_pop(task.meta.op);
         }
@@ -1090,7 +1086,7 @@ impl Pool {
             _ => None,
         };
         {
-            let mut q = inbox.queue.lock();
+            let mut q = lock(&inbox.queue);
             if q.len() < inbox.capacity {
                 q.push_back(msg);
                 // Hooked before the lock drops so the matching pop hook
@@ -1106,9 +1102,9 @@ impl Pool {
                 return Ok(());
             }
         }
-        self.tasks[dest].waiters.lock().push(from);
+        lock(&self.tasks[dest].waiters).push(from);
         {
-            let mut q = inbox.queue.lock();
+            let mut q = lock(&inbox.queue);
             if q.len() < inbox.capacity {
                 q.push_back(msg);
                 // Hooked before the lock drops so the matching pop hook
@@ -1223,12 +1219,11 @@ impl Pool {
             } else {
                 edge.partitioner
                     .scatter(owned, &mut seqs[d], &mut scatter[d])?;
-                for w in 0..edge.dests.len() {
-                    if scatter[d][w].is_empty() {
+                for (buf, &dest) in scatter[d].iter_mut().zip(&edge.dests) {
+                    if buf.is_empty() {
                         continue;
                     }
-                    let buf = std::mem::take(&mut scatter[d][w]);
-                    let dest = edge.dests[w];
+                    let buf = std::mem::take(buf);
                     chunk_owned(buf, meta.batch_size, |chunk| {
                         outbox.push_back((
                             dest,
@@ -1287,7 +1282,7 @@ impl Pool {
     fn run_task(&self, tid: usize) -> RunOutcome {
         let task = &self.tasks[tid];
         let meta = &task.meta;
-        let mut guard = task.inner.lock();
+        let mut guard = lock(&task.inner);
         let inner = &mut *guard;
 
         if inner.done {
@@ -1412,7 +1407,7 @@ impl Pool {
             }
             let msg = match inner.pending.pop_front() {
                 Some(m) => m,
-                None => match task.inbox.queue.lock().pop_front() {
+                None => match lock(&task.inbox.queue).pop_front() {
                     Some(m) => {
                         consumed_inbox = true;
                         self.tracer.on_mailbox_pop(meta.op);
@@ -1601,13 +1596,13 @@ impl Pool {
 
         // Everything available has been processed: complete if no more
         // input can ever arrive (per-channel FIFO means EOS is final).
-        let source_drained = inner.source.as_ref().map_or(true, |s| s.is_empty());
+        let source_drained = inner.source.as_ref().is_none_or(|s| s.is_empty());
         let ports_done = inner.port_done.iter().all(|d| *d);
         if source_drained
             && ports_done
             && inner.pending.is_empty()
             && inner.held.is_empty()
-            && task.inbox.queue.lock().is_empty()
+            && lock(&task.inbox.queue).is_empty()
         {
             if inner.eos_delay > 0 {
                 // Delayed-EOS fault: burn a run quantum before closing.
@@ -1704,7 +1699,7 @@ impl Pool {
         }
         let mut consumed = false;
         loop {
-            let msg = match task.inbox.queue.lock().pop_front() {
+            let msg = match lock(&task.inbox.queue).pop_front() {
                 Some(m) => m,
                 None => break,
             };
@@ -1742,7 +1737,7 @@ impl Pool {
         self.stall_recoveries.fetch_add(1, Ordering::Relaxed);
         let mut progressed = false;
         for (tid, task) in self.tasks.iter().enumerate() {
-            let mut guard = task.inner.lock();
+            let mut guard = lock(&task.inner);
             let inner = &mut *guard;
             if inner.done {
                 continue;
@@ -1776,7 +1771,7 @@ impl Pool {
         // Nothing to synthesize — the wedge is structural. Force the
         // stragglers over the line so every thread still joins.
         for task in &self.tasks {
-            let mut inner = task.inner.lock();
+            let mut inner = lock(&task.inner);
             if inner.done {
                 continue;
             }
@@ -1789,7 +1784,7 @@ impl Pool {
             // otherwise promote) nor `Failed` (the fault lies upstream).
             // The stall itself is still recorded as the run's error.
             self.tracer.on_degraded(task.meta.op);
-            let mut g = self.error.lock();
+            let mut g = lock(&self.error);
             if g.is_none() {
                 *g = Some(WorkflowError::OperatorFailed {
                     operator: name,
@@ -1805,7 +1800,7 @@ impl Pool {
     fn worker_loop(&self) {
         loop {
             let tid = {
-                let mut q = self.run_queue.lock();
+                let mut q = lock(&self.run_queue);
                 loop {
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
@@ -1825,10 +1820,10 @@ impl Pool {
                         self.idle_threads.fetch_sub(1, Ordering::AcqRel);
                         drop(q);
                         self.recover_stall();
-                        q = self.run_queue.lock();
+                        q = lock(&self.run_queue);
                         continue;
                     }
-                    self.cv.wait(&mut q);
+                    q = wait(&self.cv, q);
                     self.idle_threads.fetch_sub(1, Ordering::AcqRel);
                 }
             };
@@ -1861,7 +1856,7 @@ impl Pool {
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_task(tid))) {
                 Ok(o) => o,
                 Err(payload) => {
-                    let mut inner = task.inner.lock();
+                    let mut inner = lock(&task.inner);
                     if self.try_retry(&task.meta, &mut inner) {
                         // The faulted quantum's partial output is
                         // discarded; the stashed replay (or re-queued
@@ -1890,7 +1885,7 @@ impl Pool {
                 // elapses instead of re-queuing it immediately. The
                 // QUEUED state it keeps while parked means later
                 // `schedule` calls treat it as already queued.
-                let park = task.inner.lock().park_until.take();
+                let park = lock(&task.inner).park_until.take();
                 match (park, &self.sched) {
                     (Some(until), Some((sched, run))) => {
                         if let Some(s) = sched.upgrade() {
@@ -1915,7 +1910,7 @@ impl Pool {
             RunOutcome::Done => {
                 task.state.store(IDLE, Ordering::Release);
                 {
-                    let inner = task.inner.lock();
+                    let inner = lock(&task.inner);
                     if inner.retried && !inner.failed {
                         self.retries_succeeded.fetch_add(1, Ordering::Relaxed);
                     }
@@ -2127,7 +2122,7 @@ impl LiveExecutor {
         // Seed: every task gets one initial run (sources start emitting,
         // consumers find empty mailboxes and go idle until woken).
         {
-            let mut q = pool.run_queue.lock();
+            let mut q = lock(&pool.run_queue);
             for (tid, task) in pool.tasks.iter().enumerate() {
                 task.state.store(QUEUED, Ordering::Release);
                 q.push_back(tid);
@@ -2138,24 +2133,24 @@ impl LiveExecutor {
         // sample is appended by `finish` after the pool drains.
         let samples = Mutex::new(Vec::new());
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for _ in 0..pool_threads {
-                    scope.spawn(|_| pool.worker_loop());
+                    scope.spawn(|| pool.worker_loop());
                 }
                 if let Some(interval) = self.trace_interval {
-                    samples.lock().push(pool.tracer.snapshot());
+                    lock(&samples).push(pool.tracer.snapshot());
                     let (pool, samples) = (&pool, &samples);
-                    scope.spawn(move |_| {
-                        let mut seat = pool.sampler_seat.lock();
+                    scope.spawn(move || {
+                        let mut seat = lock(&pool.sampler_seat);
                         while !pool.shutdown.load(Ordering::Acquire) {
                             // Either the interval elapses (sample and loop) or
                             // shutdown notifies the condvar (re-check and exit);
                             // a missed notify costs at most one extra interval.
-                            pool.sampler_cv.wait_for(&mut seat, interval);
+                            seat = wait_for(&pool.sampler_cv, seat, interval);
                             if pool.shutdown.load(Ordering::Acquire) {
                                 break;
                             }
-                            samples.lock().push(pool.tracer.snapshot());
+                            lock(samples).push(pool.tracer.snapshot());
                         }
                     });
                 }
@@ -2165,8 +2160,8 @@ impl LiveExecutor {
         // arm means the pool infrastructure itself panicked mid-join.
         // Record it as the run's error instead of propagating the abort;
         // the trace assembled below is still intact.
-        if !matches!(&joined, Ok(Ok(()))) {
-            let mut g = pool.error.lock();
+        if joined.is_err() {
+            let mut g = lock(&pool.error);
             if g.is_none() {
                 *g = Some(WorkflowError::OperatorFailed {
                     operator: "<pool>".to_owned(),
@@ -2175,9 +2170,9 @@ impl LiveExecutor {
             }
         }
 
-        let trace = pool.tracer.finish(samples.into_inner());
+        let trace = pool.tracer.finish(std::mem::take(&mut *lock(&samples)));
 
-        if let Some(e) = pool.error.lock().take() {
+        if let Some(e) = lock(&pool.error).take() {
             return (trace, Err(e));
         }
 
@@ -2216,7 +2211,7 @@ impl LiveExecutor {
             let mut t = Vec::new();
             let mut r = Vec::new();
             for _ in 0..node.parallelism {
-                let (tx, rx) = unbounded::<LegacyMsg>();
+                let (tx, rx) = channel::<LegacyMsg>();
                 t.push(tx);
                 r.push(Some(rx));
             }
@@ -2228,7 +2223,7 @@ impl LiveExecutor {
         let in_counts: Vec<AtomicU64> = wf.ops().iter().map(|_| AtomicU64::new(0)).collect();
         let out_counts: Vec<AtomicU64> = wf.ops().iter().map(|_| AtomicU64::new(0)).collect();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (i, node) in wf.ops().iter().enumerate() {
                 let op = OpId(i);
                 // Downstream senders per out-edge: (to_port, strategy,
@@ -2260,13 +2255,13 @@ impl LiveExecutor {
                     let parallelism = node.parallelism;
                     let memory_budget = self.memory_budget;
 
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut instance = factory.create();
                         instance.set_memory_budget(memory_budget);
                         let mut seqs = vec![0u64; downstream.len()];
                         let mut collector = OutputCollector::new();
                         let fail = |e: WorkflowError, error: &Mutex<Option<WorkflowError>>| {
-                            let mut g = error.lock();
+                            let mut g = lock(error);
                             if g.is_none() {
                                 *g = Some(e);
                             }
@@ -2399,10 +2394,9 @@ impl LiveExecutor {
             // Drop the scope-owned senders so sinks see disconnect once all
             // producers exit.
             drop(txs);
-        })
-        .expect("a workflow worker thread panicked");
+        });
 
-        if let Some(e) = error.lock().take() {
+        if let Some(e) = lock(&error).take() {
             return Err(e);
         }
 
@@ -2923,5 +2917,30 @@ mod tests {
             let err = LiveExecutor::new(8).with_mode(mode).run(&wf).unwrap_err();
             assert!(err.to_string().contains("exploder"), "{mode:?}: {err}");
         }
+    }
+
+    /// The non-poisoning behaviour the chaos suites rely on: a panic
+    /// while a worker holds a mailbox lock must leave the mailbox usable
+    /// for the drain that follows.
+    #[test]
+    fn mailbox_stays_usable_after_a_panic_under_the_lock() {
+        let inbox = Inbox {
+            queue: Mutex::new(VecDeque::new()),
+            capacity: 1,
+        };
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut q = lock(&inbox.queue);
+                q.push_back(Msg::Eos { port: 0 });
+                panic!("injected: panic while holding the mailbox lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && inbox.queue.is_poisoned());
+        assert!(matches!(
+            lock(&inbox.queue).pop_front(),
+            Some(Msg::Eos { port: 0 })
+        ));
+        assert!(lock(&inbox.queue).is_empty());
     }
 }

@@ -28,6 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use scriptflow_datakit::{Batch, DataType, Schema, Value};
+pub use scriptflow_simcluster::SplitMix64;
 
 use crate::dag::{Workflow, WorkflowBuilder};
 use crate::operator::{WorkflowError, WorkflowResult};
@@ -245,66 +246,26 @@ impl FaultPlan {
     pub fn random(seed: u64, ops: &[String]) -> Self {
         assert!(!ops.is_empty(), "need at least one candidate operator");
         let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let op = ops[rng.next_below(ops.len() as u64) as usize].clone();
-        let kind = match rng.next_below(6) {
+        let op = ops[rng.range(0..ops.len())].clone();
+        let kind = match rng.range(0..6u64) {
             0 => FaultKind::PanicAt {
-                tuple: 1 + rng.next_u64() % 120,
+                tuple: rng.range(1..121u64),
             },
             1 => FaultKind::KillWorker {
-                tuple: 1 + rng.next_u64() % 120,
+                tuple: rng.range(1..121u64),
             },
             2 => FaultKind::PoisonMailbox {
-                batch: 1 + rng.next_u64() % 6,
+                batch: rng.range(1..7u64),
             },
             3 => FaultKind::DropEos,
             4 => FaultKind::DelayEos {
-                quanta: 1 + (rng.next_u64() % 4) as u32,
+                quanta: rng.range(1..5u64) as u32,
             },
             _ => FaultKind::SlowEdge {
-                per_batch_micros: 10 + rng.next_u64() % 190,
+                per_batch_micros: rng.range(10..200u64),
             },
         };
         FaultPlan::new(seed).push(op, kind)
-    }
-}
-
-/// The splitmix64 generator (Steele et al.) — tiny, seedable, and free
-/// of external dependencies, which is what a deterministic chaos harness
-/// needs more than statistical quality.
-///
-/// # Examples
-///
-/// ```
-/// use scriptflow_workflow::fault::SplitMix64;
-///
-/// let mut a = SplitMix64::new(42);
-/// let mut b = SplitMix64::new(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator starting from `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`; `bound` must be positive.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        self.next_u64() % bound
     }
 }
 
@@ -330,8 +291,8 @@ impl SplitMix64 {
 /// ```
 pub fn random_chain(seed: u64) -> (Workflow, SinkHandle, Vec<String>) {
     let mut rng = SplitMix64::new(seed);
-    let rows = 64 + rng.next_below(961) as i64; // 64..=1024
-    let stages = 1 + rng.next_below(3) as usize; // 1..=3 filters
+    let rows = rng.range(64..1025i64);
+    let stages = rng.range(1..4usize);
 
     let schema = Schema::of(&[("id", DataType::Int)]);
     let batch = Batch::from_rows(schema, (0..rows).map(|i| vec![Value::Int(i)]).collect())
@@ -339,20 +300,20 @@ pub fn random_chain(seed: u64) -> (Workflow, SinkHandle, Vec<String>) {
 
     let mut b = WorkflowBuilder::new();
     let mut names = Vec::with_capacity(stages + 2);
-    let scan_par = 1 + rng.next_below(2) as usize;
+    let scan_par = rng.range(1..3usize);
     let mut prev = b.add(Arc::new(ScanOp::new("scan", batch)), scan_par);
     names.push("scan".to_owned());
     for s in 0..stages {
         let name = format!("f{s}");
         // Keep all but every k-th id, k in 2..=5 — output strictly
         // bounded by input, never empty for the row counts above.
-        let k = 2 + rng.next_below(4) as i64;
-        let par = 1 + rng.next_below(3) as usize;
+        let k = rng.range(2..6i64);
+        let par = rng.range(1..4usize);
         let filt = b.add(
             Arc::new(FilterOp::new(&name, move |t| Ok(t.get_int("id")? % k != 0))),
             par,
         );
-        let strategy = if rng.next_below(2) == 0 {
+        let strategy = if rng.range(0..2u64) == 0 {
             PartitionStrategy::RoundRobin
         } else {
             PartitionStrategy::Hash(vec!["id".into()])
@@ -538,18 +499,6 @@ impl CompiledFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_varies() {
-        let mut a = SplitMix64::new(1);
-        let mut b = SplitMix64::new(1);
-        let mut c = SplitMix64::new(2);
-        let xs: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
-        let zs: Vec<u64> = (0..4).map(|_| c.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert_ne!(xs, zs);
-    }
 
     #[test]
     fn plan_builders_accumulate_in_order() {

@@ -94,6 +94,7 @@ pub mod retry;
 pub mod service;
 pub mod spec;
 pub mod spill;
+mod sync;
 pub mod trace;
 pub mod trace_live;
 

@@ -6,9 +6,8 @@
 //! a *construction* error, before any execution); sinks encode tuples
 //! back to text retrievable through a shared handle.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use scriptflow_datakit::codec;
 use scriptflow_datakit::{DataResult, Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::Language;
@@ -16,6 +15,7 @@ use scriptflow_simcluster::Language;
 use crate::cost::CostProfile;
 use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowResult};
 use crate::ops::ScanOp;
+use crate::sync::lock;
 
 /// Build a scan over CSV text (header + typed rows). Decoding errors
 /// surface immediately with their line numbers.
@@ -78,18 +78,18 @@ pub struct TextSinkHandle {
 impl TextSinkHandle {
     /// Number of rows received.
     pub fn len(&self) -> usize {
-        self.rows.lock().len()
+        lock(&self.rows).len()
     }
 
     /// True if nothing arrived.
     pub fn is_empty(&self) -> bool {
-        self.rows.lock().is_empty()
+        lock(&self.rows).is_empty()
     }
 
     /// Encode everything received so far (rows sorted for determinism
     /// under parallel execution).
     pub fn text(&self) -> String {
-        let rows = self.rows.lock();
+        let rows = lock(&self.rows);
         if rows.is_empty() {
             return String::new();
         }
@@ -116,7 +116,7 @@ impl Operator for TextSinkInstance {
         _port: usize,
         _out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        self.rows.lock().push(tuple);
+        lock(&self.rows).push(tuple);
         Ok(())
     }
 }

@@ -1,20 +1,20 @@
 //! Sink operator: collects workflow results.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use scriptflow_datakit::{Schema, SchemaRef, Tuple};
 
 use crate::cost::CostProfile;
 use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowResult};
+use crate::sync::lock;
 
 /// Terminal operator gathering result tuples (Texera's "View Results").
 ///
 /// The factory owns shared storage; every worker instance appends into
 /// it, so results survive the executor and are retrievable afterwards via
-/// [`SinkOp::results`]. A `parking_lot` mutex keeps this safe for the
-/// live multi-threaded executor; the simulated executor is single-
-/// threaded and pays no contention.
+/// [`SinkOp::results`]. A mutex keeps this safe for the live
+/// multi-threaded executor; the simulated executor is single-threaded
+/// and pays no contention.
 pub struct SinkOp {
     name: String,
     results: Arc<Mutex<Vec<Tuple>>>,
@@ -38,7 +38,7 @@ impl SinkOp {
 
     /// Snapshot of the tuples collected so far.
     pub fn results(&self) -> Vec<Tuple> {
-        self.results.lock().clone()
+        lock(&self.results).clone()
     }
 }
 
@@ -51,22 +51,22 @@ pub struct SinkHandle {
 impl SinkHandle {
     /// Snapshot of the tuples collected so far.
     pub fn results(&self) -> Vec<Tuple> {
-        self.results.lock().clone()
+        lock(&self.results).clone()
     }
 
     /// Number of tuples collected so far.
     pub fn len(&self) -> usize {
-        self.results.lock().len()
+        lock(&self.results).len()
     }
 
     /// True if nothing has been collected.
     pub fn is_empty(&self) -> bool {
-        self.results.lock().is_empty()
+        lock(&self.results).is_empty()
     }
 
     /// Clear collected tuples (for re-running a workflow object).
     pub fn clear(&self) {
-        self.results.lock().clear();
+        lock(&self.results).clear();
     }
 }
 
@@ -81,7 +81,7 @@ impl Operator for SinkInstance {
         _port: usize,
         _out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        self.results.lock().push(tuple);
+        lock(&self.results).push(tuple);
         Ok(())
     }
 }
@@ -119,7 +119,7 @@ impl OperatorFactory for SinkOp {
 
     /// Re-assert the "sink cleared per run" invariant before a dispatch.
     fn reset_shared_state(&self) {
-        self.results.lock().clear();
+        lock(&self.results).clear();
     }
 }
 
@@ -175,5 +175,24 @@ mod tests {
         assert_eq!(sink.results().len(), 1);
         sink.reset_shared_state();
         assert!(sink.results().is_empty());
+    }
+
+    /// The non-poisoning behaviour the chaos suites rely on: a panic
+    /// fault that lands while a worker holds the results lock must not
+    /// take the results away from every later reader.
+    #[test]
+    fn results_stay_readable_after_a_panic_under_the_lock() {
+        let sink = SinkOp::new("sink");
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock(&sink.results);
+                panic!("injected: panic while holding the results lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && sink.results.is_poisoned());
+        assert!(sink.handle().is_empty());
+        sink.handle().clear();
+        assert_eq!(sink.results().len(), 0);
     }
 }

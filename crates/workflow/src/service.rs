@@ -95,10 +95,9 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use scriptflow_core::fingerprint::OpFingerprint;
 use scriptflow_simcluster::SimDuration;
 
@@ -112,6 +111,7 @@ use crate::fault::{CompiledFaults, FaultPlan};
 use crate::metrics::{OpCounters, OperatorMetrics};
 use crate::operator::{OperatorFactory, WorkflowError, WorkflowResult};
 use crate::retry::RetryConfig;
+use crate::sync::{lock, wait, wait_for};
 use crate::trace::{ProgressTrace, TraceJson};
 use crate::trace_live::LiveTracer;
 
@@ -540,7 +540,7 @@ struct Seat {
 enum Slot {
     Queued,
     Running,
-    Finished(Option<RunReport>),
+    Finished(Option<Box<RunReport>>),
 }
 
 /// Caller's handle to an admitted submission: poll it or await it.
@@ -598,7 +598,7 @@ impl RunHandle {
 
     /// Non-blocking lifecycle probe.
     pub fn status(&self) -> RunStatus {
-        match &*self.seat.slot.lock() {
+        match &*lock(&self.seat.slot) {
             Slot::Queued => RunStatus::Queued,
             Slot::Running => RunStatus::Running,
             Slot::Finished(_) => RunStatus::Finished,
@@ -613,14 +613,14 @@ impl RunHandle {
     /// Block until the run drains, consuming the handle and returning
     /// its [`RunReport`].
     pub fn wait(self) -> RunReport {
-        let mut slot = self.seat.slot.lock();
+        let mut slot = lock(&self.seat.slot);
         loop {
             if let Slot::Finished(report) = &mut *slot {
-                return report
+                return *report
                     .take()
                     .expect("report taken once: wait() consumes the handle");
             }
-            self.seat.cv.wait(&mut slot);
+            slot = wait(&self.seat.cv, slot);
         }
     }
 }
@@ -775,7 +775,7 @@ struct Shared {
 
 impl QuantumScheduler for Shared {
     fn task_ready(&self, run: u64, tid: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if let Some(r) = st.active.iter_mut().find(|r| r.run_id == run) {
             r.ready.push_back(tid);
             self.cv.notify_one();
@@ -783,7 +783,7 @@ impl QuantumScheduler for Shared {
     }
 
     fn task_parked(&self, run: u64, tid: usize, until: Instant) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.parked.push(Reverse((until, run, tid)));
         // A waiting worker may need to shorten its sleep to this
         // deadline.
@@ -793,7 +793,7 @@ impl QuantumScheduler for Shared {
     fn run_finished(&self, _run: u64) {
         // Finalization needs `running == 0`, which only a worker's
         // post-quantum accounting can observe; just wake them all.
-        let _st = self.state.lock();
+        let _st = lock(&self.state);
         self.cv.notify_all();
     }
 }
@@ -851,7 +851,7 @@ impl Shared {
         // Start at the minimum active virtual time: the newcomer gets
         // its fair share immediately without erasing history.
         let vtime = st.active.iter().map(|r| r.vtime).min().unwrap_or(0);
-        *p.seat.slot.lock() = Slot::Running;
+        *lock(&p.seat.slot) = Slot::Running;
         st.active.push(ActiveRun {
             run_id: p.run_id,
             tenant: p.tenant,
@@ -937,7 +937,7 @@ impl Shared {
             result,
             trace,
         };
-        *run.seat.slot.lock() = Slot::Finished(Some(report));
+        *lock(&run.seat.slot) = Slot::Finished(Some(Box::new(report)));
         run.seat.cv.notify_all();
     }
 
@@ -946,7 +946,7 @@ impl Shared {
     /// virtual-time run with ready work — or sleep until the next park
     /// deadline / scheduling event.
     fn worker(self: Arc<Self>) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         loop {
             // Phase 1: parked tasks whose backoff elapsed become ready.
             let now = Instant::now();
@@ -1011,7 +1011,7 @@ impl Shared {
                 core.step(tid);
                 let spent = quantum_start.elapsed();
 
-                st = self.state.lock();
+                st = lock(&self.state);
                 if let Some(r) = st.active.iter_mut().find(|r| r.run_id == run_id) {
                     r.running -= 1;
                     let nanos = u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX);
@@ -1050,7 +1050,7 @@ impl Shared {
                     for core in wedged {
                         core.recover_stall();
                     }
-                    st = self.state.lock();
+                    st = lock(&self.state);
                     continue;
                 }
             }
@@ -1058,13 +1058,13 @@ impl Shared {
             // Phase 6: sleep until the next park deadline or a
             // scheduling event.
             st.idle_workers += 1;
-            match st.parked.peek().map(|Reverse((until, _, _))| *until) {
+            st = match st.parked.peek().map(|Reverse((until, _, _))| *until) {
                 Some(deadline) => {
                     let timeout = deadline.saturating_duration_since(Instant::now());
-                    self.cv.wait_for(&mut st, timeout);
+                    wait_for(&self.cv, st, timeout)
                 }
-                None => self.cv.wait(&mut st),
-            }
+                None => wait(&self.cv, st),
+            };
             st.idle_workers -= 1;
         }
     }
@@ -1176,7 +1176,7 @@ impl WorkflowService {
             None => None,
         };
         let quota = {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             if !st.accepting {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -1224,7 +1224,7 @@ impl WorkflowService {
             .filter_map(|f| f.shared_state_id())
             .collect();
 
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         if !st.accepting {
             return Err(SubmitError::ShuttingDown);
         }
@@ -1348,7 +1348,7 @@ impl WorkflowService {
     /// Set `tenant`'s quota; applies to submissions from now on
     /// (admitted runs keep the weight they were dispatched with).
     pub fn set_quota(&self, tenant: &str, quota: TenantQuota) {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         st.tenants
             .entry(tenant.to_owned())
             .or_insert_with(|| Tenant {
@@ -1362,9 +1362,7 @@ impl WorkflowService {
     /// Aggregate counters for `tenant`, if it ever submitted (or had a
     /// quota set).
     pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
-        self.shared
-            .state
-            .lock()
+        lock(&self.shared.state)
             .tenants
             .get(tenant)
             .map(|t| t.stats)
@@ -1379,7 +1377,7 @@ impl WorkflowService {
 
     /// Point-in-time service snapshot.
     pub fn service_stats(&self) -> ServiceStats {
-        let st = self.shared.state.lock();
+        let st = lock(&self.shared.state);
         ServiceStats {
             pool_threads: self.shared.pool_threads,
             active_runs: st.active.len(),
@@ -1397,7 +1395,7 @@ impl WorkflowService {
 impl Drop for WorkflowService {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             st.accepting = false;
         }
         self.shared.cv.notify_all();
@@ -1904,14 +1902,14 @@ mod tests {
     fn submit_after_shutdown_is_refused() {
         let svc = WorkflowService::new(ServiceConfig::default().with_pool_size(1));
         let shared = Arc::clone(&svc.shared);
-        shared.state.lock().accepting = false;
+        lock(&shared.state).accepting = false;
         let (wf, _h) = chain(10, 1);
         assert!(matches!(
             svc.submit("t", &wf, RunOptions::default()),
             Err(SubmitError::ShuttingDown)
         ));
         // Re-enable so Drop's drain logic exits normally.
-        shared.state.lock().accepting = true;
+        lock(&shared.state).accepting = true;
     }
 
     #[test]

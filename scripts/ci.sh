@@ -4,19 +4,24 @@
 #   scripts/ci.sh          # build + test + fmt + clippy + engine bench
 #   SKIP_BENCH=1 scripts/ci.sh
 #
-# Mirrors ROADMAP.md's tier-1 definition (release build + full test suite)
-# and adds the hygiene gates. The engine bench runs in quick mode and
-# leaves BENCH_engine.json (tuples/sec per executor configuration) in the
-# repo root for archiving.
+# Mirrors ROADMAP.md's tier-1 definition (release build + full test suite,
+# which is the whole configuration matrix) and adds the hygiene gates.
+# The engine bench runs in quick mode and leaves BENCH_engine.json
+# (tuples/sec per executor configuration) in the repo root for archiving.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release
+# Every cargo call is offline and locked: the workspace depends on
+# nothing but std and itself, so a reintroduced registry dependency
+# cannot resolve and a drifted Cargo.lock is an error.
+CARGO_FLAGS=(--offline --locked)
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo build --release"
+cargo build --release "${CARGO_FLAGS[@]}"
+
+echo "==> cargo test -q (every crate, every configuration: no env-var legs)"
+cargo test -q "${CARGO_FLAGS[@]}"
 
 echo "==> benchmark crate tests (the API surface the frozen benchmark/ tree compiles against)"
 bash benchmark/run.sh test
@@ -25,67 +30,16 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
 
 echo "==> cargo doc --no-deps -D warnings"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace "${CARGO_FLAGS[@]}"
 
-echo "==> cargo test --doc"
-cargo test -q --doc --workspace
-
-echo "==> chaos suite, retries disabled (seeded fingerprints must be unchanged)"
-CHAOS_RETRIES=0 cargo test -q --test chaos_faults -- --test-threads=1
-
-echo "==> chaos suite, retries enabled (retryable faults must lose zero rows)"
-CHAOS_RETRIES=1 cargo test -q --test chaos_faults -- --test-threads=1
-
-echo "==> service chaos suite, retries disabled (noisy tenant must not corrupt a neighbor)"
-CHAOS_RETRIES=0 cargo test -q --test service_chaos -- --test-threads=1
-
-echo "==> service chaos suite, retries enabled (the storm parks on the timer, neighbors drain)"
-CHAOS_RETRIES=1 cargo test -q --test service_chaos -- --test-threads=1
-
-echo "==> spill chaos suite, retries disabled (faults mid-spill must drain cleanly)"
-CHAOS_RETRIES=0 cargo test -q --test spill_chaos -- --test-threads=1
-
-echo "==> spill chaos suite, retries enabled (replay over spilled partitions is exactly-once)"
-CHAOS_RETRIES=1 cargo test -q --test spill_chaos -- --test-threads=1
-
-echo "==> cache chaos suite, retries disabled (faulted runs must never publish)"
-CHAOS_RETRIES=0 cargo test -q --test cache_chaos -- --test-threads=1
-
-echo "==> cache chaos suite, retries enabled (recovered runs withhold publication; clean runs publish)"
-CHAOS_RETRIES=1 cargo test -q --test cache_chaos -- --test-threads=1
-
-echo "==> fingerprint invalidation (spec edits invalidate; commutative rewires do not)"
-cargo test -q --test fingerprint_invalidation
-
-echo "==> backend parity, row batches (paper engine)"
-SCRIPTFLOW_BATCH_MODE=row cargo test -q --test backend_parity
-
-echo "==> backend parity, columnar batches (identical rows required)"
-SCRIPTFLOW_BATCH_MODE=columnar cargo test -q --test backend_parity
-
-echo "==> backend parity, tiny memory budget (blocking operators spill, rows unchanged)"
-SCRIPTFLOW_MEM_BUDGET=1024 cargo test -q --test backend_parity
-
-echo "==> backend parity, result cache armed (fingerprinted memoization, rows unchanged)"
-SCRIPTFLOW_RESULT_CACHE=1 cargo test -q --test backend_parity
-
-echo "==> cache eviction suite (byte budget is a hard ceiling; cost-aware victims)"
-cargo test -q --test cache_eviction
-
-echo "==> persistent cache: cold publish, process exit, warm from disk in a new process"
-CACHE_DIR="$(mktemp -d)"
-SCRIPTFLOW_CACHE_DIR="$CACHE_DIR" SCRIPTFLOW_CACHE_EXPECT=cold \
-    cargo test -q --test cache_persistence -- --test-threads=1
-SCRIPTFLOW_CACHE_DIR="$CACHE_DIR" SCRIPTFLOW_CACHE_EXPECT=warm \
-    cargo test -q --test cache_persistence -- --test-threads=1
-rm -rf "$CACHE_DIR"
+run_bin() { cargo run --release "${CARGO_FLAGS[@]}" -p scriptflow-bench --bin "$@"; }
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "==> engine throughput bench (quick)"
-    BENCH_ENGINE_QUICK=1 cargo run --release -p scriptflow-bench --bin bench_engine
+    BENCH_ENGINE_QUICK=1 run_bin bench_engine
     echo "==> columnar smoke: BENCH_engine.json must carry columnar rows with batch skips"
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PY'
@@ -135,7 +89,7 @@ PY
         }
     fi
     echo "==> multi-tenant service bench (quick closed loop)"
-    BENCH_SERVICE_QUICK=1 cargo run --release -p scriptflow-bench --bin bench_service
+    BENCH_SERVICE_QUICK=1 run_bin bench_service
     echo "==> service smoke: BENCH_engine.json must carry the latency-vs-tenant-count curve"
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PY'
@@ -164,19 +118,19 @@ PY
 fi
 
 echo "==> multi-tenant isolation experiment (noisy vs quiet tenant, shared pool)"
-cargo run --release -p scriptflow-bench --bin repro -- service
+run_bin repro -- service
 
 echo "==> bounded-memory experiment (KGE past RAM: unbounded vs tiny budget)"
-cargo run --release -p scriptflow-bench --bin repro -- fig13-spill
+run_bin repro -- fig13-spill
 
 echo "==> incremental re-execution experiment (KGE cold vs warm vs edited rerun)"
-cargo run --release -p scriptflow-bench --bin repro -- edit-rerun
+run_bin repro -- edit-rerun
 
 echo "==> cross-session edit loop (persistent cache restarts vs notebook stale-cone reruns)"
-cargo run --release -p scriptflow-bench --bin repro -- edit-loop
+run_bin repro -- edit-loop
 
 echo "==> repro on both backends (fig12a + probe-scale task comparison)"
-cargo run --release -p scriptflow-bench --bin repro -- fig12a --backend both
+run_bin repro -- fig12a --backend both
 for task in dice wef gotta kge; do
     trace="artifacts/trace_live_${task}.json"
     if [[ ! -s "$trace" ]]; then

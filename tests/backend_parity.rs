@@ -7,22 +7,12 @@
 //! sample, and — on a fault-free run — a live trace in which every
 //! operator ends `Completed`.
 //!
-//! The suite honours `SCRIPTFLOW_BATCH_MODE`: unset or `row` runs the
-//! paper calibration (row batches), `columnar` re-runs every parity
-//! check with the columnar batch path enabled. `ci.sh` runs it in both
-//! modes; results must be identical because the columnar path only
-//! changes the batch layout, never the rows.
-//!
-//! It also honours `SCRIPTFLOW_MEM_BUDGET` (bytes): when set, every
-//! blocking operator runs under that per-operator memory budget, so the
-//! join-bearing tasks spill their build sides to the compressed block
-//! store mid-parity-check. Rows must still be identical — spilling is a
-//! memory-management decision, never a data decision.
-//!
-//! And `SCRIPTFLOW_RESULT_CACHE=1` re-runs every parity check with the
-//! result cache armed (a fresh cache per run: all misses, full
-//! recording). Fingerprinted memoization must never change a row —
-//! caching is a scheduling decision, never a data decision.
+//! Every parity check runs under four calibrations (see
+//! [`calibrations`]): the paper's row batches, columnar batches, a 1 KiB
+//! per-operator memory budget, and the result cache armed. The rows
+//! must be identical in all of them: batch layout, spilling and caching
+//! are layout, memory-management and scheduling decisions, never data
+//! decisions.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -36,27 +26,28 @@ use scriptflow::tasks::wef::{self, WefParams};
 use scriptflow::tasks::BackendRun;
 use scriptflow::workflow::{OperatorState, ResultCache};
 
-/// The calibration under test: `SCRIPTFLOW_BATCH_MODE=columnar` flips
-/// the engine to columnar edge batches, anything else (including unset)
-/// keeps the paper's row engine. `SCRIPTFLOW_MEM_BUDGET=<bytes>` caps
-/// every blocking operator's in-memory state on top of either mode, and
-/// `SCRIPTFLOW_RESULT_CACHE=1` arms the fingerprinted result cache.
-fn calibration() -> Calibration {
-    let mut cal = match std::env::var("SCRIPTFLOW_BATCH_MODE").as_deref() {
-        Ok("columnar") => Calibration::paper_columnar(),
-        _ => Calibration::paper(),
-    };
-    if let Ok(raw) = std::env::var("SCRIPTFLOW_MEM_BUDGET") {
-        cal.wf_memory_budget = Some(
-            raw.parse()
-                .expect("SCRIPTFLOW_MEM_BUDGET must be a byte count"),
-        );
-    }
-    if std::env::var("SCRIPTFLOW_RESULT_CACHE").is_ok_and(|v| v == "1") {
-        cal.wf_result_cache = true;
-    }
-    cal
+/// The calibrations every parity check runs under: the paper's row
+/// engine; columnar edge batches; a budget small enough that the
+/// join-bearing tasks spill their build sides to the compressed block
+/// store mid-check; and the fingerprinted result cache armed (a fresh
+/// cache per run: all misses, full recording).
+fn calibrations() -> [(&'static str, Calibration); 4] {
+    let mut budgeted = Calibration::paper();
+    budgeted.wf_memory_budget = Some(1 << 10);
+    let mut cached = Calibration::paper();
+    cached.wf_result_cache = true;
+    [
+        ("row", Calibration::paper()),
+        ("columnar", Calibration::paper_columnar()),
+        ("1 KiB budget", budgeted),
+        ("cache armed", cached),
+    ]
 }
+
+/// One paper task, run under a calibration on a backend.
+type TaskFn = Box<dyn Fn(&Calibration, BackendKind) -> BackendRun>;
+/// One paper task on a backend, optionally against a shared cache.
+type CachedTaskFn<'a> = Box<dyn Fn(BackendKind, Option<&Arc<ResultCache>>) -> BackendRun + 'a>;
 
 fn operator_set(run: &BackendRun) -> BTreeSet<String> {
     let (_, last) = run
@@ -67,83 +58,81 @@ fn operator_set(run: &BackendRun) -> BTreeSet<String> {
     last.iter().map(|o| o.name.clone()).collect()
 }
 
-fn assert_parity(task: &str, run_on: impl Fn(BackendKind) -> BackendRun) {
-    let sim = run_on(BackendKind::Sim);
-    let live = run_on(BackendKind::Live);
-    assert_eq!(sim.kind, BackendKind::Sim, "{task}");
-    assert_eq!(live.kind, BackendKind::Live, "{task}");
-    assert!(sim.wall_clock.is_none(), "{task}: sim time is virtual");
-    assert!(
-        live.wall_clock.is_some(),
-        "{task}: live run measures wall-clock"
-    );
-
-    // Identical rows, order-independent (live thread interleaving may
-    // reorder a sink's arrivals).
-    let mut sim_rows = sim.run.output.clone();
-    let mut live_rows = live.run.output.clone();
-    sim_rows.sort_unstable();
-    live_rows.sort_unstable();
-    assert_eq!(
-        sim_rows.len(),
-        live_rows.len(),
-        "{task}: backends disagree on row count"
-    );
-    assert_eq!(sim_rows, live_rows, "{task}: backends disagree on rows");
-
-    // Both engines report the same DAG.
-    assert_eq!(
-        operator_set(&sim),
-        operator_set(&live),
-        "{task}: backends disagree on the operator set"
-    );
-
-    // A fault-free live run leaves no operator behind.
-    let (_, last) = live.trace.samples.last().expect("terminal sample");
-    for op in last {
-        assert_eq!(
-            op.state,
-            OperatorState::Completed,
-            "{task}: operator `{}` did not complete on the live backend",
-            op.name
+fn assert_parity(task: &str, run_on: impl Fn(&Calibration, BackendKind) -> BackendRun) {
+    for (config, cal) in calibrations() {
+        let task = format!("{task} [{config}]");
+        let sim = run_on(&cal, BackendKind::Sim);
+        let live = run_on(&cal, BackendKind::Live);
+        assert_eq!(sim.kind, BackendKind::Sim, "{task}");
+        assert_eq!(live.kind, BackendKind::Live, "{task}");
+        assert!(sim.wall_clock.is_none(), "{task}: sim time is virtual");
+        assert!(
+            live.wall_clock.is_some(),
+            "{task}: live run measures wall-clock"
         );
+
+        // Identical rows, order-independent (live thread interleaving may
+        // reorder a sink's arrivals).
+        let mut sim_rows = sim.run.output.clone();
+        let mut live_rows = live.run.output.clone();
+        sim_rows.sort_unstable();
+        live_rows.sort_unstable();
+        assert_eq!(
+            sim_rows.len(),
+            live_rows.len(),
+            "{task}: backends disagree on row count"
+        );
+        assert_eq!(sim_rows, live_rows, "{task}: backends disagree on rows");
+
+        // Both engines report the same DAG.
+        assert_eq!(
+            operator_set(&sim),
+            operator_set(&live),
+            "{task}: backends disagree on the operator set"
+        );
+
+        // A fault-free live run leaves no operator behind.
+        let (_, last) = live.trace.samples.last().expect("terminal sample");
+        for op in last {
+            assert_eq!(
+                op.state,
+                OperatorState::Completed,
+                "{task}: operator `{}` did not complete on the live backend",
+                op.name
+            );
+        }
     }
 }
 
 #[test]
 fn dice_backends_agree() {
-    let cal = calibration();
-    assert_parity("dice", |kind| {
-        dice::workflow::run_workflow_on(&DiceParams::new(10, 2), &cal, kind).expect("DICE runs")
+    assert_parity("dice", |cal, kind| {
+        dice::workflow::run_workflow_on(&DiceParams::new(10, 2), cal, kind).expect("DICE runs")
     });
 }
 
 #[test]
 fn wef_backends_agree() {
-    let cal = calibration();
-    assert_parity("wef", |kind| {
-        wef::workflow::run_workflow_on(&WefParams::new(80), &cal, kind).expect("WEF runs")
+    assert_parity("wef", |cal, kind| {
+        wef::workflow::run_workflow_on(&WefParams::new(80), cal, kind).expect("WEF runs")
     });
 }
 
 #[test]
 fn gotta_backends_agree() {
-    let cal = calibration();
-    assert_parity("gotta", |kind| {
-        gotta::workflow::run_workflow_on(&GottaParams::new(2, 1), &cal, kind).expect("GOTTA runs")
+    assert_parity("gotta", |cal, kind| {
+        gotta::workflow::run_workflow_on(&GottaParams::new(2, 1), cal, kind).expect("GOTTA runs")
     });
 }
 
 #[test]
 fn kge_backends_agree() {
-    let cal = calibration();
-    assert_parity("kge", |kind| {
-        kge::workflow::run_workflow_on(&KgeParams::new(600, 1), &cal, kind).expect("KGE runs")
+    assert_parity("kge", |cal, kind| {
+        kge::workflow::run_workflow_on(&KgeParams::new(600, 1), cal, kind).expect("KGE runs")
     });
 }
 
-/// Direct unbounded-vs-tiny-budget parity, independent of the env
-/// knobs: for every paper task on both backends, a memory budget far
+/// Direct unbounded-vs-tiny-budget parity: for every paper task on both backends, a memory budget far
 /// below the blocking operators' working set must change no output row
 /// — and on the join-bearing tasks (DICE, KGE) it must actually force
 /// spills, while the unbounded run never touches the block store.
@@ -152,11 +141,7 @@ fn tiny_budget_changes_no_rows_on_any_task() {
     let unbounded = Calibration::paper();
     let mut tiny = Calibration::paper();
     tiny.wf_memory_budget = Some(1 << 10);
-    let tasks: [(
-        &str,
-        bool,
-        Box<dyn Fn(&Calibration, BackendKind) -> BackendRun>,
-    ); 4] = [
+    let tasks: [(&str, bool, TaskFn); 4] = [
         (
             "dice",
             true,
@@ -221,14 +206,13 @@ fn tiny_budget_changes_no_rows_on_any_task() {
     }
 }
 
-/// Direct row-vs-columnar parity, independent of `SCRIPTFLOW_BATCH_MODE`:
-/// for every paper task, the columnar calibration must produce exactly
+/// Direct row-vs-columnar parity: for every paper task, the columnar calibration must produce exactly
 /// the rows the row calibration does on both backends.
 #[test]
 fn columnar_mode_changes_no_rows_on_any_task() {
     let row = Calibration::paper();
     let col = Calibration::paper_columnar();
-    let tasks: [(&str, Box<dyn Fn(&Calibration, BackendKind) -> BackendRun>); 4] = [
+    let tasks: [(&str, TaskFn); 4] = [
         (
             "dice",
             Box::new(|cal, k| {
@@ -281,8 +265,7 @@ fn columnar_mode_changes_no_rows_on_any_task() {
     }
 }
 
-/// Direct cold-vs-warm cache parity, independent of
-/// `SCRIPTFLOW_RESULT_CACHE`: for every paper task on both backends, a
+/// Direct cold-vs-warm cache parity: for every paper task on both backends, a
 /// cold run against a shared [`ResultCache`] must publish (all misses),
 /// the warm rerun must serve its frontier from sealed segments (hits,
 /// nothing republished) — and neither may change a single row relative
@@ -290,10 +273,7 @@ fn columnar_mode_changes_no_rows_on_any_task() {
 #[test]
 fn warm_cache_rerun_changes_no_rows_on_any_task() {
     let cal = Calibration::paper();
-    let tasks: [(
-        &str,
-        Box<dyn Fn(BackendKind, Option<&Arc<ResultCache>>) -> BackendRun>,
-    ); 4] = [
+    let tasks: [(&str, CachedTaskFn); 4] = [
         (
             "dice",
             Box::new(|k, cache| {

@@ -7,9 +7,8 @@
 //! afterwards publishes sealed segments that warm reruns replay with
 //! rows identical to the cache-free baseline.
 //!
-//! CI (`scripts/ci.sh`) runs this suite under both `CHAOS_RETRIES`
-//! legs: the seed sweep arms its own budgets, while
-//! [`cache_chaos_retries_env_matrix`] checks the leg-specific halves.
+//! The seed sweep arms its own budgets; the last two tests pin the two
+//! halves of the retry matrix for one kill mid-recording.
 
 use std::sync::Arc;
 
@@ -227,52 +226,45 @@ fn panicked_recording_run_leaves_the_shared_cache_usable() {
     assert_eq!(sorted_rows(&h), clean, "served rows are byte-identical");
 }
 
-/// Leg-specific behaviour under the CI `CHAOS_RETRIES` matrix. The
-/// disabled leg pins that an explicit `disabled()` policy behaves like
-/// no policy — the kill fails the run and publishes nothing. The armed
-/// leg proves a recovered kill still publishes nothing, and that the
-/// clean run afterwards does.
+/// An explicit `disabled()` policy behaves like no policy: the kill
+/// fails the run and publishes nothing.
 #[test]
-fn cache_chaos_retries_env_matrix() {
-    let armed = std::env::var("CHAOS_RETRIES").is_ok_and(|v| v == "1");
+fn disabled_retries_fail_the_run_and_publish_nothing() {
     let seed = 17u64;
     let cache = Arc::new(ResultCache::new());
-    if !armed {
-        for retry in [Some(RetryConfig::uniform(RetryPolicy::disabled())), None] {
-            let (wf, _h) = pipeline(seed);
-            let mut exec =
-                executor(&cache).with_faults(FaultPlan::new(seed).kill_worker("keep", 30));
-            if let Some(r) = retry {
-                exec = exec.with_retry(r);
-            }
-            let (_trace, result) = exec.run_observed(&wf);
-            result.expect_err("disabled leg: the kill fails the run");
+    for retry in [Some(RetryConfig::uniform(RetryPolicy::disabled())), None] {
+        let (wf, _h) = pipeline(seed);
+        let mut exec = executor(&cache).with_faults(FaultPlan::new(seed).kill_worker("keep", 30));
+        if let Some(r) = retry {
+            exec = exec.with_retry(r);
         }
-        assert_eq!(cache.entries(), 0, "disabled leg: nothing published");
-        assert_eq!(cache.bytes(), 0, "disabled leg: no bytes leaked");
-        return;
+        let (_trace, result) = exec.run_observed(&wf);
+        result.expect_err("no budget: the kill fails the run");
     }
+    assert_eq!(cache.entries(), 0, "nothing published");
+    assert_eq!(cache.bytes(), 0, "no bytes leaked");
+}
+
+/// A recovered kill still publishes nothing; the clean run afterwards
+/// does.
+#[test]
+fn armed_retries_recover_rows_but_withhold_publication() {
+    let seed = 17u64;
+    let cache = Arc::new(ResultCache::new());
     let clean = baseline_rows(seed);
     let (wf, h) = pipeline(seed);
     let (_trace, result) = executor(&cache)
         .with_faults(FaultPlan::new(seed).kill_worker("keep", 30))
         .with_retry(RetryConfig::uniform(RetryPolicy::default()))
         .run_observed(&wf);
-    let res = result.unwrap_or_else(|e| panic!("armed leg: {e}"));
-    assert_eq!(sorted_rows(&h), clean, "armed leg: zero lost rows");
-    assert_eq!(
-        res.cache_published, 0,
-        "armed leg: recovered run must not publish"
-    );
-    assert_eq!(
-        cache.entries(),
-        0,
-        "armed leg: cache untouched by the dirty run"
-    );
+    let res = result.unwrap_or_else(|e| panic!("recovered run: {e}"));
+    assert_eq!(sorted_rows(&h), clean, "zero lost rows");
+    assert_eq!(res.cache_published, 0, "recovered run must not publish");
+    assert_eq!(cache.entries(), 0, "cache untouched by the dirty run");
 
     let (wf, h) = pipeline(seed);
     let (_trace, result) = executor(&cache).run_observed(&wf);
-    let res = result.unwrap_or_else(|e| panic!("armed leg clean run: {e}"));
-    assert_eq!(sorted_rows(&h), clean, "armed leg: clean rows");
-    assert!(res.cache_published > 0, "armed leg: clean run publishes");
+    let res = result.unwrap_or_else(|e| panic!("clean run: {e}"));
+    assert_eq!(sorted_rows(&h), clean, "clean rows");
+    assert!(res.cache_published > 0, "clean run publishes");
 }

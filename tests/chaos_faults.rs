@@ -4,7 +4,14 @@
 //! `Failed` operator, keep the partial trace consistent, and — with a
 //! single pool thread — reproduce the identical failure trace from the
 //! same seed.
+//!
+//! Every leg runs under plain `cargo test`: the unarmed fingerprints,
+//! the retry-armed exactly-once sweeps, and both halves of the retry
+//! matrix at the bottom of the file.
 
+mod common;
+
+use common::{assert_threads_drained, thread_baseline};
 use scriptflow::workflow::fault::{random_chain, FaultPlan};
 use scriptflow::workflow::{
     render_timeline, LiveExecutor, OperatorState, ProgressTrace, RetryConfig, RetryPolicy,
@@ -35,47 +42,6 @@ fn fingerprint(trace: &ProgressTrace, err: &str) -> String {
     format!("{:?} | {} | {}", final_states(trace), err, timeline)
 }
 
-/// Live threads in this process (one `/proc/self/task` entry per task).
-/// procfs is Linux-only, hence the gate; other platforms get the
-/// portable fallback below.
-#[cfg(target_os = "linux")]
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs is available on the test platform")
-        .count()
-}
-
-/// Assert the process thread count returns to at most `baseline`,
-/// polling briefly: pool threads are joined before `run_observed`
-/// returns, but the OS may report the task entry a beat longer.
-#[cfg(target_os = "linux")]
-fn assert_threads_drained(baseline: usize, context: &str) {
-    use std::time::{Duration, Instant};
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let now = live_threads();
-        if now <= baseline {
-            return;
-        }
-        if Instant::now() > deadline {
-            panic!("{context}: {now} threads alive, baseline {baseline}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Portable fallback: no procfs to count tasks with. The pool joins
-/// every worker handle before `run_observed` returns, so reaching this
-/// call at all already proves the threads were joined — the baseline is
-/// meaningless off-Linux and the assertion degrades to that proof.
-#[cfg(not(target_os = "linux"))]
-fn live_threads() -> usize {
-    0
-}
-
-#[cfg(not(target_os = "linux"))]
-fn assert_threads_drained(_baseline: usize, _context: &str) {}
-
 /// Sink rows as a sorted multiset of debug renderings — the
 /// order-independent exactly-once comparison the retry tests use.
 fn sorted_rows(h: &scriptflow::workflow::ops::SinkHandle) -> Vec<String> {
@@ -86,7 +52,7 @@ fn sorted_rows(h: &scriptflow::workflow::ops::SinkHandle) -> Vec<String> {
 
 #[test]
 fn same_seed_reproduces_identical_failure_trace() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let mut prints = Vec::new();
     for _ in 0..10 {
         let (wf, _h, _names) = random_chain(5);
@@ -111,7 +77,7 @@ fn same_seed_reproduces_identical_failure_trace() {
 
 #[test]
 fn panic_capture_surfaces_as_failed_operator() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(7);
     let plan = FaultPlan::new(7).panic_at("f0", 21);
     let (trace, result) = LiveExecutor::new(8)
@@ -132,7 +98,7 @@ fn panic_capture_surfaces_as_failed_operator() {
 
 #[test]
 fn every_fault_kind_drains_and_joins_threads() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let plans: Vec<FaultPlan> = vec![
         FaultPlan::new(41).panic_at("f0", 10),
         FaultPlan::new(41).kill_worker("f0", 10),
@@ -158,7 +124,7 @@ fn every_fault_kind_drains_and_joins_threads() {
 
 #[test]
 fn chaos_random_plans_terminate_with_consistent_traces() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     for seed in 0..32u64 {
         let (wf, _h, names) = random_chain(seed);
         let plan = FaultPlan::random(seed, &names);
@@ -190,7 +156,7 @@ fn chaos_random_plans_terminate_with_consistent_traces() {
 
 #[test]
 fn trace_parity_under_failure_roundtrips_json() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(9);
     let plan = FaultPlan::new(9).panic_at("f0", 15);
     let (trace, result) = LiveExecutor::new(8)
@@ -216,7 +182,7 @@ fn trace_parity_under_failure_roundtrips_json() {
 
 #[test]
 fn drop_eos_recovers_without_deadlock() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(11);
     let plan = FaultPlan::new(11).drop_eos("scan");
     let (trace, result) = LiveExecutor::new(8)
@@ -232,7 +198,7 @@ fn drop_eos_recovers_without_deadlock() {
 
 #[test]
 fn poisoned_mailbox_fails_the_consumer() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(9);
     let plan = FaultPlan::new(9).poison_mailbox("sink", 2);
     let (trace, result) = LiveExecutor::new(8)
@@ -252,7 +218,7 @@ fn poisoned_mailbox_fails_the_consumer() {
 
 #[test]
 fn kill_worker_truncates_but_downstream_still_terminates() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, h, _names) = random_chain(5);
     let plan = FaultPlan::new(5).kill_worker("f0", 10);
     let (trace, result) = LiveExecutor::new(8)
@@ -277,7 +243,7 @@ fn kill_worker_truncates_but_downstream_still_terminates() {
 
 #[test]
 fn benign_faults_preserve_every_row() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, h, _names) = random_chain(13);
     let (_trace, clean) = LiveExecutor::new(8).with_pool_size(1).run_observed(&wf);
     assert!(clean.is_ok());
@@ -298,10 +264,9 @@ fn benign_faults_preserve_every_row() {
 
 #[test]
 fn seeded_random_plans_pin_their_fingerprints() {
-    // `FaultPlan::random` now draws via `next_below`, which is exactly
-    // `next_u64() % bound` — these descriptions must be byte-identical
-    // to the pre-unification modulo arithmetic. Pinning them makes any
-    // future RNG change an explicit, reviewed event.
+    // `FaultPlan::random` draws via `SplitMix64::range`, which is
+    // exactly `lo + next_u64() % span`. Pinning these descriptions makes
+    // any RNG change an explicit, reviewed event.
     let pinned = [
         "seed 0 [scan: kill worker at tuple 5]",
         "seed 1 [f0: kill worker at tuple 43]",
@@ -323,7 +288,7 @@ fn combined_kill_and_drop_eos_terminates_and_stays_consistent() {
     // blindly, discarding the EOS markers the stall detector had
     // synthesized — every recovery pass re-synthesized them, every
     // drain quantum threw them away, and the run livelocked.
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(5);
     let plan = FaultPlan::new(5).kill_worker("f0", 10).drop_eos("scan");
     let (trace, result) = LiveExecutor::new(8)
@@ -342,7 +307,7 @@ fn stall_recovered_operators_surface_degraded_not_completed() {
     // never saw real EOS — the detector handed it synthesized markers,
     // or force-finished it outright — must report `Degraded`, never a
     // clean `Completed`.
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(11);
     let plan = FaultPlan::new(11).drop_eos("scan");
     let (trace, result) = LiveExecutor::new(8)
@@ -373,7 +338,7 @@ fn clean_rows(seed: u64) -> Vec<String> {
 
 #[test]
 fn default_retry_budget_salvages_every_retryable_fault_kind() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let clean = clean_rows(17);
     let plans: Vec<(&str, FaultPlan)> = vec![
         ("panic", FaultPlan::new(17).panic_at("f0", 10)),
@@ -406,7 +371,7 @@ fn default_retry_budget_salvages_every_retryable_fault_kind() {
 
 #[test]
 fn retried_runs_preserve_exactly_once_across_32_seeds() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     for seed in 0..32u64 {
         let clean = clean_rows(seed);
         for kind in ["panic", "kill", "poison"] {
@@ -472,7 +437,7 @@ fn columnar_batches_under_faults_retry_exactly_once() {
     // replay quantum re-delivers every tuple once, and nothing about the
     // drain changes. Rows must match the *row-engine* clean run, pinning
     // that columnar sealing never alters data even across a retry.
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     for seed in [5u64, 17, 23] {
         let clean = clean_rows(seed);
 
@@ -518,7 +483,7 @@ fn columnar_batches_under_faults_retry_exactly_once() {
 fn columnar_mode_without_budget_drains_like_the_row_engine() {
     // An unbudgeted kill mid-columnar-stream must still converge: one
     // Failed operator, terminal states everywhere, threads joined.
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(5);
     let plan = FaultPlan::new(5).kill_worker("f0", 10);
     let (trace, result) = LiveExecutor::new(8)
@@ -537,45 +502,39 @@ fn columnar_mode_without_budget_drains_like_the_row_engine() {
     assert_threads_drained(baseline, "columnar kill without budget");
 }
 
-/// CI (`scripts/ci.sh`) runs this suite twice: `CHAOS_RETRIES=0` — the
-/// default-disabled policy must leave the PR 3 seeded fingerprints
-/// unchanged — and `CHAOS_RETRIES=1`, which arms the sweep below to
-/// prove zero rows are lost once retryable faults run under a budget.
+/// An explicit `disabled()` retry config must behave byte-identically
+/// to no retry config at all, leaving the PR 3 seeded fingerprints
+/// unchanged.
 #[test]
-fn chaos_retries_env_matrix() {
-    let armed = std::env::var("CHAOS_RETRIES").is_ok_and(|v| v == "1");
-    if !armed {
-        // Disabled leg: an explicit `disabled()` config must behave
-        // byte-identically to no retry config at all.
-        let fp = |_: u32| {
-            let (wf, _h, _names) = random_chain(3);
-            let plan = FaultPlan::new(3).kill_worker("f0", 10);
-            let (trace, result) = LiveExecutor::new(8)
-                .with_pool_size(1)
-                .with_faults(plan)
-                .with_retry(RetryConfig::uniform(RetryPolicy::disabled()))
-                .run_observed(&wf);
-            let err = result.expect_err("no budget: the kill fails").to_string();
-            fingerprint(&trace, &err)
-        };
-        let bare = {
-            let (wf, _h, _names) = random_chain(3);
-            let plan = FaultPlan::new(3).kill_worker("f0", 10);
-            let (trace, result) = LiveExecutor::new(8)
-                .with_pool_size(1)
-                .with_faults(plan)
-                .run_observed(&wf);
-            let err = result.expect_err("the kill fails").to_string();
-            fingerprint(&trace, &err)
-        };
-        assert_eq!(fp(0), fp(1), "disabled retries stay deterministic");
-        assert_eq!(
-            fp(0),
-            bare,
-            "max_attempts = 0 is byte-identical to no policy"
-        );
-        return;
-    }
+fn disabled_retries_are_identical_to_no_policy() {
+    let fp = |retry: Option<RetryConfig>| {
+        let (wf, _h, _names) = random_chain(3);
+        let mut exec = LiveExecutor::new(8)
+            .with_pool_size(1)
+            .with_faults(FaultPlan::new(3).kill_worker("f0", 10));
+        if let Some(r) = retry {
+            exec = exec.with_retry(r);
+        }
+        let (trace, result) = exec.run_observed(&wf);
+        let err = result.expect_err("no budget: the kill fails").to_string();
+        fingerprint(&trace, &err)
+    };
+    let disabled = || Some(RetryConfig::uniform(RetryPolicy::disabled()));
+    assert_eq!(
+        fp(disabled()),
+        fp(disabled()),
+        "disabled retries stay deterministic"
+    );
+    assert_eq!(
+        fp(disabled()),
+        fp(None),
+        "max_attempts = 0 is byte-identical to no policy"
+    );
+}
+
+/// Zero rows are lost once retryable faults run under a budget.
+#[test]
+fn armed_retries_lose_no_rows() {
     for seed in [3u64, 19, 29] {
         let clean = clean_rows(seed);
         let (wf, h, _names) = random_chain(seed);
@@ -585,7 +544,7 @@ fn chaos_retries_env_matrix() {
             .with_faults(plan)
             .with_retry(RetryConfig::uniform(RetryPolicy::default()))
             .run_observed(&wf);
-        result.unwrap_or_else(|e| panic!("armed leg, seed {seed}: {e}"));
+        result.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(sorted_rows(&h), clean, "seed {seed}: zero lost rows");
     }
 }

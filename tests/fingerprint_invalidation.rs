@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use scriptflow::core::{BackendKind, OpFingerprint};
 use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, Value};
-use scriptflow::simcluster::Language;
+use scriptflow::simcluster::{Language, SplitMix64};
 use scriptflow::workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkHandle, SinkOp, UnionOp};
 use scriptflow::workflow::{
     CostProfile, EngineConfig, ExecBackend, PartitionStrategy, ResultCache, Workflow,
@@ -178,25 +178,6 @@ fn commutative_input_reordering_preserves_the_fingerprint() {
     assert_ne!(join_fp(false), join_fp(true), "build/probe order matters");
 }
 
-/// Deterministic xorshift64* for the seeded DAG-edit sweep (no external
-/// RNG crates in the workspace).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.max(1);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
 /// A randomized two-branch DAG genome: two scans filtered separately,
 /// unioned, filtered again. Every parameter comes from the seed.
 #[derive(Clone)]
@@ -209,32 +190,32 @@ struct Genome {
 }
 
 impl Genome {
-    fn random(rng: &mut XorShift) -> Genome {
-        let n_a = 40 + rng.below(60) as i64;
-        let n_b = 40 + rng.below(60) as i64;
+    fn random(rng: &mut SplitMix64) -> Genome {
+        let n_a = rng.range(40..100i64);
+        let n_b = rng.range(40..100i64);
         Genome {
             rows_a: (0..n_a)
-                .map(|i| (i * 7 + rng.below(5) as i64) % 200)
+                .map(|i| (i * 7 + rng.range(0..5i64)) % 200)
                 .collect(),
             rows_b: (0..n_b)
-                .map(|i| (i * 11 + rng.below(5) as i64) % 200)
+                .map(|i| (i * 11 + rng.range(0..5i64)) % 200)
                 .collect(),
-            cut_a: rng.below(100) as i64,
-            cut_b: rng.below(100) as i64,
-            cut_tail: rng.below(150) as i64,
+            cut_a: rng.range(0..100i64),
+            cut_b: rng.range(0..100i64),
+            cut_tail: rng.range(0..150i64),
         }
     }
 
     /// One random edit: mutate a single spec field, leaving the rest of
     /// the DAG (and so its cache entries) intact.
-    fn edited(&self, rng: &mut XorShift) -> Genome {
+    fn edited(&self, rng: &mut SplitMix64) -> Genome {
         let mut g = self.clone();
-        match rng.below(4) {
-            0 => g.cut_a += 1 + rng.below(20) as i64,
-            1 => g.cut_b += 1 + rng.below(20) as i64,
-            2 => g.cut_tail += 1 + rng.below(20) as i64,
+        match rng.range(0..4u64) {
+            0 => g.cut_a += rng.range(1..21i64),
+            1 => g.cut_b += rng.range(1..21i64),
+            2 => g.cut_tail += rng.range(1..21i64),
             _ => {
-                let i = rng.below(g.rows_a.len() as u64) as usize;
+                let i = rng.range(0..g.rows_a.len());
                 g.rows_a[i] += 201;
             }
         }
@@ -301,7 +282,7 @@ fn run_rows(
 #[test]
 fn random_dag_edits_serve_hits_with_byte_identical_rows_on_both_backends() {
     for seed in 0..16u64 {
-        let mut rng = XorShift(0x9e37_79b9 ^ (seed + 1));
+        let mut rng = SplitMix64::new(seed);
         let base = Genome::random(&mut rng);
         let edited = base.edited(&mut rng);
         for kind in [BackendKind::Sim, BackendKind::Live] {

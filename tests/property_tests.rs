@@ -1,43 +1,96 @@
-//! Property-based tests (proptest) over the core invariants DESIGN.md
-//! lists: partitioning completeness, join correctness vs a nested-loop
-//! oracle, top-k vs full sort, codec roundtrips, and schema soundness.
+//! Property tests over the core invariants DESIGN.md lists:
+//! partitioning completeness, join correctness vs a nested-loop oracle,
+//! top-k vs full sort, codec roundtrips, and schema soundness.
+//!
+//! Each property is a loop over seeded cases: case `i` draws its inputs
+//! from `SplitMix64::new(i)`, and a failure names that seed.
 
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use scriptflow::datakit::codec::{from_csv, from_jsonl, to_csv, to_jsonl, Json};
 use scriptflow::datakit::{
     Batch, BlockAppender, CmpOp, ColumnarBatch, CompressedBlock, DataFrame, DataType, HashKey,
     MergeHow, Schema, Tuple, Value,
 };
 use scriptflow::mlkit::kge::{EmbeddingTable, KgeScorer};
+use scriptflow::simcluster::SplitMix64;
 use scriptflow::workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp};
 use scriptflow::workflow::{
     EngineConfig, LiveExecutor, PartitionStrategy, SimExecutor, WorkflowBuilder,
 };
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per pure-data property.
+const CASES: u64 = 64;
+/// Cases per property that runs real OS threads.
+const LIVE_CASES: u64 = 16;
 
-    /// Hash partitioning is a function: same key → same bucket; and all
-    /// buckets are within range.
-    #[test]
-    fn hash_partitioning_is_stable_and_in_range(keys in prop::collection::vec(any::<i64>(), 1..200), buckets in 1usize..16) {
+/// Check `property` on `cases` seeded input streams. The failing case's
+/// own assertion is printed as it unwinds; this names the seed to replay.
+fn for_seeds(cases: u64, property: impl Fn(&mut SplitMix64)) {
+    for seed in 0..cases {
+        let outcome = catch_unwind(AssertUnwindSafe(|| property(&mut SplitMix64::new(seed))));
+        assert!(
+            outcome.is_ok(),
+            "property failed on SplitMix64::new({seed})"
+        );
+    }
+}
+
+fn any_i64(rng: &mut SplitMix64) -> i64 {
+    rng.next_u64() as i64
+}
+
+fn vec_of<T>(
+    rng: &mut SplitMix64,
+    len: Range<usize>,
+    mut item: impl FnMut(&mut SplitMix64) -> T,
+) -> Vec<T> {
+    (0..rng.range(len)).map(|_| item(rng)).collect()
+}
+
+fn maybe<T>(rng: &mut SplitMix64, item: impl FnOnce(&mut SplitMix64) -> T) -> Option<T> {
+    rng.bool(0.5).then(|| item(rng))
+}
+
+/// Up to `max_len` characters drawn from `alphabet`.
+fn string_of(rng: &mut SplitMix64, alphabet: &str, max_len: usize) -> String {
+    let chars: Vec<char> = alphabet.chars().collect();
+    (0..rng.range(0..max_len + 1))
+        .map(|_| chars[rng.range(0..chars.len())])
+        .collect()
+}
+
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+
+/// Hash partitioning is a function: same key → same bucket; and all
+/// buckets are within range.
+#[test]
+fn hash_partitioning_is_stable_and_in_range() {
+    for_seeds(CASES, |rng| {
+        let keys = vec_of(rng, 1..200, any_i64);
+        let buckets = rng.range(1..16usize);
         for k in &keys {
             let hk = HashKey::Int(*k);
             let b1 = hk.bucket(buckets);
             let b2 = hk.bucket(buckets);
-            prop_assert_eq!(b1, b2);
-            prop_assert!(b1 < buckets);
+            assert_eq!(b1, b2);
+            assert!(b1 < buckets);
         }
-    }
+    });
+}
 
-    /// Round-robin + hash partitioning together cover every tuple exactly
-    /// once (no loss, no duplication) through a real workflow.
-    #[test]
-    fn partitioned_pipeline_loses_nothing(n in 1i64..400, workers in 1usize..5) {
+/// Round-robin + hash partitioning together cover every tuple exactly
+/// once (no loss, no duplication) through a real workflow.
+#[test]
+fn partitioned_pipeline_loses_nothing() {
+    for_seeds(CASES, |rng| {
+        let n = rng.range(1..400i64);
+        let workers = rng.range(1..5usize);
         let schema = Schema::of(&[("id", DataType::Int)]);
-        let batch = Batch::from_rows(schema, (0..n).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+        let batch =
+            Batch::from_rows(schema, (0..n).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         let mut b = WorkflowBuilder::new();
         let scan = b.add(Arc::new(ScanOp::new("scan", batch)), workers);
         let sink_op = SinkOp::new("sink");
@@ -46,20 +99,25 @@ proptest! {
         b.connect(scan, sink, 0, PartitionStrategy::Hash(vec!["id".into()]));
         let wf = b.build().unwrap();
         SimExecutor::new(EngineConfig::default()).run(&wf).unwrap();
-        let mut ids: Vec<i64> = handle.results().iter().map(|t| t.get_int("id").unwrap()).collect();
+        let mut ids: Vec<i64> = handle
+            .results()
+            .iter()
+            .map(|t| t.get_int("id").unwrap())
+            .collect();
         ids.sort_unstable();
         let expected: Vec<i64> = (0..n).collect();
-        prop_assert_eq!(ids, expected);
-    }
+        assert_eq!(ids, expected);
+    });
+}
 
-    /// The engine's hash join equals a nested-loop oracle for arbitrary
-    /// key multisets on both sides.
-    #[test]
-    fn hash_join_matches_nested_loop(
-        build_keys in prop::collection::vec(0i64..20, 0..40),
-        probe_keys in prop::collection::vec(0i64..20, 0..60),
-        workers in 1usize..4,
-    ) {
+/// The engine's hash join equals a nested-loop oracle for arbitrary
+/// key multisets on both sides.
+#[test]
+fn hash_join_matches_nested_loop() {
+    for_seeds(CASES, |rng| {
+        let build_keys = vec_of(rng, 0..40, |r| r.range(0..20i64));
+        let probe_keys = vec_of(rng, 0..60, |r| r.range(0..20i64));
+        let workers = rng.range(1..4usize);
         // Oracle count.
         let mut expected = 0usize;
         for p in &probe_keys {
@@ -69,13 +127,23 @@ proptest! {
         let bs = Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
         let build = Batch::from_rows(
             bs,
-            build_keys.iter().enumerate().map(|(i, k)| vec![Value::Int(*k), Value::Int(i as i64)]).collect(),
-        ).unwrap();
+            build_keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| vec![Value::Int(*k), Value::Int(i as i64)])
+                .collect(),
+        )
+        .unwrap();
         let ps = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
         let probe = Batch::from_rows(
             ps,
-            probe_keys.iter().enumerate().map(|(i, k)| vec![Value::Int(i as i64), Value::Int(*k)]).collect(),
-        ).unwrap();
+            probe_keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| vec![Value::Int(i as i64), Value::Int(*k)])
+                .collect(),
+        )
+        .unwrap();
 
         let mut b = WorkflowBuilder::new();
         let bsrc = b.add(Arc::new(ScanOp::new("build", build)), 1);
@@ -89,28 +157,35 @@ proptest! {
         b.connect(join, sink, 0, PartitionStrategy::Single);
         let wf = b.build().unwrap();
         SimExecutor::new(EngineConfig::default()).run(&wf).unwrap();
-        prop_assert_eq!(handle.len(), expected);
-    }
+        assert_eq!(handle.len(), expected);
+    });
+}
 
-    /// Top-k ranking equals the head of the full sort for arbitrary
-    /// embedding tables.
-    #[test]
-    fn top_k_matches_full_sort(n in 1usize..150, k in 1usize..20, seed in any::<u64>()) {
+/// Top-k ranking equals the head of the full sort for arbitrary
+/// embedding tables.
+#[test]
+fn top_k_matches_full_sort() {
+    for_seeds(CASES, |rng| {
+        let n = rng.range(1..150usize);
+        let k = rng.range(1..20usize);
+        let seed = rng.next_u64();
         let table = EmbeddingTable::random(4, 0..n as i64, seed);
         let scorer = KgeScorer::new(vec![0.3, -0.1, 0.7, 0.2], vec![0.1, 0.1, -0.4, 0.0]);
         let top = scorer.top_k((0..n as i64).map(|i| (i, table.get(i).unwrap())), k);
         let all = scorer.top_k((0..n as i64).map(|i| (i, table.get(i).unwrap())), n);
-        prop_assert_eq!(&top[..], &all[..k.min(n)]);
-    }
+        assert_eq!(&top[..], &all[..k.min(n)]);
+    });
+}
 
-    /// CSV and JSONL codecs roundtrip arbitrary string/int/float rows.
-    #[test]
-    fn codecs_roundtrip(
-        rows in prop::collection::vec(
-            ("[a-zA-Z0-9 ,\"\n\\\\]{0,24}", any::<i64>(), -1.0e6f64..1.0e6),
-            0..30,
-        )
-    ) {
+/// CSV and JSONL codecs roundtrip arbitrary string/int/float rows.
+#[test]
+fn codecs_roundtrip() {
+    for_seeds(CASES, |rng| {
+        let csv_hostile = format!("{LOWER}{}0123456789 ,\"\n\\", LOWER.to_uppercase());
+        let rows = vec_of(rng, 0..30, |r| {
+            let s = string_of(r, &csv_hostile, 24);
+            (s, any_i64(r), r.range(-1.0e6..1.0e6f64))
+        });
         let schema = Schema::of(&[
             ("s", DataType::Str),
             ("i", DataType::Int),
@@ -121,48 +196,73 @@ proptest! {
             rows.iter()
                 .map(|(s, i, x)| vec![Value::Str(s.clone()), Value::Int(*i), Value::Float(*x)])
                 .collect(),
-        ).unwrap();
+        )
+        .unwrap();
         let csv_back = from_csv(schema.clone(), &to_csv(&batch)).unwrap();
-        prop_assert_eq!(&csv_back, &batch);
+        assert_eq!(&csv_back, &batch);
         let jsonl_back = from_jsonl(schema, &to_jsonl(&batch)).unwrap();
-        prop_assert_eq!(&jsonl_back, &batch);
-    }
+        assert_eq!(&jsonl_back, &batch);
+    });
+}
 
-    /// JSON documents rendered by the GUI layer parse back identically.
-    #[test]
-    fn json_writer_parser_roundtrip(s in "[\\x20-\\x7e]{0,40}", i in any::<i64>()) {
+/// JSON documents rendered by the GUI layer parse back identically.
+#[test]
+fn json_writer_parser_roundtrip() {
+    for_seeds(CASES, |rng| {
+        let printable: String = (' '..='~').collect();
+        let s = string_of(rng, &printable, 40);
+        let i = any_i64(rng);
         let doc = Json::Object(vec![
             ("name".into(), Json::Str(s)),
             ("count".into(), Json::Int(i)),
-            ("nested".into(), Json::Array(vec![Json::Null, Json::Bool(true)])),
+            (
+                "nested".into(),
+                Json::Array(vec![Json::Null, Json::Bool(true)]),
+            ),
         ]);
         let text = doc.to_string_compact();
-        prop_assert_eq!(Json::parse(&text).unwrap(), doc);
-    }
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    });
+}
 
-    /// The eager DataFrame merge (the pandas analogue the script
-    /// paradigm uses) agrees with the pipelined workflow hash join on
-    /// arbitrary inputs — the paper's two `merge` implementations really
-    /// compute the same relation.
-    #[test]
-    fn dataframe_merge_matches_workflow_join(
-        build_keys in prop::collection::vec(0i64..12, 1..30),
-        probe_keys in prop::collection::vec(0i64..12, 1..50),
-    ) {
+/// The eager DataFrame merge (the pandas analogue the script
+/// paradigm uses) agrees with the pipelined workflow hash join on
+/// arbitrary inputs — the paper's two `merge` implementations really
+/// compute the same relation.
+#[test]
+fn dataframe_merge_matches_workflow_join() {
+    for_seeds(CASES, |rng| {
+        let build_keys = vec_of(rng, 1..30, |r| r.range(0..12i64));
+        let probe_keys = vec_of(rng, 1..50, |r| r.range(0..12i64));
         let bs = Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
         let build = Batch::from_rows(
             bs,
-            build_keys.iter().enumerate().map(|(i, k)| vec![Value::Int(*k), Value::Int(i as i64)]).collect(),
-        ).unwrap();
+            build_keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| vec![Value::Int(*k), Value::Int(i as i64)])
+                .collect(),
+        )
+        .unwrap();
         let ps = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
         let probe = Batch::from_rows(
             ps,
-            probe_keys.iter().enumerate().map(|(i, k)| vec![Value::Int(i as i64), Value::Int(*k)]).collect(),
-        ).unwrap();
+            probe_keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| vec![Value::Int(i as i64), Value::Int(*k)])
+                .collect(),
+        )
+        .unwrap();
 
         // Eager pandas-style merge.
         let df = DataFrame::new(probe.clone())
-            .merge(&DataFrame::new(build.clone()), &["k"], &["k"], MergeHow::Inner)
+            .merge(
+                &DataFrame::new(build.clone()),
+                &["k"],
+                &["k"],
+                MergeHow::Inner,
+            )
             .unwrap();
         let mut eager: Vec<String> = df.batch().tuples().iter().map(|t| t.to_string()).collect();
         eager.sort_unstable();
@@ -183,39 +283,41 @@ proptest! {
         let mut piped: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
         piped.sort_unstable();
 
-        prop_assert_eq!(eager, piped);
-    }
+        assert_eq!(eager, piped);
+    });
+}
 
-    /// DataFrame group_count matches a manual fold for arbitrary keys.
-    #[test]
-    fn dataframe_group_count_matches_fold(keys in prop::collection::vec(0i64..6, 0..60)) {
+/// DataFrame group_count matches a manual fold for arbitrary keys.
+#[test]
+fn dataframe_group_count_matches_fold() {
+    for_seeds(CASES, |rng| {
+        let keys = vec_of(rng, 0..60, |r| r.range(0..6i64));
         let schema = Schema::of(&[("k", DataType::Int)]);
-        let batch = Batch::from_rows(
-            schema,
-            keys.iter().map(|k| vec![Value::Int(*k)]).collect(),
-        ).unwrap();
+        let batch =
+            Batch::from_rows(schema, keys.iter().map(|k| vec![Value::Int(*k)]).collect()).unwrap();
         let grouped = DataFrame::new(batch).group_count(&["k"]).unwrap();
         let mut expected: std::collections::HashMap<i64, i64> = Default::default();
         for k in &keys {
             *expected.entry(*k).or_insert(0) += 1;
         }
-        prop_assert_eq!(grouped.len(), expected.len());
+        assert_eq!(grouped.len(), expected.len());
         for t in grouped.batch().tuples() {
             let k = t.get_int("k").unwrap();
-            prop_assert_eq!(t.get_int("count").unwrap(), expected[&k]);
+            assert_eq!(t.get_int("count").unwrap(), expected[&k]);
         }
-    }
+    });
+}
 
-    /// Every partition strategy preserves the tuple multiset: RoundRobin,
-    /// Hash, and Single scatter each tuple to exactly one worker (disjoint
-    /// and exhaustive), while Broadcast is k-fold — every worker receives
-    /// the full input.
-    #[test]
-    fn partition_strategies_preserve_multiset(
-        ids in prop::collection::vec(0i64..50, 1..200),
-        workers in 1usize..6,
-        strat in 0usize..4,
-    ) {
+/// Every partition strategy preserves the tuple multiset: RoundRobin,
+/// Hash, and Single scatter each tuple to exactly one worker (disjoint
+/// and exhaustive), while Broadcast is k-fold — every worker receives
+/// the full input.
+#[test]
+fn partition_strategies_preserve_multiset() {
+    for_seeds(CASES, |rng| {
+        let ids = vec_of(rng, 1..200, |r| r.range(0..50i64));
+        let workers = rng.range(1..6usize);
+        let strat = rng.range(0..4usize);
         let schema = Schema::of(&[("id", DataType::Int)]);
         let tuples: Vec<Tuple> = ids
             .iter()
@@ -232,14 +334,14 @@ proptest! {
             // k-fold: every tuple reaches every worker.
             for (seq, t) in tuples.iter().enumerate() {
                 let dests = strategy.route(t, seq as u64, workers).unwrap();
-                prop_assert_eq!(dests, (0..workers).collect::<Vec<_>>());
+                assert_eq!(dests, (0..workers).collect::<Vec<_>>());
             }
         } else {
             let compiled = strategy.compile(&schema).unwrap();
             let mut bufs: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
             let mut seq = 0u64;
             compiled.scatter(tuples, &mut seq, &mut bufs).unwrap();
-            prop_assert_eq!(seq, ids.len() as u64);
+            assert_eq!(seq, ids.len() as u64);
             // Disjoint + exhaustive: the scattered union is the input
             // multiset, nothing lost and nothing duplicated.
             let mut got: Vec<i64> = bufs
@@ -250,36 +352,36 @@ proptest! {
             got.sort_unstable();
             let mut want = ids.clone();
             want.sort_unstable();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
             // Seq-independent strategies must agree with the declared
             // per-tuple route (RoundRobin depends on arrival order, which
             // the flattened view no longer has).
             if strategy != PartitionStrategy::RoundRobin {
                 for (w, buf) in bufs.iter().enumerate() {
                     for t in buf {
-                        prop_assert_eq!(strategy.route(t, 0, workers).unwrap(), vec![w]);
+                        assert_eq!(strategy.route(t, 0, workers).unwrap(), vec![w]);
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    /// The columnar batch representation is lossless: `from_rows` then
-    /// `to_rows` is the identity for arbitrary int/float/str/bool rows
-    /// with arbitrary null patterns, and the sealed per-column
-    /// statistics agree with a direct fold over the same rows.
-    #[test]
-    fn columnar_from_rows_to_rows_is_identity(
-        rows in prop::collection::vec(
+/// The columnar batch representation is lossless: `from_rows` then
+/// `to_rows` is the identity for arbitrary int/float/str/bool rows
+/// with arbitrary null patterns, and the sealed per-column
+/// statistics agree with a direct fold over the same rows.
+#[test]
+fn columnar_from_rows_to_rows_is_identity() {
+    for_seeds(CASES, |rng| {
+        let rows = vec_of(rng, 0..60, |r| {
             (
-                prop::option::of(any::<i64>()),
-                prop::option::of(-1.0e9f64..1.0e9),
-                prop::option::of("[a-z]{0,8}"),
-                prop::option::of(any::<bool>()),
-            ),
-            0..60,
-        )
-    ) {
+                maybe(r, any_i64),
+                maybe(r, |r| r.range(-1.0e9..1.0e9f64)),
+                maybe(r, |r| string_of(r, LOWER, 8)),
+                maybe(r, |r| r.bool(0.5)),
+            )
+        });
         let schema = Schema::of(&[
             ("i", DataType::Int),
             ("x", DataType::Float),
@@ -298,43 +400,46 @@ proptest! {
             })
             .collect();
         let cb = ColumnarBatch::from_rows(schema.clone(), values.clone()).unwrap();
-        prop_assert_eq!(cb.len(), values.len());
-        prop_assert_eq!(cb.to_rows(), values.clone());
+        assert_eq!(cb.len(), values.len());
+        assert_eq!(cb.to_rows(), values.clone());
 
         // Sealed stats vs a direct fold: null counts per column, and
         // min/max over the non-null ints.
         let int_nulls = values.iter().filter(|r| r[0] == Value::Null).count() as u64;
         let ints: Vec<i64> = rows.iter().filter_map(|(i, ..)| *i).collect();
         let col = cb.stats().column(0);
-        prop_assert_eq!(col.null_count, int_nulls);
+        assert_eq!(col.null_count, int_nulls);
         match (&col.min, &col.max) {
             (Some(Value::Int(lo)), Some(Value::Int(hi))) => {
-                prop_assert_eq!(*lo, *ints.iter().min().unwrap());
-                prop_assert_eq!(*hi, *ints.iter().max().unwrap());
+                assert_eq!(*lo, *ints.iter().min().unwrap());
+                assert_eq!(*hi, *ints.iter().max().unwrap());
             }
-            (None, None) => prop_assert!(ints.is_empty()),
-            other => prop_assert!(false, "inconsistent int stats: {:?}", other),
+            (None, None) => assert!(ints.is_empty()),
+            other => panic!("inconsistent int stats: {other:?}"),
         }
 
         // And through the tuple path too.
         let tuples = cb.to_tuples();
         let back = ColumnarBatch::from_tuples(schema, &tuples);
-        prop_assert_eq!(back.to_rows(), values);
-    }
+        assert_eq!(back.to_rows(), values);
+    });
+}
 
-    /// The compressed block store is lossless and its manifest honest:
-    /// seal → decode is the identity for arbitrary nullable rows split
-    /// into arbitrary block sizes, and the sealed segment's merged
-    /// min/max/null statistics agree with a direct fold over the same
-    /// rows.
-    #[test]
-    fn blockstore_roundtrip_and_manifest_stats(
-        rows in prop::collection::vec(
-            (prop::option::of(-1000i64..1000), prop::option::of("[a-z]{0,6}")),
-            1..80,
-        ),
-        chunk in 1usize..16,
-    ) {
+/// The compressed block store is lossless and its manifest honest:
+/// seal → decode is the identity for arbitrary nullable rows split
+/// into arbitrary block sizes, and the sealed segment's merged
+/// min/max/null statistics agree with a direct fold over the same
+/// rows.
+#[test]
+fn blockstore_roundtrip_and_manifest_stats() {
+    for_seeds(CASES, |rng| {
+        let rows = vec_of(rng, 1..80, |r| {
+            (
+                maybe(r, |r| r.range(-1000..1000i64)),
+                maybe(r, |r| string_of(r, LOWER, 6)),
+            )
+        });
+        let chunk = rng.range(1..16usize);
         let schema = Schema::of(&[("i", DataType::Int), ("s", DataType::Str)]);
         let values: Vec<Vec<Value>> = rows
             .iter()
@@ -352,7 +457,7 @@ proptest! {
             // Per-block roundtrip: encode → compress → decompress →
             // decode is the identity.
             let block = CompressedBlock::seal(&cb);
-            prop_assert_eq!(block.decode().unwrap().to_rows(), chunk_rows.to_vec());
+            assert_eq!(block.decode().unwrap().to_rows(), chunk_rows.to_vec());
             app.append(&cb);
         }
         let seg = app.seal();
@@ -362,82 +467,94 @@ proptest! {
         for b in seg.blocks() {
             decoded.extend(b.decode().unwrap().to_rows());
         }
-        prop_assert_eq!(&decoded, &values);
+        assert_eq!(&decoded, &values);
 
         // Manifest totals vs direct folds.
         let m = seg.manifest();
-        prop_assert_eq!(m.row_count, values.len() as u64);
-        prop_assert_eq!(m.block_count, seg.blocks().len() as u64);
-        prop_assert_eq!(
+        assert_eq!(m.row_count, values.len() as u64);
+        assert_eq!(m.block_count, seg.blocks().len() as u64);
+        assert_eq!(
             m.compressed_bytes,
-            seg.blocks().iter().map(|b| b.compressed_bytes() as u64).sum::<u64>()
+            seg.blocks()
+                .iter()
+                .map(|b| b.compressed_bytes() as u64)
+                .sum::<u64>()
         );
 
         // Merged column statistics vs a direct fold over the rows.
         let int_nulls = values.iter().filter(|r| r[0] == Value::Null).count() as u64;
         let ints: Vec<i64> = rows.iter().filter_map(|(i, _)| *i).collect();
         let col = m.column_stats(0).expect("non-empty segment has stats");
-        prop_assert_eq!(col.null_count, int_nulls);
+        assert_eq!(col.null_count, int_nulls);
         match (&col.min, &col.max) {
             (Some(Value::Int(lo)), Some(Value::Int(hi))) => {
-                prop_assert_eq!(*lo, *ints.iter().min().unwrap());
-                prop_assert_eq!(*hi, *ints.iter().max().unwrap());
+                assert_eq!(*lo, *ints.iter().min().unwrap());
+                assert_eq!(*hi, *ints.iter().max().unwrap());
             }
-            (None, None) => prop_assert!(ints.is_empty()),
-            other => prop_assert!(false, "inconsistent int stats: {:?}", other),
+            (None, None) => assert!(ints.is_empty()),
+            other => panic!("inconsistent int stats: {other:?}"),
         }
-    }
+    });
+}
 
-    /// Schema join + tuple concat always produce conforming tuples.
-    #[test]
-    fn schema_join_soundness(a in 1usize..6, bcols in 1usize..6) {
+/// Schema join + tuple concat always produce conforming tuples.
+#[test]
+fn schema_join_soundness() {
+    for_seeds(CASES, |rng| {
+        let a = rng.range(1..6usize);
+        let bcols = rng.range(1..6usize);
         let left_fields: Vec<(String, DataType)> =
             (0..a).map(|i| (format!("l{i}"), DataType::Int)).collect();
-        let right_fields: Vec<(String, DataType)> =
-            (0..bcols).map(|i| (format!("c{i}"), DataType::Int)).collect();
-        let lrefs: Vec<(&str, DataType)> = left_fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let rrefs: Vec<(&str, DataType)> = right_fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        let right_fields: Vec<(String, DataType)> = (0..bcols)
+            .map(|i| (format!("c{i}"), DataType::Int))
+            .collect();
+        let lrefs: Vec<(&str, DataType)> =
+            left_fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        let rrefs: Vec<(&str, DataType)> =
+            right_fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
         let ls = Schema::of(&lrefs);
         let rs = Schema::of(&rrefs);
         let joined = Arc::new(ls.join(&rs, "_r").unwrap());
         let lt = Tuple::new(ls.clone(), vec![Value::Int(1); a]).unwrap();
         let rt = Tuple::new(rs, vec![Value::Int(2); bcols]).unwrap();
         let cat = lt.concat(&rt, joined.clone()).unwrap();
-        prop_assert_eq!(cat.values().len(), a + bcols);
-        prop_assert_eq!(joined.arity(), a + bcols);
-    }
+        assert_eq!(cat.values().len(), a + bcols);
+        assert_eq!(joined.arity(), a + bcols);
+    });
 }
 
-// Pooled-executor equivalence runs real OS threads per case, so it gets a
-// smaller case budget than the pure-data properties above.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+// Pooled-executor equivalence runs real OS threads per case, so the
+// properties below get the smaller `LIVE_CASES` budget.
 
-    /// The pool-scheduled live executor computes exactly what the
-    /// simulator computes on randomized filter/join DAGs, across random
-    /// parallelism, batch sizes, and mailbox capacities.
-    #[test]
-    fn pooled_live_matches_sim_on_random_dag(
-        n in 1i64..300,
-        dim_keys in 1i64..12,
-        filter_mod in 2i64..7,
-        workers in 1usize..4,
-        batch in 1usize..64,
-        capacity in 1usize..8,
-        pool in 1usize..5,
-    ) {
+/// The pool-scheduled live executor computes exactly what the
+/// simulator computes on randomized filter/join DAGs, across random
+/// parallelism, batch sizes, and mailbox capacities.
+#[test]
+fn pooled_live_matches_sim_on_random_dag() {
+    for_seeds(LIVE_CASES, |rng| {
+        let n = rng.range(1..300i64);
+        let dim_keys = rng.range(1..12i64);
+        let filter_mod = rng.range(2..7i64);
+        let workers = rng.range(1..4usize);
+        let batch = rng.range(1..64usize);
+        let capacity = rng.range(1..8usize);
+        let pool = rng.range(1..5usize);
         let fact_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
         let facts = Batch::from_rows(
             fact_schema,
             (0..n)
                 .map(|i| vec![Value::Int(i), Value::Int(i % (2 * dim_keys))])
                 .collect(),
-        ).unwrap();
+        )
+        .unwrap();
         let dim_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
         let dims = Batch::from_rows(
             dim_schema,
-            (0..dim_keys).map(|k| vec![Value::Int(k), Value::Int(-k)]).collect(),
-        ).unwrap();
+            (0..dim_keys)
+                .map(|k| vec![Value::Int(k), Value::Int(-k)])
+                .collect(),
+        )
+        .unwrap();
 
         let build = || {
             let mut b = WorkflowBuilder::new();
@@ -445,7 +562,10 @@ proptest! {
             let dsrc = b.add(Arc::new(ScanOp::new("dims", dims.clone())), 1);
             let m = filter_mod;
             let filt = b.add(
-                Arc::new(FilterOp::new("filt", move |t| Ok(t.get_int("id")? % m != 0))),
+                Arc::new(FilterOp::new(
+                    "filt",
+                    move |t| Ok(t.get_int("id")? % m != 0),
+                )),
                 workers,
             );
             let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), workers);
@@ -460,14 +580,15 @@ proptest! {
             (b.build().unwrap(), handle)
         };
         let sorted = |handle: &scriptflow::workflow::ops::SinkHandle| {
-            let mut rows: Vec<String> =
-                handle.results().iter().map(|t| t.to_string()).collect();
+            let mut rows: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
             rows.sort_unstable();
             rows
         };
 
         let (wf_sim, h_sim) = build();
-        SimExecutor::new(EngineConfig::default()).run(&wf_sim).unwrap();
+        SimExecutor::new(EngineConfig::default())
+            .run(&wf_sim)
+            .unwrap();
 
         let (wf_live, h_live) = build();
         LiveExecutor::new(batch)
@@ -476,41 +597,51 @@ proptest! {
             .run(&wf_live)
             .unwrap();
 
-        prop_assert_eq!(sorted(&h_sim), sorted(&h_live));
-    }
+        assert_eq!(sorted(&h_sim), sorted(&h_live));
+    });
+}
 
-    /// Columnar batches are a pure layout change: on random filter/join
-    /// DAGs over random data — including a zone-map-eligible range
-    /// filter — the live executor produces identical rows with columnar
-    /// sealing on and off, for any batch size and parallelism.
-    #[test]
-    fn live_columnar_matches_row_on_random_dag(
-        n in 1i64..300,
-        dim_keys in 1i64..12,
-        threshold in 0i64..300,
-        workers in 1usize..4,
-        batch in 1usize..64,
-        pool in 1usize..5,
-    ) {
+/// Columnar batches are a pure layout change: on random filter/join
+/// DAGs over random data — including a zone-map-eligible range
+/// filter — the live executor produces identical rows with columnar
+/// sealing on and off, for any batch size and parallelism.
+#[test]
+fn live_columnar_matches_row_on_random_dag() {
+    for_seeds(LIVE_CASES, |rng| {
+        let n = rng.range(1..300i64);
+        let dim_keys = rng.range(1..12i64);
+        let threshold = rng.range(0..300i64);
+        let workers = rng.range(1..4usize);
+        let batch = rng.range(1..64usize);
+        let pool = rng.range(1..5usize);
         let fact_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
         let facts = Batch::from_rows(
             fact_schema,
             (0..n)
                 .map(|i| vec![Value::Int(i), Value::Int(i % (2 * dim_keys))])
                 .collect(),
-        ).unwrap();
+        )
+        .unwrap();
         let dim_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
         let dims = Batch::from_rows(
             dim_schema,
-            (0..dim_keys).map(|k| vec![Value::Int(k), Value::Int(-k)]).collect(),
-        ).unwrap();
+            (0..dim_keys)
+                .map(|k| vec![Value::Int(k), Value::Int(-k)])
+                .collect(),
+        )
+        .unwrap();
 
         let build = || {
             let mut b = WorkflowBuilder::new();
             let fsrc = b.add(Arc::new(ScanOp::new("facts", facts.clone())), workers);
             let dsrc = b.add(Arc::new(ScanOp::new("dims", dims.clone())), 1);
             let filt = b.add(
-                Arc::new(FilterOp::cmp("filt", "id", CmpOp::Lt, Value::Int(threshold))),
+                Arc::new(FilterOp::cmp(
+                    "filt",
+                    "id",
+                    CmpOp::Lt,
+                    Value::Int(threshold),
+                )),
                 workers,
             );
             let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), workers);
@@ -531,20 +662,23 @@ proptest! {
                 .with_columnar(columnar)
                 .run(&wf)
                 .unwrap();
-            let mut rows: Vec<String> =
-                handle.results().iter().map(|t| t.to_string()).collect();
+            let mut rows: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
             rows.sort_unstable();
             rows
         };
-        prop_assert_eq!(run_mode(false), run_mode(true));
-    }
+        assert_eq!(run_mode(false), run_mode(true));
+    });
+}
 
-    /// Chaos: any seeded fault plan against any random chain terminates
-    /// (the drain path and stall detector always converge), keeps the
-    /// final trace monotone (downstream input never exceeds upstream
-    /// output), and leaves every operator in a terminal state.
-    #[test]
-    fn seeded_fault_plans_always_drain(seed in any::<u64>(), pool in 1usize..4) {
+/// Chaos: any seeded fault plan against any random chain terminates
+/// (the drain path and stall detector always converge), keeps the
+/// final trace monotone (downstream input never exceeds upstream
+/// output), and leaves every operator in a terminal state.
+#[test]
+fn seeded_fault_plans_always_drain() {
+    for_seeds(LIVE_CASES, |rng| {
+        let seed = rng.next_u64();
+        let pool = rng.range(1..4usize);
         use scriptflow::workflow::fault::{random_chain, FaultPlan};
         let (wf, _handle, names) = random_chain(seed);
         let plan = FaultPlan::random(seed, &names);
@@ -554,29 +688,35 @@ proptest! {
             .run_observed(&wf);
         let (_, last) = trace.samples.last().expect("faulted runs keep a trace");
         for w in last.windows(2) {
-            prop_assert!(
+            assert!(
                 w[1].input_tuples <= w[0].output_tuples,
                 "{} read {} but {} wrote {}",
-                w[1].name, w[1].input_tuples, w[0].name, w[0].output_tuples
+                w[1].name,
+                w[1].input_tuples,
+                w[0].name,
+                w[0].output_tuples
             );
         }
-        prop_assert!(last.iter().all(|s| s.state.is_terminal()));
-    }
+        assert!(last.iter().all(|s| s.state.is_terminal()));
+    });
+}
 
-    /// Retry safety net over the same seeded chains: any retryable fault
-    /// (panic, kill, poisoned mailbox) under a sufficient budget yields
-    /// sorted rows identical to the fault-free run — the replayed
-    /// quantum delivers every tuple exactly once — and every operator
-    /// ends `Completed`.
-    #[test]
-    fn retryable_faults_with_budget_preserve_rows(seed in any::<u64>(), kind in 0usize..3) {
+/// Retry safety net over the same seeded chains: any retryable fault
+/// (panic, kill, poisoned mailbox) under a sufficient budget yields
+/// sorted rows identical to the fault-free run — the replayed
+/// quantum delivers every tuple exactly once — and every operator
+/// ends `Completed`.
+#[test]
+fn retryable_faults_with_budget_preserve_rows() {
+    for_seeds(LIVE_CASES, |rng| {
+        let seed = rng.next_u64();
+        let kind = rng.range(0..3usize);
         use scriptflow::workflow::fault::{random_chain, FaultPlan};
         use scriptflow::workflow::{OperatorState, RetryConfig, RetryPolicy};
         let (wf, handle, _names) = random_chain(seed);
         let (_trace, clean) = LiveExecutor::new(8).with_pool_size(1).run_observed(&wf);
-        prop_assert!(clean.is_ok());
-        let mut want: Vec<String> =
-            handle.results().iter().map(|t| t.to_string()).collect();
+        assert!(clean.is_ok());
+        let mut want: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
         want.sort_unstable();
 
         let plan = match kind {
@@ -590,16 +730,15 @@ proptest! {
             .with_faults(plan)
             .with_retry(RetryConfig::uniform(RetryPolicy::default()))
             .run_observed(&wf);
-        prop_assert!(
+        assert!(
             result.is_ok(),
             "the default budget absorbs the fault: {:?}",
             result.err()
         );
-        let mut got: Vec<String> =
-            handle.results().iter().map(|t| t.to_string()).collect();
+        let mut got: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
         got.sort_unstable();
-        prop_assert_eq!(got, want);
+        assert_eq!(got, want);
         let (_, last) = trace.samples.last().expect("retried runs keep a trace");
-        prop_assert!(last.iter().all(|s| s.state == OperatorState::Completed));
-    }
+        assert!(last.iter().all(|s| s.state == OperatorState::Completed));
+    });
 }

@@ -7,15 +7,17 @@
 //! seed must reproduce the identical failure fingerprint through the
 //! service path that it produces through the solo executor path.
 //!
-//! CI (`scripts/ci.sh`) runs this suite twice, mirroring
-//! `chaos_faults.rs`: `CHAOS_RETRIES=0` exercises the storm with
-//! retries disabled, `CHAOS_RETRIES=1` arms a retry budget on the
-//! noisy tenant so every replayed quantum parks on the service timer
-//! instead of sleeping a shared worker.
+//! The isolation sweep runs every seed twice: once with retries
+//! disabled, once with a retry budget armed on the noisy tenant so
+//! every replayed quantum parks on the service timer instead of
+//! sleeping a shared worker.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{assert_threads_drained, thread_baseline};
 use scriptflow::datakit::{Batch, DataType, Schema, Value};
 use scriptflow::workflow::fault::{random_chain, FaultPlan};
 use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkHandle, SinkOp};
@@ -50,44 +52,6 @@ fn fingerprint(trace: &ProgressTrace, err: &str) -> String {
     format!("{:?} | {} | {}", final_states(trace), err, timeline)
 }
 
-/// Live threads in this process (one `/proc/self/task` entry per task).
-#[cfg(target_os = "linux")]
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs is available on the test platform")
-        .count()
-}
-
-/// Assert the process thread count returns to at most `baseline`,
-/// polling briefly: service workers are joined when the
-/// [`WorkflowService`] drops, but the OS may report the task entry a
-/// beat longer.
-#[cfg(target_os = "linux")]
-fn assert_threads_drained(baseline: usize, context: &str) {
-    use std::time::Instant;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let now = live_threads();
-        if now <= baseline {
-            return;
-        }
-        if Instant::now() > deadline {
-            panic!("{context}: {now} threads alive, baseline {baseline}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Portable fallback: reaching the call at all proves the service's
-/// `Drop` joined its workers — the count is meaningless off-Linux.
-#[cfg(not(target_os = "linux"))]
-fn live_threads() -> usize {
-    0
-}
-
-#[cfg(not(target_os = "linux"))]
-fn assert_threads_drained(_baseline: usize, _context: &str) {}
-
 /// Sink rows as a sorted multiset of debug renderings — the
 /// order-independent exactly-once comparison the isolation tests use.
 fn sorted_rows(h: &SinkHandle) -> Vec<String> {
@@ -117,11 +81,6 @@ fn quiet_chain(rows: i64, parallelism: usize) -> (Workflow, SinkHandle) {
     (b.build().unwrap(), handle)
 }
 
-/// True when `scripts/ci.sh` is running the retry-armed leg.
-fn retries_armed() -> bool {
-    std::env::var("CHAOS_RETRIES").is_ok_and(|v| v == "1")
-}
-
 /// A retry budget whose backoff is short enough for a test but long
 /// enough that a sleeping replay would visibly wedge a 1–2 thread
 /// pool if it slept in a worker instead of parking on the timer.
@@ -134,13 +93,12 @@ fn storm_retry() -> RetryConfig {
 }
 
 /// The acceptance gate: across 32 seeds, a noisy tenant running a
-/// seeded random fault plan (plus, on the armed leg, a retry storm)
+/// seeded random fault plan (without and then with a retry storm)
 /// shares a 2-thread pool with a quiet tenant — and the quiet tenant's
 /// rows must be byte-identical to its solo-executor anchor every time.
 #[test]
 fn noisy_tenant_never_stalls_or_corrupts_quiet_neighbor_32_seeds() {
-    let baseline = live_threads();
-    let armed = retries_armed();
+    let (_serial, baseline) = thread_baseline();
 
     // One solo anchor: the quiet DAG is the same for every seed.
     let (quiet_wf, quiet_sink) = quiet_chain(2_000, 2);
@@ -149,52 +107,54 @@ fn noisy_tenant_never_stalls_or_corrupts_quiet_neighbor_32_seeds() {
     assert_eq!(solo.len(), 1_000);
 
     for seed in 0..32u64 {
-        quiet_sink.clear();
-        let (noisy_wf, _noisy_sink, ops) = random_chain(seed);
-        let plan = FaultPlan::random(seed, &ops);
-        let mut noisy_opts = RunOptions::default().with_faults(plan);
-        if armed {
-            noisy_opts = noisy_opts.with_retry(storm_retry());
-        }
+        for armed in [false, true] {
+            quiet_sink.clear();
+            let (noisy_wf, _noisy_sink, ops) = random_chain(seed);
+            let plan = FaultPlan::random(seed, &ops);
+            let mut noisy_opts = RunOptions::default().with_faults(plan);
+            if armed {
+                noisy_opts = noisy_opts.with_retry(storm_retry());
+            }
 
-        let svc = WorkflowService::new(
-            ServiceConfig::default()
-                .with_pool_size(2)
-                .with_max_active_runs(4),
-        );
-        let noisy = svc.submit("noisy", &noisy_wf, noisy_opts).unwrap();
-        let quiet = svc
-            .submit("quiet", &quiet_wf, RunOptions::default())
-            .unwrap();
-
-        let quiet_report = quiet.wait();
-        assert!(
-            quiet_report.result.is_ok(),
-            "seed {seed}: quiet neighbor failed: {:?}",
-            quiet_report.result.err()
-        );
-        assert_eq!(
-            sorted_rows(&quiet_sink),
-            solo,
-            "seed {seed}: quiet rows corrupted by the noisy tenant"
-        );
-
-        // The noisy run must also terminate — fail or succeed, never
-        // wedge — or `wait` (and the service `Drop`) would hang.
-        let noisy_report = noisy.wait();
-        let trace = &noisy_report.trace;
-        assert!(
-            !trace.samples.is_empty(),
-            "seed {seed}: noisy run lost its trace"
-        );
-        if noisy_report.result.is_err() {
-            let st = final_states(trace);
-            assert!(
-                st.iter().any(|(_, s, _, _)| *s == OperatorState::Failed),
-                "seed {seed}: failed noisy run pinned no operator: {st:?}"
+            let svc = WorkflowService::new(
+                ServiceConfig::default()
+                    .with_pool_size(2)
+                    .with_max_active_runs(4),
             );
+            let noisy = svc.submit("noisy", &noisy_wf, noisy_opts).unwrap();
+            let quiet = svc
+                .submit("quiet", &quiet_wf, RunOptions::default())
+                .unwrap();
+
+            let quiet_report = quiet.wait();
+            assert!(
+                quiet_report.result.is_ok(),
+                "seed {seed} armed {armed}: quiet neighbor failed: {:?}",
+                quiet_report.result.err()
+            );
+            assert_eq!(
+                sorted_rows(&quiet_sink),
+                solo,
+                "seed {seed} armed {armed}: quiet rows corrupted by the noisy tenant"
+            );
+
+            // The noisy run must also terminate — fail or succeed, never
+            // wedge — or `wait` (and the service `Drop`) would hang.
+            let noisy_report = noisy.wait();
+            let trace = &noisy_report.trace;
+            assert!(
+                !trace.samples.is_empty(),
+                "seed {seed} armed {armed}: noisy run lost its trace"
+            );
+            if noisy_report.result.is_err() {
+                let st = final_states(trace);
+                assert!(
+                    st.iter().any(|(_, s, _, _)| *s == OperatorState::Failed),
+                    "seed {seed} armed {armed}: failed noisy run pinned no operator: {st:?}"
+                );
+            }
+            drop(svc);
         }
-        drop(svc);
     }
     assert_threads_drained(baseline, "32-seed isolation sweep");
 }
@@ -204,7 +164,7 @@ fn noisy_tenant_never_stalls_or_corrupts_quiet_neighbor_32_seeds() {
 /// and that fingerprint matches the solo executor's for the same DAG.
 #[test]
 fn same_seed_reproduces_identical_fingerprint_through_service() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let mut prints = Vec::new();
     for _ in 0..6 {
         let (wf, _h, _names) = random_chain(5);
@@ -248,7 +208,7 @@ fn same_seed_reproduces_identical_fingerprint_through_service() {
 /// — rows stay byte-identical run over run, never doubled.
 #[test]
 fn sink_state_cannot_leak_across_concurrent_runs() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (wf, handle) = quiet_chain(20_000, 2);
     let svc = WorkflowService::new(
         ServiceConfig::default()
@@ -285,7 +245,7 @@ fn sink_state_cannot_leak_across_concurrent_runs() {
 /// charged to the tenant's `rejected` counter.
 #[test]
 fn overload_rejections_are_explicit_and_attributed() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let slow = || RunOptions::default().with_faults(FaultPlan::new(0).slow_edge("filter", 2_000));
 
     let svc = WorkflowService::new(
@@ -377,7 +337,7 @@ fn spill_join_chain() -> (Workflow, SinkHandle) {
 /// admitted and computes exactly its solo rows.
 #[test]
 fn noisy_spiller_is_rejected_while_neighbor_stays_admitted() {
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let svc = WorkflowService::new(
         ServiceConfig::default()
             .with_pool_size(2)
@@ -437,18 +397,12 @@ fn noisy_spiller_is_rejected_while_neighbor_stays_admitted() {
     assert_threads_drained(baseline, "noisy spiller quota");
 }
 
-/// A retry storm on the armed leg parks on the service timer — the
+/// A retry storm parks on the service timer — the
 /// replay still recovers every row exactly once, and the per-run stats
 /// account the attempts, all while a neighbor drains undisturbed.
 #[test]
 fn retry_storm_recovers_exactly_once_while_neighbor_drains() {
-    if !retries_armed() {
-        // Disabled leg: a storm without a budget fails the noisy run
-        // but still may not disturb the neighbor — covered by the
-        // 32-seed sweep above. This test is the armed-leg complement.
-        return;
-    }
-    let baseline = live_threads();
+    let (_serial, baseline) = thread_baseline();
     let (noisy_wf, noisy_sink) = quiet_chain(2_000, 2);
     let plan = FaultPlan::new(5).panic_at("filter", 100);
     let (quiet_wf, quiet_sink) = quiet_chain(2_000, 2);

@@ -6,10 +6,8 @@
 //! re-deliver every tuple exactly once, because the spilled partitions
 //! live in operator-instance state that survives the replay.
 //!
-//! CI (`scripts/ci.sh`) runs this suite under both `CHAOS_RETRIES`
-//! legs: the seed-sweep tests arm their own budgets and so run
-//! identically in both, while [`spill_chaos_retries_env_matrix`] checks
-//! the leg-specific behaviour.
+//! The seed-sweep tests arm their own budgets; the last two tests pin
+//! the two halves of the retry matrix for one kill mid-spill.
 
 use std::sync::Arc;
 
@@ -186,35 +184,35 @@ fn unbudgeted_faults_mid_spill_drain_cleanly() {
     }
 }
 
-/// Leg-specific behaviour under the CI `CHAOS_RETRIES` matrix: the
-/// disabled leg pins that an explicit `disabled()` policy is identical
-/// to no policy for a kill mid-spill; the armed leg proves zero rows
-/// are lost once the same kill runs under a budget.
+/// An explicit `disabled()` policy is identical to no policy for a kill
+/// mid-spill.
 #[test]
-fn spill_chaos_retries_env_matrix() {
-    let armed = std::env::var("CHAOS_RETRIES").is_ok_and(|v| v == "1");
+fn disabled_retries_mid_spill_are_identical_to_no_policy() {
     let seed = 13u64;
-    if !armed {
-        let fp = |retry: Option<RetryConfig>| {
-            let (wf, _h) = spill_join(seed);
-            let mut exec = LiveExecutor::new(16)
-                .with_pool_size(1)
-                .with_memory_budget(Some(BUDGET))
-                .with_faults(FaultPlan::new(seed).kill_worker("join", 30));
-            if let Some(r) = retry {
-                exec = exec.with_retry(r);
-            }
-            let (trace, result) = exec.run_observed(&wf);
-            let err = result.expect_err("no budget: the kill fails").to_string();
-            format!("{:?} | {err}", final_states(&trace))
-        };
-        assert_eq!(
-            fp(Some(RetryConfig::uniform(RetryPolicy::disabled()))),
-            fp(None),
-            "disabled retries mid-spill are byte-identical to no policy"
-        );
-        return;
-    }
+    let fp = |retry: Option<RetryConfig>| {
+        let (wf, _h) = spill_join(seed);
+        let mut exec = LiveExecutor::new(16)
+            .with_pool_size(1)
+            .with_memory_budget(Some(BUDGET))
+            .with_faults(FaultPlan::new(seed).kill_worker("join", 30));
+        if let Some(r) = retry {
+            exec = exec.with_retry(r);
+        }
+        let (trace, result) = exec.run_observed(&wf);
+        let err = result.expect_err("no budget: the kill fails").to_string();
+        format!("{:?} | {err}", final_states(&trace))
+    };
+    assert_eq!(
+        fp(Some(RetryConfig::uniform(RetryPolicy::disabled()))),
+        fp(None),
+        "disabled retries mid-spill are byte-identical to no policy"
+    );
+}
+
+/// Zero rows are lost once the same kill runs under a budget.
+#[test]
+fn armed_retries_mid_spill_lose_no_rows() {
+    let seed = 13u64;
     let clean = clean_spilling_rows(seed);
     let (wf, h) = spill_join(seed);
     let (_trace, result) = LiveExecutor::new(16)
@@ -223,6 +221,6 @@ fn spill_chaos_retries_env_matrix() {
         .with_faults(FaultPlan::new(seed).kill_worker("join", 30))
         .with_retry(RetryConfig::uniform(RetryPolicy::default()))
         .run_observed(&wf);
-    result.unwrap_or_else(|e| panic!("armed leg: {e}"));
-    assert_eq!(sorted_rows(&h), clean, "armed leg: zero lost rows");
+    result.unwrap_or_else(|e| panic!("armed: {e}"));
+    assert_eq!(sorted_rows(&h), clean, "armed: zero lost rows");
 }
