@@ -1,4 +1,4 @@
-//! Engine throughput harness: pooled vs thread-per-worker live execution.
+//! Engine throughput harness for the pooled live executor.
 //!
 //! A plain binary, so CI can run it and archive machine-readable numbers:
 //!
@@ -8,12 +8,12 @@
 //! cargo run --release -p scriptflow-bench --bin bench_engine -- --backend both
 //! ```
 //!
-//! Writes `BENCH_engine.json`: tuples/sec for every (workload, mode,
+//! Writes `BENCH_engine.json`: tuples/sec for every (workload,
 //! parallelism) configuration, including the broadcast-join acceptance
 //! workload where `Arc`-shared batches replace per-worker deep clones.
 //! Each configuration also carries a per-operator breakdown (tuple
-//! counts, busy time, terminal state) plus, in pooled mode, the sampled
-//! progress trace from the live observability layer.
+//! counts, busy time, terminal state) plus the sampled progress trace
+//! from the live observability layer.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,8 +25,7 @@ use scriptflow_datakit::{Batch, CmpOp, DataType, Schema, Value};
 use scriptflow_workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp};
 use scriptflow_workflow::trace::counter_fields;
 use scriptflow_workflow::{
-    EngineConfig, ExecMode, PartitionStrategy, ResultCache, RunMetrics, TraceJson, Workflow,
-    WorkflowBuilder,
+    EngineConfig, PartitionStrategy, ResultCache, RunMetrics, TraceJson, Workflow, WorkflowBuilder,
 };
 
 fn int_batch(n: i64) -> Batch {
@@ -131,13 +130,6 @@ fn spill_join(rows: i64, workers: usize) -> Workflow {
     b.build().unwrap()
 }
 
-fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Pooled => "pooled",
-        ExecMode::ThreadPerWorker => "threads",
-    }
-}
-
 /// Per-operator breakdown of one run, from the executor's metrics.
 fn operators_json(metrics: &RunMetrics) -> Json {
     Json::Array(
@@ -164,7 +156,6 @@ fn operators_json(metrics: &RunMetrics) -> Json {
 #[allow(clippy::too_many_arguments)]
 fn measure(
     workload: &str,
-    mode: ExecMode,
     columnar: bool,
     memory_budget: Option<usize>,
     parallelism: usize,
@@ -173,7 +164,6 @@ fn measure(
     build: impl Fn() -> Workflow,
 ) -> Json {
     let exec = backend::live_executor(backend::LIVE_BATCH)
-        .with_mode(mode)
         .with_columnar(columnar)
         .with_memory_budget(memory_budget);
     // Warm-up run (thread spawn, allocator churn) not measured.
@@ -193,13 +183,13 @@ fn measure(
     let tps = tuples as f64 / best.max(1e-9);
     println!(
         "{workload:>16}  {:>8}  {layout:>8}  p={parallelism}  {tuples:>8} tuples  {:>10.3} ms  {:>12.0} tuples/s  {skipped:>5} skipped  {spilled:>5} spilled",
-        mode_name(mode),
+        "pooled",
         best * 1e3,
         tps
     );
     let mut fields = vec![
         ("workload".into(), Json::Str(workload.into())),
-        ("mode".into(), Json::Str(mode_name(mode).into())),
+        ("mode".into(), Json::Str("pooled".into())),
         ("batchLayout".into(), Json::Str(layout.into())),
         (
             "memoryBudget".into(),
@@ -212,18 +202,15 @@ fn measure(
     ];
     fields.extend(counter_fields(&counters));
     fields.push(("operators".into(), operators_json(&last.metrics)));
-    // One extra observed run (untimed) to archive a sampled trace; only
-    // the pooled executor has the live observability layer.
-    if mode == ExecMode::Pooled {
-        let res = exec
-            .with_trace(Duration::from_millis(1))
-            .run(&build())
-            .expect("bench workflow must run");
-        fields.push((
-            "trace".into(),
-            TraceJson::from_trace(&res.trace).into_document(),
-        ));
-    }
+    // One extra observed run (untimed) to archive a sampled trace.
+    let res = exec
+        .with_trace(Duration::from_millis(1))
+        .run(&build())
+        .expect("bench workflow must run");
+    fields.push((
+        "trace".into(),
+        TraceJson::from_trace(&res.trace).into_document(),
+    ));
     Json::Object(fields)
 }
 
@@ -383,31 +370,19 @@ fn main() {
     }
     if choice.includes(BackendKind::Live) {
         for &workers in &[1usize, 2, 4, 8] {
-            for &mode in &[ExecMode::Pooled, ExecMode::ThreadPerWorker] {
-                configs.push(measure(
-                    "filter_pipeline",
-                    mode,
-                    false,
-                    None,
-                    workers,
-                    n,
-                    reps,
-                    || filter_pipeline(n, workers),
-                ));
-            }
-        }
-        for &mode in &[ExecMode::Pooled, ExecMode::ThreadPerWorker] {
             configs.push(measure(
-                "broadcast_join",
-                mode,
+                "filter_pipeline",
                 false,
                 None,
-                4,
+                workers,
                 n,
                 reps,
-                || broadcast_join(n, 4),
+                || filter_pipeline(n, workers),
             ));
         }
+        configs.push(measure("broadcast_join", false, None, 4, n, reps, || {
+            broadcast_join(n, 4)
+        }));
         // Row-vs-columnar acceptance pair: same DAG, same pooled
         // executor, only the batch layout differs. The columnar row must
         // show non-zero batchesSkipped (zone maps pruning the sorted
@@ -415,7 +390,6 @@ fn main() {
         for &columnar in &[false, true] {
             configs.push(measure(
                 "selective_filter",
-                ExecMode::Pooled,
                 columnar,
                 None,
                 4,
@@ -433,7 +407,6 @@ fn main() {
         for &budget in &[None, Some(4usize << 10)] {
             configs.push(measure(
                 "spill_join",
-                ExecMode::Pooled,
                 false,
                 budget,
                 4,

@@ -9,24 +9,36 @@
 //!    benchmark drive it to measure the real cost of the pipelined
 //!    architecture on the host.
 //!
-//! Two execution modes are available (see [`ExecMode`]):
+//! [`LiveExecutor::new`] is the pooled executor: a fixed-size worker
+//! pool time-slices operator-worker *tasks*, in the style of Databend's
+//! `PipelineExecutor`. Edges are bounded mailboxes with backpressure, and
+//! payloads travel as [`SharedBatch`]es — `Arc`-shared immutable tuple
+//! batches, so broadcast and multi-consumer edges share one allocation
+//! instead of deep-cloning every tuple per worker. Partitioners are
+//! compiled once per edge at DAG-build time
+//! ([`crate::dag::Workflow::partitioner`]), and routing *moves* tuples
+//! into reusable per-worker scatter buffers — the hot path performs no
+//! per-tuple name lookups and no per-tuple allocation.
 //!
-//! * **Pooled** (default): a fixed-size worker pool schedules
-//!   operator-worker *tasks* from a run queue, in the style of Databend's
-//!   `PipelineExecutor`. Edges are bounded mailboxes with backpressure,
-//!   and payloads travel as [`SharedBatch`]es — `Arc`-shared immutable
-//!   tuple batches, so broadcast and multi-consumer edges share one
-//!   allocation instead of deep-cloning every tuple per worker.
-//!   Partitioners are compiled once per edge at DAG-build time
-//!   ([`crate::dag::Workflow::partitioner`]), and routing *moves* tuples
-//!   into reusable per-worker scatter buffers — the hot path performs no
-//!   per-tuple name lookups and no per-tuple allocation.
-//! * **ThreadPerWorker**: the original executor — one OS thread per
-//!   operator worker, unbounded channels, per-tuple deep-clone routing.
-//!   Retained as the benchmark baseline the pooled executor is measured
-//!   against.
+//! This module owns what one run is made of — the task set
+//! (`build_tasks`), the per-run core (`Pool`: mailboxes, routing,
+//! the quantum `Pool::step`, fault and retry hooks, counters) and the
+//! result assembly. It owns no threads and no ready queue. There is
+//! **one scheduler**, [`crate::service`]'s: a pooled
+//! [`LiveExecutor::run`] is a one-run client of it — it starts a private
+//! scheduler with its own `pool_size` threads, submits the run, waits on
+//! its seat and joins the threads — and a
+//! [`crate::service::WorkflowService`] is the same scheduler kept alive
+//! across many tenants' runs. Worker loop, ready queue, stall detector,
+//! retry-backoff timer, result finalizer and cache plan/commit exist
+//! once, there.
 //!
-//! # Scheduling and deadlock freedom (pooled mode)
+//! [`LiveExecutor::thread_per_worker`] is the original executor — one OS
+//! thread per operator worker, unbounded channels, per-tuple deep-clone
+//! routing. It shares no scheduling code with the pooled executor, which
+//! is why the repo benchmark checks pooled row digests against it.
+//!
+//! # Scheduling and deadlock freedom (pooled)
 //!
 //! Pool threads never block on a data channel. A producer whose
 //! destination mailbox is full parks the message in its own outbox,
@@ -39,22 +51,23 @@
 //! blocked producer is eventually woken — bounded channels cannot wedge
 //! the pool, which the diamond-DAG regression test exercises.
 //!
-//! # Observability (pooled mode)
+//! # Observability (pooled)
 //!
 //! Pooled runs feed a [`LiveTracer`] from per-task hooks: operator
 //! lifecycle transitions, input/output tuple counters, per-worker busy
 //! time, mailbox depth, and backpressure stalls — all relaxed atomics,
 //! so tracing never takes a lock on the hot path. With
-//! [`LiveExecutor::with_trace`] a sampler thread turns those counters
-//! into the same [`ProgressTrace`]/[`crate::trace::OperatorSnapshot`]
-//! shape the simulated executor emits, so [`crate::gui`] and
+//! [`LiveExecutor::with_trace`] the thread waiting for the run samples
+//! those counters into the same
+//! [`ProgressTrace`]/[`crate::trace::OperatorSnapshot`] shape the
+//! simulated executor emits, so [`crate::gui`] and
 //! [`crate::trace::render_timeline`] replay live and simulated runs
 //! identically (the paper's Fig. 9 display, on real threads). Even
 //! without an interval, every pooled run ends with one terminal sample,
 //! and [`LiveExecutor::run_observed`] hands the trace back on failures
 //! too.
 //!
-//! # Failure semantics (pooled mode)
+//! # Failure semantics (pooled)
 //!
 //! Any operator failure — an organic error, an injected
 //! [`crate::fault::FaultPlan`] fault, or a captured worker panic — puts
@@ -65,23 +78,25 @@
 //! blocks, and finishes once every input port has closed. The rest of
 //! the pipeline runs to completion on whatever data made it through, the
 //! run returns `Err` carrying the first failure, every pool thread
-//! joins, and the partial trace survives. A worker panic is caught in
-//! the pool thread's loop and surfaces as a `Failed` operator in the
-//! same way. If a fault starves the pipeline of EOS entirely (a dropped
-//! end-of-stream), the last idle pool thread detects quiescence and
-//! synthesizes the missing markers so the run still terminates.
+//! joins, and the partial trace survives. A worker panic is caught
+//! around the quantum (`Pool::step`) and surfaces as a `Failed`
+//! operator in the same way. If a fault starves the pipeline of EOS
+//! entirely (a dropped end-of-stream), the scheduler detects quiescence
+//! and has `Pool::recover_stall` synthesize the missing markers so the
+//! run still terminates.
 //!
 //! With a [`crate::retry::RetryPolicy`] ([`LiveExecutor::with_retry`]),
 //! a faulted quantum is first charged against the operator's retry
-//! budget: the pool sleeps the backoff and replays the quantum's held
-//! input batch — exactly once per tuple — surfacing
-//! [`OperatorState::Retrying`] in the trace. Only an exhausted budget
-//! falls through to the drain path above.
+//! budget: the task is parked for the backoff — its worker goes on to
+//! other tasks — and then replays the quantum's held input batch,
+//! exactly once per tuple, surfacing [`OperatorState::Retrying`] in the
+//! trace. Only an exhausted budget falls through to the drain path
+//! above.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use scriptflow_core::BackendKind;
@@ -95,30 +110,10 @@ use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryConfig, RetryPolicy};
-use crate::sync::{lock, wait, wait_for};
+use crate::service::{RunOptions, ServiceConfig, TenantQuota};
+use crate::sync::lock;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 use crate::trace_live::LiveTracer;
-
-/// Which concurrency model [`LiveExecutor::run`] uses.
-///
-/// # Examples
-///
-/// ```
-/// use scriptflow_workflow::{ExecMode, LiveExecutor};
-///
-/// // The default executor is pooled; the baseline is opt-in.
-/// let baseline = LiveExecutor::new(64).with_mode(ExecMode::ThreadPerWorker);
-/// # let _ = baseline;
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One OS thread per operator worker, unbounded channels, deep-clone
-    /// routing — the original executor, kept as the bench baseline.
-    ThreadPerWorker,
-    /// Fixed-size pool scheduling operator-worker tasks from a run queue,
-    /// bounded mailboxes with backpressure, `Arc`-shared batch routing.
-    Pooled,
-}
 
 /// Counters from a pooled run (absent in thread-per-worker mode).
 ///
@@ -235,7 +230,8 @@ pub type LiveRunResult = EngineRun;
 /// ```
 pub struct LiveExecutor {
     batch_size: usize,
-    mode: ExecMode,
+    /// `false` only for [`LiveExecutor::thread_per_worker`].
+    pooled: bool,
     pool_size: Option<usize>,
     channel_capacity: usize,
     trace_interval: Option<Duration>,
@@ -266,7 +262,7 @@ impl LiveExecutor {
         assert!(batch_size > 0, "batch size must be positive");
         LiveExecutor {
             batch_size,
-            mode: ExecMode::Pooled,
+            pooled: true,
             pool_size: None,
             channel_capacity: 64,
             trace_interval: None,
@@ -278,7 +274,10 @@ impl LiveExecutor {
         }
     }
 
-    /// The original thread-per-worker executor (benchmark baseline).
+    /// The original thread-per-worker executor: one OS thread per
+    /// operator worker, unbounded channels, per-tuple deep-clone routing.
+    /// It shares no scheduling code with the pooled executor, which is
+    /// what makes it the reference the pooled rows are checked against.
     ///
     /// # Examples
     ///
@@ -288,21 +287,10 @@ impl LiveExecutor {
     /// # let _ = baseline;
     /// ```
     pub fn thread_per_worker(batch_size: usize) -> Self {
-        LiveExecutor::new(batch_size).with_mode(ExecMode::ThreadPerWorker)
-    }
-
-    /// Select the concurrency model.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::{ExecMode, LiveExecutor};
-    /// let exec = LiveExecutor::new(64).with_mode(ExecMode::Pooled);
-    /// # let _ = exec;
-    /// ```
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
+        LiveExecutor {
+            pooled: false,
+            ..LiveExecutor::new(batch_size)
+        }
     }
 
     /// Pool thread count (pooled mode; default = host cores).
@@ -337,9 +325,9 @@ impl LiveExecutor {
     }
 
     /// Sample per-operator progress on this wall-clock interval (pooled
-    /// mode). A sampler thread snapshots the tracer at the start of the
-    /// run and every `interval` thereafter; without this the trace holds
-    /// only the terminal sample.
+    /// mode). The thread waiting for the run snapshots the tracer at the
+    /// start of the run and every `interval` thereafter; without this the
+    /// trace holds only the terminal sample.
     ///
     /// # Examples
     ///
@@ -387,9 +375,10 @@ impl LiveExecutor {
     /// Per-operator retry budgets for faulted run quanta (pooled mode;
     /// see [`crate::retry`]). When a quantum faults — a caught panic, a
     /// killed worker, a poisoned mailbox payload, a decode error — and
-    /// the operator's [`RetryPolicy`] has budget left, the pool sleeps
-    /// the backoff and replays the quantum's held input batch instead of
-    /// flipping the operator to sticky `Failed`; tuples are delivered
+    /// the operator's [`RetryPolicy`] has budget left, the task is parked
+    /// for the backoff (its worker moves on to other tasks) and then
+    /// replays the quantum's held input batch instead of flipping the
+    /// operator to sticky `Failed`; tuples are delivered
     /// exactly once across replays. Only an exhausted budget degrades to
     /// the drain path. The default configuration is disabled, which is
     /// byte-identical to the pre-retry executor.
@@ -549,30 +538,28 @@ impl LiveExecutor {
     /// assert!(last.iter().any(|s| s.state == OperatorState::Failed));
     /// ```
     pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
-        match self.mode {
-            ExecMode::Pooled => {
-                let Some(cache) = self.result_cache.clone() else {
-                    return self.run_pooled(wf);
-                };
-                // The replay-read charge only prices the simulator's
-                // virtual clock; live replay cost is real wall-clock.
-                let plan = crate::cache::prepare(wf, &cache, SimDuration::ZERO);
-                let (mut trace, mut result) = self.run_pooled(&plan.wf);
-                if let Ok(res) = &mut result {
-                    // Publish only recordings from clean runs: a faulted
-                    // or replayed quantum may have teed partial output.
-                    let clean = res
-                        .pool
-                        .is_some_and(|p| p.faults_injected == 0 && p.retries_attempted == 0);
-                    if clean {
-                        crate::cache::commit_recordings_as(&plan.recordings, &cache, None)
-                            .apply_to(res, &mut trace);
-                    }
-                }
-                (trace, result)
-            }
-            ExecMode::ThreadPerWorker => (ProgressTrace::default(), self.run_threads(wf)),
+        if !self.pooled {
+            return (ProgressTrace::default(), self.run_threads(wf));
         }
+        let mut config = ServiceConfig::default()
+            .with_max_active_runs(1)
+            .with_default_quota(TenantQuota::default().with_mailbox_budget(self.channel_capacity));
+        if let Some(threads) = self.pool_size {
+            config = config.with_pool_size(threads);
+        }
+        if let Some(cache) = &self.result_cache {
+            config = config.with_result_cache(Arc::clone(cache));
+        }
+        let mut opts = RunOptions::default()
+            .with_batch_size(self.batch_size)
+            .with_columnar(self.columnar)
+            .with_retry(self.retry.clone())
+            .with_memory_budget(self.memory_budget)
+            .with_result_cache(self.result_cache.is_some());
+        if let Some(plan) = &self.faults {
+            opts = opts.with_faults(plan.clone());
+        }
+        crate::service::run_solo(config, wf, opts, self.trace_interval)
     }
 }
 
@@ -584,8 +571,7 @@ fn makespan_of(elapsed: Duration) -> SimTime {
 /// is the run's initial per-operator telemetry
 /// ([`OperatorMetrics::for_workflow`], captured at submission so a run
 /// finalized later does not have to hold the DAG); everything counted
-/// since is read back from `tracer`. Shared by the single-run pooled
-/// path and the multi-tenant service's per-run finalizer.
+/// since is read back from `tracer`.
 pub(crate) fn assemble_live_result(
     ops: &[OperatorMetrics],
     total_workers: usize,
@@ -733,9 +719,8 @@ struct TaskInner {
     /// The task replayed at least one faulted quantum (feeds
     /// [`PoolStats::retries_succeeded`] if it still finishes cleanly).
     retried: bool,
-    /// Deferred retry backoff (shared-pool mode): the task must not run
-    /// again before this instant. `None` everywhere else — single-run
-    /// pools sleep the backoff inside the quantum instead.
+    /// Armed retry backoff: the task must not run again before this
+    /// instant.
     park_until: Option<Instant>,
 }
 
@@ -763,12 +748,10 @@ enum RunOutcome {
     Done,
 }
 
-/// Scheduler half of a run executing on a *shared* worker pool (see
-/// [`crate::service`]). A [`Pool`] constructed with
-/// [`Pool::for_service`] owns no worker threads and no run queue of its
-/// own: ready tasks, deferred-retry parks, and run completion are
-/// reported here, and the process-wide service decides which run's
-/// quantum each shared worker executes next.
+/// The scheduler a run's [`Pool`] reports to (see [`crate::service`]).
+/// A [`Pool`] owns no worker threads and no ready queue: ready tasks,
+/// retry-backoff parks, and run completion are reported here, and the
+/// scheduler decides which run's quantum each worker executes next.
 pub(crate) trait QuantumScheduler: Send + Sync {
     /// Task `tid` of run `run` is ready to execute a quantum.
     fn task_ready(&self, run: u64, tid: usize);
@@ -779,86 +762,57 @@ pub(crate) trait QuantumScheduler: Send + Sync {
     fn run_finished(&self, run: u64);
 }
 
+/// One run's task set and counters. Worker threads, the ready queue and
+/// the stall detector belong to the [`QuantumScheduler`] it reports to.
 pub(crate) struct Pool {
     tasks: Vec<Task>,
-    run_queue: Mutex<VecDeque<usize>>,
-    cv: Condvar,
     shutdown: AtomicBool,
     error: Mutex<Option<WorkflowError>>,
     active: AtomicUsize,
     /// Compiled fault plan consulted on the hot path (None = no faults).
     faults: Option<CompiledFaults>,
-    /// Worker-thread count, for the quiescence (stall) detector.
+    /// Worker-thread count of the scheduler's pool, for [`PoolStats`].
     pool_threads: usize,
-    /// Pool threads currently parked on the run-queue condvar.
-    idle_threads: AtomicUsize,
     /// Times `recover_stall` ran (dropped-EOS recovery).
     stall_recoveries: AtomicU64,
     /// Per-operator observability counters (tuple counts, states, busy
     /// time, mailbox depth, stalls) — fed inline by the hooks below.
     tracer: LiveTracer,
+    /// Interval samples taken while the run executes ([`Pool::sample`]).
+    samples: Mutex<Vec<(SimTime, Vec<OperatorSnapshot>)>>,
     task_runs: AtomicU64,
     batches_sent: AtomicU64,
     /// Faulted quanta replayed under a retry budget.
     retries_attempted: AtomicU64,
     /// Retried tasks that still finished cleanly.
     retries_succeeded: AtomicU64,
-    /// Seat for the sampler thread; the condvar lets the pool cut the
-    /// sampler's final interval short at shutdown.
-    sampler_seat: Mutex<()>,
-    sampler_cv: Condvar,
-    /// Shared-pool mode: scheduling events route to the service
-    /// scheduler under this run id instead of the local run queue. The
-    /// `Weak` breaks the service ↔ run reference cycle.
-    sched: Option<(Weak<dyn QuantumScheduler>, u64)>,
-    /// Convert retry backoffs into timed parks instead of sleeping the
-    /// worker thread (shared-pool mode: a worker sleeping one tenant's
-    /// backoff would stall every other tenant's quanta).
-    defer_retries: bool,
+    /// Where scheduling events go, under run id `run`. The `Weak` breaks
+    /// the scheduler ↔ run reference cycle.
+    sched: Weak<dyn QuantumScheduler>,
+    run: u64,
 }
 
 impl Pool {
     fn enqueue(&self, tid: usize) {
-        if let Some((sched, run)) = &self.sched {
-            if let Some(s) = sched.upgrade() {
-                s.task_ready(*run, tid);
-            }
-            return;
+        if let Some(s) = self.sched.upgrade() {
+            s.task_ready(self.run, tid);
         }
-        lock(&self.run_queue).push_back(tid);
-        self.cv.notify_one();
     }
 
     /// Account one task reaching `Done`. The last one flips the run's
-    /// shutdown flag and notifies whoever owns the worker threads: the
-    /// local pool's condvars, or the service scheduler.
+    /// shutdown flag and tells the scheduler.
     fn task_done(&self) {
         if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.shutdown.store(true, Ordering::Release);
-            if let Some((sched, run)) = &self.sched {
-                if let Some(s) = sched.upgrade() {
-                    s.run_finished(*run);
-                }
-            } else {
-                // Workers check `shutdown` and start waiting under the
-                // run-queue lock; notifying under it too means a worker
-                // between its check and its wait cannot miss the wake-up
-                // and sleep for ever.
-                let _queue = lock(&self.run_queue);
-                self.cv.notify_all();
-                self.sampler_cv.notify_all();
+            if let Some(s) = self.sched.upgrade() {
+                s.run_finished(self.run);
             }
         }
     }
 
-    /// Build a pool core for one run executing on the *shared* service
-    /// pool: no local worker threads, no local run queue — every
-    /// scheduling event routes to `sched` under `run`, and retry
-    /// backoffs become timed parks instead of worker sleeps.
-    /// `pool_threads` records the shared pool's width (it feeds
-    /// [`PoolStats`] and the stall detector's quiescence math, which
-    /// the service replicates externally via [`Pool::has_active_tasks`]).
-    pub(crate) fn for_service(
+    /// Build the core of run `run`, executing on `sched`'s workers.
+    /// `pool_threads` records that pool's width for [`PoolStats`].
+    pub(crate) fn new(
         tasks: Vec<Task>,
         faults: Option<CompiledFaults>,
         pool_threads: usize,
@@ -869,30 +823,26 @@ impl Pool {
         let n_tasks = tasks.len();
         Pool {
             tasks,
-            run_queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             error: Mutex::new(None),
             active: AtomicUsize::new(n_tasks),
             faults,
             pool_threads,
-            idle_threads: AtomicUsize::new(0),
             stall_recoveries: AtomicU64::new(0),
             tracer,
+            samples: Mutex::new(Vec::new()),
             task_runs: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
             retries_attempted: AtomicU64::new(0),
             retries_succeeded: AtomicU64::new(0),
-            sampler_seat: Mutex::new(()),
-            sampler_cv: Condvar::new(),
-            sched: Some((sched, run)),
-            defer_retries: true,
+            sched,
+            run,
         }
     }
 
-    /// Mark every task `QUEUED` and return the task ids, in order. The
-    /// service feeds them straight into the run's ready list (the local
-    /// executor seeds its own run queue under the queue lock instead).
+    /// Mark every task `QUEUED` and return the task ids, in order: every
+    /// task gets one initial quantum (sources start emitting, consumers
+    /// find empty mailboxes and go idle until woken).
     pub(crate) fn seed_all(&self) -> Vec<usize> {
         for task in &self.tasks {
             task.state.store(QUEUED, Ordering::Release);
@@ -905,7 +855,7 @@ impl Pool {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Tasks still nominally active — used by the service's quiescence
+    /// Tasks still nominally active — used by the scheduler's quiescence
     /// detector: a run with active tasks, an empty ready list, and no
     /// running quanta has stalled (dropped EOS) and needs
     /// [`Pool::recover_stall`].
@@ -923,14 +873,16 @@ impl Pool {
         &self.tracer
     }
 
-    /// Assemble the run's terminal [`ProgressTrace`]. Service runs are
-    /// not interval-sampled (the terminal sample still captures final
-    /// states and counters); pass any interval samples collected.
-    pub(crate) fn finish_trace(
-        &self,
-        samples: Vec<(SimTime, Vec<OperatorSnapshot>)>,
-    ) -> ProgressTrace {
-        self.tracer.finish(samples)
+    /// Record one interval sample of the run's progress.
+    pub(crate) fn sample(&self) {
+        lock(&self.samples).push(self.tracer.snapshot());
+    }
+
+    /// Assemble the run's [`ProgressTrace`]: the interval samples taken
+    /// so far, then the terminal sample.
+    pub(crate) fn finish_trace(&self) -> ProgressTrace {
+        self.tracer
+            .finish(std::mem::take(&mut *lock(&self.samples)))
     }
 
     /// Snapshot the run's executor counters into [`PoolStats`].
@@ -1021,18 +973,15 @@ impl Pool {
     }
 
     /// Consume one replay from the task's retry budget for a faulted
-    /// quantum: serve the backoff (see below), surface
-    /// [`OperatorState::Retrying`], and return `true` — the caller
-    /// replays instead of failing. Returns `false` with the budget
-    /// untouched once it is exhausted: the fault degrades to the drain
-    /// path exactly as it would without a policy.
+    /// quantum: arm the backoff, surface [`OperatorState::Retrying`], and
+    /// return `true` — the caller replays instead of failing. Returns
+    /// `false` with the budget untouched once it is exhausted: the fault
+    /// degrades to the drain path exactly as it would without a policy.
     ///
-    /// On a run-private pool the backoff is slept inside the task's own
-    /// quantum (the rest of the pool keeps running). On a shared service
-    /// pool sleeping would hand one tenant's backoff to every tenant, so
-    /// the task is *parked* instead: the quantum finishes, the service
-    /// timer re-queues the task once the backoff elapses, and the shared
-    /// workers stay available throughout.
+    /// The backoff is never slept: the task is *parked* — the quantum
+    /// finishes, the scheduler's timer re-queues the task once the
+    /// backoff elapses, and the workers stay available to every other
+    /// task throughout.
     fn try_retry(&self, meta: &TaskStatic, inner: &mut TaskInner) -> bool {
         if !self.budget_left(meta, inner) {
             return false;
@@ -1043,12 +992,8 @@ impl Pool {
         self.retries_attempted.fetch_add(1, Ordering::Relaxed);
         self.tracer.on_retrying(meta.op);
         if !delay.is_zero() {
-            if self.defer_retries {
-                let until = Instant::now() + delay;
-                inner.park_until = Some(inner.park_until.map_or(until, |u| u.max(until)));
-            } else {
-                std::thread::sleep(delay);
-            }
+            let until = Instant::now() + delay;
+            inner.park_until = Some(inner.park_until.map_or(until, |u| u.max(until)));
         }
         true
     }
@@ -1611,7 +1556,7 @@ impl Pool {
             }
             if inner.drop_eos {
                 // Dropped-EOS fault: finish without telling downstream.
-                // The pool's stall detector eventually synthesizes the
+                // The scheduler's stall detector eventually synthesizes the
                 // missing markers; the drop itself is the recorded
                 // failure.
                 if self
@@ -1724,15 +1669,14 @@ impl Pool {
         RunOutcome::Yield
     }
 
-    /// Last-resort recovery, run by the final pool thread to go idle
-    /// while tasks are still active: some EOS markers were dropped (a
+    /// Last-resort recovery, run by the scheduler once its whole pool has
+    /// gone quiet while tasks are still active: some EOS markers were
+    /// dropped (a
     /// [`crate::fault::FaultKind::DropEos`] fault), so starving consumers
     /// are handed synthesized EOS and marked [`OperatorState::Degraded`].
     /// If there is nothing to synthesize, the stragglers are
     /// force-finished so the run still terminates — once the pipeline is
-    /// wedged, termination beats completeness. On a run-private pool the
-    /// last idle worker calls this; on a shared service pool the service
-    /// invokes it for each wedged run once the whole pool goes quiet.
+    /// wedged, termination beats completeness.
     pub(crate) fn recover_stall(&self) {
         self.stall_recoveries.fetch_add(1, Ordering::Relaxed);
         let mut progressed = false;
@@ -1797,46 +1741,11 @@ impl Pool {
         }
     }
 
-    fn worker_loop(&self) {
-        loop {
-            let tid = {
-                let mut q = lock(&self.run_queue);
-                loop {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Some(t) = q.pop_front() {
-                        break t;
-                    }
-                    // Quiescence check: every pool thread parked, nothing
-                    // queued, tasks still nominally active — the pipeline
-                    // has stalled (a dropped EOS). The last thread to
-                    // park recovers it, outside the queue lock.
-                    let idle = self.idle_threads.fetch_add(1, Ordering::AcqRel) + 1;
-                    if idle == self.pool_threads
-                        && self.active.load(Ordering::Acquire) > 0
-                        && q.is_empty()
-                    {
-                        self.idle_threads.fetch_sub(1, Ordering::AcqRel);
-                        drop(q);
-                        self.recover_stall();
-                        q = lock(&self.run_queue);
-                        continue;
-                    }
-                    q = wait(&self.cv, q);
-                    self.idle_threads.fetch_sub(1, Ordering::AcqRel);
-                }
-            };
-            self.step(tid);
-        }
-    }
-
     /// Execute one scheduling round of task `tid`: claim it
     /// (`QUEUED → RUNNING`), run one quantum with panic capture, and
-    /// dispatch the outcome — re-queue, park (deferred retry backoff),
-    /// idle, or completion accounting. Stale queue entries (the task was
-    /// already claimed or re-queued) are skipped. Shared by the local
-    /// [`Pool::worker_loop`] and the service's pool-wide workers.
+    /// dispatch the outcome — re-queue, park (retry backoff), idle, or
+    /// completion accounting. Stale queue entries (the task was already
+    /// claimed or re-queued) are skipped.
     pub(crate) fn step(&self, tid: usize) {
         let task = &self.tasks[tid];
         if task
@@ -1850,8 +1759,7 @@ impl Pool {
         // A panic inside the quantum — organic or injected — costs
         // one operator, not the pool: capture it here, mark the
         // owner `Failed`, and let the task drain like any other
-        // failure. This is what keeps a scoped-thread join from
-        // tearing the whole run down.
+        // failure.
         let outcome =
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_task(tid))) {
                 Ok(o) => o,
@@ -1881,18 +1789,18 @@ impl Pool {
         match outcome {
             RunOutcome::More => {
                 task.state.store(QUEUED, Ordering::Release);
-                // A deferred retry parks the task until its backoff
-                // elapses instead of re-queuing it immediately. The
-                // QUEUED state it keeps while parked means later
-                // `schedule` calls treat it as already queued.
+                // A retry backoff parks the task until it elapses
+                // instead of re-queuing it immediately. The QUEUED state
+                // it keeps while parked means later `schedule` calls
+                // treat it as already queued.
                 let park = lock(&task.inner).park_until.take();
-                match (park, &self.sched) {
-                    (Some(until), Some((sched, run))) => {
-                        if let Some(s) = sched.upgrade() {
-                            s.task_parked(*run, tid, until);
+                match park {
+                    Some(until) => {
+                        if let Some(s) = self.sched.upgrade() {
+                            s.task_parked(self.run, tid, until);
                         }
                     }
-                    _ => self.enqueue(tid),
+                    None => self.enqueue(tid),
                 }
             }
             RunOutcome::Yield => {
@@ -1969,9 +1877,8 @@ pub(crate) fn default_pool_size() -> usize {
 
 /// Build the per-(operator, worker) task set for `wf`: routing tables,
 /// mailboxes, pre-chunked source partitions, and the fault/retry knobs
-/// baked into each task's static half. Shared by the single-run pooled
-/// executor and the multi-tenant service (which builds tasks at submit
-/// time, before the run is admitted to the shared pool).
+/// baked into each task's static half. Built at submission, before
+/// the run is admitted to the pool.
 pub(crate) fn build_tasks(
     wf: &Workflow,
     batch_size: usize,
@@ -2068,125 +1975,6 @@ pub(crate) fn build_tasks(
         }
     }
     tasks
-}
-
-impl LiveExecutor {
-    fn run_pooled(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
-        let start = Instant::now();
-
-        // A fault plan naming an unknown operator is a harness bug:
-        // refuse the run before spawning anything.
-        let faults = match &self.faults {
-            Some(plan) => match CompiledFaults::compile(plan, wf) {
-                Ok(f) => Some(f),
-                Err(e) => return (ProgressTrace::default(), Err(e)),
-            },
-            None => None,
-        };
-
-        let tasks = build_tasks(
-            wf,
-            self.batch_size,
-            self.channel_capacity,
-            faults.as_ref(),
-            &self.retry,
-            self.columnar,
-            self.memory_budget,
-        );
-
-        let n_tasks = tasks.len();
-        let pool_threads = self.pool_size.unwrap_or_else(default_pool_size).max(1);
-        let ops = OperatorMetrics::for_workflow(wf);
-        let pool = Pool {
-            tasks,
-            run_queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            error: Mutex::new(None),
-            active: AtomicUsize::new(n_tasks),
-            faults,
-            pool_threads,
-            idle_threads: AtomicUsize::new(0),
-            stall_recoveries: AtomicU64::new(0),
-            tracer: LiveTracer::primed(&ops),
-            task_runs: AtomicU64::new(0),
-            batches_sent: AtomicU64::new(0),
-            retries_attempted: AtomicU64::new(0),
-            retries_succeeded: AtomicU64::new(0),
-            sampler_seat: Mutex::new(()),
-            sampler_cv: Condvar::new(),
-            sched: None,
-            defer_retries: false,
-        };
-
-        // Seed: every task gets one initial run (sources start emitting,
-        // consumers find empty mailboxes and go idle until woken).
-        {
-            let mut q = lock(&pool.run_queue);
-            for (tid, task) in pool.tasks.iter().enumerate() {
-                task.state.store(QUEUED, Ordering::Release);
-                q.push_back(tid);
-            }
-        }
-
-        // Interval samples collected by the sampler thread; the terminal
-        // sample is appended by `finish` after the pool drains.
-        let samples = Mutex::new(Vec::new());
-        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                for _ in 0..pool_threads {
-                    scope.spawn(|| pool.worker_loop());
-                }
-                if let Some(interval) = self.trace_interval {
-                    lock(&samples).push(pool.tracer.snapshot());
-                    let (pool, samples) = (&pool, &samples);
-                    scope.spawn(move || {
-                        let mut seat = lock(&pool.sampler_seat);
-                        while !pool.shutdown.load(Ordering::Acquire) {
-                            // Either the interval elapses (sample and loop) or
-                            // shutdown notifies the condvar (re-check and exit);
-                            // a missed notify costs at most one extra interval.
-                            seat = wait_for(&pool.sampler_cv, seat, interval);
-                            if pool.shutdown.load(Ordering::Acquire) {
-                                break;
-                            }
-                            lock(samples).push(pool.tracer.snapshot());
-                        }
-                    });
-                }
-            })
-        }));
-        // Task panics are captured inside `worker_loop`, so reaching this
-        // arm means the pool infrastructure itself panicked mid-join.
-        // Record it as the run's error instead of propagating the abort;
-        // the trace assembled below is still intact.
-        if joined.is_err() {
-            let mut g = lock(&pool.error);
-            if g.is_none() {
-                *g = Some(WorkflowError::OperatorFailed {
-                    operator: "<pool>".to_owned(),
-                    message: "a pool thread panicked outside task execution".to_owned(),
-                });
-            }
-        }
-
-        let trace = pool.tracer.finish(std::mem::take(&mut *lock(&samples)));
-
-        if let Some(e) = lock(&pool.error).take() {
-            return (trace, Err(e));
-        }
-
-        let elapsed = start.elapsed();
-        let result = assemble_live_result(
-            &ops,
-            wf.total_workers(),
-            elapsed,
-            &pool.tracer,
-            pool.stats(),
-            trace.clone(),
-        );
-        (trace, Ok(result))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2746,12 +2534,21 @@ mod tests {
     #[test]
     fn pooled_trace_is_sampled_and_terminal() {
         let mut handle = None;
-        let wf = build_filter_wf(2_000, &mut handle);
+        let wf = build_filter_wf(400, &mut handle);
+        // A benign slow edge (1 ms per forwarded batch, 50 batches)
+        // keeps the run going for many sampling intervals.
         let res = LiveExecutor::new(8)
-            .with_trace(Duration::from_micros(100))
+            .with_trace(Duration::from_millis(1))
+            .with_faults(FaultPlan::new(0).slow_edge("scan", 1_000))
             .run(&wf)
             .unwrap();
-        assert!(!res.trace.is_empty());
+        // Start sample, at least one interval sample, terminal sample.
+        assert!(res.trace.len() >= 3, "{} samples", res.trace.len());
+        let (_, first) = res.trace.samples.first().unwrap();
+        assert!(
+            first.iter().any(|s| !s.state.is_terminal()),
+            "the start sample is taken while the run executes"
+        );
         // The terminal sample mirrors the final metrics exactly.
         let (_, last) = res.trace.samples.last().unwrap();
         for snap in last {
@@ -2794,12 +2591,20 @@ mod tests {
         b.connect(scan, bad, 0, PartitionStrategy::RoundRobin);
         b.connect(bad, sink, 0, PartitionStrategy::Single);
         let wf = b.build().unwrap();
-        let (trace, result) = LiveExecutor::new(8).run_observed(&wf);
-        assert!(result.is_err());
-        assert!(!trace.is_empty());
-        let (_, last) = trace.samples.last().unwrap();
-        let boom = last.iter().find(|s| s.name == "boom").unwrap();
-        assert_eq!(boom.state, OperatorState::Failed);
+        // Sampled or not, a failed run hands its trace back.
+        for exec in [
+            LiveExecutor::new(8),
+            LiveExecutor::new(8).with_trace(Duration::from_millis(1)),
+        ] {
+            let sampled = exec.trace_interval.is_some();
+            let (trace, result) = exec.run_observed(&wf);
+            assert!(result.is_err());
+            // The terminal sample, after the start sample if sampling.
+            assert!(trace.len() > usize::from(sampled));
+            let (_, last) = trace.samples.last().unwrap();
+            let boom = last.iter().find(|s| s.name == "boom").unwrap();
+            assert_eq!(boom.state, OperatorState::Failed);
+        }
     }
 
     #[test]
@@ -2900,7 +2705,10 @@ mod tests {
 
     #[test]
     fn pooled_error_surfaces_in_both_modes() {
-        for mode in [ExecMode::Pooled, ExecMode::ThreadPerWorker] {
+        for (mode, exec) in [
+            ("pooled", LiveExecutor::new(8)),
+            ("thread-per-worker", LiveExecutor::thread_per_worker(8)),
+        ] {
             let mut b = WorkflowBuilder::new();
             let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(50))), 1);
             let bad = b.add(
@@ -2914,9 +2722,123 @@ mod tests {
             b.connect(scan, bad, 0, PartitionStrategy::RoundRobin);
             b.connect(bad, sink, 0, PartitionStrategy::Single);
             let wf = b.build().unwrap();
-            let err = LiveExecutor::new(8).with_mode(mode).run(&wf).unwrap_err();
-            assert!(err.to_string().contains("exploder"), "{mode:?}: {err}");
+            let err = exec.run(&wf).unwrap_err();
+            assert!(err.to_string().contains("exploder"), "{mode}: {err}");
         }
+    }
+
+    /// A 1-thread pool must not serve a retry backoff by sleeping its
+    /// only worker: the faulted task is parked and the worker runs the
+    /// DAG's other branch meanwhile.
+    #[test]
+    fn one_thread_pool_runs_another_branch_while_a_retry_backs_off() {
+        use crate::retry::Backoff;
+        const BACKOFF: Duration = Duration::from_millis(50);
+        let faulted_at: Arc<Mutex<Option<Instant>>> = Arc::new(Mutex::new(None));
+        let during_backoff = Arc::new(AtomicU64::new(0));
+
+        let mut b = WorkflowBuilder::new();
+        let scan_a = b.add(Arc::new(ScanOp::new("scan_a", int_batch(40))), 1);
+        let mark = faulted_at.clone();
+        let flaky = b.add(
+            Arc::new(FilterOp::new("flaky", move |_| {
+                let mut at = lock(&mark);
+                if at.is_none() {
+                    *at = Some(Instant::now());
+                    return Err(scriptflow_datakit::DataError::Decode {
+                        line: 0,
+                        message: "transient".into(),
+                    });
+                }
+                Ok(true)
+            })),
+            1,
+        );
+        let sink_a_op = SinkOp::new("sink_a");
+        let rows_a = sink_a_op.handle();
+        let sink_a = b.add(Arc::new(sink_a_op), 1);
+        let scan_b = b.add(Arc::new(ScanOp::new("scan_b", int_batch(400))), 1);
+        let (mark, seen) = (faulted_at.clone(), during_backoff.clone());
+        let other = b.add(
+            Arc::new(FilterOp::new("other", move |_| {
+                if lock(&mark).is_some_and(|at| at.elapsed() < BACKOFF) {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(true)
+            })),
+            1,
+        );
+        let sink_b_op = SinkOp::new("sink_b");
+        let rows_b = sink_b_op.handle();
+        let sink_b = b.add(Arc::new(sink_b_op), 1);
+        b.connect(scan_a, flaky, 0, PartitionStrategy::RoundRobin);
+        b.connect(flaky, sink_a, 0, PartitionStrategy::Single);
+        b.connect(scan_b, other, 0, PartitionStrategy::RoundRobin);
+        b.connect(other, sink_b, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+
+        let policy = RetryPolicy::attempts(3).with_backoff(Backoff {
+            base: BACKOFF,
+            factor: 1,
+            cap: BACKOFF,
+        });
+        let res = LiveExecutor::new(8)
+            .with_pool_size(1)
+            .with_retry(RetryConfig::uniform(policy))
+            .run(&wf)
+            .unwrap();
+        assert_eq!(res.pool.unwrap().retries_succeeded, 1);
+        assert_eq!((rows_a.len(), rows_b.len()), (40, 400));
+        assert!(res.elapsed >= BACKOFF, "the backoff is still served");
+        assert!(
+            during_backoff.load(Ordering::Relaxed) > 0,
+            "the only worker must run `other` while `flaky` backs off"
+        );
+    }
+
+    /// The executor's contract where a service tenant's differs (see
+    /// `service::Shared::solo`): the sink is the caller's to clear, and
+    /// `elapsed` covers task construction.
+    #[test]
+    fn solo_run_keeps_the_sink_and_times_task_construction() {
+        /// A scan whose partitioning takes `DELAY`.
+        struct SlowScan(ScanOp);
+        const DELAY: Duration = Duration::from_millis(30);
+        impl crate::operator::OperatorFactory for SlowScan {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn input_ports(&self) -> usize {
+                0
+            }
+            fn output_schema(
+                &self,
+                inputs: &[scriptflow_datakit::SchemaRef],
+            ) -> WorkflowResult<Schema> {
+                self.0.output_schema(inputs)
+            }
+            fn create(&self) -> Box<dyn Operator> {
+                self.0.create()
+            }
+            fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
+                std::thread::sleep(DELAY);
+                self.0.source_partitions(workers)
+            }
+        }
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(Arc::new(SlowScan(ScanOp::new("scan", int_batch(20)))), 1);
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(scan, sink, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+
+        let exec = LiveExecutor::new(8).with_pool_size(1);
+        let first = exec.run(&wf).unwrap();
+        assert!(first.elapsed >= DELAY, "{:?}", first.elapsed);
+        assert_eq!(first.metrics.makespan, makespan_of(first.elapsed));
+        exec.run(&wf).unwrap();
+        assert_eq!(handle.len(), 40, "a second run appends to the sink");
     }
 
     /// The non-poisoning behaviour the chaos suites rely on: a panic

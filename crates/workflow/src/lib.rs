@@ -104,7 +104,7 @@ pub use cache::{
 };
 pub use cost::{CostProfile, EngineConfig};
 pub use dag::{EdgeId, OpId, Workflow, WorkflowBuilder};
-pub use exec_live::{ExecMode, LiveExecutor, LiveRunResult, PoolStats};
+pub use exec_live::{LiveExecutor, LiveRunResult, PoolStats};
 pub use exec_sim::SimExecutor;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};

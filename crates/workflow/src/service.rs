@@ -1,14 +1,22 @@
-//! Multi-tenant workflow service: many concurrent DAGs on one shared
-//! worker pool.
+//! The pooled scheduler, and the multi-tenant workflow service on top
+//! of it: many concurrent DAGs on one shared worker pool.
 //!
-//! Every [`crate::exec_live::LiveExecutor`] run owns a private pool; a
-//! production engine serving many interactively-edited pipelines runs
+//! A production engine serving many interactively-edited pipelines runs
 //! hundreds of concurrent workflow instances against **one** fixed pool.
-//! [`WorkflowService`] lifts the pool out of the run, in the style of
+//! [`WorkflowService`] keeps the pool outside the run, in the style of
 //! Databend's `initialize_executor(workers)` / `schedule(worker_num)`
 //! split: runs are *submitted*, the service admits them, and a fixed set
 //! of worker threads time-slices operator quanta across every admitted
 //! run.
+//!
+//! This is the only pooled scheduler in the crate. A pooled
+//! [`crate::exec_live::LiveExecutor`] run is the degenerate case: a
+//! private instance of this scheduler (its own `pool_size` threads,
+//! `max_active_runs = 1`, mailbox bound = the executor's channel
+//! capacity, the executor's [`ResultCache`] if it has one) that admits
+//! one run, is waited on, and is joined — see `run_solo`, and
+//! `Shared::solo` for where its contract differs from a tenant's
+//! submission.
 //!
 //! # Admission
 //!
@@ -43,18 +51,18 @@
 //!
 //! Isolation is load-bearing, not best-effort:
 //!
-//! * **Retry storms park, never sleep.** A single-run pool serves a
-//!   retry backoff by sleeping its worker; on a shared pool that would
-//!   stall neighbors. Service runs defer the backoff instead — the task
-//!   is parked with a deadline, the worker moves on to another run's
-//!   quantum, and a timer re-readies the task when the backoff elapses.
+//! * **Retry storms park, never sleep.** A worker sleeping one task's
+//!   retry backoff would stall every other task and every neighbor. The
+//!   task is parked with a deadline instead, the worker moves on to
+//!   another quantum, and a timer re-readies the task when the backoff
+//!   elapses.
 //! * **Per-run mailbox budgets.** Each run's mailboxes are bounded by
 //!   its tenant's [`TenantQuota::mailbox_budget`], so one run's
 //!   backpressure holds *its own* producers, not the pool.
 //! * **Per-run fault domains.** Faults, drain-mode failures, and stall
 //!   recovery (dropped EOS) are all scoped to the owning run's task set;
-//!   a wedged run is force-finished by the same quiescence detector the
-//!   single-run pool uses, while neighbors keep executing.
+//!   a wedged run is recovered or force-finished by the quiescence
+//!   detector while neighbors keep executing.
 //!
 //! # Observability
 //!
@@ -347,8 +355,8 @@ impl RunOptions {
         self
     }
 
-    /// Per-operator retry policy. On the shared pool, backoffs park the
-    /// task on a timer instead of sleeping a worker.
+    /// Per-operator retry policy. Backoffs park the task on a timer
+    /// instead of sleeping a worker.
     pub fn with_retry(mut self, retry: RetryConfig) -> Self {
         self.retry = retry;
         self
@@ -539,7 +547,8 @@ struct Seat {
 
 enum Slot {
     Queued,
-    Running,
+    /// Executing; the core is what a sampling waiter snapshots.
+    Running(Arc<Pool>),
     Finished(Option<Box<RunReport>>),
 }
 
@@ -600,7 +609,7 @@ impl RunHandle {
     pub fn status(&self) -> RunStatus {
         match &*lock(&self.seat.slot) {
             Slot::Queued => RunStatus::Queued,
-            Slot::Running => RunStatus::Running,
+            Slot::Running(_) => RunStatus::Running,
             Slot::Finished(_) => RunStatus::Finished,
         }
     }
@@ -613,14 +622,30 @@ impl RunHandle {
     /// Block until the run drains, consuming the handle and returning
     /// its [`RunReport`].
     pub fn wait(self) -> RunReport {
+        self.wait_sampling(None)
+    }
+
+    /// [`RunHandle::wait`], recording a progress sample of the running
+    /// core now and after every `interval` spent waiting
+    /// ([`crate::exec_live::LiveExecutor::with_trace`]). The seat's
+    /// condvar is notified only when the run finishes, which cuts the
+    /// last interval short.
+    fn wait_sampling(self, interval: Option<Duration>) -> RunReport {
         let mut slot = lock(&self.seat.slot);
         loop {
-            if let Slot::Finished(report) = &mut *slot {
-                return *report
-                    .take()
-                    .expect("report taken once: wait() consumes the handle");
+            match &mut *slot {
+                Slot::Finished(report) => {
+                    return *report
+                        .take()
+                        .expect("report taken once: wait() consumes the handle")
+                }
+                Slot::Running(core) if interval.is_some() => core.sample(),
+                _ => {}
             }
-            slot = wait(&self.seat.cv, slot);
+            slot = match interval {
+                Some(interval) => wait_for(&self.seat.cv, slot, interval),
+                None => wait(&self.seat.cv, slot),
+            };
         }
     }
 }
@@ -686,6 +711,8 @@ struct PendingRun {
     run_id: u64,
     tenant: String,
     seat: Arc<Seat>,
+    /// When `submit` was entered, before any task was built.
+    entered: Instant,
     submitted: Instant,
     tasks: Vec<Task>,
     faults: Option<CompiledFaults>,
@@ -730,6 +757,8 @@ struct ActiveRun {
     weight: u64,
     submitted: Instant,
     dispatched: Instant,
+    /// What the result's `elapsed` counts from.
+    started: Instant,
     ops: Vec<OperatorMetrics>,
     total_workers: usize,
     sink_ids: Vec<usize>,
@@ -771,6 +800,15 @@ struct Shared {
     /// One result cache per service, shared by every tenant whose runs
     /// opt in via [`RunOptions::with_result_cache`].
     cache: Arc<ResultCache>,
+    /// This scheduler serves one [`crate::exec_live::LiveExecutor`] run
+    /// ([`run_solo`]) and keeps that executor's contract where a
+    /// tenant's submission differs: sinks are not cleared at dispatch
+    /// (the caller owns them — [`crate::backend::ExecBackend::run`]
+    /// clears), `elapsed` counts from submission so it covers task
+    /// construction, and cache entries it publishes have no owner. Its
+    /// workers are also left unnamed, so they keep the calling thread's
+    /// name as the executor's pool threads always did.
+    solo: bool,
 }
 
 impl QuantumScheduler for Shared {
@@ -800,8 +838,8 @@ impl QuantumScheduler for Shared {
 
 impl Shared {
     /// Move a pending run onto the pool: clear factory-shared state
-    /// (the "sink cleared per run" invariant), wire its core to this
-    /// scheduler, and seed every task as ready.
+    /// (the "sink cleared per run" invariant; not on a solo run), wire
+    /// its core to this scheduler, and seed every task as ready.
     fn dispatch(this: &Arc<Shared>, st: &mut SvcState, mut p: PendingRun) {
         // Cache-enabled submissions plan now, against everything
         // published so far (including by the identical run that may
@@ -830,12 +868,14 @@ impl Shared {
             cache_fp = Some(cs.workflow_fp);
             recordings = plan.recordings;
         }
-        for f in &p.factories {
-            f.reset_shared_state();
+        if !this.solo {
+            for f in &p.factories {
+                f.reset_shared_state();
+            }
         }
         let tracer = LiveTracer::primed(&p.ops);
         let sched: Weak<dyn QuantumScheduler> = Arc::downgrade(this) as Weak<dyn QuantumScheduler>;
-        let core = Arc::new(Pool::for_service(
+        let core = Arc::new(Pool::new(
             p.tasks,
             p.faults,
             this.pool_threads,
@@ -851,7 +891,8 @@ impl Shared {
         // Start at the minimum active virtual time: the newcomer gets
         // its fair share immediately without erasing history.
         let vtime = st.active.iter().map(|r| r.vtime).min().unwrap_or(0);
-        *lock(&p.seat.slot) = Slot::Running;
+        *lock(&p.seat.slot) = Slot::Running(Arc::clone(&core));
+        let dispatched = Instant::now();
         st.active.push(ActiveRun {
             run_id: p.run_id,
             tenant: p.tenant,
@@ -862,7 +903,8 @@ impl Shared {
             vtime,
             weight,
             submitted: p.submitted,
-            dispatched: Instant::now(),
+            dispatched,
+            started: if this.solo { p.entered } else { dispatched },
             ops: p.ops,
             total_workers: p.total_workers,
             sink_ids: p.sink_ids,
@@ -883,18 +925,19 @@ impl Shared {
     /// Assemble a drained run's report, settle tenant accounting, and
     /// publish it to the seat.
     fn finalize(&self, st: &mut SvcState, run: ActiveRun) {
-        let mut trace = run.core.finish_trace(Vec::new());
+        let mut trace = run.core.finish_trace();
         let err = run.core.take_error();
-        let elapsed = run.dispatched.elapsed();
+        let elapsed = run.started.elapsed();
         let pool_stats = run.core.stats();
         // Publish recordings only from clean runs: a faulted or
         // replayed quantum may have teed partial output (the same
-        // discipline as the solo executors). Entries are charged to the
+        // discipline as the simulator). Entries are charged to the
         // submitting tenant so quota accounting can track live bytes.
         let clean =
             err.is_none() && pool_stats.faults_injected == 0 && pool_stats.retries_attempted == 0;
         let commit = if clean {
-            commit_recordings_as(&run.recordings, &self.cache, Some(&run.tenant))
+            let owner = (!self.solo).then_some(run.tenant.as_str());
+            commit_recordings_as(&run.recordings, &self.cache, owner)
         } else {
             CommitStats::default()
         };
@@ -1125,6 +1168,10 @@ pub struct WorkflowService {
 impl WorkflowService {
     /// Start a service per `config`, spawning its worker pool.
     pub fn new(config: ServiceConfig) -> Self {
+        Self::start(config, false)
+    }
+
+    fn start(config: ServiceConfig, solo: bool) -> Self {
         let pool_threads = config.pool_size.unwrap_or_else(default_pool_size).max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(SvcState {
@@ -1146,12 +1193,16 @@ impl WorkflowService {
             cache: config
                 .result_cache
                 .unwrap_or_else(|| Arc::new(ResultCache::new())),
+            solo,
         });
         let workers = (0..pool_threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("wf-svc-{i}"))
+                let mut thread = std::thread::Builder::new();
+                if !solo {
+                    thread = thread.name(format!("wf-svc-{i}"));
+                }
+                thread
                     .spawn(move || shared.worker())
                     .expect("spawn service worker")
             })
@@ -1168,6 +1219,7 @@ impl WorkflowService {
         wf: &Workflow,
         opts: RunOptions,
     ) -> Result<RunHandle, SubmitError> {
+        let entered = Instant::now();
         // Validate and size the run before taking the scheduler lock:
         // task construction (operator instances, pre-chunked sources)
         // must not stall the pool.
@@ -1315,6 +1367,7 @@ impl WorkflowService {
             run_id,
             tenant: tenant.to_owned(),
             seat: Arc::clone(&seat),
+            entered,
             submitted: Instant::now(),
             tasks,
             faults,
@@ -1405,6 +1458,31 @@ impl Drop for WorkflowService {
     }
 }
 
+/// The body of a pooled [`crate::exec_live::LiveExecutor::run_observed`]:
+/// run `wf` alone on a private scheduler sized by `config`, sampling its
+/// progress every `trace_interval` if one is given, and join the pool.
+pub(crate) fn run_solo(
+    config: ServiceConfig,
+    wf: &Workflow,
+    opts: RunOptions,
+    trace_interval: Option<Duration>,
+) -> (ProgressTrace, WorkflowResult<EngineRun>) {
+    let svc = WorkflowService::start(config, true);
+    match svc.submit("", wf, opts) {
+        Ok(run) => {
+            let report = run.wait_sampling(trace_interval);
+            (report.trace, report.result)
+        }
+        // A fresh single-run service refuses nothing but an invalid
+        // fault plan.
+        Err(SubmitError::Invalid(e)) => (ProgressTrace::default(), Err(e)),
+        Err(other) => (
+            ProgressTrace::default(),
+            Err(WorkflowError::InvalidDag(other.to_string())),
+        ),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -1457,9 +1535,10 @@ mod tests {
     #[test]
     fn single_run_matches_solo_executor() {
         let (wf, handle) = chain(200, 2);
+        // The anchor shares no scheduling code with the service (a
+        // pooled `LiveExecutor` run *is* this scheduler).
         let solo = {
-            let res = LiveExecutor::new(32).with_pool_size(2).run(&wf).unwrap();
-            assert!(res.pool.is_some());
+            LiveExecutor::thread_per_worker(32).run(&wf).unwrap();
             let rows = sorted_rows(&handle);
             handle.clear();
             rows
@@ -1479,6 +1558,24 @@ mod tests {
         assert_eq!(sorted_rows(&handle), solo);
         assert!(res.pool.is_some());
         assert_eq!(res.metrics.operators.len(), 3);
+    }
+
+    #[test]
+    fn solo_dropped_eos_is_recovered_by_the_stall_detector() {
+        let (wf, _handle) = chain(200, 2);
+        let svc = WorkflowService::start(ServiceConfig::default().with_pool_size(2), true);
+        let opts = RunOptions::default().with_faults(FaultPlan::new(3).drop_eos("scan"));
+        let run = svc.submit("", &wf, opts).unwrap();
+        let core = match &*lock(&run.seat.slot) {
+            Slot::Running(core) => Arc::clone(core),
+            _ => panic!("a solo run is dispatched at submission"),
+        };
+        let report = run.wait();
+        let err = report.result.expect_err("dropping EOS fails the run");
+        assert!(err.to_string().contains("end-of-stream"), "{err}");
+        assert!(core.stats().stall_recoveries >= 1);
+        let (_, last) = report.trace.samples.last().unwrap();
+        assert!(last.iter().all(|s| s.state.is_terminal()), "{last:?}");
     }
 
     #[test]

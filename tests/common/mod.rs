@@ -21,8 +21,8 @@ pub fn thread_baseline() -> (MutexGuard<'static, ()>, usize) {
 /// the tests waiting for [`COUNTING`] are such threads, coming and going
 /// while the holder counts. So this counts by kernel thread name
 /// (`comm`): libtest names each test's thread after the test and a
-/// thread inherits the `comm` of the thread that spawned it, so pool and
-/// sampler threads carry the calling test's name; service workers name
+/// thread inherits the `comm` of the thread that spawned it, so a solo
+/// run's pool threads carry the calling test's name; service workers name
 /// themselves `wf-svc-<i>`, and the lock keeps other tests' workers out.
 /// (`comm` keeps 15 bytes: a test that runs beside this suite's counting
 /// tests without the lock needs a name that differs from theirs by then.)

@@ -12,7 +12,7 @@ use scriptflow::workflow::ops::{
     AggFn, AggregateOp, DistinctOp, FilterOp, HashJoinOp, ProjectOp, ScanOp, SinkHandle, SinkOp,
 };
 use scriptflow::workflow::{
-    EngineConfig, ExecMode, LiveExecutor, PartitionStrategy, SimExecutor, Workflow, WorkflowBuilder,
+    EngineConfig, LiveExecutor, PartitionStrategy, SimExecutor, Workflow, WorkflowBuilder,
 };
 
 fn int_batch(n: i64, modulus: i64) -> Batch {
@@ -99,17 +99,17 @@ fn sim_and_live_agree_on_gnarly_workflows() {
         .unwrap();
 
         // Both live concurrency models must match the simulation exactly.
-        for mode in [ExecMode::Pooled, ExecMode::ThreadPerWorker] {
+        for (mode, exec) in [
+            ("pooled", LiveExecutor::new(128)),
+            ("thread-per-worker", LiveExecutor::thread_per_worker(128)),
+        ] {
             let (wf_live, h_live) = gnarly(n, workers);
-            LiveExecutor::new(128)
-                .with_mode(mode)
-                .run(&wf_live)
-                .unwrap();
+            exec.run(&wf_live).unwrap();
 
             assert_eq!(
                 fingerprints(&h_sim),
                 fingerprints(&h_live),
-                "n={n} workers={workers} mode={mode:?}"
+                "n={n} workers={workers} mode={mode}"
             );
         }
         // Sanity: only ids not divisible by 4 and k < 7 survive the
