@@ -38,7 +38,7 @@
 //! routing. It shares no scheduling code with the pooled executor, which
 //! is why the repo benchmark checks pooled row digests against it.
 //!
-//! # Scheduling and deadlock freedom (pooled)
+//! # Scheduling and deadlock freedom (pooled mode)
 //!
 //! Pool threads never block on a data channel. A producer whose
 //! destination mailbox is full parks the message in its own outbox,
@@ -51,7 +51,7 @@
 //! blocked producer is eventually woken — bounded channels cannot wedge
 //! the pool, which the diamond-DAG regression test exercises.
 //!
-//! # Observability (pooled)
+//! # Observability (pooled mode)
 //!
 //! Pooled runs feed a [`LiveTracer`] from per-task hooks: operator
 //! lifecycle transitions, input/output tuple counters, per-worker busy
@@ -67,7 +67,7 @@
 //! and [`LiveExecutor::run_observed`] hands the trace back on failures
 //! too.
 //!
-//! # Failure semantics (pooled)
+//! # Failure semantics (pooled mode)
 //!
 //! Any operator failure — an organic error, an injected
 //! [`crate::fault::FaultPlan`] fault, or a captured worker panic — puts
@@ -1855,17 +1855,24 @@ fn seal_chunk(columnar: bool, chunk: Vec<Tuple>) -> SharedBatch {
     }
 }
 
-/// Split an owned tuple vector into `size`-bounded chunks without copying
-/// tuple data (each chunk is carved off by `split_off`).
-fn chunk_owned(mut tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
+/// Split an owned tuple vector into `size`-bounded chunks, in order.
+/// Tuples are moved, never cloned, and every chunk of a split input is
+/// allocated at exactly its length — one pass, O(n) moves, O(n) resident
+/// capacity. (`Vec::split_off` would not do: the head it leaves behind
+/// keeps the whole parent's capacity, and the tail is re-copied per chunk.)
+fn chunk_owned(tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
     debug_assert!(size > 0);
-    while tuples.len() > size {
-        let rest = tuples.split_off(size);
-        let head = std::mem::replace(&mut tuples, rest);
-        emit(head);
+    if tuples.len() <= size {
+        if !tuples.is_empty() {
+            emit(tuples);
+        }
+        return;
     }
-    if !tuples.is_empty() {
-        emit(tuples);
+    let mut rest = tuples.into_iter();
+    while rest.len() > 0 {
+        let mut chunk = Vec::with_capacity(rest.len().min(size));
+        chunk.extend(rest.by_ref().take(size));
+        emit(chunk);
     }
 }
 
@@ -2724,6 +2731,23 @@ mod tests {
             let wf = b.build().unwrap();
             let err = exec.run(&wf).unwrap_err();
             assert!(err.to_string().contains("exploder"), "{mode}: {err}");
+        }
+    }
+
+    #[test]
+    fn chunk_owned_carves_exact_chunks_in_order() {
+        const SIZE: usize = 1024;
+        for n in [0, 1, SIZE, SIZE + 1, 100_000] {
+            let input = int_batch(n as i64).into_tuples();
+            let expect: Vec<String> = input.iter().map(|t| t.to_string()).collect();
+            let mut chunks = Vec::new();
+            chunk_owned(input, SIZE, |c| chunks.push(c));
+            assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= SIZE));
+            assert_eq!(chunks.len(), n.div_ceil(SIZE));
+            let capacity: usize = chunks.iter().map(Vec::capacity).sum();
+            assert!(capacity <= n + SIZE, "n={n}: {capacity} slots held");
+            let got: Vec<String> = chunks.iter().flatten().map(|t| t.to_string()).collect();
+            assert_eq!(got, expect, "n={n}: order preserved");
         }
     }
 
