@@ -1921,19 +1921,21 @@ pub(crate) fn build_tasks(
             expected_eos[e.to_port] += wf.op(e.from).parallelism;
         }
         let blocking = node.factory.blocking_ports();
-        for local in 0..node.parallelism {
-            let source = if ports == 0 {
-                let parts = node
-                    .factory
-                    .source_partitions(node.parallelism)
-                    .expect("validated at build time");
-                let mine = parts.into_iter().nth(local).unwrap_or_default();
+        // A source is partitioned once; each worker takes its own part.
+        let mut parts = (ports == 0).then(|| {
+            node.factory
+                .source_partitions(node.parallelism)
+                .expect("validated at build time")
+                .into_iter()
+        });
+        for _ in 0..node.parallelism {
+            let source = parts.as_mut().map(|parts| {
                 let mut chunks = VecDeque::new();
-                chunk_owned(mine, batch_size, |c| chunks.push_back(c));
-                Some(chunks)
-            } else {
-                None
-            };
+                chunk_owned(parts.next().unwrap_or_default(), batch_size, |c| {
+                    chunks.push_back(c)
+                });
+                chunks
+            });
             tasks.push(Task {
                 meta: TaskStatic {
                     op: i,
@@ -2236,6 +2238,37 @@ mod tests {
     fn int_batch(n: i64) -> Batch {
         let schema = Schema::of(&[("id", DataType::Int)]);
         Batch::from_rows(schema, (0..n).map(|i| vec![Value::Int(i)]).collect()).unwrap()
+    }
+
+    /// A scan that counts the calls to its `source_partitions` and makes
+    /// each take `delay`, so task construction can be observed.
+    struct ProbedScan {
+        scan: ScanOp,
+        calls: Arc<AtomicUsize>,
+        delay: Duration,
+    }
+
+    impl crate::operator::OperatorFactory for ProbedScan {
+        fn name(&self) -> &str {
+            self.scan.name()
+        }
+        fn input_ports(&self) -> usize {
+            0
+        }
+        fn output_schema(
+            &self,
+            inputs: &[scriptflow_datakit::SchemaRef],
+        ) -> WorkflowResult<Schema> {
+            self.scan.output_schema(inputs)
+        }
+        fn create(&self) -> Box<dyn Operator> {
+            self.scan.create()
+        }
+        fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(self.delay);
+            self.scan.source_partitions(workers)
+        }
     }
 
     fn build_filter_wf(n: i64, sink_handle: &mut Option<crate::ops::SinkHandle>) -> Workflow {
@@ -2751,6 +2784,30 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_wide_source_is_partitioned_once_per_run() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(
+            Arc::new(ProbedScan {
+                scan: ScanOp::new("scan", int_batch(100)),
+                calls: calls.clone(),
+                delay: Duration::ZERO,
+            }),
+            4,
+        );
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(scan, sink, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+        // Building the DAG may consult the source too; count the run.
+        let before = calls.load(Ordering::SeqCst);
+        LiveExecutor::new(8).run(&wf).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst) - before, 1);
+        assert_eq!(handle.len(), 100, "every worker still emits its own part");
+    }
+
     /// A 1-thread pool must not serve a retry backoff by sleeping its
     /// only worker: the faulted task is parked and the worker runs the
     /// DAG's other branch meanwhile.
@@ -2825,32 +2882,14 @@ mod tests {
     /// `elapsed` covers task construction.
     #[test]
     fn solo_run_keeps_the_sink_and_times_task_construction() {
-        /// A scan whose partitioning takes `DELAY`.
-        struct SlowScan(ScanOp);
         const DELAY: Duration = Duration::from_millis(30);
-        impl crate::operator::OperatorFactory for SlowScan {
-            fn name(&self) -> &str {
-                self.0.name()
-            }
-            fn input_ports(&self) -> usize {
-                0
-            }
-            fn output_schema(
-                &self,
-                inputs: &[scriptflow_datakit::SchemaRef],
-            ) -> WorkflowResult<Schema> {
-                self.0.output_schema(inputs)
-            }
-            fn create(&self) -> Box<dyn Operator> {
-                self.0.create()
-            }
-            fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
-                std::thread::sleep(DELAY);
-                self.0.source_partitions(workers)
-            }
-        }
+        let slow = ProbedScan {
+            scan: ScanOp::new("scan", int_batch(20)),
+            calls: Arc::default(),
+            delay: DELAY,
+        };
         let mut b = WorkflowBuilder::new();
-        let scan = b.add(Arc::new(SlowScan(ScanOp::new("scan", int_batch(20)))), 1);
+        let scan = b.add(Arc::new(slow), 1);
         let sink_op = SinkOp::new("sink");
         let handle = sink_op.handle();
         let sink = b.add(Arc::new(sink_op), 1);
