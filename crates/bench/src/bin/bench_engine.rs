@@ -153,7 +153,6 @@ fn operators_json(metrics: &RunMetrics) -> Json {
 }
 
 /// Best-of-`reps` tuples/sec for one configuration.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     workload: &str,
     columnar: bool,
@@ -182,8 +181,7 @@ fn measure(
     let (skipped, spilled) = (counters.batches_skipped, counters.spilled_blocks);
     let tps = tuples as f64 / best.max(1e-9);
     println!(
-        "{workload:>16}  {:>8}  {layout:>8}  p={parallelism}  {tuples:>8} tuples  {:>10.3} ms  {:>12.0} tuples/s  {skipped:>5} skipped  {spilled:>5} spilled",
-        "pooled",
+        "{workload:>16}    pooled  {layout:>8}  p={parallelism}  {tuples:>8} tuples  {:>10.3} ms  {:>12.0} tuples/s  {skipped:>5} skipped  {spilled:>5} spilled",
         best * 1e3,
         tps
     );

@@ -94,7 +94,7 @@
 //! above.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -766,8 +766,8 @@ pub(crate) trait QuantumScheduler: Send + Sync {
 /// the stall detector belong to the [`QuantumScheduler`] it reports to.
 pub(crate) struct Pool {
     tasks: Vec<Task>,
-    shutdown: AtomicBool,
     error: Mutex<Option<WorkflowError>>,
+    /// Tasks that have not reached `Done`; 0 = the run is finished.
     active: AtomicUsize,
     /// Compiled fault plan consulted on the hot path (None = no faults).
     faults: Option<CompiledFaults>,
@@ -799,11 +799,10 @@ impl Pool {
         }
     }
 
-    /// Account one task reaching `Done`. The last one flips the run's
-    /// shutdown flag and tells the scheduler.
+    /// Account one task reaching `Done`. The last one tells the
+    /// scheduler the run is finished.
     fn task_done(&self) {
         if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.shutdown.store(true, Ordering::Release);
             if let Some(s) = self.sched.upgrade() {
                 s.run_finished(self.run);
             }
@@ -823,7 +822,6 @@ impl Pool {
         let n_tasks = tasks.len();
         Pool {
             tasks,
-            shutdown: AtomicBool::new(false),
             error: Mutex::new(None),
             active: AtomicUsize::new(n_tasks),
             faults,
@@ -850,17 +848,11 @@ impl Pool {
         (0..self.tasks.len()).collect()
     }
 
-    /// Every task reached `Done` (the shutdown flag flipped).
-    pub(crate) fn finished(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Tasks still nominally active — used by the scheduler's quiescence
-    /// detector: a run with active tasks, an empty ready list, and no
-    /// running quanta has stalled (dropped EOS) and needs
+    /// Every task reached `Done`. An unfinished run with an empty ready
+    /// list and no running quanta has stalled (dropped EOS) and needs
     /// [`Pool::recover_stall`].
-    pub(crate) fn has_active_tasks(&self) -> bool {
-        self.active.load(Ordering::Acquire) > 0
+    pub(crate) fn finished(&self) -> bool {
+        self.active.load(Ordering::Acquire) == 0
     }
 
     /// Take the run's first recorded error, if any.

@@ -1080,12 +1080,7 @@ impl Shared {
                 let wedged: Vec<Arc<Pool>> = st
                     .active
                     .iter()
-                    .filter(|r| {
-                        r.running == 0
-                            && r.ready.is_empty()
-                            && !r.core.finished()
-                            && r.core.has_active_tasks()
-                    })
+                    .filter(|r| r.running == 0 && r.ready.is_empty() && !r.core.finished())
                     .map(|r| Arc::clone(&r.core))
                     .collect();
                 if !wedged.is_empty() {
@@ -1475,11 +1470,13 @@ pub(crate) fn run_solo(
         }
         // A fresh single-run service refuses nothing but an invalid
         // fault plan.
-        Err(SubmitError::Invalid(e)) => (ProgressTrace::default(), Err(e)),
-        Err(other) => (
-            ProgressTrace::default(),
-            Err(WorkflowError::InvalidDag(other.to_string())),
-        ),
+        Err(refused) => {
+            let e = match refused {
+                SubmitError::Invalid(e) => e,
+                other => WorkflowError::InvalidDag(other.to_string()),
+            };
+            (ProgressTrace::default(), Err(e))
+        }
     }
 }
 
