@@ -1,59 +1,26 @@
 //! # scriptflow-bench
 //!
-//! Benchmark harness. The entry points:
+//! The paper-reproduction harness. The entry points:
 //!
 //! * `cargo run --release -p scriptflow-bench --bin repro` — regenerates
 //!   **every table and figure** of the paper (Fig. 12a/b, Table I,
 //!   Fig. 13a–d, Fig. 14a–c) plus the mechanism ablations, printing each
 //!   measured artifact next to the paper's reference numbers.
-//! * `--bin bench_engine` / `--bin bench_service` — live-engine throughput
-//!   per executor configuration and the service's closed-loop latency
-//!   curve, written to `BENCH_engine.json`.
+//! * `--bin report` — the same registry rendered as a markdown report.
+//!
+//! Performance numbers do not come from this crate: the repo's one
+//! measuring instrument is the frozen `benchmark/` tree.
 
 #![warn(missing_docs)]
 
 use scriptflow_core::{Artifact, ExperimentMeta};
 
 pub mod backend {
-    //! Backend selection shared by the bench binaries.
-    //!
-    //! `repro` and `bench_engine` both grew out of ad-hoc
-    //! `LiveExecutor::new(...)` construction; this module is the one
-    //! place that decides how a CLI `--backend` flag becomes an
-    //! [`ExecBackend`] and how a live run's trace is archived.
+    //! How `repro`'s `--backend` flag becomes a [`BackendChoice`] and how
+    //! a live run's trace is archived.
 
-    use scriptflow_core::{BackendChoice, BackendKind};
-    use scriptflow_workflow::{EngineConfig, ExecBackend, LiveExecutor, ProgressTrace, TraceJson};
-
-    /// Batch size the bench binaries hand the live executor.
-    pub const LIVE_BATCH: usize = 1024;
-
-    /// The pooled live executor every bench entry point starts from;
-    /// callers layer mode/trace options on top.
-    pub fn live_executor(batch_size: usize) -> LiveExecutor {
-        LiveExecutor::new(batch_size)
-    }
-
-    /// An [`ExecBackend`] of `kind`, wired the way the bench binaries
-    /// use it (the live side gets [`live_executor`] plus the config's
-    /// retry policy, columnar flag, memory budget and result cache —
-    /// the only other [`EngineConfig`] knobs with a wall-clock
-    /// analogue).
-    pub fn engine_of(kind: BackendKind, config: EngineConfig) -> ExecBackend {
-        match kind {
-            BackendKind::Sim => ExecBackend::sim(config),
-            BackendKind::Live => {
-                let mut exec = live_executor(config.batch_size.max(1))
-                    .with_retry(config.retry.clone())
-                    .with_columnar(config.columnar)
-                    .with_memory_budget(config.memory_budget);
-                if let Some(cache) = config.result_cache.clone() {
-                    exec = exec.with_result_cache(cache);
-                }
-                ExecBackend::from_live(exec)
-            }
-        }
-    }
+    use scriptflow_core::BackendChoice;
+    use scriptflow_workflow::{ProgressTrace, TraceJson};
 
     /// Extract a `--backend <sim|live|both>` (or `--backend=...`) flag
     /// from a CLI arg list. `Ok(None)` when the flag is absent; `Err`
@@ -107,7 +74,7 @@ mod tests {
 
     #[test]
     fn backend_flag_parsing() {
-        use scriptflow_core::{BackendChoice, BackendKind};
+        use scriptflow_core::BackendChoice;
         let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
         assert_eq!(backend::parse_backend_flag(&args(&["fig12a"])), Ok(None));
         assert_eq!(
@@ -120,15 +87,6 @@ mod tests {
         );
         assert!(backend::parse_backend_flag(&args(&["--backend", "bogus"])).is_err());
         assert!(backend::parse_backend_flag(&args(&["--backend"])).is_err());
-        let cfg = scriptflow_workflow::EngineConfig::default();
-        assert_eq!(
-            backend::engine_of(BackendKind::Live, cfg.clone()).kind(),
-            BackendKind::Live
-        );
-        assert_eq!(
-            backend::engine_of(BackendKind::Sim, cfg).kind(),
-            BackendKind::Sim
-        );
     }
 
     #[test]

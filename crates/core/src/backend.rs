@@ -6,7 +6,7 @@
 //! that runs the same operators on real OS threads and measures
 //! wall-clock time. [`BackendKind`] names one of those substrates;
 //! [`BackendChoice`] is the CLI-facing selection (`sim`, `live`, or
-//! `both`) threaded from `repro`/`bench_engine` flags down through the
+//! `both`) threaded from `repro`'s `--backend` flag down through the
 //! study experiments and the task drivers.
 //!
 //! This module deliberately lives in `core` (which knows nothing about

@@ -60,8 +60,8 @@ use crate::trace::ProgressTrace;
 /// The result of one workflow run, whichever engine produced it:
 /// [`SimExecutor::run`], [`LiveExecutor::run`] and the service's
 /// [`crate::service::RunReport`] all hand back this type, so callers
-/// (task drivers, study experiments, `repro`/`bench_engine`) handle
-/// every backend with the same code path.
+/// (task drivers, study experiments, `repro`) handle every backend
+/// with the same code path.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
     /// Which backend produced the run.
@@ -155,9 +155,8 @@ impl ExecBackend {
         ExecBackend::Live(exec)
     }
 
-    /// Backend for a [`BackendKind`], the single selection point the
-    /// `--backend` flags in `repro` and `bench_engine` both route
-    /// through.
+    /// Backend for a [`BackendKind`], the single selection point
+    /// `repro`'s `--backend` flag routes through.
     pub fn of_kind(kind: BackendKind, config: EngineConfig) -> Self {
         match kind {
             BackendKind::Sim => ExecBackend::sim(config),
@@ -196,7 +195,7 @@ impl ExecBackend {
     }
 
     /// Execute `wf` without collecting sink rows (`rows` stays empty).
-    /// For callers that only want timing/metrics, e.g. `bench_engine`.
+    /// For callers that only want timing/metrics.
     pub fn run_detached(&self, wf: &Workflow) -> WorkflowResult<EngineRun> {
         self.run_observed(wf).1
     }

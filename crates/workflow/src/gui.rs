@@ -235,7 +235,7 @@ pub fn metrics_json(metrics: &RunMetrics) -> Json {
 /// the final per-operator metrics, and the sampled progress trace, in one
 /// JSON object (`{"workflow": …, "metrics": …, "trace": …}`).
 ///
-/// This is what a front-end (or `bench_engine`) consumes to replay a run:
+/// This is what a front-end consumes to replay a run:
 /// the graph gives the layout, the metrics give the terminal Fig.-9
 /// counters, and the trace gives the animation frames. Works identically
 /// for simulated and live runs.

@@ -104,17 +104,16 @@ pub fn render_timeline(trace: &ProgressTrace) -> String {
 }
 
 /// `counters` as JSON object fields under their wire keys
-/// ([`OpCounters::wire`]) — how every document that reports counters
-/// (`TraceJson`, `BENCH_engine.json`) spells them.
-pub fn counter_fields(counters: &OpCounters) -> impl Iterator<Item = (String, Json)> {
+/// ([`OpCounters::wire`]) — how `TraceJson` spells them.
+fn counter_fields(counters: &OpCounters) -> impl Iterator<Item = (String, Json)> {
     counters
         .wire()
         .map(|(key, v)| (key.to_owned(), Json::Int(v as i64)))
 }
 
 /// A [`ProgressTrace`] as a JSON document — the wire format a web
-/// front-end (or `BENCH_engine.json`) consumes, with a lossless
-/// round-trip back into the in-memory trace.
+/// front-end consumes, with a lossless round-trip back into the
+/// in-memory trace.
 ///
 /// Layout:
 ///
