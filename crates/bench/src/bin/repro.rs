@@ -23,7 +23,7 @@
 //! live run's sampled trace under `artifacts/trace_live_<task>.json`.
 
 use scriptflow_bench::{backend, render_side_by_side};
-use scriptflow_core::{BackendChoice, BackendKind, Calibration, Table};
+use scriptflow_core::{BackendChoice, BackendKind, Calibration, Registry, Table};
 use scriptflow_study::{
     ablation_registry, conclusions, fault_registry, incremental_registry, registry,
     service_registry, spill_registry,
@@ -107,13 +107,52 @@ fn backend_comparison(choice: BackendChoice) {
     println!("{t}");
 }
 
+/// An opt-in section printed after the paper's own artifacts. It runs
+/// whole under its flag, or just the experiments named positionally
+/// (`repro edit-loop`).
+struct Section {
+    flag: &'static str,
+    banner: &'static str,
+    registry: fn() -> Registry,
+    /// Ablations have no paper artifact to print beside the measurement.
+    paper_side: bool,
+}
+
+const SECTIONS: [Section; 5] = [
+    Section {
+        flag: "--fault",
+        banner: "#################### FAULT TOLERANCE ####################",
+        registry: fault_registry,
+        paper_side: true,
+    },
+    Section {
+        flag: "--service",
+        banner: "#################### MULTI-TENANT SERVICE ####################",
+        registry: service_registry,
+        paper_side: true,
+    },
+    Section {
+        flag: "--spill",
+        banner: "#################### BOUNDED MEMORY (spill) ####################",
+        registry: spill_registry,
+        paper_side: true,
+    },
+    Section {
+        flag: "--cache",
+        banner: "#################### INCREMENTAL RE-EXECUTION ####################",
+        registry: incremental_registry,
+        paper_side: true,
+    },
+    Section {
+        flag: "--ablations",
+        banner: "######################## ABLATIONS ########################",
+        registry: ablation_registry,
+        paper_side: false,
+    },
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want_ablations = args.iter().any(|a| a == "--ablations");
-    let want_fault = args.iter().any(|a| a == "--fault");
-    let want_service = args.iter().any(|a| a == "--service");
-    let want_spill = args.iter().any(|a| a == "--spill");
-    let want_cache = args.iter().any(|a| a == "--cache");
     let want_csv = args.iter().any(|a| a == "--csv");
     let backend_flag = match backend::parse_backend_flag(&args) {
         Ok(flag) => flag,
@@ -168,71 +207,32 @@ fn main() {
         println!("{}", conclusions::as_table(&claims));
     }
 
-    if want_fault || filter.iter().any(|f| f.as_str() == "fault") {
-        println!("\n#################### FAULT TOLERANCE ####################\n");
-        for e in fault_registry().experiments() {
-            let meta = e.meta();
-            let measured = e.run_on(choice);
-            let paper = e.paper_reference();
-            println!("{}", render_side_by_side(&meta, &measured, &paper));
-        }
-    }
-
-    if want_service || filter.iter().any(|f| f.as_str() == "service") {
-        println!("\n#################### MULTI-TENANT SERVICE ####################\n");
-        for e in service_registry().experiments() {
-            let meta = e.meta();
-            let measured = e.run_on(choice);
-            let paper = e.paper_reference();
-            println!("{}", render_side_by_side(&meta, &measured, &paper));
-        }
-    }
-
-    if want_spill || filter.iter().any(|f| f.as_str() == "fig13-spill") {
-        println!("\n#################### BOUNDED MEMORY (spill) ####################\n");
-        for e in spill_registry().experiments() {
-            let meta = e.meta();
-            let measured = e.run_on(choice);
-            let paper = e.paper_reference();
-            println!("{}", render_side_by_side(&meta, &measured, &paper));
-        }
-    }
-
-    if want_cache
-        || filter
+    let named = |id: &str| filter.iter().any(|f| f.as_str() == id);
+    for section in SECTIONS {
+        let whole = args.iter().any(|a| a == section.flag);
+        let reg = (section.registry)();
+        let selected: Vec<_> = reg
+            .experiments()
             .iter()
-            .any(|f| f.as_str() == "edit-rerun" || f.as_str() == "edit-loop")
-    {
-        println!("\n#################### INCREMENTAL RE-EXECUTION ####################\n");
-        for e in incremental_registry().experiments() {
-            let meta = e.meta();
-            // `repro edit-loop` runs just that experiment; `--cache`
-            // runs the whole suite (mirrors the ablation filtering).
-            if !want_cache && !filter.iter().any(|f| meta.id == f.as_str()) {
-                continue;
-            }
-            let measured = e.run_on(choice);
-            let paper = e.paper_reference();
-            println!("{}", render_side_by_side(&meta, &measured, &paper));
+            .filter(|e| whole || named(e.meta().id))
+            .collect();
+        if selected.is_empty() {
+            continue;
         }
-    }
-
-    if want_ablations || filter.iter().any(|f| f.starts_with("ablate")) {
-        println!("\n######################## ABLATIONS ########################\n");
-        for e in ablation_registry().experiments() {
+        println!("\n{}\n", section.banner);
+        for e in selected {
             let meta = e.meta();
-            if !filter.is_empty()
-                && !want_ablations
-                && !filter.iter().any(|f| meta.id == f.as_str())
-            {
-                continue;
+            let measured = e.run_on(choice);
+            if section.paper_side {
+                let paper = e.paper_reference();
+                println!("{}", render_side_by_side(&meta, &measured, &paper));
+            } else {
+                println!(
+                    "================================================================\n\
+                     {} — {}\n{}\n\n{measured}",
+                    meta.id, meta.paper_artifact, meta.description
+                );
             }
-            let measured = e.run();
-            println!(
-                "================================================================\n\
-                 {} — {}\n{}\n\n{measured}",
-                meta.id, meta.paper_artifact, meta.description
-            );
         }
     }
 }
