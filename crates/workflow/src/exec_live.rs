@@ -5,9 +5,9 @@
 //!
 //! 1. **Correctness cross-check** — both executors must produce identical
 //!    data outputs for any workflow (the integration suite asserts this).
-//! 2. **Engine-overhead benchmarking** — `bench_engine` and the repo
-//!    benchmark drive it to measure the real cost of the pipelined
-//!    architecture on the host.
+//! 2. **Engine-overhead benchmarking** — the repo benchmark
+//!    (`benchmark/`) drives it to measure the real cost of the
+//!    pipelined architecture on the host.
 //!
 //! [`LiveExecutor::new`] is the pooled executor: a fixed-size worker
 //! pool time-slices operator-worker *tasks*, in the style of Databend's
@@ -35,8 +35,9 @@
 //!
 //! [`LiveExecutor::thread_per_worker`] is the original executor — one OS
 //! thread per operator worker, unbounded channels, per-tuple deep-clone
-//! routing. It shares no scheduling code with the pooled executor, which
-//! is why the repo benchmark checks pooled row digests against it.
+//! routing (`exec_threads.rs`). It shares no scheduling code with the
+//! pooled executor, which is why the repo benchmark checks pooled row
+//! digests against it.
 //!
 //! # Scheduling and deadlock freedom (pooled mode)
 //!
@@ -95,7 +96,6 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -110,7 +110,7 @@ use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryConfig, RetryPolicy};
-use crate::service::{RunOptions, ServiceConfig, TenantQuota};
+use crate::service::{RunOptions, ServiceConfig, Shared, TenantQuota};
 use crate::sync::lock;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 use crate::trace_live::LiveTracer;
@@ -229,7 +229,9 @@ pub type LiveRunResult = EngineRun;
 /// assert_eq!(res.metrics.by_name("scan").unwrap().output_tuples, 5);
 /// ```
 pub struct LiveExecutor {
-    batch_size: usize,
+    /// Crate-visible with `memory_budget` for the thread-per-worker
+    /// baseline in [`crate::exec_threads`].
+    pub(crate) batch_size: usize,
     /// `false` only for [`LiveExecutor::thread_per_worker`].
     pooled: bool,
     pool_size: Option<usize>,
@@ -238,7 +240,7 @@ pub struct LiveExecutor {
     faults: Option<FaultPlan>,
     retry: RetryConfig,
     columnar: bool,
-    memory_budget: Option<usize>,
+    pub(crate) memory_budget: Option<usize>,
     result_cache: Option<Arc<crate::cache::ResultCache>>,
 }
 
@@ -563,7 +565,7 @@ impl LiveExecutor {
     }
 }
 
-fn makespan_of(elapsed: Duration) -> SimTime {
+pub(crate) fn makespan_of(elapsed: Duration) -> SimTime {
     SimTime::ZERO + SimDuration::from_micros(elapsed.as_micros().min(u128::from(u64::MAX)) as u64)
 }
 
@@ -724,6 +726,18 @@ struct TaskInner {
     park_until: Option<Instant>,
 }
 
+impl TaskInner {
+    /// Count one EOS marker on `port`; `true` when it closed the port.
+    fn note_eos(&mut self, port: usize) -> bool {
+        self.eos_remaining[port] = self.eos_remaining[port].saturating_sub(1);
+        let closes = self.eos_remaining[port] == 0 && !self.port_done[port];
+        if closes {
+            self.port_done[port] = true;
+        }
+        closes
+    }
+}
+
 /// Bounded mailbox feeding one task.
 struct Inbox {
     queue: Mutex<VecDeque<Msg>>,
@@ -748,22 +762,11 @@ enum RunOutcome {
     Done,
 }
 
-/// The scheduler a run's [`Pool`] reports to (see [`crate::service`]).
-/// A [`Pool`] owns no worker threads and no ready queue: ready tasks,
-/// retry-backoff parks, and run completion are reported here, and the
-/// scheduler decides which run's quantum each worker executes next.
-pub(crate) trait QuantumScheduler: Send + Sync {
-    /// Task `tid` of run `run` is ready to execute a quantum.
-    fn task_ready(&self, run: u64, tid: usize);
-    /// Task `tid` of run `run` must not run again before `until` — a
-    /// retry backoff served by the timer instead of a sleeping worker.
-    fn task_parked(&self, run: u64, tid: usize, until: Instant);
-    /// Every task of run `run` reached `Done`; the run can be finalized.
-    fn run_finished(&self, run: u64);
-}
-
-/// One run's task set and counters. Worker threads, the ready queue and
-/// the stall detector belong to the [`QuantumScheduler`] it reports to.
+/// One run's task set and counters. It owns no worker threads and no
+/// ready queue: ready tasks, retry-backoff parks and run completion are
+/// reported to the scheduler ([`crate::service`]'s `Shared`), which
+/// decides which run's quantum each worker executes next and runs the
+/// stall detector.
 pub(crate) struct Pool {
     tasks: Vec<Task>,
     error: Mutex<Option<WorkflowError>>,
@@ -788,7 +791,7 @@ pub(crate) struct Pool {
     retries_succeeded: AtomicU64,
     /// Where scheduling events go, under run id `run`. The `Weak` breaks
     /// the scheduler ↔ run reference cycle.
-    sched: Weak<dyn QuantumScheduler>,
+    sched: Weak<Shared>,
     run: u64,
 }
 
@@ -804,7 +807,7 @@ impl Pool {
     fn task_done(&self) {
         if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
             if let Some(s) = self.sched.upgrade() {
-                s.run_finished(self.run);
+                s.run_finished();
             }
         }
     }
@@ -816,7 +819,7 @@ impl Pool {
         faults: Option<CompiledFaults>,
         pool_threads: usize,
         tracer: LiveTracer,
-        sched: Weak<dyn QuantumScheduler>,
+        sched: Weak<Shared>,
         run: u64,
     ) -> Self {
         let n_tasks = tasks.len();
@@ -1022,42 +1025,30 @@ impl Pool {
             Msg::Batch { port, .. } => Some(*port),
             _ => None,
         };
-        {
+        let push = |msg: Msg| {
             let mut q = lock(&inbox.queue);
-            if q.len() < inbox.capacity {
-                q.push_back(msg);
-                // Hooked before the lock drops so the matching pop hook
-                // (which runs after a later lock acquisition) can never
-                // observe the push-count behind the pop-count.
-                self.tracer.on_mailbox_push(self.tasks[dest].meta.op);
-                self.poison_after_push(dest, batch_port, &mut q);
-                drop(q);
-                if batch_port.is_some() {
-                    self.batches_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                self.schedule(dest);
-                return Ok(());
+            if q.len() >= inbox.capacity {
+                return Err(msg);
             }
-        }
+            q.push_back(msg);
+            // Hooked before the lock drops so the matching pop hook
+            // (which runs after a later lock acquisition) can never
+            // observe the push-count behind the pop-count.
+            self.tracer.on_mailbox_push(self.tasks[dest].meta.op);
+            self.poison_after_push(dest, batch_port, &mut q);
+            drop(q);
+            if batch_port.is_some() {
+                self.batches_sent.fetch_add(1, Ordering::Relaxed);
+            }
+            self.schedule(dest);
+            Ok(())
+        };
+        let msg = match push(msg) {
+            Ok(()) => return Ok(()),
+            Err(msg) => msg,
+        };
         lock(&self.tasks[dest].waiters).push(from);
-        {
-            let mut q = lock(&inbox.queue);
-            if q.len() < inbox.capacity {
-                q.push_back(msg);
-                // Hooked before the lock drops so the matching pop hook
-                // (which runs after a later lock acquisition) can never
-                // observe the push-count behind the pop-count.
-                self.tracer.on_mailbox_push(self.tasks[dest].meta.op);
-                self.poison_after_push(dest, batch_port, &mut q);
-                drop(q);
-                if batch_port.is_some() {
-                    self.batches_sent.fetch_add(1, Ordering::Relaxed);
-                }
-                self.schedule(dest);
-                return Ok(());
-            }
-        }
-        Err(msg)
+        push(msg)
     }
 
     /// Poison-mailbox fault: counted on *successful* batch deliveries
@@ -1174,6 +1165,28 @@ impl Pool {
             }
         }
         Ok(())
+    }
+
+    /// The tail of every successful processing step: drain what the step
+    /// counted, then route and deliver what it collected. Returns the
+    /// outcome that ends the quantum, if any — `More` after a routing
+    /// error failed the task, `Yield` when the head destination is full.
+    fn emit_collected(
+        &self,
+        tid: usize,
+        meta: &TaskStatic,
+        inner: &mut TaskInner,
+    ) -> Option<RunOutcome> {
+        self.drain_counters(meta.op, &mut inner.collector);
+        if inner.collector.is_empty() {
+            return None;
+        }
+        let out = inner.collector.take();
+        if let Err(e) = self.forward(meta, inner, out) {
+            self.fail_task(meta.op, inner, e);
+            return Some(RunOutcome::More);
+        }
+        (!self.flush_outbox(tid, inner)).then_some(RunOutcome::Yield)
     }
 
     /// Fire a tuple-counted fault trigger: panic (captured by the pool
@@ -1322,16 +1335,8 @@ impl Pool {
                     return RunOutcome::More;
                 }
             }
-            self.drain_counters(meta.op, &mut inner.collector);
-            if !inner.collector.is_empty() {
-                let out = inner.collector.take();
-                if let Err(e) = self.forward(meta, inner, out) {
-                    self.fail_task(meta.op, inner, e);
-                    return RunOutcome::More;
-                }
-            }
-            if !self.flush_outbox(tid, inner) {
-                return RunOutcome::Yield;
+            if let Some(outcome) = self.emit_collected(tid, meta, inner) {
+                return outcome;
             }
         }
 
@@ -1410,16 +1415,8 @@ impl Pool {
                                 self.fail_task(meta.op, inner, e);
                                 break 'consume Some(RunOutcome::More);
                             }
-                            self.drain_counters(meta.op, &mut inner.collector);
-                            if !inner.collector.is_empty() {
-                                let out = inner.collector.take();
-                                if let Err(e) = self.forward(meta, inner, out) {
-                                    self.fail_task(meta.op, inner, e);
-                                    break 'consume Some(RunOutcome::More);
-                                }
-                                if !self.flush_outbox(tid, inner) {
-                                    break 'consume Some(RunOutcome::Yield);
-                                }
+                            if let Some(outcome) = self.emit_collected(tid, meta, inner) {
+                                break 'consume Some(outcome);
                             }
                             if let Some(d) = meta.slow_edge {
                                 std::thread::sleep(d);
@@ -1472,19 +1469,13 @@ impl Pool {
                             break 'consume Some(RunOutcome::More);
                         }
                     }
-                    self.drain_counters(meta.op, &mut inner.collector);
-                    if !inner.collector.is_empty() {
-                        let out = inner.collector.take();
-                        if let Err(e) = self.forward(meta, inner, out) {
-                            self.fail_task(meta.op, inner, e);
-                            break 'consume Some(RunOutcome::More);
-                        }
-                        if !self.flush_outbox(tid, inner) {
-                            if let Some(t) = trigger {
-                                break 'consume Some(self.spring_trigger(meta, inner, t));
-                            }
-                            break 'consume Some(RunOutcome::Yield);
-                        }
+                    if let Some(outcome) = self.emit_collected(tid, meta, inner) {
+                        break 'consume Some(match (outcome, trigger) {
+                            // Fire even on a full downstream mailbox, as
+                            // the source loop does.
+                            (RunOutcome::Yield, Some(t)) => self.spring_trigger(meta, inner, t),
+                            (outcome, _) => outcome,
+                        });
                     }
                     if let Some(t) = trigger {
                         break 'consume Some(self.spring_trigger(meta, inner, t));
@@ -1494,24 +1485,14 @@ impl Pool {
                     }
                 }
                 Msg::Eos { port } => {
-                    inner.eos_remaining[port] = inner.eos_remaining[port].saturating_sub(1);
-                    if inner.eos_remaining[port] == 0 && !inner.port_done[port] {
-                        inner.port_done[port] = true;
+                    if inner.note_eos(port) {
                         if let Err(e) = inner.instance.on_port_complete(port, &mut inner.collector)
                         {
                             self.fail_task(meta.op, inner, e);
                             break 'consume Some(RunOutcome::More);
                         }
-                        self.drain_counters(meta.op, &mut inner.collector);
-                        if !inner.collector.is_empty() {
-                            let out = inner.collector.take();
-                            if let Err(e) = self.forward(meta, inner, out) {
-                                self.fail_task(meta.op, inner, e);
-                                break 'consume Some(RunOutcome::More);
-                            }
-                            if !self.flush_outbox(tid, inner) {
-                                break 'consume Some(RunOutcome::Yield);
-                            }
+                        if let Some(outcome) = self.emit_collected(tid, meta, inner) {
+                            break 'consume Some(outcome);
                         }
                         let gate_now = meta.blocking.iter().all(|&p| inner.port_done[p]);
                         if gate_now && !inner.held.is_empty() {
@@ -1611,12 +1592,9 @@ impl Pool {
         // kill+drop-EOS plans: every recovery pass re-synthesized the
         // markers into `pending`, every drain quantum discarded them,
         // and `eos_remaining` never reached zero.
-        for msg in inner.pending.drain(..).chain(inner.held.drain(..)) {
+        while let Some(msg) = inner.pending.pop_front().or_else(|| inner.held.pop_front()) {
             if let Msg::Eos { port } = msg {
-                inner.eos_remaining[port] = inner.eos_remaining[port].saturating_sub(1);
-                if inner.eos_remaining[port] == 0 {
-                    inner.port_done[port] = true;
-                }
+                inner.note_eos(port);
             }
         }
         if !inner.eos_queued {
@@ -1645,10 +1623,7 @@ impl Pool {
             // Data and poison are discarded unprocessed; EOS still
             // counts toward closing the port.
             if let Msg::Eos { port } = msg {
-                inner.eos_remaining[port] = inner.eos_remaining[port].saturating_sub(1);
-                if inner.eos_remaining[port] == 0 {
-                    inner.port_done[port] = true;
-                }
+                inner.note_eos(port);
             }
         }
         if consumed {
@@ -1976,244 +1951,6 @@ pub(crate) fn build_tasks(
         }
     }
     tasks
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-worker executor (baseline)
-// ---------------------------------------------------------------------------
-
-/// Message on a legacy channel: tuples are owned and deep-cloned per
-/// routed destination — the cost the pooled executor eliminates.
-enum LegacyMsg {
-    Batch { port: usize, tuples: Vec<Tuple> },
-    Eos { port: usize },
-}
-
-impl LiveExecutor {
-    fn run_threads(&self, wf: &Workflow) -> WorkflowResult<EngineRun> {
-        let start = Instant::now();
-
-        // Channel per (op, worker): all upstream workers share one sender.
-        let mut txs: Vec<Vec<Sender<LegacyMsg>>> = Vec::new();
-        let mut rxs: Vec<Vec<Option<Receiver<LegacyMsg>>>> = Vec::new();
-        for node in wf.ops() {
-            let mut t = Vec::new();
-            let mut r = Vec::new();
-            for _ in 0..node.parallelism {
-                let (tx, rx) = channel::<LegacyMsg>();
-                t.push(tx);
-                r.push(Some(rx));
-            }
-            txs.push(t);
-            rxs.push(r);
-        }
-
-        let error: Arc<Mutex<Option<WorkflowError>>> = Arc::new(Mutex::new(None));
-        let in_counts: Vec<AtomicU64> = wf.ops().iter().map(|_| AtomicU64::new(0)).collect();
-        let out_counts: Vec<AtomicU64> = wf.ops().iter().map(|_| AtomicU64::new(0)).collect();
-
-        std::thread::scope(|scope| {
-            for (i, node) in wf.ops().iter().enumerate() {
-                let op = OpId(i);
-                // Downstream senders per out-edge: (to_port, strategy,
-                // senders to each downstream worker).
-                let downstream: Vec<_> = wf
-                    .out_edges(op)
-                    .into_iter()
-                    .map(|(_, e)| (e.to_port, e.partition.clone(), txs[e.to.0].clone()))
-                    .collect();
-                // Expected EOS per port = sum of upstream parallelism.
-                let ports = node.factory.input_ports();
-                let mut expected_eos = vec![0usize; ports.max(1)];
-                for (_, e) in wf.in_edges(op) {
-                    expected_eos[e.to_port] += wf.op(e.from).parallelism;
-                }
-                let blocking = node.factory.blocking_ports();
-
-                #[allow(clippy::needless_range_loop)]
-                for local in 0..node.parallelism {
-                    let rx = rxs[i][local].take();
-                    let factory = node.factory.as_ref();
-                    let downstream = downstream.clone();
-                    let expected_eos = expected_eos.clone();
-                    let blocking = blocking.clone();
-                    let error = error.clone();
-                    let in_counts = &in_counts;
-                    let out_counts = &out_counts;
-                    let batch_size = self.batch_size;
-                    let parallelism = node.parallelism;
-                    let memory_budget = self.memory_budget;
-
-                    scope.spawn(move || {
-                        let mut instance = factory.create();
-                        instance.set_memory_budget(memory_budget);
-                        let mut seqs = vec![0u64; downstream.len()];
-                        let mut collector = OutputCollector::new();
-                        let fail = |e: WorkflowError, error: &Mutex<Option<WorkflowError>>| {
-                            let mut g = lock(error);
-                            if g.is_none() {
-                                *g = Some(e);
-                            }
-                        };
-
-                        // Forward helper: route + send collector contents.
-                        let forward =
-                            |tuples: Vec<Tuple>,
-                             seqs: &mut [u64],
-                             error: &Mutex<Option<WorkflowError>>| {
-                                out_counts[i].fetch_add(tuples.len() as u64, Ordering::Relaxed);
-                                for (d, (to_port, strategy, senders)) in
-                                    downstream.iter().enumerate()
-                                {
-                                    let mut routed: Vec<Vec<Tuple>> =
-                                        vec![Vec::new(); senders.len()];
-                                    for t in &tuples {
-                                        match strategy.route(t, seqs[d], senders.len()) {
-                                            Ok(ws) => {
-                                                for w in ws {
-                                                    routed[w].push(t.clone());
-                                                }
-                                            }
-                                            Err(e) => {
-                                                fail(e, error);
-                                                return;
-                                            }
-                                        }
-                                        seqs[d] += 1;
-                                    }
-                                    for (w, chunk) in routed.into_iter().enumerate() {
-                                        for part in chunk.chunks(batch_size) {
-                                            // A closed channel means the consumer
-                                            // died after an error; stop quietly.
-                                            let _ = senders[w].send(LegacyMsg::Batch {
-                                                port: *to_port,
-                                                tuples: part.to_vec(),
-                                            });
-                                        }
-                                    }
-                                }
-                            };
-
-                        if factory.input_ports() == 0 {
-                            // Source worker: emit own partition.
-                            let parts = factory
-                                .source_partitions(parallelism)
-                                .expect("validated at build time");
-                            let mine = parts.into_iter().nth(local).unwrap_or_default();
-                            for chunk in mine.chunks(batch_size) {
-                                forward(chunk.to_vec(), &mut seqs, &error);
-                            }
-                        } else if let Some(rx) = rx {
-                            let mut eos_remaining = expected_eos.clone();
-                            let mut port_done = vec![false; eos_remaining.len()];
-                            let mut held: Vec<LegacyMsg> = Vec::new();
-                            let gate_open = |done: &[bool]| blocking.iter().all(|&p| done[p]);
-                            let mut pending: VecDeque<LegacyMsg> = Default::default();
-                            'recv: loop {
-                                let msg = if let Some(m) = pending.pop_front() {
-                                    m
-                                } else {
-                                    match rx.recv() {
-                                        Ok(m) => m,
-                                        Err(_) => break 'recv,
-                                    }
-                                };
-                                let msg_port = match &msg {
-                                    LegacyMsg::Batch { port, .. } | LegacyMsg::Eos { port } => {
-                                        *port
-                                    }
-                                };
-                                if !gate_open(&port_done) && !blocking.contains(&msg_port) {
-                                    held.push(msg);
-                                    continue;
-                                }
-                                match msg {
-                                    LegacyMsg::Batch { port, tuples } => {
-                                        in_counts[i]
-                                            .fetch_add(tuples.len() as u64, Ordering::Relaxed);
-                                        for t in tuples {
-                                            if let Err(e) =
-                                                instance.on_tuple(t, port, &mut collector)
-                                            {
-                                                fail(e, &error);
-                                                break 'recv;
-                                            }
-                                        }
-                                        if !collector.is_empty() {
-                                            forward(collector.take(), &mut seqs, &error);
-                                        }
-                                    }
-                                    LegacyMsg::Eos { port } => {
-                                        eos_remaining[port] = eos_remaining[port].saturating_sub(1);
-                                        if eos_remaining[port] == 0 && !port_done[port] {
-                                            port_done[port] = true;
-                                            if let Err(e) =
-                                                instance.on_port_complete(port, &mut collector)
-                                            {
-                                                fail(e, &error);
-                                                break 'recv;
-                                            }
-                                            if !collector.is_empty() {
-                                                forward(collector.take(), &mut seqs, &error);
-                                            }
-                                            if gate_open(&port_done) && !held.is_empty() {
-                                                for m in held.drain(..) {
-                                                    pending.push_back(m);
-                                                }
-                                            }
-                                        }
-                                        if port_done.iter().all(|d| *d) && pending.is_empty() {
-                                            break 'recv;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-
-                        // Tell every downstream worker this producer is done.
-                        for (to_port, _, senders) in &downstream {
-                            for s in senders {
-                                let _ = s.send(LegacyMsg::Eos { port: *to_port });
-                            }
-                        }
-                        // Dropping our senders lets consumers drain and exit.
-                    });
-                }
-            }
-            // Drop the scope-owned senders so sinks see disconnect once all
-            // producers exit.
-            drop(txs);
-        });
-
-        if let Some(e) = lock(&error).take() {
-            return Err(e);
-        }
-
-        let elapsed = start.elapsed();
-        let mut operators = OperatorMetrics::for_workflow(wf);
-        for (i, m) in operators.iter_mut().enumerate() {
-            m.input_tuples = in_counts[i].load(Ordering::Relaxed);
-            m.output_tuples = out_counts[i].load(Ordering::Relaxed);
-            m.state = OperatorState::Completed;
-        }
-        Ok(EngineRun {
-            kind: BackendKind::Live,
-            rows: Vec::new(),
-            elapsed,
-            metrics: RunMetrics {
-                makespan: makespan_of(elapsed),
-                operators,
-                total_workers: wf.total_workers(),
-                events: 0,
-            },
-            trace: ProgressTrace::default(),
-            pool: None,
-            retries_attempted: 0,
-            retries_succeeded: 0,
-            cache_published: 0,
-            worker_timeline: Vec::new(),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -84,6 +84,7 @@ pub mod cost;
 pub mod dag;
 pub mod exec_live;
 pub mod exec_sim;
+mod exec_threads;
 pub mod fault;
 pub mod gui;
 pub mod metrics;

@@ -103,7 +103,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use scriptflow_core::fingerprint::OpFingerprint;
@@ -113,7 +113,7 @@ use crate::backend::EngineRun;
 use crate::cache::{commit_recordings_as, prepare, CacheRecording, CommitStats, ResultCache};
 use crate::dag::Workflow;
 use crate::exec_live::{
-    assemble_live_result, build_tasks, default_pool_size, Pool, PoolStats, QuantumScheduler, Task,
+    assemble_live_result, build_tasks, default_pool_size, Pool, PoolStats, Task,
 };
 use crate::fault::{CompiledFaults, FaultPlan};
 use crate::metrics::{OpCounters, OperatorMetrics};
@@ -790,7 +790,8 @@ struct SvcState {
     rejected_runs: u64,
 }
 
-struct Shared {
+/// The scheduler every run's [`Pool`] reports to.
+pub(crate) struct Shared {
     state: Mutex<SvcState>,
     cv: Condvar,
     pool_threads: usize,
@@ -811,8 +812,9 @@ struct Shared {
     solo: bool,
 }
 
-impl QuantumScheduler for Shared {
-    fn task_ready(&self, run: u64, tid: usize) {
+impl Shared {
+    /// Task `tid` of run `run` is ready to execute a quantum.
+    pub(crate) fn task_ready(&self, run: u64, tid: usize) {
         let mut st = lock(&self.state);
         if let Some(r) = st.active.iter_mut().find(|r| r.run_id == run) {
             r.ready.push_back(tid);
@@ -820,7 +822,9 @@ impl QuantumScheduler for Shared {
         }
     }
 
-    fn task_parked(&self, run: u64, tid: usize, until: Instant) {
+    /// Task `tid` of run `run` must not run again before `until` — a
+    /// retry backoff served by the timer instead of a sleeping worker.
+    pub(crate) fn task_parked(&self, run: u64, tid: usize, until: Instant) {
         let mut st = lock(&self.state);
         st.parked.push(Reverse((until, run, tid)));
         // A waiting worker may need to shorten its sleep to this
@@ -828,15 +832,14 @@ impl QuantumScheduler for Shared {
         self.cv.notify_one();
     }
 
-    fn run_finished(&self, _run: u64) {
+    /// Every task of some run reached `Done`; it can be finalized.
+    pub(crate) fn run_finished(&self) {
         // Finalization needs `running == 0`, which only a worker's
         // post-quantum accounting can observe; just wake them all.
         let _st = lock(&self.state);
         self.cv.notify_all();
     }
-}
 
-impl Shared {
     /// Move a pending run onto the pool: clear factory-shared state
     /// (the "sink cleared per run" invariant; not on a solo run), wire
     /// its core to this scheduler, and seed every task as ready.
@@ -874,13 +877,12 @@ impl Shared {
             }
         }
         let tracer = LiveTracer::primed(&p.ops);
-        let sched: Weak<dyn QuantumScheduler> = Arc::downgrade(this) as Weak<dyn QuantumScheduler>;
         let core = Arc::new(Pool::new(
             p.tasks,
             p.faults,
             this.pool_threads,
             tracer,
-            sched,
+            Arc::downgrade(this),
             p.run_id,
         ));
         let ready: VecDeque<usize> = core.seed_all().into();
@@ -1047,7 +1049,6 @@ impl Shared {
                 st.active[idx].running += 1;
                 let core = Arc::clone(&st.active[idx].core);
                 let run_id = st.active[idx].run_id;
-                let tenant = st.active[idx].tenant.clone();
                 drop(st);
 
                 let quantum_start = Instant::now();
@@ -1055,14 +1056,19 @@ impl Shared {
                 let spent = quantum_start.elapsed();
 
                 st = lock(&self.state);
-                if let Some(r) = st.active.iter_mut().find(|r| r.run_id == run_id) {
+                // The run is still active: `running > 0` kept phase 2
+                // from finalizing it while the quantum executed.
+                let SvcState {
+                    active, tenants, ..
+                } = &mut *st;
+                if let Some(r) = active.iter_mut().find(|r| r.run_id == run_id) {
                     r.running -= 1;
                     let nanos = u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX);
                     r.vtime = r.vtime.saturating_add((nanos / r.weight).max(1));
-                }
-                if let Some(t) = st.tenants.get_mut(&tenant) {
-                    t.stats.quanta += 1;
-                    t.stats.busy += spent;
+                    if let Some(t) = tenants.get_mut(&r.tenant) {
+                        t.stats.quanta += 1;
+                        t.stats.busy += spent;
+                    }
                 }
                 continue;
             }
