@@ -172,6 +172,11 @@ mod tests {
         let Artifact::Figure(fig) = Fig12b.run() else {
             panic!("expected figure");
         };
+        assert_eq!(
+            fig.to_csv(),
+            include_str!("../../../artifacts/fig12b.csv"),
+            "artifacts/fig12b.csv drifted"
+        );
         let points = &fig.series_by_label(WORKFLOW_LABEL).unwrap().points;
         let y = |k: f64| {
             points

@@ -312,12 +312,17 @@ mod tests {
 
     type Points = Vec<(f64, f64)>;
 
-    fn series_of(a: &Artifact) -> (Points, Points) {
+    /// The figure's two series. The figure must also still be the
+    /// committed `artifacts/<id>.csv`, byte for byte.
+    fn series_of(a: &Artifact, committed_csv: &str) -> (Points, Points) {
         match a {
-            Artifact::Figure(f) => (
-                f.series_by_label(SCRIPT_LABEL).unwrap().points.clone(),
-                f.series_by_label(WORKFLOW_LABEL).unwrap().points.clone(),
-            ),
+            Artifact::Figure(f) => {
+                assert_eq!(f.to_csv(), committed_csv, "artifacts/{}.csv drifted", f.id);
+                (
+                    f.series_by_label(SCRIPT_LABEL).unwrap().points.clone(),
+                    f.series_by_label(WORKFLOW_LABEL).unwrap().points.clone(),
+                )
+            }
             other => panic!("expected figure, got {other:?}"),
         }
     }
@@ -342,7 +347,7 @@ mod tests {
 
     #[test]
     fn fig13a_matches_paper_shape() {
-        let (s, w) = series_of(&Fig13a.run());
+        let (s, w) = series_of(&Fig13a.run(), include_str!("../../../artifacts/fig13a.csv"));
         let paper_s: Vec<(usize, f64)> = anchors::FIG13A.iter().map(|(x, s, _)| (*x, *s)).collect();
         let paper_w: Vec<(usize, f64)> = anchors::FIG13A.iter().map(|(x, _, w)| (*x, *w)).collect();
         assert_close(&s, &paper_s, 0.12, "fig13a script");
@@ -355,7 +360,7 @@ mod tests {
 
     #[test]
     fn fig13b_matches_paper_shape() {
-        let (s, w) = series_of(&Fig13b.run());
+        let (s, w) = series_of(&Fig13b.run(), include_str!("../../../artifacts/fig13b.csv"));
         let paper_s: Vec<(usize, f64)> = anchors::FIG13B.iter().map(|(x, s, _)| (*x, *s)).collect();
         let paper_w: Vec<(usize, f64)> = anchors::FIG13B.iter().map(|(x, _, w)| (*x, *w)).collect();
         assert_close(&s, &paper_s, 0.05, "fig13b script");
@@ -364,7 +369,7 @@ mod tests {
 
     #[test]
     fn fig13c_matches_paper_shape() {
-        let (s, w) = series_of(&Fig13c.run());
+        let (s, w) = series_of(&Fig13c.run(), include_str!("../../../artifacts/fig13c.csv"));
         let paper_s: Vec<(usize, f64)> = anchors::FIG13C.iter().map(|(x, s, _)| (*x, *s)).collect();
         let paper_w: Vec<(usize, f64)> = anchors::FIG13C.iter().map(|(x, _, w)| (*x, *w)).collect();
         assert_close(&s, &paper_s, 0.10, "fig13c script");
@@ -377,7 +382,7 @@ mod tests {
 
     #[test]
     fn fig13d_matches_paper_shape() {
-        let (s, w) = series_of(&Fig13d.run());
+        let (s, w) = series_of(&Fig13d.run(), include_str!("../../../artifacts/fig13d.csv"));
         let paper_s: Vec<(usize, f64)> = anchors::FIG13D.iter().map(|(x, s, _)| (*x, *s)).collect();
         let paper_w: Vec<(usize, f64)> = anchors::FIG13D.iter().map(|(x, _, w)| (*x, *w)).collect();
         assert_close(&s, &paper_s, 0.05, "fig13d script");

@@ -232,12 +232,17 @@ mod tests {
 
     type Points = Vec<(f64, f64)>;
 
-    fn series_of(a: &Artifact) -> (Points, Points) {
+    /// The figure's two series. The figure must also still be the
+    /// committed `artifacts/<id>.csv`, byte for byte.
+    fn series_of(a: &Artifact, committed_csv: &str) -> (Points, Points) {
         match a {
-            Artifact::Figure(f) => (
-                f.series_by_label(SCRIPT_LABEL).unwrap().points.clone(),
-                f.series_by_label(WORKFLOW_LABEL).unwrap().points.clone(),
-            ),
+            Artifact::Figure(f) => {
+                assert_eq!(f.to_csv(), committed_csv, "artifacts/{}.csv drifted", f.id);
+                (
+                    f.series_by_label(SCRIPT_LABEL).unwrap().points.clone(),
+                    f.series_by_label(WORKFLOW_LABEL).unwrap().points.clone(),
+                )
+            }
             other => panic!("expected figure, got {other:?}"),
         }
     }
@@ -250,7 +255,7 @@ mod tests {
 
     #[test]
     fn fig14a_shape() {
-        let (s, w) = series_of(&Fig14a.run());
+        let (s, w) = series_of(&Fig14a.run(), include_str!("../../../artifacts/fig14a.csv"));
         assert_monotone_decreasing(&s, "fig14a script");
         assert_monotone_decreasing(&w, "fig14a workflow");
         // Texera wins at every worker count (the paper's headline).
@@ -266,7 +271,7 @@ mod tests {
 
     #[test]
     fn fig14b_shape() {
-        let (s, w) = series_of(&Fig14b.run());
+        let (s, w) = series_of(&Fig14b.run(), include_str!("../../../artifacts/fig14b.csv"));
         assert_monotone_decreasing(&s, "fig14b script");
         assert_monotone_decreasing(&w, "fig14b workflow");
         for ((_, sy), (_, wy)) in s.iter().zip(&w) {
@@ -279,7 +284,7 @@ mod tests {
 
     #[test]
     fn fig14c_shape() {
-        let (s, w) = series_of(&Fig14c.run());
+        let (s, w) = series_of(&Fig14c.run(), include_str!("../../../artifacts/fig14c.csv"));
         assert_monotone_decreasing(&s, "fig14c script");
         assert_monotone_decreasing(&w, "fig14c workflow");
         for ((_, sy), (_, wy)) in s.iter().zip(&w) {
