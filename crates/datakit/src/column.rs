@@ -31,6 +31,9 @@ use crate::value::{DataType, Value};
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
+    /// Number of cleared bits, kept as bits are appended so the gather
+    /// kernels can ask "any nulls?" without a popcount pass.
+    invalid: usize,
 }
 
 impl Bitmap {
@@ -39,6 +42,7 @@ impl Bitmap {
         Bitmap {
             words: Vec::new(),
             len: 0,
+            invalid: 0,
         }
     }
 
@@ -50,7 +54,11 @@ impl Bitmap {
                 *last = (1u64 << (len % 64)) - 1;
             }
         }
-        Bitmap { words, len }
+        Bitmap {
+            words,
+            len,
+            invalid: 0,
+        }
     }
 
     /// Append one bit.
@@ -61,8 +69,23 @@ impl Bitmap {
         }
         if valid {
             self.words[word] |= 1u64 << bit;
+        } else {
+            self.invalid += 1;
         }
         self.len += 1;
+    }
+
+    /// Gather the bits at `indices`, in that order.
+    pub fn take(&self, indices: &[u32]) -> Bitmap {
+        if self.invalid == 0 {
+            return Bitmap::all_valid(indices.len());
+        }
+        let mut out = Bitmap::new();
+        out.words.reserve(indices.len().div_ceil(64));
+        for &i in indices {
+            out.push(self.is_valid(i as usize));
+        }
+        out
     }
 
     /// Whether row `i` is non-null.
@@ -83,14 +106,82 @@ impl Bitmap {
 
     /// Number of invalid (null) rows.
     pub fn count_invalid(&self) -> u64 {
-        let set: u32 = self.words.iter().map(|w| w.count_ones()).sum();
-        self.len as u64 - u64::from(set)
+        self.invalid as u64
     }
 }
 
 impl Default for Bitmap {
     fn default() -> Self {
         Bitmap::new()
+    }
+}
+
+/// A column of strings stored packed: every string's UTF-8 bytes in one
+/// buffer plus one end offset per string, so building, gathering and
+/// comparing a string column allocates per batch, not per cell.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StrVec {
+    bytes: String,
+    /// `ends[i]` is the byte offset one past string `i`; it starts where
+    /// string `i - 1` ends.
+    ends: Vec<usize>,
+}
+
+impl StrVec {
+    /// An empty vector.
+    pub fn new() -> Self {
+        StrVec::default()
+    }
+
+    /// An empty vector with room for `rows` strings of `bytes` total bytes.
+    pub fn with_capacity(rows: usize, bytes: usize) -> Self {
+        StrVec {
+            bytes: String::with_capacity(bytes),
+            ends: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Append one string.
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Number of strings.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if the vector holds no strings.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// String `i`.
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// The strings in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let s = &self.bytes[start..end];
+            start = end;
+            s
+        })
+    }
+
+    /// Gather the strings at `indices`, in that order.
+    pub fn take(&self, indices: &[u32]) -> StrVec {
+        // Sized as if the gathered rows were of average length.
+        let bytes = (self.bytes.len() * indices.len()).div_ceil(self.len().max(1));
+        let mut out = StrVec::with_capacity(indices.len(), bytes);
+        for &i in indices {
+            out.push(self.get(i as usize));
+        }
+        out
     }
 }
 
@@ -120,10 +211,10 @@ pub enum ColumnVec {
         /// Per-row validity.
         validity: Bitmap,
     },
-    /// UTF-8 strings.
+    /// UTF-8 strings, packed.
     Str {
         /// Cell values (placeholder `""` where invalid).
-        data: Vec<String>,
+        data: StrVec,
         /// Per-row validity.
         validity: Bitmap,
     },
@@ -133,74 +224,120 @@ pub enum ColumnVec {
 }
 
 impl ColumnVec {
-    /// An empty column of the dense representation for `dtype`.
-    pub fn empty(dtype: DataType) -> Self {
+    /// Build the dense representation for `dtype` from one cell per row.
+    /// Every cell must conform to the type (nulls always do); the batch
+    /// constructors enforce that.
+    fn from_cells<'a>(dtype: DataType, cells: impl ExactSizeIterator<Item = &'a Value>) -> Self {
+        /// One typed vector plus validity; non-conforming cells (nulls)
+        /// become the placeholder.
+        fn dense<'a, T: Copy>(
+            cells: impl ExactSizeIterator<Item = &'a Value>,
+            placeholder: T,
+            get: impl Fn(&Value) -> Option<T>,
+        ) -> (Vec<T>, Bitmap) {
+            let mut data = Vec::with_capacity(cells.len());
+            let mut validity = Bitmap::new();
+            for v in cells {
+                let cell = get(v);
+                data.push(cell.unwrap_or(placeholder));
+                validity.push(cell.is_some());
+            }
+            (data, validity)
+        }
         match dtype {
-            DataType::Int => ColumnVec::Int {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Float => ColumnVec::Float {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Bool => ColumnVec::Bool {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Str => ColumnVec::Str {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Null | DataType::Bytes | DataType::List => ColumnVec::Mixed(Vec::new()),
+            DataType::Int => {
+                let (data, validity) = dense(cells, 0, Value::as_int);
+                ColumnVec::Int { data, validity }
+            }
+            DataType::Float => {
+                let (data, validity) = dense(cells, 0.0, |v| match v {
+                    Value::Float(x) => Some(*x),
+                    _ => None,
+                });
+                ColumnVec::Float { data, validity }
+            }
+            DataType::Bool => {
+                let (data, validity) = dense(cells, false, Value::as_bool);
+                ColumnVec::Bool { data, validity }
+            }
+            DataType::Str => {
+                let mut data = StrVec::with_capacity(cells.len(), 0);
+                let mut validity = Bitmap::new();
+                for v in cells {
+                    let cell = v.as_str();
+                    data.push(cell.unwrap_or(""));
+                    validity.push(cell.is_some());
+                }
+                ColumnVec::Str { data, validity }
+            }
+            DataType::Null | DataType::Bytes | DataType::List => {
+                ColumnVec::Mixed(cells.cloned().collect())
+            }
         }
     }
 
-    /// Append one cell. The value must conform to the column's type
-    /// (nulls are always accepted); enforced by the batch constructors.
-    fn push(&mut self, v: &Value) {
+    /// Gather the rows at `indices`, in that order, keeping validity.
+    pub fn take(&self, indices: &[u32]) -> ColumnVec {
+        fn gather<T: Copy>(data: &[T], indices: &[u32]) -> Vec<T> {
+            indices.iter().map(|&i| data[i as usize]).collect()
+        }
         match self {
-            ColumnVec::Int { data, validity } => match v {
-                Value::Int(i) => {
-                    data.push(*i);
-                    validity.push(true);
-                }
-                _ => {
-                    data.push(0);
-                    validity.push(false);
-                }
+            ColumnVec::Int { data, validity } => ColumnVec::Int {
+                data: gather(data, indices),
+                validity: validity.take(indices),
             },
-            ColumnVec::Float { data, validity } => match v {
-                Value::Float(x) => {
-                    data.push(*x);
-                    validity.push(true);
-                }
-                _ => {
-                    data.push(0.0);
-                    validity.push(false);
-                }
+            ColumnVec::Float { data, validity } => ColumnVec::Float {
+                data: gather(data, indices),
+                validity: validity.take(indices),
             },
-            ColumnVec::Bool { data, validity } => match v {
-                Value::Bool(b) => {
-                    data.push(*b);
-                    validity.push(true);
-                }
-                _ => {
-                    data.push(false);
-                    validity.push(false);
-                }
+            ColumnVec::Bool { data, validity } => ColumnVec::Bool {
+                data: gather(data, indices),
+                validity: validity.take(indices),
             },
-            ColumnVec::Str { data, validity } => match v {
-                Value::Str(s) => {
-                    data.push(s.clone());
-                    validity.push(true);
-                }
-                _ => {
-                    data.push(String::new());
-                    validity.push(false);
-                }
+            ColumnVec::Str { data, validity } => ColumnVec::Str {
+                data: data.take(indices),
+                validity: validity.take(indices),
             },
-            ColumnVec::Mixed(data) => data.push(v.clone()),
+            ColumnVec::Mixed(data) => {
+                ColumnVec::Mixed(indices.iter().map(|&i| data[i as usize].clone()).collect())
+            }
+        }
+    }
+
+    /// Append this column's cell of every row to that row's values.
+    fn append_to(&self, rows: &mut [Vec<Value>]) {
+        fn dense<T>(
+            rows: &mut [Vec<Value>],
+            data: impl Iterator<Item = T>,
+            validity: &Bitmap,
+            boxed: impl Fn(T) -> Value,
+        ) {
+            for (i, (row, x)) in rows.iter_mut().zip(data).enumerate() {
+                row.push(if validity.is_valid(i) {
+                    boxed(x)
+                } else {
+                    Value::Null
+                });
+            }
+        }
+        match self {
+            ColumnVec::Int { data, validity } => {
+                dense(rows, data.iter().copied(), validity, Value::Int)
+            }
+            ColumnVec::Float { data, validity } => {
+                dense(rows, data.iter().copied(), validity, Value::Float)
+            }
+            ColumnVec::Bool { data, validity } => {
+                dense(rows, data.iter().copied(), validity, Value::Bool)
+            }
+            ColumnVec::Str { data, validity } => {
+                dense(rows, data.iter(), validity, |s| Value::Str(s.to_owned()))
+            }
+            ColumnVec::Mixed(data) => {
+                for (row, v) in rows.iter_mut().zip(data) {
+                    row.push(v.clone());
+                }
+            }
         }
     }
 
@@ -246,7 +383,7 @@ impl ColumnVec {
             }
             ColumnVec::Str { data, validity } => {
                 if validity.is_valid(i) {
-                    Value::Str(data[i].clone())
+                    Value::Str(data.get(i).to_owned())
                 } else {
                     Value::Null
                 }
@@ -258,82 +395,62 @@ impl ColumnVec {
     /// Seal the per-column statistics: min/max over valid rows plus the
     /// null count. Computed once at batch construction.
     fn seal_stats(&self) -> ColStats {
+        /// Smallest and largest valid cell, boxed.
+        fn range<T: Copy>(
+            data: impl Iterator<Item = T>,
+            validity: &Bitmap,
+            boxed: impl Fn(T) -> Value,
+            less: impl Fn(T, T) -> bool,
+        ) -> ColStats {
+            let mut range = None::<(T, T)>;
+            let mut widen = |x: T| {
+                range = Some(match range {
+                    None => (x, x),
+                    Some((min, max)) => (
+                        if less(x, min) { x } else { min },
+                        if less(max, x) { x } else { max },
+                    ),
+                });
+            };
+            if validity.count_invalid() == 0 {
+                data.for_each(&mut widen);
+            } else {
+                data.enumerate()
+                    .filter(|(i, _)| validity.is_valid(*i))
+                    .for_each(|(_, x)| widen(x));
+            }
+            ColStats {
+                min: range.map(|(min, _)| boxed(min)),
+                max: range.map(|(_, max)| boxed(max)),
+                null_count: validity.count_invalid(),
+            }
+        }
         match self {
             ColumnVec::Int { data, validity } => {
-                let mut min = None::<i64>;
-                let mut max = None::<i64>;
-                for (i, &x) in data.iter().enumerate() {
-                    if !validity.is_valid(i) {
-                        continue;
-                    }
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
-                }
-                ColStats {
-                    min: min.map(Value::Int),
-                    max: max.map(Value::Int),
-                    null_count: validity.count_invalid(),
-                }
+                range(data.iter().copied(), validity, Value::Int, |a, b| a < b)
             }
             ColumnVec::Float { data, validity } => {
-                let mut min = None::<f64>;
-                let mut max = None::<f64>;
-                let mut saw_nan = false;
-                for (i, &x) in data.iter().enumerate() {
-                    if !validity.is_valid(i) {
-                        continue;
-                    }
-                    if x.is_nan() {
-                        saw_nan = true;
-                        break;
-                    }
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
-                }
-                if saw_nan {
+                let valid_nan = |(i, x): (usize, &f64)| x.is_nan() && validity.is_valid(i);
+                if data.iter().enumerate().any(valid_nan) {
                     // NaN breaks the ordering the zone map relies on;
                     // publish no range rather than a wrong one.
-                    min = None;
-                    max = None;
+                    return ColStats {
+                        min: None,
+                        max: None,
+                        null_count: validity.count_invalid(),
+                    };
                 }
-                ColStats {
-                    min: min.map(Value::Float),
-                    max: max.map(Value::Float),
-                    null_count: validity.count_invalid(),
-                }
+                range(data.iter().copied(), validity, Value::Float, |a, b| a < b)
             }
             ColumnVec::Bool { data, validity } => {
-                let mut min = None::<bool>;
-                let mut max = None::<bool>;
-                for (i, &b) in data.iter().enumerate() {
-                    if !validity.is_valid(i) {
-                        continue;
-                    }
-                    min = Some(min.map_or(b, |m| m & b));
-                    max = Some(max.map_or(b, |m| m | b));
-                }
-                ColStats {
-                    min: min.map(Value::Bool),
-                    max: max.map(Value::Bool),
-                    null_count: validity.count_invalid(),
-                }
+                range(data.iter().copied(), validity, Value::Bool, |a, b| !a & b)
             }
-            ColumnVec::Str { data, validity } => {
-                let mut min = None::<&String>;
-                let mut max = None::<&String>;
-                for (i, s) in data.iter().enumerate() {
-                    if !validity.is_valid(i) {
-                        continue;
-                    }
-                    min = Some(min.map_or(s, |m| m.min(s)));
-                    max = Some(max.map_or(s, |m| m.max(s)));
-                }
-                ColStats {
-                    min: min.map(|s| Value::Str(s.clone())),
-                    max: max.map(|s| Value::Str(s.clone())),
-                    null_count: validity.count_invalid(),
-                }
-            }
+            ColumnVec::Str { data, validity } => range(
+                data.iter(),
+                validity,
+                |s| Value::Str(s.to_owned()),
+                |a, b| a < b,
+            ),
             ColumnVec::Mixed(data) => ColStats {
                 min: None,
                 max: None,
@@ -481,13 +598,21 @@ impl BatchStats {
 /// This is the zero-copy payload the live executor routes along DAG
 /// edges when columnar mode is on; operators with columnar kernels
 /// consume it directly, everything else falls back to
-/// [`ColumnarBatch::to_tuples`].
+/// [`ColumnarBatch::to_tuples`]. The columns and their statistics are
+/// immutable once sealed and sit behind one `Arc`, so cloning a batch —
+/// an operator passing its input through, a broadcast edge — is a
+/// reference-count bump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBatch {
     schema: SchemaRef,
+    sealed: Arc<Sealed>,
+    len: usize,
+}
+
+#[derive(Debug, PartialEq)]
+struct Sealed {
     columns: Vec<ColumnVec>,
     stats: BatchStats,
-    len: usize,
 }
 
 impl ColumnarBatch {
@@ -499,16 +624,12 @@ impl ColumnarBatch {
             tuples.iter().all(|t| **t.schema() == *schema),
             "from_tuples requires schema-homogeneous input"
         );
-        let mut columns: Vec<ColumnVec> = schema
+        let columns = schema
             .fields()
             .iter()
-            .map(|f| ColumnVec::empty(f.dtype()))
+            .enumerate()
+            .map(|(j, f)| ColumnVec::from_cells(f.dtype(), tuples.iter().map(|t| t.at(j))))
             .collect();
-        for t in tuples {
-            for (col, v) in columns.iter_mut().zip(t.values()) {
-                col.push(v);
-            }
-        }
         Self::seal(schema, columns, tuples.len())
     }
 
@@ -516,12 +637,6 @@ impl ColumnarBatch {
     /// (the public, checked entry point — the columnar analogue of
     /// [`Batch::from_rows`]).
     pub fn from_rows(schema: SchemaRef, rows: Vec<Vec<Value>>) -> DataResult<Self> {
-        let mut columns: Vec<ColumnVec> = schema
-            .fields()
-            .iter()
-            .map(|f| ColumnVec::empty(f.dtype()))
-            .collect();
-        let len = rows.len();
         for row in &rows {
             if row.len() != schema.arity() {
                 return Err(DataError::ArityMismatch {
@@ -529,7 +644,7 @@ impl ColumnarBatch {
                     actual: row.len(),
                 });
             }
-            for ((field, col), v) in schema.fields().iter().zip(columns.iter_mut()).zip(row) {
+            for (field, v) in schema.fields().iter().zip(row) {
                 if !v.conforms_to(field.dtype()) {
                     return Err(DataError::TypeMismatch {
                         column: field.name().to_owned(),
@@ -537,9 +652,15 @@ impl ColumnarBatch {
                         actual: v.dtype().to_string(),
                     });
                 }
-                col.push(v);
             }
         }
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(j, f)| ColumnVec::from_cells(f.dtype(), rows.iter().map(|r| &r[j])))
+            .collect();
+        let len = rows.len();
         Ok(Self::seal(schema, columns, len))
     }
 
@@ -554,10 +675,23 @@ impl ColumnarBatch {
         };
         ColumnarBatch {
             schema,
-            columns,
-            stats,
+            sealed: Arc::new(Sealed { columns, stats }),
             len,
         }
+    }
+
+    /// Gather the rows at `indices`, in that order, into a new batch whose
+    /// statistics are re-sealed over exactly those rows — the batch
+    /// [`ColumnarBatch::from_tuples`] would build from the same rows,
+    /// without materializing them.
+    pub fn take(&self, indices: &[u32]) -> ColumnarBatch {
+        let columns = self
+            .sealed
+            .columns
+            .iter()
+            .map(|c| c.take(indices))
+            .collect();
+        Self::seal(self.schema.clone(), columns, indices.len())
     }
 
     /// Schema handle.
@@ -567,12 +701,12 @@ impl ColumnarBatch {
 
     /// The sealed statistics.
     pub fn stats(&self) -> &BatchStats {
-        &self.stats
+        &self.sealed.stats
     }
 
     /// Column `i` in schema order.
     pub fn column(&self, i: usize) -> &ColumnVec {
-        &self.columns[i]
+        &self.sealed.columns[i]
     }
 
     /// Number of rows.
@@ -587,21 +721,27 @@ impl ColumnarBatch {
 
     /// Materialize row `i` as a [`Tuple`] (schema shared, not cloned).
     pub fn tuple_at(&self, i: usize) -> Tuple {
-        let values = self.columns.iter().map(|c| c.value_at(i)).collect();
+        let values = self.sealed.columns.iter().map(|c| c.value_at(i)).collect();
         Tuple::new_unchecked(self.schema.clone(), values)
     }
 
     /// Materialize all rows back into raw value rows (round-trip inverse
-    /// of [`ColumnarBatch::from_rows`]).
+    /// of [`ColumnarBatch::from_rows`]), one column at a time.
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        (0..self.len)
-            .map(|i| self.columns.iter().map(|c| c.value_at(i)).collect())
-            .collect()
+        let arity = self.schema.arity();
+        let mut rows: Vec<Vec<Value>> = (0..self.len).map(|_| Vec::with_capacity(arity)).collect();
+        for col in &self.sealed.columns {
+            col.append_to(&mut rows);
+        }
+        rows
     }
 
     /// Materialize all rows as tuples (the row-compatibility path).
     pub fn to_tuples(&self) -> Vec<Tuple> {
-        (0..self.len).map(|i| self.tuple_at(i)).collect()
+        self.to_rows()
+            .into_iter()
+            .map(|values| Tuple::new_unchecked(self.schema.clone(), values))
+            .collect()
     }
 
     /// Convert back to a row [`Batch`].
@@ -758,6 +898,103 @@ mod tests {
         let av = Bitmap::all_valid(70);
         assert_eq!(av.count_invalid(), 0);
         assert!(av.is_valid(69));
+    }
+
+    #[test]
+    fn str_vec_roundtrips_empty_multibyte_and_null_cells() {
+        let mut v = StrVec::new();
+        assert!(v.is_empty());
+        assert_eq!(v.iter().count(), 0);
+        assert_eq!(v.take(&[]), StrVec::new());
+        let cells = ["", "a", "", "héllo", "日本語", "🦀", ""];
+        for c in cells {
+            v.push(c);
+        }
+        assert_eq!(v.len(), cells.len());
+        assert_eq!(v.iter().collect::<Vec<_>>(), cells);
+        for (i, c) in cells.iter().enumerate() {
+            assert_eq!(v.get(i), *c);
+        }
+        let picked = v.take(&[5, 0, 4, 4, 3]);
+        assert_eq!(
+            picked.iter().collect::<Vec<_>>(),
+            ["🦀", "", "日本語", "日本語", "héllo"]
+        );
+
+        // Through a batch: nulls render as Null, empty strings stay "".
+        let s = Schema::of(&[("s", DataType::Str)]);
+        let rows: Vec<Vec<Value>> = vec![
+            vec![Value::Str(String::new())],
+            vec![Value::Null],
+            vec![Value::Str("日本語".into())],
+            vec![Value::Null],
+        ];
+        let cb = ColumnarBatch::from_rows(s.clone(), rows.clone()).unwrap();
+        assert_eq!(cb.to_rows(), rows);
+        assert_eq!(cb.stats().column(0).null_count, 2);
+        assert_eq!(cb.stats().column(0).min, Some(Value::Str(String::new())));
+        let none = ColumnarBatch::from_rows(s, vec![]).unwrap();
+        assert!(none.to_tuples().is_empty());
+        assert!(none.take(&[]).is_empty());
+    }
+
+    #[test]
+    fn take_keeps_validity_and_reseals_the_stats_from_tuples_would() {
+        let s = Schema::of(&[
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("score", DataType::Float),
+            ("ok", DataType::Bool),
+            ("blob", DataType::List),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..200i64)
+            .map(|i| {
+                vec![
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i * 37 % 101)
+                    },
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str(format!("n{}é", i * 13 % 89))
+                    },
+                    if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float((i * 29 % 97) as f64 * 0.5)
+                    },
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Bool(i % 2 == 0)
+                    },
+                    Value::List(vec![Value::Int(i)]),
+                ]
+            })
+            .collect();
+        let cb = ColumnarBatch::from_rows(s.clone(), rows).unwrap();
+        let all = cb.to_tuples();
+        for indices in [
+            vec![],
+            vec![0u32],
+            vec![199, 0, 7, 7, 35],
+            (0..200).step_by(3).collect::<Vec<u32>>(),
+            (0..200).collect(),
+            // Only null ids: the range must come back unknown.
+            vec![0, 7, 14],
+        ] {
+            let picked: Vec<Tuple> = indices.iter().map(|&i| all[i as usize].clone()).collect();
+            let expect = ColumnarBatch::from_tuples(s.clone(), &picked);
+            let got = cb.take(&indices);
+            assert_eq!(got, expect, "{indices:?}");
+            assert_eq!(got.stats(), expect.stats());
+            assert_eq!(got.to_tuples(), picked);
+        }
+        // A clone shares the sealed columns instead of copying them.
+        let twin = cb.clone();
+        assert!(std::ptr::eq(cb.column(0), twin.column(0)));
     }
 
     #[test]

@@ -779,6 +779,10 @@ impl OperatorFactory for CacheReplayOp {
         Some(parts)
     }
 
+    fn is_source(&self) -> bool {
+        true
+    }
+
     fn cache_replay(&self) -> Option<(u64, u64)> {
         Some((self.entry.blocks, self.entry.bytes))
     }
@@ -846,15 +850,18 @@ impl OperatorFactory for RecordingFactory {
 
     fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
         let parts = self.inner.source_partitions(workers)?;
-        // Called more than once per plan (DAG validation probes every
-        // source, then the executor chunks it): each call yields the
-        // operator's complete output, so replace rather than append.
+        // Each call yields the operator's complete output (a plan that
+        // is run twice asks twice), so replace rather than append.
         let mut rows = lock(&self.rows);
         rows.clear();
         for p in &parts {
             rows.extend(p.iter().cloned());
         }
         Some(parts)
+    }
+
+    fn is_source(&self) -> bool {
+        self.inner.is_source()
     }
 
     fn shared_state_id(&self) -> Option<usize> {
@@ -889,7 +896,7 @@ impl RecordingOp {
     fn tee(&self, out: &OutputCollector, mark: usize) {
         let emitted = out.emitted_since(mark);
         if !emitted.is_empty() {
-            lock(&self.rows).extend_from_slice(emitted);
+            lock(&self.rows).extend_from_slice(&emitted);
         }
     }
 }

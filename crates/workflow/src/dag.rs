@@ -293,7 +293,7 @@ impl WorkflowBuilder {
                         node.factory.name()
                     )));
                 }
-                if node.factory.source_partitions(1).is_none() {
+                if !node.factory.is_source() {
                     return Err(WorkflowError::InvalidDag(format!(
                         "operator `{}` has no input ports but produces no source data",
                         node.factory.name()

@@ -107,7 +107,7 @@ use crate::backend::EngineRun;
 use crate::dag::{OpId, Workflow};
 use crate::fault::{CompiledFaults, FaultPlan, TupleAction, TupleTrigger};
 use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
-use crate::operator::{Operator, OutputCollector, WorkflowError, WorkflowResult};
+use crate::operator::{Emitted, Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryConfig, RetryPolicy};
 use crate::service::{RunOptions, ServiceConfig, Shared, TenantQuota};
@@ -408,14 +408,21 @@ impl LiveExecutor {
         self
     }
 
-    /// Seal edge batches as [`ColumnarBatch`]es with per-column min/max
-    /// statistics (pooled mode). Downstream operators consume them
-    /// through [`crate::Operator::on_batch`], which lets the relational
-    /// kernels skip whole batches whose zone maps prove no row can pass.
+    /// Make a sealed [`ColumnarBatch`] — typed columns plus per-column
+    /// min/max statistics — the thing that travels along edges (pooled
+    /// mode). A source that can seal its dataset
+    /// ([`crate::OperatorFactory::source_columnar`]) has each worker gather
+    /// its own chunks inside its quanta; operators consume batches through
+    /// [`crate::Operator::on_batch`], whose relational kernels skip whole
+    /// batches their zone maps rule out and emit what they keep as a batch
+    /// again ([`crate::OutputCollector::emit_batch`]); the router passes a
+    /// batch on, or gathers each destination's rows, without building
+    /// tuples. Rows are materialized by the first operator that needs
+    /// them — an operator without a columnar kernel, the sink — and by
+    /// exactly the batch a fault trigger, a retry replay or a budgeted
+    /// join touches, so truncation and replay keep their row semantics.
     /// Results are pinned to the row path by the backend parity suite;
     /// only throughput and the `batches_skipped` counters change.
-    /// Batches with an armed fault trigger still take the row path so
-    /// the truncation/replay machinery is exercised unchanged.
     ///
     /// # Examples
     ///
@@ -663,9 +670,10 @@ struct TaskStatic {
     slow_edge: Option<Duration>,
     /// Retry budget for faulted run quanta (resolved per operator).
     retry: RetryPolicy,
-    /// Seal outgoing edge batches as columnar payloads with zone-map
+    /// Seal outgoing row chunks as columnar payloads with zone-map
     /// statistics (every partitioning strategy; scatter edges seal each
-    /// per-destination chunk after routing).
+    /// per-destination chunk after routing). Output an operator emitted
+    /// as a batch is already sealed and is routed as one.
     columnar: bool,
 }
 
@@ -691,6 +699,8 @@ struct TaskInner {
     seqs: Vec<u64>,
     /// Reusable per-out-edge, per-destination-worker scatter buffers.
     scatter: Vec<Vec<Vec<Tuple>>>,
+    /// The same for columnar batches: row indices per destination.
+    scatter_rows: Vec<Vec<Vec<u32>>>,
     /// Routed messages awaiting delivery; kept FIFO so per-destination
     /// ordering (data before EOS) is preserved under backpressure.
     outbox: VecDeque<(usize, Msg)>,
@@ -702,8 +712,8 @@ struct TaskInner {
     held: VecDeque<Msg>,
     /// Released held messages, processed ahead of new mailbox arrivals.
     pending: VecDeque<Msg>,
-    /// Pre-chunked own data (source workers only).
-    source: Option<VecDeque<Vec<Tuple>>>,
+    /// Own data (source workers only).
+    source: Option<Source>,
     eos_queued: bool,
     done: bool,
     /// The task failed (organic error, injected fault, or captured
@@ -724,6 +734,47 @@ struct TaskInner {
     /// Armed retry backoff: the task must not run again before this
     /// instant.
     park_until: Option<Instant>,
+}
+
+/// A source worker's own data, handed out one edge batch at a time.
+struct Source {
+    /// Row chunks ready to forward: a row source's pre-chunked partition,
+    /// or the remainder a fault pushed back for replay.
+    rows: VecDeque<Vec<Tuple>>,
+    /// Columnar mode over a dataset its factory sealed once
+    /// ([`crate::OperatorFactory::source_columnar`]): nothing is copied
+    /// until a quantum gathers its next chunk.
+    sealed: Option<SealedCursor>,
+}
+
+/// Worker `k` of `w` reads rows `k, k + w, …` of the sealed dataset.
+struct SealedCursor {
+    data: ColumnarBatch,
+    next: usize,
+    stride: usize,
+}
+
+impl Source {
+    /// The next chunk of at most `batch_size` rows.
+    fn pop(&mut self, batch_size: usize) -> Option<Emitted> {
+        if let Some(rows) = self.rows.pop_front() {
+            return Some(Emitted::Rows(rows));
+        }
+        let cursor = self.sealed.as_mut()?;
+        let rows: Vec<u32> = (cursor.next..cursor.data.len())
+            .step_by(cursor.stride)
+            .take(batch_size)
+            // `build_tasks` only seals datasets whose length fits.
+            .map(|i| i as u32)
+            .collect();
+        let last = *rows.last()?;
+        cursor.next = last as usize + cursor.stride;
+        Some(Emitted::Columnar(cursor.data.take(&rows)))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty() && self.sealed.as_ref().is_none_or(|c| c.next >= c.data.len())
+    }
 }
 
 impl TaskInner {
@@ -1087,13 +1138,84 @@ impl Pool {
         true
     }
 
+    /// Route one run of output along every out-edge into the outbox.
+    fn forward(
+        &self,
+        meta: &TaskStatic,
+        inner: &mut TaskInner,
+        out: Emitted,
+    ) -> WorkflowResult<()> {
+        match out {
+            Emitted::Rows(tuples) => self.forward_rows(meta, inner, tuples),
+            Emitted::Columnar(batch) => self.forward_columnar(meta, inner, batch),
+        }
+    }
+
+    /// Route a sealed columnar batch without building rows: broadcast and
+    /// single-consumer edges pass the batch on (a reference-count bump);
+    /// scattered edges gather each destination's rows into a batch of its
+    /// own, with the row router's `seq` arithmetic and hash buckets, so
+    /// every tuple lands on the worker [`Pool::forward_rows`] would send
+    /// it to, in the same per-destination batches.
+    fn forward_columnar(
+        &self,
+        meta: &TaskStatic,
+        inner: &mut TaskInner,
+        batch: ColumnarBatch,
+    ) -> WorkflowResult<()> {
+        self.tracer.on_output(meta.op, batch.len() as u64);
+        if meta.downstream.is_empty() || batch.is_empty() {
+            return Ok(());
+        }
+        let TaskInner {
+            seqs,
+            scatter_rows,
+            outbox,
+            ..
+        } = inner;
+        for (d, edge) in meta.downstream.iter().enumerate() {
+            let mut send = |dests: &[usize], chunk: ColumnarBatch| {
+                let batch = SharedBatch::from_columnar(chunk);
+                for &dest in dests {
+                    outbox.push_back((
+                        dest,
+                        Msg::Batch {
+                            port: edge.to_port,
+                            batch: batch.clone(),
+                        },
+                    ));
+                }
+            };
+            if edge.partitioner.is_broadcast() || edge.dests.len() == 1 {
+                if batch.len() <= meta.batch_size {
+                    send(&edge.dests, batch.clone());
+                } else {
+                    let all: Vec<u32> = (0..batch.len() as u32).collect();
+                    for part in all.chunks(meta.batch_size) {
+                        send(&edge.dests, batch.take(part));
+                    }
+                }
+            } else {
+                edge.partitioner
+                    .scatter_indices(&batch, &mut seqs[d], &mut scatter_rows[d])?;
+                for (rows, dest) in scatter_rows[d].iter_mut().zip(&edge.dests) {
+                    for part in rows.chunks(meta.batch_size) {
+                        send(std::slice::from_ref(dest), batch.take(part));
+                    }
+                    rows.clear();
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Route `tuples` along every out-edge into the outbox.
     ///
     /// Broadcast edges chunk once and clone only the `Arc` per
     /// destination; single-consumer edges skip routing entirely; scattered
     /// edges *move* each tuple into a reusable per-worker buffer — no
     /// per-tuple clone anywhere except genuine multi-edge fan-out.
-    fn forward(
+    fn forward_rows(
         &self,
         meta: &TaskStatic,
         inner: &mut TaskInner,
@@ -1181,10 +1303,11 @@ impl Pool {
         if inner.collector.is_empty() {
             return None;
         }
-        let out = inner.collector.take();
-        if let Err(e) = self.forward(meta, inner, out) {
-            self.fail_task(meta.op, inner, e);
-            return Some(RunOutcome::More);
+        for out in inner.collector.drain_emitted() {
+            if let Err(e) = self.forward(meta, inner, out) {
+                self.fail_task(meta.op, inner, e);
+                return Some(RunOutcome::More);
+            }
         }
         (!self.flush_outbox(tid, inner)).then_some(RunOutcome::Yield)
     }
@@ -1248,16 +1371,16 @@ impl Pool {
             return RunOutcome::Yield;
         }
 
-        // Source emission: forward pre-chunked own data.
+        // Source emission: forward own data, one edge batch at a time.
         if inner.source.is_some() {
             let mut emitted = 0usize;
             loop {
                 if emitted >= QUANTUM {
                     return RunOutcome::More;
                 }
-                let mut chunk = match inner.source.as_mut().expect("checked above").pop_front() {
-                    Some(c) => c,
-                    None => break,
+                let source = inner.source.as_mut().expect("checked above");
+                let Some(mut chunk) = source.pop(meta.batch_size) else {
+                    break;
                 };
                 emitted += 1;
                 let trigger = self
@@ -1265,23 +1388,28 @@ impl Pool {
                     .as_ref()
                     .and_then(|f| f.check_tuples(meta.op, chunk.len() as u64));
                 if let Some(t) = &trigger {
+                    // Truncation and replay reason about tuple positions:
+                    // a fault-armed chunk is materialized, and only it.
+                    let mut rows = chunk.into_rows();
                     if self.budget_left(meta, inner) {
                         // Under a retry budget the tuples behind the
                         // fault are not lost: the remainder goes back to
                         // the head of the source queue and replays next
                         // quantum (the trigger's atomics fired exactly
                         // once, so re-chunking cannot re-fire it).
-                        let rest = chunk.split_off((t.keep as usize).min(chunk.len()));
+                        let rest = rows.split_off((t.keep as usize).min(rows.len()));
                         if !rest.is_empty() {
                             inner
                                 .source
                                 .as_mut()
                                 .expect("checked above")
+                                .rows
                                 .push_front(rest);
                         }
                     } else {
-                        chunk.truncate(t.keep as usize);
+                        rows.truncate(t.keep as usize);
                     }
+                    chunk = Emitted::Rows(rows);
                 }
                 if let Err(e) = self.forward(meta, inner, chunk) {
                     self.fail_task(meta.op, inner, e);
@@ -1514,7 +1642,7 @@ impl Pool {
 
         // Everything available has been processed: complete if no more
         // input can ever arrive (per-channel FIFO means EOS is final).
-        let source_drained = inner.source.as_ref().is_none_or(|s| s.is_empty());
+        let source_drained = inner.source.as_ref().is_none_or(Source::is_empty);
         let ports_done = inner.port_done.iter().all(|d| *d);
         if source_drained
             && ports_done
@@ -1888,20 +2016,34 @@ pub(crate) fn build_tasks(
             expected_eos[e.to_port] += wf.op(e.from).parallelism;
         }
         let blocking = node.factory.blocking_ports();
-        // A source is partitioned once; each worker takes its own part.
-        let mut parts = (ports == 0).then(|| {
+        // In columnar mode a source that seals its dataset hands every
+        // worker a cursor over the shared batch and copies nothing here.
+        let sealed = (ports == 0 && columnar)
+            .then(|| node.factory.source_columnar())
+            .flatten()
+            .filter(|data| u32::try_from(data.len()).is_ok());
+        // Otherwise a source is partitioned once, as rows; each worker
+        // takes its own part.
+        let mut parts = (ports == 0 && sealed.is_none()).then(|| {
             node.factory
                 .source_partitions(node.parallelism)
                 .expect("validated at build time")
                 .into_iter()
         });
-        for _ in 0..node.parallelism {
-            let source = parts.as_mut().map(|parts| {
-                let mut chunks = VecDeque::new();
+        for local in 0..node.parallelism {
+            let mut rows = VecDeque::new();
+            if let Some(parts) = parts.as_mut() {
                 chunk_owned(parts.next().unwrap_or_default(), batch_size, |c| {
-                    chunks.push_back(c)
+                    rows.push_back(c)
                 });
-                chunks
+            }
+            let source = (ports == 0).then(|| Source {
+                rows,
+                sealed: sealed.as_ref().map(|data| SealedCursor {
+                    data: data.clone(),
+                    next: local,
+                    stride: node.parallelism,
+                }),
             });
             tasks.push(Task {
                 meta: TaskStatic {
@@ -1922,6 +2064,10 @@ pub(crate) fn build_tasks(
                     collector: OutputCollector::with_capacity(batch_size),
                     seqs: vec![0; downstream.len()],
                     scatter: downstream
+                        .iter()
+                        .map(|e| vec![Vec::new(); e.dests.len()])
+                        .collect(),
+                    scatter_rows: downstream
                         .iter()
                         .map(|e| vec![Vec::new(); e.dests.len()])
                         .collect(),
@@ -1997,6 +2143,9 @@ mod tests {
             self.calls.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep(self.delay);
             self.scan.source_partitions(workers)
+        }
+        fn is_source(&self) -> bool {
+            self.scan.is_source()
         }
     }
 
@@ -2530,10 +2679,13 @@ mod tests {
         let sink = b.add(Arc::new(sink_op), 1);
         b.connect(scan, sink, 0, PartitionStrategy::Single);
         let wf = b.build().unwrap();
-        // Building the DAG may consult the source too; count the run.
-        let before = calls.load(Ordering::SeqCst);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            0,
+            "DAG validation asks whether it is a source without partitioning it"
+        );
         LiveExecutor::new(8).run(&wf).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst) - before, 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(handle.len(), 100, "every worker still emits its own part");
     }
 

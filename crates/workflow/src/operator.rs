@@ -1,5 +1,6 @@
 //! The operator abstraction: the basic building block of workflows.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use scriptflow_core::fingerprint::{Fingerprinter, OpFingerprint};
@@ -86,14 +87,33 @@ impl WorkflowError {
     }
 }
 
-/// Collects tuples an operator emits while handling input, plus the
-/// [`OpCounters`] it accrues doing so.
+/// One run of an operator's output, in emission order: rows, or a
+/// sealed columnar batch passed on whole.
+#[derive(Debug)]
+pub(crate) enum Emitted {
+    Rows(Vec<Tuple>),
+    Columnar(ColumnarBatch),
+}
+
+/// Collects what an operator emits while handling input — tuples and,
+/// from columnar kernels, whole sealed batches — plus the [`OpCounters`]
+/// it accrues doing so.
 ///
 /// Output is port-less: an operator has exactly one output stream which
 /// the DAG may fan out to several downstream edges (Texera's model).
+/// Emission order is kept across the two forms; every row-shaped reader
+/// ([`OutputCollector::len`], [`OutputCollector::take`],
+/// [`OutputCollector::emitted_since`]) sees the rows of an emitted batch
+/// where the batch was emitted.
 #[derive(Debug, Default)]
 pub struct OutputCollector {
+    /// Rows emitted since the last columnar batch (all of the output when
+    /// no batch was emitted, which is every row-mode run).
     tuples: Vec<Tuple>,
+    /// What came before `tuples`, ending in a columnar batch.
+    earlier: Vec<Emitted>,
+    /// Rows held in `earlier`.
+    earlier_rows: usize,
     counters: OpCounters,
 }
 
@@ -159,15 +179,33 @@ impl OutputCollector {
     /// exactly once.
     pub fn discard(&mut self) {
         self.tuples.clear();
+        self.earlier.clear();
+        self.earlier_rows = 0;
         self.counters = OpCounters::default();
     }
 
     /// The tuples emitted since `mark` (a value of
     /// [`OutputCollector::len`] captured earlier). The result cache's
     /// recording wrapper uses this to tee exactly what one inner call
-    /// produced.
-    pub fn emitted_since(&self, mark: usize) -> &[Tuple] {
-        &self.tuples[mark..]
+    /// produced. Borrowed unless a columnar batch was emitted since the
+    /// last drain, in which case its rows are materialized here.
+    pub fn emitted_since(&self, mark: usize) -> Cow<'_, [Tuple]> {
+        if self.earlier.is_empty() {
+            return Cow::Borrowed(&self.tuples[mark..]);
+        }
+        let mut rows = Vec::with_capacity(self.len() - mark);
+        let mut skip = mark;
+        for run in &self.earlier {
+            if skip >= run.len() {
+                // Wholly before the mark: never materialized.
+                skip -= run.len();
+                continue;
+            }
+            rows.extend_from_slice(&run.rows()[skip..]);
+            skip = 0;
+        }
+        rows.extend_from_slice(&self.tuples[skip..]);
+        Cow::Owned(rows)
     }
 
     /// Emit one tuple downstream.
@@ -180,19 +218,76 @@ impl OutputCollector {
         self.tuples.extend(tuples);
     }
 
+    /// Emit a sealed columnar batch downstream whole, after everything
+    /// emitted so far. A columnar executor routes it without building
+    /// rows; every row-shaped reader sees its rows in place.
+    pub fn emit_batch(&mut self, batch: ColumnarBatch) {
+        if batch.is_empty() {
+            return;
+        }
+        if !self.tuples.is_empty() {
+            self.earlier_rows += self.tuples.len();
+            self.earlier
+                .push(Emitted::Rows(std::mem::take(&mut self.tuples)));
+        }
+        self.earlier_rows += batch.len();
+        self.earlier.push(Emitted::Columnar(batch));
+    }
+
     /// Number of tuples collected so far.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.earlier_rows + self.tuples.len()
     }
 
     /// True if nothing has been emitted.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 
-    /// Drain the collected tuples.
+    /// Drain the collected tuples, materializing emitted batches.
     pub fn take(&mut self) -> Vec<Tuple> {
-        std::mem::take(&mut self.tuples)
+        if self.earlier.is_empty() {
+            return std::mem::take(&mut self.tuples);
+        }
+        let mut rows = Vec::with_capacity(self.len());
+        for run in self.drain_emitted() {
+            rows.extend(run.into_rows());
+        }
+        rows
+    }
+
+    /// Drain the output as it was emitted: runs of rows and whole
+    /// columnar batches, in order. Row-mode output is one run.
+    pub(crate) fn drain_emitted(&mut self) -> impl Iterator<Item = Emitted> {
+        self.earlier_rows = 0;
+        let tail = std::mem::take(&mut self.tuples);
+        std::mem::take(&mut self.earlier)
+            .into_iter()
+            .chain((!tail.is_empty()).then_some(Emitted::Rows(tail)))
+    }
+}
+
+impl Emitted {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Emitted::Rows(t) => t.len(),
+            Emitted::Columnar(b) => b.len(),
+        }
+    }
+
+    fn rows(&self) -> Cow<'_, [Tuple]> {
+        match self {
+            Emitted::Rows(t) => Cow::Borrowed(t),
+            Emitted::Columnar(b) => Cow::Owned(b.to_tuples()),
+        }
+    }
+
+    /// The rows, materializing a columnar batch.
+    pub(crate) fn into_rows(self) -> Vec<Tuple> {
+        match self {
+            Emitted::Rows(t) => t,
+            Emitted::Columnar(b) => b.to_tuples(),
+        }
     }
 }
 
@@ -291,6 +386,26 @@ pub trait OperatorFactory: Send + Sync {
     /// For source operators: the tuples this source produces, already
     /// partitioned across `workers`. Non-sources return `None`.
     fn source_partitions(&self, _workers: usize) -> Option<Vec<Vec<Tuple>>> {
+        None
+    }
+
+    /// Whether this factory is a source, i.e. whether
+    /// [`OperatorFactory::source_partitions`] yields data. DAG validation
+    /// asks this of every port-less operator; the default answers by
+    /// producing the partitions, so a source that holds real data
+    /// overrides it to answer without copying.
+    fn is_source(&self) -> bool {
+        self.source_partitions(1).is_some()
+    }
+
+    /// For sources that can hand out their whole dataset as one sealed
+    /// columnar batch (sealed once, shared by every run): that batch. A
+    /// columnar executor then has worker `k` of `w` gather rows
+    /// `k, k + w, …` — the rows [`OperatorFactory::source_partitions`]
+    /// deals it — one edge batch at a time inside its own quanta, instead
+    /// of materializing every row up front. `None` (the default) keeps
+    /// the source on `source_partitions`.
+    fn source_columnar(&self) -> Option<ColumnarBatch> {
         None
     }
 
@@ -437,6 +552,54 @@ mod tests {
         let drained = out.take();
         assert_eq!(drained.len(), 3);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn collector_keeps_interleaved_row_and_columnar_emissions_in_order() {
+        let schema = Schema::of(&[("x", DataType::Int)]);
+        let row = |x: i64| Tuple::new(schema.clone(), vec![Value::Int(x)]).unwrap();
+        let batch = |xs: &[i64]| {
+            ColumnarBatch::from_tuples(
+                schema.clone(),
+                &xs.iter().map(|&x| row(x)).collect::<Vec<_>>(),
+            )
+        };
+        let xs =
+            |rows: &[Tuple]| -> Vec<i64> { rows.iter().map(|t| t.get_int("x").unwrap()).collect() };
+        let mut out = OutputCollector::new();
+        out.emit(row(1));
+        out.emit_batch(batch(&[2, 3]));
+        out.emit_batch(batch(&[]));
+        let mark = out.len();
+        assert_eq!(mark, 3);
+        out.emit_all([row(4), row(5)]);
+        out.emit_batch(batch(&[6]));
+        out.emit(row(7));
+        assert_eq!(out.len(), 7);
+        assert!(!out.is_empty());
+        // Every row-shaped reader sees every row, where it was emitted.
+        assert_eq!(xs(&out.emitted_since(0)), [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(xs(&out.emitted_since(2)), [3, 4, 5, 6, 7]);
+        assert_eq!(xs(&out.emitted_since(mark)), [4, 5, 6, 7]);
+        assert_eq!(xs(&out.emitted_since(7)), [0i64; 0]);
+        // The executor's drain keeps the runs apart and the batches whole.
+        let mut again = OutputCollector::new();
+        again.emit(row(1));
+        again.emit_batch(batch(&[2, 3]));
+        again.emit(row(4));
+        let runs: Vec<(bool, usize)> = again
+            .drain_emitted()
+            .map(|run| (matches!(run, Emitted::Columnar(_)), run.len()))
+            .collect();
+        assert_eq!(runs, [(false, 1), (true, 2), (false, 1)]);
+        assert!(again.is_empty());
+        assert_eq!(xs(&out.take()), [1, 2, 3, 4, 5, 6, 7]);
+        assert!(out.is_empty() && out.take().is_empty());
+        // A faulted quantum's partial output is dropped in both forms.
+        out.emit(row(8));
+        out.emit_batch(batch(&[9]));
+        out.discard();
+        assert!(out.is_empty() && out.take().is_empty());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! spills to the block store as partial-aggregate rows and partitions
 //! merge at completion.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,6 +18,8 @@ use crate::operator::{
     spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
 };
 use crate::spill::{read_segment, PartitionWriter, SPILL_FANOUT};
+
+use super::{resolve_columns, ResolvedColumns};
 
 /// One aggregation over a column.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,6 +219,12 @@ struct AggregateInstance {
     budget_fixed: bool,
     groups_bytes: usize,
     spill: Option<AggSpill>,
+    // The group columns' indices in the input tuples, and those of
+    // `inputs`: the input column of every aggregation that reads one, in
+    // `aggs` order.
+    group_idx: ResolvedColumns,
+    inputs: Vec<String>,
+    input_idx: ResolvedColumns,
 }
 
 impl Operator for AggregateInstance {
@@ -240,44 +249,33 @@ impl Operator for AggregateInstance {
                     })?;
             self.out_schema = Some(Arc::new(derived));
         }
-        let cols: Vec<&str> = self.group_by.iter().map(String::as_str).collect();
-        let key = if cols.is_empty() {
+        let wrap = |e| WorkflowError::from_data(&self.name, e);
+        let group =
+            resolve_columns(&mut self.group_idx, tuple.schema(), &self.group_by).map_err(wrap)?;
+        let inputs =
+            resolve_columns(&mut self.input_idx, tuple.schema(), &self.inputs).map_err(wrap)?;
+        let key = if group.is_empty() {
             HashKey::Null
         } else {
-            HashKey::from_tuple(&tuple, &cols)
-                .map_err(|e| WorkflowError::from_data(&self.name, e))?
+            HashKey::from_tuple_indexed(&tuple, group).map_err(wrap)?
         };
-        if !self.groups.contains_key(&key) {
-            let mut rep = Vec::with_capacity(cols.len());
-            for c in &cols {
-                rep.push(
-                    tuple
-                        .get(c)
-                        .map_err(|e| WorkflowError::from_data(&self.name, e))?
-                        .clone(),
-                );
+        let (_, states) = match self.groups.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let rep: Vec<Value> = group.iter().map(|&i| tuple.at(i).clone()).collect();
+                // Per-group footprint: the representative values' stable wire
+                // size plus the fixed per-group bookkeeping (agg states, map
+                // entry). Updates to existing groups don't grow state.
+                self.groups_bytes +=
+                    rep.iter().map(Value::encoded_len).sum::<usize>() + 32 * self.aggs.len() + 48;
+                self.order.push(e.key().clone());
+                e.insert((rep, self.aggs.iter().map(|_| AggState::new()).collect()))
             }
-            // Per-group footprint: the representative values' stable wire
-            // size plus the fixed per-group bookkeeping (agg states, map
-            // entry). Updates to existing groups don't grow state.
-            self.groups_bytes +=
-                rep.iter().map(Value::encoded_len).sum::<usize>() + 32 * self.aggs.len() + 48;
-            self.groups.insert(
-                key.clone(),
-                (rep, self.aggs.iter().map(|_| AggState::new()).collect()),
-            );
-            self.order.push(key.clone());
-        }
-        let (_, states) = self.groups.get_mut(&key).expect("inserted above");
-        for (agg, state) in self.aggs.iter().zip(states.iter_mut()) {
-            let x = match agg.input_column() {
-                Some(c) => tuple
-                    .get(c)
-                    .map_err(|e| WorkflowError::from_data(&self.name, e))?
-                    .as_float(),
-                None => None,
-            };
-            state.update(x);
+        };
+        let mut inputs = inputs.iter();
+        for (agg, state) in self.aggs.iter().zip(states) {
+            let column = agg.input_column().and_then(|_| inputs.next());
+            state.update(column.and_then(|&i| tuple.at(i).as_float()));
         }
         if self.budget.is_some_and(|b| self.groups_bytes > b) {
             self.flush_groups(out)?;
@@ -567,6 +565,13 @@ impl OperatorFactory for AggregateOp {
             budget_fixed: self.memory_budget.is_some(),
             groups_bytes: 0,
             spill: None,
+            group_idx: None,
+            inputs: self
+                .aggs
+                .iter()
+                .filter_map(|a| a.input_column().map(str::to_owned))
+                .collect(),
+            input_idx: None,
         })
     }
 

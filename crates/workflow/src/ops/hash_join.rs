@@ -18,6 +18,8 @@ use crate::operator::{
 };
 use crate::spill::{tuple_footprint, PartitionWriter, SPILL_FANOUT, SPILL_MAX_DEPTH};
 
+use super::{resolve_columns, ResolvedColumns};
+
 /// Join semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
@@ -98,6 +100,9 @@ struct HashJoinInstance {
     name: String,
     build_keys: Vec<String>,
     probe_keys: Vec<String>,
+    // The key columns' indices in the build and probe tuples.
+    build_idx: ResolvedColumns,
+    probe_idx: ResolvedColumns,
     join_type: JoinType,
     table: HashMap<HashKey, Vec<Tuple>>,
     out_schema: Option<SchemaRef>,
@@ -148,9 +153,16 @@ enum BuildKeyRange {
 }
 
 impl HashJoinInstance {
-    fn key_of(&self, tuple: &Tuple, cols: &[String]) -> WorkflowResult<HashKey> {
-        let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-        HashKey::from_tuple(tuple, &names).map_err(|e| WorkflowError::from_data(&self.name, e))
+    /// `tuple`'s join key, off the `names` columns resolved in `slot`.
+    fn key_of(
+        name: &str,
+        slot: &mut ResolvedColumns,
+        names: &[String],
+        tuple: &Tuple,
+    ) -> WorkflowResult<HashKey> {
+        resolve_columns(slot, tuple.schema(), names)
+            .and_then(|indices| HashKey::from_tuple_indexed(tuple, indices))
+            .map_err(|e| WorkflowError::from_data(name, e))
     }
 
     /// Fold one build-side key value into the running min/max.
@@ -403,14 +415,13 @@ impl Operator for HashJoinInstance {
     ) -> WorkflowResult<()> {
         match port {
             0 => {
-                if self.build_keys.len() == 1 {
-                    let v = tuple
-                        .get(&self.build_keys[0])
-                        .map_err(|e| WorkflowError::from_data(&self.name, e))?
-                        .clone();
-                    self.widen_build_range(&v);
+                let key = Self::key_of(&self.name, &mut self.build_idx, &self.build_keys, &tuple)?;
+                if let Some((_, indices)) = &self.build_idx {
+                    if let [only] = indices[..] {
+                        let v = tuple.at(only).clone();
+                        self.widen_build_range(&v);
+                    }
                 }
-                let key = self.key_of(&tuple, &self.build_keys.clone())?;
                 if let Some(spill) = self.spill.as_mut() {
                     let flush_at = self
                         .budget
@@ -426,7 +437,7 @@ impl Operator for HashJoinInstance {
                 Ok(())
             }
             1 => {
-                let key = self.key_of(&tuple, &self.probe_keys.clone())?;
+                let key = Self::key_of(&self.name, &mut self.probe_idx, &self.probe_keys, &tuple)?;
                 if let Some(spill) = self.spill.as_mut() {
                     // Grace mode: probing is deferred until the probe port
                     // completes and partitions join pairwise.
@@ -439,14 +450,17 @@ impl Operator for HashJoinInstance {
                 // Derive the joined schema lazily from the first probe
                 // tuple + any build tuple (the executor checked it at
                 // build time; this is the instance-local copy).
-                let build_schema = self
-                    .table
-                    .values()
-                    .next()
-                    .and_then(|v| v.first())
-                    .map(|t| (**t.schema()).clone());
-                let schema = self.ensure_out_schema(&tuple, build_schema.as_ref())?;
-                Self::emit_probe(&schema, self.join_type, &tuple, self.table.get(&key), out);
+                if self.out_schema.is_none() {
+                    let build_schema = self
+                        .table
+                        .values()
+                        .next()
+                        .and_then(|v| v.first())
+                        .map(|t| (**t.schema()).clone());
+                    self.ensure_out_schema(&tuple, build_schema.as_ref())?;
+                }
+                let schema = self.out_schema.as_ref().expect("derived above");
+                Self::emit_probe(schema, self.join_type, &tuple, self.table.get(&key), out);
                 Ok(())
             }
             other => Err(WorkflowError::OperatorFailed {
@@ -539,7 +553,7 @@ impl Operator for HashJoinInstance {
                 ColumnVec::Str { data, validity } => {
                     for (i, k) in data.iter().enumerate() {
                         let key = if validity.is_valid(i) {
-                            HashKey::Str(k.clone())
+                            HashKey::Str(k.to_owned())
                         } else {
                             HashKey::Null
                         };
@@ -622,6 +636,8 @@ impl OperatorFactory for HashJoinOp {
             name: self.name.clone(),
             build_keys: self.build_keys.clone(),
             probe_keys: self.probe_keys.clone(),
+            build_idx: None,
+            probe_idx: None,
             join_type: self.join_type,
             table: HashMap::new(),
             out_schema: None,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use scriptflow_datakit::column::{cmp_value, CmpOp};
 use scriptflow_datakit::{
-    ColumnVec, ColumnarBatch, DataResult, HashKey, Schema, SchemaRef, Tuple, Value,
+    Bitmap, ColumnVec, ColumnarBatch, DataResult, HashKey, Schema, SchemaRef, Tuple, Value,
 };
 use scriptflow_simcluster::Language;
 
@@ -103,29 +103,34 @@ struct FilterInstance {
 }
 
 impl FilterInstance {
-    /// Tight monomorphic keep-mask loop for a comparison predicate over
-    /// one typed column; falls back to boxed comparison for `Mixed`.
-    fn columnar_mask(col: &ColumnVec, op: CmpOp, literal: &Value) -> Vec<bool> {
+    /// Tight monomorphic selection loop for a comparison predicate over
+    /// one typed column: the indices of the rows to keep, ascending.
+    /// Falls back to boxed comparison for `Mixed`.
+    fn columnar_keep(col: &ColumnVec, op: CmpOp, literal: &Value) -> Vec<u32> {
+        fn keep<T>(
+            data: impl Iterator<Item = T>,
+            validity: &Bitmap,
+            pass: impl Fn(T) -> bool,
+        ) -> Vec<u32> {
+            data.enumerate()
+                .filter_map(|(i, x)| (validity.is_valid(i) && pass(x)).then_some(i as u32))
+                .collect()
+        }
         match (col, literal) {
-            (ColumnVec::Int { data, validity }, Value::Int(lit)) => data
-                .iter()
-                .enumerate()
-                .map(|(i, x)| validity.is_valid(i) && op.eval(x.cmp(lit)))
-                .collect(),
-            (ColumnVec::Float { data, validity }, Value::Float(lit)) => data
-                .iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    validity.is_valid(i) && x.partial_cmp(lit).is_some_and(|o| op.eval(o))
+            (ColumnVec::Int { data, validity }, Value::Int(lit)) => {
+                keep(data.iter(), validity, |x| op.eval(x.cmp(lit)))
+            }
+            (ColumnVec::Float { data, validity }, Value::Float(lit)) => {
+                keep(data.iter(), validity, |x| {
+                    x.partial_cmp(lit).is_some_and(|o| op.eval(o))
                 })
-                .collect(),
-            (ColumnVec::Str { data, validity }, Value::Str(lit)) => data
-                .iter()
-                .enumerate()
-                .map(|(i, s)| validity.is_valid(i) && op.eval(s.as_str().cmp(lit)))
-                .collect(),
+            }
+            (ColumnVec::Str { data, validity }, Value::Str(lit)) => {
+                keep(data.iter(), validity, |s| op.eval(s.cmp(lit.as_str())))
+            }
             _ => (0..col.len())
-                .map(|i| cmp_value(&col.value_at(i), op, literal))
+                .filter(|&i| cmp_value(&col.value_at(i), op, literal))
+                .map(|i| i as u32)
                 .collect(),
         }
     }
@@ -169,14 +174,15 @@ impl Operator for FilterInstance {
             return Ok(());
         }
         if stats.range_satisfies(cmp.op, &cmp.literal) {
-            out.emit_all(batch.to_tuples());
+            // Every row passes: hand the sealed batch on as it is.
+            out.emit_batch(batch.clone());
             return Ok(());
         }
-        let mask = Self::columnar_mask(batch.column(idx), cmp.op, &cmp.literal);
-        for (i, keep) in mask.into_iter().enumerate() {
-            if keep {
-                out.emit(batch.tuple_at(i));
-            }
+        let keep = Self::columnar_keep(batch.column(idx), cmp.op, &cmp.literal);
+        if keep.len() == batch.len() {
+            out.emit_batch(batch.clone());
+        } else {
+            out.emit_batch(batch.take(&keep));
         }
         Ok(())
     }

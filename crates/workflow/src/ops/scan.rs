@@ -1,7 +1,9 @@
 //! Source operator: emits a pre-materialized batch.
 
+use std::sync::OnceLock;
+
 use scriptflow_core::fingerprint::OpFingerprint;
-use scriptflow_datakit::{Batch, Schema, SchemaRef, Tuple};
+use scriptflow_datakit::{Batch, ColumnarBatch, Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::Language;
 
 use crate::cost::CostProfile;
@@ -20,6 +22,12 @@ pub struct ScanOp {
     batch: Batch,
     cost: CostProfile,
     language: Language,
+    /// The content digest, hashed on first use: every workflow sharing
+    /// this scan asks for it at every `build`.
+    fingerprint: OnceLock<OpFingerprint>,
+    /// The whole dataset as one columnar batch, sealed on first use and
+    /// shared by every columnar run.
+    sealed: OnceLock<ColumnarBatch>,
 }
 
 impl ScanOp {
@@ -32,18 +40,24 @@ impl ScanOp {
             // table; default to 4 µs per tuple.
             cost: CostProfile::per_tuple_micros(4),
             language: Language::Python,
+            fingerprint: OnceLock::new(),
+            sealed: OnceLock::new(),
         }
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
         self.cost = cost;
+        // The digest covers the cost profile.
+        self.fingerprint = OnceLock::new();
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
         self.language = language;
+        // The digest covers the language.
+        self.fingerprint = OnceLock::new();
         self
     }
 
@@ -110,16 +124,30 @@ impl OperatorFactory for ScanOp {
         Some(parts)
     }
 
+    fn is_source(&self) -> bool {
+        true
+    }
+
+    fn source_columnar(&self) -> Option<ColumnarBatch> {
+        Some(
+            self.sealed
+                .get_or_init(|| ColumnarBatch::from_batch(&self.batch))
+                .clone(),
+        )
+    }
+
     /// A scan is content-addressed by its actual data: schema plus every
     /// row, so editing the input invalidates the whole downstream cone.
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
-        h.write_str(&self.batch.schema().to_string());
-        h.write_usize(self.batch.len());
-        for t in self.batch.tuples() {
-            fingerprint_tuple(&mut h, t);
-        }
-        h.finish()
+        *self.fingerprint.get_or_init(|| {
+            let mut h = spec_fingerprinter(self);
+            h.write_str(&self.batch.schema().to_string());
+            h.write_usize(self.batch.len());
+            for t in self.batch.tuples() {
+                fingerprint_tuple(&mut h, t);
+            }
+            h.finish()
+        })
     }
 }
 
@@ -158,6 +186,29 @@ mod tests {
     fn fingerprint_follows_content() {
         use crate::operator::OperatorFactory;
         assert_eq!(scan(5).fingerprint(), scan(5).fingerprint());
+        // Memoized, never recomputed differently: a scan that has already
+        // answered agrees with a freshly constructed one, and with the
+        // value on-disk cache keys were derived from before memoization.
+        let asked = scan(5);
+        asked.fingerprint();
+        assert_eq!(asked.fingerprint(), scan(5).fingerprint());
+        assert_eq!(
+            asked.fingerprint().0,
+            0xfd1d_49bb_0a63_7357_c4f5_1e66_d2c1_39ae
+        );
+        // The overrides clear the memo: the digest covers what they set.
+        assert_ne!(
+            asked.fingerprint(),
+            asked.with_language(Language::Scala).fingerprint()
+        );
+        let asked = scan(5);
+        asked.fingerprint();
+        assert_ne!(
+            scan(5).fingerprint(),
+            asked
+                .with_cost(CostProfile::per_tuple_micros(9))
+                .fingerprint()
+        );
         assert_ne!(scan(5).fingerprint(), scan(6).fingerprint());
         assert_ne!(
             scan(5).fingerprint(),

@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use scriptflow_datakit::{Schema, SchemaRef, Tuple};
+use scriptflow_datakit::{ColumnarBatch, Schema, SchemaRef, Tuple};
 
 use crate::cost::CostProfile;
 use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowResult};
@@ -82,6 +82,20 @@ impl Operator for SinkInstance {
         _out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
         lock(&self.results).push(tuple);
+        Ok(())
+    }
+
+    /// The results view is rows: this is where a batch that stayed
+    /// columnar end to end is finally materialized, appended under one
+    /// lock hold.
+    fn on_batch(
+        &mut self,
+        batch: &ColumnarBatch,
+        _port: usize,
+        _out: &mut OutputCollector,
+    ) -> WorkflowResult<()> {
+        let rows = batch.to_tuples();
+        lock(&self.results).extend(rows);
         Ok(())
     }
 }

@@ -13,7 +13,7 @@
 //! ([`CompiledPartitioner::route_by_index`]); the name-based
 //! [`PartitionStrategy::route`] remains for ad-hoc callers and tests.
 
-use scriptflow_datakit::{HashKey, Schema, Tuple};
+use scriptflow_datakit::{ColumnVec, ColumnarBatch, DataResult, HashKey, Schema, Tuple, Value};
 
 use crate::operator::{WorkflowError, WorkflowResult};
 
@@ -176,6 +176,82 @@ impl CompiledPartitioner {
         }
         Ok(())
     }
+
+    /// [`CompiledPartitioner::scatter`] for a sealed columnar batch: the
+    /// row *indices* each worker receives, keys read from the typed key
+    /// columns. Row `i` lands on the worker `scatter` would move tuple
+    /// `i` to, and `seq` advances the same way, so a run may mix the two
+    /// freely on one edge.
+    pub(crate) fn scatter_indices(
+        &self,
+        batch: &ColumnarBatch,
+        seq: &mut u64,
+        out: &mut [Vec<u32>],
+    ) -> WorkflowResult<()> {
+        debug_assert!(!out.is_empty());
+        debug_assert!(!self.is_broadcast());
+        let workers = out.len();
+        let rows = 0..batch.len() as u32;
+        match self {
+            CompiledPartitioner::RoundRobin => {
+                for i in rows {
+                    out[(*seq % workers as u64) as usize].push(i);
+                    *seq += 1;
+                }
+            }
+            CompiledPartitioner::Hash { indices } => {
+                for i in rows {
+                    let key = key_at(batch, indices, i as usize).map_err(|e| {
+                        WorkflowError::DataError {
+                            operator: "<partitioner>".into(),
+                            error: e,
+                        }
+                    })?;
+                    *seq += 1;
+                    out[key.bucket(workers)].push(i);
+                }
+            }
+            CompiledPartitioner::Single => {
+                *seq += rows.len() as u64;
+                out[0].extend(rows);
+            }
+            CompiledPartitioner::Broadcast => {
+                return Err(WorkflowError::OperatorFailed {
+                    operator: "<partitioner>".into(),
+                    message: "broadcast edges route whole batches, not single tuples".into(),
+                })
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`HashKey::from_tuple_indexed`] over row `row` of a columnar batch,
+/// read off the typed columns.
+fn key_at(batch: &ColumnarBatch, indices: &[usize], row: usize) -> DataResult<HashKey> {
+    fn cell(col: &ColumnVec, i: usize) -> DataResult<HashKey> {
+        Ok(match col {
+            ColumnVec::Int { data, validity } if validity.is_valid(i) => HashKey::Int(data[i]),
+            ColumnVec::Bool { data, validity } if validity.is_valid(i) => HashKey::Bool(data[i]),
+            ColumnVec::Str { data, validity } if validity.is_valid(i) => {
+                HashKey::Str(data.get(i).to_owned())
+            }
+            // Floats normalize their bit pattern in one place.
+            ColumnVec::Float { data, validity } if validity.is_valid(i) => {
+                return HashKey::from_value(&Value::Float(data[i]))
+            }
+            ColumnVec::Mixed(data) => return HashKey::from_value(&data[i]),
+            _ => HashKey::Null,
+        })
+    }
+    if let [only] = indices {
+        return cell(batch.column(*only), row);
+    }
+    indices
+        .iter()
+        .map(|&c| cell(batch.column(c), row))
+        .collect::<DataResult<Vec<_>>>()
+        .map(HashKey::Composite)
 }
 
 #[cfg(test)]
@@ -268,6 +344,63 @@ mod tests {
         let compiled = CompiledPartitioner::Broadcast;
         assert!(compiled.is_broadcast());
         assert!(compiled.route_by_index(&tuple(1), 0, 4).is_err());
+    }
+
+    #[test]
+    fn scatter_indices_lands_every_row_where_scatter_lands_its_tuple() {
+        let schema = Schema::of(&[
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("w", DataType::Float),
+            ("ok", DataType::Bool),
+        ]);
+        let tuples: Vec<Tuple> = (0..97i64)
+            .map(|i| {
+                let cell = |null_every: i64, v: Value| {
+                    if i % null_every == 0 {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                Tuple::new(
+                    schema.clone(),
+                    vec![
+                        cell(7, Value::Int(i % 13)),
+                        cell(5, Value::Str(format!("n{}", i % 11))),
+                        cell(9, Value::Float(if i % 4 == 0 { -0.0 } else { i as f64 })),
+                        cell(6, Value::Bool(i % 2 == 0)),
+                    ],
+                )
+                .unwrap()
+            })
+            .collect();
+        let batch = ColumnarBatch::from_tuples(schema.clone(), &tuples);
+        for strategy in [
+            PartitionStrategy::RoundRobin,
+            PartitionStrategy::Single,
+            PartitionStrategy::Hash(vec!["id".into()]),
+            PartitionStrategy::Hash(vec!["name".into()]),
+            PartitionStrategy::Hash(vec!["w".into()]),
+            PartitionStrategy::Hash(vec!["ok".into(), "name".into(), "id".into()]),
+        ] {
+            let compiled = strategy.compile(&schema).unwrap();
+            // Not a multiple of the worker count: the sequence carries
+            // over from whatever the edge routed before.
+            let (mut seq_rows, mut seq_cols) = (5u64, 5u64);
+            let mut by_rows: Vec<Vec<Tuple>> = vec![Vec::new(); 3];
+            let mut by_cols: Vec<Vec<u32>> = vec![Vec::new(); 3];
+            compiled
+                .scatter(tuples.clone(), &mut seq_rows, &mut by_rows)
+                .unwrap();
+            compiled
+                .scatter_indices(&batch, &mut seq_cols, &mut by_cols)
+                .unwrap();
+            assert_eq!(seq_rows, seq_cols, "{strategy:?}");
+            for (rows, indices) in by_rows.iter().zip(&by_cols) {
+                assert_eq!(*rows, batch.take(indices).to_tuples(), "{strategy:?}");
+            }
+        }
     }
 
     #[test]

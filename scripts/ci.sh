@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the scriptflow workspace. Needs bash and cargo.
 #
-#   scripts/ci.sh          # build + test + benchmark API + fmt + clippy + doc + repro smokes
+#   scripts/ci.sh          # build + test + benchmark API and smoke + fmt + clippy + doc + repro smokes
 #
 # Mirrors ROADMAP.md's tier-1 definition (release build + full test suite,
 # which is the whole configuration matrix) and adds the hygiene gates.
@@ -23,6 +23,16 @@ cargo test -q "${CARGO_FLAGS[@]}"
 
 echo "==> benchmark crate tests (the API surface the frozen benchmark/ tree compiles against)"
 bash benchmark/run.sh test
+
+# The benchmark checks every pooled leg's row digest against the
+# thread-per-worker executor, an oracle sharing no code with the pooled or
+# columnar paths. Two seconds are enough for that; the timings are ignored.
+echo "==> benchmark smoke (stream_relational digests against the thread-per-worker anchor)"
+smoke="$(bash benchmark/run.sh --workload stream_relational --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+if [[ "$smoke" != *'"correct":true'* || "$smoke" != *'"failed":0,'* ]]; then
+    echo "benchmark smoke failed: $smoke" >&2
+    exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -1,0 +1,228 @@
+//! Allocation pin (ROADMAP item 2a): heap allocations per source tuple on
+//! the `stream_relational` DAG shapes, counted by this binary's own
+//! `#[global_allocator]`. A count is exact where wall-clock on a 2-vCPU
+//! sandbox needs ten A/B pairs, so a k-fold clone on the data path fails
+//! here first.
+//!
+//! One job is what the frozen benchmark times: build the DAG over a
+//! shared scan, run it at `pool_size = 1`, read the sink.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, Value};
+use scriptflow::simcluster::SplitMix64;
+use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp};
+use scriptflow::workflow::{LiveExecutor, PartitionStrategy, WorkflowBuilder};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through as-is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` describe a live `System` block.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const TUPLES: usize = 100_000;
+const KEYS: i64 = 256;
+const BATCH_SIZE: usize = 1024;
+const WIDTH: usize = 2;
+
+/// The benchmark's fact table shape: ascending `id`, a random key, a
+/// value that is a multiple of 0.25, a short tag.
+fn facts() -> Batch {
+    let mut rng = SplitMix64::new(1);
+    let schema = Schema::of(&[
+        ("id", DataType::Int),
+        ("k", DataType::Int),
+        ("v", DataType::Float),
+        ("tag", DataType::Str),
+    ]);
+    let rows = (0..TUPLES as i64)
+        .map(|id| {
+            vec![
+                Value::Int(id),
+                Value::Int(rng.range(0..KEYS as usize) as i64),
+                Value::Float(rng.range(0..4096usize) as f64 * 0.25),
+                Value::Str(format!("t{:03}", rng.range(0..1000usize))),
+            ]
+        })
+        .collect();
+    Batch::from_rows(schema, rows).unwrap()
+}
+
+fn dims() -> Batch {
+    let schema = Schema::of(&[("k", DataType::Int), ("label", DataType::Str)]);
+    let rows = (0..KEYS)
+        .map(|k| vec![Value::Int(k), Value::Str(format!("d{k:03}"))])
+        .collect();
+    Batch::from_rows(schema, rows).unwrap()
+}
+
+#[derive(Clone, Copy)]
+enum Leg {
+    FilterChain,
+    Selective,
+    JoinAggregate,
+}
+
+/// Allocations per source tuple of one job, and its work counts:
+/// `name in>out` per operator, zone-map skips, batches sent.
+fn job(leg: Leg, columnar: bool, facts: &Arc<ScanOp>, dims: &Arc<ScanOp>) -> (f64, String) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut b = WorkflowBuilder::new();
+    let scan = b.add(facts.clone(), WIDTH);
+    let sink_op = SinkOp::new("sink");
+    let handle = sink_op.handle();
+    let sink = b.add(Arc::new(sink_op), 1);
+    match leg {
+        Leg::FilterChain => {
+            let f1 = b.add(
+                Arc::new(FilterOp::cmp("k_lt", "k", CmpOp::Lt, Value::Int(200))),
+                WIDTH,
+            );
+            let f2 = b.add(
+                Arc::new(FilterOp::cmp("v_ge", "v", CmpOp::Ge, Value::Float(256.0))),
+                WIDTH,
+            );
+            b.connect(scan, f1, 0, PartitionStrategy::RoundRobin);
+            b.connect(f1, f2, 0, PartitionStrategy::RoundRobin);
+            b.connect(f2, sink, 0, PartitionStrategy::Single);
+        }
+        Leg::Selective => {
+            let n = TUPLES as i64;
+            let top = b.add(
+                Arc::new(FilterOp::cmp(
+                    "top",
+                    "id",
+                    CmpOp::Ge,
+                    Value::Int(n - n / 100),
+                )),
+                WIDTH,
+            );
+            b.connect(scan, top, 0, PartitionStrategy::RoundRobin);
+            b.connect(top, sink, 0, PartitionStrategy::Single);
+        }
+        Leg::JoinAggregate => {
+            let dims = b.add(dims.clone(), 1);
+            let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), WIDTH);
+            let agg = b.add(
+                Arc::new(AggregateOp::new(
+                    "per_key",
+                    &["k", "label"],
+                    vec![AggFn::Count("n".into()), AggFn::Sum("v".into())],
+                )),
+                WIDTH,
+            );
+            b.connect(dims, join, 0, PartitionStrategy::Broadcast);
+            b.connect(scan, join, 1, PartitionStrategy::RoundRobin);
+            b.connect(join, agg, 0, PartitionStrategy::Hash(vec!["k".into()]));
+            b.connect(agg, sink, 0, PartitionStrategy::Single);
+        }
+    }
+    let wf = b.build().unwrap();
+    let run = LiveExecutor::new(BATCH_SIZE)
+        .with_pool_size(1)
+        .with_columnar(columnar)
+        .run(&wf)
+        .unwrap();
+    let rows = handle.results();
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let pool = run.pool.unwrap();
+    let mut counts: String = run
+        .metrics
+        .operators
+        .iter()
+        .map(|m| format!("{} {}>{}, ", m.name, m.input_tuples, m.output_tuples))
+        .collect();
+    counts += &format!(
+        "{} skipped, {} sent",
+        pool.batches_skipped, pool.batches_sent
+    );
+    assert_eq!(
+        rows.len() as u64,
+        run.metrics.by_name("sink").unwrap().input_tuples
+    );
+    (spent as f64 / TUPLES as f64, counts)
+}
+
+/// One test, so nothing else in this binary allocates while a job is
+/// being counted.
+#[test]
+fn allocations_per_source_tuple_stay_inside_their_budgets() {
+    let facts = Arc::new(ScanOp::new("facts", facts()));
+    let dims = Arc::new(ScanOp::new("dims", dims()));
+    // Ceilings from ISSUE 18 (at its parent the four legs read 5.27,
+    // 11.92, 5.18 and 16.14); the join-aggregate leg is reported, not
+    // pinned. The work counts are what that parent produced, to the
+    // batch: the columnar path may change how a batch travels, not which
+    // batches exist. The first job also pays the scan's one-time seal
+    // and digest, as the benchmark's warm-up pass does, so each leg is
+    // counted on its second job.
+    let chain = "facts 0>100000, sink 58629>0, k_lt 100000>78089, v_ge 78089>58629, \
+                 0 skipped, 980 sent";
+    let legs = [
+        (
+            "filter_chain_row",
+            Leg::FilterChain,
+            false,
+            Some(4.0),
+            chain,
+        ),
+        (
+            "filter_chain_columnar",
+            Leg::FilterChain,
+            true,
+            Some(4.0),
+            chain,
+        ),
+        (
+            "selective_filter_columnar",
+            Leg::Selective,
+            true,
+            Some(1.0),
+            "facts 0>100000, sink 1000>0, top 100000>1000, 192 skipped, 200 sent",
+        ),
+        (
+            "join_aggregate_row",
+            Leg::JoinAggregate,
+            false,
+            None,
+            "facts 0>100000, sink 256>0, dims 0>256, join 100512>100000, \
+             per_key 100000>256, 0 skipped, 592 sent",
+        ),
+    ];
+    for (name, leg, columnar, ceiling, work) in legs {
+        job(leg, columnar, &facts, &dims);
+        let (per_tuple, counts) = job(leg, columnar, &facts, &dims);
+        println!("{name}: {per_tuple:.2} allocations per source tuple; {counts}");
+        assert_eq!(counts, work, "{name}");
+        if let Some(ceiling) = ceiling {
+            assert!(
+                per_tuple <= ceiling,
+                "{name}: {per_tuple:.2} allocations per source tuple, ceiling {ceiling}"
+            );
+        }
+    }
+}

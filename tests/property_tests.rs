@@ -742,3 +742,184 @@ fn retryable_faults_with_budget_preserve_rows() {
         assert!(last.iter().all(|s| s.state == OperatorState::Completed));
     });
 }
+
+/// One drawn `column op literal` filter over the chain's schema.
+fn any_cmp_filter(rng: &mut SplitMix64, name: &str, n: i64) -> FilterOp {
+    let op = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ][rng.range(0..6usize)];
+    match rng.range(0..4usize) {
+        // Ascending: zone maps can skip or pass whole batches.
+        0 => FilterOp::cmp(name, "id", op, Value::Int(rng.range(0..n + 1))),
+        1 => FilterOp::cmp(name, "k", op, Value::Int(rng.range(0..8i64))),
+        2 => FilterOp::cmp(
+            name,
+            "s",
+            op,
+            Value::Str(format!("s{}é", rng.range(0..6usize))),
+        ),
+        _ => FilterOp::cmp(
+            name,
+            "v",
+            op,
+            Value::Float(rng.range(0..40usize) as f64 * 0.25),
+        ),
+    }
+}
+
+/// The columnar data path is a pure layout change on the shapes it was
+/// built for: filter chains over every partitioner, with nulls and string
+/// keys, fault-free, faulted, and faulted under a retry budget. At
+/// `pool_size = 1` a run is reproducible, so beyond the rows — columnar
+/// pooled == row pooled == sim — every operator's tuple counts, the
+/// zone-map skips and the batches sent must equal what the same draw
+/// produced before sealed batches travelled whole: `RECORDED` is the
+/// checksum this test computed at the parent of that change.
+#[test]
+fn columnar_filter_chains_match_row_and_sim_with_identical_counts() {
+    use scriptflow::workflow::{Backoff, FaultPlan, RetryConfig, RetryPolicy};
+    const RECORDED: u64 = 18_373_089_032_913_981_067;
+    let checksum = std::cell::Cell::new(0u64);
+    let fold = |x: u64| {
+        checksum.set((checksum.get() ^ x).wrapping_mul(0x0000_0100_0000_01b3));
+    };
+    for_seeds(48, |rng| {
+        let n = rng.range(1..400i64);
+        let batch = rng.range(1..48usize);
+        let null_share = [0.0, 0.1, 0.5][rng.range(0..3usize)];
+        let schema = Schema::of(&[
+            ("id", DataType::Int),
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("v", DataType::Float),
+        ]);
+        let rows = (0..n)
+            .map(|id| {
+                let mut cell = |v: fn(usize) -> Value, below: usize| {
+                    let v = v(rng.range(0..below));
+                    if rng.bool(null_share) {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                vec![
+                    Value::Int(id),
+                    cell(|x| Value::Int(x as i64), 8),
+                    cell(|x| Value::Str(format!("s{x}é")), 6),
+                    cell(|x| Value::Float(x as f64 * 0.25), 40),
+                ]
+            })
+            .collect();
+        let data = Batch::from_rows(schema, rows).unwrap();
+        let strategy = |rng: &mut SplitMix64| match rng.range(0..5usize) {
+            0 => PartitionStrategy::RoundRobin,
+            1 => PartitionStrategy::Hash(vec!["s".into()]),
+            2 => PartitionStrategy::Hash(vec!["k".into(), "s".into()]),
+            3 => PartitionStrategy::Broadcast,
+            _ => PartitionStrategy::Single,
+        };
+        let widths = [
+            rng.range(1..4usize),
+            rng.range(1..4usize),
+            rng.range(1..4usize),
+        ];
+        let edges = [strategy(rng), strategy(rng)];
+        let filters = [
+            Arc::new(any_cmp_filter(rng, "f1", n)),
+            Arc::new(any_cmp_filter(rng, "f2", n)),
+        ];
+        let scan = Arc::new(ScanOp::new("scan", data));
+        let build = || {
+            let mut b = WorkflowBuilder::new();
+            let src = b.add(scan.clone(), widths[0]);
+            let f1 = b.add(filters[0].clone(), widths[1]);
+            let f2 = b.add(filters[1].clone(), widths[2]);
+            let sink_op = SinkOp::new("sink");
+            let handle = sink_op.handle();
+            let sink = b.add(Arc::new(sink_op), 1);
+            b.connect(src, f1, 0, edges[0].clone());
+            b.connect(f1, f2, 0, edges[1].clone());
+            b.connect(f2, sink, 0, PartitionStrategy::Single);
+            (b.build().unwrap(), handle)
+        };
+        let sorted = |handle: &scriptflow::workflow::ops::SinkHandle| {
+            let mut rows: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
+            rows.sort_unstable();
+            rows
+        };
+        let (wf_sim, h_sim) = build();
+        SimExecutor::new(EngineConfig::default())
+            .run(&wf_sim)
+            .unwrap();
+        let want = sorted(&h_sim);
+
+        // Drawn up front, so the fault cases see the same plan per layout.
+        let at = 1 + rng.range(0..(n as u64).min(60));
+        let victim = ["scan", "f1", "f2"][rng.range(0..3usize)];
+        let plans = [
+            None,
+            Some(FaultPlan::new(7).panic_at(victim, at)),
+            Some(FaultPlan::new(7).kill_worker(victim, at)),
+        ];
+        for plan in plans {
+            for retry in [false, true] {
+                if plan.is_none() && retry {
+                    continue;
+                }
+                // (rows, per-operator counts, skips, batches sent, failed)
+                let run = |columnar: bool| {
+                    let (wf, handle) = build();
+                    let mut exec = LiveExecutor::new(batch)
+                        .with_pool_size(1)
+                        .with_columnar(columnar);
+                    if let Some(plan) = &plan {
+                        exec = exec.with_faults(plan.clone());
+                    }
+                    if retry {
+                        let policy = RetryPolicy::attempts(3).with_backoff(Backoff::none());
+                        exec = exec.with_retry(RetryConfig::uniform(policy));
+                    }
+                    let (trace, result) = exec.run_observed(&wf);
+                    let (_, last) = trace.samples.last().expect("every run keeps a trace");
+                    let counts: Vec<(u64, u64)> = last
+                        .iter()
+                        .map(|s| (s.input_tuples, s.output_tuples))
+                        .collect();
+                    let skipped: u64 = last.iter().map(|s| s.counters.batches_skipped).sum();
+                    let sent = result.as_ref().ok().map(|r| r.pool.unwrap().batches_sent);
+                    (sorted(&handle), counts, skipped, sent, result.is_err())
+                };
+                let (rows_row, counts_row, skipped_row, sent_row, failed_row) = run(false);
+                let (rows_col, counts_col, skipped_col, sent_col, failed_col) = run(true);
+                let what = format!("victim {victim} at {at}, plan {plan:?}, retry {retry}");
+                assert_eq!(rows_row, rows_col, "{what}");
+                assert_eq!(counts_row, counts_col, "{what}");
+                assert_eq!(sent_row, sent_col, "{what}");
+                assert_eq!(failed_row, failed_col, "{what}");
+                assert_eq!(skipped_row, 0, "row batches carry no zone map");
+                if plan.is_none() || retry {
+                    assert!(!failed_col, "{what}");
+                    assert_eq!(rows_col, want, "{what}");
+                }
+                for (input, output) in counts_col {
+                    fold(input);
+                    fold(output);
+                }
+                fold(skipped_col);
+                fold(sent_col.unwrap_or(u64::MAX));
+                fold(rows_col.len() as u64);
+            }
+        }
+    });
+    assert_eq!(
+        checksum.get(),
+        RECORDED,
+        "tuple counts, zone-map skips or batches sent moved"
+    );
+}
