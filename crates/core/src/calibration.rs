@@ -124,10 +124,11 @@ pub struct Calibration {
     /// Workflow pipelining (ablation knob: false inserts a stage barrier
     /// on every edge).
     pub wf_pipelining: bool,
-    /// Workflow columnar batch path (zone-map skipping + column
-    /// kernels). False for the paper fit — every Fig. 13/Table I anchor
-    /// was calibrated against the row engine — so enabling it is an
-    /// explicit ablation, not a drift of the baselines.
+    /// Simulator's columnar batch path (zone-map skipping + column
+    /// kernels + the discount below); the live engine picks its layout
+    /// from the DAG and ignores it. False for the paper fit — every
+    /// Fig. 13/Table I anchor was calibrated against the row engine — so
+    /// enabling it is an explicit ablation, not a drift of the baselines.
     pub wf_columnar: bool,
     /// Fraction of the row-path per-tuple compute cost remaining on the
     /// columnar path (simulator discount; fitted against the live

@@ -141,13 +141,14 @@ impl ExecBackend {
     }
 
     /// Pooled live backend reusing `config`'s edge batch size, retry
-    /// policy, columnar flag, memory budget, and result cache (the only
+    /// policy, memory budget, and result cache (the only
     /// [`EngineConfig`] knobs with a live analogue; virtual cost model
-    /// fields have no wall-clock meaning).
+    /// fields have no wall-clock meaning — [`EngineConfig::columnar`]
+    /// among them: the live engine picks each edge's layout from the DAG,
+    /// see [`LiveExecutor::with_columnar`]).
     pub fn live(config: &EngineConfig) -> Self {
         let mut exec = LiveExecutor::new(config.batch_size.max(1))
             .with_retry(config.retry.clone())
-            .with_columnar(config.columnar)
             .with_memory_budget(config.memory_budget);
         if let Some(cache) = config.result_cache.clone() {
             exec = exec.with_result_cache(cache);
@@ -425,26 +426,29 @@ mod tests {
             .unwrap()
     }
 
+    /// The sim at `columnar = false` only ever moves rows: the oracle
+    /// for both backends. The flag is the sim's cost switch; the live
+    /// engine seals `selective_wf`'s scan by itself.
     fn columnar_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
-        let run_mode = |columnar: bool| {
+        let run_mode = |backend: BackendKind, columnar: bool| {
             let config = EngineConfig {
                 batch_size: 32,
                 columnar,
                 ..EngineConfig::default()
             };
-            run_with(kind, config, selective_wf)
+            run_with(backend, config, selective_wf)
         };
-        let (row, col) = (run_mode(false), run_mode(true));
+        let (row, col) = (run_mode(BackendKind::Sim, false), run_mode(kind, true));
         assert_eq!(
             row.counters().batches_skipped,
             0,
-            "{kind}: row mode never skips"
+            "sim: row mode never skips"
         );
         assert!(
             col.counters().batches_skipped > 0,
-            "{kind}: columnar mode must prune batches past id=20"
+            "{kind}: sealed batches past id=20 must be pruned"
         );
-        vec![("row", row), ("columnar", col)]
+        vec![("sim row", row), ("columnar", col)]
     }
 
     fn budget_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {

@@ -864,6 +864,10 @@ impl OperatorFactory for RecordingFactory {
         self.inner.is_source()
     }
 
+    fn batch_kernel(&self) -> bool {
+        self.inner.batch_kernel()
+    }
+
     fn shared_state_id(&self) -> Option<usize> {
         self.inner.shared_state_id()
     }

@@ -127,11 +127,15 @@ pub struct EngineConfig {
     /// input batch after the backoff, the simulator re-delivers the
     /// batch as a fresh virtual quantum.
     pub retry: RetryConfig,
-    /// When true, edges carry sealed [`scriptflow_datakit::ColumnarBatch`]
-    /// payloads and operators run their `on_batch` columnar kernels
-    /// (zone-map batch skipping, monomorphic loops). Off by default: the
-    /// row path is the calibrated compatibility baseline and both paths
-    /// must produce identical rows (pinned by the parity suite).
+    /// Simulator only — a cost-model switch. When true, the simulator's
+    /// edges carry sealed [`scriptflow_datakit::ColumnarBatch`] payloads,
+    /// operators run their `on_batch` columnar kernels (zone-map batch
+    /// skipping, monomorphic loops) and service time takes
+    /// [`EngineConfig::columnar_discount`]. Off by default: the row path
+    /// is the calibrated baseline and the row-only oracle the live engine
+    /// is compared against. The live engine does not read it — it picks
+    /// each edge's layout from the DAG
+    /// ([`crate::LiveExecutor::with_columnar`]).
     pub columnar: bool,
     /// Fraction of the row-path per-tuple compute cost that survives on
     /// the columnar path in the simulator (< 1.0 is a speedup; the
@@ -216,7 +220,7 @@ impl EngineConfig {
         self
     }
 
-    /// Config with the columnar batch path toggled (see
+    /// Config with the simulator's columnar batch path toggled (see
     /// [`EngineConfig::columnar`]).
     pub fn with_columnar(mut self, enabled: bool) -> Self {
         self.columnar = enabled;

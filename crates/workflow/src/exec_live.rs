@@ -239,7 +239,6 @@ pub struct LiveExecutor {
     trace_interval: Option<Duration>,
     faults: Option<FaultPlan>,
     retry: RetryConfig,
-    columnar: bool,
     pub(crate) memory_budget: Option<usize>,
     result_cache: Option<Arc<crate::cache::ResultCache>>,
 }
@@ -270,7 +269,6 @@ impl LiveExecutor {
             trace_interval: None,
             faults: None,
             retry: RetryConfig::default(),
-            columnar: false,
             memory_budget: None,
             result_cache: None,
         }
@@ -408,31 +406,31 @@ impl LiveExecutor {
         self
     }
 
-    /// Make a sealed [`ColumnarBatch`] — typed columns plus per-column
-    /// min/max statistics — the thing that travels along edges (pooled
-    /// mode). A source that can seal its dataset
-    /// ([`crate::OperatorFactory::source_columnar`]) has each worker gather
-    /// its own chunks inside its quanta; operators consume batches through
-    /// [`crate::Operator::on_batch`], whose relational kernels skip whole
-    /// batches their zone maps rule out and emit what they keep as a batch
-    /// again ([`crate::OutputCollector::emit_batch`]); the router passes a
-    /// batch on, or gathers each destination's rows, without building
-    /// tuples. Rows are materialized by the first operator that needs
-    /// them — an operator without a columnar kernel, the sink — and by
-    /// exactly the batch a fault trigger, a retry replay or a budgeted
-    /// join touches, so truncation and replay keep their row semantics.
-    /// Results are pinned to the row path by the backend parity suite;
-    /// only throughput and the `batches_skipped` counters change.
+    /// Does nothing: `enabled` is ignored. The method stays because the
+    /// frozen `benchmark/` compiles against it.
+    ///
+    /// Batch layout is not a caller's choice. An edge carries what its
+    /// producer emitted — rows as rows, a sealed [`ColumnarBatch`]
+    /// ([`crate::OutputCollector::emit_batch`]) as that batch — and is
+    /// never converted on the way; a source that can seal its dataset
+    /// ([`crate::OperatorFactory::source_columnar`]) hands out gathered
+    /// batches exactly when every one of its consumers reads columns
+    /// ([`crate::OperatorFactory::batch_kernel`]). Neither value of the
+    /// old flag was right for a whole DAG: on everywhere, every UDF hop
+    /// sealed its output and the next one unsealed it (`paper_tasks`
+    /// +33 %); off, a scan feeding a comparison filter cloned every row
+    /// up front. Rows are materialized by the first operator without a
+    /// kernel, by the sink, and by exactly the batch a fault trigger, a
+    /// retry replay or a budgeted join touches.
     ///
     /// # Examples
     ///
     /// ```
     /// use scriptflow_workflow::LiveExecutor;
-    /// let exec = LiveExecutor::new(64).with_columnar(true);
+    /// let exec = LiveExecutor::new(64).with_columnar(true); // same as `new(64)`
     /// # let _ = exec;
     /// ```
-    pub fn with_columnar(mut self, enabled: bool) -> Self {
-        self.columnar = enabled;
+    pub fn with_columnar(self, _enabled: bool) -> Self {
         self
     }
 
@@ -561,7 +559,6 @@ impl LiveExecutor {
         }
         let mut opts = RunOptions::default()
             .with_batch_size(self.batch_size)
-            .with_columnar(self.columnar)
             .with_retry(self.retry.clone())
             .with_memory_budget(self.memory_budget)
             .with_result_cache(self.result_cache.is_some());
@@ -670,11 +667,6 @@ struct TaskStatic {
     slow_edge: Option<Duration>,
     /// Retry budget for faulted run quanta (resolved per operator).
     retry: RetryPolicy,
-    /// Seal outgoing row chunks as columnar payloads with zone-map
-    /// statistics (every partitioning strategy; scatter edges seal each
-    /// per-destination chunk after routing). Output an operator emitted
-    /// as a batch is already sealed and is routed as one.
-    columnar: bool,
 }
 
 /// A faulted quantum's input, stashed so the replayed quantum can
@@ -741,9 +733,10 @@ struct Source {
     /// Row chunks ready to forward: a row source's pre-chunked partition,
     /// or the remainder a fault pushed back for replay.
     rows: VecDeque<Vec<Tuple>>,
-    /// Columnar mode over a dataset its factory sealed once
-    /// ([`crate::OperatorFactory::source_columnar`]): nothing is copied
-    /// until a quantum gathers its next chunk.
+    /// A dataset its factory sealed once
+    /// ([`crate::OperatorFactory::source_columnar`]), when every consumer
+    /// reads columns: nothing is copied until a quantum gathers its next
+    /// chunk.
     sealed: Option<SealedCursor>,
 }
 
@@ -1244,7 +1237,7 @@ impl Pool {
             };
             if edge.partitioner.is_broadcast() {
                 chunk_owned(owned, meta.batch_size, |chunk| {
-                    let batch = seal_chunk(meta.columnar, chunk);
+                    let batch = SharedBatch::new(chunk);
                     for &dest in &edge.dests {
                         outbox.push_back((
                             dest,
@@ -1262,7 +1255,7 @@ impl Pool {
                         dest,
                         Msg::Batch {
                             port: edge.to_port,
-                            batch: seal_chunk(meta.columnar, chunk),
+                            batch: SharedBatch::new(chunk),
                         },
                     ));
                 });
@@ -1279,7 +1272,7 @@ impl Pool {
                             dest,
                             Msg::Batch {
                                 port: edge.to_port,
-                                batch: seal_chunk(meta.columnar, chunk),
+                                batch: SharedBatch::new(chunk),
                             },
                         ));
                     });
@@ -1937,19 +1930,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Seal one non-empty edge chunk as a [`SharedBatch`]: columnar (with
-/// per-column min/max statistics computed once here, on the producer
-/// side) when the executor runs in columnar mode, plain shared rows
-/// otherwise.
-fn seal_chunk(columnar: bool, chunk: Vec<Tuple>) -> SharedBatch {
-    if columnar {
-        let schema = chunk[0].schema().clone();
-        SharedBatch::from_columnar(ColumnarBatch::from_tuples(schema, &chunk))
-    } else {
-        SharedBatch::new(chunk)
-    }
-}
-
 /// Split an owned tuple vector into `size`-bounded chunks, in order.
 /// Tuples are moved, never cloned, and every chunk of a split input is
 /// allocated at exactly its length — one pass, O(n) moves, O(n) resident
@@ -1987,7 +1967,6 @@ pub(crate) fn build_tasks(
     channel_capacity: usize,
     faults: Option<&CompiledFaults>,
     retry: &RetryConfig,
-    columnar: bool,
     memory_budget: Option<usize>,
 ) -> Vec<Task> {
     // Global task id per (operator, local worker).
@@ -2001,10 +1980,10 @@ pub(crate) fn build_tasks(
     let mut tasks: Vec<Task> = Vec::with_capacity(next);
     for (i, node) in wf.ops().iter().enumerate() {
         let op = OpId(i);
-        let downstream: Vec<EdgeOut> = wf
-            .out_edges(op)
-            .into_iter()
-            .map(|(eid, e)| EdgeOut {
+        let out_edges = wf.out_edges(op);
+        let downstream: Vec<EdgeOut> = out_edges
+            .iter()
+            .map(|&(eid, e)| EdgeOut {
                 to_port: e.to_port,
                 partitioner: wf.partitioner(eid).clone(),
                 dests: task_of[e.to.0].clone(),
@@ -2016,9 +1995,15 @@ pub(crate) fn build_tasks(
             expected_eos[e.to_port] += wf.op(e.from).parallelism;
         }
         let blocking = node.factory.blocking_ports();
-        // In columnar mode a source that seals its dataset hands every
-        // worker a cursor over the shared batch and copies nothing here.
-        let sealed = (ports == 0 && columnar)
+        // A source whose consumers all read columns hands every worker a
+        // cursor over the dataset it sealed and copies nothing here. The
+        // consumers are asked first: a source feeding a UDF never seals.
+        let reads_columns = ports == 0
+            && !out_edges.is_empty()
+            && out_edges
+                .iter()
+                .all(|(_, e)| wf.op(e.to).factory.batch_kernel());
+        let sealed = reads_columns
             .then(|| node.factory.source_columnar())
             .flatten()
             .filter(|data| u32::try_from(data.len()).is_ok());
@@ -2053,7 +2038,6 @@ pub(crate) fn build_tasks(
                     batch_size,
                     slow_edge: faults.and_then(|f| f.slow_edge(i)),
                     retry: *retry.policy_for(node.factory.name()),
-                    columnar,
                 },
                 inner: Mutex::new(TaskInner {
                     instance: {
@@ -2178,7 +2162,7 @@ mod tests {
     #[test]
     fn live_columnar_matches_row_results_and_counts_skips() {
         use scriptflow_datakit::CmpOp;
-        let run = |columnar: bool| {
+        let run = |exec: LiveExecutor| {
             let mut b = WorkflowBuilder::new();
             let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(800))), 1);
             // Ascending ids, single worker, batch size 16: every sealed
@@ -2193,24 +2177,21 @@ mod tests {
             b.connect(scan, filt, 0, PartitionStrategy::RoundRobin);
             b.connect(filt, sink, 0, PartitionStrategy::Single);
             let wf = b.build().unwrap();
-            let res = LiveExecutor::new(16)
-                .with_pool_size(2)
-                .with_columnar(columnar)
-                .run(&wf)
-                .unwrap();
+            let res = exec.run(&wf).unwrap();
             let mut rows: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
             rows.sort();
             (rows, res)
         };
-        let (rows_row, res_row) = run(false);
-        let (rows_col, res_col) = run(true);
+        // Thread-per-worker only ever moves rows: the oracle.
+        let (rows_row, _) = run(LiveExecutor::thread_per_worker(16));
+        let (rows_col, res_col) = run(LiveExecutor::new(16).with_pool_size(2));
         assert_eq!(rows_row.len(), 30);
-        assert_eq!(rows_row, rows_col, "batch modes must agree on results");
-        assert_eq!(res_row.pool.unwrap().batches_skipped, 0);
+        assert_eq!(rows_row, rows_col, "sealed batches must not change results");
         let stats = res_col.pool.unwrap();
         assert!(
             stats.batches_skipped > 0,
-            "selective predicate over sorted ids must prune whole batches"
+            "a scan feeding a comparison filter is sealed, and a selective \
+             predicate over sorted ids prunes whole batches"
         );
         let m = res_col.metrics.by_name("sel").unwrap();
         assert_eq!(m.counters.batches_skipped, stats.batches_skipped);
@@ -2224,11 +2205,18 @@ mod tests {
     #[test]
     fn live_columnar_retry_replays_exactly_once() {
         use crate::retry::{RetryConfig, RetryPolicy};
+        use scriptflow_datakit::CmpOp;
         use std::sync::atomic::AtomicU64;
         let calls = Arc::new(AtomicU64::new(0));
         let seen = calls.clone();
         let mut b = WorkflowBuilder::new();
         let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(120))), 1);
+        // A kernel behind the scan, so `flaky` is fed sealed batches: the
+        // first is pruned, the rest pass through whole.
+        let all = b.add(
+            Arc::new(FilterOp::cmp("all", "id", CmpOp::Ge, Value::Int(16))),
+            1,
+        );
         let flaky = b.add(
             Arc::new(FilterOp::new("flaky", move |t| {
                 let id = t.get_int("id")?;
@@ -2246,25 +2234,26 @@ mod tests {
         let sink_op = SinkOp::new("sink");
         let handle = sink_op.handle();
         let sink = b.add(Arc::new(sink_op), 1);
-        b.connect(scan, flaky, 0, PartitionStrategy::RoundRobin);
+        b.connect(scan, all, 0, PartitionStrategy::RoundRobin);
+        b.connect(all, flaky, 0, PartitionStrategy::RoundRobin);
         b.connect(flaky, sink, 0, PartitionStrategy::Single);
         let wf = b.build().unwrap();
         let res = LiveExecutor::new(16)
             .with_pool_size(1)
-            .with_columnar(true)
             .with_retry(RetryConfig::uniform(RetryPolicy::attempts(3)))
             .run(&wf)
             .unwrap();
         // An organic error mid-columnar-batch discards the quantum's
         // partial output and replays the whole batch on the row path:
         // no loss, no duplication.
-        assert_eq!(handle.len(), 60, "columnar retry must deliver exactly once");
+        assert_eq!(handle.len(), 52, "columnar retry must deliver exactly once");
         let stats = res.pool.unwrap();
+        assert_eq!(stats.batches_skipped, 1, "`flaky` reads sealed batches");
         assert_eq!(stats.retries_attempted, 1);
         assert_eq!(stats.retries_succeeded, 1);
         let m = res.metrics.by_name("flaky").unwrap();
         assert_eq!(m.state, OperatorState::Completed);
-        assert_eq!(m.input_tuples, 120, "replayed tuples must not recount");
+        assert_eq!(m.input_tuples, 104, "replayed tuples must not recount");
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub(crate) enum Emitted {
 #[derive(Debug, Default)]
 pub struct OutputCollector {
     /// Rows emitted since the last columnar batch (all of the output when
-    /// no batch was emitted, which is every row-mode run).
+    /// no batch was emitted).
     tuples: Vec<Tuple>,
     /// What came before `tuples`, ending in a columnar batch.
     earlier: Vec<Emitted>,
@@ -219,7 +219,7 @@ impl OutputCollector {
     }
 
     /// Emit a sealed columnar batch downstream whole, after everything
-    /// emitted so far. A columnar executor routes it without building
+    /// emitted so far. The pooled executor routes it without building
     /// rows; every row-shaped reader sees its rows in place.
     pub fn emit_batch(&mut self, batch: ColumnarBatch) {
         if batch.is_empty() {
@@ -257,7 +257,7 @@ impl OutputCollector {
     }
 
     /// Drain the output as it was emitted: runs of rows and whole
-    /// columnar batches, in order. Row-mode output is one run.
+    /// columnar batches, in order. Output without a batch is one run.
     pub(crate) fn drain_emitted(&mut self) -> impl Iterator<Item = Emitted> {
         self.earlier_rows = 0;
         let tail = std::mem::take(&mut self.tuples);
@@ -329,19 +329,33 @@ pub trait Operator: Send {
     /// free. Hot operators (filter, hash join, aggregate) override this
     /// with zone-map checks and monomorphic column kernels; an override
     /// must emit exactly the rows the per-tuple path would, in the same
-    /// relative order, because the engines run either path depending on
-    /// configuration and the parity suite pins them together.
+    /// relative order, because which path runs depends on what the
+    /// producer emitted and on whether a fault or a replay touches the
+    /// batch, and the parity suite pins them together.
     fn on_batch(
         &mut self,
         batch: &ColumnarBatch,
         port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        for i in 0..batch.len() {
-            self.on_tuple(batch.tuple_at(i), port, out)?;
-        }
-        Ok(())
+        rows_through(self, batch, port, out)
     }
+}
+
+/// The batch → row adapter: unroll `batch` through `op`'s
+/// [`Operator::on_tuple`]. It is [`Operator::on_batch`]'s default, and
+/// what a kernel falls back to for the inputs it has no columnar form
+/// for.
+pub(crate) fn rows_through<O: Operator + ?Sized>(
+    op: &mut O,
+    batch: &ColumnarBatch,
+    port: usize,
+    out: &mut OutputCollector,
+) -> WorkflowResult<()> {
+    for i in 0..batch.len() {
+        op.on_tuple(batch.tuple_at(i), port, out)?;
+    }
+    Ok(())
 }
 
 /// Static description + instance factory for an operator.
@@ -399,14 +413,25 @@ pub trait OperatorFactory: Send + Sync {
     }
 
     /// For sources that can hand out their whole dataset as one sealed
-    /// columnar batch (sealed once, shared by every run): that batch. A
-    /// columnar executor then has worker `k` of `w` gather rows
-    /// `k, k + w, …` — the rows [`OperatorFactory::source_partitions`]
-    /// deals it — one edge batch at a time inside its own quanta, instead
-    /// of materializing every row up front. `None` (the default) keeps
-    /// the source on `source_partitions`.
+    /// columnar batch (sealed once, shared by every run): that batch.
+    /// When every consumer of the source has a
+    /// [`OperatorFactory::batch_kernel`], the pooled executor has worker
+    /// `k` of `w` gather rows `k, k + w, …` — the rows
+    /// [`OperatorFactory::source_partitions`] deals it — one edge batch
+    /// at a time inside its own quanta, instead of materializing every
+    /// row up front. `None` (the default) keeps the source on
+    /// `source_partitions`.
     fn source_columnar(&self) -> Option<ColumnarBatch> {
         None
+    }
+
+    /// Whether [`Operator::on_batch`] of this factory's instances is a
+    /// columnar kernel rather than the row adapter. The pooled executor
+    /// asks this of a source's consumers to pick the source's layout:
+    /// sealed batches only where all of them read columns, rows
+    /// otherwise, so no edge ever converts.
+    fn batch_kernel(&self) -> bool {
+        false
     }
 
     /// Identity of run-visible shared state owned by this factory (e.g.

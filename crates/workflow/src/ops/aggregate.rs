@@ -15,7 +15,8 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+    rows_through, spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError,
+    WorkflowResult,
 };
 use crate::spill::{read_segment, PartitionWriter, SPILL_FANOUT};
 
@@ -291,10 +292,7 @@ impl Operator for AggregateInstance {
     ) -> WorkflowResult<()> {
         if !self.group_by.is_empty() {
             // Grouped aggregation keys per row; stay on the row path.
-            for i in 0..batch.len() {
-                self.on_tuple(batch.tuple_at(i), port, out)?;
-            }
-            return Ok(());
+            return rows_through(self, batch, port, out);
         }
         if batch.is_empty() {
             return Ok(());
@@ -573,6 +571,10 @@ impl OperatorFactory for AggregateOp {
                 .collect(),
             input_idx: None,
         })
+    }
+
+    fn batch_kernel(&self) -> bool {
+        self.group_by.is_empty()
     }
 
     fn fingerprint(&self) -> OpFingerprint {

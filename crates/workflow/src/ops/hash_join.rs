@@ -14,7 +14,8 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+    rows_through, spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError,
+    WorkflowResult,
 };
 use crate::spill::{tuple_footprint, PartitionWriter, SPILL_FANOUT, SPILL_MAX_DEPTH};
 
@@ -510,10 +511,7 @@ impl Operator for HashJoinInstance {
             // Budgeted build: the row path tracks byte accounting and the
             // spill switch per tuple; the columnar fast path would bypass
             // both.
-            for i in 0..batch.len() {
-                self.on_tuple(batch.tuple_at(i), port, out)?;
-            }
-            return Ok(());
+            return rows_through(self, batch, port, out);
         }
         if port == 0 && self.build_keys.len() == 1 {
             let idx = batch
@@ -581,10 +579,7 @@ impl Operator for HashJoinInstance {
                 return Ok(());
             }
         }
-        for i in 0..batch.len() {
-            self.on_tuple(batch.tuple_at(i), port, out)?;
-        }
-        Ok(())
+        rows_through(self, batch, port, out)
     }
 }
 
@@ -648,6 +643,10 @@ impl OperatorFactory for HashJoinOp {
             build_bytes: 0,
             spill: None,
         })
+    }
+
+    fn batch_kernel(&self) -> bool {
+        true
     }
 
     fn fingerprint(&self) -> OpFingerprint {

@@ -13,8 +13,8 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    fingerprint_value, spec_fingerprinter, Operator, OperatorFactory, OutputCollector,
-    WorkflowError, WorkflowResult,
+    fingerprint_value, rows_through, spec_fingerprinter, Operator, OperatorFactory,
+    OutputCollector, WorkflowError, WorkflowResult,
 };
 
 type Predicate = Arc<dyn Fn(&Tuple) -> DataResult<bool> + Send + Sync>;
@@ -158,10 +158,7 @@ impl Operator for FilterInstance {
     ) -> WorkflowResult<()> {
         let Some(cmp) = &self.cmp else {
             // Opaque closure: row-at-a-time is the only option.
-            for i in 0..batch.len() {
-                self.on_tuple(batch.tuple_at(i), port, out)?;
-            }
-            return Ok(());
+            return rows_through(self, batch, port, out);
         };
         let idx = batch
             .schema()
@@ -220,6 +217,10 @@ impl OperatorFactory for FilterOp {
             predicate: self.predicate.clone(),
             cmp: self.cmp.clone(),
         })
+    }
+
+    fn batch_kernel(&self) -> bool {
+        self.cmp.is_some()
     }
 
     /// Structured comparisons hash their full predicate; opaque closure

@@ -310,7 +310,10 @@ impl ServiceConfig {
     }
 }
 
-/// Per-submission knobs, mirroring the solo executor's builder.
+/// Per-submission knobs, mirroring the solo executor's builder. Batch
+/// layout is not among them: an edge carries what its producer emitted,
+/// and a source seals its dataset exactly when every consumer reads
+/// columns ([`crate::OperatorFactory::batch_kernel`]).
 ///
 /// # Examples
 ///
@@ -320,14 +323,12 @@ impl ServiceConfig {
 ///
 /// let opts = RunOptions::default()
 ///     .with_batch_size(128)
-///     .with_columnar(true)
 ///     .with_retry(RetryConfig::default());
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     batch_size: Option<usize>,
-    columnar: bool,
     faults: Option<FaultPlan>,
     retry: RetryConfig,
     memory_budget: Option<usize>,
@@ -338,13 +339,6 @@ impl RunOptions {
     /// Tuples per batch on every edge (default 256).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = Some(batch_size.max(1));
-        self
-    }
-
-    /// Route eligible edges through columnar batches (see
-    /// [`crate::exec_live::LiveExecutor::with_columnar`]).
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -736,7 +730,6 @@ struct CacheSubmission {
     mailbox_budget: usize,
     faults: Option<FaultPlan>,
     retry: RetryConfig,
-    columnar: bool,
     memory_budget: Option<usize>,
     /// Whole-DAG content fingerprint — the single-flight dedup key.
     workflow_fp: OpFingerprint,
@@ -863,7 +856,6 @@ impl Shared {
                 cs.mailbox_budget,
                 p.faults.as_ref(),
                 &cs.retry,
-                cs.columnar,
                 cs.memory_budget,
             );
             p.ops = OperatorMetrics::for_workflow(&plan.wf);
@@ -1251,7 +1243,6 @@ impl WorkflowService {
             mailbox_budget: quota.mailbox_budget,
             faults: opts.faults.clone(),
             retry: opts.retry.clone(),
-            columnar: opts.columnar,
             memory_budget: opts.memory_budget,
             workflow_fp: wf.workflow_fingerprint(),
         });
@@ -1264,7 +1255,6 @@ impl WorkflowService {
                 quota.mailbox_budget,
                 faults.as_ref(),
                 &opts.retry,
-                opts.columnar,
                 opts.memory_budget,
             )
         };

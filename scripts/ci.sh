@@ -24,15 +24,20 @@ cargo test -q "${CARGO_FLAGS[@]}"
 echo "==> benchmark crate tests (the API surface the frozen benchmark/ tree compiles against)"
 bash benchmark/run.sh test
 
-# The benchmark checks every pooled leg's row digest against the
-# thread-per-worker executor, an oracle sharing no code with the pooled or
-# columnar paths. Two seconds are enough for that; the timings are ignored.
-echo "==> benchmark smoke (stream_relational digests against the thread-per-worker anchor)"
-smoke="$(bash benchmark/run.sh --workload stream_relational --seed 1 --seconds 2 --trace 0 | tail -n 1)"
-if [[ "$smoke" != *'"correct":true'* || "$smoke" != *'"failed":0,'* ]]; then
-    echo "benchmark smoke failed: $smoke" >&2
-    exit 1
-fi
+# Each side of the engine's layout choice against an oracle that shares
+# no code with it: `stream_relational` (sealed scans, column kernels)
+# checks every pooled leg's row digest against the thread-per-worker
+# executor; `paper_tasks` (UDF chains on row edges) compares live rows
+# with the script paradigm and the simulator. Two seconds are enough for
+# that; the timings are ignored.
+for workload in stream_relational paper_tasks; do
+    echo "==> benchmark smoke ($workload rows against their oracles)"
+    smoke="$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    if [[ "$smoke" != *'"correct":true'* || "$smoke" != *'"failed":0,'* ]]; then
+        echo "benchmark smoke failed: $smoke" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -1,8 +1,9 @@
 //! Allocation pin (ROADMAP item 2a): heap allocations per source tuple on
-//! the `stream_relational` DAG shapes, counted by this binary's own
-//! `#[global_allocator]`. A count is exact where wall-clock on a 2-vCPU
-//! sandbox needs ten A/B pairs, so a k-fold clone on the data path fails
-//! here first.
+//! the `stream_relational` DAG shapes (sealed scans, column kernels) and
+//! on a `paper_tasks`-shaped UDF chain (row edges), counted by this
+//! binary's own `#[global_allocator]`. A count is exact where wall-clock
+//! on a 2-vCPU sandbox needs ten A/B pairs, so a k-fold clone on the data
+//! path fails here first.
 //!
 //! One job is what the frozen benchmark times: build the DAG over a
 //! shared scan, run it at `pool_size = 1`, read the sink.
@@ -13,8 +14,8 @@ use std::sync::Arc;
 
 use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, Value};
 use scriptflow::simcluster::SplitMix64;
-use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp};
-use scriptflow::workflow::{LiveExecutor, PartitionStrategy, WorkflowBuilder};
+use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp, UdfOp};
+use scriptflow::workflow::{LiveExecutor, OperatorFactory, PartitionStrategy, WorkflowBuilder};
 
 struct Counting;
 
@@ -80,19 +81,47 @@ fn dims() -> Batch {
     Batch::from_rows(schema, rows).unwrap()
 }
 
+/// What a paper task's rows look like: a document and its token ids, the
+/// cells a `ColumnarBatch` can only hold by deep copy.
+fn docs() -> Batch {
+    let schema = Schema::of(&[
+        ("id", DataType::Int),
+        ("text", DataType::Str),
+        ("tokens", DataType::List),
+    ]);
+    let rows = (0..TUPLES as i64)
+        .map(|id| {
+            vec![
+                Value::Int(id),
+                Value::Str(format!(
+                    "document {id:06} of the corpus, long enough to own a heap buffer"
+                )),
+                Value::List((0..4).map(|j| Value::Int(id + j)).collect()),
+            ]
+        })
+        .collect();
+    Batch::from_rows(schema, rows).unwrap()
+}
+
 #[derive(Clone, Copy)]
 enum Leg {
     FilterChain,
     Selective,
     JoinAggregate,
+    UdfChain,
 }
 
 /// Allocations per source tuple of one job, and its work counts:
 /// `name in>out` per operator, zone-map skips, batches sent.
-fn job(leg: Leg, columnar: bool, facts: &Arc<ScanOp>, dims: &Arc<ScanOp>) -> (f64, String) {
+fn job(leg: Leg, [facts, dims, docs]: &[Arc<ScanOp>; 3]) -> (f64, String) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut b = WorkflowBuilder::new();
-    let scan = b.add(facts.clone(), WIDTH);
+    let source = if matches!(leg, Leg::UdfChain) {
+        docs
+    } else {
+        facts
+    };
+    let scan = b.add(source.clone(), WIDTH);
     let sink_op = SinkOp::new("sink");
     let handle = sink_op.handle();
     let sink = b.add(Arc::new(sink_op), 1);
@@ -140,11 +169,23 @@ fn job(leg: Leg, columnar: bool, facts: &Arc<ScanOp>, dims: &Arc<ScanOp>) -> (f6
             b.connect(join, agg, 0, PartitionStrategy::Hash(vec!["k".into()]));
             b.connect(agg, sink, 0, PartitionStrategy::Single);
         }
+        Leg::UdfChain => {
+            let schema = source.output_schema(&[]).unwrap();
+            let [m1, m2] = ["map1", "map2"].map(|name| {
+                let map = UdfOp::new(name, schema.clone(), |t, _, out| {
+                    out.emit(t);
+                    Ok(())
+                });
+                b.add(Arc::new(map), WIDTH)
+            });
+            b.connect(scan, m1, 0, PartitionStrategy::RoundRobin);
+            b.connect(m1, m2, 0, PartitionStrategy::RoundRobin);
+            b.connect(m2, sink, 0, PartitionStrategy::Single);
+        }
     }
     let wf = b.build().unwrap();
     let run = LiveExecutor::new(BATCH_SIZE)
         .with_pool_size(1)
-        .with_columnar(columnar)
         .run(&wf)
         .unwrap();
     let rows = handle.results();
@@ -171,51 +212,50 @@ fn job(leg: Leg, columnar: bool, facts: &Arc<ScanOp>, dims: &Arc<ScanOp>) -> (f6
 /// being counted.
 #[test]
 fn allocations_per_source_tuple_stay_inside_their_budgets() {
-    let facts = Arc::new(ScanOp::new("facts", facts()));
-    let dims = Arc::new(ScanOp::new("dims", dims()));
-    // Ceilings from ISSUE 18 (at its parent the four legs read 5.27,
-    // 11.92, 5.18 and 16.14); the join-aggregate leg is reported, not
-    // pinned. The work counts are what that parent produced, to the
-    // batch: the columnar path may change how a batch travels, not which
-    // batches exist. The first job also pays the scan's one-time seal
-    // and digest, as the benchmark's warm-up pass does, so each leg is
-    // counted on its second job.
-    let chain = "facts 0>100000, sink 58629>0, k_lt 100000>78089, v_ge 78089>58629, \
-                 0 skipped, 980 sent";
+    let scans = [("facts", facts()), ("dims", dims()), ("docs", docs())]
+        .map(|(name, data)| Arc::new(ScanOp::new(name, data)));
+    // Ceilings. Before sealed batches travelled whole (ISSUE 18's
+    // parent) the first three legs read 11.92, 5.18 and 16.14; at ISSUE
+    // 19's parent they read 2.59, 0.09 and 7.11 and the UDF chain 6.10 on
+    // row edges (the scan's clone and the sink's copy, three cells each),
+    // 16.27 with every hop sealing and unsealing. The join-aggregate leg
+    // is reported, not pinned. The work counts are what ISSUE 18's parent
+    // produced, to the batch: the data path may change how a batch
+    // travels, not which batches exist. The first job also pays the
+    // scan's one-time seal and digest, as the benchmark's warm-up pass
+    // does, so each leg is counted on its second job.
     let legs = [
         (
-            "filter_chain_row",
+            "filter_chain",
             Leg::FilterChain,
-            false,
-            Some(4.0),
-            chain,
+            Some(3.0),
+            "facts 0>100000, sink 58629>0, k_lt 100000>78089, v_ge 78089>58629, \
+             0 skipped, 980 sent",
         ),
         (
-            "filter_chain_columnar",
-            Leg::FilterChain,
-            true,
-            Some(4.0),
-            chain,
-        ),
-        (
-            "selective_filter_columnar",
+            "selective_filter",
             Leg::Selective,
-            true,
             Some(1.0),
             "facts 0>100000, sink 1000>0, top 100000>1000, 192 skipped, 200 sent",
         ),
         (
-            "join_aggregate_row",
+            "join_aggregate",
             Leg::JoinAggregate,
-            false,
             None,
             "facts 0>100000, sink 256>0, dims 0>256, join 100512>100000, \
              per_key 100000>256, 0 skipped, 592 sent",
         ),
+        (
+            "udf_chain",
+            Leg::UdfChain,
+            Some(6.2),
+            "docs 0>100000, sink 100000>0, map1 100000>100000, map2 100000>100000, \
+             0 skipped, 980 sent",
+        ),
     ];
-    for (name, leg, columnar, ceiling, work) in legs {
-        job(leg, columnar, &facts, &dims);
-        let (per_tuple, counts) = job(leg, columnar, &facts, &dims);
+    for (name, leg, ceiling, work) in legs {
+        job(leg, &scans);
+        let (per_tuple, counts) = job(leg, &scans);
         println!("{name}: {per_tuple:.2} allocations per source tuple; {counts}");
         assert_eq!(counts, work, "{name}");
         if let Some(ceiling) = ceiling {

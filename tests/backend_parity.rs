@@ -8,11 +8,12 @@
 //! operator ends `Completed`.
 //!
 //! Every parity check runs under four calibrations (see
-//! [`calibrations`]): the paper's row batches, columnar batches, a 1 KiB
-//! per-operator memory budget, and the result cache armed. The rows
-//! must be identical in all of them: batch layout, spilling and caching
-//! are layout, memory-management and scheduling decisions, never data
-//! decisions.
+//! [`calibrations`]): the paper's row batches, columnar batches (the
+//! sim's cost switch; the live engine picks its layout from the DAG
+//! under every calibration), a 1 KiB per-operator memory budget, and the
+//! result cache armed. The rows must be identical in all of them: batch
+//! layout, spilling and caching are layout, memory-management and
+//! scheduling decisions, never data decisions.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -132,16 +133,10 @@ fn kge_backends_agree() {
     });
 }
 
-/// Direct unbounded-vs-tiny-budget parity: for every paper task on both backends, a memory budget far
-/// below the blocking operators' working set must change no output row
-/// — and on the join-bearing tasks (DICE, KGE) it must actually force
-/// spills, while the unbounded run never touches the block store.
-#[test]
-fn tiny_budget_changes_no_rows_on_any_task() {
-    let unbounded = Calibration::paper();
-    let mut tiny = Calibration::paper();
-    tiny.wf_memory_budget = Some(1 << 10);
-    let tasks: [(&str, bool, TaskFn); 4] = [
+/// The four paper tasks at sizes small enough to rerun per configuration:
+/// `(name, has a standalone join, run)`.
+fn small_tasks() -> [(&'static str, bool, TaskFn); 4] {
+    [
         (
             "dice",
             true,
@@ -178,8 +173,19 @@ fn tiny_budget_changes_no_rows_on_any_task() {
                 kge::workflow::run_workflow_on(&p, cal, k).expect("KGE runs")
             }),
         ),
-    ];
-    for (task, has_join, run_on) in &tasks {
+    ]
+}
+
+/// Direct unbounded-vs-tiny-budget parity: for every paper task on both backends, a memory budget far
+/// below the blocking operators' working set must change no output row
+/// — and on the join-bearing tasks (DICE, KGE) it must actually force
+/// spills, while the unbounded run never touches the block store.
+#[test]
+fn tiny_budget_changes_no_rows_on_any_task() {
+    let unbounded = Calibration::paper();
+    let mut tiny = Calibration::paper();
+    tiny.wf_memory_budget = Some(1 << 10);
+    for (task, has_join, run_on) in &small_tasks() {
         for kind in [BackendKind::Sim, BackendKind::Live] {
             let full = run_on(&unbounded, kind);
             let capped = run_on(&tiny, kind);
@@ -206,56 +212,30 @@ fn tiny_budget_changes_no_rows_on_any_task() {
     }
 }
 
-/// Direct row-vs-columnar parity: for every paper task, the columnar calibration must produce exactly
-/// the rows the row calibration does on both backends.
+/// Direct row-vs-columnar parity: for every paper task, the sim under the
+/// columnar calibration and the live engine (which picks its own layout,
+/// whatever the calibration says) must produce exactly the rows the sim
+/// does on row batches.
 #[test]
 fn columnar_mode_changes_no_rows_on_any_task() {
     let row = Calibration::paper();
     let col = Calibration::paper_columnar();
-    let tasks: [(&str, TaskFn); 4] = [
-        (
-            "dice",
-            Box::new(|cal, k| {
-                dice::workflow::run_workflow_on(&DiceParams::new(6, 2), cal, k).expect("DICE runs")
-            }),
-        ),
-        (
-            "wef",
-            Box::new(|cal, k| {
-                wef::workflow::run_workflow_on(&WefParams::new(40), cal, k).expect("WEF runs")
-            }),
-        ),
-        (
-            "gotta",
-            Box::new(|cal, k| {
-                gotta::workflow::run_workflow_on(&GottaParams::new(1, 1), cal, k)
-                    .expect("GOTTA runs")
-            }),
-        ),
-        (
-            "kge",
-            Box::new(|cal, k| {
-                kge::workflow::run_workflow_on(&KgeParams::new(300, 1), cal, k).expect("KGE runs")
-            }),
-        ),
-    ];
-    for (task, run_on) in &tasks {
-        for kind in [BackendKind::Sim, BackendKind::Live] {
-            let r = run_on(&row, kind);
-            let c = run_on(&col, kind);
-            // TaskRun::output is already sorted.
-            assert_eq!(
-                r.run.output, c.run.output,
-                "{task}/{kind}: columnar mode must not change task results"
-            );
-            assert_eq!(
-                r.counters.batches_skipped, 0,
-                "{task}/{kind}: the row engine never consults zone maps"
-            );
-        }
-        // The virtual clock must show the calibrated columnar win.
+    for (task, _, run_on) in &small_tasks() {
         let r = run_on(&row, BackendKind::Sim);
         let c = run_on(&col, BackendKind::Sim);
+        let live = run_on(&row, BackendKind::Live);
+        // TaskRun::output is already sorted.
+        for (leg, other) in [("columnar sim", &c), ("live", &live)] {
+            assert_eq!(
+                r.run.output, other.run.output,
+                "{task}/{leg}: batch layout must not change task results"
+            );
+        }
+        assert_eq!(
+            r.counters.batches_skipped, 0,
+            "{task}: the sim's row engine never consults zone maps"
+        );
+        // The virtual clock must show the calibrated columnar win.
         assert!(
             c.seconds() < r.seconds(),
             "{task}: columnar sim run ({}) should beat row ({})",

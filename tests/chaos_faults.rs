@@ -11,11 +11,15 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{assert_threads_drained, thread_baseline};
+use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, Value};
 use scriptflow::workflow::fault::{random_chain, FaultPlan};
+use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkHandle, SinkOp};
 use scriptflow::workflow::{
-    render_timeline, LiveExecutor, OperatorState, ProgressTrace, RetryConfig, RetryPolicy,
-    TraceJson,
+    render_timeline, LiveExecutor, OperatorState, PartitionStrategy, ProgressTrace, RetryConfig,
+    RetryPolicy, TraceJson, Workflow, WorkflowBuilder,
 };
 
 /// `(name, state, input, output)` per operator in the final snapshot.
@@ -429,25 +433,47 @@ fn same_seed_retry_run_fingerprint_is_identical_across_10_reps() {
     }
 }
 
+/// `random_chain`'s closure filters have no kernel, so its scan serves
+/// rows. This chain puts one behind the scan — `f0` keeps `id >= 16` as a
+/// `cmp` filter, so the scan is sealed and the zone map prunes the
+/// leading batches — and a closure filter behind that, fed batches.
+fn kernel_chain(seed: u64) -> (Workflow, SinkHandle) {
+    let rows = 200 + (seed as i64 * 37) % 400;
+    let schema = Schema::of(&[("id", DataType::Int)]);
+    let batch = Batch::from_rows(schema, (0..rows).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+    let mut b = WorkflowBuilder::new();
+    let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 2);
+    let f0 = FilterOp::cmp("f0", "id", CmpOp::Ge, Value::Int(16));
+    let f0 = b.add(Arc::new(f0), 2);
+    let f1 = FilterOp::new("f1", |t| Ok(t.get_int("id")? % 3 != 0));
+    let f1 = b.add(Arc::new(f1), 2);
+    let sink_op = SinkOp::new("sink");
+    let handle = sink_op.handle();
+    let sink = b.add(Arc::new(sink_op), 1);
+    b.connect(scan, f0, 0, PartitionStrategy::RoundRobin);
+    b.connect(f0, f1, 0, PartitionStrategy::Hash(vec!["id".into()]));
+    b.connect(f1, sink, 0, PartitionStrategy::Single);
+    (b.build().unwrap(), handle)
+}
+
 #[test]
 fn columnar_batches_under_faults_retry_exactly_once() {
-    // Regression for the columnar batch path: a fault landing while the
-    // engine seals edge batches as column vectors must behave exactly
-    // like the row engine — the armed batch takes the row path, the
-    // replay quantum re-delivers every tuple once, and nothing about the
-    // drain changes. Rows must match the *row-engine* clean run, pinning
-    // that columnar sealing never alters data even across a retry.
+    // Regression for the columnar batch path: a fault landing while
+    // sealed batches travel must behave exactly like a fault among rows —
+    // the armed batch takes the row path, the replay quantum re-delivers
+    // every tuple once, and nothing about the drain changes. Rows must
+    // match the thread-per-worker run, which only ever moves rows.
     let (_serial, baseline) = thread_baseline();
     for seed in [5u64, 17, 23] {
-        let clean = clean_rows(seed);
+        let (wf, h) = kernel_chain(seed);
+        LiveExecutor::thread_per_worker(8).run(&wf).unwrap();
+        let clean = sorted_rows(&h);
 
-        // Fault-free columnar run: identical rows to the row engine.
-        let (wf, h, _names) = random_chain(seed);
-        let (_trace, res) = LiveExecutor::new(8)
-            .with_pool_size(2)
-            .with_columnar(true)
-            .run_observed(&wf);
-        res.expect("fault-free columnar run succeeds");
+        // Fault-free pooled run: identical rows, and the scan is sealed.
+        let (wf, h) = kernel_chain(seed);
+        let res = LiveExecutor::new(8).with_pool_size(2).run(&wf);
+        let stats = res.expect("fault-free run succeeds").pool.unwrap();
+        assert!(stats.batches_skipped > 0, "seed {seed}: f0 reads batches");
         assert_eq!(sorted_rows(&h), clean, "seed {seed}: columnar parity");
 
         for kind in ["panic", "kill", "poison"] {
@@ -456,14 +482,14 @@ fn columnar_batches_under_faults_retry_exactly_once() {
                 "kill" => FaultPlan::new(seed).kill_worker("f0", 5 + seed % 40),
                 _ => FaultPlan::new(seed).poison_mailbox("sink", 1 + seed % 3),
             };
-            let (wf, h, _names) = random_chain(seed);
+            let (wf, h) = kernel_chain(seed);
             let (trace, result) = LiveExecutor::new(8)
                 .with_pool_size(1)
-                .with_columnar(true)
                 .with_faults(plan)
                 .with_retry(RetryConfig::uniform(RetryPolicy::default()))
                 .run_observed(&wf);
-            result.unwrap_or_else(|e| panic!("seed {seed} {kind} (columnar): {e}"));
+            let run = result.unwrap_or_else(|e| panic!("seed {seed} {kind} (columnar): {e}"));
+            assert!(run.pool.unwrap().batches_skipped > 0, "seed {seed} {kind}");
             assert_eq!(
                 sorted_rows(&h),
                 clean,
@@ -484,14 +510,19 @@ fn columnar_mode_without_budget_drains_like_the_row_engine() {
     // An unbudgeted kill mid-columnar-stream must still converge: one
     // Failed operator, terminal states everywhere, threads joined.
     let (_serial, baseline) = thread_baseline();
-    let (wf, _h, _names) = random_chain(5);
+    let (wf, _h) = kernel_chain(5);
     let plan = FaultPlan::new(5).kill_worker("f0", 10);
     let (trace, result) = LiveExecutor::new(8)
         .with_pool_size(2)
-        .with_columnar(true)
         .with_faults(plan)
         .run_observed(&wf);
     assert!(result.is_err(), "no budget: the kill fails the run");
+    let (_, last) = trace.samples.last().unwrap();
+    let f0 = last.iter().find(|s| s.name == "f0").unwrap();
+    assert!(
+        f0.counters.batches_skipped > 0,
+        "the kill met sealed batches"
+    );
     let st = final_states(&trace);
     assert!(
         st.iter()
