@@ -141,11 +141,10 @@ impl ExecBackend {
     }
 
     /// Pooled live backend reusing `config`'s edge batch size, retry
-    /// policy, memory budget, and result cache (the only
-    /// [`EngineConfig`] knobs with a live analogue; virtual cost model
-    /// fields have no wall-clock meaning — [`EngineConfig::columnar`]
-    /// among them: the live engine picks each edge's layout from the DAG,
-    /// see [`LiveExecutor::with_columnar`]).
+    /// policy, memory budget, and result cache (the only [`EngineConfig`]
+    /// knobs with a live analogue; virtual cost model fields, among them
+    /// [`EngineConfig::columnar`] — see [`LiveExecutor::with_columnar`] —
+    /// have no wall-clock meaning).
     pub fn live(config: &EngineConfig) -> Self {
         let mut exec = LiveExecutor::new(config.batch_size.max(1))
             .with_retry(config.retry.clone())
@@ -426,9 +425,8 @@ mod tests {
             .unwrap()
     }
 
-    /// The sim at `columnar = false` only ever moves rows: the oracle
-    /// for both backends. The flag is the sim's cost switch; the live
-    /// engine seals `selective_wf`'s scan by itself.
+    /// The sim at `columnar = false` only ever moves rows: the oracle for
+    /// both backends. Live ignores the flag and seals the scan by itself.
     fn columnar_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
         let run_mode = |backend: BackendKind, columnar: bool| {
             let config = EngineConfig {

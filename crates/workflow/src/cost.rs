@@ -127,15 +127,13 @@ pub struct EngineConfig {
     /// input batch after the backoff, the simulator re-delivers the
     /// batch as a fresh virtual quantum.
     pub retry: RetryConfig,
-    /// Simulator only — a cost-model switch. When true, the simulator's
-    /// edges carry sealed [`scriptflow_datakit::ColumnarBatch`] payloads,
-    /// operators run their `on_batch` columnar kernels (zone-map batch
-    /// skipping, monomorphic loops) and service time takes
-    /// [`EngineConfig::columnar_discount`]. Off by default: the row path
-    /// is the calibrated baseline and the row-only oracle the live engine
-    /// is compared against. The live engine does not read it — it picks
-    /// each edge's layout from the DAG
-    /// ([`crate::LiveExecutor::with_columnar`]).
+    /// Simulator only: when true, its edges carry sealed
+    /// [`scriptflow_datakit::ColumnarBatch`] payloads, operators run their
+    /// `on_batch` columnar kernels (zone-map batch skipping, monomorphic
+    /// loops) and service time takes [`EngineConfig::columnar_discount`].
+    /// Off by default: the row path is the calibrated baseline and the
+    /// oracle the live engine is compared against. The live engine picks
+    /// each edge's layout itself ([`crate::LiveExecutor::with_columnar`]).
     pub columnar: bool,
     /// Fraction of the row-path per-tuple compute cost that survives on
     /// the columnar path in the simulator (< 1.0 is a speedup; the

@@ -406,22 +406,18 @@ impl LiveExecutor {
         self
     }
 
-    /// Does nothing: `enabled` is ignored. The method stays because the
-    /// frozen `benchmark/` compiles against it.
+    /// Does nothing: `enabled` is ignored, and the method stays only
+    /// because the frozen `benchmark/` compiles against it.
     ///
-    /// Batch layout is not a caller's choice. An edge carries what its
-    /// producer emitted — rows as rows, a sealed [`ColumnarBatch`]
-    /// ([`crate::OutputCollector::emit_batch`]) as that batch — and is
-    /// never converted on the way; a source that can seal its dataset
-    /// ([`crate::OperatorFactory::source_columnar`]) hands out gathered
-    /// batches exactly when every one of its consumers reads columns
-    /// ([`crate::OperatorFactory::batch_kernel`]). Neither value of the
-    /// old flag was right for a whole DAG: on everywhere, every UDF hop
-    /// sealed its output and the next one unsealed it (`paper_tasks`
-    /// +33 %); off, a scan feeding a comparison filter cloned every row
-    /// up front. Rows are materialized by the first operator without a
-    /// kernel, by the sink, and by exactly the batch a fault trigger, a
-    /// retry replay or a budgeted join touches.
+    /// Batch layout is not a caller's choice, because neither value is
+    /// right for a whole DAG: on, every UDF hop seals its output for the
+    /// next to unseal (`paper_tasks` +33 %); off, a scan feeding a
+    /// comparison filter clones every row up front. An edge carries what
+    /// its producer emitted — rows, or a sealed [`ColumnarBatch`] — and
+    /// is never converted; a source that can seal
+    /// ([`crate::OperatorFactory::source_columnar`]) does so exactly when
+    /// every consumer reads columns
+    /// ([`crate::OperatorFactory::batch_kernel`]).
     ///
     /// # Examples
     ///
@@ -733,10 +729,9 @@ struct Source {
     /// Row chunks ready to forward: a row source's pre-chunked partition,
     /// or the remainder a fault pushed back for replay.
     rows: VecDeque<Vec<Tuple>>,
-    /// A dataset its factory sealed once
+    /// The dataset its factory sealed once
     /// ([`crate::OperatorFactory::source_columnar`]), when every consumer
-    /// reads columns: nothing is copied until a quantum gathers its next
-    /// chunk.
+    /// reads columns: nothing is copied until a quantum gathers a chunk.
     sealed: Option<SealedCursor>,
 }
 
@@ -1996,8 +1991,8 @@ pub(crate) fn build_tasks(
         }
         let blocking = node.factory.blocking_ports();
         // A source whose consumers all read columns hands every worker a
-        // cursor over the dataset it sealed and copies nothing here. The
-        // consumers are asked first: a source feeding a UDF never seals.
+        // cursor over the dataset it sealed and copies nothing here; asked
+        // of the consumers first, so a source feeding a UDF never seals.
         let reads_columns = ports == 0
             && !out_edges.is_empty()
             && out_edges

@@ -330,8 +330,7 @@ pub trait Operator: Send {
     /// with zone-map checks and monomorphic column kernels; an override
     /// must emit exactly the rows the per-tuple path would, in the same
     /// relative order, because which path runs depends on what the
-    /// producer emitted and on whether a fault or a replay touches the
-    /// batch, and the parity suite pins them together.
+    /// producer emitted and on whether a fault or replay touches the batch.
     fn on_batch(
         &mut self,
         batch: &ColumnarBatch,
@@ -342,10 +341,9 @@ pub trait Operator: Send {
     }
 }
 
-/// The batch → row adapter: unroll `batch` through `op`'s
-/// [`Operator::on_tuple`]. It is [`Operator::on_batch`]'s default, and
-/// what a kernel falls back to for the inputs it has no columnar form
-/// for.
+/// The batch → row adapter: unroll `batch` through `op`'s `on_tuple`.
+/// [`Operator::on_batch`]'s default, and a kernel's fallback for input
+/// it has no columnar form for.
 pub(crate) fn rows_through<O: Operator + ?Sized>(
     op: &mut O,
     batch: &ColumnarBatch,
@@ -414,22 +412,20 @@ pub trait OperatorFactory: Send + Sync {
 
     /// For sources that can hand out their whole dataset as one sealed
     /// columnar batch (sealed once, shared by every run): that batch.
-    /// When every consumer of the source has a
-    /// [`OperatorFactory::batch_kernel`], the pooled executor has worker
-    /// `k` of `w` gather rows `k, k + w, …` — the rows
-    /// [`OperatorFactory::source_partitions`] deals it — one edge batch
-    /// at a time inside its own quanta, instead of materializing every
-    /// row up front. `None` (the default) keeps the source on
+    /// Where every consumer has a [`OperatorFactory::batch_kernel`], the
+    /// pooled executor has worker `k` of `w` gather rows `k, k + w, …` —
+    /// the rows [`OperatorFactory::source_partitions`] deals it — one edge
+    /// batch at a time inside its own quanta, instead of materializing
+    /// every row up front. `None` (the default) keeps the source on
     /// `source_partitions`.
     fn source_columnar(&self) -> Option<ColumnarBatch> {
         None
     }
 
-    /// Whether [`Operator::on_batch`] of this factory's instances is a
-    /// columnar kernel rather than the row adapter. The pooled executor
-    /// asks this of a source's consumers to pick the source's layout:
-    /// sealed batches only where all of them read columns, rows
-    /// otherwise, so no edge ever converts.
+    /// Whether this factory's [`Operator::on_batch`] is a columnar kernel
+    /// rather than the row adapter. The pooled executor asks a source's
+    /// consumers, and seals the source only where all of them read
+    /// columns, so no edge ever converts.
     fn batch_kernel(&self) -> bool {
         false
     }

@@ -311,9 +311,8 @@ impl ServiceConfig {
 }
 
 /// Per-submission knobs, mirroring the solo executor's builder. Batch
-/// layout is not among them: an edge carries what its producer emitted,
-/// and a source seals its dataset exactly when every consumer reads
-/// columns ([`crate::OperatorFactory::batch_kernel`]).
+/// layout is not among them: the engine picks it per edge
+/// ([`crate::OperatorFactory::batch_kernel`]).
 ///
 /// # Examples
 ///

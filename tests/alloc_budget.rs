@@ -81,23 +81,15 @@ fn dims() -> Batch {
     Batch::from_rows(schema, rows).unwrap()
 }
 
-/// What a paper task's rows look like: a document and its token ids, the
-/// cells a `ColumnarBatch` can only hold by deep copy.
+/// A paper task's rows: a document and its token ids, cells a
+/// `ColumnarBatch` can only hold by deep copy.
 fn docs() -> Batch {
-    let schema = Schema::of(&[
-        ("id", DataType::Int),
-        ("text", DataType::Str),
-        ("tokens", DataType::List),
-    ]);
+    let schema = Schema::of(&[("text", DataType::Str), ("tokens", DataType::List)]);
     let rows = (0..TUPLES as i64)
         .map(|id| {
-            vec![
-                Value::Int(id),
-                Value::Str(format!(
-                    "document {id:06} of the corpus, long enough to own a heap buffer"
-                )),
-                Value::List((0..4).map(|j| Value::Int(id + j)).collect()),
-            ]
+            let text = format!("document {id:06} of the corpus, long enough for a heap buffer");
+            let tokens = (0..4).map(|j| Value::Int(id + j)).collect();
+            vec![Value::Str(text), Value::List(tokens)]
         })
         .collect();
     Batch::from_rows(schema, rows).unwrap()
@@ -214,16 +206,14 @@ fn job(leg: Leg, [facts, dims, docs]: &[Arc<ScanOp>; 3]) -> (f64, String) {
 fn allocations_per_source_tuple_stay_inside_their_budgets() {
     let scans = [("facts", facts()), ("dims", dims()), ("docs", docs())]
         .map(|(name, data)| Arc::new(ScanOp::new(name, data)));
-    // Ceilings. Before sealed batches travelled whole (ISSUE 18's
-    // parent) the first three legs read 11.92, 5.18 and 16.14; at ISSUE
-    // 19's parent they read 2.59, 0.09 and 7.11 and the UDF chain 6.10 on
-    // row edges (the scan's clone and the sink's copy, three cells each),
-    // 16.27 with every hop sealing and unsealing. The join-aggregate leg
-    // is reported, not pinned. The work counts are what ISSUE 18's parent
-    // produced, to the batch: the data path may change how a batch
-    // travels, not which batches exist. The first job also pays the
-    // scan's one-time seal and digest, as the benchmark's warm-up pass
-    // does, so each leg is counted on its second job.
+    // Ceilings. Before sealed batches travelled whole (ISSUE 18's parent)
+    // the first three legs read 11.92, 5.18 and 16.14; at ISSUE 19's
+    // parent 2.59, 0.09 and 7.11 (reported, not pinned), and the UDF chain
+    // 6.10 on row edges, 16.25 with every hop sealing and unsealing. The
+    // work counts are ISSUE 18's parent's, to the batch: the data path may
+    // change how a batch travels, not which batches exist. The first job
+    // also pays the scan's one-time seal and digest, as the benchmark's
+    // warm-up pass does, so each leg is counted on its second job.
     let legs = [
         (
             "filter_chain",

@@ -9,9 +9,11 @@ static COUNTING: Mutex<()> = Mutex::new(());
 /// Start a thread-counting test: take the suite's lock, then the
 /// baseline [`assert_threads_drained`] compares against. A test that
 /// failed while holding the lock must not fail the tests after it.
+/// The baseline is at least the calling thread: a `/proc/self/task` scan
+/// can skip entries, the caller's too, while other threads exit under it.
 pub fn thread_baseline() -> (MutexGuard<'static, ()>, usize) {
     let serial = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
-    (serial, live_threads())
+    (serial, live_threads().max(1))
 }
 
 /// Live engine threads of the calling test, itself included.
