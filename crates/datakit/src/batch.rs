@@ -168,7 +168,8 @@ pub struct SharedBatch {
 #[derive(Debug, Clone)]
 enum SharedPayload {
     Rows(Arc<Vec<Tuple>>),
-    Columnar(Arc<ColumnarBatch>),
+    /// Held directly: a [`ColumnarBatch`] is already reference-counted.
+    Columnar(ColumnarBatch),
 }
 
 impl SharedBatch {
@@ -183,7 +184,7 @@ impl SharedBatch {
     /// with it to every consumer.
     pub fn from_columnar(batch: ColumnarBatch) -> Self {
         SharedBatch {
-            payload: SharedPayload::Columnar(Arc::new(batch)),
+            payload: SharedPayload::Columnar(batch),
         }
     }
 
@@ -201,7 +202,7 @@ impl SharedBatch {
     }
 
     /// The columnar payload, if this batch carries one.
-    pub fn columnar(&self) -> Option<&Arc<ColumnarBatch>> {
+    pub fn columnar(&self) -> Option<&ColumnarBatch> {
         match &self.payload {
             SharedPayload::Columnar(c) => Some(c),
             SharedPayload::Rows(_) => None,
@@ -212,7 +213,7 @@ impl SharedBatch {
     pub fn ref_count(&self) -> usize {
         match &self.payload {
             SharedPayload::Rows(t) => Arc::strong_count(t),
-            SharedPayload::Columnar(c) => Arc::strong_count(c),
+            SharedPayload::Columnar(c) => c.ref_count(),
         }
     }
 
@@ -408,5 +409,13 @@ mod tests {
         // Sole reference: into_tuples reclaims without copying.
         assert_eq!(shared.ref_count(), 1);
         assert_eq!(shared.into_tuples(), tuples);
+        // A columnar payload is held as it is: cloning the batch shares
+        // the sealed columns, nothing is boxed a second time.
+        let sealed = SharedBatch::from_columnar(ColumnarBatch::from_tuples(schema(), &tuples));
+        let second = sealed.clone();
+        assert_eq!(sealed.ref_count(), 2);
+        assert_eq!(second.columnar().map(ColumnarBatch::len), Some(4));
+        assert_eq!(second.into_tuples(), tuples);
+        assert_eq!(sealed.ref_count(), 1);
     }
 }

@@ -719,6 +719,11 @@ impl ColumnarBatch {
         self.len == 0
     }
 
+    /// Live references to the sealed columns (diagnostics).
+    pub(crate) fn ref_count(&self) -> usize {
+        Arc::strong_count(&self.sealed)
+    }
+
     /// Materialize row `i` as a [`Tuple`] (schema shared, not cloned).
     pub fn tuple_at(&self, i: usize) -> Tuple {
         let values = self.sealed.columns.iter().map(|c| c.value_at(i)).collect();

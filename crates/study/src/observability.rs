@@ -22,7 +22,7 @@ use scriptflow_core::{
 use scriptflow_notebook::{Cell, Kernel, Notebook};
 use scriptflow_raysim::RayTask;
 use scriptflow_simcluster::SimDuration;
-use scriptflow_tasks::dice::{self, workflow::build_dice_workflow, DiceParams};
+use scriptflow_tasks::dice::{workflow::build_dice_workflow, DiceParams};
 use scriptflow_workflow::{ExecBackend, LiveExecutor, SimExecutor};
 
 use crate::{backend_workflow_label, SCRIPT_LABEL, WORKFLOW_LABEL};
@@ -57,7 +57,7 @@ pub fn observe_workflow_on(
     kind: BackendKind,
 ) -> ObservationReport {
     let (wf, _handle) = build_dice_workflow(params, cal).expect("DICE workflow builds");
-    let cfg = dice::workflow::engine_config(cal);
+    let cfg = scriptflow_tasks::common::engine_config(cal);
     let backend = match kind {
         BackendKind::Sim => {
             ExecBackend::from_sim(SimExecutor::new(cfg).with_trace(SimDuration::from_millis(100)))

@@ -2,9 +2,14 @@
 
 use std::time::Duration;
 
-use scriptflow_core::{BackendKind, ExecutionMetrics, Paradigm, RunReport};
-use scriptflow_simcluster::SimTime;
-use scriptflow_workflow::{EngineRun, OpCounters, PoolStats, ProgressTrace};
+use scriptflow_core::{BackendKind, Calibration, ExecutionMetrics, Paradigm, RunReport};
+use scriptflow_datakit::Tuple;
+use scriptflow_simcluster::{ClusterSpec, SimTime};
+use scriptflow_workflow::ops::SinkHandle;
+use scriptflow_workflow::{
+    EngineConfig, EngineRun, ExecBackend, OpCounters, PoolStats, ProgressTrace, ResultCache,
+    Workflow, WorkflowResult,
+};
 
 /// One task execution: the comparable report plus the real output.
 #[derive(Debug, Clone)]
@@ -100,6 +105,63 @@ impl BackendRun {
     pub fn seconds(&self) -> f64 {
         self.run.seconds()
     }
+}
+
+/// The engine configuration the paper's tasks run under (shared by both
+/// backends; only `batch_size` has a live analogue). GOTTA and WEF each
+/// override one field.
+pub fn engine_config(cal: &Calibration) -> EngineConfig {
+    EngineConfig {
+        cluster: ClusterSpec::paper_cluster(),
+        batch_size: cal.wf_batch_size,
+        serde_per_tuple: cal.wf_serde_per_tuple,
+        pipelining: cal.wf_pipelining,
+        columnar: cal.wf_columnar,
+        columnar_discount: cal.wf_columnar_discount,
+        memory_budget: cal.wf_memory_budget,
+        spill_write_per_block: cal.wf_spill_write_per_block,
+        spill_read_per_block: cal.wf_spill_read_per_block,
+        // A fresh per-run cache: records and publishes, but never hits.
+        // Warm reruns come from each task's `run_workflow_cached`, which
+        // shares one cache across invocations.
+        result_cache: cal
+            .wf_result_cache
+            .then(|| ResultCache::for_run(cal.wf_cache_byte_budget)),
+        cache_read_per_block: cal.wf_cache_read_per_block,
+        ..EngineConfig::default()
+    }
+}
+
+/// The `row` column: the output fingerprint of the tasks whose last
+/// operator already formats it.
+pub(crate) fn row_text(t: &Tuple) -> String {
+    t.get_str("row").expect("schema").to_owned()
+}
+
+/// Run a task's built workflow on the `kind` backend under `config` and
+/// package the result; `row` turns a sink tuple into its output
+/// fingerprint. The workflow driver all four tasks share.
+pub(crate) fn run_on(
+    task: &str,
+    params: String,
+    lines_of_code: usize,
+    (wf, handle): (Workflow, SinkHandle),
+    kind: BackendKind,
+    config: EngineConfig,
+    row: impl Fn(&Tuple) -> String,
+) -> WorkflowResult<BackendRun> {
+    let engine = ExecBackend::of_kind(kind, config).run(&wf, &handle)?;
+    let run = TaskRun::new(
+        task,
+        Paradigm::Workflow,
+        params,
+        engine.makespan(),
+        wf.total_workers(),
+        lines_of_code,
+        wf.operator_count(),
+        engine.rows.iter().map(row).collect(),
+    );
+    Ok(BackendRun::from_engine(run, engine))
 }
 
 #[cfg(test)]

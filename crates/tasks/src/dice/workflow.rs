@@ -18,17 +18,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use scriptflow_core::{BackendKind, Calibration, Paradigm};
+use scriptflow_core::{BackendKind, Calibration};
 use scriptflow_datakit::{DataType, Schema, Tuple, Value};
-use scriptflow_simcluster::ClusterSpec;
 use scriptflow_workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp, StatefulUdfOp, UdfOp};
 use scriptflow_workflow::{
-    CostProfile, EngineConfig, ExecBackend, PartitionStrategy, ResultCache, WorkflowBuilder,
-    WorkflowError, WorkflowResult,
+    CostProfile, EngineConfig, PartitionStrategy, ResultCache, WorkflowBuilder, WorkflowError,
+    WorkflowResult,
 };
 
 use super::{row_fingerprint, DiceParams};
-use crate::common::{BackendRun, TaskRun};
+use crate::common::{engine_config, run_on, BackendRun, TaskRun};
 use crate::listing;
 
 /// The normalized annotation schema flowing into the union/link stage.
@@ -322,30 +321,6 @@ pub fn build_dice_workflow(
     Ok((b.build()?, handle))
 }
 
-/// The engine configuration DICE runs under (shared by both backends;
-/// only `batch_size` has a live analogue).
-pub fn engine_config(cal: &Calibration) -> EngineConfig {
-    EngineConfig {
-        cluster: ClusterSpec::paper_cluster(),
-        batch_size: cal.wf_batch_size,
-        serde_per_tuple: cal.wf_serde_per_tuple,
-        pipelining: cal.wf_pipelining,
-        columnar: cal.wf_columnar,
-        columnar_discount: cal.wf_columnar_discount,
-        memory_budget: cal.wf_memory_budget,
-        spill_write_per_block: cal.wf_spill_write_per_block,
-        spill_read_per_block: cal.wf_spill_read_per_block,
-        // A fresh per-run cache: records and publishes, but never hits.
-        // Warm reruns come from `run_workflow_cached`, which shares one
-        // cache across invocations.
-        result_cache: cal
-            .wf_result_cache
-            .then(|| ResultCache::for_run(cal.wf_cache_byte_budget)),
-        cache_read_per_block: cal.wf_cache_read_per_block,
-        ..EngineConfig::default()
-    }
-}
-
 /// Run DICE on the simulated workflow engine.
 pub fn run_workflow(params: &DiceParams, cal: &Calibration) -> WorkflowResult<TaskRun> {
     Ok(run_workflow_on(params, cal, BackendKind::Sim)?.run)
@@ -378,16 +353,14 @@ fn run_with_config(
     kind: BackendKind,
     config: EngineConfig,
 ) -> WorkflowResult<BackendRun> {
-    let (wf, handle) = build_dice_workflow(params, cal)?;
-    let operator_count = wf.operator_count();
-    let total_workers = wf.total_workers();
-
-    let engine = ExecBackend::of_kind(kind, config).run(&wf, &handle)?;
-
-    let output: Vec<String> = engine
-        .rows
-        .iter()
-        .map(|t| {
+    run_on(
+        "DICE",
+        params.config_string(),
+        listing::dice_workflow_listing().lines().count(),
+        build_dice_workflow(params, cal)?,
+        kind,
+        config,
+        |t| {
             row_fingerprint(
                 t.get_int("doc_id").expect("schema"),
                 t.get("sent_idx").expect("schema").as_int(),
@@ -397,27 +370,15 @@ fn run_with_config(
                 t.get("text").expect("schema").as_str(),
                 t.get("sentence").expect("schema").as_str(),
             )
-        })
-        .collect();
-
-    let run = TaskRun::new(
-        "DICE",
-        Paradigm::Workflow,
-        params.config_string(),
-        engine.makespan(),
-        total_workers,
-        listing::dice_workflow_listing().lines().count(),
-        operator_count,
-        output,
-    );
-    Ok(BackendRun::from_engine(run, engine))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dice::oracle;
-    use scriptflow_core::Calibration;
+    use scriptflow_core::Paradigm;
 
     #[test]
     fn workflow_output_matches_oracle() {

@@ -16,18 +16,18 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use scriptflow_core::{BackendKind, Calibration, Paradigm};
+use scriptflow_core::{BackendKind, Calibration};
 use scriptflow_datakit::{DataType, Schema, SchemaRef, Tuple, Value};
 use scriptflow_mlkit::kge::KgeScorer;
-use scriptflow_simcluster::{ClusterSpec, Language, SimDuration};
+use scriptflow_simcluster::{Language, SimDuration};
 use scriptflow_workflow::ops::{HashJoinOp, ScanOp, SinkOp, StatefulUdfOp, UdfOp};
 use scriptflow_workflow::{
-    CostProfile, EngineConfig, ExecBackend, OpId, PartitionStrategy, ResultCache, WorkflowBuilder,
+    CostProfile, EngineConfig, OpId, PartitionStrategy, ResultCache, WorkflowBuilder,
     WorkflowError, WorkflowResult,
 };
 
 use super::KgeParams;
-use crate::common::{BackendRun, TaskRun};
+use crate::common::{engine_config, row_text, run_on, BackendRun, TaskRun};
 use crate::listing;
 
 /// (id, name, score) rows flowing after scoring.
@@ -451,29 +451,6 @@ pub fn build_kge_workflow(
     Ok((b.build()?, handle))
 }
 
-/// The engine configuration KGE runs under.
-pub fn engine_config(cal: &Calibration) -> EngineConfig {
-    EngineConfig {
-        cluster: ClusterSpec::paper_cluster(),
-        batch_size: cal.wf_batch_size,
-        serde_per_tuple: cal.wf_serde_per_tuple,
-        pipelining: cal.wf_pipelining,
-        columnar: cal.wf_columnar,
-        columnar_discount: cal.wf_columnar_discount,
-        memory_budget: cal.wf_memory_budget,
-        spill_write_per_block: cal.wf_spill_write_per_block,
-        spill_read_per_block: cal.wf_spill_read_per_block,
-        // A fresh per-run cache: records and publishes, but never hits.
-        // Warm reruns come from `run_workflow_cached`, which shares one
-        // cache across invocations.
-        result_cache: cal
-            .wf_result_cache
-            .then(|| ResultCache::for_run(cal.wf_cache_byte_budget)),
-        cache_read_per_block: cal.wf_cache_read_per_block,
-        ..EngineConfig::default()
-    }
-}
-
 /// Run KGE on the simulated workflow engine.
 pub fn run_workflow(params: &KgeParams, cal: &Calibration) -> WorkflowResult<TaskRun> {
     Ok(run_workflow_on(params, cal, BackendKind::Sim)?.run)
@@ -508,29 +485,15 @@ fn run_with_config(
     kind: BackendKind,
     config: EngineConfig,
 ) -> WorkflowResult<BackendRun> {
-    let (wf, handle) = build_kge_workflow(params, cal)?;
-    let operator_count = wf.operator_count();
-    let total_workers = wf.total_workers();
-
-    let engine = ExecBackend::of_kind(kind, config).run(&wf, &handle)?;
-
-    let output: Vec<String> = engine
-        .rows
-        .iter()
-        .map(|t| t.get_str("row").expect("schema").to_owned())
-        .collect();
-
-    let run = TaskRun::new(
+    run_on(
         "KGE",
-        Paradigm::Workflow,
         params.config_string(),
-        engine.makespan(),
-        total_workers,
         listing::count_loc(&listing::kge_workflow_listing()),
-        operator_count,
-        output,
-    );
-    Ok(BackendRun::from_engine(run, engine))
+        build_kge_workflow(params, cal)?,
+        kind,
+        config,
+        row_text,
+    )
 }
 
 impl TopK {

@@ -7,17 +7,16 @@
 
 use std::sync::Arc;
 
-use scriptflow_core::{BackendKind, Calibration, Paradigm};
+use scriptflow_core::{BackendKind, Calibration};
 use scriptflow_datakit::{DataType, Schema, Tuple, Value};
-use scriptflow_simcluster::{ClusterSpec, SimDuration};
+use scriptflow_simcluster::SimDuration;
 use scriptflow_workflow::ops::{ScanOp, SinkOp, StatefulUdfOp, UdfOp};
 use scriptflow_workflow::{
-    CostProfile, EngineConfig, ExecBackend, PartitionStrategy, ResultCache, WorkflowBuilder,
-    WorkflowResult,
+    CostProfile, EngineConfig, PartitionStrategy, ResultCache, WorkflowBuilder, WorkflowResult,
 };
 
 use super::WefParams;
-use crate::common::{BackendRun, TaskRun};
+use crate::common::{self, row_text, run_on, BackendRun, TaskRun};
 use crate::listing;
 
 /// Build the WEF workflow DAG; returns it with the results handle.
@@ -108,23 +107,8 @@ pub fn build_wef_workflow(
 /// differently than the streaming tasks.
 pub fn engine_config(cal: &Calibration) -> EngineConfig {
     EngineConfig {
-        cluster: ClusterSpec::paper_cluster(),
-        batch_size: cal.wf_batch_size,
         serde_per_tuple: SimDuration::from_micros(200),
-        pipelining: cal.wf_pipelining,
-        columnar: cal.wf_columnar,
-        columnar_discount: cal.wf_columnar_discount,
-        memory_budget: cal.wf_memory_budget,
-        spill_write_per_block: cal.wf_spill_write_per_block,
-        spill_read_per_block: cal.wf_spill_read_per_block,
-        // A fresh per-run cache: records and publishes, but never hits.
-        // Warm reruns come from `run_workflow_cached`, which shares one
-        // cache across invocations.
-        result_cache: cal
-            .wf_result_cache
-            .then(|| ResultCache::for_run(cal.wf_cache_byte_budget)),
-        cache_read_per_block: cal.wf_cache_read_per_block,
-        ..EngineConfig::default()
+        ..common::engine_config(cal)
     }
 }
 
@@ -160,29 +144,15 @@ fn run_with_config(
     kind: BackendKind,
     config: EngineConfig,
 ) -> WorkflowResult<BackendRun> {
-    let (wf, handle) = build_wef_workflow(params, cal)?;
-    let operator_count = wf.operator_count();
-    let total_workers = wf.total_workers();
-
-    let engine = ExecBackend::of_kind(kind, config).run(&wf, &handle)?;
-
-    let output: Vec<String> = engine
-        .rows
-        .iter()
-        .map(|t| t.get_str("row").expect("schema").to_owned())
-        .collect();
-
-    let run = TaskRun::new(
+    run_on(
         "WEF",
-        Paradigm::Workflow,
         params.config_string(),
-        engine.makespan(),
-        total_workers,
         listing::count_loc(&listing::wef_workflow_listing()),
-        operator_count,
-        output,
-    );
-    Ok(BackendRun::from_engine(run, engine))
+        build_wef_workflow(params, cal)?,
+        kind,
+        config,
+        row_text,
+    )
 }
 
 #[cfg(test)]

@@ -514,6 +514,44 @@ mod tests {
         vec![("cold", cold), ("warm", warm), ("cache off", off)]
     }
 
+    /// The cache changes what is recomputed, never how a computed
+    /// operator runs: armed, the selective DAG moves the same batches in
+    /// the same layout as with the cache off.
+    fn cached_columnar_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
+        use crate::cache::ResultCache;
+        let config = EngineConfig {
+            batch_size: 32,
+            columnar: true,
+            ..EngineConfig::default()
+        };
+        let cache = Arc::new(ResultCache::new());
+        let armed = || config.clone().with_result_cache(cache.clone());
+
+        let off = run_with(kind, config.clone(), selective_wf);
+        let cold = run_with(kind, armed(), selective_wf);
+        assert!(
+            off.counters().batches_skipped > 0,
+            "{kind}: sealed batches past id=20 must be pruned"
+        );
+        assert_eq!(
+            cold.counters().batches_skipped,
+            off.counters().batches_skipped,
+            "{kind}: a recorded scan is sealed for the same consumers"
+        );
+        assert_eq!(
+            cold.pool.map(|p| p.batches_sent),
+            off.pool.map(|p| p.batches_sent),
+            "{kind}: same edges, same batches"
+        );
+        assert!(cold.cache_published > 0, "{kind}: clean cold run publishes");
+        let warm = run_with(kind, armed(), selective_wf);
+        assert!(
+            warm.counters().cache_hits > 0,
+            "{kind}: warm rerun must hit"
+        );
+        vec![("cache off", off), ("cold", cold), ("warm", warm)]
+    }
+
     fn budgeted_cache_legs(kind: BackendKind) -> Vec<(&'static str, EngineRun)> {
         use crate::cache::ResultCache;
         let config =
@@ -551,10 +589,11 @@ mod tests {
     #[test]
     fn counters_surface_and_conserve_on_both_backends() {
         type Legs = fn(BackendKind) -> Vec<(&'static str, EngineRun)>;
-        let scenarios: [(&str, Legs); 4] = [
+        let scenarios: [(&str, Legs); 5] = [
             ("columnar", columnar_legs),
             ("memory budget", budget_legs),
             ("result cache", cache_legs),
+            ("cached columnar", cached_columnar_legs),
             ("budgeted cache", budgeted_cache_legs),
         ];
         for (scenario, legs) in scenarios {

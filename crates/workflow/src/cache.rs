@@ -9,9 +9,8 @@
 //! [`Segment`]s (the same representation the spill path uses), so a
 //! cached result costs compressed bytes, not live tuples.
 //!
-//! Execution is cache-aware through **planning**, not through changes to
-//! either engine's inner loop. [`prepare`] rewrites a workflow before it
-//! runs:
+//! Execution is cache-aware through **planning**. [`prepare`] rewrites a
+//! workflow before it runs:
 //!
 //! * a needed node whose fingerprint has a sealed entry is **served** —
 //!   replaced by a [`CacheReplayOp`] source that decodes the segment and
@@ -21,16 +20,20 @@
 //! * nodes upstream of only served/unneeded consumers are **skipped** —
 //!   dropped from the plan entirely, the "recompute only the edited
 //!   cone" effect;
-//! * everything else is **computed**; cacheable computed nodes are
-//!   wrapped in a [`RecordingFactory`] that tees their emitted rows into
-//!   a [`CacheRecording`] for publication.
+//! * everything else is **computed**, by the operator's own factory;
+//!   the plan marks each cacheable computed node with a
+//!   [`CacheRecording`], and the executor running the plan tees that
+//!   node's output into it at the one place output leaves an operator
+//!   to be routed — a source's where its partitions are produced.
 //!
 //! Recordings are published only by [`commit_recordings`], and the
 //! executors call it only after a run completes **cleanly** — no faults
-//! injected, no retries spent. A faulted quantum replays its held input,
-//! which would tee rows twice; discarding the whole recording set is the
-//! write-then-rename discipline that keeps partial or duplicated output
-//! out of the cache (pinned by `tests/cache_chaos.rs`).
+//! injected, no retries spent. A faulted quantum's partial output is
+//! discarded before it reaches the tee, but its forwarded prefix and the
+//! replay of the rest can reach it in an order no clean run produces;
+//! discarding the whole recording set is the write-then-rename
+//! discipline that keeps partial or duplicated output out of the cache
+//! (pinned by `tests/cache_chaos.rs`).
 //!
 //! # Bounded growth: cost-aware eviction
 //!
@@ -79,8 +82,10 @@ use scriptflow_simcluster::SimDuration;
 use crate::backend::EngineRun;
 use crate::cost::CostProfile;
 use crate::dag::{OpId, Workflow, WorkflowBuilder};
-use crate::metrics::OpCounters;
-use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult};
+use crate::metrics::{OpCounters, OperatorMetrics};
+use crate::operator::{
+    Emitted, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+};
 use crate::spill::SPILL_BLOCK_ROWS;
 use crate::sync::lock;
 use crate::trace::ProgressTrace;
@@ -789,163 +794,45 @@ impl OperatorFactory for CacheReplayOp {
 }
 
 /// The teed output of one cache-miss operator across all of its worker
-/// instances, awaiting publication on clean run completion. Carries the
-/// producing operator's calibrated cost profile so publication can
-/// price eviction correctly.
+/// instances, awaiting publication on clean run completion. Names the
+/// plan node it records and carries that operator's calibrated cost
+/// profile so publication can price eviction correctly.
 pub struct CacheRecording {
+    /// The node of [`CachePlan::wf`] whose output this is.
+    pub(crate) op: OpId,
     fingerprint: OpFingerprint,
     schema: SchemaRef,
     name: String,
     setup: SimDuration,
     per_tuple: SimDuration,
-    rows: Arc<Mutex<Vec<Tuple>>>,
+    /// What was routed, in routing order. A columnar batch stays sealed
+    /// (two reference counts) until commit.
+    runs: Mutex<Vec<Emitted>>,
 }
 
-/// Wraps a cache-miss operator's factory, teeing everything its
-/// instances emit into a shared [`CacheRecording`] buffer. Every other
-/// behaviour delegates, so a recorded operator runs (and costs) exactly
-/// like the bare one.
-pub struct RecordingFactory {
-    inner: Arc<dyn OperatorFactory>,
-    rows: Arc<Mutex<Vec<Tuple>>>,
-}
-
-impl RecordingFactory {
-    fn new(inner: Arc<dyn OperatorFactory>, rows: Arc<Mutex<Vec<Tuple>>>) -> Self {
-        RecordingFactory { inner, rows }
-    }
-}
-
-impl OperatorFactory for RecordingFactory {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn input_ports(&self) -> usize {
-        self.inner.input_ports()
-    }
-
-    fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
-        self.inner.output_schema(inputs)
-    }
-
-    fn blocking_ports(&self) -> Vec<usize> {
-        self.inner.blocking_ports()
-    }
-
-    fn language(&self) -> scriptflow_simcluster::Language {
-        self.inner.language()
-    }
-
-    fn cost(&self) -> CostProfile {
-        self.inner.cost()
-    }
-
-    fn create(&self) -> Box<dyn Operator> {
-        Box::new(RecordingOp {
-            inner: self.inner.create(),
-            rows: Arc::clone(&self.rows),
-        })
-    }
-
-    fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
-        let parts = self.inner.source_partitions(workers)?;
-        // Each call yields the operator's complete output (a plan that
-        // is run twice asks twice), so replace rather than append.
-        let mut rows = lock(&self.rows);
-        rows.clear();
-        for p in &parts {
-            rows.extend(p.iter().cloned());
-        }
-        Some(parts)
-    }
-
-    fn is_source(&self) -> bool {
-        self.inner.is_source()
-    }
-
-    fn batch_kernel(&self) -> bool {
-        self.inner.batch_kernel()
-    }
-
-    fn shared_state_id(&self) -> Option<usize> {
-        self.inner.shared_state_id()
-    }
-
-    fn reset_shared_state(&self) {
-        self.inner.reset_shared_state()
-    }
-
-    fn fingerprint(&self) -> OpFingerprint {
-        self.inner.fingerprint()
-    }
-
-    fn commutative_inputs(&self) -> bool {
-        self.inner.commutative_inputs()
-    }
-
-    fn cache_recording(&self) -> bool {
-        true
-    }
-}
-
-/// Per-worker tee: runs the wrapped instance and copies whatever it
-/// emitted into the recording buffer.
-struct RecordingOp {
-    inner: Box<dyn Operator>,
-    rows: Arc<Mutex<Vec<Tuple>>>,
-}
-
-impl RecordingOp {
-    fn tee(&self, out: &OutputCollector, mark: usize) {
-        let emitted = out.emitted_since(mark);
-        if !emitted.is_empty() {
-            lock(&self.rows).extend_from_slice(&emitted);
+impl CacheRecording {
+    /// Record one run of the operator's output, as it leaves to be
+    /// routed. One lock per processing step, not per tuple.
+    pub(crate) fn tee(&self, run: Emitted) {
+        if run.len() > 0 {
+            lock(&self.runs).push(run);
         }
     }
 }
 
-impl Operator for RecordingOp {
-    fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.inner.set_memory_budget(bytes)
-    }
-
-    fn on_tuple(
-        &mut self,
-        tuple: Tuple,
-        port: usize,
-        out: &mut OutputCollector,
-    ) -> WorkflowResult<()> {
-        let mark = out.len();
-        self.inner.on_tuple(tuple, port, out)?;
-        self.tee(out, mark);
-        Ok(())
-    }
-
-    fn on_port_complete(&mut self, port: usize, out: &mut OutputCollector) -> WorkflowResult<()> {
-        let mark = out.len();
-        self.inner.on_port_complete(port, out)?;
-        self.tee(out, mark);
-        Ok(())
-    }
-
-    fn on_batch(
-        &mut self,
-        batch: &ColumnarBatch,
-        port: usize,
-        out: &mut OutputCollector,
-    ) -> WorkflowResult<()> {
-        let mark = out.len();
-        self.inner.on_batch(batch, port, out)?;
-        self.tee(out, mark);
-        Ok(())
+/// One miss per recorded operator in a run's initial telemetry — the
+/// dual of the hit [`OperatorMetrics::for_workflow`] reads off a replay
+/// factory.
+pub(crate) fn prime_misses(recordings: &[CacheRecording], ops: &mut [OperatorMetrics]) {
+    for r in recordings {
+        ops[r.op.0].counters.cache_misses = 1;
     }
 }
 
 /// How [`prepare`] disposed of one original node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeFate {
-    /// Runs in the plan (recorded when cacheable).
+    /// Runs in the plan (marked for recording when cacheable).
     Computed,
     /// Replaced by a [`CacheReplayOp`] serving a sealed entry.
     Served,
@@ -957,10 +844,11 @@ enum NodeFate {
 /// the executor needs to account for and commit the run.
 pub struct CachePlan {
     /// The workflow to actually execute (served nodes replaced, skipped
-    /// nodes dropped, cache-miss nodes recording).
+    /// nodes dropped).
     pub wf: Workflow,
-    /// Pending recordings, to be published via [`commit_recordings`]
-    /// only on clean success.
+    /// One per cache-miss node of `wf`, in node order: filled by the
+    /// executor, published via [`commit_recordings`] only on clean
+    /// success.
     pub recordings: Vec<CacheRecording>,
     /// Nodes served from the cache.
     pub hits: u64,
@@ -1035,23 +923,21 @@ pub fn prepare(wf: &Workflow, cache: &ResultCache, read_per_block: SimDuration) 
                 mapped[i] = Some(b.add(Arc::new(replay), 1));
             }
             NodeFate::Computed => {
-                let factory: Arc<dyn OperatorFactory> = if cacheable(id) {
+                let planned = b.add(Arc::clone(&node.factory), node.parallelism);
+                mapped[i] = Some(planned);
+                if cacheable(id) {
                     misses += 1;
-                    let rows = Arc::new(Mutex::new(Vec::new()));
                     let cost = node.factory.cost();
                     recordings.push(CacheRecording {
+                        op: planned,
                         fingerprint: wf.fingerprint(id),
                         schema: wf.schema(id).clone(),
                         name: node.factory.name().to_owned(),
                         setup: cost.setup,
                         per_tuple: cost.per_tuple,
-                        rows: Arc::clone(&rows),
+                        runs: Mutex::new(Vec::new()),
                     });
-                    Arc::new(RecordingFactory::new(Arc::clone(&node.factory), rows))
-                } else {
-                    Arc::clone(&node.factory)
-                };
-                mapped[i] = Some(b.add(factory, node.parallelism));
+                }
             }
         }
     }
@@ -1094,10 +980,10 @@ pub struct CommitStats {
 }
 
 /// Publish every recording of a **cleanly** completed run and return
-/// the compressed bytes added. Callers must not commit after a run
-/// that saw faults or retries: a replayed quantum tees its held input's
-/// output twice, and this discard-on-dirty rule is what keeps partial
-/// or duplicated segments out of the cache.
+/// the compressed bytes added, emptying the recordings. Callers must
+/// not commit after a run that saw faults or retries: this
+/// discard-on-dirty rule is what keeps partial or duplicated segments
+/// out of the cache.
 pub fn commit_recordings(recordings: &[CacheRecording], cache: &ResultCache) -> u64 {
     commit_recordings_as(recordings, cache, None).published
 }
@@ -1114,7 +1000,8 @@ pub fn commit_recordings_as(
 ) -> CommitStats {
     let mut stats = CommitStats::default();
     for r in recordings {
-        let rows = lock(&r.rows);
+        let runs = std::mem::take(&mut *lock(&r.runs));
+        let rows: Vec<Tuple> = runs.into_iter().flat_map(Emitted::into_rows).collect();
         let cost = r.setup + r.per_tuple * rows.len() as u64;
         let out = cache.publish_costed(r.fingerprint, &r.schema, &rows, cost, owner);
         stats.published += out.added;
@@ -1161,8 +1048,11 @@ impl CommitStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExecBackend;
+    use crate::cost::EngineConfig;
     use crate::ops::{FilterOp, ScanOp, SinkOp};
     use crate::partition::PartitionStrategy;
+    use scriptflow_core::BackendKind;
     use scriptflow_datakit::{Batch, CmpOp, DataType, Value};
 
     fn schema() -> SchemaRef {
@@ -1402,19 +1292,17 @@ mod tests {
         let cache = ResultCache::new();
         let plan = prepare(&wf, &cache, SimDuration::ZERO);
         let rec = &plan.recordings[0];
-        {
-            let mut buf = lock(&rec.rows);
-            buf.clear();
-            buf.extend(rows(10));
-        }
-        let rows_arc = Arc::clone(&rec.rows);
-        let _ = std::thread::spawn(move || {
-            let _guard = rows_arc.lock().unwrap();
-            panic!("poison the recording buffer, as a sink panic would");
-        })
-        .join();
-        assert!(rec.rows.is_poisoned());
-        // Commit still publishes the teed rows.
+        rec.tee(Emitted::Rows(rows(6)));
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = rec.runs.lock().unwrap();
+                panic!("poison the recording buffer, as a panicking quantum would");
+            })
+            .join()
+        });
+        assert!(rec.runs.is_poisoned());
+        // The tee still records and commit still publishes all of it.
+        rec.tee(Emitted::Rows(rows(4)));
         let added = commit_recordings(&plan.recordings[..1], &cache);
         assert!(added > 0);
         assert_eq!(cache.lookup(wf.fingerprint(OpId(0))).unwrap().rows(), 10);
@@ -1519,8 +1407,18 @@ mod tests {
         assert_eq!(plan.misses, 2);
         assert_eq!(plan.recordings.len(), 2);
         assert_eq!(plan.wf.operator_count(), 3, "cold plan keeps every node");
-        assert!(plan.wf.op(OpId(0)).factory.cache_recording());
-        assert!(!plan.wf.op(OpId(2)).factory.cache_recording(), "sink bare");
+        // The plan marks the misses by node and runs every operator's
+        // own factory: nothing stands between the engine and the scan.
+        let marked: Vec<OpId> = plan.recordings.iter().map(|r| r.op).collect();
+        assert_eq!(marked, [OpId(0), OpId(1)], "sink unmarked");
+        for i in 0..3 {
+            let (planned, given) = (&plan.wf.op(OpId(i)).factory, &wf.op(OpId(i)).factory);
+            assert!(Arc::ptr_eq(planned, given), "{}", given.name());
+        }
+        let mut ops = OperatorMetrics::for_workflow(&plan.wf);
+        prime_misses(&plan.recordings, &mut ops);
+        let misses: Vec<u64> = ops.iter().map(|m| m.counters.cache_misses).collect();
+        assert_eq!(misses, [1, 1, 0]);
     }
 
     #[test]
@@ -1557,14 +1455,8 @@ mod tests {
         let (wf, _) = linear(15);
         let cache = ResultCache::new();
         let plan = prepare(&wf, &cache, SimDuration::ZERO);
-        // Simulate the executors' tee (replacing whatever the DAG
-        // validation probe already captured).
-        let scan_rec = &plan.recordings[0];
-        {
-            let mut buf = scan_rec.rows.lock().unwrap();
-            buf.clear();
-            buf.extend(rows(15));
-        }
+        // Simulate the executors' tee.
+        plan.recordings[0].tee(Emitted::Rows(rows(15)));
         let added = commit_recordings(&plan.recordings[..1], &cache);
         assert!(added > 0);
         assert_eq!(cache.bytes(), added);
@@ -1590,20 +1482,79 @@ mod tests {
         }
     }
 
+    /// scan → `id < lt` comparison filter on two workers → sink.
+    fn selective(n: i64, lt: i64) -> (Workflow, crate::ops::SinkHandle) {
+        let mut b = WorkflowBuilder::new();
+        let batch =
+            Batch::from_rows(schema(), (0..n).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+        let s = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
+        let f = b.add(
+            Arc::new(FilterOp::cmp("filter", "id", CmpOp::Lt, Value::Int(lt))),
+            2,
+        );
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let k = b.add(Arc::new(sink_op), 1);
+        b.connect(s, f, 0, PartitionStrategy::RoundRobin);
+        b.connect(f, k, 0, PartitionStrategy::Single);
+        (b.build().unwrap(), handle)
+    }
+
+    fn sorted_ids(rows: &[Tuple]) -> Vec<i64> {
+        let mut ids: Vec<i64> = rows.iter().map(|t| t.get_int("id").unwrap()).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
-    fn recording_factory_tees_without_changing_output() {
-        let inner = Arc::new(FilterOp::cmp("f", "id", CmpOp::Lt, Value::Int(3)));
-        let rows_buf = Arc::new(Mutex::new(Vec::new()));
-        let rec = RecordingFactory::new(inner, Arc::clone(&rows_buf));
-        assert!(rec.cache_recording());
-        assert_eq!(rec.name(), "f");
-        let mut inst = rec.create();
-        let mut out = OutputCollector::new();
-        for t in rows(5) {
-            inst.on_tuple(t, 0, &mut out).unwrap();
+    fn recording_tees_without_changing_output() {
+        for kind in BackendKind::ALL {
+            let (wf, handle) = selective(5, 3);
+            let cache = Arc::new(ResultCache::new());
+            let config = EngineConfig::default().with_result_cache(cache.clone());
+            let run = ExecBackend::of_kind(kind, config)
+                .run(&wf, &handle)
+                .unwrap();
+            assert_eq!(sorted_ids(&run.rows), [0, 1, 2], "{kind}: filter semantics");
+            assert_eq!(run.counters().cache_misses, 2, "{kind}");
+            let entry = |name| cache.lookup(wf.fingerprint(wf.op_by_name(name).unwrap()));
+            assert_eq!(entry("scan").unwrap().rows(), 5, "{kind}");
+            let teed = entry("filter").unwrap().tuples();
+            assert_eq!(
+                sorted_ids(&teed),
+                [0, 1, 2],
+                "{kind}: teed exactly the output"
+            );
         }
-        assert_eq!(out.len(), 3, "filter semantics unchanged");
-        assert_eq!(rows_buf.lock().unwrap().len(), 3, "teed exactly the output");
+    }
+
+    #[test]
+    fn recorded_columnar_output_publishes_the_row_paths_multiset() {
+        // Batch size 16 over ascending ids: the sealed scan feeds both
+        // filter workers `ColumnarBatch`es, they emit the survivors as
+        // batches, and every batch past id 100 is pruned.
+        let published = |kind: BackendKind| {
+            let (wf, handle) = selective(400, 100);
+            let cache = Arc::new(ResultCache::new());
+            let config = EngineConfig {
+                batch_size: 16,
+                ..EngineConfig::default().with_result_cache(cache.clone())
+            };
+            let run = ExecBackend::of_kind(kind, config)
+                .run(&wf, &handle)
+                .unwrap();
+            let entry = cache
+                .lookup(wf.fingerprint(wf.op_by_name("filter").unwrap()))
+                .expect("a clean run publishes the filter");
+            (sorted_ids(&entry.tuples()), run.counters().batches_skipped)
+        };
+        // The sim at `columnar = false` only ever moves rows.
+        let (row_only, no_skips) = published(BackendKind::Sim);
+        let (columnar, skips) = published(BackendKind::Live);
+        assert_eq!(no_skips, 0);
+        assert!(skips > 0, "the recorded filter read sealed batches");
+        assert_eq!(row_only, (0..100).collect::<Vec<i64>>());
+        assert_eq!(columnar, row_only);
     }
 
     #[test]

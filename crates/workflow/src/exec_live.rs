@@ -104,6 +104,7 @@ use scriptflow_datakit::{ColumnarBatch, SharedBatch, Tuple};
 use scriptflow_simcluster::{SimDuration, SimTime};
 
 use crate::backend::EngineRun;
+use crate::cache::CacheRecording;
 use crate::dag::{OpId, Workflow};
 use crate::fault::{CompiledFaults, FaultPlan, TupleAction, TupleTrigger};
 use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
@@ -663,6 +664,10 @@ struct TaskStatic {
     slow_edge: Option<Duration>,
     /// Retry budget for faulted run quanta (resolved per operator).
     retry: RetryPolicy,
+    /// Which of the run's cache recordings the output this task routes
+    /// is teed into. `None` for a source too: its partitions are
+    /// recorded where they are produced, in [`build_tasks`].
+    record: Option<usize>,
 }
 
 /// A faulted quantum's input, stashed so the replayed quantum can
@@ -828,6 +833,9 @@ pub(crate) struct Pool {
     retries_attempted: AtomicU64,
     /// Retried tasks that still finished cleanly.
     retries_succeeded: AtomicU64,
+    /// The plan's cache-miss recordings, filled as output is routed and
+    /// committed by the scheduler if the run ends clean.
+    recordings: Vec<CacheRecording>,
     /// Where scheduling events go, under run id `run`. The `Weak` breaks
     /// the scheduler ↔ run reference cycle.
     sched: Weak<Shared>,
@@ -852,9 +860,11 @@ impl Pool {
     }
 
     /// Build the core of run `run`, executing on `sched`'s workers.
-    /// `pool_threads` records that pool's width for [`PoolStats`].
+    /// `pool_threads` records that pool's width for [`PoolStats`];
+    /// `recordings` are the ones `tasks` were built against.
     pub(crate) fn new(
         tasks: Vec<Task>,
+        recordings: Vec<CacheRecording>,
         faults: Option<CompiledFaults>,
         pool_threads: usize,
         tracer: LiveTracer,
@@ -875,6 +885,7 @@ impl Pool {
             batches_sent: AtomicU64::new(0),
             retries_attempted: AtomicU64::new(0),
             retries_succeeded: AtomicU64::new(0),
+            recordings,
             sched,
             run,
         }
@@ -905,6 +916,11 @@ impl Pool {
     /// The run's live observability probes.
     pub(crate) fn tracer(&self) -> &LiveTracer {
         &self.tracer
+    }
+
+    /// What the run recorded for the result cache.
+    pub(crate) fn recordings(&self) -> &[CacheRecording] {
+        &self.recordings
     }
 
     /// Record one interval sample of the run's progress.
@@ -1126,13 +1142,19 @@ impl Pool {
         true
     }
 
-    /// Route one run of output along every out-edge into the outbox.
+    /// Route one run of output along every out-edge into the outbox —
+    /// the one way out of a task, so also where a cache-miss operator's
+    /// output is recorded. A faulted step's output is discarded, never
+    /// routed, and so never recorded.
     fn forward(
         &self,
         meta: &TaskStatic,
         inner: &mut TaskInner,
         out: Emitted,
     ) -> WorkflowResult<()> {
+        if let Some(r) = meta.record {
+            self.recordings[r].tee(out.clone());
+        }
         match out {
             Emitted::Rows(tuples) => self.forward_rows(meta, inner, tuples),
             Emitted::Columnar(batch) => self.forward_columnar(meta, inner, batch),
@@ -1339,6 +1361,94 @@ impl Pool {
         }
     }
 
+    /// The one way into a task's operator: process `input` arriving on
+    /// `port` and emit what it produced. `counted` is whether these
+    /// tuples were already counted as input (a replay of a step that
+    /// had counted them); `trigger` is the injected fault the input
+    /// armed, if any. Returns the outcome that ends the quantum, if any.
+    ///
+    /// A sealed batch goes to the operator's `on_batch` kernel whole, so
+    /// zone maps can drop it without touching the rows. A fault-armed
+    /// one is unrolled — truncation and replay reason about tuple
+    /// positions: only the tuples before the fault position count as
+    /// input, and under a retry budget the ones behind it are stashed
+    /// for the replayed quantum instead of being dropped. An organic
+    /// error discards the step's partial output and, budget allowing,
+    /// stashes the whole input for replay.
+    fn consume(
+        &self,
+        tid: usize,
+        inner: &mut TaskInner,
+        port: usize,
+        input: Emitted,
+        counted: bool,
+        trigger: Option<TupleTrigger>,
+    ) -> Option<RunOutcome> {
+        let meta = &self.tasks[tid].meta;
+        let keep = trigger.as_ref().map_or(input.len() as u64, |t| t.keep);
+        if !counted {
+            self.tracer.on_input(meta.op, keep);
+        }
+        // What an organic error would replay, beside the step's result.
+        let (step, backup) = match input {
+            Emitted::Columnar(sealed) if trigger.is_none() => {
+                let step = inner.instance.on_batch(&sealed, port, &mut inner.collector);
+                (step, Emitted::Columnar(sealed))
+            }
+            input => {
+                let mut tuples = input.into_rows();
+                if trigger.is_some() && self.budget_left(meta, inner) {
+                    let rest = tuples.split_off((keep as usize).min(tuples.len()));
+                    inner.replay = Some(ReplayBatch {
+                        port,
+                        tuples: rest,
+                        counted: false,
+                    });
+                } else {
+                    tuples.truncate(keep as usize);
+                }
+                // Kept only while an organic error could still be
+                // retried (a pending trigger replays its own stash).
+                let backup = if trigger.is_none() && self.budget_left(meta, inner) {
+                    tuples.clone()
+                } else {
+                    Vec::new()
+                };
+                let step = tuples
+                    .into_iter()
+                    .try_for_each(|t| inner.instance.on_tuple(t, port, &mut inner.collector));
+                (step, Emitted::Rows(backup))
+            }
+        };
+        if let Err(e) = step {
+            if trigger.is_none() {
+                inner.collector.discard();
+                if self.try_retry(meta, inner) {
+                    inner.replay = Some(ReplayBatch {
+                        port,
+                        tuples: backup.into_rows(),
+                        counted: true,
+                    });
+                    return Some(RunOutcome::More);
+                }
+            }
+            self.fail_task(meta.op, inner, e);
+            return Some(RunOutcome::More);
+        }
+        match (self.emit_collected(tid, meta, inner), trigger) {
+            // Fire even on a full downstream mailbox, as the source loop
+            // does.
+            (None | Some(RunOutcome::Yield), Some(t)) => Some(self.spring_trigger(meta, inner, t)),
+            (Some(outcome), _) => Some(outcome),
+            (None, None) => {
+                if let Some(d) = meta.slow_edge {
+                    std::thread::sleep(d);
+                }
+                None
+            }
+        }
+    }
+
     /// One cooperative run quantum of task `tid`.
     fn run_task(&self, tid: usize) -> RunOutcome {
         let task = &self.tasks[tid];
@@ -1426,32 +1536,10 @@ impl Pool {
         // Injected triggers are not re-consulted — their atomics already
         // fired — so the replay delivers each tuple exactly once.
         if let Some(replay) = inner.replay.take() {
-            if !replay.counted {
-                self.tracer.on_input(meta.op, replay.tuples.len() as u64);
-            }
-            // Keep a copy only while a further replay is still possible.
-            let backup = if self.budget_left(meta, inner) {
-                replay.tuples.clone()
-            } else {
-                Vec::new()
-            };
-            let port = replay.port;
-            for t in replay.tuples {
-                if let Err(e) = inner.instance.on_tuple(t, port, &mut inner.collector) {
-                    inner.collector.discard();
-                    if self.try_retry(meta, inner) {
-                        inner.replay = Some(ReplayBatch {
-                            port,
-                            tuples: backup,
-                            counted: true,
-                        });
-                        return RunOutcome::More;
-                    }
-                    self.fail_task(meta.op, inner, e);
-                    return RunOutcome::More;
-                }
-            }
-            if let Some(outcome) = self.emit_collected(tid, meta, inner) {
+            let input = Emitted::Rows(replay.tuples);
+            if let Some(outcome) =
+                self.consume(tid, inner, replay.port, input, replay.counted, None)
+            {
                 return outcome;
             }
         }
@@ -1504,100 +1592,19 @@ impl Pool {
             }
             match msg {
                 Msg::Batch { port, batch } => {
-                    let n = batch.len() as u64;
                     let trigger = self
                         .faults
                         .as_ref()
-                        .and_then(|f| f.check_tuples(meta.op, n));
-                    // Columnar fast path: hand the sealed batch to the
-                    // operator's `on_batch` kernel whole, so zone maps
-                    // can drop it without touching the rows. Fault-armed
-                    // batches fall through to the row path — truncation
-                    // and replay reason about tuple positions.
-                    if trigger.is_none() {
-                        if let Some(cb) = batch.columnar().cloned() {
-                            self.tracer.on_input(meta.op, n);
-                            if let Err(e) = inner.instance.on_batch(&cb, port, &mut inner.collector)
-                            {
-                                inner.collector.discard();
-                                if self.try_retry(meta, inner) {
-                                    inner.replay = Some(ReplayBatch {
-                                        port,
-                                        tuples: cb.to_tuples(),
-                                        counted: true,
-                                    });
-                                    break 'consume Some(RunOutcome::More);
-                                }
-                                self.fail_task(meta.op, inner, e);
-                                break 'consume Some(RunOutcome::More);
-                            }
-                            if let Some(outcome) = self.emit_collected(tid, meta, inner) {
-                                break 'consume Some(outcome);
-                            }
-                            if let Some(d) = meta.slow_edge {
-                                std::thread::sleep(d);
-                            }
-                            continue;
-                        }
-                    }
-                    // A fired trigger truncates the batch: only the
-                    // tuples before the fault position count as input.
-                    let keep = trigger.as_ref().map_or(n, |t| t.keep);
-                    self.tracer.on_input(meta.op, keep);
-                    // Sole-owner batches reclaim their tuples without
-                    // copying; shared (broadcast) batches clone here, once
+                        .and_then(|f| f.check_tuples(meta.op, batch.len() as u64));
+                    // Sole-owner row batches reclaim their tuples without
+                    // copying; shared (broadcast) ones clone here, once
                     // per consumer that actually mutates them.
-                    let mut tuples = batch.into_tuples();
-                    if trigger.is_some() && self.budget_left(meta, inner) {
-                        // Under a retry budget the tuples behind the
-                        // injected fault are stashed for the replayed
-                        // quantum instead of being dropped.
-                        let rest = tuples.split_off((keep as usize).min(tuples.len()));
-                        inner.replay = Some(ReplayBatch {
-                            port,
-                            tuples: rest,
-                            counted: false,
-                        });
-                    } else {
-                        tuples.truncate(keep as usize);
-                    }
-                    // Kept only while an organic error could still be
-                    // retried (a pending trigger replays its own stash).
-                    let backup = if trigger.is_none() && self.budget_left(meta, inner) {
-                        tuples.clone()
-                    } else {
-                        Vec::new()
+                    let input = match batch.columnar() {
+                        Some(sealed) => Emitted::Columnar(sealed.clone()),
+                        None => Emitted::Rows(batch.into_tuples()),
                     };
-                    for t in tuples {
-                        if let Err(e) = inner.instance.on_tuple(t, port, &mut inner.collector) {
-                            if trigger.is_none() {
-                                inner.collector.discard();
-                                if self.try_retry(meta, inner) {
-                                    inner.replay = Some(ReplayBatch {
-                                        port,
-                                        tuples: backup,
-                                        counted: true,
-                                    });
-                                    break 'consume Some(RunOutcome::More);
-                                }
-                            }
-                            self.fail_task(meta.op, inner, e);
-                            break 'consume Some(RunOutcome::More);
-                        }
-                    }
-                    if let Some(outcome) = self.emit_collected(tid, meta, inner) {
-                        break 'consume Some(match (outcome, trigger) {
-                            // Fire even on a full downstream mailbox, as
-                            // the source loop does.
-                            (RunOutcome::Yield, Some(t)) => self.spring_trigger(meta, inner, t),
-                            (outcome, _) => outcome,
-                        });
-                    }
-                    if let Some(t) = trigger {
-                        break 'consume Some(self.spring_trigger(meta, inner, t));
-                    }
-                    if let Some(d) = meta.slow_edge {
-                        std::thread::sleep(d);
+                    if let Some(outcome) = self.consume(tid, inner, port, input, false, trigger) {
+                        break 'consume Some(outcome);
                     }
                 }
                 Msg::Eos { port } => {
@@ -1955,9 +1962,12 @@ pub(crate) fn default_pool_size() -> usize {
 /// Build the per-(operator, worker) task set for `wf`: routing tables,
 /// mailboxes, pre-chunked source partitions, and the fault/retry knobs
 /// baked into each task's static half. Built at submission, before
-/// the run is admitted to the pool.
+/// the run is admitted to the pool. `recordings` are the cache plan's
+/// (empty without one): each source's data is recorded here, and every
+/// other marked operator's tasks are pointed at their recording.
 pub(crate) fn build_tasks(
     wf: &Workflow,
+    recordings: &[CacheRecording],
     batch_size: usize,
     channel_capacity: usize,
     faults: Option<&CompiledFaults>,
@@ -1990,6 +2000,7 @@ pub(crate) fn build_tasks(
             expected_eos[e.to_port] += wf.op(e.from).parallelism;
         }
         let blocking = node.factory.blocking_ports();
+        let record = recordings.iter().position(|r| r.op == op);
         // A source whose consumers all read columns hands every worker a
         // cursor over the dataset it sealed and copies nothing here; asked
         // of the consumers first, so a source feeding a UDF never seals.
@@ -2004,12 +2015,23 @@ pub(crate) fn build_tasks(
             .filter(|data| u32::try_from(data.len()).is_ok());
         // Otherwise a source is partitioned once, as rows; each worker
         // takes its own part.
-        let mut parts = (ports == 0 && sealed.is_none()).then(|| {
+        let parts = (ports == 0 && sealed.is_none()).then(|| {
             node.factory
                 .source_partitions(node.parallelism)
                 .expect("validated at build time")
-                .into_iter()
         });
+        // A source is recorded here: the sealed dataset shared, not
+        // copied; rows in partition order.
+        if let Some(recording) = record.filter(|_| ports == 0).map(|r| &recordings[r]) {
+            match &sealed {
+                Some(data) => recording.tee(Emitted::Columnar(data.clone())),
+                None => parts
+                    .iter()
+                    .flatten()
+                    .for_each(|part| recording.tee(Emitted::Rows(part.clone()))),
+            }
+        }
+        let mut parts = parts.map(Vec::into_iter);
         for local in 0..node.parallelism {
             let mut rows = VecDeque::new();
             if let Some(parts) = parts.as_mut() {
@@ -2033,6 +2055,7 @@ pub(crate) fn build_tasks(
                     batch_size,
                     slow_edge: faults.and_then(|f| f.slow_edge(i)),
                     retry: *retry.policy_for(node.factory.name()),
+                    record: record.filter(|_| ports > 0),
                 },
                 inner: Mutex::new(TaskInner {
                     instance: {

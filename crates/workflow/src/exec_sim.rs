@@ -17,10 +17,11 @@ use scriptflow_simcluster::des::{self, Scheduler, SimModel};
 use scriptflow_simcluster::{Language, SimDuration, SimTime};
 
 use crate::backend::EngineRun;
+use crate::cache::CacheRecording;
 use crate::cost::EngineConfig;
 use crate::dag::{EdgeId, OpId, Workflow};
 use crate::metrics::{OperatorMetrics, OperatorState, RunMetrics};
-use crate::operator::{Operator, WorkflowError, WorkflowResult};
+use crate::operator::{Emitted, Operator, WorkflowError, WorkflowResult};
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 
 /// Global worker index across all operators.
@@ -133,6 +134,10 @@ struct SimState<'a> {
     /// Remaining unfinished workers per op (drives stage flush + state).
     op_remaining: Vec<usize>,
     metrics: Vec<OperatorMetrics>,
+    /// Per operator, where the output it routes is teed for the result
+    /// cache. `None` for a source too: its partitions are recorded where
+    /// they are produced, at seeding.
+    recording: Vec<Option<&'a CacheRecording>>,
     /// Malleable workers per machine (for effective-CPU division).
     malleable_per_machine: Vec<usize>,
     error: Option<WorkflowError>,
@@ -647,14 +652,19 @@ impl<'a> SimModel for SimState<'a> {
                         self.workers[worker].port_done = vec![true];
                     }
                 }
-                // What the quantum counted (a faulted quantum returned
-                // above, dropping its collector and counters with it).
-                // Spill I/O is then charged as calibrated per-block
-                // time: the worker stays busy through the charge and its
-                // outputs depart only once the blocks are durable, so
-                // spilling shows up as real virtual latency. `delta` is
-                // zero whenever no budget is set, keeping unbounded runs
-                // event-for-event identical.
+                // The one place an operator's output leaves it: record it
+                // for the cache here, route it below. (A faulted quantum
+                // returned above, dropping its collector with it.)
+                if let Some(recording) = self.recording[op.0] {
+                    recording.tee(Emitted::Rows(outputs.clone()));
+                }
+                // What the quantum counted (a faulted quantum's counters
+                // died with its collector). Spill I/O is then charged as
+                // calibrated per-block time: the worker stays busy
+                // through the charge and its outputs depart only once
+                // the blocks are durable, so spilling shows up as real
+                // virtual latency. `delta` is zero whenever no budget is
+                // set, keeping unbounded runs event-for-event identical.
                 let counted = collector.take_counters();
                 let delta = if counted.is_zero() {
                     SimDuration::ZERO
@@ -791,13 +801,12 @@ impl SimExecutor {
     /// no retries spent — the run's recorded outputs are published back.
     pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         let Some(cache) = self.config.result_cache.clone() else {
-            return self.run_observed_inner(wf);
+            return self.run_observed_inner(wf, &[]);
         };
         let plan = crate::cache::prepare(wf, &cache, self.config.cache_read_per_block);
-        let (mut trace, mut result) = self.run_observed_inner(&plan.wf);
+        let (mut trace, mut result) = self.run_observed_inner(&plan.wf, &plan.recordings);
         if let Ok(run) = &mut result {
-            // Publish only a clean run: a replayed quantum tees its
-            // held batch's output twice, which must never be sealed.
+            // Publish only a clean run, as the live engine does.
             if run.retries_attempted == 0 {
                 crate::cache::commit_recordings_as(&plan.recordings, &cache, None)
                     .apply_to(run, &mut trace);
@@ -806,7 +815,12 @@ impl SimExecutor {
         (trace, result)
     }
 
-    fn run_observed_inner(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
+    /// Run `wf` as it is, teeing the nodes `recordings` marks.
+    fn run_observed_inner(
+        &self,
+        wf: &Workflow,
+        recordings: &[CacheRecording],
+    ) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         let machine_count = self.config.cluster.worker_count().max(1);
 
         // --- Static placement -------------------------------------------
@@ -898,7 +912,14 @@ impl SimExecutor {
             })
             .collect();
 
-        let metrics = OperatorMetrics::for_workflow(wf);
+        let mut metrics = OperatorMetrics::for_workflow(wf);
+        crate::cache::prime_misses(recordings, &mut metrics);
+        let mut recording = vec![None; wf.ops().len()];
+        for r in recordings {
+            if wf.op(r.op).factory.input_ports() > 0 {
+                recording[r.op.0] = Some(r);
+            }
+        }
 
         let op_remaining: Vec<usize> = wf.ops().iter().map(|n| n.parallelism).collect();
 
@@ -914,6 +935,7 @@ impl SimExecutor {
             stages,
             op_remaining,
             metrics,
+            recording,
             malleable_per_machine,
             error: None,
             sinks_remaining: wf.sinks().len(),
@@ -943,6 +965,12 @@ impl SimExecutor {
                     return (std::mem::take(&mut state.trace), Err(err));
                 }
             };
+            // A source is recorded here, in partition order.
+            if let Some(recording) = recordings.iter().find(|r| r.op == src) {
+                parts
+                    .iter()
+                    .for_each(|part| recording.tee(Emitted::Rows(part.clone())));
+            }
             for (local, part) in parts.into_iter().enumerate() {
                 let worker = state.op_workers[src.0][local];
                 for chunk in part.chunks(self.config.batch_size.max(1)) {

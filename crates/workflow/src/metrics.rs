@@ -256,22 +256,21 @@ impl OperatorMetrics {
         }
     }
 
-    /// Prime the cache counters from the factory markers the planner
-    /// leaves on a cache-aware workflow (see [`crate::cache`]): a replay
-    /// factory is one hit (with its served bytes), a recording factory
-    /// is one miss. A served operator's instances never execute, so
-    /// these cannot flow through an [`crate::OutputCollector`].
+    /// Prime the hit counters from the marker the planner leaves on a
+    /// cache-aware workflow (see [`crate::cache`]): a replay factory is
+    /// one hit, with its served bytes. A served operator's instances
+    /// never execute, so these cannot flow through an
+    /// [`crate::OutputCollector`]. (Misses are primed from the plan's
+    /// recordings.)
     pub fn prime_cache_counters(&mut self, factory: &dyn OperatorFactory) {
         if let Some((_blocks, bytes)) = factory.cache_replay() {
             self.counters.cache_hits = 1;
             self.counters.cache_bytes = bytes;
-        } else if factory.cache_recording() {
-            self.counters.cache_misses = 1;
         }
     }
 
     /// The telemetry every run of `wf` starts from, one entry per
-    /// operator in [`crate::OpId`] order with the cache counters primed.
+    /// operator in [`crate::OpId`] order with the cache hits primed.
     /// Both executors and the service build their per-operator state
     /// from this.
     pub fn for_workflow(wf: &Workflow) -> Vec<OperatorMetrics> {

@@ -1,6 +1,5 @@
 //! The operator abstraction: the basic building block of workflows.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use scriptflow_core::fingerprint::{Fingerprinter, OpFingerprint};
@@ -88,8 +87,9 @@ impl WorkflowError {
 }
 
 /// One run of an operator's output, in emission order: rows, or a
-/// sealed columnar batch passed on whole.
-#[derive(Debug)]
+/// sealed columnar batch passed on whole. The next operator's input
+/// arrives in the same two forms.
+#[derive(Debug, Clone)]
 pub(crate) enum Emitted {
     Rows(Vec<Tuple>),
     Columnar(ColumnarBatch),
@@ -102,9 +102,8 @@ pub(crate) enum Emitted {
 /// Output is port-less: an operator has exactly one output stream which
 /// the DAG may fan out to several downstream edges (Texera's model).
 /// Emission order is kept across the two forms; every row-shaped reader
-/// ([`OutputCollector::len`], [`OutputCollector::take`],
-/// [`OutputCollector::emitted_since`]) sees the rows of an emitted batch
-/// where the batch was emitted.
+/// ([`OutputCollector::len`], [`OutputCollector::take`]) sees the rows of
+/// an emitted batch where the batch was emitted.
 #[derive(Debug, Default)]
 pub struct OutputCollector {
     /// Rows emitted since the last columnar batch (all of the output when
@@ -184,30 +183,6 @@ impl OutputCollector {
         self.counters = OpCounters::default();
     }
 
-    /// The tuples emitted since `mark` (a value of
-    /// [`OutputCollector::len`] captured earlier). The result cache's
-    /// recording wrapper uses this to tee exactly what one inner call
-    /// produced. Borrowed unless a columnar batch was emitted since the
-    /// last drain, in which case its rows are materialized here.
-    pub fn emitted_since(&self, mark: usize) -> Cow<'_, [Tuple]> {
-        if self.earlier.is_empty() {
-            return Cow::Borrowed(&self.tuples[mark..]);
-        }
-        let mut rows = Vec::with_capacity(self.len() - mark);
-        let mut skip = mark;
-        for run in &self.earlier {
-            if skip >= run.len() {
-                // Wholly before the mark: never materialized.
-                skip -= run.len();
-                continue;
-            }
-            rows.extend_from_slice(&run.rows()[skip..]);
-            skip = 0;
-        }
-        rows.extend_from_slice(&self.tuples[skip..]);
-        Cow::Owned(rows)
-    }
-
     /// Emit one tuple downstream.
     pub fn emit(&mut self, tuple: Tuple) {
         self.tuples.push(tuple);
@@ -272,13 +247,6 @@ impl Emitted {
         match self {
             Emitted::Rows(t) => t.len(),
             Emitted::Columnar(b) => b.len(),
-        }
-    }
-
-    fn rows(&self) -> Cow<'_, [Tuple]> {
-        match self {
-            Emitted::Rows(t) => Cow::Borrowed(t),
-            Emitted::Columnar(b) => Cow::Owned(b.to_tuples()),
         }
     }
 
@@ -480,15 +448,6 @@ pub trait OperatorFactory: Send + Sync {
     fn cache_replay(&self) -> Option<(u64, u64)> {
         None
     }
-
-    /// Result-cache recording marker: true when this factory wraps a
-    /// cache-miss operator whose output is being recorded for later
-    /// publication. Executors read this when initializing per-operator
-    /// telemetry to count one miss per recorded operator — the dual of
-    /// [`OperatorFactory::cache_replay`].
-    fn cache_recording(&self) -> bool {
-        false
-    }
 }
 
 /// A [`Fingerprinter`] primed with the spec fields every operator
@@ -598,11 +557,6 @@ mod tests {
         out.emit(row(7));
         assert_eq!(out.len(), 7);
         assert!(!out.is_empty());
-        // Every row-shaped reader sees every row, where it was emitted.
-        assert_eq!(xs(&out.emitted_since(0)), [1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(xs(&out.emitted_since(2)), [3, 4, 5, 6, 7]);
-        assert_eq!(xs(&out.emitted_since(mark)), [4, 5, 6, 7]);
-        assert_eq!(xs(&out.emitted_since(7)), [0i64; 0]);
         // The executor's drain keeps the runs apart and the batches whole.
         let mut again = OutputCollector::new();
         again.emit(row(1));

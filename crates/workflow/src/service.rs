@@ -110,7 +110,7 @@ use scriptflow_core::fingerprint::OpFingerprint;
 use scriptflow_simcluster::SimDuration;
 
 use crate::backend::EngineRun;
-use crate::cache::{commit_recordings_as, prepare, CacheRecording, CommitStats, ResultCache};
+use crate::cache::{commit_recordings_as, prepare, prime_misses, CommitStats, ResultCache};
 use crate::dag::Workflow;
 use crate::exec_live::{
     assemble_live_result, build_tasks, default_pool_size, Pool, PoolStats, Task,
@@ -758,8 +758,6 @@ struct ActiveRun {
     /// identical submissions in the admission queue while this run is
     /// active.
     cache_fp: Option<OpFingerprint>,
-    /// Recordings teed during the run, published on clean completion.
-    recordings: Vec<CacheRecording>,
 }
 
 struct Tenant {
@@ -851,6 +849,7 @@ impl Shared {
                 .and_then(|f| CompiledFaults::compile(f, &plan.wf).ok());
             p.tasks = build_tasks(
                 &plan.wf,
+                &plan.recordings,
                 cs.batch_size,
                 cs.mailbox_budget,
                 p.faults.as_ref(),
@@ -858,6 +857,7 @@ impl Shared {
                 cs.memory_budget,
             );
             p.ops = OperatorMetrics::for_workflow(&plan.wf);
+            prime_misses(&plan.recordings, &mut p.ops);
             p.total_workers = plan.wf.total_workers();
             cache_fp = Some(cs.workflow_fp);
             recordings = plan.recordings;
@@ -870,6 +870,7 @@ impl Shared {
         let tracer = LiveTracer::primed(&p.ops);
         let core = Arc::new(Pool::new(
             p.tasks,
+            recordings,
             p.faults,
             this.pool_threads,
             tracer,
@@ -902,7 +903,6 @@ impl Shared {
             total_workers: p.total_workers,
             sink_ids: p.sink_ids,
             cache_fp,
-            recordings,
         });
     }
 
@@ -922,15 +922,16 @@ impl Shared {
         let err = run.core.take_error();
         let elapsed = run.started.elapsed();
         let pool_stats = run.core.stats();
-        // Publish recordings only from clean runs: a faulted or
-        // replayed quantum may have teed partial output (the same
-        // discipline as the simulator). Entries are charged to the
-        // submitting tenant so quota accounting can track live bytes.
+        // Publish recordings only from clean runs: around a faulted or
+        // replayed quantum output is recorded in an order no clean run
+        // produces (the same discipline as the simulator). Entries are
+        // charged to the submitting tenant so quota accounting can track
+        // live bytes.
         let clean =
             err.is_none() && pool_stats.faults_injected == 0 && pool_stats.retries_attempted == 0;
         let commit = if clean {
             let owner = (!self.solo).then_some(run.tenant.as_str());
-            commit_recordings_as(&run.recordings, &self.cache, owner)
+            commit_recordings_as(run.core.recordings(), &self.cache, owner)
         } else {
             CommitStats::default()
         };
@@ -1250,6 +1251,7 @@ impl WorkflowService {
         } else {
             build_tasks(
                 wf,
+                &[],
                 opts.batch_size(),
                 quota.mailbox_budget,
                 faults.as_ref(),

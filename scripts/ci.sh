@@ -28,9 +28,12 @@ bash benchmark/run.sh test
 # no code with it: `stream_relational` (sealed scans, column kernels)
 # checks every pooled leg's row digest against the thread-per-worker
 # executor; `paper_tasks` (UDF chains on row edges) compares live rows
-# with the script paradigm and the simulator. Two seconds are enough for
+# with the script paradigm and the simulator. `spill_cache` does the same
+# for what the result cache records and replays: its cold, warm, edited
+# and evicting legs check row digests and the published-bytes ledger
+# against the thread-per-worker executor. Two seconds are enough for
 # that; the timings are ignored.
-for workload in stream_relational paper_tasks; do
+for workload in stream_relational paper_tasks spill_cache; do
     echo "==> benchmark smoke ($workload rows against their oracles)"
     smoke="$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     if [[ "$smoke" != *'"correct":true'* || "$smoke" != *'"failed":0,'* ]]; then
