@@ -726,8 +726,8 @@ impl ColumnarBatch {
 
     /// Materialize row `i` as a [`Tuple`] (schema shared, not cloned).
     pub fn tuple_at(&self, i: usize) -> Tuple {
-        let values = self.sealed.columns.iter().map(|c| c.value_at(i)).collect();
-        Tuple::new_unchecked(self.schema.clone(), values)
+        let values = self.sealed.columns.iter().map(|c| c.value_at(i));
+        Tuple::collect_unchecked(self.schema.clone(), values)
     }
 
     /// Materialize all rows back into raw value rows (round-trip inverse
@@ -741,12 +741,10 @@ impl ColumnarBatch {
         rows
     }
 
-    /// Materialize all rows as tuples (the row-compatibility path).
+    /// Materialize all rows as tuples (the row-compatibility path), each
+    /// built in place: one allocation per row.
     pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.to_rows()
-            .into_iter()
-            .map(|values| Tuple::new_unchecked(self.schema.clone(), values))
-            .collect()
+        (0..self.len).map(|i| self.tuple_at(i)).collect()
     }
 
     /// Convert back to a row [`Batch`].

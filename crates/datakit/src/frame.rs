@@ -73,8 +73,8 @@ impl DataFrame {
             .collect::<DataResult<_>>()?;
         let mut bb = BatchBuilder::with_capacity(schema.clone(), self.len());
         for t in self.batch.tuples() {
-            let row = indices.iter().map(|&i| t.at(i).clone()).collect();
-            bb.push(Tuple::new_unchecked(schema.clone(), row))
+            let row = indices.iter().map(|&i| t.at(i).clone());
+            bb.push(Tuple::collect_unchecked(schema.clone(), row))
                 .expect("projected rows conform");
         }
         Ok(DataFrame::new(bb.build()))
@@ -140,16 +140,15 @@ impl DataFrame {
             match table.get(&key) {
                 Some(matches) => {
                     for r in matches {
-                        let mut row = l.values().to_vec();
-                        row.extend_from_slice(r.values());
-                        bb.push(Tuple::new_unchecked(joined.clone(), row))
+                        let row = l.values().iter().chain(r.values()).cloned();
+                        bb.push(Tuple::collect_unchecked(joined.clone(), row))
                             .expect("joined rows conform");
                     }
                 }
                 None if how == MergeHow::Left => {
-                    let mut row = l.values().to_vec();
-                    row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                    bb.push(Tuple::new_unchecked(joined.clone(), row))
+                    let nulls = std::iter::repeat_n(Value::Null, right_arity);
+                    let row = l.values().iter().cloned().chain(nulls);
+                    bb.push(Tuple::collect_unchecked(joined.clone(), row))
                         .expect("joined rows conform");
                 }
                 None => {}

@@ -1,6 +1,7 @@
 //! A single row bound to a shared schema.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{DataError, DataResult};
 use crate::schema::SchemaRef;
@@ -9,39 +10,42 @@ use crate::value::Value;
 /// One row: a schema handle plus one [`Value`] per column.
 ///
 /// Tuples are the unit of data the workflow engine pushes along DAG edges
-/// and the unit the paper's Fig. 9 counts per operator. Cloning a tuple
-/// clones values but shares the schema.
+/// and the unit the paper's Fig. 9 counts per operator. A tuple is
+/// immutable and keeps its values behind one shared allocation, so a
+/// clone — a fan-out edge, a scan partition, a broadcast consumer, a sink
+/// read — is two reference-count bumps, whatever the row holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     schema: SchemaRef,
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Build a tuple, validating arity and per-column types.
     pub fn new(schema: SchemaRef, values: Vec<Value>) -> DataResult<Self> {
-        if values.len() != schema.arity() {
-            return Err(DataError::ArityMismatch {
-                expected: schema.arity(),
-                actual: values.len(),
-            });
-        }
-        for (field, value) in schema.fields().iter().zip(&values) {
-            if !value.conforms_to(field.dtype()) {
-                return Err(DataError::TypeMismatch {
-                    column: field.name().to_owned(),
-                    expected: field.dtype().to_string(),
-                    actual: value.dtype().to_string(),
-                });
-            }
-        }
-        Ok(Tuple { schema, values })
+        check(&schema, &values)?;
+        Ok(Tuple::new_unchecked(schema, values))
     }
 
     /// Build without validation. Used on hot paths where the producer has
     /// already proven conformance (e.g. operators whose output schema was
-    /// checked at DAG-build time).
+    /// checked at DAG-build time). The values are copied out of the `Vec`
+    /// into the shared allocation; a producer that can name its values as
+    /// an iterator saves that copy with [`Tuple::collect_unchecked`].
     pub fn new_unchecked(schema: SchemaRef, values: Vec<Value>) -> Self {
+        debug_assert_eq!(values.len(), schema.arity());
+        Tuple {
+            schema,
+            values: values.into(),
+        }
+    }
+
+    /// [`Tuple::new_unchecked`] from the values in order, built in place:
+    /// an iterator of exactly known length (a slice or range, mapped,
+    /// cloned, chained, zipped) fills the shared allocation directly —
+    /// one allocation per row where a `Vec` costs two.
+    pub fn collect_unchecked(schema: SchemaRef, values: impl IntoIterator<Item = Value>) -> Self {
+        let values: Arc<[Value]> = values.into_iter().collect();
         debug_assert_eq!(values.len(), schema.arity());
         Tuple { schema, values }
     }
@@ -56,9 +60,16 @@ impl Tuple {
         &self.values
     }
 
-    /// Consume into the value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
+    /// Consume into the value vector. The values are cloned only when
+    /// another clone of this tuple still shares them.
+    pub fn into_values(mut self) -> Vec<Value> {
+        match Arc::get_mut(&mut self.values) {
+            Some(sole) => sole
+                .iter_mut()
+                .map(|v| std::mem::replace(v, Value::Null))
+                .collect(),
+            None => self.values.to_vec(),
+        }
     }
 
     /// Value at column index.
@@ -110,11 +121,34 @@ impl Tuple {
 
     /// Concatenate with another tuple under a pre-computed joined schema.
     pub fn concat(&self, other: &Tuple, joined: SchemaRef) -> DataResult<Tuple> {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple::new(joined, values)
+        let values = self.values.iter().chain(other.values.iter()).cloned();
+        let values: Arc<[Value]> = values.collect();
+        check(&joined, &values)?;
+        Ok(Tuple {
+            schema: joined,
+            values,
+        })
     }
+}
+
+/// Arity and per-column type conformance of `values` under `schema`.
+fn check(schema: &SchemaRef, values: &[Value]) -> DataResult<()> {
+    if values.len() != schema.arity() {
+        return Err(DataError::ArityMismatch {
+            expected: schema.arity(),
+            actual: values.len(),
+        });
+    }
+    for (field, value) in schema.fields().iter().zip(values) {
+        if !value.conforms_to(field.dtype()) {
+            return Err(DataError::TypeMismatch {
+                column: field.name().to_owned(),
+                expected: field.dtype().to_string(),
+                actual: value.dtype().to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for Tuple {
@@ -249,6 +283,72 @@ mod tests {
         let c = left.concat(&right, joined).unwrap();
         assert_eq!(c.values().len(), 4);
         assert_eq!(c.get_str("tag").unwrap(), "x");
+    }
+
+    #[test]
+    fn clones_share_one_allocation_and_into_values_never_disturbs_a_twin() {
+        let tup = t();
+        let twin = tup.clone();
+        assert!(std::ptr::eq(tup.values(), twin.values()));
+        assert!(Arc::ptr_eq(tup.schema(), twin.schema()));
+        // Shared: the values are copied out, the twin keeps its own.
+        let copied = tup.into_values();
+        assert_eq!(copied, twin.values());
+        assert_ne!(
+            copied[1].as_str().unwrap().as_ptr(),
+            twin.get_str("name").unwrap().as_ptr()
+        );
+        // Sole owner: the values move out, string buffers and all.
+        let name = twin.get_str("name").unwrap().as_ptr();
+        let moved = twin.into_values();
+        assert_eq!(moved[1].as_str().unwrap().as_ptr(), name);
+        assert_eq!(moved, copied);
+    }
+
+    #[test]
+    fn every_constructor_builds_the_same_tuple() {
+        let values = || vec![Value::Int(7), Value::Str("ada".into()), Value::Float(0.5)];
+        let built = [
+            Tuple::new_unchecked(schema(), values()),
+            Tuple::collect_unchecked(schema(), values()),
+            // An exact-size iterator that is not a `Vec`.
+            Tuple::collect_unchecked(schema(), t().values().iter().cloned()),
+        ];
+        for tup in built {
+            assert_eq!(tup, t());
+            assert_eq!(tup.to_string(), "(7, ada, 0.5)");
+            assert_eq!(tup.encoded_len(), t().encoded_len());
+        }
+        assert_ne!(
+            t(),
+            Tuple::new(schema(), vec![Value::Int(8), Value::Null, Value::Null]).unwrap()
+        );
+    }
+
+    #[test]
+    fn concat_validates_against_the_joined_schema() {
+        let wrong = Schema::of(&[
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("score", DataType::Float),
+            ("tag", DataType::Int),
+        ]);
+        let right = Tuple::new(
+            Schema::of(&[("tag", DataType::Str)]),
+            vec![Value::Str("x".into())],
+        )
+        .unwrap();
+        assert!(matches!(
+            t().concat(&right, wrong),
+            Err(DataError::TypeMismatch { column, .. }) if column == "tag"
+        ));
+        assert!(matches!(
+            t().concat(&right, schema()),
+            Err(DataError::ArityMismatch {
+                expected: 3,
+                actual: 4
+            })
+        ));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use scriptflow_core::{BackendKind, Calibration};
-use scriptflow_datakit::{DataType, Schema, Tuple, Value};
+use scriptflow_datakit::{DataType, Schema, SchemaRef, Tuple, Value};
 use scriptflow_workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp, StatefulUdfOp, UdfOp};
 use scriptflow_workflow::{
     CostProfile, EngineConfig, PartitionStrategy, ResultCache, WorkflowBuilder, WorkflowError,
@@ -31,7 +31,7 @@ use crate::common::{engine_config, run_on, BackendRun, TaskRun};
 use crate::listing;
 
 /// The normalized annotation schema flowing into the union/link stage.
-fn normalized_schema() -> scriptflow_datakit::SchemaRef {
+fn normalized_schema() -> SchemaRef {
     Schema::of(&[
         ("doc_id", DataType::Int),
         ("key", DataType::Str),
@@ -43,7 +43,7 @@ fn normalized_schema() -> scriptflow_datakit::SchemaRef {
 }
 
 /// The final MACCROBAT-EE schema.
-fn output_schema() -> scriptflow_datakit::SchemaRef {
+fn output_schema() -> SchemaRef {
     Schema::of(&[
         ("doc_id", DataType::Int),
         ("sent_idx", DataType::Int),
@@ -55,10 +55,20 @@ fn output_schema() -> scriptflow_datakit::SchemaRef {
     ])
 }
 
-fn norm_tuple(doc: i64, key: &str, kind: &str, ann_type: &str, pos: Value, text: Value) -> Tuple {
-    Tuple::new_unchecked(
-        normalized_schema(),
-        vec![
+/// One normalized annotation under `schema`, the workflow's one
+/// [`normalized_schema`] handle.
+fn norm_tuple(
+    schema: &SchemaRef,
+    doc: i64,
+    key: &str,
+    kind: &str,
+    ann_type: &str,
+    pos: Value,
+    text: Value,
+) -> Tuple {
+    Tuple::collect_unchecked(
+        schema.clone(),
+        [
             Value::Int(doc),
             Value::Str(key.to_owned()),
             Value::Str(kind.to_owned()),
@@ -149,13 +159,18 @@ pub fn build_dice_workflow(
         w,
     );
 
-    // Normalizers project each branch to the shared schema.
+    // Normalizers project each branch to the shared schema: built once
+    // here, one handle moved into each closure, and from there onto every
+    // row they emit.
+    let normalized = normalized_schema();
+    let schema = normalized.clone();
     let norm_entities = b.add(
         Arc::new(UdfOp::new(
             "Normalize Entities",
-            (*normalized_schema()).clone(),
-            |t, _, out| {
+            (*normalized).clone(),
+            move |t, _, out| {
                 out.emit(norm_tuple(
+                    &schema,
                     t.get_int("doc_id")
                         .map_err(|e| WorkflowError::from_data("Normalize Entities", e))?,
                     t.get_str("key")
@@ -175,13 +190,15 @@ pub fn build_dice_workflow(
         )),
         w,
     );
+    let schema = normalized.clone();
     let norm_events = b.add(
         Arc::new(UdfOp::new(
             "Normalize Events",
-            (*normalized_schema()).clone(),
-            |t, _, out| {
+            (*normalized).clone(),
+            move |t, _, out| {
                 let ctx = |e| WorkflowError::from_data("Normalize Events", e);
                 out.emit(norm_tuple(
+                    &schema,
                     t.get_int("doc_id").map_err(ctx)?,
                     t.get_str("key").map_err(ctx)?,
                     "E",
@@ -194,13 +211,15 @@ pub fn build_dice_workflow(
         )),
         w,
     );
+    let schema = normalized.clone();
     let norm_heldout = b.add(
         Arc::new(UdfOp::new(
             "Normalize Held-out",
-            (*normalized_schema()).clone(),
-            |t, _, out| {
+            (*normalized).clone(),
+            move |t, _, out| {
                 let ctx = |e| WorkflowError::from_data("Normalize Held-out", e);
                 out.emit(norm_tuple(
+                    &schema,
                     t.get_int("doc_id").map_err(ctx)?,
                     t.get_str("key").map_err(ctx)?,
                     "E",
@@ -268,9 +287,9 @@ pub fn build_dice_workflow(
                         }
                         None => (Value::Null, Value::Null),
                     };
-                    out.emit(Tuple::new_unchecked(
+                    out.emit(Tuple::collect_unchecked(
                         out_schema_for_link.clone(),
-                        vec![
+                        [
                             Value::Int(doc),
                             sent_idx,
                             t.get("key").map_err(ctx)?.clone(),

@@ -78,9 +78,9 @@ pub fn build_gotta_workflow(
                     t.get_int("paragraph_id").map_err(ctx)?,
                     t.get_int("question_idx").map_err(ctx)?,
                 );
-                out.emit(Tuple::new_unchecked(
+                out.emit(Tuple::collect_unchecked(
                     emit_schema.clone(),
-                    vec![Value::Str(row)],
+                    [Value::Str(row)],
                 ));
                 Ok(())
             })

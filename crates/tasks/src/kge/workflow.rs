@@ -143,9 +143,9 @@ pub fn build_kge_workflow(
                     },
                     move |state, _, out| {
                         for (i, (score, id, name)) in state.rows.drain(..).enumerate() {
-                            out.emit(Tuple::new_unchecked(
+                            out.emit(Tuple::collect_unchecked(
                                 schema.clone(),
-                                vec![
+                                [
                                     Value::Int((i + 1) as i64),
                                     Value::Int(id),
                                     Value::Str(name),
@@ -226,9 +226,9 @@ pub fn build_kge_workflow(
                             }
                             let _ = &cat;
                             for (i, (score, id, name)) in state.top.rows.drain(..).enumerate() {
-                                out.emit(Tuple::new_unchecked(
+                                out.emit(Tuple::collect_unchecked(
                                     schema.clone(),
-                                    vec![Value::Str(format_row(i + 1, id, &name, score))],
+                                    [Value::Str(format_row(i + 1, id, &name, score))],
                                 ));
                             }
                             Ok(())
@@ -321,9 +321,9 @@ pub fn build_kge_workflow(
                                         .collect()
                                 })
                                 .unwrap_or_default();
-                            out.emit(Tuple::new_unchecked(
+                            out.emit(Tuple::collect_unchecked(
                                 schema.clone(),
-                                vec![
+                                [
                                     Value::Int(t.get_int("id").map_err(ctx)?),
                                     Value::Str(t.get_str("name").map_err(ctx)?.to_owned()),
                                     Value::Float(f64::from(sc.score(&v))),
@@ -363,9 +363,9 @@ pub fn build_kge_workflow(
                                 },
                                 move |state, _, out| {
                                     for (i, (score, id, name)) in state.top_rows().enumerate() {
-                                        out.emit(Tuple::new_unchecked(
+                                        out.emit(Tuple::collect_unchecked(
                                             schema.clone(),
-                                            vec![Value::Str(format_row(i + 1, id, &name, score))],
+                                            [Value::Str(format_row(i + 1, id, &name, score))],
                                         ));
                                     }
                                     Ok(())
@@ -532,9 +532,9 @@ fn add_local_rank(
                 },
                 move |state, _, out| {
                     for (score, id, name) in state.rows.drain(..) {
-                        out.emit(Tuple::new_unchecked(
+                        out.emit(Tuple::collect_unchecked(
                             schema.clone(),
-                            vec![Value::Int(id), Value::Str(name), Value::Float(score)],
+                            [Value::Int(id), Value::Str(name), Value::Float(score)],
                         ));
                     }
                     Ok(())
@@ -590,9 +590,9 @@ fn add_scoring_rank(
                 },
                 move |state, _, out| {
                     for (score, id, name) in state.rows.drain(..) {
-                        out.emit(Tuple::new_unchecked(
+                        out.emit(Tuple::collect_unchecked(
                             schema.clone(),
-                            vec![Value::Int(id), Value::Str(name), Value::Float(score)],
+                            [Value::Int(id), Value::Str(name), Value::Float(score)],
                         ));
                     }
                     Ok(())
@@ -614,9 +614,9 @@ fn add_format(b: &mut WorkflowBuilder, upstream: OpId, name: &str, cost: CostPro
         Arc::new(
             UdfOp::new(name, (*row_schema()).clone(), move |t, _, out| {
                 let ctx = |e| WorkflowError::from_data(&name_owned, e);
-                out.emit(Tuple::new_unchecked(
+                out.emit(Tuple::collect_unchecked(
                     schema.clone(),
-                    vec![Value::Str(format_row(
+                    [Value::Str(format_row(
                         t.get_int("rank").map_err(ctx)? as usize,
                         t.get_int("id").map_err(ctx)?,
                         t.get_str("name").map_err(ctx)?,
@@ -734,9 +734,9 @@ fn build_join(
                         } else {
                             Value::List(v.iter().map(|x| Value::Float(f64::from(*x))).collect())
                         };
-                        out.emit(Tuple::new_unchecked(
+                        out.emit(Tuple::collect_unchecked(
                             out_schema.clone(),
-                            vec![Value::Int(id), Value::Str(name), value],
+                            [Value::Int(id), Value::Str(name), value],
                         ));
                         Ok(())
                     },
@@ -826,9 +826,9 @@ fn build_join(
                 (*fused_out).clone(),
                 move |t, _, out| {
                     let ctx = |e| WorkflowError::from_data("Merge Columns (Scala)", e);
-                    out.emit(Tuple::new_unchecked(
+                    out.emit(Tuple::collect_unchecked(
                         schema.clone(),
-                        vec![
+                        [
                             Value::Int(t.get_int("id").map_err(ctx)?),
                             Value::Str(t.get_str("name").map_err(ctx)?.to_owned()),
                             t.get("embedding").map_err(ctx)?.clone(),

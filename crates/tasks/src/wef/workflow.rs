@@ -72,9 +72,9 @@ pub fn build_wef_workflow(
                     }
                     debug_assert_eq!(*seen, ds_for_train.tweets.len());
                     for row in super::train_and_predict(&ds_for_train) {
-                        out.emit(Tuple::new_unchecked(
+                        out.emit(Tuple::collect_unchecked(
                             emit_schema.clone(),
-                            vec![Value::Str(row)],
+                            [Value::Str(row)],
                         ));
                     }
                     *seen = 0;

@@ -14,11 +14,16 @@
 //! `PipelineExecutor`. Edges are bounded mailboxes with backpressure, and
 //! payloads travel as [`SharedBatch`]es — `Arc`-shared immutable tuple
 //! batches, so broadcast and multi-consumer edges share one allocation
-//! instead of deep-cloning every tuple per worker. Partitioners are
+//! instead of cloning every tuple per worker. Partitioners are
 //! compiled once per edge at DAG-build time
 //! ([`crate::dag::Workflow::partitioner`]), and routing *moves* tuples
-//! into reusable per-worker scatter buffers — the hot path performs no
-//! per-tuple name lookups and no per-tuple allocation.
+//! into per-(edge, destination worker) buffers — the hot path performs no
+//! per-tuple name lookups and no per-tuple allocation. Rows leave a
+//! buffer a full edge batch at a time: a hop that splits its input among
+//! `w` workers tops each buffer up until it holds `batch_size` rows
+//! instead of forwarding `w`-ths, and whatever a buffer still holds
+//! leaves when the task's quantum ends, so no row waits across quanta
+//! (`Pool::forward_rows`, `Pool::close_batches`).
 //!
 //! This module owns what one run is made of — the task set
 //! (`build_tasks`), the per-run core (`Pool`: mailboxes, routing,
@@ -34,8 +39,8 @@
 //! once, there.
 //!
 //! [`LiveExecutor::thread_per_worker`] is the original executor — one OS
-//! thread per operator worker, unbounded channels, per-tuple deep-clone
-//! routing (`exec_threads.rs`). It shares no scheduling code with the
+//! thread per operator worker, unbounded channels, a tuple clone per
+//! routed destination (`exec_threads.rs`). It shares no scheduling code with the
 //! pooled executor, which is why the repo benchmark checks pooled row
 //! digests against it.
 //!
@@ -80,7 +85,7 @@
 //! the pipeline runs to completion on whatever data made it through, the
 //! run returns `Err` carrying the first failure, every pool thread
 //! joins, and the partial trace survives. A worker panic is caught
-//! around the quantum (`Pool::step`) and surfaces as a `Failed`
+//! around the quantum (`Pool::run_task`) and surfaces as a `Failed`
 //! operator in the same way. If a fault starves the pipeline of EOS
 //! entirely (a dropped end-of-stream), the scheduler detects quiescence
 //! and has `Pool::recover_stall` synthesize the missing markers so the
@@ -276,7 +281,8 @@ impl LiveExecutor {
     }
 
     /// The original thread-per-worker executor: one OS thread per
-    /// operator worker, unbounded channels, per-tuple deep-clone routing.
+    /// operator worker, unbounded channels, a tuple clone per routed
+    /// destination.
     /// It shares no scheduling code with the pooled executor, which is
     /// what makes it the reference the pooled rows are checked against.
     ///
@@ -653,6 +659,34 @@ struct EdgeOut {
     dests: Vec<usize>,
 }
 
+impl EdgeOut {
+    /// Row buffers the edge fills: one per destination worker where rows
+    /// are scattered, one in all where every row goes the same way (a
+    /// single consumer, or a broadcast sharing each batch).
+    fn buffers(&self) -> usize {
+        if self.partitioner.is_broadcast() {
+            1
+        } else {
+            self.dests.len()
+        }
+    }
+
+    /// Queue `rows`, the next batch out of buffer `w`, for delivery. A
+    /// broadcast edge shares the one allocation among its destinations.
+    fn send(&self, w: usize, rows: Vec<Tuple>, outbox: &mut VecDeque<(usize, Msg)>) {
+        let batch = SharedBatch::new(rows);
+        let dests = if self.partitioner.is_broadcast() {
+            &self.dests[..]
+        } else {
+            &self.dests[w..=w]
+        };
+        for &dest in dests {
+            let (port, batch) = (self.to_port, batch.clone());
+            outbox.push_back((dest, Msg::Batch { port, batch }));
+        }
+    }
+}
+
 /// Static (shared, read-only) description of one operator-worker task.
 struct TaskStatic {
     /// Operator index (for the metric counters).
@@ -690,9 +724,12 @@ struct TaskInner {
     collector: OutputCollector,
     /// Routing sequence per out-edge.
     seqs: Vec<u64>,
-    /// Reusable per-out-edge, per-destination-worker scatter buffers.
+    /// Per-out-edge, per-destination-worker row buffers
+    /// ([`EdgeOut::buffers`]). Output is scattered into them and leaves a
+    /// full edge batch at a time; a remainder waits here for more output
+    /// of the same quantum, never beyond it ([`Pool::close_batches`]).
     scatter: Vec<Vec<Vec<Tuple>>>,
-    /// The same for columnar batches: row indices per destination.
+    /// Reusable row-index buffers for scattering a columnar batch.
     scatter_rows: Vec<Vec<Vec<u32>>>,
     /// Routed messages awaiting delivery; kept FIFO so per-destination
     /// ordering (data before EOS) is preserved under backpressure.
@@ -1142,10 +1179,10 @@ impl Pool {
         true
     }
 
-    /// Route one run of output along every out-edge into the outbox —
-    /// the one way out of a task, so also where a cache-miss operator's
-    /// output is recorded. A faulted step's output is discarded, never
-    /// routed, and so never recorded.
+    /// Route one run of output along every out-edge — the one way out of
+    /// a task, so also where a cache-miss operator's output is recorded.
+    /// A faulted step's output is discarded, never routed, and so never
+    /// recorded and never in an edge buffer.
     fn forward(
         &self,
         meta: &TaskStatic,
@@ -1166,7 +1203,8 @@ impl Pool {
     /// scattered edges gather each destination's rows into a batch of its
     /// own, with the row router's `seq` arithmetic and hash buckets, so
     /// every tuple lands on the worker [`Pool::forward_rows`] would send
-    /// it to, in the same per-destination batches.
+    /// it to. A sealed batch is never merged with another: it leaves at
+    /// once, behind whatever rows the edge buffers still held.
     fn forward_columnar(
         &self,
         meta: &TaskStatic,
@@ -1177,6 +1215,7 @@ impl Pool {
         if meta.downstream.is_empty() || batch.is_empty() {
             return Ok(());
         }
+        self.close_batches(meta, inner);
         let TaskInner {
             seqs,
             scatter_rows,
@@ -1219,12 +1258,15 @@ impl Pool {
         Ok(())
     }
 
-    /// Route `tuples` along every out-edge into the outbox.
-    ///
-    /// Broadcast edges chunk once and clone only the `Arc` per
-    /// destination; single-consumer edges skip routing entirely; scattered
-    /// edges *move* each tuple into a reusable per-worker buffer — no
-    /// per-tuple clone anywhere except genuine multi-edge fan-out.
+    /// Route `tuples` along every out-edge, into the edge's row buffers:
+    /// a scattered edge *moves* each tuple into its destination worker's
+    /// buffer, a broadcast or single-consumer edge appends the run to its
+    /// one buffer, and genuine multi-edge fan-out clones tuples — two
+    /// reference counts each, no values copied. A batch leaves for the
+    /// outbox the moment a buffer holds the edge's `batch_size` rows; what
+    /// is left stays for the task's next output to top up, or for
+    /// [`Pool::close_batches`] at the end of the quantum. So a hop that
+    /// splits its input `w` ways still sends full batches, not `w`-ths.
     fn forward_rows(
         &self,
         meta: &TaskStatic,
@@ -1244,7 +1286,7 @@ impl Pool {
         let last = meta.downstream.len() - 1;
         let mut remaining = Some(tuples);
         for (d, edge) in meta.downstream.iter().enumerate() {
-            let owned = if d == last {
+            let mut owned = if d == last {
                 remaining.take().expect("taken only on the last edge")
             } else {
                 remaining
@@ -1252,51 +1294,42 @@ impl Pool {
                     .expect("present until the last edge")
                     .clone()
             };
-            if edge.partitioner.is_broadcast() {
-                chunk_owned(owned, meta.batch_size, |chunk| {
-                    let batch = SharedBatch::new(chunk);
-                    for &dest in &edge.dests {
-                        outbox.push_back((
-                            dest,
-                            Msg::Batch {
-                                port: edge.to_port,
-                                batch: batch.clone(),
-                            },
-                        ));
-                    }
-                });
-            } else if edge.dests.len() == 1 {
-                let dest = edge.dests[0];
-                chunk_owned(owned, meta.batch_size, |chunk| {
-                    outbox.push_back((
-                        dest,
-                        Msg::Batch {
-                            port: edge.to_port,
-                            batch: SharedBatch::new(chunk),
-                        },
-                    ));
-                });
-            } else {
-                edge.partitioner
-                    .scatter(owned, &mut seqs[d], &mut scatter[d])?;
-                for (buf, &dest) in scatter[d].iter_mut().zip(&edge.dests) {
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    let buf = std::mem::take(buf);
-                    chunk_owned(buf, meta.batch_size, |chunk| {
-                        outbox.push_back((
-                            dest,
-                            Msg::Batch {
-                                port: edge.to_port,
-                                batch: SharedBatch::new(chunk),
-                            },
-                        ));
-                    });
+            let bufs = &mut scatter[d];
+            if bufs.len() == 1 {
+                if bufs[0].is_empty() {
+                    bufs[0] = owned;
+                } else {
+                    bufs[0].append(&mut owned);
                 }
+            } else {
+                edge.partitioner.scatter(owned, &mut seqs[d], bufs)?;
+            }
+            for (w, buf) in bufs.iter_mut().enumerate() {
+                carve_full(buf, meta.batch_size, |rows| edge.send(w, rows, outbox));
             }
         }
         Ok(())
+    }
+
+    /// The flush point: every row an edge buffer still holds leaves for
+    /// the outbox as one last, short batch. Reached when the task's
+    /// quantum ends for any reason — inbox drained, `QUANTUM` reached, a
+    /// full mailbox, a fault — and before its EOS is queued, so no row
+    /// waits across quanta for a batch to fill and the last remainder
+    /// precedes the EOS that closes its edge. The buffers hold only what
+    /// successful steps routed: flushing them after a fault delivers the
+    /// output of the steps before it exactly once.
+    fn close_batches(&self, meta: &TaskStatic, inner: &mut TaskInner) {
+        let TaskInner {
+            scatter, outbox, ..
+        } = inner;
+        for (edge, bufs) in meta.downstream.iter().zip(scatter) {
+            for (w, buf) in bufs.iter_mut().enumerate() {
+                if !buf.is_empty() {
+                    edge.send(w, std::mem::take(buf), outbox);
+                }
+            }
+        }
     }
 
     /// The tail of every successful processing step: drain what the step
@@ -1449,12 +1482,60 @@ impl Pool {
         }
     }
 
-    /// One cooperative run quantum of task `tid`.
+    /// One cooperative run quantum of task `tid`, with panic capture, and
+    /// the flush point it ends in whatever ended it.
     fn run_task(&self, tid: usize) -> RunOutcome {
         let task = &self.tasks[tid];
         let meta = &task.meta;
         let mut guard = lock(&task.inner);
         let inner = &mut *guard;
+        // A panic inside the quantum — organic or injected — costs one
+        // operator, not the pool: capture it here, mark the owner
+        // `Failed`, and let the task drain like any other failure.
+        let quantum = std::panic::AssertUnwindSafe(|| self.run_quantum(tid, &mut *inner));
+        let outcome = match std::panic::catch_unwind(quantum) {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                // The unwound quantum may have popped its mailbox empty
+                // without reaching the wake-up at the end of its loop.
+                self.wake_waiters(tid);
+                if self.try_retry(meta, inner) {
+                    // The faulted step's partial output is discarded;
+                    // the stashed replay (or re-queued source chunk)
+                    // regenerates it.
+                    inner.collector.discard();
+                } else {
+                    let name = self.tracer.probe(meta.op).name().to_owned();
+                    self.fail_task(
+                        meta.op,
+                        inner,
+                        WorkflowError::OperatorFailed {
+                            operator: name,
+                            message: format!("worker panicked: {}", panic_text(payload)),
+                        },
+                    );
+                }
+                RunOutcome::More
+            }
+        };
+        // Nothing waits in an edge buffer across quanta. An outbox that
+        // is not empty here is stuck behind a full mailbox — the task is
+        // already registered for the wake-up — and takes the remainders
+        // at its tail; otherwise they are delivered now.
+        let stuck = !inner.outbox.is_empty();
+        self.close_batches(meta, inner);
+        if !stuck && !inner.outbox.is_empty() {
+            self.flush_outbox(tid, inner);
+        }
+        outcome
+    }
+
+    /// The body of one quantum: deliver what is owed, emit own data (a
+    /// source), replay a faulted step, consume input, and complete once
+    /// no more can arrive.
+    fn run_quantum(&self, tid: usize, inner: &mut TaskInner) -> RunOutcome {
+        let task = &self.tasks[tid];
+        let meta = &task.meta;
 
         if inner.done {
             self.discard_inbox(tid);
@@ -1515,8 +1596,8 @@ impl Pool {
                 }
                 if !self.flush_outbox(tid, inner) {
                     // Fire even on a full downstream mailbox — the
-                    // trigger counter already advanced, and the drain
-                    // path clears the stuck outbox anyway.
+                    // trigger counter already advanced, and the outbox
+                    // keeps what could not be delivered yet.
                     if let Some(t) = trigger {
                         return self.spring_trigger(meta, inner, t);
                     }
@@ -1650,6 +1731,12 @@ impl Pool {
                 inner.eos_delay -= 1;
                 return RunOutcome::More;
             }
+            // The open remainders leave ahead of the EOS that closes
+            // their edges, and are delivered before the task is done.
+            self.close_batches(meta, inner);
+            if !self.flush_outbox(tid, inner) {
+                return RunOutcome::Yield;
+            }
             if inner.drop_eos {
                 // Dropped-EOS fault: finish without telling downstream.
                 // The scheduler's stall detector eventually synthesizes the
@@ -1700,11 +1787,13 @@ impl Pool {
         RunOutcome::Yield
     }
 
-    /// Run quantum for a failed task: abandon its own output, close its
+    /// Run quantum for a failed task: produce nothing more, close its
     /// downstream edges exactly once (marking direct consumers
     /// [`OperatorState::Degraded`] — their input is truncated), and keep
     /// consuming input so upstream producers never wedge on a dead
-    /// consumer. Done once every input port has closed.
+    /// consumer. Done once every input port has closed. What the steps
+    /// before the fault produced is not abandoned: the faulting quantum's
+    /// flush point queued it, and the EOS goes out behind it.
     fn drain_failed(&self, tid: usize, meta: &TaskStatic, inner: &mut TaskInner) -> RunOutcome {
         let task = &self.tasks[tid];
         inner.source = None;
@@ -1722,7 +1811,6 @@ impl Pool {
         }
         if !inner.eos_queued {
             inner.eos_queued = true;
-            inner.outbox.clear();
             for edge in &meta.downstream {
                 for &dest in &edge.dests {
                     self.tracer.on_degraded(self.tasks[dest].meta.op);
@@ -1832,7 +1920,7 @@ impl Pool {
     }
 
     /// Execute one scheduling round of task `tid`: claim it
-    /// (`QUEUED → RUNNING`), run one quantum with panic capture, and
+    /// (`QUEUED → RUNNING`), run one quantum, and
     /// dispatch the outcome — re-queue, park (retry backoff), idle, or
     /// completion accounting. Stale queue entries (the task was already
     /// claimed or re-queued) are skipped.
@@ -1846,34 +1934,7 @@ impl Pool {
             return;
         }
         let quantum_start = Instant::now();
-        // A panic inside the quantum — organic or injected — costs
-        // one operator, not the pool: capture it here, mark the
-        // owner `Failed`, and let the task drain like any other
-        // failure.
-        let outcome =
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_task(tid))) {
-                Ok(o) => o,
-                Err(payload) => {
-                    let mut inner = lock(&task.inner);
-                    if self.try_retry(&task.meta, &mut inner) {
-                        // The faulted quantum's partial output is
-                        // discarded; the stashed replay (or re-queued
-                        // source chunk) regenerates it.
-                        inner.collector.discard();
-                    } else {
-                        let name = self.tracer.probe(task.meta.op).name().to_owned();
-                        self.fail_task(
-                            task.meta.op,
-                            &mut inner,
-                            WorkflowError::OperatorFailed {
-                                operator: name,
-                                message: format!("worker panicked: {}", panic_text(payload)),
-                            },
-                        );
-                    }
-                    RunOutcome::More
-                }
-            };
+        let outcome = self.run_task(tid);
         self.tracer.on_busy(task.meta.op, quantum_start.elapsed());
         self.task_runs.fetch_add(1, Ordering::Relaxed);
         match outcome {
@@ -1932,24 +1993,36 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Split an owned tuple vector into `size`-bounded chunks, in order.
-/// Tuples are moved, never cloned, and every chunk of a split input is
+/// Carve every full `size`-row batch off the front of `buf`, in order,
+/// and leave the remainder — fewer than `size` rows — in it. Tuples are
+/// moved, never cloned, and every batch carved from a longer buffer is
 /// allocated at exactly its length — one pass, O(n) moves, O(n) resident
 /// capacity. (`Vec::split_off` would not do: the head it leaves behind
-/// keeps the whole parent's capacity, and the tail is re-copied per chunk.)
-fn chunk_owned(tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
+/// keeps the whole parent's capacity, and the tail is re-copied per batch.)
+fn carve_full(buf: &mut Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
     debug_assert!(size > 0);
-    if tuples.len() <= size {
-        if !tuples.is_empty() {
-            emit(tuples);
-        }
+    if buf.len() < size {
         return;
     }
-    let mut rest = tuples.into_iter();
-    while rest.len() > 0 {
-        let mut chunk = Vec::with_capacity(rest.len().min(size));
+    if buf.len() == size {
+        emit(std::mem::take(buf));
+        return;
+    }
+    let mut rest = std::mem::take(buf).into_iter();
+    while rest.len() >= size {
+        let mut chunk = Vec::with_capacity(size);
         chunk.extend(rest.by_ref().take(size));
         emit(chunk);
+    }
+    buf.extend(rest);
+}
+
+/// Split an owned tuple vector into `size`-bounded chunks, in order: the
+/// full batches [`carve_full`] yields, then the remainder.
+fn chunk_owned(mut tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
+    carve_full(&mut tuples, size, &mut emit);
+    if !tuples.is_empty() {
+        emit(tuples);
     }
 }
 
@@ -2067,7 +2140,7 @@ pub(crate) fn build_tasks(
                     seqs: vec![0; downstream.len()],
                     scatter: downstream
                         .iter()
-                        .map(|e| vec![Vec::new(); e.dests.len()])
+                        .map(|e| vec![Vec::new(); e.buffers()])
                         .collect(),
                     scatter_rows: downstream
                         .iter()
@@ -2694,6 +2767,277 @@ mod tests {
         LiveExecutor::new(8).run(&wf).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(handle.len(), 100, "every worker still emits its own part");
+    }
+
+    /// `scan` (one worker, ascending ids) through `depth` identity UDFs
+    /// of `width` workers on round-robin edges, into one sink.
+    fn udf_chain(n: i64, width: usize, depth: usize) -> (Workflow, crate::ops::SinkHandle) {
+        use crate::ops::UdfOp;
+        let data = int_batch(n);
+        let schema = (**data.schema()).clone();
+        let mut b = WorkflowBuilder::new();
+        let mut prev = b.add(Arc::new(ScanOp::new("scan", data)), 1);
+        for i in 1..=depth {
+            let map = UdfOp::new(format!("m{i}"), schema.clone(), |t, _, out| {
+                out.emit(t);
+                Ok(())
+            });
+            let map = b.add(Arc::new(map), width);
+            b.connect(prev, map, 0, PartitionStrategy::RoundRobin);
+            prev = map;
+        }
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(prev, sink, 0, PartitionStrategy::Single);
+        (b.build().unwrap(), handle)
+    }
+
+    /// One message as it landed in a mailbox: the ids of a batch, or
+    /// `None` for an EOS.
+    struct Delivery {
+        from: usize,
+        to: usize,
+        ids: Option<Vec<i64>>,
+    }
+
+    /// Run `wf` to completion on the calling thread with no scheduler
+    /// behind the pool: every queued task gets one quantum per round, in
+    /// task order — what a 1-thread pool does, exactly repeatable. Returns
+    /// the pool, every delivery in order (read off the mailboxes after
+    /// each quantum: only the task that ran can have pushed), and the
+    /// quanta each task ran.
+    fn drive(wf: &Workflow, batch_size: usize) -> (Pool, Vec<Delivery>, Vec<usize>) {
+        let tasks = build_tasks(wf, &[], batch_size, 64, None, &RetryConfig::default(), None);
+        let tracer = LiveTracer::primed(&OperatorMetrics::for_workflow(wf));
+        let pool = Pool::new(tasks, Vec::new(), None, 1, tracer, Weak::new(), 0);
+        pool.seed_all();
+        let mut log = Vec::new();
+        let mut quanta = vec![0usize; pool.tasks.len()];
+        while !pool.finished() {
+            let mut ran = false;
+            for (from, runs) in quanta.iter_mut().enumerate() {
+                if pool.tasks[from].state.load(Ordering::Acquire) != QUEUED {
+                    continue;
+                }
+                let depth = |t: &Task| lock(&t.inbox.queue).len();
+                let before: Vec<usize> = pool.tasks.iter().map(depth).collect();
+                pool.step(from);
+                (ran, *runs) = (true, *runs + 1);
+                for (to, task) in pool.tasks.iter().enumerate().filter(|(to, _)| *to != from) {
+                    for msg in lock(&task.inbox.queue).iter().skip(before[to]) {
+                        let ids = match msg {
+                            Msg::Batch { batch, .. } => Some(
+                                (batch.clone().into_tuples().iter())
+                                    .map(|t| t.get_int("id").unwrap())
+                                    .collect(),
+                            ),
+                            Msg::Eos { .. } => None,
+                            Msg::Poison { .. } => unreachable!("no fault plan"),
+                        };
+                        log.push(Delivery { from, to, ids });
+                    }
+                }
+            }
+            assert!(ran, "no task is queued and the run is not finished");
+        }
+        (pool, log, quanta)
+    }
+
+    /// The edge rule: a round-robin hop tops its per-destination buffers
+    /// up to the edge's batch size instead of forwarding thirds of what
+    /// it was handed (64 → 21 → 7 → 2 rows at depth 4). Per edge, only
+    /// the batches a flush point closed are short — at most one per open
+    /// buffer per quantum of the producing task.
+    #[test]
+    fn scattered_hops_send_full_batches_not_shrinking_ones() {
+        const N: usize = 5_000;
+        const BATCH: usize = 64;
+        const WIDTH: usize = 3;
+        const DEPTH: usize = 4;
+        let (wf, handle) = udf_chain(N as i64, WIDTH, DEPTH);
+        let (pool, log, quanta) = drive(&wf, BATCH);
+        assert_eq!(handle.len(), N);
+        let op_of = |tid: usize| pool.tasks[tid].meta.op;
+        let mut sent = 0;
+        for producer in 0..=DEPTH {
+            // Operators were added in chain order; the sink is the last.
+            let batches: Vec<&Vec<i64>> = log
+                .iter()
+                .filter(|d| op_of(d.from) == producer)
+                .filter_map(|d| d.ids.as_ref())
+                .collect();
+            sent += batches.len();
+            assert_eq!(batches.iter().map(|b| b.len()).sum::<usize>(), N);
+            assert!(batches.iter().all(|b| b.len() <= BATCH));
+            let short = batches.iter().filter(|b| b.len() < BATCH).count();
+            let open_buffers_times_quanta: usize = (0..pool.tasks.len())
+                .filter(|&tid| op_of(tid) == producer)
+                .map(|tid| pool.tasks[tid].meta.downstream[0].buffers() * quanta[tid])
+                .sum();
+            assert!(
+                short <= open_buffers_times_quanta,
+                "edge out of operator {producer}: {short} short batches, \
+                 {open_buffers_times_quanta} flushes possible"
+            );
+            assert!(
+                batches.len() <= N.div_ceil(BATCH) + open_buffers_times_quanta,
+                "edge out of operator {producer}: {} batches",
+                batches.len()
+            );
+        }
+        assert_eq!(pool.stats().batches_sent, sent as u64);
+        // Forwarding thirds would have sent more than N / 7 batches on the
+        // last scattered edge alone.
+        assert!(sent < 6 * N.div_ceil(BATCH), "{sent} batches sent");
+    }
+
+    /// Coalescing reorders nothing: each (producer task, consumer task)
+    /// stream carries its rows in the order the producer emitted them,
+    /// and the remainder a flush point closed arrives before the EOS.
+    #[test]
+    fn edge_buffers_keep_fifo_order_and_flush_the_remainder_before_eos() {
+        let (wf, handle) = udf_chain(1_000, 3, 2);
+        let (pool, log, _) = drive(&wf, 64);
+        assert_eq!(handle.len(), 1_000);
+        let mut remainders = 0;
+        for (from, task) in pool.tasks.iter().enumerate() {
+            let Some(edge) = task.meta.downstream.first() else {
+                continue;
+            };
+            // What the task was handed, in mailbox order (the scan: its
+            // own rows), is what it emitted, dealt round-robin.
+            let ids_of = |d: &Delivery| d.ids.clone().unwrap_or_default();
+            let mut handed: Vec<i64> = (log.iter().filter(|d| d.to == from))
+                .flat_map(ids_of)
+                .collect();
+            if task.meta.op == 0 {
+                handed = (0..1_000).collect();
+            }
+            for (w, &to) in edge.dests.iter().enumerate() {
+                let stream: Vec<&Delivery> = log
+                    .iter()
+                    .filter(|d| (d.from, d.to) == (from, to))
+                    .collect();
+                let (eos, batches) = stream.split_last().unwrap();
+                assert!(
+                    eos.ids.is_none(),
+                    "{from} → {to}: the stream ends in its EOS"
+                );
+                assert!(
+                    batches.iter().all(|d| d.ids.is_some()),
+                    "{from} → {to}: one EOS"
+                );
+                let got: Vec<i64> = batches.iter().copied().flat_map(ids_of).collect();
+                let dealt: Vec<i64> = (handed.iter().copied())
+                    .skip(w)
+                    .step_by(edge.dests.len())
+                    .collect();
+                assert_eq!(got, dealt, "{from} → {to}");
+                remainders += usize::from(ids_of(batches.last().unwrap()).len() < 64);
+            }
+        }
+        assert!(remainders > 0, "1 000 rows do not divide into full batches");
+        assert_eq!(pool.stats().backpressure_stalls, 0);
+    }
+
+    /// A fault in step *k* of a quantum costs that step, not the ones
+    /// before it: their output sits in the edge buffers (or, behind a
+    /// full mailbox, the outbox) when the fault lands and is delivered
+    /// exactly once — by the faulting quantum's flush point, then ahead
+    /// of the drain path's EOS. With a retry budget nothing at all is
+    /// lost or repeated.
+    #[test]
+    fn a_fault_mid_quantum_delivers_the_earlier_steps_output_exactly_once() {
+        use crate::ops::UdfOp;
+        use std::sync::atomic::AtomicBool;
+        const N: i64 = 400;
+        const BATCH: usize = 16;
+        const AT: u64 = 41;
+        let schema = (**int_batch(1).schema()).clone();
+        // `half` keeps even ids, so a 16-row step leaves 8 rows — half a
+        // batch — in its buffer; the 41st tuple is the 9th of step 3.
+        let run = |fault: &str, retry: bool, capacity: usize| {
+            let errored = AtomicBool::new(false);
+            let organic = fault == "error";
+            let half = UdfOp::new("half", schema.clone(), move |t, _, out| {
+                let id = t
+                    .get_int("id")
+                    .map_err(|e| WorkflowError::from_data("half", e))?;
+                if organic && id + 1 == AT as i64 && !errored.swap(true, Ordering::SeqCst) {
+                    return Err(WorkflowError::OperatorFailed {
+                        operator: "half".into(),
+                        message: "transient".into(),
+                    });
+                }
+                if id % 2 == 0 {
+                    out.emit(t);
+                }
+                Ok(())
+            });
+            let mut b = WorkflowBuilder::new();
+            let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(N))), 1);
+            let half = b.add(Arc::new(half), 1);
+            let sink_op = SinkOp::new("sink");
+            let handle = sink_op.handle();
+            let sink = b.add(Arc::new(sink_op), 2);
+            b.connect(scan, half, 0, PartitionStrategy::RoundRobin);
+            b.connect(half, sink, 0, PartitionStrategy::RoundRobin);
+            let wf = b.build().unwrap();
+            let mut exec = LiveExecutor::new(BATCH)
+                .with_pool_size(1)
+                .with_channel_capacity(capacity);
+            exec = match fault {
+                "kill" => exec.with_faults(FaultPlan::new(0).kill_worker("half", AT)),
+                "panic" => exec.with_faults(FaultPlan::new(0).panic_at("half", AT)),
+                _ => exec,
+            };
+            if retry {
+                let policy = RetryPolicy::attempts(2).with_backoff(crate::retry::Backoff::none());
+                exec = exec.with_retry(RetryConfig::uniform(policy));
+            }
+            let result = exec.run(&wf);
+            let mut ids: Vec<i64> = (handle.results().iter())
+                .map(|t| t.get_int("id").unwrap())
+                .collect();
+            ids.sort_unstable();
+            (result, ids)
+        };
+        let evens_below = |n: i64| (0..n).step_by(2).collect::<Vec<i64>>();
+        for capacity in [64, 1] {
+            for fault in ["kill", "panic", "error"] {
+                let what = format!("{fault}, mailbox capacity {capacity}");
+                let (result, ids) = run(fault, true, capacity);
+                let stats = result.expect(&what).pool.unwrap();
+                assert_eq!(stats.retries_succeeded, 1, "{what}");
+                assert_eq!(ids, evens_below(N), "{what}: retried");
+
+                let (result, ids) = run(fault, false, capacity);
+                assert!(result.is_err(), "{what}");
+                // An injected fault cuts at the tuple; an organic error
+                // discards its own step, the third, whole.
+                let delivered = if fault == "error" { 32 } else { AT as i64 - 1 };
+                assert_eq!(ids, evens_below(delivered), "{what}: not retried");
+            }
+        }
+    }
+
+    /// A worker whose EOS markers are dropped still hands on every row it
+    /// produced: its last remainder leaves at the flush point, EOS or no
+    /// EOS, and the stall detector closes the consumer's ports behind it.
+    #[test]
+    fn a_dropped_eos_still_delivers_the_open_remainder() {
+        let (wf, handle) = udf_chain(100, 1, 1);
+        let res = LiveExecutor::new(64)
+            .with_pool_size(1)
+            .with_faults(FaultPlan::new(0).drop_eos("m1"))
+            .run_observed(&wf);
+        assert!(res.1.is_err(), "the drop is the run's recorded failure");
+        assert_eq!(handle.len(), 100);
+        let (_, last) = res.0.samples.last().unwrap();
+        let sink = last.iter().find(|s| s.name == "sink").unwrap();
+        assert_eq!(sink.input_tuples, 100);
+        assert_eq!(sink.state, OperatorState::Degraded);
     }
 
     /// A 1-thread pool must not serve a retry backoff by sleeping its

@@ -2,8 +2,9 @@
 //! [`LiveExecutor::thread_per_worker`] runs on.
 //!
 //! One OS thread per operator worker, unbounded `mpsc` channels, owned
-//! tuple batches deep-cloned per routed destination — the cost the
-//! pooled executor in [`crate::exec_live`] eliminates. It shares no
+//! tuple batches with every tuple cloned per routed destination (two
+//! reference counts, since a tuple's values are shared) — the routing the
+//! pooled executor in [`crate::exec_live`] replaces with moves. It shares no
 //! scheduling code with the pool, which is why tests and the repo
 //! benchmark use its rows as the anchor a pooled run must reproduce.
 
@@ -24,8 +25,8 @@ use crate::operator::{OutputCollector, WorkflowError, WorkflowResult};
 use crate::sync::lock;
 use crate::trace::ProgressTrace;
 
-/// Message on a legacy channel: tuples are owned and deep-cloned per
-/// routed destination — the cost the pooled executor eliminates.
+/// Message on a legacy channel: tuples are owned and cloned per routed
+/// destination, where the pooled executor moves them.
 enum LegacyMsg {
     Batch { port: usize, tuples: Vec<Tuple> },
     Eos { port: usize },

@@ -363,11 +363,9 @@ impl Operator for AggregateInstance {
         }
         for key in &self.order {
             let (rep, states) = &self.groups[key];
-            let mut values = rep.clone();
-            for (agg, state) in self.aggs.iter().zip(states) {
-                values.push(state.finish(agg));
-            }
-            out.emit(Tuple::new_unchecked(schema.clone(), values));
+            let finished = self.aggs.iter().zip(states).map(|(agg, st)| st.finish(agg));
+            let values = rep.iter().cloned().chain(finished);
+            out.emit(Tuple::collect_unchecked(schema.clone(), values));
         }
         self.groups.clear();
         self.order.clear();
@@ -491,11 +489,9 @@ impl AggregateInstance {
         }
         for key in order {
             let (rep, states) = &merged[&key];
-            let mut values = rep.clone();
-            for (agg, state) in self.aggs.iter().zip(states) {
-                values.push(state.finish(agg));
-            }
-            out.emit(Tuple::new_unchecked(schema.clone(), values));
+            let finished = self.aggs.iter().zip(states).map(|(agg, st)| st.finish(agg));
+            let values = rep.iter().cloned().chain(finished);
+            out.emit(Tuple::collect_unchecked(schema.clone(), values));
         }
         Ok(())
     }

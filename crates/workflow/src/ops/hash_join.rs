@@ -247,20 +247,14 @@ impl HashJoinInstance {
         match matches {
             Some(matches) => {
                 for m in matches {
-                    let mut values = Vec::with_capacity(tuple.values().len() + m.values().len());
-                    values.extend_from_slice(tuple.values());
-                    values.extend_from_slice(m.values());
-                    out.emit(Tuple::new_unchecked(schema.clone(), values));
+                    let values = tuple.values().iter().chain(m.values()).cloned();
+                    out.emit(Tuple::collect_unchecked(schema.clone(), values));
                 }
             }
             None if join_type == JoinType::LeftOuter => {
-                let mut values = Vec::with_capacity(schema.arity());
-                values.extend_from_slice(tuple.values());
-                values.extend(std::iter::repeat_n(
-                    Value::Null,
-                    schema.arity() - tuple.values().len(),
-                ));
-                out.emit(Tuple::new_unchecked(schema.clone(), values));
+                let nulls = std::iter::repeat_n(Value::Null, schema.arity() - tuple.values().len());
+                let values = tuple.values().iter().cloned().chain(nulls);
+                out.emit(Tuple::collect_unchecked(schema.clone(), values));
             }
             None => {}
         }

@@ -306,8 +306,8 @@ impl Operator for ProjectInstance {
         }
         let indices = self.indices.as_ref().expect("initialized above");
         let schema = self.out_schema.clone().expect("initialized above");
-        let values = indices.iter().map(|&i| tuple.at(i).clone()).collect();
-        out.emit(Tuple::new_unchecked(schema, values));
+        let values = indices.iter().map(|&i| tuple.at(i).clone());
+        out.emit(Tuple::collect_unchecked(schema, values));
         Ok(())
     }
 }

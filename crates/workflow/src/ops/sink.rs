@@ -5,8 +5,51 @@ use std::sync::{Arc, Mutex};
 use scriptflow_datakit::{ColumnarBatch, Schema, SchemaRef, Tuple};
 
 use crate::cost::CostProfile;
-use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowResult};
+use crate::operator::{Emitted, Operator, OperatorFactory, OutputCollector, WorkflowResult};
 use crate::sync::lock;
+
+/// What a sink has received, as it arrived: runs of rows and sealed
+/// batches kept whole. A pool thread only ever appends a reference here;
+/// rows are built from the batches by whoever reads the results.
+#[derive(Default)]
+struct Received {
+    runs: Vec<Emitted>,
+    rows: usize,
+}
+
+impl Received {
+    fn push_row(&mut self, tuple: Tuple) {
+        self.rows += 1;
+        match self.runs.last_mut() {
+            Some(Emitted::Rows(run)) => run.push(tuple),
+            _ => self.runs.push(Emitted::Rows(vec![tuple])),
+        }
+    }
+
+    fn push_batch(&mut self, batch: ColumnarBatch) {
+        self.rows += batch.len();
+        self.runs.push(Emitted::Columnar(batch));
+    }
+
+    fn clear(&mut self) {
+        *self = Received::default();
+    }
+}
+
+/// The rows received so far, in arrival order. Only reference counts are
+/// bumped under the lock; held batches are materialized after it is
+/// released, on the calling thread.
+fn read(received: &Mutex<Received>) -> Vec<Tuple> {
+    let (runs, rows) = {
+        let held = lock(received);
+        (held.runs.clone(), held.rows)
+    };
+    let mut out = Vec::with_capacity(rows);
+    for run in runs {
+        out.extend(run.into_rows());
+    }
+    out
+}
 
 /// Terminal operator gathering result tuples (Texera's "View Results").
 ///
@@ -15,9 +58,13 @@ use crate::sync::lock;
 /// [`SinkOp::results`]. A mutex keeps this safe for the live
 /// multi-threaded executor; the simulated executor is single-threaded
 /// and pays no contention.
+///
+/// The sink materializes on read: a sealed batch that reached it is kept
+/// as it is (a reference-count bump on the pool thread) and turned into
+/// rows by [`SinkHandle::results`], on the reader's thread.
 pub struct SinkOp {
     name: String,
-    results: Arc<Mutex<Vec<Tuple>>>,
+    results: Arc<Mutex<Received>>,
 }
 
 impl SinkOp {
@@ -25,7 +72,7 @@ impl SinkOp {
     pub fn new(name: impl Into<String>) -> Self {
         SinkOp {
             name: name.into(),
-            results: Arc::new(Mutex::new(Vec::new())),
+            results: Arc::default(),
         }
     }
 
@@ -38,30 +85,32 @@ impl SinkOp {
 
     /// Snapshot of the tuples collected so far.
     pub fn results(&self) -> Vec<Tuple> {
-        lock(&self.results).clone()
+        read(&self.results)
     }
 }
 
 /// Cloneable handle to a sink's collected results.
 #[derive(Clone)]
 pub struct SinkHandle {
-    results: Arc<Mutex<Vec<Tuple>>>,
+    results: Arc<Mutex<Received>>,
 }
 
 impl SinkHandle {
-    /// Snapshot of the tuples collected so far.
+    /// Snapshot of the tuples collected so far, in arrival order. Sealed
+    /// batches the sink holds are materialized here, on the caller's
+    /// thread, each time this is called.
     pub fn results(&self) -> Vec<Tuple> {
-        lock(&self.results).clone()
+        read(&self.results)
     }
 
     /// Number of tuples collected so far.
     pub fn len(&self) -> usize {
-        lock(&self.results).len()
+        lock(&self.results).rows
     }
 
     /// True if nothing has been collected.
     pub fn is_empty(&self) -> bool {
-        lock(&self.results).is_empty()
+        self.len() == 0
     }
 
     /// Clear collected tuples (for re-running a workflow object).
@@ -71,7 +120,7 @@ impl SinkHandle {
 }
 
 struct SinkInstance {
-    results: Arc<Mutex<Vec<Tuple>>>,
+    results: Arc<Mutex<Received>>,
 }
 
 impl Operator for SinkInstance {
@@ -81,21 +130,19 @@ impl Operator for SinkInstance {
         _port: usize,
         _out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        lock(&self.results).push(tuple);
+        lock(&self.results).push_row(tuple);
         Ok(())
     }
 
-    /// The results view is rows: this is where a batch that stayed
-    /// columnar end to end is finally materialized, appended under one
-    /// lock hold.
+    /// A batch that stayed columnar end to end is kept sealed: the pool
+    /// thread shares it, the reader builds its rows.
     fn on_batch(
         &mut self,
         batch: &ColumnarBatch,
         _port: usize,
         _out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        let rows = batch.to_tuples();
-        lock(&self.results).extend(rows);
+        lock(&self.results).push_batch(batch.clone());
         Ok(())
     }
 }
@@ -189,6 +236,62 @@ mod tests {
         assert_eq!(sink.results().len(), 1);
         sink.reset_shared_state();
         assert!(sink.results().is_empty());
+    }
+
+    /// The sink materializes on read: a sealed batch is held as it came
+    /// (a shared reference), counted at once, and turned into rows by
+    /// whoever reads — every time, in arrival order.
+    #[test]
+    fn held_batches_count_at_once_and_materialize_on_every_read() {
+        use scriptflow_datakit::SharedBatch;
+        let schema = Schema::of(&[("x", DataType::Int)]);
+        let row = |x: i64| Tuple::new(schema.clone(), vec![Value::Int(x)]).unwrap();
+        let batch = |xs: &[i64]| {
+            ColumnarBatch::from_tuples(
+                schema.clone(),
+                &xs.iter().map(|&x| row(x)).collect::<Vec<_>>(),
+            )
+        };
+        let sink = SinkOp::new("sink");
+        let handle = sink.handle();
+        let identity = sink.shared_state_id();
+        let (mut a, mut b) = (sink.create(), sink.create());
+        let mut out = OutputCollector::new();
+        let sealed = batch(&[2, 3, 4]);
+        // The sealed columns' reference count, read off a second handle.
+        let refs = SharedBatch::from_columnar(sealed.clone());
+        assert_eq!(refs.ref_count(), 2);
+
+        assert!(handle.is_empty());
+        a.on_tuple(row(0), 0, &mut out).unwrap();
+        b.on_tuple(row(1), 0, &mut out).unwrap();
+        a.on_batch(&sealed, 0, &mut out).unwrap();
+        assert_eq!(refs.ref_count(), 3, "held, not copied");
+        b.on_tuple(row(5), 0, &mut out).unwrap();
+        b.on_batch(&batch(&[]), 0, &mut out).unwrap();
+        a.on_batch(&batch(&[6]), 0, &mut out).unwrap();
+        a.on_tuple(row(7), 0, &mut out).unwrap();
+        assert!(out.is_empty());
+        assert_eq!((handle.len(), handle.is_empty()), (8, false));
+
+        let xs =
+            |rows: &[Tuple]| -> Vec<i64> { rows.iter().map(|t| t.get_int("x").unwrap()).collect() };
+        let first = handle.results();
+        assert_eq!(xs(&first), [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(handle.results(), first);
+        assert_eq!(sink.results(), first);
+        assert_eq!(refs.ref_count(), 3, "reading leaves the batch held");
+        assert_eq!(handle.len(), 8);
+
+        handle.clear();
+        assert_eq!(refs.ref_count(), 2, "clear drops the held batch");
+        assert!(handle.is_empty() && handle.results().is_empty());
+        a.on_batch(&sealed, 0, &mut out).unwrap();
+        assert_eq!((handle.len(), refs.ref_count()), (3, 3));
+        sink.reset_shared_state();
+        assert_eq!((handle.len(), refs.ref_count()), (0, 2));
+        // What the service serializes runs on never moved.
+        assert_eq!(sink.shared_state_id(), identity);
     }
 
     /// The non-poisoning behaviour the chaos suites rely on: a panic

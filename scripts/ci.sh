@@ -31,9 +31,12 @@ bash benchmark/run.sh test
 # with the script paradigm and the simulator. `spill_cache` does the same
 # for what the result cache records and replays: its cold, warm, edited
 # and evicting legs check row digests and the published-bytes ledger
-# against the thread-per-worker executor. Two seconds are enough for
-# that; the timings are ignored.
-for workload in stream_relational paper_tasks spill_cache; do
+# against the thread-per-worker executor. `service_mix` is where a sink
+# is read while other tenants' runs share the pool: the interactive and
+# the heavy runs' row digests are checked against the same
+# thread-per-worker executor. Two seconds are enough for that; the
+# timings are ignored.
+for workload in stream_relational paper_tasks spill_cache service_mix; do
     echo "==> benchmark smoke ($workload rows against their oracles)"
     smoke="$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     if [[ "$smoke" != *'"correct":true'* || "$smoke" != *'"failed":0,'* ]]; then
