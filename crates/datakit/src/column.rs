@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use crate::batch::Batch;
 use crate::error::{DataError, DataResult};
+use crate::key::KeyRef;
 use crate::schema::SchemaRef;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
@@ -225,9 +226,13 @@ pub enum ColumnVec {
 
 impl ColumnVec {
     /// Build the dense representation for `dtype` from one cell per row.
-    /// Every cell must conform to the type (nulls always do); the batch
-    /// constructors enforce that.
-    fn from_cells<'a>(dtype: DataType, cells: impl ExactSizeIterator<Item = &'a Value>) -> Self {
+    /// Every cell should conform to the type (nulls always do) — the row
+    /// constructors check that first; in a dense column a cell that does
+    /// not reads back as null.
+    pub fn from_cells<'a>(
+        dtype: DataType,
+        cells: impl ExactSizeIterator<Item = &'a Value>,
+    ) -> Self {
         /// One typed vector plus validity; non-conforming cells (nulls)
         /// become the placeholder.
         fn dense<'a, T: Copy>(
@@ -389,6 +394,52 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Mixed(data) => data[i].clone(),
+        }
+    }
+
+    /// The cell at row `i` as a join, group or partition key, read off the
+    /// typed vector: no [`Value`] and no owned string is built. Only a
+    /// `Mixed` column can hold a cell that is no key (`Bytes`, `List`).
+    pub fn key_at(&self, i: usize) -> DataResult<KeyRef<'_>> {
+        Ok(match self {
+            ColumnVec::Int { data, validity } if validity.is_valid(i) => KeyRef::Int(data[i]),
+            ColumnVec::Float { data, validity } if validity.is_valid(i) => KeyRef::float(data[i]),
+            ColumnVec::Bool { data, validity } if validity.is_valid(i) => KeyRef::Bool(data[i]),
+            ColumnVec::Str { data, validity } if validity.is_valid(i) => KeyRef::Str(data.get(i)),
+            ColumnVec::Mixed(data) => return KeyRef::of(&data[i]),
+            _ => KeyRef::Null,
+        })
+    }
+
+    /// What [`ColumnarBatch::from_columns`] checks of one column: the
+    /// representation is the one [`ColumnVec::from_cells`] builds for
+    /// `dtype`, one validity bit per cell. `Err` names what it holds
+    /// instead.
+    fn check_dtype(&self, dtype: DataType) -> Result<(), String> {
+        let dense = |rows: usize, validity: &Bitmap, holds: DataType| {
+            if validity.len() != rows {
+                let bits = validity.len();
+                Err(format!(
+                    "{holds} column of {rows} cells, {bits} validity bits"
+                ))
+            } else if holds != dtype {
+                Err(format!("{holds} column"))
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            ColumnVec::Int { data, validity } => dense(data.len(), validity, DataType::Int),
+            ColumnVec::Float { data, validity } => dense(data.len(), validity, DataType::Float),
+            ColumnVec::Bool { data, validity } => dense(data.len(), validity, DataType::Bool),
+            ColumnVec::Str { data, validity } => dense(data.len(), validity, DataType::Str),
+            ColumnVec::Mixed(cells) => match dtype {
+                DataType::Null | DataType::Bytes | DataType::List => cells
+                    .iter()
+                    .find(|v| !v.conforms_to(dtype))
+                    .map_or(Ok(()), |v| Err(v.dtype().to_string())),
+                _ => Err("boxed column".to_owned()),
+            },
         }
     }
 
@@ -664,6 +715,39 @@ impl ColumnarBatch {
         Ok(Self::seal(schema, columns, len))
     }
 
+    /// Build from whole columns, one per schema field in schema order —
+    /// the checked entry point for a kernel that produces columns
+    /// (gathered with [`ColumnVec::take`], built with
+    /// [`ColumnVec::from_cells`]) instead of rows. Checks the column
+    /// count, that every column holds the same number of rows, and each
+    /// column's representation against its field's type; the statistics
+    /// are sealed here, once, as in every constructor.
+    pub fn from_columns(schema: SchemaRef, columns: Vec<ColumnVec>) -> DataResult<Self> {
+        if columns.len() != schema.arity() {
+            return Err(DataError::ArityMismatch {
+                expected: schema.arity(),
+                actual: columns.len(),
+            });
+        }
+        let len = columns.first().map_or(0, ColumnVec::len);
+        for (field, col) in schema.fields().iter().zip(&columns) {
+            if col.len() != len {
+                return Err(DataError::RaggedColumns {
+                    column: field.name().to_owned(),
+                    expected: len,
+                    actual: col.len(),
+                });
+            }
+            col.check_dtype(field.dtype())
+                .map_err(|actual| DataError::TypeMismatch {
+                    column: field.name().to_owned(),
+                    expected: field.dtype().to_string(),
+                    actual,
+                })?;
+        }
+        Ok(Self::seal(schema, columns, len))
+    }
+
     /// Convert a row batch.
     pub fn from_batch(batch: &Batch) -> Self {
         Self::from_tuples(batch.schema().clone(), batch.tuples())
@@ -692,6 +776,23 @@ impl ColumnarBatch {
             .map(|c| c.take(indices))
             .collect();
         Self::seal(self.schema.clone(), columns, indices.len())
+    }
+
+    /// The batch cut into batches of at most `rows` rows, in order. A
+    /// batch that already fits is handed back as it is (a reference-count
+    /// bump); the pieces of a longer one are gathered with
+    /// [`ColumnarBatch::take`]. An empty batch has no pieces.
+    pub fn chunks(&self, rows: usize) -> impl Iterator<Item = ColumnarBatch> + '_ {
+        assert!(rows > 0, "chunk size must be positive");
+        let fits = self.len <= rows;
+        let whole = (fits && !self.is_empty()).then(|| self.clone());
+        let pieces = if fits { 0 } else { self.len.div_ceil(rows) };
+        whole.into_iter().chain((0..pieces).map(move |k| {
+            let piece: Vec<u32> = (k * rows..self.len.min((k + 1) * rows))
+                .map(|i| i as u32)
+                .collect();
+            self.take(&piece)
+        }))
     }
 
     /// Schema handle.
@@ -995,9 +1096,120 @@ mod tests {
             assert_eq!(got.stats(), expect.stats());
             assert_eq!(got.to_tuples(), picked);
         }
-        // A clone shares the sealed columns instead of copying them.
+        // A clone shares the sealed columns instead of copying them, and
+        // so does the one chunk of a batch that fits.
         let twin = cb.clone();
         assert!(std::ptr::eq(cb.column(0), twin.column(0)));
+        for size in [200, 500] {
+            let whole: Vec<ColumnarBatch> = cb.chunks(size).collect();
+            assert_eq!(whole.len(), 1);
+            assert!(std::ptr::eq(cb.column(0), whole[0].column(0)));
+        }
+        let pieces: Vec<ColumnarBatch> = cb.chunks(64).collect();
+        let lens: Vec<usize> = pieces.iter().map(ColumnarBatch::len).collect();
+        assert_eq!(lens, [64, 64, 64, 8]);
+        assert_eq!(pieces[3], cb.take(&(192..200).collect::<Vec<u32>>()));
+        let rejoined: Vec<Tuple> = pieces.iter().flat_map(ColumnarBatch::to_tuples).collect();
+        assert_eq!(rejoined, all);
+        assert_eq!(cb.take(&[]).chunks(64).count(), 0);
+    }
+
+    #[test]
+    fn from_columns_checks_shape_and_seals_what_from_tuples_would() {
+        let s = Schema::of(&[
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("blob", DataType::List),
+        ]);
+        let rows = vec![
+            vec![Value::Int(3), Value::Null, Value::List(vec![Value::Int(1)])],
+            vec![Value::Null, Value::Str("a".into()), Value::Null],
+        ];
+        let by_rows = ColumnarBatch::from_rows(s.clone(), rows.clone()).unwrap();
+        let column =
+            |j: usize| ColumnVec::from_cells(s.fields()[j].dtype(), rows.iter().map(|r| &r[j]));
+        let by_columns =
+            ColumnarBatch::from_columns(s.clone(), (0..3).map(column).collect()).unwrap();
+        assert_eq!(by_columns, by_rows);
+        assert_eq!(by_columns.stats(), by_rows.stats());
+        // Gathered columns seal over exactly the gathered rows.
+        let gathered = (0..3).map(|j| by_rows.column(j).take(&[1, 1])).collect();
+        let twice = ColumnarBatch::from_columns(s.clone(), gathered).unwrap();
+        assert_eq!(twice, by_rows.take(&[1, 1]));
+        let none = ColumnarBatch::from_columns(Schema::of(&[]), vec![]).unwrap();
+        assert!(none.is_empty());
+
+        let err = |columns| ColumnarBatch::from_columns(s.clone(), columns).unwrap_err();
+        assert_eq!(
+            err(vec![column(0), column(1)]),
+            DataError::ArityMismatch {
+                expected: 3,
+                actual: 2
+            }
+        );
+        assert!(matches!(
+            err(vec![column(0), column(1).take(&[0]), column(2)]),
+            DataError::RaggedColumns { column, expected: 2, actual: 1 } if column == "name"
+        ));
+        // A column of the wrong representation, a boxed cell of the wrong
+        // type, a dense type held boxed, validity of another length.
+        for wrong in [
+            vec![column(1), column(1), column(2)],
+            vec![
+                column(0),
+                column(1),
+                ColumnVec::Mixed(vec![Value::Int(1); 2]),
+            ],
+            vec![
+                ColumnVec::Mixed(vec![Value::Int(1); 2]),
+                column(1),
+                column(2),
+            ],
+            vec![
+                ColumnVec::Int {
+                    data: vec![1, 2],
+                    validity: Bitmap::all_valid(3),
+                },
+                column(1),
+                column(2),
+            ],
+        ] {
+            assert!(matches!(err(wrong), DataError::TypeMismatch { .. }));
+        }
+    }
+
+    #[test]
+    fn key_at_reads_typed_cells_with_hash_key_normalization() {
+        let s = Schema::of(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("b", DataType::Bool),
+            ("s", DataType::Str),
+            ("l", DataType::List),
+        ]);
+        let rows = vec![
+            vec![
+                Value::Int(7),
+                Value::Float(-0.0),
+                Value::Bool(true),
+                Value::Str("é".into()),
+                Value::Null,
+            ],
+            vec![
+                Value::Null,
+                Value::Float(f64::NAN),
+                Value::Null,
+                Value::Null,
+                Value::List(vec![]),
+            ],
+        ];
+        let cb = ColumnarBatch::from_rows(s, rows.clone()).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                assert_eq!(cb.column(j).key_at(i), KeyRef::of(v), "row {i} column {j}");
+            }
+        }
+        assert!(cb.column(4).key_at(1).is_err(), "a list is no key");
     }
 
     #[test]

@@ -35,6 +35,15 @@ pub enum DataError {
         /// The tuple's arity.
         actual: usize,
     },
+    /// The columns handed to a batch did not all hold one row count.
+    RaggedColumns {
+        /// The offending column.
+        column: String,
+        /// Rows in the first column.
+        expected: usize,
+        /// Rows in this one.
+        actual: usize,
+    },
     /// Two schemas that had to agree did not.
     SchemaMismatch {
         /// Left schema (rendered).
@@ -81,6 +90,14 @@ impl fmt::Display for DataError {
                     "tuple arity mismatch: schema has {expected} fields, tuple has {actual}"
                 )
             }
+            DataError::RaggedColumns {
+                column,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "ragged columns: column `{column}` holds {actual} rows, the first column {expected}"
+            ),
             DataError::SchemaMismatch { left, right } => {
                 write!(f, "schema mismatch: [{left}] vs [{right}]")
             }

@@ -28,31 +28,83 @@ pub enum HashKey {
     Composite(Vec<HashKey>),
 }
 
-impl HashKey {
+/// One key cell, borrowed: the single-value forms of [`HashKey`] with the
+/// string left where it is. Hashing and comparing a row's cells through
+/// this keeps `HashKey`'s normalization (`-0.0 == 0.0`, all NaNs equal,
+/// null equals null) without building a key per row; [`KeyRef::to_key`]
+/// is the owned form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KeyRef<'a> {
+    /// Null cell.
+    Null,
+    /// Boolean cell.
+    Bool(bool),
+    /// Integer cell.
+    Int(i64),
+    /// Float cell, by normalized bit pattern.
+    FloatBits(u64),
+    /// String cell.
+    Str(&'a str),
+}
+
+impl<'a> KeyRef<'a> {
     /// Normalize a single value. Lists and byte blobs are rejected: neither
     /// engine supports them as join keys.
-    pub fn from_value(v: &Value) -> DataResult<HashKey> {
+    pub fn of(v: &'a Value) -> DataResult<KeyRef<'a>> {
         Ok(match v {
-            Value::Null => HashKey::Null,
-            Value::Bool(b) => HashKey::Bool(*b),
-            Value::Int(i) => HashKey::Int(*i),
-            Value::Float(x) => {
-                let normalized = if x.is_nan() {
-                    f64::NAN.to_bits()
-                } else if *x == 0.0 {
-                    0.0f64.to_bits()
-                } else {
-                    x.to_bits()
-                };
-                HashKey::FloatBits(normalized)
-            }
-            Value::Str(s) => HashKey::Str(s.clone()),
+            Value::Null => KeyRef::Null,
+            Value::Bool(b) => KeyRef::Bool(*b),
+            Value::Int(i) => KeyRef::Int(*i),
+            Value::Float(x) => KeyRef::float(*x),
+            Value::Str(s) => KeyRef::Str(s),
             Value::Bytes(_) | Value::List(_) => {
                 return Err(DataError::UnhashableKey {
                     dtype: v.dtype().to_string(),
                 })
             }
         })
+    }
+
+    /// A float cell: `-0.0` folds to `0.0` and every NaN to one NaN.
+    pub fn float(x: f64) -> KeyRef<'static> {
+        KeyRef::FloatBits(if x.is_nan() {
+            f64::NAN.to_bits()
+        } else if x == 0.0 {
+            0.0f64.to_bits()
+        } else {
+            x.to_bits()
+        })
+    }
+
+    /// The owned key.
+    pub fn to_key(self) -> HashKey {
+        match self {
+            KeyRef::Null => HashKey::Null,
+            KeyRef::Bool(b) => HashKey::Bool(b),
+            KeyRef::Int(i) => HashKey::Int(i),
+            KeyRef::FloatBits(bits) => HashKey::FloatBits(bits),
+            KeyRef::Str(s) => HashKey::Str(s.to_owned()),
+        }
+    }
+
+    /// Overwrite `slot` with the owned key, reusing its string buffer: a
+    /// probe loop looks every row up through one scratch key.
+    pub fn write_to(self, slot: &mut HashKey) {
+        match (self, slot) {
+            (KeyRef::Str(s), HashKey::Str(buf)) => {
+                buf.clear();
+                buf.push_str(s);
+            }
+            (key, slot) => *slot = key.to_key(),
+        }
+    }
+}
+
+impl HashKey {
+    /// Normalize a single value. Lists and byte blobs are rejected: neither
+    /// engine supports them as join keys.
+    pub fn from_value(v: &Value) -> DataResult<HashKey> {
+        KeyRef::of(v).map(KeyRef::to_key)
     }
 
     /// Extract a composite key from the named columns of a tuple.
@@ -145,6 +197,32 @@ mod tests {
         let nan1 = HashKey::from_value(&Value::Float(f64::NAN)).unwrap();
         let nan2 = HashKey::from_value(&Value::Float(-f64::NAN)).unwrap();
         assert_eq!(nan1, nan2);
+    }
+
+    #[test]
+    fn borrowed_cells_normalize_like_owned_keys() {
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Str("héllo".into()),
+        ];
+        let mut scratch = HashKey::Null;
+        for v in &values {
+            let cell = KeyRef::of(v).unwrap();
+            assert_eq!(cell.to_key(), HashKey::from_value(v).unwrap());
+            cell.write_to(&mut scratch);
+            assert_eq!(scratch, cell.to_key());
+            // A second write reuses the buffer and still replaces the key.
+            KeyRef::Str("x").write_to(&mut scratch);
+            assert_eq!(scratch, HashKey::Str("x".into()));
+        }
+        assert_eq!(KeyRef::float(0.0), KeyRef::float(-0.0));
+        assert_eq!(KeyRef::float(f64::NAN), KeyRef::float(-f64::NAN));
+        assert_ne!(KeyRef::Int(1), KeyRef::float(1.0));
+        assert!(KeyRef::of(&Value::Bytes([].into())).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use blockstore::{BlockAppender, CompressedBlock, Segment, SegmentManifest};
 pub use column::{BatchStats, Bitmap, CmpOp, ColStats, ColumnVec, ColumnarBatch, StrVec};
 pub use error::{DataError, DataResult};
 pub use frame::{DataFrame, MergeHow};
-pub use key::HashKey;
+pub use key::{HashKey, KeyRef};
 pub use schema::{Field, Schema, SchemaRef};
 pub use tuple::{Tuple, TupleBuilder};
 pub use value::{DataType, Value};

@@ -11,7 +11,7 @@
 //! running a clean pipeline on the same two worker threads, and an
 //! overload probe that must be turned away with a named reason.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use scriptflow_core::{Artifact, Experiment, ExperimentMeta, Table};
@@ -47,8 +47,38 @@ pub struct TenantReport {
     pub rows_solo: u64,
 }
 
-/// scan → filter(even) → sink with a fresh sink per build.
-fn tenant_pipeline(name_prefix: &str) -> (Workflow, SinkHandle) {
+/// A latch the driver opens once; until then [`Gate::wait`] blocks.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    /// Nothing panics while it holds the flag's lock.
+    const UNPOISONED: &str = "the gate's lock is never held across a panic";
+
+    fn wait(&self) {
+        let open = self.open.lock().expect(Self::UNPOISONED);
+        drop(
+            self.opened
+                .wait_while(open, |open| !*open)
+                .expect(Self::UNPOISONED),
+        );
+    }
+
+    fn open(&self) {
+        *self.open.lock().expect(Self::UNPOISONED) = true;
+        self.opened.notify_all();
+    }
+}
+
+/// scan → filter(even) → sink with a fresh sink per build. The filter
+/// calls `hold` before it looks at a tuple.
+fn tenant_pipeline(
+    name_prefix: &str,
+    hold: impl Fn() + Send + Sync + 'static,
+) -> (Workflow, SinkHandle) {
     let schema = Schema::of(&[("id", DataType::Int)]);
     let batch = Batch::from_rows(schema, (0..ROWS).map(|i| vec![Value::Int(i)]).collect())
         .expect("schema matches rows");
@@ -58,7 +88,8 @@ fn tenant_pipeline(name_prefix: &str) -> (Workflow, SinkHandle) {
         1,
     );
     let filter = b.add(
-        Arc::new(FilterOp::new(format!("{name_prefix}-filter"), |t| {
+        Arc::new(FilterOp::new(format!("{name_prefix}-filter"), move |t| {
+            hold();
             Ok(t.get_int("id")? % 2 == 0)
         })),
         2,
@@ -79,7 +110,7 @@ fn tenant_pipeline(name_prefix: &str) -> (Workflow, SinkHandle) {
 pub fn observe_isolation() -> (TenantReport, TenantReport, String) {
     // Solo anchors first — what each DAG computes with the pool to
     // itself.
-    let (solo_wf, solo_sink) = tenant_pipeline("quiet");
+    let (solo_wf, solo_sink) = tenant_pipeline("quiet", || ());
     LiveExecutor::new(64)
         .with_pool_size(2)
         .run(&solo_wf)
@@ -93,13 +124,14 @@ pub fn observe_isolation() -> (TenantReport, TenantReport, String) {
             .with_default_quota(TenantQuota::default().with_max_in_flight(1)),
     );
 
-    // The benign slow edge keeps the noisy run deterministically in
-    // flight while the over-quota probe below is attempted; the panic
-    // plus the retry budget is the storm itself.
-    let (noisy_wf, noisy_sink) = tenant_pipeline("noisy");
-    let storm = FaultPlan::new(SEED)
-        .panic_at("noisy-filter", FAULT_AT)
-        .slow_edge("noisy-filter", 500);
+    // The noisy run's filter waits at a gate this driver opens only once
+    // the over-quota probe below has been answered, so the run is in
+    // flight when the probe is attempted however the pool schedules it;
+    // the panic plus the retry budget is the storm itself.
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let (noisy_wf, noisy_sink) = tenant_pipeline("noisy", move || held.wait());
+    let storm = FaultPlan::new(SEED).panic_at("noisy-filter", FAULT_AT);
     let retry = RetryConfig::uniform(RetryPolicy::attempts(3).with_backoff(Backoff {
         base: Duration::from_millis(2),
         factor: 2,
@@ -113,18 +145,19 @@ pub fn observe_isolation() -> (TenantReport, TenantReport, String) {
         )
         .expect("noisy tenant admitted");
 
-    let (quiet_wf, quiet_sink) = tenant_pipeline("quiet");
+    let (quiet_wf, quiet_sink) = tenant_pipeline("quiet", || ());
     let quiet_run = svc
         .submit("quiet", &quiet_wf, RunOptions::default())
         .expect("quiet tenant admitted");
 
     // The noisy tenant is at its in-flight quota of 1: its second
     // submission is the overload probe and must be rejected by name.
-    let (probe_wf, _probe_sink) = tenant_pipeline("probe");
+    let (probe_wf, _probe_sink) = tenant_pipeline("probe", || ());
     let probe = match svc.submit("noisy", &probe_wf, RunOptions::default()) {
         Err(e @ SubmitError::TenantOverQuota { .. }) => format!("rejected: {e}"),
         other => format!("NOT rejected: {other:?}"),
     };
+    gate.open();
 
     let quiet_report = quiet_run.wait();
     let quiet = TenantReport {

@@ -101,24 +101,48 @@ pub struct CacheEntry {
     bytes: u64,
 }
 
+/// Append `tuples` to `app` as blocks of at most [`SPILL_BLOCK_ROWS`] rows.
+fn append_rows(app: &mut BlockAppender, schema: &SchemaRef, tuples: &[Tuple]) {
+    for chunk in tuples.chunks(SPILL_BLOCK_ROWS) {
+        app.append(&ColumnarBatch::from_tuples(schema.clone(), chunk));
+    }
+}
+
 impl CacheEntry {
     fn seal(schema: &SchemaRef, tuples: &[Tuple]) -> CacheEntry {
         let mut app = BlockAppender::new();
-        for chunk in tuples.chunks(SPILL_BLOCK_ROWS) {
-            let batch = ColumnarBatch::from_tuples(schema.clone(), chunk);
-            app.append(&batch);
-        }
-        let segment = app.seal();
-        let m = segment.manifest();
-        CacheEntry {
-            rows: m.row_count,
-            blocks: m.block_count,
-            bytes: m.compressed_bytes,
-            segment,
-        }
+        append_rows(&mut app, schema, tuples);
+        CacheEntry::from_segment(app.seal())
     }
 
-    /// Wrap a decoded persisted segment (already checksum-validated).
+    /// Seal what a run recorded, as it was recorded, keeping its order.
+    /// Consecutive row runs are sealed as one run of rows — the blocks
+    /// [`CacheEntry::seal`] cuts from the same rows. A sealed batch
+    /// becomes blocks directly, gathered only where it exceeds
+    /// [`SPILL_BLOCK_ROWS`]: no row is built to be taken apart again, and
+    /// a block never spans two batches.
+    fn seal_runs(schema: &SchemaRef, runs: Vec<Emitted>) -> CacheEntry {
+        let mut app = BlockAppender::new();
+        let mut rows: Vec<Tuple> = Vec::new();
+        for run in runs {
+            match run {
+                Emitted::Rows(run) if rows.is_empty() => rows = run,
+                Emitted::Rows(mut run) => rows.append(&mut run),
+                Emitted::Columnar(batch) => {
+                    append_rows(&mut app, schema, &rows);
+                    rows.clear();
+                    for block in batch.chunks(SPILL_BLOCK_ROWS) {
+                        app.append(&block);
+                    }
+                }
+            }
+        }
+        append_rows(&mut app, schema, &rows);
+        CacheEntry::from_segment(app.seal())
+    }
+
+    /// Wrap a sealed segment (a persisted one is already
+    /// checksum-validated).
     fn from_segment(segment: Segment) -> CacheEntry {
         let m = segment.manifest();
         CacheEntry {
@@ -378,7 +402,17 @@ impl ResultCache {
         owner: Option<&str>,
     ) -> PublishOutcome {
         // Seal outside the lock; insertion re-checks for a racing writer.
-        let entry = CacheEntry::seal(schema, tuples);
+        self.publish_entry(fp, CacheEntry::seal(schema, tuples), recompute_cost, owner)
+    }
+
+    /// The one way into the cache: admit a sealed `entry` under `fp`.
+    fn publish_entry(
+        &self,
+        fp: OpFingerprint,
+        entry: CacheEntry,
+        recompute_cost: SimDuration,
+        owner: Option<&str>,
+    ) -> PublishOutcome {
         let bytes = entry.bytes;
         let mut inner = lock(&self.inner);
         if inner.entries.contains_key(&fp.0) {
@@ -806,7 +840,8 @@ pub struct CacheRecording {
     setup: SimDuration,
     per_tuple: SimDuration,
     /// What was routed, in routing order. A columnar batch stays sealed
-    /// (two reference counts) until commit.
+    /// (two reference counts) until commit, which turns it into blocks
+    /// as it is ([`CacheEntry::seal_runs`]).
     runs: Mutex<Vec<Emitted>>,
 }
 
@@ -1001,9 +1036,10 @@ pub fn commit_recordings_as(
     let mut stats = CommitStats::default();
     for r in recordings {
         let runs = std::mem::take(&mut *lock(&r.runs));
-        let rows: Vec<Tuple> = runs.into_iter().flat_map(Emitted::into_rows).collect();
-        let cost = r.setup + r.per_tuple * rows.len() as u64;
-        let out = cache.publish_costed(r.fingerprint, &r.schema, &rows, cost, owner);
+        let rows: usize = runs.iter().map(Emitted::len).sum();
+        let cost = r.setup + r.per_tuple * rows as u64;
+        let entry = CacheEntry::seal_runs(&r.schema, runs);
+        let out = cache.publish_entry(r.fingerprint, entry, cost, owner);
         stats.published += out.added;
         stats.evictions += out.evictions;
         stats.evicted_bytes += out.evicted_bytes;
@@ -1555,6 +1591,75 @@ mod tests {
         assert!(skips > 0, "the recorded filter read sealed batches");
         assert_eq!(row_only, (0..100).collect::<Vec<i64>>());
         assert_eq!(columnar, row_only);
+
+        // The same 1 400 rows recorded in every shape a tee can see —
+        // rows only, sealed batches only (shorter than a block, longer
+        // than two, exactly one), the two interleaved — commit to the same
+        // rows in the same order. `(shape, blocks)`: row runs are cut
+        // every `SPILL_BLOCK_ROWS` rows across runs, as `publish` cuts
+        // them; a batch is cut on its own, so an entry recorded as batches
+        // holds more, shorter blocks.
+        let all = rows(1_400);
+        let sealed = |from: usize, to: usize| {
+            Emitted::Columnar(ColumnarBatch::from_tuples(schema(), &all[from..to]))
+        };
+        let run = |from: usize, to: usize| Emitted::Rows(all[from..to].to_vec());
+        let shapes = [
+            (vec![run(0, 1_400)], 3),
+            (vec![run(0, 300), run(300, 301), run(301, 1_400)], 3),
+            (
+                vec![sealed(0, 16), sealed(16, 1_300), sealed(1_300, 1_400)],
+                1 + 3 + 1,
+            ),
+            (
+                vec![sealed(0, 512), sealed(512, 1_024), sealed(1_024, 1_400)],
+                3,
+            ),
+            (
+                vec![
+                    run(0, 600),
+                    sealed(600, 700),
+                    run(700, 710),
+                    run(710, 1_300),
+                    sealed(1_300, 1_400),
+                ],
+                2 + 1 + 2 + 1,
+            ),
+        ];
+        let (wf, _) = linear(1);
+        let mut row_entry_bytes = None;
+        for (runs, blocks) in shapes {
+            let cache = ResultCache::new();
+            let plan = prepare(&wf, &cache, SimDuration::from_micros(900));
+            runs.into_iter().for_each(|r| plan.recordings[0].tee(r));
+            let added = commit_recordings(&plan.recordings[..1], &cache);
+            let entry = cache.lookup(wf.fingerprint(OpId(0))).unwrap();
+            assert_eq!(entry.tuples(), all);
+            assert_eq!((entry.rows(), entry.blocks()), (1_400, blocks));
+            assert_eq!(entry.bytes(), added);
+            // What a recording of row runs publishes is what `publish`
+            // seals from the same rows, to the byte.
+            if blocks == 3 {
+                let bytes = *row_entry_bytes.get_or_insert(added);
+                assert_eq!(added, bytes);
+                assert_eq!(
+                    ResultCache::new().publish(OpFingerprint(1), &schema(), &all),
+                    bytes
+                );
+            }
+            // The block count is what a hit charges: `hit_blocks`, and
+            // `cache_read_per_block` on one worker's setup.
+            let warm = prepare(&wf, &cache, SimDuration::from_micros(900));
+            assert_eq!(
+                (warm.hits, warm.hit_blocks, warm.hit_bytes),
+                (1, blocks, added)
+            );
+            let replay = warm.wf.op_by_name("scan").unwrap();
+            assert_eq!(
+                warm.wf.op(replay).factory.cost().setup,
+                SimDuration::from_micros(900) * blocks
+            );
+        }
     }
 
     #[test]

@@ -1236,13 +1236,8 @@ impl Pool {
                 }
             };
             if edge.partitioner.is_broadcast() || edge.dests.len() == 1 {
-                if batch.len() <= meta.batch_size {
-                    send(&edge.dests, batch.clone());
-                } else {
-                    let all: Vec<u32> = (0..batch.len() as u32).collect();
-                    for part in all.chunks(meta.batch_size) {
-                        send(&edge.dests, batch.take(part));
-                    }
+                for part in batch.chunks(meta.batch_size) {
+                    send(&edge.dests, part);
                 }
             } else {
                 edge.partitioner

@@ -2,12 +2,12 @@
 //! spills to the block store as partial-aggregate rows and partitions
 //! merge at completion.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 use scriptflow_datakit::{
-    ColumnVec, ColumnarBatch, DataType, Field, HashKey, Schema, SchemaRef, Tuple, Value,
+    ColumnVec, ColumnarBatch, DataResult, DataType, Field, HashKey, KeyRef, Schema, SchemaRef,
+    Tuple, Value,
 };
 use scriptflow_simcluster::Language;
 
@@ -81,37 +81,6 @@ impl AggState {
             self.sum += x;
             self.min = self.min.min(x);
             self.max = self.max.max(x);
-        }
-    }
-
-    /// Fold one typed column into the state in a single monomorphic
-    /// pass — the columnar sum/min/max/count kernel. Must accumulate
-    /// exactly as `update` called per row would.
-    fn update_column(&mut self, col: &ColumnVec) {
-        self.count += col.len() as u64;
-        match col {
-            ColumnVec::Float { data, validity } => {
-                for (i, &x) in data.iter().enumerate() {
-                    if validity.is_valid(i) {
-                        self.sum += x;
-                        self.min = self.min.min(x);
-                        self.max = self.max.max(x);
-                    }
-                }
-            }
-            ColumnVec::Int { data, validity } => {
-                for (i, &x) in data.iter().enumerate() {
-                    if validity.is_valid(i) {
-                        let x = x as f64;
-                        self.sum += x;
-                        self.min = self.min.min(x);
-                        self.max = self.max.max(x);
-                    }
-                }
-            }
-            // Non-numeric columns contribute rows to `count` only, the
-            // same as `Value::as_float() == None` on the row path.
-            _ => {}
         }
     }
 
@@ -205,6 +174,186 @@ struct AggSpill {
     parts: Vec<PartitionWriter>,
 }
 
+/// The group table, one per instance, serving `on_tuple`, `on_batch`
+/// and the spill merge: groups in first-seen order — the output order —
+/// under an open-addressed index keyed by a hash of the key *cells*
+/// ([`KeyRef`]: `-0.0 == 0.0`, all NaNs equal, null equals null), so a
+/// lookup builds no key and a new group costs its representative values
+/// only.
+struct GroupTable {
+    /// Aggregations per group.
+    aggs: usize,
+    /// Each group's key values as first seen.
+    reps: Vec<Vec<Value>>,
+    /// `aggs` running states per group, group-major.
+    states: Vec<AggState>,
+    /// Each group's key hash, kept for growing the index.
+    hashes: Vec<u64>,
+    /// Group id + 1 per slot, 0 for an empty one; a power of two long and
+    /// at most half full.
+    slots: Vec<u32>,
+    /// Keys come from the data: the hash stays seeded per table.
+    hasher: RandomState,
+    /// In-memory footprint of the groups held, what a budget compares.
+    bytes: usize,
+}
+
+impl GroupTable {
+    fn new(aggs: usize) -> GroupTable {
+        GroupTable {
+            aggs,
+            reps: Vec::new(),
+            states: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![0; 16],
+            hasher: RandomState::new(),
+            bytes: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.reps.is_empty()
+    }
+
+    /// `hash`, a row's key hash so far, with one more key cell folded in.
+    fn fold(&self, hash: u64, cell: KeyRef<'_>) -> u64 {
+        (hash.rotate_left(5) ^ self.hasher.hash_one(cell)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// The group whose key hashes to `hash` and satisfies `same`, added
+    /// with the key values `rep` builds if this is its first row.
+    fn find_or_insert(
+        &mut self,
+        hash: u64,
+        same: impl Fn(&[Value]) -> bool,
+        rep: impl FnOnce() -> Vec<Value>,
+    ) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while let Some(g) = (self.slots[at] as usize).checked_sub(1) {
+            if self.hashes[g] == hash && same(&self.reps[g]) {
+                return g;
+            }
+            at = (at + 1) & mask;
+        }
+        let g = self.reps.len();
+        let rep = rep();
+        // Per-group footprint: the representative values' stable wire
+        // size plus the fixed per-group bookkeeping (agg states, index
+        // entry). Updates to existing groups don't grow state.
+        self.bytes += rep.iter().map(Value::encoded_len).sum::<usize>() + 32 * self.aggs + 48;
+        self.reps.push(rep);
+        self.hashes.push(hash);
+        self.states
+            .extend(std::iter::repeat_with(AggState::new).take(self.aggs));
+        self.slots[at] = u32::try_from(g + 1).expect("fewer than 2^32 groups in memory");
+        if self.reps.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        g
+    }
+
+    /// Double the index and re-seat every group by its kept hash.
+    fn grow(&mut self) {
+        let mask = self.slots.len() * 2 - 1;
+        self.slots = vec![0; mask + 1];
+        for (g, hash) in self.hashes.iter().enumerate() {
+            let mut at = *hash as usize & mask;
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = g as u32 + 1;
+        }
+    }
+
+    /// The group of a row given as its key values (none for a global
+    /// aggregate). Allocates only for a group's first row.
+    fn group_of<'a>(
+        &mut self,
+        cells: impl Iterator<Item = &'a Value> + Clone,
+    ) -> DataResult<usize> {
+        let mut hash = 0;
+        for v in cells.clone() {
+            hash = self.fold(hash, KeyRef::of(v)?);
+        }
+        Ok(self.find_or_insert(
+            hash,
+            |rep| {
+                let same = |(r, v)| KeyRef::of(r) == KeyRef::of(v);
+                rep.iter().zip(cells.clone()).all(same)
+            },
+            || cells.clone().cloned().collect(),
+        ))
+    }
+
+    /// The group of every row of a batch, keys read off the typed
+    /// `columns`: hashed a column at a time, then resolved row by row so
+    /// groups are numbered in first-seen order.
+    fn groups_of(&mut self, columns: &[&ColumnVec], rows: usize) -> DataResult<Vec<u32>> {
+        let mut hashes = vec![0u64; rows];
+        for col in columns {
+            for (i, hash) in hashes.iter_mut().enumerate() {
+                *hash = self.fold(*hash, col.key_at(i)?);
+            }
+        }
+        let group = |(i, hash)| {
+            let cell = |(col, v): (&&ColumnVec, &Value)| col.key_at(i) == KeyRef::of(v);
+            self.find_or_insert(
+                hash,
+                |rep| columns.iter().zip(rep).all(cell),
+                || columns.iter().map(|col| col.value_at(i)).collect(),
+            ) as u32
+        };
+        Ok(hashes.into_iter().enumerate().map(group).collect())
+    }
+
+    /// Group `g`'s states, one per aggregation.
+    fn states_mut(&mut self, g: usize) -> &mut [AggState] {
+        &mut self.states[g * self.aggs..][..self.aggs]
+    }
+
+    /// Fold one input column into aggregation `agg` of each row's group
+    /// (`groups[i]` is row `i`'s), a single monomorphic pass in row order
+    /// — each state accumulates exactly as `update` called per row would.
+    /// `None` is an aggregation that reads no column (`Count`).
+    fn update_column(&mut self, agg: usize, groups: &[u32], col: Option<&ColumnVec>) {
+        let aggs = self.aggs;
+        let mut update = |i: usize, x: Option<f64>| {
+            self.states[groups[i] as usize * aggs + agg].update(x);
+        };
+        match col {
+            Some(ColumnVec::Float { data, validity }) => {
+                for (i, &x) in data.iter().enumerate() {
+                    update(i, validity.is_valid(i).then_some(x));
+                }
+            }
+            Some(ColumnVec::Int { data, validity }) => {
+                for (i, &x) in data.iter().enumerate() {
+                    update(i, validity.is_valid(i).then_some(x as f64));
+                }
+            }
+            // Non-numeric columns contribute rows to `count` only, the
+            // same as `Value::as_float() == None` on the row path.
+            _ => (0..groups.len()).for_each(|i| update(i, None)),
+        }
+    }
+
+    /// Every group's key values and states, in first-seen order.
+    fn iter(&self) -> impl Iterator<Item = (&[Value], &[AggState])> {
+        let reps = self.reps.iter().map(Vec::as_slice);
+        reps.zip(self.states.chunks(self.aggs))
+    }
+
+    /// Forget every group (the index keeps its size).
+    fn clear(&mut self) {
+        self.reps.clear();
+        self.states.clear();
+        self.hashes.clear();
+        self.slots.fill(0);
+        self.bytes = 0;
+    }
+}
+
 struct AggregateInstance {
     name: String,
     group_by: Vec<String>,
@@ -212,13 +361,9 @@ struct AggregateInstance {
     // Derived from the first input tuple's schema (blocking operators
     // see data before they emit, so this is always available in time).
     out_schema: Option<SchemaRef>,
-    // Group key -> (representative group values, per-agg state). Insertion
-    // order preserved for deterministic output.
-    groups: HashMap<HashKey, (Vec<Value>, Vec<AggState>)>,
-    order: Vec<HashKey>,
+    groups: GroupTable,
     budget: Option<usize>,
     budget_fixed: bool,
-    groups_bytes: usize,
     spill: Option<AggSpill>,
     // The group columns' indices in the input tuples, and those of
     // `inputs`: the input column of every aggregation that reads one, in
@@ -241,44 +386,22 @@ impl Operator for AggregateInstance {
         _port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        if self.out_schema.is_none() {
-            let derived =
-                self.derive_schema(tuple.schema())
-                    .map_err(|e| WorkflowError::SchemaError {
-                        operator: self.name.clone(),
-                        error: e,
-                    })?;
-            self.out_schema = Some(Arc::new(derived));
-        }
+        self.ensure_out_schema(tuple.schema())?;
         let wrap = |e| WorkflowError::from_data(&self.name, e);
         let group =
             resolve_columns(&mut self.group_idx, tuple.schema(), &self.group_by).map_err(wrap)?;
         let inputs =
             resolve_columns(&mut self.input_idx, tuple.schema(), &self.inputs).map_err(wrap)?;
-        let key = if group.is_empty() {
-            HashKey::Null
-        } else {
-            HashKey::from_tuple_indexed(&tuple, group).map_err(wrap)?
-        };
-        let (_, states) = match self.groups.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let rep: Vec<Value> = group.iter().map(|&i| tuple.at(i).clone()).collect();
-                // Per-group footprint: the representative values' stable wire
-                // size plus the fixed per-group bookkeeping (agg states, map
-                // entry). Updates to existing groups don't grow state.
-                self.groups_bytes +=
-                    rep.iter().map(Value::encoded_len).sum::<usize>() + 32 * self.aggs.len() + 48;
-                self.order.push(e.key().clone());
-                e.insert((rep, self.aggs.iter().map(|_| AggState::new()).collect()))
-            }
-        };
+        let g = self
+            .groups
+            .group_of(group.iter().map(|&i| tuple.at(i)))
+            .map_err(wrap)?;
         let mut inputs = inputs.iter();
-        for (agg, state) in self.aggs.iter().zip(states) {
+        for (agg, state) in self.aggs.iter().zip(self.groups.states_mut(g)) {
             let column = agg.input_column().and_then(|_| inputs.next());
             state.update(column.and_then(|&i| tuple.at(i).as_float()));
         }
-        if self.budget.is_some_and(|b| self.groups_bytes > b) {
+        if self.budget.is_some_and(|b| self.groups.bytes > b) {
             self.flush_groups(out)?;
         }
         Ok(())
@@ -290,52 +413,28 @@ impl Operator for AggregateInstance {
         port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        if !self.group_by.is_empty() {
-            // Grouped aggregation keys per row; stay on the row path.
+        if self.budget.is_some() {
+            // Budgeted: the row path compares the groups' footprint with
+            // the budget, and flushes, per tuple.
             return rows_through(self, batch, port, out);
         }
         if batch.is_empty() {
             return Ok(());
         }
-        if self.out_schema.is_none() {
-            let derived =
-                self.derive_schema(batch.schema())
-                    .map_err(|e| WorkflowError::SchemaError {
-                        operator: self.name.clone(),
-                        error: e,
-                    })?;
-            self.out_schema = Some(Arc::new(derived));
-        }
-        let mut idxs = Vec::with_capacity(self.aggs.len());
-        for a in &self.aggs {
-            idxs.push(match a.input_column() {
-                Some(c) => Some(
-                    batch
-                        .schema()
-                        .index_of(c)
-                        .map_err(|e| WorkflowError::from_data(&self.name, e))?,
-                ),
-                None => None,
-            });
-        }
-        let key = HashKey::Null;
-        if !self.groups.contains_key(&key) {
-            self.groups.insert(
-                key.clone(),
-                (
-                    Vec::new(),
-                    self.aggs.iter().map(|_| AggState::new()).collect(),
-                ),
-            );
-            self.order.push(key.clone());
-        }
-        let (_, states) = self.groups.get_mut(&key).expect("inserted above");
+        self.ensure_out_schema(batch.schema())?;
+        let wrap = |e| WorkflowError::from_data(&self.name, e);
+        let group =
+            resolve_columns(&mut self.group_idx, batch.schema(), &self.group_by).map_err(wrap)?;
+        let inputs =
+            resolve_columns(&mut self.input_idx, batch.schema(), &self.inputs).map_err(wrap)?;
+        let keys: Vec<&ColumnVec> = group.iter().map(|&i| batch.column(i)).collect();
+        let groups = self.groups.groups_of(&keys, batch.len()).map_err(wrap)?;
         // Columnar kernels: one monomorphic pass per aggregation.
-        for (state, idx) in states.iter_mut().zip(idxs) {
-            match idx {
-                Some(i) => state.update_column(batch.column(i)),
-                None => state.count += batch.len() as u64,
-            }
+        let mut inputs = inputs.iter();
+        for (a, agg) in self.aggs.iter().enumerate() {
+            let column = agg.input_column().and_then(|_| inputs.next());
+            self.groups
+                .update_column(a, &groups, column.map(|&i| batch.column(i)));
         }
         Ok(())
     }
@@ -361,28 +460,43 @@ impl Operator for AggregateInstance {
             }
             return Ok(());
         }
-        for key in &self.order {
-            let (rep, states) = &self.groups[key];
-            let finished = self.aggs.iter().zip(states).map(|(agg, st)| st.finish(agg));
-            let values = rep.iter().cloned().chain(finished);
-            out.emit(Tuple::collect_unchecked(schema.clone(), values));
-        }
+        self.emit_groups(&self.groups, &schema, out);
         self.groups.clear();
-        self.order.clear();
         Ok(())
     }
 }
 
 impl AggregateInstance {
-    fn derive_schema(&self, input: &SchemaRef) -> Result<Schema, scriptflow_datakit::DataError> {
-        let mut fields = Vec::with_capacity(self.group_by.len() + self.aggs.len());
-        for g in &self.group_by {
-            fields.push(input.field(g)?.clone());
+    /// Derive (once) the output schema from the first input's schema
+    /// (blocking operators see data before they emit, so this is always
+    /// available in time).
+    fn ensure_out_schema(&mut self, input: &SchemaRef) -> WorkflowResult<()> {
+        if self.out_schema.is_some() {
+            return Ok(());
         }
-        for a in &self.aggs {
-            fields.push(a.output_field());
+        let derive = || {
+            let mut fields = Vec::with_capacity(self.group_by.len() + self.aggs.len());
+            for g in &self.group_by {
+                fields.push(input.field(g)?.clone());
+            }
+            fields.extend(self.aggs.iter().map(AggFn::output_field));
+            Schema::new(fields)
+        };
+        let derived = derive().map_err(|e| WorkflowError::SchemaError {
+            operator: self.name.clone(),
+            error: e,
+        })?;
+        self.out_schema = Some(Arc::new(derived));
+        Ok(())
+    }
+
+    /// Emit one finished row per group of `table`, in first-seen order.
+    fn emit_groups(&self, table: &GroupTable, schema: &SchemaRef, out: &mut OutputCollector) {
+        for (rep, states) in table.iter() {
+            let finished = self.aggs.iter().zip(states).map(|(agg, st)| st.finish(agg));
+            let values = rep.iter().cloned().chain(finished);
+            out.emit(Tuple::collect_unchecked(schema.clone(), values));
         }
-        Schema::new(fields)
     }
 
     /// Lazily build the spill partitions and the partial-row schema:
@@ -416,7 +530,6 @@ impl AggregateInstance {
     /// partial-aggregate row and reset the in-memory footprint.
     fn flush_groups(&mut self, out: &mut OutputCollector) -> WorkflowResult<()> {
         if self.groups.is_empty() {
-            self.groups_bytes = 0;
             return Ok(());
         }
         self.ensure_spill()?;
@@ -424,23 +537,30 @@ impl AggregateInstance {
             .budget
             .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
         let spill = self.spill.as_mut().expect("ensured above");
-        let mut groups = std::mem::take(&mut self.groups);
-        for key in std::mem::take(&mut self.order) {
-            let (mut values, states) = groups.remove(&key).expect("order tracks group keys");
-            for st in &states {
-                values.push(Value::Int(st.count as i64));
-                values.push(Value::Float(st.sum));
-                values.push(Value::Float(st.min));
-                values.push(Value::Float(st.max));
-            }
-            let bucket = key.bucket_salted(0, SPILL_FANOUT);
-            spill.parts[bucket].push(
-                Tuple::new_unchecked(spill.partial_schema.clone(), values),
-                flush_at,
-                out,
+        let key_columns: Vec<usize> = (0..self.group_by.len()).collect();
+        for (rep, states) in self.groups.iter() {
+            let partials = states.iter().flat_map(|st| {
+                [
+                    Value::Int(st.count as i64),
+                    Value::Float(st.sum),
+                    Value::Float(st.min),
+                    Value::Float(st.max),
+                ]
+            });
+            let partial = Tuple::collect_unchecked(
+                spill.partial_schema.clone(),
+                rep.iter().cloned().chain(partials),
             );
+            // The owned key is built here, once per flushed group, for
+            // the partition hash the grace join shares.
+            let key = match key_columns.len() {
+                0 => HashKey::Null,
+                _ => HashKey::from_tuple_indexed(&partial, &key_columns)
+                    .map_err(|e| WorkflowError::from_data(&self.name, e))?,
+            };
+            spill.parts[key.bucket_salted(0, SPILL_FANOUT)].push(partial, flush_at, out);
         }
-        self.groups_bytes = 0;
+        self.groups.clear();
         Ok(())
     }
 
@@ -455,44 +575,22 @@ impl AggregateInstance {
         schema: &SchemaRef,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        let tuples = read_segment(seg, out).map_err(|e| WorkflowError::from_data(&self.name, e))?;
-        let cols: Vec<&str> = self.group_by.iter().map(String::as_str).collect();
-        let g = cols.len();
-        let mut merged: HashMap<HashKey, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-        let mut order: Vec<HashKey> = Vec::new();
-        for t in tuples {
-            let key = if cols.is_empty() {
-                HashKey::Null
-            } else {
-                HashKey::from_tuple(&t, &cols)
-                    .map_err(|e| WorkflowError::from_data(&self.name, e))?
-            };
+        let wrap = |e| WorkflowError::from_data(&self.name, e);
+        let g = self.group_by.len();
+        let mut merged = GroupTable::new(self.aggs.len());
+        for t in read_segment(seg, out).map_err(wrap)? {
             let vals = t.values();
-            let entry = merged.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (
-                    vals[..g].to_vec(),
-                    self.aggs.iter().map(|_| AggState::new()).collect(),
-                )
-            });
-            for (i, st) in entry.1.iter_mut().enumerate() {
-                let base = g + 4 * i;
-                st.count += vals[base].as_int().unwrap_or(0).max(0) as u64;
-                st.sum += vals[base + 1].as_float().unwrap_or(0.0);
-                st.min = st
-                    .min
-                    .min(vals[base + 2].as_float().unwrap_or(f64::INFINITY));
+            let group = merged.group_of(vals[..g].iter()).map_err(wrap)?;
+            for (st, partial) in merged.states_mut(group).iter_mut().zip(vals[g..].chunks(4)) {
+                st.count += partial[0].as_int().unwrap_or(0).max(0) as u64;
+                st.sum += partial[1].as_float().unwrap_or(0.0);
+                st.min = st.min.min(partial[2].as_float().unwrap_or(f64::INFINITY));
                 st.max = st
                     .max
-                    .max(vals[base + 3].as_float().unwrap_or(f64::NEG_INFINITY));
+                    .max(partial[3].as_float().unwrap_or(f64::NEG_INFINITY));
             }
         }
-        for key in order {
-            let (rep, states) = &merged[&key];
-            let finished = self.aggs.iter().zip(states).map(|(agg, st)| st.finish(agg));
-            let values = rep.iter().cloned().chain(finished);
-            out.emit(Tuple::collect_unchecked(schema.clone(), values));
-        }
+        self.emit_groups(&merged, schema, out);
         Ok(())
     }
 }
@@ -553,11 +651,9 @@ impl OperatorFactory for AggregateOp {
             group_by: self.group_by.clone(),
             aggs: self.aggs.clone(),
             out_schema: None,
-            groups: HashMap::new(),
-            order: Vec::new(),
+            groups: GroupTable::new(self.aggs.len()),
             budget: self.memory_budget,
             budget_fixed: self.memory_budget.is_some(),
-            groups_bytes: 0,
             spill: None,
             group_idx: None,
             inputs: self
@@ -570,7 +666,7 @@ impl OperatorFactory for AggregateOp {
     }
 
     fn batch_kernel(&self) -> bool {
-        self.group_by.is_empty()
+        true
     }
 
     fn fingerprint(&self) -> OpFingerprint {
@@ -690,29 +786,176 @@ mod tests {
         assert_eq!(row_out.take(), col_out.take());
     }
 
-    #[test]
-    fn columnar_grouped_falls_back_to_rows() {
-        let op = agg_all();
-        let cb = ColumnarBatch::from_rows(
-            Schema::of(&[("cat", DataType::Str), ("x", DataType::Float)]),
+    /// Drive `op` over `batches` three ways — every batch through
+    /// `on_batch`, every row through `on_tuple`, and the two alternating
+    /// batch by batch into one instance — and check that all three emit
+    /// the same rows in the same order and spill the same blocks. Returns
+    /// the rows, rendered.
+    fn kernel_against_rows(op: &AggregateOp, batches: &[ColumnarBatch]) -> Vec<String> {
+        let run = |as_batch: &dyn Fn(usize) -> bool| {
+            let mut inst = op.create();
+            let mut out = OutputCollector::new();
+            for (i, batch) in batches.iter().enumerate() {
+                if as_batch(i) {
+                    inst.on_batch(batch, 0, &mut out).unwrap();
+                } else {
+                    for t in batch.to_tuples() {
+                        inst.on_tuple(t, 0, &mut out).unwrap();
+                    }
+                }
+                assert!(out.is_empty(), "blocking op must not emit early");
+            }
+            inst.on_port_complete(0, &mut out).unwrap();
+            let blocks = out.spilled_blocks();
+            let rows: Vec<String> = out.take().iter().map(|t| format!("{t:?}")).collect();
+            (rows, blocks)
+        };
+        let by_row = run(&|_| false);
+        assert_eq!(run(&|_| true), by_row, "kernel");
+        assert_eq!(run(&|i| i % 2 == 0), by_row, "interleaved, batch first");
+        assert_eq!(run(&|i| i % 2 == 1), by_row, "interleaved, rows first");
+        by_row.0
+    }
+
+    /// `(cat, k, x, tag)` batches of 40 rows: a `Str` and an `Int` group
+    /// column with null cells, a float input whose sum depends on the
+    /// order it is added in, and a non-numeric column.
+    fn mixed_batches(n: i64) -> Vec<ColumnarBatch> {
+        let schema = Schema::of(&[
+            ("cat", DataType::Str),
+            ("k", DataType::Int),
+            ("x", DataType::Float),
+            ("tag", DataType::Str),
+        ]);
+        let row = |i: i64| {
             vec![
-                vec![Value::Str("a".into()), Value::Float(1.0)],
-                vec![Value::Str("b".into()), Value::Float(10.0)],
-                vec![Value::Str("a".into()), Value::Float(3.0)],
+                match i % 5 {
+                    0 => Value::Null,
+                    c => Value::Str(format!("c{c}")),
+                },
+                match i % 3 {
+                    0 => Value::Null,
+                    k => Value::Int(k),
+                },
+                match i % 7 {
+                    0 => Value::Null,
+                    _ => Value::Float(0.1 * i as f64),
+                },
+                Value::Str(format!("t{i}")),
+            ]
+        };
+        let rows: Vec<Vec<Value>> = (0..n).map(row).collect();
+        rows.chunks(40)
+            .map(|c| ColumnarBatch::from_rows(schema.clone(), c.to_vec()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn columnar_grouped_kernel_matches_row_path() {
+        let batches = mixed_batches(200);
+        // Composite `Str` + `Int` groups, null cells included; `Avg` over
+        // the non-numeric column counts rows and sums nothing.
+        let op = AggregateOp::new(
+            "agg",
+            &["cat", "k"],
+            vec![
+                AggFn::Count("n".into()),
+                AggFn::Sum("x".into()),
+                AggFn::Avg("x".into()),
+                AggFn::Min("x".into()),
+                AggFn::Max("x".into()),
+                AggFn::Avg("tag".into()),
             ],
-        )
-        .unwrap();
-        let mut inst = op.create();
+        );
+        let rows = kernel_against_rows(&op, &batches);
+        assert_eq!(rows.len(), 15);
+        // First-seen order: row 0 is (null, null), row 1 (c1, 1), ...
+        assert!(rows[0].contains("[Null, Null, Int(14)"), "{}", rows[0]);
+        assert!(
+            rows[1].contains("[Str(\"c1\"), Int(1), Int(14)"),
+            "{}",
+            rows[1]
+        );
+        assert!(rows[1].ends_with("Float(0.0)] }"), "{}", rows[1]);
+        // One column, and no columns at all.
+        for group_by in [&["cat"][..], &["k"], &[]] {
+            let op = AggregateOp::new(
+                "agg",
+                group_by,
+                vec![AggFn::Sum("x".into()), AggFn::Count("n".into())],
+            );
+            kernel_against_rows(&op, &batches);
+        }
+    }
+
+    #[test]
+    fn grouped_kernel_folds_float_keys_as_hash_key_does() {
+        let schema = Schema::of(&[("f", DataType::Float), ("b", DataType::Bool)]);
+        let keys = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, 0.0];
+        let rows = keys.iter().enumerate();
+        let rows = rows
+            .map(|(i, &f)| vec![Value::Float(f), Value::Bool(i % 2 == 0)])
+            .collect();
+        let batch = ColumnarBatch::from_rows(schema, rows).unwrap();
+        let count = vec![AggFn::Count("n".into())];
+        let by_float = kernel_against_rows(
+            &AggregateOp::new("agg", &["f"], count.clone()),
+            std::slice::from_ref(&batch),
+        );
+        // Both zeros are one group, every NaN another; the key shown is
+        // the first one seen.
+        assert_eq!(by_float.len(), 3);
+        assert!(
+            by_float[0].contains("[Float(0.0), Int(3)]"),
+            "{}",
+            by_float[0]
+        );
+        assert!(
+            by_float[1].contains("[Float(NaN), Int(2)]"),
+            "{}",
+            by_float[1]
+        );
+        let by_both = kernel_against_rows(&AggregateOp::new("agg", &["b", "f"], count), &[batch]);
+        assert_eq!(by_both.len(), 5);
+    }
+
+    #[test]
+    fn budgeted_instance_flushes_the_same_partials_from_batches_as_from_rows() {
+        let batches = mixed_batches(400);
+        let aggs = vec![AggFn::Count("n".into()), AggFn::Sum("x".into())];
+        let unbounded = AggregateOp::new("agg", &["cat", "k"], aggs.clone());
+        let budgeted = AggregateOp::new("agg", &["cat", "k"], aggs).with_memory_budget(256);
+        let spilled = kernel_against_rows(&budgeted, &batches);
+        // The merge emits partition by partition: the same groups as the
+        // in-memory run, in another order.
+        let sorted = |mut rows: Vec<String>| {
+            rows.sort_unstable();
+            rows
+        };
+        assert_eq!(spilled.len(), 15);
+        let in_memory = kernel_against_rows(&unbounded, &batches);
+        // Partial sums merge in another order than rows add in.
+        let counts = |rows: Vec<String>| {
+            let key_and_count = |r: String| r[..r.rfind(", Float").unwrap()].to_owned();
+            sorted(rows.into_iter().map(key_and_count).collect())
+        };
+        assert_eq!(counts(spilled), counts(in_memory));
+    }
+
+    #[test]
+    fn unhashable_group_cells_are_a_typed_error_on_both_paths() {
+        let schema = Schema::of(&[("l", DataType::List)]);
+        let batch =
+            ColumnarBatch::from_rows(schema, vec![vec![Value::List(vec![Value::Int(1)])]]).unwrap();
+        let op = AggregateOp::new("agg", &["l"], vec![AggFn::Count("n".into())]);
         let mut out = OutputCollector::new();
-        inst.on_batch(&cb, 0, &mut out).unwrap();
-        inst.on_port_complete(0, &mut out).unwrap();
-        let rows = out.take();
-        assert_eq!(rows.len(), 2);
-        let a = rows
-            .iter()
-            .find(|t| t.get_str("cat").unwrap() == "a")
-            .unwrap();
-        assert_eq!(a.get_float("sum_x").unwrap(), 4.0);
+        let by_batch = op.create().on_batch(&batch, 0, &mut out).unwrap_err();
+        let by_row = op
+            .create()
+            .on_tuple(batch.tuple_at(0), 0, &mut out)
+            .unwrap_err();
+        assert_eq!(by_batch, by_row);
+        assert!(by_batch.to_string().contains("cannot be used as keys"));
     }
 
     #[test]

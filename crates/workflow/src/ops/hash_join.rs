@@ -213,12 +213,12 @@ impl HashJoinInstance {
         )
     }
 
-    /// Derive (once) the joined output schema from a probe tuple and the
-    /// build side's schema, falling back to the probe schema when the
+    /// Derive (once) the joined output schema from the probe side's and
+    /// the build side's schema, falling back to the probe schema when the
     /// build side is empty (nulls are only padded for LeftOuter anyway).
     fn ensure_out_schema(
         &mut self,
-        probe: &Tuple,
+        probe: &SchemaRef,
         build_schema: Option<&Schema>,
     ) -> WorkflowResult<SchemaRef> {
         if let Some(s) = &self.out_schema {
@@ -226,14 +226,29 @@ impl HashJoinInstance {
         }
         let joined = match build_schema {
             Some(bs) => probe
-                .schema()
                 .join(bs, "_r")
                 .map_err(|e| WorkflowError::from_data(&self.name, e))?,
-            None => (**probe.schema()).clone(),
+            None => (**probe).clone(),
         };
         let schema = Arc::new(joined);
         self.out_schema = Some(schema.clone());
         Ok(schema)
+    }
+
+    /// The joined schema of a probe against the in-memory table, derived
+    /// lazily from the first probe input + any build tuple (the executor
+    /// checked it at build time; this is the instance-local copy).
+    fn table_out_schema(&mut self, probe: &SchemaRef) -> WorkflowResult<SchemaRef> {
+        if let Some(s) = &self.out_schema {
+            return Ok(s.clone());
+        }
+        let build_schema = self
+            .table
+            .values()
+            .next()
+            .and_then(|rows| rows.first())
+            .map(|t| t.schema().clone());
+        self.ensure_out_schema(probe, build_schema.as_deref())
     }
 
     /// Emit join output for one probe tuple against its key's matches.
@@ -385,7 +400,7 @@ impl HashJoinInstance {
                 .map_err(|e| WorkflowError::from_data(&name, e))?;
             let names: Vec<&str> = probe_names.iter().map(String::as_str).collect();
             for t in batch.to_tuples() {
-                let schema = self.ensure_out_schema(&t, build_schema)?;
+                let schema = self.ensure_out_schema(t.schema(), build_schema)?;
                 let key = HashKey::from_tuple(&t, &names)
                     .map_err(|e| WorkflowError::from_data(&name, e))?;
                 Self::emit_probe(&schema, self.join_type, &t, local.get(&key), out);
@@ -442,20 +457,8 @@ impl Operator for HashJoinInstance {
                     spill.probe[key.bucket_salted(0, SPILL_FANOUT)].push(tuple, flush_at, out);
                     return Ok(());
                 }
-                // Derive the joined schema lazily from the first probe
-                // tuple + any build tuple (the executor checked it at
-                // build time; this is the instance-local copy).
-                if self.out_schema.is_none() {
-                    let build_schema = self
-                        .table
-                        .values()
-                        .next()
-                        .and_then(|v| v.first())
-                        .map(|t| (**t.schema()).clone());
-                    self.ensure_out_schema(&tuple, build_schema.as_ref())?;
-                }
-                let schema = self.out_schema.as_ref().expect("derived above");
-                Self::emit_probe(schema, self.join_type, &tuple, self.table.get(&key), out);
+                let schema = self.table_out_schema(tuple.schema())?;
+                Self::emit_probe(&schema, self.join_type, &tuple, self.table.get(&key), out);
                 Ok(())
             }
             other => Err(WorkflowError::OperatorFailed {
@@ -507,73 +510,124 @@ impl Operator for HashJoinInstance {
             // both.
             return rows_through(self, batch, port, out);
         }
-        if port == 0 && self.build_keys.len() == 1 {
-            let idx = batch
-                .schema()
-                .index_of(&self.build_keys[0])
-                .map_err(|e| WorkflowError::from_data(&self.name, e))?;
-            // Fold the whole batch's key range from its sealed stats
-            // (one comparison pair instead of one per build row).
-            let stats = batch.stats().column(idx);
-            if stats.null_count > 0 {
-                self.build_has_null_key = true;
-            }
-            let non_null = batch.len() as u64 - stats.null_count;
-            match (&stats.min, &stats.max) {
-                (Some(min), Some(max)) => {
-                    self.widen_build_range(min);
-                    self.widen_build_range(max);
-                }
-                // Valid rows without an orderable range (NaN, Mixed):
-                // pruning would be unsound from here on.
-                _ if non_null > 0 => self.build_key_range = BuildKeyRange::Poisoned,
-                _ => {}
-            }
-            // Build the hash table from the typed key column: keys come
-            // straight off the dense vector, no per-tuple name lookup.
-            match batch.column(idx) {
-                ColumnVec::Int { data, validity } => {
-                    for (i, &k) in data.iter().enumerate() {
-                        let key = if validity.is_valid(i) {
-                            HashKey::Int(k)
-                        } else {
-                            HashKey::Null
-                        };
-                        self.table.entry(key).or_default().push(batch.tuple_at(i));
-                    }
-                }
-                ColumnVec::Str { data, validity } => {
-                    for (i, k) in data.iter().enumerate() {
-                        let key = if validity.is_valid(i) {
-                            HashKey::Str(k.to_owned())
-                        } else {
-                            HashKey::Null
-                        };
-                        self.table.entry(key).or_default().push(batch.tuple_at(i));
-                    }
-                }
-                col => {
-                    for i in 0..col.len() {
-                        let key = HashKey::from_value(&col.value_at(i))
-                            .map_err(|e| WorkflowError::from_data(&self.name, e))?;
-                        self.table.entry(key).or_default().push(batch.tuple_at(i));
-                    }
-                }
-            }
+        // The kernels read one key column; composite keys take the row
+        // path, and so does a port the join does not have (to its error).
+        let keys = if port == 0 {
+            &self.build_keys
+        } else {
+            &self.probe_keys
+        };
+        let ([key], 0 | 1) = (&keys[..], port) else {
+            return rows_through(self, batch, port, out);
+        };
+        let idx = batch
+            .schema()
+            .index_of(key)
+            .map_err(|e| WorkflowError::from_data(&self.name, e))?;
+        if port == 0 {
+            return self.build_batch(batch, idx);
+        }
+        if self.join_type == JoinType::Inner && self.probe_batch_disjoint(batch, idx) {
+            // Build-side zone map proves zero matches in this batch.
+            out.note_batch_skipped();
             return Ok(());
         }
-        if port == 1 && self.join_type == JoinType::Inner && self.probe_keys.len() == 1 {
-            let idx = batch
-                .schema()
-                .index_of(&self.probe_keys[0])
-                .map_err(|e| WorkflowError::from_data(&self.name, e))?;
-            if self.probe_batch_disjoint(batch, idx) {
-                // Build-side zone map proves zero matches in this batch.
-                out.note_batch_skipped();
-                return Ok(());
+        if self.spill.is_some() {
+            // Grace mode: the build table is on disk and probing is
+            // deferred, partition by partition.
+            return rows_through(self, batch, port, out);
+        }
+        self.probe_batch(batch, idx, out)
+    }
+}
+
+impl HashJoinInstance {
+    /// The build kernel: fold the batch's key range from its sealed stats
+    /// and key every row straight off column `idx` into the one build
+    /// table `on_tuple` fills.
+    fn build_batch(&mut self, batch: &ColumnarBatch, idx: usize) -> WorkflowResult<()> {
+        // One comparison pair per batch instead of one per build row.
+        let stats = batch.stats().column(idx);
+        if stats.null_count > 0 {
+            self.build_has_null_key = true;
+        }
+        let non_null = batch.len() as u64 - stats.null_count;
+        match (&stats.min, &stats.max) {
+            (Some(min), Some(max)) => {
+                self.widen_build_range(min);
+                self.widen_build_range(max);
+            }
+            // Valid rows without an orderable range (NaN, Mixed):
+            // pruning would be unsound from here on.
+            _ if non_null > 0 => self.build_key_range = BuildKeyRange::Poisoned,
+            _ => {}
+        }
+        let col = batch.column(idx);
+        // One scratch key for every row: a string key's buffer is reused,
+        // and only a key the table has not seen is cloned into it.
+        let mut key = HashKey::Null;
+        for i in 0..batch.len() {
+            col.key_at(i)
+                .map_err(|e| WorkflowError::from_data(&self.name, e))?
+                .write_to(&mut key);
+            let row = batch.tuple_at(i);
+            match self.table.get_mut(&key) {
+                Some(rows) => rows.push(row),
+                None => {
+                    self.table.insert(key.clone(), vec![row]);
+                }
             }
         }
-        rows_through(self, batch, port, out)
+        Ok(())
+    }
+
+    /// The probe kernel: look every row's key up off column `idx`, collect
+    /// the `(probe row, matched build row)` pairs in probe-then-match
+    /// order — the order [`HashJoinInstance::emit_probe`] emits in — and
+    /// emit them as one sealed batch: probe columns gathered, build
+    /// columns built from the matched rows' cells, null where a
+    /// `LeftOuter` probe row found no match.
+    fn probe_batch(
+        &mut self,
+        batch: &ColumnarBatch,
+        idx: usize,
+        out: &mut OutputCollector,
+    ) -> WorkflowResult<()> {
+        let schema = self.table_out_schema(batch.schema())?;
+        let wrap = |e| WorkflowError::from_data(&self.name, e);
+        let col = batch.column(idx);
+        let mut key = HashKey::Null;
+        let mut probe_rows: Vec<u32> = Vec::with_capacity(batch.len());
+        let mut build_rows: Vec<Option<&Tuple>> = Vec::with_capacity(batch.len());
+        for i in 0..batch.len() {
+            col.key_at(i).map_err(wrap)?.write_to(&mut key);
+            match self.table.get(&key) {
+                Some(matches) => {
+                    probe_rows.extend(std::iter::repeat_n(i as u32, matches.len()));
+                    build_rows.extend(matches.iter().map(Some));
+                }
+                None if self.join_type == JoinType::LeftOuter => {
+                    probe_rows.push(i as u32);
+                    build_rows.push(None);
+                }
+                None => {}
+            }
+        }
+        if probe_rows.is_empty() {
+            return Ok(());
+        }
+        let probe_arity = batch.schema().arity();
+        let mut columns: Vec<ColumnVec> = (0..probe_arity)
+            .map(|j| batch.column(j).take(&probe_rows))
+            .collect();
+        for (j, field) in schema.fields()[probe_arity..].iter().enumerate() {
+            let cells = build_rows
+                .iter()
+                .map(|m| m.map_or(&Value::Null, |t| t.at(j)));
+            columns.push(ColumnVec::from_cells(field.dtype(), cells));
+        }
+        out.emit_batch(ColumnarBatch::from_columns(schema, columns).map_err(wrap)?);
+        Ok(())
     }
 }
 
@@ -664,6 +718,7 @@ impl OperatorFactory for HashJoinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::Emitted;
     use scriptflow_datakit::DataType;
 
     fn build_tuple(k: i64, tag: &str) -> Tuple {
@@ -812,6 +867,187 @@ mod tests {
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(out.batches_skipped(), 1);
+    }
+
+    /// A build batch `(key, tag)` and a probe batch `(id, key)` over keys
+    /// of type `dtype`.
+    fn keyed(dtype: DataType, build: &[Value], probe: &[Value]) -> (ColumnarBatch, ColumnarBatch) {
+        let rows = |schema: SchemaRef, rows| ColumnarBatch::from_rows(schema, rows).unwrap();
+        let tagged = build.iter().enumerate();
+        let numbered = probe.iter().enumerate();
+        (
+            rows(
+                Schema::of(&[("k", dtype), ("tag", DataType::Str)]),
+                tagged
+                    .map(|(i, k)| vec![k.clone(), Value::Str(format!("b{i}"))])
+                    .collect(),
+            ),
+            rows(
+                Schema::of(&[("id", DataType::Int), ("k", dtype)]),
+                numbered
+                    .map(|(i, k)| vec![Value::Int(i as i64), k.clone()])
+                    .collect(),
+            ),
+        )
+    }
+
+    /// Drive one instance of `op` through `on_batch` and a twin through
+    /// `on_tuple` over the same build batch and probe batches, and check
+    /// that they emit the same rows in the same order. Returns those rows
+    /// rendered, how many sealed batches the kernel instance emitted, and
+    /// how many probe batches it pruned.
+    fn kernel_against_rows(
+        op: &HashJoinOp,
+        build: &ColumnarBatch,
+        probes: &[ColumnarBatch],
+    ) -> (Vec<String>, usize, u64) {
+        let (mut kernel, mut by_row) = (op.create(), op.create());
+        let (mut out, mut row_out) = (OutputCollector::new(), OutputCollector::new());
+        kernel.on_batch(build, 0, &mut out).unwrap();
+        for t in build.to_tuples() {
+            by_row.on_tuple(t, 0, &mut row_out).unwrap();
+        }
+        kernel.on_port_complete(0, &mut out).unwrap();
+        by_row.on_port_complete(0, &mut row_out).unwrap();
+        for probe in probes {
+            kernel.on_batch(probe, 1, &mut out).unwrap();
+            for t in probe.to_tuples() {
+                by_row.on_tuple(t, 1, &mut row_out).unwrap();
+            }
+        }
+        kernel.on_port_complete(1, &mut out).unwrap();
+        by_row.on_port_complete(1, &mut row_out).unwrap();
+        let render = |rows: Vec<Tuple>| rows.iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
+        let skipped = out.batches_skipped();
+        let (mut sealed, mut rows) = (0, Vec::new());
+        for run in out.drain_emitted() {
+            sealed += usize::from(matches!(run, Emitted::Columnar(_)));
+            rows.extend(render(run.into_rows()));
+        }
+        assert_eq!(rows, render(row_out.take()));
+        (rows, sealed, skipped)
+    }
+
+    #[test]
+    fn probe_kernel_emits_the_row_paths_rows_in_order() {
+        let int = |k: i64| Value::Int(k);
+        // Several matches per key, a null build key (matches null probe
+        // keys: Texera's null == null), misses, and a second probe batch.
+        let (build, probe) = keyed(
+            DataType::Int,
+            &[int(1), int(2), Value::Null, int(1), int(2), int(1)],
+            &[int(2), int(9), Value::Null, int(1), Value::Null, int(7)],
+        );
+        let (_, more) = keyed(DataType::Int, &[], &[int(1), int(8)]);
+        for (join_type, matched) in [(JoinType::Inner, 10), (JoinType::LeftOuter, 13)] {
+            let op = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(join_type);
+            let (rows, sealed, _) =
+                kernel_against_rows(&op, &build, &[probe.clone(), more.clone()]);
+            assert_eq!(rows.len(), matched, "{join_type:?}");
+            assert_eq!(sealed, 2, "{join_type:?}: one sealed batch per probe batch");
+            if join_type == JoinType::LeftOuter {
+                // A miss is null-padded on the build side.
+                assert!(rows[2].contains("Int(9), Null, Null"), "{}", rows[2]);
+            }
+        }
+    }
+
+    #[test]
+    fn probe_kernel_reads_str_float_and_bool_keys() {
+        let text = |s: &str| Value::Str(s.into());
+        let cases = [
+            (
+                DataType::Str,
+                vec![text("a"), text(""), text("é"), text("a"), Value::Null],
+                vec![text("é"), text("a"), text("zz"), text(""), Value::Null],
+                5,
+            ),
+            (
+                // -0.0 meets 0.0 and every NaN meets every NaN, as
+                // `HashKey` folds them.
+                DataType::Float,
+                vec![Value::Float(0.0), Value::Float(f64::NAN), Value::Float(1.5)],
+                vec![
+                    Value::Float(-0.0),
+                    Value::Float(-f64::NAN),
+                    Value::Float(2.5),
+                    Value::Float(1.5),
+                ],
+                3,
+            ),
+            (
+                DataType::Bool,
+                vec![Value::Bool(true), Value::Bool(true), Value::Null],
+                vec![Value::Bool(false), Value::Bool(true), Value::Null],
+                3,
+            ),
+        ];
+        for (dtype, build, probe, matched) in cases {
+            let (build, probe) = keyed(dtype, &build, &probe);
+            for join_type in [JoinType::Inner, JoinType::LeftOuter] {
+                let op = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(join_type);
+                let (rows, sealed, _) =
+                    kernel_against_rows(&op, &build, std::slice::from_ref(&probe));
+                // Each probe side holds one key the build side lacks.
+                let outer = usize::from(join_type == JoinType::LeftOuter);
+                assert_eq!(rows.len(), matched + outer, "{dtype} {join_type:?}");
+                assert_eq!(sealed, 1, "{dtype} {join_type:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn probe_kernel_emits_nothing_for_an_empty_build_side_or_an_all_miss_batch() {
+        let int = |k: i64| Value::Int(k);
+        // NaN on the build side poisons its key range, so the all-miss
+        // batch below reaches the kernel rather than the zone map.
+        let (none, probe) = keyed(DataType::Int, &[], &[int(1), Value::Null]);
+        let inner = HashJoinOp::new("j", &["k"], &["k"]);
+        let outer = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(JoinType::LeftOuter);
+        assert_eq!(
+            kernel_against_rows(&inner, &none, std::slice::from_ref(&probe)).1,
+            0
+        );
+        // With nothing to pad from, a left-outer row is the probe row.
+        let (rows, sealed, _) = kernel_against_rows(&outer, &none, &[probe]);
+        assert_eq!((rows.len(), sealed), (2, 1));
+
+        let float = |x: f64| Value::Float(x);
+        let (build, misses) = keyed(
+            DataType::Float,
+            &[float(1.0), float(f64::NAN)],
+            &[float(5.0), float(6.0)],
+        );
+        let (rows, sealed, skipped) = kernel_against_rows(&inner, &build, &[misses]);
+        assert_eq!((rows.len(), sealed, skipped), (0, 0, 0));
+    }
+
+    #[test]
+    fn probe_kernel_keeps_the_zone_map_and_the_grace_fallback() {
+        let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        let build_keys: Vec<i64> = (0..60).map(|i| i % 13).collect();
+        let (build, near) = keyed(DataType::Int, &ints(&build_keys), &ints(&[3, 12, 40, 3]));
+        let (_, far) = keyed(DataType::Int, &[], &ints(&[50, 60]));
+        // In memory: the disjoint batch is pruned and counted, the other
+        // leaves as one sealed batch.
+        let op = HashJoinOp::new("j", &["k"], &["k"]);
+        let (rows, sealed, skipped) =
+            kernel_against_rows(&op, &build, &[far.clone(), near.clone()]);
+        assert_eq!((sealed, skipped), (1, 1));
+        // A probe batch arriving after the build spilled falls back to
+        // the deferred row path: the same rows, none of them sealed.
+        let graced = HashJoinOp::new("j", &["k"], &["k"]).with_memory_budget(256);
+        let (spilled_rows, sealed, skipped) = kernel_against_rows(&graced, &build, &[far, near]);
+        // (The partition-wise join prunes spilled probe blocks as well.)
+        assert!(
+            sealed == 0 && skipped >= 1,
+            "{sealed} sealed, {skipped} skipped"
+        );
+        let sorted = |mut rows: Vec<String>| {
+            rows.sort_unstable();
+            rows
+        };
+        assert_eq!(sorted(spilled_rows), sorted(rows));
     }
 
     fn run_join_budgeted(join_type: JoinType, budget: usize, n: i64) -> (Vec<Tuple>, u64, u64) {

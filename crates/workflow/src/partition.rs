@@ -13,7 +13,7 @@
 //! ([`CompiledPartitioner::route_by_index`]); the name-based
 //! [`PartitionStrategy::route`] remains for ad-hoc callers and tests.
 
-use scriptflow_datakit::{ColumnVec, ColumnarBatch, DataResult, HashKey, Schema, Tuple, Value};
+use scriptflow_datakit::{ColumnarBatch, DataResult, HashKey, KeyRef, Schema, Tuple};
 
 use crate::operator::{WorkflowError, WorkflowResult};
 
@@ -229,27 +229,13 @@ impl CompiledPartitioner {
 /// [`HashKey::from_tuple_indexed`] over row `row` of a columnar batch,
 /// read off the typed columns.
 fn key_at(batch: &ColumnarBatch, indices: &[usize], row: usize) -> DataResult<HashKey> {
-    fn cell(col: &ColumnVec, i: usize) -> DataResult<HashKey> {
-        Ok(match col {
-            ColumnVec::Int { data, validity } if validity.is_valid(i) => HashKey::Int(data[i]),
-            ColumnVec::Bool { data, validity } if validity.is_valid(i) => HashKey::Bool(data[i]),
-            ColumnVec::Str { data, validity } if validity.is_valid(i) => {
-                HashKey::Str(data.get(i).to_owned())
-            }
-            // Floats normalize their bit pattern in one place.
-            ColumnVec::Float { data, validity } if validity.is_valid(i) => {
-                return HashKey::from_value(&Value::Float(data[i]))
-            }
-            ColumnVec::Mixed(data) => return HashKey::from_value(&data[i]),
-            _ => HashKey::Null,
-        })
-    }
+    let cell = |c: usize| batch.column(c).key_at(row).map(KeyRef::to_key);
     if let [only] = indices {
-        return cell(batch.column(*only), row);
+        return cell(*only);
     }
     indices
         .iter()
-        .map(|&c| cell(batch.column(c), row))
+        .map(|&c| cell(c))
         .collect::<DataResult<Vec<_>>>()
         .map(HashKey::Composite)
 }

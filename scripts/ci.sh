@@ -21,6 +21,14 @@ cargo build --release "${CARGO_FLAGS[@]}"
 echo "==> cargo test -q (every crate, every configuration: no env-var legs)"
 cargo test -q "${CARGO_FLAGS[@]}"
 
+# On their own, without the rest of the suite's tests interleaving: the
+# configuration in which the isolation study's over-quota probe used to
+# race the noisy run it probes (ISSUE 22) and lose every time.
+echo "==> cargo test -p scriptflow-study --lib service::tests, three times"
+for _ in 1 2 3; do
+    cargo test -q "${CARGO_FLAGS[@]}" -p scriptflow-study --lib service::tests
+done
+
 echo "==> benchmark crate tests (the API surface the frozen benchmark/ tree compiles against)"
 bash benchmark/run.sh test
 

@@ -256,7 +256,7 @@ fn dice_job() -> (f64, String) {
 
 /// Armed or not, the cache leaves the computed DAG's work as it is.
 const SPILL_CACHE_WORK: &str = "facts 0>100000, sink 240>0, dims 0>256, dims_k_lt 256>240, \
-     facts_v_ge 100000>93914, join 94394>88068, per_key 88068>240, 0 skipped, 688 sent";
+     facts_v_ge 100000>93914, join 94394>88068, per_key 88068>240, 0 skipped, 1377 sent";
 
 /// DICE's 13 operators at 1 000 pairs. ISSUE 21's parent sent the same
 /// tuples in 23 770 batches.
@@ -294,6 +294,19 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
     // 17.21 and 16.77. Tuple counts and skips are the parent's; `sent`
     // fell on every leg with a scattered row edge (592, 980, 1 377 before)
     // and stayed where only sealed batches travel.
+    // At ISSUE 22's parent: 1.41, 0.07, 7.10, 0.04, 6.50, 17.21 and 16.77.
+    // With the join probing and the grouped aggregate folding sealed
+    // batches on their columns, and commit sealing recorded batches as
+    // blocks: `join_aggregate` 0.24, `spill_cache` 0.49, cold 7.21 (what
+    // is left of it is the block store encoding through boxed rows), the
+    // other four where they were. Tuple counts and skips are the
+    // parent's. `sent` moved on the three legs whose join now emits
+    // sealed batches, 304 -> 592 and 688 -> 1 377: the join's hash-
+    // scattered out-edge carries each sealed batch as `w`-ths
+    // (`Pool::forward_columnar` has always scattered a sealed batch that
+    // way; ISSUE 21 coalesced row edges only), where it carried the same
+    // rows coalesced to full batches. No coalescing of sealed batches
+    // here: ROADMAP item 2(c).
     let legs = [
         (
             "filter_chain",
@@ -311,9 +324,9 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
         (
             "join_aggregate",
             Leg::JoinAggregate,
-            7.2,
+            1.0,
             "facts 0>100000, sink 256>0, dims 0>256, join 100512>100000, \
-             per_key 100000>256, 0 skipped, 304 sent",
+             per_key 100000>256, 0 skipped, 592 sent",
         ),
         (
             "udf_chain",
@@ -322,11 +335,11 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
             "docs 0>100000, sink 100000>0, map1 100000>100000, map2 100000>100000, \
              0 skipped, 298 sent",
         ),
-        ("spill_cache", Leg::SpillCache, 6.8, SPILL_CACHE_WORK),
+        ("spill_cache", Leg::SpillCache, 1.0, SPILL_CACHE_WORK),
         (
             "spill_cache_cold",
             Leg::SpillCacheCold,
-            20.2,
+            8.0,
             SPILL_CACHE_WORK,
         ),
         ("dice", Leg::Dice, 18.0, DICE_WORK),

@@ -16,7 +16,7 @@ use scriptflow::datakit::{
 };
 use scriptflow::mlkit::kge::{EmbeddingTable, KgeScorer};
 use scriptflow::simcluster::SplitMix64;
-use scriptflow::workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp};
+use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp};
 use scriptflow::workflow::{
     EngineConfig, LiveExecutor, OperatorFactory, PartitionStrategy, SimExecutor, Workflow,
     WorkflowBuilder, WorkflowError,
@@ -531,17 +531,20 @@ fn schema_join_soundness() {
 type RunDag<'a> = &'a dyn Fn(&Workflow);
 
 /// A drawn DAG that holds both edge forms, run by `run` on a fresh build;
-/// the sorted rows of its two sinks. A sealed scan feeds a
+/// the sorted rows of its three sinks. A sealed scan feeds a
 /// zone-map-eligible `cmp` filter whose batches fan out to a second `cmp`
-/// filter and to a closure filter or a UDF (the batch → row adapter),
-/// whose rows probe a join.
-fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 2] {
+/// filter and to a hop — a closure filter or a UDF (the batch → row
+/// adapter), or a third `cmp` filter — whose rows or batches probe a
+/// join, which feeds its own sink and a grouped aggregate on a drawn
+/// `Int` or `Str` key.
+fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] {
     use scriptflow::workflow::ops::UdfOp;
     let n = rng.range(1..300i64);
     let dim_keys = rng.range(1..12i64);
     let threshold = rng.range(0..300i64);
     let modulus = rng.range(2..7i64);
-    let udf_hop = rng.bool(0.5);
+    let hop_kind = rng.range(0..3usize);
+    let group_by = ["k", "label"][rng.range(0..2usize)];
     let workers = rng.range(1..4usize);
     let fact_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
     let facts = Batch::from_rows(
@@ -551,11 +554,15 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 2] 
             .collect(),
     )
     .unwrap();
-    let dim_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
+    let dim_schema = Schema::of(&[
+        ("k", DataType::Int),
+        ("tag", DataType::Int),
+        ("label", DataType::Str),
+    ]);
     let dims = Batch::from_rows(
         dim_schema,
         (0..dim_keys)
-            .map(|k| vec![Value::Int(k), Value::Int(-k)])
+            .map(|k| vec![Value::Int(k), Value::Int(-k), format!("l{}é", k % 3).into()])
             .collect(),
     )
     .unwrap();
@@ -569,22 +576,31 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 2] 
         let filt = b.add(lt("filt", threshold), workers);
         let narrow = b.add(lt("narrow", threshold / 2), workers);
         let keep = move |t: &Tuple| t.get_int("id").map(|id| id % modulus != 0);
-        let hop: Arc<dyn OperatorFactory> = if udf_hop {
-            let schema = (*fact_schema).clone();
-            Arc::new(UdfOp::new("hop", schema, move |t, _, out| {
-                if keep(&t).map_err(|e| WorkflowError::from_data("hop", e))? {
-                    out.emit(t);
-                }
-                Ok(())
-            }))
-        } else {
-            Arc::new(FilterOp::new("hop", keep))
+        let hop: Arc<dyn OperatorFactory> = match hop_kind {
+            0 => {
+                let schema = (*fact_schema).clone();
+                Arc::new(UdfOp::new("hop", schema, move |t, _, out| {
+                    if keep(&t).map_err(|e| WorkflowError::from_data("hop", e))? {
+                        out.emit(t);
+                    }
+                    Ok(())
+                }))
+            }
+            1 => Arc::new(FilterOp::new("hop", keep)),
+            // A kernel: the join probes sealed batches and emits them.
+            _ => Arc::new(FilterOp::cmp("hop", "k", CmpOp::Ne, Value::Int(modulus))),
         };
         let hop = b.add(hop, workers);
         let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), workers);
-        let sinks = [SinkOp::new("sink"), SinkOp::new("narrow_sink")];
-        let handles = [sinks[0].handle(), sinks[1].handle()];
-        let [sink, narrow_sink] = sinks.map(|op| b.add(Arc::new(op), 1));
+        // Sums of small integers: exact whatever order a backend adds in.
+        let aggs = vec![AggFn::Count("n".into()), AggFn::Sum("id".into())];
+        let agg = b.add(
+            Arc::new(AggregateOp::new("agg", &[group_by], aggs)),
+            workers,
+        );
+        let sinks = ["sink", "narrow_sink", "agg_sink"].map(SinkOp::new);
+        let handles = [0, 1, 2].map(|i| sinks[i].handle());
+        let [sink, narrow_sink, agg_sink] = sinks.map(|op| b.add(Arc::new(op), 1));
         let by_k = PartitionStrategy::Hash(vec!["k".into()]);
         b.connect(fsrc, filt, 0, PartitionStrategy::RoundRobin);
         b.connect(filt, narrow, 0, PartitionStrategy::RoundRobin);
@@ -592,6 +608,8 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 2] 
         b.connect(dsrc, join, 0, by_k.clone());
         b.connect(hop, join, 1, by_k);
         b.connect(join, sink, 0, PartitionStrategy::Single);
+        b.connect(join, agg, 0, PartitionStrategy::Hash(vec![group_by.into()]));
+        b.connect(agg, agg_sink, 0, PartitionStrategy::Single);
         b.connect(narrow, narrow_sink, 0, PartitionStrategy::Single);
         run(&b.build().unwrap());
         handles.map(|h| {
