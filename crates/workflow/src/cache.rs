@@ -84,7 +84,8 @@ use crate::cost::CostProfile;
 use crate::dag::{OpId, Workflow, WorkflowBuilder};
 use crate::metrics::{OpCounters, OperatorMetrics};
 use crate::operator::{
-    Emitted, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+    deal_round_robin, Emitted, OpDescriptor, Operator, OperatorFactory, OutputCollector,
+    WorkflowError, WorkflowResult,
 };
 use crate::spill::SPILL_BLOCK_ROWS;
 use crate::sync::lock;
@@ -635,8 +636,12 @@ impl DiskStore {
     }
 
     /// Read, checksum-verify, and cross-validate one segment image
-    /// against the manifest's counts. Any disagreement is a decode
-    /// error, which the caller turns into a miss.
+    /// against the manifest's counts, then decode every block once: the
+    /// envelope and the checksum vouch for the image, not for the
+    /// payloads inside it, and this is the only place an entry's bytes
+    /// come from outside the process — past it [`CacheEntry::tuples`] is
+    /// infallible. Any disagreement is a decode error, which the caller
+    /// turns into a miss.
     fn load_entry(&self, fp: u128, rows: u64, blocks: u64, bytes: u64) -> io::Result<CacheEntry> {
         let image = std::fs::read(self.entry_path(fp))?;
         let corrupt = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
@@ -644,6 +649,9 @@ impl DiskStore {
         let m = segment.manifest();
         if m.row_count != rows || m.block_count != blocks || m.compressed_bytes != bytes {
             return Err(corrupt("segment disagrees with the cache manifest"));
+        }
+        for block in segment.blocks() {
+            block.decode().map_err(|e| corrupt(&e.to_string()))?;
         }
         Ok(CacheEntry::from_segment(segment))
     }
@@ -743,24 +751,32 @@ impl DiskStore {
 /// so serving a segment costs virtual time proportional to its size
 /// without any event-loop changes.
 pub struct CacheReplayOp {
-    name: String,
+    desc: OpDescriptor,
     schema: SchemaRef,
     entry: Arc<CacheEntry>,
-    read_per_block: SimDuration,
 }
 
 impl CacheReplayOp {
-    fn new(
+    pub(crate) fn new(
         name: &str,
         schema: SchemaRef,
         entry: Arc<CacheEntry>,
         read_per_block: SimDuration,
     ) -> Self {
         CacheReplayOp {
-            name: name.to_owned(),
+            desc: OpDescriptor {
+                cost: CostProfile {
+                    setup: read_per_block * entry.blocks,
+                    per_tuple: SimDuration::ZERO,
+                    per_batch: SimDuration::ZERO,
+                    ..CostProfile::default()
+                },
+                source: true,
+                cache_replay: Some((entry.blocks, entry.bytes)),
+                ..OpDescriptor::new(name, 0)
+            },
             schema,
             entry,
-            read_per_block,
         }
     }
 }
@@ -783,12 +799,8 @@ impl Operator for CacheReplayInstance {
 }
 
 impl OperatorFactory for CacheReplayOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_ports(&self) -> usize {
-        0
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
 
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
@@ -796,34 +808,12 @@ impl OperatorFactory for CacheReplayOp {
         Ok((*self.schema).clone())
     }
 
-    fn cost(&self) -> CostProfile {
-        CostProfile {
-            setup: self.read_per_block * self.entry.blocks,
-            per_tuple: SimDuration::ZERO,
-            per_tuple_ports: Vec::new(),
-            per_batch: SimDuration::ZERO,
-            ..CostProfile::default()
-        }
-    }
-
     fn create(&self) -> Box<dyn Operator> {
         Box::new(CacheReplayInstance)
     }
 
     fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
-        let mut parts: Vec<Vec<Tuple>> = (0..workers.max(1)).map(|_| Vec::new()).collect();
-        for (i, t) in self.entry.tuples().into_iter().enumerate() {
-            parts[i % workers.max(1)].push(t);
-        }
-        Some(parts)
-    }
-
-    fn is_source(&self) -> bool {
-        true
-    }
-
-    fn cache_replay(&self) -> Option<(u64, u64)> {
-        Some((self.entry.blocks, self.entry.bytes))
+        Some(deal_round_robin(self.entry.tuples(), workers))
     }
 }
 
@@ -901,14 +891,14 @@ pub struct CachePlan {
 /// charges per decoded block when serving a hit.
 ///
 /// An operator is *cacheable* when its worker instances are
-/// self-contained (no [`OperatorFactory::shared_state_id`] — a sink's
+/// self-contained (no [`OpDescriptor::shared_state`] — a sink's
 /// rows live in shared state the cache must not alias) and it has at
 /// least one consumer to serve.
 pub fn prepare(wf: &Workflow, cache: &ResultCache, read_per_block: SimDuration) -> CachePlan {
     let n = wf.ops().len();
 
     let cacheable =
-        |id: OpId| wf.op(id).factory.shared_state_id().is_none() && !wf.out_edges(id).is_empty();
+        |id: OpId| wf.op(id).desc().shared_state.is_none() && !wf.out_edges(id).is_empty();
 
     // Classify in reverse topological order: sinks are always computed
     // (their rows are the run's results); a non-sink is needed only if
@@ -950,7 +940,7 @@ pub fn prepare(wf: &Workflow, cache: &ResultCache, read_per_block: SimDuration) 
                 hit_blocks += entry.blocks;
                 hit_bytes += entry.bytes;
                 let replay = CacheReplayOp::new(
-                    node.factory.name(),
+                    &node.desc().name,
                     wf.schema(id).clone(),
                     entry,
                     read_per_block,
@@ -962,14 +952,14 @@ pub fn prepare(wf: &Workflow, cache: &ResultCache, read_per_block: SimDuration) 
                 mapped[i] = Some(planned);
                 if cacheable(id) {
                     misses += 1;
-                    let cost = node.factory.cost();
+                    let desc = node.desc();
                     recordings.push(CacheRecording {
                         op: planned,
                         fingerprint: wf.fingerprint(id),
                         schema: wf.schema(id).clone(),
-                        name: node.factory.name().to_owned(),
-                        setup: cost.setup,
-                        per_tuple: cost.per_tuple,
+                        name: desc.name.clone(),
+                        setup: desc.cost.setup,
+                        per_tuple: desc.cost.per_tuple,
                         runs: Mutex::new(Vec::new()),
                     });
                 }
@@ -1449,7 +1439,7 @@ mod tests {
         assert_eq!(marked, [OpId(0), OpId(1)], "sink unmarked");
         for i in 0..3 {
             let (planned, given) = (&plan.wf.op(OpId(i)).factory, &wf.op(OpId(i)).factory);
-            assert!(Arc::ptr_eq(planned, given), "{}", given.name());
+            assert!(Arc::ptr_eq(planned, given), "{}", given.descriptor().name);
         }
         let mut ops = OperatorMetrics::for_workflow(&plan.wf);
         prime_misses(&plan.recordings, &mut ops);
@@ -1473,14 +1463,14 @@ mod tests {
             "scan is skipped; replay + sink remain"
         );
         let replay = plan.wf.op_by_name("filter").expect("replay keeps the name");
-        let (blocks, bytes) = plan.wf.op(replay).factory.cache_replay().unwrap();
+        let (blocks, bytes) = plan.wf.op(replay).desc().cache_replay.unwrap();
         assert!(blocks >= 1);
         assert!(bytes > 0);
         assert_eq!(plan.hit_blocks, blocks);
         assert_eq!(plan.hit_bytes, bytes);
         // The replay op charges its read through setup on one worker.
         assert_eq!(
-            plan.wf.op(replay).factory.cost().setup,
+            plan.wf.op(replay).desc().cost.setup,
             SimDuration::from_micros(900) * blocks
         );
         assert_eq!(plan.wf.op(replay).parallelism, 1);
@@ -1512,7 +1502,7 @@ mod tests {
         for (r, name) in plan.recordings.iter().zip(["scan", "filter"]) {
             assert_eq!(r.name, name);
             let id = wf.op_by_name(name).unwrap();
-            let cost = wf.op(id).factory.cost();
+            let cost = &wf.op(id).desc().cost;
             assert_eq!(r.setup, cost.setup);
             assert_eq!(r.per_tuple, cost.per_tuple);
         }
@@ -1656,7 +1646,7 @@ mod tests {
             );
             let replay = warm.wf.op_by_name("scan").unwrap();
             assert_eq!(
-                warm.wf.op(replay).factory.cost().setup,
+                warm.wf.op(replay).desc().cost.setup,
                 SimDuration::from_micros(900) * blocks
             );
         }

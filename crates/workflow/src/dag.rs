@@ -13,7 +13,7 @@ use std::sync::Arc;
 use scriptflow_core::fingerprint::{Fingerprinter, OpFingerprint};
 use scriptflow_datakit::SchemaRef;
 
-use crate::operator::{OperatorFactory, WorkflowError, WorkflowResult};
+use crate::operator::{OpDescriptor, OperatorFactory, WorkflowError, WorkflowResult};
 use crate::partition::{CompiledPartitioner, PartitionStrategy};
 
 /// Identifier of an operator node within one workflow.
@@ -31,6 +31,15 @@ pub struct OpNode {
     pub factory: Arc<dyn OperatorFactory>,
     /// Number of worker instances (Texera's per-operator worker count).
     pub parallelism: usize,
+}
+
+impl OpNode {
+    /// The operator's plain-data description: what every reader of the
+    /// DAG — validation, the executors, the cache planner, the GUI —
+    /// looks at instead of asking the factory fact by fact.
+    pub fn desc(&self) -> &OpDescriptor {
+        self.factory.descriptor()
+    }
 }
 
 /// One edge: `from`'s output feeds `to`'s input port `to_port`.
@@ -60,6 +69,7 @@ pub struct Workflow {
     partitioners: Vec<CompiledPartitioner>,
     topo: Vec<OpId>,
     fingerprints: Vec<OpFingerprint>,
+    expected_eos: Vec<Vec<usize>>,
 }
 
 impl std::fmt::Debug for Workflow {
@@ -70,7 +80,7 @@ impl std::fmt::Debug for Workflow {
                 &self
                     .ops
                     .iter()
-                    .map(|n| format!("{} x{}", n.factory.name(), n.parallelism))
+                    .map(|n| format!("{} x{}", n.desc().name, n.parallelism))
                     .collect::<Vec<_>>(),
             )
             .field("edges", &self.edges.len())
@@ -138,7 +148,7 @@ impl Workflow {
     pub fn sources(&self) -> Vec<OpId> {
         (0..self.ops.len())
             .map(OpId)
-            .filter(|id| self.op(*id).factory.input_ports() == 0)
+            .filter(|id| self.op(*id).desc().input_ports == 0)
             .collect()
     }
 
@@ -165,7 +175,7 @@ impl Workflow {
     pub fn op_by_name(&self, name: &str) -> Option<OpId> {
         (0..self.ops.len())
             .map(OpId)
-            .find(|id| self.op(*id).factory.name() == name)
+            .find(|id| self.op(*id).desc().name == name)
     }
 
     /// The Merkle fingerprint of one operator: its spec digest folded
@@ -174,6 +184,14 @@ impl Workflow {
     /// node computes the same output multiset — the result cache's key.
     pub fn fingerprint(&self, id: OpId) -> OpFingerprint {
         self.fingerprints[id.0]
+    }
+
+    /// End-of-stream markers each input port of `op` waits for before it
+    /// is complete: the parallelism of the operator feeding that port,
+    /// one entry per port (none for a source). The one DAG-derived fact
+    /// every executor seeds its workers with.
+    pub fn expected_eos(&self, op: OpId) -> &[usize] {
+        &self.expected_eos[op.0]
     }
 
     /// All node fingerprints, indexed by [`OpId`].
@@ -245,10 +263,9 @@ impl WorkflowBuilder {
         // and names participate in fingerprints): typed rejection.
         let mut names = HashSet::new();
         for node in &self.ops {
-            if !names.insert(node.factory.name().to_owned()) {
-                return Err(WorkflowError::DuplicateOperator {
-                    name: node.factory.name().to_owned(),
-                });
+            let name = &node.desc().name;
+            if !names.insert(name.as_str()) {
+                return Err(WorkflowError::DuplicateOperator { name: name.clone() });
             }
         }
 
@@ -261,18 +278,17 @@ impl WorkflowBuilder {
                     e.from, e.to
                 )));
             }
-            let ports = self.ops[e.to.0].factory.input_ports();
-            if e.to_port >= ports {
+            let to = self.ops[e.to.0].desc();
+            if e.to_port >= to.input_ports {
                 return Err(WorkflowError::InvalidDag(format!(
                     "operator `{}` has {} input port(s); edge targets port {}",
-                    self.ops[e.to.0].factory.name(),
-                    ports,
-                    e.to_port
+                    to.name, to.input_ports, e.to_port
                 )));
             }
         }
         for (i, node) in self.ops.iter().enumerate() {
-            let ports = node.factory.input_ports();
+            let desc = node.desc();
+            let ports = desc.input_ports;
             for port in 0..ports {
                 let count = self
                     .edges
@@ -282,7 +298,7 @@ impl WorkflowBuilder {
                 if count != 1 {
                     return Err(WorkflowError::InvalidDag(format!(
                         "operator `{}` input port {port} has {count} incoming edges (need exactly 1)",
-                        node.factory.name()
+                        desc.name
                     )));
                 }
             }
@@ -290,13 +306,13 @@ impl WorkflowBuilder {
                 if self.edges.iter().any(|e| e.to == OpId(i)) {
                     return Err(WorkflowError::InvalidDag(format!(
                         "source operator `{}` cannot take inputs",
-                        node.factory.name()
+                        desc.name
                     )));
                 }
-                if !node.factory.is_source() {
+                if !desc.source {
                     return Err(WorkflowError::InvalidDag(format!(
                         "operator `{}` has no input ports but produces no source data",
-                        node.factory.name()
+                        desc.name
                     )));
                 }
             }
@@ -338,7 +354,7 @@ impl WorkflowBuilder {
         let mut schemas: Vec<Option<SchemaRef>> = vec![None; n];
         for &op in &topo {
             let node = &self.ops[op.0];
-            let ports = node.factory.input_ports();
+            let ports = node.desc().input_ports;
             let mut inputs: Vec<SchemaRef> = Vec::with_capacity(ports);
             for port in 0..ports {
                 let e = self
@@ -366,8 +382,8 @@ impl WorkflowBuilder {
             let compiled = e.partition.compile(&schemas[e.from.0]).map_err(|err| {
                 WorkflowError::InvalidDag(format!(
                     "edge `{}` -> `{}` port {}: cannot partition by {}: {err}",
-                    self.ops[e.from.0].factory.name(),
-                    self.ops[e.to.0].factory.name(),
+                    self.ops[e.from.0].desc().name,
+                    self.ops[e.to.0].desc().name,
                     e.to_port,
                     e.partition.label(),
                 ))
@@ -391,7 +407,7 @@ impl WorkflowBuilder {
             h.write_usize(node.parallelism);
             let mut ins: Vec<&Edge> = self.edges.iter().filter(|e| e.to == op).collect();
             ins.sort_by_key(|e| e.to_port);
-            if node.factory.commutative_inputs() {
+            if node.desc().commutative_inputs {
                 let folded = OpFingerprint::fold_unordered(ins.iter().map(|e| {
                     let mut link = Fingerprinter::new("link");
                     link.write_fingerprint(fingerprints[e.from.0]);
@@ -409,6 +425,18 @@ impl WorkflowBuilder {
             fingerprints[op.0] = h.finish();
         }
 
+        // What each input port waits for: one end-of-stream marker per
+        // worker of the operator feeding it (validated above: exactly one
+        // edge per port).
+        let mut expected_eos: Vec<Vec<usize>> = self
+            .ops
+            .iter()
+            .map(|n| vec![0; n.desc().input_ports])
+            .collect();
+        for e in &self.edges {
+            expected_eos[e.to.0][e.to_port] = self.ops[e.from.0].parallelism;
+        }
+
         Ok(Workflow {
             ops: self.ops,
             edges: self.edges,
@@ -416,6 +444,7 @@ impl WorkflowBuilder {
             partitioners,
             topo,
             fingerprints,
+            expected_eos,
         })
     }
 }

@@ -424,7 +424,7 @@ impl LiveExecutor {
     /// is never converted; a source that can seal
     /// ([`crate::OperatorFactory::source_columnar`]) does so exactly when
     /// every consumer reads columns
-    /// ([`crate::OperatorFactory::batch_kernel`]).
+    /// ([`crate::OpDescriptor::batch_kernel`]).
     ///
     /// # Examples
     ///
@@ -2062,12 +2062,8 @@ pub(crate) fn build_tasks(
                 dests: task_of[e.to.0].clone(),
             })
             .collect();
-        let ports = node.factory.input_ports();
-        let mut expected_eos = vec![0usize; ports];
-        for (_, e) in wf.in_edges(op) {
-            expected_eos[e.to_port] += wf.op(e.from).parallelism;
-        }
-        let blocking = node.factory.blocking_ports();
+        let desc = node.desc();
+        let ports = desc.input_ports;
         let record = recordings.iter().position(|r| r.op == op);
         // A source whose consumers all read columns hands every worker a
         // cursor over the dataset it sealed and copies nothing here; asked
@@ -2076,7 +2072,7 @@ pub(crate) fn build_tasks(
             && !out_edges.is_empty()
             && out_edges
                 .iter()
-                .all(|(_, e)| wf.op(e.to).factory.batch_kernel());
+                .all(|(_, e)| wf.op(e.to).desc().batch_kernel);
         let sealed = reads_columns
             .then(|| node.factory.source_columnar())
             .flatten()
@@ -2119,10 +2115,10 @@ pub(crate) fn build_tasks(
                 meta: TaskStatic {
                     op: i,
                     downstream: downstream.clone(),
-                    blocking: blocking.clone(),
+                    blocking: desc.blocking_ports.clone(),
                     batch_size,
                     slow_edge: faults.and_then(|f| f.slow_edge(i)),
-                    retry: *retry.policy_for(node.factory.name()),
+                    retry: *retry.policy_for(&desc.name),
                     record: record.filter(|_| ports > 0),
                 },
                 inner: Mutex::new(TaskInner {
@@ -2142,7 +2138,7 @@ pub(crate) fn build_tasks(
                         .map(|e| vec![Vec::new(); e.dests.len()])
                         .collect(),
                     outbox: VecDeque::new(),
-                    eos_remaining: expected_eos.clone(),
+                    eos_remaining: wf.expected_eos(op).to_vec(),
                     port_done: vec![false; ports],
                     held: VecDeque::new(),
                     pending: VecDeque::new(),
@@ -2194,11 +2190,8 @@ mod tests {
     }
 
     impl crate::operator::OperatorFactory for ProbedScan {
-        fn name(&self) -> &str {
-            self.scan.name()
-        }
-        fn input_ports(&self) -> usize {
-            0
+        fn descriptor(&self) -> &crate::operator::OpDescriptor {
+            self.scan.descriptor()
         }
         fn output_schema(
             &self,
@@ -2213,9 +2206,6 @@ mod tests {
             self.calls.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep(self.delay);
             self.scan.source_partitions(workers)
-        }
-        fn is_source(&self) -> bool {
-            self.scan.is_source()
         }
     }
 

@@ -122,8 +122,6 @@ struct SimState<'a> {
     instances: Vec<Box<dyn Operator>>,
     /// Worker ids per operator.
     op_workers: Vec<Vec<WorkerId>>,
-    /// Blocking ports per operator.
-    blocking: Vec<Vec<usize>>,
     /// Round-robin sequence per (edge, producing worker local idx).
     route_seq: Vec<Vec<u64>>,
     /// Monotone last-delivery time per (edge, from local, to local):
@@ -198,9 +196,8 @@ impl<'a> SimState<'a> {
 
     fn service_duration(&self, worker: WorkerId, item: &Item) -> SimDuration {
         let w = &self.workers[worker];
-        let factory = &self.wf.op(w.op).factory;
-        let cost = factory.cost();
-        let lang = factory.language();
+        let desc = self.wf.op(w.op).desc();
+        let (cost, lang) = (&desc.cost, desc.language);
         let n = match item {
             Item::Batch { tuples, .. } | Item::Retry { tuples, .. } | Item::Source { tuples } => {
                 tuples.len() as u64
@@ -264,8 +261,8 @@ impl<'a> SimState<'a> {
         bytes: usize,
     ) -> SimDuration {
         let e = &self.wf.edges()[edge.0];
-        let from_lang = self.wf.op(e.from).factory.language();
-        let to_lang = self.wf.op(e.to).factory.language();
+        let from_lang = self.wf.op(e.from).desc().language;
+        let to_lang = self.wf.op(e.to).desc().language;
         let serde = self
             .cfg
             .languages
@@ -287,13 +284,14 @@ impl<'a> SimState<'a> {
             return;
         }
         // Pull the next item the gate allows; stash gated ones.
-        let blocking = self.blocking[self.workers[worker].op.0].clone();
+        let desc = self.wf.op(self.workers[worker].op).desc();
+        let blocking = &desc.blocking_ports;
         loop {
             let item = match self.workers[worker].queue.pop_front() {
                 Some(i) => i,
                 None => return,
             };
-            let gate_open = self.workers[worker].gate_open(&blocking);
+            let gate_open = self.workers[worker].gate_open(blocking);
             let gated = !gate_open
                 && match &item {
                     Item::Batch { port, .. } | Item::Eos { port } => !blocking.contains(port),
@@ -305,12 +303,7 @@ impl<'a> SimState<'a> {
             }
             let dur = self.service_duration(worker, &item);
             // `processed` tracks warm-up-port tuples only.
-            let warmup_port = self
-                .wf
-                .op(self.workers[worker].op)
-                .factory
-                .cost()
-                .warmup_port;
+            let warmup_port = desc.cost.warmup_port;
             let n_tuples = match &item {
                 Item::Batch { port, tuples } if *port == warmup_port => tuples.len() as u64,
                 _ => 0,
@@ -636,8 +629,8 @@ impl<'a> SimModel for SimState<'a> {
                             self.metrics[op.0].output_tuples += outputs.len() as u64;
                             // Gate may have opened: release held items in
                             // arrival order ahead of anything queued later.
-                            let blocking = self.blocking[op.0].clone();
-                            if self.workers[worker].gate_open(&blocking)
+                            let blocking = &self.wf.op(op).desc().blocking_ports;
+                            if self.workers[worker].gate_open(blocking)
                                 && !self.workers[worker].held.is_empty()
                             {
                                 let held = std::mem::take(&mut self.workers[worker].held);
@@ -829,23 +822,16 @@ impl SimExecutor {
         let mut global = 0usize;
         for (i, node) in wf.ops().iter().enumerate() {
             let mut ids = Vec::with_capacity(node.parallelism);
-            let ports = node.factory.input_ports();
-            let colocate = node.factory.cost().colocate;
+            let colocate = node.desc().cost.colocate;
             for local in 0..node.parallelism {
                 let machine = if colocate {
                     i % machine_count
                 } else {
                     global % machine_count
                 };
-                let mut eos_remaining = vec![0usize; ports.max(1)];
-                let port_done = if ports == 0 {
-                    vec![false] // completed by SourceDone
-                } else {
-                    for (_, e) in wf.in_edges(OpId(i)) {
-                        eos_remaining[e.to_port] += wf.op(e.from).parallelism;
-                    }
-                    vec![false; ports]
-                };
+                let eos_remaining = wf.expected_eos(OpId(i)).to_vec();
+                // A source's single flag is completed by `SourceDone`.
+                let port_done = vec![false; eos_remaining.len().max(1)];
                 workers.push(WorkerState {
                     op: OpId(i),
                     local_idx: local,
@@ -871,7 +857,7 @@ impl SimExecutor {
 
         let mut malleable_per_machine = vec![0usize; machine_count];
         for w in &workers {
-            if wf.op(w.op).factory.cost().malleable {
+            if wf.op(w.op).desc().cost.malleable {
                 malleable_per_machine[w.machine] += 1;
             }
         }
@@ -885,12 +871,6 @@ impl SimExecutor {
             // override ignore it.
             inst.set_memory_budget(self.config.memory_budget);
         }
-
-        let blocking: Vec<Vec<usize>> = wf
-            .ops()
-            .iter()
-            .map(|n| n.factory.blocking_ports())
-            .collect();
 
         let route_seq: Vec<Vec<u64>> = wf
             .edges()
@@ -916,7 +896,7 @@ impl SimExecutor {
         crate::cache::prime_misses(recordings, &mut metrics);
         let mut recording = vec![None; wf.ops().len()];
         for r in recordings {
-            if wf.op(r.op).factory.input_ports() > 0 {
+            if wf.op(r.op).desc().input_ports > 0 {
                 recording[r.op.0] = Some(r);
             }
         }
@@ -929,7 +909,6 @@ impl SimExecutor {
             workers,
             instances,
             op_workers,
-            blocking,
             route_seq,
             channel_clock,
             stages,
@@ -960,7 +939,7 @@ impl SimExecutor {
                 None => {
                     let err = WorkflowError::InvalidDag(format!(
                         "source `{}` produced no partitions",
-                        node.factory.name()
+                        node.desc().name
                     ));
                     return (std::mem::take(&mut state.trace), Err(err));
                 }

@@ -65,21 +65,15 @@ impl LiveExecutor {
                     .into_iter()
                     .map(|(_, e)| (e.to_port, e.partition.clone(), txs[e.to.0].clone()))
                     .collect();
-                // Expected EOS per port = sum of upstream parallelism.
-                let ports = node.factory.input_ports();
-                let mut expected_eos = vec![0usize; ports.max(1)];
-                for (_, e) in wf.in_edges(op) {
-                    expected_eos[e.to_port] += wf.op(e.from).parallelism;
-                }
-                let blocking = node.factory.blocking_ports();
+                let desc = node.desc();
+                let expected_eos = wf.expected_eos(op);
+                let blocking = &desc.blocking_ports;
 
                 #[allow(clippy::needless_range_loop)]
                 for local in 0..node.parallelism {
                     let rx = rxs[i][local].take();
                     let factory = node.factory.as_ref();
                     let downstream = downstream.clone();
-                    let expected_eos = expected_eos.clone();
-                    let blocking = blocking.clone();
                     let error = error.clone();
                     let in_counts = &in_counts;
                     let out_counts = &out_counts;
@@ -137,7 +131,7 @@ impl LiveExecutor {
                                 }
                             };
 
-                        if factory.input_ports() == 0 {
+                        if desc.input_ports == 0 {
                             // Source worker: emit own partition.
                             let parts = factory
                                 .source_partitions(parallelism)
@@ -147,7 +141,7 @@ impl LiveExecutor {
                                 forward(chunk.to_vec(), &mut seqs, &error);
                             }
                         } else if let Some(rx) = rx {
-                            let mut eos_remaining = expected_eos.clone();
+                            let mut eos_remaining = expected_eos.to_vec();
                             let mut port_done = vec![false; eos_remaining.len()];
                             let mut held: Vec<LegacyMsg> = Vec::new();
                             let gate_open = |done: &[bool]| blocking.iter().all(|&p| done[p]);

@@ -392,7 +392,7 @@ impl CompiledFaults {
             let idx = wf
                 .ops()
                 .iter()
-                .position(|n| n.factory.name() == spec.op)
+                .position(|n| n.desc().name == spec.op)
                 .ok_or_else(|| {
                     WorkflowError::InvalidDag(format!(
                         "fault plan names unknown operator `{}`",

@@ -26,10 +26,11 @@ pub fn render_ascii(wf: &Workflow) -> String {
     let mut out = String::new();
     for &op in wf.topo_order() {
         let node = wf.op(op);
+        let desc = node.desc();
         out.push_str(&format!(
             "[{}] ({} x{} workers, {})\n",
-            node.factory.name(),
-            node.factory.language(),
+            desc.name,
+            desc.language,
             node.parallelism,
             wf.schema(op)
         ));
@@ -37,7 +38,7 @@ pub fn render_ascii(wf: &Workflow) -> String {
             out.push_str(&format!(
                 "  └─({})─▶ [{}].port{}\n",
                 e.partition.label(),
-                wf.op(e.to).factory.name(),
+                wf.op(e.to).desc().name,
                 e.to_port
             ));
         }
@@ -56,9 +57,9 @@ pub fn render_run_ascii(wf: &Workflow, metrics: &RunMetrics) -> String {
         metrics.events
     ));
     for &op in wf.topo_order() {
-        let node = wf.op(op);
+        let desc = wf.op(op).desc();
         let m = &metrics.operators[op.0];
-        let counts = if node.factory.input_ports() == 0 {
+        let counts = if desc.input_ports == 0 {
             // Source operators only show the output-tuple count (Fig. 9).
             format!("out={}", m.output_tuples)
         } else if wf.out_edges(op).is_empty() {
@@ -69,10 +70,10 @@ pub fn render_run_ascii(wf: &Workflow, metrics: &RunMetrics) -> String {
         };
         out.push_str(&format!(
             "[{}] {:<12} {} ({})\n",
-            node.factory.name(),
+            desc.name,
             format!("<{}>", m.state.color()),
             counts,
-            node.factory.language()
+            desc.language
         ));
     }
     out
@@ -86,8 +87,8 @@ pub fn to_dot(wf: &Workflow) -> String {
     for (i, node) in wf.ops().iter().enumerate() {
         out.push_str(&format!(
             "  op{i} [label=\"{}\\n{} x{}\"];\n",
-            node.factory.name().replace('"', "'"),
-            node.factory.language(),
+            node.desc().name.replace('"', "'"),
+            node.desc().language,
             node.parallelism
         ));
     }
@@ -116,7 +117,7 @@ pub fn render_gantt(
     let mut rows: Vec<(String, Vec<bool>)> = Vec::new();
     for node in wf.ops() {
         for w in 0..node.parallelism {
-            rows.push((format!("{}[{w}]", node.factory.name()), vec![false; width]));
+            rows.push((format!("{}[{w}]", node.desc().name), vec![false; width]));
         }
     }
     // Map (op, worker) to its row index.
@@ -167,18 +168,13 @@ pub fn workflow_json(wf: &Workflow) -> Json {
         .map(OpId)
         .map(|id| {
             let node = wf.op(id);
+            let desc = node.desc();
             Json::Object(vec![
                 ("id".into(), Json::Int(id.0 as i64)),
-                ("name".into(), Json::Str(node.factory.name().into())),
-                (
-                    "language".into(),
-                    Json::Str(node.factory.language().to_string()),
-                ),
+                ("name".into(), Json::Str(desc.name.clone())),
+                ("language".into(), Json::Str(desc.language.to_string())),
                 ("workers".into(), Json::Int(node.parallelism as i64)),
-                (
-                    "inputPorts".into(),
-                    Json::Int(node.factory.input_ports() as i64),
-                ),
+                ("inputPorts".into(), Json::Int(desc.input_ports as i64)),
                 ("schema".into(), Json::Str(wf.schema(id).to_string())),
             ])
         })

@@ -109,7 +109,9 @@ pub use exec_live::{LiveExecutor, LiveRunResult, PoolStats};
 pub use exec_sim::SimExecutor;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
-pub use operator::{Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult};
+pub use operator::{
+    OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+};
 pub use partition::{CompiledPartitioner, PartitionStrategy};
 pub use retry::{Backoff, RetryConfig, RetryPolicy};
 pub use service::{

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use scriptflow_simcluster::{Language, SimDuration, SimTime};
 
 use crate::dag::Workflow;
-use crate::operator::OperatorFactory;
 
 /// Lifecycle state of an operator, as displayed in the GUI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,30 +255,26 @@ impl OperatorMetrics {
         }
     }
 
-    /// Prime the hit counters from the marker the planner leaves on a
-    /// cache-aware workflow (see [`crate::cache`]): a replay factory is
+    /// The telemetry every run of `wf` starts from, one entry per
+    /// operator in [`crate::OpId`] order. Both executors and the service
+    /// build their per-operator state from this.
+    ///
+    /// The hit counters are primed from the marker the planner leaves on
+    /// a cache-aware workflow (see [`crate::cache`]): a replay node is
     /// one hit, with its served bytes. A served operator's instances
     /// never execute, so these cannot flow through an
     /// [`crate::OutputCollector`]. (Misses are primed from the plan's
     /// recordings.)
-    pub fn prime_cache_counters(&mut self, factory: &dyn OperatorFactory) {
-        if let Some((_blocks, bytes)) = factory.cache_replay() {
-            self.counters.cache_hits = 1;
-            self.counters.cache_bytes = bytes;
-        }
-    }
-
-    /// The telemetry every run of `wf` starts from, one entry per
-    /// operator in [`crate::OpId`] order with the cache hits primed.
-    /// Both executors and the service build their per-operator state
-    /// from this.
     pub fn for_workflow(wf: &Workflow) -> Vec<OperatorMetrics> {
         wf.ops()
             .iter()
             .map(|n| {
-                let mut m =
-                    OperatorMetrics::new(n.factory.name(), n.factory.language(), n.parallelism);
-                m.prime_cache_counters(n.factory.as_ref());
+                let desc = n.desc();
+                let mut m = OperatorMetrics::new(&desc.name, desc.language, n.parallelism);
+                if let Some((_blocks, bytes)) = desc.cache_replay {
+                    m.counters.cache_hits = 1;
+                    m.counters.cache_bytes = bytes;
+                }
                 m
             })
             .collect()

@@ -324,63 +324,114 @@ pub(crate) fn rows_through<O: Operator + ?Sized>(
     Ok(())
 }
 
+/// What an operator *is*, as plain data: everything the DAG builder, the
+/// executors, the cache planner and the GUI read about an operator
+/// without running it. A factory builds its descriptor once, in its
+/// constructor, and lends it out through
+/// [`OperatorFactory::descriptor`]; reading a field neither allocates
+/// nor clones, and a wrapper forwards one value instead of ten getters.
+///
+/// Only what is intrinsic to the operator lives here. What depends on
+/// the DAG around it — the propagated schema, the Merkle fingerprint,
+/// the end-of-stream markers each port waits for — is computed by
+/// [`crate::WorkflowBuilder::build`] and read off the
+/// [`crate::Workflow`].
+#[derive(Debug, Clone)]
+pub struct OpDescriptor {
+    /// Display name (unique within a workflow; shown in the GUI).
+    pub name: String,
+    /// Number of input ports (0 for sources).
+    pub input_ports: usize,
+    /// Ports that must be fully consumed before later ports are processed
+    /// (e.g. a hash join blocks its probe port until the build port
+    /// finishes). Ports listed here are drained in ascending order before
+    /// any non-listed port.
+    pub blocking_ports: Vec<usize>,
+    /// Implementation language (drives compute multipliers and
+    /// cross-language boundary costs).
+    pub language: Language,
+    /// Virtual-cost profile for the simulator.
+    pub cost: CostProfile,
+    /// Whether this factory is a source, i.e. whether
+    /// [`OperatorFactory::source_partitions`] yields data. DAG validation
+    /// requires it of every port-less operator.
+    pub source: bool,
+    /// Whether this factory's [`Operator::on_batch`] is a columnar kernel
+    /// rather than the row adapter. The pooled executor asks a source's
+    /// consumers, and seals the source only where all of them read
+    /// columns, so no edge ever converts.
+    pub batch_kernel: bool,
+    /// Identity of run-visible shared state owned by this factory (e.g.
+    /// a sink's result buffer), or `None` if every worker instance is
+    /// self-contained. Two factories reporting the same id alias the
+    /// same storage: the multi-tenant service ([`crate::service`]) uses
+    /// this to refuse concurrent submissions that would interleave rows
+    /// into one buffer, and to know which state to clear per run
+    /// ([`OperatorFactory::reset_shared_state`]).
+    pub shared_state: Option<usize>,
+    /// True when this operator's input ports are interchangeable (a
+    /// union's are; a join's build/probe ports are not). The DAG builder
+    /// folds upstream fingerprints of commutative operators
+    /// order-independently, so rewiring equivalent inputs onto different
+    /// ports does not invalidate downstream cache entries.
+    pub commutative_inputs: bool,
+    /// Result-cache replay marker: `Some((blocks, bytes))` when this
+    /// factory *is* a cache-hit stand-in serving a sealed segment of
+    /// `blocks` compressed blocks / `bytes` bytes instead of computing.
+    /// Executors read this when initializing per-operator telemetry —
+    /// a served operator's instances never execute, so hit counters
+    /// cannot flow through the [`OutputCollector`].
+    pub cache_replay: Option<(u64, u64)>,
+}
+
+impl OpDescriptor {
+    /// An ordinary operator: `input_ports` ports, none blocking, Python,
+    /// the default cost profile, row input, self-contained instances.
+    /// Factories set what differs with struct-update syntax.
+    pub fn new(name: impl Into<String>, input_ports: usize) -> Self {
+        OpDescriptor {
+            name: name.into(),
+            input_ports,
+            blocking_ports: Vec::new(),
+            language: Language::Python,
+            cost: CostProfile::default(),
+            source: false,
+            batch_kernel: false,
+            shared_state: None,
+            commutative_inputs: false,
+            cache_replay: None,
+        }
+    }
+}
+
 /// Static description + instance factory for an operator.
 ///
-/// This is what a DAG node holds: everything the builder needs to
-/// validate the graph and everything the executors need to spawn worker
-/// instances and charge costs.
+/// This is what a DAG node holds: one [`OpDescriptor`] with everything
+/// the builder needs to validate the graph and the executors need to
+/// charge costs, plus the methods that do work — checking schemas,
+/// spawning worker instances, producing source data, hashing the spec.
 pub trait OperatorFactory: Send + Sync {
-    /// Display name (unique within a workflow; shown in the GUI).
-    fn name(&self) -> &str;
-
-    /// Number of input ports (0 for sources).
-    fn input_ports(&self) -> usize;
+    /// The operator's plain-data description, built once by the factory.
+    fn descriptor(&self) -> &OpDescriptor;
 
     /// Output schema given the input schemas (one per port). Called once
     /// at build time; errors abort workflow construction — the workflow
     /// paradigm's early, explicit schema checking.
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema>;
 
-    /// Ports that must be fully consumed before later ports are processed
-    /// (e.g. a hash join blocks its probe port until the build port
-    /// finishes). Ports listed here are drained in ascending order before
-    /// any non-listed port.
-    fn blocking_ports(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Implementation language (drives compute multipliers and
-    /// cross-language boundary costs).
-    fn language(&self) -> Language {
-        Language::Python
-    }
-
-    /// Virtual-cost profile for the simulator.
-    fn cost(&self) -> CostProfile {
-        CostProfile::default()
-    }
-
     /// Create one worker instance.
     fn create(&self) -> Box<dyn Operator>;
 
-    /// For source operators: the tuples this source produces, already
-    /// partitioned across `workers`. Non-sources return `None`.
+    /// For source operators ([`OpDescriptor::source`]): the tuples this
+    /// source produces, already partitioned across `workers`.
+    /// Non-sources return `None`.
     fn source_partitions(&self, _workers: usize) -> Option<Vec<Vec<Tuple>>> {
         None
     }
 
-    /// Whether this factory is a source, i.e. whether
-    /// [`OperatorFactory::source_partitions`] yields data. DAG validation
-    /// asks this of every port-less operator; the default answers by
-    /// producing the partitions, so a source that holds real data
-    /// overrides it to answer without copying.
-    fn is_source(&self) -> bool {
-        self.source_partitions(1).is_some()
-    }
-
     /// For sources that can hand out their whole dataset as one sealed
     /// columnar batch (sealed once, shared by every run): that batch.
-    /// Where every consumer has a [`OperatorFactory::batch_kernel`], the
+    /// Where every consumer has a [`OpDescriptor::batch_kernel`], the
     /// pooled executor has worker `k` of `w` gather rows `k, k + w, …` —
     /// the rows [`OperatorFactory::source_partitions`] deals it — one edge
     /// batch at a time inside its own quanta, instead of materializing
@@ -390,27 +441,9 @@ pub trait OperatorFactory: Send + Sync {
         None
     }
 
-    /// Whether this factory's [`Operator::on_batch`] is a columnar kernel
-    /// rather than the row adapter. The pooled executor asks a source's
-    /// consumers, and seals the source only where all of them read
-    /// columns, so no edge ever converts.
-    fn batch_kernel(&self) -> bool {
-        false
-    }
-
-    /// Identity of run-visible shared state owned by this factory (e.g.
-    /// a sink's result buffer), or `None` if every worker instance is
-    /// self-contained. Two factories reporting the same id alias the
-    /// same storage: the multi-tenant service ([`crate::service`]) uses
-    /// this to refuse concurrent submissions that would interleave rows
-    /// into one buffer, and to know which state to clear per run.
-    fn shared_state_id(&self) -> Option<usize> {
-        None
-    }
-
     /// Reset the factory's shared state ahead of a fresh run, restoring
-    /// the "sink cleared per run" invariant for factories that report a
-    /// [`OperatorFactory::shared_state_id`]. Default: nothing to reset.
+    /// the "sink cleared per run" invariant for factories that report an
+    /// [`OpDescriptor::shared_state`]. Default: nothing to reset.
     fn reset_shared_state(&self) {}
 
     /// Stable content digest of this operator's **spec** — its
@@ -418,8 +451,8 @@ pub trait OperatorFactory: Send + Sync {
     /// inputs (the DAG builder folds upstream fingerprints in
     /// Merkle-style on top of this).
     ///
-    /// The default hashes the structural surface every factory exposes:
-    /// name, port count, blocking ports, language, and cost profile.
+    /// The default hashes the structural part of the descriptor: name,
+    /// port count, blocking ports, language, and cost profile.
     /// For closure-carrying operators (UDFs) that is the whole
     /// observable spec — the Snakemake-style "rule name + config"
     /// approximation, under which an edit must change the operator's
@@ -427,53 +460,48 @@ pub trait OperatorFactory: Send + Sync {
     /// Declarative operators override this to hash their full
     /// parameters (predicates, key lists, scanned rows, ...).
     fn fingerprint(&self) -> OpFingerprint {
-        spec_fingerprinter(self).finish()
-    }
-
-    /// True when this operator's input ports are interchangeable (a
-    /// union's are; a join's build/probe ports are not). The DAG builder
-    /// folds upstream fingerprints of commutative operators
-    /// order-independently, so rewiring equivalent inputs onto different
-    /// ports does not invalidate downstream cache entries.
-    fn commutative_inputs(&self) -> bool {
-        false
-    }
-
-    /// Result-cache replay marker: `Some((blocks, bytes))` when this
-    /// factory *is* a cache-hit stand-in serving a sealed segment of
-    /// `blocks` compressed blocks / `bytes` bytes instead of computing.
-    /// Executors read this when initializing per-operator telemetry —
-    /// a served operator's instances never execute, so hit counters
-    /// cannot flow through the [`OutputCollector`].
-    fn cache_replay(&self) -> Option<(u64, u64)> {
-        None
+        spec_fingerprinter(self.descriptor()).finish()
     }
 }
 
+/// Deal `rows` round-robin over `workers` partitions: row `i` goes to
+/// partition `i % workers`. The one deal every row source shares, and the
+/// rows a sealed source's worker `k` gathers (`k, k + w, …`).
+pub(crate) fn deal_round_robin(
+    rows: impl IntoIterator<Item = Tuple>,
+    workers: usize,
+) -> Vec<Vec<Tuple>> {
+    let workers = workers.max(1);
+    let mut parts: Vec<Vec<Tuple>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, t) in rows.into_iter().enumerate() {
+        parts[i % workers].push(t);
+    }
+    parts
+}
+
 /// A [`Fingerprinter`] primed with the spec fields every operator
-/// factory shares: name, arity, blocking ports, language, and the full
-/// cost profile (calibration-relevant config — perturbing a calibrated
-/// constant must invalidate cached output computed under it).
+/// descriptor carries: name, arity, blocking ports, language, and the
+/// full cost profile (calibration-relevant config — perturbing a
+/// calibrated constant must invalidate cached output computed under it).
 ///
 /// Operator-specific [`OperatorFactory::fingerprint`] overrides start
 /// from this and append their own parameters.
-pub fn spec_fingerprinter(f: &(impl OperatorFactory + ?Sized)) -> Fingerprinter {
+pub fn spec_fingerprinter(d: &OpDescriptor) -> Fingerprinter {
     let mut h = Fingerprinter::new("op");
-    h.write_str(f.name());
-    h.write_usize(f.input_ports());
-    let blocking = f.blocking_ports();
-    h.write_usize(blocking.len());
-    for p in blocking {
+    h.write_str(&d.name);
+    h.write_usize(d.input_ports);
+    h.write_usize(d.blocking_ports.len());
+    for &p in &d.blocking_ports {
         h.write_usize(p);
     }
-    h.write_str(&f.language().to_string());
-    let c = f.cost();
+    h.write_str(&d.language.to_string());
+    let c = &d.cost;
     h.write_u64(c.setup.as_micros());
     h.write_u64(c.per_tuple.as_micros());
     h.write_usize(c.per_tuple_ports.len());
-    for (port, d) in &c.per_tuple_ports {
+    for (port, per_tuple) in &c.per_tuple_ports {
         h.write_usize(*port);
-        h.write_u64(d.as_micros());
+        h.write_u64(per_tuple.as_micros());
     }
     h.write_u64(c.per_batch.as_micros());
     h.write_bool(c.malleable);

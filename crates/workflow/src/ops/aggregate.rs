@@ -15,8 +15,8 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    rows_through, spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError,
-    WorkflowResult,
+    rows_through, spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector,
+    WorkflowError, WorkflowResult,
 };
 use crate::spill::{read_segment, PartitionWriter, SPILL_FANOUT};
 
@@ -119,11 +119,9 @@ impl AggState {
 /// With parallelism > 1, the input edge must hash-partition on the group
 /// columns so each group lands wholly on one worker.
 pub struct AggregateOp {
-    name: String,
+    desc: OpDescriptor,
     group_by: Vec<String>,
     aggs: Vec<AggFn>,
-    cost: CostProfile,
-    language: Language,
     memory_budget: Option<usize>,
 }
 
@@ -133,11 +131,14 @@ impl AggregateOp {
     pub fn new(name: impl Into<String>, group_by: &[&str], aggs: Vec<AggFn>) -> Self {
         assert!(!aggs.is_empty(), "aggregate needs at least one aggregation");
         AggregateOp {
-            name: name.into(),
+            desc: OpDescriptor {
+                blocking_ports: vec![0],
+                cost: CostProfile::per_tuple_micros(2),
+                batch_kernel: true,
+                ..OpDescriptor::new(name, 1)
+            },
             group_by: group_by.iter().map(|s| (*s).to_owned()).collect(),
             aggs,
-            cost: CostProfile::per_tuple_micros(2),
-            language: Language::Python,
             memory_budget: None,
         }
     }
@@ -154,13 +155,13 @@ impl AggregateOp {
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -596,16 +597,8 @@ impl AggregateInstance {
 }
 
 impl OperatorFactory for AggregateOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_ports(&self) -> usize {
-        1
-    }
-
-    fn blocking_ports(&self) -> Vec<usize> {
-        vec![0]
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
 
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
@@ -616,7 +609,7 @@ impl OperatorFactory for AggregateOp {
                 input
                     .field(g)
                     .map_err(|e| WorkflowError::SchemaError {
-                        operator: self.name.clone(),
+                        operator: self.desc.name.clone(),
                         error: e,
                     })?
                     .clone(),
@@ -625,29 +618,21 @@ impl OperatorFactory for AggregateOp {
         for a in &self.aggs {
             if let Some(c) = a.input_column() {
                 input.index_of(c).map_err(|e| WorkflowError::SchemaError {
-                    operator: self.name.clone(),
+                    operator: self.desc.name.clone(),
                     error: e,
                 })?;
             }
             fields.push(a.output_field());
         }
         Schema::new(fields).map_err(|e| WorkflowError::SchemaError {
-            operator: self.name.clone(),
+            operator: self.desc.name.clone(),
             error: e,
         })
     }
 
-    fn language(&self) -> Language {
-        self.language
-    }
-
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
-
     fn create(&self) -> Box<dyn Operator> {
         Box::new(AggregateInstance {
-            name: self.name.clone(),
+            name: self.desc.name.clone(),
             group_by: self.group_by.clone(),
             aggs: self.aggs.clone(),
             out_schema: None,
@@ -665,12 +650,8 @@ impl OperatorFactory for AggregateOp {
         })
     }
 
-    fn batch_kernel(&self) -> bool {
-        true
-    }
-
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         h.write_usize(self.group_by.len());
         for g in &self.group_by {
             h.write_str(g);

@@ -14,8 +14,8 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    rows_through, spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError,
-    WorkflowResult,
+    rows_through, spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector,
+    WorkflowError, WorkflowResult,
 };
 use crate::spill::{tuple_footprint, PartitionWriter, SPILL_FANOUT, SPILL_MAX_DEPTH};
 
@@ -37,12 +37,10 @@ pub enum JoinType {
 /// paper. With parallelism > 1, both inputs must be hash-partitioned on
 /// the join keys (or the build side broadcast).
 pub struct HashJoinOp {
-    name: String,
+    desc: OpDescriptor,
     build_keys: Vec<String>,
     probe_keys: Vec<String>,
     join_type: JoinType,
-    cost: CostProfile,
-    language: Language,
     memory_budget: Option<usize>,
 }
 
@@ -57,13 +55,17 @@ impl HashJoinOp {
         );
         assert!(!probe_keys.is_empty(), "join needs at least one key");
         HashJoinOp {
-            name: name.into(),
+            desc: OpDescriptor {
+                // The probe port waits for the build port.
+                blocking_ports: vec![0],
+                // Hash probe + tuple concat: ~3 µs per probe tuple in Python.
+                cost: CostProfile::per_tuple_micros(3),
+                batch_kernel: true,
+                ..OpDescriptor::new(name, 2)
+            },
             build_keys: build_keys.iter().map(|s| (*s).to_owned()).collect(),
             probe_keys: probe_keys.iter().map(|s| (*s).to_owned()).collect(),
             join_type: JoinType::Inner,
-            // Hash probe + tuple concat: ~3 µs per probe tuple in Python.
-            cost: CostProfile::per_tuple_micros(3),
-            language: Language::Python,
             memory_budget: None,
         }
     }
@@ -86,13 +88,13 @@ impl HashJoinOp {
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language (the Table I knob).
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -432,10 +434,8 @@ impl Operator for HashJoinInstance {
                         self.widen_build_range(&v);
                     }
                 }
+                let flush_at = self.flush_at();
                 if let Some(spill) = self.spill.as_mut() {
-                    let flush_at = self
-                        .budget
-                        .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
                     spill.build[key.bucket_salted(0, SPILL_FANOUT)].push(tuple, flush_at, out);
                     return Ok(());
                 }
@@ -448,12 +448,10 @@ impl Operator for HashJoinInstance {
             }
             1 => {
                 let key = Self::key_of(&self.name, &mut self.probe_idx, &self.probe_keys, &tuple)?;
+                let flush_at = self.flush_at();
                 if let Some(spill) = self.spill.as_mut() {
                     // Grace mode: probing is deferred until the probe port
                     // completes and partitions join pairwise.
-                    let flush_at = self
-                        .budget
-                        .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
                     spill.probe[key.bucket_salted(0, SPILL_FANOUT)].push(tuple, flush_at, out);
                     return Ok(());
                 }
@@ -632,16 +630,8 @@ impl HashJoinInstance {
 }
 
 impl OperatorFactory for HashJoinOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_ports(&self) -> usize {
-        2
-    }
-
-    fn blocking_ports(&self) -> Vec<usize> {
-        vec![0]
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
 
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
@@ -653,7 +643,7 @@ impl OperatorFactory for HashJoinOp {
         ] {
             for c in cols {
                 schema.index_of(c).map_err(|e| WorkflowError::SchemaError {
-                    operator: format!("{} ({side} side)", self.name),
+                    operator: format!("{} ({side} side)", self.desc.name),
                     error: e,
                 })?;
             }
@@ -661,22 +651,14 @@ impl OperatorFactory for HashJoinOp {
         probe
             .join(build, "_r")
             .map_err(|e| WorkflowError::SchemaError {
-                operator: self.name.clone(),
+                operator: self.desc.name.clone(),
                 error: e,
             })
     }
 
-    fn language(&self) -> Language {
-        self.language
-    }
-
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
-
     fn create(&self) -> Box<dyn Operator> {
         Box::new(HashJoinInstance {
-            name: self.name.clone(),
+            name: self.desc.name.clone(),
             build_keys: self.build_keys.clone(),
             probe_keys: self.probe_keys.clone(),
             build_idx: None,
@@ -693,12 +675,8 @@ impl OperatorFactory for HashJoinOp {
         })
     }
 
-    fn batch_kernel(&self) -> bool {
-        true
-    }
-
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         h.write_usize(self.build_keys.len());
         for k in &self.build_keys {
             h.write_str(k);
@@ -1165,12 +1143,6 @@ mod tests {
         let build = Schema::of(&[("k", DataType::Int)]);
         let probe = Schema::of(&[("id", DataType::Int)]);
         assert!(j.output_schema(&[build, probe]).is_err());
-    }
-
-    #[test]
-    fn build_port_is_blocking() {
-        let j = HashJoinOp::new("j", &["k"], &["k"]);
-        assert_eq!(j.blocking_ports(), vec![0]);
     }
 
     #[test]

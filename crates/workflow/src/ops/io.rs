@@ -10,10 +10,9 @@ use std::sync::{Arc, Mutex};
 
 use scriptflow_datakit::codec;
 use scriptflow_datakit::{DataResult, Schema, SchemaRef, Tuple};
-use scriptflow_simcluster::Language;
 
 use crate::cost::CostProfile;
-use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowResult};
+use crate::operator::{OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowResult};
 use crate::ops::ScanOp;
 use crate::sync::lock;
 
@@ -42,20 +41,27 @@ pub enum TextFormat {
 
 /// A sink that encodes every received tuple as a text line.
 pub struct TextSinkOp {
-    name: String,
+    desc: OpDescriptor,
     format: TextFormat,
     rows: Arc<Mutex<Vec<Tuple>>>,
-    language: Language,
 }
 
 impl TextSinkOp {
     /// A text sink in the given format.
     pub fn new(name: impl Into<String>, format: TextFormat) -> Self {
+        let rows: Arc<Mutex<Vec<Tuple>>> = Arc::default();
         TextSinkOp {
-            name: name.into(),
+            desc: OpDescriptor {
+                // Serialization to text per row.
+                cost: CostProfile::per_tuple_micros(8),
+                // One buffer across instances and across runs, exactly
+                // as `SinkOp`'s: the service serializes runs on it and
+                // clears it per run.
+                shared_state: Some(Arc::as_ptr(&rows) as usize),
+                ..OpDescriptor::new(name, 1)
+            },
             format,
-            rows: Arc::new(Mutex::new(Vec::new())),
-            language: Language::Python,
+            rows,
         }
     }
 
@@ -122,26 +128,19 @@ impl Operator for TextSinkInstance {
 }
 
 impl OperatorFactory for TextSinkOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        1
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         Ok((*inputs[0]).clone())
-    }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        // Serialization to text per row.
-        CostProfile::per_tuple_micros(8)
     }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(TextSinkInstance {
             rows: self.rows.clone(),
         })
+    }
+    fn reset_shared_state(&self) {
+        lock(&self.rows).clear();
     }
 }
 

@@ -13,7 +13,7 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    fingerprint_value, rows_through, spec_fingerprinter, Operator, OperatorFactory,
+    fingerprint_value, rows_through, spec_fingerprinter, OpDescriptor, Operator, OperatorFactory,
     OutputCollector, WorkflowError, WorkflowResult,
 };
 
@@ -32,11 +32,9 @@ struct CmpPredicate {
 
 /// Keep tuples matching a predicate.
 pub struct FilterOp {
-    name: String,
+    desc: OpDescriptor,
     predicate: Predicate,
     cmp: Option<CmpPredicate>,
-    cost: CostProfile,
-    language: Language,
 }
 
 impl FilterOp {
@@ -46,11 +44,9 @@ impl FilterOp {
         predicate: impl Fn(&Tuple) -> DataResult<bool> + Send + Sync + 'static,
     ) -> Self {
         FilterOp {
-            name: name.into(),
+            desc: OpDescriptor::new(name, 1),
             predicate: Arc::new(predicate),
             cmp: None,
-            cost: CostProfile::default(),
-            language: Language::Python,
         }
     }
 
@@ -75,23 +71,25 @@ impl FilterOp {
             literal: literal.clone(),
         };
         FilterOp {
-            name: name.into(),
+            // The comparison has a columnar kernel; a closure does not.
+            desc: OpDescriptor {
+                batch_kernel: true,
+                ..OpDescriptor::new(name, 1)
+            },
             predicate: Arc::new(move |t: &Tuple| Ok(cmp_value(t.get(&column)?, op, &literal))),
             cmp: Some(cmp),
-            cost: CostProfile::default(),
-            language: Language::Python,
         }
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -186,11 +184,8 @@ impl Operator for FilterInstance {
 }
 
 impl OperatorFactory for FilterOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        1
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         if let Some(cmp) = &self.cmp {
@@ -199,35 +194,25 @@ impl OperatorFactory for FilterOp {
             inputs[0]
                 .index_of(&cmp.column)
                 .map_err(|e| WorkflowError::SchemaError {
-                    operator: self.name.clone(),
+                    operator: self.desc.name.clone(),
                     error: e,
                 })?;
         }
         Ok((*inputs[0]).clone())
     }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(FilterInstance {
-            name: self.name.clone(),
+            name: self.desc.name.clone(),
             predicate: self.predicate.clone(),
             cmp: self.cmp.clone(),
         })
-    }
-
-    fn batch_kernel(&self) -> bool {
-        self.cmp.is_some()
     }
 
     /// Structured comparisons hash their full predicate; opaque closure
     /// filters fall back to the name-and-config digest (the closure's
     /// body is unobservable).
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         match &self.cmp {
             Some(cmp) => {
                 h.write_str("cmp");
@@ -243,32 +228,31 @@ impl OperatorFactory for FilterOp {
 
 /// Keep only the named columns.
 pub struct ProjectOp {
-    name: String,
+    desc: OpDescriptor,
     columns: Vec<String>,
-    cost: CostProfile,
-    language: Language,
 }
 
 impl ProjectOp {
     /// Project to `columns`, in the given order.
     pub fn new(name: impl Into<String>, columns: &[&str]) -> Self {
         ProjectOp {
-            name: name.into(),
+            desc: OpDescriptor {
+                cost: CostProfile::per_tuple_micros(1),
+                ..OpDescriptor::new(name, 1)
+            },
             columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-            cost: CostProfile::per_tuple_micros(1),
-            language: Language::Python,
         }
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -313,30 +297,21 @@ impl Operator for ProjectInstance {
 }
 
 impl OperatorFactory for ProjectOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        1
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         let cols: Vec<&str> = self.columns.iter().map(String::as_str).collect();
         inputs[0]
             .project(&cols)
             .map_err(|e| WorkflowError::SchemaError {
-                operator: self.name.clone(),
+                operator: self.desc.name.clone(),
                 error: e,
             })
     }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(ProjectInstance {
-            name: self.name.clone(),
+            name: self.desc.name.clone(),
             indices: None,
             columns: self.columns.clone(),
             out_schema: None,
@@ -344,7 +319,7 @@ impl OperatorFactory for ProjectOp {
     }
 
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         h.write_usize(self.columns.len());
         for c in &self.columns {
             h.write_str(c);
@@ -355,7 +330,7 @@ impl OperatorFactory for ProjectOp {
 
 /// Pass at most `n` tuples (per workflow — use parallelism 1).
 pub struct LimitOp {
-    name: String,
+    desc: OpDescriptor,
     n: usize,
 }
 
@@ -363,7 +338,7 @@ impl LimitOp {
     /// Limit to `n` tuples.
     pub fn new(name: impl Into<String>, n: usize) -> Self {
         LimitOp {
-            name: name.into(),
+            desc: OpDescriptor::new(name, 1),
             n,
         }
     }
@@ -389,11 +364,8 @@ impl Operator for LimitInstance {
 }
 
 impl OperatorFactory for LimitOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        1
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         Ok((*inputs[0]).clone())
@@ -403,7 +375,7 @@ impl OperatorFactory for LimitOp {
     }
 
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         h.write_usize(self.n);
         h.finish()
     }
@@ -412,7 +384,7 @@ impl OperatorFactory for LimitOp {
 /// Drop duplicate tuples, keyed by the named columns (or the whole tuple's
 /// display form when keyed columns are unhashable).
 pub struct DistinctOp {
-    name: String,
+    desc: OpDescriptor,
     columns: Vec<String>,
 }
 
@@ -421,7 +393,7 @@ impl DistinctOp {
     /// columns when parallelism > 1.
     pub fn new(name: impl Into<String>, columns: &[&str]) -> Self {
         DistinctOp {
-            name: name.into(),
+            desc: OpDescriptor::new(name, 1),
             columns: columns.iter().map(|s| (*s).to_owned()).collect(),
         }
     }
@@ -451,11 +423,8 @@ impl Operator for DistinctInstance {
 }
 
 impl OperatorFactory for DistinctOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        1
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         // Validate the key columns exist.
@@ -463,7 +432,7 @@ impl OperatorFactory for DistinctOp {
             inputs[0]
                 .index_of(c)
                 .map_err(|e| WorkflowError::SchemaError {
-                    operator: self.name.clone(),
+                    operator: self.desc.name.clone(),
                     error: e,
                 })?;
         }
@@ -471,14 +440,14 @@ impl OperatorFactory for DistinctOp {
     }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(DistinctInstance {
-            name: self.name.clone(),
+            name: self.desc.name.clone(),
             columns: self.columns.clone(),
             seen: HashSet::new(),
         })
     }
 
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         h.write_usize(self.columns.len());
         for c in &self.columns {
             h.write_str(c);

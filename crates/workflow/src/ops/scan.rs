@@ -8,8 +8,8 @@ use scriptflow_simcluster::Language;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    fingerprint_tuple, spec_fingerprinter, Operator, OperatorFactory, OutputCollector,
-    WorkflowError, WorkflowResult,
+    deal_round_robin, fingerprint_tuple, spec_fingerprinter, OpDescriptor, Operator,
+    OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
 };
 
 /// A source operator producing the tuples of a batch.
@@ -18,10 +18,8 @@ use crate::operator::{
 /// source workers, which then feed the pipeline concurrently (Texera's
 /// parallel scan).
 pub struct ScanOp {
-    name: String,
+    desc: OpDescriptor,
     batch: Batch,
-    cost: CostProfile,
-    language: Language,
     /// The content digest, hashed on first use: every workflow sharing
     /// this scan asks for it at every `build`.
     fingerprint: OnceLock<OpFingerprint>,
@@ -34,12 +32,14 @@ impl ScanOp {
     /// A scan over `batch`.
     pub fn new(name: impl Into<String>, batch: Batch) -> Self {
         ScanOp {
-            name: name.into(),
+            desc: OpDescriptor {
+                // Reading + parsing a record is pricier than probing a
+                // hash table; default to 4 µs per tuple.
+                cost: CostProfile::per_tuple_micros(4),
+                source: true,
+                ..OpDescriptor::new(name, 0)
+            },
             batch,
-            // Reading + parsing a record is pricier than probing a hash
-            // table; default to 4 µs per tuple.
-            cost: CostProfile::per_tuple_micros(4),
-            language: Language::Python,
             fingerprint: OnceLock::new(),
             sealed: OnceLock::new(),
         }
@@ -47,7 +47,7 @@ impl ScanOp {
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         // The digest covers the cost profile.
         self.fingerprint = OnceLock::new();
         self
@@ -55,7 +55,7 @@ impl ScanOp {
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         // The digest covers the language.
         self.fingerprint = OnceLock::new();
         self
@@ -91,12 +91,8 @@ impl Operator for ScanInstance {
 }
 
 impl OperatorFactory for ScanOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_ports(&self) -> usize {
-        0
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
 
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
@@ -104,28 +100,15 @@ impl OperatorFactory for ScanOp {
         Ok((**self.batch.schema()).clone())
     }
 
-    fn language(&self) -> Language {
-        self.language
-    }
-
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
-
     fn create(&self) -> Box<dyn Operator> {
         Box::new(ScanInstance)
     }
 
     fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
-        let mut parts: Vec<Vec<Tuple>> = (0..workers.max(1)).map(|_| Vec::new()).collect();
-        for (i, t) in self.batch.tuples().iter().enumerate() {
-            parts[i % workers.max(1)].push(t.clone());
-        }
-        Some(parts)
-    }
-
-    fn is_source(&self) -> bool {
-        true
+        Some(deal_round_robin(
+            self.batch.tuples().iter().cloned(),
+            workers,
+        ))
     }
 
     fn source_columnar(&self) -> Option<ColumnarBatch> {
@@ -140,7 +123,7 @@ impl OperatorFactory for ScanOp {
     /// row, so editing the input invalidates the whole downstream cone.
     fn fingerprint(&self) -> OpFingerprint {
         *self.fingerprint.get_or_init(|| {
-            let mut h = spec_fingerprinter(self);
+            let mut h = spec_fingerprinter(&self.desc);
             h.write_str(&self.batch.schema().to_string());
             h.write_usize(self.batch.len());
             for t in self.batch.tuples() {
@@ -178,7 +161,6 @@ mod tests {
     fn schema_comes_from_batch() {
         let s = scan(1);
         assert_eq!(s.output_schema(&[]).unwrap().to_string(), "id: Int");
-        assert_eq!(s.input_ports(), 0);
         assert_eq!(s.len(), 1);
     }
 

@@ -5,7 +5,9 @@ use std::sync::{Arc, Mutex};
 use scriptflow_datakit::{ColumnarBatch, Schema, SchemaRef, Tuple};
 
 use crate::cost::CostProfile;
-use crate::operator::{Emitted, Operator, OperatorFactory, OutputCollector, WorkflowResult};
+use crate::operator::{
+    Emitted, OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowResult,
+};
 use crate::sync::lock;
 
 /// What a sink has received, as it arrived: runs of rows and sealed
@@ -63,16 +65,26 @@ fn read(received: &Mutex<Received>) -> Vec<Tuple> {
 /// as it is (a reference-count bump on the pool thread) and turned into
 /// rows by [`SinkHandle::results`], on the reader's thread.
 pub struct SinkOp {
-    name: String,
+    desc: OpDescriptor,
     results: Arc<Mutex<Received>>,
 }
 
 impl SinkOp {
     /// A new sink.
     pub fn new(name: impl Into<String>) -> Self {
+        let results: Arc<Mutex<Received>> = Arc::default();
         SinkOp {
-            name: name.into(),
-            results: Arc::default(),
+            desc: OpDescriptor {
+                // Appending a row to the results view is ~free.
+                cost: CostProfile::per_tuple_micros(1),
+                // The result buffer is shared across instances *and*
+                // across clones of the workflow holding this factory: its
+                // address is the identity the service uses to serialize
+                // runs that would interleave rows.
+                shared_state: Some(Arc::as_ptr(&results) as usize),
+                ..OpDescriptor::new(name, 1)
+            },
+            results,
         }
     }
 
@@ -148,34 +160,18 @@ impl Operator for SinkInstance {
 }
 
 impl OperatorFactory for SinkOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_ports(&self) -> usize {
-        1
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
 
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         Ok((*inputs[0]).clone())
     }
 
-    fn cost(&self) -> CostProfile {
-        // Appending a row to the results view is ~free.
-        CostProfile::per_tuple_micros(1)
-    }
-
     fn create(&self) -> Box<dyn Operator> {
         Box::new(SinkInstance {
             results: self.results.clone(),
         })
-    }
-
-    /// The result buffer is shared across instances *and* across clones
-    /// of the workflow holding this factory: its address is the identity
-    /// the service uses to serialize runs that would interleave rows.
-    fn shared_state_id(&self) -> Option<usize> {
-        Some(Arc::as_ptr(&self.results) as usize)
     }
 
     /// Re-assert the "sink cleared per run" invariant before a dispatch.
@@ -220,9 +216,9 @@ mod tests {
         let sink = SinkOp::new("sink");
         let other = SinkOp::new("other");
         // Identity follows the shared buffer, not the factory value.
-        assert_eq!(sink.shared_state_id(), sink.shared_state_id());
-        assert_ne!(sink.shared_state_id(), other.shared_state_id());
-        assert!(sink.shared_state_id().is_some());
+        let buffer = Arc::as_ptr(&sink.results) as usize;
+        assert_eq!(sink.desc.shared_state, Some(buffer));
+        assert_ne!(sink.desc.shared_state, other.desc.shared_state);
 
         let schema = Schema::of(&[("x", DataType::Int)]);
         let mut w = sink.create();
@@ -254,7 +250,7 @@ mod tests {
         };
         let sink = SinkOp::new("sink");
         let handle = sink.handle();
-        let identity = sink.shared_state_id();
+        let identity = sink.desc.shared_state;
         let (mut a, mut b) = (sink.create(), sink.create());
         let mut out = OutputCollector::new();
         let sealed = batch(&[2, 3, 4]);
@@ -290,8 +286,8 @@ mod tests {
         assert_eq!((handle.len(), refs.ref_count()), (3, 3));
         sink.reset_shared_state();
         assert_eq!((handle.len(), refs.ref_count()), (0, 2));
-        // What the service serializes runs on never moved.
-        assert_eq!(sink.shared_state_id(), identity);
+        // What the service serializes runs on is still the buffer.
+        assert_eq!(identity, Some(Arc::as_ptr(&sink.results) as usize));
     }
 
     /// The non-poisoning behaviour the chaos suites rely on: a panic

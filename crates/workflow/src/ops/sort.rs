@@ -11,7 +11,8 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    spec_fingerprinter, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+    spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError,
+    WorkflowResult,
 };
 use crate::spill::{seal_run, tuple_footprint};
 
@@ -29,10 +30,8 @@ pub enum SortOrder {
 /// Use parallelism 1 (or partition so that per-worker order is
 /// sufficient): each worker sorts only the tuples it receives.
 pub struct SortOp {
-    name: String,
+    desc: OpDescriptor,
     keys: Vec<(String, SortOrder)>,
-    cost: CostProfile,
-    language: Language,
     memory_budget: Option<usize>,
 }
 
@@ -41,23 +40,25 @@ impl SortOp {
     pub fn new(name: impl Into<String>, keys: &[(&str, SortOrder)]) -> Self {
         assert!(!keys.is_empty(), "sort needs at least one key");
         SortOp {
-            name: name.into(),
+            desc: OpDescriptor {
+                blocking_ports: vec![0],
+                cost: CostProfile::per_tuple_micros(3),
+                ..OpDescriptor::new(name, 1)
+            },
             keys: keys.iter().map(|(c, o)| ((*c).to_owned(), *o)).collect(),
-            cost: CostProfile::per_tuple_micros(3),
-            language: Language::Python,
             memory_budget: None,
         }
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 
@@ -257,35 +258,23 @@ impl Operator for SortInstance {
 }
 
 impl OperatorFactory for SortOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        1
-    }
-    fn blocking_ports(&self) -> Vec<usize> {
-        vec![0]
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         for (k, _) in &self.keys {
             inputs[0]
                 .index_of(k)
                 .map_err(|e| WorkflowError::SchemaError {
-                    operator: self.name.clone(),
+                    operator: self.desc.name.clone(),
                     error: e,
                 })?;
         }
         Ok((*inputs[0]).clone())
     }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(SortInstance {
-            name: self.name.clone(),
+            name: self.desc.name.clone(),
             keys: self.keys.clone(),
             buffer: Vec::new(),
             buffer_bytes: 0,
@@ -296,7 +285,7 @@ impl OperatorFactory for SortOp {
     }
 
     fn fingerprint(&self) -> OpFingerprint {
-        let mut h = spec_fingerprinter(self);
+        let mut h = spec_fingerprinter(&self.desc);
         h.write_usize(self.keys.len());
         for (col, order) in &self.keys {
             h.write_str(col);

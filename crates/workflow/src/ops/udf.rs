@@ -6,10 +6,19 @@ use scriptflow_datakit::{Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::Language;
 
 use crate::cost::CostProfile;
-use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowResult};
+use crate::operator::{OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowResult};
 
 type SchemaFn = Arc<dyn Fn(&[SchemaRef]) -> WorkflowResult<Schema> + Send + Sync>;
 type TupleFn = Arc<dyn Fn(Tuple, usize, &mut OutputCollector) -> WorkflowResult<()> + Send + Sync>;
+
+/// What every UDF starts from: `ports` inputs at 5 µs per tuple.
+fn udf_descriptor(name: impl Into<String>, ports: usize) -> OpDescriptor {
+    assert!(ports >= 1, "a UDF needs at least one input port");
+    OpDescriptor {
+        cost: CostProfile::per_tuple_micros(5),
+        ..OpDescriptor::new(name, ports)
+    }
+}
 
 /// A stateless user-defined operator: one closure maps each input tuple
 /// to zero or more output tuples.
@@ -18,12 +27,9 @@ type TupleFn = Arc<dyn Fn(Tuple, usize, &mut OutputCollector) -> WorkflowResult<
 /// logic — exactly the role of Texera's UDF operators in the paper's
 /// workflows.
 pub struct UdfOp {
-    name: String,
-    ports: usize,
+    desc: OpDescriptor,
     schema_fn: SchemaFn,
     tuple_fn: TupleFn,
-    cost: CostProfile,
-    language: Language,
 }
 
 impl UdfOp {
@@ -35,12 +41,9 @@ impl UdfOp {
     ) -> Self {
         let schema = output.clone();
         UdfOp {
-            name: name.into(),
-            ports: 1,
+            desc: udf_descriptor(name, 1),
             schema_fn: Arc::new(move |_| Ok(schema.clone())),
             tuple_fn: Arc::new(f),
-            cost: CostProfile::per_tuple_micros(5),
-            language: Language::Python,
         }
     }
 
@@ -51,26 +54,22 @@ impl UdfOp {
         schema_fn: impl Fn(&[SchemaRef]) -> WorkflowResult<Schema> + Send + Sync + 'static,
         f: impl Fn(Tuple, usize, &mut OutputCollector) -> WorkflowResult<()> + Send + Sync + 'static,
     ) -> Self {
-        assert!(ports >= 1, "a UDF needs at least one input port");
         UdfOp {
-            name: name.into(),
-            ports,
+            desc: udf_descriptor(name, ports),
             schema_fn: Arc::new(schema_fn),
             tuple_fn: Arc::new(f),
-            cost: CostProfile::per_tuple_micros(5),
-            language: Language::Python,
         }
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -91,20 +90,11 @@ impl Operator for UdfInstance {
 }
 
 impl OperatorFactory for UdfOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        self.ports
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         (self.schema_fn)(inputs)
-    }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
     }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(UdfInstance {
@@ -125,15 +115,11 @@ type StateCompleteFn<S> =
 /// Used for custom blocking logic (building lookup tables, batching model
 /// input) in the task implementations.
 pub struct StatefulUdfOp<S> {
-    name: String,
-    ports: usize,
-    blocking: Vec<usize>,
+    desc: OpDescriptor,
     schema_fn: SchemaFn,
     init: StateInit<S>,
     on_tuple: StateTupleFn<S>,
     on_complete: StateCompleteFn<S>,
-    cost: CostProfile,
-    language: Language,
 }
 
 impl<S: Send + 'static> StatefulUdfOp<S> {
@@ -152,36 +138,31 @@ impl<S: Send + 'static> StatefulUdfOp<S> {
             + Sync
             + 'static,
     ) -> Self {
-        assert!(ports >= 1, "a UDF needs at least one input port");
         let schema = output;
         StatefulUdfOp {
-            name: name.into(),
-            ports,
-            blocking: Vec::new(),
+            desc: udf_descriptor(name, ports),
             schema_fn: Arc::new(move |_| Ok(schema.clone())),
             init: Arc::new(init),
             on_tuple: Arc::new(on_tuple),
             on_complete: Arc::new(on_complete),
-            cost: CostProfile::per_tuple_micros(5),
-            language: Language::Python,
         }
     }
 
     /// Declare blocking ports (drained before the remaining ports).
     pub fn with_blocking_ports(mut self, blocking: Vec<usize>) -> Self {
-        self.blocking = blocking;
+        self.desc.blocking_ports = blocking;
         self
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -208,23 +189,11 @@ impl<S: Send> Operator for StatefulUdfInstance<S> {
 }
 
 impl<S: Send + 'static> OperatorFactory for StatefulUdfOp<S> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        self.ports
-    }
-    fn blocking_ports(&self) -> Vec<usize> {
-        self.blocking.clone()
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         (self.schema_fn)(inputs)
-    }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
     }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(StatefulUdfInstance {

@@ -4,15 +4,14 @@ use scriptflow_datakit::{Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::Language;
 
 use crate::cost::CostProfile;
-use crate::operator::{Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult};
+use crate::operator::{
+    OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+};
 
 /// Merge `n` input streams with identical schemas into one output
 /// stream (bag semantics, no dedup, no order guarantee).
 pub struct UnionOp {
-    name: String,
-    ports: usize,
-    cost: CostProfile,
-    language: Language,
+    desc: OpDescriptor,
 }
 
 impl UnionOp {
@@ -20,22 +19,26 @@ impl UnionOp {
     pub fn new(name: impl Into<String>, ports: usize) -> Self {
         assert!(ports >= 2, "a union needs at least two inputs");
         UnionOp {
-            name: name.into(),
-            ports,
-            cost: CostProfile::per_tuple_micros(1),
-            language: Language::Python,
+            desc: OpDescriptor {
+                cost: CostProfile::per_tuple_micros(1),
+                // A union of the same inputs in a different port order
+                // produces the same bag of rows, so its Merkle fold is
+                // order-independent.
+                commutative_inputs: true,
+                ..OpDescriptor::new(name, ports)
+            },
         }
     }
 
     /// Override the cost profile.
     pub fn with_cost(mut self, cost: CostProfile) -> Self {
-        self.cost = cost;
+        self.desc.cost = cost;
         self
     }
 
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
-        self.language = language;
+        self.desc.language = language;
         self
     }
 }
@@ -55,17 +58,14 @@ impl Operator for UnionInstance {
 }
 
 impl OperatorFactory for UnionOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_ports(&self) -> usize {
-        self.ports
+    fn descriptor(&self) -> &OpDescriptor {
+        &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
         for other in &inputs[1..] {
             if **other != *inputs[0] {
                 return Err(WorkflowError::SchemaError {
-                    operator: self.name.clone(),
+                    operator: self.desc.name.clone(),
                     error: scriptflow_datakit::DataError::SchemaMismatch {
                         left: inputs[0].to_string(),
                         right: other.to_string(),
@@ -75,20 +75,8 @@ impl OperatorFactory for UnionOp {
         }
         Ok((*inputs[0]).clone())
     }
-    fn language(&self) -> Language {
-        self.language
-    }
-    fn cost(&self) -> CostProfile {
-        self.cost.clone()
-    }
     fn create(&self) -> Box<dyn Operator> {
         Box::new(UnionInstance)
-    }
-
-    /// A union of the same inputs in a different port order produces the
-    /// same bag of rows, so its Merkle fold is order-independent.
-    fn commutative_inputs(&self) -> bool {
-        true
     }
 }
 

@@ -30,7 +30,7 @@
 //! * [`SubmitError::TenantOverQuota`] — the tenant already has
 //!   `max_in_flight` submissions admitted or queued.
 //! * [`SubmitError::SinkBusy`] — the workflow shares result storage
-//!   (see [`crate::operator::OperatorFactory::shared_state_id`]) with a
+//!   (see [`crate::operator::OpDescriptor::shared_state`]) with a
 //!   run that is still admitted; running both would interleave rows
 //!   into one buffer. Wait for the earlier handle, then resubmit.
 //!
@@ -312,7 +312,7 @@ impl ServiceConfig {
 
 /// Per-submission knobs, mirroring the solo executor's builder. Batch
 /// layout is not among them: the engine picks it per edge
-/// ([`crate::OperatorFactory::batch_kernel`]).
+/// ([`crate::OpDescriptor::batch_kernel`]).
 ///
 /// # Examples
 ///
@@ -1263,9 +1263,10 @@ impl WorkflowService {
         let total_workers = wf.total_workers();
         let factories: Vec<Arc<dyn OperatorFactory>> =
             wf.ops().iter().map(|n| Arc::clone(&n.factory)).collect();
-        let sink_ids: Vec<usize> = factories
+        let sink_ids: Vec<usize> = wf
+            .ops()
             .iter()
-            .filter_map(|f| f.shared_state_id())
+            .filter_map(|n| n.desc().shared_state)
             .collect();
 
         let mut st = lock(&self.shared.state);
@@ -1318,10 +1319,12 @@ impl WorkflowService {
             st.active.iter().any(|r| r.sink_ids.contains(id))
                 || st.admission.iter().any(|p| p.sink_ids.contains(id))
         }) {
-            let operator = factories
+            let operator = wf
+                .ops()
                 .iter()
-                .find(|f| f.shared_state_id() == Some(id))
-                .map(|f| f.name().to_owned())
+                .map(|n| n.desc())
+                .find(|d| d.shared_state == Some(id))
+                .map(|d| d.name.clone())
                 .unwrap_or_default();
             Self::reject(&mut st, tenant);
             return Err(SubmitError::SinkBusy { operator });
@@ -1867,6 +1870,42 @@ mod tests {
         let again = svc.submit("t", &wf, RunOptions::default()).unwrap();
         assert!(again.wait().result.is_ok());
         assert_eq!(sorted_rows(&handle), first_rows);
+    }
+
+    /// A text sink's buffer is shared state exactly as a `SinkOp`'s is:
+    /// cleared per dispatch, and busy while a run appends into it.
+    #[test]
+    fn text_sink_is_cleared_per_run_and_busy_while_in_flight() {
+        use crate::ops::{TextFormat, TextSinkOp};
+        let sink_op = TextSinkOp::new("text", TextFormat::Csv);
+        let handle = sink_op.handle();
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(2_000))), 1);
+        let filter = b.add(
+            Arc::new(FilterOp::new("filter", |t| Ok(t.get_int("id")? % 2 == 0))),
+            1,
+        );
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(scan, filter, 0, PartitionStrategy::RoundRobin);
+        b.connect(filter, sink, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+        let svc = WorkflowService::new(
+            ServiceConfig::default()
+                .with_pool_size(1)
+                .with_max_active_runs(4),
+        );
+        let first = svc.submit("t", &wf, slow_opts()).unwrap();
+        match svc.submit("t", &wf, RunOptions::default()) {
+            Err(SubmitError::SinkBusy { operator }) => assert_eq!(operator, "text"),
+            other => panic!("expected SinkBusy, got {other:?}"),
+        }
+        assert!(first.wait().result.is_ok());
+        let text = handle.text();
+        assert_eq!(handle.len(), 1_000);
+        // A second run of the same workflow leaves one run's rows.
+        let again = svc.submit("t", &wf, RunOptions::default()).unwrap();
+        assert!(again.wait().result.is_ok());
+        assert_eq!((handle.len(), handle.text()), (1_000, text));
     }
 
     #[test]

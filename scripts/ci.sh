@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the scriptflow workspace. Needs bash and cargo.
 #
-#   scripts/ci.sh          # build + test + benchmark API and smoke + fmt + clippy + doc + repro smokes
+#   scripts/ci.sh          # build + test + benchmark API and smoke + fmt + clippy + doc + repro smokes + line counts
 #
 # Mirrors ROADMAP.md's tier-1 definition (release build + full test suite,
 # which is the whole configuration matrix) and adds the hygiene gates.
@@ -89,5 +89,8 @@ for task in dice wef gotta kge; do
         exit 1
     fi
 done
+
+echo "==> non-test lines per crate and the operator trait's size (information, not a gate)"
+bash scripts/loc.sh
 
 echo "==> CI gate passed"

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use scriptflow::core::BackendKind;
 use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, SchemaRef, Value};
+use scriptflow::simcluster::SplitMix64;
 use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkHandle, SinkOp};
 use scriptflow::workflow::{
     EngineConfig, ExecBackend, PartitionStrategy, ResultCache, Workflow, WorkflowBuilder,
@@ -198,5 +199,82 @@ fn budgeted_store_restarts_with_only_surviving_entries() {
     for fp in survivors {
         assert!(reopened.lookup(fp).is_some(), "survivor decodes off disk");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a-64, the trailing checksum of a segment image.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Decoder fuzz for a persisted entry (the first piece of the seeded
+/// mutation net): every body position of every segment the pipeline
+/// writes is damaged in turn — one byte XORed with a seeded non-zero
+/// mask, the trailing checksum recomputed so the envelope still
+/// verifies — and the store reopened. A forged image either is a miss
+/// (recomputed, baseline rows) or serves rows of the baseline's shape;
+/// it never panics the submitter and never surfaces a typed error.
+#[test]
+fn rechecksummed_mutations_serve_or_miss_never_panic() {
+    let dir = temp_dir("mutate");
+    let baseline = baseline_rows();
+    {
+        let cache = Arc::new(ResultCache::persistent(&dir).expect("open store"));
+        let (wf, _h) = pipeline();
+        cached_backend(&cache).run_detached(&wf).expect("cold run");
+    }
+    // The pristine store: every file by name, restored before each case
+    // (a miss republishes over the damaged file and rewrites the index).
+    let pristine: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("store dir exists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("store file readable");
+            (p, bytes)
+        })
+        .collect();
+    let segs: Vec<usize> = (0..pristine.len())
+        .filter(|&i| pristine[i].0.extension().is_some_and(|x| x == "seg"))
+        .collect();
+    assert!(segs.len() >= 2, "expected segments for scan and keep");
+
+    let mut rng = SplitMix64::new(0x5eed_ca5e);
+    let (mut cases, mut misses, mut panics, mut errors, mut misshapen) = (0, 0, 0, 0, 0);
+    for &seg in &segs {
+        let body = pristine[seg].1.len() - 8;
+        for at in 0..body {
+            for (path, bytes) in &pristine {
+                std::fs::write(path, bytes).expect("restore store file");
+            }
+            let mut image = pristine[seg].1.clone();
+            image[at] ^= rng.range(1u64..256) as u8;
+            let sum = fnv1a64(&image[..body]);
+            image[body..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&pristine[seg].0, &image).expect("write forged segment");
+
+            cases += 1;
+            let outcome = std::panic::catch_unwind(|| {
+                let cache = Arc::new(ResultCache::persistent(&dir).expect("reopen store"));
+                let (wf, h) = pipeline();
+                let run = cached_backend(&cache).run_detached(&wf);
+                run.map(|run| (run.counters().cache_misses, sorted_rows(&h)))
+            });
+            match outcome {
+                Err(_) => panics += 1,
+                Ok(Err(_)) => errors += 1,
+                // Served whole: the forged bytes decoded to rows.
+                Ok(Ok((0, rows))) => misshapen += usize::from(rows.len() != baseline.len()),
+                Ok(Ok((_, rows))) => {
+                    misses += 1;
+                    assert_eq!(rows, baseline, "a miss recomputes the baseline");
+                }
+            }
+        }
+    }
+    println!("{cases} forged images: {misses} misses, {panics} panics, {errors} errors");
+    assert_eq!((panics, errors, misshapen), (0, 0, 0), "of {cases} images");
+    assert!(misses > 0, "some payload damage must be caught at load");
     let _ = std::fs::remove_dir_all(&dir);
 }
