@@ -19,10 +19,10 @@
 
 use std::cmp::Ordering;
 
-use crate::column::{cmp_values, BatchStats, ColStats, ColumnarBatch};
+use crate::column::{cmp_values, BatchStats, Bitmap, ColStats, ColumnVec, ColumnarBatch, StrVec};
 use crate::error::{DataError, DataResult};
-use crate::schema::SchemaRef;
-use crate::value::Value;
+use crate::schema::{Field, Schema, SchemaRef};
+use crate::value::{DataType, Value};
 
 // ---------------------------------------------------------------------------
 // Value codec
@@ -36,26 +36,34 @@ const TAG_STR: u8 = 4;
 const TAG_BYTES: u8 = 5;
 const TAG_LIST: u8 = 6;
 
+fn encode_int(i: i64, out: &mut Vec<u8>) {
+    out.push(TAG_INT);
+    out.extend_from_slice(&i.to_le_bytes());
+}
+
+fn encode_float(x: f64, out: &mut Vec<u8>) {
+    out.push(TAG_FLOAT);
+    out.extend_from_slice(&x.to_bits().to_le_bytes());
+}
+
+fn encode_bool(b: bool, out: &mut Vec<u8>) {
+    out.push(TAG_BOOL);
+    out.push(u8::from(b));
+}
+
+fn encode_str(s: &str, out: &mut Vec<u8>) {
+    out.push(TAG_STR);
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
 fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
+        Value::Bool(b) => encode_bool(*b, out),
+        Value::Int(i) => encode_int(*i, out),
+        Value::Float(x) => encode_float(*x, out),
+        Value::Str(s) => encode_str(s, out),
         Value::Bytes(b) => {
             out.push(TAG_BYTES);
             out.extend_from_slice(&(b.len() as u32).to_le_bytes());
@@ -68,6 +76,19 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
                 encode_value(v, out);
             }
         }
+    }
+}
+
+/// Write row `i` of `col` as [`encode_value`] writes the boxed cell, read
+/// off the typed vector: no [`Value`] and no owned string is built.
+fn encode_cell(col: &ColumnVec, i: usize, out: &mut Vec<u8>) {
+    match col {
+        ColumnVec::Int { data, validity } if validity.is_valid(i) => encode_int(data[i], out),
+        ColumnVec::Float { data, validity } if validity.is_valid(i) => encode_float(data[i], out),
+        ColumnVec::Bool { data, validity } if validity.is_valid(i) => encode_bool(data[i], out),
+        ColumnVec::Str { data, validity } if validity.is_valid(i) => encode_str(data.get(i), out),
+        ColumnVec::Mixed(data) => encode_value(&data[i], out),
+        _ => out.push(TAG_NULL),
     }
 }
 
@@ -93,30 +114,26 @@ fn take_u32(buf: &[u8], pos: &mut usize) -> DataResult<usize> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
 }
 
+fn take_u64(buf: &[u8], pos: &mut usize) -> DataResult<u64> {
+    let b = take(buf, pos, 8)?;
+    Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+}
+
+/// A length-prefixed UTF-8 string, borrowed from the payload.
+fn take_str<'a>(buf: &'a [u8], pos: &mut usize) -> DataResult<&'a str> {
+    let len = take_u32(buf, pos)?;
+    std::str::from_utf8(take(buf, pos, len)?)
+        .map_err(|_| decode_err("invalid utf-8 in string cell"))
+}
+
 fn decode_value(buf: &[u8], pos: &mut usize) -> DataResult<Value> {
     let tag = take(buf, pos, 1)?[0];
     Ok(match tag {
         TAG_NULL => Value::Null,
         TAG_BOOL => Value::Bool(take(buf, pos, 1)?[0] != 0),
-        TAG_INT => {
-            let b = take(buf, pos, 8)?;
-            Value::Int(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-        }
-        TAG_FLOAT => {
-            let b = take(buf, pos, 8)?;
-            Value::Float(f64::from_bits(u64::from_le_bytes(
-                b.try_into().expect("8 bytes"),
-            )))
-        }
-        TAG_STR => {
-            let len = take_u32(buf, pos)?;
-            let b = take(buf, pos, len)?;
-            Value::Str(
-                std::str::from_utf8(b)
-                    .map_err(|_| decode_err("invalid utf-8 in string cell"))?
-                    .to_owned(),
-            )
-        }
+        TAG_INT => Value::Int(take_u64(buf, pos)? as i64),
+        TAG_FLOAT => Value::Float(f64::from_bits(take_u64(buf, pos)?)),
+        TAG_STR => Value::Str(take_str(buf, pos)?.to_owned()),
         TAG_BYTES => {
             let len = take_u32(buf, pos)?;
             Value::Bytes(take(buf, pos, len)?.into())
@@ -131,6 +148,79 @@ fn decode_value(buf: &[u8], pos: &mut usize) -> DataResult<Value> {
         }
         other => return Err(decode_err(format!("unknown value tag {other}"))),
     })
+}
+
+/// An empty column of `dtype` with room for `rows` cells: the
+/// representation [`ColumnVec::from_cells`] builds for the type.
+fn column_builder(dtype: DataType, rows: usize) -> ColumnVec {
+    let validity = Bitmap::new();
+    match dtype {
+        DataType::Int => ColumnVec::Int {
+            data: Vec::with_capacity(rows),
+            validity,
+        },
+        DataType::Float => ColumnVec::Float {
+            data: Vec::with_capacity(rows),
+            validity,
+        },
+        DataType::Bool => ColumnVec::Bool {
+            data: Vec::with_capacity(rows),
+            validity,
+        },
+        DataType::Str => ColumnVec::Str {
+            data: StrVec::with_capacity(rows, 0),
+            validity,
+        },
+        DataType::Null | DataType::Bytes | DataType::List => {
+            ColumnVec::Mixed(Vec::with_capacity(rows))
+        }
+    }
+}
+
+/// The tag of a dense column's next cell: `true` for a value of
+/// `field`'s type, `false` for a null, and for any other the type
+/// mismatch the checked row constructor reports.
+fn take_dense_tag(buf: &[u8], pos: &mut usize, field: &Field) -> DataResult<bool> {
+    let tag = take(buf, pos, 1)?[0];
+    if tag == TAG_NULL || tag == dtype_tag(field.dtype()) {
+        return Ok(tag != TAG_NULL);
+    }
+    Err(DataError::TypeMismatch {
+        column: field.name().to_owned(),
+        expected: field.dtype().to_string(),
+        actual: dtype_from_tag(tag)?.to_string(),
+    })
+}
+
+/// Read one cell onto the end of `col`, the [`column_builder`] of
+/// `field`'s type. A boxed column takes every value;
+/// [`ColumnarBatch::from_columns`] checks those.
+fn decode_cell(buf: &[u8], pos: &mut usize, col: &mut ColumnVec, field: &Field) -> DataResult<()> {
+    match col {
+        ColumnVec::Int { data, validity } => {
+            let valid = take_dense_tag(buf, pos, field)?;
+            data.push(if valid { take_u64(buf, pos)? as i64 } else { 0 });
+            validity.push(valid);
+        }
+        ColumnVec::Float { data, validity } => {
+            let valid = take_dense_tag(buf, pos, field)?;
+            let bits = if valid { take_u64(buf, pos)? } else { 0 };
+            data.push(f64::from_bits(bits));
+            validity.push(valid);
+        }
+        ColumnVec::Bool { data, validity } => {
+            let valid = take_dense_tag(buf, pos, field)?;
+            data.push(valid && take(buf, pos, 1)?[0] != 0);
+            validity.push(valid);
+        }
+        ColumnVec::Str { data, validity } => {
+            let valid = take_dense_tag(buf, pos, field)?;
+            data.push(if valid { take_str(buf, pos)? } else { "" });
+            validity.push(valid);
+        }
+        ColumnVec::Mixed(cells) => cells.push(decode_value(buf, pos)?),
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -183,6 +273,17 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
 /// control byte.
 pub fn decompress(data: &[u8]) -> DataResult<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len() * 2);
+    decompress_onto(data, usize::MAX, &mut out)?;
+    Ok(out)
+}
+
+/// Most bytes one compressed byte can stand for (a two-byte run of 128).
+const MAX_EXPANSION: usize = 64;
+
+/// [`decompress`] onto the end of `out`, giving up once the payload has
+/// produced more than `limit` bytes.
+fn decompress_onto(data: &[u8], limit: usize, out: &mut Vec<u8>) -> DataResult<()> {
+    let start = out.len();
     let mut pos = 0;
     while pos < data.len() {
         let control = data[pos];
@@ -197,8 +298,13 @@ pub fn decompress(data: &[u8]) -> DataResult<Vec<u8>> {
             let b = take(data, &mut pos, 1)?[0];
             out.resize(out.len() + n, b);
         }
+        if out.len() - start > limit {
+            return Err(decode_err(format!(
+                "block decompressed to more than {limit} bytes"
+            )));
+        }
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -219,12 +325,7 @@ impl CompressedBlock {
     /// Seal a columnar batch into a compressed block, carrying the batch's
     /// per-column statistics into the block header.
     pub fn seal(batch: &ColumnarBatch) -> CompressedBlock {
-        let mut raw = Vec::new();
-        for row in batch.to_rows() {
-            for v in &row {
-                encode_value(v, &mut raw);
-            }
-        }
+        let raw = encode_rows(batch);
         CompressedBlock {
             schema: batch.schema().clone(),
             rows: batch.len(),
@@ -235,30 +336,9 @@ impl CompressedBlock {
     }
 
     /// Decompress and decode back into a columnar batch (statistics are
-    /// re-sealed from the decoded rows and match the header).
+    /// re-sealed from the decoded columns and match the header).
     pub fn decode(&self) -> DataResult<ColumnarBatch> {
-        let raw = decompress(&self.data)?;
-        if raw.len() != self.raw_bytes {
-            return Err(decode_err(format!(
-                "block decompressed to {} bytes, expected {}",
-                raw.len(),
-                self.raw_bytes
-            )));
-        }
-        let arity = self.schema.arity();
-        let mut pos = 0;
-        let mut rows = Vec::with_capacity(self.rows);
-        for _ in 0..self.rows {
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(decode_value(&raw, &mut pos)?);
-            }
-            rows.push(row);
-        }
-        if pos != raw.len() {
-            return Err(decode_err("trailing bytes after last row"));
-        }
-        ColumnarBatch::from_rows(self.schema.clone(), rows)
+        decode_blocks(std::slice::from_ref(self))
     }
 
     /// Row count.
@@ -285,6 +365,84 @@ impl CompressedBlock {
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
     }
+}
+
+/// The payload of a block: `batch`'s cells row by row, each written
+/// straight off its column.
+fn encode_rows(batch: &ColumnarBatch) -> Vec<u8> {
+    let columns: Vec<&ColumnVec> = (0..batch.schema().arity())
+        .map(|j| batch.column(j))
+        .collect();
+    let mut raw = Vec::with_capacity(batch.len() * columns.len() * 9);
+    for i in 0..batch.len() {
+        for col in &columns {
+            encode_cell(col, i, &mut raw);
+        }
+    }
+    raw
+}
+
+/// Decode consecutive blocks of one schema — a segment's, or one block —
+/// into one batch: every block's cells land in one typed builder per
+/// column, sealed once through [`ColumnarBatch::from_columns`]. No blocks
+/// decode to the empty batch of the empty schema.
+///
+/// The blocks' headers are untrusted: a row count the decompressed
+/// payload cannot hold (a cell is at least its tag byte) is a
+/// [`DataError::Decode`] before anything is allocated for it.
+pub fn decode_blocks(blocks: &[CompressedBlock]) -> DataResult<ColumnarBatch> {
+    let schema = blocks
+        .first()
+        .map_or_else(Schema::empty, |b| b.schema.clone());
+    let arity = schema.arity();
+    let plausible =
+        |b: &CompressedBlock| b.raw_bytes.min(b.data.len().saturating_mul(MAX_EXPANSION));
+    let mut raw = Vec::with_capacity(blocks.iter().map(plausible).sum());
+    let mut ends = Vec::with_capacity(blocks.len());
+    let mut rows = 0;
+    for block in blocks {
+        let start = raw.len();
+        decompress_onto(&block.data, block.raw_bytes, &mut raw)?;
+        let got = raw.len() - start;
+        if got != block.raw_bytes {
+            return Err(decode_err(format!(
+                "block decompressed to {got} bytes, expected {}",
+                block.raw_bytes
+            )));
+        }
+        if block
+            .rows
+            .checked_mul(arity)
+            .is_none_or(|cells| cells > got)
+        {
+            return Err(decode_err("truncated block payload"));
+        }
+        rows += block.rows;
+        ends.push(raw.len());
+    }
+    if arity == 0 {
+        // A row of no columns is no bytes: the headers' count is all
+        // there is of it.
+        return Ok(ColumnarBatch::seal(schema, Vec::new(), rows));
+    }
+    let mut columns: Vec<ColumnVec> = schema
+        .fields()
+        .iter()
+        .map(|f| column_builder(f.dtype(), rows))
+        .collect();
+    let mut pos = 0;
+    for (block, end) in blocks.iter().zip(ends) {
+        let payload = &raw[..end];
+        for _ in 0..block.rows {
+            for (col, field) in columns.iter_mut().zip(schema.fields()) {
+                decode_cell(payload, &mut pos, col, field)?;
+            }
+        }
+        if pos != end {
+            return Err(decode_err("trailing bytes after last row"));
+        }
+    }
+    ColumnarBatch::from_columns(schema, columns)
 }
 
 /// Summary of a sealed [`Segment`]: block count, row count, byte totals,
@@ -482,7 +640,7 @@ impl Segment {
             .blocks
             .first()
             .map(|b| b.schema().clone())
-            .unwrap_or_else(crate::schema::Schema::empty);
+            .unwrap_or_else(Schema::empty);
         encode_schema(&schema, &mut out);
         out.extend_from_slice(&self.manifest.block_count.to_le_bytes());
         out.extend_from_slice(&self.manifest.row_count.to_le_bytes());
@@ -590,13 +748,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn take_u64(buf: &[u8], pos: &mut usize) -> DataResult<u64> {
-    let b = take(buf, pos, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-fn dtype_tag(dt: crate::value::DataType) -> u8 {
-    use crate::value::DataType::*;
+fn dtype_tag(dt: DataType) -> u8 {
+    use DataType::*;
     match dt {
         Null => TAG_NULL,
         Bool => TAG_BOOL,
@@ -608,8 +761,8 @@ fn dtype_tag(dt: crate::value::DataType) -> u8 {
     }
 }
 
-fn dtype_from_tag(tag: u8) -> DataResult<crate::value::DataType> {
-    use crate::value::DataType::*;
+fn dtype_from_tag(tag: u8) -> DataResult<DataType> {
+    use DataType::*;
     Ok(match tag {
         TAG_NULL => Null,
         TAG_BOOL => Bool,
@@ -640,9 +793,9 @@ fn decode_schema(buf: &[u8], pos: &mut usize) -> DataResult<SchemaRef> {
             .map_err(|_| decode_err("invalid utf-8 in field name"))?
             .to_owned();
         let dtype = dtype_from_tag(take(buf, pos, 1)?[0])?;
-        fields.push(crate::schema::Field::new(name, dtype));
+        fields.push(Field::new(name, dtype));
     }
-    crate::schema::Schema::new(fields)
+    Schema::new(fields)
         .map(std::sync::Arc::new)
         .map_err(|e| decode_err(format!("invalid persisted schema: {e}")))
 }
@@ -709,9 +862,103 @@ fn decode_opt_stats(buf: &[u8], pos: &mut usize, arity: usize) -> DataResult<Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
     use crate::tuple::Tuple;
-    use crate::value::DataType;
+    use scriptflow_simcluster::SplitMix64;
+
+    /// The boxed-row encoder the column walk replaced, kept as its
+    /// oracle: every cell a [`Value`], every row a `Vec`.
+    fn encode_boxed(batch: &ColumnarBatch) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for row in batch.to_rows() {
+            for v in &row {
+                encode_value(v, &mut raw);
+            }
+        }
+        raw
+    }
+
+    /// The boxed-row decoder, likewise: rows of values through the
+    /// checked row constructor.
+    fn decode_boxed(block: &CompressedBlock) -> DataResult<ColumnarBatch> {
+        let raw = decompress(&block.data)?;
+        if raw.len() != block.raw_bytes {
+            return Err(decode_err("length"));
+        }
+        let mut pos = 0;
+        let mut rows = Vec::new();
+        for _ in 0..block.rows {
+            let mut row = Vec::new();
+            for _ in 0..block.schema.arity() {
+                row.push(decode_value(&raw, &mut pos)?);
+            }
+            rows.push(row);
+        }
+        if pos != raw.len() {
+            return Err(decode_err("trailing"));
+        }
+        ColumnarBatch::from_rows(block.schema.clone(), rows)
+    }
+
+    /// A block over `raw` as its decompressed payload, claiming `rows`.
+    fn forged(schema: &SchemaRef, rows: usize, raw: &[u8]) -> CompressedBlock {
+        CompressedBlock {
+            schema: schema.clone(),
+            rows,
+            raw_bytes: raw.len(),
+            data: compress(raw),
+            stats: BatchStats { columns: vec![] },
+        }
+    }
+
+    /// Every `DataType`, a null in every column, `NaN` and `-0.0`, empty
+    /// and multi-byte strings, bytes, a nested list. Row 0 holds the NaN.
+    fn every_type() -> ColumnarBatch {
+        let schema = Schema::of(&[
+            ("n", DataType::Null),
+            ("b", DataType::Bool),
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+            ("y", DataType::Bytes),
+            ("l", DataType::List),
+        ]);
+        let nested = Value::List(vec![
+            Value::Int(1),
+            Value::List(vec![Value::Str("é".into()), Value::Null]),
+            Value::Float(-0.0),
+        ]);
+        let rows = vec![
+            vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(i64::MIN),
+                Value::Float(f64::NAN),
+                Value::Str(String::new()),
+                Value::Bytes(vec![0u8, 255, 7].into()),
+                nested,
+            ],
+            vec![Value::Null; 7],
+            vec![
+                Value::Null,
+                Value::Bool(false),
+                Value::Int(-1),
+                Value::Float(-0.0),
+                Value::Str("日本語 🦀".into()),
+                Value::Bytes(Vec::new().into()),
+                Value::List(vec![]),
+            ],
+            vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(7),
+                Value::Float(1.5),
+                Value::Str("a".into()),
+                Value::Bytes(vec![9u8; 300].into()),
+                Value::List(vec![Value::Bool(false)]),
+            ],
+        ];
+        ColumnarBatch::from_rows(schema, rows).unwrap()
+    }
 
     fn batch(rows: &[(i64, &str, f64)]) -> ColumnarBatch {
         let schema = Schema::of(&[
@@ -935,5 +1182,175 @@ mod tests {
         assert!(!ranges_disjoint(&lo, &overlap));
         assert!(!ranges_disjoint(&lo, &unknown));
         assert!(!ranges_disjoint(&unknown, &hi));
+    }
+
+    #[test]
+    fn wire_format_is_the_boxed_encoders_byte_for_byte() {
+        let b = every_type();
+        let want = encode_boxed(&b);
+        assert_eq!(encode_rows(&b), want);
+        let block = CompressedBlock::seal(&b);
+        assert_eq!(block.raw_bytes(), want.len());
+        assert_eq!(decompress(&block.data).unwrap(), want);
+
+        // Back to the same cells bit for bit (`NaN != NaN`, so the float
+        // column is compared re-encoded), validity and statistics.
+        let back = block.decode().unwrap();
+        assert_eq!(encode_boxed(&back), want);
+        assert_eq!(back.stats(), b.stats());
+        assert_eq!(back.stats(), block.stats());
+        for j in (0..7).filter(|&j| j != 3) {
+            assert_eq!(back.column(j), b.column(j), "column {j}");
+        }
+        let no_nan = b.take(&[1, 2, 3]);
+        assert_eq!(CompressedBlock::seal(&no_nan).decode().unwrap(), no_nan);
+        assert_eq!(decode_boxed(&block).unwrap().stats(), back.stats());
+
+        // All the blocks of a segment into one batch, and none.
+        let mut app = BlockAppender::new();
+        app.append(&no_nan);
+        app.append(&no_nan.take(&[2, 0]));
+        let whole = decode_blocks(app.seal().blocks()).unwrap();
+        assert_eq!(whole, b.take(&[1, 2, 3, 3, 1]));
+        assert!(decode_blocks(&[]).unwrap().is_empty());
+
+        // A cell of another type in a dense column is the type mismatch
+        // the checked row constructor reports.
+        for (dtype, wrong) in [
+            (DataType::Bool, Value::Int(1)),
+            (DataType::Int, Value::Float(1.0)),
+            (DataType::Float, Value::Str("1".into())),
+            (DataType::Str, Value::Bool(true)),
+        ] {
+            let schema = Schema::of(&[("ok", DataType::Int), ("c", dtype)]);
+            let row = vec![Value::Int(0), wrong];
+            let mut raw = Vec::new();
+            row.iter().for_each(|v| encode_value(v, &mut raw));
+            let got = forged(&schema, 1, &raw).decode().unwrap_err();
+            assert!(matches!(got, DataError::TypeMismatch { .. }), "{got:?}");
+            assert_eq!(
+                got,
+                ColumnarBatch::from_rows(schema, vec![row]).unwrap_err()
+            );
+        }
+        // A row of no columns is no bytes; its count still round-trips.
+        let none = ColumnarBatch::from_tuples(
+            Schema::empty(),
+            &vec![Tuple::new(Schema::empty(), vec![]).unwrap(); 3],
+        );
+        let back = CompressedBlock::seal(&none).decode().unwrap();
+        assert_eq!((back.len(), back.to_tuples().len()), (3, 3));
+    }
+
+    #[test]
+    fn forged_row_count_is_a_decode_error_not_an_allocation() {
+        let mut app = BlockAppender::new();
+        app.append(&batch(&[(5, "m", 1.0), (9, "z", 2.0)]));
+        let seg = app.seal();
+        let mut image = seg.encode();
+        // Raise the manifest's row count and the block's together, under
+        // a fresh checksum: the envelope still agrees with itself.
+        let mut head = SEGMENT_MAGIC.to_vec();
+        encode_schema(seg.blocks()[0].schema(), &mut head);
+        let row_count = head.len() + 8;
+        let mut stats = Vec::new();
+        encode_opt_stats(seg.manifest().stats.as_ref(), &mut stats);
+        let block_rows = head.len() + 32 + stats.len();
+        image[row_count..row_count + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        image[block_rows..block_rows + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = image.len() - 8;
+        let sum = fnv1a64(&image[..body]);
+        image[body..].copy_from_slice(&sum.to_le_bytes());
+
+        let forged = Segment::decode(&image).expect("the envelope is consistent");
+        assert_eq!(forged.manifest().row_count, u64::from(u32::MAX));
+        let block = &forged.blocks()[0];
+        assert_eq!(block.rows(), u32::MAX as usize);
+        // 4 billion rows of three cells cannot fit the payload's few
+        // dozen bytes: refused before a builder is sized for them.
+        for got in [block.decode(), decode_blocks(forged.blocks())] {
+            assert!(
+                matches!(&got, Err(DataError::Decode { message, .. }) if message.contains("truncated")),
+                "{got:?}"
+            );
+        }
+        // A run-length bomb stops at the header's size, not at its end.
+        let bomb = CompressedBlock {
+            data: [129u8, 0].repeat(1 << 16),
+            ..seg.blocks()[0].clone()
+        };
+        let mut out = Vec::new();
+        assert!(decompress_onto(&bomb.data, bomb.raw_bytes, &mut out).is_err());
+        assert!(out.len() <= bomb.raw_bytes + 128);
+        assert!(bomb.decode().is_err());
+    }
+
+    /// Second piece of the decoder fuzz: payloads mutated, truncated and
+    /// extended, compressed and decompressed. The column decoder never
+    /// panics, answers `Ok` exactly when the boxed decoder does, and with
+    /// the same batch.
+    #[test]
+    fn mutated_payloads_decode_as_the_boxed_decoder_or_fail() {
+        let mut rng = SplitMix64::new(0x5EED_B10C);
+        let bases = [
+            every_type(),
+            batch(&[(3, "c", 0.5), (1, "", -2.0), (2, "héllo", f64::MAX)]),
+        ];
+        let (mut served, mut refused) = (0, 0);
+        for case in 0..6_000 {
+            let base = &bases[case % bases.len()];
+            let sealed = CompressedBlock::seal(base);
+            let mut block = sealed.clone();
+            // Mutate the decompressed payload (and re-compress it) or the
+            // compressed bytes as they are.
+            let on_raw = rng.bool(0.6);
+            let mut bytes = if on_raw {
+                encode_rows(base)
+            } else {
+                sealed.data.clone()
+            };
+            match rng.range(0..4usize) {
+                0 => {
+                    for _ in 0..rng.range(1..4usize) {
+                        let at = rng.range(0..bytes.len());
+                        bytes[at] ^= 1 << rng.range(0..8usize);
+                    }
+                }
+                1 => {
+                    let at = rng.range(0..bytes.len());
+                    bytes[at] = rng.range(0..8usize) as u8; // a tag, often
+                }
+                2 => bytes.truncate(rng.range(0..bytes.len())),
+                _ => {
+                    let extra = rng.range(1..12usize);
+                    bytes.extend((0..extra).map(|_| rng.next_u64() as u8));
+                }
+            }
+            if on_raw {
+                block.raw_bytes = bytes.len();
+                block.data = compress(&bytes);
+            } else {
+                block.data = bytes;
+            }
+            if rng.bool(0.2) {
+                block.rows = rng.range(0..block.rows + 3);
+            }
+            let (got, want) = (block.decode(), decode_boxed(&block));
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => {
+                    served += 1;
+                    assert_eq!(got.len(), block.rows);
+                    assert_eq!(encode_boxed(got), encode_boxed(want), "case {case}");
+                    assert_eq!(got.stats(), want.stats(), "case {case}");
+                    let columns = (0..got.schema().arity()).map(|j| got.column(j).clone());
+                    ColumnarBatch::from_columns(got.schema().clone(), columns.collect())
+                        .expect("a decoded batch is one the checked constructor accepts");
+                }
+                (Err(_), Err(_)) => refused += 1,
+                _ => panic!("case {case}: column decoder {got:?}, boxed decoder {want:?}"),
+            }
+        }
+        println!("decoder fuzz: {served} served, {refused} refused, 0 panics");
+        assert!(served > 100 && refused > 1_000, "{served} / {refused}");
     }
 }

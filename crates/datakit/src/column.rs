@@ -753,7 +753,7 @@ impl ColumnarBatch {
         Self::from_tuples(batch.schema().clone(), batch.tuples())
     }
 
-    fn seal(schema: SchemaRef, columns: Vec<ColumnVec>, len: usize) -> Self {
+    pub(crate) fn seal(schema: SchemaRef, columns: Vec<ColumnVec>, len: usize) -> Self {
         let stats = BatchStats {
             columns: columns.iter().map(ColumnVec::seal_stats).collect(),
         };

@@ -535,6 +535,34 @@ mod tests {
         );
     }
 
+    /// The sim charges a hit `cache_read_per_block × blocks` and prices an
+    /// entry from what its recording sealed, so a storage change that moves
+    /// a recorded entry's blocks or bytes moves these tables. They are the
+    /// ones `repro edit-rerun` / `repro edit-loop` print (tables, so
+    /// `--csv` writes no file for them); regenerate the two files in the
+    /// same commit as a deliberate change.
+    #[test]
+    fn edit_rerun_table_is_byte_stable_on_sim() {
+        let Artifact::Table(t) = EditRerun.run() else {
+            panic!("expected table");
+        };
+        assert_eq!(
+            t.to_string(),
+            include_str!("../../../artifacts/edit_rerun.txt")
+        );
+    }
+
+    #[test]
+    fn edit_loop_table_is_byte_stable_on_sim() {
+        let Artifact::Table(t) = EditLoop.run() else {
+            panic!("expected table");
+        };
+        assert_eq!(
+            t.to_string(),
+            include_str!("../../../artifacts/edit_loop.txt")
+        );
+    }
+
     #[test]
     fn edit_loop_table_has_one_row_per_size() {
         let Artifact::Table(t) = EditLoop.run_on(BackendChoice::Sim) else {

@@ -13,8 +13,8 @@
 //! workflow before it runs:
 //!
 //! * a needed node whose fingerprint has a sealed entry is **served** —
-//!   replaced by a [`CacheReplayOp`] source that decodes the segment and
-//!   emits the recorded rows (the simulator charges
+//!   replaced by a [`CacheReplayOp`] source that decodes the segment,
+//!   sealed for column readers and as rows otherwise (the simulator charges
 //!   [`EngineConfig::cache_read_per_block`] per decoded block via the
 //!   replay op's setup cost);
 //! * nodes upstream of only served/unneeded consumers are **skipped** —
@@ -75,7 +75,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use scriptflow_core::fingerprint::OpFingerprint;
-use scriptflow_datakit::blockstore::{BlockAppender, Segment};
+use scriptflow_datakit::blockstore::{decode_blocks, BlockAppender, Segment};
 use scriptflow_datakit::{ColumnarBatch, Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::SimDuration;
 
@@ -87,7 +87,7 @@ use crate::operator::{
     deal_round_robin, Emitted, OpDescriptor, Operator, OperatorFactory, OutputCollector,
     WorkflowError, WorkflowResult,
 };
-use crate::spill::SPILL_BLOCK_ROWS;
+use crate::spill::{append_rows, decode_rows, SPILL_BLOCK_ROWS};
 use crate::sync::lock;
 use crate::trace::ProgressTrace;
 
@@ -102,17 +102,10 @@ pub struct CacheEntry {
     bytes: u64,
 }
 
-/// Append `tuples` to `app` as blocks of at most [`SPILL_BLOCK_ROWS`] rows.
-fn append_rows(app: &mut BlockAppender, schema: &SchemaRef, tuples: &[Tuple]) {
-    for chunk in tuples.chunks(SPILL_BLOCK_ROWS) {
-        app.append(&ColumnarBatch::from_tuples(schema.clone(), chunk));
-    }
-}
-
 impl CacheEntry {
     fn seal(schema: &SchemaRef, tuples: &[Tuple]) -> CacheEntry {
         let mut app = BlockAppender::new();
-        append_rows(&mut app, schema, tuples);
+        append_rows(&mut app, schema, tuples, SPILL_BLOCK_ROWS, None);
         CacheEntry::from_segment(app.seal())
     }
 
@@ -130,7 +123,7 @@ impl CacheEntry {
                 Emitted::Rows(run) if rows.is_empty() => rows = run,
                 Emitted::Rows(mut run) => rows.append(&mut run),
                 Emitted::Columnar(batch) => {
-                    append_rows(&mut app, schema, &rows);
+                    append_rows(&mut app, schema, &rows, SPILL_BLOCK_ROWS, None);
                     rows.clear();
                     for block in batch.chunks(SPILL_BLOCK_ROWS) {
                         app.append(&block);
@@ -138,7 +131,7 @@ impl CacheEntry {
                 }
             }
         }
-        append_rows(&mut app, schema, &rows);
+        append_rows(&mut app, schema, &rows, SPILL_BLOCK_ROWS, None);
         CacheEntry::from_segment(app.seal())
     }
 
@@ -172,18 +165,7 @@ impl CacheEntry {
     /// Decode the full output multiset back into tuples, in recorded
     /// order.
     pub fn tuples(&self) -> Vec<Tuple> {
-        // The manifest row count is advisory — for a persisted entry it
-        // is untrusted input — so preallocate no more than the decoded
-        // blocks can actually hold.
-        let decoded: usize = self.segment.blocks().iter().map(|b| b.rows()).sum();
-        let mut out = Vec::with_capacity((self.rows as usize).min(decoded));
-        for block in self.segment.blocks() {
-            let batch = block
-                .decode()
-                .expect("sealed cache blocks always round-trip");
-            out.extend(batch.to_tuples());
-        }
-        out
+        decode_rows(self.segment.blocks()).expect("sealed cache blocks always round-trip")
     }
 }
 
@@ -650,9 +632,7 @@ impl DiskStore {
         if m.row_count != rows || m.block_count != blocks || m.compressed_bytes != bytes {
             return Err(corrupt("segment disagrees with the cache manifest"));
         }
-        for block in segment.blocks() {
-            block.decode().map_err(|e| corrupt(&e.to_string()))?;
-        }
+        decode_blocks(segment.blocks()).map_err(|e| corrupt(&e.to_string()))?;
         Ok(CacheEntry::from_segment(segment))
     }
 
@@ -814,6 +794,14 @@ impl OperatorFactory for CacheReplayOp {
 
     fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
         Some(deal_round_robin(self.entry.tuples(), workers))
+    }
+
+    /// A hit is a sealed source, as a scan is: the engine asks for this
+    /// exactly when every consumer reads columns, and the entry's blocks
+    /// become one batch without a row being built.
+    fn source_columnar(&self) -> Option<ColumnarBatch> {
+        let blocks = self.entry.segment.blocks();
+        Some(decode_blocks(blocks).expect("sealed cache blocks always round-trip"))
     }
 }
 
@@ -1650,6 +1638,84 @@ mod tests {
                 SimDuration::from_micros(900) * blocks
             );
         }
+    }
+
+    /// A hit is a sealed source exactly when a scan would be: every
+    /// consumer reads columns. The rerun's consumer of the served `keep`
+    /// is a comparison filter (kernel) or a pass-through UDF (none).
+    #[test]
+    fn a_hit_replays_sealed_to_kernels_and_as_rows_to_a_udf() {
+        use crate::exec_live::LiveExecutor;
+        use crate::ops::UdfOp;
+        // scan → keep (everything) → last → sink, one worker each but
+        // `last`, so what reaches the sink keeps the replayed order.
+        let dag = |last: Arc<dyn OperatorFactory>, workers: usize| {
+            let mut b = WorkflowBuilder::new();
+            let ids = (0..4_000).map(|i| vec![Value::Int(i)]).collect();
+            let scan = ScanOp::new("scan", Batch::from_rows(schema(), ids).unwrap());
+            let s = b.add(Arc::new(scan), 1);
+            let keep = FilterOp::cmp("keep", "id", CmpOp::Ge, Value::Int(0));
+            let f = b.add(Arc::new(keep), 1);
+            let l = b.add(last, workers);
+            let sink_op = SinkOp::new("sink");
+            let handle = sink_op.handle();
+            let k = b.add(Arc::new(sink_op), 1);
+            b.connect(s, f, 0, PartitionStrategy::RoundRobin);
+            b.connect(f, l, 0, PartitionStrategy::RoundRobin);
+            b.connect(l, k, 0, PartitionStrategy::Single);
+            (b.build().unwrap(), handle)
+        };
+        let late = |ge| Arc::new(FilterOp::cmp("late", "id", CmpOp::Ge, Value::Int(ge)));
+        let cache = Arc::new(ResultCache::new());
+        let exec = LiveExecutor::new(16)
+            .with_pool_size(1)
+            .with_result_cache(cache.clone());
+        let (cold, _) = dag(late(3_000), 1);
+        exec.run(&cold).unwrap();
+        let entry = cache
+            .lookup(cold.fingerprint(cold.op_by_name("keep").unwrap()))
+            .expect("the cold run published keep");
+        let recorded = entry.tuples();
+        assert_eq!(recorded.len(), 4_000);
+
+        // The replay factory itself: the same rows either way it is asked.
+        let plan = prepare(&dag(late(3_500), 1).0, &cache, SimDuration::ZERO);
+        let replay = plan.wf.op(plan.wf.op_by_name("keep").unwrap());
+        assert!(replay.desc().cache_replay.is_some());
+        let sealed = replay.factory.source_columnar().expect("a hit can seal");
+        assert_eq!(sealed.to_tuples(), recorded);
+        assert_eq!(replay.factory.source_partitions(1).unwrap()[0], recorded);
+
+        // Edited literal: `late` recomputes over the served `keep`, reads
+        // it as sealed batches of 16 ascending ids and prunes every one
+        // below 3 500 on its statistics.
+        let (edited, handle) = dag(late(3_500), 1);
+        let run = exec.run(&edited).unwrap();
+        let pool = run.pool.unwrap();
+        assert_eq!((pool.cache_hits, pool.cache_misses), (1, 1));
+        assert_eq!(run.metrics.by_name("late").unwrap().input_tuples, 4_000);
+        assert_eq!(pool.batches_skipped, 3_500 / 16);
+        assert_eq!(handle.results(), recorded[3_500..]);
+
+        // A UDF behind the same hit gets rows: they coalesce to 125 full
+        // batches a worker on the scattered edge (and 250 more reach the
+        // sink), where 250 sealed batches would cross it as 500 halves.
+        let map = |name: &str| {
+            Arc::new(UdfOp::new(name, (*schema()).clone(), |t, _, out| {
+                out.emit(t);
+                Ok(())
+            }))
+        };
+        exec.run(&dag(map("map"), 2).0).unwrap();
+        let (renamed, handle) = dag(map("map_renamed"), 2);
+        let run = exec.run(&renamed).unwrap();
+        let pool = run.pool.unwrap();
+        assert_eq!((pool.cache_hits, pool.cache_misses), (1, 1));
+        assert_eq!((pool.batches_skipped, pool.batches_sent), (0, 250 + 250));
+        assert_eq!(
+            sorted_ids(&handle.results()),
+            (0..4_000).collect::<Vec<_>>()
+        );
     }
 
     #[test]

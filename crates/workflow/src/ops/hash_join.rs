@@ -17,7 +17,7 @@ use crate::operator::{
     rows_through, spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector,
     WorkflowError, WorkflowResult,
 };
-use crate::spill::{tuple_footprint, PartitionWriter, SPILL_FANOUT, SPILL_MAX_DEPTH};
+use crate::spill::{read_block, tuple_footprint, PartitionWriter, SPILL_FANOUT, SPILL_MAX_DEPTH};
 
 use super::{resolve_columns, ResolvedColumns};
 
@@ -348,11 +348,7 @@ impl HashJoinInstance {
             ] {
                 let names: Vec<&str> = keys.iter().map(String::as_str).collect();
                 for block in seg.blocks() {
-                    out.note_spill_read();
-                    let batch = block
-                        .decode()
-                        .map_err(|e| WorkflowError::from_data(&name, e))?;
-                    for t in batch.to_tuples() {
+                    for t in read_block(block, &name, out)? {
                         let key = HashKey::from_tuple(&t, &names)
                             .map_err(|e| WorkflowError::from_data(&name, e))?;
                         writers[key.bucket_salted(salt, SPILL_FANOUT)].push(t, flush_at, out);
@@ -370,11 +366,7 @@ impl HashJoinInstance {
         {
             let names: Vec<&str> = self.build_keys.iter().map(String::as_str).collect();
             for block in build_seg.blocks() {
-                out.note_spill_read();
-                let batch = block
-                    .decode()
-                    .map_err(|e| WorkflowError::from_data(&name, e))?;
-                for t in batch.to_tuples() {
+                for t in read_block(block, &name, out)? {
                     let key = HashKey::from_tuple(&t, &names)
                         .map_err(|e| WorkflowError::from_data(&name, e))?;
                     local.entry(key).or_default().push(t);
@@ -396,12 +388,8 @@ impl HashJoinInstance {
                     }
                 }
             }
-            out.note_spill_read();
-            let batch = block
-                .decode()
-                .map_err(|e| WorkflowError::from_data(&name, e))?;
             let names: Vec<&str> = probe_names.iter().map(String::as_str).collect();
-            for t in batch.to_tuples() {
+            for t in read_block(block, &name, out)? {
                 let schema = self.ensure_out_schema(t.schema(), build_schema)?;
                 let key = HashKey::from_tuple(&t, &names)
                     .map_err(|e| WorkflowError::from_data(&name, e))?;

@@ -14,7 +14,7 @@ use crate::operator::{
     spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError,
     WorkflowResult,
 };
-use crate::spill::{seal_run, tuple_footprint};
+use crate::spill::{read_block, seal_run, tuple_footprint};
 
 /// Sort direction for one key column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,11 +138,7 @@ impl RunCursor {
             let Some(block) = self.segment.blocks().get(self.next_block) else {
                 return Ok(None);
             };
-            out.note_spill_read();
-            self.current = block
-                .decode()
-                .map_err(|e| WorkflowError::from_data(name, e))?
-                .to_tuples();
+            self.current = read_block(block, name, out)?;
             self.pos = 0;
             self.next_block += 1;
         }

@@ -9,10 +9,10 @@
 //! write and read is counted on the [`OutputCollector`] so both executors
 //! can charge spill I/O and surface it in telemetry.
 
-use scriptflow_datakit::blockstore::{BlockAppender, Segment};
+use scriptflow_datakit::blockstore::{decode_blocks, BlockAppender, CompressedBlock, Segment};
 use scriptflow_datakit::{ColumnarBatch, DataResult, SchemaRef, Tuple};
 
-use crate::operator::OutputCollector;
+use crate::operator::{OutputCollector, WorkflowError, WorkflowResult};
 
 /// Fan-out of one round of hash partitioning. Eight-way matches the
 /// grace-join literature's usual small fan-out and keeps recursion depth
@@ -76,11 +76,10 @@ impl PartitionWriter {
         }
         let schema = self
             .schema
-            .clone()
+            .as_ref()
             .expect("non-empty spill buffer always has a schema");
-        let batch = ColumnarBatch::from_tuples(schema, &self.buffer);
-        let bytes = self.appender.append(&batch);
-        out.note_spill_write(bytes as u64);
+        let rows = self.buffer.len();
+        append_rows(&mut self.appender, schema, &self.buffer, rows, Some(out));
         self.buffer.clear();
         self.buffer_bytes = 0;
     }
@@ -102,27 +101,54 @@ impl PartitionWriter {
     }
 }
 
+/// Rows → blocks, the one way rows reach the block store: `tuples` cut
+/// into blocks of at most `block_rows` rows and appended to `app`, each
+/// charged to `out` as a spill write (the cache's are no spill: `None`).
+pub(crate) fn append_rows(
+    app: &mut BlockAppender,
+    schema: &SchemaRef,
+    tuples: &[Tuple],
+    block_rows: usize,
+    mut out: Option<&mut OutputCollector>,
+) {
+    for chunk in tuples.chunks(block_rows) {
+        let bytes = app.append(&ColumnarBatch::from_tuples(schema.clone(), chunk));
+        if let Some(out) = out.as_deref_mut() {
+            out.note_spill_write(bytes as u64);
+        }
+    }
+}
+
+/// Blocks → rows, the one place stored blocks become tuples again: the
+/// blocks decoded into one batch ([`decode_blocks`], what a cache replay
+/// serves sealed) and that batch unrolled.
+pub(crate) fn decode_rows(blocks: &[CompressedBlock]) -> DataResult<Vec<Tuple>> {
+    Ok(decode_blocks(blocks)?.to_tuples())
+}
+
+/// One spilled block's rows for operator `name`, charging its spill read.
+pub(crate) fn read_block(
+    block: &CompressedBlock,
+    name: &str,
+    out: &mut OutputCollector,
+) -> WorkflowResult<Vec<Tuple>> {
+    out.note_spill_read();
+    decode_rows(std::slice::from_ref(block)).map_err(|e| WorkflowError::from_data(name, e))
+}
+
 /// Seal an already-ordered slice of tuples (e.g. a sorted run) into a
 /// segment of bounded-size blocks, charging one spill write per block.
 pub fn seal_run(schema: &SchemaRef, tuples: &[Tuple], out: &mut OutputCollector) -> Segment {
     let mut app = BlockAppender::new();
-    for chunk in tuples.chunks(SPILL_BLOCK_ROWS) {
-        let batch = ColumnarBatch::from_tuples(schema.clone(), chunk);
-        let bytes = app.append(&batch);
-        out.note_spill_write(bytes as u64);
-    }
+    append_rows(&mut app, schema, tuples, SPILL_BLOCK_ROWS, Some(out));
     app.seal()
 }
 
 /// Decode every row of a segment back into tuples, charging one spill
 /// read per block.
 pub fn read_segment(seg: &Segment, out: &mut OutputCollector) -> DataResult<Vec<Tuple>> {
-    let mut tuples = Vec::with_capacity(seg.manifest().row_count as usize);
-    for block in seg.blocks() {
-        out.note_spill_read();
-        tuples.extend(block.decode()?.to_tuples());
-    }
-    Ok(tuples)
+    seg.blocks().iter().for_each(|_| out.note_spill_read());
+    decode_rows(seg.blocks())
 }
 
 #[cfg(test)]

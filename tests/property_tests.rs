@@ -9,6 +9,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use scriptflow::datakit::blockstore::decode_blocks;
 use scriptflow::datakit::codec::{from_csv, from_jsonl, to_csv, to_jsonl, Json};
 use scriptflow::datakit::{
     Batch, BlockAppender, CmpOp, ColumnarBatch, CompressedBlock, DataFrame, DataType, HashKey,
@@ -458,17 +459,22 @@ fn blockstore_roundtrip_and_manifest_stats() {
             // Per-block roundtrip: encode → compress → decompress →
             // decode is the identity.
             let block = CompressedBlock::seal(&cb);
-            assert_eq!(block.decode().unwrap().to_rows(), chunk_rows.to_vec());
+            let back = block.decode().unwrap();
+            assert_eq!(back, cb, "columns, validity and sealed statistics");
+            assert_eq!(back.to_rows(), chunk_rows.to_vec());
             app.append(&cb);
         }
         let seg = app.seal();
 
-        // Whole-segment roundtrip preserves rows in append order.
+        // Whole-segment roundtrip preserves rows in append order: block
+        // by block, and as the one batch all the blocks decode into.
         let mut decoded: Vec<Vec<Value>> = Vec::new();
         for b in seg.blocks() {
             decoded.extend(b.decode().unwrap().to_rows());
         }
         assert_eq!(&decoded, &values);
+        let whole = ColumnarBatch::from_rows(schema.clone(), values.clone()).unwrap();
+        assert_eq!(decode_blocks(seg.blocks()).unwrap(), whole);
 
         // Manifest totals vs direct folds.
         let m = seg.manifest();
