@@ -19,7 +19,7 @@
 
 use std::cmp::Ordering;
 
-use crate::column::{cmp_values, BatchStats, Bitmap, ColStats, ColumnVec, ColumnarBatch, StrVec};
+use crate::column::{cmp_values, BatchStats, ColStats, ColumnVec, ColumnarBatch};
 use crate::error::{DataError, DataResult};
 use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{DataType, Value};
@@ -150,33 +150,6 @@ fn decode_value(buf: &[u8], pos: &mut usize) -> DataResult<Value> {
     })
 }
 
-/// An empty column of `dtype` with room for `rows` cells: the
-/// representation [`ColumnVec::from_cells`] builds for the type.
-fn column_builder(dtype: DataType, rows: usize) -> ColumnVec {
-    let validity = Bitmap::new();
-    match dtype {
-        DataType::Int => ColumnVec::Int {
-            data: Vec::with_capacity(rows),
-            validity,
-        },
-        DataType::Float => ColumnVec::Float {
-            data: Vec::with_capacity(rows),
-            validity,
-        },
-        DataType::Bool => ColumnVec::Bool {
-            data: Vec::with_capacity(rows),
-            validity,
-        },
-        DataType::Str => ColumnVec::Str {
-            data: StrVec::with_capacity(rows, 0),
-            validity,
-        },
-        DataType::Null | DataType::Bytes | DataType::List => {
-            ColumnVec::Mixed(Vec::with_capacity(rows))
-        }
-    }
-}
-
 /// The tag of a dense column's next cell: `true` for a value of
 /// `field`'s type, `false` for a null, and for any other the type
 /// mismatch the checked row constructor reports.
@@ -192,7 +165,7 @@ fn take_dense_tag(buf: &[u8], pos: &mut usize, field: &Field) -> DataResult<bool
     })
 }
 
-/// Read one cell onto the end of `col`, the [`column_builder`] of
+/// Read one cell onto the end of `col`, a [`ColumnVec::with_capacity`] of
 /// `field`'s type. A boxed column takes every value;
 /// [`ColumnarBatch::from_columns`] checks those.
 fn decode_cell(buf: &[u8], pos: &mut usize, col: &mut ColumnVec, field: &Field) -> DataResult<()> {
@@ -387,60 +360,51 @@ fn encode_rows(batch: &ColumnarBatch) -> Vec<u8> {
 /// column, sealed once through [`ColumnarBatch::from_columns`]. No blocks
 /// decode to the empty batch of the empty schema.
 ///
-/// The blocks' headers are untrusted: a row count the decompressed
-/// payload cannot hold (a cell is at least its tag byte) is a
-/// [`DataError::Decode`] before anything is allocated for it.
+/// The blocks' headers are untrusted. A cell is at least its tag byte and
+/// a compressed byte stands for at most 64 (`MAX_EXPANSION`), so the
+/// builders are sized for no more rows than the blocks' bytes could hold
+/// whatever the headers claim, and a row count the payload cannot fill
+/// is a [`DataError::Decode`].
 pub fn decode_blocks(blocks: &[CompressedBlock]) -> DataResult<ColumnarBatch> {
     let schema = blocks
         .first()
         .map_or_else(Schema::empty, |b| b.schema.clone());
-    let arity = schema.arity();
-    let plausible =
-        |b: &CompressedBlock| b.raw_bytes.min(b.data.len().saturating_mul(MAX_EXPANSION));
-    let mut raw = Vec::with_capacity(blocks.iter().map(plausible).sum());
-    let mut ends = Vec::with_capacity(blocks.len());
-    let mut rows = 0;
+    let fields = schema.fields();
+    let holds = |b: &CompressedBlock| b.raw_bytes.min(b.data.len().saturating_mul(MAX_EXPANSION));
+    let room = |b: &CompressedBlock| b.rows.min(holds(b) / fields.len().max(1));
+    let room = blocks.iter().map(room).sum();
+    let mut columns: Vec<ColumnVec> = fields
+        .iter()
+        .map(|f| ColumnVec::with_capacity(f.dtype(), room))
+        .collect();
+    let (mut raw, mut rows) = (Vec::new(), 0);
     for block in blocks {
-        let start = raw.len();
+        raw.clear();
+        raw.reserve(holds(block));
         decompress_onto(&block.data, block.raw_bytes, &mut raw)?;
-        let got = raw.len() - start;
-        if got != block.raw_bytes {
+        if raw.len() != block.raw_bytes {
             return Err(decode_err(format!(
-                "block decompressed to {got} bytes, expected {}",
+                "block decompressed to {} bytes, expected {}",
+                raw.len(),
                 block.raw_bytes
             )));
         }
-        if block
-            .rows
-            .checked_mul(arity)
-            .is_none_or(|cells| cells > got)
-        {
-            return Err(decode_err("truncated block payload"));
-        }
-        rows += block.rows;
-        ends.push(raw.len());
-    }
-    if arity == 0 {
-        // A row of no columns is no bytes: the headers' count is all
+        let mut pos = 0;
+        // A row of no columns is no bytes: its header's count is all
         // there is of it.
-        return Ok(ColumnarBatch::seal(schema, Vec::new(), rows));
-    }
-    let mut columns: Vec<ColumnVec> = schema
-        .fields()
-        .iter()
-        .map(|f| column_builder(f.dtype(), rows))
-        .collect();
-    let mut pos = 0;
-    for (block, end) in blocks.iter().zip(ends) {
-        let payload = &raw[..end];
-        for _ in 0..block.rows {
-            for (col, field) in columns.iter_mut().zip(schema.fields()) {
-                decode_cell(payload, &mut pos, col, field)?;
+        let with_cells = if fields.is_empty() { 0 } else { block.rows };
+        for _ in 0..with_cells {
+            for (col, field) in columns.iter_mut().zip(fields) {
+                decode_cell(&raw, &mut pos, col, field)?;
             }
         }
-        if pos != end {
+        if pos != raw.len() {
             return Err(decode_err("trailing bytes after last row"));
         }
+        rows += block.rows;
+    }
+    if fields.is_empty() {
+        return Ok(ColumnarBatch::seal(schema, Vec::new(), rows));
     }
     ColumnarBatch::from_columns(schema, columns)
 }
@@ -1267,7 +1231,8 @@ mod tests {
         let block = &forged.blocks()[0];
         assert_eq!(block.rows(), u32::MAX as usize);
         // 4 billion rows of three cells cannot fit the payload's few
-        // dozen bytes: refused before a builder is sized for them.
+        // dozen bytes: the builders are sized for what those could hold,
+        // and the payload runs out in its third row.
         for got in [block.decode(), decode_blocks(forged.blocks())] {
             assert!(
                 matches!(&got, Err(DataError::Decode { message, .. }) if message.contains("truncated")),

@@ -281,6 +281,34 @@ impl ColumnVec {
         }
     }
 
+    /// An empty column with room for `rows` cells, in the representation
+    /// [`ColumnVec::from_cells`] builds for `dtype` — what a decoder that
+    /// reads cells one at a time pushes onto.
+    pub(crate) fn with_capacity(dtype: DataType, rows: usize) -> Self {
+        let validity = Bitmap::new();
+        match dtype {
+            DataType::Int => ColumnVec::Int {
+                data: Vec::with_capacity(rows),
+                validity,
+            },
+            DataType::Float => ColumnVec::Float {
+                data: Vec::with_capacity(rows),
+                validity,
+            },
+            DataType::Bool => ColumnVec::Bool {
+                data: Vec::with_capacity(rows),
+                validity,
+            },
+            DataType::Str => ColumnVec::Str {
+                data: StrVec::with_capacity(rows, 0),
+                validity,
+            },
+            DataType::Null | DataType::Bytes | DataType::List => {
+                ColumnVec::Mixed(Vec::with_capacity(rows))
+            }
+        }
+    }
+
     /// Gather the rows at `indices`, in that order, keeping validity.
     pub fn take(&self, indices: &[u32]) -> ColumnVec {
         fn gather<T: Copy>(data: &[T], indices: &[u32]) -> Vec<T> {

@@ -115,8 +115,9 @@ enum Leg {
     SpillCacheCold,
     /// `SpillCache` with a comparison filter between the join and the
     /// aggregate, rerun on the cache its cold run filled with that
-    /// filter's literal edited: the join is served, its inputs skipped.
-    SpillCacheEdited,
+    /// filter's literal (carried here) edited: the join is served, its
+    /// inputs skipped.
+    SpillCacheEdited(i64),
     /// The paper's DICE DAG as `paper_tasks` runs it: 1 000 document
     /// pairs, width 2, the calibrated edge batch of 400.
     Dice,
@@ -129,12 +130,12 @@ fn job(leg: Leg, scans: &[Arc<ScanOp>; 3]) -> (f64, String) {
     let mut exec = LiveExecutor::new(BATCH_SIZE).with_pool_size(1);
     match leg {
         Leg::Dice => return dice_job(),
-        Leg::SpillCacheEdited => return edited_job(exec, scans),
+        Leg::SpillCacheEdited(edited) => return edited_job(exec, scans, edited),
         Leg::SpillCacheCold => exec = exec.with_result_cache(Arc::new(ResultCache::new())),
         _ => {}
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let (wf, handle) = dag(leg, scans, 0);
+    let (wf, handle) = dag(leg, scans);
     let (spent, counts) = run_and_read(&exec, &wf, &handle, "sink", before);
     (spent as f64 / TUPLES as f64, counts)
 }
@@ -142,23 +143,18 @@ fn job(leg: Leg, scans: &[Arc<ScanOp>; 3]) -> (f64, String) {
 /// [`Leg::SpillCacheEdited`]: the cold run fills a fresh cache and is not
 /// counted; the rerun with the last filter's literal edited is, per tuple
 /// the served join replays.
-fn edited_job(exec: LiveExecutor, scans: &[Arc<ScanOp>; 3]) -> (f64, String) {
+fn edited_job(exec: LiveExecutor, scans: &[Arc<ScanOp>; 3], edited: i64) -> (f64, String) {
     let exec = exec.with_result_cache(Arc::new(ResultCache::new()));
-    exec.run(&dag(Leg::SpillCacheEdited, scans, 90_000).0)
+    exec.run(&dag(Leg::SpillCacheEdited(90_000), scans).0)
         .unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let (wf, handle) = dag(Leg::SpillCacheEdited, scans, 80_000);
+    let (wf, handle) = dag(Leg::SpillCacheEdited(edited), scans);
     let (spent, counts) = run_and_read(&exec, &wf, &handle, "sink", before);
     (spent as f64 / EDITED_REPLAYED as f64, counts)
 }
 
-/// The DAG of `leg` over the shared scans; `last_filter` is the literal
-/// of [`Leg::SpillCacheEdited`]'s filter behind the join.
-fn dag(
-    leg: Leg,
-    [facts, dims, docs]: &[Arc<ScanOp>; 3],
-    last_filter: i64,
-) -> (Workflow, SinkHandle) {
+/// The DAG of `leg` over the shared scans.
+fn dag(leg: Leg, [facts, dims, docs]: &[Arc<ScanOp>; 3]) -> (Workflow, SinkHandle) {
     let mut b = WorkflowBuilder::new();
     let source = if matches!(leg, Leg::UdfChain) {
         docs
@@ -197,7 +193,7 @@ fn dag(
             b.connect(scan, top, 0, PartitionStrategy::RoundRobin);
             b.connect(top, sink, 0, PartitionStrategy::Single);
         }
-        Leg::JoinAggregate | Leg::SpillCache | Leg::SpillCacheCold | Leg::SpillCacheEdited => {
+        Leg::JoinAggregate | Leg::SpillCache | Leg::SpillCacheCold | Leg::SpillCacheEdited(_) => {
             let (mut build, mut probe) = (b.add(dims.clone(), 1), scan);
             if !matches!(leg, Leg::JoinAggregate) {
                 let keep_dims = FilterOp::cmp("dims_k_lt", "k", CmpOp::Lt, Value::Int(240));
@@ -222,7 +218,7 @@ fn dag(
             b.connect(build, join, 0, PartitionStrategy::Broadcast);
             b.connect(probe, join, 1, PartitionStrategy::RoundRobin);
             let mut joined = join;
-            if matches!(leg, Leg::SpillCacheEdited) {
+            if let Leg::SpillCacheEdited(last_filter) = leg {
                 let last = FilterOp::cmp("last_id_lt", "id", CmpOp::Lt, Value::Int(last_filter));
                 joined = b.add(Arc::new(last), WIDTH);
                 b.connect(join, joined, 0, PartitionStrategy::RoundRobin);
@@ -392,7 +388,7 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
         ),
         (
             "spill_cache_edited",
-            Leg::SpillCacheEdited,
+            Leg::SpillCacheEdited(80_000),
             0.3,
             "sink 240>0, join 0>88068, per_key 70448>240, last_id_lt 88068>70448, \
              22 skipped, 480 sent",
