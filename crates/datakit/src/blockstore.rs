@@ -355,24 +355,34 @@ fn encode_rows(batch: &ColumnarBatch) -> Vec<u8> {
     raw
 }
 
+/// Most bytes `block`'s payload could decompress to, whatever its header
+/// claims: a compressed byte stands for at most `MAX_EXPANSION`.
+fn payload_room(block: &CompressedBlock) -> usize {
+    let expands_to = block.data.len().saturating_mul(MAX_EXPANSION);
+    block.raw_bytes.min(expands_to)
+}
+
+/// Most rows of `arity` cells `blocks` could hold, whatever their headers
+/// claim: a cell is at least its tag byte.
+fn row_room(blocks: &[CompressedBlock], arity: usize) -> usize {
+    let room = |b: &CompressedBlock| b.rows.min(payload_room(b) / arity.max(1));
+    blocks.iter().map(room).sum()
+}
+
 /// Decode consecutive blocks of one schema — a segment's, or one block —
 /// into one batch: every block's cells land in one typed builder per
 /// column, sealed once through [`ColumnarBatch::from_columns`]. No blocks
 /// decode to the empty batch of the empty schema.
 ///
-/// The blocks' headers are untrusted. A cell is at least its tag byte and
-/// a compressed byte stands for at most 64 (`MAX_EXPANSION`), so the
-/// builders are sized for no more rows than the blocks' bytes could hold
-/// whatever the headers claim, and a row count the payload cannot fill
-/// is a [`DataError::Decode`].
+/// The blocks' headers are untrusted: the builders are sized for no more
+/// rows than the blocks' bytes could hold (`row_room`), and a row count
+/// the payload cannot fill is a [`DataError::Decode`].
 pub fn decode_blocks(blocks: &[CompressedBlock]) -> DataResult<ColumnarBatch> {
     let schema = blocks
         .first()
         .map_or_else(Schema::empty, |b| b.schema.clone());
     let fields = schema.fields();
-    let holds = |b: &CompressedBlock| b.raw_bytes.min(b.data.len().saturating_mul(MAX_EXPANSION));
-    let room = |b: &CompressedBlock| b.rows.min(holds(b) / fields.len().max(1));
-    let room = blocks.iter().map(room).sum();
+    let room = row_room(blocks, fields.len());
     let mut columns: Vec<ColumnVec> = fields
         .iter()
         .map(|f| ColumnVec::with_capacity(f.dtype(), room))
@@ -380,7 +390,7 @@ pub fn decode_blocks(blocks: &[CompressedBlock]) -> DataResult<ColumnarBatch> {
     let (mut raw, mut rows) = (Vec::new(), 0);
     for block in blocks {
         raw.clear();
-        raw.reserve(holds(block));
+        raw.reserve(payload_room(block));
         decompress_onto(&block.data, block.raw_bytes, &mut raw)?;
         if raw.len() != block.raw_bytes {
             return Err(decode_err(format!(
@@ -627,7 +637,9 @@ impl Segment {
     /// trailing checksum, the magic header, and every cross-count (block
     /// count, row sums, byte sums) against the embedded manifest. Returns
     /// a [`DataError::Decode`] on any mismatch — callers treat that as a
-    /// cache miss, never a panic.
+    /// cache miss, never a panic. A block's row count is checked against
+    /// its payload when the block is decoded; rows of an empty schema have
+    /// no payload to check, so an image holding any is refused here.
     pub fn decode(buf: &[u8]) -> DataResult<Segment> {
         if buf.len() < SEGMENT_MAGIC.len() + 8 {
             return Err(decode_err("segment image too short"));
@@ -660,6 +672,11 @@ impl Segment {
             let data = take(body, &mut pos, data_len)?.to_vec();
             let bstats = decode_opt_stats(body, &mut pos, schema.arity())?
                 .ok_or_else(|| decode_err("block missing statistics"))?;
+            // A row of no columns is no bytes: nothing in the image could
+            // bound such a block's count, so it may claim none.
+            if schema.arity() == 0 && rows > 0 {
+                return Err(decode_err("block of no columns claims rows"));
+            }
             rows_sum += rows as u64;
             raw_sum += block_raw as u64;
             comp_sum += data.len() as u64;
@@ -1208,23 +1225,27 @@ mod tests {
 
     #[test]
     fn forged_row_count_is_a_decode_error_not_an_allocation() {
+        // Raise the manifest's row count and the one block's together,
+        // under a fresh checksum: the envelope still agrees with itself.
+        let forge = |seg: &Segment| {
+            let mut image = seg.encode();
+            let mut head = SEGMENT_MAGIC.to_vec();
+            encode_schema(seg.blocks()[0].schema(), &mut head);
+            let row_count = head.len() + 8;
+            let mut stats = Vec::new();
+            encode_opt_stats(seg.manifest().stats.as_ref(), &mut stats);
+            let block_rows = head.len() + 32 + stats.len();
+            image[row_count..row_count + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+            image[block_rows..block_rows + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let body = image.len() - 8;
+            let sum = fnv1a64(&image[..body]);
+            image[body..].copy_from_slice(&sum.to_le_bytes());
+            image
+        };
         let mut app = BlockAppender::new();
         app.append(&batch(&[(5, "m", 1.0), (9, "z", 2.0)]));
         let seg = app.seal();
-        let mut image = seg.encode();
-        // Raise the manifest's row count and the block's together, under
-        // a fresh checksum: the envelope still agrees with itself.
-        let mut head = SEGMENT_MAGIC.to_vec();
-        encode_schema(seg.blocks()[0].schema(), &mut head);
-        let row_count = head.len() + 8;
-        let mut stats = Vec::new();
-        encode_opt_stats(seg.manifest().stats.as_ref(), &mut stats);
-        let block_rows = head.len() + 32 + stats.len();
-        image[row_count..row_count + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
-        image[block_rows..block_rows + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let body = image.len() - 8;
-        let sum = fnv1a64(&image[..body]);
-        image[body..].copy_from_slice(&sum.to_le_bytes());
+        let image = forge(&seg);
 
         let forged = Segment::decode(&image).expect("the envelope is consistent");
         assert_eq!(forged.manifest().row_count, u64::from(u32::MAX));
@@ -1233,9 +1254,23 @@ mod tests {
         // 4 billion rows of three cells cannot fit the payload's few
         // dozen bytes: the builders are sized for what those could hold,
         // and the payload runs out in its third row.
+        assert!(row_room(forged.blocks(), 3) <= block.raw_bytes() / 3);
+        assert!(payload_room(block) <= block.raw_bytes().min(image.len() * MAX_EXPANSION));
         for got in [block.decode(), decode_blocks(forged.blocks())] {
             assert!(
                 matches!(&got, Err(DataError::Decode { message, .. }) if message.contains("truncated")),
+                "{got:?}"
+            );
+        }
+        // Rows of no columns have no payload to run out: an image may
+        // not hold any, so none reach `to_tuples`.
+        let mut app = BlockAppender::new();
+        app.append(&ColumnarBatch::seal(Schema::empty(), Vec::new(), 3));
+        let none = app.seal();
+        for image in [none.encode(), forge(&none)] {
+            let got = Segment::decode(&image);
+            assert!(
+                matches!(&got, Err(DataError::Decode { message, .. }) if message.contains("no columns")),
                 "{got:?}"
             );
         }

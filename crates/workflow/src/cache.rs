@@ -105,7 +105,7 @@ pub struct CacheEntry {
 impl CacheEntry {
     fn seal(schema: &SchemaRef, tuples: &[Tuple]) -> CacheEntry {
         let mut app = BlockAppender::new();
-        append_rows(&mut app, schema, tuples, SPILL_BLOCK_ROWS, None);
+        append_rows(&mut app, schema, tuples);
         CacheEntry::from_segment(app.seal())
     }
 
@@ -123,7 +123,7 @@ impl CacheEntry {
                 Emitted::Rows(run) if rows.is_empty() => rows = run,
                 Emitted::Rows(mut run) => rows.append(&mut run),
                 Emitted::Columnar(batch) => {
-                    append_rows(&mut app, schema, &rows, SPILL_BLOCK_ROWS, None);
+                    append_rows(&mut app, schema, &rows);
                     rows.clear();
                     for block in batch.chunks(SPILL_BLOCK_ROWS) {
                         app.append(&block);
@@ -131,7 +131,7 @@ impl CacheEntry {
                 }
             }
         }
-        append_rows(&mut app, schema, &rows, SPILL_BLOCK_ROWS, None);
+        append_rows(&mut app, schema, &rows);
         CacheEntry::from_segment(app.seal())
     }
 
@@ -632,7 +632,9 @@ impl DiskStore {
         if m.row_count != rows || m.block_count != blocks || m.compressed_bytes != bytes {
             return Err(corrupt("segment disagrees with the cache manifest"));
         }
-        decode_blocks(segment.blocks()).map_err(|e| corrupt(&e.to_string()))?;
+        for block in segment.blocks() {
+            block.decode().map_err(|e| corrupt(&e.to_string()))?;
+        }
         Ok(CacheEntry::from_segment(segment))
     }
 

@@ -9,7 +9,7 @@
 //! write and read is counted on the [`OutputCollector`] so both executors
 //! can charge spill I/O and surface it in telemetry.
 
-use scriptflow_datakit::blockstore::{decode_blocks, BlockAppender, CompressedBlock, Segment};
+use scriptflow_datakit::blockstore::{BlockAppender, CompressedBlock, Segment};
 use scriptflow_datakit::{ColumnarBatch, DataResult, SchemaRef, Tuple};
 
 use crate::operator::{OutputCollector, WorkflowError, WorkflowResult};
@@ -76,10 +76,12 @@ impl PartitionWriter {
         }
         let schema = self
             .schema
-            .as_ref()
+            .clone()
             .expect("non-empty spill buffer always has a schema");
-        let rows = self.buffer.len();
-        append_rows(&mut self.appender, schema, &self.buffer, rows, Some(out));
+        let bytes = self
+            .appender
+            .append(&ColumnarBatch::from_tuples(schema, &self.buffer));
+        out.note_spill_write(bytes as u64);
         self.buffer.clear();
         self.buffer_bytes = 0;
     }
@@ -101,29 +103,23 @@ impl PartitionWriter {
     }
 }
 
-/// Rows → blocks, the one way rows reach the block store: `tuples` cut
-/// into blocks of at most `block_rows` rows and appended to `app`, each
-/// charged to `out` as a spill write (the cache's are no spill: `None`).
-pub(crate) fn append_rows(
-    app: &mut BlockAppender,
-    schema: &SchemaRef,
-    tuples: &[Tuple],
-    block_rows: usize,
-    mut out: Option<&mut OutputCollector>,
-) {
-    for chunk in tuples.chunks(block_rows) {
-        let bytes = app.append(&ColumnarBatch::from_tuples(schema.clone(), chunk));
-        if let Some(out) = out.as_deref_mut() {
-            out.note_spill_write(bytes as u64);
-        }
+/// Rows → blocks, the one way a run of rows reaches the block store:
+/// `tuples` appended to `app` in blocks of at most [`SPILL_BLOCK_ROWS`].
+pub(crate) fn append_rows(app: &mut BlockAppender, schema: &SchemaRef, tuples: &[Tuple]) {
+    for chunk in tuples.chunks(SPILL_BLOCK_ROWS) {
+        app.append(&ColumnarBatch::from_tuples(schema.clone(), chunk));
     }
 }
 
-/// Blocks → rows, the one place stored blocks become tuples again: the
-/// blocks decoded into one batch ([`decode_blocks`], what a cache replay
-/// serves sealed) and that batch unrolled.
+/// Blocks → rows, the one place stored blocks become tuples again: each
+/// decoded as a batch (a cache replay's sealed decoder, over one block)
+/// and unrolled before the next, so only one block's columns are held.
 pub(crate) fn decode_rows(blocks: &[CompressedBlock]) -> DataResult<Vec<Tuple>> {
-    Ok(decode_blocks(blocks)?.to_tuples())
+    let mut rows = Vec::new();
+    for block in blocks {
+        rows.extend(block.decode()?.to_tuples());
+    }
+    Ok(rows)
 }
 
 /// One spilled block's rows for operator `name`, charging its spill read.
@@ -140,8 +136,12 @@ pub(crate) fn read_block(
 /// segment of bounded-size blocks, charging one spill write per block.
 pub fn seal_run(schema: &SchemaRef, tuples: &[Tuple], out: &mut OutputCollector) -> Segment {
     let mut app = BlockAppender::new();
-    append_rows(&mut app, schema, tuples, SPILL_BLOCK_ROWS, Some(out));
-    app.seal()
+    append_rows(&mut app, schema, tuples);
+    let seg = app.seal();
+    for block in seg.blocks() {
+        out.note_spill_write(block.compressed_bytes() as u64);
+    }
+    seg
 }
 
 /// Decode every row of a segment back into tuples, charging one spill
