@@ -92,12 +92,12 @@
 //! run still terminates.
 //!
 //! With a [`crate::retry::RetryPolicy`] ([`LiveExecutor::with_retry`]),
-//! a faulted quantum is first charged against the operator's retry
-//! budget: the task is parked for the backoff — its worker goes on to
-//! other tasks — and then replays the quantum's held input batch,
+//! every step holds its input while budget is left, and a fault replays
+//! what the faulted step held: the task is parked for the backoff — its
+//! worker goes on to other tasks — and then re-processes the held input,
 //! exactly once per tuple, surfacing [`OperatorState::Retrying`] in the
-//! trace. Only an exhausted budget falls through to the drain path
-//! above.
+//! trace. A fault with nothing held (a panic in a port completion, or an
+//! exhausted budget) falls through to the drain path above.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -115,7 +115,7 @@ use crate::fault::{CompiledFaults, FaultPlan, TupleAction, TupleTrigger};
 use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{Emitted, Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::partition::CompiledPartitioner;
-use crate::retry::{RetryConfig, RetryPolicy};
+use crate::retry::{RetryBudget, RetryConfig};
 use crate::service::{RunOptions, ServiceConfig, Shared, TenantQuota};
 use crate::sync::lock;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
@@ -379,16 +379,20 @@ impl LiveExecutor {
         self
     }
 
-    /// Per-operator retry budgets for faulted run quanta (pooled mode;
-    /// see [`crate::retry`]). When a quantum faults — a caught panic, a
-    /// killed worker, a poisoned mailbox payload, a decode error — and
-    /// the operator's [`RetryPolicy`] has budget left, the task is parked
-    /// for the backoff (its worker moves on to other tasks) and then
-    /// replays the quantum's held input batch instead of flipping the
-    /// operator to sticky `Failed`; tuples are delivered
-    /// exactly once across replays. Only an exhausted budget degrades to
-    /// the drain path. The default configuration is disabled, which is
-    /// byte-identical to the pre-retry executor.
+    /// Per-operator retry budgets (pooled mode; see [`crate::retry`]).
+    /// While an operator's [`crate::retry::RetryPolicy`] has budget left, each step
+    /// holds its input until the operator has processed it — the whole
+    /// input, or the tail behind an injected fault position. A fault
+    /// with something held (an error or panic in the operator's step, an
+    /// injected kill or panic) parks the task for the backoff (its worker
+    /// moves on to other tasks) and then replays the held input instead
+    /// of flipping the operator to sticky `Failed`; tuples are delivered
+    /// exactly once across replays. A fault with nothing held — a panic
+    /// in a port completion, or any fault past the budget — fails the
+    /// operator and takes the drain path. (A poisoned mailbox payload
+    /// carries no data; the budget absorbs it by dropping it.) The
+    /// default configuration is disabled, which is byte-identical to the
+    /// pre-retry executor.
     ///
     /// # Examples
     ///
@@ -696,25 +700,50 @@ struct TaskStatic {
     batch_size: usize,
     /// Injected latency per forwarded batch group (slow-edge fault).
     slow_edge: Option<Duration>,
-    /// Retry budget for faulted run quanta (resolved per operator).
-    retry: RetryPolicy,
     /// Which of the run's cache recordings the output this task routes
     /// is teed into. `None` for a source too: its partitions are
     /// recorded where they are produced, in [`build_tasks`].
     record: Option<usize>,
 }
 
-/// A faulted quantum's input, stashed so the replayed quantum can
-/// re-process it (see [`crate::retry`]).
+/// A step's input, held while a fault could still replay it (see
+/// [`crate::retry`]).
 struct ReplayBatch {
     port: usize,
-    /// The tuples to re-process: the full batch for an organic
-    /// `on_tuple` error (whose partial output was discarded), or the
-    /// truncated-off remainder for an injected panic/kill (whose prefix
-    /// was already processed and forwarded).
-    tuples: Vec<Tuple>,
+    /// What a replay re-processes, as it arrived (a sealed batch stays
+    /// sealed): the whole input while the operator processes it, or the
+    /// tail behind an injected fault position, whose head was processed
+    /// and forwarded.
+    input: Emitted,
     /// Whether `on_input` already counted these tuples.
     counted: bool,
+}
+
+/// A source task's operator: the engine hands it the source's chunks
+/// through [`Pool::consume`] like any other input, and it emits them as
+/// they came. (The factory's own instance accepts no input.)
+struct PassThrough;
+
+impl Operator for PassThrough {
+    fn on_tuple(
+        &mut self,
+        tuple: Tuple,
+        _: usize,
+        out: &mut OutputCollector,
+    ) -> WorkflowResult<()> {
+        out.emit(tuple);
+        Ok(())
+    }
+
+    fn on_batch(
+        &mut self,
+        batch: &ColumnarBatch,
+        _: usize,
+        out: &mut OutputCollector,
+    ) -> WorkflowResult<()> {
+        out.emit_batch(batch.clone());
+        Ok(())
+    }
 }
 
 /// Mutable task state; locked only by the single pool thread running the
@@ -754,13 +783,14 @@ struct TaskInner {
     drop_eos: bool,
     /// Fault plan: run quanta left to burn before sending EOS.
     eos_delay: u32,
-    /// Input of the last faulted quantum, awaiting replay.
+    /// The input a fault would replay: held by [`Pool::consume`], and
+    /// re-processed at the start of the next quantum once a fault spent
+    /// budget on it.
     replay: Option<ReplayBatch>,
-    /// Quantum replays consumed from the task's retry budget.
-    retries_used: u32,
-    /// The task replayed at least one faulted quantum (feeds
-    /// [`PoolStats::retries_succeeded`] if it still finishes cleanly).
-    retried: bool,
+    /// The operator's retry budget (feeds
+    /// [`PoolStats::retries_succeeded`] if a retried task still finishes
+    /// cleanly).
+    retry: RetryBudget,
     /// Armed retry backoff: the task must not run again before this
     /// instant.
     park_until: Option<Instant>,
@@ -768,8 +798,7 @@ struct TaskInner {
 
 /// A source worker's own data, handed out one edge batch at a time.
 struct Source {
-    /// Row chunks ready to forward: a row source's pre-chunked partition,
-    /// or the remainder a fault pushed back for replay.
+    /// A row source's pre-chunked partition.
     rows: VecDeque<Vec<Tuple>>,
     /// The dataset its factory sealed once
     /// ([`crate::OperatorFactory::source_columnar`]), when every consumer
@@ -801,13 +830,21 @@ impl Source {
         cursor.next = last as usize + cursor.stride;
         Some(Emitted::Columnar(cursor.data.take(&rows)))
     }
-
-    fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.sealed.as_ref().is_none_or(|c| c.next >= c.data.len())
-    }
 }
 
 impl TaskInner {
+    /// Hold `input` for a fault to replay, if the budget could still pay
+    /// for a replay.
+    fn hold(&mut self, port: usize, input: impl FnOnce() -> Emitted, counted: bool) {
+        if self.retry.left() {
+            self.replay = Some(ReplayBatch {
+                port,
+                input: input(),
+                counted,
+            });
+        }
+    }
+
     /// Count one EOS marker on `port`; `true` when it closed the port.
     fn note_eos(&mut self, port: usize) -> bool {
         self.eos_remaining[port] = self.eos_remaining[port].saturating_sub(1);
@@ -989,15 +1026,6 @@ impl Pool {
         }
     }
 
-    /// Drain what the step counted into the tracer. Called after every
-    /// successful processing step; faulting paths call
-    /// [`OutputCollector::discard`] instead, so a replayed quantum's
-    /// counters — like its partial output — are regenerated, never
-    /// double-counted.
-    fn drain_counters(&self, op: usize, collector: &mut OutputCollector) {
-        self.tracer.add_counters(op, &collector.take_counters());
-    }
-
     /// Request that `tid` runs (again) soon. Idempotent; safe from any
     /// thread. Duplicate queue entries are filtered by the CAS on pop.
     fn schedule(&self, tid: usize) {
@@ -1051,33 +1079,41 @@ impl Pool {
         inner.failed = true;
     }
 
-    /// True when the task may still replay a faulted quantum. Checked
-    /// *before* faulting paths clone their input for replay, so a
-    /// disabled policy (`max_attempts = 0`, the default) adds one
-    /// integer compare to the hot path and nothing else.
-    fn budget_left(&self, meta: &TaskStatic, inner: &TaskInner) -> bool {
-        inner.retries_used < meta.retry.max_attempts
+    /// The error an engine-detected failure of operator `op` reports: a
+    /// kill, a poisoned payload, a panic, a dropped EOS, a stall.
+    fn failed(&self, op: usize, message: String) -> WorkflowError {
+        WorkflowError::OperatorFailed {
+            operator: self.tracer.probe(op).name().to_owned(),
+            message,
+        }
     }
 
-    /// Consume one replay from the task's retry budget for a faulted
-    /// quantum: arm the backoff, surface [`OperatorState::Retrying`], and
-    /// return `true` — the caller replays instead of failing. Returns
-    /// `false` with the budget untouched once it is exhausted: the fault
-    /// degrades to the drain path exactly as it would without a policy.
+    /// The one fault rule (see [`crate::retry`]): discard the faulted
+    /// step's partial output, then replay what the step held — budget
+    /// allowing — or, with nothing held, fail the operator with `e`.
+    fn fault(&self, op: usize, inner: &mut TaskInner, e: WorkflowError) {
+        inner.collector.discard();
+        if !(inner.replay.is_some() && self.try_retry(op, inner)) {
+            self.fail_task(op, inner, e);
+        }
+    }
+
+    /// Consume one replay from the task's retry budget: arm the backoff,
+    /// surface [`OperatorState::Retrying`], and return `true` — the
+    /// caller replays instead of failing. Returns `false` with the budget
+    /// untouched once it is exhausted: the fault degrades to the drain
+    /// path exactly as it would without a policy.
     ///
     /// The backoff is never slept: the task is *parked* — the quantum
     /// finishes, the scheduler's timer re-queues the task once the
     /// backoff elapses, and the workers stay available to every other
     /// task throughout.
-    fn try_retry(&self, meta: &TaskStatic, inner: &mut TaskInner) -> bool {
-        if !self.budget_left(meta, inner) {
+    fn try_retry(&self, op: usize, inner: &mut TaskInner) -> bool {
+        let Some(delay) = inner.retry.spend() else {
             return false;
-        }
-        let delay = meta.retry.backoff.delay(inner.retries_used);
-        inner.retries_used += 1;
-        inner.retried = true;
+        };
         self.retries_attempted.fetch_add(1, Ordering::Relaxed);
-        self.tracer.on_retrying(meta.op);
+        self.tracer.on_retrying(op);
         if !delay.is_zero() {
             let until = Instant::now() + delay;
             inner.park_until = Some(inner.park_until.map_or(until, |u| u.max(until)));
@@ -1328,16 +1364,19 @@ impl Pool {
     }
 
     /// The tail of every successful processing step: drain what the step
-    /// counted, then route and deliver what it collected. Returns the
-    /// outcome that ends the quantum, if any — `More` after a routing
-    /// error failed the task, `Yield` when the head destination is full.
+    /// counted into the tracer, then route and deliver what it collected.
+    /// (A faulted step discards both instead — [`Pool::fault`] — so its
+    /// replay regenerates them exactly once.) Returns the outcome that
+    /// ends the quantum, if any — `More` after a routing error failed the
+    /// task, `Yield` when the head destination is full.
     fn emit_collected(
         &self,
         tid: usize,
         meta: &TaskStatic,
         inner: &mut TaskInner,
     ) -> Option<RunOutcome> {
-        self.drain_counters(meta.op, &mut inner.collector);
+        self.tracer
+            .add_counters(meta.op, &inner.collector.take_counters());
         if inner.collector.is_empty() {
             return None;
         }
@@ -1350,40 +1389,42 @@ impl Pool {
         (!self.flush_outbox(tid, inner)).then_some(RunOutcome::Yield)
     }
 
-    /// Fire a tuple-counted fault trigger: panic (captured by the pool
-    /// thread's `catch_unwind`, which consults the retry budget) or kill
-    /// the task — cleanly absorbed by a replay when budget remains,
-    /// otherwise flipping the task into drain mode.
-    fn spring_trigger(
-        &self,
-        meta: &TaskStatic,
-        inner: &mut TaskInner,
-        t: TupleTrigger,
-    ) -> RunOutcome {
-        let name = self.tracer.probe(meta.op).name().to_owned();
+    /// Queue the task's EOS on every out-edge, once, behind whatever the
+    /// outbox holds; `degrade` marks each consumer
+    /// [`OperatorState::Degraded`] (its input is truncated).
+    fn queue_eos(&self, meta: &TaskStatic, inner: &mut TaskInner, degrade: bool) {
+        if std::mem::replace(&mut inner.eos_queued, true) {
+            return;
+        }
+        for edge in &meta.downstream {
+            for &dest in &edge.dests {
+                if degrade {
+                    self.tracer.on_degraded(self.tasks[dest].meta.op);
+                }
+                inner
+                    .outbox
+                    .push_back((dest, Msg::Eos { port: edge.to_port }));
+            }
+        }
+    }
+
+    /// Fire a tuple-counted fault trigger, the tail behind its position
+    /// held: panic (captured by `run_task`'s `catch_unwind`) or kill the
+    /// task. Either way [`Pool::fault`] replays the tail while budget
+    /// remains and otherwise flips the task into drain mode.
+    fn spring_trigger(&self, op: usize, inner: &mut TaskInner, t: TupleTrigger) -> RunOutcome {
         match t.action {
             TupleAction::Panic => panic!(
-                "injected fault: operator `{name}` panicked at tuple {}",
+                "injected fault: operator `{}` panicked at tuple {}",
+                self.tracer.probe(op).name(),
                 t.at
             ),
             TupleAction::Kill => {
-                if self.try_retry(meta, inner) {
-                    // The kill cost this quantum, not the operator: the
-                    // stashed remainder (or re-queued source chunk)
-                    // replays on the next quantum.
-                    return RunOutcome::More;
-                }
-                self.fail_task(
-                    meta.op,
-                    inner,
-                    WorkflowError::OperatorFailed {
-                        operator: name,
-                        message: format!(
-                            "worker killed mid-quantum at tuple {} (injected fault)",
-                            t.at
-                        ),
-                    },
+                let message = format!(
+                    "worker killed mid-quantum at tuple {} (injected fault)",
+                    t.at
                 );
+                self.fault(op, inner, self.failed(op, message));
                 RunOutcome::More
             }
         }
@@ -1391,18 +1432,19 @@ impl Pool {
 
     /// The one way into a task's operator: process `input` arriving on
     /// `port` and emit what it produced. `counted` is whether these
-    /// tuples were already counted as input (a replay of a step that
-    /// had counted them); `trigger` is the injected fault the input
-    /// armed, if any. Returns the outcome that ends the quantum, if any.
+    /// tuples were already counted as input (a source's chunk, counted
+    /// only as output; a replay of a step that had counted them);
+    /// `trigger` is the injected fault the input armed, if any. Returns
+    /// the outcome that ends the quantum, if any.
     ///
     /// A sealed batch goes to the operator's `on_batch` kernel whole, so
-    /// zone maps can drop it without touching the rows. A fault-armed
-    /// one is unrolled — truncation and replay reason about tuple
-    /// positions: only the tuples before the fault position count as
-    /// input, and under a retry budget the ones behind it are stashed
-    /// for the replayed quantum instead of being dropped. An organic
-    /// error discards the step's partial output and, budget allowing,
-    /// stashes the whole input for replay.
+    /// zone maps can drop it without touching the rows. While budget is
+    /// left the input is held, as it arrived, until the operator is done
+    /// with it, so a fault inside the step replays it ([`Pool::fault`]).
+    /// A fault-armed input is unrolled instead — truncation and replay
+    /// reason about tuple positions: only the tuples before the fault
+    /// position are processed and count as input, and the tail behind it
+    /// is what is held when the trigger springs.
     fn consume(
         &self,
         tid: usize,
@@ -1413,60 +1455,44 @@ impl Pool {
         trigger: Option<TupleTrigger>,
     ) -> Option<RunOutcome> {
         let meta = &self.tasks[tid].meta;
-        let keep = trigger.as_ref().map_or(input.len() as u64, |t| t.keep);
-        if !counted {
-            self.tracer.on_input(meta.op, keep);
-        }
-        // What an organic error would replay, beside the step's result.
-        let (step, backup) = match input {
-            Emitted::Columnar(sealed) if trigger.is_none() => {
-                let step = inner.instance.on_batch(&sealed, port, &mut inner.collector);
-                (step, Emitted::Columnar(sealed))
+        let (input, tail) = match &trigger {
+            None => {
+                // Counted below if not before: a replay never recounts.
+                inner.hold(port, || input.clone(), true);
+                (input, None)
             }
-            input => {
-                let mut tuples = input.into_rows();
-                if trigger.is_some() && self.budget_left(meta, inner) {
-                    let rest = tuples.split_off((keep as usize).min(tuples.len()));
-                    inner.replay = Some(ReplayBatch {
-                        port,
-                        tuples: rest,
-                        counted: false,
-                    });
-                } else {
-                    tuples.truncate(keep as usize);
-                }
-                // Kept only while an organic error could still be
-                // retried (a pending trigger replays its own stash).
-                let backup = if trigger.is_none() && self.budget_left(meta, inner) {
-                    tuples.clone()
-                } else {
-                    Vec::new()
-                };
-                let step = tuples
-                    .into_iter()
-                    .try_for_each(|t| inner.instance.on_tuple(t, port, &mut inner.collector));
-                (step, Emitted::Rows(backup))
+            Some(t) => {
+                let mut rows = input.into_rows();
+                let tail = rows.split_off((t.keep as usize).min(rows.len()));
+                (Emitted::Rows(rows), Some(tail))
             }
         };
-        if let Err(e) = step {
-            if trigger.is_none() {
-                inner.collector.discard();
-                if self.try_retry(meta, inner) {
-                    inner.replay = Some(ReplayBatch {
-                        port,
-                        tuples: backup.into_rows(),
-                        counted: true,
-                    });
-                    return Some(RunOutcome::More);
-                }
+        if !counted {
+            self.tracer.on_input(meta.op, input.len() as u64);
+        }
+        let step = match input {
+            Emitted::Columnar(sealed) => {
+                inner.instance.on_batch(&sealed, port, &mut inner.collector)
             }
-            self.fail_task(meta.op, inner, e);
+            Emitted::Rows(tuples) => tuples
+                .into_iter()
+                .try_for_each(|t| inner.instance.on_tuple(t, port, &mut inner.collector)),
+        };
+        if let Err(e) = step {
+            self.fault(meta.op, inner, e);
             return Some(RunOutcome::More);
         }
-        match (self.emit_collected(tid, meta, inner), trigger) {
-            // Fire even on a full downstream mailbox, as the source loop
-            // does.
-            (None | Some(RunOutcome::Yield), Some(t)) => Some(self.spring_trigger(meta, inner, t)),
+        // The operator is done with the input: a fault from here on has
+        // nothing of it to replay.
+        inner.replay = None;
+        match (self.emit_collected(tid, meta, inner), trigger.zip(tail)) {
+            // Fire even on a full downstream mailbox: the trigger's
+            // counter already advanced, and the outbox keeps what could
+            // not be delivered yet.
+            (None | Some(RunOutcome::Yield), Some((t, tail))) => {
+                inner.hold(port, || Emitted::Rows(tail), counted);
+                Some(self.spring_trigger(meta.op, inner, t))
+            }
             (Some(outcome), _) => Some(outcome),
             (None, None) => {
                 if let Some(d) = meta.slow_edge {
@@ -1485,8 +1511,9 @@ impl Pool {
         let mut guard = lock(&task.inner);
         let inner = &mut *guard;
         // A panic inside the quantum — organic or injected — costs one
-        // operator, not the pool: capture it here, mark the owner
-        // `Failed`, and let the task drain like any other failure.
+        // operator, not the pool: capture it here and apply the fault
+        // rule, which replays the step's held input or marks the owner
+        // `Failed` and lets the task drain like any other failure.
         let quantum = std::panic::AssertUnwindSafe(|| self.run_quantum(tid, &mut *inner));
         let outcome = match std::panic::catch_unwind(quantum) {
             Ok(outcome) => outcome,
@@ -1494,22 +1521,8 @@ impl Pool {
                 // The unwound quantum may have popped its mailbox empty
                 // without reaching the wake-up at the end of its loop.
                 self.wake_waiters(tid);
-                if self.try_retry(meta, inner) {
-                    // The faulted step's partial output is discarded;
-                    // the stashed replay (or re-queued source chunk)
-                    // regenerates it.
-                    inner.collector.discard();
-                } else {
-                    let name = self.tracer.probe(meta.op).name().to_owned();
-                    self.fail_task(
-                        meta.op,
-                        inner,
-                        WorkflowError::OperatorFailed {
-                            operator: name,
-                            message: format!("worker panicked: {}", panic_text(payload)),
-                        },
-                    );
-                }
+                let message = format!("worker panicked: {}", panic_text(payload));
+                self.fault(meta.op, inner, self.failed(meta.op, message));
                 RunOutcome::More
             }
         };
@@ -1525,9 +1538,9 @@ impl Pool {
         outcome
     }
 
-    /// The body of one quantum: deliver what is owed, emit own data (a
-    /// source), replay a faulted step, consume input, and complete once
-    /// no more can arrive.
+    /// The body of one quantum: deliver what is owed, replay a faulted
+    /// step, consume input (a source's own chunks first), and complete
+    /// once no more can arrive.
     fn run_quantum(&self, tid: usize, inner: &mut TaskInner) -> RunOutcome {
         let task = &self.tasks[tid];
         let meta = &task.meta;
@@ -1545,163 +1558,107 @@ impl Pool {
             return RunOutcome::Yield;
         }
 
-        // Source emission: forward own data, one edge batch at a time.
-        if inner.source.is_some() {
-            let mut emitted = 0usize;
-            loop {
-                if emitted >= QUANTUM {
-                    return RunOutcome::More;
-                }
-                let source = inner.source.as_mut().expect("checked above");
-                let Some(mut chunk) = source.pop(meta.batch_size) else {
-                    break;
-                };
-                emitted += 1;
-                let trigger = self
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.check_tuples(meta.op, chunk.len() as u64));
-                if let Some(t) = &trigger {
-                    // Truncation and replay reason about tuple positions:
-                    // a fault-armed chunk is materialized, and only it.
-                    let mut rows = chunk.into_rows();
-                    if self.budget_left(meta, inner) {
-                        // Under a retry budget the tuples behind the
-                        // fault are not lost: the remainder goes back to
-                        // the head of the source queue and replays next
-                        // quantum (the trigger's atomics fired exactly
-                        // once, so re-chunking cannot re-fire it).
-                        let rest = rows.split_off((t.keep as usize).min(rows.len()));
-                        if !rest.is_empty() {
-                            inner
-                                .source
-                                .as_mut()
-                                .expect("checked above")
-                                .rows
-                                .push_front(rest);
-                        }
-                    } else {
-                        rows.truncate(t.keep as usize);
-                    }
-                    chunk = Emitted::Rows(rows);
-                }
-                if let Err(e) = self.forward(meta, inner, chunk) {
-                    self.fail_task(meta.op, inner, e);
-                    return RunOutcome::More;
-                }
-                if !self.flush_outbox(tid, inner) {
-                    // Fire even on a full downstream mailbox — the
-                    // trigger counter already advanced, and the outbox
-                    // keeps what could not be delivered yet.
-                    if let Some(t) = trigger {
-                        return self.spring_trigger(meta, inner, t);
-                    }
-                    return RunOutcome::Yield;
-                }
-                if let Some(t) = trigger {
-                    return self.spring_trigger(meta, inner, t);
-                }
-                if let Some(d) = meta.slow_edge {
-                    std::thread::sleep(d);
-                }
-            }
-        }
-
-        // A replayed quantum (see `crate::retry`): re-process the
-        // faulted quantum's stashed input ahead of any new message.
-        // Injected triggers are not re-consulted — their atomics already
-        // fired — so the replay delivers each tuple exactly once.
+        // A replayed step (see `crate::retry`): re-process the input the
+        // faulted step held ahead of any new input. Injected triggers
+        // are not re-consulted — their atomics already fired — so the
+        // replay delivers each tuple exactly once.
         if let Some(replay) = inner.replay.take() {
-            let input = Emitted::Rows(replay.tuples);
             if let Some(outcome) =
-                self.consume(tid, inner, replay.port, input, replay.counted, None)
+                self.consume(tid, inner, replay.port, replay.input, replay.counted, None)
             {
                 return outcome;
             }
         }
 
-        // Consume released-held messages first, then the mailbox.
+        // Consume a source's own chunks, then released-held messages,
+        // then the mailbox.
         let mut consumed_inbox = false;
         let mut processed = 0usize;
         let early = 'consume: loop {
             if processed >= QUANTUM {
                 break 'consume Some(RunOutcome::More);
             }
-            let msg = match inner.pending.pop_front() {
-                Some(m) => m,
-                None => match lock(&task.inbox.queue).pop_front() {
-                    Some(m) => {
-                        consumed_inbox = true;
-                        self.tracer.on_mailbox_pop(meta.op);
-                        m
-                    }
-                    None => break 'consume None,
-                },
-            };
             processed += 1;
-            if matches!(msg, Msg::Poison { .. }) {
-                // Poison bypasses the blocking gate: corruption in the
-                // mailbox fails the operator wherever it sits. A retry
-                // budget absorbs it — the corrupted payload carries no
-                // data, so discarding it and moving on loses nothing.
-                if self.try_retry(meta, inner) {
-                    continue;
-                }
-                let name = self.tracer.probe(meta.op).name().to_owned();
-                self.fail_task(
-                    meta.op,
-                    inner,
-                    WorkflowError::OperatorFailed {
-                        operator: name,
-                        message: "poisoned mailbox payload (injected fault)".to_owned(),
-                    },
-                );
-                break 'consume Some(RunOutcome::More);
-            }
-            let port = match &msg {
-                Msg::Batch { port, .. } | Msg::Eos { port } | Msg::Poison { port } => *port,
-            };
-            let gate_open = meta.blocking.iter().all(|&p| inner.port_done[p]);
-            if !gate_open && !meta.blocking.contains(&port) {
-                inner.held.push_back(msg);
-                continue;
-            }
-            match msg {
-                Msg::Batch { port, batch } => {
-                    let trigger = self
-                        .faults
-                        .as_ref()
-                        .and_then(|f| f.check_tuples(meta.op, batch.len() as u64));
-                    // Sole-owner row batches reclaim their tuples without
-                    // copying; shared (broadcast) ones clone here, once
-                    // per consumer that actually mutates them.
-                    let input = match batch.columnar() {
-                        Some(sealed) => Emitted::Columnar(sealed.clone()),
-                        None => Emitted::Rows(batch.into_tuples()),
-                    };
-                    if let Some(outcome) = self.consume(tid, inner, port, input, false, trigger) {
-                        break 'consume Some(outcome);
-                    }
-                }
-                Msg::Eos { port } => {
-                    if inner.note_eos(port) {
-                        if let Err(e) = inner.instance.on_port_complete(port, &mut inner.collector)
-                        {
-                            self.fail_task(meta.op, inner, e);
-                            break 'consume Some(RunOutcome::More);
-                        }
-                        if let Some(outcome) = self.emit_collected(tid, meta, inner) {
-                            break 'consume Some(outcome);
-                        }
-                        let gate_now = meta.blocking.iter().all(|&p| inner.port_done[p]);
-                        if gate_now && !inner.held.is_empty() {
-                            while let Some(m) = inner.held.pop_front() {
-                                inner.pending.push_back(m);
+            // A source chunk enters like a batch on port 0, counted only
+            // as the source's output.
+            let (port, input, counted) = match inner
+                .source
+                .as_mut()
+                .and_then(|s| s.pop(meta.batch_size))
+            {
+                Some(chunk) => (0, chunk, true),
+                None => {
+                    let msg = match inner.pending.pop_front() {
+                        Some(m) => m,
+                        None => match lock(&task.inbox.queue).pop_front() {
+                            Some(m) => {
+                                consumed_inbox = true;
+                                self.tracer.on_mailbox_pop(meta.op);
+                                m
                             }
+                            None => break 'consume None,
+                        },
+                    };
+                    if matches!(msg, Msg::Poison { .. }) {
+                        // Poison bypasses the blocking gate: corruption in
+                        // the mailbox fails the operator wherever it sits.
+                        // A retry budget absorbs it — the corrupted payload
+                        // carries no data, so discarding it and moving on
+                        // loses nothing.
+                        if self.try_retry(meta.op, inner) {
+                            continue;
                         }
+                        let message = "poisoned mailbox payload (injected fault)".to_owned();
+                        self.fail_task(meta.op, inner, self.failed(meta.op, message));
+                        break 'consume Some(RunOutcome::More);
+                    }
+                    let port = match &msg {
+                        Msg::Batch { port, .. } | Msg::Eos { port } | Msg::Poison { port } => *port,
+                    };
+                    let gate_open = meta.blocking.iter().all(|&p| inner.port_done[p]);
+                    if !gate_open && !meta.blocking.contains(&port) {
+                        inner.held.push_back(msg);
+                        continue;
+                    }
+                    match msg {
+                        // Sole-owner row batches reclaim their tuples
+                        // without copying; shared (broadcast) ones clone
+                        // here, once per consumer that actually mutates
+                        // them.
+                        Msg::Batch { port, batch } => match batch.columnar() {
+                            Some(sealed) => (port, Emitted::Columnar(sealed.clone()), false),
+                            None => (port, Emitted::Rows(batch.into_tuples()), false),
+                        },
+                        Msg::Eos { port } => {
+                            if inner.note_eos(port) {
+                                if let Err(e) =
+                                    inner.instance.on_port_complete(port, &mut inner.collector)
+                                {
+                                    self.fail_task(meta.op, inner, e);
+                                    break 'consume Some(RunOutcome::More);
+                                }
+                                if let Some(outcome) = self.emit_collected(tid, meta, inner) {
+                                    break 'consume Some(outcome);
+                                }
+                                let gate_now = meta.blocking.iter().all(|&p| inner.port_done[p]);
+                                if gate_now && !inner.held.is_empty() {
+                                    while let Some(m) = inner.held.pop_front() {
+                                        inner.pending.push_back(m);
+                                    }
+                                }
+                            }
+                            continue;
+                        }
+                        Msg::Poison { .. } => unreachable!("poison handled before the gate"),
                     }
                 }
-                Msg::Poison { .. } => unreachable!("poison handled before the gate"),
+            };
+            let trigger = self
+                .faults
+                .as_ref()
+                .and_then(|f| f.check_tuples(meta.op, input.len() as u64));
+            if let Some(outcome) = self.consume(tid, inner, port, input, counted, trigger) {
+                break 'consume Some(outcome);
             }
         };
         if consumed_inbox {
@@ -1711,12 +1668,11 @@ impl Pool {
             return outcome;
         }
 
-        // Everything available has been processed: complete if no more
-        // input can ever arrive (per-channel FIFO means EOS is final).
-        let source_drained = inner.source.as_ref().is_none_or(Source::is_empty);
+        // Everything available has been processed — a source's chunks
+        // included: complete if no more input can ever arrive
+        // (per-channel FIFO means EOS is final).
         let ports_done = inner.port_done.iter().all(|d| *d);
-        if source_drained
-            && ports_done
+        if ports_done
             && inner.pending.is_empty()
             && inner.held.is_empty()
             && lock(&task.inbox.queue).is_empty()
@@ -1742,37 +1698,19 @@ impl Pool {
                     .as_ref()
                     .is_some_and(|f| f.report_eos_drop(meta.op))
                 {
-                    let name = self.tracer.probe(meta.op).name().to_owned();
-                    self.fail_op(
-                        meta.op,
-                        WorkflowError::OperatorFailed {
-                            operator: name,
-                            message: "end-of-stream markers dropped (injected fault)".to_owned(),
-                        },
-                    );
+                    let message = "end-of-stream markers dropped (injected fault)".to_owned();
+                    self.fail_op(meta.op, self.failed(meta.op, message));
                 }
                 inner.done = true;
                 return RunOutcome::Done;
             }
-            if !inner.eos_queued {
-                inner.eos_queued = true;
-                // An operator that itself ran on truncated input passes
-                // the taint downstream with its EOS.
-                let tainted = matches!(
-                    self.tracer.probe(meta.op).state(),
-                    OperatorState::Degraded | OperatorState::Failed
-                );
-                for edge in &meta.downstream {
-                    for &dest in &edge.dests {
-                        if tainted {
-                            self.tracer.on_degraded(self.tasks[dest].meta.op);
-                        }
-                        inner
-                            .outbox
-                            .push_back((dest, Msg::Eos { port: edge.to_port }));
-                    }
-                }
-            }
+            // An operator that itself ran on truncated input passes the
+            // taint downstream with its EOS.
+            let tainted = matches!(
+                self.tracer.probe(meta.op).state(),
+                OperatorState::Degraded | OperatorState::Failed
+            );
+            self.queue_eos(meta, inner, tainted);
             if !self.flush_outbox(tid, inner) {
                 return RunOutcome::Yield;
             }
@@ -1804,17 +1742,7 @@ impl Pool {
                 inner.note_eos(port);
             }
         }
-        if !inner.eos_queued {
-            inner.eos_queued = true;
-            for edge in &meta.downstream {
-                for &dest in &edge.dests {
-                    self.tracer.on_degraded(self.tasks[dest].meta.op);
-                    inner
-                        .outbox
-                        .push_back((dest, Msg::Eos { port: edge.to_port }));
-                }
-            }
-        }
+        self.queue_eos(meta, inner, true);
         if !self.flush_outbox(tid, inner) {
             return RunOutcome::Yield;
         }
@@ -1894,21 +1822,14 @@ impl Pool {
             }
             inner.done = true;
             drop(inner);
-            let name = self.tracer.probe(task.meta.op).name().to_owned();
             // A force-finished task never saw EOS: its input is
             // truncated, so it must surface as `Degraded` — neither a
             // clean `Completed` (which `on_worker_done` below would
             // otherwise promote) nor `Failed` (the fault lies upstream).
             // The stall itself is still recorded as the run's error.
             self.tracer.on_degraded(task.meta.op);
-            let mut g = lock(&self.error);
-            if g.is_none() {
-                *g = Some(WorkflowError::OperatorFailed {
-                    operator: name,
-                    message: "pipeline stalled; task force-finished".to_owned(),
-                });
-            }
-            drop(g);
+            let message = "pipeline stalled; task force-finished".to_owned();
+            lock(&self.error).get_or_insert_with(|| self.failed(task.meta.op, message));
             self.tracer.on_worker_done(task.meta.op);
             self.task_done();
         }
@@ -1965,7 +1886,7 @@ impl Pool {
                 task.state.store(IDLE, Ordering::Release);
                 {
                     let inner = lock(&task.inner);
-                    if inner.retried && !inner.failed {
+                    if inner.retry.retried() && !inner.failed {
                         self.retries_succeeded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -2013,8 +1934,9 @@ fn carve_full(buf: &mut Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>
 }
 
 /// Split an owned tuple vector into `size`-bounded chunks, in order: the
-/// full batches [`carve_full`] yields, then the remainder.
-fn chunk_owned(mut tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
+/// full batches [`carve_full`] yields, then the remainder. Both engines
+/// chunk a source's partition with it.
+pub(crate) fn chunk_owned(mut tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
     carve_full(&mut tuples, size, &mut emit);
     if !tuples.is_empty() {
         emit(tuples);
@@ -2118,11 +2040,12 @@ pub(crate) fn build_tasks(
                     blocking: desc.blocking_ports.clone(),
                     batch_size,
                     slow_edge: faults.and_then(|f| f.slow_edge(i)),
-                    retry: *retry.policy_for(&desc.name),
                     record: record.filter(|_| ports > 0),
                 },
                 inner: Mutex::new(TaskInner {
-                    instance: {
+                    instance: if ports == 0 {
+                        Box::new(PassThrough)
+                    } else {
                         let mut inst = node.factory.create();
                         inst.set_memory_budget(memory_budget);
                         inst
@@ -2149,8 +2072,7 @@ pub(crate) fn build_tasks(
                     drop_eos: faults.is_some_and(|f| f.drops_eos(i)),
                     eos_delay: faults.map_or(0, |f| f.eos_delay(i)),
                     replay: None,
-                    retries_used: 0,
-                    retried: false,
+                    retry: RetryBudget::new(*retry.policy_for(&desc.name)),
                     park_until: None,
                 }),
                 inbox: Inbox {
@@ -2173,6 +2095,7 @@ mod tests {
     use crate::exec_sim::SimExecutor;
     use crate::ops::{FilterOp, HashJoinOp, ScanOp, SinkOp};
     use crate::partition::PartitionStrategy;
+    use crate::retry::RetryPolicy;
     use scriptflow_datakit::{Batch, DataType, Schema, Value};
     use scriptflow_simcluster::ClusterSpec;
 
@@ -2280,7 +2203,6 @@ mod tests {
 
     #[test]
     fn live_columnar_retry_replays_exactly_once() {
-        use crate::retry::{RetryConfig, RetryPolicy};
         use scriptflow_datakit::CmpOp;
         use std::sync::atomic::AtomicU64;
         let calls = Arc::new(AtomicU64::new(0));
@@ -2319,9 +2241,9 @@ mod tests {
             .with_retry(RetryConfig::uniform(RetryPolicy::attempts(3)))
             .run(&wf)
             .unwrap();
-        // An organic error mid-columnar-batch discards the quantum's
-        // partial output and replays the whole batch on the row path:
-        // no loss, no duplication.
+        // An organic error mid-columnar-batch discards the step's partial
+        // output and replays the held batch, still sealed: no loss, no
+        // duplication.
         assert_eq!(handle.len(), 52, "columnar retry must deliver exactly once");
         let stats = res.pool.unwrap();
         assert_eq!(stats.batches_skipped, 1, "`flaky` reads sealed batches");
@@ -2574,19 +2496,23 @@ mod tests {
         b.connect(scan, bad, 0, PartitionStrategy::RoundRobin);
         b.connect(bad, sink, 0, PartitionStrategy::Single);
         let wf = b.build().unwrap();
-        // Sampled or not, a failed run hands its trace back.
-        for exec in [
-            LiveExecutor::new(8),
-            LiveExecutor::new(8).with_trace(Duration::from_millis(1)),
-        ] {
-            let sampled = exec.trace_interval.is_some();
-            let (trace, result) = exec.run_observed(&wf);
-            assert!(result.is_err());
-            // The terminal sample, after the start sample if sampling.
-            assert!(trace.len() > usize::from(sampled));
-            let (_, last) = trace.samples.last().unwrap();
-            let boom = last.iter().find(|s| s.name == "boom").unwrap();
-            assert_eq!(boom.state, OperatorState::Failed);
+        // Sampled or not, a failed run hands its trace back. Repeated:
+        // a run that fails faster than its waiter looks must still carry
+        // the start sample (it is taken before the pool's threads exist).
+        for _ in 0..200 {
+            for exec in [
+                LiveExecutor::new(8),
+                LiveExecutor::new(8).with_trace(Duration::from_millis(1)),
+            ] {
+                let sampled = exec.trace_interval.is_some();
+                let (trace, result) = exec.run_observed(&wf);
+                assert!(result.is_err());
+                // The terminal sample, after the start sample if sampling.
+                assert!(trace.len() > usize::from(sampled));
+                let (_, last) = trace.samples.last().unwrap();
+                let boom = last.iter().find(|s| s.name == "boom").unwrap();
+                assert_eq!(boom.state, OperatorState::Failed);
+            }
         }
     }
 
@@ -2931,7 +2857,9 @@ mod tests {
     /// full mailbox, the outbox) when the fault lands and is delivered
     /// exactly once — by the faulting quantum's flush point, then ahead
     /// of the drain path's EOS. With a retry budget nothing at all is
-    /// lost or repeated.
+    /// lost or repeated: not for an organic panic, which the step's held
+    /// input replays, and not where the trigger is on the source, whose
+    /// chunks enter through the same `consume`.
     #[test]
     fn a_fault_mid_quantum_delivers_the_earlier_steps_output_exactly_once() {
         use crate::ops::UdfOp;
@@ -2944,16 +2872,22 @@ mod tests {
         // batch — in its buffer; the 41st tuple is the 9th of step 3.
         let run = |fault: &str, retry: bool, capacity: usize| {
             let errored = AtomicBool::new(false);
-            let organic = fault == "error";
+            let organic = fault.to_owned();
             let half = UdfOp::new("half", schema.clone(), move |t, _, out| {
                 let id = t
                     .get_int("id")
                     .map_err(|e| WorkflowError::from_data("half", e))?;
-                if organic && id + 1 == AT as i64 && !errored.swap(true, Ordering::SeqCst) {
-                    return Err(WorkflowError::OperatorFailed {
-                        operator: "half".into(),
-                        message: "transient".into(),
-                    });
+                if id + 1 == AT as i64 && !errored.swap(true, Ordering::SeqCst) {
+                    match organic.as_str() {
+                        "error" => {
+                            return Err(WorkflowError::OperatorFailed {
+                                operator: "half".into(),
+                                message: "transient".into(),
+                            })
+                        }
+                        "organic-panic" => panic!("transient"),
+                        _ => {}
+                    }
                 }
                 if id % 2 == 0 {
                     out.emit(t);
@@ -2975,6 +2909,8 @@ mod tests {
             exec = match fault {
                 "kill" => exec.with_faults(FaultPlan::new(0).kill_worker("half", AT)),
                 "panic" => exec.with_faults(FaultPlan::new(0).panic_at("half", AT)),
+                "scan-kill" => exec.with_faults(FaultPlan::new(0).kill_worker("scan", AT)),
+                "scan-panic" => exec.with_faults(FaultPlan::new(0).panic_at("scan", AT)),
                 _ => exec,
             };
             if retry {
@@ -2990,7 +2926,14 @@ mod tests {
         };
         let evens_below = |n: i64| (0..n).step_by(2).collect::<Vec<i64>>();
         for capacity in [64, 1] {
-            for fault in ["kill", "panic", "error"] {
+            for fault in [
+                "kill",
+                "panic",
+                "error",
+                "organic-panic",
+                "scan-kill",
+                "scan-panic",
+            ] {
                 let what = format!("{fault}, mailbox capacity {capacity}");
                 let (result, ids) = run(fault, true, capacity);
                 let stats = result.expect(&what).pool.unwrap();
@@ -3000,11 +2943,63 @@ mod tests {
                 let (result, ids) = run(fault, false, capacity);
                 assert!(result.is_err(), "{what}");
                 // An injected fault cuts at the tuple; an organic error
-                // discards its own step, the third, whole.
-                let delivered = if fault == "error" { 32 } else { AT as i64 - 1 };
+                // or panic discards its own step, the third, whole.
+                let organic = ["error", "organic-panic"].contains(&fault);
+                let delivered = if organic { 32 } else { AT as i64 - 1 };
                 assert_eq!(ids, evens_below(delivered), "{what}: not retried");
             }
         }
+    }
+
+    /// A panic with no step input held — here in a port completion — has
+    /// nothing a retry could replay: under a budget it fails the operator
+    /// like an `Err` from `on_port_complete`, and the run is never `Ok`
+    /// with the completion's rows missing.
+    #[test]
+    fn a_port_completion_panic_fails_the_operator_under_a_retry_budget() {
+        use crate::ops::StatefulUdfOp;
+        use std::sync::atomic::AtomicBool;
+        let panicked = Arc::new(AtomicBool::new(false));
+        let once = panicked.clone();
+        let schema = int_batch(1).schema().clone();
+        let count = StatefulUdfOp::new(
+            "count",
+            1,
+            (*schema).clone(),
+            || 0i64,
+            |n, _, _, _| {
+                *n += 1;
+                Ok(())
+            },
+            move |n, _, out| {
+                if !once.swap(true, Ordering::SeqCst) {
+                    panic!("transient");
+                }
+                out.emit(Tuple::new(schema.clone(), vec![Value::Int(*n)]).unwrap());
+                Ok(())
+            },
+        );
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(100))), 1);
+        let count = b.add(Arc::new(count), 1);
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(scan, count, 0, PartitionStrategy::RoundRobin);
+        b.connect(count, sink, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+        let (trace, result) = LiveExecutor::new(16)
+            .with_pool_size(1)
+            .with_retry(RetryConfig::uniform(RetryPolicy::default()))
+            .run_observed(&wf);
+        assert!(panicked.load(Ordering::SeqCst));
+        let err = result.expect_err("a lost completion is not a clean run");
+        assert!(err.to_string().contains("worker panicked"), "{err}");
+        let (_, last) = trace.samples.last().unwrap();
+        let count = last.iter().find(|s| s.name == "count").unwrap();
+        assert_eq!(count.state, OperatorState::Failed);
+        assert_eq!(count.input_tuples, 100);
+        assert!(handle.is_empty());
     }
 
     /// A worker whose EOS markers are dropped still hands on every row it

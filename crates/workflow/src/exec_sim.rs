@@ -20,8 +20,10 @@ use crate::backend::EngineRun;
 use crate::cache::CacheRecording;
 use crate::cost::EngineConfig;
 use crate::dag::{EdgeId, OpId, Workflow};
+use crate::exec_live::chunk_owned;
 use crate::metrics::{OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{Emitted, Operator, WorkflowError, WorkflowResult};
+use crate::retry::RetryBudget;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 
 /// Global worker index across all operators.
@@ -92,10 +94,8 @@ struct WorkerState {
     busy_time: SimDuration,
     /// Tuples this worker has serviced (drives warm-up accounting).
     processed: u64,
-    /// Quantum replays consumed from the worker's retry budget.
-    retries_used: u32,
-    /// The worker replayed at least one faulted quantum.
-    retried: bool,
+    /// The operator's retry budget, resolved once at placement.
+    retry: RetryBudget,
 }
 
 impl WorkerState {
@@ -362,6 +362,7 @@ impl<'a> SimState<'a> {
     }
 
     /// Route and ship `outputs` produced by `from` along every out-edge.
+    /// The last edge moves the tuples; an earlier one routes a clone.
     fn forward(
         &mut self,
         now: SimTime,
@@ -377,24 +378,28 @@ impl<'a> SimState<'a> {
             .into_iter()
             .map(|(id, e)| (id, e.to_port, self.op_workers[e.to.0].len()))
             .collect();
-        for (edge_id, to_port, nworkers) in edges {
+        let last = edges.len().saturating_sub(1);
+        let mut outputs = Some(outputs);
+        for (i, (edge_id, to_port, nworkers)) in edges.into_iter().enumerate() {
             // Partitioners are compiled once at DAG-build time; routing
             // here is index arithmetic only (no name lookups, no cloning
             // of the strategy per call).
             let part = wf.partitioner(edge_id);
+            let seq = &mut self.route_seq[edge_id.0][from_local];
             let mut routed: Vec<Vec<Tuple>> = vec![Vec::new(); nworkers];
+            let shared = outputs.as_ref().expect("present until the last edge");
             if part.is_broadcast() {
                 for worker_batch in routed.iter_mut() {
-                    worker_batch.extend(outputs.iter().cloned());
+                    worker_batch.extend(shared.iter().cloned());
                 }
-                self.route_seq[edge_id.0][from_local] += outputs.len() as u64;
+                *seq += shared.len() as u64;
             } else {
-                let seq = &mut self.route_seq[edge_id.0][from_local];
-                for t in &outputs {
-                    let w = part.route_by_index(t, *seq, nworkers)?;
-                    *seq += 1;
-                    routed[w].push(t.clone());
-                }
+                let owned = if i == last {
+                    outputs.take().expect("taken only on the last edge")
+                } else {
+                    shared.clone()
+                };
+                part.scatter(owned, seq, &mut routed)?;
             }
             for (to_local, tuples) in routed.into_iter().enumerate() {
                 if tuples.is_empty() {
@@ -429,7 +434,7 @@ impl<'a> SimState<'a> {
             return;
         }
         self.workers[worker].finished = true;
-        if self.workers[worker].retried {
+        if self.workers[worker].retry.retried() {
             // Reaching completion at all means every replay the budget
             // paid for eventually serviced cleanly.
             self.retries_succeeded += 1;
@@ -507,6 +512,17 @@ impl<'a> SimState<'a> {
         }
     }
 
+    /// A worker came free: complete it if every port closed and nothing
+    /// is queued, otherwise start its next item.
+    fn complete_or_start(&mut self, now: SimTime, worker: WorkerId, sched: &mut Scheduler<Ev>) {
+        let w = &self.workers[worker];
+        if w.all_ports_done() && w.queue.is_empty() && w.held.is_empty() {
+            self.worker_complete(now, worker, sched);
+        } else {
+            self.try_start(worker, sched);
+        }
+    }
+
     fn fail(&mut self, op: OpId, err: WorkflowError) {
         self.metrics[op.0].state = OperatorState::Failed;
         if self.error.is_none() {
@@ -549,11 +565,10 @@ impl<'a> SimModel for SimState<'a> {
                             // quantum first serviced them.
                             self.metrics[op.0].input_tuples += tuples.len() as u64;
                         }
-                        let policy = *self.cfg.retry.policy_for(&self.metrics[op.0].name);
                         // Cloned only while the budget allows a(nother)
                         // replay, so a disabled policy (the default)
                         // leaves the hot path allocation-free.
-                        let backup = if self.workers[worker].retries_used < policy.max_attempts {
+                        let backup = if self.workers[worker].retry.left() {
                             tuples.clone()
                         } else {
                             Vec::new()
@@ -581,8 +596,7 @@ impl<'a> SimModel for SimState<'a> {
                             }
                         }
                         if let Some(e) = fault {
-                            let w = &mut self.workers[worker];
-                            if w.retries_used < policy.max_attempts {
+                            if let Some(delay) = self.workers[worker].retry.spend() {
                                 // Model the retry as a replayed virtual
                                 // quantum: the backoff elapses on the
                                 // virtual clock, then the same batch is
@@ -590,9 +604,6 @@ impl<'a> SimModel for SimState<'a> {
                                 // Partial output from the faulted run is
                                 // discarded (the collector dies here), so
                                 // delivery stays exactly-once.
-                                let delay = policy.backoff.delay(w.retries_used);
-                                w.retries_used += 1;
-                                w.retried = true;
                                 self.retries_attempted += 1;
                                 self.metrics[op.0].state = OperatorState::Retrying;
                                 let micros = u64::try_from(delay.as_micros()).unwrap_or(u64::MAX);
@@ -693,22 +704,11 @@ impl<'a> SimModel for SimState<'a> {
                         return;
                     }
                 }
-                // Completion check: every port closed, nothing queued.
-                let w = &self.workers[worker];
-                if w.all_ports_done() && w.queue.is_empty() && w.held.is_empty() {
-                    self.worker_complete(now, worker, sched);
-                } else {
-                    self.try_start(worker, sched);
-                }
+                self.complete_or_start(now, worker, sched);
             }
             Ev::Release { worker } => {
                 self.workers[worker].busy = false;
-                let w = &self.workers[worker];
-                if w.all_ports_done() && w.queue.is_empty() && w.held.is_empty() {
-                    self.worker_complete(now, worker, sched);
-                } else {
-                    self.try_start(worker, sched);
-                }
+                self.complete_or_start(now, worker, sched);
             }
         }
     }
@@ -846,8 +846,7 @@ impl SimExecutor {
                     finished: false,
                     busy_time: SimDuration::ZERO,
                     processed: 0,
-                    retries_used: 0,
-                    retried: false,
+                    retry: RetryBudget::new(*self.config.retry.policy_for(&node.desc().name)),
                 });
                 ids.push(global);
                 global += 1;
@@ -952,17 +951,15 @@ impl SimExecutor {
             }
             for (local, part) in parts.into_iter().enumerate() {
                 let worker = state.op_workers[src.0][local];
-                for chunk in part.chunks(self.config.batch_size.max(1)) {
+                chunk_owned(part, self.config.batch_size.max(1), |tuples| {
                     sched.schedule_at(
                         t0,
                         Ev::Deliver {
                             worker,
-                            item: Item::Source {
-                                tuples: chunk.to_vec(),
-                            },
+                            item: Item::Source { tuples },
                         },
                     );
-                }
+                });
                 sched.schedule_at(
                     t0,
                     Ev::Deliver {

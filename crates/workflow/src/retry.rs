@@ -5,11 +5,23 @@
 //! fault harness ([`crate::fault`]) made injected failures deterministic
 //! and the drain path made them survivable; this module makes them
 //! *recoverable*. A [`RetryPolicy`] gives each operator a budget of
-//! quantum replays: when a task's run quantum faults (a caught panic, a
-//! poisoned mailbox payload, a decode error), the pooled executor
-//! re-runs the quantum with the held input batch replayed — exactly
-//! once per tuple — instead of flipping the operator to sticky
-//! `Failed`. Only an exhausted budget degrades to the drain path.
+//! replays, spent by one rule: **a fault replays what the faulted step
+//! still held, and fails the operator when it held nothing.**
+//!
+//! * *What is held.* While budget is left, the pooled executor holds each
+//!   step's input until the operator has processed it — the whole input
+//!   (a mailbox batch, sealed or rows, or a source chunk) or, for an input
+//!   armed by an injected [`crate::fault`] trigger, the tail behind the
+//!   fault position (the tuples before it were processed and forwarded).
+//!   An error or panic in the operator's step, an injected kill or an
+//!   injected panic discards the step's partial output and replays the
+//!   held input after the backoff, exactly once per tuple.
+//! * *What fails instead.* A fault with nothing held — a panic in a port
+//!   completion or in routing, or any fault past the budget — fails the
+//!   operator and takes the drain path, as an `Err` from a port
+//!   completion does. (A poisoned mailbox payload carries no data; the
+//!   budget absorbs it by dropping it.) The simulator replays a faulted
+//!   batch whole, as a virtual quantum.
 //!
 //! Policies are carried by [`crate::EngineConfig::retry`] (so both
 //! engines share one configuration surface) or handed straight to
@@ -21,10 +33,12 @@ use std::time::Duration;
 
 /// Bounded exponential backoff between retry attempts.
 ///
-/// The `i`-th retry (0-based) sleeps `base * factor^i`, capped at
-/// `cap`. The executor sleeps inside the retried task's own run
-/// quantum, so backoff throttles the faulting operator without
-/// blocking the rest of the pool.
+/// The `i`-th retry (0-based) waits `base * factor^i`, capped at
+/// `cap`. The pooled executor never sleeps a worker for it: the retried
+/// task is parked until the backoff elapses while its worker runs other
+/// tasks, so backoff throttles the faulting operator without blocking
+/// the rest of the pool. The simulator lets it elapse on the virtual
+/// clock.
 ///
 /// # Examples
 ///
@@ -203,6 +217,42 @@ impl RetryConfig {
     /// True when any operator may retry.
     pub fn enabled(&self) -> bool {
         self.default.enabled() || self.overrides.iter().any(|(_, p)| p.enabled())
+    }
+}
+
+/// One operator worker's retry bookkeeping, shared by both engines: the
+/// policy resolved for its operator once, and the replays spent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RetryBudget {
+    policy: RetryPolicy,
+    used: u32,
+}
+
+impl RetryBudget {
+    pub(crate) fn new(policy: RetryPolicy) -> Self {
+        RetryBudget { policy, used: 0 }
+    }
+
+    /// True while a(nother) replay could be paid for. Asked before an
+    /// input is held, so a disabled policy costs one compare and no
+    /// clone.
+    pub(crate) fn left(&self) -> bool {
+        self.used < self.policy.max_attempts
+    }
+
+    /// Spend one replay and return the backoff to serve before it, or
+    /// `None`, untouched, once the budget is exhausted.
+    pub(crate) fn spend(&mut self) -> Option<Duration> {
+        if !self.left() {
+            return None;
+        }
+        self.used += 1;
+        Some(self.policy.backoff.delay(self.used - 1))
+    }
+
+    /// At least one replay was spent.
+    pub(crate) fn retried(&self) -> bool {
+        self.used > 0
     }
 }
 

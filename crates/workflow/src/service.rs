@@ -619,26 +619,25 @@ impl RunHandle {
     }
 
     /// [`RunHandle::wait`], recording a progress sample of the running
-    /// core now and after every `interval` spent waiting
-    /// ([`crate::exec_live::LiveExecutor::with_trace`]). The seat's
-    /// condvar is notified only when the run finishes, which cuts the
-    /// last interval short.
+    /// core after every `interval` spent waiting
+    /// ([`crate::exec_live::LiveExecutor::with_trace`]; [`run_solo`]
+    /// takes the start sample). The seat's condvar is notified only when
+    /// the run finishes, which cuts the last interval short.
     fn wait_sampling(self, interval: Option<Duration>) -> RunReport {
         let mut slot = lock(&self.seat.slot);
         loop {
-            match &mut *slot {
-                Slot::Finished(report) => {
-                    return *report
-                        .take()
-                        .expect("report taken once: wait() consumes the handle")
-                }
-                Slot::Running(core) if interval.is_some() => core.sample(),
-                _ => {}
+            if let Slot::Finished(report) = &mut *slot {
+                return *report
+                    .take()
+                    .expect("report taken once: wait() consumes the handle");
             }
             slot = match interval {
                 Some(interval) => wait_for(&self.seat.cv, slot, interval),
                 None => wait(&self.seat.cv, slot),
             };
+            if let (Slot::Running(core), Some(_)) = (&*slot, interval) {
+                core.sample();
+            }
         }
     }
 }
@@ -1161,10 +1160,13 @@ pub struct WorkflowService {
 impl WorkflowService {
     /// Start a service per `config`, spawning its worker pool.
     pub fn new(config: ServiceConfig) -> Self {
-        Self::start(config, false)
+        Self::unstaffed(config, false).staffed()
     }
 
-    fn start(config: ServiceConfig, solo: bool) -> Self {
+    /// A service per `config` whose pool is not spawned yet
+    /// ([`WorkflowService::staffed`]): it admits and seats runs, and
+    /// nothing steps them.
+    fn unstaffed(config: ServiceConfig, solo: bool) -> Self {
         let pool_threads = config.pool_size.unwrap_or_else(default_pool_size).max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(SvcState {
@@ -1188,11 +1190,19 @@ impl WorkflowService {
                 .unwrap_or_else(|| Arc::new(ResultCache::new())),
             solo,
         });
-        let workers = (0..pool_threads)
+        WorkflowService {
+            shared,
+            workers: Vec::new(),
+        }
+    }
+
+    /// Spawn the pool's threads.
+    fn staffed(mut self) -> Self {
+        self.workers = (0..self.shared.pool_threads)
             .map(|i| {
-                let shared = Arc::clone(&shared);
+                let shared = Arc::clone(&self.shared);
                 let mut thread = std::thread::Builder::new();
-                if !solo {
+                if !shared.solo {
                     thread = thread.name(format!("wf-svc-{i}"));
                 }
                 thread
@@ -1200,7 +1210,7 @@ impl WorkflowService {
                     .expect("spawn service worker")
             })
             .collect();
-        WorkflowService { shared, workers }
+        self
     }
 
     /// Submit `wf` on behalf of `tenant`. Returns a [`RunHandle`] if
@@ -1455,15 +1465,25 @@ impl Drop for WorkflowService {
 
 /// The body of a pooled [`crate::exec_live::LiveExecutor::run_observed`]:
 /// run `wf` alone on a private scheduler sized by `config`, sampling its
-/// progress every `trace_interval` if one is given, and join the pool.
+/// progress at the start and every `trace_interval` if one is given, and
+/// join the pool.
 pub(crate) fn run_solo(
     config: ServiceConfig,
     wf: &Workflow,
     opts: RunOptions,
     trace_interval: Option<Duration>,
 ) -> (ProgressTrace, WorkflowResult<EngineRun>) {
-    let svc = WorkflowService::start(config, true);
-    match svc.submit("", wf, opts) {
+    let svc = WorkflowService::unstaffed(config, true);
+    let submitted = svc.submit("", wf, opts);
+    // The start sample is taken where the run is seated, before the
+    // pool's threads exist, so no run finishes too fast to have one.
+    if let (Ok(run), Some(_)) = (&submitted, trace_interval) {
+        if let Slot::Running(core) = &*lock(&run.seat.slot) {
+            core.sample();
+        }
+    }
+    let _pool = svc.staffed(); // joined on drop, after the wait
+    match submitted {
         Ok(run) => {
             let report = run.wait_sampling(trace_interval);
             (report.trace, report.result)
@@ -1560,13 +1580,14 @@ mod tests {
     #[test]
     fn solo_dropped_eos_is_recovered_by_the_stall_detector() {
         let (wf, _handle) = chain(200, 2);
-        let svc = WorkflowService::start(ServiceConfig::default().with_pool_size(2), true);
+        let svc = WorkflowService::unstaffed(ServiceConfig::default().with_pool_size(2), true);
         let opts = RunOptions::default().with_faults(FaultPlan::new(3).drop_eos("scan"));
         let run = svc.submit("", &wf, opts).unwrap();
         let core = match &*lock(&run.seat.slot) {
             Slot::Running(core) => Arc::clone(core),
             _ => panic!("a solo run is dispatched at submission"),
         };
+        let _pool = svc.staffed();
         let report = run.wait();
         let err = report.result.expect_err("dropping EOS fails the run");
         assert!(err.to_string().contains("end-of-stream"), "{err}");
