@@ -25,13 +25,22 @@ impl MultiLabelModel {
     /// binary targets (and its own seed, like the paper's four separate
     /// fine-tuning runs).
     pub fn fit(labels: &[&str], examples: &[(String, Vec<String>)], base: TrainConfig) -> Self {
+        Self::fit_vectors(labels, examples, base).0
+    }
+
+    /// [`MultiLabelModel::fit`], also returning the feature vector each
+    /// head trained on, in example order: [`MultiLabelModel::predict_vector`]
+    /// on one of them equals [`MultiLabelModel::predict`] on its text,
+    /// without tokenizing it again.
+    pub fn fit_vectors(
+        labels: &[&str],
+        examples: &[(String, Vec<String>)],
+        base: TrainConfig,
+    ) -> (Self, Vec<SparseVector>) {
         assert!(!labels.is_empty(), "need at least one label");
         assert!(!examples.is_empty(), "cannot train on an empty dataset");
-        let vectorizer = TfIdfVectorizer::fit(examples.iter().map(|(t, _)| t.as_str()));
-        let xs: Vec<SparseVector> = examples
-            .iter()
-            .map(|(t, _)| vectorizer.transform(t))
-            .collect();
+        let (vectorizer, xs) =
+            TfIdfVectorizer::fit_transform(examples.iter().map(|(t, _)| t.as_str()));
         let heads = labels
             .iter()
             .enumerate()
@@ -51,11 +60,12 @@ impl MultiLabelModel {
                 )
             })
             .collect();
-        MultiLabelModel {
+        let model = MultiLabelModel {
             labels: labels.iter().map(|s| (*s).to_owned()).collect(),
             vectorizer,
             heads,
-        }
+        };
+        (model, xs)
     }
 
     /// Label names, in head order.
@@ -75,10 +85,21 @@ impl MultiLabelModel {
 
     /// Labels whose head fires at threshold 0.5.
     pub fn predict(&self, text: &str) -> Vec<String> {
-        self.predict_proba(text)
+        self.predict_vector(&self.vectorizer.transform(text))
             .into_iter()
-            .filter(|(_, p)| *p >= 0.5)
-            .map(|(l, _)| l)
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// Labels whose head fires at threshold 0.5 on a feature vector of
+    /// this model's vectorizer, such as one [`MultiLabelModel::fit_vectors`]
+    /// returned.
+    pub fn predict_vector(&self, x: &SparseVector) -> Vec<&str> {
+        self.labels
+            .iter()
+            .zip(&self.heads)
+            .filter(|(_, h)| h.predict(x))
+            .map(|(l, _)| l.as_str())
             .collect()
     }
 
@@ -147,6 +168,16 @@ mod tests {
             a.predict_proba("wildfire climate"),
             b.predict_proba("wildfire climate")
         );
+    }
+
+    #[test]
+    fn training_vectors_predict_as_their_texts() {
+        let examples = examples();
+        let (model, xs) = MultiLabelModel::fit_vectors(&LABELS, &examples, TrainConfig::default());
+        assert_eq!(xs.len(), examples.len());
+        for ((text, _), x) in examples.iter().zip(&xs) {
+            assert_eq!(model.predict_vector(x), model.predict(text));
+        }
     }
 
     #[test]

@@ -31,6 +31,15 @@ impl SparseVector {
         SparseVector { entries }
     }
 
+    /// Take `entries` as they are: already sorted by strictly ascending
+    /// index, none of them zero — what [`SparseVector::from_pairs`] would
+    /// have made of them, without the sort and the second buffer.
+    pub(crate) fn from_sorted(entries: Vec<(u32, f32)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(entries.iter().all(|(_, v)| *v != 0.0));
+        SparseVector { entries }
+    }
+
     /// The sorted entries.
     pub fn entries(&self) -> &[(u32, f32)] {
         &self.entries

@@ -8,18 +8,35 @@ use std::collections::HashMap;
 /// deterministic, and language-agnostic.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
+    for_each_token(text, |t| tokens.push(t.to_owned()));
+    tokens
+}
+
+/// Call `f` on each token [`tokenize`] would return, in order, lowercased
+/// into one buffer reused for every token: a caller that interns or looks
+/// tokens up allocates nothing per token.
+pub(crate) fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     let mut current = String::new();
     for ch in text.chars() {
-        if ch.is_alphanumeric() {
+        if ch.is_ascii() {
+            // For ASCII, `is_alphanumeric` is `is_ascii_alphanumeric` and
+            // `to_lowercase` is one char.
+            if ch.is_ascii_alphanumeric() {
+                current.push(ch.to_ascii_lowercase());
+                continue;
+            }
+        } else if ch.is_alphanumeric() {
             current.extend(ch.to_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
+            continue;
+        }
+        if !current.is_empty() {
+            f(&current);
+            current.clear();
         }
     }
     if !current.is_empty() {
-        tokens.push(current);
+        f(&current);
     }
-    tokens
 }
 
 /// A token ↔ id mapping built from a corpus.
@@ -39,9 +56,9 @@ impl Vocabulary {
     pub fn fit<'a>(docs: impl IntoIterator<Item = &'a str>) -> Self {
         let mut v = Vocabulary::new();
         for doc in docs {
-            for tok in tokenize(doc) {
-                v.add(&tok);
-            }
+            for_each_token(doc, |tok| {
+                v.add(tok);
+            });
         }
         v
     }
@@ -79,7 +96,9 @@ impl Vocabulary {
 
     /// Encode a text into ids, skipping out-of-vocabulary tokens.
     pub fn encode(&self, text: &str) -> Vec<u32> {
-        tokenize(text).iter().filter_map(|t| self.id(t)).collect()
+        let mut ids = Vec::new();
+        for_each_token(text, |t| ids.extend(self.id(t)));
+        ids
     }
 }
 
@@ -125,5 +144,61 @@ mod tests {
     #[test]
     fn unicode_lowercasing() {
         assert_eq!(tokenize("Überfluß"), vec!["überfluß"]);
+    }
+
+    /// The per-char tokenizer `for_each_token` replaced: every character
+    /// through `is_alphanumeric` and `char::to_lowercase`.
+    fn oracle(text: &str) -> Vec<String> {
+        let mut tokens = Vec::new();
+        let mut current = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                current.extend(ch.to_lowercase());
+            } else if !current.is_empty() {
+                tokens.push(std::mem::take(&mut current));
+            }
+        }
+        if !current.is_empty() {
+            tokens.push(current);
+        }
+        tokens
+    }
+
+    #[test]
+    fn tokenize_matches_the_per_char_oracle_on_mixed_scripts() {
+        let corpus = [
+            "The Camp FIRE update: 34-yr-old MAN, 2021!!! Route 66...",
+            "Überfluß ÜBERFLUSS straße",
+            "İstanbul ISTANBUL ıi İİ",
+            "ǅemal ǄEMAL ǆ Ǉ ǈ",
+            "ΣΟΦΊΑ σοφία ς Ω",
+            "Москва МОСКВА ёЁ",
+            "東京 2020, 北京!",
+            "x² ٣ Ⅻ ½ ⅰ",
+            "cafe\u{301} café naïve",
+            "---...,,,;;;!!!???   \t\n",
+            "a--b..c  d__e 0x3EF",
+            "",
+            "ALLCAPS123lower456MiXeD",
+        ];
+        for text in corpus {
+            assert_eq!(tokenize(text), oracle(text), "{text:?}");
+            let mut seen = Vec::new();
+            for_each_token(text, |t| seen.push(t.to_owned()));
+            assert_eq!(seen, oracle(text), "{text:?}");
+        }
+        let v = Vocabulary::fit(corpus);
+        let mut interned = Vocabulary::new();
+        for t in corpus.iter().flat_map(|text| oracle(text)) {
+            interned.add(&t);
+        }
+        assert_eq!(v.len(), interned.len());
+        for id in 0..v.len() as u32 {
+            assert_eq!(v.token(id), interned.token(id));
+        }
+        for text in corpus {
+            let want: Vec<u32> = oracle(text).iter().filter_map(|t| v.id(t)).collect();
+            assert_eq!(v.encode(text), want, "{text:?}");
+        }
     }
 }

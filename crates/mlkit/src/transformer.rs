@@ -14,7 +14,7 @@
 
 use scriptflow_simcluster::SimDuration;
 
-use crate::text::tokenize;
+use crate::text::{for_each_token, tokenize};
 
 /// Virtual size/compute descriptor of a heavyweight model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,32 +84,34 @@ impl ClozeAnswerer {
     /// Answer one cloze question from a passage: returns the passage
     /// token that best fills the `[MASK]`.
     pub fn answer(&self, passage: &str, masked_question: &str) -> String {
-        let passage_tokens = tokenize(passage);
+        self.answer_tokens(&tokenize(passage), masked_question)
+    }
+
+    /// [`ClozeAnswerer::answer`] over the passage's [`tokenize`]d tokens.
+    fn answer_tokens(&self, passage_tokens: &[String], masked_question: &str) -> String {
         if passage_tokens.is_empty() {
             return String::new();
         }
         // Context = question tokens around the mask.
-        let context: Vec<String> = masked_question
+        let mut context: Vec<String> = Vec::new();
+        for word in masked_question
             .split_whitespace()
             .filter(|w| !w.contains("[MASK]"))
-            .flat_map(tokenize)
-            .collect();
+        {
+            for_each_token(word, |t| context.push(t.to_owned()));
+        }
+        let in_context: Vec<bool> = passage_tokens.iter().map(|t| context.contains(t)).collect();
         let window = 3usize;
         let mut best: (i64, usize) = (i64::MIN, 0);
-        for (i, _cand) in passage_tokens.iter().enumerate() {
+        for i in 0..passage_tokens.len() {
             // Skip candidates that already appear in the question context —
             // the mask replaces *new* information.
-            if context.contains(&passage_tokens[i]) {
+            if in_context[i] {
                 continue;
             }
             let lo = i.saturating_sub(window);
             let hi = (i + window + 1).min(passage_tokens.len());
-            let mut score = 0i64;
-            for (j, tok) in passage_tokens[lo..hi].iter().enumerate() {
-                if lo + j != i && context.contains(tok) {
-                    score += 1;
-                }
-            }
+            let score = (lo..hi).filter(|&j| j != i && in_context[j]).count() as i64;
             if score > best.0 {
                 best = (score, i);
             }
@@ -117,11 +119,14 @@ impl ClozeAnswerer {
         passage_tokens[best.1].clone()
     }
 
-    /// Answer a batch of questions against one passage.
+    /// Answer a batch of questions against one passage, tokenizing the
+    /// passage once: each answer is the one [`ClozeAnswerer::answer`]
+    /// gives.
     pub fn answer_batch(&self, passage: &str, questions: &[ClozeQuestion]) -> Vec<String> {
+        let passage_tokens = tokenize(passage);
         questions
             .iter()
-            .map(|q| self.answer(passage, &q.masked))
+            .map(|q| self.answer_tokens(&passage_tokens, &q.masked))
             .collect()
     }
 }

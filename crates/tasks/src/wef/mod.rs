@@ -50,16 +50,18 @@ impl WefParams {
 }
 
 /// The real training + inference both paradigms execute: fit the
-/// four-head ensemble and predict on the training tweets.
+/// four-head ensemble and predict on the training tweets, scoring the
+/// feature vectors the heads trained on (each tweet is tokenized once).
 pub fn train_and_predict(dataset: &WildfireDataset) -> Vec<String> {
     let labels: Vec<&str> = FRAMINGS.to_vec();
     let pairs = dataset.training_pairs();
-    let model = MultiLabelModel::fit(&labels, &pairs, TrainConfig::default());
+    let (model, xs) = MultiLabelModel::fit_vectors(&labels, &pairs, TrainConfig::default());
     dataset
         .tweets
         .iter()
-        .map(|t| {
-            let mut pred = model.predict(&t.text);
+        .zip(&xs)
+        .map(|(t, x)| {
+            let mut pred = model.predict_vector(x);
             pred.sort_unstable();
             format!("id={}|pred={}", t.id, pred.join(","))
         })
@@ -84,6 +86,8 @@ pub fn subset_accuracy(dataset: &WildfireDataset, predictions: &[String]) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scriptflow_core::fingerprint::Fingerprinter;
+    use scriptflow_mlkit::{SparseVector, TfIdfVectorizer};
 
     #[test]
     fn training_learns_the_framings() {
@@ -101,5 +105,47 @@ mod tests {
         let a = train_and_predict(&params.dataset());
         let b = train_and_predict(&params.dataset());
         assert_eq!(a, b);
+    }
+
+    /// The rows of `train_and_predict`, in order, pinned by the digests
+    /// the four-pass tokenization (vocabulary, document frequencies,
+    /// training transform, predict-time transform) produced.
+    #[test]
+    fn predictions_are_pinned() {
+        for (tweets, seed, digest) in [
+            (10_000, 1, 0xecd0_1b0f_ef71_d8d2_a014_1aa5_1d64_2c5c),
+            (200, 0x3EF, 0x6c95_56d7_29c9_e68d_7278_0e40_8785_5017),
+            (80, 3, 0x40a7_facf_234e_5eff_d1c7_55b9_2d07_368e),
+        ] {
+            let rows = train_and_predict(&WildfireDataset::generate(tweets, seed));
+            let mut h = Fingerprinter::new("wef");
+            for r in &rows {
+                h.write_str(r);
+            }
+            assert_eq!(h.finish().0, digest, "({tweets}, {seed:#x})");
+        }
+    }
+
+    /// The one-pass `fit_transform` WEF trains on makes the vectors
+    /// `fit` + `transform_all` make, entry for entry and bit for bit.
+    #[test]
+    fn one_pass_vectors_are_the_two_pass_vectors() {
+        let bits = |xs: &[SparseVector]| -> Vec<Vec<(u32, u32)>> {
+            xs.iter()
+                .map(|x| x.entries().iter().map(|&(i, v)| (i, v.to_bits())).collect())
+                .collect()
+        };
+        for seed in [1, 0x3EF] {
+            let ds = WildfireDataset::generate(10_000, seed);
+            let docs = || ds.tweets.iter().map(|t| t.text.as_str());
+            let (fitted, xs) = TfIdfVectorizer::fit_transform(docs());
+            let refit = TfIdfVectorizer::fit(docs());
+            assert_eq!(fitted.dim(), refit.dim());
+            assert_eq!(
+                bits(&xs),
+                bits(&refit.transform_all(docs())),
+                "seed {seed:#x}"
+            );
+        }
     }
 }

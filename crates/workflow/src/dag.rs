@@ -8,7 +8,7 @@
 //! mid-run inside a cell.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use scriptflow_core::fingerprint::{Fingerprinter, OpFingerprint};
 use scriptflow_datakit::SchemaRef;
@@ -60,7 +60,7 @@ pub struct Edge {
 ///
 /// `Clone` is shallow (factories are shared `Arc`s): the service layer
 /// clones workflows to re-plan cache-enabled submissions at dispatch
-/// time.
+/// time. A clone carries the fingerprints if they were already asked for.
 #[derive(Clone)]
 pub struct Workflow {
     ops: Vec<OpNode>,
@@ -68,7 +68,9 @@ pub struct Workflow {
     schemas: Vec<SchemaRef>,
     partitioners: Vec<CompiledPartitioner>,
     topo: Vec<OpId>,
-    fingerprints: Vec<OpFingerprint>,
+    /// Folded on first use: only a result cache reads them, and a scan's
+    /// digest hashes every row it holds.
+    fingerprints: OnceLock<Vec<OpFingerprint>>,
     expected_eos: Vec<Vec<usize>>,
 }
 
@@ -183,7 +185,7 @@ impl Workflow {
     /// that feeds it). Equal fingerprints across workflows mean the
     /// node computes the same output multiset — the result cache's key.
     pub fn fingerprint(&self, id: OpId) -> OpFingerprint {
-        self.fingerprints[id.0]
+        self.fingerprints()[id.0]
     }
 
     /// End-of-stream markers each input port of `op` waits for before it
@@ -194,16 +196,54 @@ impl Workflow {
         &self.expected_eos[op.0]
     }
 
-    /// All node fingerprints, indexed by [`OpId`].
+    /// All node fingerprints, indexed by [`OpId`]. The first call on a
+    /// workflow (or on the workflow it was cloned from) computes them,
+    /// asking each factory for its spec digest once.
     pub fn fingerprints(&self) -> &[OpFingerprint] {
-        &self.fingerprints
+        self.fingerprints.get_or_init(|| self.fold_fingerprints())
     }
 
     /// A single fingerprint for the whole workflow: the unordered fold
     /// of every node fingerprint. The service layer uses it to detect
     /// concurrent identical submissions (single-flight).
     pub fn workflow_fingerprint(&self) -> OpFingerprint {
-        OpFingerprint::fold_unordered(self.fingerprints.iter().copied())
+        OpFingerprint::fold_unordered(self.fingerprints().iter().copied())
+    }
+
+    /// Merkle fingerprints, in topological order: each node's spec
+    /// digest folded with the fingerprints of its inputs. Parallelism
+    /// and edge routing are part of the digest — per-worker-stateful
+    /// operators (distinct, join) can produce different multisets
+    /// under different partitionings, so a cache must treat those as
+    /// different computations. Commutative operators (union) fold
+    /// their inputs order-independently: rewiring equivalent inputs
+    /// onto different ports is not an edit.
+    fn fold_fingerprints(&self) -> Vec<OpFingerprint> {
+        let mut fingerprints = vec![OpFingerprint::ZERO; self.ops.len()];
+        for &op in &self.topo {
+            let node = self.op(op);
+            let mut h = Fingerprinter::new("node");
+            h.write_fingerprint(node.factory.fingerprint());
+            h.write_usize(node.parallelism);
+            let ins = self.in_edges(op);
+            if node.desc().commutative_inputs {
+                let folded = OpFingerprint::fold_unordered(ins.iter().map(|(_, e)| {
+                    let mut link = Fingerprinter::new("link");
+                    link.write_fingerprint(fingerprints[e.from.0]);
+                    link.write_str(&e.partition.label());
+                    link.finish()
+                }));
+                h.write_fingerprint(folded);
+            } else {
+                for (_, e) in &ins {
+                    h.write_usize(e.to_port);
+                    h.write_fingerprint(fingerprints[e.from.0]);
+                    h.write_str(&e.partition.label());
+                }
+            }
+            fingerprints[op.0] = h.finish();
+        }
+        fingerprints
     }
 }
 
@@ -391,40 +431,6 @@ impl WorkflowBuilder {
             partitioners.push(compiled);
         }
 
-        // Merkle fingerprints, in topological order: each node's spec
-        // digest folded with the fingerprints of its inputs. Parallelism
-        // and edge routing are part of the digest — per-worker-stateful
-        // operators (distinct, join) can produce different multisets
-        // under different partitionings, so a cache must treat those as
-        // different computations. Commutative operators (union) fold
-        // their inputs order-independently: rewiring equivalent inputs
-        // onto different ports is not an edit.
-        let mut fingerprints = vec![OpFingerprint::ZERO; n];
-        for &op in &topo {
-            let node = &self.ops[op.0];
-            let mut h = Fingerprinter::new("node");
-            h.write_fingerprint(node.factory.fingerprint());
-            h.write_usize(node.parallelism);
-            let mut ins: Vec<&Edge> = self.edges.iter().filter(|e| e.to == op).collect();
-            ins.sort_by_key(|e| e.to_port);
-            if node.desc().commutative_inputs {
-                let folded = OpFingerprint::fold_unordered(ins.iter().map(|e| {
-                    let mut link = Fingerprinter::new("link");
-                    link.write_fingerprint(fingerprints[e.from.0]);
-                    link.write_str(&e.partition.label());
-                    link.finish()
-                }));
-                h.write_fingerprint(folded);
-            } else {
-                for e in &ins {
-                    h.write_usize(e.to_port);
-                    h.write_fingerprint(fingerprints[e.from.0]);
-                    h.write_str(&e.partition.label());
-                }
-            }
-            fingerprints[op.0] = h.finish();
-        }
-
         // What each input port waits for: one end-of-stream marker per
         // worker of the operator feeding it (validated above: exactly one
         // edge per port).
@@ -443,7 +449,7 @@ impl WorkflowBuilder {
             schemas,
             partitioners,
             topo,
-            fingerprints,
+            fingerprints: OnceLock::new(),
             expected_eos,
         })
     }

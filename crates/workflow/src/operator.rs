@@ -332,10 +332,10 @@ pub(crate) fn rows_through<O: Operator + ?Sized>(
 /// nor clones, and a wrapper forwards one value instead of ten getters.
 ///
 /// Only what is intrinsic to the operator lives here. What depends on
-/// the DAG around it — the propagated schema, the Merkle fingerprint,
-/// the end-of-stream markers each port waits for — is computed by
-/// [`crate::WorkflowBuilder::build`] and read off the
-/// [`crate::Workflow`].
+/// the DAG around it — the propagated schema, the end-of-stream markers
+/// each port waits for, the Merkle fingerprint — is read off the
+/// [`crate::Workflow`]: [`crate::WorkflowBuilder::build`] computes the
+/// first two, and the fingerprint is folded when first asked for.
 #[derive(Debug, Clone)]
 pub struct OpDescriptor {
     /// Display name (unique within a workflow; shown in the GUI).

@@ -1246,15 +1246,20 @@ impl WorkflowService {
         };
         // Cache-enabled runs defer task construction to dispatch (the
         // plan must see everything published before the run starts);
-        // everything else builds its tasks now, outside the lock.
-        let cache_sub = opts.result_cache.then(|| CacheSubmission {
-            wf: wf.clone(),
-            batch_size: opts.batch_size(),
-            mailbox_budget: quota.mailbox_budget,
-            faults: opts.faults.clone(),
-            retry: opts.retry.clone(),
-            memory_budget: opts.memory_budget,
-            workflow_fp: wf.workflow_fingerprint(),
+        // everything else builds its tasks now, outside the lock. The
+        // fingerprints are asked for before the clone, so the clone
+        // dispatch plans from carries them.
+        let cache_sub = opts.result_cache.then(|| {
+            let workflow_fp = wf.workflow_fingerprint();
+            CacheSubmission {
+                wf: wf.clone(),
+                batch_size: opts.batch_size(),
+                mailbox_budget: quota.mailbox_budget,
+                faults: opts.faults.clone(),
+                retry: opts.retry.clone(),
+                memory_budget: opts.memory_budget,
+                workflow_fp,
+            }
         });
         let tasks = if cache_sub.is_some() {
             Vec::new()

@@ -13,15 +13,16 @@
 //! [`OpFingerprint`]: scriptflow::core::OpFingerprint
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use scriptflow::core::{BackendKind, OpFingerprint};
-use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, Value};
+use scriptflow::datakit::{Batch, CmpOp, ColumnarBatch, DataType, Schema, SchemaRef, Tuple, Value};
 use scriptflow::simcluster::{Language, SplitMix64};
 use scriptflow::workflow::ops::{FilterOp, HashJoinOp, ScanOp, SinkHandle, SinkOp, UnionOp};
 use scriptflow::workflow::{
-    CostProfile, EngineConfig, ExecBackend, PartitionStrategy, ResultCache, Workflow,
-    WorkflowBuilder,
+    CostProfile, EngineConfig, ExecBackend, LiveExecutor, OpDescriptor, Operator, OperatorFactory,
+    PartitionStrategy, ResultCache, SimExecutor, Workflow, WorkflowBuilder, WorkflowResult,
 };
 
 fn int_batch(rows: &[i64]) -> Batch {
@@ -302,5 +303,116 @@ fn random_dag_edits_serve_hits_with_byte_identical_rows_on_both_backends() {
                 "seed {seed}/{kind}: cache hit must imply byte-identical rows"
             );
         }
+    }
+}
+
+/// Forwards every call to `inner`, counting the spec digests asked of it.
+struct Counted {
+    inner: Arc<dyn OperatorFactory>,
+    asked: Arc<AtomicUsize>,
+}
+
+impl OperatorFactory for Counted {
+    fn descriptor(&self) -> &OpDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
+        self.inner.output_schema(inputs)
+    }
+
+    fn create(&self) -> Box<dyn Operator> {
+        self.inner.create()
+    }
+
+    fn source_partitions(&self, workers: usize) -> Option<Vec<Vec<Tuple>>> {
+        self.inner.source_partitions(workers)
+    }
+
+    fn source_columnar(&self) -> Option<ColumnarBatch> {
+        self.inner.source_columnar()
+    }
+
+    fn reset_shared_state(&self) {
+        self.inner.reset_shared_state()
+    }
+
+    fn fingerprint(&self) -> OpFingerprint {
+        self.asked.fetch_add(1, Ordering::Relaxed);
+        self.inner.fingerprint()
+    }
+}
+
+/// scan → filter → union ← scan, → sink, every factory counted.
+fn counted_dag(asked: &Arc<AtomicUsize>) -> (Workflow, SinkHandle) {
+    let counted = |inner: Arc<dyn OperatorFactory>| -> Arc<dyn OperatorFactory> {
+        Arc::new(Counted {
+            inner,
+            asked: Arc::clone(asked),
+        })
+    };
+    let rows: Vec<i64> = (0..200).collect();
+    let sink_op = SinkOp::new("sink");
+    let handle = sink_op.handle();
+    let mut b = WorkflowBuilder::new();
+    let a = b.add(counted(Arc::new(ScanOp::new("a", int_batch(&rows)))), 2);
+    let c = b.add(counted(Arc::new(ScanOp::new("c", int_batch(&rows)))), 1);
+    let f = b.add(
+        counted(Arc::new(FilterOp::cmp(
+            "f",
+            "id",
+            CmpOp::Ge,
+            Value::Int(50),
+        ))),
+        2,
+    );
+    let u = b.add(counted(Arc::new(UnionOp::new("u", 2))), 1);
+    let sink = b.add(counted(Arc::new(sink_op)), 1);
+    b.connect(a, f, 0, PartitionStrategy::RoundRobin);
+    b.connect(f, u, 0, PartitionStrategy::RoundRobin);
+    b.connect(c, u, 1, PartitionStrategy::RoundRobin);
+    b.connect(u, sink, 0, PartitionStrategy::Single);
+    (b.build().expect("valid DAG"), handle)
+}
+
+/// `build` hashes nothing: a cache-less run on either engine never asks
+/// an operator for its spec digest, and a cache-armed run asks each
+/// operator once — the service's single-flight key and the dispatch-time
+/// cache plan share one fold, and a warm rerun of the same workflow
+/// reuses it.
+#[test]
+fn fingerprints_are_computed_only_when_a_cache_asks_and_once() {
+    const OPS: usize = 5;
+    for kind in [BackendKind::Live, BackendKind::Sim] {
+        let run = |wf: &Workflow, cache: Option<&Arc<ResultCache>>| match kind {
+            BackendKind::Live => {
+                let mut exec = LiveExecutor::new(16);
+                if let Some(cache) = cache {
+                    exec = exec.with_result_cache(Arc::clone(cache));
+                }
+                exec.run(wf).map(|_| ())
+            }
+            BackendKind::Sim => {
+                let mut config = EngineConfig::default();
+                if let Some(cache) = cache {
+                    config = config.with_result_cache(Arc::clone(cache));
+                }
+                SimExecutor::new(config).run(wf).map(|_| ())
+            }
+        };
+
+        let asked = Arc::new(AtomicUsize::new(0));
+        let (wf, handle) = counted_dag(&asked);
+        assert_eq!(asked.load(Ordering::Relaxed), 0, "{kind}: build");
+        run(&wf, None).expect("cache-less run");
+        assert_eq!(handle.len(), 350, "{kind}");
+        assert_eq!(asked.load(Ordering::Relaxed), 0, "{kind}: cache-less run");
+
+        let cache = Arc::new(ResultCache::new());
+        run(&wf, Some(&cache)).expect("cold run");
+        assert_eq!(asked.load(Ordering::Relaxed), OPS, "{kind}: cold run");
+        assert!(cache.entries() > 0, "{kind}: the cold run recorded");
+        run(&wf, Some(&cache)).expect("warm run");
+        assert_eq!(asked.load(Ordering::Relaxed), OPS, "{kind}: warm rerun");
     }
 }
