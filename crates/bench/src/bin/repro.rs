@@ -92,7 +92,7 @@ fn backend_comparison(choice: BackendChoice) {
             let run = run_on(*kind);
             cells.push(format!("{:.3}", run.seconds()));
             rows = Some(run.run.output.len());
-            skips = skips.max(run.counters.batches_skipped);
+            skips = skips.max(run.counters().batches_skipped);
             if *kind == BackendKind::Live {
                 match backend::archive_live_trace(task, &run.trace) {
                     Ok(path) => eprintln!("archived live trace: {path}"),

@@ -371,11 +371,18 @@ impl Json {
         s
     }
 
-    /// Parse a JSON document from text.
+    /// Arrays and objects nested deeper than this are refused: the parser
+    /// recurses once per level, so an unbounded document could overflow
+    /// the stack. Far above anything this workspace writes (a trace
+    /// document nests 5 deep).
+    pub const MAX_DEPTH: usize = 256;
+
+    /// Parse a JSON document from text. Fails on malformed input and on
+    /// nesting deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_json(bytes, &mut pos)?;
+        let v = parse_json(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -408,9 +415,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_json(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value inside `depth` enclosing arrays and objects.
+fn parse_json(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     let ch = *b.get(*pos).ok_or("unexpected end of input")?;
+    if matches!(ch, b'[' | b'{') && depth == Json::MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {} at byte {pos}",
+            Json::MAX_DEPTH
+        ));
+    }
     match ch {
         b'n' => expect_lit(b, pos, "null").map(|_| Json::Null),
         b't' => expect_lit(b, pos, "true").map(|_| Json::Bool(true)),
@@ -425,7 +439,7 @@ fn parse_json(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_json(b, pos)?);
+                items.push(parse_json(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -453,7 +467,7 @@ fn parse_json(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_json(b, pos)?;
+                let val = parse_json(b, pos, depth + 1)?;
                 kv.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -722,6 +736,28 @@ mod tests {
         let text = doc.to_string_compact();
         assert!(text.len() > 9_000_000, "{} bytes", text.len());
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    /// A million `[` (1 MB) overflowed the stack before nesting was
+    /// bounded; now it is an `Err` on a default-sized test thread, and a
+    /// document exactly at the bound, arrays and objects mixed, parses.
+    #[test]
+    fn json_nesting_is_bounded() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 256"), "{err}");
+        let at_bound = |depth: usize| {
+            let open: String = (0..depth)
+                .map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            let close: String = (0..depth)
+                .rev()
+                .map(|i| if i % 2 == 0 { "]" } else { "}" })
+                .collect();
+            format!("{open}1{close}")
+        };
+        let doc = Json::parse(&at_bound(Json::MAX_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&doc.to_string_compact()).unwrap(), doc);
+        assert!(Json::parse(&at_bound(Json::MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

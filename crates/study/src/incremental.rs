@@ -115,12 +115,12 @@ pub fn observe_edit_rerun(products: usize, kind: BackendKind) -> EditRerunObserv
         cold_secs: cold.seconds(),
         warm_secs: warm.seconds(),
         edited_secs: edited.seconds(),
-        cold_misses: cold.counters.cache_misses,
+        cold_misses: cold.counters().cache_misses,
         cold_published: cold.cache_published,
-        warm_hits: warm.counters.cache_hits,
-        warm_misses: warm.counters.cache_misses,
-        edited_hits: edited.counters.cache_hits,
-        edited_misses: edited.counters.cache_misses,
+        warm_hits: warm.counters().cache_hits,
+        warm_misses: warm.counters().cache_misses,
+        edited_hits: edited.counters().cache_hits,
+        edited_misses: edited.counters().cache_misses,
         warm_matches: warm.run.output == cold.run.output,
         edited_matches: edited.run.output == control.run.output,
     }
@@ -367,8 +367,8 @@ pub fn observe_edit_loop(products: usize, kind: BackendKind) -> EditLoopObservat
         warm_secs: warm.seconds(),
         edited_secs: edited.seconds(),
         revert_secs: revert.seconds(),
-        warm_hits: warm.counters.cache_hits,
-        revert_hits: revert.counters.cache_hits,
+        warm_hits: warm.counters().cache_hits,
+        revert_hits: revert.counters().cache_hits,
         cold_published: cold.cache_published,
         notebook_cells: nb.len(),
         stale_cells: stale.len(),

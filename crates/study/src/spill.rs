@@ -77,8 +77,8 @@ pub fn observe_spill(products: usize, kind: BackendKind) -> SpillObservation {
         kind,
         unbounded_secs: unbounded.seconds(),
         budgeted_secs: budgeted.seconds(),
-        spilled_blocks: budgeted.counters.spilled_blocks,
-        spilled_bytes: budgeted.counters.spilled_bytes,
+        spilled_blocks: budgeted.counters().spilled_blocks,
+        spilled_bytes: budgeted.counters().spilled_bytes,
         outputs_match: unbounded.run.output == budgeted.run.output,
     }
 }

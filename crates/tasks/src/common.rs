@@ -7,8 +7,7 @@ use scriptflow_datakit::Tuple;
 use scriptflow_simcluster::{ClusterSpec, SimTime};
 use scriptflow_workflow::ops::SinkHandle;
 use scriptflow_workflow::{
-    EngineConfig, EngineRun, ExecBackend, OpCounters, PoolStats, ProgressTrace, ResultCache,
-    Workflow, WorkflowResult,
+    EngineConfig, EngineRun, ExecBackend, ResultCache, Workflow, WorkflowResult,
 };
 
 /// One task execution: the comparable report plus the real output.
@@ -60,47 +59,35 @@ impl TaskRun {
 }
 
 /// A workflow-paradigm task executed on an explicitly chosen backend:
-/// the paradigm-comparison record plus the backend's own observability.
+/// the paradigm-comparison record beside the [`EngineRun`] that produced
+/// it, which the record derefs to — `kind`, `trace`, `pool`,
+/// `cache_published`, `counters()` are the engine's own.
 ///
 /// Produced by each task's `run_workflow_on`; the backend-agnostic
 /// `run_workflow` entry points stay sim-only and return the inner
 /// [`TaskRun`] unchanged, so paper anchors are untouched.
 #[derive(Debug, Clone)]
 pub struct BackendRun {
-    /// Which backend executed the DAG.
-    pub kind: BackendKind,
     /// The paradigm-comparison record; `total_seconds` is on the
     /// backend's own clock ([`BackendKind::time_unit`]).
     pub run: TaskRun,
-    /// Measured host time; `None` on the simulator.
+    /// Measured host time; `None` on the simulator
+    /// ([`EngineRun::wall_clock`], kept as a field for callers that read
+    /// it as one).
     pub wall_clock: Option<Duration>,
-    /// Per-operator progress samples; both backends guarantee at least
-    /// the terminal sample.
-    pub trace: ProgressTrace,
-    /// Pool scheduling counters; `Some` only on the pooled live backend.
-    pub pool: Option<PoolStats>,
-    /// Data counters summed across the DAG (zone-map skips, spill and
-    /// result-cache traffic; all 0 on the paper's calibration).
-    pub counters: OpCounters,
-    /// Compressed bytes sealed into the cache by this run.
-    pub cache_published: u64,
+    /// The engine run, its sink rows moved into `run.output`.
+    pub engine: EngineRun,
+}
+
+impl std::ops::Deref for BackendRun {
+    type Target = EngineRun;
+
+    fn deref(&self) -> &EngineRun {
+        &self.engine
+    }
 }
 
 impl BackendRun {
-    /// Pair a task's comparison record with the engine run that
-    /// produced it.
-    pub fn from_engine(run: TaskRun, engine: EngineRun) -> Self {
-        BackendRun {
-            kind: engine.kind,
-            run,
-            wall_clock: engine.wall_clock(),
-            counters: engine.counters(),
-            trace: engine.trace,
-            pool: engine.pool,
-            cache_published: engine.cache_published,
-        }
-    }
-
     /// Seconds on the backend's own clock.
     pub fn seconds(&self) -> f64 {
         self.run.seconds()
@@ -150,7 +137,8 @@ pub(crate) fn run_on(
     config: EngineConfig,
     row: impl Fn(&Tuple) -> String,
 ) -> WorkflowResult<BackendRun> {
-    let engine = ExecBackend::of_kind(kind, config).run(&wf, &handle)?;
+    let mut engine = ExecBackend::of_kind(kind, config).run(&wf, &handle)?;
+    let rows = std::mem::take(&mut engine.rows);
     let run = TaskRun::new(
         task,
         Paradigm::Workflow,
@@ -159,9 +147,13 @@ pub(crate) fn run_on(
         wf.total_workers(),
         lines_of_code,
         wf.operator_count(),
-        engine.rows.iter().map(row).collect(),
+        rows.iter().map(row).collect(),
     );
-    Ok(BackendRun::from_engine(run, engine))
+    Ok(BackendRun {
+        run,
+        wall_clock: engine.wall_clock(),
+        engine,
+    })
 }
 
 #[cfg(test)]

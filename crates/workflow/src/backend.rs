@@ -6,8 +6,9 @@
 //! real OS threads. Both — and the multi-tenant
 //! [`crate::service::WorkflowService`] — return the same [`EngineRun`]:
 //! a [`ProgressTrace`] that always ends with a terminal sample, unified
-//! [`RunMetrics`] whose per-operator [`crate::OpCounters`] sum to the
-//! run totals, and the backend-specific extras (`pool`,
+//! [`RunMetrics`] whose per-operator [`crate::OpCounters`] and
+//! [`crate::SchedCounters`] sum to the run totals, and the
+//! backend-specific extras (`pool`,
 //! `worker_timeline`) left empty where they do not apply.
 //!
 //! [`ExecBackend`] picks the executor (usually from a [`BackendKind`]
@@ -82,12 +83,6 @@ pub struct EngineRun {
     pub trace: ProgressTrace,
     /// Pool scheduling counters; `Some` only for pooled live runs.
     pub pool: Option<PoolStats>,
-    /// Faulted quanta replayed under the [`EngineConfig::retry`] budget
-    /// (0 with the default disabled policy). The simulator counts
-    /// replayed virtual quanta; the live pool counts real re-runs.
-    pub retries_attempted: u64,
-    /// Retried workers/tasks that still finished cleanly.
-    pub retries_succeeded: u64,
     /// Compressed bytes this run added to the result cache (0 without a
     /// cache, and 0 for runs that faulted or retried — only clean runs
     /// publish their recordings).
@@ -335,8 +330,17 @@ mod tests {
                 30,
                 "{kind}: retry must keep delivery exactly-once"
             );
-            assert!(run.retries_attempted >= 1, "{kind} must report the replay");
-            assert!(run.retries_succeeded >= 1, "{kind} must report the salvage");
+            // The replay is credited to the operator that replayed.
+            for m in &run.metrics.operators {
+                let (attempted, succeeded) = (m.sched.retries_attempted, m.sched.retries_succeeded);
+                if m.name == "flaky" {
+                    assert!(attempted >= 1, "{kind} must report the replay");
+                    assert!(succeeded >= 1, "{kind} must report the salvage");
+                } else {
+                    assert_eq!((attempted, succeeded), (0, 0), "{kind}: {}", m.name);
+                }
+            }
+            assert_counters_conserved(&run, &format!("retry/{kind}"));
         }
     }
 
@@ -348,12 +352,38 @@ mod tests {
 
     /// However a counter reached the result — the per-operator metrics,
     /// the run totals, the pool stats, the terminal trace sample — it
-    /// must be the same number.
+    /// must be the same number. Both families: the scheduler counters
+    /// the pool reports are the sums over the operators too.
     fn assert_counters_conserved(run: &EngineRun, what: &str) {
         let per_op: OpCounters = run.metrics.operators.iter().map(|m| m.counters).sum();
         assert_eq!(per_op, run.metrics.totals(), "{what}: run totals");
+        let sched: crate::SchedCounters = run.metrics.operators.iter().map(|m| m.sched).sum();
+        assert_eq!(
+            sched,
+            run.metrics.sched_totals(),
+            "{what}: run sched totals"
+        );
         if let Some(pool) = &run.pool {
             assert_eq!(per_op, **pool, "{what}: pool stats");
+            let reported = (
+                pool.task_runs,
+                pool.batches_sent,
+                pool.backpressure_stalls,
+                pool.retries_attempted,
+                pool.retries_succeeded,
+            );
+            let summed = (
+                sched.quanta,
+                sched.batches_sent,
+                sched.backpressure_stalls,
+                sched.retries_attempted,
+                sched.retries_succeeded,
+            );
+            assert_eq!(reported, summed, "{what}: pool scheduler stats");
+            assert!(sched.quanta >= pool.tasks as u64, "{what}: every task ran");
+        } else {
+            let sim_only = (sched.quanta, sched.batches_sent, sched.backpressure_stalls);
+            assert_eq!(sim_only, (0, 0, 0), "{what}: the sim has no pool");
         }
         let (_, terminal) = run.trace.samples.last().expect("terminal sample");
         let sampled: OpCounters = terminal.iter().map(|s| s.counters).sum();

@@ -1036,8 +1036,8 @@ impl CommitStats {
     /// the last sample was taken — each publishing operator's eviction
     /// count in the run's metrics and in the terminal sample of both
     /// copies of its trace (`observed` is the copy handed back beside
-    /// the result). The pool's totals are recomputed to match. Shared
-    /// by both executors and the service finalizer.
+    /// the result). Shared by both executors and the service finalizer,
+    /// which builds the run's [`crate::PoolStats`] afterwards.
     pub(crate) fn apply_to(&self, run: &mut EngineRun, observed: &mut ProgressTrace) {
         run.cache_published = self.published;
         for (name, n) in &self.per_op {
@@ -1054,9 +1054,6 @@ impl CommitStats {
                     s.counters += evicted;
                 }
             }
-        }
-        if let Some(pool) = run.pool.as_mut() {
-            pool.counters = run.metrics.totals();
         }
     }
 }

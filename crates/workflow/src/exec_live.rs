@@ -121,7 +121,11 @@ use crate::sync::lock;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 use crate::trace_live::LiveTracer;
 
-/// Counters from a pooled run (absent in thread-per-worker mode).
+/// Counters from a pooled run (absent in thread-per-worker mode): the
+/// run's sums over [`RunMetrics::operators`] — scheduler counters
+/// ([`RunMetrics::sched_totals`]) and data counters
+/// ([`RunMetrics::totals`]) — plus what only the pool knows, its width,
+/// task count, deepest mailbox, fired faults and stall recoveries.
 ///
 /// # Examples
 ///
@@ -151,7 +155,7 @@ pub struct PoolStats {
     pub pool_threads: usize,
     /// Operator-worker tasks scheduled over the pool.
     pub tasks: usize,
-    /// Total task run quanta executed.
+    /// Total task run quanta executed ([`crate::SchedCounters::quanta`]).
     pub task_runs: u64,
     /// Times a producer found a destination mailbox full and yielded.
     pub backpressure_stalls: u64,
@@ -172,9 +176,9 @@ pub struct PoolStats {
     /// Tasks that replayed at least one faulted quantum and still
     /// finished cleanly (their operators end `Completed`, not `Failed`).
     pub retries_succeeded: u64,
-    /// The run's data counters, summed over its operators (equal to
-    /// [`RunMetrics::totals`] of the same run). Readable through the
-    /// stats themselves: `stats.spilled_blocks`.
+    /// The run's data counters, [`RunMetrics::totals`], cache-commit
+    /// evictions included. Readable through the stats themselves:
+    /// `stats.spilled_blocks`.
     pub counters: OpCounters,
 }
 
@@ -584,13 +588,13 @@ pub(crate) fn makespan_of(elapsed: Duration) -> SimTime {
 /// is the run's initial per-operator telemetry
 /// ([`OperatorMetrics::for_workflow`], captured at submission so a run
 /// finalized later does not have to hold the DAG); everything counted
-/// since is read back from `tracer`.
+/// since is read back from `tracer`. `pool` is left for the finalizer to
+/// fill once the cache commit is folded in ([`Pool::stats`]).
 pub(crate) fn assemble_live_result(
     ops: &[OperatorMetrics],
     total_workers: usize,
     elapsed: Duration,
     tracer: &LiveTracer,
-    pool: PoolStats,
     trace: ProgressTrace,
 ) -> EngineRun {
     let operators: Vec<OperatorMetrics> = ops
@@ -602,6 +606,7 @@ pub(crate) fn assemble_live_result(
                 input_tuples: probe.input_tuples(),
                 output_tuples: probe.output_tuples(),
                 counters: probe.counters(),
+                sched: probe.sched(),
                 busy: probe.busy(),
                 state: probe.state(),
                 ..initial.clone()
@@ -619,9 +624,7 @@ pub(crate) fn assemble_live_result(
             events: 0,
         },
         trace,
-        retries_attempted: pool.retries_attempted,
-        retries_succeeded: pool.retries_succeeded,
-        pool: Some(pool),
+        pool: None,
         cache_published: 0,
         worker_timeline: Vec::new(),
     }
@@ -787,9 +790,8 @@ struct TaskInner {
     /// re-processed at the start of the next quantum once a fault spent
     /// budget on it.
     replay: Option<ReplayBatch>,
-    /// The operator's retry budget (feeds
-    /// [`PoolStats::retries_succeeded`] if a retried task still finishes
-    /// cleanly).
+    /// The operator's retry budget (a retried task that still finishes
+    /// cleanly counts in [`crate::SchedCounters::retries_succeeded`]).
     retry: RetryBudget,
     /// Armed retry backoff: the task must not run again before this
     /// instant.
@@ -897,16 +899,11 @@ pub(crate) struct Pool {
     /// Times `recover_stall` ran (dropped-EOS recovery).
     stall_recoveries: AtomicU64,
     /// Per-operator observability counters (tuple counts, states, busy
-    /// time, mailbox depth, stalls) — fed inline by the hooks below.
+    /// time, mailbox depth, both counter families) — fed inline by the
+    /// hooks below.
     tracer: LiveTracer,
     /// Interval samples taken while the run executes ([`Pool::sample`]).
     samples: Mutex<Vec<(SimTime, Vec<OperatorSnapshot>)>>,
-    task_runs: AtomicU64,
-    batches_sent: AtomicU64,
-    /// Faulted quanta replayed under a retry budget.
-    retries_attempted: AtomicU64,
-    /// Retried tasks that still finished cleanly.
-    retries_succeeded: AtomicU64,
     /// The plan's cache-miss recordings, filled as output is routed and
     /// committed by the scheduler if the run ends clean.
     recordings: Vec<CacheRecording>,
@@ -955,10 +952,6 @@ impl Pool {
             stall_recoveries: AtomicU64::new(0),
             tracer,
             samples: Mutex::new(Vec::new()),
-            task_runs: AtomicU64::new(0),
-            batches_sent: AtomicU64::new(0),
-            retries_attempted: AtomicU64::new(0),
-            retries_succeeded: AtomicU64::new(0),
             recordings,
             sched,
             run,
@@ -1009,20 +1002,28 @@ impl Pool {
             .finish(std::mem::take(&mut *lock(&self.samples)))
     }
 
-    /// Snapshot the run's executor counters into [`PoolStats`].
-    pub(crate) fn stats(&self) -> PoolStats {
+    /// Injected faults that fired during the run.
+    pub(crate) fn faults_injected(&self) -> u64 {
+        self.faults.as_ref().map_or(0, |f| f.triggered())
+    }
+
+    /// The run's [`PoolStats`]: `metrics`' sums — the finished run's, with
+    /// its cache commit folded in — plus the run-level facts only the pool
+    /// holds.
+    pub(crate) fn stats(&self, metrics: &RunMetrics) -> PoolStats {
+        let sched = metrics.sched_totals();
         PoolStats {
             pool_threads: self.pool_threads,
             tasks: self.tasks.len(),
-            task_runs: self.task_runs.load(Ordering::Relaxed),
-            backpressure_stalls: self.tracer.total_stalls(),
-            batches_sent: self.batches_sent.load(Ordering::Relaxed),
+            task_runs: sched.quanta,
+            backpressure_stalls: sched.backpressure_stalls,
+            batches_sent: sched.batches_sent,
             peak_mailbox_depth: self.tracer.peak_mailbox_depth(),
-            faults_injected: self.faults.as_ref().map_or(0, |f| f.triggered()),
+            faults_injected: self.faults_injected(),
             stall_recoveries: self.stall_recoveries.load(Ordering::Relaxed),
-            retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
-            retries_succeeded: self.retries_succeeded.load(Ordering::Relaxed),
-            counters: self.tracer.totals(),
+            retries_attempted: sched.retries_attempted,
+            retries_succeeded: sched.retries_succeeded,
+            counters: metrics.totals(),
         }
     }
 
@@ -1112,7 +1113,6 @@ impl Pool {
         let Some(delay) = inner.retry.spend() else {
             return false;
         };
-        self.retries_attempted.fetch_add(1, Ordering::Relaxed);
         self.tracer.on_retrying(op);
         if !delay.is_zero() {
             let until = Instant::now() + delay;
@@ -1166,7 +1166,8 @@ impl Pool {
             self.poison_after_push(dest, batch_port, &mut q);
             drop(q);
             if batch_port.is_some() {
-                self.batches_sent.fetch_add(1, Ordering::Relaxed);
+                let op = self.tasks[from].meta.op;
+                self.tracer.count(op, |s| &s.batches_sent);
             }
             self.schedule(dest);
             Ok(())
@@ -1852,7 +1853,7 @@ impl Pool {
         let quantum_start = Instant::now();
         let outcome = self.run_task(tid);
         self.tracer.on_busy(task.meta.op, quantum_start.elapsed());
-        self.task_runs.fetch_add(1, Ordering::Relaxed);
+        self.tracer.count(task.meta.op, |s| &s.quanta);
         match outcome {
             RunOutcome::More => {
                 task.state.store(QUEUED, Ordering::Release);
@@ -1887,7 +1888,7 @@ impl Pool {
                 {
                     let inner = lock(&task.inner);
                     if inner.retry.retried() && !inner.failed {
-                        self.retries_succeeded.fetch_add(1, Ordering::Relaxed);
+                        self.tracer.count(task.meta.op, |s| &s.retries_succeeded);
                     }
                 }
                 self.tracer.on_worker_done(task.meta.op);
@@ -2755,6 +2756,12 @@ mod tests {
         (pool, log, quanta)
     }
 
+    /// What [`Pool::stats`] sums, read off a pool [`drive`] ran.
+    fn sched_totals(pool: &Pool) -> crate::SchedCounters {
+        let probes = 0..pool.tracer.operator_count();
+        probes.map(|op| pool.tracer.probe(op).sched()).sum()
+    }
+
     /// The edge rule: a round-robin hop tops its per-destination buffers
     /// up to the edge's batch size instead of forwarding thirds of what
     /// it was handed (64 → 21 → 7 → 2 rows at depth 4). Per edge, only
@@ -2797,7 +2804,7 @@ mod tests {
                 batches.len()
             );
         }
-        assert_eq!(pool.stats().batches_sent, sent as u64);
+        assert_eq!(sched_totals(&pool).batches_sent, sent as u64);
         // Forwarding thirds would have sent more than N / 7 batches on the
         // last scattered edge alone.
         assert!(sent < 6 * N.div_ceil(BATCH), "{sent} batches sent");
@@ -2849,7 +2856,7 @@ mod tests {
             }
         }
         assert!(remainders > 0, "1 000 rows do not divide into full batches");
-        assert_eq!(pool.stats().backpressure_stalls, 0);
+        assert_eq!(sched_totals(&pool).backpressure_stalls, 0);
     }
 
     /// A fault in step *k* of a quantum costs that step, not the ones

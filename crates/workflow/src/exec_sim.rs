@@ -148,10 +148,6 @@ struct SimState<'a> {
     sample_interval: SimDuration,
     record_timeline: bool,
     timeline: Vec<WorkerInterval>,
-    /// Faulted quanta replayed under a retry budget.
-    retries_attempted: u64,
-    /// Retried workers that still finished cleanly.
-    retries_succeeded: u64,
 }
 
 impl<'a> SimState<'a> {
@@ -434,12 +430,12 @@ impl<'a> SimState<'a> {
             return;
         }
         self.workers[worker].finished = true;
+        let op = self.workers[worker].op;
         if self.workers[worker].retry.retried() {
             // Reaching completion at all means every replay the budget
             // paid for eventually serviced cleanly.
-            self.retries_succeeded += 1;
+            self.metrics[op.0].sched.retries_succeeded += 1;
         }
-        let op = self.workers[worker].op;
         self.op_remaining[op.0] -= 1;
         let op_done = self.op_remaining[op.0] == 0;
         if op_done {
@@ -604,7 +600,7 @@ impl<'a> SimModel for SimState<'a> {
                                 // Partial output from the faulted run is
                                 // discarded (the collector dies here), so
                                 // delivery stays exactly-once.
-                                self.retries_attempted += 1;
+                                self.metrics[op.0].sched.retries_attempted += 1;
                                 self.metrics[op.0].state = OperatorState::Retrying;
                                 let micros = u64::try_from(delay.as_micros()).unwrap_or(u64::MAX);
                                 sched.schedule_at(
@@ -800,7 +796,7 @@ impl SimExecutor {
         let (mut trace, mut result) = self.run_observed_inner(&plan.wf, &plan.recordings);
         if let Ok(run) = &mut result {
             // Publish only a clean run, as the live engine does.
-            if run.retries_attempted == 0 {
+            if run.metrics.sched_totals().retries_attempted == 0 {
                 crate::cache::commit_recordings_as(&plan.recordings, &cache, None)
                     .apply_to(run, &mut trace);
             }
@@ -924,8 +920,6 @@ impl SimExecutor {
             sample_interval: self.trace_interval.unwrap_or(SimDuration::from_secs(1)),
             record_timeline: self.record_timeline,
             timeline: Vec::new(),
-            retries_attempted: 0,
-            retries_succeeded: 0,
         };
 
         // --- Seed sources -------------------------------------------------
@@ -1008,8 +1002,6 @@ impl SimExecutor {
                 },
                 trace,
                 pool: None,
-                retries_attempted: state.retries_attempted,
-                retries_succeeded: state.retries_succeeded,
                 cache_published: 0,
                 worker_timeline: state.timeline,
             }),
@@ -1213,9 +1205,11 @@ mod tests {
         let (res, handle) = run(3);
         let res = res.unwrap();
         assert_eq!(handle.len(), 40, "retry must not lose or duplicate rows");
-        assert_eq!(res.retries_attempted, 1);
-        assert_eq!(res.retries_succeeded, 1);
         let m = res.metrics.by_name("flaky").unwrap();
+        assert_eq!(
+            (m.sched.retries_attempted, m.sched.retries_succeeded),
+            (1, 1)
+        );
         assert_eq!(m.state, OperatorState::Completed);
         assert_eq!(m.input_tuples, 40, "replayed tuples must not be recounted");
     }
@@ -1347,8 +1341,8 @@ mod tests {
             40,
             "columnar retry must not lose or duplicate rows"
         );
-        assert_eq!(res.retries_attempted, 1);
         let m = res.metrics.by_name("flaky").unwrap();
+        assert_eq!(m.sched.retries_attempted, 1);
         assert_eq!(m.state, OperatorState::Completed);
         assert_eq!(m.input_tuples, 40, "replayed tuples must not be recounted");
     }

@@ -245,8 +245,6 @@ impl LiveExecutor {
             },
             trace: ProgressTrace::default(),
             pool: None,
-            retries_attempted: 0,
-            retries_succeeded: 0,
             cache_published: 0,
             worker_timeline: Vec::new(),
         })

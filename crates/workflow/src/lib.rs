@@ -108,7 +108,7 @@ pub use dag::{EdgeId, OpId, Workflow, WorkflowBuilder};
 pub use exec_live::{LiveExecutor, LiveRunResult, PoolStats};
 pub use exec_sim::SimExecutor;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
+pub use metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics, SchedCounters};
 pub use operator::{
     OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
 };

@@ -91,44 +91,21 @@ impl OperatorState {
     }
 }
 
-/// Defines [`OpCounters`], its atomic mirror and its wire-key table from
-/// one field list, in [`crate::trace::TraceJson`] key order. A new data
-/// counter is one more entry here plus the call that increments it.
-macro_rules! op_counters {
-    ($($(#[$doc:meta])* $field:ident => $key:literal,)+) => {
-        /// The data counters one operator accumulates while it runs —
-        /// everything beyond the Fig.-9 tuple counts. One value of this
-        /// type travels unchanged from the operator's
-        /// [`crate::OutputCollector`] through the executors' telemetry
-        /// ([`crate::trace_live::LiveTracer`] or the simulator's
-        /// per-operator state) into [`OperatorMetrics`],
-        /// [`crate::trace::OperatorSnapshot`], `TraceJson` and the run
-        /// totals ([`RunMetrics::totals`]).
-        ///
-        /// # Examples
-        ///
-        /// ```
-        /// use scriptflow_workflow::OpCounters;
-        ///
-        /// let mut total = OpCounters::default();
-        /// assert!(total.is_zero());
-        /// total += OpCounters { spilled_blocks: 2, spilled_bytes: 64, ..OpCounters::default() };
-        /// total += OpCounters { spilled_blocks: 1, ..OpCounters::default() };
-        /// assert_eq!(total.spilled_blocks, 3);
-        /// assert!(total.wire().any(|(key, v)| key == "spilledBytes" && v == 64));
-        /// ```
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct OpCounters {
-            $($(#[$doc])* pub $field: u64,)+
+/// Defines a counter family from one field list: a struct of `u64`
+/// counters with its sum, and the lock-free mirror a live
+/// [`crate::trace_live::OperatorProbe`] accumulates it in from pool
+/// threads. A family whose fields carry wire keys also gets its
+/// [`crate::trace::TraceJson`] key table, in key order. A new counter is
+/// one more entry in its family plus the call that increments it.
+macro_rules! counter_family {
+    (
+        $(#[$meta:meta])* $name:ident, $atomic:ident {
+            $($(#[$doc:meta])* $field:ident => $key:literal,)+
         }
+    ) => {
+        counter_family! { $(#[$meta])* $name, $atomic { $($(#[$doc])* $field,)+ } }
 
-        impl OpCounters {
-            /// True when nothing was counted (the executors' per-quantum
-            /// drain returns early on this).
-            pub fn is_zero(&self) -> bool {
-                ($(self.$field)|+) == 0
-            }
-
+        impl $name {
             /// `(wire key, value)` per counter, in `TraceJson` key order.
             pub fn wire(&self) -> impl Iterator<Item = (&'static str, u64)> {
                 [$(($key, self.$field)),+].into_iter()
@@ -137,72 +114,152 @@ macro_rules! op_counters {
             /// Rebuild a counter set from its wire form: `value_of` is
             /// asked for each key once.
             pub fn from_wire(mut value_of: impl FnMut(&str) -> u64) -> Self {
-                OpCounters { $($field: value_of($key)),+ }
+                $name { $($field: value_of($key)),+ }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])* $name:ident, $atomic:ident {
+            $($(#[$doc:meta])* $field:ident,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl $name {
+            /// True when nothing was counted.
+            pub fn is_zero(&self) -> bool {
+                ($(self.$field)|+) == 0
             }
         }
 
-        impl AddAssign for OpCounters {
-            fn add_assign(&mut self, other: OpCounters) {
+        impl AddAssign for $name {
+            fn add_assign(&mut self, other: $name) {
                 $(self.$field += other.$field;)+
             }
         }
 
-        /// Lock-free mirror of [`OpCounters`]: what a live
-        /// [`crate::trace_live::OperatorProbe`] accumulates from pool
-        /// threads. The values publish no other data, so every access is
-        /// relaxed.
-        #[derive(Debug, Default)]
-        pub(crate) struct AtomicOpCounters {
-            $($field: AtomicU64,)+
+        impl Sum for $name {
+            fn sum<I: Iterator<Item = $name>>(iter: I) -> $name {
+                iter.fold($name::default(), |mut acc, c| {
+                    acc += c;
+                    acc
+                })
+            }
         }
 
-        impl AtomicOpCounters {
-            pub(crate) fn add(&self, c: &OpCounters) {
+        /// Lock-free mirror of the family, written from pool threads.
+        /// The values publish no other data, so every access is relaxed.
+        #[derive(Debug, Default)]
+        pub(crate) struct $atomic {
+            $(pub(crate) $field: AtomicU64,)+
+        }
+
+        impl $atomic {
+            // Families counted one event at a time never add in bulk.
+            #[allow(dead_code)]
+            pub(crate) fn add(&self, c: &$name) {
                 $(if c.$field != 0 {
                     self.$field.fetch_add(c.$field, Ordering::Relaxed);
                 })+
             }
 
-            pub(crate) fn load(&self) -> OpCounters {
-                OpCounters { $($field: self.$field.load(Ordering::Relaxed)),+ }
+            pub(crate) fn load(&self) -> $name {
+                $name { $($field: self.$field.load(Ordering::Relaxed)),+ }
             }
         }
     };
 }
 
-op_counters! {
-    /// Whole input batches dropped by the operator's zone-map check
-    /// (per-batch min/max statistics proved no row could pass) without
-    /// reading their columns.
-    batches_skipped => "batchesSkipped",
-    /// Compressed blocks written to the spill store when the operator's
-    /// buffered state outgrew its memory budget. 0 without a budget.
-    spilled_blocks => "spilledBlocks",
-    /// 1 when the operator was served from the result cache (it never
-    /// ran; a replay source emitted its sealed output). 0 otherwise.
-    cache_hits => "cacheHits",
-    /// Cache entries evicted to admit the operator's published output
-    /// (non-zero only when the run's cache has a byte budget; counted
-    /// when the run commits).
-    cache_evictions => "cacheEvictions",
-    /// Compressed bytes across all spilled blocks.
-    spilled_bytes => "spilledBytes",
-    /// Spilled blocks read back (partition joins, run merges).
-    spill_reads => "spillReads",
-    /// 1 when the operator ran under a result cache, missed, and
-    /// recorded its output for publication. 0 otherwise.
-    cache_misses => "cacheMisses",
-    /// Compressed bytes decoded from the cache to serve the operator
-    /// (non-zero only with `cache_hits`).
-    cache_bytes => "cacheBytes",
+counter_family! {
+    /// The data counters one operator accumulates while it runs —
+    /// everything beyond the Fig.-9 tuple counts. One value of this
+    /// type travels unchanged from the operator's
+    /// [`crate::OutputCollector`] through the executors' telemetry
+    /// ([`crate::trace_live::LiveTracer`] or the simulator's
+    /// per-operator state) into [`OperatorMetrics`],
+    /// [`crate::trace::OperatorSnapshot`], `TraceJson` and the run
+    /// totals ([`RunMetrics::totals`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scriptflow_workflow::OpCounters;
+    ///
+    /// let mut total = OpCounters::default();
+    /// assert!(total.is_zero());
+    /// total += OpCounters { spilled_blocks: 2, spilled_bytes: 64, ..OpCounters::default() };
+    /// total += OpCounters { spilled_blocks: 1, ..OpCounters::default() };
+    /// assert_eq!(total.spilled_blocks, 3);
+    /// assert!(total.wire().any(|(key, v)| key == "spilledBytes" && v == 64));
+    /// ```
+    OpCounters, AtomicOpCounters {
+        /// Whole input batches dropped by the operator's zone-map check
+        /// (per-batch min/max statistics proved no row could pass) without
+        /// reading their columns.
+        batches_skipped => "batchesSkipped",
+        /// Compressed blocks written to the spill store when the operator's
+        /// buffered state outgrew its memory budget. 0 without a budget.
+        spilled_blocks => "spilledBlocks",
+        /// 1 when the operator was served from the result cache (it never
+        /// ran; a replay source emitted its sealed output). 0 otherwise.
+        cache_hits => "cacheHits",
+        /// Cache entries evicted to admit the operator's published output
+        /// (non-zero only when the run's cache has a byte budget; counted
+        /// when the run commits).
+        cache_evictions => "cacheEvictions",
+        /// Compressed bytes across all spilled blocks.
+        spilled_bytes => "spilledBytes",
+        /// Spilled blocks read back (partition joins, run merges).
+        spill_reads => "spillReads",
+        /// 1 when the operator ran under a result cache, missed, and
+        /// recorded its output for publication. 0 otherwise.
+        cache_misses => "cacheMisses",
+        /// Compressed bytes decoded from the cache to serve the operator
+        /// (non-zero only with `cache_hits`).
+        cache_bytes => "cacheBytes",
+    }
 }
 
-impl Sum for OpCounters {
-    fn sum<I: Iterator<Item = OpCounters>>(iter: I) -> OpCounters {
-        iter.fold(OpCounters::default(), |mut acc, c| {
-            acc += c;
-            acc
-        })
+counter_family! {
+    /// The scheduler counters one operator accumulates: what the engine
+    /// did on its behalf, beside what it computed ([`OpCounters`]). The
+    /// pooled live engine fills every field; the simulator fills only
+    /// the two retry counters (it has no quanta, mailboxes or
+    /// backpressure), so the others read 0 there. Summed over a run
+    /// ([`RunMetrics::sched_totals`]) they are the scheduling fields of
+    /// [`crate::PoolStats`]. Not part of `TraceJson`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scriptflow_workflow::SchedCounters;
+    ///
+    /// let ops = [
+    ///     SchedCounters { quanta: 3, batches_sent: 2, ..SchedCounters::default() },
+    ///     SchedCounters { quanta: 1, retries_attempted: 1, ..SchedCounters::default() },
+    /// ];
+    /// let run: SchedCounters = ops.into_iter().sum();
+    /// assert_eq!((run.quanta, run.batches_sent, run.retries_attempted), (4, 2, 1));
+    /// ```
+    SchedCounters, AtomicSchedCounters {
+        /// Run quanta the operator's tasks executed.
+        quanta,
+        /// Batches the operator's tasks delivered into a mailbox.
+        batches_sent,
+        /// Times a producer found one of the operator's mailboxes full and
+        /// yielded — charged to the full mailbox's operator, the
+        /// backpressure source, not the producer.
+        backpressure_stalls,
+        /// Faulted steps of the operator replayed under a
+        /// [`crate::retry::RetryPolicy`] budget (0 without a policy).
+        retries_attempted,
+        /// Workers of the operator that replayed at least one faulted step
+        /// and still finished cleanly.
+        retries_succeeded,
     }
 }
 
@@ -223,6 +280,8 @@ pub struct OperatorMetrics {
     pub output_tuples: u64,
     /// Data counters summed across all workers.
     pub counters: OpCounters,
+    /// Scheduler counters summed across all workers.
+    pub sched: SchedCounters,
     /// Summed busy time across workers.
     pub busy: SimDuration,
     /// Current lifecycle state.
@@ -250,6 +309,7 @@ impl OperatorMetrics {
             input_tuples: 0,
             output_tuples: 0,
             counters: OpCounters::default(),
+            sched: SchedCounters::default(),
             busy: SimDuration::ZERO,
             state: OperatorState::Initializing,
         }
@@ -282,7 +342,7 @@ impl OperatorMetrics {
 }
 
 /// Whole-run metrics returned by the executors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Virtual end-to-end time (submission to final result).
     pub makespan: SimTime,
@@ -308,6 +368,11 @@ impl RunMetrics {
     /// The run's data counters: the sum over its operators.
     pub fn totals(&self) -> OpCounters {
         self.operators.iter().map(|m| m.counters).sum()
+    }
+
+    /// The run's scheduler counters: the sum over its operators.
+    pub fn sched_totals(&self) -> SchedCounters {
+        self.operators.iter().map(|m| m.sched).sum()
     }
 
     /// Look up an operator's metrics by name.

@@ -110,7 +110,7 @@ use scriptflow_core::fingerprint::OpFingerprint;
 use scriptflow_simcluster::SimDuration;
 
 use crate::backend::EngineRun;
-use crate::cache::{commit_recordings_as, prepare, prime_misses, CommitStats, ResultCache};
+use crate::cache::{commit_recordings_as, prepare, prime_misses, ResultCache};
 use crate::dag::Workflow;
 use crate::exec_live::{
     assemble_live_result, build_tasks, default_pool_size, Pool, PoolStats, Task,
@@ -918,23 +918,8 @@ impl Shared {
     /// publish it to the seat.
     fn finalize(&self, st: &mut SvcState, run: ActiveRun) {
         let mut trace = run.core.finish_trace();
-        let err = run.core.take_error();
         let elapsed = run.started.elapsed();
-        let pool_stats = run.core.stats();
-        // Publish recordings only from clean runs: around a faulted or
-        // replayed quantum output is recorded in an order no clean run
-        // produces (the same discipline as the simulator). Entries are
-        // charged to the submitting tenant so quota accounting can track
-        // live bytes.
-        let clean =
-            err.is_none() && pool_stats.faults_injected == 0 && pool_stats.retries_attempted == 0;
-        let commit = if clean {
-            let owner = (!self.solo).then_some(run.tenant.as_str());
-            commit_recordings_as(run.core.recordings(), &self.cache, owner)
-        } else {
-            CommitStats::default()
-        };
-        let result = match err {
+        let result = match run.core.take_error() {
             Some(e) => Err(e),
             None => Ok({
                 let mut res = assemble_live_result(
@@ -942,10 +927,20 @@ impl Shared {
                     run.total_workers,
                     elapsed,
                     run.core.tracer(),
-                    pool_stats,
                     trace.clone(),
                 );
-                commit.apply_to(&mut res, &mut trace);
+                // Publish recordings only from clean runs: around a
+                // faulted or replayed quantum output is recorded in an
+                // order no clean run produces (the same discipline as the
+                // simulator). Entries are charged to the submitting tenant
+                // so quota accounting can track live bytes.
+                let retried = res.metrics.sched_totals().retries_attempted > 0;
+                if run.core.faults_injected() == 0 && !retried {
+                    let owner = (!self.solo).then_some(run.tenant.as_str());
+                    commit_recordings_as(run.core.recordings(), &self.cache, owner)
+                        .apply_to(&mut res, &mut trace);
+                }
+                res.pool = Some(run.core.stats(&res.metrics));
                 res
             }),
         };
@@ -960,7 +955,7 @@ impl Shared {
             t.in_flight = t.in_flight.saturating_sub(1);
             t.stats.completed += 1;
             t.stats.counters += counters;
-            t.stats.cache_published += commit.published;
+            t.stats.cache_published += result.as_ref().map_or(0, |r| r.cache_published);
             if result.is_err() {
                 t.stats.failed += 1;
             }
@@ -1596,7 +1591,7 @@ mod tests {
         let report = run.wait();
         let err = report.result.expect_err("dropping EOS fails the run");
         assert!(err.to_string().contains("end-of-stream"), "{err}");
-        assert!(core.stats().stall_recoveries >= 1);
+        assert!(core.stats(&crate::RunMetrics::default()).stall_recoveries >= 1);
         let (_, last) = report.trace.samples.last().unwrap();
         assert!(last.iter().all(|s| s.state.is_terminal()), "{last:?}");
     }

@@ -258,6 +258,9 @@ impl TraceJson {
     }
 
     /// Parse a serialized trace document back into a [`ProgressTrace`].
+    /// Every sample must name the first sample's operators, in the same
+    /// order — what both engines write, and what [`render_timeline`]
+    /// indexes by.
     ///
     /// # Examples
     ///
@@ -330,6 +333,15 @@ impl TraceJson {
                     // its key; default rather than reject them.
                     counters: OpCounters::from_wire(|key| int(op, key).unwrap_or(0).max(0) as u64),
                 });
+            }
+            let same_ops = |(_, first): &(SimTime, Vec<OperatorSnapshot>)| {
+                first
+                    .iter()
+                    .map(|s| &s.name)
+                    .eq(snaps.iter().map(|s| &s.name))
+            };
+            if !out.samples.first().is_none_or(same_ops) {
+                return Err(format!("the sample at {at} names other operators"));
             }
             out.samples.push((at, snaps));
         }
@@ -488,5 +500,25 @@ mod tests {
             "{\"samples\":[{\"atMicros\":0,\"operators\":[{\"name\":\"x\",\"state\":\"Bogus\",\"inputTuples\":0,\"outputTuples\":0}]}]}"
         )
         .is_err());
+    }
+
+    /// `render_timeline` indexes every sample by the first one's
+    /// operators, so a document whose samples disagree panicked it; now
+    /// such a document is refused at the parse.
+    #[test]
+    fn trace_json_rejects_ragged_samples() {
+        let text = TraceJson::from_trace(&sample_trace()).to_string_compact();
+        assert!(TraceJson::parse(&text).is_ok());
+        let mut fewer = sample_trace();
+        fewer.samples[1].1.pop();
+        let mut swapped = sample_trace();
+        swapped.samples[1].1.reverse();
+        let mut renamed = sample_trace();
+        renamed.samples[1].1[1].name = "other".into();
+        for (what, ragged) in [("fewer", fewer), ("swapped", swapped), ("renamed", renamed)] {
+            let text = TraceJson::from_trace(&ragged).to_string_compact();
+            let err = TraceJson::parse(&text).expect_err(what);
+            assert!(err.contains("names other operators"), "{what}: {err}");
+        }
     }
 }

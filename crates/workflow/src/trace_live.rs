@@ -24,7 +24,10 @@ use std::time::{Duration, Instant};
 
 use scriptflow_simcluster::{SimDuration, SimTime};
 
-use crate::metrics::{AtomicOpCounters, OpCounters, OperatorMetrics, OperatorState};
+use crate::metrics::{
+    AtomicOpCounters, AtomicSchedCounters, OpCounters, OperatorMetrics, OperatorState,
+    SchedCounters,
+};
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 
 /// Monotone `u8` encoding of [`OperatorState`] for lock-free state
@@ -64,9 +67,9 @@ fn code_state(code: u8) -> OperatorState {
 /// relaxed atomics and read by the sampler thread.
 ///
 /// One probe aggregates every worker of one operator: the lifecycle
-/// state, the Fig.-9 tuple counters, summed busy time across workers,
-/// the combined depth of the workers' input mailboxes, and how often a
-/// producer stalled trying to deliver into those mailboxes.
+/// state, the Fig.-9 tuple counters, the data and scheduler counter
+/// families, summed busy time across workers, and the combined depth of
+/// the workers' input mailboxes.
 ///
 /// # Examples
 ///
@@ -87,10 +90,8 @@ pub struct OperatorProbe {
     input_tuples: AtomicU64,
     output_tuples: AtomicU64,
     counters: AtomicOpCounters,
+    sched: AtomicSchedCounters,
     busy_nanos: AtomicU64,
-    attempts: AtomicU64,
-    retries: AtomicU64,
-    stalls: AtomicU64,
     mailbox_depth: AtomicUsize,
     peak_mailbox_depth: AtomicUsize,
     workers_remaining: AtomicUsize,
@@ -104,10 +105,8 @@ impl OperatorProbe {
             input_tuples: AtomicU64::new(0),
             output_tuples: AtomicU64::new(0),
             counters: AtomicOpCounters::default(),
+            sched: AtomicSchedCounters::default(),
             busy_nanos: AtomicU64::new(0),
-            attempts: AtomicU64::new(workers as u64),
-            retries: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
             mailbox_depth: AtomicUsize::new(0),
             peak_mailbox_depth: AtomicUsize::new(0),
             workers_remaining: AtomicUsize::new(workers),
@@ -202,41 +201,8 @@ impl OperatorProbe {
         SimDuration::from_micros(self.busy_nanos.load(Ordering::Relaxed) / 1_000)
     }
 
-    /// Run attempts across this operator's workers: one per worker
-    /// launch plus one per retry, so `attempts() == workers + retries()`
-    /// by construction.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["op".to_owned()], &[2]);
-    /// assert_eq!(tracer.probe(0).attempts(), 2);
-    /// tracer.on_retrying(0);
-    /// assert_eq!(tracer.probe(0).attempts(), 3);
-    /// ```
-    pub fn attempts(&self) -> u64 {
-        self.attempts.load(Ordering::Relaxed)
-    }
-
-    /// Faulted run quanta replayed under a retry budget (see
-    /// [`crate::retry`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["op".to_owned()], &[1]);
-    /// assert_eq!(tracer.probe(0).retries(), 0);
-    /// tracer.on_retrying(0);
-    /// assert_eq!(tracer.probe(0).retries(), 1);
-    /// ```
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Times a producer found one of this operator's mailboxes full and
-    /// had to yield its pool thread.
+    /// The operator's scheduler counters so far: quanta, deliveries,
+    /// stalls and retries, each counted where the pool does it.
     ///
     /// # Examples
     ///
@@ -244,10 +210,12 @@ impl OperatorProbe {
     /// use scriptflow_workflow::trace_live::LiveTracer;
     /// let tracer = LiveTracer::new(vec!["op".to_owned()], &[1]);
     /// tracer.on_stall(0);
-    /// assert_eq!(tracer.probe(0).stalls(), 1);
+    /// tracer.on_retrying(0);
+    /// let sched = tracer.probe(0).sched();
+    /// assert_eq!((sched.backpressure_stalls, sched.retries_attempted), (1, 1));
     /// ```
-    pub fn stalls(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
+    pub fn sched(&self) -> SchedCounters {
+        self.sched.load()
     }
 
     /// Messages currently queued across this operator's worker mailboxes.
@@ -489,10 +457,16 @@ impl LiveTracer {
     /// let tracer = LiveTracer::new(vec!["op".to_owned()], &[1]);
     /// tracer.on_stall(0);
     /// tracer.on_stall(0);
-    /// assert_eq!(tracer.probe(0).stalls(), 2);
+    /// assert_eq!(tracer.probe(0).sched().backpressure_stalls, 2);
     /// ```
     pub fn on_stall(&self, op: usize) {
-        self.probes[op].stalls.fetch_add(1, Ordering::Relaxed);
+        self.count(op, |s| &s.backpressure_stalls);
+    }
+
+    /// Hook: one scheduler event of `op`, counted in the
+    /// [`SchedCounters`] field `event` picks.
+    pub(crate) fn count(&self, op: usize, event: impl FnOnce(&AtomicSchedCounters) -> &AtomicU64) {
+        event(&self.probes[op].sched).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Hook: a message entered a mailbox of `op`.
@@ -551,8 +525,7 @@ impl LiveTracer {
     }
 
     /// Hook: a worker of `op` faulted but holds retry budget — its run
-    /// quantum is being replayed. Bumps the attempt/retry counters and
-    /// promotes the operator to [`OperatorState::Retrying`], which stays
+    /// quantum is being replayed. Counts the retry and promotes the operator to [`OperatorState::Retrying`], which stays
     /// visible (it outranks `Running`) until a terminal state clears it:
     /// a successful replay ends in `Completed`, an exhausted budget in
     /// `Failed`.
@@ -569,10 +542,8 @@ impl LiveTracer {
     /// assert_eq!(tracer.probe(0).state(), OperatorState::Completed);
     /// ```
     pub fn on_retrying(&self, op: usize) {
-        let probe = &self.probes[op];
-        probe.attempts.fetch_add(1, Ordering::Relaxed);
-        probe.retries.fetch_add(1, Ordering::Relaxed);
-        probe.promote(OperatorState::Retrying);
+        self.count(op, |s| &s.retries_attempted);
+        self.probes[op].promote(OperatorState::Retrying);
     }
 
     /// Hook: a worker of `op` raised an error. The operator moves to
@@ -612,21 +583,6 @@ impl LiveTracer {
         self.probes[op].promote(OperatorState::Degraded);
     }
 
-    /// Total quantum replays across all operators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["a".to_owned(), "b".to_owned()], &[1, 1]);
-    /// tracer.on_retrying(0);
-    /// tracer.on_retrying(1);
-    /// assert_eq!(tracer.total_retries(), 2);
-    /// ```
-    pub fn total_retries(&self) -> u64 {
-        self.probes.iter().map(OperatorProbe::retries).sum()
-    }
-
     /// The run's data counters so far: the sum over all operators.
     ///
     /// # Examples
@@ -642,21 +598,6 @@ impl LiveTracer {
     /// ```
     pub fn totals(&self) -> OpCounters {
         self.probes.iter().map(OperatorProbe::counters).sum()
-    }
-
-    /// Total backpressure stalls across all operators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scriptflow_workflow::trace_live::LiveTracer;
-    /// let tracer = LiveTracer::new(vec!["a".to_owned(), "b".to_owned()], &[1, 1]);
-    /// tracer.on_stall(0);
-    /// tracer.on_stall(1);
-    /// assert_eq!(tracer.total_stalls(), 2);
-    /// ```
-    pub fn total_stalls(&self) -> u64 {
-        self.probes.iter().map(OperatorProbe::stalls).sum()
     }
 
     /// Peak combined mailbox depth observed at any single operator.
@@ -800,16 +741,18 @@ mod tests {
 
     #[test]
     fn attempt_counters_track_retries() {
-        let t = tracer(); // scan has 2 workers, sink has 1
-        assert_eq!(t.probe(0).attempts(), 2);
-        assert_eq!(t.probe(0).retries(), 0);
+        let t = tracer();
+        assert!(t.probe(0).sched().is_zero());
         t.on_retrying(0);
         t.on_retrying(0);
         t.on_retrying(1);
-        assert_eq!(t.probe(0).attempts(), 4);
-        assert_eq!(t.probe(0).retries(), 2);
-        assert_eq!(t.probe(1).attempts(), 2);
-        assert_eq!(t.total_retries(), 3);
+        t.on_stall(1);
+        t.count(0, |s| &s.quanta);
+        let scan = t.probe(0).sched();
+        assert_eq!((scan.retries_attempted, scan.quanta), (2, 1));
+        assert_eq!(scan.backpressure_stalls, 0, "a stall is the full mailbox's");
+        let sink = t.probe(1).sched();
+        assert_eq!((sink.retries_attempted, sink.backpressure_stalls), (1, 1));
     }
 
     #[test]

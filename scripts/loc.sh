@@ -28,3 +28,12 @@ printf '%8d  total\n' "$total"
 # opening line and the first line that closes it at column 0.
 methods="$(awk '/^pub trait OperatorFactory/ { on = 1 } on && /^}/ { exit } on && /^    fn / { n++ } END { print n + 0 }' crates/workflow/src/operator.rs)"
 printf '%8d  OperatorFactory methods\n' "$methods"
+
+# `pub` fields of the two run records a run-level number could be copied
+# into: `EngineRun` read 10 and `BackendRun` 7 before both stopped
+# copying, 8 and 3 after. A count going up is a copy coming back.
+pub_fields() {
+    awk -v open="^pub struct $1 " '$0 ~ open { on = 1 } on && /^}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' "$2"
+}
+printf '%8d  EngineRun pub fields\n' "$(pub_fields EngineRun crates/workflow/src/backend.rs)"
+printf '%8d  BackendRun pub fields\n' "$(pub_fields BackendRun crates/tasks/src/common.rs)"

@@ -195,16 +195,17 @@ fn tiny_budget_changes_no_rows_on_any_task() {
                 "{task}/{kind}: a memory budget must not change task results"
             );
             assert_eq!(
-                full.counters.spilled_blocks, 0,
+                full.counters().spilled_blocks,
+                0,
                 "{task}/{kind}: the unbounded engine never spills"
             );
             if *has_join {
                 assert!(
-                    capped.counters.spilled_blocks > 0,
+                    capped.counters().spilled_blocks > 0,
                     "{task}/{kind}: the tiny budget must force the join build side to spill"
                 );
                 assert!(
-                    capped.counters.spilled_bytes > 0,
+                    capped.counters().spilled_bytes > 0,
                     "{task}/{kind}: spilled blocks carry compressed bytes"
                 );
             }
@@ -232,7 +233,8 @@ fn columnar_mode_changes_no_rows_on_any_task() {
             );
         }
         assert_eq!(
-            r.counters.batches_skipped, 0,
+            r.counters().batches_skipped,
+            0,
             "{task}: the sim's row engine never consults zone maps"
         );
         // The virtual clock must show the calibrated columnar win.
@@ -315,7 +317,8 @@ fn warm_cache_rerun_changes_no_rows_on_any_task() {
                 "{task}/{kind}: a served warm rerun must not change task results"
             );
             assert_eq!(
-                cold.counters.cache_hits, 0,
+                cold.counters().cache_hits,
+                0,
                 "{task}/{kind}: an empty cache cannot hit"
             );
             assert!(
@@ -323,7 +326,7 @@ fn warm_cache_rerun_changes_no_rows_on_any_task() {
                 "{task}/{kind}: the cold run must publish sealed segments"
             );
             assert!(
-                warm.counters.cache_hits > 0,
+                warm.counters().cache_hits > 0,
                 "{task}/{kind}: the warm rerun must serve from the cache"
             );
             assert_eq!(
