@@ -79,7 +79,7 @@ pub struct EngineRun {
     /// Per-operator progress samples. Pooled and simulated runs hold at
     /// least the terminal sample (interval samples need `with_trace`),
     /// so `trace.completion_sample()` works on any successful run; the
-    /// thread-per-worker baseline leaves it empty.
+    /// reference interpreter leaves it empty.
     pub trace: ProgressTrace,
     /// Pool scheduling counters; `Some` only for pooled live runs.
     pub pool: Option<PoolStats>,

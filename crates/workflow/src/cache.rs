@@ -672,7 +672,10 @@ impl DiskStore {
 
     /// Parse the manifest into cache bookkeeping with every payload
     /// still on disk. A missing manifest is an empty cache; a bad header
-    /// or a malformed line degrades by dropping what cannot be parsed.
+    /// or a malformed line degrades by dropping what cannot be parsed, a
+    /// repeated fingerprint keeps its first line, and a line whose bytes
+    /// would overflow the running total is dropped, so the ledger is
+    /// always the sum over the entries it holds.
     fn load_manifest(&self) -> CacheInner {
         let mut inner = CacheInner::default();
         let Ok(text) = std::fs::read_to_string(self.manifest_path()) else {
@@ -703,8 +706,15 @@ impl DiskStore {
                 Some("-") | None => None,
                 Some(o) => Some(o.to_owned()),
             };
+            // The first line for a fingerprint wins, and a line whose
+            // bytes would overflow the ledger is forged: an owner's share
+            // never exceeds the total, so checking the total suffices.
+            let total = inner.bytes.checked_add(bytes);
+            let (Some(total), false) = (total, inner.entries.contains_key(&fp)) else {
+                continue;
+            };
             inner.seq += 1;
-            inner.bytes += bytes;
+            inner.bytes = total;
             if let Some(o) = &owner {
                 *inner.owner_bytes.entry(o.clone()).or_default() += bytes;
             }

@@ -38,11 +38,11 @@
 //! retry-backoff timer, result finalizer and cache plan/commit exist
 //! once, there.
 //!
-//! [`LiveExecutor::thread_per_worker`] is the original executor — one OS
-//! thread per operator worker, unbounded channels, a tuple clone per
-//! routed destination (`exec_threads.rs`). It shares no scheduling code with the
-//! pooled executor, which is why the repo benchmark checks pooled row
-//! digests against it.
+//! [`LiveExecutor::thread_per_worker`] is not a second engine but the
+//! reference interpreter (`exec_reference.rs`): one thread walks the DAG
+//! in topological order, each worker consuming whole inboxes. It shares
+//! no routing or scheduling code with the pool, which is why tests and
+//! the repo benchmark check pooled rows against it.
 //!
 //! # Scheduling and deadlock freedom (pooled mode)
 //!
@@ -121,7 +121,7 @@ use crate::sync::lock;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 use crate::trace_live::LiveTracer;
 
-/// Counters from a pooled run (absent in thread-per-worker mode): the
+/// Counters from a pooled run (absent from a reference run): the
 /// run's sums over [`RunMetrics::operators`] — scheduler counters
 /// ([`RunMetrics::sched_totals`]) and data counters
 /// ([`RunMetrics::totals`]) — plus what only the pool knows, its width,
@@ -193,7 +193,7 @@ impl std::ops::Deref for PoolStats {
 /// Result of a live run: an alias of the engine-wide [`EngineRun`].
 /// `kind` is [`BackendKind::Live`], `elapsed` is the measured wall-clock
 /// and `metrics.makespan` mirrors it; `pool` is `None` and `trace` empty
-/// in thread-per-worker mode.
+/// for the reference interpreter ([`LiveExecutor::thread_per_worker`]).
 ///
 /// # Examples
 ///
@@ -239,9 +239,7 @@ pub type LiveRunResult = EngineRun;
 /// assert_eq!(res.metrics.by_name("scan").unwrap().output_tuples, 5);
 /// ```
 pub struct LiveExecutor {
-    /// Crate-visible with `memory_budget` for the thread-per-worker
-    /// baseline in [`crate::exec_threads`].
-    pub(crate) batch_size: usize,
+    batch_size: usize,
     /// `false` only for [`LiveExecutor::thread_per_worker`].
     pooled: bool,
     pool_size: Option<usize>,
@@ -249,7 +247,7 @@ pub struct LiveExecutor {
     trace_interval: Option<Duration>,
     faults: Option<FaultPlan>,
     retry: RetryConfig,
-    pub(crate) memory_budget: Option<usize>,
+    memory_budget: Option<usize>,
     result_cache: Option<Arc<crate::cache::ResultCache>>,
 }
 
@@ -284,11 +282,15 @@ impl LiveExecutor {
         }
     }
 
-    /// The original thread-per-worker executor: one OS thread per
-    /// operator worker, unbounded channels, a tuple clone per routed
-    /// destination.
-    /// It shares no scheduling code with the pooled executor, which is
-    /// what makes it the reference the pooled rows are checked against.
+    /// The reference interpreter: the rows every engine configuration
+    /// must reproduce. It runs on the calling thread, walks the DAG in
+    /// topological order with each worker consuming whole inboxes, and
+    /// shares no routing or scheduling code with the pooled executor. It
+    /// honours [`LiveExecutor::with_memory_budget`] and ignores
+    /// `batch_size` and every other option — faults, retries, the result
+    /// cache, tracing, pool size, channel capacity — none of which may
+    /// change a run's rows. Its result has `pool: None` and an empty
+    /// trace; a failed run returns the first error in topological order.
     ///
     /// # Examples
     ///
@@ -357,7 +359,9 @@ impl LiveExecutor {
     /// Inject a deterministic [`FaultPlan`] into the pooled run (see
     /// [`crate::fault`]). The named operators fail as planned, the pool
     /// drains, and the run returns `Err` with the partial trace intact.
-    /// Thread-per-worker mode ignores fault plans. A plan naming an
+    /// The reference interpreter ([`LiveExecutor::thread_per_worker`])
+    /// ignores fault plans: it is what a faulted, retried run must
+    /// reproduce. A plan naming an
     /// operator the workflow doesn't have fails the run upfront with
     /// [`crate::WorkflowError::InvalidDag`].
     ///
@@ -474,7 +478,8 @@ impl LiveExecutor {
     /// skipped; misses run normally and record their output, published
     /// to the cache when the run finishes cleanly (no faults, no
     /// retries). `None` (the default) executes every operator.
-    /// Thread-per-worker mode ignores the cache.
+    /// The reference interpreter ([`LiveExecutor::thread_per_worker`])
+    /// ignores the cache and executes every operator.
     ///
     /// # Examples
     ///
@@ -520,8 +525,8 @@ impl LiveExecutor {
     /// Unlike [`LiveExecutor::run`] — whose trace travels inside
     /// [`EngineRun`] and is therefore lost on `Err` — this always
     /// hands the trace back, so a failed run can still be replayed to
-    /// see which operator reached [`crate::OperatorState::Failed`]. In
-    /// thread-per-worker mode the trace is empty.
+    /// see which operator reached [`crate::OperatorState::Failed`]. The
+    /// reference interpreter's trace is empty.
     ///
     /// # Examples
     ///
@@ -557,7 +562,8 @@ impl LiveExecutor {
     /// ```
     pub fn run_observed(&self, wf: &Workflow) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         if !self.pooled {
-            return (ProgressTrace::default(), self.run_threads(wf));
+            let run = crate::exec_reference::run(wf, self.memory_budget);
+            return (ProgressTrace::default(), run);
         }
         let mut config = ServiceConfig::default()
             .with_max_active_runs(1)
@@ -2182,7 +2188,7 @@ mod tests {
             rows.sort();
             (rows, res)
         };
-        // Thread-per-worker only ever moves rows: the oracle.
+        // The reference interpreter only ever moves rows: the oracle.
         let (rows_row, _) = run(LiveExecutor::thread_per_worker(16));
         let (rows_col, res_col) = run(LiveExecutor::new(16).with_pool_size(2));
         assert_eq!(rows_row.len(), 30);
@@ -2340,35 +2346,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_worker_matches_pooled() {
-        let mut h1 = None;
-        let wf1 = build_filter_wf(400, &mut h1);
-        let r1 = LiveExecutor::new(16).run(&wf1).unwrap();
-        assert!(r1.pool.is_some());
-
-        let mut h2 = None;
-        let wf2 = build_filter_wf(400, &mut h2);
-        let r2 = LiveExecutor::thread_per_worker(16).run(&wf2).unwrap();
-        assert!(r2.pool.is_none());
-
-        let mut a: Vec<String> = h1
-            .unwrap()
-            .results()
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        let mut b: Vec<String> = h2
-            .unwrap()
-            .results()
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn bounded_channels_complete_under_backpressure() {
         let mut handle = None;
         let wf = build_filter_wf(3_000, &mut handle);
@@ -2422,6 +2399,7 @@ mod tests {
         let mut h3 = None;
         let wf3 = build_filter_wf(300, &mut h3);
         let threads = LiveExecutor::thread_per_worker(64).run(&wf3).unwrap();
+        assert!(threads.pool.is_none() && threads.trace.is_empty());
 
         for name in ["scan", "mod7", "sink"] {
             assert_eq!(
@@ -2617,7 +2595,7 @@ mod tests {
     fn pooled_error_surfaces_in_both_modes() {
         for (mode, exec) in [
             ("pooled", LiveExecutor::new(8)),
-            ("thread-per-worker", LiveExecutor::thread_per_worker(8)),
+            ("reference", LiveExecutor::thread_per_worker(8)),
         ] {
             let mut b = WorkflowBuilder::new();
             let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(50))), 1);

@@ -123,8 +123,9 @@ pub struct FaultSpec {
 ///
 /// Build one explicitly with the `panic_at`/`kill_worker`/… builders, or
 /// derive one from a seed with [`FaultPlan::random`]. Attach it via
-/// [`crate::exec_live::LiveExecutor::with_faults`]; thread-per-worker
-/// mode ignores fault plans (the harness targets the pooled scheduler).
+/// [`crate::exec_live::LiveExecutor::with_faults`]; the reference
+/// interpreter ([`crate::exec_live::LiveExecutor::thread_per_worker`])
+/// ignores fault plans (the harness targets the pooled scheduler).
 ///
 /// # Examples
 ///

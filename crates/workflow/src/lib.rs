@@ -83,8 +83,8 @@ pub mod cache;
 pub mod cost;
 pub mod dag;
 pub mod exec_live;
+mod exec_reference;
 pub mod exec_sim;
-mod exec_threads;
 pub mod fault;
 pub mod gui;
 pub mod metrics;

@@ -278,3 +278,65 @@ fn rechecksummed_mutations_serve_or_miss_never_panic() {
     assert!(misses > 0, "some payload damage must be caught at load");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Write `lines` as the store's `MANIFEST`, each fingerprint backed by an
+/// empty segment file, so every line survives the open and is found
+/// corrupt on lookup.
+fn forge_manifest(dir: &PathBuf, lines: &[(u128, u64, &str)]) {
+    std::fs::create_dir_all(dir).expect("store dir");
+    let mut text = String::from("scriptflow-cache v1\n");
+    for &(fp, bytes, owner) in lines {
+        text.push_str(&format!("{fp:032x} 10 1 {bytes} 0 {owner}\n"));
+        std::fs::write(dir.join(format!("{fp:032x}.seg")), b"").expect("segment file");
+    }
+    std::fs::write(dir.join("MANIFEST"), text).expect("manifest");
+}
+
+/// The byte ledger is a sum over the entries held: a forged count that
+/// would overflow it drops its line instead of panicking the open (or
+/// wrapping the total a budget is enforced against).
+#[test]
+fn forged_manifest_byte_counts_cannot_overflow_the_ledger() {
+    let dir = temp_dir("overflow");
+    forge_manifest(&dir, &[(1, u64::MAX, "mallory"), (2, u64::MAX, "mallory")]);
+    let cache = ResultCache::persistent(&dir).expect("a forged manifest still opens");
+    assert_eq!(
+        cache.entries(),
+        1,
+        "the line that would overflow is dropped"
+    );
+    assert_eq!(cache.bytes(), u64::MAX);
+    assert_eq!(cache.owner_bytes("mallory"), u64::MAX);
+    let fp = cache.fingerprints()[0];
+    assert!(cache.lookup(fp).is_none(), "an empty segment is a miss");
+    assert_eq!((cache.entries(), cache.bytes()), (0, 0));
+    assert_eq!(cache.owner_bytes("mallory"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fingerprint listed twice is one entry, counted once, before and
+/// after its segment is found corrupt; the rewritten index lists each
+/// fingerprint it still holds once.
+#[test]
+fn duplicated_manifest_line_is_counted_once() {
+    let dir = temp_dir("duplicate");
+    forge_manifest(
+        &dir,
+        &[(7, 1_000, "alice"), (7, 1_000, "alice"), (9, 500, "bob")],
+    );
+    let cache = ResultCache::persistent(&dir).expect("open store");
+    assert_eq!(cache.entries(), 2);
+    assert_eq!(cache.bytes(), 1_500);
+    assert_eq!(cache.owner_bytes("alice"), 1_000);
+    let fps = cache.fingerprints();
+    assert!(cache.lookup(fps[0]).is_none(), "an empty segment is a miss");
+    assert_eq!((cache.entries(), cache.bytes()), (1, 500));
+    assert_eq!(cache.owner_bytes("alice"), 0);
+    assert_eq!(cache.owner_bytes("bob"), 500);
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("rewritten index");
+    assert_eq!(
+        manifest,
+        format!("scriptflow-cache v1\n{:032x} 10 1 500 0 bob\n", 9)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

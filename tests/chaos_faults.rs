@@ -460,7 +460,7 @@ fn columnar_batches_under_faults_retry_exactly_once() {
     // sealed batches travel must behave exactly like a fault among rows —
     // the armed batch takes the row path, the replay quantum re-delivers
     // every tuple once, and nothing about the drain changes. Rows must
-    // match the thread-per-worker run, which only ever moves rows.
+    // match the reference interpreter's, which only ever moves rows.
     let (_serial, baseline) = thread_baseline();
     let (wf, h) = kernel_chain();
     LiveExecutor::thread_per_worker(8).run(&wf).unwrap();

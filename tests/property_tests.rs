@@ -19,8 +19,8 @@ use scriptflow::mlkit::kge::{EmbeddingTable, KgeScorer};
 use scriptflow::simcluster::SplitMix64;
 use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp};
 use scriptflow::workflow::{
-    EngineConfig, LiveExecutor, OperatorFactory, PartitionStrategy, SimExecutor, Workflow,
-    WorkflowBuilder, WorkflowError,
+    Backoff, EngineConfig, EngineRun, FaultPlan, LiveExecutor, OperatorFactory, PartitionStrategy,
+    ResultCache, RetryConfig, RetryPolicy, SimExecutor, Workflow, WorkflowBuilder, WorkflowError,
 };
 
 /// Cases per pure-data property.
@@ -626,39 +626,144 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
     }
 }
 
-/// The pool-scheduled live executor computes exactly what the
-/// simulator computes on randomized filter/join DAGs, across random
-/// parallelism, batch sizes, and mailbox capacities.
+/// The result cache a drawn configuration runs on: none, a fresh one, or
+/// a fresh one the same DAG has already run through.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CacheState {
+    None,
+    Cold,
+    Warm,
+}
+
+/// One drawn engine configuration.
+#[derive(Debug)]
+struct Config {
+    /// The pool's (batch size, mailbox capacity, width); `None` is the sim.
+    pool: Option<(usize, usize, usize)>,
+    budget: Option<usize>,
+    cache: CacheState,
+    /// On the pool only: a fault a retry budget must absorb.
+    fault: Option<FaultPlan>,
+}
+
+impl Config {
+    fn draw(rng: &mut SplitMix64) -> Config {
+        let pool = rng
+            .bool(0.75)
+            .then(|| (rng.range(1..65), rng.range(1..9), rng.range(1..6)));
+        let budget = rng.bool(0.5).then_some(1 << 10);
+        let cache = [CacheState::None, CacheState::Cold, CacheState::Warm][rng.range(0..3usize)];
+        // Any operator of `random_join_dag` but a sink.
+        let victims = ["facts", "dims", "filt", "narrow", "hop", "join", "agg"];
+        let (victim, at) = (victims[rng.range(0..7usize)], rng.range(1..100u64));
+        let fault = match (pool, rng.range(0..3usize)) {
+            (None, _) | (_, 0) => None,
+            (_, 1) => Some(FaultPlan::new(at).panic_at(victim, at)),
+            _ => Some(FaultPlan::new(at).kill_worker(victim, at)),
+        };
+        Config {
+            pool,
+            budget,
+            cache,
+            fault,
+        }
+    }
+
+    /// Run `wf` in this configuration through `cache`; with `armed`, the
+    /// drawn fault fires under a retry budget that must absorb it.
+    fn run(&self, wf: &Workflow, cache: Option<&Arc<ResultCache>>, armed: bool) -> EngineRun {
+        let result = match self.pool {
+            None => SimExecutor::new(EngineConfig {
+                memory_budget: self.budget,
+                result_cache: cache.cloned(),
+                ..EngineConfig::default()
+            })
+            .run(wf),
+            Some((batch, capacity, pool)) => {
+                let mut exec = LiveExecutor::new(batch)
+                    .with_channel_capacity(capacity)
+                    .with_pool_size(pool)
+                    .with_memory_budget(self.budget);
+                if let Some(cache) = cache {
+                    exec = exec.with_result_cache(Arc::clone(cache));
+                }
+                if let Some(plan) = self.fault.as_ref().filter(|_| armed) {
+                    let policy = RetryPolicy::attempts(3).with_backoff(Backoff::none());
+                    exec = exec
+                        .with_faults(plan.clone())
+                        .with_retry(RetryConfig::uniform(policy));
+                }
+                exec.run(wf)
+            }
+        };
+        result.unwrap_or_else(|e| panic!("{self:?}: {e}"))
+    }
+}
+
+/// One oracle for every configuration: on random filter/join DAGs that
+/// hold both edge forms, each drawn configuration — the simulator, or the
+/// pool at any batch size, mailbox capacity and width; with or without a
+/// 1 KiB memory budget; without a cache, on a cold one or a warm one; and
+/// on the pool, a panic or a killed worker on any operator but a sink,
+/// under a retry budget — fills all three sinks with the reference
+/// interpreter's rows.
 #[test]
-fn pooled_live_matches_sim_on_random_dag() {
+fn every_configuration_matches_the_reference_on_random_dags() {
+    // Retries, cache hits and spilled blocks over all checked runs: the
+    // draws must reach the paths they name.
+    let reached = std::cell::Cell::new([0u64; 3]);
+    let tally = |run: EngineRun| {
+        let [retries, hits, spills] = reached.get();
+        let counters = run.counters();
+        reached.set([
+            retries + run.metrics.sched_totals().retries_attempted,
+            hits + counters.cache_hits,
+            spills + counters.spilled_blocks,
+        ]);
+    };
     for_seeds(LIVE_CASES, |rng| {
         let rows_of = random_join_dag(rng);
-        let live = LiveExecutor::new(rng.range(1..64usize))
-            .with_channel_capacity(rng.range(1..8usize))
-            .with_pool_size(rng.range(1..5usize));
-        let sim = SimExecutor::new(EngineConfig::default());
-        assert_eq!(
-            rows_of(&|wf| drop(sim.run(wf).unwrap())),
-            rows_of(&|wf| drop(live.run(wf).unwrap()))
-        );
+        let want = rows_of(&|wf| drop(LiveExecutor::thread_per_worker(1).run(wf).unwrap()));
+        for _ in 0..6 {
+            let config = Config::draw(rng);
+            let cache = (config.cache != CacheState::None).then(|| Arc::new(ResultCache::new()));
+            if config.cache == CacheState::Warm {
+                let warm_up = rows_of(&|wf| drop(config.run(wf, cache.as_ref(), false)));
+                assert_eq!(warm_up, want, "warm-up of {config:?}");
+            }
+            let got = rows_of(&|wf| tally(config.run(wf, cache.as_ref(), true)));
+            assert_eq!(got, want, "{config:?}");
+        }
     });
+    let [retries, hits, spills] = reached.get();
+    println!("retries {retries}, cache hits {hits}, spilled blocks {spills}");
+    assert!(retries > 0 && hits > 0 && spills > 0);
+}
+
+/// The pool-scheduled live executor computes exactly what the simulator
+/// computes on randomized filter/join DAGs.
+#[test]
+fn pooled_live_matches_sim_on_random_dag() {
+    pool_agrees_with(|wf| drop(SimExecutor::new(EngineConfig::default()).run(wf).unwrap()));
 }
 
 /// The layout an edge carries is the engine's business, never the data's:
-/// on the same DAGs the pooled executor produces the rows of the
-/// thread-per-worker executor, which only ever moves rows, for any batch
-/// size and parallelism.
+/// the pool produces the rows of the reference interpreter, which only
+/// ever moves rows and ignores the batch size.
 #[test]
 fn live_columnar_matches_row_on_random_dag() {
+    pool_agrees_with(|wf| drop(LiveExecutor::thread_per_worker(1).run(wf).unwrap()));
+}
+
+/// On random filter/join DAGs, the pool at a random batch size, mailbox
+/// capacity and width fills all three sinks with `oracle`'s rows.
+fn pool_agrees_with(oracle: impl Fn(&Workflow)) {
     for_seeds(LIVE_CASES, |rng| {
         let rows_of = random_join_dag(rng);
-        let batch = rng.range(1..64usize);
-        let pooled = LiveExecutor::new(batch).with_pool_size(rng.range(1..5usize));
-        let threads = LiveExecutor::thread_per_worker(batch);
-        assert_eq!(
-            rows_of(&|wf| drop(threads.run(wf).unwrap())),
-            rows_of(&|wf| drop(pooled.run(wf).unwrap()))
-        );
+        let pool = LiveExecutor::new(rng.range(1..64usize))
+            .with_channel_capacity(rng.range(1..8usize))
+            .with_pool_size(rng.range(1..5usize));
+        assert_eq!(rows_of(&oracle), rows_of(&|wf| drop(pool.run(wf).unwrap())));
     });
 }
 
@@ -671,7 +776,7 @@ fn seeded_fault_plans_always_drain() {
     for_seeds(LIVE_CASES, |rng| {
         let seed = rng.next_u64();
         let pool = rng.range(1..4usize);
-        use scriptflow::workflow::fault::{random_chain, FaultPlan};
+        use scriptflow::workflow::fault::random_chain;
         let (wf, _handle, names) = random_chain(seed);
         let plan = FaultPlan::random(seed, &names);
         let (trace, _result) = LiveExecutor::new(8)
@@ -695,7 +800,7 @@ fn seeded_fault_plans_always_drain() {
 
 /// Retry safety net over the same seeded chains: any retryable fault
 /// (panic, kill, poisoned mailbox) under a sufficient budget yields
-/// sorted rows identical to the fault-free run — the replayed
+/// sorted rows identical to the reference interpreter's — the replayed
 /// quantum delivers every tuple exactly once — and every operator
 /// ends `Completed`.
 #[test]
@@ -703,11 +808,10 @@ fn retryable_faults_with_budget_preserve_rows() {
     for_seeds(LIVE_CASES, |rng| {
         let seed = rng.next_u64();
         let kind = rng.range(0..3usize);
-        use scriptflow::workflow::fault::{random_chain, FaultPlan};
-        use scriptflow::workflow::{OperatorState, RetryConfig, RetryPolicy};
+        use scriptflow::workflow::fault::random_chain;
+        use scriptflow::workflow::OperatorState;
         let (wf, handle, _names) = random_chain(seed);
-        let (_trace, clean) = LiveExecutor::new(8).with_pool_size(1).run_observed(&wf);
-        assert!(clean.is_ok());
+        LiveExecutor::thread_per_worker(8).run(&wf).unwrap();
         let mut want: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
         want.sort_unstable();
 
@@ -783,7 +887,6 @@ fn any_cmp_filter(rng: &mut SplitMix64, name: &str, n: i64) -> FilterOp {
 /// the batches.
 #[test]
 fn columnar_filter_chains_match_row_and_sim_with_identical_counts() {
-    use scriptflow::workflow::{Backoff, FaultPlan, RetryConfig, RetryPolicy};
     const RECORDED: u64 = 2_086_103_146_405_344_058;
     const RECORDED_SENT: u64 = 10_586_789_209_405_012_073;
     let checksum = std::cell::Cell::new(0u64);
