@@ -7,14 +7,20 @@
 //! end-to-end metric's median and quartiles, and the traced run's
 //! per-layer ladder. Before appending, it prints each workload's
 //! difference from the last line recorded for that workload on a machine
-//! with the same `nproc`.
+//! with the same `nproc`, skipping lines of changes that did not land.
 //!
 //! ```text
 //! bench_history [--input FILE] [--history FILE] [--label TEXT]
 //! ```
 //!
 //! `--label` names the lines (default: the summary's commit).
+//!
+//! The `spill_cache` line also carries the per-leg medians of the traced
+//! run, read from `trace_spill_cache.json` beside the summary: in each
+//! `bench.pass` span, the `workflow.exec_live.run` children are the six
+//! legs in the order the workload runs them.
 
+use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Component, Path};
@@ -109,9 +115,78 @@ fn metrics_of(run: Option<&Json>) -> Json {
     Json::Object(metrics.collect())
 }
 
+/// `spill_cache`'s legs, in the order each of its passes runs them.
+const SPILL_CACHE_LEGS: [&str; 6] = [
+    "unbounded",
+    "budgeted",
+    "cold",
+    "warm",
+    "edited",
+    "evicting",
+];
+
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// `{leg: {unit, median, n}}` over a traced `spill_cache` run's passes:
+/// each `bench.pass` span's `workflow.exec_live.run` children, in start
+/// order, are its legs, and a pass without exactly six is skipped. `None`
+/// when no pass has six.
+fn spill_cache_legs(trace: &Json) -> Option<Json> {
+    let Some(Json::Array(spans)) = get(trace, "spans") else {
+        return None;
+    };
+    let named = |name: &'static str| spans.iter().filter(move |s| text(s, "name") == Some(name));
+    let mut runs: HashMap<i64, Vec<(f64, f64)>> = HashMap::new();
+    for run in named("workflow.exec_live.run") {
+        let (Some(Json::Int(parent)), Some(start), Some(end)) = (
+            get(run, "parent"),
+            number(run, "start_us"),
+            number(run, "end_us"),
+        ) else {
+            continue;
+        };
+        runs.entry(*parent).or_default().push((start, end));
+    }
+    let mut legs: Vec<Vec<f64>> = vec![Vec::new(); SPILL_CACHE_LEGS.len()];
+    for pass in named("bench.pass") {
+        let Some(Json::Int(id)) = get(pass, "id") else {
+            continue;
+        };
+        let Some(pass_runs) = runs.get_mut(id).filter(|r| r.len() == legs.len()) else {
+            continue;
+        };
+        pass_runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (ms, (start, end)) in legs.iter_mut().zip(pass_runs.iter()) {
+            ms.push((end - start) / 1e3);
+        }
+    }
+    let passes = legs[0].len();
+    if passes == 0 {
+        return None;
+    }
+    let legs = SPILL_CACHE_LEGS.iter().zip(legs).map(|(name, ms)| {
+        let entry = vec![
+            ("unit".to_owned(), Json::Str("ms".into())),
+            ("median".to_owned(), Json::Float(median(ms))),
+            ("n".to_owned(), Json::Int(passes as i64)),
+        ];
+        ((*name).to_owned(), Json::Object(entry))
+    });
+    Some(Json::Object(legs.collect()))
+}
+
 /// One history line per workload of `summary`, in the order the
-/// workloads first appear.
-fn lines_of(summary: &Json, label: Option<&str>) -> Result<Vec<Json>, String> {
+/// workloads first appear; `spill_cache`'s carries `legs` when given.
+fn lines_of(summary: &Json, label: Option<&str>, legs: Option<&Json>) -> Result<Vec<Json>, String> {
     let provenance = get(summary, "provenance").ok_or("the summary has no provenance")?;
     let Some(Json::Array(runs)) = get(summary, "runs") else {
         return Err("the summary has no runs".into());
@@ -151,7 +226,7 @@ fn lines_of(summary: &Json, label: Option<&str>) -> Result<Vec<Json>, String> {
             })
             .sum();
         let field = |k: &str, v: Json| (k.to_owned(), v);
-        Json::Object(vec![
+        let mut line = vec![
             field("label", Json::Str(label.to_owned())),
             field("provenance", provenance.clone()),
             field("workload", Json::Str(workload.to_owned())),
@@ -160,7 +235,11 @@ fn lines_of(summary: &Json, label: Option<&str>) -> Result<Vec<Json>, String> {
             field("failed", Json::Int(failed)),
             field("metrics", metrics_of(untraced)),
             field("ladder", metrics_of(traced)),
-        ])
+        ];
+        if let Some(legs) = legs.filter(|_| workload == "spill_cache") {
+            line.push(field("legs", legs.clone()));
+        }
+        Json::Object(line)
     });
     Ok(lines.collect())
 }
@@ -181,7 +260,7 @@ fn print_diff(previous: Option<&Json>, line: &Json) {
         "{workload}: against `{}`",
         text(prev, "label").unwrap_or("?")
     );
-    for section in ["metrics", "ladder"] {
+    for section in ["metrics", "ladder", "legs"] {
         for (name, now) in fields(get(line, section)) {
             let before = get(prev, section).and_then(|s| get(s, name));
             let (Some(b), Some(n)) = (
@@ -208,11 +287,32 @@ fn print_diff(previous: Option<&Json>, line: &Json) {
     }
 }
 
+/// The last recorded line `line` is compared with: same workload, same
+/// nproc, and of a change that landed (a line labelled "not landed"
+/// records a change main never had).
+fn previous<'a>(recorded: &'a [Json], line: &Json) -> Option<&'a Json> {
+    let landed = |r: &Json| !text(r, "label").is_some_and(|l| l.contains("not landed"));
+    recorded.iter().rev().find(|r| {
+        text(r, "workload") == text(line, "workload") && nproc(r) == nproc(line) && landed(r)
+    })
+}
+
 fn run(args: &Args) -> Result<(), String> {
     let summary = std::fs::read_to_string(&args.input)
         .map_err(|e| format!("cannot read {}: {e}", args.input))?;
     let summary = Json::parse(&summary).map_err(|e| format!("{}: {e}", args.input))?;
-    let lines = lines_of(&summary, args.label.as_deref())?;
+    let trace = Path::new(&args.input).with_file_name("trace_spill_cache.json");
+    let legs = std::fs::read_to_string(&trace)
+        .ok()
+        .and_then(|doc| Json::parse(&doc).ok())
+        .and_then(|doc| spill_cache_legs(&doc));
+    if legs.is_none() {
+        println!(
+            "no spill_cache legs: {} has no pass of six",
+            trace.display()
+        );
+    }
+    let lines = lines_of(&summary, args.label.as_deref(), legs.as_ref())?;
 
     let history = match std::fs::read_to_string(&args.history) {
         Ok(text) => text,
@@ -227,11 +327,7 @@ fn run(args: &Args) -> Result<(), String> {
         .collect::<Result<Vec<_>, _>>()?;
 
     for line in &lines {
-        let previous = recorded
-            .iter()
-            .rev()
-            .find(|r| text(r, "workload") == text(line, "workload") && nproc(r) == nproc(line));
-        print_diff(previous, line);
+        print_diff(previous(&recorded, line), line);
     }
     let mut out = OpenOptions::new()
         .create(true)
@@ -269,13 +365,56 @@ mod tests {
 
     #[test]
     fn one_line_per_workload_with_medians_quartiles_and_ladder() {
-        let lines = lines_of(&Json::parse(SUMMARY).unwrap(), None).unwrap();
+        let lines = lines_of(&Json::parse(SUMMARY).unwrap(), None, None).unwrap();
         assert_eq!(lines.len(), 1);
         assert_eq!(
             lines[0].to_string_compact(),
             r#"{"label":"abc1234","provenance":{"commit":"abc1234","nproc":2},"workload":"w","seed":1,"seconds":20,"failed":1,"metrics":{"job_ms_p50":{"unit":"ms","median":10.0,"q1":9.0,"q3":11.0,"n":5},"setup_s":{"unit":"s","median":0.5}},"ladder":{"rung":{"unit":"us","median":3.0}}}"#
         );
         assert_eq!(nproc(&lines[0]), Some(2.0));
+
+        let recorded = [
+            r#"{"label":"first","provenance":{"nproc":2},"workload":"w"}"#,
+            r#"{"label":"other nproc","provenance":{"nproc":4},"workload":"w"}"#,
+            r#"{"label":"last (not landed)","provenance":{"nproc":2},"workload":"w"}"#,
+        ]
+        .map(|l| Json::parse(l).unwrap());
+        let got = previous(&recorded, &lines[0]).and_then(|r| text(r, "label"));
+        assert_eq!(got, Some("first"));
+    }
+
+    #[test]
+    fn spill_cache_legs_are_per_leg_medians_over_passes_of_six() {
+        // Pass 1 runs six legs of 1..=6 ms, pass 2 of 3..=8 ms, out of
+        // order; pass 3 has five, so it is skipped.
+        let mut spans = Vec::new();
+        for (pass, legs) in [(1, 6), (2, 6), (3, 5)] {
+            spans.push(format!(
+                r#"{{"id":{pass},"parent":null,"name":"bench.pass"}}"#
+            ));
+            for leg in (0..legs).rev() {
+                let (start, ms) = (1000.0 * leg as f64, (leg + 1 + 2 * (pass - 1)) as f64);
+                spans.push(format!(
+                    r#"{{"id":{},"parent":{pass},"name":"workflow.exec_live.run","start_us":{start:.1},"end_us":{:.1}}}"#,
+                    10 * pass + leg,
+                    start + 1e3 * ms
+                ));
+            }
+            spans.push(format!(
+                r#"{{"id":{},"parent":{pass},"name":"workflow.sink.read"}}"#,
+                100 + pass
+            ));
+        }
+        let trace = Json::parse(&format!(r#"{{"spans":[{}]}}"#, spans.join(","))).unwrap();
+        let legs = spill_cache_legs(&trace).expect("two passes of six");
+        assert_eq!(
+            legs.to_string_compact(),
+            r#"{"unbounded":{"unit":"ms","median":2.0,"n":2},"budgeted":{"unit":"ms","median":3.0,"n":2},"cold":{"unit":"ms","median":4.0,"n":2},"warm":{"unit":"ms","median":5.0,"n":2},"edited":{"unit":"ms","median":6.0,"n":2},"evicting":{"unit":"ms","median":7.0,"n":2}}"#
+        );
+        let summary = SUMMARY.replace(r#""workload":"w""#, r#""workload":"spill_cache""#);
+        let lines = lines_of(&Json::parse(&summary).unwrap(), None, Some(&legs)).unwrap();
+        assert_eq!(get(&lines[0], "legs"), Some(&legs));
+        assert!(spill_cache_legs(&Json::parse(r#"{"spans":[]}"#).unwrap()).is_none());
     }
 
     #[test]

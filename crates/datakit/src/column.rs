@@ -18,6 +18,7 @@
 //! round-trip tested, so an engine can freely mix representations.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::batch::Batch;
@@ -109,6 +110,17 @@ impl Bitmap {
     pub fn count_invalid(&self) -> u64 {
         self.invalid as u64
     }
+
+    /// Number of invalid rows among `rows`.
+    pub(crate) fn count_invalid_in(&self, rows: Range<usize>) -> u64 {
+        if self.invalid == 0 {
+            return 0;
+        }
+        if rows == (0..self.len) {
+            return self.invalid as u64;
+        }
+        rows.filter(|&i| !self.is_valid(i)).count() as u64
+    }
 }
 
 impl Default for Bitmap {
@@ -160,14 +172,32 @@ impl StrVec {
 
     /// String `i`.
     pub fn get(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start..self.ends[i]]
+        &self.bytes[self.start_of(i)..self.ends[i]]
+    }
+
+    /// Byte offset where string `i` starts: where string `i - 1` ends.
+    fn start_of(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1]
+        }
+    }
+
+    /// The bytes of strings `rows`, back to back.
+    pub(crate) fn span(&self, rows: Range<usize>) -> &str {
+        &self.bytes[self.start_of(rows.start)..self.start_of(rows.end)]
     }
 
     /// The strings in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        let mut start = 0;
-        self.ends.iter().map(move |&end| {
+        self.iter_rows(0..self.len())
+    }
+
+    /// Strings `rows`, in order.
+    pub(crate) fn iter_rows(&self, rows: Range<usize>) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = self.start_of(rows.start);
+        self.ends[rows].iter().map(move |&end| {
             let s = &self.bytes[start..end];
             start = end;
             s
@@ -471,13 +501,15 @@ impl ColumnVec {
         }
     }
 
-    /// Seal the per-column statistics: min/max over valid rows plus the
-    /// null count. Computed once at batch construction.
-    fn seal_stats(&self) -> ColStats {
+    /// Seal the per-column statistics of `rows`: min/max over the valid
+    /// ones plus the null count — what [`ColumnVec::take`] of those rows
+    /// would seal. Computed once per built batch or stored block.
+    fn stats_over(&self, rows: Range<usize>) -> ColStats {
         /// Smallest and largest valid cell, boxed.
         fn range<T: Copy>(
             data: impl Iterator<Item = T>,
             validity: &Bitmap,
+            rows: Range<usize>,
             boxed: impl Fn(T) -> Value,
             less: impl Fn(T, T) -> bool,
         ) -> ColStats {
@@ -491,49 +523,65 @@ impl ColumnVec {
                     ),
                 });
             };
-            if validity.count_invalid() == 0 {
+            let null_count = validity.count_invalid_in(rows.clone());
+            if null_count == 0 {
                 data.for_each(&mut widen);
             } else {
-                data.enumerate()
-                    .filter(|(i, _)| validity.is_valid(*i))
-                    .for_each(|(_, x)| widen(x));
+                data.zip(rows)
+                    .filter(|&(_, i)| validity.is_valid(i))
+                    .for_each(|(x, _)| widen(x));
             }
             ColStats {
                 min: range.map(|(min, _)| boxed(min)),
                 max: range.map(|(_, max)| boxed(max)),
-                null_count: validity.count_invalid(),
+                null_count,
             }
         }
         match self {
-            ColumnVec::Int { data, validity } => {
-                range(data.iter().copied(), validity, Value::Int, |a, b| a < b)
-            }
+            ColumnVec::Int { data, validity } => range(
+                data[rows.clone()].iter().copied(),
+                validity,
+                rows,
+                Value::Int,
+                |a, b| a < b,
+            ),
             ColumnVec::Float { data, validity } => {
-                let valid_nan = |(i, x): (usize, &f64)| x.is_nan() && validity.is_valid(i);
-                if data.iter().enumerate().any(valid_nan) {
+                let valid_nan = |(x, i): (&f64, usize)| x.is_nan() && validity.is_valid(i);
+                if data[rows.clone()].iter().zip(rows.clone()).any(valid_nan) {
                     // NaN breaks the ordering the zone map relies on;
                     // publish no range rather than a wrong one.
                     return ColStats {
                         min: None,
                         max: None,
-                        null_count: validity.count_invalid(),
+                        null_count: validity.count_invalid_in(rows),
                     };
                 }
-                range(data.iter().copied(), validity, Value::Float, |a, b| a < b)
+                range(
+                    data[rows.clone()].iter().copied(),
+                    validity,
+                    rows,
+                    Value::Float,
+                    |a, b| a < b,
+                )
             }
-            ColumnVec::Bool { data, validity } => {
-                range(data.iter().copied(), validity, Value::Bool, |a, b| !a & b)
-            }
-            ColumnVec::Str { data, validity } => range(
-                data.iter(),
+            ColumnVec::Bool { data, validity } => range(
+                data[rows.clone()].iter().copied(),
                 validity,
+                rows,
+                Value::Bool,
+                |a, b| !a & b,
+            ),
+            ColumnVec::Str { data, validity } => range(
+                data.iter_rows(rows.clone()),
+                validity,
+                rows,
                 |s| Value::Str(s.to_owned()),
                 |a, b| a < b,
             ),
             ColumnVec::Mixed(data) => ColStats {
                 min: None,
                 max: None,
-                null_count: data.iter().filter(|v| v.is_null()).count() as u64,
+                null_count: data[rows].iter().filter(|v| v.is_null()).count() as u64,
             },
         }
     }
@@ -783,7 +831,7 @@ impl ColumnarBatch {
 
     pub(crate) fn seal(schema: SchemaRef, columns: Vec<ColumnVec>, len: usize) -> Self {
         let stats = BatchStats {
-            columns: columns.iter().map(ColumnVec::seal_stats).collect(),
+            columns: columns.iter().map(|c| c.stats_over(0..len)).collect(),
         };
         ColumnarBatch {
             schema,
@@ -821,6 +869,15 @@ impl ColumnarBatch {
                 .collect();
             self.take(&piece)
         }))
+    }
+
+    /// The statistics [`ColumnarBatch::take`] of `rows` would seal,
+    /// computed in place.
+    pub(crate) fn stats_over(&self, rows: Range<usize>) -> BatchStats {
+        let columns = self.sealed.columns.iter();
+        BatchStats {
+            columns: columns.map(|c| c.stats_over(rows.clone())).collect(),
+        }
     }
 
     /// Schema handle.

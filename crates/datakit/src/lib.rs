@@ -17,7 +17,7 @@
 //! * [`codec`] — CSV and JSONL encode/decode used by the synthetic dataset
 //!   generators and by the serialization-cost accounting,
 //! * [`key`] — hashable normalized key forms for joins and partitioning,
-//! * [`blockstore`] — compressed blocks with stat-carrying headers grouped
+//! * [`blockstore`] — column-major blocks with stat-carrying headers grouped
 //!   under segment manifests, the durable spill format blocking operators
 //!   use when they outgrow their memory budget.
 //!

@@ -5,9 +5,11 @@
 //! Every built [`Workflow`] node carries a Merkle-style
 //! [`OpFingerprint`] — a content address of "this operator's spec plus
 //! everything upstream of it". The [`ResultCache`] maps fingerprints to
-//! sealed operator outputs, stored as compressed block-store
-//! [`Segment`]s (the same representation the spill path uses), so a
-//! cached result costs compressed bytes, not live tuples.
+//! sealed operator outputs, stored as block-store [`Segment`]s (the
+//! same column-major blocks the spill path writes), so a cached result
+//! costs its stored bytes, not live tuples. Publishing encodes each
+//! recorded batch range by range in place; a replay decodes the blocks
+//! into one typed builder per column.
 //!
 //! Execution is cache-aware through **planning**. [`prepare`] rewrites a
 //! workflow before it runs:
@@ -37,7 +39,7 @@
 //!
 //! # Bounded growth: cost-aware eviction
 //!
-//! [`ResultCache::with_byte_budget`] caps the cache's compressed
+//! [`ResultCache::with_byte_budget`] caps the cache's stored
 //! footprint. When a publish would exceed the budget, victims are chosen
 //! by `bytes × recompute-cheapness`: each entry carries the calibrated
 //! recompute cost of the operator that produced it
@@ -92,7 +94,7 @@ use crate::sync::lock;
 use crate::trace::ProgressTrace;
 
 /// One sealed cache entry: an operator's complete output multiset as a
-/// compressed segment, plus the counters telemetry reports when the
+/// block-store segment, plus the counters telemetry reports when the
 /// entry is served.
 #[derive(Debug)]
 pub struct CacheEntry {
@@ -112,9 +114,9 @@ impl CacheEntry {
     /// Seal what a run recorded, as it was recorded, keeping its order.
     /// Consecutive row runs are sealed as one run of rows — the blocks
     /// [`CacheEntry::seal`] cuts from the same rows. A sealed batch
-    /// becomes blocks directly, gathered only where it exceeds
-    /// [`SPILL_BLOCK_ROWS`]: no row is built to be taken apart again, and
-    /// a block never spans two batches.
+    /// becomes blocks directly, one per [`SPILL_BLOCK_ROWS`] range,
+    /// each encoded in place: no row is built to be taken apart again, no
+    /// range is gathered first, and a block never spans two batches.
     fn seal_runs(schema: &SchemaRef, runs: Vec<Emitted>) -> CacheEntry {
         let mut app = BlockAppender::new();
         let mut rows: Vec<Tuple> = Vec::new();
@@ -125,8 +127,9 @@ impl CacheEntry {
                 Emitted::Columnar(batch) => {
                     append_rows(&mut app, schema, &rows);
                     rows.clear();
-                    for block in batch.chunks(SPILL_BLOCK_ROWS) {
-                        app.append(&block);
+                    for start in (0..batch.len()).step_by(SPILL_BLOCK_ROWS) {
+                        let end = batch.len().min(start + SPILL_BLOCK_ROWS);
+                        app.append_range(&batch, start..end);
                     }
                 }
             }

@@ -377,7 +377,7 @@ impl HashJoinInstance {
         for block in probe_seg.blocks() {
             // Zone-map partition skip: an inner probe block whose key
             // range is disjoint from the build partition's merged range
-            // cannot match — drop it without decompressing.
+            // cannot match — drop it without decoding a block.
             if let (Some((_, pk)), Some(bs)) = (&key_col, &build_stats) {
                 if let Ok(idx) = block.schema().index_of(pk) {
                     let ps = block.stats().column(idx);
@@ -1084,7 +1084,7 @@ mod tests {
             out.batches_skipped() > 0,
             "zone maps must skip disjoint probe blocks"
         );
-        // Skipped probe blocks are never decompressed; only build blocks
+        // Skipped probe blocks are never decoded; only build blocks
         // (and any repartitioning) pay reads.
         assert!(out.counters().spill_reads >= reads_before_probe);
     }

@@ -153,7 +153,8 @@ mod tests {
             ("sink", 1, &[], (500, 1), SHARED, None, 0x40ceff6675b77168b11f5f9b70214d3d),
             // `shared` was false at b107d71: the buffer was shared and unreported.
             ("text", 1, &[], (500, 8), SHARED, None, 0xb892556c7949aa533342469a82f70ee8),
-            ("replay", 0, &[], (900, 0), SOURCE, Some((1, 34)), 0x0583d40b045d4b860371d121cfca0c7c),
+            // The entry's one block stored 34 bytes as PackBits'd tagged rows.
+            ("replay", 0, &[], (900, 0), SOURCE, Some((1, 21)), 0x0583d40b045d4b860371d121cfca0c7c),
         ];
         let factories = built_ins();
         assert_eq!(factories.len(), table.len());

@@ -2,7 +2,7 @@
 //!
 //! When a blocking operator (hash join build, aggregation, sort) outgrows
 //! its memory budget it hash-partitions state into [`PartitionWriter`]s,
-//! which buffer tuples and flush them as compressed blocks into the
+//! which buffer tuples and flush them as column-major blocks into the
 //! datakit block store. Sealed partitions come back as [`Segment`]s whose
 //! manifests carry merged per-column statistics — the zone maps that let
 //! probe-side input skip partitions whose key range cannot match. Every
@@ -68,7 +68,7 @@ impl PartitionWriter {
         }
     }
 
-    /// Flush the buffered tuples as one compressed block (no-op when
+    /// Flush the buffered tuples as one block (no-op when
     /// empty).
     pub fn flush(&mut self, out: &mut OutputCollector) {
         if self.buffer.is_empty() {

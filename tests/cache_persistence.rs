@@ -10,8 +10,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use scriptflow::core::BackendKind;
-use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, SchemaRef, Value};
+use scriptflow::core::{BackendKind, OpFingerprint};
+use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, SchemaRef, Tuple, Value};
 use scriptflow::simcluster::SplitMix64;
 use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkHandle, SinkOp};
 use scriptflow::workflow::{
@@ -202,11 +202,86 @@ fn budgeted_store_restarts_with_only_surviving_entries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// FNV-1a-64, the trailing checksum of a segment image.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The trailing checksum of a version-2 segment image: FNV-1a-64 folded
+/// over 8-byte little-endian words, then the tail bytes, then the length.
+fn checksum(bytes: &[u8]) -> u64 {
+    let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        fold(h, u64::from_le_bytes(w.try_into().expect("8 bytes")))
+    });
+    let h = tail.iter().fold(h, |h, &b| fold(h, b.into()));
+    fold(h, bytes.len() as u64)
+}
+
+/// A persistent store at `dir` holding one entry of `n` rows of
+/// [`schema`] under `fp`; returns the entry's image and published bytes.
+fn one_entry(dir: &PathBuf, fp: OpFingerprint, n: i64) -> (PathBuf, Vec<u8>, u64) {
+    let tuples: Vec<Tuple> = (0..n)
+        .map(|i| Tuple::new(schema(), vec![Value::Int(i)]).expect("row conforms"))
+        .collect();
+    let bytes = ResultCache::persistent(dir)
+        .expect("open store")
+        .publish(fp, &schema(), &tuples);
+    assert!(bytes > 0);
+    let path = dir.join(format!("{:032x}.seg", fp.0));
+    let image = std::fs::read(&path).expect("segment written");
+    (path, image, bytes)
+}
+
+/// Reopen `dir` and look `fp` up: the listed entry is a miss, and the
+/// ledger drops exactly its bytes.
+fn assert_reopens_as_a_miss(dir: &PathBuf, fp: OpFingerprint, bytes: u64) {
+    let cache = ResultCache::persistent(dir).expect("reopen store");
+    assert_eq!((cache.entries(), cache.bytes()), (1, bytes), "still listed");
+    assert!(cache.lookup(fp).is_none(), "an unreadable image is a miss");
+    assert_eq!((cache.entries(), cache.bytes()), (0, 0), "and is dropped");
+}
+
+/// A store written before the column-major format (magic `SFSEG1`,
+/// byte-serial FNV-1a) reopens with its entries listed, and each is a
+/// miss on lookup: no version-1 reader is kept.
+#[test]
+fn version_one_image_reopens_as_a_miss() {
+    let dir = temp_dir("v1");
+    let fp = OpFingerprint(11);
+    let (path, image, bytes) = one_entry(&dir, fp, 300);
+    assert_eq!(&image[..6], b"SFSEG2");
+    let mut v1 = image[..image.len() - 8].to_vec();
+    v1[..6].copy_from_slice(b"SFSEG1");
+    let sum = v1.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    v1.extend(sum.to_le_bytes());
+    std::fs::write(&path, &v1).expect("write v1 image");
+    assert_reopens_as_a_miss(&dir, fp, bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stored value nested a million lists deep — here the manifest's
+/// `min`, under a valid checksum and the entry's own `MANIFEST` line — is
+/// refused at the 256 levels a JSON document may nest, not recursed into
+/// until the stack overflows.
+#[test]
+fn deeply_nested_stored_value_is_a_miss_not_a_stack_overflow() {
+    let dir = temp_dir("nested");
+    let fp = OpFingerprint(12);
+    let (path, image, bytes) = one_entry(&dir, fp, 10);
+    // Magic (6), the schema `[("id", Int)]` (4 + 4 + 2 + 1), four u64
+    // manifest counts (32), the stats' presence byte and column count
+    // (1 + 4): then column 0's `min`, a presence byte and a tagged value.
+    let min = 6 + 11 + 32 + 5;
+    assert_eq!(image[min..min + 2], [1, 2], "min is Some(Int)");
+    let mut forged = image[..=min].to_vec();
+    for _ in 0..1_000_000 {
+        forged.extend([6, 1, 0, 0, 0]); // a list of one element
+    }
+    forged.extend(&image[min + 1..image.len() - 8]);
+    forged.extend(checksum(&forged).to_le_bytes());
+    std::fs::write(&path, &forged).expect("write forged image");
+    assert_reopens_as_a_miss(&dir, fp, bytes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Decoder fuzz for a persisted entry (the first piece of the seeded
@@ -250,7 +325,7 @@ fn rechecksummed_mutations_serve_or_miss_never_panic() {
             }
             let mut image = pristine[seg].1.clone();
             image[at] ^= rng.range(1u64..256) as u8;
-            let sum = fnv1a64(&image[..body]);
+            let sum = checksum(&image[..body]);
             image[body..].copy_from_slice(&sum.to_le_bytes());
             std::fs::write(&pristine[seg].0, &image).expect("write forged segment");
 

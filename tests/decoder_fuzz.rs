@@ -336,6 +336,8 @@ fn cache_manifests_open_or_miss_never_panic() {
     let _ = std::fs::remove_dir_all(&dir);
     // (opened, served, missed) per group: the real index serves all four,
     // the duplicate serves each once, the overflow opens one forged entry
-    // and misses it.
-    assert_eq!(counts, [[3, 8, 1], [990, 2_717, 111], [204, 0, 218]]);
+    // and misses it. The mutants are of the index's text, whose byte
+    // counts are the segments' stored sizes: column-major blocks shrank
+    // them and moved the mutated group from [990, 2 717, 111].
+    assert_eq!(counts, [[3, 8, 1], [945, 2_545, 100], [204, 0, 218]]);
 }

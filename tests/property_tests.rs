@@ -427,41 +427,70 @@ fn columnar_from_rows_to_rows_is_identity() {
     });
 }
 
-/// The compressed block store is lossless and its manifest honest:
-/// seal → decode is the identity for arbitrary nullable rows split
-/// into arbitrary block sizes, and the sealed segment's merged
-/// min/max/null statistics agree with a direct fold over the same
-/// rows.
+/// Blockstore: sealing a batch into a block and decoding it back is the
+/// identity — every column bit for bit, placeholders, validity and sealed
+/// statistics included — over int (`i64` extremes too), string, float
+/// (NaN and `-0.0` too), bool and all-null columns; a segment decodes to
+/// its rows in append order, and its manifest folds the blocks' totals and
+/// statistics.
 #[test]
 fn blockstore_roundtrip_and_manifest_stats() {
+    /// Columns by their `Debug` form, which tells NaN and `-0.0` apart
+    /// where `==` cannot.
+    fn columns(b: &ColumnarBatch) -> Vec<String> {
+        (0..b.schema().arity())
+            .map(|j| format!("{:?}", b.column(j)))
+            .collect()
+    }
+    let rows_of = |b: &ColumnarBatch| format!("{:?}", b.to_rows());
     for_seeds(CASES, |rng| {
+        let extremes = rng.bool(0.3);
+        let all_null = rng.range(0..8usize); // a column index, or none
         let rows = vec_of(rng, 1..80, |r| {
-            (
-                maybe(r, |r| r.range(-1000..1000i64)),
-                maybe(r, |r| string_of(r, LOWER, 6)),
-            )
+            let int = |r: &mut SplitMix64| match r.range(0..4usize) {
+                0 if extremes => i64::MIN,
+                1 if extremes => i64::MAX,
+                _ => r.range(-1000..1000i64),
+            };
+            let float = |r: &mut SplitMix64| match r.range(0..6usize) {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                _ => r.range(-4000..4000i64) as f64 * 0.25,
+            };
+            vec![
+                maybe(r, int).map_or(Value::Null, Value::Int),
+                maybe(r, |r| string_of(r, LOWER, 6)).map_or(Value::Null, Value::Str),
+                maybe(r, float).map_or(Value::Null, Value::Float),
+                maybe(r, |r| r.bool(0.5)).map_or(Value::Null, Value::Bool),
+            ]
         });
-        let chunk = rng.range(1..16usize);
-        let schema = Schema::of(&[("i", DataType::Int), ("s", DataType::Str)]);
         let values: Vec<Vec<Value>> = rows
-            .iter()
-            .map(|(i, s)| {
-                vec![
-                    i.map_or(Value::Null, Value::Int),
-                    s.clone().map_or(Value::Null, Value::Str),
-                ]
+            .into_iter()
+            .map(|mut row| {
+                if let Some(cell) = row.get_mut(all_null) {
+                    *cell = Value::Null;
+                }
+                row
             })
             .collect();
+        let chunk = rng.range(1..16usize);
+        let schema = Schema::of(&[
+            ("i", DataType::Int),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+            ("b", DataType::Bool),
+        ]);
 
         let mut app = BlockAppender::new();
         for chunk_rows in values.chunks(chunk) {
             let cb = ColumnarBatch::from_rows(schema.clone(), chunk_rows.to_vec()).unwrap();
-            // Per-block roundtrip: encode → compress → decompress →
-            // decode is the identity.
+            // Per-block roundtrip: encode → decode is the identity.
             let block = CompressedBlock::seal(&cb);
             let back = block.decode().unwrap();
-            assert_eq!(back, cb, "columns, validity and sealed statistics");
-            assert_eq!(back.to_rows(), chunk_rows.to_vec());
+            assert_eq!(columns(&back), columns(&cb), "columns and validity");
+            assert_eq!(back.stats(), cb.stats(), "sealed statistics");
+            assert_eq!(rows_of(&back), rows_of(&cb));
             app.append(&cb);
         }
         let seg = app.seal();
@@ -472,9 +501,11 @@ fn blockstore_roundtrip_and_manifest_stats() {
         for b in seg.blocks() {
             decoded.extend(b.decode().unwrap().to_rows());
         }
-        assert_eq!(&decoded, &values);
+        assert_eq!(format!("{decoded:?}"), format!("{values:?}"));
         let whole = ColumnarBatch::from_rows(schema.clone(), values.clone()).unwrap();
-        assert_eq!(decode_blocks(seg.blocks()).unwrap(), whole);
+        let back = decode_blocks(seg.blocks()).unwrap();
+        assert_eq!(columns(&back), columns(&whole));
+        assert_eq!(back.stats(), whole.stats());
 
         // Manifest totals vs direct folds.
         let m = seg.manifest();
@@ -490,7 +521,7 @@ fn blockstore_roundtrip_and_manifest_stats() {
 
         // Merged column statistics vs a direct fold over the rows.
         let int_nulls = values.iter().filter(|r| r[0] == Value::Null).count() as u64;
-        let ints: Vec<i64> = rows.iter().filter_map(|(i, _)| *i).collect();
+        let ints: Vec<i64> = values.iter().filter_map(|r| r[0].as_int()).collect();
         let col = m.column_stats(0).expect("non-empty segment has stats");
         assert_eq!(col.null_count, int_nulls);
         match (&col.min, &col.max) {
@@ -500,6 +531,10 @@ fn blockstore_roundtrip_and_manifest_stats() {
             }
             (None, None) => assert!(ints.is_empty()),
             other => panic!("inconsistent int stats: {other:?}"),
+        }
+        for (j, stats) in whole.stats().columns.iter().enumerate() {
+            let column = m.column_stats(j).unwrap();
+            assert_eq!(column.null_count, stats.null_count, "column {j}");
         }
     });
 }
