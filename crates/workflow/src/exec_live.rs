@@ -86,10 +86,13 @@
 //! run returns `Err` carrying the first failure, every pool thread
 //! joins, and the partial trace survives. A worker panic is caught
 //! around the quantum (`Pool::run_task`) and surfaces as a `Failed`
-//! operator in the same way. If a fault starves the pipeline of EOS
-//! entirely (a dropped end-of-stream), the scheduler detects quiescence
-//! and has `Pool::recover_stall` synthesize the missing markers so the
-//! run still terminates.
+//! operator in the same way; so does a poisoned mailbox batch, a kill
+//! before its first tuple. The engine never makes up an end-of-stream
+//! marker: when a producer finishes without sending its EOS, the run
+//! goes quiet, and the scheduler's stall detector (`Pool::fail_stalled`)
+//! fails the silent producer, force-finishes every unfinished operator
+//! `Degraded`, and returns [`WorkflowError::Stalled`], naming each port
+//! left waiting — never `Ok` on truncated input.
 //!
 //! With a [`crate::retry::RetryPolicy`] ([`LiveExecutor::with_retry`]),
 //! every step holds its input while budget is left, and a fault replays
@@ -113,7 +116,9 @@ use crate::cache::CacheRecording;
 use crate::dag::{OpId, Workflow};
 use crate::fault::{CompiledFaults, FaultPlan, TupleAction, TupleTrigger};
 use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
-use crate::operator::{Emitted, Operator, OutputCollector, WorkflowError, WorkflowResult};
+use crate::operator::{
+    Emitted, Operator, OutputCollector, StarvedPort, WorkflowError, WorkflowResult,
+};
 use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryBudget, RetryConfig};
 use crate::service::{RunOptions, ServiceConfig, Shared, TenantQuota};
@@ -167,8 +172,9 @@ pub struct PoolStats {
     /// Injected faults that actually fired ([`crate::fault::FaultPlan`]
     /// triggers; 0 without a plan).
     pub faults_injected: u64,
-    /// Times the pool's quiescence detector had to recover a stalled
-    /// pipeline by synthesizing missing EOS markers (dropped-EOS faults).
+    /// Times the pool's quiescence detector found the run wedged and
+    /// failed it with [`WorkflowError::Stalled`] (0 or 1; a dropped EOS
+    /// is what wedges a run).
     pub stall_recoveries: u64,
     /// Faulted run quanta replayed under a [`crate::retry::RetryPolicy`]
     /// budget (0 without a policy).
@@ -397,9 +403,9 @@ impl LiveExecutor {
     /// of flipping the operator to sticky `Failed`; tuples are delivered
     /// exactly once across replays. A fault with nothing held — a panic
     /// in a port completion, or any fault past the budget — fails the
-    /// operator and takes the drain path. (A poisoned mailbox payload
-    /// carries no data; the budget absorbs it by dropping it.) The
-    /// default configuration is disabled, which is byte-identical to the
+    /// operator and takes the drain path. (A poisoned mailbox batch is
+    /// replayed like a kill at its first tuple.) The default
+    /// configuration is disabled, which is byte-identical to the
     /// pre-retry executor.
     ///
     /// # Examples
@@ -646,9 +652,6 @@ enum Msg {
     Batch { port: usize, batch: SharedBatch },
     /// One upstream producer worker is done with this edge.
     Eos { port: usize },
-    /// A corrupted payload planted by a fault plan; consuming it fails
-    /// the operator (exercises the "garbage in the mailbox" path).
-    Poison { port: usize },
 }
 
 /// Task state machine (Databend-style): a task is scheduled at most once
@@ -902,7 +905,7 @@ pub(crate) struct Pool {
     faults: Option<CompiledFaults>,
     /// Worker-thread count of the scheduler's pool, for [`PoolStats`].
     pool_threads: usize,
-    /// Times `recover_stall` ran (dropped-EOS recovery).
+    /// Times `fail_stalled` ran.
     stall_recoveries: AtomicU64,
     /// Per-operator observability counters (tuple counts, states, busy
     /// time, mailbox depth, both counter families) — fed inline by the
@@ -975,8 +978,8 @@ impl Pool {
     }
 
     /// Every task reached `Done`. An unfinished run with an empty ready
-    /// list and no running quanta has stalled (dropped EOS) and needs
-    /// [`Pool::recover_stall`].
+    /// list and no running quanta has stalled (dropped EOS) and is ended
+    /// by [`Pool::fail_stalled`].
     pub(crate) fn finished(&self) -> bool {
         self.active.load(Ordering::Acquire) == 0
     }
@@ -1067,27 +1070,19 @@ impl Pool {
         }
     }
 
-    /// Record a failure against operator `op`: sticky `Failed` state plus
-    /// the run's first error. The pool keeps running — draining (rather
-    /// than aborting) is what preserves the partial trace and lets the
-    /// untainted part of the pipeline finish.
-    fn fail_op(&self, op: usize, e: WorkflowError) {
-        self.tracer.on_failed(op);
-        let mut g = lock(&self.error);
-        if g.is_none() {
-            *g = Some(e);
-        }
-    }
-
-    /// Fail the task currently being run: record the error and flip the
-    /// task into drain mode for its next quantum.
+    /// Fail the task currently being run: sticky `Failed` state for its
+    /// operator `op`, `e` as the run's error unless one came first, and
+    /// drain mode for the task's next quantum. The pool keeps running —
+    /// draining (rather than aborting) is what preserves the partial
+    /// trace and lets the untainted part of the pipeline finish.
     fn fail_task(&self, op: usize, inner: &mut TaskInner, e: WorkflowError) {
-        self.fail_op(op, e);
+        self.tracer.on_failed(op);
+        lock(&self.error).get_or_insert(e);
         inner.failed = true;
     }
 
     /// The error an engine-detected failure of operator `op` reports: a
-    /// kill, a poisoned payload, a panic, a dropped EOS, a stall.
+    /// kill, a poisoned batch, a panic.
     fn failed(&self, op: usize, message: String) -> WorkflowError {
         WorkflowError::OperatorFailed {
             operator: self.tracer.probe(op).name().to_owned(),
@@ -1096,35 +1091,26 @@ impl Pool {
     }
 
     /// The one fault rule (see [`crate::retry`]): discard the faulted
-    /// step's partial output, then replay what the step held — budget
-    /// allowing — or, with nothing held, fail the operator with `e`.
-    fn fault(&self, op: usize, inner: &mut TaskInner, e: WorkflowError) {
-        inner.collector.discard();
-        if !(inner.replay.is_some() && self.try_retry(op, inner)) {
-            self.fail_task(op, inner, e);
-        }
-    }
-
-    /// Consume one replay from the task's retry budget: arm the backoff,
-    /// surface [`OperatorState::Retrying`], and return `true` — the
-    /// caller replays instead of failing. Returns `false` with the budget
-    /// untouched once it is exhausted: the fault degrades to the drain
-    /// path exactly as it would without a policy.
+    /// step's partial output, then replay what the step held — spending
+    /// one replay of the budget, surfacing [`OperatorState::Retrying`] —
+    /// or, with nothing held or the budget exhausted, fail the operator
+    /// with `e`, exactly as without a policy.
     ///
     /// The backoff is never slept: the task is *parked* — the quantum
     /// finishes, the scheduler's timer re-queues the task once the
     /// backoff elapses, and the workers stay available to every other
     /// task throughout.
-    fn try_retry(&self, op: usize, inner: &mut TaskInner) -> bool {
-        let Some(delay) = inner.retry.spend() else {
-            return false;
+    fn fault(&self, op: usize, inner: &mut TaskInner, e: WorkflowError) {
+        inner.collector.discard();
+        let budget = inner.replay.as_ref().and_then(|_| inner.retry.spend());
+        let Some(delay) = budget else {
+            return self.fail_task(op, inner, e);
         };
         self.tracer.on_retrying(op);
         if !delay.is_zero() {
             let until = Instant::now() + delay;
             inner.park_until = Some(inner.park_until.map_or(until, |u| u.max(until)));
         }
-        true
     }
 
     fn wake_waiters(&self, tid: usize) {
@@ -1134,31 +1120,13 @@ impl Pool {
         }
     }
 
-    /// A finished task that still receives messages (possible only after
-    /// a forced finish) throws them away, keeping the mailbox-depth
-    /// accounting consistent and its producers unwedged.
-    fn discard_inbox(&self, tid: usize) {
-        let task = &self.tasks[tid];
-        let mut consumed = false;
-        while lock(&task.inbox.queue).pop_front().is_some() {
-            consumed = true;
-            self.tracer.on_mailbox_pop(task.meta.op);
-        }
-        if consumed {
-            self.wake_waiters(tid);
-        }
-    }
-
     /// Deliver `msg` to `dest`'s mailbox, or hand it back if the mailbox
     /// is full. On the full path the sender is registered as a waiter
     /// first and the mailbox re-checked, so a concurrent drain cannot
     /// strand the sender without a wakeup.
     fn try_send(&self, from: usize, dest: usize, msg: Msg) -> Result<(), Msg> {
         let inbox = &self.tasks[dest].inbox;
-        let batch_port = match &msg {
-            Msg::Batch { port, .. } => Some(*port),
-            _ => None,
-        };
+        let is_batch = matches!(msg, Msg::Batch { .. });
         let push = |msg: Msg| {
             let mut q = lock(&inbox.queue);
             if q.len() >= inbox.capacity {
@@ -1169,9 +1137,8 @@ impl Pool {
             // (which runs after a later lock acquisition) can never
             // observe the push-count behind the pop-count.
             self.tracer.on_mailbox_push(self.tasks[dest].meta.op);
-            self.poison_after_push(dest, batch_port, &mut q);
             drop(q);
-            if batch_port.is_some() {
+            if is_batch {
                 let op = self.tasks[from].meta.op;
                 self.tracer.count(op, |s| &s.batches_sent);
             }
@@ -1184,23 +1151,6 @@ impl Pool {
         };
         lock(&self.tasks[dest].waiters).push(from);
         push(msg)
-    }
-
-    /// Poison-mailbox fault: counted on *successful* batch deliveries
-    /// only (a backpressure retry must not advance the count), planting
-    /// the poison right behind the armed batch — one slot of capacity
-    /// overshoot, same lock hold.
-    fn poison_after_push(&self, dest: usize, batch_port: Option<usize>, q: &mut VecDeque<Msg>) {
-        let Some(port) = batch_port else { return };
-        let dest_op = self.tasks[dest].meta.op;
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.check_poison(dest_op))
-        {
-            q.push_back(Msg::Poison { port });
-            self.tracer.on_mailbox_push(dest_op);
-        }
     }
 
     /// Drain the task's outbox in FIFO order. Returns `false` (and counts
@@ -1415,26 +1365,26 @@ impl Pool {
         }
     }
 
-    /// Fire a tuple-counted fault trigger, the tail behind its position
+    /// Fire an injected fault trigger, the tail behind its position
     /// held: panic (captured by `run_task`'s `catch_unwind`) or kill the
-    /// task. Either way [`Pool::fault`] replays the tail while budget
-    /// remains and otherwise flips the task into drain mode.
+    /// task — a poisoned batch is a kill at its first tuple. Either way
+    /// [`Pool::fault`] replays the tail while budget remains and
+    /// otherwise flips the task into drain mode.
     fn spring_trigger(&self, op: usize, inner: &mut TaskInner, t: TupleTrigger) -> RunOutcome {
-        match t.action {
+        let message = match t.action {
             TupleAction::Panic => panic!(
                 "injected fault: operator `{}` panicked at tuple {}",
                 self.tracer.probe(op).name(),
                 t.at
             ),
-            TupleAction::Kill => {
-                let message = format!(
-                    "worker killed mid-quantum at tuple {} (injected fault)",
-                    t.at
-                );
-                self.fault(op, inner, self.failed(op, message));
-                RunOutcome::More
-            }
-        }
+            TupleAction::Kill => format!(
+                "worker killed mid-quantum at tuple {} (injected fault)",
+                t.at
+            ),
+            TupleAction::Poison => "poisoned mailbox payload (injected fault)".to_owned(),
+        };
+        self.fault(op, inner, self.failed(op, message));
+        RunOutcome::More
     }
 
     /// The one way into a task's operator: process `input` arriving on
@@ -1553,7 +1503,13 @@ impl Pool {
         let meta = &task.meta;
 
         if inner.done {
-            self.discard_inbox(tid);
+            // A stale wake-up: a waiter registration can outlive the send
+            // it was made for. Every producer of a finished task has sent
+            // its EOS, and nothing follows an EOS on a channel.
+            debug_assert!(
+                lock(&task.inbox.queue).is_empty(),
+                "a finished task received a message"
+            );
             return RunOutcome::Yield;
         }
         if inner.failed {
@@ -1588,11 +1544,8 @@ impl Pool {
             processed += 1;
             // A source chunk enters like a batch on port 0, counted only
             // as the source's output.
-            let (port, input, counted) = match inner
-                .source
-                .as_mut()
-                .and_then(|s| s.pop(meta.batch_size))
-            {
+            let chunk = inner.source.as_mut().and_then(|s| s.pop(meta.batch_size));
+            let (port, input, counted) = match chunk {
                 Some(chunk) => (0, chunk, true),
                 None => {
                     let msg = match inner.pending.pop_front() {
@@ -1606,21 +1559,8 @@ impl Pool {
                             None => break 'consume None,
                         },
                     };
-                    if matches!(msg, Msg::Poison { .. }) {
-                        // Poison bypasses the blocking gate: corruption in
-                        // the mailbox fails the operator wherever it sits.
-                        // A retry budget absorbs it — the corrupted payload
-                        // carries no data, so discarding it and moving on
-                        // loses nothing.
-                        if self.try_retry(meta.op, inner) {
-                            continue;
-                        }
-                        let message = "poisoned mailbox payload (injected fault)".to_owned();
-                        self.fail_task(meta.op, inner, self.failed(meta.op, message));
-                        break 'consume Some(RunOutcome::More);
-                    }
                     let port = match &msg {
-                        Msg::Batch { port, .. } | Msg::Eos { port } | Msg::Poison { port } => *port,
+                        Msg::Batch { port, .. } | Msg::Eos { port } => *port,
                     };
                     let gate_open = meta.blocking.iter().all(|&p| inner.port_done[p]);
                     if !gate_open && !meta.blocking.contains(&port) {
@@ -1656,14 +1596,17 @@ impl Pool {
                             }
                             continue;
                         }
-                        Msg::Poison { .. } => unreachable!("poison handled before the gate"),
                     }
                 }
             };
-            let trigger = self
-                .faults
-                .as_ref()
-                .and_then(|f| f.check_tuples(meta.op, input.len() as u64));
+            let trigger = self.faults.as_ref().and_then(|f| {
+                let tuples = f.check_tuples(meta.op, input.len() as u64);
+                // A batch taken from the mailboxes (only a source's own
+                // chunk comes `counted`) may be the poisoned one, which
+                // faults before its first tuple.
+                let poison = (!counted).then(|| f.check_poison(meta.op)).flatten();
+                poison.or(tuples)
+            });
             if let Some(outcome) = self.consume(tid, inner, port, input, counted, trigger) {
                 break 'consume Some(outcome);
             }
@@ -1697,16 +1640,10 @@ impl Pool {
             }
             if inner.drop_eos {
                 // Dropped-EOS fault: finish without telling downstream.
-                // The scheduler's stall detector eventually synthesizes the
-                // missing markers; the drop itself is the recorded
-                // failure.
-                if self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.report_eos_drop(meta.op))
-                {
-                    let message = "end-of-stream markers dropped (injected fault)".to_owned();
-                    self.fail_op(meta.op, self.failed(meta.op, message));
+                // The consumers starve, and the scheduler's stall
+                // detector reports the drop ([`Pool::fail_stalled`]).
+                if let Some(f) = &self.faults {
+                    f.count_eos_drop(meta.op);
                 }
                 inner.done = true;
                 return RunOutcome::Done;
@@ -1738,12 +1675,9 @@ impl Pool {
         let task = &self.tasks[tid];
         inner.source = None;
         inner.replay = None;
-        // EOS parked in the hold/pending buffers — including markers the
-        // stall detector synthesized — still counts toward closing the
-        // ports. Blindly clearing these buffers livelocked combined
-        // kill+drop-EOS plans: every recovery pass re-synthesized the
-        // markers into `pending`, every drain quantum discarded them,
-        // and `eos_remaining` never reached zero.
+        // EOS parked in the hold/pending buffers still counts toward
+        // closing the ports: a failed task that threw it away would wait
+        // for markers it already had.
         while let Some(msg) = inner.pending.pop_front().or_else(|| inner.held.pop_front()) {
             if let Msg::Eos { port } = msg {
                 inner.note_eos(port);
@@ -1761,8 +1695,8 @@ impl Pool {
             };
             consumed = true;
             self.tracer.on_mailbox_pop(meta.op);
-            // Data and poison are discarded unprocessed; EOS still
-            // counts toward closing the port.
+            // Data is discarded unprocessed; EOS still counts toward
+            // closing the port.
             if let Msg::Eos { port } = msg {
                 inner.note_eos(port);
             }
@@ -1777,67 +1711,60 @@ impl Pool {
         RunOutcome::Yield
     }
 
-    /// Last-resort recovery, run by the scheduler once its whole pool has
-    /// gone quiet while tasks are still active: some EOS markers were
-    /// dropped (a
-    /// [`crate::fault::FaultKind::DropEos`] fault), so starving consumers
-    /// are handed synthesized EOS and marked [`OperatorState::Degraded`].
-    /// If there is nothing to synthesize, the stragglers are
-    /// force-finished so the run still terminates — once the pipeline is
-    /// wedged, termination beats completeness.
-    pub(crate) fn recover_stall(&self) {
+    /// The stall rule, run by the scheduler once its whole pool has gone
+    /// quiet while this run still has unfinished tasks: nothing of the
+    /// run is ready, running or parked, so nothing can ever wake them.
+    /// A producer that finished without queueing its EOS (a
+    /// [`crate::fault::FaultKind::DropEos`] fault) is the culprit and
+    /// turns [`OperatorState::Failed`]; every unfinished task is
+    /// force-finished [`OperatorState::Degraded`] (its input is
+    /// truncated); and the run's error, unless one was recorded before,
+    /// is [`WorkflowError::Stalled`], naming each input port left
+    /// waiting.
+    pub(crate) fn fail_stalled(&self) {
         self.stall_recoveries.fetch_add(1, Ordering::Relaxed);
-        let mut progressed = false;
+        let mut starving = Vec::new();
+        let mut forced = 0;
+        let name = |op: usize| self.tracer.probe(op).name().to_owned();
         for (tid, task) in self.tasks.iter().enumerate() {
-            let mut guard = lock(&task.inner);
-            let inner = &mut *guard;
-            if inner.done {
-                continue;
-            }
-            let missing: usize = inner
-                .port_done
-                .iter()
-                .zip(&inner.eos_remaining)
-                .filter(|(done, _)| !**done)
-                .map(|(_, remaining)| *remaining)
-                .sum();
-            if missing == 0 {
-                continue;
-            }
-            for p in 0..inner.port_done.len() {
-                if inner.port_done[p] {
-                    continue;
-                }
-                for _ in 0..inner.eos_remaining[p] {
-                    inner.pending.push_back(Msg::Eos { port: p });
-                }
-            }
-            self.tracer.on_degraded(task.meta.op);
-            drop(guard);
-            self.schedule(tid);
-            progressed = true;
-        }
-        if progressed {
-            return;
-        }
-        // Nothing to synthesize — the wedge is structural. Force the
-        // stragglers over the line so every thread still joins.
-        for task in &self.tasks {
+            let op = task.meta.op;
             let mut inner = lock(&task.inner);
             if inner.done {
+                if !inner.eos_queued && !task.meta.downstream.is_empty() {
+                    self.tracer.on_failed(op);
+                }
                 continue;
             }
+            let first = (self.tasks.iter()).position(|t| t.meta.op == op);
+            let worker = tid - first.unwrap_or(tid);
+            for port in (0..inner.port_done.len()).filter(|&p| !inner.port_done[p]) {
+                // EOS held behind a blocking port has arrived already.
+                let parked = (inner.held.iter().chain(&inner.pending))
+                    .filter(|m| matches!(m, Msg::Eos { port: p } if *p == port))
+                    .count();
+                let missing_eos = inner.eos_remaining[port].saturating_sub(parked);
+                if missing_eos == 0 {
+                    continue;
+                }
+                let feeds = |e: &EdgeOut| e.to_port == port && e.dests.contains(&tid);
+                let upstream = (self.tasks.iter()).find(|t| t.meta.downstream.iter().any(feeds));
+                starving.push(StarvedPort {
+                    operator: name(op),
+                    worker,
+                    port,
+                    missing_eos,
+                    upstream: upstream.map_or_else(String::new, |t| name(t.meta.op)),
+                });
+            }
             inner.done = true;
-            drop(inner);
-            // A force-finished task never saw EOS: its input is
-            // truncated, so it must surface as `Degraded` — neither a
-            // clean `Completed` (which `on_worker_done` below would
-            // otherwise promote) nor `Failed` (the fault lies upstream).
-            // The stall itself is still recorded as the run's error.
-            self.tracer.on_degraded(task.meta.op);
-            let message = "pipeline stalled; task force-finished".to_owned();
-            lock(&self.error).get_or_insert_with(|| self.failed(task.meta.op, message));
-            self.tracer.on_worker_done(task.meta.op);
+            forced += 1;
+            self.tracer.on_degraded(op);
+            self.tracer.on_worker_done(op);
+        }
+        lock(&self.error).get_or_insert(WorkflowError::Stalled { starving });
+        // Recorded before the last task is accounted: that one tells
+        // the scheduler the run is finished.
+        for _ in 0..forced {
             self.task_done();
         }
     }
@@ -2723,7 +2650,6 @@ mod tests {
                                     .collect(),
                             ),
                             Msg::Eos { .. } => None,
-                            Msg::Poison { .. } => unreachable!("no fault plan"),
                         };
                         log.push(Delivery { from, to, ids });
                     }
@@ -2896,6 +2822,8 @@ mod tests {
                 "panic" => exec.with_faults(FaultPlan::new(0).panic_at("half", AT)),
                 "scan-kill" => exec.with_faults(FaultPlan::new(0).kill_worker("scan", AT)),
                 "scan-panic" => exec.with_faults(FaultPlan::new(0).panic_at("scan", AT)),
+                // The third batch `half` takes, the one holding tuple 41.
+                "poison" => exec.with_faults(FaultPlan::new(0).poison_mailbox("half", 3)),
                 _ => exec,
             };
             if retry {
@@ -2918,6 +2846,7 @@ mod tests {
                 "organic-panic",
                 "scan-kill",
                 "scan-panic",
+                "poison",
             ] {
                 let what = format!("{fault}, mailbox capacity {capacity}");
                 let (result, ids) = run(fault, true, capacity);
@@ -2927,10 +2856,11 @@ mod tests {
 
                 let (result, ids) = run(fault, false, capacity);
                 assert!(result.is_err(), "{what}");
-                // An injected fault cuts at the tuple; an organic error
-                // or panic discards its own step, the third, whole.
-                let organic = ["error", "organic-panic"].contains(&fault);
-                let delivered = if organic { 32 } else { AT as i64 - 1 };
+                // An injected kill or panic cuts at the tuple; an organic
+                // error or panic, or a poisoned batch, costs its own
+                // step, the third, whole.
+                let whole = ["error", "organic-panic", "poison"].contains(&fault);
+                let delivered = if whole { 32 } else { AT as i64 - 1 };
                 assert_eq!(ids, evens_below(delivered), "{what}: not retried");
             }
         }
@@ -2989,7 +2919,8 @@ mod tests {
 
     /// A worker whose EOS markers are dropped still hands on every row it
     /// produced: its last remainder leaves at the flush point, EOS or no
-    /// EOS, and the stall detector closes the consumer's ports behind it.
+    /// EOS, and the stall detector force-finishes the starving consumer
+    /// behind it.
     #[test]
     fn a_dropped_eos_still_delivers_the_open_remainder() {
         let (wf, handle) = udf_chain(100, 1, 1);

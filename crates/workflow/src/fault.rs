@@ -40,8 +40,8 @@ use crate::partition::PartitionStrategy;
 /// Tuple positions are 1-based and cumulative across the operator's
 /// workers: `PanicAt { tuple: 25 }` fires when the operator is about to
 /// process its 25th tuple (input tuples for consumers, emitted tuples
-/// for sources). Batch positions count batches delivered into the
-/// operator's mailboxes.
+/// for sources). Batch positions count the batches the operator takes
+/// from its mailboxes (a source's own chunks and replays do not count).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker processing the given (1-based) tuple panics — the
@@ -57,17 +57,19 @@ pub enum FaultKind {
         /// Cumulative 1-based tuple position at which to kill.
         tuple: u64,
     },
-    /// The Nth (1-based) batch delivered into the operator's mailboxes
-    /// is followed by a poisoned payload; consuming it fails the
-    /// operator.
+    /// The Nth (1-based) batch the operator takes from its mailboxes is
+    /// corrupt: the step faults before the operator sees a tuple of it,
+    /// exactly like a kill at the batch's first tuple. A retry budget
+    /// replays the batch; without one the operator fails.
     PoisonMailbox {
-        /// 1-based delivered-batch position after which the poison
-        /// message lands.
+        /// 1-based position of the poisoned batch among those taken.
         batch: u64,
     },
     /// The operator's workers finish but never send their end-of-stream
-    /// markers — downstream starves until the pool's stall detector
-    /// synthesizes the missing EOS and finishes the run degraded.
+    /// markers. Downstream starves until the pool's stall detector sees
+    /// the run wedged: it marks the silent producer `Failed`, force-
+    /// finishes every unfinished operator `Degraded`, and fails the run
+    /// with [`WorkflowError::Stalled`].
     DropEos,
     /// Each worker of the operator defers its end-of-stream by this many
     /// run quanta (benign: delays completion, loses nothing).
@@ -90,12 +92,24 @@ impl FaultKind {
         match self {
             FaultKind::PanicAt { tuple } => format!("panic at tuple {tuple}"),
             FaultKind::KillWorker { tuple } => format!("kill worker at tuple {tuple}"),
-            FaultKind::PoisonMailbox { batch } => format!("poison mailbox after batch {batch}"),
+            FaultKind::PoisonMailbox { batch } => format!("poison mailbox batch {batch}"),
             FaultKind::DropEos => "drop EOS".to_owned(),
             FaultKind::DelayEos { quanta } => format!("delay EOS by {quanta} quanta"),
             FaultKind::SlowEdge { per_batch_micros } => {
                 format!("slow edge (+{per_batch_micros}us/batch)")
             }
+        }
+    }
+
+    /// The compiled slot this kind arms: `PanicAt` and `KillWorker` share
+    /// the tuple trigger, every other kind has its own.
+    fn slot(&self) -> u8 {
+        match self {
+            FaultKind::PanicAt { .. } | FaultKind::KillWorker { .. } => 0,
+            FaultKind::PoisonMailbox { .. } => 1,
+            FaultKind::DropEos => 2,
+            FaultKind::DelayEos { .. } => 3,
+            FaultKind::SlowEdge { .. } => 4,
         }
     }
 
@@ -342,6 +356,8 @@ pub(crate) enum TupleAction {
     Panic,
     /// Kill the task without panicking (clean mid-quantum abort).
     Kill,
+    /// Kill the task at a poisoned batch's first tuple.
+    Poison,
 }
 
 /// A fired tuple trigger: process `keep` tuples of the current span
@@ -361,9 +377,9 @@ struct OpFaults {
     tuple_at: Option<(u64, TupleAction)>,
     tuple_seen: AtomicU64,
     poison_at: Option<u64>,
-    batches_delivered: AtomicU64,
+    batches_taken: AtomicU64,
     drop_eos: bool,
-    eos_drop_reported: AtomicBool,
+    eos_drop_counted: AtomicBool,
     delay_eos: u32,
     slow_edge: Option<Duration>,
 }
@@ -383,13 +399,14 @@ const SLOW_EDGE_CAP: Duration = Duration::from_millis(10);
 
 impl CompiledFaults {
     /// Resolve `plan` against the workflow's operator list. An unknown
-    /// operator name is a plan bug and fails the run upfront. Later
-    /// specs of the same kind for the same operator overwrite earlier
-    /// ones.
+    /// operator name is a plan bug and fails the run upfront, and so is
+    /// a spec whose slot an earlier spec for the same operator already
+    /// armed (a second `PanicAt`/`KillWorker`, which share one tuple
+    /// slot, or a second fault of any other kind): one of the two could
+    /// never fire.
     pub(crate) fn compile(plan: &FaultPlan, wf: &Workflow) -> WorkflowResult<CompiledFaults> {
         let mut ops: Vec<OpFaults> = wf.ops().iter().map(|_| OpFaults::default()).collect();
-        let mut benign_armed = 0u64;
-        for spec in plan.faults() {
+        for (i, spec) in plan.faults().iter().enumerate() {
             let idx = wf
                 .ops()
                 .iter()
@@ -401,28 +418,36 @@ impl CompiledFaults {
                     ))
                 })?;
             let slot = &mut ops[idx];
+            if let Some(earlier) = plan.faults()[..i]
+                .iter()
+                .find(|f| f.op == spec.op && f.kind.slot() == spec.kind.slot())
+            {
+                return Err(WorkflowError::InvalidDag(format!(
+                    "fault plan arms one slot of `{}` twice: `{}` would overwrite `{}`",
+                    spec.op,
+                    spec.kind.describe(),
+                    earlier.kind.describe()
+                )));
+            }
             match spec.kind {
                 FaultKind::PanicAt { tuple } => slot.tuple_at = Some((tuple, TupleAction::Panic)),
                 FaultKind::KillWorker { tuple } => slot.tuple_at = Some((tuple, TupleAction::Kill)),
                 FaultKind::PoisonMailbox { batch } => slot.poison_at = Some(batch),
                 FaultKind::DropEos => slot.drop_eos = true,
-                FaultKind::DelayEos { quanta } => {
-                    slot.delay_eos = quanta;
-                    benign_armed += 1;
-                }
+                FaultKind::DelayEos { quanta } => slot.delay_eos = quanta,
                 FaultKind::SlowEdge { per_batch_micros } => {
                     slot.slow_edge =
                         Some(Duration::from_micros(per_batch_micros).min(SLOW_EDGE_CAP));
-                    benign_armed += 1;
                 }
             }
         }
         // Benign faults fire unconditionally (every batch / every
-        // completion), so they count as injected from the start; the
-        // lossy kinds only count when their trigger actually lands.
+        // completion), so each armed one counts as injected from the
+        // start; the lossy kinds only count when their trigger lands.
+        let benign = plan.faults().iter().filter(|f| f.kind.is_benign()).count();
         Ok(CompiledFaults {
             ops,
-            triggered: AtomicU64::new(benign_armed),
+            triggered: AtomicU64::new(benign as u64),
         })
     }
 
@@ -450,20 +475,21 @@ impl CompiledFaults {
         }
     }
 
-    /// Count one batch delivered into `op`'s mailboxes; true exactly
-    /// when this is the armed poison position.
-    pub(crate) fn check_poison(&self, op: usize) -> bool {
+    /// Count one batch `op` took from its mailboxes. At the armed poison
+    /// position, returns the trigger that faults the batch before its
+    /// first tuple.
+    pub(crate) fn check_poison(&self, op: usize) -> Option<TupleTrigger> {
         let f = &self.ops[op];
-        match f.poison_at {
-            Some(at) => {
-                let fired = f.batches_delivered.fetch_add(1, Ordering::AcqRel) + 1 == at;
-                if fired {
-                    self.triggered.fetch_add(1, Ordering::Relaxed);
-                }
-                fired
-            }
-            None => false,
+        let at = f.poison_at?;
+        if f.batches_taken.fetch_add(1, Ordering::AcqRel) + 1 != at {
+            return None;
         }
+        self.triggered.fetch_add(1, Ordering::Relaxed);
+        Some(TupleTrigger {
+            keep: 0,
+            at,
+            action: TupleAction::Poison,
+        })
     }
 
     /// True if `op`'s EOS markers are suppressed by the plan.
@@ -471,14 +497,12 @@ impl CompiledFaults {
         self.ops[op].drop_eos
     }
 
-    /// First call per operator returns true (the drop is recorded as a
-    /// failure once, however many workers suppress their EOS).
-    pub(crate) fn report_eos_drop(&self, op: usize) -> bool {
-        let first = !self.ops[op].eos_drop_reported.swap(true, Ordering::AcqRel);
-        if first {
+    /// Count `op`'s dropped EOS as one injected fault, however many of
+    /// its workers suppress theirs. (The stall detector reports it.)
+    pub(crate) fn count_eos_drop(&self, op: usize) {
+        if !self.ops[op].eos_drop_counted.swap(true, Ordering::AcqRel) {
             self.triggered.fetch_add(1, Ordering::Relaxed);
         }
-        first
     }
 
     /// Run quanta each worker of `op` must burn before sending EOS.
@@ -571,10 +595,18 @@ mod tests {
         let plan = FaultPlan::new(0).poison_mailbox("sink", 2);
         let f = CompiledFaults::compile(&plan, &wf).unwrap();
         let sink = wf.ops().len() - 1;
-        assert!(!f.check_poison(sink));
-        assert!(f.check_poison(sink));
-        assert!(!f.check_poison(sink));
-        assert!(!f.check_poison(0), "unarmed operator never poisons");
+        assert_eq!(f.check_poison(sink), None);
+        assert_eq!(
+            f.check_poison(sink),
+            Some(TupleTrigger {
+                keep: 0,
+                at: 2,
+                action: TupleAction::Poison
+            })
+        );
+        assert_eq!(f.check_poison(sink), None);
+        assert_eq!(f.check_poison(0), None, "unarmed operator never poisons");
+        assert_eq!(f.triggered(), 1);
     }
 
     #[test]
@@ -584,8 +616,36 @@ mod tests {
         let f = CompiledFaults::compile(&plan, &wf).unwrap();
         assert!(f.drops_eos(0));
         assert!(!f.drops_eos(1));
-        assert!(f.report_eos_drop(0));
-        assert!(!f.report_eos_drop(0));
+        f.count_eos_drop(0);
+        f.count_eos_drop(0);
+        assert_eq!(f.triggered(), 1, "one fault, however many workers drop");
+    }
+
+    /// Two specs for one slot of one operator are refused, not silently
+    /// merged: a kill would overwrite the panic that shares its tuple
+    /// slot, and a second delay would overwrite the first while both
+    /// counted as injected.
+    #[test]
+    fn compile_refuses_a_slot_armed_twice() {
+        let (wf, _h, _names) = random_chain(0);
+        for plan in [
+            FaultPlan::new(0).panic_at("f0", 5).kill_worker("f0", 50),
+            FaultPlan::new(0).delay_eos("f0", 2).delay_eos("f0", 3),
+        ] {
+            let err = CompiledFaults::compile(&plan, &wf).unwrap_err();
+            assert!(matches!(err, WorkflowError::InvalidDag(_)), "{err}");
+            assert!(err.to_string().contains("`f0` twice"), "{err}");
+        }
+        // Different slots, or different operators, still compose.
+        let plan = FaultPlan::new(0)
+            .panic_at("f0", 5)
+            .poison_mailbox("f0", 1)
+            .drop_eos("f0")
+            .delay_eos("f0", 1)
+            .slow_edge("f0", 10)
+            .kill_worker("scan", 3);
+        let f = CompiledFaults::compile(&plan, &wf).unwrap();
+        assert_eq!(f.triggered(), 2, "the two benign faults");
     }
 
     #[test]

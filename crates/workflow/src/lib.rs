@@ -32,12 +32,14 @@
 //!   wall-clock interval — so [`trace::render_timeline`] and
 //!   [`trace::TraceJson`] replay either run identically.
 //! * **Accountability under failure** — a seeded [`fault::FaultPlan`]
-//!   injects operator panics, killed workers, poisoned mailboxes,
+//!   injects operator panics, killed workers, poisoned mailbox batches,
 //!   dropped/delayed EOS, and slow edges into the pooled executor; the
 //!   pool drains deterministically, pins the fault to one
 //!   [`OperatorState::Failed`] operator, marks downstream operators
 //!   [`OperatorState::Degraded`] on their truncated input, and preserves
-//!   the partial trace ([`exec_live::LiveExecutor::run_observed`]).
+//!   the partial trace ([`exec_live::LiveExecutor::run_observed`]). A
+//!   dropped EOS wedges the pipeline, and the run fails loud as
+//!   [`WorkflowError::Stalled`] instead of finishing on truncated input.
 //! * **Recovery under failure** — a per-operator [`retry::RetryPolicy`]
 //!   (bounded exponential backoff, carried by [`EngineConfig::retry`])
 //!   replays a faulted run quantum with its held input batch instead of
@@ -110,7 +112,8 @@ pub use exec_sim::SimExecutor;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics, SchedCounters};
 pub use operator::{
-    OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError, WorkflowResult,
+    OpDescriptor, Operator, OperatorFactory, OutputCollector, StarvedPort, WorkflowError,
+    WorkflowResult,
 };
 pub use partition::{CompiledPartitioner, PartitionStrategy};
 pub use retry::{Backoff, RetryConfig, RetryPolicy};

@@ -52,6 +52,30 @@ pub enum WorkflowError {
         /// The underlying data problem.
         error: DataError,
     },
+    /// The run wedged: no task could make progress, yet some still
+    /// waited for end-of-stream markers that no producer would send. The
+    /// live engine's quiescence detector force-finishes the stragglers
+    /// and reports every input port it left waiting.
+    Stalled {
+        /// The open input ports, in task order.
+        starving: Vec<StarvedPort>,
+    },
+}
+
+/// One input port of one worker that a stalled run left waiting
+/// ([`WorkflowError::Stalled`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StarvedPort {
+    /// The waiting operator.
+    pub operator: String,
+    /// Which of its workers (0-based).
+    pub worker: usize,
+    /// The open input port.
+    pub port: usize,
+    /// End-of-stream markers the port still lacked.
+    pub missing_eos: usize,
+    /// The operator feeding that port.
+    pub upstream: String,
 }
 
 impl fmt::Display for WorkflowError {
@@ -69,6 +93,18 @@ impl fmt::Display for WorkflowError {
             }
             WorkflowError::DataError { operator, error } => {
                 write!(f, "data error at operator `{operator}`: {error}")
+            }
+            WorkflowError::Stalled { starving } => {
+                write!(f, "pipeline stalled")?;
+                for (i, s) in starving.iter().enumerate() {
+                    let sep = if i == 0 { ": " } else { "; " };
+                    write!(
+                        f,
+                        "{sep}`{}` worker {} port {} lacks {} end-of-stream marker(s) from `{}`",
+                        s.operator, s.worker, s.port, s.missing_eos, s.upstream
+                    )?;
+                }
+                Ok(())
             }
         }
     }

@@ -13,14 +13,16 @@
 //!   (a mailbox batch, sealed or rows, or a source chunk) or, for an input
 //!   armed by an injected [`crate::fault`] trigger, the tail behind the
 //!   fault position (the tuples before it were processed and forwarded).
-//!   An error or panic in the operator's step, an injected kill or an
-//!   injected panic discards the step's partial output and replays the
-//!   held input after the backoff, exactly once per tuple.
+//!   An error or panic in the operator's step, an injected kill, an
+//!   injected panic or a poisoned mailbox batch (a kill before the
+//!   batch's first tuple) discards the step's partial output and replays
+//!   the held input after the backoff, exactly once per tuple.
 //! * *What fails instead.* A fault with nothing held — a panic in a port
 //!   completion or in routing, or any fault past the budget — fails the
 //!   operator and takes the drain path, as an `Err` from a port
-//!   completion does. (A poisoned mailbox payload carries no data; the
-//!   budget absorbs it by dropping it.) The simulator replays a faulted
+//!   completion does. A dropped end-of-stream is not a step fault and
+//!   no budget absorbs it: the run stalls and fails
+//!   ([`crate::WorkflowError::Stalled`]). The simulator replays a faulted
 //!   batch whole, as a virtual quantum.
 //!
 //! Policies are carried by [`crate::EngineConfig::retry`] (so both

@@ -60,9 +60,9 @@
 //!   its tenant's [`TenantQuota::mailbox_budget`], so one run's
 //!   backpressure holds *its own* producers, not the pool.
 //! * **Per-run fault domains.** Faults, drain-mode failures, and stall
-//!   recovery (dropped EOS) are all scoped to the owning run's task set;
-//!   a wedged run is recovered or force-finished by the quiescence
-//!   detector while neighbors keep executing.
+//!   detection (dropped EOS) are all scoped to the owning run's task set;
+//!   a wedged run is force-finished and failed as stalled by the
+//!   quiescence detector while neighbors keep executing.
 //!
 //! # Observability
 //!
@@ -1067,7 +1067,7 @@ impl Shared {
             // Phase 5: quiescence check. Everyone else idle, nothing
             // parked, yet a run still has active tasks with no ready
             // work and no running quanta — its pipeline wedged (dropped
-            // EOS). Run the per-run stall recovery outside the lock.
+            // EOS). Fail the run as stalled, outside the lock.
             if st.idle_workers + 1 == self.pool_threads && st.parked.is_empty() {
                 let wedged: Vec<Arc<Pool>> = st
                     .active
@@ -1078,7 +1078,7 @@ impl Shared {
                 if !wedged.is_empty() {
                     drop(st);
                     for core in wedged {
-                        core.recover_stall();
+                        core.fail_stalled();
                     }
                     st = lock(&self.state);
                     continue;
@@ -1577,23 +1577,100 @@ mod tests {
         assert_eq!(res.metrics.operators.len(), 3);
     }
 
-    #[test]
-    fn solo_dropped_eos_is_recovered_by_the_stall_detector() {
-        let (wf, _handle) = chain(200, 2);
-        let svc = WorkflowService::unstaffed(ServiceConfig::default().with_pool_size(2), true);
-        let opts = RunOptions::default().with_faults(FaultPlan::new(3).drop_eos("scan"));
-        let run = svc.submit("", &wf, opts).unwrap();
+    /// Submit `wf` under `opts` to a solo scheduler of `pool_size`
+    /// threads, wait for the report, and shut the scheduler down. Returns
+    /// the report, the run's core (for [`Pool::stats`]) and whether
+    /// every worker thread exited within five seconds of the shutdown.
+    fn run_solo_keeping_core(
+        wf: &Workflow,
+        opts: RunOptions,
+        pool_size: usize,
+    ) -> (RunReport, Arc<Pool>, bool) {
+        let config = ServiceConfig::default().with_pool_size(pool_size);
+        let svc = WorkflowService::unstaffed(config, true);
+        let run = svc.submit("", wf, opts).unwrap();
         let core = match &*lock(&run.seat.slot) {
             Slot::Running(core) => Arc::clone(core),
             _ => panic!("a solo run is dispatched at submission"),
         };
-        let _pool = svc.staffed();
+        let mut pool = svc.staffed();
         let report = run.wait();
+        lock(&pool.shared.state).accepting = false;
+        pool.shared.cv.notify_all();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !pool.workers.iter().all(|h| h.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let drained = pool.workers.iter().all(|h| h.is_finished());
+        pool.workers.drain(..).for_each(|h| h.join().unwrap());
+        (report, core, drained)
+    }
+
+    #[test]
+    fn solo_dropped_eos_fails_the_run_as_stalled() {
+        let (wf, _handle) = chain(200, 2);
+        let opts = RunOptions::default().with_faults(FaultPlan::new(3).drop_eos("scan"));
+        let (report, core, drained) = run_solo_keeping_core(&wf, opts, 2);
         let err = report.result.expect_err("dropping EOS fails the run");
+        assert!(matches!(err, WorkflowError::Stalled { .. }), "{err}");
         assert!(err.to_string().contains("end-of-stream"), "{err}");
-        assert!(core.stats(&crate::RunMetrics::default()).stall_recoveries >= 1);
+        assert_eq!(
+            core.stats(&crate::RunMetrics::default()).stall_recoveries,
+            1
+        );
         let (_, last) = report.trace.samples.last().unwrap();
         assert!(last.iter().all(|s| s.state.is_terminal()), "{last:?}");
+        assert!(drained, "every scheduler thread exits");
+    }
+
+    /// One input of a fan-in loses its EOS: the join's build side drops
+    /// it, the probe side's EOS arrives and waits behind the closed
+    /// build port. The detector pins the silent producer, force-finishes
+    /// the starving join and its sink, and names exactly the ports left
+    /// waiting — the probe port, whose EOS arrived, is not one of them.
+    #[test]
+    fn a_dropped_eos_on_one_fan_in_input_fails_the_run_as_stalled() {
+        use crate::ops::HashJoinOp;
+        use crate::{OperatorState, StarvedPort};
+        let build_schema = Schema::of(&[("k", DataType::Int)]);
+        let build = Batch::from_rows(build_schema, (0..10).map(|k| vec![Value::Int(k)]).collect());
+        let mut b = WorkflowBuilder::new();
+        let bs = b.add(Arc::new(ScanOp::new("build", build.unwrap())), 2);
+        let ps = b.add(Arc::new(ScanOp::new("probe", int_batch(100))), 1);
+        let join = b.add(Arc::new(HashJoinOp::new("join", &["id"], &["k"])), 1);
+        let sink_op = Arc::new(SinkOp::new("sink"));
+        let handle = sink_op.handle();
+        let sink = b.add(sink_op, 1);
+        b.connect(bs, join, 0, PartitionStrategy::Hash(vec!["k".into()]));
+        b.connect(ps, join, 1, PartitionStrategy::Hash(vec!["id".into()]));
+        b.connect(join, sink, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+
+        for pool_size in [1, 2] {
+            let opts = RunOptions::default().with_faults(FaultPlan::new(0).drop_eos("build"));
+            let (report, core, drained) = run_solo_keeping_core(&wf, opts, pool_size);
+            let starved = |operator: &str, missing_eos, upstream: &str| StarvedPort {
+                operator: operator.into(),
+                worker: 0,
+                port: 0,
+                missing_eos,
+                upstream: upstream.into(),
+            };
+            let want = WorkflowError::Stalled {
+                starving: vec![starved("join", 2, "build"), starved("sink", 1, "join")],
+            };
+            assert_eq!(report.result.unwrap_err(), want, "pool {pool_size}");
+            let (_, last) = report.trace.samples.last().unwrap();
+            let state = |name: &str| last.iter().find(|s| s.name == name).unwrap().state;
+            assert_eq!(state("build"), OperatorState::Failed);
+            assert_eq!(state("probe"), OperatorState::Completed);
+            assert_eq!(state("join"), OperatorState::Degraded);
+            assert_eq!(state("sink"), OperatorState::Degraded);
+            let stats = core.stats(&crate::RunMetrics::default());
+            assert_eq!((stats.stall_recoveries, stats.faults_injected), (1, 1));
+            assert!(handle.is_empty(), "the join never opened its probe side");
+            assert!(drained, "pool {pool_size}: every scheduler thread exits");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the scriptflow workspace. Needs bash and cargo.
 #
-#   scripts/ci.sh          # build + test + benchmark API and smoke + fmt + clippy + doc + repro smokes + line counts
+#   scripts/ci.sh          # build + test + fault-suite repeats + benchmark API and smoke + fmt + clippy + doc + repro smokes + line counts
 #
 # Mirrors ROADMAP.md's tier-1 definition (release build + full test suite,
 # which is the whole configuration matrix) and adds the hygiene gates.
@@ -27,6 +27,16 @@ cargo test -q "${CARGO_FLAGS[@]}"
 echo "==> cargo test -p scriptflow-study --lib service::tests, three times"
 for _ in 1 2 3; do
     cargo test -q "${CARGO_FLAGS[@]}" -p scriptflow-study --lib service::tests
+done
+
+# A stall fails its run (`WorkflowError::Stalled`) where a false
+# quiescence detection used to truncate the run silently. The fault
+# suites' pool-size-2 legs, run on their own, are where such a race in
+# the scheduler's detector would show.
+echo "==> cargo test --test chaos_faults and --test service_chaos, three times each"
+for _ in 1 2 3; do
+    cargo test -q "${CARGO_FLAGS[@]}" --test chaos_faults
+    cargo test -q "${CARGO_FLAGS[@]}" --test service_chaos
 done
 
 echo "==> benchmark crate tests (the API surface the frozen benchmark/ tree compiles against)"

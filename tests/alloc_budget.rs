@@ -3,9 +3,11 @@
 //! a `paper_tasks`-shaped UDF chain (row edges), on DICE's own DAG and on
 //! a `spill_cache`-shaped join-aggregate run cache-free, cache-armed cold
 //! and edited (per tuple replayed), and on WEF's training (per tweet),
-//! counted by this binary's own `#[global_allocator]`. A count is
-//! exact where wall-clock on a 2-vCPU sandbox needs ten A/B pairs, so a
-//! k-fold clone on the data path fails here first.
+//! counted by this binary's own `#[global_allocator]`; and, per byte of
+//! input, what the decoders of outside data allocate: a stored segment,
+//! a progress trace, a workflow spec and a result cache's `MANIFEST`. A
+//! count is exact where wall-clock on a 2-vCPU sandbox needs ten A/B
+//! pairs, so a k-fold clone on the data path fails here first.
 //!
 //! One job is what the frozen benchmark times: build the DAG over a
 //! shared scan, run it at `pool_size = 1`, read the sink.
@@ -15,18 +17,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use scriptflow::core::Calibration;
+use scriptflow::core::OpFingerprint;
 use scriptflow::datagen::wildfire::WildfireDataset;
 use scriptflow::datakit::blockstore::decode_blocks;
 use scriptflow::datakit::{
     Batch, BlockAppender, CmpOp, ColumnarBatch, DataType, Schema, Segment, Value,
 };
+use scriptflow::simcluster::SimDuration;
 use scriptflow::simcluster::SplitMix64;
 use scriptflow::tasks::dice::{workflow::build_dice_workflow, DiceParams};
 use scriptflow::tasks::wef;
 use scriptflow::workflow::ops::SinkHandle;
 use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp, UdfOp};
+use scriptflow::workflow::trace::TraceJson;
 use scriptflow::workflow::{
-    LiveExecutor, OperatorFactory, PartitionStrategy, ResultCache, Workflow, WorkflowBuilder,
+    spec, EngineConfig, LiveExecutor, OperatorFactory, PartitionStrategy, ResultCache, SimExecutor,
+    Workflow, WorkflowBuilder,
 };
 
 struct Counting;
@@ -450,6 +456,163 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
         "segment decode: {per_byte:.2} bytes allocated per input byte, \
          ceiling {DECODE_BYTES_PER_INPUT_BYTE}"
     );
+    // The text decoders: what each allocates beyond its cost on an empty
+    // document, per input byte, at worst over 1 200 mutants of a real one.
+    for (name, per_byte, ceiling) in text_decode_bytes() {
+        println!(
+            "{name}: at most {per_byte:.2} bytes allocated per input byte (ceiling {ceiling})"
+        );
+        assert!(
+            per_byte <= ceiling,
+            "{name}: {per_byte:.2} bytes allocated per input byte, ceiling {ceiling}"
+        );
+    }
+}
+
+/// A small declarative workflow: two inline scans, a filter, a join, an
+/// aggregate and a sink. Its text is the spec decoder's input, and the
+/// simulator's trace of it the trace decoder's.
+const SPEC: &str = r#"{
+    "operators": [
+        {"id": "facts", "type": "InlineScan", "workers": 2,
+         "schema": [["k", "Int"], ["x", "Float"], ["tag", "Str"]],
+         "rows": [[1, 5.0, "a"], [2, 0.5, "b"], [1, 7.0, "c"], [3, 9.0, "d"],
+                  [2, 8.0, "e"], [1, 0.1, "f"], [3, 4.0, "g"], [2, 6.0, "h"]]},
+        {"id": "dims", "type": "InlineScan",
+         "schema": [["k", "Int"], ["label", "Str"]],
+         "rows": [[1, "a"], [2, "b"], [3, "c"]]},
+        {"id": "big", "type": "Filter",
+         "predicate": {"column": "x", "op": ">", "value": 1.0}},
+        {"id": "join", "type": "HashJoin", "probe": ["k"], "build": ["k"]},
+        {"id": "agg", "type": "Aggregate", "group_by": ["label"],
+         "aggregations": ["count as n", "sum(x)"]},
+        {"id": "out", "type": "Sink"}
+    ],
+    "links": [
+        {"from": "facts", "to": "big", "port": 0, "partition": "round-robin"},
+        {"from": "dims", "to": "join", "port": 0, "partition": "hash", "keys": ["k"]},
+        {"from": "big", "to": "join", "port": 1, "partition": "hash", "keys": ["k"]},
+        {"from": "join", "to": "agg", "port": 0, "partition": "hash", "keys": ["label"]},
+        {"from": "agg", "to": "out", "port": 0, "partition": "single"}
+    ]
+}"#;
+
+/// Ceilings, in bytes allocated per input byte beyond the empty
+/// document's cost, for the trace, spec and `MANIFEST` decoders. A
+/// decoder that sized a buffer by a number it read, not by the bytes
+/// it was given, would blow through them on the forged counts
+/// [`mutant`] writes. Measured worsts: trace 9.63, spec 13.83,
+/// manifest 13.70.
+const TEXT_BYTES_PER_INPUT_BYTE: [f64; 3] = [16.0, 24.0, 24.0];
+
+/// Mutants per text decoder.
+const TEXT_MUTANTS: usize = 1_200;
+
+/// `doc` after one seeded edit: one to four bytes replaced, a number
+/// forged to `u64::MAX`, a span duplicated, or the tail cut.
+fn mutant(doc: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
+    let mut bytes = doc.to_vec();
+    let at = rng.range(0..bytes.len());
+    match rng.range(0..4usize) {
+        0 => {
+            for _ in 0..rng.range(1..5usize) {
+                let at = rng.range(0..bytes.len());
+                let alphabet = b"[]{}\",:-.0123456789 \n";
+                bytes[at] = alphabet[rng.range(0..alphabet.len())];
+            }
+        }
+        1 => {
+            let digit = bytes[at..].iter().position(u8::is_ascii_digit);
+            if let Some(start) = digit.map(|d| at + d) {
+                let len = bytes[start..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
+                let forged = u64::MAX.to_string().into_bytes();
+                bytes.splice(start..start + len, forged);
+            }
+        }
+        2 => {
+            let end = (at + rng.range(1..256usize)).min(bytes.len());
+            let span = bytes[at..end].to_vec();
+            bytes.splice(at..at, span);
+        }
+        _ => bytes.truncate(at),
+    }
+    bytes
+}
+
+/// Bytes allocated while `f` runs.
+fn bytes_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
+}
+
+/// Worst bytes a decoder allocates per input byte over [`TEXT_MUTANTS`]
+/// mutants of `doc`, beyond what it allocates for an empty input (its
+/// fixed cost: an error message, a path, an empty map). `spent` decodes
+/// one input and returns what the decoder allocated ([`bytes_in`]).
+fn worst_per_byte(doc: &[u8], seed: u64, spent: impl Fn(&[u8]) -> u64) -> f64 {
+    let fixed = spent(b"");
+    let mut rng = SplitMix64::new(seed);
+    (0..TEXT_MUTANTS)
+        .map(|_| mutant(doc, &mut rng))
+        .map(|input| spent(&input).saturating_sub(fixed) as f64 / input.len().max(1) as f64)
+        .fold(0.0, f64::max)
+}
+
+/// `(decoder, worst bytes allocated per input byte, ceiling)` for
+/// `TraceJson::parse` over the simulator's trace of [`SPEC`], for
+/// `spec::parse` over [`SPEC`] itself, and for `ResultCache::persistent`
+/// loading the `MANIFEST` of a store of 24 entries (its segments left in
+/// place, so every line the index keeps is one it would serve).
+fn text_decode_bytes() -> [(&'static str, f64, f64); 3] {
+    let wf = spec::parse(SPEC).expect("the spec is valid").workflow;
+    let sim = |exec: SimExecutor| exec.run(&wf).expect("the spec runs");
+    let makespan = sim(SimExecutor::new(EngineConfig::default())).makespan();
+    let interval = SimDuration::from_micros(makespan.as_micros() / 5);
+    let run = sim(SimExecutor::new(EngineConfig::default()).with_trace(interval));
+    let trace = TraceJson::from_trace(&run.trace).to_string_compact();
+    let text = |input: &[u8]| String::from_utf8_lossy(input).into_owned();
+    let trace = worst_per_byte(trace.as_bytes(), 0x7ace, |input| {
+        let input = text(input);
+        bytes_in(|| drop(TraceJson::parse(&input)))
+    });
+    let spec = worst_per_byte(SPEC.as_bytes(), 0x5bec, |input| {
+        let input = text(input);
+        bytes_in(|| drop(spec::parse(&input)))
+    });
+
+    let dir =
+        std::env::temp_dir().join(format!("scriptflow-alloc-manifest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ResultCache::persistent(&dir).expect("open store");
+    let schema = Schema::of(&[("k", DataType::Int)]);
+    for fp in 1..=24u64 {
+        let rows = Batch::from_rows(
+            schema.clone(),
+            vec![vec![Value::Int(fp as i64)]; fp as usize],
+        );
+        let rows = rows.expect("rows conform").into_tuples();
+        let owner = ["alice", "bob", "carol"][fp as usize % 3];
+        let cost = SimDuration::from_micros(10 * fp);
+        cache.publish_costed(OpFingerprint(fp.into()), &schema, &rows, cost, Some(owner));
+    }
+    drop(cache);
+    let path = dir.join("MANIFEST");
+    let doc = std::fs::read(&path).expect("the index");
+    let manifest = worst_per_byte(&doc, 0xca5e, |input| {
+        std::fs::write(&path, input).expect("write index");
+        bytes_in(|| drop(ResultCache::persistent(&dir).expect("the directory opens")))
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let [t, s, m] = TEXT_BYTES_PER_INPUT_BYTE;
+    [
+        ("trace decode", trace, t),
+        ("spec decode", spec, s),
+        ("manifest load", manifest, m),
+    ]
 }
 
 /// Most bytes [`Segment::decode`] plus [`decode_blocks`] may allocate per

@@ -18,8 +18,8 @@ use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, Value};
 use scriptflow::workflow::fault::{random_chain, FaultPlan};
 use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkHandle, SinkOp};
 use scriptflow::workflow::{
-    render_timeline, LiveExecutor, OperatorState, PartitionStrategy, ProgressTrace, RetryConfig,
-    RetryPolicy, TraceJson, Workflow, WorkflowBuilder,
+    render_timeline, FaultKind, LiveExecutor, OperatorState, PartitionStrategy, ProgressTrace,
+    RetryConfig, RetryPolicy, TraceJson, Workflow, WorkflowBuilder, WorkflowError,
 };
 
 /// `(name, state, input, output)` per operator in the final snapshot.
@@ -133,10 +133,22 @@ fn chaos_random_plans_terminate_with_consistent_traces() {
         let (wf, _h, names) = random_chain(seed);
         let plan = FaultPlan::random(seed, &names);
         let desc = plan.describe();
-        let (trace, _result) = LiveExecutor::new(8)
+        let drops_eos = plan
+            .faults()
+            .iter()
+            .any(|f| f.kind == FaultKind::DropEos && f.op != "sink");
+        let (trace, result) = LiveExecutor::new(8)
             .with_pool_size(1 + (seed % 3) as usize)
             .with_faults(plan)
             .run_observed(&wf);
+        // A dropped EOS starves its consumer: the run fails as stalled,
+        // never `Ok` on the truncated input.
+        if drops_eos {
+            assert!(
+                matches!(result, Err(WorkflowError::Stalled { .. })),
+                "seed {seed} ({desc}): {result:?}"
+            );
+        }
         let st = final_states(&trace);
         // The chain is linear: each operator's input is bounded by its
         // upstream's output, faulted or not.
@@ -288,10 +300,9 @@ fn seeded_random_plans_pin_their_fingerprints() {
 
 #[test]
 fn combined_kill_and_drop_eos_terminates_and_stays_consistent() {
-    // Regression: `drain_failed` used to clear its pending buffer
-    // blindly, discarding the EOS markers the stall detector had
-    // synthesized — every recovery pass re-synthesized them, every
-    // drain quantum threw them away, and the run livelocked.
+    // A killed operator drains while its own input starves: the scan's
+    // EOS never comes, so only the stall detector can finish it. The
+    // kill was recorded first and stays the run's error.
     let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(5);
     let plan = FaultPlan::new(5).kill_worker("f0", 10).drop_eos("scan");
@@ -307,10 +318,9 @@ fn combined_kill_and_drop_eos_terminates_and_stays_consistent() {
 
 #[test]
 fn stall_recovered_operators_surface_degraded_not_completed() {
-    // Regression for the stall-recovery surfacing: an operator that
-    // never saw real EOS — the detector handed it synthesized markers,
-    // or force-finished it outright — must report `Degraded`, never a
-    // clean `Completed`.
+    // An operator that never saw its EOS — the stall detector
+    // force-finished it — must report `Degraded`, never a clean
+    // `Completed`, and the silent producer is the one `Failed`.
     let (_serial, baseline) = thread_baseline();
     let (wf, _h, _names) = random_chain(11);
     let plan = FaultPlan::new(11).drop_eos("scan");
