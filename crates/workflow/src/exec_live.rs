@@ -2189,37 +2189,6 @@ mod tests {
     }
 
     #[test]
-    fn live_matches_sim_outputs() {
-        let mut live_handle = None;
-        let wf_live = build_filter_wf(500, &mut live_handle);
-        LiveExecutor::default().run(&wf_live).unwrap();
-
-        let mut sim_handle = None;
-        let wf_sim = build_filter_wf(500, &mut sim_handle);
-        let cfg = EngineConfig {
-            cluster: ClusterSpec::single_node(4),
-            ..EngineConfig::default()
-        };
-        SimExecutor::new(cfg).run(&wf_sim).unwrap();
-
-        let mut a: Vec<String> = live_handle
-            .unwrap()
-            .results()
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        let mut b: Vec<String> = sim_handle
-            .unwrap()
-            .results()
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn live_join_blocks_probe_until_build_done() {
         let build_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);
         let build = Batch::from_rows(

@@ -1070,44 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn join_with_hash_partitioning_matches_oracle() {
-        let build = kv_batch(&[(1, "a"), (2, "b"), (3, "c"), (1, "d")]);
-        let probe_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
-        let probe = Batch::from_rows(
-            probe_schema,
-            (0..40)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 5)])
-                .collect(),
-        )
-        .unwrap();
-
-        // Oracle: nested loop count. k in {1,2,3} matches; k=1 matches twice.
-        let mut expected = 0;
-        for i in 0..40i64 {
-            expected += match i % 5 {
-                1 => 2,
-                2 | 3 => 1,
-                _ => 0,
-            };
-        }
-
-        let mut b = WorkflowBuilder::new();
-        let bs = b.add(Arc::new(ScanOp::new("build", build)), 1);
-        let ps = b.add(Arc::new(ScanOp::new("probe", probe)), 2);
-        let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), 2);
-        let sink_op = SinkOp::new("sink");
-        let handle = sink_op.handle();
-        let sink = b.add(Arc::new(sink_op), 1);
-        b.connect(bs, join, 0, PartitionStrategy::Hash(vec!["k".into()]));
-        b.connect(ps, join, 1, PartitionStrategy::Hash(vec!["k".into()]));
-        b.connect(join, sink, 0, PartitionStrategy::Single);
-        let wf = b.build().unwrap();
-
-        SimExecutor::new(cfg()).run(&wf).unwrap();
-        assert_eq!(handle.len(), expected);
-    }
-
-    #[test]
     fn aggregate_over_partitions() {
         let mut b = WorkflowBuilder::new();
         let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(60))), 2);

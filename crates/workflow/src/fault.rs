@@ -230,6 +230,16 @@ impl FaultPlan {
         self.push(op, FaultKind::SlowEdge { per_batch_micros })
     }
 
+    /// The specs naming an operator of `wf`, in order: what is left of
+    /// the plan once a cache plan has skipped part of its DAG.
+    pub(crate) fn on_ops_of(&self, wf: &Workflow) -> FaultPlan {
+        let kept = |f: &&FaultSpec| wf.ops().iter().any(|n| n.desc().name == f.op);
+        FaultPlan {
+            seed: self.seed,
+            faults: self.faults.iter().filter(kept).cloned().collect(),
+        }
+    }
+
     /// One human-readable line per fault.
     pub fn describe(&self) -> String {
         let parts: Vec<String> = self

@@ -840,12 +840,13 @@ impl Shared {
         let mut recordings = Vec::new();
         if let Some(cs) = p.cache.take() {
             let plan = prepare(&cs.wf, &this.cache, SimDuration::ZERO);
-            // Faults naming a served/skipped operator have nothing to
-            // fire on; recompile against the plan and drop the rest.
-            p.faults = cs
-                .faults
-                .as_ref()
-                .and_then(|f| CompiledFaults::compile(f, &plan.wf).ok());
+            // A served operator's fault fires on its replay; one whose
+            // operator the plan skipped has nothing to fire on and is
+            // dropped alone. The rest passed `compile` at submit.
+            p.faults = cs.faults.as_ref().map(|f| {
+                CompiledFaults::compile(&f.on_ops_of(&plan.wf), &plan.wf)
+                    .expect("a subset of a plan that compiled compiles")
+            });
             p.tasks = build_tasks(
                 &plan.wf,
                 &plan.recordings,

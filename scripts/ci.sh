@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the scriptflow workspace. Needs bash and cargo.
 #
-#   scripts/ci.sh          # build + test + fault-suite repeats + benchmark API and smoke + fmt + clippy + doc + repro smokes + line counts
+#   scripts/ci.sh          # build + test (wall time printed) + fault-suite repeats + benchmark API and smoke + fmt + clippy + doc + repro smokes + line counts
 #
 # Mirrors ROADMAP.md's tier-1 definition (release build + full test suite,
 # which is the whole configuration matrix) and adds the hygiene gates.
@@ -19,7 +19,11 @@ echo "==> cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
 echo "==> cargo test -q (every crate, every configuration: no env-var legs)"
+# The step's wall time is printed as information, not a gate: it is where
+# "tier-1 wall time before and after" is read.
+test_start=$SECONDS
 cargo test -q "${CARGO_FLAGS[@]}"
+echo "cargo test -q wall time: $((SECONDS - test_start)) s"
 
 # On their own, without the rest of the suite's tests interleaving: the
 # configuration in which the isolation study's over-quota probe used to

@@ -2,7 +2,7 @@
 # Non-test lines per crate, and the size of the operator trait. Needs bash
 # and awk.
 #
-#   scripts/loc.sh          # one line per crate, a total, the method count
+#   scripts/loc.sh          # one line per crate, a total, test lines, the method count
 #
 # A file's non-test lines are the lines before its first `#[cfg(test)]`
 # (all of it when there is none), comments and blanks included, over
@@ -27,6 +27,11 @@ printf '%8d  total\n' "$total"
 # Every line of the integration tests, `tests/*.rs`: the other half of a
 # "net-negative across `crates/workflow/src` and `tests/`" claim.
 printf '%8d  tests/*.rs (all lines)\n' "$(cat tests/*.rs | wc -l)"
+
+# The in-crate test modules: every line from each file's first
+# `#[cfg(test)]` on, over `crates/*/src/**/*.rs`. With the line above, the
+# whole of the test code a "less test code" claim is made on.
+printf '%8d  crates/*/src in-crate test lines\n' "$(awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } test { n++ } END { print n + 0 }' crates/*/src/**/*.rs)"
 
 # Methods of `trait OperatorFactory`: `fn` items between the trait's
 # opening line and the first line that closes it at column 0.

@@ -26,6 +26,11 @@ const ROWS: i64 = 300;
 /// filters are cacheable (pure, non-sink); the fault always lands on
 /// `keep`, mid-recording.
 fn pipeline(seed: u64) -> (Workflow, SinkHandle) {
+    pipeline_trimmed_at(seed, 190 - (seed % 13) as i64)
+}
+
+/// [`pipeline`] with `trim` keeping the ids up to `trim_at`.
+fn pipeline_trimmed_at(seed: u64, trim_at: i64) -> (Workflow, SinkHandle) {
     let shift = (seed % 13) as i64;
     let schema = Schema::of(&[("id", DataType::Int)]);
     let batch = Batch::from_rows(
@@ -47,12 +52,7 @@ fn pipeline(seed: u64) -> (Workflow, SinkHandle) {
         2,
     );
     let trim = b.add(
-        Arc::new(FilterOp::cmp(
-            "trim",
-            "id",
-            CmpOp::Le,
-            Value::Int(190 - shift),
-        )),
+        Arc::new(FilterOp::cmp("trim", "id", CmpOp::Le, Value::Int(trim_at))),
         1,
     );
     let sink_op = SinkOp::new("sink");
@@ -267,4 +267,45 @@ fn armed_retries_recover_rows_but_withhold_publication() {
     let res = result.unwrap_or_else(|e| panic!("clean run: {e}"));
     assert_eq!(sorted_rows(&h), clean, "clean rows");
     assert!(res.cache_published > 0, "clean run publishes");
+}
+
+/// A cache-enabled run keeps the faults of every operator it still runs.
+/// After a cold run, a rerun with `trim`'s literal edited serves `keep`
+/// from the cache, recomputes `trim` and skips `scan`. A fault on `keep`
+/// fires on its replay, one on `trim` fires as usual, and one on `scan`
+/// has nothing to fire on: it is dropped alone, not with the whole plan.
+#[test]
+fn an_edited_rerun_drops_only_the_faults_of_skipped_operators() {
+    let seed = 17u64;
+    let edited_rerun = |plan: FaultPlan| {
+        let cache = Arc::new(ResultCache::new());
+        executor(&cache)
+            .run(&pipeline(seed).0)
+            .expect("the cold run");
+        let edited = pipeline_trimmed_at(seed, 150).0;
+        executor(&cache).with_faults(plan).run(&edited)
+    };
+
+    let res = edited_rerun(FaultPlan::new(seed).kill_worker("scan", 5))
+        .expect("a fault on a skipped operator never fires");
+    let stats = res.pool.expect("pooled mode reports stats");
+    assert_eq!((stats.faults_injected, stats.cache_hits), (0, 1));
+
+    for (plan, victim) in [
+        (FaultPlan::new(seed).kill_worker("trim", 3), "trim"),
+        (FaultPlan::new(seed).kill_worker("keep", 3), "keep"),
+        (
+            FaultPlan::new(seed)
+                .kill_worker("scan", 5)
+                .kill_worker("trim", 3),
+            "trim",
+        ),
+    ] {
+        let what = plan.describe();
+        let err = edited_rerun(plan).expect_err(&what);
+        assert!(
+            err.to_string().contains(&format!("`{victim}`")),
+            "{what}: {err}"
+        );
+    }
 }

@@ -7,17 +7,20 @@
 //! panic. A parsed trace must also render (`render_timeline` indexes
 //! every sample by the first one's operators). The served/refused counts
 //! are pinned, so a decoder change that accepts or refuses different
-//! inputs shows up here.
+//! inputs shows up here. Each decoder also reads a valid input eight
+//! times the size in at most 32 times the time.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use scriptflow::core::OpFingerprint;
+use scriptflow::datakit::blockstore::decode_blocks;
 use scriptflow::datakit::codec::Json;
-use scriptflow::datakit::{DataType, Schema, Tuple, Value};
+use scriptflow::datakit::{BlockAppender, ColumnarBatch, DataType, Schema, Segment, Tuple, Value};
 use scriptflow::simcluster::{SimDuration, SplitMix64};
-use scriptflow::workflow::trace::{render_timeline, TraceJson};
+use scriptflow::workflow::trace::{render_timeline, ProgressTrace, TraceJson};
 use scriptflow::workflow::{spec, EngineConfig, ResultCache, SimExecutor};
 
 const SPEC: &str = r#"{
@@ -340,4 +343,103 @@ fn cache_manifests_open_or_miss_never_panic() {
     // counts are the segments' stored sizes: column-major blocks shrank
     // them and moved the mutated group from [990, 2 717, 111].
     assert_eq!(counts, [[3, 8, 1], [945, 2_545, 100], [204, 0, 218]]);
+}
+
+/// The fastest of five runs of `decode` on `input`.
+fn fastest<T>(input: &T, decode: &impl Fn(&T)) -> Duration {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            decode(input);
+            start.elapsed()
+        })
+        .min()
+        .expect("five runs")
+}
+
+/// `decode` reads `make(8 * n)` in at most 32 times the time it reads
+/// `make(n)`, each the fastest of five runs: a linear decoder reads 8, a
+/// quadratic one 64. `n` is chosen so that the small input takes several
+/// milliseconds in a debug build, well above the clock's noise.
+fn assert_linear<T>(what: &str, n: usize, make: impl Fn(usize) -> T, decode: impl Fn(&T)) {
+    let small = fastest(&make(n), &decode);
+    let large = fastest(&make(8 * n), &decode);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    println!("{what}: n = {n} in {small:?}, 8n in {large:?}, ratio {ratio:.1}");
+    assert!(
+        ratio <= 32.0,
+        "{what}: ratio {ratio:.1} for an input 8 times the size"
+    );
+}
+
+/// Every decoder that reads bytes from outside the process is linear in
+/// its input: a segment image (`Segment::decode` and its blocks), a
+/// progress trace, a workflow spec and a cache `MANIFEST`.
+#[test]
+fn decoders_read_eight_times_the_input_in_at_most_32_times_the_time() {
+    let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]);
+    let segment = |rows: usize| {
+        let mut app = BlockAppender::new();
+        for chunk in (0..rows as i64).collect::<Vec<_>>().chunks(1024) {
+            let values = chunk
+                .iter()
+                .map(|&k| vec![Value::Int(k * 7), format!("row {k}").into()])
+                .collect();
+            app.append(&ColumnarBatch::from_rows(schema.clone(), values).expect("rows conform"));
+        }
+        app.seal().encode()
+    };
+    assert_linear("segment", 20_000, segment, |image| {
+        let segment = Segment::decode(image).expect("a valid image");
+        decode_blocks(segment.blocks()).expect("valid blocks");
+    });
+
+    let sample = TraceJson::parse(&trace_document())
+        .expect("a valid trace")
+        .samples[0]
+        .clone();
+    let trace = |samples: usize| {
+        let trace = ProgressTrace {
+            samples: vec![sample.clone(); samples],
+        };
+        TraceJson::from_trace(&trace).to_string_compact()
+    };
+    assert_linear("trace", 200, trace, |text| {
+        TraceJson::parse(text).expect("a valid trace");
+    });
+
+    let spec = |rows: usize| {
+        let rows: Vec<String> = (0..rows).map(|k| format!("[{k}, \"r{k}\"]")).collect();
+        format!(
+            r#"{{"operators": [
+                {{"id": "scan", "type": "InlineScan", "schema": [["k", "Int"], ["s", "Str"]],
+                  "rows": [{}]}},
+                {{"id": "out", "type": "Sink"}}],
+              "links": [{{"from": "scan", "to": "out", "port": 0, "partition": "single"}}]}}"#,
+            rows.join(", ")
+        )
+    };
+    assert_linear("spec", 4_000, spec, |text| {
+        spec::parse(text).expect("a valid spec");
+    });
+
+    // Lines whose segment files are missing: each is parsed, then dropped
+    // when the open finds no file, as a stale index's would be.
+    let dir =
+        std::env::temp_dir().join(format!("scriptflow-linear-manifest-{}", std::process::id()));
+    let manifest = |lines: usize| {
+        let sub = dir.join(lines.to_string());
+        std::fs::create_dir_all(&sub).expect("store dir");
+        let mut text = String::from("scriptflow-cache v1\n");
+        for fp in 1..=lines {
+            text.push_str(&format!("{fp:032x} 25 1 400 10 alice\n"));
+        }
+        std::fs::write(sub.join("MANIFEST"), text).expect("write index");
+        sub
+    };
+    assert_linear("MANIFEST", 2_000, manifest, |sub| {
+        let cache = ResultCache::persistent(sub).expect("the directory opens");
+        assert_eq!(cache.entries(), 0);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }

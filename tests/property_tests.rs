@@ -571,14 +571,22 @@ fn schema_join_soundness() {
 /// How a property runs a freshly built DAG.
 type RunDag<'a> = &'a dyn Fn(&Workflow);
 
-/// A drawn DAG that holds both edge forms, run by `run` on a fresh build;
-/// the sorted rows of its three sinks. A sealed scan feeds a
-/// zone-map-eligible `cmp` filter whose batches fan out to a second `cmp`
-/// filter and to a hop — a closure filter or a UDF (the batch → row
-/// adapter), or a third `cmp` filter — whose rows or batches probe a
-/// join, which feeds its own sink and a grouped aggregate on a drawn
-/// `Int` or `Str` key.
-fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] {
+/// A drawn DAG that holds both edge forms, run by `run` on a fresh build
+/// (or on its edited copy); the sorted rows of its three sinks. A sealed
+/// scan feeds a zone-map-eligible `cmp` filter whose batches fan out to a
+/// second `cmp` filter and to a hop — a closure filter or a UDF (the
+/// batch → row adapter), or a third `cmp` filter — whose rows or batches
+/// probe a join, whose build side arrives hash-partitioned or broadcast,
+/// and which feeds its own sink and a grouped aggregate on a drawn `Int`
+/// or `Str` key.
+///
+/// The edit bumps `narrow`'s bound by one and makes `agg` sum `tag`
+/// instead of `id`, so a warm cache serves `filt` and `join` and the two
+/// edited operators recompute from their replays. Only declarative
+/// operators are edited: a closure filter or a UDF is fingerprinted by
+/// its name, so a cache rightly serves its old rows after an edit of
+/// what it captured.
+fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag, bool) -> [Vec<String>; 3] {
     use scriptflow::workflow::ops::UdfOp;
     let n = rng.range(1..300i64);
     let dim_keys = rng.range(1..12i64);
@@ -587,6 +595,8 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
     let hop_kind = rng.range(0..3usize);
     let group_by = ["k", "label"][rng.range(0..2usize)];
     let workers = rng.range(1..4usize);
+    let by_k = PartitionStrategy::Hash(vec!["k".into()]);
+    let dims_edge = [by_k.clone(), PartitionStrategy::Broadcast][rng.range(0..2usize)].clone();
     let fact_schema = Schema::of(&[("id", DataType::Int), ("k", DataType::Int)]);
     let facts = Batch::from_rows(
         fact_schema.clone(),
@@ -607,7 +617,7 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
             .collect(),
     )
     .unwrap();
-    move |run| {
+    move |run, edited| {
         let mut b = WorkflowBuilder::new();
         let fsrc = b.add(Arc::new(ScanOp::new("facts", facts.clone())), workers);
         let dsrc = b.add(Arc::new(ScanOp::new("dims", dims.clone())), 1);
@@ -615,7 +625,7 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
             Arc::new(FilterOp::cmp(name, "id", CmpOp::Lt, Value::Int(bound)))
         };
         let filt = b.add(lt("filt", threshold), workers);
-        let narrow = b.add(lt("narrow", threshold / 2), workers);
+        let narrow = b.add(lt("narrow", threshold / 2 + i64::from(edited)), workers);
         let keep = move |t: &Tuple| t.get_int("id").map(|id| id % modulus != 0);
         let hop: Arc<dyn OperatorFactory> = match hop_kind {
             0 => {
@@ -634,7 +644,8 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
         let hop = b.add(hop, workers);
         let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), workers);
         // Sums of small integers: exact whatever order a backend adds in.
-        let aggs = vec![AggFn::Count("n".into()), AggFn::Sum("id".into())];
+        let summed = if edited { "tag" } else { "id" };
+        let aggs = vec![AggFn::Count("n".into()), AggFn::Sum(summed.into())];
         let agg = b.add(
             Arc::new(AggregateOp::new("agg", &[group_by], aggs)),
             workers,
@@ -642,12 +653,11 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
         let sinks = ["sink", "narrow_sink", "agg_sink"].map(SinkOp::new);
         let handles = [0, 1, 2].map(|i| sinks[i].handle());
         let [sink, narrow_sink, agg_sink] = sinks.map(|op| b.add(Arc::new(op), 1));
-        let by_k = PartitionStrategy::Hash(vec!["k".into()]);
         b.connect(fsrc, filt, 0, PartitionStrategy::RoundRobin);
         b.connect(filt, narrow, 0, PartitionStrategy::RoundRobin);
         b.connect(filt, hop, 0, PartitionStrategy::RoundRobin);
-        b.connect(dsrc, join, 0, by_k.clone());
-        b.connect(hop, join, 1, by_k);
+        b.connect(dsrc, join, 0, dims_edge.clone());
+        b.connect(hop, join, 1, by_k.clone());
         b.connect(join, sink, 0, PartitionStrategy::Single);
         b.connect(join, agg, 0, PartitionStrategy::Hash(vec![group_by.into()]));
         b.connect(agg, agg_sink, 0, PartitionStrategy::Single);
@@ -661,13 +671,15 @@ fn random_join_dag(rng: &mut SplitMix64) -> impl Fn(RunDag) -> [Vec<String>; 3] 
     }
 }
 
-/// The result cache a drawn configuration runs on: none, a fresh one, or
-/// a fresh one the same DAG has already run through.
+/// The result cache a drawn configuration runs on: none, a fresh one, a
+/// fresh one the same DAG has already run through, or one the DAG has run
+/// through before it was edited.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CacheState {
     None,
     Cold,
     Warm,
+    Edited,
 }
 
 /// One drawn engine configuration.
@@ -675,6 +687,8 @@ enum CacheState {
 struct Config {
     /// The pool's (batch size, mailbox capacity, width); `None` is the sim.
     pool: Option<(usize, usize, usize)>,
+    /// On the sim only: its `pipelining` and `columnar` ablation modes.
+    sim_modes: (bool, bool),
     budget: Option<usize>,
     cache: CacheState,
     /// On the pool only: a fault a retry budget must absorb.
@@ -686,8 +700,17 @@ impl Config {
         let pool = rng
             .bool(0.75)
             .then(|| (rng.range(1..65), rng.range(1..9), rng.range(1..6)));
+        let sim_modes = match pool {
+            None => (rng.bool(0.5), rng.bool(0.5)),
+            Some(_) => (true, false),
+        };
         let budget = rng.bool(0.5).then_some(1 << 10);
-        let cache = [CacheState::None, CacheState::Cold, CacheState::Warm][rng.range(0..3usize)];
+        let cache = [
+            CacheState::None,
+            CacheState::Cold,
+            CacheState::Warm,
+            CacheState::Edited,
+        ][rng.range(0..4usize)];
         // Any operator of `random_join_dag` but a sink.
         let victims = ["facts", "dims", "filt", "narrow", "hop", "join", "agg"];
         let (victim, at) = (victims[rng.range(0..7usize)], rng.range(1..100u64));
@@ -698,6 +721,7 @@ impl Config {
         };
         Config {
             pool,
+            sim_modes,
             budget,
             cache,
             fault,
@@ -709,6 +733,8 @@ impl Config {
     fn run(&self, wf: &Workflow, cache: Option<&Arc<ResultCache>>, armed: bool) -> EngineRun {
         let result = match self.pool {
             None => SimExecutor::new(EngineConfig {
+                pipelining: self.sim_modes.0,
+                columnar: self.sim_modes.1,
                 memory_budget: self.budget,
                 result_cache: cache.cloned(),
                 ..EngineConfig::default()
@@ -736,43 +762,58 @@ impl Config {
 }
 
 /// One oracle for every configuration: on random filter/join DAGs that
-/// hold both edge forms, each drawn configuration — the simulator, or the
-/// pool at any batch size, mailbox capacity and width; with or without a
-/// 1 KiB memory budget; without a cache, on a cold one or a warm one; and
-/// on the pool, a panic or a killed worker on any operator but a sink,
-/// under a retry budget — fills all three sinks with the reference
-/// interpreter's rows.
+/// hold both edge forms, each drawn configuration — the simulator with
+/// pipelining on or off and on the row or the columnar path, or the pool
+/// at any batch size, mailbox capacity and width; with or without a 1 KiB
+/// memory budget; without a cache, on a cold one, a warm one, or one
+/// warmed before the DAG was edited; and on the pool, a panic or a killed
+/// worker on any operator but a sink, under a retry budget — fills all
+/// three sinks with the reference interpreter's rows of the DAG it runs.
 #[test]
 fn every_configuration_matches_the_reference_on_random_dags() {
-    // Retries, cache hits and spilled blocks over all checked runs: the
-    // draws must reach the paths they name.
-    let reached = std::cell::Cell::new([0u64; 3]);
-    let tally = |run: EngineRun| {
-        let [retries, hits, spills] = reached.get();
+    // What the checked runs reached, by path: each path the draw names
+    // must be taken at least once.
+    let reached = std::cell::RefCell::new(std::collections::BTreeMap::new());
+    let tally = |config: &Config, run: EngineRun| {
         let counters = run.counters();
-        reached.set([
-            retries + run.metrics.sched_totals().retries_attempted,
-            hits + counters.cache_hits,
-            spills + counters.spilled_blocks,
-        ]);
+        let (hits, spills) = (counters.cache_hits, counters.spilled_blocks);
+        // 1 where the run is of that kind, else 0.
+        let edited = u64::from(config.cache == CacheState::Edited);
+        let sim = u64::from(config.pool.is_none());
+        for (path, n) in [
+            ("retries", run.metrics.sched_totals().retries_attempted),
+            ("cache hits", hits),
+            ("spilled blocks", spills),
+            ("edited cache hits", edited * hits),
+            ("edited spilled blocks", edited * spills),
+            ("unpipelined sim runs", sim * u64::from(!config.sim_modes.0)),
+            ("columnar sim runs", sim * u64::from(config.sim_modes.1)),
+        ] {
+            *reached.borrow_mut().entry(path).or_insert(0) += n;
+        }
     };
     for_seeds(LIVE_CASES, |rng| {
         let rows_of = random_join_dag(rng);
-        let want = rows_of(&|wf| drop(LiveExecutor::thread_per_worker(1).run(wf).unwrap()));
+        let reference = |wf: &Workflow| drop(LiveExecutor::thread_per_worker(1).run(wf).unwrap());
+        let want = [false, true].map(|edited| rows_of(&reference, edited));
         for _ in 0..6 {
             let config = Config::draw(rng);
             let cache = (config.cache != CacheState::None).then(|| Arc::new(ResultCache::new()));
-            if config.cache == CacheState::Warm {
-                let warm_up = rows_of(&|wf| drop(config.run(wf, cache.as_ref(), false)));
-                assert_eq!(warm_up, want, "warm-up of {config:?}");
+            if matches!(config.cache, CacheState::Warm | CacheState::Edited) {
+                let warm_up = rows_of(&|wf| drop(config.run(wf, cache.as_ref(), false)), false);
+                assert_eq!(warm_up, want[0], "warm-up of {config:?}");
             }
-            let got = rows_of(&|wf| tally(config.run(wf, cache.as_ref(), true)));
-            assert_eq!(got, want, "{config:?}");
+            let edited = config.cache == CacheState::Edited;
+            let got = rows_of(
+                &|wf| tally(&config, config.run(wf, cache.as_ref(), true)),
+                edited,
+            );
+            assert_eq!(got, want[usize::from(edited)], "{config:?}");
         }
     });
-    let [retries, hits, spills] = reached.get();
-    println!("retries {retries}, cache hits {hits}, spilled blocks {spills}");
-    assert!(retries > 0 && hits > 0 && spills > 0);
+    let reached = reached.into_inner();
+    println!("{reached:?}");
+    assert!(reached.values().all(|&n| n > 0), "{reached:?}");
 }
 
 /// The pool-scheduled live executor computes exactly what the simulator
@@ -798,7 +839,8 @@ fn pool_agrees_with(oracle: impl Fn(&Workflow)) {
         let pool = LiveExecutor::new(rng.range(1..64usize))
             .with_channel_capacity(rng.range(1..8usize))
             .with_pool_size(rng.range(1..5usize));
-        assert_eq!(rows_of(&oracle), rows_of(&|wf| drop(pool.run(wf).unwrap())));
+        let want = rows_of(&oracle, false);
+        assert_eq!(want, rows_of(&|wf| drop(pool.run(wf).unwrap()), false));
     });
 }
 
