@@ -26,6 +26,7 @@ use std::io::Write;
 use std::path::{Component, Path};
 use std::process::ExitCode;
 
+use scriptflow_bench::doc::{get, median, number, text};
 use scriptflow_datakit::codec::Json;
 
 const USAGE: &str = "usage: bench_history [--input FILE] [--history FILE] [--label TEXT]";
@@ -61,29 +62,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         ));
     }
     Ok(args)
-}
-
-/// Field `key` of a JSON object.
-fn get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn text<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match get(doc, key) {
-        Some(Json::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn number(doc: &Json, key: &str) -> Option<f64> {
-    match get(doc, key) {
-        Some(Json::Float(x)) => Some(*x),
-        Some(Json::Int(i)) => Some(*i as f64),
-        _ => None,
-    }
 }
 
 fn fields(doc: Option<&Json>) -> &[(String, Json)] {
@@ -124,17 +102,6 @@ const SPILL_CACHE_LEGS: [&str; 6] = [
     "edited",
     "evicting",
 ];
-
-/// Median of a non-empty sample.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
-}
 
 /// `{leg: {unit, median, n}}` over a traced `spill_cache` run's passes:
 /// each `bench.pass` span's `workflow.exec_live.run` children, in start

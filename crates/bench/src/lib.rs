@@ -58,6 +58,61 @@ pub mod backend {
     }
 }
 
+pub mod doc {
+    //! Reading benchmark result documents: field access on a parsed
+    //! [`Json`] and the order statistics the benchmark stamps on them.
+
+    use scriptflow_datakit::codec::Json;
+
+    /// Field `key` of a JSON object.
+    pub fn get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+        match doc {
+            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// String field `key` of a JSON object.
+    pub fn text<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
+        match get(doc, key) {
+            Some(Json::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Numeric field `key` of a JSON object.
+    pub fn number(doc: &Json, key: &str) -> Option<f64> {
+        match get(doc, key) {
+            Some(Json::Float(x)) => Some(*x),
+            Some(Json::Int(i)) => Some(*i as f64),
+            _ => None,
+        }
+    }
+
+    /// `(q1, median, q3)` of a non-empty sample, as Python's
+    /// `statistics.quantiles(xs, n=4)` cuts it (the benchmark's own
+    /// rule); a single sample is all three.
+    pub fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
+        assert!(!xs.is_empty(), "quartiles of no samples");
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        if n == 1 {
+            return (xs[0], xs[0], xs[0]);
+        }
+        let cut = |i: usize| {
+            let j = (i * (n + 1) / 4).clamp(1, n - 1);
+            let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+            (xs[j - 1] * (4.0 - delta) + xs[j] * delta) / 4.0
+        };
+        (cut(1), cut(2), cut(3))
+    }
+
+    /// Median of a non-empty sample.
+    pub fn median(xs: Vec<f64>) -> f64 {
+        quartiles(xs).1
+    }
+}
+
 /// Render one experiment's measured-vs-paper pair as a text block.
 pub fn render_side_by_side(meta: &ExperimentMeta, measured: &Artifact, paper: &Artifact) -> String {
     format!(
@@ -87,6 +142,18 @@ mod tests {
         );
         assert!(backend::parse_backend_flag(&args(&["--backend", "bogus"])).is_err());
         assert!(backend::parse_backend_flag(&args(&["--backend"])).is_err());
+    }
+
+    #[test]
+    fn quartiles_cut_as_the_benchmark_does() {
+        use doc::{median, quartiles};
+        assert_eq!(quartiles(vec![4.0]), (4.0, 4.0, 4.0));
+        // Two samples extrapolate, as Python does: [0.5, 2.0, 3.5].
+        assert_eq!(quartiles(vec![3.0, 1.0]), (0.5, 2.0, 3.5));
+        // statistics.quantiles([1..=10], n=4) == [2.75, 5.5, 8.25]
+        let ten: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        assert_eq!(quartiles(ten), (2.75, 5.5, 8.25));
+        assert_eq!(median(vec![5.0, 1.0, 3.0]), 3.0);
     }
 
     #[test]

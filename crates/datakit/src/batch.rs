@@ -180,8 +180,8 @@ impl SharedBatch {
         }
     }
 
-    /// Wrap a sealed columnar batch (no copy): its statistics travel
-    /// with it to every consumer.
+    /// Wrap a sealed columnar batch (no copy): every consumer reads the
+    /// same columns, and computes the same statistics from them.
     pub fn from_columnar(batch: ColumnarBatch) -> Self {
         SharedBatch {
             payload: SharedPayload::Columnar(batch),

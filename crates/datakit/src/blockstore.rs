@@ -395,11 +395,7 @@ impl CompressedBlock {
         let raw_bytes = (0..arity)
             .map(|j| encode_column(batch.column(j), rows.clone(), &mut data))
             .sum();
-        let stats = if rows == (0..batch.len()) {
-            batch.stats().clone()
-        } else {
-            batch.stats_over(rows.clone())
-        };
+        let stats = batch.stats_over(rows.clone());
         CompressedBlock {
             schema: batch.schema().clone(),
             rows: rows.len(),
@@ -409,8 +405,8 @@ impl CompressedBlock {
         }
     }
 
-    /// Decode back into a columnar batch (statistics are re-sealed from
-    /// the decoded columns and match the header).
+    /// Decode back into a columnar batch (its statistics, computed from
+    /// the decoded columns when read, match the header).
     pub fn decode(&self) -> DataResult<ColumnarBatch> {
         decode_blocks(std::slice::from_ref(self))
     }
@@ -1311,7 +1307,7 @@ mod tests {
         assert_eq!(block.rows(), 3);
         let decoded = block.decode().unwrap();
         assert_eq!(decoded.to_rows(), b.to_rows());
-        assert_eq!(decoded.stats(), block.stats());
+        assert_eq!(decoded.stats(), *block.stats());
     }
 
     #[test]
@@ -1510,7 +1506,7 @@ mod tests {
             let back = block.decode().unwrap();
             assert_eq!(encode_boxed(&back), want);
             assert_eq!(back.stats(), b.stats());
-            assert_eq!(back.stats(), block.stats());
+            assert_eq!(back.stats(), *block.stats());
             assert_eq!(decode_boxed(&block).unwrap().stats(), back.stats());
         }
         let b = every_type();

@@ -5,8 +5,11 @@
 //! predicates, join key extraction, aggregate kernels) pays a dynamic
 //! `Value` match per cell. [`ColumnarBatch`] stores the same data as one
 //! typed vector per column ([`ColumnVec`]) plus a validity bitmap for
-//! nulls, and seals per-column min/max/null-count statistics
-//! ([`ColStats`]) exactly once at construction time. Operators can then:
+//! nulls. Per-column min/max/null-count statistics ([`ColStats`]) are
+//! computed when a consumer asks for a column's
+//! ([`ColumnarBatch::column_stats`]), not at construction; the columns
+//! never change after construction, so a zone map computed later
+//! describes them as well as one computed at once. Operators can then:
 //!
 //! 1. consult the zone map ([`ColStats::range_excludes`]) and skip whole
 //!    batches whose min/max range cannot satisfy a predicate, and
@@ -501,9 +504,10 @@ impl ColumnVec {
         }
     }
 
-    /// Seal the per-column statistics of `rows`: min/max over the valid
-    /// ones plus the null count — what [`ColumnVec::take`] of those rows
-    /// would seal. Computed once per built batch or stored block.
+    /// The per-column statistics of `rows`: min/max over the valid ones
+    /// plus the null count — what [`ColumnarBatch::column_stats`] of
+    /// [`ColumnVec::take`] of those rows returns. Computed once per stored
+    /// block, and each time a consumer asks about a batch column.
     fn stats_over(&self, rows: Range<usize>) -> ColStats {
         /// Smallest and largest valid cell, boxed.
         fn range<T: Copy>(
@@ -641,7 +645,7 @@ pub fn cmp_value(value: &Value, op: CmpOp, literal: &Value) -> bool {
     cmp_values(value, literal).is_some_and(|ord| op.eval(ord))
 }
 
-/// Per-column statistics sealed when a [`ColumnarBatch`] is built.
+/// Per-column statistics of a [`ColumnarBatch`], computed when read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColStats {
     /// Smallest valid value, `None` when the column has no orderable
@@ -719,27 +723,20 @@ impl BatchStats {
     }
 }
 
-/// A schema-homogeneous group of rows in columnar layout, with sealed
-/// per-column statistics.
+/// A schema-homogeneous group of rows in columnar layout, with
+/// per-column statistics computed on demand.
 ///
 /// This is the zero-copy payload the live executor routes along DAG
 /// edges when columnar mode is on; operators with columnar kernels
 /// consume it directly, everything else falls back to
-/// [`ColumnarBatch::to_tuples`]. The columns and their statistics are
-/// immutable once sealed and sit behind one `Arc`, so cloning a batch —
-/// an operator passing its input through, a broadcast edge — is a
-/// reference-count bump.
+/// [`ColumnarBatch::to_tuples`]. The columns are immutable once sealed
+/// and sit behind one `Arc`, so cloning a batch — an operator passing
+/// its input through, a broadcast edge — is a reference-count bump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBatch {
     schema: SchemaRef,
-    sealed: Arc<Sealed>,
+    columns: Arc<Vec<ColumnVec>>,
     len: usize,
-}
-
-#[derive(Debug, PartialEq)]
-struct Sealed {
-    columns: Vec<ColumnVec>,
-    stats: BatchStats,
 }
 
 impl ColumnarBatch {
@@ -796,8 +793,8 @@ impl ColumnarBatch {
     /// (gathered with [`ColumnVec::take`], built with
     /// [`ColumnVec::from_cells`]) instead of rows. Checks the column
     /// count, that every column holds the same number of rows, and each
-    /// column's representation against its field's type; the statistics
-    /// are sealed here, once, as in every constructor.
+    /// column's representation against its field's type. As in every
+    /// constructor, no statistics are computed here.
     pub fn from_columns(schema: SchemaRef, columns: Vec<ColumnVec>) -> DataResult<Self> {
         if columns.len() != schema.arity() {
             return Err(DataError::ArityMismatch {
@@ -830,27 +827,19 @@ impl ColumnarBatch {
     }
 
     pub(crate) fn seal(schema: SchemaRef, columns: Vec<ColumnVec>, len: usize) -> Self {
-        let stats = BatchStats {
-            columns: columns.iter().map(|c| c.stats_over(0..len)).collect(),
-        };
         ColumnarBatch {
             schema,
-            sealed: Arc::new(Sealed { columns, stats }),
+            columns: Arc::new(columns),
             len,
         }
     }
 
     /// Gather the rows at `indices`, in that order, into a new batch whose
-    /// statistics are re-sealed over exactly those rows — the batch
+    /// statistics, when read, cover exactly those rows — the batch
     /// [`ColumnarBatch::from_tuples`] would build from the same rows,
     /// without materializing them.
     pub fn take(&self, indices: &[u32]) -> ColumnarBatch {
-        let columns = self
-            .sealed
-            .columns
-            .iter()
-            .map(|c| c.take(indices))
-            .collect();
+        let columns = self.columns.iter().map(|c| c.take(indices)).collect();
         Self::seal(self.schema.clone(), columns, indices.len())
     }
 
@@ -871,10 +860,10 @@ impl ColumnarBatch {
         }))
     }
 
-    /// The statistics [`ColumnarBatch::take`] of `rows` would seal,
+    /// The statistics [`ColumnarBatch::take`] of `rows` would report,
     /// computed in place.
     pub(crate) fn stats_over(&self, rows: Range<usize>) -> BatchStats {
-        let columns = self.sealed.columns.iter();
+        let columns = self.columns.iter();
         BatchStats {
             columns: columns.map(|c| c.stats_over(rows.clone())).collect(),
         }
@@ -885,14 +874,20 @@ impl ColumnarBatch {
         &self.schema
     }
 
-    /// The sealed statistics.
-    pub fn stats(&self) -> &BatchStats {
-        &self.sealed.stats
+    /// Statistics of column `i` over the whole batch, computed on each
+    /// call: a reader asks for the one column it prunes on, once a batch.
+    pub fn column_stats(&self, i: usize) -> ColStats {
+        self.columns[i].stats_over(0..self.len)
+    }
+
+    /// Statistics of every column.
+    pub fn stats(&self) -> BatchStats {
+        self.stats_over(0..self.len)
     }
 
     /// Column `i` in schema order.
     pub fn column(&self, i: usize) -> &ColumnVec {
-        &self.sealed.columns[i]
+        &self.columns[i]
     }
 
     /// Number of rows.
@@ -907,12 +902,12 @@ impl ColumnarBatch {
 
     /// Live references to the sealed columns (diagnostics).
     pub(crate) fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.sealed)
+        Arc::strong_count(&self.columns)
     }
 
     /// Materialize row `i` as a [`Tuple`] (schema shared, not cloned).
     pub fn tuple_at(&self, i: usize) -> Tuple {
-        let values = self.sealed.columns.iter().map(|c| c.value_at(i));
+        let values = self.columns.iter().map(|c| c.value_at(i));
         Tuple::collect_unchecked(self.schema.clone(), values)
     }
 
@@ -921,7 +916,7 @@ impl ColumnarBatch {
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         let arity = self.schema.arity();
         let mut rows: Vec<Vec<Value>> = (0..self.len).map(|_| Vec::with_capacity(arity)).collect();
-        for col in &self.sealed.columns {
+        for col in self.columns.iter() {
             col.append_to(&mut rows);
         }
         rows
@@ -948,6 +943,7 @@ impl ColumnarBatch {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use scriptflow_simcluster::SplitMix64;
 
     fn schema() -> SchemaRef {
         Schema::of(&[
@@ -994,15 +990,15 @@ mod tests {
     #[test]
     fn stats_sealed_at_construction() {
         let cb = ColumnarBatch::from_rows(schema(), rows()).unwrap();
-        let id = cb.stats().column(0);
+        let id = cb.column_stats(0);
         assert_eq!(id.min, Some(Value::Int(1)));
         assert_eq!(id.max, Some(Value::Int(7)));
         assert_eq!(id.null_count, 0);
-        let name = cb.stats().column(1);
+        let name = cb.column_stats(1);
         assert_eq!(name.min, Some(Value::Str("a".into())));
         assert_eq!(name.max, Some(Value::Str("c".into())));
         assert_eq!(name.null_count, 1);
-        let score = cb.stats().column(2);
+        let score = cb.column_stats(2);
         assert_eq!(score.min, Some(Value::Float(0.5)));
         assert_eq!(score.max, Some(Value::Float(2.5)));
         assert_eq!(score.null_count, 1);
@@ -1016,7 +1012,7 @@ mod tests {
             vec![vec![Value::Float(1.0)], vec![Value::Float(f64::NAN)]],
         )
         .unwrap();
-        let st = cb.stats().column(0);
+        let st = cb.column_stats(0);
         assert_eq!(st.min, None);
         assert_eq!(st.max, None);
         assert!(!st.range_excludes(CmpOp::Gt, &Value::Float(100.0)));
@@ -1026,7 +1022,7 @@ mod tests {
     fn zone_map_excludes_and_satisfies() {
         // id in [1, 7]
         let cb = ColumnarBatch::from_rows(schema(), rows()).unwrap();
-        let id = cb.stats().column(0);
+        let id = cb.column_stats(0);
         assert!(id.range_excludes(CmpOp::Gt, &Value::Int(10)));
         assert!(id.range_excludes(CmpOp::Lt, &Value::Int(1)));
         assert!(id.range_excludes(CmpOp::Eq, &Value::Int(0)));
@@ -1037,7 +1033,7 @@ mod tests {
         assert!(id.range_satisfies(CmpOp::Ne, &Value::Int(100)));
         assert!(!id.range_satisfies(CmpOp::Gt, &Value::Int(1)));
         // A nullable column never blanket-satisfies.
-        let name = cb.stats().column(1);
+        let name = cb.column_stats(1);
         assert!(!name.range_satisfies(CmpOp::Ge, &Value::Str("a".into())));
     }
 
@@ -1046,14 +1042,8 @@ mod tests {
         let s = Schema::of(&[("x", DataType::Int)]);
         let cb =
             ColumnarBatch::from_rows(s, vec![vec![Value::Int(4)], vec![Value::Int(4)]]).unwrap();
-        assert!(cb
-            .stats()
-            .column(0)
-            .range_excludes(CmpOp::Ne, &Value::Int(4)));
-        assert!(!cb
-            .stats()
-            .column(0)
-            .range_excludes(CmpOp::Ne, &Value::Int(5)));
+        assert!(cb.column_stats(0).range_excludes(CmpOp::Ne, &Value::Int(4)));
+        assert!(!cb.column_stats(0).range_excludes(CmpOp::Ne, &Value::Int(5)));
     }
 
     #[test]
@@ -1120,8 +1110,8 @@ mod tests {
         ];
         let cb = ColumnarBatch::from_rows(s.clone(), rows.clone()).unwrap();
         assert_eq!(cb.to_rows(), rows);
-        assert_eq!(cb.stats().column(0).null_count, 2);
-        assert_eq!(cb.stats().column(0).min, Some(Value::Str(String::new())));
+        assert_eq!(cb.column_stats(0).null_count, 2);
+        assert_eq!(cb.column_stats(0).min, Some(Value::Str(String::new())));
         let none = ColumnarBatch::from_rows(s, vec![]).unwrap();
         assert!(none.to_tuples().is_empty());
         assert!(none.take(&[]).is_empty());
@@ -1217,7 +1207,7 @@ mod tests {
             ColumnarBatch::from_columns(s.clone(), (0..3).map(column).collect()).unwrap();
         assert_eq!(by_columns, by_rows);
         assert_eq!(by_columns.stats(), by_rows.stats());
-        // Gathered columns seal over exactly the gathered rows.
+        // Gathered columns hold exactly the gathered rows.
         let gathered = (0..3).map(|j| by_rows.column(j).take(&[1, 1])).collect();
         let twice = ColumnarBatch::from_columns(s.clone(), gathered).unwrap();
         assert_eq!(twice, by_rows.take(&[1, 1]));
@@ -1303,15 +1293,92 @@ mod tests {
         let rows = vec![vec![Value::List(vec![Value::Int(1)])], vec![Value::Null]];
         let cb = ColumnarBatch::from_rows(s, rows.clone()).unwrap();
         assert_eq!(cb.to_rows(), rows);
-        assert_eq!(cb.stats().column(0).null_count, 1);
-        assert_eq!(cb.stats().column(0).min, None);
+        assert_eq!(cb.column_stats(0).null_count, 1);
+        assert_eq!(cb.column_stats(0).min, None);
     }
 
     #[test]
     fn empty_batch() {
         let cb = ColumnarBatch::from_rows(schema(), vec![]).unwrap();
         assert!(cb.is_empty());
-        assert_eq!(cb.stats().column(0).min, None);
+        assert_eq!(cb.column_stats(0).min, None);
         assert!(cb.to_rows().is_empty());
+    }
+
+    /// A random batch of every column type: nulls throughout, NaN and
+    /// `-0.0` floats, multibyte strings, and boxed (`Mixed`) columns. Each
+    /// length 0 and 1 comes up often.
+    fn random_batch(rng: &mut SplitMix64) -> ColumnarBatch {
+        let s = Schema::of(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("b", DataType::Bool),
+            ("s", DataType::Str),
+            ("y", DataType::Bytes),
+            ("l", DataType::List),
+            ("n", DataType::Null),
+        ]);
+        let len = match rng.range(0..4usize) {
+            0 => 0,
+            1 => 1,
+            _ => rng.range(2..90usize),
+        };
+        let null_share = [0.0, 0.3, 1.0][rng.range(0..3usize)];
+        let rows = (0..len)
+            .map(|_| {
+                let cells = [
+                    Value::Int(rng.range(-50..50i64)),
+                    Value::Float(match rng.range(0..8usize) {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        _ => rng.range(-400..400i64) as f64 * 0.25,
+                    }),
+                    Value::Bool(rng.bool(0.5)),
+                    Value::Str(["", "a", "é", "zz", "ab"][rng.range(0..5usize)].to_owned()),
+                    Value::Bytes(vec![rng.range(0..4usize) as u8].into()),
+                    Value::List(vec![Value::Int(rng.range(0..3i64))]),
+                    Value::Null,
+                ];
+                let keep = |v: Value, rng: &mut SplitMix64| {
+                    if rng.bool(null_share) {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                cells.into_iter().map(|v| keep(v, rng)).collect()
+            })
+            .collect();
+        ColumnarBatch::from_rows(s, rows).unwrap()
+    }
+
+    /// Statistics agree however a batch with the same rows was built —
+    /// gathered with `take` or rebuilt from the gathered tuples — and
+    /// `stats_over` of a range in place is what `take` of that range
+    /// reports.
+    #[test]
+    fn statistics_agree_across_constructors_and_ranges() {
+        let mut rng = SplitMix64::new(0x057A_75ED);
+        for case in 0..300 {
+            let cb = random_batch(&mut rng);
+            // Repeats and every order; an empty batch has nothing to pick.
+            let picked = if cb.is_empty() {
+                0
+            } else {
+                rng.range(0..cb.len() + 2)
+            };
+            let indices: Vec<u32> = (0..picked).map(|_| rng.range(0..cb.len()) as u32).collect();
+            let taken = cb.take(&indices);
+            let by_tuples = ColumnarBatch::from_tuples(cb.schema().clone(), &taken.to_tuples());
+            assert_eq!(by_tuples.stats(), taken.stats(), "case {case} take");
+            let start = rng.range(0..cb.len() + 1);
+            let end = rng.range(start..cb.len() + 1);
+            let range: Vec<u32> = (start as u32..end as u32).collect();
+            assert_eq!(
+                cb.stats_over(start..end),
+                cb.take(&range).stats(),
+                "case {case} rows {start}..{end}"
+            );
+        }
     }
 }

@@ -199,7 +199,7 @@ impl HashJoinInstance {
         let BuildKeyRange::Range(build_min, build_max) = &self.build_key_range else {
             return false;
         };
-        let stats = batch.stats().column(key_idx);
+        let stats = batch.column_stats(key_idx);
         if self.build_has_null_key && stats.null_count > 0 {
             return false;
         }
@@ -528,12 +528,12 @@ impl Operator for HashJoinInstance {
 }
 
 impl HashJoinInstance {
-    /// The build kernel: fold the batch's key range from its sealed stats
-    /// and key every row straight off column `idx` into the one build
+    /// The build kernel: fold the batch's key range from the key column's
+    /// statistics and key every row straight off column `idx` into the one build
     /// table `on_tuple` fills.
     fn build_batch(&mut self, batch: &ColumnarBatch, idx: usize) -> WorkflowResult<()> {
         // One comparison pair per batch instead of one per build row.
-        let stats = batch.stats().column(idx);
+        let stats = batch.column_stats(idx);
         if stats.null_count > 0 {
             self.build_has_null_key = true;
         }

@@ -162,7 +162,7 @@ impl Operator for FilterInstance {
             .schema()
             .index_of(&cmp.column)
             .map_err(|e| WorkflowError::from_data(&self.name, e))?;
-        let stats = batch.stats().column(idx);
+        let stats = batch.column_stats(idx);
         if stats.range_excludes(cmp.op, &cmp.literal) {
             // Zone map proves no row matches: prune the whole batch.
             out.note_batch_skipped();

@@ -16,6 +16,8 @@ use crate::operator::{
 };
 use crate::spill::{read_block, seal_run, tuple_footprint};
 
+use super::{resolve_columns, ResolvedColumns};
+
 /// Sort direction for one key column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortOrder {
@@ -89,11 +91,10 @@ fn compare_values(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-fn compare_by_keys(keys: &[(String, SortOrder)], a: &Tuple, b: &Tuple) -> Ordering {
-    for (k, order) in keys {
-        let av = a.get(k).expect("validated on ingest");
-        let bv = b.get(k).expect("validated on ingest");
-        let mut ord = compare_values(av, bv);
+/// Compare two rows on the key columns at `columns`, in order.
+fn compare_by_keys(columns: &[usize], orders: &[SortOrder], a: &Tuple, b: &Tuple) -> Ordering {
+    for (&j, order) in columns.iter().zip(orders) {
+        let mut ord = compare_values(a.at(j), b.at(j));
         if *order == SortOrder::Descending {
             ord = ord.reverse();
         }
@@ -154,7 +155,12 @@ impl RunCursor {
 
 struct SortInstance {
     name: String,
-    keys: Vec<(String, SortOrder)>,
+    key_names: Vec<String>,
+    orders: Vec<SortOrder>,
+    /// The key columns' indices, resolved on the first tuple. Every
+    /// tuple on the port has the port's layout, and a spilled run keeps
+    /// the layout it was sealed with, so one resolution orders them all.
+    key_columns: ResolvedColumns,
     buffer: Vec<Tuple>,
     buffer_bytes: usize,
     budget: Option<usize>,
@@ -163,9 +169,17 @@ struct SortInstance {
 }
 
 impl SortInstance {
+    /// The resolved key columns; empty before the first tuple.
+    fn key_columns(&self) -> &[usize] {
+        self.key_columns
+            .as_ref()
+            .map_or(&[], |(_, columns)| columns)
+    }
+
     fn sort_buffer(&mut self) {
-        let keys = self.keys.clone();
-        self.buffer.sort_by(|a, b| compare_by_keys(&keys, a, b));
+        let mut buffer = std::mem::take(&mut self.buffer);
+        buffer.sort_by(|a, b| compare_by_keys(self.key_columns(), &self.orders, a, b));
+        self.buffer = buffer;
     }
 
     /// Sort the buffer and seal it to the block store as one run.
@@ -196,11 +210,8 @@ impl Operator for SortInstance {
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
         // Validate key columns exist up front (operator-level error).
-        for (k, _) in &self.keys {
-            tuple
-                .get(k)
-                .map_err(|e| WorkflowError::from_data(&self.name, e))?;
-        }
+        resolve_columns(&mut self.key_columns, tuple.schema(), &self.key_names)
+            .map_err(|e| WorkflowError::from_data(&self.name, e))?;
         self.buffer_bytes += tuple_footprint(&tuple);
         self.buffer.push(tuple);
         if let Some(budget) = self.budget {
@@ -221,12 +232,11 @@ impl Operator for SortInstance {
         // K-way merge of the sealed runs plus the final in-memory run.
         let mut cursors: Vec<RunCursor> = self.runs.drain(..).map(RunCursor::spilled).collect();
         cursors.push(RunCursor::in_memory(std::mem::take(&mut self.buffer)));
-        let keys = self.keys.clone();
-        let name = self.name.clone();
+        let (columns, name) = (self.key_columns(), &self.name);
         loop {
             let mut best: Option<usize> = None;
             for i in 0..cursors.len() {
-                if cursors[i].peek(&name, out)?.is_none() {
+                if cursors[i].peek(name, out)?.is_none() {
                     continue;
                 }
                 best = Some(match best {
@@ -236,7 +246,7 @@ impl Operator for SortInstance {
                         // into the decoded buffers is safe here.
                         let a = &cursors[i].current[cursors[i].pos];
                         let b = &cursors[j].current[cursors[j].pos];
-                        if compare_by_keys(&keys, a, b) == Ordering::Less {
+                        if compare_by_keys(columns, &self.orders, a, b) == Ordering::Less {
                             i
                         } else {
                             j
@@ -271,7 +281,9 @@ impl OperatorFactory for SortOp {
     fn create(&self) -> Box<dyn Operator> {
         Box::new(SortInstance {
             name: self.desc.name.clone(),
-            keys: self.keys.clone(),
+            key_names: self.keys.iter().map(|(c, _)| c.clone()).collect(),
+            orders: self.keys.iter().map(|(_, o)| *o).collect(),
+            key_columns: None,
             buffer: Vec::new(),
             buffer_bytes: 0,
             budget: self.memory_budget,

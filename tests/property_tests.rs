@@ -405,11 +405,11 @@ fn columnar_from_rows_to_rows_is_identity() {
         assert_eq!(cb.len(), values.len());
         assert_eq!(cb.to_rows(), values.clone());
 
-        // Sealed stats vs a direct fold: null counts per column, and
+        // Column statistics vs a direct fold: null counts per column, and
         // min/max over the non-null ints.
         let int_nulls = values.iter().filter(|r| r[0] == Value::Null).count() as u64;
         let ints: Vec<i64> = rows.iter().filter_map(|(i, ..)| *i).collect();
-        let col = cb.stats().column(0);
+        let col = cb.column_stats(0);
         assert_eq!(col.null_count, int_nulls);
         match (&col.min, &col.max) {
             (Some(Value::Int(lo)), Some(Value::Int(hi))) => {
@@ -489,7 +489,7 @@ fn blockstore_roundtrip_and_manifest_stats() {
             let block = CompressedBlock::seal(&cb);
             let back = block.decode().unwrap();
             assert_eq!(columns(&back), columns(&cb), "columns and validity");
-            assert_eq!(back.stats(), cb.stats(), "sealed statistics");
+            assert_eq!(back.stats(), cb.stats(), "column statistics");
             assert_eq!(rows_of(&back), rows_of(&cb));
             app.append(&cb);
         }
