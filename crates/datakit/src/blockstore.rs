@@ -3,14 +3,13 @@
 //! Blocking operators that outgrow their memory budget, and the result
 //! cache, persist batches here: a sealed [`ColumnarBatch`] — or a range of
 //! its rows — becomes a [`CompressedBlock`], a column-major byte payload
-//! plus the rows' per-column min/max/null statistics carried into the
-//! block header, and a [`BlockAppender`] groups consecutive blocks under a
-//! [`SegmentManifest`] holding the block count, row count, byte totals,
-//! and the *merged* column statistics (databend's
-//! `BlockAppender`/`SegmentInfo` layout). The manifest stats double as a
-//! zone map: a probe-side batch whose key range is disjoint from a spilled
-//! partition's merged range can skip that partition without decoding a
-//! single block.
+//! under a header of its row count and plain size, and a [`BlockAppender`]
+//! groups consecutive blocks under a [`SegmentManifest`] holding the block
+//! count, row count and byte totals (databend's
+//! `BlockAppender`/`SegmentInfo` layout). Nothing here stores column
+//! statistics: a reader that prunes on a column's range decodes the block
+//! and asks the batch ([`ColumnarBatch::column_stats`]), so no seal pays
+//! for a zone map nobody reads.
 //!
 //! # Payload
 //!
@@ -35,11 +34,10 @@
 //! deterministic, which the calibrated spill cost model and the
 //! exactly-once replay tests rely on.
 
-use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::codec::Json;
-use crate::column::{cmp_values, BatchStats, ColStats, ColumnVec, ColumnarBatch};
+use crate::column::{ColumnVec, ColumnarBatch};
 use crate::error::{DataError, DataResult};
 use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{DataType, Value};
@@ -369,20 +367,17 @@ fn decode_column(
 // Blocks, appender, segments
 // ---------------------------------------------------------------------------
 
-/// One sealed batch, encoded column by column, with its statistics in the
-/// header.
+/// One sealed batch, encoded column by column.
 #[derive(Debug, Clone)]
 pub struct CompressedBlock {
     schema: SchemaRef,
     rows: usize,
     raw_bytes: usize,
     data: Vec<u8>,
-    stats: BatchStats,
 }
 
 impl CompressedBlock {
-    /// Seal a columnar batch into a block, carrying the batch's
-    /// per-column statistics into the block header.
+    /// Seal a columnar batch into a block.
     pub fn seal(batch: &ColumnarBatch) -> CompressedBlock {
         CompressedBlock::seal_range(batch, 0..batch.len())
     }
@@ -395,18 +390,15 @@ impl CompressedBlock {
         let raw_bytes = (0..arity)
             .map(|j| encode_column(batch.column(j), rows.clone(), &mut data))
             .sum();
-        let stats = batch.stats_over(rows.clone());
         CompressedBlock {
             schema: batch.schema().clone(),
             rows: rows.len(),
             raw_bytes,
             data,
-            stats,
         }
     }
 
-    /// Decode back into a columnar batch (its statistics, computed from
-    /// the decoded columns when read, match the header).
+    /// Decode back into a columnar batch.
     pub fn decode(&self) -> DataResult<ColumnarBatch> {
         decode_blocks(std::slice::from_ref(self))
     }
@@ -424,11 +416,6 @@ impl CompressedBlock {
     /// Stored payload size in bytes.
     pub fn compressed_bytes(&self) -> usize {
         self.data.len()
-    }
-
-    /// Per-column statistics sealed into the block header.
-    pub fn stats(&self) -> &BatchStats {
-        &self.stats
     }
 
     /// Schema of the stored rows.
@@ -498,8 +485,8 @@ pub fn decode_blocks(blocks: &[CompressedBlock]) -> DataResult<ColumnarBatch> {
     ColumnarBatch::from_columns(schema, columns)
 }
 
-/// Summary of a sealed [`Segment`]: block count, row count, byte totals,
-/// and merged per-column statistics (databend's `SegmentInfo` shape).
+/// Summary of a sealed [`Segment`]: block count, row count and byte
+/// totals (databend's `SegmentInfo` shape).
 #[derive(Debug, Clone)]
 pub struct SegmentManifest {
     /// Number of blocks in the segment.
@@ -510,45 +497,16 @@ pub struct SegmentManifest {
     pub raw_bytes: u64,
     /// Total stored payload bytes.
     pub compressed_bytes: u64,
-    /// Column statistics merged over every block; `None` for an empty
-    /// segment.
-    pub stats: Option<BatchStats>,
 }
 
-impl SegmentManifest {
-    /// Merged statistics of column `i`, if the segment is non-empty.
-    pub fn column_stats(&self, i: usize) -> Option<&ColStats> {
-        self.stats.as_ref().map(|s| s.column(i))
-    }
-}
-
-/// True when no value in `a`'s `[min, max]` range can equal a value in
-/// `b`'s — the zone-map partition-skip rule. Conservative: unknown or
-/// incomparable ranges are never disjoint. Null semantics are the
-/// caller's: this compares ranges only, and null keys carry no range.
-pub fn ranges_disjoint(a: &ColStats, b: &ColStats) -> bool {
-    let (Some(amin), Some(amax)) = (&a.min, &a.max) else {
-        return false;
-    };
-    let (Some(bmin), Some(bmax)) = (&b.min, &b.max) else {
-        return false;
-    };
-    matches!(cmp_values(amax, bmin), Some(Ordering::Less))
-        || matches!(cmp_values(amin, bmax), Some(Ordering::Greater))
-}
-
-/// Accumulates sealed blocks and folds their header statistics into the
-/// running segment totals (databend's `BlockAppender` role).
+/// Accumulates sealed blocks and folds their counts into the running
+/// segment totals (databend's `BlockAppender` role).
 #[derive(Debug, Default)]
 pub struct BlockAppender {
     blocks: Vec<CompressedBlock>,
     row_count: u64,
     raw_bytes: u64,
     compressed_bytes: u64,
-    merged: Option<BatchStats>,
-    /// Columns whose merged range became unknowable (a block held valid
-    /// rows but no range, or ranges were incomparable across blocks).
-    poisoned: Vec<bool>,
 }
 
 impl BlockAppender {
@@ -569,67 +527,11 @@ impl BlockAppender {
     pub fn append_range(&mut self, batch: &ColumnarBatch, rows: Range<usize>) -> usize {
         let block = CompressedBlock::seal_range(batch, rows);
         let compressed = block.compressed_bytes();
-        self.fold_stats(&block);
         self.row_count += block.rows() as u64;
         self.raw_bytes += block.raw_bytes() as u64;
         self.compressed_bytes += compressed as u64;
         self.blocks.push(block);
         compressed
-    }
-
-    fn fold_stats(&mut self, block: &CompressedBlock) {
-        let stats = block.stats();
-        let Some(merged) = self.merged.as_mut() else {
-            self.merged = Some(stats.clone());
-            self.poisoned = stats
-                .columns
-                .iter()
-                .map(|c| {
-                    let valid = block.rows() as u64 - c.null_count;
-                    valid > 0 && (c.min.is_none() || c.max.is_none())
-                })
-                .collect();
-            return;
-        };
-        for (i, col) in stats.columns.iter().enumerate() {
-            let acc = &mut merged.columns[i];
-            acc.null_count += col.null_count;
-            let valid = block.rows() as u64 - col.null_count;
-            if valid == 0 {
-                continue; // all-null block: identity for the range fold
-            }
-            match (&col.min, &col.max) {
-                (Some(min), Some(max)) => {
-                    if !self.poisoned[i] {
-                        match &acc.min {
-                            Some(m) => match cmp_values(min, m) {
-                                Some(Ordering::Less) => acc.min = Some(min.clone()),
-                                Some(_) => {}
-                                None => self.poisoned[i] = true,
-                            },
-                            None => acc.min = Some(min.clone()),
-                        }
-                    }
-                    if !self.poisoned[i] {
-                        match &acc.max {
-                            Some(m) => match cmp_values(max, m) {
-                                Some(Ordering::Greater) => acc.max = Some(max.clone()),
-                                Some(_) => {}
-                                None => self.poisoned[i] = true,
-                            },
-                            None => acc.max = Some(max.clone()),
-                        }
-                    }
-                }
-                _ => self.poisoned[i] = true,
-            }
-        }
-        for (i, &p) in self.poisoned.iter().enumerate() {
-            if p {
-                merged.columns[i].min = None;
-                merged.columns[i].max = None;
-            }
-        }
     }
 
     /// Rows appended so far.
@@ -644,22 +546,12 @@ impl BlockAppender {
 
     /// Seal the appender into an immutable segment with its manifest.
     pub fn seal(self) -> Segment {
-        let mut stats = self.merged;
-        if let Some(s) = stats.as_mut() {
-            for (i, &p) in self.poisoned.iter().enumerate() {
-                if p {
-                    s.columns[i].min = None;
-                    s.columns[i].max = None;
-                }
-            }
-        }
         Segment {
             manifest: SegmentManifest {
                 block_count: self.blocks.len() as u64,
                 row_count: self.row_count,
                 raw_bytes: self.raw_bytes,
                 compressed_bytes: self.compressed_bytes,
-                stats,
             },
             blocks: self.blocks,
         }
@@ -689,7 +581,7 @@ impl Segment {
         self.manifest.row_count == 0
     }
 
-    /// Serialize the segment — schema, manifest, blocks, statistics —
+    /// Serialize the segment — schema, manifest, blocks —
     /// into a self-contained byte image ending in a checksum.
     /// [`Segment::decode`] inverts it exactly; any mutation of the image
     /// (truncation, bit flips, a forged manifest count) fails decoding.
@@ -706,13 +598,11 @@ impl Segment {
         out.extend_from_slice(&self.manifest.row_count.to_le_bytes());
         out.extend_from_slice(&self.manifest.raw_bytes.to_le_bytes());
         out.extend_from_slice(&self.manifest.compressed_bytes.to_le_bytes());
-        encode_opt_stats(self.manifest.stats.as_ref(), &mut out);
         for block in &self.blocks {
             out.extend_from_slice(&(block.rows as u32).to_le_bytes());
             out.extend_from_slice(&(block.raw_bytes as u32).to_le_bytes());
             out.extend_from_slice(&(block.data.len() as u32).to_le_bytes());
             out.extend_from_slice(&block.data);
-            encode_opt_stats(Some(&block.stats), &mut out);
         }
         let sum = checksum(&out);
         out.extend_from_slice(&sum.to_le_bytes());
@@ -744,7 +634,6 @@ impl Segment {
         let row_count = take_u64(body, &mut pos)?;
         let raw_bytes = take_u64(body, &mut pos)?;
         let compressed_bytes = take_u64(body, &mut pos)?;
-        let stats = decode_opt_stats(body, &mut pos, schema.arity())?;
         // Never trust the manifest's count for preallocation: cap by what
         // the remaining bytes could plausibly hold (each block needs at
         // least its 12-byte header).
@@ -756,8 +645,6 @@ impl Segment {
             let block_raw = take_u32(body, &mut pos)?;
             let data_len = take_u32(body, &mut pos)?;
             let data = take(body, &mut pos, data_len)?.to_vec();
-            let bstats = decode_opt_stats(body, &mut pos, schema.arity())?
-                .ok_or_else(|| decode_err("block missing statistics"))?;
             // A row of no columns is no bytes: nothing in the image could
             // bound such a block's count, so it may claim none.
             if schema.arity() == 0 && rows > 0 {
@@ -771,7 +658,6 @@ impl Segment {
                 rows,
                 raw_bytes: block_raw,
                 data,
-                stats: bstats,
             });
         }
         if pos != body.len() {
@@ -789,7 +675,6 @@ impl Segment {
                 row_count,
                 raw_bytes,
                 compressed_bytes,
-                stats,
             },
             blocks,
         })
@@ -800,9 +685,11 @@ impl Segment {
 // Segment persistence codec
 // ---------------------------------------------------------------------------
 
-/// Magic + version prefix of an encoded segment image. Version 2 is the
-/// column-major payload; an image of any other version is a decode error.
-const SEGMENT_MAGIC: &[u8] = b"SFSEG2";
+/// Magic + version prefix of an encoded segment image. Version 3 is the
+/// column-major payload under headers of counts only (version 2 carried
+/// column statistics beside them); an image of any other version is a
+/// decode error.
+const SEGMENT_MAGIC: &[u8] = b"SFSEG3";
 
 /// The trailing integrity checksum of an encoded segment: FNV-1a folded
 /// over 8-byte little-endian words, then the tail bytes one by one, then
@@ -870,65 +757,6 @@ fn decode_schema(buf: &[u8], pos: &mut usize) -> DataResult<SchemaRef> {
     Schema::new(fields)
         .map(std::sync::Arc::new)
         .map_err(|e| decode_err(format!("invalid persisted schema: {e}")))
-}
-
-fn encode_opt_value(v: Option<&Value>, out: &mut Vec<u8>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            encode_value(v, out);
-        }
-    }
-}
-
-fn decode_opt_value(buf: &[u8], pos: &mut usize) -> DataResult<Option<Value>> {
-    match take(buf, pos, 1)?[0] {
-        0 => Ok(None),
-        1 => Ok(Some(decode_value(buf, pos, 0)?)),
-        other => Err(decode_err(format!("bad option tag {other}"))),
-    }
-}
-
-fn encode_opt_stats(stats: Option<&BatchStats>, out: &mut Vec<u8>) {
-    let Some(stats) = stats else {
-        out.push(0);
-        return;
-    };
-    out.push(1);
-    out.extend_from_slice(&(stats.columns.len() as u32).to_le_bytes());
-    for c in &stats.columns {
-        encode_opt_value(c.min.as_ref(), out);
-        encode_opt_value(c.max.as_ref(), out);
-        out.extend_from_slice(&c.null_count.to_le_bytes());
-    }
-}
-
-fn decode_opt_stats(buf: &[u8], pos: &mut usize, arity: usize) -> DataResult<Option<BatchStats>> {
-    match take(buf, pos, 1)?[0] {
-        0 => Ok(None),
-        1 => {
-            let cols = take_u32(buf, pos)?;
-            if cols != arity {
-                return Err(decode_err(format!(
-                    "statistics cover {cols} columns, schema has {arity}"
-                )));
-            }
-            let mut columns = Vec::with_capacity(cols.min(4096));
-            for _ in 0..cols {
-                let min = decode_opt_value(buf, pos)?;
-                let max = decode_opt_value(buf, pos)?;
-                let null_count = take_u64(buf, pos)?;
-                columns.push(ColStats {
-                    min,
-                    max,
-                    null_count,
-                });
-            }
-            Ok(Some(BatchStats { columns }))
-        }
-        other => Err(decode_err(format!("bad stats tag {other}"))),
-    }
 }
 
 #[cfg(test)]
@@ -1307,7 +1135,9 @@ mod tests {
         assert_eq!(block.rows(), 3);
         let decoded = block.decode().unwrap();
         assert_eq!(decoded.to_rows(), b.to_rows());
-        assert_eq!(decoded.stats(), *block.stats());
+        for j in 0..3 {
+            assert_eq!(decoded.column_stats(j), b.column_stats(j), "column {j}");
+        }
     }
 
     #[test]
@@ -1337,62 +1167,31 @@ mod tests {
     #[test]
     fn appender_merges_stats_across_blocks() {
         let mut app = BlockAppender::new();
-        app.append(&batch(&[(5, "m", 1.0), (9, "z", 2.0)]));
-        app.append(&batch(&[(1, "a", -3.0)]));
+        let stored = app.append(&batch(&[(5, "m", 1.0), (9, "z", 2.0)]))
+            + app.append(&batch(&[(1, "a", -3.0)]));
         let seg = app.seal();
         let m = seg.manifest();
         assert_eq!(m.block_count, 2);
         assert_eq!(m.row_count, 3);
-        assert!(m.raw_bytes >= m.row_count * 3);
-        let id = m.column_stats(0).unwrap();
-        assert_eq!(id.min, Some(Value::Int(1)));
-        assert_eq!(id.max, Some(Value::Int(9)));
-        assert_eq!(id.null_count, 0);
-        let name = m.column_stats(1).unwrap();
-        assert_eq!(name.min, Some(Value::Str("a".into())));
-        assert_eq!(name.max, Some(Value::Str("z".into())));
-    }
-
-    #[test]
-    fn nan_block_poisons_merged_range_but_keeps_null_counts() {
-        let schema = Schema::of(&[("x", DataType::Float)]);
-        let clean = ColumnarBatch::from_rows(
-            schema.clone(),
-            vec![vec![Value::Float(1.0)], vec![Value::Null]],
-        )
-        .unwrap();
-        let nan = ColumnarBatch::from_rows(schema, vec![vec![Value::Float(f64::NAN)]]).unwrap();
-        let mut app = BlockAppender::new();
-        app.append(&clean);
-        app.append(&nan);
-        let seg = app.seal();
-        let st = seg.manifest().column_stats(0).unwrap();
-        assert_eq!(st.min, None);
-        assert_eq!(st.max, None);
-        assert_eq!(st.null_count, 1);
-    }
-
-    #[test]
-    fn all_null_block_is_identity_for_range_merge() {
-        let schema = Schema::of(&[("x", DataType::Int)]);
-        let vals = ColumnarBatch::from_rows(schema.clone(), vec![vec![Value::Int(4)]]).unwrap();
-        let nulls = ColumnarBatch::from_rows(schema, vec![vec![Value::Null]]).unwrap();
-        let mut app = BlockAppender::new();
-        app.append(&vals);
-        app.append(&nulls);
-        let seg = app.seal();
-        let st = seg.manifest().column_stats(0).unwrap();
-        assert_eq!(st.min, Some(Value::Int(4)));
-        assert_eq!(st.max, Some(Value::Int(4)));
-        assert_eq!(st.null_count, 1);
+        // Three rows of an int, a one-byte string and a float.
+        assert_eq!(m.raw_bytes, 3 * (8 + 5 + 8));
+        assert_eq!(m.compressed_bytes, stored as u64);
+        let blocks = seg.blocks();
+        assert_eq!(blocks.iter().map(CompressedBlock::rows).sum::<usize>(), 3);
+        let raw: usize = blocks.iter().map(CompressedBlock::raw_bytes).sum();
+        assert_eq!(raw as u64, m.raw_bytes);
     }
 
     #[test]
     fn empty_segment_has_no_stats() {
         let seg = BlockAppender::new().seal();
         assert!(seg.is_empty());
-        assert_eq!(seg.manifest().block_count, 0);
-        assert!(seg.manifest().stats.is_none());
+        let m = seg.manifest();
+        assert_eq!(
+            (m.block_count, m.row_count, m.raw_bytes, m.compressed_bytes),
+            (0, 0, 0, 0)
+        );
+        assert!(seg.blocks().is_empty());
     }
 
     #[test]
@@ -1408,10 +1207,8 @@ mod tests {
         assert_eq!(m.row_count, n.row_count);
         assert_eq!(m.raw_bytes, n.raw_bytes);
         assert_eq!(m.compressed_bytes, n.compressed_bytes);
-        assert_eq!(m.column_stats(0).unwrap(), n.column_stats(0).unwrap());
         for (a, b) in seg.blocks().iter().zip(back.blocks()) {
             assert_eq!(a.decode().unwrap().to_rows(), b.decode().unwrap().to_rows());
-            assert_eq!(a.stats(), b.stats());
         }
     }
 
@@ -1464,35 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn ranges_disjoint_rule() {
-        let lo = ColStats {
-            min: Some(Value::Int(1)),
-            max: Some(Value::Int(10)),
-            null_count: 0,
-        };
-        let hi = ColStats {
-            min: Some(Value::Int(11)),
-            max: Some(Value::Int(20)),
-            null_count: 0,
-        };
-        let overlap = ColStats {
-            min: Some(Value::Int(5)),
-            max: Some(Value::Int(15)),
-            null_count: 0,
-        };
-        let unknown = ColStats {
-            min: None,
-            max: None,
-            null_count: 3,
-        };
-        assert!(ranges_disjoint(&lo, &hi));
-        assert!(ranges_disjoint(&hi, &lo));
-        assert!(!ranges_disjoint(&lo, &overlap));
-        assert!(!ranges_disjoint(&lo, &unknown));
-        assert!(!ranges_disjoint(&unknown, &hi));
-    }
-
-    #[test]
     fn wire_format_is_the_boxed_encoders_byte_for_byte() {
         for b in [every_type(), wide()] {
             let want = encode_boxed(&b);
@@ -1504,10 +1272,12 @@ mod tests {
             // float column is compared re-encoded), validity and
             // statistics.
             let back = block.decode().unwrap();
+            let boxed = decode_boxed(&block).unwrap();
             assert_eq!(encode_boxed(&back), want);
-            assert_eq!(back.stats(), b.stats());
-            assert_eq!(back.stats(), *block.stats());
-            assert_eq!(decode_boxed(&block).unwrap().stats(), back.stats());
+            for j in 0..b.schema().arity() {
+                assert_eq!(back.column_stats(j), b.column_stats(j), "column {j}");
+                assert_eq!(boxed.column_stats(j), back.column_stats(j), "column {j}");
+            }
         }
         let b = every_type();
         let back = CompressedBlock::seal(&b).decode().unwrap();
@@ -1555,10 +1325,7 @@ mod tests {
                 let want = CompressedBlock::seal(&batch.take(&idx));
                 let got = CompressedBlock::seal_range(&batch, start..end);
                 assert_eq!(got.data, want.data, "rows {start}..{end}");
-                assert_eq!(
-                    (got.rows, got.raw_bytes, &got.stats),
-                    (want.rows, want.raw_bytes, &want.stats)
-                );
+                assert_eq!((got.rows, got.raw_bytes), (want.rows, want.raw_bytes));
                 assert_eq!(got.decode().unwrap(), batch.take(&idx));
             }
         }
@@ -1578,17 +1345,28 @@ mod tests {
             "{got:?}"
         );
 
-        // A million nested lists in a manifest's `min`, under a valid
-        // checksum: refused, not recursed into.
-        let mut body = SEGMENT_MAGIC.to_vec();
-        encode_schema(&schema, &mut body);
-        body.extend([0u8; 32]);
-        body.extend([1, 1, 0, 0, 0, 1]);
-        for _ in 0..1_000_000 {
-            body.extend([TAG_LIST, 1, 0, 0, 0]);
-        }
-        body.extend(checksum(&body).to_le_bytes());
-        let got = Segment::decode(&body);
+        // A million nested lists in a stored cell, under a valid checksum
+        // and a manifest that agrees with the block: the image opens, and
+        // the cell is refused, not recursed into.
+        let mut data = [TAG_LIST, 1, 0, 0, 0].repeat(1_000_000);
+        data.push(TAG_NULL);
+        let (raw_bytes, stored) = (data.len(), data.len() as u64);
+        let block = CompressedBlock {
+            schema,
+            rows: 1,
+            raw_bytes,
+            data,
+        };
+        let manifest = SegmentManifest {
+            block_count: 1,
+            row_count: 1,
+            raw_bytes: stored,
+            compressed_bytes: stored,
+        };
+        let blocks = vec![block];
+        let image = Segment { manifest, blocks }.encode();
+        let seg = Segment::decode(&image).expect("the envelope is consistent");
+        let got = decode_blocks(seg.blocks());
         assert!(
             matches!(&got, Err(DataError::Decode { message, .. }) if message.contains("nested")),
             "{got:?}"
@@ -1604,9 +1382,7 @@ mod tests {
             let mut head = SEGMENT_MAGIC.to_vec();
             encode_schema(seg.blocks()[0].schema(), &mut head);
             let row_count = head.len() + 8;
-            let mut stats = Vec::new();
-            encode_opt_stats(seg.manifest().stats.as_ref(), &mut stats);
-            let block_rows = head.len() + 32 + stats.len();
+            let block_rows = head.len() + 32;
             image[row_count..row_count + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
             image[block_rows..block_rows + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             let body = image.len() - 8;
@@ -1704,7 +1480,10 @@ mod tests {
                     served += 1;
                     assert_eq!(got.len(), block.rows);
                     assert_eq!(encode_boxed(got), encode_boxed(want), "case {case}");
-                    assert_eq!(got.stats(), want.stats(), "case {case}");
+                    for j in 0..got.schema().arity() {
+                        let (a, b) = (got.column_stats(j), want.column_stats(j));
+                        assert_eq!(a, b, "case {case} column {j}");
+                    }
                     let columns = (0..got.schema().arity()).map(|j| got.column(j).clone());
                     ColumnarBatch::from_columns(got.schema().clone(), columns.collect())
                         .expect("a decoded batch is one the checked constructor accepts");

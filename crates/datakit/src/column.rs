@@ -1,4 +1,4 @@
-//! Columnar batch representation with per-batch statistics.
+//! Columnar batch representation with per-column statistics on demand.
 //!
 //! The row-oriented [`Batch`] moves `Vec<Tuple>`s of boxed
 //! [`Value`]s between operators, so every hot inner loop (filter
@@ -504,16 +504,14 @@ impl ColumnVec {
         }
     }
 
-    /// The per-column statistics of `rows`: min/max over the valid ones
-    /// plus the null count — what [`ColumnarBatch::column_stats`] of
-    /// [`ColumnVec::take`] of those rows returns. Computed once per stored
-    /// block, and each time a consumer asks about a batch column.
-    fn stats_over(&self, rows: Range<usize>) -> ColStats {
+    /// The column's statistics: min/max over the valid rows plus the
+    /// null count, computed each time a consumer asks
+    /// ([`ColumnarBatch::column_stats`]).
+    fn stats(&self) -> ColStats {
         /// Smallest and largest valid cell, boxed.
         fn range<T: Copy>(
             data: impl Iterator<Item = T>,
             validity: &Bitmap,
-            rows: Range<usize>,
             boxed: impl Fn(T) -> Value,
             less: impl Fn(T, T) -> bool,
         ) -> ColStats {
@@ -527,13 +525,13 @@ impl ColumnVec {
                     ),
                 });
             };
-            let null_count = validity.count_invalid_in(rows.clone());
+            let null_count = validity.count_invalid();
             if null_count == 0 {
                 data.for_each(&mut widen);
             } else {
-                data.zip(rows)
-                    .filter(|&(_, i)| validity.is_valid(i))
-                    .for_each(|(x, _)| widen(x));
+                data.enumerate()
+                    .filter(|&(i, _)| validity.is_valid(i))
+                    .for_each(|(_, x)| widen(x));
             }
             ColStats {
                 min: range.map(|(min, _)| boxed(min)),
@@ -542,50 +540,35 @@ impl ColumnVec {
             }
         }
         match self {
-            ColumnVec::Int { data, validity } => range(
-                data[rows.clone()].iter().copied(),
-                validity,
-                rows,
-                Value::Int,
-                |a, b| a < b,
-            ),
+            ColumnVec::Int { data, validity } => {
+                range(data.iter().copied(), validity, Value::Int, |a, b| a < b)
+            }
             ColumnVec::Float { data, validity } => {
-                let valid_nan = |(x, i): (&f64, usize)| x.is_nan() && validity.is_valid(i);
-                if data[rows.clone()].iter().zip(rows.clone()).any(valid_nan) {
+                let valid_nan = |(i, x): (usize, &f64)| x.is_nan() && validity.is_valid(i);
+                if data.iter().enumerate().any(valid_nan) {
                     // NaN breaks the ordering the zone map relies on;
                     // publish no range rather than a wrong one.
                     return ColStats {
                         min: None,
                         max: None,
-                        null_count: validity.count_invalid_in(rows),
+                        null_count: validity.count_invalid(),
                     };
                 }
-                range(
-                    data[rows.clone()].iter().copied(),
-                    validity,
-                    rows,
-                    Value::Float,
-                    |a, b| a < b,
-                )
+                range(data.iter().copied(), validity, Value::Float, |a, b| a < b)
             }
-            ColumnVec::Bool { data, validity } => range(
-                data[rows.clone()].iter().copied(),
-                validity,
-                rows,
-                Value::Bool,
-                |a, b| !a & b,
-            ),
+            ColumnVec::Bool { data, validity } => {
+                range(data.iter().copied(), validity, Value::Bool, |a, b| !a & b)
+            }
             ColumnVec::Str { data, validity } => range(
-                data.iter_rows(rows.clone()),
+                data.iter(),
                 validity,
-                rows,
                 |s| Value::Str(s.to_owned()),
                 |a, b| a < b,
             ),
             ColumnVec::Mixed(data) => ColStats {
                 min: None,
                 max: None,
-                null_count: data[rows].iter().filter(|v| v.is_null()).count() as u64,
+                null_count: data.iter().filter(|v| v.is_null()).count() as u64,
             },
         }
     }
@@ -706,20 +689,6 @@ impl ColStats {
             CmpOp::Eq => min_ord == Ordering::Equal && max_ord == Ordering::Equal,
             CmpOp::Ne => min_ord == Ordering::Greater || max_ord == Ordering::Less,
         }
-    }
-}
-
-/// All per-column statistics of one batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchStats {
-    /// One [`ColStats`] per schema column, in schema order.
-    pub columns: Vec<ColStats>,
-}
-
-impl BatchStats {
-    /// Statistics of column `i`.
-    pub fn column(&self, i: usize) -> &ColStats {
-        &self.columns[i]
     }
 }
 
@@ -860,15 +829,6 @@ impl ColumnarBatch {
         }))
     }
 
-    /// The statistics [`ColumnarBatch::take`] of `rows` would report,
-    /// computed in place.
-    pub(crate) fn stats_over(&self, rows: Range<usize>) -> BatchStats {
-        let columns = self.columns.iter();
-        BatchStats {
-            columns: columns.map(|c| c.stats_over(rows.clone())).collect(),
-        }
-    }
-
     /// Schema handle.
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
@@ -877,12 +837,7 @@ impl ColumnarBatch {
     /// Statistics of column `i` over the whole batch, computed on each
     /// call: a reader asks for the one column it prunes on, once a batch.
     pub fn column_stats(&self, i: usize) -> ColStats {
-        self.columns[i].stats_over(0..self.len)
-    }
-
-    /// Statistics of every column.
-    pub fn stats(&self) -> BatchStats {
-        self.stats_over(0..self.len)
+        self.columns[i].stats()
     }
 
     /// Column `i` in schema order.
@@ -959,6 +914,13 @@ mod tests {
             vec![Value::Int(1), Value::Null, Value::Float(2.5)],
             vec![Value::Int(7), Value::Str("a".into()), Value::Null],
         ]
+    }
+
+    /// Every column's statistics, in schema order.
+    fn stats_of(cb: &ColumnarBatch) -> Vec<ColStats> {
+        (0..cb.schema().arity())
+            .map(|j| cb.column_stats(j))
+            .collect()
     }
 
     #[test]
@@ -1168,7 +1130,7 @@ mod tests {
             let expect = ColumnarBatch::from_tuples(s.clone(), &picked);
             let got = cb.take(&indices);
             assert_eq!(got, expect, "{indices:?}");
-            assert_eq!(got.stats(), expect.stats());
+            assert_eq!(stats_of(&got), stats_of(&expect));
             assert_eq!(got.to_tuples(), picked);
         }
         // A clone shares the sealed columns instead of copying them, and
@@ -1206,7 +1168,7 @@ mod tests {
         let by_columns =
             ColumnarBatch::from_columns(s.clone(), (0..3).map(column).collect()).unwrap();
         assert_eq!(by_columns, by_rows);
-        assert_eq!(by_columns.stats(), by_rows.stats());
+        assert_eq!(stats_of(&by_columns), stats_of(&by_rows));
         // Gathered columns hold exactly the gathered rows.
         let gathered = (0..3).map(|j| by_rows.column(j).take(&[1, 1])).collect();
         let twice = ColumnarBatch::from_columns(s.clone(), gathered).unwrap();
@@ -1352,10 +1314,9 @@ mod tests {
         ColumnarBatch::from_rows(s, rows).unwrap()
     }
 
-    /// Statistics agree however a batch with the same rows was built —
-    /// gathered with `take` or rebuilt from the gathered tuples — and
-    /// `stats_over` of a range in place is what `take` of that range
-    /// reports.
+    /// Statistics agree however a batch with the same rows was built:
+    /// gathered with `take` or rebuilt from the gathered tuples, and a
+    /// range of rows taken or rebuilt from its rows.
     #[test]
     fn statistics_agree_across_constructors_and_ranges() {
         let mut rng = SplitMix64::new(0x057A_75ED);
@@ -1370,13 +1331,15 @@ mod tests {
             let indices: Vec<u32> = (0..picked).map(|_| rng.range(0..cb.len()) as u32).collect();
             let taken = cb.take(&indices);
             let by_tuples = ColumnarBatch::from_tuples(cb.schema().clone(), &taken.to_tuples());
-            assert_eq!(by_tuples.stats(), taken.stats(), "case {case} take");
+            assert_eq!(stats_of(&by_tuples), stats_of(&taken), "case {case} take");
             let start = rng.range(0..cb.len() + 1);
             let end = rng.range(start..cb.len() + 1);
             let range: Vec<u32> = (start as u32..end as u32).collect();
+            let rows = cb.to_rows()[start..end].to_vec();
+            let by_rows = ColumnarBatch::from_rows(cb.schema().clone(), rows).unwrap();
             assert_eq!(
-                cb.stats_over(start..end),
-                cb.take(&range).stats(),
+                stats_of(&by_rows),
+                stats_of(&cb.take(&range)),
                 "case {case} rows {start}..{end}"
             );
         }

@@ -40,7 +40,7 @@ pub mod value;
 
 pub use batch::{Batch, BatchBuilder, SharedBatch};
 pub use blockstore::{BlockAppender, CompressedBlock, Segment, SegmentManifest};
-pub use column::{BatchStats, Bitmap, CmpOp, ColStats, ColumnVec, ColumnarBatch, StrVec};
+pub use column::{Bitmap, CmpOp, ColStats, ColumnVec, ColumnarBatch, StrVec};
 pub use error::{DataError, DataResult};
 pub use frame::{DataFrame, MergeHow};
 pub use key::{HashKey, KeyRef};

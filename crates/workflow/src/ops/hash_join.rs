@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use scriptflow_datakit::blockstore::{ranges_disjoint, Segment};
+use scriptflow_datakit::blockstore::Segment;
 use scriptflow_datakit::column::cmp_values;
 use scriptflow_datakit::{ColumnVec, ColumnarBatch, HashKey, Schema, SchemaRef, Tuple, Value};
 use scriptflow_simcluster::Language;
@@ -156,16 +156,17 @@ enum BuildKeyRange {
 }
 
 impl HashJoinInstance {
-    /// `tuple`'s join key, off the `names` columns resolved in `slot`.
-    fn key_of(
-        name: &str,
-        slot: &mut ResolvedColumns,
-        names: &[String],
-        tuple: &Tuple,
-    ) -> WorkflowResult<HashKey> {
+    /// `tuple`'s join key on `port`'s key columns (0 build, 1 probe),
+    /// resolved once per schema.
+    fn key_of(&mut self, port: usize, tuple: &Tuple) -> WorkflowResult<HashKey> {
+        let (slot, names) = if port == 0 {
+            (&mut self.build_idx, &self.build_keys)
+        } else {
+            (&mut self.probe_idx, &self.probe_keys)
+        };
         resolve_columns(slot, tuple.schema(), names)
             .and_then(|indices| HashKey::from_tuple_indexed(tuple, indices))
-            .map_err(|e| WorkflowError::from_data(name, e))
+            .map_err(|e| WorkflowError::from_data(&self.name, e))
     }
 
     /// Fold one build-side key value into the running min/max.
@@ -316,20 +317,6 @@ impl HashJoinInstance {
         if probe_seg.is_empty() {
             return Ok(());
         }
-        let name = self.name.clone();
-        let key_col = if self.build_keys.len() == 1 && self.join_type == JoinType::Inner {
-            Some((self.build_keys[0].clone(), self.probe_keys[0].clone()))
-        } else {
-            None
-        };
-        // Build-side zone map of this partition, from the segment manifest.
-        let build_stats = key_col.as_ref().and_then(|(bk, _)| {
-            let schema = build_seg.blocks().first().map(|b| b.schema().clone())?;
-            let idx = schema.index_of(bk).ok()?;
-            build_seg.manifest().column_stats(idx).cloned()
-        });
-        let build_has_nulls = build_stats.as_ref().is_some_and(|s| s.null_count > 0);
-
         // Overflow partition: repartition both sides under a fresh salt
         // and recurse, rather than building a table over budget.
         let over_budget = self
@@ -342,15 +329,13 @@ impl HashJoinInstance {
             let mut sub_probe: Vec<PartitionWriter> =
                 (0..SPILL_FANOUT).map(|_| PartitionWriter::new()).collect();
             let salt = u64::from(depth);
-            for (seg, writers, keys) in [
-                (&build_seg, &mut sub_build, self.build_keys.clone()),
-                (&probe_seg, &mut sub_probe, self.probe_keys.clone()),
+            for (port, seg, writers) in [
+                (0, &build_seg, &mut sub_build),
+                (1, &probe_seg, &mut sub_probe),
             ] {
-                let names: Vec<&str> = keys.iter().map(String::as_str).collect();
                 for block in seg.blocks() {
-                    for t in read_block(block, &name, out)? {
-                        let key = HashKey::from_tuple(&t, &names)
-                            .map_err(|e| WorkflowError::from_data(&name, e))?;
+                    for t in read_block(block, &self.name, out)? {
+                        let key = self.key_of(port, &t)?;
                         writers[key.bucket_salted(salt, SPILL_FANOUT)].push(t, flush_at, out);
                     }
                 }
@@ -361,38 +346,18 @@ impl HashJoinInstance {
             return Ok(());
         }
 
-        // In-memory leg: decode the build partition into a local table.
+        // In-memory leg: decode the build partition into a local table,
+        // then probe it with every probe block.
         let mut local: HashMap<HashKey, Vec<Tuple>> = HashMap::new();
-        {
-            let names: Vec<&str> = self.build_keys.iter().map(String::as_str).collect();
-            for block in build_seg.blocks() {
-                for t in read_block(block, &name, out)? {
-                    let key = HashKey::from_tuple(&t, &names)
-                        .map_err(|e| WorkflowError::from_data(&name, e))?;
-                    local.entry(key).or_default().push(t);
-                }
+        for block in build_seg.blocks() {
+            for t in read_block(block, &self.name, out)? {
+                local.entry(self.key_of(0, &t)?).or_default().push(t);
             }
         }
-        let probe_names: Vec<String> = self.probe_keys.clone();
         for block in probe_seg.blocks() {
-            // Zone-map partition skip: an inner probe block whose key
-            // range is disjoint from the build partition's merged range
-            // cannot match — drop it without decoding a block.
-            if let (Some((_, pk)), Some(bs)) = (&key_col, &build_stats) {
-                if let Ok(idx) = block.schema().index_of(pk) {
-                    let ps = block.stats().column(idx);
-                    let null_safe = !(build_has_nulls && ps.null_count > 0);
-                    if null_safe && ranges_disjoint(bs, ps) {
-                        out.note_batch_skipped();
-                        continue;
-                    }
-                }
-            }
-            let names: Vec<&str> = probe_names.iter().map(String::as_str).collect();
-            for t in read_block(block, &name, out)? {
+            for t in read_block(block, &self.name, out)? {
                 let schema = self.ensure_out_schema(t.schema(), build_schema)?;
-                let key = HashKey::from_tuple(&t, &names)
-                    .map_err(|e| WorkflowError::from_data(&name, e))?;
+                let key = self.key_of(1, &t)?;
                 Self::emit_probe(&schema, self.join_type, &t, local.get(&key), out);
             }
         }
@@ -415,7 +380,7 @@ impl Operator for HashJoinInstance {
     ) -> WorkflowResult<()> {
         match port {
             0 => {
-                let key = Self::key_of(&self.name, &mut self.build_idx, &self.build_keys, &tuple)?;
+                let key = self.key_of(0, &tuple)?;
                 if let Some((_, indices)) = &self.build_idx {
                     if let [only] = indices[..] {
                         let v = tuple.at(only).clone();
@@ -435,7 +400,7 @@ impl Operator for HashJoinInstance {
                 Ok(())
             }
             1 => {
-                let key = Self::key_of(&self.name, &mut self.probe_idx, &self.probe_keys, &tuple)?;
+                let key = self.key_of(1, &tuple)?;
                 let flush_at = self.flush_at();
                 if let Some(spill) = self.spill.as_mut() {
                     // Grace mode: probing is deferred until the probe port
@@ -1004,11 +969,10 @@ mod tests {
         // the deferred row path: the same rows, none of them sealed.
         let graced = HashJoinOp::new("j", &["k"], &["k"]).with_memory_budget(256);
         let (spilled_rows, sealed, skipped) = kernel_against_rows(&graced, &build, &[far, near]);
-        // (The partition-wise join prunes spilled probe blocks as well.)
-        assert!(
-            sealed == 0 && skipped >= 1,
-            "{sealed} sealed, {skipped} skipped"
-        );
+        // The build range is kept in grace mode too, so the disjoint batch
+        // is still pruned on arrival; the partition-wise join then decodes
+        // and probes every spilled block, and skips none.
+        assert_eq!((sealed, skipped), (0, 1));
         let sorted = |mut rows: Vec<String>| {
             rows.sort_unstable();
             rows
@@ -1060,33 +1024,6 @@ mod tests {
         let (graced, spilled, _) = run_join_budgeted(JoinType::Inner, 64, 300);
         assert!(spilled > SPILL_FANOUT as u64);
         assert_eq!(sorted_strings(&graced), sorted_strings(&in_mem));
-    }
-
-    #[test]
-    fn spilled_partitions_skip_disjoint_probe_blocks() {
-        // Build keys all < 100; probe keys all > 1000 → every probe
-        // block's range misses every build partition's range.
-        let j = HashJoinOp::new("j", &["k"], &["k"]).with_memory_budget(128);
-        let mut inst = j.create();
-        let mut out = OutputCollector::new();
-        for i in 0..60 {
-            inst.on_tuple(build_tuple(i, "b"), 0, &mut out).unwrap();
-        }
-        inst.on_port_complete(0, &mut out).unwrap();
-        for i in 0..60 {
-            inst.on_tuple(probe_tuple(i, 1000 + i), 1, &mut out)
-                .unwrap();
-        }
-        let reads_before_probe = out.counters().spill_reads;
-        inst.on_port_complete(1, &mut out).unwrap();
-        assert!(out.is_empty(), "disjoint keys must produce no matches");
-        assert!(
-            out.batches_skipped() > 0,
-            "zone maps must skip disjoint probe blocks"
-        );
-        // Skipped probe blocks are never decoded; only build blocks
-        // (and any repartitioning) pay reads.
-        assert!(out.counters().spill_reads >= reads_before_probe);
     }
 
     #[test]

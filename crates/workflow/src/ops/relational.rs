@@ -17,7 +17,7 @@ use crate::operator::{
     OutputCollector, WorkflowError, WorkflowResult,
 };
 
-type Predicate = Arc<dyn Fn(&Tuple) -> DataResult<bool> + Send + Sync>;
+use super::{resolve_columns, ResolvedColumns};
 
 /// A structured `column op literal` comparison the engine can evaluate
 /// against a batch's zone map (opaque closure predicates cannot be
@@ -30,11 +30,21 @@ struct CmpPredicate {
     literal: Value,
 }
 
+type Closure = Arc<dyn Fn(&Tuple) -> DataResult<bool> + Send + Sync>;
+
+/// What a filter keeps.
+#[derive(Clone)]
+enum Predicate {
+    /// An opaque closure, run on every row.
+    Closure(Closure),
+    /// A structured comparison.
+    Cmp(CmpPredicate),
+}
+
 /// Keep tuples matching a predicate.
 pub struct FilterOp {
     desc: OpDescriptor,
     predicate: Predicate,
-    cmp: Option<CmpPredicate>,
 }
 
 impl FilterOp {
@@ -45,8 +55,7 @@ impl FilterOp {
     ) -> Self {
         FilterOp {
             desc: OpDescriptor::new(name, 1),
-            predicate: Arc::new(predicate),
-            cmp: None,
+            predicate: Predicate::Closure(Arc::new(predicate)),
         }
     }
 
@@ -64,20 +73,17 @@ impl FilterOp {
         op: CmpOp,
         literal: Value,
     ) -> Self {
-        let column = column.into();
-        let cmp = CmpPredicate {
-            column: column.clone(),
-            op,
-            literal: literal.clone(),
-        };
         FilterOp {
             // The comparison has a columnar kernel; a closure does not.
             desc: OpDescriptor {
                 batch_kernel: true,
                 ..OpDescriptor::new(name, 1)
             },
-            predicate: Arc::new(move |t: &Tuple| Ok(cmp_value(t.get(&column)?, op, &literal))),
-            cmp: Some(cmp),
+            predicate: Predicate::Cmp(CmpPredicate {
+                column: column.into(),
+                op,
+                literal,
+            }),
         }
     }
 
@@ -97,7 +103,8 @@ impl FilterOp {
 struct FilterInstance {
     name: String,
     predicate: Predicate,
-    cmp: Option<CmpPredicate>,
+    // A comparison's column index in the row path's tuples.
+    column: ResolvedColumns,
 }
 
 impl FilterInstance {
@@ -141,8 +148,15 @@ impl Operator for FilterInstance {
         _port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        let keep = (self.predicate)(&tuple).map_err(|e| WorkflowError::from_data(&self.name, e))?;
-        if keep {
+        let keep = match &self.predicate {
+            Predicate::Closure(f) => f(&tuple),
+            Predicate::Cmp(cmp) => {
+                let column = std::slice::from_ref(&cmp.column);
+                resolve_columns(&mut self.column, tuple.schema(), column)
+                    .map(|idx| cmp_value(tuple.at(idx[0]), cmp.op, &cmp.literal))
+            }
+        };
+        if keep.map_err(|e| WorkflowError::from_data(&self.name, e))? {
             out.emit(tuple);
         }
         Ok(())
@@ -154,7 +168,7 @@ impl Operator for FilterInstance {
         port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        let Some(cmp) = &self.cmp else {
+        let Predicate::Cmp(cmp) = &self.predicate else {
             // Opaque closure: row-at-a-time is the only option.
             return rows_through(self, batch, port, out);
         };
@@ -188,7 +202,7 @@ impl OperatorFactory for FilterOp {
         &self.desc
     }
     fn output_schema(&self, inputs: &[SchemaRef]) -> WorkflowResult<Schema> {
-        if let Some(cmp) = &self.cmp {
+        if let Predicate::Cmp(cmp) = &self.predicate {
             // Structured predicates validate their column eagerly — the
             // workflow paradigm's early schema checking.
             inputs[0]
@@ -204,7 +218,7 @@ impl OperatorFactory for FilterOp {
         Box::new(FilterInstance {
             name: self.desc.name.clone(),
             predicate: self.predicate.clone(),
-            cmp: self.cmp.clone(),
+            column: None,
         })
     }
 
@@ -213,14 +227,14 @@ impl OperatorFactory for FilterOp {
     /// body is unobservable).
     fn fingerprint(&self) -> OpFingerprint {
         let mut h = spec_fingerprinter(&self.desc);
-        match &self.cmp {
-            Some(cmp) => {
+        match &self.predicate {
+            Predicate::Cmp(cmp) => {
                 h.write_str("cmp");
                 h.write_str(&cmp.column);
                 h.write_str(&format!("{:?}", cmp.op));
                 fingerprint_value(&mut h, &cmp.literal);
             }
-            None => h.write_str("closure"),
+            Predicate::Closure(_) => h.write_str("closure"),
         }
         h.finish()
     }
@@ -402,6 +416,8 @@ impl DistinctOp {
 struct DistinctInstance {
     name: String,
     columns: Vec<String>,
+    // The key columns' indices in the tuples.
+    indices: ResolvedColumns,
     seen: HashSet<HashKey>,
 }
 
@@ -412,8 +428,8 @@ impl Operator for DistinctInstance {
         _port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        let cols: Vec<&str> = self.columns.iter().map(String::as_str).collect();
-        let key = HashKey::from_tuple(&tuple, &cols)
+        let key = resolve_columns(&mut self.indices, tuple.schema(), &self.columns)
+            .and_then(|indices| HashKey::from_tuple_indexed(&tuple, indices))
             .map_err(|e| WorkflowError::from_data(&self.name, e))?;
         if self.seen.insert(key) {
             out.emit(tuple);
@@ -442,6 +458,7 @@ impl OperatorFactory for DistinctOp {
         Box::new(DistinctInstance {
             name: self.desc.name.clone(),
             columns: self.columns.clone(),
+            indices: None,
             seen: HashSet::new(),
         })
     }

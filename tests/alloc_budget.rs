@@ -623,7 +623,7 @@ fn text_decode_bytes() -> [(&'static str, f64, f64); 3] {
 /// 17.2.
 const DECODE_BYTES_PER_INPUT_BYTE: f64 = 24.0;
 
-/// The trailing checksum of a version-2 segment image: FNV-1a-64 folded
+/// The trailing checksum of a segment image since version 2: FNV-1a-64 folded
 /// over 8-byte little-endian words, then the tail bytes, then the length.
 fn checksum(bytes: &[u8]) -> u64 {
     let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);

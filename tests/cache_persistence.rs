@@ -202,7 +202,7 @@ fn budgeted_store_restarts_with_only_surviving_entries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The trailing checksum of a version-2 segment image: FNV-1a-64 folded
+/// The trailing checksum of a segment image since version 2: FNV-1a-64 folded
 /// over 8-byte little-endian words, then the tail bytes, then the length.
 fn checksum(bytes: &[u8]) -> u64 {
     let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
@@ -215,15 +215,13 @@ fn checksum(bytes: &[u8]) -> u64 {
     fold(h, bytes.len() as u64)
 }
 
-/// A persistent store at `dir` holding one entry of `n` rows of
-/// [`schema`] under `fp`; returns the entry's image and published bytes.
-fn one_entry(dir: &PathBuf, fp: OpFingerprint, n: i64) -> (PathBuf, Vec<u8>, u64) {
-    let tuples: Vec<Tuple> = (0..n)
-        .map(|i| Tuple::new(schema(), vec![Value::Int(i)]).expect("row conforms"))
-        .collect();
-    let bytes = ResultCache::persistent(dir)
-        .expect("open store")
-        .publish(fp, &schema(), &tuples);
+/// A persistent store at `dir` holding one entry of `tuples` under
+/// `fp`; returns the entry's image and published bytes.
+fn one_entry(dir: &PathBuf, fp: OpFingerprint, tuples: &[Tuple]) -> (PathBuf, Vec<u8>, u64) {
+    let bytes =
+        ResultCache::persistent(dir)
+            .expect("open store")
+            .publish(fp, tuples[0].schema(), tuples);
     assert!(bytes > 0);
     let path = dir.join(format!("{:032x}.seg", fp.0));
     let image = std::fs::read(&path).expect("segment written");
@@ -239,47 +237,70 @@ fn assert_reopens_as_a_miss(dir: &PathBuf, fp: OpFingerprint, bytes: u64) {
     assert_eq!((cache.entries(), cache.bytes()), (0, 0), "and is dropped");
 }
 
-/// A store written before the column-major format (magic `SFSEG1`,
-/// byte-serial FNV-1a) reopens with its entries listed, and each is a
-/// miss on lookup: no version-1 reader is kept.
+/// A store written by an earlier format — version 2 (column statistics
+/// in the headers) or version 1 (before the column-major payload,
+/// byte-serial FNV-1a) — reopens with its entries listed, and each is a
+/// miss on lookup: no reader of an older version is kept.
 #[test]
 fn version_one_image_reopens_as_a_miss() {
     let dir = temp_dir("v1");
     let fp = OpFingerprint(11);
-    let (path, image, bytes) = one_entry(&dir, fp, 300);
-    assert_eq!(&image[..6], b"SFSEG2");
-    let mut v1 = image[..image.len() - 8].to_vec();
-    v1[..6].copy_from_slice(b"SFSEG1");
-    let sum = v1.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    v1.extend(sum.to_le_bytes());
-    std::fs::write(&path, &v1).expect("write v1 image");
-    assert_reopens_as_a_miss(&dir, fp, bytes);
+    let ids: Vec<Tuple> = (0..300)
+        .map(|i| Tuple::new(schema(), vec![Value::Int(i)]).expect("row conforms"))
+        .collect();
+    let byte_serial = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    for (magic, word_wise) in [(b"SFSEG2", true), (b"SFSEG1", false)] {
+        let (path, image, bytes) = one_entry(&dir, fp, &ids);
+        assert_eq!(&image[..6], b"SFSEG3");
+        let mut old = image[..image.len() - 8].to_vec();
+        old[..6].copy_from_slice(magic);
+        let sum = if word_wise {
+            checksum(&old)
+        } else {
+            byte_serial(&old)
+        };
+        old.extend(sum.to_le_bytes());
+        std::fs::write(&path, &old).expect("write an older image");
+        assert_reopens_as_a_miss(&dir, fp, bytes);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A stored value nested a million lists deep — here the manifest's
-/// `min`, under a valid checksum and the entry's own `MANIFEST` line — is
+/// A stored value nested a million lists deep — a cell of a `List`
+/// column, under a valid checksum and the entry's own `MANIFEST` line — is
 /// refused at the 256 levels a JSON document may nest, not recursed into
 /// until the stack overflows.
 #[test]
 fn deeply_nested_stored_value_is_a_miss_not_a_stack_overflow() {
+    const DEPTH: usize = 1_000_000;
     let dir = temp_dir("nested");
     let fp = OpFingerprint(12);
-    let (path, image, bytes) = one_entry(&dir, fp, 10);
-    // Magic (6), the schema `[("id", Int)]` (4 + 4 + 2 + 1), four u64
-    // manifest counts (32), the stats' presence byte and column count
-    // (1 + 4): then column 0's `min`, a presence byte and a tagged value.
-    let min = 6 + 11 + 32 + 5;
-    assert_eq!(image[min..min + 2], [1, 2], "min is Some(Int)");
-    let mut forged = image[..=min].to_vec();
-    for _ in 0..1_000_000 {
-        forged.extend([6, 1, 0, 0, 0]); // a list of one element
-    }
-    forged.extend(&image[min + 1..image.len() - 8]);
-    forged.extend(checksum(&forged).to_le_bytes());
-    std::fs::write(&path, &forged).expect("write forged image");
+    // One cell of `5 * DEPTH + 1` stored bytes: a list tag and length, a
+    // byte string's tag and length, and its bytes.
+    let schema = Schema::of(&[("l", DataType::List)]);
+    let blob = Value::Bytes(vec![0u8; 5 * DEPTH - 9].into());
+    let row = Tuple::new(schema, vec![Value::List(vec![blob])]).expect("row conforms");
+    let (path, mut image, bytes) = one_entry(&dir, fp, &[row]);
+    // Magic (6), the schema `[("l", List)]` (4 + 4 + 1 + 1), four u64
+    // manifest counts (32) and the block's three u32 sizes (12): then the
+    // column, which is the one cell.
+    let cell = 6 + 10 + 32 + 12;
+    assert_eq!(image[cell..cell + 6], [6, 1, 0, 0, 0, 5], "a list of bytes");
+    // Rewritten in place as a million lists of one element around a
+    // null: the same length, so every count and the `MANIFEST` line still
+    // agree.
+    let nested = [6, 1, 0, 0, 0].repeat(DEPTH);
+    let body = image.len() - 8;
+    assert_eq!(cell + nested.len() + 1, body);
+    image[cell..cell + nested.len()].copy_from_slice(&nested);
+    image[body - 1] = 0;
+    let sum = checksum(&image[..body]);
+    image[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &image).expect("write forged image");
     assert_reopens_as_a_miss(&dir, fp, bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
