@@ -94,21 +94,20 @@ use crate::sync::lock;
 use crate::trace::ProgressTrace;
 
 /// One sealed cache entry: an operator's complete output multiset as a
-/// block-store segment, plus the counters telemetry reports when the
-/// entry is served.
+/// block-store segment, whose manifest holds the counters telemetry
+/// reports when the entry is served.
 #[derive(Debug)]
 pub struct CacheEntry {
     segment: Segment,
-    rows: u64,
-    blocks: u64,
-    bytes: u64,
 }
 
 impl CacheEntry {
     fn seal(schema: &SchemaRef, tuples: &[Tuple]) -> CacheEntry {
         let mut app = BlockAppender::new();
         append_rows(&mut app, schema, tuples);
-        CacheEntry::from_segment(app.seal())
+        CacheEntry {
+            segment: app.seal(),
+        }
     }
 
     /// Seal what a run recorded, as it was recorded, keeping its order.
@@ -135,34 +134,24 @@ impl CacheEntry {
             }
         }
         append_rows(&mut app, schema, &rows);
-        CacheEntry::from_segment(app.seal())
-    }
-
-    /// Wrap a sealed segment (a persisted one is already
-    /// checksum-validated).
-    fn from_segment(segment: Segment) -> CacheEntry {
-        let m = segment.manifest();
         CacheEntry {
-            rows: m.row_count,
-            blocks: m.block_count,
-            bytes: m.compressed_bytes,
-            segment,
+            segment: app.seal(),
         }
     }
 
     /// Rows recorded in this entry.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.segment.manifest().row_count
     }
 
     /// Compressed blocks backing this entry.
     pub fn blocks(&self) -> u64 {
-        self.blocks
+        self.segment.manifest().block_count
     }
 
     /// Compressed bytes backing this entry.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.segment.manifest().compressed_bytes
     }
 
     /// Decode the full output multiset back into tuples, in recorded
@@ -399,7 +388,7 @@ impl ResultCache {
         recompute_cost: SimDuration,
         owner: Option<&str>,
     ) -> PublishOutcome {
-        let bytes = entry.bytes;
+        let bytes = entry.bytes();
         let mut inner = lock(&self.inner);
         if inner.entries.contains_key(&fp.0) {
             return PublishOutcome {
@@ -429,8 +418,8 @@ impl ResultCache {
         inner.entries.insert(
             fp.0,
             Stored {
-                rows: entry.rows,
-                blocks: entry.blocks,
+                rows: entry.rows(),
+                blocks: entry.blocks(),
                 bytes,
                 slot: Slot::Loaded(entry),
                 seq,
@@ -638,7 +627,7 @@ impl DiskStore {
         for block in segment.blocks() {
             block.decode().map_err(|e| corrupt(&e.to_string()))?;
         }
-        Ok(CacheEntry::from_segment(segment))
+        Ok(CacheEntry { segment })
     }
 
     /// Serialize the index: one `fp rows blocks bytes cost owner` line
@@ -761,13 +750,13 @@ impl CacheReplayOp {
         CacheReplayOp {
             desc: OpDescriptor {
                 cost: CostProfile {
-                    setup: read_per_block * entry.blocks,
+                    setup: read_per_block * entry.blocks(),
                     per_tuple: SimDuration::ZERO,
                     per_batch: SimDuration::ZERO,
                     ..CostProfile::default()
                 },
                 source: true,
-                cache_replay: Some((entry.blocks, entry.bytes)),
+                cache_replay: Some((entry.blocks(), entry.bytes())),
                 ..OpDescriptor::new(name, 0)
             },
             schema,
@@ -940,8 +929,8 @@ pub fn prepare(wf: &Workflow, cache: &ResultCache, read_per_block: SimDuration) 
             NodeFate::Served => {
                 let entry = hit[i].clone().expect("served nodes carry their entry");
                 hits += 1;
-                hit_blocks += entry.blocks;
-                hit_bytes += entry.bytes;
+                hit_blocks += entry.blocks();
+                hit_bytes += entry.bytes();
                 let replay = CacheReplayOp::new(
                     &node.desc().name,
                     wf.schema(id).clone(),

@@ -14,19 +14,22 @@
 //! `PipelineExecutor`. Edges are bounded mailboxes with backpressure, and
 //! payloads travel as [`SharedBatch`]es — `Arc`-shared immutable tuple
 //! batches, so broadcast and multi-consumer edges share one allocation
-//! instead of cloning every tuple per worker. Partitioners are
-//! compiled once per edge at DAG-build time
-//! ([`crate::dag::Workflow::partitioner`]), and routing *moves* tuples
-//! into per-(edge, destination worker) buffers — the hot path performs no
-//! per-tuple name lookups and no per-tuple allocation. Rows leave a
-//! buffer a full edge batch at a time: a hop that splits its input among
-//! `w` workers tops each buffer up until it holds `batch_size` rows
-//! instead of forwarding `w`-ths, and whatever a buffer still holds
-//! leaves when the task's quantum ends, so no row waits across quanta
-//! (`Pool::forward_rows`, `Pool::close_batches`).
+//! instead of cloning every tuple per worker.
+//!
+//! The data-plane rules live in `dataplane.rs`, and the simulator runs
+//! the same ones: the blocking-port gate, EOS count and held-input
+//! release, the router (compiled partitioners *moving* tuples into
+//! per-(edge, destination worker) buffers), source dealing with its cache
+//! tee, and the operator call. The pool's own is when they run, and its
+//! flush policy: rows leave a buffer a full edge batch at a time — a hop
+//! that splits its input `w` ways still sends `batch_size` batches, not
+//! `w`-ths — and a remainder leaves when the task's quantum ends
+//! (`Pool::forward_rows`, `Pool::close_batches`). Sealed batches, a
+//! sealed source's cursor, mailboxes, faults, retries, the drain path and
+//! the stall rule are the pool's alone.
 //!
 //! This module owns what one run is made of — the task set
-//! (`build_tasks`), the per-run core (`Pool`: mailboxes, routing,
+//! (`build_tasks`), the per-run core (`Pool`: mailboxes, flushing,
 //! the quantum `Pool::step`, fault and retry hooks, counters) and the
 //! result assembly. It owns no threads and no ready queue. There is
 //! **one scheduler**, [`crate::service`]'s: a pooled
@@ -114,12 +117,12 @@ use scriptflow_simcluster::{SimDuration, SimTime};
 use crate::backend::EngineRun;
 use crate::cache::CacheRecording;
 use crate::dag::{OpId, Workflow};
+use crate::dataplane::{self, call_operator, carve_full, EdgeOut, InputPorts, Router};
 use crate::fault::{CompiledFaults, FaultPlan, TupleAction, TupleTrigger};
 use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{
     Emitted, Operator, OutputCollector, StarvedPort, WorkflowError, WorkflowResult,
 };
-use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryBudget, RetryConfig};
 use crate::service::{RunOptions, ServiceConfig, Shared, TenantQuota};
 use crate::sync::lock;
@@ -654,6 +657,15 @@ enum Msg {
     Eos { port: usize },
 }
 
+impl Msg {
+    fn eos_port(&self) -> Option<usize> {
+        match self {
+            Msg::Eos { port } => Some(*port),
+            Msg::Batch { .. } => None,
+        }
+    }
+}
+
 /// Task state machine (Databend-style): a task is scheduled at most once
 /// concurrently; schedule requests arriving mid-run dirty the state so the
 /// pool re-queues the task when the run finishes.
@@ -666,37 +678,12 @@ const RUNNING_DIRTY: u8 = 3;
 /// so one busy task cannot monopolize a pool thread.
 const QUANTUM: usize = 64;
 
-/// One compiled out-edge of a task: where its output goes and how.
-#[derive(Clone)]
-struct EdgeOut {
-    to_port: usize,
-    partitioner: CompiledPartitioner,
-    /// Global task ids of the consumer's workers, by local index.
-    dests: Vec<usize>,
-}
-
 impl EdgeOut {
-    /// Row buffers the edge fills: one per destination worker where rows
-    /// are scattered, one in all where every row goes the same way (a
-    /// single consumer, or a broadcast sharing each batch).
-    fn buffers(&self) -> usize {
-        if self.partitioner.is_broadcast() {
-            1
-        } else {
-            self.dests.len()
-        }
-    }
-
     /// Queue `rows`, the next batch out of buffer `w`, for delivery. A
     /// broadcast edge shares the one allocation among its destinations.
     fn send(&self, w: usize, rows: Vec<Tuple>, outbox: &mut VecDeque<(usize, Msg)>) {
         let batch = SharedBatch::new(rows);
-        let dests = if self.partitioner.is_broadcast() {
-            &self.dests[..]
-        } else {
-            &self.dests[w..=w]
-        };
-        for &dest in dests {
+        for &dest in &self.dests[self.targets(w)] {
             let (port, batch) = (self.to_port, batch.clone());
             outbox.push_back((dest, Msg::Batch { port, batch }));
         }
@@ -708,7 +695,6 @@ struct TaskStatic {
     /// Operator index (for the metric counters).
     op: usize,
     downstream: Vec<EdgeOut>,
-    blocking: Vec<usize>,
     batch_size: usize,
     /// Injected latency per forwarded batch group (slow-edge fault).
     slow_edge: Option<Duration>,
@@ -763,26 +749,19 @@ impl Operator for PassThrough {
 struct TaskInner {
     instance: Box<dyn Operator>,
     collector: OutputCollector,
-    /// Routing sequence per out-edge.
-    seqs: Vec<u64>,
-    /// Per-out-edge, per-destination-worker row buffers
-    /// ([`EdgeOut::buffers`]). Output is scattered into them and leaves a
-    /// full edge batch at a time; a remainder waits here for more output
-    /// of the same quantum, never beyond it ([`Pool::close_batches`]).
-    scatter: Vec<Vec<Vec<Tuple>>>,
+    /// Output is routed into the router's buffers and leaves a full edge
+    /// batch at a time; a remainder waits there for more output of the
+    /// same quantum, never beyond it ([`Pool::close_batches`]).
+    router: Router,
     /// Reusable row-index buffers for scattering a columnar batch.
     scatter_rows: Vec<Vec<Vec<u32>>>,
     /// Routed messages awaiting delivery; kept FIFO so per-destination
     /// ordering (data before EOS) is preserved under backpressure.
     outbox: VecDeque<(usize, Msg)>,
-    /// Remaining EOS per input port before the port completes.
-    eos_remaining: Vec<usize>,
-    port_done: Vec<bool>,
-    /// Messages gated behind a blocking port (unbounded by design: holding
-    /// them is what keeps mailboxes draining and the pool deadlock-free).
-    held: VecDeque<Msg>,
-    /// Released held messages, processed ahead of new mailbox arrivals.
-    pending: VecDeque<Msg>,
+    /// EOS counts, closed ports and the messages gated behind a blocking
+    /// port (held unbounded: that is what keeps mailboxes draining and
+    /// the pool deadlock-free).
+    ports: InputPorts<Msg>,
     /// Own data (source workers only).
     source: Option<Source>,
     eos_queued: bool,
@@ -854,16 +833,6 @@ impl TaskInner {
                 counted,
             });
         }
-    }
-
-    /// Count one EOS marker on `port`; `true` when it closed the port.
-    fn note_eos(&mut self, port: usize) -> bool {
-        self.eos_remaining[port] = self.eos_remaining[port].saturating_sub(1);
-        let closes = self.eos_remaining[port] == 0 && !self.port_done[port];
-        if closes {
-            self.port_done[port] = true;
-        }
-        closes
     }
 }
 
@@ -1210,7 +1179,7 @@ impl Pool {
         }
         self.close_batches(meta, inner);
         let TaskInner {
-            seqs,
+            router,
             scatter_rows,
             outbox,
             ..
@@ -1233,8 +1202,11 @@ impl Pool {
                     send(&edge.dests, part);
                 }
             } else {
-                edge.partitioner
-                    .scatter_indices(&batch, &mut seqs[d], &mut scatter_rows[d])?;
+                edge.partitioner.scatter_indices(
+                    &batch,
+                    &mut router.seqs[d],
+                    &mut scatter_rows[d],
+                )?;
                 for (rows, dest) in scatter_rows[d].iter_mut().zip(&edge.dests) {
                     for part in rows.chunks(meta.batch_size) {
                         send(std::slice::from_ref(dest), batch.take(part));
@@ -1246,15 +1218,12 @@ impl Pool {
         Ok(())
     }
 
-    /// Route `tuples` along every out-edge, into the edge's row buffers:
-    /// a scattered edge *moves* each tuple into its destination worker's
-    /// buffer, a broadcast or single-consumer edge appends the run to its
-    /// one buffer, and genuine multi-edge fan-out clones tuples — two
-    /// reference counts each, no values copied. A batch leaves for the
-    /// outbox the moment a buffer holds the edge's `batch_size` rows; what
-    /// is left stays for the task's next output to top up, or for
-    /// [`Pool::close_batches`] at the end of the quantum. So a hop that
-    /// splits its input `w` ways still sends full batches, not `w`-ths.
+    /// Route `tuples` along every out-edge into the edge's row buffers
+    /// ([`Router::route`]). A batch leaves for the outbox the moment a
+    /// buffer holds the edge's `batch_size` rows; what is left stays for
+    /// the task's next output to top up, or for [`Pool::close_batches`]
+    /// at the end of the quantum. So a hop that splits its input `w` ways
+    /// still sends full batches, not `w`-ths.
     fn forward_rows(
         &self,
         meta: &TaskStatic,
@@ -1265,38 +1234,17 @@ impl Pool {
         if meta.downstream.is_empty() || tuples.is_empty() {
             return Ok(());
         }
-        let TaskInner {
-            seqs,
-            scatter,
-            outbox,
-            ..
-        } = inner;
-        let last = meta.downstream.len() - 1;
-        let mut remaining = Some(tuples);
-        for (d, edge) in meta.downstream.iter().enumerate() {
-            let mut owned = if d == last {
-                remaining.take().expect("taken only on the last edge")
-            } else {
-                remaining
-                    .as_ref()
-                    .expect("present until the last edge")
-                    .clone()
-            };
-            let bufs = &mut scatter[d];
-            if bufs.len() == 1 {
-                if bufs[0].is_empty() {
-                    bufs[0] = owned;
-                } else {
-                    bufs[0].append(&mut owned);
-                }
-            } else {
-                edge.partitioner.scatter(owned, &mut seqs[d], bufs)?;
-            }
+        // What was routed is carved even if an edge failed, so no batch
+        // ever exceeds `batch_size`.
+        let routed = inner.router.route(&meta.downstream, tuples);
+        for (edge, bufs) in meta.downstream.iter().zip(&mut inner.router.bufs) {
             for (w, buf) in bufs.iter_mut().enumerate() {
-                carve_full(buf, meta.batch_size, |rows| edge.send(w, rows, outbox));
+                carve_full(buf, meta.batch_size, |rows| {
+                    edge.send(w, rows, &mut inner.outbox)
+                });
             }
         }
-        Ok(())
+        routed
     }
 
     /// The flush point: every row an edge buffer still holds leaves for
@@ -1308,10 +1256,8 @@ impl Pool {
     /// successful steps routed: flushing them after a fault delivers the
     /// output of the steps before it exactly once.
     fn close_batches(&self, meta: &TaskStatic, inner: &mut TaskInner) {
-        let TaskInner {
-            scatter, outbox, ..
-        } = inner;
-        for (edge, bufs) in meta.downstream.iter().zip(scatter) {
+        let TaskInner { router, outbox, .. } = inner;
+        for (edge, bufs) in meta.downstream.iter().zip(&mut router.bufs) {
             for (w, buf) in bufs.iter_mut().enumerate() {
                 if !buf.is_empty() {
                     edge.send(w, std::mem::take(buf), outbox);
@@ -1427,14 +1373,7 @@ impl Pool {
         if !counted {
             self.tracer.on_input(meta.op, input.len() as u64);
         }
-        let step = match input {
-            Emitted::Columnar(sealed) => {
-                inner.instance.on_batch(&sealed, port, &mut inner.collector)
-            }
-            Emitted::Rows(tuples) => tuples
-                .into_iter()
-                .try_for_each(|t| inner.instance.on_tuple(t, port, &mut inner.collector)),
-        };
+        let step = call_operator(&mut *inner.instance, port, input, &mut inner.collector);
         if let Err(e) = step {
             self.fault(meta.op, inner, e);
             return Some(RunOutcome::More);
@@ -1548,7 +1487,7 @@ impl Pool {
             let (port, input, counted) = match chunk {
                 Some(chunk) => (0, chunk, true),
                 None => {
-                    let msg = match inner.pending.pop_front() {
+                    let msg = match inner.ports.take_released() {
                         Some(m) => m,
                         None => match lock(&task.inbox.queue).pop_front() {
                             Some(m) => {
@@ -1559,14 +1498,10 @@ impl Pool {
                             None => break 'consume None,
                         },
                     };
-                    let port = match &msg {
-                        Msg::Batch { port, .. } | Msg::Eos { port } => *port,
-                    };
-                    let gate_open = meta.blocking.iter().all(|&p| inner.port_done[p]);
-                    if !gate_open && !meta.blocking.contains(&port) {
-                        inner.held.push_back(msg);
+                    let (Msg::Batch { port, .. } | Msg::Eos { port }) = msg;
+                    let Some(msg) = inner.ports.admit(port, msg) else {
                         continue;
-                    }
+                    };
                     match msg {
                         // Sole-owner row batches reclaim their tuples
                         // without copying; shared (broadcast) ones clone
@@ -1577,7 +1512,7 @@ impl Pool {
                             None => (port, Emitted::Rows(batch.into_tuples()), false),
                         },
                         Msg::Eos { port } => {
-                            if inner.note_eos(port) {
+                            if inner.ports.eos(port) {
                                 if let Err(e) =
                                     inner.instance.on_port_complete(port, &mut inner.collector)
                                 {
@@ -1586,12 +1521,6 @@ impl Pool {
                                 }
                                 if let Some(outcome) = self.emit_collected(tid, meta, inner) {
                                     break 'consume Some(outcome);
-                                }
-                                let gate_now = meta.blocking.iter().all(|&p| inner.port_done[p]);
-                                if gate_now && !inner.held.is_empty() {
-                                    while let Some(m) = inner.held.pop_front() {
-                                        inner.pending.push_back(m);
-                                    }
                                 }
                             }
                             continue;
@@ -1621,12 +1550,7 @@ impl Pool {
         // Everything available has been processed — a source's chunks
         // included: complete if no more input can ever arrive
         // (per-channel FIFO means EOS is final).
-        let ports_done = inner.port_done.iter().all(|d| *d);
-        if ports_done
-            && inner.pending.is_empty()
-            && inner.held.is_empty()
-            && lock(&task.inbox.queue).is_empty()
-        {
+        if inner.ports.drained() && lock(&task.inbox.queue).is_empty() {
             if inner.eos_delay > 0 {
                 // Delayed-EOS fault: burn a run quantum before closing.
                 inner.eos_delay -= 1;
@@ -1675,14 +1599,7 @@ impl Pool {
         let task = &self.tasks[tid];
         inner.source = None;
         inner.replay = None;
-        // EOS parked in the hold/pending buffers still counts toward
-        // closing the ports: a failed task that threw it away would wait
-        // for markers it already had.
-        while let Some(msg) = inner.pending.pop_front().or_else(|| inner.held.pop_front()) {
-            if let Msg::Eos { port } = msg {
-                inner.note_eos(port);
-            }
-        }
+        inner.ports.discard(Msg::eos_port);
         self.queue_eos(meta, inner, true);
         if !self.flush_outbox(tid, inner) {
             return RunOutcome::Yield;
@@ -1697,14 +1614,14 @@ impl Pool {
             self.tracer.on_mailbox_pop(meta.op);
             // Data is discarded unprocessed; EOS still counts toward
             // closing the port.
-            if let Msg::Eos { port } = msg {
-                inner.note_eos(port);
+            if let Some(port) = msg.eos_port() {
+                inner.ports.eos(port);
             }
         }
         if consumed {
             self.wake_waiters(tid);
         }
-        if inner.port_done.iter().all(|d| *d) {
+        if inner.ports.drained() {
             inner.done = true;
             return RunOutcome::Done;
         }
@@ -1737,15 +1654,7 @@ impl Pool {
             }
             let first = (self.tasks.iter()).position(|t| t.meta.op == op);
             let worker = tid - first.unwrap_or(tid);
-            for port in (0..inner.port_done.len()).filter(|&p| !inner.port_done[p]) {
-                // EOS held behind a blocking port has arrived already.
-                let parked = (inner.held.iter().chain(&inner.pending))
-                    .filter(|m| matches!(m, Msg::Eos { port: p } if *p == port))
-                    .count();
-                let missing_eos = inner.eos_remaining[port].saturating_sub(parked);
-                if missing_eos == 0 {
-                    continue;
-                }
+            for (port, missing_eos) in inner.ports.missing_eos(Msg::eos_port) {
                 let feeds = |e: &EdgeOut| e.to_port == port && e.dests.contains(&tid);
                 let upstream = (self.tasks.iter()).find(|t| t.meta.downstream.iter().any(feeds));
                 starving.push(StarvedPort {
@@ -1843,40 +1752,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Carve every full `size`-row batch off the front of `buf`, in order,
-/// and leave the remainder — fewer than `size` rows — in it. Tuples are
-/// moved, never cloned, and every batch carved from a longer buffer is
-/// allocated at exactly its length — one pass, O(n) moves, O(n) resident
-/// capacity. (`Vec::split_off` would not do: the head it leaves behind
-/// keeps the whole parent's capacity, and the tail is re-copied per batch.)
-fn carve_full(buf: &mut Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
-    debug_assert!(size > 0);
-    if buf.len() < size {
-        return;
-    }
-    if buf.len() == size {
-        emit(std::mem::take(buf));
-        return;
-    }
-    let mut rest = std::mem::take(buf).into_iter();
-    while rest.len() >= size {
-        let mut chunk = Vec::with_capacity(size);
-        chunk.extend(rest.by_ref().take(size));
-        emit(chunk);
-    }
-    buf.extend(rest);
-}
-
-/// Split an owned tuple vector into `size`-bounded chunks, in order: the
-/// full batches [`carve_full`] yields, then the remainder. Both engines
-/// chunk a source's partition with it.
-pub(crate) fn chunk_owned(mut tuples: Vec<Tuple>, size: usize, mut emit: impl FnMut(Vec<Tuple>)) {
-    carve_full(&mut tuples, size, &mut emit);
-    if !tuples.is_empty() {
-        emit(tuples);
-    }
-}
-
 pub(crate) fn default_pool_size() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1898,26 +1773,10 @@ pub(crate) fn build_tasks(
     retry: &RetryConfig,
     memory_budget: Option<usize>,
 ) -> Vec<Task> {
-    // Global task id per (operator, local worker).
-    let mut task_of: Vec<Vec<usize>> = Vec::with_capacity(wf.ops().len());
-    let mut next = 0usize;
-    for node in wf.ops() {
-        task_of.push((next..next + node.parallelism).collect());
-        next += node.parallelism;
-    }
-
-    let mut tasks: Vec<Task> = Vec::with_capacity(next);
-    for (i, node) in wf.ops().iter().enumerate() {
+    let mut tasks: Vec<Task> = Vec::with_capacity(wf.total_workers());
+    for ((i, node), downstream) in wf.ops().iter().enumerate().zip(dataplane::out_edges(wf)) {
         let op = OpId(i);
         let out_edges = wf.out_edges(op);
-        let downstream: Vec<EdgeOut> = out_edges
-            .iter()
-            .map(|&(eid, e)| EdgeOut {
-                to_port: e.to_port,
-                partitioner: wf.partitioner(eid).clone(),
-                dests: task_of[e.to.0].clone(),
-            })
-            .collect();
         let desc = node.desc();
         let ports = desc.input_ports;
         let record = recordings.iter().position(|r| r.op == op);
@@ -1933,32 +1792,18 @@ pub(crate) fn build_tasks(
             .then(|| node.factory.source_columnar())
             .flatten()
             .filter(|data| u32::try_from(data.len()).is_ok());
-        // Otherwise a source is partitioned once, as rows; each worker
-        // takes its own part.
-        let parts = (ports == 0 && sealed.is_none()).then(|| {
-            node.factory
-                .source_partitions(node.parallelism)
-                .expect("validated at build time")
-        });
         // A source is recorded here: the sealed dataset shared, not
-        // copied; rows in partition order.
-        if let Some(recording) = record.filter(|_| ports == 0).map(|r| &recordings[r]) {
-            match &sealed {
-                Some(data) => recording.tee(Emitted::Columnar(data.clone())),
-                None => parts
-                    .iter()
-                    .flatten()
-                    .for_each(|part| recording.tee(Emitted::Rows(part.clone()))),
-            }
+        // copied; rows as they are dealt.
+        let source_recording = record.filter(|_| ports == 0).map(|r| &recordings[r]);
+        if let (Some(recording), Some(data)) = (source_recording, &sealed) {
+            recording.tee(Emitted::Columnar(data.clone()));
         }
-        let mut parts = parts.map(Vec::into_iter);
+        // Otherwise a source is dealt once, as rows; each worker takes
+        // its own chunks.
+        let mut dealt = (ports == 0 && sealed.is_none())
+            .then(|| dataplane::seed_rows(node, source_recording, batch_size).into_iter());
         for local in 0..node.parallelism {
-            let mut rows = VecDeque::new();
-            if let Some(parts) = parts.as_mut() {
-                chunk_owned(parts.next().unwrap_or_default(), batch_size, |c| {
-                    rows.push_back(c)
-                });
-            }
+            let rows = dealt.as_mut().and_then(Iterator::next).unwrap_or_default();
             let source = (ports == 0).then(|| Source {
                 rows,
                 sealed: sealed.as_ref().map(|data| SealedCursor {
@@ -1971,7 +1816,6 @@ pub(crate) fn build_tasks(
                 meta: TaskStatic {
                     op: i,
                     downstream: downstream.clone(),
-                    blocking: desc.blocking_ports.clone(),
                     batch_size,
                     slow_edge: faults.and_then(|f| f.slow_edge(i)),
                     record: record.filter(|_| ports > 0),
@@ -1985,20 +1829,13 @@ pub(crate) fn build_tasks(
                         inst
                     },
                     collector: OutputCollector::with_capacity(batch_size),
-                    seqs: vec![0; downstream.len()],
-                    scatter: downstream
-                        .iter()
-                        .map(|e| vec![Vec::new(); e.buffers()])
-                        .collect(),
+                    router: Router::new(&downstream),
                     scatter_rows: downstream
                         .iter()
                         .map(|e| vec![Vec::new(); e.dests.len()])
                         .collect(),
                     outbox: VecDeque::new(),
-                    eos_remaining: wf.expected_eos(op).to_vec(),
-                    port_done: vec![false; ports],
-                    held: VecDeque::new(),
-                    pending: VecDeque::new(),
+                    ports: InputPorts::new(wf, op),
                     source,
                     eos_queued: false,
                     done: false,
@@ -2518,7 +2355,7 @@ mod tests {
             let input = int_batch(n as i64).into_tuples();
             let expect: Vec<String> = input.iter().map(|t| t.to_string()).collect();
             let mut chunks = Vec::new();
-            chunk_owned(input, SIZE, |c| chunks.push(c));
+            crate::dataplane::chunk_owned(input, SIZE, |c| chunks.push(c));
             assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= SIZE));
             assert_eq!(chunks.len(), n.div_ceil(SIZE));
             let capacity: usize = chunks.iter().map(Vec::capacity).sum();

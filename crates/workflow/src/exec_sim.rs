@@ -8,6 +8,17 @@
 //! outputs are bit-identical to the live threaded executor — while time
 //! advances on the virtual clock, so experiment results are deterministic
 //! and laptop-fast regardless of the modelled cluster size.
+//!
+//! The data plane is the pooled engine's (`dataplane.rs`): the
+//! blocking-port gate and EOS count, the router, source dealing and the
+//! operator call. What is this executor's own is *when* they run: the
+//! virtual clock and service durations, placement, channel clocks,
+//! pauses and sampling, the pipelining-off stage flush, and retry as a
+//! re-delivered virtual quantum. Its flush policy is one delivery per
+//! filled buffer at the end of each serviced item. It does not step the
+//! pool itself: the pool carves output into `batch_size` batches, so a
+//! blocking operator's output would leave as many items instead of one,
+//! and the per-batch charges — the virtual times — would move.
 
 use std::collections::VecDeque;
 
@@ -19,10 +30,10 @@ use scriptflow_simcluster::{Language, SimDuration, SimTime};
 use crate::backend::EngineRun;
 use crate::cache::CacheRecording;
 use crate::cost::EngineConfig;
-use crate::dag::{EdgeId, OpId, Workflow};
-use crate::exec_live::chunk_owned;
+use crate::dag::{OpId, Workflow};
+use crate::dataplane::{self, call_operator, EdgeOut, InputPorts, Router};
 use crate::metrics::{OperatorMetrics, OperatorState, RunMetrics};
-use crate::operator::{Emitted, Operator, WorkflowError, WorkflowResult};
+use crate::operator::{Emitted, Operator, OutputCollector, WorkflowError, WorkflowResult};
 use crate::retry::RetryBudget;
 use crate::trace::{OperatorSnapshot, ProgressTrace};
 
@@ -80,39 +91,25 @@ struct WorkerState {
     local_idx: usize,
     machine: usize,
     queue: VecDeque<Item>,
-    /// Items held back because their port is gated behind blocking ports.
-    held: VecDeque<Item>,
+    /// EOS counts, closed ports and the items gated behind a blocking
+    /// port — the pool's rule ([`InputPorts`]).
+    ports: InputPorts<Item>,
     busy: bool,
     current: Option<Item>,
     started: bool,
-    /// Remaining EOS per port before the port completes.
-    eos_remaining: Vec<usize>,
-    /// Ports already completed.
-    port_done: Vec<bool>,
-    /// Source chunks not yet enqueued (sources only).
+    /// The worker's EOS went out (or its operator's stage flushed).
     finished: bool,
     busy_time: SimDuration,
     /// Tuples this worker has serviced (drives warm-up accounting).
     processed: u64,
     /// The operator's retry budget, resolved once at placement.
     retry: RetryBudget,
-}
-
-impl WorkerState {
-    fn all_ports_done(&self) -> bool {
-        self.port_done.iter().all(|d| *d)
-    }
-
-    fn gate_open(&self, blocking: &[usize]) -> bool {
-        blocking.iter().all(|&p| self.port_done[p])
-    }
-}
-
-/// Per-edge staging used when pipelining is disabled: batches accumulate
-/// here and flush only when the producing operator fully completes.
-struct EdgeStage {
-    /// Per downstream worker: ordered staged tuple chunks.
-    staged: Vec<Vec<Vec<Tuple>>>,
+    /// The pool's router: each serviced item's output lands here and is
+    /// shipped in full before the next item starts.
+    router: Router,
+    /// Monotone last-delivery time per (out-edge, consumer worker):
+    /// guarantees EOS never overtakes data on a channel.
+    channel_clock: Vec<Vec<SimTime>>,
 }
 
 struct SimState<'a> {
@@ -122,13 +119,13 @@ struct SimState<'a> {
     instances: Vec<Box<dyn Operator>>,
     /// Worker ids per operator.
     op_workers: Vec<Vec<WorkerId>>,
-    /// Round-robin sequence per (edge, producing worker local idx).
-    route_seq: Vec<Vec<u64>>,
-    /// Monotone last-delivery time per (edge, from local, to local):
-    /// guarantees EOS never overtakes data on a channel.
-    channel_clock: Vec<Vec<Vec<SimTime>>>,
-    /// Staging when pipelining is off.
-    stages: Vec<EdgeStage>,
+    /// Per operator, its out-edges: the pool's routing table, whose
+    /// destination ids are this executor's worker ids.
+    edges: &'a [Vec<EdgeOut>],
+    /// Staging when pipelining is off: per operator, out-edge and
+    /// consumer worker, the chunks in the order they were produced. They
+    /// flush only when the producing operator fully completes.
+    stages: Vec<Vec<Vec<Vec<Vec<Tuple>>>>>,
     /// Remaining unfinished workers per op (drives stage flush + state).
     op_remaining: Vec<usize>,
     metrics: Vec<OperatorMetrics>,
@@ -247,24 +244,18 @@ impl<'a> SimState<'a> {
         dur
     }
 
-    /// Transfer + serde delay for a chunk crossing `edge` from one worker
-    /// to another.
-    fn edge_delay(
-        &self,
-        edge: EdgeId,
-        from: WorkerId,
-        to_machine: usize,
-        bytes: usize,
-    ) -> SimDuration {
-        let e = &self.wf.edges()[edge.0];
-        let from_lang = self.wf.op(e.from).desc().language;
-        let to_lang = self.wf.op(e.to).desc().language;
+    /// Transfer + serde delay for a chunk of `bytes` crossing from one
+    /// worker to another.
+    fn edge_delay(&self, from: WorkerId, to: WorkerId, bytes: usize) -> SimDuration {
+        let (from, to) = (&self.workers[from], &self.workers[to]);
+        let from_lang = self.wf.op(from.op).desc().language;
+        let to_lang = self.wf.op(to.op).desc().language;
         let serde = self
             .cfg
             .languages
             .serde(from_lang, self.cfg.serde_cost(bytes));
         let boundary = self.cfg.languages.boundary(from_lang, to_lang, bytes);
-        let wire = if self.workers[from].machine == to_machine {
+        let wire = if from.machine == to.machine {
             self.cfg.cluster.network.local_copy(bytes)
         } else {
             self.cfg.cluster.network.transfer(bytes)
@@ -273,92 +264,82 @@ impl<'a> SimState<'a> {
     }
 
     fn try_start(&mut self, worker: WorkerId, sched: &mut Scheduler<Ev>) {
-        if self.error.is_some() {
+        if self.error.is_some() || self.workers[worker].busy {
             return;
         }
-        if self.workers[worker].busy {
-            return;
-        }
-        // Pull the next item the gate allows; stash gated ones.
+        // Pull the next item the gate admits, released gated items
+        // first; the ports keep the ones still gated.
+        let w = &mut self.workers[worker];
+        let item = loop {
+            let Some(item) = w.ports.take_released().or_else(|| w.queue.pop_front()) else {
+                return;
+            };
+            let admitted = match item {
+                Item::Batch { port, .. } | Item::Eos { port } => w.ports.admit(port, item),
+                other => Some(other),
+            };
+            if let Some(item) = admitted {
+                break item;
+            }
+        };
         let desc = self.wf.op(self.workers[worker].op).desc();
-        let blocking = &desc.blocking_ports;
-        loop {
-            let item = match self.workers[worker].queue.pop_front() {
-                Some(i) => i,
-                None => return,
-            };
-            let gate_open = self.workers[worker].gate_open(blocking);
-            let gated = !gate_open
-                && match &item {
-                    Item::Batch { port, .. } | Item::Eos { port } => !blocking.contains(port),
-                    _ => false,
-                };
-            if gated {
-                self.workers[worker].held.push_back(item);
-                continue;
-            }
-            let dur = self.service_duration(worker, &item);
-            // `processed` tracks warm-up-port tuples only.
-            let warmup_port = desc.cost.warmup_port;
-            let n_tuples = match &item {
-                Item::Batch { port, tuples } if *port == warmup_port => tuples.len() as u64,
-                _ => 0,
-            };
-            // A user-requested pause defers new work to the resume point
-            // (in-flight services complete normally).
-            let start = self.pause_adjusted(sched.now());
-            if self.record_timeline {
-                self.timeline.push(WorkerInterval {
-                    op: self.workers[worker].op,
-                    worker: self.workers[worker].local_idx,
-                    start,
-                    end: start + dur,
-                });
-            }
-            let w = &mut self.workers[worker];
-            w.busy = true;
-            w.started = true;
-            w.busy_time += dur;
-            w.processed += n_tuples;
-            w.current = Some(item);
-            if self.metrics[w.op.0].state == OperatorState::Initializing {
-                self.metrics[w.op.0].state = OperatorState::Running;
-            }
-            sched.schedule_at(start + dur, Ev::Finish { worker });
-            return;
+        let dur = self.service_duration(worker, &item);
+        // `processed` tracks warm-up-port tuples only.
+        let warmup_port = desc.cost.warmup_port;
+        let n_tuples = match &item {
+            Item::Batch { port, tuples } if *port == warmup_port => tuples.len() as u64,
+            _ => 0,
+        };
+        // A user-requested pause defers new work to the resume point
+        // (in-flight services complete normally).
+        let start = self.pause_adjusted(sched.now());
+        if self.record_timeline {
+            self.timeline.push(WorkerInterval {
+                op: self.workers[worker].op,
+                worker: self.workers[worker].local_idx,
+                start,
+                end: start + dur,
+            });
         }
+        let w = &mut self.workers[worker];
+        w.busy = true;
+        w.started = true;
+        w.busy_time += dur;
+        w.processed += n_tuples;
+        w.current = Some(item);
+        if self.metrics[w.op.0].state == OperatorState::Initializing {
+            self.metrics[w.op.0].state = OperatorState::Running;
+        }
+        sched.schedule_at(start + dur, Ev::Finish { worker });
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Schedule `item`'s arrival at worker `to_local` of out-edge `d` of
+    /// `from`'s operator, behind everything sent on that channel before.
     fn deliver(
         &mut self,
         now: SimTime,
-        edge: EdgeId,
         from: WorkerId,
+        d: usize,
         to_local: usize,
         item: Item,
-        bytes: usize,
         sched: &mut Scheduler<Ev>,
     ) {
-        let e = &self.wf.edges()[edge.0];
-        let to_worker = self.op_workers[e.to.0][to_local];
-        let to_machine = self.workers[to_worker].machine;
-        let delay = self.edge_delay(edge, from, to_machine, bytes);
-        let from_local = self.workers[from].local_idx;
-        let clock = &mut self.channel_clock[edge.0][from_local][to_local];
+        let to = self.edges[self.workers[from].op.0][d].dests[to_local];
+        let bytes = match &item {
+            Item::Batch { tuples, .. } => tuples.iter().map(Tuple::encoded_len).sum(),
+            _ => 0,
+        };
+        let delay = self.edge_delay(from, to, bytes);
+        let clock = &mut self.workers[from].channel_clock[d][to_local];
         let at = (now + delay).max(*clock);
         *clock = at;
-        sched.schedule_at(
-            at,
-            Ev::Deliver {
-                worker: to_worker,
-                item,
-            },
-        );
+        sched.schedule_at(at, Ev::Deliver { worker: to, item });
     }
 
-    /// Route and ship `outputs` produced by `from` along every out-edge.
-    /// The last edge moves the tuples; an earlier one routes a clone.
+    /// Route `outputs` produced by `from` ([`Router::route`]) and ship
+    /// every buffer it filled at once, edge-major, destination-minor: a
+    /// broadcast's one buffer to every consumer worker. With pipelining
+    /// off the chunks are staged instead.
     fn forward(
         &mut self,
         now: SimTime,
@@ -366,57 +347,31 @@ impl<'a> SimState<'a> {
         outputs: Vec<Tuple>,
         sched: &mut Scheduler<Ev>,
     ) -> WorkflowResult<()> {
-        let wf = self.wf;
-        let op = self.workers[from].op;
-        let from_local = self.workers[from].local_idx;
-        let edges: Vec<(EdgeId, usize, usize)> = wf
-            .out_edges(op)
-            .into_iter()
-            .map(|(id, e)| (id, e.to_port, self.op_workers[e.to.0].len()))
-            .collect();
-        let last = edges.len().saturating_sub(1);
-        let mut outputs = Some(outputs);
-        for (i, (edge_id, to_port, nworkers)) in edges.into_iter().enumerate() {
-            // Partitioners are compiled once at DAG-build time; routing
-            // here is index arithmetic only (no name lookups, no cloning
-            // of the strategy per call).
-            let part = wf.partitioner(edge_id);
-            let seq = &mut self.route_seq[edge_id.0][from_local];
-            let mut routed: Vec<Vec<Tuple>> = vec![Vec::new(); nworkers];
-            let shared = outputs.as_ref().expect("present until the last edge");
-            if part.is_broadcast() {
-                for worker_batch in routed.iter_mut() {
-                    worker_batch.extend(shared.iter().cloned());
-                }
-                *seq += shared.len() as u64;
-            } else {
-                let owned = if i == last {
-                    outputs.take().expect("taken only on the last edge")
-                } else {
-                    shared.clone()
-                };
-                part.scatter(owned, seq, &mut routed)?;
-            }
-            for (to_local, tuples) in routed.into_iter().enumerate() {
-                if tuples.is_empty() {
+        let op = self.workers[from].op.0;
+        let edges = &self.edges[op];
+        self.workers[from].router.route(edges, outputs)?;
+        for (d, edge) in edges.iter().enumerate() {
+            for b in 0..edge.buffers() {
+                let mut rows = std::mem::take(&mut self.workers[from].router.bufs[d][b]);
+                if rows.is_empty() {
                     continue;
                 }
-                if self.cfg.pipelining {
-                    let bytes: usize = tuples.iter().map(Tuple::encoded_len).sum();
-                    self.deliver(
-                        now,
-                        edge_id,
-                        from,
-                        to_local,
-                        Item::Batch {
-                            port: to_port,
+                let targets = edge.targets(b);
+                for to_local in targets.clone() {
+                    let tuples = if to_local + 1 < targets.end {
+                        rows.clone()
+                    } else {
+                        std::mem::take(&mut rows)
+                    };
+                    if self.cfg.pipelining {
+                        let item = Item::Batch {
+                            port: edge.to_port,
                             tuples,
-                        },
-                        bytes,
-                        sched,
-                    );
-                } else {
-                    self.stages[edge_id.0].staged[to_local].push(tuples);
+                        };
+                        self.deliver(now, from, d, to_local, item, sched);
+                    } else {
+                        self.stages[op][d][to_local].push(tuples);
+                    }
                 }
             }
         }
@@ -438,70 +393,46 @@ impl<'a> SimState<'a> {
         }
         self.op_remaining[op.0] -= 1;
         let op_done = self.op_remaining[op.0] == 0;
+        let edges = &self.edges[op.0];
         if op_done {
             if self.metrics[op.0].state != OperatorState::Failed {
                 self.metrics[op.0].state = OperatorState::Completed;
             }
-            if self.wf.out_edges(op).is_empty() {
+            if edges.is_empty() {
                 // A sink operator finished.
                 self.sinks_remaining -= 1;
                 self.finish_time = self.finish_time.max(now);
             }
         }
 
-        let edges: Vec<(EdgeId, usize, usize)> = self
-            .wf
-            .out_edges(op)
-            .into_iter()
-            .map(|(id, e)| (id, e.to_port, self.op_workers[e.to.0].len()))
-            .collect();
-
         if self.cfg.pipelining {
-            for (edge_id, to_port, nworkers) in edges {
-                for to_local in 0..nworkers {
-                    self.deliver(
-                        now,
-                        edge_id,
-                        worker,
-                        to_local,
-                        Item::Eos { port: to_port },
-                        0,
-                        sched,
-                    );
+            for (d, edge) in edges.iter().enumerate() {
+                for to_local in 0..edge.dests.len() {
+                    let eos = Item::Eos { port: edge.to_port };
+                    self.deliver(now, worker, d, to_local, eos, sched);
                 }
             }
         } else if op_done {
             // Flush everything this op staged, then the EOS markers (one
             // per producing worker, keeping the EOS count uniform).
             let producers = self.op_workers[op.0].clone();
-            for (edge_id, to_port, nworkers) in edges {
-                for to_local in 0..nworkers {
-                    let chunks = std::mem::take(&mut self.stages[edge_id.0].staged[to_local]);
+            for (d, edge) in edges.iter().enumerate() {
+                for to_local in 0..edge.dests.len() {
+                    let chunks = std::mem::take(&mut self.stages[op.0][d][to_local]);
                     for tuples in chunks {
-                        let bytes: usize = tuples.iter().map(Tuple::encoded_len).sum();
+                        let port = edge.to_port;
                         self.deliver(
                             now,
-                            edge_id,
                             worker,
+                            d,
                             to_local,
-                            Item::Batch {
-                                port: to_port,
-                                tuples,
-                            },
-                            bytes,
+                            Item::Batch { port, tuples },
                             sched,
                         );
                     }
                     for &p in &producers {
-                        self.deliver(
-                            now,
-                            edge_id,
-                            p,
-                            to_local,
-                            Item::Eos { port: to_port },
-                            0,
-                            sched,
-                        );
+                        let eos = Item::Eos { port: edge.to_port };
+                        self.deliver(now, p, d, to_local, eos, sched);
                     }
                 }
             }
@@ -512,7 +443,7 @@ impl<'a> SimState<'a> {
     /// is queued, otherwise start its next item.
     fn complete_or_start(&mut self, now: SimTime, worker: WorkerId, sched: &mut Scheduler<Ev>) {
         let w = &self.workers[worker];
-        if w.all_ports_done() && w.queue.is_empty() && w.held.is_empty() {
+        if w.ports.drained() && w.queue.is_empty() {
             self.worker_complete(now, worker, sched);
         } else {
             self.try_start(worker, sched);
@@ -548,7 +479,7 @@ impl<'a> SimModel for SimState<'a> {
                 self.workers[worker].busy = false;
                 let op = self.workers[worker].op;
                 let mut outputs: Vec<Tuple> = Vec::new();
-                let mut collector = crate::operator::OutputCollector::new();
+                let mut collector = OutputCollector::new();
                 let is_replay = matches!(item, Item::Retry { .. });
                 match item {
                     Item::Source { tuples } => {
@@ -569,29 +500,20 @@ impl<'a> SimModel for SimState<'a> {
                         } else {
                             Vec::new()
                         };
-                        let inst = &mut self.instances[worker];
-                        let mut fault = None;
-                        if self.cfg.columnar && !is_replay && !tuples.is_empty() {
+                        let input = if self.cfg.columnar && !is_replay && !tuples.is_empty() {
                             // Columnar path: seal the delivered rows once
-                            // and hand the whole batch to the operator's
-                            // column kernel (zone-map skip, monomorphic
-                            // loop). On a fault the partial output is
-                            // discarded and the replay below re-services
-                            // the same rows on the row path.
+                            // for the operator's column kernel (zone-map
+                            // skip, monomorphic loop). On a fault the
+                            // partial output is discarded and the replay
+                            // below re-services the same rows on the row
+                            // path.
                             let schema = tuples[0].schema().clone();
-                            let cb = ColumnarBatch::from_tuples(schema, &tuples);
-                            if let Err(e) = inst.on_batch(&cb, port, &mut collector) {
-                                fault = Some(e);
-                            }
+                            Emitted::Columnar(ColumnarBatch::from_tuples(schema, &tuples))
                         } else {
-                            for t in tuples {
-                                if let Err(e) = inst.on_tuple(t, port, &mut collector) {
-                                    fault = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(e) = fault {
+                            Emitted::Rows(tuples)
+                        };
+                        let inst = &mut *self.instances[worker];
+                        if let Err(e) = call_operator(inst, port, input, &mut collector) {
                             if let Some(delay) = self.workers[worker].retry.spend() {
                                 // Model the retry as a replayed virtual
                                 // quantum: the backoff elapses on the
@@ -622,11 +544,9 @@ impl<'a> SimModel for SimState<'a> {
                         self.metrics[op.0].output_tuples += outputs.len() as u64;
                     }
                     Item::Eos { port } => {
-                        let w = &mut self.workers[worker];
-                        debug_assert!(w.eos_remaining[port] > 0, "excess EOS on port {port}");
-                        w.eos_remaining[port] -= 1;
-                        if w.eos_remaining[port] == 0 {
-                            w.port_done[port] = true;
+                        // A close that opens the gate releases the gated
+                        // items ahead of anything queued later.
+                        if self.workers[worker].ports.eos(port) {
                             let inst = &mut self.instances[worker];
                             if let Err(e) = inst.on_port_complete(port, &mut collector) {
                                 self.fail(op, e);
@@ -634,23 +554,10 @@ impl<'a> SimModel for SimState<'a> {
                             }
                             outputs = collector.take();
                             self.metrics[op.0].output_tuples += outputs.len() as u64;
-                            // Gate may have opened: release held items in
-                            // arrival order ahead of anything queued later.
-                            let blocking = &self.wf.op(op).desc().blocking_ports;
-                            if self.workers[worker].gate_open(blocking)
-                                && !self.workers[worker].held.is_empty()
-                            {
-                                let held = std::mem::take(&mut self.workers[worker].held);
-                                let queue = &mut self.workers[worker].queue;
-                                for (i, item) in held.into_iter().enumerate() {
-                                    queue.insert(i, item);
-                                }
-                            }
                         }
                     }
-                    Item::SourceDone => {
-                        self.workers[worker].port_done = vec![true];
-                    }
+                    // A source has no ports: this only ends its queue.
+                    Item::SourceDone => {}
                 }
                 // The one place an operator's output leaves it: record it
                 // for the cache here, route it below. (A faulted quantum
@@ -811,6 +718,7 @@ impl SimExecutor {
         recordings: &[CacheRecording],
     ) -> (ProgressTrace, WorkflowResult<EngineRun>) {
         let machine_count = self.config.cluster.worker_count().max(1);
+        let edges = dataplane::out_edges(wf);
 
         // --- Static placement -------------------------------------------
         let mut workers: Vec<WorkerState> = Vec::new();
@@ -825,24 +733,23 @@ impl SimExecutor {
                 } else {
                     global % machine_count
                 };
-                let eos_remaining = wf.expected_eos(OpId(i)).to_vec();
-                // A source's single flag is completed by `SourceDone`.
-                let port_done = vec![false; eos_remaining.len().max(1)];
                 workers.push(WorkerState {
                     op: OpId(i),
                     local_idx: local,
                     machine,
                     queue: VecDeque::new(),
-                    held: VecDeque::new(),
+                    ports: InputPorts::new(wf, OpId(i)),
                     busy: false,
                     current: None,
                     started: false,
-                    eos_remaining,
-                    port_done,
                     finished: false,
                     busy_time: SimDuration::ZERO,
                     processed: 0,
                     retry: RetryBudget::new(*self.config.retry.policy_for(&node.desc().name)),
+                    router: Router::new(&edges[i]),
+                    channel_clock: (edges[i].iter())
+                        .map(|e| vec![SimTime::ZERO; e.dests.len()])
+                        .collect(),
                 });
                 ids.push(global);
                 global += 1;
@@ -867,23 +774,11 @@ impl SimExecutor {
             inst.set_memory_budget(self.config.memory_budget);
         }
 
-        let route_seq: Vec<Vec<u64>> = wf
-            .edges()
-            .iter()
-            .map(|e| vec![0u64; wf.op(e.from).parallelism])
-            .collect();
-
-        let channel_clock: Vec<Vec<Vec<SimTime>>> = wf
-            .edges()
-            .iter()
-            .map(|e| vec![vec![SimTime::ZERO; wf.op(e.to).parallelism]; wf.op(e.from).parallelism])
-            .collect();
-
-        let stages: Vec<EdgeStage> = wf
-            .edges()
-            .iter()
-            .map(|e| EdgeStage {
-                staged: vec![Vec::new(); wf.op(e.to).parallelism],
+        let stages = (edges.iter())
+            .map(|out| {
+                out.iter()
+                    .map(|e| vec![Vec::new(); e.dests.len()])
+                    .collect()
             })
             .collect();
 
@@ -904,8 +799,7 @@ impl SimExecutor {
             workers,
             instances,
             op_workers,
-            route_seq,
-            channel_clock,
+            edges: &edges,
             stages,
             op_remaining,
             metrics,
@@ -926,34 +820,14 @@ impl SimExecutor {
         let mut sched: Scheduler<Ev> = Scheduler::new();
         let t0 = SimTime::ZERO + self.config.cluster.submit_overhead;
         for src in wf.sources() {
-            let node = wf.op(src);
-            let parts = match node.factory.source_partitions(node.parallelism) {
-                Some(parts) => parts,
-                None => {
-                    let err = WorkflowError::InvalidDag(format!(
-                        "source `{}` produced no partitions",
-                        node.desc().name
-                    ));
-                    return (std::mem::take(&mut state.trace), Err(err));
+            // A source is dealt, and recorded, here.
+            let recording = recordings.iter().find(|r| r.op == src);
+            let dealt = dataplane::seed_rows(wf.op(src), recording, self.config.batch_size.max(1));
+            for (&worker, chunks) in state.op_workers[src.0].iter().zip(dealt) {
+                for tuples in chunks {
+                    let item = Item::Source { tuples };
+                    sched.schedule_at(t0, Ev::Deliver { worker, item });
                 }
-            };
-            // A source is recorded here, in partition order.
-            if let Some(recording) = recordings.iter().find(|r| r.op == src) {
-                parts
-                    .iter()
-                    .for_each(|part| recording.tee(Emitted::Rows(part.clone())));
-            }
-            for (local, part) in parts.into_iter().enumerate() {
-                let worker = state.op_workers[src.0][local];
-                chunk_owned(part, self.config.batch_size.max(1), |tuples| {
-                    sched.schedule_at(
-                        t0,
-                        Ev::Deliver {
-                            worker,
-                            item: Item::Source { tuples },
-                        },
-                    );
-                });
                 sched.schedule_at(
                     t0,
                     Ev::Deliver {
@@ -1447,31 +1321,6 @@ mod tests {
             with < without,
             "pipelined {with} should beat barrier {without}"
         );
-    }
-
-    #[test]
-    fn results_identical_with_and_without_pipelining() {
-        let run = |pipelining: bool| {
-            let mut b = WorkflowBuilder::new();
-            let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(500))), 2);
-            let filt = b.add(
-                Arc::new(FilterOp::new("f", |t| Ok(t.get_int("id")? % 3 == 0))),
-                3,
-            );
-            let sink_op = SinkOp::new("sink");
-            let handle = sink_op.handle();
-            let sink = b.add(Arc::new(sink_op), 2);
-            b.connect(scan, filt, 0, PartitionStrategy::RoundRobin);
-            b.connect(filt, sink, 0, PartitionStrategy::RoundRobin);
-            let wf = b.build().unwrap();
-            let mut config = cfg();
-            config.pipelining = pipelining;
-            SimExecutor::new(config).run(&wf).unwrap();
-            let mut rows: Vec<String> = handle.results().iter().map(|t| t.to_string()).collect();
-            rows.sort();
-            rows
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

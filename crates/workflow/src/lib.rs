@@ -84,6 +84,7 @@ pub mod backend;
 pub mod cache;
 pub mod cost;
 pub mod dag;
+mod dataplane;
 pub mod exec_live;
 mod exec_reference;
 pub mod exec_sim;

@@ -4,10 +4,10 @@
 //! its memory budget it hash-partitions state into [`PartitionWriter`]s,
 //! which buffer tuples and flush them as column-major blocks into the
 //! datakit block store. Sealed partitions come back as [`Segment`]s whose
-//! manifests carry merged per-column statistics — the zone maps that let
-//! probe-side input skip partitions whose key range cannot match. Every
-//! write and read is counted on the [`OutputCollector`] so both executors
-//! can charge spill I/O and surface it in telemetry.
+//! manifests carry counts and sizes only (rows, blocks, bytes) — no column
+//! statistics, so every partition is read back whole. Every write and
+//! read is counted on the [`OutputCollector`] so both executors can
+//! charge spill I/O and surface it in telemetry.
 
 use scriptflow_datakit::blockstore::{BlockAppender, CompressedBlock, Segment};
 use scriptflow_datakit::{ColumnarBatch, DataResult, SchemaRef, Tuple};

@@ -800,34 +800,6 @@ fn every_configuration_matches_the_reference_on_random_dags() {
     assert!(reached.values().all(|&n| n > 0), "{reached:?}");
 }
 
-/// The pool-scheduled live executor computes exactly what the simulator
-/// computes on randomized filter/join DAGs.
-#[test]
-fn pooled_live_matches_sim_on_random_dag() {
-    pool_agrees_with(|wf| drop(SimExecutor::new(EngineConfig::default()).run(wf).unwrap()));
-}
-
-/// The layout an edge carries is the engine's business, never the data's:
-/// the pool produces the rows of the reference interpreter, which only
-/// ever moves rows and ignores the batch size.
-#[test]
-fn live_columnar_matches_row_on_random_dag() {
-    pool_agrees_with(|wf| drop(LiveExecutor::thread_per_worker(1).run(wf).unwrap()));
-}
-
-/// On random filter/join DAGs, the pool at a random batch size, mailbox
-/// capacity and width fills all three sinks with `oracle`'s rows.
-fn pool_agrees_with(oracle: impl Fn(&Workflow)) {
-    for_seeds(LIVE_CASES, |rng| {
-        let rows_of = random_join_dag(rng);
-        let pool = LiveExecutor::new(rng.range(1..64usize))
-            .with_channel_capacity(rng.range(1..8usize))
-            .with_pool_size(rng.range(1..5usize));
-        let want = rows_of(&oracle, false);
-        assert_eq!(want, rows_of(&|wf| drop(pool.run(wf).unwrap()), false));
-    });
-}
-
 /// Chaos: any seeded fault plan against any random chain terminates
 /// (the drain path and stall detector always converge), keeps the
 /// final trace monotone (downstream input never exceeds upstream
