@@ -12,7 +12,9 @@
 //! describes them as well as one computed at once. Operators can then:
 //!
 //! 1. consult the zone map ([`ColStats::range_excludes`]) and skip whole
-//!    batches whose min/max range cannot satisfy a predicate, and
+//!    batches whose min/max range cannot satisfy a predicate — the
+//!    engine's one reader is the comparison filter, which asks only for
+//!    its predicate's column — and
 //! 2. run tight monomorphic loops over `Vec<i64>`/`Vec<f64>`/… instead of
 //!    matching on `Value`.
 //!

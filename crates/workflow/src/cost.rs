@@ -146,8 +146,8 @@ pub struct EngineConfig {
     /// setting under which every paper anchor is reproduced
     /// byte-identically. Past the budget an operator hash-partitions its
     /// state into the compressed block store and recurses on overflow
-    /// partitions. A per-operator override set on the operator factory
-    /// wins over this engine-level value.
+    /// partitions. Every blocking operator of a run gets this one value
+    /// (see [`crate::Operator::set_memory_budget`]).
     pub memory_budget: Option<usize>,
     /// Virtual time the simulator charges per compressed block written to
     /// the spill store. Ignored when nothing spills.

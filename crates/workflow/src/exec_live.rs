@@ -464,9 +464,8 @@ impl LiveExecutor {
     /// work partition-by-partition; results are identical to the
     /// unbounded run, only the `spilled_*` counters and throughput
     /// change. `None` (the default) keeps execution fully in memory.
-    /// An operator carrying its own budget override (e.g.
-    /// [`crate::ops::HashJoinOp::with_memory_budget`]) ignores this
-    /// engine-level value.
+    /// This is the only budget an operator gets: each instance receives
+    /// it through [`crate::Operator::set_memory_budget`].
     ///
     /// # Examples
     ///
@@ -1444,11 +1443,19 @@ impl Pool {
         if inner.done {
             // A stale wake-up: a waiter registration can outlive the send
             // it was made for. Every producer of a finished task has sent
-            // its EOS, and nothing follows an EOS on a channel.
-            debug_assert!(
-                lock(&task.inbox.queue).is_empty(),
-                "a finished task received a message"
-            );
+            // its EOS, and nothing follows an EOS on a channel, so a
+            // message here is an engine fault (a port closed early). Its
+            // rows are lost: drain it, fail the operator and the run
+            // once, and stay done.
+            let stray = lock(&task.inbox.queue).drain(..).count();
+            if stray > 0 {
+                for _ in 0..stray {
+                    self.tracer.on_mailbox_pop(meta.op);
+                }
+                self.wake_waiters(tid);
+                let message = format!("a finished task received {stray} message(s)");
+                self.fail_task(meta.op, inner, self.failed(meta.op, message));
+            }
             return RunOutcome::Yield;
         }
         if inner.failed {
@@ -2567,6 +2574,34 @@ mod tests {
         }
         assert!(remainders > 0, "1 000 rows do not divide into full batches");
         assert_eq!(sched_totals(&pool).backpressure_stalls, 0);
+    }
+
+    /// A message that reaches a finished task (a port closed early) fails
+    /// the run once, naming the operator, and the task stays done: it is
+    /// neither re-queued nor left holding the message.
+    #[test]
+    fn a_message_to_a_finished_task_fails_the_run_once() {
+        let (wf, _) = udf_chain(100, 1, 1);
+        let (pool, _, _) = drive(&wf, 16);
+        assert!(lock(&pool.error).is_none());
+        let sink = pool.tasks.len() - 1;
+        let task = &pool.tasks[sink];
+        lock(&task.inbox.queue).push_back(Msg::Eos { port: 0 });
+        pool.tracer.on_mailbox_push(task.meta.op);
+        task.state.store(QUEUED, Ordering::Release);
+        pool.step(sink);
+        assert!(lock(&task.inbox.queue).is_empty(), "the message is drained");
+        assert_eq!(task.state.load(Ordering::Acquire), IDLE, "not re-queued");
+        assert!(lock(&task.inner).done);
+        match lock(&pool.error).clone() {
+            Some(WorkflowError::OperatorFailed { operator, message }) => {
+                assert_eq!(operator, "sink");
+                assert!(message.contains("finished task"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let probe = pool.tracer.probe(task.meta.op);
+        assert_eq!(probe.state(), OperatorState::Failed);
     }
 
     /// A fault in step *k* of a quantum costs that step, not the ones

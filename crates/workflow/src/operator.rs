@@ -307,9 +307,8 @@ pub trait Operator: Send {
     /// both executors right after [`OperatorFactory::create`], before any
     /// input is delivered. Operators without spillable state ignore it;
     /// blocking operators (join build tables, aggregation state, sort
-    /// buffers) spill to the block store once their state outgrows the
-    /// budget. A per-operator override set at build time wins over the
-    /// engine-level value.
+    /// buffers) take it as their budget and spill to the block store once
+    /// their state outgrows it. No operator carries a budget of its own.
     fn set_memory_budget(&mut self, _bytes: Option<usize>) {}
 
     /// Process one input tuple arriving on `port`.

@@ -122,7 +122,6 @@ pub struct AggregateOp {
     desc: OpDescriptor,
     group_by: Vec<String>,
     aggs: Vec<AggFn>,
-    memory_budget: Option<usize>,
 }
 
 impl AggregateOp {
@@ -139,18 +138,7 @@ impl AggregateOp {
             },
             group_by: group_by.iter().map(|s| (*s).to_owned()).collect(),
             aggs,
-            memory_budget: None,
         }
-    }
-
-    /// Per-operator memory budget override: once group state exceeds
-    /// `bytes`, groups are flushed to the block store as hash-partitioned
-    /// partial-aggregate rows (count/sum/min/max per aggregation) and
-    /// merged partition-wise at completion. Takes precedence over the
-    /// engine-level [`crate::EngineConfig::memory_budget`].
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
     }
 
     /// Override the cost profile.
@@ -363,8 +351,11 @@ struct AggregateInstance {
     // see data before they emit, so this is always available in time).
     out_schema: Option<SchemaRef>,
     groups: GroupTable,
+    // The engine's memory budget: once group state exceeds it, groups
+    // are flushed to the block store as hash-partitioned partial-aggregate
+    // rows (count/sum/min/max per aggregation) and merged partition-wise
+    // at completion.
     budget: Option<usize>,
-    budget_fixed: bool,
     spill: Option<AggSpill>,
     // The group columns' indices in the input tuples, and those of
     // `inputs`: the input column of every aggregation that reads one, in
@@ -376,9 +367,7 @@ struct AggregateInstance {
 
 impl Operator for AggregateInstance {
     fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        if !self.budget_fixed {
-            self.budget = bytes;
-        }
+        self.budget = bytes;
     }
 
     fn on_tuple(
@@ -637,8 +626,7 @@ impl OperatorFactory for AggregateOp {
             aggs: self.aggs.clone(),
             out_schema: None,
             groups: GroupTable::new(self.aggs.len()),
-            budget: self.memory_budget,
-            budget_fixed: self.memory_budget.is_some(),
+            budget: None,
             spill: None,
             group_idx: None,
             inputs: self
@@ -660,10 +648,8 @@ impl OperatorFactory for AggregateOp {
         for a in &self.aggs {
             h.write_str(&format!("{a:?}"));
         }
-        match self.memory_budget {
-            Some(b) => h.write_usize(b),
-            None => h.write_str("unbounded"),
-        }
+        // Fixed bytes: a fingerprint is an on-disk cache key and must not move.
+        h.write_str("unbounded");
         h.finish()
     }
 }
@@ -767,14 +753,19 @@ mod tests {
         assert_eq!(row_out.take(), col_out.take());
     }
 
-    /// Drive `op` over `batches` three ways — every batch through
-    /// `on_batch`, every row through `on_tuple`, and the two alternating
-    /// batch by batch into one instance — and check that all three emit
-    /// the same rows in the same order and spill the same blocks. Returns
-    /// the rows, rendered.
-    fn kernel_against_rows(op: &AggregateOp, batches: &[ColumnarBatch]) -> Vec<String> {
+    /// Drive `op` under `budget` over `batches` three ways — every batch
+    /// through `on_batch`, every row through `on_tuple`, and the two
+    /// alternating batch by batch into one instance — and check that all
+    /// three emit the same rows in the same order and spill the same
+    /// blocks. Returns the rows, rendered.
+    fn kernel_against_rows(
+        op: &AggregateOp,
+        budget: Option<usize>,
+        batches: &[ColumnarBatch],
+    ) -> Vec<String> {
         let run = |as_batch: &dyn Fn(usize) -> bool| {
             let mut inst = op.create();
+            inst.set_memory_budget(budget);
             let mut out = OutputCollector::new();
             for (i, batch) in batches.iter().enumerate() {
                 if as_batch(i) {
@@ -848,7 +839,7 @@ mod tests {
                 AggFn::Avg("tag".into()),
             ],
         );
-        let rows = kernel_against_rows(&op, &batches);
+        let rows = kernel_against_rows(&op, None, &batches);
         assert_eq!(rows.len(), 15);
         // First-seen order: row 0 is (null, null), row 1 (c1, 1), ...
         assert!(rows[0].contains("[Null, Null, Int(14)"), "{}", rows[0]);
@@ -865,7 +856,7 @@ mod tests {
                 group_by,
                 vec![AggFn::Sum("x".into()), AggFn::Count("n".into())],
             );
-            kernel_against_rows(&op, &batches);
+            kernel_against_rows(&op, None, &batches);
         }
     }
 
@@ -881,6 +872,7 @@ mod tests {
         let count = vec![AggFn::Count("n".into())];
         let by_float = kernel_against_rows(
             &AggregateOp::new("agg", &["f"], count.clone()),
+            None,
             std::slice::from_ref(&batch),
         );
         // Both zeros are one group, every NaN another; the key shown is
@@ -896,7 +888,8 @@ mod tests {
             "{}",
             by_float[1]
         );
-        let by_both = kernel_against_rows(&AggregateOp::new("agg", &["b", "f"], count), &[batch]);
+        let by_both =
+            kernel_against_rows(&AggregateOp::new("agg", &["b", "f"], count), None, &[batch]);
         assert_eq!(by_both.len(), 5);
     }
 
@@ -904,9 +897,8 @@ mod tests {
     fn budgeted_instance_flushes_the_same_partials_from_batches_as_from_rows() {
         let batches = mixed_batches(400);
         let aggs = vec![AggFn::Count("n".into()), AggFn::Sum("x".into())];
-        let unbounded = AggregateOp::new("agg", &["cat", "k"], aggs.clone());
-        let budgeted = AggregateOp::new("agg", &["cat", "k"], aggs).with_memory_budget(256);
-        let spilled = kernel_against_rows(&budgeted, &batches);
+        let op = AggregateOp::new("agg", &["cat", "k"], aggs);
+        let spilled = kernel_against_rows(&op, Some(256), &batches);
         // The merge emits partition by partition: the same groups as the
         // in-memory run, in another order.
         let sorted = |mut rows: Vec<String>| {
@@ -914,7 +906,7 @@ mod tests {
             rows
         };
         assert_eq!(spilled.len(), 15);
-        let in_memory = kernel_against_rows(&unbounded, &batches);
+        let in_memory = kernel_against_rows(&op, None, &batches);
         // Partial sums merge in another order than rows add in.
         let counts = |rows: Vec<String>| {
             let key_and_count = |r: String| r[..r.rfind(", Float").unwrap()].to_owned();
@@ -1024,14 +1016,7 @@ mod tests {
 
     #[test]
     fn engine_budget_applies_unless_operator_override_set() {
-        // Operator-level override wins: a huge fixed budget ignores the
-        // tiny engine-level one and never spills.
-        let fixed = agg_all().with_memory_budget(1 << 30);
-        let (_, blocks, _) = run_agg_budgeted(&fixed, Some(64), 200);
-        assert_eq!(blocks, 0, "fixed operator budget must win");
-        // And a tiny fixed budget spills even with no engine budget.
-        let tiny = agg_all().with_memory_budget(96);
-        let (rows, blocks, _) = run_agg_budgeted(&tiny, None, 200);
+        let (rows, blocks, _) = run_agg_budgeted(&agg_all(), Some(64), 200);
         assert!(blocks > 0);
         let (baseline, _, _) = run_agg_budgeted(&agg_all(), None, 200);
         assert_eq!(rows, baseline);

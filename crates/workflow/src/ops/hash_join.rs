@@ -6,8 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use scriptflow_datakit::blockstore::Segment;
-use scriptflow_datakit::column::cmp_values;
-use scriptflow_datakit::{ColumnVec, ColumnarBatch, HashKey, Schema, SchemaRef, Tuple, Value};
+use scriptflow_datakit::{ColumnVec, ColumnarBatch, HashKey, Schema, SchemaRef, Tuple};
 use scriptflow_simcluster::Language;
 
 use scriptflow_core::fingerprint::OpFingerprint;
@@ -21,17 +20,9 @@ use crate::spill::{read_block, tuple_footprint, PartitionWriter, SPILL_FANOUT, S
 
 use super::{resolve_columns, ResolvedColumns};
 
-/// Join semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    /// Emit only matching pairs.
-    Inner,
-    /// Emit every probe tuple; unmatched build columns become null.
-    LeftOuter,
-}
-
-/// Hash join: port 0 (build) is consumed fully into an in-memory hash
-/// table, then port 1 (probe) streams through.
+/// Inner hash join: port 0 (build) is consumed fully into an in-memory
+/// hash table, then port 1 (probe) streams through. A null key matches a
+/// null key, as `HashKey` equality has it (Texera's semantics).
 ///
 /// This is the operator whose Python↔Scala swap drives Table I of the
 /// paper. With parallelism > 1, both inputs must be hash-partitioned on
@@ -40,8 +31,6 @@ pub struct HashJoinOp {
     desc: OpDescriptor,
     build_keys: Vec<String>,
     probe_keys: Vec<String>,
-    join_type: JoinType,
-    memory_budget: Option<usize>,
 }
 
 impl HashJoinOp {
@@ -65,25 +54,7 @@ impl HashJoinOp {
             },
             build_keys: build_keys.iter().map(|s| (*s).to_owned()).collect(),
             probe_keys: probe_keys.iter().map(|s| (*s).to_owned()).collect(),
-            join_type: JoinType::Inner,
-            memory_budget: None,
         }
-    }
-
-    /// Change the join semantics.
-    pub fn with_join_type(mut self, join_type: JoinType) -> Self {
-        self.join_type = join_type;
-        self
-    }
-
-    /// Per-operator memory budget override: once the build table exceeds
-    /// `bytes` it is hash-partitioned to the block store and the join
-    /// proceeds grace-style, partition by partition, recursing on
-    /// overflow partitions. Takes precedence over the engine-level
-    /// [`crate::EngineConfig::memory_budget`].
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
     }
 
     /// Override the cost profile.
@@ -106,21 +77,13 @@ struct HashJoinInstance {
     // The key columns' indices in the build and probe tuples.
     build_idx: ResolvedColumns,
     probe_idx: ResolvedColumns,
-    join_type: JoinType,
     table: HashMap<HashKey, Vec<Tuple>>,
     out_schema: Option<SchemaRef>,
-    // Min/max of the build-side key column (single-key joins only),
-    // folded in while the hash table builds. Probe batches whose key
-    // zone map misses this range entirely are pruned (inner joins: a
-    // disjoint range proves zero matches).
-    build_key_range: BuildKeyRange,
-    // A null build key matches null probe keys (Texera's semantics), so
-    // probe batches containing null keys must not be pruned when one
-    // exists — the min/max range only covers non-null keys.
-    build_has_null_key: bool,
-    // Memory budget for the build table; past it the join goes grace.
+    // The engine's memory budget for the build table; past it the join
+    // goes grace: the table is hash-partitioned to the block store and
+    // the join proceeds partition by partition, recursing on overflow
+    // partitions.
     budget: Option<usize>,
-    budget_fixed: bool,
     build_bytes: usize,
     spill: Option<JoinSpill>,
 }
@@ -144,17 +107,6 @@ impl JoinSpill {
     }
 }
 
-/// Running build-side key range. `Poisoned` is sticky: once an
-/// unorderable key (NaN, heterogeneous types) is seen, pruning stays off
-/// for the rest of the run — a later clean value must not resurrect a
-/// range that silently forgot the poisoned one.
-#[derive(Debug, Clone, PartialEq)]
-enum BuildKeyRange {
-    Empty,
-    Range(Value, Value),
-    Poisoned,
-}
-
 impl HashJoinInstance {
     /// `tuple`'s join key on `port`'s key columns (0 build, 1 probe),
     /// resolved once per schema.
@@ -169,56 +121,9 @@ impl HashJoinInstance {
             .map_err(|e| WorkflowError::from_data(&self.name, e))
     }
 
-    /// Fold one build-side key value into the running min/max.
-    fn widen_build_range(&mut self, v: &Value) {
-        if v.is_null() {
-            self.build_has_null_key = true;
-            return;
-        }
-        match &mut self.build_key_range {
-            BuildKeyRange::Poisoned => {}
-            BuildKeyRange::Empty => {
-                self.build_key_range = BuildKeyRange::Range(v.clone(), v.clone());
-            }
-            BuildKeyRange::Range(min, max) => match (cmp_values(v, min), cmp_values(v, max)) {
-                (Some(lo), Some(hi)) => {
-                    if lo == std::cmp::Ordering::Less {
-                        *min = v.clone();
-                    }
-                    if hi == std::cmp::Ordering::Greater {
-                        *max = v.clone();
-                    }
-                }
-                _ => self.build_key_range = BuildKeyRange::Poisoned,
-            },
-        }
-    }
-
-    /// True when the probe batch's key range cannot intersect the build
-    /// side's: `probe_max < build_min || probe_min > build_max`.
-    fn probe_batch_disjoint(&self, batch: &ColumnarBatch, key_idx: usize) -> bool {
-        let BuildKeyRange::Range(build_min, build_max) = &self.build_key_range else {
-            return false;
-        };
-        let stats = batch.column_stats(key_idx);
-        if self.build_has_null_key && stats.null_count > 0 {
-            return false;
-        }
-        let (Some(probe_min), Some(probe_max)) = (&stats.min, &stats.max) else {
-            return false;
-        };
-        matches!(
-            cmp_values(probe_max, build_min),
-            Some(std::cmp::Ordering::Less)
-        ) || matches!(
-            cmp_values(probe_min, build_max),
-            Some(std::cmp::Ordering::Greater)
-        )
-    }
-
     /// Derive (once) the joined output schema from the probe side's and
-    /// the build side's schema, falling back to the probe schema when the
-    /// build side is empty (nulls are only padded for LeftOuter anyway).
+    /// the build side's schema. With no build row there is nothing to
+    /// emit, so the probe schema stands in.
     fn ensure_out_schema(
         &mut self,
         probe: &SchemaRef,
@@ -257,24 +162,13 @@ impl HashJoinInstance {
     /// Emit join output for one probe tuple against its key's matches.
     fn emit_probe(
         schema: &SchemaRef,
-        join_type: JoinType,
         tuple: &Tuple,
         matches: Option<&Vec<Tuple>>,
         out: &mut OutputCollector,
     ) {
-        match matches {
-            Some(matches) => {
-                for m in matches {
-                    let values = tuple.values().iter().chain(m.values()).cloned();
-                    out.emit(Tuple::collect_unchecked(schema.clone(), values));
-                }
-            }
-            None if join_type == JoinType::LeftOuter => {
-                let nulls = std::iter::repeat_n(Value::Null, schema.arity() - tuple.values().len());
-                let values = tuple.values().iter().cloned().chain(nulls);
-                out.emit(Tuple::collect_unchecked(schema.clone(), values));
-            }
-            None => {}
+        for m in matches.into_iter().flatten() {
+            let values = tuple.values().iter().chain(m.values()).cloned();
+            out.emit(Tuple::collect_unchecked(schema.clone(), values));
         }
     }
 
@@ -358,7 +252,7 @@ impl HashJoinInstance {
             for t in read_block(block, &self.name, out)? {
                 let schema = self.ensure_out_schema(t.schema(), build_schema)?;
                 let key = self.key_of(1, &t)?;
-                Self::emit_probe(&schema, self.join_type, &t, local.get(&key), out);
+                Self::emit_probe(&schema, &t, local.get(&key), out);
             }
         }
         Ok(())
@@ -367,9 +261,7 @@ impl HashJoinInstance {
 
 impl Operator for HashJoinInstance {
     fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        if !self.budget_fixed {
-            self.budget = bytes;
-        }
+        self.budget = bytes;
     }
 
     fn on_tuple(
@@ -381,12 +273,6 @@ impl Operator for HashJoinInstance {
         match port {
             0 => {
                 let key = self.key_of(0, &tuple)?;
-                if let Some((_, indices)) = &self.build_idx {
-                    if let [only] = indices[..] {
-                        let v = tuple.at(only).clone();
-                        self.widen_build_range(&v);
-                    }
-                }
                 let flush_at = self.flush_at();
                 if let Some(spill) = self.spill.as_mut() {
                     spill.build[key.bucket_salted(0, SPILL_FANOUT)].push(tuple, flush_at, out);
@@ -409,7 +295,7 @@ impl Operator for HashJoinInstance {
                     return Ok(());
                 }
                 let schema = self.table_out_schema(tuple.schema())?;
-                Self::emit_probe(&schema, self.join_type, &tuple, self.table.get(&key), out);
+                Self::emit_probe(&schema, &tuple, self.table.get(&key), out);
                 Ok(())
             }
             other => Err(WorkflowError::OperatorFailed {
@@ -433,9 +319,8 @@ impl Operator for HashJoinInstance {
             1 => {
                 let builds = std::mem::take(&mut spill.build_sealed);
                 let probes: Vec<Segment> = spill.probe.drain(..).map(|w| w.seal(out)).collect();
-                // The build schema is global to the join; per-partition
-                // derivation would mis-pad LeftOuter rows whose build
-                // partition happens to be empty.
+                // The first partition that holds a build row names the
+                // build schema for every partition's output.
                 let build_schema: Option<Schema> = builds
                     .iter()
                     .find_map(|s| s.blocks().first())
@@ -478,11 +363,6 @@ impl Operator for HashJoinInstance {
         if port == 0 {
             return self.build_batch(batch, idx);
         }
-        if self.join_type == JoinType::Inner && self.probe_batch_disjoint(batch, idx) {
-            // Build-side zone map proves zero matches in this batch.
-            out.note_batch_skipped();
-            return Ok(());
-        }
         if self.spill.is_some() {
             // Grace mode: the build table is on disk and probing is
             // deferred, partition by partition.
@@ -493,26 +373,9 @@ impl Operator for HashJoinInstance {
 }
 
 impl HashJoinInstance {
-    /// The build kernel: fold the batch's key range from the key column's
-    /// statistics and key every row straight off column `idx` into the one build
-    /// table `on_tuple` fills.
+    /// The build kernel: key every row straight off column `idx` into the
+    /// one build table `on_tuple` fills.
     fn build_batch(&mut self, batch: &ColumnarBatch, idx: usize) -> WorkflowResult<()> {
-        // One comparison pair per batch instead of one per build row.
-        let stats = batch.column_stats(idx);
-        if stats.null_count > 0 {
-            self.build_has_null_key = true;
-        }
-        let non_null = batch.len() as u64 - stats.null_count;
-        match (&stats.min, &stats.max) {
-            (Some(min), Some(max)) => {
-                self.widen_build_range(min);
-                self.widen_build_range(max);
-            }
-            // Valid rows without an orderable range (NaN, Mixed):
-            // pruning would be unsound from here on.
-            _ if non_null > 0 => self.build_key_range = BuildKeyRange::Poisoned,
-            _ => {}
-        }
         let col = batch.column(idx);
         // One scratch key for every row: a string key's buffer is reused,
         // and only a key the table has not seen is cloned into it.
@@ -536,8 +399,7 @@ impl HashJoinInstance {
     /// the `(probe row, matched build row)` pairs in probe-then-match
     /// order — the order [`HashJoinInstance::emit_probe`] emits in — and
     /// emit them as one sealed batch: probe columns gathered, build
-    /// columns built from the matched rows' cells, null where a
-    /// `LeftOuter` probe row found no match.
+    /// columns built from the matched rows' cells.
     fn probe_batch(
         &mut self,
         batch: &ColumnarBatch,
@@ -549,19 +411,12 @@ impl HashJoinInstance {
         let col = batch.column(idx);
         let mut key = HashKey::Null;
         let mut probe_rows: Vec<u32> = Vec::with_capacity(batch.len());
-        let mut build_rows: Vec<Option<&Tuple>> = Vec::with_capacity(batch.len());
+        let mut build_rows: Vec<&Tuple> = Vec::with_capacity(batch.len());
         for i in 0..batch.len() {
             col.key_at(i).map_err(wrap)?.write_to(&mut key);
-            match self.table.get(&key) {
-                Some(matches) => {
-                    probe_rows.extend(std::iter::repeat_n(i as u32, matches.len()));
-                    build_rows.extend(matches.iter().map(Some));
-                }
-                None if self.join_type == JoinType::LeftOuter => {
-                    probe_rows.push(i as u32);
-                    build_rows.push(None);
-                }
-                None => {}
+            if let Some(matches) = self.table.get(&key) {
+                probe_rows.extend(std::iter::repeat_n(i as u32, matches.len()));
+                build_rows.extend(matches);
             }
         }
         if probe_rows.is_empty() {
@@ -572,9 +427,7 @@ impl HashJoinInstance {
             .map(|j| batch.column(j).take(&probe_rows))
             .collect();
         for (j, field) in schema.fields()[probe_arity..].iter().enumerate() {
-            let cells = build_rows
-                .iter()
-                .map(|m| m.map_or(&Value::Null, |t| t.at(j)));
+            let cells = build_rows.iter().map(|t| t.at(j));
             columns.push(ColumnVec::from_cells(field.dtype(), cells));
         }
         out.emit_batch(ColumnarBatch::from_columns(schema, columns).map_err(wrap)?);
@@ -616,13 +469,9 @@ impl OperatorFactory for HashJoinOp {
             probe_keys: self.probe_keys.clone(),
             build_idx: None,
             probe_idx: None,
-            join_type: self.join_type,
             table: HashMap::new(),
             out_schema: None,
-            build_key_range: BuildKeyRange::Empty,
-            build_has_null_key: false,
-            budget: self.memory_budget,
-            budget_fixed: self.memory_budget.is_some(),
+            budget: None,
             build_bytes: 0,
             spill: None,
         })
@@ -637,11 +486,9 @@ impl OperatorFactory for HashJoinOp {
         for k in &self.probe_keys {
             h.write_str(k);
         }
-        h.write_str(&format!("{:?}", self.join_type));
-        match self.memory_budget {
-            Some(b) => h.write_usize(b),
-            None => h.write_str("unbounded"),
-        }
+        // Fixed bytes: a fingerprint is an on-disk cache key and must not move.
+        h.write_str("Inner");
+        h.write_str("unbounded");
         h.finish()
     }
 }
@@ -650,7 +497,7 @@ impl OperatorFactory for HashJoinOp {
 mod tests {
     use super::*;
     use crate::operator::Emitted;
-    use scriptflow_datakit::DataType;
+    use scriptflow_datakit::{DataType, Value};
 
     fn build_tuple(k: i64, tag: &str) -> Tuple {
         Tuple::new(
@@ -668,8 +515,8 @@ mod tests {
         .unwrap()
     }
 
-    fn run_join(join_type: JoinType) -> Vec<Tuple> {
-        let j = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(join_type);
+    fn run_join() -> Vec<Tuple> {
+        let j = HashJoinOp::new("j", &["k"], &["k"]);
         let mut inst = j.create();
         let mut out = OutputCollector::new();
         for (k, tag) in [(1, "a"), (2, "b"), (1, "c")] {
@@ -685,24 +532,11 @@ mod tests {
 
     #[test]
     fn inner_join_matches() {
-        let rows = run_join(JoinType::Inner);
+        let rows = run_join();
         // probe k=1 matches two build rows, k=2 one, k=9 none.
         assert_eq!(rows.len(), 3);
         let tags: Vec<&str> = rows.iter().map(|t| t.get_str("tag").unwrap()).collect();
         assert!(tags.contains(&"a") && tags.contains(&"b") && tags.contains(&"c"));
-    }
-
-    #[test]
-    fn left_outer_pads_nulls() {
-        let rows = run_join(JoinType::LeftOuter);
-        assert_eq!(rows.len(), 4);
-        let unmatched: Vec<&Tuple> = rows
-            .iter()
-            .filter(|t| t.get_int("id").unwrap() == 30)
-            .collect();
-        assert_eq!(unmatched.len(), 1);
-        assert!(unmatched[0].get("tag").unwrap().is_null());
-        assert!(unmatched[0].get("k_r").unwrap().is_null());
     }
 
     use scriptflow_datakit::ColumnarBatch;
@@ -741,63 +575,9 @@ mod tests {
             .unwrap();
         let mut rows: Vec<String> = out.take().iter().map(|t| t.to_string()).collect();
         rows.sort_unstable();
-        let mut expect: Vec<String> = run_join(JoinType::Inner)
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
+        let mut expect: Vec<String> = run_join().iter().map(|t| t.to_string()).collect();
         expect.sort_unstable();
         assert_eq!(rows, expect);
-    }
-
-    #[test]
-    fn disjoint_probe_batch_is_pruned() {
-        let j = HashJoinOp::new("j", &["k"], &["k"]);
-        let mut inst = j.create();
-        let mut out = OutputCollector::new();
-        // Build keys span [1, 2].
-        inst.on_batch(&build_cb(&[(1, "a"), (2, "b")]), 0, &mut out)
-            .unwrap();
-        inst.on_port_complete(0, &mut out).unwrap();
-        // Probe keys span [50, 60]: disjoint, skipped whole.
-        inst.on_batch(&probe_cb(&[(1, 50), (2, 60)]), 1, &mut out)
-            .unwrap();
-        assert!(out.is_empty());
-        assert_eq!(out.batches_skipped(), 1);
-        // Overlapping batch still probes.
-        inst.on_batch(&probe_cb(&[(3, 2), (4, 40)]), 1, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.batches_skipped(), 1);
-    }
-
-    #[test]
-    fn left_outer_never_prunes() {
-        let j = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(JoinType::LeftOuter);
-        let mut inst = j.create();
-        let mut out = OutputCollector::new();
-        inst.on_batch(&build_cb(&[(1, "a")]), 0, &mut out).unwrap();
-        inst.on_port_complete(0, &mut out).unwrap();
-        inst.on_batch(&probe_cb(&[(9, 50)]), 1, &mut out).unwrap();
-        // The unmatched probe row must still surface, null-padded.
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.batches_skipped(), 0);
-    }
-
-    #[test]
-    fn row_built_table_still_prunes_probe_batches() {
-        // Build via on_tuple (row path), probe via on_batch: the range
-        // must have been tracked on the row path too.
-        let j = HashJoinOp::new("j", &["k"], &["k"]);
-        let mut inst = j.create();
-        let mut out = OutputCollector::new();
-        for (k, tag) in [(5, "a"), (7, "b")] {
-            inst.on_tuple(build_tuple(k, tag), 0, &mut out).unwrap();
-        }
-        inst.on_port_complete(0, &mut out).unwrap();
-        inst.on_batch(&probe_cb(&[(1, 100), (2, 200)]), 1, &mut out)
-            .unwrap();
-        assert!(out.is_empty());
-        assert_eq!(out.batches_skipped(), 1);
     }
 
     /// A build batch `(key, tag)` and a probe batch `(id, key)` over keys
@@ -822,17 +602,20 @@ mod tests {
         )
     }
 
-    /// Drive one instance of `op` through `on_batch` and a twin through
-    /// `on_tuple` over the same build batch and probe batches, and check
-    /// that they emit the same rows in the same order. Returns those rows
-    /// rendered, how many sealed batches the kernel instance emitted, and
-    /// how many probe batches it pruned.
+    /// Drive one join instance on `k` through `on_batch` and a twin
+    /// through `on_tuple`, both under `budget`, over the same build batch
+    /// and probe batches, and check that they emit the same rows in the
+    /// same order. Returns those rows rendered and how many sealed batches
+    /// the kernel instance emitted.
     fn kernel_against_rows(
-        op: &HashJoinOp,
+        budget: Option<usize>,
         build: &ColumnarBatch,
         probes: &[ColumnarBatch],
-    ) -> (Vec<String>, usize, u64) {
+    ) -> (Vec<String>, usize) {
+        let op = HashJoinOp::new("j", &["k"], &["k"]);
         let (mut kernel, mut by_row) = (op.create(), op.create());
+        kernel.set_memory_budget(budget);
+        by_row.set_memory_budget(budget);
         let (mut out, mut row_out) = (OutputCollector::new(), OutputCollector::new());
         kernel.on_batch(build, 0, &mut out).unwrap();
         for t in build.to_tuples() {
@@ -849,14 +632,18 @@ mod tests {
         kernel.on_port_complete(1, &mut out).unwrap();
         by_row.on_port_complete(1, &mut row_out).unwrap();
         let render = |rows: Vec<Tuple>| rows.iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
-        let skipped = out.batches_skipped();
         let (mut sealed, mut rows) = (0, Vec::new());
         for run in out.drain_emitted() {
             sealed += usize::from(matches!(run, Emitted::Columnar(_)));
             rows.extend(render(run.into_rows()));
         }
         assert_eq!(rows, render(row_out.take()));
-        (rows, sealed, skipped)
+        (rows, sealed)
+    }
+
+    fn sorted(mut rows: Vec<String>) -> Vec<String> {
+        rows.sort_unstable();
+        rows
     }
 
     #[test]
@@ -870,17 +657,9 @@ mod tests {
             &[int(2), int(9), Value::Null, int(1), Value::Null, int(7)],
         );
         let (_, more) = keyed(DataType::Int, &[], &[int(1), int(8)]);
-        for (join_type, matched) in [(JoinType::Inner, 10), (JoinType::LeftOuter, 13)] {
-            let op = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(join_type);
-            let (rows, sealed, _) =
-                kernel_against_rows(&op, &build, &[probe.clone(), more.clone()]);
-            assert_eq!(rows.len(), matched, "{join_type:?}");
-            assert_eq!(sealed, 2, "{join_type:?}: one sealed batch per probe batch");
-            if join_type == JoinType::LeftOuter {
-                // A miss is null-padded on the build side.
-                assert!(rows[2].contains("Int(9), Null, Null"), "{}", rows[2]);
-            }
-        }
+        let (rows, sealed) = kernel_against_rows(None, &build, &[probe, more]);
+        assert_eq!(rows.len(), 10);
+        assert_eq!(sealed, 2, "one sealed batch per probe batch");
     }
 
     #[test]
@@ -915,33 +694,16 @@ mod tests {
         ];
         for (dtype, build, probe, matched) in cases {
             let (build, probe) = keyed(dtype, &build, &probe);
-            for join_type in [JoinType::Inner, JoinType::LeftOuter] {
-                let op = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(join_type);
-                let (rows, sealed, _) =
-                    kernel_against_rows(&op, &build, std::slice::from_ref(&probe));
-                // Each probe side holds one key the build side lacks.
-                let outer = usize::from(join_type == JoinType::LeftOuter);
-                assert_eq!(rows.len(), matched + outer, "{dtype} {join_type:?}");
-                assert_eq!(sealed, 1, "{dtype} {join_type:?}");
-            }
+            let (rows, sealed) = kernel_against_rows(None, &build, &[probe]);
+            assert_eq!((rows.len(), sealed), (matched, 1), "{dtype}");
         }
     }
 
     #[test]
     fn probe_kernel_emits_nothing_for_an_empty_build_side_or_an_all_miss_batch() {
         let int = |k: i64| Value::Int(k);
-        // NaN on the build side poisons its key range, so the all-miss
-        // batch below reaches the kernel rather than the zone map.
         let (none, probe) = keyed(DataType::Int, &[], &[int(1), Value::Null]);
-        let inner = HashJoinOp::new("j", &["k"], &["k"]);
-        let outer = HashJoinOp::new("j", &["k"], &["k"]).with_join_type(JoinType::LeftOuter);
-        assert_eq!(
-            kernel_against_rows(&inner, &none, std::slice::from_ref(&probe)).1,
-            0
-        );
-        // With nothing to pad from, a left-outer row is the probe row.
-        let (rows, sealed, _) = kernel_against_rows(&outer, &none, &[probe]);
-        assert_eq!((rows.len(), sealed), (2, 1));
+        assert_eq!(kernel_against_rows(None, &none, &[probe]).1, 0);
 
         let float = |x: f64| Value::Float(x);
         let (build, misses) = keyed(
@@ -949,42 +711,52 @@ mod tests {
             &[float(1.0), float(f64::NAN)],
             &[float(5.0), float(6.0)],
         );
-        let (rows, sealed, skipped) = kernel_against_rows(&inner, &build, &[misses]);
-        assert_eq!((rows.len(), sealed, skipped), (0, 0, 0));
+        let (rows, sealed) = kernel_against_rows(None, &build, &[misses]);
+        assert_eq!((rows.len(), sealed), (0, 0));
     }
 
     #[test]
-    fn probe_kernel_keeps_the_zone_map_and_the_grace_fallback() {
+    fn probe_kernel_keeps_the_grace_fallback() {
         let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
         let build_keys: Vec<i64> = (0..60).map(|i| i % 13).collect();
         let (build, near) = keyed(DataType::Int, &ints(&build_keys), &ints(&[3, 12, 40, 3]));
         let (_, far) = keyed(DataType::Int, &[], &ints(&[50, 60]));
-        // In memory: the disjoint batch is pruned and counted, the other
-        // leaves as one sealed batch.
-        let op = HashJoinOp::new("j", &["k"], &["k"]);
-        let (rows, sealed, skipped) =
-            kernel_against_rows(&op, &build, &[far.clone(), near.clone()]);
-        assert_eq!((sealed, skipped), (1, 1));
+        // In memory: each matching probe batch leaves as one sealed batch.
+        let probes = [far, near];
+        let (rows, sealed) = kernel_against_rows(None, &build, &probes);
+        assert_eq!(sealed, 1);
         // A probe batch arriving after the build spilled falls back to
         // the deferred row path: the same rows, none of them sealed.
-        let graced = HashJoinOp::new("j", &["k"], &["k"]).with_memory_budget(256);
-        let (spilled_rows, sealed, skipped) = kernel_against_rows(&graced, &build, &[far, near]);
-        // The build range is kept in grace mode too, so the disjoint batch
-        // is still pruned on arrival; the partition-wise join then decodes
-        // and probes every spilled block, and skips none.
-        assert_eq!((sealed, skipped), (0, 1));
-        let sorted = |mut rows: Vec<String>| {
-            rows.sort_unstable();
-            rows
-        };
+        let (spilled_rows, sealed) = kernel_against_rows(Some(256), &build, &probes);
+        assert_eq!(sealed, 0);
         assert_eq!(sorted(spilled_rows), sorted(rows));
     }
 
-    fn run_join_budgeted(join_type: JoinType, budget: usize, n: i64) -> (Vec<Tuple>, u64, u64) {
-        let j = HashJoinOp::new("j", &["k"], &["k"])
-            .with_join_type(join_type)
-            .with_memory_budget(budget);
-        let mut inst = j.create();
+    #[test]
+    fn grace_join_matches_null_keys_like_the_in_memory_join() {
+        // A null key matches every null key, in the spilled partitions
+        // as in the table.
+        let keys: Vec<Value> = (0..60)
+            .map(|i| match i % 4 {
+                0 => Value::Null,
+                _ => Value::Int(i % 13),
+            })
+            .collect();
+        let (build, probe) = keyed(DataType::Int, &keys, &keys[..20]);
+        let expected: usize = keys[..20]
+            .iter()
+            .map(|p| keys.iter().filter(|b| *b == p).count())
+            .sum();
+        let (in_memory, _) = kernel_against_rows(None, &build, std::slice::from_ref(&probe));
+        assert_eq!(in_memory.len(), expected);
+        let (graced, sealed) = kernel_against_rows(Some(256), &build, &[probe]);
+        assert_eq!(sealed, 0, "the build side spilled");
+        assert_eq!(sorted(graced), sorted(in_memory));
+    }
+
+    fn run_join_budgeted(budget: usize, n: i64) -> (Vec<Tuple>, u64) {
+        let mut inst = HashJoinOp::new("j", &["k"], &["k"]).create();
+        inst.set_memory_budget(Some(budget));
         let mut out = OutputCollector::new();
         for i in 0..n {
             inst.on_tuple(build_tuple(i % 13, &format!("b{i}")), 0, &mut out)
@@ -995,8 +767,7 @@ mod tests {
             inst.on_tuple(probe_tuple(i, i % 17), 1, &mut out).unwrap();
         }
         inst.on_port_complete(1, &mut out).unwrap();
-        let counted = out.take_counters();
-        (out.take(), counted.spilled_blocks, counted.batches_skipped)
+        (out.take(), out.spilled_blocks())
     }
 
     fn sorted_strings(rows: &[Tuple]) -> Vec<String> {
@@ -1007,21 +778,19 @@ mod tests {
 
     #[test]
     fn grace_join_matches_in_memory_join() {
-        for join_type in [JoinType::Inner, JoinType::LeftOuter] {
-            let (in_mem, spilled_blocks, _) = run_join_budgeted(join_type, 1 << 30, 120);
-            assert_eq!(spilled_blocks, 0, "huge budget must not spill");
-            let (graced, spilled, _) = run_join_budgeted(join_type, 256, 120);
-            assert!(spilled > 0, "256-byte budget must spill the build table");
-            assert_eq!(sorted_strings(&graced), sorted_strings(&in_mem));
-        }
+        let (in_mem, spilled_blocks) = run_join_budgeted(1 << 30, 120);
+        assert_eq!(spilled_blocks, 0, "huge budget must not spill");
+        let (graced, spilled) = run_join_budgeted(256, 120);
+        assert!(spilled > 0, "256-byte budget must spill the build table");
+        assert_eq!(sorted_strings(&graced), sorted_strings(&in_mem));
     }
 
     #[test]
     fn overflow_partitions_recurse_and_still_match() {
         // A budget small enough that every partition also overflows,
         // forcing at least one recursive repartitioning round.
-        let (in_mem, _, _) = run_join_budgeted(JoinType::Inner, 1 << 30, 300);
-        let (graced, spilled, _) = run_join_budgeted(JoinType::Inner, 64, 300);
+        let (in_mem, _) = run_join_budgeted(1 << 30, 300);
+        let (graced, spilled) = run_join_budgeted(64, 300);
         assert!(spilled > SPILL_FANOUT as u64);
         assert_eq!(sorted_strings(&graced), sorted_strings(&in_mem));
     }
@@ -1037,20 +806,6 @@ mod tests {
         }
         inst.on_port_complete(0, &mut out).unwrap();
         assert!(out.spilled_blocks() > 0);
-
-        let fixed = HashJoinOp::new("j", &["k"], &["k"]).with_memory_budget(1 << 30);
-        let mut inst = fixed.create();
-        inst.set_memory_budget(Some(128));
-        let mut out = OutputCollector::new();
-        for i in 0..60 {
-            inst.on_tuple(build_tuple(i, "b"), 0, &mut out).unwrap();
-        }
-        inst.on_port_complete(0, &mut out).unwrap();
-        assert_eq!(
-            out.spilled_blocks(),
-            0,
-            "override must shadow engine budget"
-        );
     }
 
     #[test]

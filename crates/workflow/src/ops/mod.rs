@@ -21,7 +21,7 @@ use std::sync::Arc;
 use scriptflow_datakit::{DataResult, SchemaRef};
 
 pub use aggregate::{AggFn, AggregateOp};
-pub use hash_join::{HashJoinOp, JoinType};
+pub use hash_join::HashJoinOp;
 pub use io::{csv_scan, jsonl_scan, TextFormat, TextSinkHandle, TextSinkOp};
 pub use relational::{DistinctOp, FilterOp, LimitOp, ProjectOp};
 pub use scan::ScanOp;

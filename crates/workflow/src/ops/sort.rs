@@ -34,7 +34,6 @@ pub enum SortOrder {
 pub struct SortOp {
     desc: OpDescriptor,
     keys: Vec<(String, SortOrder)>,
-    memory_budget: Option<usize>,
 }
 
 impl SortOp {
@@ -48,7 +47,6 @@ impl SortOp {
                 ..OpDescriptor::new(name, 1)
             },
             keys: keys.iter().map(|(c, o)| ((*c).to_owned(), *o)).collect(),
-            memory_budget: None,
         }
     }
 
@@ -61,15 +59,6 @@ impl SortOp {
     /// Override the implementation language.
     pub fn with_language(mut self, language: Language) -> Self {
         self.desc.language = language;
-        self
-    }
-
-    /// Per-operator memory budget override: once the sort buffer exceeds
-    /// `bytes`, it is sorted and sealed to the block store as a run, and
-    /// runs are k-way merged at completion. Takes precedence over the
-    /// engine-level [`crate::EngineConfig::memory_budget`].
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
         self
     }
 }
@@ -163,8 +152,10 @@ struct SortInstance {
     key_columns: ResolvedColumns,
     buffer: Vec<Tuple>,
     buffer_bytes: usize,
+    // The engine's memory budget: once the buffer exceeds it, the buffer
+    // is sorted and sealed to the block store as a run, and runs are
+    // k-way merged at completion.
     budget: Option<usize>,
-    budget_fixed: bool,
     runs: Vec<Segment>,
 }
 
@@ -198,9 +189,7 @@ impl SortInstance {
 
 impl Operator for SortInstance {
     fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        if !self.budget_fixed {
-            self.budget = bytes;
-        }
+        self.budget = bytes;
     }
 
     fn on_tuple(
@@ -286,8 +275,7 @@ impl OperatorFactory for SortOp {
             key_columns: None,
             buffer: Vec::new(),
             buffer_bytes: 0,
-            budget: self.memory_budget,
-            budget_fixed: self.memory_budget.is_some(),
+            budget: None,
             runs: Vec::new(),
         })
     }
@@ -299,10 +287,8 @@ impl OperatorFactory for SortOp {
             h.write_str(col);
             h.write_str(&format!("{order:?}"));
         }
-        match self.memory_budget {
-            Some(b) => h.write_usize(b),
-            None => h.write_str("unbounded"),
-        }
+        // Fixed bytes: a fingerprint is an on-disk cache key and must not move.
+        h.write_str("unbounded");
         h.finish()
     }
 }
@@ -396,8 +382,8 @@ mod tests {
             rows.clone(),
         );
 
-        let op = SortOp::new("s", &[("a", SortOrder::Ascending)]).with_memory_budget(512);
-        let mut inst = op.create();
+        let mut inst = SortOp::new("s", &[("a", SortOrder::Ascending)]).create();
+        inst.set_memory_budget(Some(512));
         let mut out = OutputCollector::new();
         for t in rows {
             inst.on_tuple(t, 0, &mut out).unwrap();
@@ -416,7 +402,6 @@ mod tests {
 
     #[test]
     fn engine_budget_applies_unless_operator_override_set() {
-        // Engine-level budget reaches an un-overridden instance...
         let op = SortOp::new("s", &[("a", SortOrder::Ascending)]);
         let mut inst = op.create();
         inst.set_memory_budget(Some(256));
@@ -425,20 +410,6 @@ mod tests {
             inst.on_tuple(tuple(i, "x"), 0, &mut out).unwrap();
         }
         assert!(out.spilled_blocks() > 0);
-
-        // ...but a per-operator override wins over the engine value.
-        let fixed = SortOp::new("s", &[("a", SortOrder::Ascending)]).with_memory_budget(1 << 30);
-        let mut inst = fixed.create();
-        inst.set_memory_budget(Some(256));
-        let mut out = OutputCollector::new();
-        for i in 0..100 {
-            inst.on_tuple(tuple(i, "x"), 0, &mut out).unwrap();
-        }
-        assert_eq!(
-            out.spilled_blocks(),
-            0,
-            "override must shadow engine budget"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Non-test lines per crate, and the size of the operator trait. Needs bash
 # and awk.
 #
-#   scripts/loc.sh          # one line per crate, a total, the two engines, test lines, the method count
+#   scripts/loc.sh          # one line per crate, a total, the two engines, test lines, knobs per crate, the method count
 #
 # A file's non-test lines are the lines before its first `#[cfg(test)]`
 # (all of it when there is none), comments and blanks included, over
@@ -38,6 +38,16 @@ printf '%8d  tests/*.rs (all lines)\n' "$(cat tests/*.rs | wc -l)"
 # `#[cfg(test)]` on, over `crates/*/src/**/*.rs`. With the line above, the
 # whole of the test code a "less test code" claim is made on.
 printf '%8d  crates/*/src in-crate test lines\n' "$(awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } test { n++ } END { print n + 0 }' crates/*/src/**/*.rs)"
+
+# Knobs: `pub fn with_*` / `pub fn set_*` methods in each crate's
+# non-test code, so "no new knobs" is a count. At d945407
+# `crates/workflow/src` read 63.
+for crate in crates/*/; do
+    files=("$crate"src/**/*.rs)
+    ((${#files[@]})) || continue
+    knobs="$(awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test && /pub fn (with|set)_/ { n++ } END { print n + 0 }' "${files[@]}")"
+    printf '%8d  %ssrc knobs (pub fn with_* / set_*)\n' "$knobs" "$crate"
+done
 
 # Methods of `trait OperatorFactory`: `fn` items between the trait's
 # opening line and the first line that closes it at column 0.
