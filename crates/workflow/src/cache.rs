@@ -59,7 +59,7 @@
 //! [`ResultCache::from_env`]). Every published entry is also written as
 //! `<fingerprint>.seg` — a checksummed [`Segment::encode`] image — and
 //! indexed by a `MANIFEST` file mapping fingerprints to row/block/byte
-//! counts, recompute cost, and owner. Both writes are
+//! counts and recompute cost. Both writes are
 //! write-temp-then-rename, mirroring the in-memory no-partial-
 //! publication invariant: a crash mid-publish never exposes a partial
 //! entry. Reopening the directory serves the same sealed rows to a new
@@ -187,8 +187,6 @@ struct Stored {
     /// microseconds (`setup + per_tuple × rows` of the producing
     /// operator).
     cost_micros: u64,
-    /// Publishing tenant, if the service layer attributed one.
-    owner: Option<String>,
 }
 
 #[derive(Debug, Default)]
@@ -199,7 +197,6 @@ struct CacheInner {
     seq: u64,
     evictions: u64,
     evicted_bytes: u64,
-    owner_bytes: HashMap<String, u64>,
 }
 
 /// What one [`ResultCache::publish_costed`] call did.
@@ -272,17 +269,11 @@ impl ResultCache {
         disk.sweep_temp_files();
         let mut inner = disk.load_manifest();
         // Do not trust manifest lines whose segment file is missing.
-        let CacheInner {
-            entries,
-            bytes,
-            owner_bytes,
-            ..
-        } = &mut inner;
+        let CacheInner { entries, bytes, .. } = &mut inner;
         entries.retain(|fp, stored| {
             let ok = disk.entry_path(*fp).is_file();
             if !ok {
                 *bytes = bytes.saturating_sub(stored.bytes);
-                credit_owner(owner_bytes, stored.owner.as_deref(), stored.bytes);
             }
             ok
         });
@@ -336,11 +327,6 @@ impl ResultCache {
                 // Corrupt, truncated, or forged: degrade to a miss.
                 if let Some(stored) = inner.entries.remove(&fp.0) {
                     inner.bytes = inner.bytes.saturating_sub(stored.bytes);
-                    credit_owner(
-                        &mut inner.owner_bytes,
-                        stored.owner.as_deref(),
-                        stored.bytes,
-                    );
                 }
                 disk.remove_entry(fp.0);
                 self.sync_manifest(&inner);
@@ -358,26 +344,25 @@ impl ResultCache {
     /// as maximally cheap; use [`ResultCache::publish_costed`] to keep
     /// expensive outputs resident.
     pub fn publish(&self, fp: OpFingerprint, schema: &SchemaRef, tuples: &[Tuple]) -> u64 {
-        self.publish_costed(fp, schema, tuples, SimDuration::ZERO, None)
+        self.publish_costed(fp, schema, tuples, SimDuration::ZERO)
             .added
     }
 
-    /// Seal `tuples` under `fp`, attributing the entry to `owner` and
-    /// recording `recompute_cost` (the calibrated cost of re-running the
-    /// producing operator) for the eviction policy. Under a byte budget
-    /// this evicts cheapest-per-byte victims until the cache fits; the
-    /// just-published entry is never its own victim, but an entry larger
-    /// than the whole budget is rejected (`admitted: false`).
+    /// Seal `tuples` under `fp`, recording `recompute_cost` (the
+    /// calibrated cost of re-running the producing operator) for the
+    /// eviction policy. Under a byte budget this evicts cheapest-per-byte
+    /// victims until the cache fits; the just-published entry is never
+    /// its own victim, but an entry larger than the whole budget is
+    /// rejected (`admitted: false`).
     pub fn publish_costed(
         &self,
         fp: OpFingerprint,
         schema: &SchemaRef,
         tuples: &[Tuple],
         recompute_cost: SimDuration,
-        owner: Option<&str>,
     ) -> PublishOutcome {
         // Seal outside the lock; insertion re-checks for a racing writer.
-        self.publish_entry(fp, CacheEntry::seal(schema, tuples), recompute_cost, owner)
+        self.publish_entry(fp, CacheEntry::seal(schema, tuples), recompute_cost)
     }
 
     /// The one way into the cache: admit a sealed `entry` under `fp`.
@@ -386,7 +371,6 @@ impl ResultCache {
         fp: OpFingerprint,
         entry: CacheEntry,
         recompute_cost: SimDuration,
-        owner: Option<&str>,
     ) -> PublishOutcome {
         let bytes = entry.bytes();
         let mut inner = lock(&self.inner);
@@ -424,13 +408,9 @@ impl ResultCache {
                 slot: Slot::Loaded(entry),
                 seq,
                 cost_micros: recompute_cost.as_micros(),
-                owner: owner.map(str::to_owned),
             },
         );
         inner.bytes += bytes;
-        if let Some(owner) = owner {
-            *inner.owner_bytes.entry(owner.to_owned()).or_default() += bytes;
-        }
         let (evictions, evicted_bytes) =
             evict_to_budget(&mut inner, self.disk.as_ref(), Some(fp.0));
         self.sync_manifest(&inner);
@@ -474,17 +454,6 @@ impl ResultCache {
         lock(&self.inner).evicted_bytes
     }
 
-    /// Compressed bytes currently attributed to `owner` — publications
-    /// minus what eviction has since released, the figure tenant cache
-    /// quotas meter.
-    pub fn owner_bytes(&self, owner: &str) -> u64 {
-        lock(&self.inner)
-            .owner_bytes
-            .get(owner)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Fingerprints currently resident, sorted (a deterministic view
     /// for eviction tests and debugging).
     pub fn fingerprints(&self) -> Vec<OpFingerprint> {
@@ -492,17 +461,6 @@ impl ResultCache {
         let mut fps: Vec<u128> = inner.entries.keys().copied().collect();
         fps.sort_unstable();
         fps.into_iter().map(OpFingerprint).collect()
-    }
-}
-
-fn credit_owner(owner_bytes: &mut HashMap<String, u64>, owner: Option<&str>, bytes: u64) {
-    if let Some(owner) = owner {
-        if let Some(b) = owner_bytes.get_mut(owner) {
-            *b = b.saturating_sub(bytes);
-            if *b == 0 {
-                owner_bytes.remove(owner);
-            }
-        }
     }
 }
 
@@ -546,11 +504,6 @@ fn evict_to_budget(
         inner.bytes = inner.bytes.saturating_sub(stored.bytes);
         inner.evictions += 1;
         inner.evicted_bytes += stored.bytes;
-        credit_owner(
-            &mut inner.owner_bytes,
-            stored.owner.as_deref(),
-            stored.bytes,
-        );
         if let Some(disk) = disk {
             disk.remove_entry(fp);
         }
@@ -630,10 +583,8 @@ impl DiskStore {
         Ok(CacheEntry { segment })
     }
 
-    /// Serialize the index: one `fp rows blocks bytes cost owner` line
-    /// per entry, fingerprint-sorted for deterministic images. The owner
-    /// field is the rest of the line (`-` for none), so tenant names may
-    /// contain spaces.
+    /// Serialize the index: one `fp rows blocks bytes cost` line per
+    /// entry, fingerprint-sorted for deterministic images.
     fn write_manifest(&self, inner: &CacheInner) -> io::Result<()> {
         let mut lines: Vec<(u128, String)> = inner
             .entries
@@ -642,12 +593,8 @@ impl DiskStore {
                 (
                     *fp,
                     format!(
-                        "{fp:032x} {} {} {} {} {}\n",
-                        s.rows,
-                        s.blocks,
-                        s.bytes,
-                        s.cost_micros,
-                        s.owner.as_deref().unwrap_or("-")
+                        "{fp:032x} {} {} {} {}\n",
+                        s.rows, s.blocks, s.bytes, s.cost_micros
                     ),
                 )
             })
@@ -667,7 +614,9 @@ impl DiskStore {
     /// or a malformed line degrades by dropping what cannot be parsed, a
     /// repeated fingerprint keeps its first line, and a line whose bytes
     /// would overflow the running total is dropped, so the ledger is
-    /// always the sum over the entries it holds.
+    /// always the sum over the entries it holds. Only a line's first
+    /// five fields are read: an index written with a trailing owner
+    /// column (which may hold spaces) reopens with every entry.
     fn load_manifest(&self) -> CacheInner {
         let mut inner = CacheInner::default();
         let Ok(text) = std::fs::read_to_string(self.manifest_path()) else {
@@ -678,7 +627,7 @@ impl DiskStore {
             return inner;
         }
         for line in lines {
-            let mut parts = line.splitn(6, ' ');
+            let mut parts = line.split(' ');
             let Some(fp) = parts.next().and_then(|s| u128::from_str_radix(s, 16).ok()) else {
                 continue;
             };
@@ -694,22 +643,14 @@ impl DiskStore {
             let Some(cost_micros) = parts.next().and_then(|s| s.parse().ok()) else {
                 continue;
             };
-            let owner = match parts.next() {
-                Some("-") | None => None,
-                Some(o) => Some(o.to_owned()),
-            };
             // The first line for a fingerprint wins, and a line whose
-            // bytes would overflow the ledger is forged: an owner's share
-            // never exceeds the total, so checking the total suffices.
+            // bytes would overflow the ledger is forged.
             let total = inner.bytes.checked_add(bytes);
             let (Some(total), false) = (total, inner.entries.contains_key(&fp)) else {
                 continue;
             };
             inner.seq += 1;
             inner.bytes = total;
-            if let Some(o) = &owner {
-                *inner.owner_bytes.entry(o.clone()).or_default() += bytes;
-            }
             inner.entries.insert(
                 fp,
                 Stored {
@@ -719,7 +660,6 @@ impl DiskStore {
                     blocks,
                     bytes,
                     cost_micros,
-                    owner,
                 },
             );
         }
@@ -996,32 +936,21 @@ pub struct CommitStats {
     pub per_op: Vec<(String, u64)>,
 }
 
-/// Publish every recording of a **cleanly** completed run and return
-/// the compressed bytes added, emptying the recordings. Callers must
-/// not commit after a run that saw faults or retries: this
+/// Publish every recording of a **cleanly** completed run, emptying the
+/// recordings, and report the bytes added and what they evicted. Callers
+/// must not commit after a run that saw faults or retries: this
 /// discard-on-dirty rule is what keeps partial or duplicated segments
-/// out of the cache.
-pub fn commit_recordings(recordings: &[CacheRecording], cache: &ResultCache) -> u64 {
-    commit_recordings_as(recordings, cache, None).published
-}
-
-/// [`commit_recordings`], attributing published bytes to `owner` (the
-/// service layer's tenant) and reporting eviction detail. Each entry is
-/// priced at the producing operator's calibrated recompute cost,
-/// `setup + per_tuple × rows`, so the eviction policy keeps expensive
-/// outputs resident.
-pub fn commit_recordings_as(
-    recordings: &[CacheRecording],
-    cache: &ResultCache,
-    owner: Option<&str>,
-) -> CommitStats {
+/// out of the cache. Each entry is priced at the producing operator's
+/// calibrated recompute cost, `setup + per_tuple × rows`, so the
+/// eviction policy keeps expensive outputs resident.
+pub fn commit_recordings(recordings: &[CacheRecording], cache: &ResultCache) -> CommitStats {
     let mut stats = CommitStats::default();
     for r in recordings {
         let runs = std::mem::take(&mut *lock(&r.runs));
         let rows: usize = runs.iter().map(Emitted::len).sum();
         let cost = r.setup + r.per_tuple * rows as u64;
         let entry = CacheEntry::seal_runs(&r.schema, runs);
-        let out = cache.publish_entry(r.fingerprint, entry, cost, owner);
+        let out = cache.publish_entry(r.fingerprint, entry, cost);
         stats.published += out.added;
         stats.evictions += out.evictions;
         stats.evicted_bytes += out.evicted_bytes;
@@ -1148,14 +1077,14 @@ mod tests {
         let cache = ResultCache::new().with_byte_budget(per_entry * 2);
         let expensive = SimDuration::from_micros(1_000_000);
         let cheap = SimDuration::from_micros(10);
-        cache.publish_costed(OpFingerprint(1), &schema, &rows(100), expensive, None);
-        cache.publish_costed(OpFingerprint(2), &schema, &rows(100), cheap, None);
+        cache.publish_costed(OpFingerprint(1), &schema, &rows(100), expensive);
+        cache.publish_costed(OpFingerprint(2), &schema, &rows(100), cheap);
         assert_eq!(cache.entries(), 2);
         assert_eq!(cache.evictions(), 0);
 
         // The third publish must evict — and the victim is the cheap
         // entry, not the expensive one and not the newcomer.
-        let out = cache.publish_costed(OpFingerprint(3), &schema, &rows(100), cheap, None);
+        let out = cache.publish_costed(OpFingerprint(3), &schema, &rows(100), cheap);
         assert!(out.admitted);
         assert_eq!(out.evictions, 1);
         assert_eq!(out.evicted_bytes, per_entry);
@@ -1179,13 +1108,7 @@ mod tests {
     fn oversized_entry_is_rejected_not_admitted() {
         let schema = schema();
         let cache = ResultCache::new().with_byte_budget(8);
-        let out = cache.publish_costed(
-            OpFingerprint(1),
-            &schema,
-            &rows(500),
-            SimDuration::ZERO,
-            None,
-        );
+        let out = cache.publish_costed(OpFingerprint(1), &schema, &rows(500), SimDuration::ZERO);
         assert!(!out.admitted);
         assert_eq!(out.added, 0);
         assert_eq!(cache.entries(), 0);
@@ -1203,7 +1126,7 @@ mod tests {
                 // Costs repeat so several entries tie on score; the seq
                 // tie-breaker must still make victim choice unique.
                 let cost = SimDuration::from_micros((i % 4) * 500);
-                cache.publish_costed(OpFingerprint(i as u128 + 1), &schema, &rows(64), cost, None);
+                cache.publish_costed(OpFingerprint(i as u128 + 1), &schema, &rows(64), cost);
             }
             (cache.fingerprints(), cache.evictions(), cache.bytes())
         };
@@ -1223,7 +1146,6 @@ mod tests {
                 &schema,
                 &rows(64),
                 SimDuration::from_micros(i as u64 * 100),
-                None,
             );
         }
         let total = cache.bytes();
@@ -1234,51 +1156,6 @@ mod tests {
             "shrinking the budget evicts now"
         );
         assert!(cache.evictions() > 0);
-    }
-
-    #[test]
-    fn owner_accounting_credits_evicted_entries() {
-        let schema = schema();
-        let probe = ResultCache::new();
-        let per_entry = probe.publish(OpFingerprint(0), &schema, &rows(64));
-        let cache = ResultCache::new().with_byte_budget(per_entry * 2);
-        cache.publish_costed(
-            OpFingerprint(1),
-            &schema,
-            &rows(64),
-            SimDuration::ZERO,
-            Some("alice"),
-        );
-        cache.publish_costed(
-            OpFingerprint(2),
-            &schema,
-            &rows(64),
-            SimDuration::from_micros(9999),
-            Some("bob"),
-        );
-        assert_eq!(cache.owner_bytes("alice"), per_entry);
-        assert_eq!(cache.owner_bytes("bob"), per_entry);
-        // Alice's cheap entry is the victim; her balance is credited.
-        cache.publish_costed(
-            OpFingerprint(3),
-            &schema,
-            &rows(64),
-            SimDuration::from_micros(9999),
-            Some("bob"),
-        );
-        assert_eq!(cache.owner_bytes("alice"), 0);
-        assert_eq!(cache.owner_bytes("bob"), per_entry * 2);
-        // The single-flight follower republished the same fingerprint:
-        // idempotent publish charges it nothing.
-        let out = cache.publish_costed(
-            OpFingerprint(3),
-            &schema,
-            &rows(64),
-            SimDuration::from_micros(9999),
-            Some("carol"),
-        );
-        assert_eq!(out.added, 0);
-        assert_eq!(cache.owner_bytes("carol"), 0);
     }
 
     #[test]
@@ -1318,7 +1195,7 @@ mod tests {
         assert!(rec.runs.is_poisoned());
         // The tee still records and commit still publishes all of it.
         rec.tee(Emitted::Rows(rows(4)));
-        let added = commit_recordings(&plan.recordings[..1], &cache);
+        let added = commit_recordings(&plan.recordings[..1], &cache).published;
         assert!(added > 0);
         assert_eq!(cache.lookup(wf.fingerprint(OpId(0))).unwrap().rows(), 10);
     }
@@ -1472,13 +1349,16 @@ mod tests {
         let plan = prepare(&wf, &cache, SimDuration::ZERO);
         // Simulate the executors' tee.
         plan.recordings[0].tee(Emitted::Rows(rows(15)));
-        let added = commit_recordings(&plan.recordings[..1], &cache);
+        let added = commit_recordings(&plan.recordings[..1], &cache).published;
         assert!(added > 0);
         assert_eq!(cache.bytes(), added);
         let entry = cache.lookup(wf.fingerprint(OpId(0))).unwrap();
         assert_eq!(entry.rows(), 15);
         // Re-committing adds nothing (idempotent publish).
-        assert_eq!(commit_recordings(&plan.recordings[..1], &cache), 0);
+        assert_eq!(
+            commit_recordings(&plan.recordings[..1], &cache).published,
+            0
+        );
     }
 
     #[test]
@@ -1611,7 +1491,7 @@ mod tests {
             let cache = ResultCache::new();
             let plan = prepare(&wf, &cache, SimDuration::from_micros(900));
             runs.into_iter().for_each(|r| plan.recordings[0].tee(r));
-            let added = commit_recordings(&plan.recordings[..1], &cache);
+            let added = commit_recordings(&plan.recordings[..1], &cache).published;
             let entry = cache.lookup(wf.fingerprint(OpId(0))).unwrap();
             assert_eq!(entry.tuples(), all);
             assert_eq!((entry.rows(), entry.blocks()), (1_400, blocks));

@@ -69,18 +69,6 @@ impl CostProfile {
         }
     }
 
-    /// Builder-style setter for the setup cost.
-    pub fn with_setup(mut self, setup: SimDuration) -> Self {
-        self.setup = setup;
-        self
-    }
-
-    /// Builder-style setter for malleability.
-    pub fn with_malleable(mut self, malleable: bool) -> Self {
-        self.malleable = malleable;
-        self
-    }
-
     /// Builder-style per-port override of the per-tuple cost.
     pub fn with_port_cost(mut self, port: usize, per_tuple: SimDuration) -> Self {
         self.per_tuple_ports.push((port, per_tuple));
@@ -253,12 +241,10 @@ mod tests {
 
     #[test]
     fn builders() {
-        let p = CostProfile::per_tuple_micros(10)
-            .with_setup(SimDuration::from_secs(1))
-            .with_malleable(true);
+        let p = CostProfile::per_tuple_micros(10).with_port_cost(1, SimDuration::from_micros(3));
         assert_eq!(p.per_tuple, SimDuration::from_micros(10));
-        assert_eq!(p.setup, SimDuration::from_secs(1));
-        assert!(p.malleable);
+        assert_eq!(p.per_tuple_on(0), SimDuration::from_micros(10));
+        assert_eq!(p.per_tuple_on(1), SimDuration::from_micros(3));
     }
 
     #[test]
@@ -294,7 +280,7 @@ mod tests {
             "default config must reproduce the pre-retry engines"
         );
         let cfg = EngineConfig::default().with_retry(RetryPolicy::attempts(3));
-        assert_eq!(cfg.retry.policy_for("anything").max_attempts, 3);
+        assert_eq!(cfg.retry.policy.max_attempts, 3);
     }
 
     #[test]

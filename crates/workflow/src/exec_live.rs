@@ -1850,7 +1850,7 @@ pub(crate) fn build_tasks(
                     drop_eos: faults.is_some_and(|f| f.drops_eos(i)),
                     eos_delay: faults.map_or(0, |f| f.eos_delay(i)),
                     replay: None,
-                    retry: RetryBudget::new(*retry.policy_for(&desc.name)),
+                    retry: RetryBudget::new(retry.policy),
                     park_until: None,
                 }),
                 inbox: Inbox {

@@ -704,8 +704,7 @@ impl SimExecutor {
         if let Ok(run) = &mut result {
             // Publish only a clean run, as the live engine does.
             if run.metrics.sched_totals().retries_attempted == 0 {
-                crate::cache::commit_recordings_as(&plan.recordings, &cache, None)
-                    .apply_to(run, &mut trace);
+                crate::cache::commit_recordings(&plan.recordings, &cache).apply_to(run, &mut trace);
             }
         }
         (trace, result)
@@ -745,7 +744,7 @@ impl SimExecutor {
                     finished: false,
                     busy_time: SimDuration::ZERO,
                     processed: 0,
-                    retry: RetryBudget::new(*self.config.retry.policy_for(&node.desc().name)),
+                    retry: RetryBudget::new(self.config.retry.policy),
                     router: Router::new(&edges[i]),
                     channel_clock: (edges[i].iter())
                         .map(|e| vec![SimTime::ZERO; e.dests.len()])

@@ -51,8 +51,8 @@
 //! * **Many concurrent pipelines on one shared pool** — a process-wide
 //!   [`service::WorkflowService`] owns a single fixed worker pool and
 //!   admits many concurrent DAG submissions, time-slicing operator
-//!   quanta across runs with weighted-fair queueing, per-tenant quotas
-//!   and mailbox budgets, a bounded admission queue with explicit
+//!   quanta across runs with fair queueing, a per-tenant in-flight
+//!   ceiling and mailbox budget, a bounded admission queue with explicit
 //!   rejection, and per-run fault/retry isolation (one tenant's retry
 //!   storm parks on a timer instead of sleeping a shared worker).
 //! * **Incremental re-execution** — every node carries a Merkle-style
@@ -104,7 +104,7 @@ pub mod trace_live;
 
 pub use backend::{EngineRun, ExecBackend};
 pub use cache::{
-    commit_recordings_as, CacheEntry, CachePlan, CommitStats, PublishOutcome, ResultCache,
+    commit_recordings, CacheEntry, CachePlan, CommitStats, PublishOutcome, ResultCache,
 };
 pub use cost::{CostProfile, EngineConfig};
 pub use dag::{EdgeId, OpId, Workflow, WorkflowBuilder};

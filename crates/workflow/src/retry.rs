@@ -155,8 +155,8 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Engine-level retry configuration: one default [`RetryPolicy`] plus
-/// per-operator overrides, resolved by operator name.
+/// Engine-level retry configuration: the one [`RetryPolicy`] every
+/// operator runs under.
 ///
 /// The [`Default`] configuration is fully disabled, so an
 /// [`crate::EngineConfig`] built without touching `retry` reproduces
@@ -167,19 +167,15 @@ impl Default for RetryPolicy {
 /// ```
 /// use scriptflow_workflow::retry::{RetryConfig, RetryPolicy};
 ///
-/// let cfg = RetryConfig::uniform(RetryPolicy::attempts(3))
-///     .with_override("sink", RetryPolicy::disabled());
-/// assert_eq!(cfg.policy_for("parse").max_attempts, 3);
-/// assert_eq!(cfg.policy_for("sink").max_attempts, 0);
+/// let cfg = RetryConfig::uniform(RetryPolicy::attempts(3));
+/// assert_eq!(cfg.policy.max_attempts, 3);
 /// assert!(cfg.enabled());
 /// assert!(!RetryConfig::default().enabled());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryConfig {
-    /// Policy for operators without an override.
-    pub default: RetryPolicy,
-    /// Per-operator `(name, policy)` overrides; the first match wins.
-    pub overrides: Vec<(String, RetryPolicy)>,
+    /// The policy every operator runs under.
+    pub policy: RetryPolicy,
 }
 
 impl Default for RetryConfig {
@@ -195,30 +191,12 @@ impl Default for RetryConfig {
 impl RetryConfig {
     /// One policy for every operator.
     pub fn uniform(policy: RetryPolicy) -> Self {
-        RetryConfig {
-            default: policy,
-            overrides: Vec::new(),
-        }
+        RetryConfig { policy }
     }
 
-    /// Builder-style per-operator override.
-    pub fn with_override(mut self, op: impl Into<String>, policy: RetryPolicy) -> Self {
-        self.overrides.push((op.into(), policy));
-        self
-    }
-
-    /// The policy effective for operator `op`.
-    pub fn policy_for(&self, op: &str) -> &RetryPolicy {
-        self.overrides
-            .iter()
-            .find(|(name, _)| name == op)
-            .map(|(_, p)| p)
-            .unwrap_or(&self.default)
-    }
-
-    /// True when any operator may retry.
+    /// True when operators may retry.
     pub fn enabled(&self) -> bool {
-        self.default.enabled() || self.overrides.iter().any(|(_, p)| p.enabled())
+        self.policy.enabled()
     }
 }
 
@@ -279,19 +257,8 @@ mod tests {
         // pre-retry engines byte-for-byte, so the derived default has
         // to be the disabled policy.
         let cfg = RetryConfig::default();
-        assert_eq!(cfg.default.max_attempts, 0);
-        assert!(cfg.overrides.is_empty());
+        assert_eq!(cfg.policy.max_attempts, 0);
         assert!(!cfg.enabled());
-    }
-
-    #[test]
-    fn overrides_resolve_by_name() {
-        let cfg = RetryConfig::uniform(RetryPolicy::attempts(2))
-            .with_override("parse", RetryPolicy::attempts(5))
-            .with_override("parse", RetryPolicy::disabled());
-        // First match wins.
-        assert_eq!(cfg.policy_for("parse").max_attempts, 5);
-        assert_eq!(cfg.policy_for("other").max_attempts, 2);
     }
 
     #[test]

@@ -62,3 +62,10 @@ pub_fields() {
 }
 printf '%8d  EngineRun pub fields\n' "$(pub_fields EngineRun crates/workflow/src/backend.rs)"
 printf '%8d  BackendRun pub fields\n' "$(pub_fields BackendRun crates/tasks/src/common.rs)"
+
+# The service's policy surface: fields of `TenantQuota` (5 before the
+# weights and the spill and cache quotas went, 2 after) and variants of
+# `SubmitError` (7 before, 5 after). A count going up is a policy coming
+# back.
+printf '%8d  TenantQuota fields\n' "$(awk '/^pub struct TenantQuota / { on = 1; next } on && /^}/ { exit } on && /^    [a-z_]+:/ { n++ } END { print n + 0 }' crates/workflow/src/service.rs)"
+printf '%8d  SubmitError variants\n' "$(awk '/^pub enum SubmitError / { on = 1; next } on && /^}/ { exit } on && /^    [A-Z][A-Za-z]*([ ({,]|$)/ { n++ } END { print n + 0 }' crates/workflow/src/service.rs)"

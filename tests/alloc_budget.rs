@@ -595,9 +595,8 @@ fn text_decode_bytes() -> [(&'static str, f64, f64); 3] {
             vec![vec![Value::Int(fp as i64)]; fp as usize],
         );
         let rows = rows.expect("rows conform").into_tuples();
-        let owner = ["alice", "bob", "carol"][fp as usize % 3];
         let cost = SimDuration::from_micros(10 * fp);
-        cache.publish_costed(OpFingerprint(fp.into()), &schema, &rows, cost, Some(owner));
+        cache.publish_costed(OpFingerprint(fp.into()), &schema, &rows, cost);
     }
     drop(cache);
     let path = dir.join("MANIFEST");

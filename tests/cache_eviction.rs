@@ -85,13 +85,7 @@ fn budget_is_a_hard_ceiling_after_every_publish() {
     assert_eq!(cache.byte_budget(), Some(budget));
     for i in 0..40u64 {
         let cost = SimDuration::from_micros((i % 7) * 950);
-        cache.publish_costed(
-            OpFingerprint(u128::from(i)),
-            &schema(),
-            &rows(100),
-            cost,
-            None,
-        );
+        cache.publish_costed(OpFingerprint(u128::from(i)), &schema(), &rows(100), cost);
         assert!(
             cache.bytes() <= budget,
             "publish {i}: {} bytes exceeds budget {budget}",
@@ -116,7 +110,6 @@ fn eviction_is_deterministic_across_identical_sequences() {
                 &schema(),
                 &rows(100),
                 cost,
-                None,
             );
         }
         (
@@ -144,11 +137,11 @@ fn eviction_prefers_big_and_cheap_to_recompute() {
     let dear = SimDuration::from_micros(5_000_000);
     // A big cheap entry, a big expensive entry would not fit together
     // with two small ones — the cheap big one is the right victim.
-    cache.publish_costed(OpFingerprint(1), &schema(), &rows(400), cheap, None);
-    cache.publish_costed(OpFingerprint(2), &schema(), &rows(100), dear, None);
-    cache.publish_costed(OpFingerprint(3), &schema(), &rows(100), dear, None);
+    cache.publish_costed(OpFingerprint(1), &schema(), &rows(400), cheap);
+    cache.publish_costed(OpFingerprint(2), &schema(), &rows(100), dear);
+    cache.publish_costed(OpFingerprint(3), &schema(), &rows(100), dear);
     assert_eq!(cache.evictions(), 0, "everything fits so far");
-    let out = cache.publish_costed(OpFingerprint(4), &schema(), &rows(100), dear, None);
+    let out = cache.publish_costed(OpFingerprint(4), &schema(), &rows(100), dear);
     assert!(out.admitted);
     assert!(out.evictions >= 1);
     assert!(
@@ -175,7 +168,6 @@ fn byte_ledger_sums_published_minus_evicted() {
             &schema(),
             &rows(100),
             SimDuration::from_micros(i * 40),
-            None,
         );
         published += out.added;
     }
@@ -194,7 +186,6 @@ fn oversized_entries_are_rejected_not_admitted() {
         &schema(),
         &rows(100),
         SimDuration::from_micros(1),
-        None,
     );
     assert!(!out.admitted);
     assert_eq!(out.added, 0);

@@ -402,11 +402,9 @@ fn forged_manifest_byte_counts_cannot_overflow_the_ledger() {
         "the line that would overflow is dropped"
     );
     assert_eq!(cache.bytes(), u64::MAX);
-    assert_eq!(cache.owner_bytes("mallory"), u64::MAX);
     let fp = cache.fingerprints()[0];
     assert!(cache.lookup(fp).is_none(), "an empty segment is a miss");
     assert_eq!((cache.entries(), cache.bytes()), (0, 0));
-    assert_eq!(cache.owner_bytes("mallory"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -423,16 +421,51 @@ fn duplicated_manifest_line_is_counted_once() {
     let cache = ResultCache::persistent(&dir).expect("open store");
     assert_eq!(cache.entries(), 2);
     assert_eq!(cache.bytes(), 1_500);
-    assert_eq!(cache.owner_bytes("alice"), 1_000);
     let fps = cache.fingerprints();
     assert!(cache.lookup(fps[0]).is_none(), "an empty segment is a miss");
     assert_eq!((cache.entries(), cache.bytes()), (1, 500));
-    assert_eq!(cache.owner_bytes("alice"), 0);
-    assert_eq!(cache.owner_bytes("bob"), 500);
     let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("rewritten index");
     assert_eq!(
         manifest,
-        format!("scriptflow-cache v1\n{:032x} 10 1 500 0 bob\n", 9)
+        format!("scriptflow-cache v1\n{:032x} 10 1 500 0\n", 9)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose index an earlier release wrote, with a sixth column
+/// naming each entry's publishing tenant (`-` for none; the name runs to
+/// the end of the line, so it may hold spaces), reopens with every entry:
+/// the loader reads a line's first five fields and ignores the rest.
+#[test]
+fn manifest_with_an_owner_column_reopens_with_every_entry() {
+    let dir = temp_dir("owner-column");
+    let cache = ResultCache::persistent(&dir).expect("open store");
+    let owners = ["-", "alice", "two words"];
+    let mut manifest = String::from("scriptflow-cache v1\n");
+    let mut total = 0;
+    for (i, owner) in owners.into_iter().enumerate() {
+        let fp = OpFingerprint(i as u128 + 1);
+        let tuples: Vec<Tuple> = (0..(i as i64 + 1) * 40)
+            .map(|k| Tuple::new(schema(), vec![Value::Int(k)]).expect("rows conform"))
+            .collect();
+        cache.publish(fp, &schema(), &tuples);
+        let entry = cache.lookup(fp).expect("just published");
+        let (rows, blocks, bytes) = (entry.rows(), entry.blocks(), entry.bytes());
+        manifest.push_str(&format!(
+            "{:032x} {rows} {blocks} {bytes} 0 {owner}\n",
+            fp.0
+        ));
+        total += bytes;
+    }
+    drop(cache);
+    std::fs::write(dir.join("MANIFEST"), manifest).expect("hand-written index");
+
+    let reopened = ResultCache::persistent(&dir).expect("reopen store");
+    assert_eq!(reopened.entries(), owners.len(), "every line is an entry");
+    for i in 0..owners.len() {
+        let fp = OpFingerprint(i as u128 + 1);
+        assert!(reopened.lookup(fp).is_some(), "{fp:?} is served");
+    }
+    assert_eq!(reopened.bytes(), total);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,7 +20,8 @@ use scriptflow::simcluster::SplitMix64;
 use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, HashJoinOp, ScanOp, SinkOp};
 use scriptflow::workflow::{
     Backoff, EngineConfig, EngineRun, FaultPlan, LiveExecutor, OperatorFactory, PartitionStrategy,
-    ResultCache, RetryConfig, RetryPolicy, SimExecutor, Workflow, WorkflowBuilder, WorkflowError,
+    ResultCache, RetryConfig, RetryPolicy, RunOptions, ServiceConfig, SimExecutor, TenantQuota,
+    Workflow, WorkflowBuilder, WorkflowError, WorkflowService,
 };
 
 /// Cases per pure-data property.
@@ -733,15 +734,56 @@ impl Config {
                     exec = exec.with_result_cache(Arc::clone(cache));
                 }
                 if let Some(plan) = self.fault.as_ref().filter(|_| armed) {
-                    let policy = RetryPolicy::attempts(3).with_backoff(Backoff::none());
-                    exec = exec
-                        .with_faults(plan.clone())
-                        .with_retry(RetryConfig::uniform(policy));
+                    exec = exec.with_faults(plan.clone()).with_retry(Config::retry());
                 }
                 exec.run(wf)
             }
         };
         result.unwrap_or_else(|e| panic!("{self:?}: {e}"))
+    }
+
+    /// Submit both of `wfs` at once to one [`WorkflowService`] sized by
+    /// this pooled configuration, under two tenant names, through
+    /// `cache`; with `armed`, the drawn fault fires in both runs under a
+    /// retry budget that must absorb it.
+    fn run_tenants(
+        &self,
+        wfs: [&Workflow; 2],
+        cache: Option<&Arc<ResultCache>>,
+        armed: bool,
+    ) -> [EngineRun; 2] {
+        let (batch, capacity, pool) = self.pool.expect("the service runs the pool");
+        let mut service = ServiceConfig::default()
+            .with_pool_size(pool)
+            .with_max_active_runs(2)
+            .with_default_quota(TenantQuota::default().with_mailbox_budget(capacity));
+        if let Some(cache) = cache {
+            service = service.with_result_cache(Arc::clone(cache));
+        }
+        let svc = WorkflowService::new(service);
+        let mut opts = RunOptions::default()
+            .with_batch_size(batch)
+            .with_memory_budget(self.budget)
+            .with_result_cache(cache.is_some());
+        if let Some(plan) = self.fault.as_ref().filter(|_| armed) {
+            opts = opts.with_faults(plan.clone()).with_retry(Config::retry());
+        }
+        let runs = [("alice", wfs[0]), ("bob", wfs[1])].map(|(tenant, wf)| {
+            let run = svc.submit(tenant, wf, opts.clone());
+            run.unwrap_or_else(|e| panic!("{self:?}: {tenant}: {e}"))
+        });
+        runs.map(|run| {
+            let report = run.wait();
+            let tenant = report.tenant;
+            report
+                .result
+                .unwrap_or_else(|e| panic!("{self:?}: {tenant}: {e}"))
+        })
+    }
+
+    /// The retry budget an armed fault runs under.
+    fn retry() -> RetryConfig {
+        RetryConfig::uniform(RetryPolicy::attempts(3).with_backoff(Backoff::none()))
     }
 }
 
@@ -753,6 +795,9 @@ impl Config {
 /// warmed before the DAG was edited; and on the pool, a panic or a killed
 /// worker on any operator but a sink, under a retry budget — fills all
 /// three sinks with the reference interpreter's rows of the DAG it runs.
+/// A pooled configuration then runs again as two tenants of one service:
+/// the DAG is built twice and both copies are submitted at once, and
+/// each copy's sinks get the reference's rows.
 #[test]
 fn every_configuration_matches_the_reference_on_random_dags() {
     // What the checked runs reached, by path: each path the draw names
@@ -780,19 +825,57 @@ fn every_configuration_matches_the_reference_on_random_dags() {
         let rows_of = random_join_dag(rng);
         let reference = |wf: &Workflow| drop(LiveExecutor::thread_per_worker(1).run(wf).unwrap());
         let want = [false, true].map(|edited| rows_of(&reference, edited));
-        for _ in 0..6 {
-            let config = Config::draw(rng);
-            let cache = (config.cache != CacheState::None).then(|| Arc::new(ResultCache::new()));
-            if matches!(config.cache, CacheState::Warm | CacheState::Edited) {
-                let warm_up = rows_of(&|wf| drop(config.run(wf, cache.as_ref(), false)), false);
-                assert_eq!(warm_up, want[0], "warm-up of {config:?}");
+        for config in (0..6).map(|_| Config::draw(rng)) {
+            for tenants in [false, true] {
+                if tenants && config.pool.is_none() {
+                    break;
+                }
+                let cache =
+                    (config.cache != CacheState::None).then(|| Arc::new(ResultCache::new()));
+                if matches!(config.cache, CacheState::Warm | CacheState::Edited) {
+                    let warm_up = rows_of(&|wf| drop(config.run(wf, cache.as_ref(), false)), false);
+                    assert_eq!(warm_up, want[0], "warm-up of {config:?}");
+                }
+                let edited = config.cache == CacheState::Edited;
+                let want = &want[usize::from(edited)];
+                if !tenants {
+                    let got = rows_of(
+                        &|wf| tally(&config, config.run(wf, cache.as_ref(), true)),
+                        edited,
+                    );
+                    assert_eq!(&got, want, "{config:?}");
+                    continue;
+                }
+                // The first copy's run builds the second copy, whose run
+                // submits both; each copy's sinks are read once its run
+                // returns.
+                let second = std::cell::RefCell::new(None);
+                let first = rows_of(
+                    &|a| {
+                        let rows = rows_of(
+                            &|b| {
+                                for run in config.run_tenants([a, b], cache.as_ref(), true) {
+                                    let spills = run.counters().spilled_blocks;
+                                    *reached
+                                        .borrow_mut()
+                                        .entry("two-tenant spilled blocks")
+                                        .or_insert(0) += spills;
+                                    tally(&config, run);
+                                }
+                            },
+                            edited,
+                        );
+                        *second.borrow_mut() = Some(rows);
+                    },
+                    edited,
+                );
+                assert_eq!(&first, want, "first tenant of {config:?}");
+                assert_eq!(
+                    second.into_inner().as_ref(),
+                    Some(want),
+                    "second tenant of {config:?}"
+                );
             }
-            let edited = config.cache == CacheState::Edited;
-            let got = rows_of(
-                &|wf| tally(&config, config.run(wf, cache.as_ref(), true)),
-                edited,
-            );
-            assert_eq!(got, want[usize::from(edited)], "{config:?}");
         }
     });
     let reached = reached.into_inner();

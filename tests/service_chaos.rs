@@ -295,108 +295,6 @@ fn overload_rejections_are_explicit_and_attributed() {
     assert_threads_drained(baseline, "explicit rejection");
 }
 
-/// A hash join whose build side overflows any tiny memory budget — the
-/// noisy spiller's workload.
-fn spill_join_chain() -> (Workflow, SinkHandle) {
-    use scriptflow::workflow::ops::HashJoinOp;
-    let bsch = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);
-    let build = Batch::from_rows(
-        bsch,
-        (0..400i64)
-            .map(|i| vec![Value::Int(i % 23), Value::Str(format!("b{i}"))])
-            .collect(),
-    )
-    .unwrap();
-    let psch = Schema::of(&[("k", DataType::Int), ("p", DataType::Str)]);
-    let probe = Batch::from_rows(
-        psch,
-        (0..300i64)
-            .map(|i| vec![Value::Int(i % 29), Value::Str(format!("p{i}"))])
-            .collect(),
-    )
-    .unwrap();
-    let mut b = WorkflowBuilder::new();
-    let bs = b.add(Arc::new(ScanOp::new("build", build)), 1);
-    let ps = b.add(Arc::new(ScanOp::new("probe", probe)), 1);
-    let join = b.add(Arc::new(HashJoinOp::new("join", &["k"], &["k"])), 2);
-    let sink_op = SinkOp::new("sink");
-    let handle = sink_op.handle();
-    let sink = b.add(Arc::new(sink_op), 1);
-    let by_k = PartitionStrategy::Hash(vec!["k".into()]);
-    b.connect(bs, join, 0, by_k.clone());
-    b.connect(ps, join, 1, by_k);
-    b.connect(join, sink, 0, PartitionStrategy::Single);
-    (b.build().unwrap(), handle)
-}
-
-/// Disk is a shared resource too: a tenant whose budgeted runs keep
-/// spilling to the block store burns through its cumulative spill-bytes
-/// quota and gets an explicit, attributable
-/// [`SubmitError::SpillOverQuota`] on the next submission — while a
-/// quiet neighbor under the same default quota (who never spills) stays
-/// admitted and computes exactly its solo rows.
-#[test]
-fn noisy_spiller_is_rejected_while_neighbor_stays_admitted() {
-    let (_serial, baseline) = thread_baseline();
-    let svc = WorkflowService::new(
-        ServiceConfig::default()
-            .with_pool_size(2)
-            .with_max_active_runs(2)
-            // Any spill at all exhausts the quota: the second spilling
-            // submission must be turned away.
-            .with_default_quota(TenantQuota::default().with_spill_budget(1)),
-    );
-
-    // The spiller's first run is admitted (no spill history yet) and
-    // completes correctly despite the tiny memory budget.
-    let (spill_wf, spill_sink) = spill_join_chain();
-    let first = svc
-        .submit(
-            "spiller",
-            &spill_wf,
-            RunOptions::default().with_memory_budget(Some(512)),
-        )
-        .expect("first spilling run is admitted");
-    assert!(first.wait().result.is_ok());
-    let spilled = svc.tenant_stats("spiller").unwrap().counters.spilled_bytes;
-    assert!(spilled > 0, "the budgeted join must have spilled");
-    let first_rows = sorted_rows(&spill_sink);
-    assert!(!first_rows.is_empty());
-
-    // Its next submission is over the cumulative spill quota: explicit
-    // typed rejection, charged to the tenant.
-    match svc.submit(
-        "spiller",
-        &spill_wf,
-        RunOptions::default().with_memory_budget(Some(512)),
-    ) {
-        Err(SubmitError::SpillOverQuota {
-            tenant,
-            spilled_bytes,
-            budget,
-        }) => {
-            assert_eq!(tenant, "spiller");
-            assert_eq!(spilled_bytes, spilled);
-            assert_eq!(budget, 1);
-        }
-        other => panic!("expected SpillOverQuota, got {other:?}"),
-    }
-    assert_eq!(svc.tenant_stats("spiller").unwrap().rejected, 1);
-
-    // The neighbor shares the default quota but never spills — still
-    // admitted, still correct.
-    let (quiet_wf, quiet_sink) = quiet_chain(2_000, 2);
-    let quiet = svc
-        .submit("quiet", &quiet_wf, RunOptions::default())
-        .expect("non-spilling neighbor stays admitted");
-    assert!(quiet.wait().result.is_ok());
-    assert_eq!(sorted_rows(&quiet_sink).len(), 1_000);
-    assert_eq!(svc.tenant_stats("quiet").unwrap().counters.spilled_bytes, 0);
-
-    drop(svc);
-    assert_threads_drained(baseline, "noisy spiller quota");
-}
-
 /// A retry storm parks on the service timer — the
 /// replay still recovers every row exactly once, and the per-run stats
 /// account the attempts, all while a neighbor drains undisturbed.
