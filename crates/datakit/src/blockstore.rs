@@ -384,7 +384,7 @@ impl CompressedBlock {
 
     /// Seal rows `rows` of `batch` in place: the block [`CompressedBlock::seal`]
     /// makes of [`ColumnarBatch::take`] of those rows, without the gather.
-    fn seal_range(batch: &ColumnarBatch, rows: Range<usize>) -> CompressedBlock {
+    pub fn seal_range(batch: &ColumnarBatch, rows: Range<usize>) -> CompressedBlock {
         let arity = batch.schema().arity();
         let mut data = Vec::with_capacity(rows.len() * arity * 8 + arity * 16);
         let raw_bytes = (0..arity)
@@ -525,7 +525,12 @@ impl BlockAppender {
     /// place: the block of [`ColumnarBatch::take`] of those rows, without
     /// the gather.
     pub fn append_range(&mut self, batch: &ColumnarBatch, rows: Range<usize>) -> usize {
-        let block = CompressedBlock::seal_range(batch, rows);
+        self.push(CompressedBlock::seal_range(batch, rows))
+    }
+
+    /// Append a block sealed elsewhere and return its stored size in
+    /// bytes.
+    pub fn push(&mut self, block: CompressedBlock) -> usize {
         let compressed = block.compressed_bytes();
         self.row_count += block.rows() as u64;
         self.raw_bytes += block.raw_bytes() as u64;

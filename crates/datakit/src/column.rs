@@ -209,6 +209,15 @@ impl StrVec {
         })
     }
 
+    /// Append strings `rows` of `other`, in order.
+    fn extend_from(&mut self, other: &StrVec, rows: Range<usize>) {
+        let shift = self.bytes.len() as isize - other.start_of(rows.start) as isize;
+        self.bytes.push_str(other.span(rows.clone()));
+        let ends = other.ends[rows].iter();
+        self.ends
+            .extend(ends.map(|&end| end.wrapping_add_signed(shift)));
+    }
+
     /// Gather the strings at `indices`, in that order.
     pub fn take(&self, indices: &[u32]) -> StrVec {
         // Sized as if the gathered rows were of average length.
@@ -372,6 +381,56 @@ impl ColumnVec {
         }
     }
 
+    /// Append rows `rows` of `other`, a column of the same representation,
+    /// placeholders and validity as they are.
+    fn extend_from(&mut self, other: &ColumnVec, rows: Range<usize>) {
+        let (validity, from) = match (self, other) {
+            (
+                Self::Int { data, validity },
+                Self::Int {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                data.extend_from_slice(&d[rows.clone()]);
+                (validity, v)
+            }
+            (
+                Self::Float { data, validity },
+                Self::Float {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                data.extend_from_slice(&d[rows.clone()]);
+                (validity, v)
+            }
+            (
+                Self::Bool { data, validity },
+                Self::Bool {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                data.extend_from_slice(&d[rows.clone()]);
+                (validity, v)
+            }
+            (
+                Self::Str { data, validity },
+                Self::Str {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                data.extend_from(d, rows.clone());
+                (validity, v)
+            }
+            (Self::Mixed(data), Self::Mixed(d)) => return data.extend_from_slice(&d[rows]),
+            _ => panic!("columns of one field differ in representation"),
+        };
+        rows.for_each(|i| validity.push(from.is_valid(i)));
+    }
+
     /// Append this column's cell of every row to that row's values.
     fn append_to(&self, rows: &mut [Vec<Value>]) {
         fn dense<T>(
@@ -457,6 +516,25 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Mixed(data) => data[i].clone(),
+        }
+    }
+
+    /// [`Value::encoded_len`] of the cell at row `i`, read off the typed
+    /// vector: no [`Value`] is built.
+    pub fn encoded_len_at(&self, i: usize) -> usize {
+        let null = Value::Null.encoded_len();
+        match self {
+            ColumnVec::Int { validity, .. } | ColumnVec::Float { validity, .. }
+                if validity.is_valid(i) =>
+            {
+                null + 8
+            }
+            ColumnVec::Bool { validity, .. } if validity.is_valid(i) => null + 1,
+            ColumnVec::Str { data, validity } if validity.is_valid(i) => {
+                null + 4 + data.get(i).len()
+            }
+            ColumnVec::Mixed(data) => data[i].encoded_len(),
+            _ => null,
         }
     }
 
@@ -790,6 +868,31 @@ impl ColumnarBatch {
                 })?;
         }
         Ok(Self::seal(schema, columns, len))
+    }
+
+    /// Rows `range` of each batch of `pieces` in turn, as one batch under
+    /// `schema`, the schema every piece shares: the batch
+    /// [`ColumnarBatch::from_tuples`] builds of those rows, without
+    /// building them.
+    pub fn concat(schema: SchemaRef, pieces: &[(ColumnarBatch, Range<usize>)]) -> Self {
+        debug_assert!(
+            pieces.iter().all(|(b, _)| *b.schema == *schema),
+            "concat requires schema-homogeneous pieces"
+        );
+        let len = pieces.iter().map(|(_, rows)| rows.len()).sum();
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(j, f)| {
+                let mut col = ColumnVec::with_capacity(f.dtype(), len);
+                for (batch, rows) in pieces {
+                    col.extend_from(batch.column(j), rows.clone());
+                }
+                col
+            })
+            .collect();
+        Self::seal(schema, columns, len)
     }
 
     /// Convert a row batch.
@@ -1343,6 +1446,43 @@ mod tests {
                 stats_of(&by_rows),
                 stats_of(&cb.take(&range)),
                 "case {case} rows {start}..{end}"
+            );
+        }
+    }
+
+    /// `concat` of row ranges of several batches is the batch
+    /// `from_tuples` builds of those rows, and `encoded_len_at` is each
+    /// cell's `Value::encoded_len`.
+    #[test]
+    fn concat_of_ranges_is_what_from_tuples_builds_of_their_rows() {
+        let mut rng = SplitMix64::new(0xC0_9CA7);
+        for case in 0..100 {
+            let mut pieces = Vec::new();
+            let mut tuples = Vec::new();
+            for _ in 0..rng.range(0..4usize) {
+                let cb = random_batch(&mut rng);
+                let start = rng.range(0..cb.len() + 1);
+                let end = rng.range(start..cb.len() + 1);
+                tuples.extend(cb.to_tuples()[start..end].iter().cloned());
+                for i in 0..cb.len() {
+                    for j in 0..cb.schema().arity() {
+                        let col = cb.column(j);
+                        assert_eq!(col.encoded_len_at(i), col.value_at(i).encoded_len());
+                    }
+                }
+                pieces.push((cb, start..end));
+            }
+            let schema = pieces.first().map_or_else(
+                || random_batch(&mut rng).schema().clone(),
+                |(cb, _)| cb.schema().clone(),
+            );
+            // Debug output, because a NaN cell is not equal to itself.
+            let concat = ColumnarBatch::concat(schema.clone(), &pieces);
+            let by_tuples = ColumnarBatch::from_tuples(schema, &tuples);
+            assert_eq!(
+                format!("{concat:?}"),
+                format!("{by_tuples:?}"),
+                "case {case}"
             );
         }
     }

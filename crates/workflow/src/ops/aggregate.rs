@@ -1,13 +1,14 @@
 //! Grouped aggregation operator. Under a memory budget, group state
-//! spills to the block store as partial-aggregate rows and partitions
-//! merge at completion.
+//! spills to the block store as sealed batches of partial aggregates and
+//! partitions merge at completion.
 
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
+use scriptflow_datakit::blockstore::Segment;
 use scriptflow_datakit::{
-    ColumnVec, ColumnarBatch, DataResult, DataType, Field, HashKey, KeyRef, Schema, SchemaRef,
-    Tuple, Value,
+    Bitmap, ColumnVec, ColumnarBatch, DataResult, DataType, Field, HashKey, KeyRef, Schema,
+    SchemaRef, Tuple, Value,
 };
 use scriptflow_simcluster::Language;
 
@@ -15,10 +16,10 @@ use scriptflow_core::fingerprint::OpFingerprint;
 
 use crate::cost::CostProfile;
 use crate::operator::{
-    rows_through, spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector,
-    WorkflowError, WorkflowResult,
+    spec_fingerprinter, OpDescriptor, Operator, OperatorFactory, OutputCollector, WorkflowError,
+    WorkflowResult,
 };
-use crate::spill::{read_segment, PartitionWriter, SPILL_FANOUT};
+use crate::spill::{PartitionWriter, SPILL_FANOUT};
 
 use super::{resolve_columns, ResolvedColumns};
 
@@ -82,6 +83,14 @@ impl AggState {
             self.min = self.min.min(x);
             self.max = self.max.max(x);
         }
+    }
+
+    /// Fold in the state of the same group over other rows.
+    fn merge(&mut self, partial: &AggState) {
+        self.count += partial.count;
+        self.sum += partial.sum;
+        self.min = self.min.min(partial.min);
+        self.max = self.max.max(partial.max);
     }
 
     fn finish(&self, agg: &AggFn) -> Value {
@@ -154,10 +163,11 @@ impl AggregateOp {
     }
 }
 
-// Spill state: partial-aggregate rows hash-partitioned by group key.
-// Each partial row is the group's representative values followed by
-// (count, sum, min, max) for every aggregation, so partials merge
-// losslessly regardless of how many flushes a group was split across.
+// Spill state: partial aggregates hash-partitioned by group key, one
+// sealed batch per partition and flush. Each partial row is the group's
+// representative values followed by (count, sum, min, max) for every
+// aggregation, so partials merge losslessly regardless of how many
+// flushes a group was split across.
 struct AggSpill {
     partial_schema: SchemaRef,
     parts: Vec<PartitionWriter>,
@@ -275,24 +285,34 @@ impl GroupTable {
         ))
     }
 
-    /// The group of every row of a batch, keys read off the typed
-    /// `columns`: hashed a column at a time, then resolved row by row so
-    /// groups are numbered in first-seen order.
-    fn groups_of(&mut self, columns: &[&ColumnVec], rows: usize) -> DataResult<Vec<u32>> {
+    /// The key hash of every row of a batch, keys read off the typed
+    /// `columns` a column at a time.
+    fn hashes(&self, columns: &[&ColumnVec], rows: usize) -> DataResult<Vec<u64>> {
         let mut hashes = vec![0u64; rows];
         for col in columns {
             for (i, hash) in hashes.iter_mut().enumerate() {
                 *hash = self.fold(*hash, col.key_at(i)?);
             }
         }
-        let group = |(i, hash)| {
-            let cell = |(col, v): (&&ColumnVec, &Value)| col.key_at(i) == KeyRef::of(v);
-            self.find_or_insert(
-                hash,
-                |rep| columns.iter().zip(rep).all(cell),
-                || columns.iter().map(|col| col.value_at(i)).collect(),
-            ) as u32
-        };
+        Ok(hashes)
+    }
+
+    /// The group of row `i` of a batch whose keys are `columns`, given
+    /// the row's `hash`.
+    fn group_at(&mut self, columns: &[&ColumnVec], i: usize, hash: u64) -> u32 {
+        let cell = |(col, v): (&&ColumnVec, &Value)| col.key_at(i) == KeyRef::of(v);
+        self.find_or_insert(
+            hash,
+            |rep| columns.iter().zip(rep).all(cell),
+            || columns.iter().map(|col| col.value_at(i)).collect(),
+        ) as u32
+    }
+
+    /// The group of every row of a batch, resolved row by row so groups
+    /// are numbered in first-seen order.
+    fn groups_of(&mut self, columns: &[&ColumnVec], rows: usize) -> DataResult<Vec<u32>> {
+        let hashes = self.hashes(columns, rows)?;
+        let group = |(i, hash)| self.group_at(columns, i, hash);
         Ok(hashes.into_iter().enumerate().map(group).collect())
     }
 
@@ -301,30 +321,78 @@ impl GroupTable {
         &mut self.states[g * self.aggs..][..self.aggs]
     }
 
-    /// Fold one input column into aggregation `agg` of each row's group
-    /// (`groups[i]` is row `i`'s), a single monomorphic pass in row order
-    /// — each state accumulates exactly as `update` called per row would.
-    /// `None` is an aggregation that reads no column (`Count`).
-    fn update_column(&mut self, agg: usize, groups: &[u32], col: Option<&ColumnVec>) {
+    /// Fold rows `start..` of one input column into aggregation `agg`
+    /// of each row's group (`groups[k]` is row `start + k`'s), a single
+    /// monomorphic pass in row order — each state accumulates exactly as
+    /// `update` called per row would. `None` is an aggregation that reads
+    /// no column (`Count`).
+    fn update_column(&mut self, agg: usize, start: usize, groups: &[u32], col: Option<&ColumnVec>) {
         let aggs = self.aggs;
-        let mut update = |i: usize, x: Option<f64>| {
-            self.states[groups[i] as usize * aggs + agg].update(x);
+        let rows = start..start + groups.len();
+        let mut update = |k: usize, x: Option<f64>| {
+            self.states[groups[k] as usize * aggs + agg].update(x);
         };
         match col {
             Some(ColumnVec::Float { data, validity }) => {
-                for (i, &x) in data.iter().enumerate() {
-                    update(i, validity.is_valid(i).then_some(x));
+                for (k, &x) in data[rows].iter().enumerate() {
+                    update(k, validity.is_valid(start + k).then_some(x));
                 }
             }
             Some(ColumnVec::Int { data, validity }) => {
-                for (i, &x) in data.iter().enumerate() {
-                    update(i, validity.is_valid(i).then_some(x as f64));
+                for (k, &x) in data[rows].iter().enumerate() {
+                    update(k, validity.is_valid(start + k).then_some(x as f64));
                 }
             }
             // Non-numeric columns contribute rows to `count` only, the
             // same as `Value::as_float() == None` on the row path.
-            _ => (0..groups.len()).for_each(|i| update(i, None)),
+            _ => (0..groups.len()).for_each(|k| update(k, None)),
         }
+    }
+
+    /// Fold the partial states of a spilled batch — aggregation `agg`'s
+    /// `(count, sum, min, max)` columns — into each row's group.
+    fn merge_columns(&mut self, agg: usize, groups: &[u32], partials: [&ColumnVec; 4]) {
+        let [count, sum, min, max] = partials;
+        for (i, &g) in groups.iter().enumerate() {
+            let partial = AggState {
+                count: count.value_at(i).as_int().unwrap_or(0).max(0) as u64,
+                sum: sum.value_at(i).as_float().unwrap_or(0.0),
+                min: min.value_at(i).as_float().unwrap_or(f64::INFINITY),
+                max: max.value_at(i).as_float().unwrap_or(f64::NEG_INFINITY),
+            };
+            self.states[g as usize * self.aggs + agg].merge(&partial);
+        }
+    }
+
+    /// Groups `groups`' partial aggregates under `schema` (the key
+    /// columns, then `count`, `sum`, `min`, `max` per aggregation): the
+    /// batch `ColumnarBatch::from_tuples` builds of their partial rows.
+    fn partials(&self, schema: &SchemaRef, groups: &[u32]) -> DataResult<ColumnarBatch> {
+        let keys = schema.arity() - 4 * self.aggs;
+        let fields = &schema.fields()[..keys];
+        let mut columns: Vec<ColumnVec> = (fields.iter().enumerate())
+            .map(|(j, f)| {
+                let cells = groups.iter().map(|&g| &self.reps[g as usize][j]);
+                ColumnVec::from_cells(f.dtype(), cells)
+            })
+            .collect();
+        let valid = || Bitmap::all_valid(groups.len());
+        for agg in 0..self.aggs {
+            let state = |g: u32| &self.states[g as usize * self.aggs + agg];
+            let count = groups.iter().map(|&g| state(g).count as i64);
+            columns.push(ColumnVec::Int {
+                data: count.collect(),
+                validity: valid(),
+            });
+            let fields: [fn(&AggState) -> f64; 3] = [|s| s.sum, |s| s.min, |s| s.max];
+            for field in fields {
+                columns.push(ColumnVec::Float {
+                    data: groups.iter().map(|&g| field(state(g))).collect(),
+                    validity: valid(),
+                });
+            }
+        }
+        ColumnarBatch::from_columns(schema.clone(), columns)
     }
 
     /// Every group's key values and states, in first-seen order.
@@ -400,14 +468,9 @@ impl Operator for AggregateInstance {
     fn on_batch(
         &mut self,
         batch: &ColumnarBatch,
-        port: usize,
+        _port: usize,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
-        if self.budget.is_some() {
-            // Budgeted: the row path compares the groups' footprint with
-            // the budget, and flushes, per tuple.
-            return rows_through(self, batch, port, out);
-        }
         if batch.is_empty() {
             return Ok(());
         }
@@ -415,18 +478,23 @@ impl Operator for AggregateInstance {
         let wrap = |e| WorkflowError::from_data(&self.name, e);
         let group =
             resolve_columns(&mut self.group_idx, batch.schema(), &self.group_by).map_err(wrap)?;
-        let inputs =
-            resolve_columns(&mut self.input_idx, batch.schema(), &self.inputs).map_err(wrap)?;
         let keys: Vec<&ColumnVec> = group.iter().map(|&i| batch.column(i)).collect();
-        let groups = self.groups.groups_of(&keys, batch.len()).map_err(wrap)?;
-        // Columnar kernels: one monomorphic pass per aggregation.
-        let mut inputs = inputs.iter();
-        for (a, agg) in self.aggs.iter().enumerate() {
-            let column = agg.input_column().and_then(|_| inputs.next());
-            self.groups
-                .update_column(a, &groups, column.map(|&i| batch.column(i)));
+        resolve_columns(&mut self.input_idx, batch.schema(), &self.inputs).map_err(wrap)?;
+        let hashes = self.groups.hashes(&keys, batch.len()).map_err(wrap)?;
+        let mut groups = Vec::with_capacity(batch.len());
+        let mut start = 0;
+        for (i, hash) in hashes.into_iter().enumerate() {
+            groups.push(self.groups.group_at(&keys, i, hash));
+            // Where `on_tuple` flushes: at the row whose new group takes
+            // the footprint past the budget, after folding it in.
+            if self.budget.is_some_and(|b| self.groups.bytes > b) {
+                self.fold_rows(batch, start, &groups)?;
+                self.flush_groups(out)?;
+                groups.clear();
+                start = i + 1;
+            }
         }
-        Ok(())
+        self.fold_rows(batch, start, &groups)
     }
 
     fn on_port_complete(&mut self, _port: usize, out: &mut OutputCollector) -> WorkflowResult<()> {
@@ -516,68 +584,88 @@ impl AggregateInstance {
         Ok(())
     }
 
-    /// Drain every in-memory group to its spill partition as one
-    /// partial-aggregate row and reset the in-memory footprint.
+    /// Fold rows `start..` of `batch` into their groups (`groups[k]` is
+    /// row `start + k`'s). Columnar kernels: one monomorphic pass per
+    /// aggregation.
+    fn fold_rows(
+        &mut self,
+        batch: &ColumnarBatch,
+        start: usize,
+        groups: &[u32],
+    ) -> WorkflowResult<()> {
+        let inputs = resolve_columns(&mut self.input_idx, batch.schema(), &self.inputs)
+            .map_err(|e| WorkflowError::from_data(&self.name, e))?;
+        let mut inputs = inputs.iter();
+        for (a, agg) in self.aggs.iter().enumerate() {
+            let column = agg.input_column().and_then(|_| inputs.next());
+            let column = column.map(|&i| batch.column(i));
+            self.groups.update_column(a, start, groups, column);
+        }
+        Ok(())
+    }
+
+    /// Drain every in-memory group to its spill partition and reset the
+    /// in-memory footprint: each partition's groups, in first-seen order,
+    /// as one sealed batch of partial aggregates.
     fn flush_groups(&mut self, out: &mut OutputCollector) -> WorkflowResult<()> {
         if self.groups.is_empty() {
             return Ok(());
         }
         self.ensure_spill()?;
+        let wrap = |e| WorkflowError::from_data(&self.name, e);
         let flush_at = self
             .budget
             .map_or(usize::MAX, |b| (b / SPILL_FANOUT).max(1));
-        let spill = self.spill.as_mut().expect("ensured above");
-        let key_columns: Vec<usize> = (0..self.group_by.len()).collect();
-        for (rep, states) in self.groups.iter() {
-            let partials = states.iter().flat_map(|st| {
-                [
-                    Value::Int(st.count as i64),
-                    Value::Float(st.sum),
-                    Value::Float(st.min),
-                    Value::Float(st.max),
-                ]
-            });
-            let partial = Tuple::collect_unchecked(
-                spill.partial_schema.clone(),
-                rep.iter().cloned().chain(partials),
-            );
+        let mut members = vec![Vec::new(); SPILL_FANOUT];
+        for (g, (rep, _)) in self.groups.iter().enumerate() {
             // The owned key is built here, once per flushed group, for
             // the partition hash the grace join shares.
-            let key = match key_columns.len() {
-                0 => HashKey::Null,
-                _ => HashKey::from_tuple_indexed(&partial, &key_columns)
-                    .map_err(|e| WorkflowError::from_data(&self.name, e))?,
+            let key = match rep {
+                [] => HashKey::Null,
+                [v] => HashKey::from_value(v).map_err(wrap)?,
+                vs => HashKey::Composite(
+                    vs.iter()
+                        .map(HashKey::from_value)
+                        .collect::<DataResult<_>>()
+                        .map_err(wrap)?,
+                ),
             };
-            spill.parts[key.bucket_salted(0, SPILL_FANOUT)].push(partial, flush_at, out);
+            members[key.bucket_salted(0, SPILL_FANOUT)].push(g as u32);
+        }
+        let spill = self.spill.as_mut().expect("ensured above");
+        for (part, groups) in spill.parts.iter_mut().zip(&members) {
+            if !groups.is_empty() {
+                let partials = self.groups.partials(&spill.partial_schema, groups);
+                part.push_batch(&partials.map_err(wrap)?, flush_at, out);
+            }
         }
         self.groups.clear();
         Ok(())
     }
 
-    /// Decode one sealed partition, merge its partial rows by group key
+    /// Decode one sealed partition block by block, merge its partial
+    /// aggregates by group key through the group table's column path
     /// (counts and sums add, min/max combine), and emit the finished
     /// groups. Distinct keys never span partitions, so each merge is
     /// final; the merged state is bounded by the partition's distinct
     /// keys, so no recursion is needed.
     fn merge_and_emit_partition(
         &self,
-        seg: &scriptflow_datakit::blockstore::Segment,
+        seg: &Segment,
         schema: &SchemaRef,
         out: &mut OutputCollector,
     ) -> WorkflowResult<()> {
         let wrap = |e| WorkflowError::from_data(&self.name, e);
         let g = self.group_by.len();
         let mut merged = GroupTable::new(self.aggs.len());
-        for t in read_segment(seg, out).map_err(wrap)? {
-            let vals = t.values();
-            let group = merged.group_of(vals[..g].iter()).map_err(wrap)?;
-            for (st, partial) in merged.states_mut(group).iter_mut().zip(vals[g..].chunks(4)) {
-                st.count += partial[0].as_int().unwrap_or(0).max(0) as u64;
-                st.sum += partial[1].as_float().unwrap_or(0.0);
-                st.min = st.min.min(partial[2].as_float().unwrap_or(f64::INFINITY));
-                st.max = st
-                    .max
-                    .max(partial[3].as_float().unwrap_or(f64::NEG_INFINITY));
+        for block in seg.blocks() {
+            out.note_spill_read();
+            let partials = block.decode().map_err(wrap)?;
+            let keys: Vec<&ColumnVec> = (0..g).map(|j| partials.column(j)).collect();
+            let groups = merged.groups_of(&keys, partials.len()).map_err(wrap)?;
+            for agg in 0..self.aggs.len() {
+                let col = |k| partials.column(g + 4 * agg + k);
+                merged.merge_columns(agg, &groups, [col(0), col(1), col(2), col(3)]);
             }
         }
         self.emit_groups(&merged, schema, out);
@@ -757,12 +845,13 @@ mod tests {
     /// through `on_batch`, every row through `on_tuple`, and the two
     /// alternating batch by batch into one instance — and check that all
     /// three emit the same rows in the same order and spill the same
-    /// blocks. Returns the rows, rendered.
+    /// blocks of the same bytes, read back as often. Returns the rows,
+    /// rendered, and the blocks spilled.
     fn kernel_against_rows(
         op: &AggregateOp,
         budget: Option<usize>,
         batches: &[ColumnarBatch],
-    ) -> Vec<String> {
+    ) -> (Vec<String>, u64) {
         let run = |as_batch: &dyn Fn(usize) -> bool| {
             let mut inst = op.create();
             inst.set_memory_budget(budget);
@@ -778,15 +867,24 @@ mod tests {
                 assert!(out.is_empty(), "blocking op must not emit early");
             }
             inst.on_port_complete(0, &mut out).unwrap();
-            let blocks = out.spilled_blocks();
+            let c = out.counters();
+            let spilled = (c.spilled_blocks, c.spilled_bytes, c.spill_reads);
             let rows: Vec<String> = out.take().iter().map(|t| format!("{t:?}")).collect();
-            (rows, blocks)
+            (rows, spilled)
         };
         let by_row = run(&|_| false);
-        assert_eq!(run(&|_| true), by_row, "kernel");
-        assert_eq!(run(&|i| i % 2 == 0), by_row, "interleaved, batch first");
-        assert_eq!(run(&|i| i % 2 == 1), by_row, "interleaved, rows first");
-        by_row.0
+        assert_eq!(run(&|_| true), by_row, "kernel, budget {budget:?}");
+        assert_eq!(
+            run(&|i| i % 2 == 0),
+            by_row,
+            "batch first, budget {budget:?}"
+        );
+        assert_eq!(
+            run(&|i| i % 2 == 1),
+            by_row,
+            "rows first, budget {budget:?}"
+        );
+        (by_row.0, by_row.1 .0)
     }
 
     /// `(cat, k, x, tag)` batches of 40 rows: a `Str` and an `Int` group
@@ -839,7 +937,7 @@ mod tests {
                 AggFn::Avg("tag".into()),
             ],
         );
-        let rows = kernel_against_rows(&op, None, &batches);
+        let (rows, _) = kernel_against_rows(&op, None, &batches);
         assert_eq!(rows.len(), 15);
         // First-seen order: row 0 is (null, null), row 1 (c1, 1), ...
         assert!(rows[0].contains("[Null, Null, Int(14)"), "{}", rows[0]);
@@ -870,7 +968,7 @@ mod tests {
             .collect();
         let batch = ColumnarBatch::from_rows(schema, rows).unwrap();
         let count = vec![AggFn::Count("n".into())];
-        let by_float = kernel_against_rows(
+        let (by_float, _) = kernel_against_rows(
             &AggregateOp::new("agg", &["f"], count.clone()),
             None,
             std::slice::from_ref(&batch),
@@ -888,17 +986,22 @@ mod tests {
             "{}",
             by_float[1]
         );
-        let by_both =
+        let (by_both, _) =
             kernel_against_rows(&AggregateOp::new("agg", &["b", "f"], count), None, &[batch]);
         assert_eq!(by_both.len(), 5);
     }
 
+    /// The budgeted kernel flushes at the row where `on_tuple` does, so
+    /// the spill is the same however rows arrive, and merges to the
+    /// in-memory groups: the twin runs of `kernel_against_rows` under
+    /// budgets from below one group's footprint up to 64 KiB, grouped by
+    /// an `Int`, a `Str`, a composite key with null cells, and nothing.
     #[test]
     fn budgeted_instance_flushes_the_same_partials_from_batches_as_from_rows() {
         let batches = mixed_batches(400);
         let aggs = vec![AggFn::Count("n".into()), AggFn::Sum("x".into())];
         let op = AggregateOp::new("agg", &["cat", "k"], aggs);
-        let spilled = kernel_against_rows(&op, Some(256), &batches);
+        let (spilled, _) = kernel_against_rows(&op, Some(256), &batches);
         // The merge emits partition by partition: the same groups as the
         // in-memory run, in another order.
         let sorted = |mut rows: Vec<String>| {
@@ -906,13 +1009,63 @@ mod tests {
             rows
         };
         assert_eq!(spilled.len(), 15);
-        let in_memory = kernel_against_rows(&op, None, &batches);
+        let (in_memory, _) = kernel_against_rows(&op, None, &batches);
         // Partial sums merge in another order than rows add in.
         let counts = |rows: Vec<String>| {
             let key_and_count = |r: String| r[..r.rfind(", Float").unwrap()].to_owned();
             sorted(rows.into_iter().map(key_and_count).collect())
         };
         assert_eq!(counts(spilled), counts(in_memory));
+
+        // More groups than 64 KiB holds, under every kind of key.
+        let schema = Schema::of(&[
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("x", DataType::Float),
+            ("tag", DataType::Str),
+        ]);
+        let row = |i: i64| {
+            let id = (i * 7919) % 601;
+            vec![
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(id)
+                },
+                match i % 13 {
+                    0 => Value::Null,
+                    _ => Value::Str(format!("n{}", id % 400)),
+                },
+                match i % 7 {
+                    0 => Value::Null,
+                    _ => Value::Float(0.1 * i as f64),
+                },
+                Value::Str(format!("t{i}")),
+            ]
+        };
+        let rows: Vec<Vec<Value>> = (0..1200).map(row).collect();
+        // Uneven batches, so crossings fall anywhere in a batch.
+        let batches: Vec<ColumnarBatch> = rows
+            .chunks(173)
+            .map(|c| ColumnarBatch::from_rows(schema.clone(), c.to_vec()).unwrap())
+            .collect();
+        let aggs = vec![
+            AggFn::Count("n".into()),
+            AggFn::Sum("x".into()),
+            AggFn::Min("x".into()),
+            AggFn::Max("x".into()),
+            AggFn::Avg("tag".into()),
+        ];
+        for group_by in [&["id"][..], &["name"], &["name", "id"], &[]] {
+            let op = AggregateOp::new("agg", group_by, aggs.clone());
+            for budget in [1, 100, 1 << 10, 8 << 10, 64 << 10] {
+                let (_, blocks) = kernel_against_rows(&op, Some(budget), &batches);
+                assert!(
+                    blocks > 0 || group_by.is_empty() && budget > 100,
+                    "{group_by:?} under {budget} B spilled nothing"
+                );
+            }
+        }
     }
 
     #[test]

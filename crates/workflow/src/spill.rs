@@ -2,12 +2,14 @@
 //!
 //! When a blocking operator (hash join build, aggregation, sort) outgrows
 //! its memory budget it hash-partitions state into [`PartitionWriter`]s,
-//! which buffer tuples and flush them as column-major blocks into the
-//! datakit block store. Sealed partitions come back as [`Segment`]s whose
-//! manifests carry counts and sizes only (rows, blocks, bytes) — no column
-//! statistics, so every partition is read back whole. Every write and
-//! read is counted on the [`OutputCollector`] so both executors can
-//! charge spill I/O and surface it in telemetry.
+//! which buffer tuples or sealed batches and flush them as column-major
+//! blocks into the datakit block store. Sealed partitions come back as
+//! [`Segment`]s whose manifests carry counts and sizes only (rows, blocks,
+//! bytes) — no column statistics, so every partition is read back whole.
+//! Every write and read is counted on the [`OutputCollector`] so both
+//! executors can charge spill I/O and surface it in telemetry.
+
+use std::ops::Range;
 
 use scriptflow_datakit::blockstore::{BlockAppender, CompressedBlock, Segment};
 use scriptflow_datakit::{ColumnarBatch, DataResult, SchemaRef, Tuple};
@@ -35,23 +37,41 @@ pub fn tuple_footprint(t: &Tuple) -> usize {
     t.encoded_len() + 24
 }
 
-/// Buffers tuples bound for one spill partition and flushes them to the
+/// The footprint [`tuple_footprint`] gives row `i` of `batch`, read off
+/// the columns without building the tuple.
+fn row_footprint(batch: &ColumnarBatch, i: usize) -> usize {
+    let arity = batch.schema().arity();
+    (0..arity)
+        .map(|j| batch.column(j).encoded_len_at(i))
+        .sum::<usize>()
+        + 24
+}
+
+/// Buffers rows bound for one spill partition and flushes them to the
 /// block store whenever the buffer outgrows the flush threshold.
 ///
-/// Buffered-but-unflushed tuples live in operator instance state, so a
+/// Rows arrive one tuple at a time ([`PartitionWriter::push`]) or as
+/// sealed batches ([`PartitionWriter::push_batch`]); either way a block
+/// is cut at the row whose footprint takes the buffer to the threshold,
+/// so the blocks depend on the rows only, not on how they arrived.
+///
+/// Buffered-but-unflushed rows live in operator instance state, so a
 /// faulted run quantum replays them exactly once along with everything
 /// else the instance holds — durability of the spill path does not depend
 /// on flush boundaries.
 #[derive(Debug, Default)]
 pub struct PartitionWriter {
     schema: Option<SchemaRef>,
+    /// Row ranges of the sealed batches buffered, in push order.
+    pieces: Vec<(ColumnarBatch, Range<usize>)>,
+    /// Tuples buffered, all after the rows of `pieces`.
     buffer: Vec<Tuple>,
     buffer_bytes: usize,
     appender: BlockAppender,
 }
 
 impl PartitionWriter {
-    /// An empty writer; the schema is captured from the first tuple.
+    /// An empty writer; the schema is captured from the first push.
     pub fn new() -> Self {
         PartitionWriter::default()
     }
@@ -68,9 +88,36 @@ impl PartitionWriter {
         }
     }
 
-    /// Flush the buffered tuples as one block (no-op when
-    /// empty).
-    pub fn flush(&mut self, out: &mut OutputCollector) {
+    /// Buffer the rows of `batch` in order, flushing a block at each row
+    /// that brings the buffer to `flush_at` bytes — the blocks
+    /// [`PartitionWriter::push`] of each row would cut. A block that holds
+    /// rows of this batch only is sealed from it in place.
+    pub fn push_batch(
+        &mut self,
+        batch: &ColumnarBatch,
+        flush_at: usize,
+        out: &mut OutputCollector,
+    ) {
+        if self.schema.is_none() {
+            self.schema = Some(batch.schema().clone());
+        }
+        self.seal_buffer();
+        let mut start = 0;
+        for i in 0..batch.len() {
+            self.buffer_bytes += row_footprint(batch, i);
+            if self.buffer_bytes >= flush_at.max(1) {
+                self.pieces.push((batch.clone(), start..i + 1));
+                self.flush(out);
+                start = i + 1;
+            }
+        }
+        if start < batch.len() {
+            self.pieces.push((batch.clone(), start..batch.len()));
+        }
+    }
+
+    /// The buffered tuples as one more piece, so pieces keep row order.
+    fn seal_buffer(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
@@ -78,17 +125,31 @@ impl PartitionWriter {
             .schema
             .clone()
             .expect("non-empty spill buffer always has a schema");
-        let bytes = self
-            .appender
-            .append(&ColumnarBatch::from_tuples(schema, &self.buffer));
-        out.note_spill_write(bytes as u64);
+        let batch = ColumnarBatch::from_tuples(schema, &self.buffer);
+        self.pieces.push((batch, 0..self.buffer.len()));
         self.buffer.clear();
+    }
+
+    /// Flush the buffered rows as one block (no-op when empty).
+    pub fn flush(&mut self, out: &mut OutputCollector) {
+        self.seal_buffer();
+        let bytes = match self.pieces.as_slice() {
+            [] => return,
+            [(batch, rows)] => self.appender.append_range(batch, rows.clone()),
+            pieces => {
+                let schema = self.schema.clone().expect("pieces imply a schema");
+                self.appender.append(&ColumnarBatch::concat(schema, pieces))
+            }
+        };
+        out.note_spill_write(bytes as u64);
+        self.pieces.clear();
         self.buffer_bytes = 0;
     }
 
     /// Rows held, flushed or buffered.
     pub fn rows(&self) -> u64 {
-        self.appender.row_count() + self.buffer.len() as u64
+        let pieces: usize = self.pieces.iter().map(|(_, rows)| rows.len()).sum();
+        self.appender.row_count() + (pieces + self.buffer.len()) as u64
     }
 
     /// True when nothing was ever pushed.
@@ -189,6 +250,58 @@ mod tests {
         let rows: Vec<_> = back.iter().map(|t| t.values().to_vec()).collect();
         let want: Vec<_> = ts.iter().map(|t| t.values().to_vec()).collect();
         assert_eq!(rows, want);
+    }
+
+    /// A writer cuts the same blocks whether its rows arrive one tuple at
+    /// a time, as sealed batches of any length, or as a mix of both.
+    #[test]
+    fn batches_and_tuples_cut_the_same_blocks() {
+        let (schema, ts) = tuples(300);
+        let batch = ColumnarBatch::from_tuples(schema, &ts);
+        let seal = |push: &dyn Fn(&mut PartitionWriter, &mut OutputCollector)| {
+            let mut out = OutputCollector::new();
+            let mut w = PartitionWriter::new();
+            push(&mut w, &mut out);
+            assert_eq!(w.rows(), 300);
+            let seg = w.seal(&mut out);
+            let blocks: Vec<_> = (seg.blocks().iter())
+                .map(|b| (b.rows(), b.compressed_bytes(), format!("{:?}", b.decode())))
+                .collect();
+            (
+                blocks,
+                out.counters().spilled_blocks,
+                out.counters().spilled_bytes,
+            )
+        };
+        for flush_at in [1, 100, 700, 4096, usize::MAX] {
+            let by_tuple = seal(&|w, out| ts.iter().for_each(|t| w.push(t.clone(), flush_at, out)));
+            assert!(by_tuple.1 > 0);
+            for len in [1, 7, 64, 300] {
+                let by_batch = seal(&|w, out| {
+                    for piece in batch.chunks(len) {
+                        w.push_batch(&piece, flush_at, out);
+                    }
+                });
+                assert_eq!(by_batch, by_tuple, "flush at {flush_at}, batches of {len}");
+                // Every third piece as tuples.
+                let mixed = seal(&|w, out| {
+                    for (k, piece) in batch.chunks(len).enumerate() {
+                        if k % 3 == 1 {
+                            piece
+                                .to_tuples()
+                                .into_iter()
+                                .for_each(|t| w.push(t, flush_at, out));
+                        } else {
+                            w.push_batch(&piece, flush_at, out);
+                        }
+                    }
+                });
+                assert_eq!(
+                    mixed, by_tuple,
+                    "flush at {flush_at}, mixed pieces of {len}"
+                );
+            }
+        }
     }
 
     #[test]

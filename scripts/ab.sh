@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Alternating A/B benchmark of two revisions. Needs bash, git and cargo.
 #
-#   scripts/ab.sh <parent-rev> <change-rev> [first-seed]
+#   scripts/ab.sh <parent-rev> <change-rev> [first-seed [workload...]]
 #
-# Ten pairs of every workload BENCHMARK.json lists, each run as long as
-# its `run_seconds`. Each revision is materialized with `git archive` into
-# its own directory under target/ab/ and builds into its own
-# CARGO_TARGET_DIR, so no build artifact of one tree is ever reused for
-# the other. Pair i runs both sides with seed first-seed + i (first-seed
+# Ten pairs of every workload BENCHMARK.json lists (or of the workloads
+# named), each run as long as its `run_seconds`. Each revision is
+# materialized with `git archive` into its own directory under target/ab/
+# and builds into its own CARGO_TARGET_DIR, so no build artifact of one
+# tree is ever reused for the other. When both revisions name one commit
+# (an A/A series), it is archived and built twice, as tree-<rev>-a and
+# tree-<rev>-b, so the series measures the spread of two sides and two
+# builds, not one binary run twice. Pair i runs both sides with seed
+# first-seed + i (first-seed
 # defaults to 1; pass 11 for a held-out series on seeds 11-20); the parent
 # runs first in even pairs and the change first in odd ones. Each run's
 # last stdout line (the benchmark's result object) is kept in
@@ -20,8 +24,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$PWD
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-  echo "usage: scripts/ab.sh <parent-rev> <change-rev> [first-seed]" >&2
+if [ $# -lt 2 ]; then
+  echo "usage: scripts/ab.sh <parent-rev> <change-rev> [first-seed [workload...]]" >&2
   exit 2
 fi
 parent=$(git rev-parse --verify "$1^{commit}")
@@ -30,13 +34,24 @@ first_seed=${3:-1}
 
 cargo build --quiet --release --offline --locked -p scriptflow-bench --bin ab_summary
 summary=$ROOT/target/release/ab_summary
-mapfile -t workloads < <("$summary" --workloads BENCHMARK.json)
+if [ $# -gt 3 ]; then
+  workloads=("${@:4}")
+else
+  mapfile -t workloads < <("$summary" --workloads BENCHMARK.json)
+fi
 seconds=$("$summary" --run-seconds BENCHMARK.json)
 
-# One tree per revision, built before anything is timed.
-tree() { echo "$ROOT/target/ab/tree-${1:0:12}"; }
-for rev in "$parent" "$change"; do
-  dir=$(tree "$rev")
+# One tree per side, built before anything is timed.
+tree() { # <side> <rev>
+  local dir=$ROOT/target/ab/tree-${2:0:12}
+  if [ "$parent" = "$change" ]; then
+    [ "$1" = parent ] && dir+=-a || dir+=-b
+  fi
+  echo "$dir"
+}
+for side in parent change; do
+  [ $side = parent ] && rev=$parent || rev=$change
+  dir=$(tree $side "$rev")
   if [ ! -f "$dir/BENCHMARK.json" ]; then
     rm -rf "$dir"
     mkdir -p "$dir"
@@ -53,7 +68,7 @@ results=$out/results.tsv
 
 run() { # <side> <rev> <workload> <pair>
   local dir line
-  dir=$(tree "$2")
+  dir=$(tree "$1" "$2")
   # The ceiling keeps run.sh's provenance from naming this checkout's HEAD.
   line=$(GIT_CEILING_DIRECTORIES=$ROOT/target/ab CARGO_TARGET_DIR=$dir/.bench_build \
     bash "$dir/benchmark/run.sh" --workload "$3" \

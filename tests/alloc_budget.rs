@@ -1,8 +1,9 @@
 //! Allocation pin (ROADMAP item 2a): heap allocations per source tuple on
 //! the `stream_relational` DAG shapes (sealed scans, column kernels), on
 //! a `paper_tasks`-shaped UDF chain (row edges), on DICE's own DAG and on
-//! a `spill_cache`-shaped join-aggregate run cache-free, cache-armed cold
-//! and edited (per tuple replayed), and on WEF's training (per tweet),
+//! a `spill_cache`-shaped join-aggregate run cache-free, under a memory
+//! budget, cache-armed cold and edited (per tuple replayed), and on WEF's
+//! training (per tweet),
 //! counted by this binary's own `#[global_allocator]`; and, per byte of
 //! input, what the decoders of outside data allocate: a stored segment,
 //! a progress trace, a workflow spec and a result cache's `MANIFEST`. A
@@ -128,6 +129,8 @@ enum Leg {
     /// `JoinAggregate` with a comparison filter in front of each join
     /// input: two scans → filters → hash join → grouped aggregate.
     SpillCache,
+    /// The same DAG under [`SPILL_CACHE_BUDGET`]: the aggregate spills.
+    SpillCacheBudgeted,
     /// The same DAG recording into an empty result cache, commit included.
     SpillCacheCold,
     /// `SpillCache` with a comparison filter between the join and the
@@ -149,6 +152,7 @@ fn job(leg: Leg, scans: &[Arc<ScanOp>; 3]) -> (f64, String) {
         Leg::Dice => return dice_job(),
         Leg::SpillCacheEdited(edited) => return edited_job(exec, scans, edited),
         Leg::SpillCacheCold => exec = exec.with_result_cache(Arc::new(ResultCache::new())),
+        Leg::SpillCacheBudgeted => exec = exec.with_memory_budget(Some(SPILL_CACHE_BUDGET)),
         _ => {}
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -210,7 +214,11 @@ fn dag(leg: Leg, [facts, dims, docs]: &[Arc<ScanOp>; 3]) -> (Workflow, SinkHandl
             b.connect(scan, top, 0, PartitionStrategy::RoundRobin);
             b.connect(top, sink, 0, PartitionStrategy::Single);
         }
-        Leg::JoinAggregate | Leg::SpillCache | Leg::SpillCacheCold | Leg::SpillCacheEdited(_) => {
+        Leg::JoinAggregate
+        | Leg::SpillCache
+        | Leg::SpillCacheBudgeted
+        | Leg::SpillCacheCold
+        | Leg::SpillCacheEdited(_) => {
             let (mut build, mut probe) = (b.add(dims.clone(), 1), scan);
             if !matches!(leg, Leg::JoinAggregate) {
                 let keep_dims = FilterOp::cmp("dims_k_lt", "k", CmpOp::Lt, Value::Int(240));
@@ -305,6 +313,12 @@ fn dice_job() -> (f64, String) {
 /// Rows the cold run's join published, and the edited rerun replays.
 const EDITED_REPLAYED: usize = 88_068;
 
+/// Budget of [`Leg::SpillCacheBudgeted`], per operator instance: above
+/// the join's build side (240 rows of about 42 bytes, broadcast whole to
+/// each instance), below either aggregate instance's share of the 240
+/// groups (about 130 bytes each).
+const SPILL_CACHE_BUDGET: usize = 12 << 10;
+
 /// Armed or not, the cache leaves the computed DAG's work as it is.
 const SPILL_CACHE_WORK: &str = "facts 0>100000, sink 240>0, dims 0>256, dims_k_lt 256>240, \
      facts_v_ge 100000>93914, join 94394>88068, per_key 88068>240, 0 skipped, 1377 sent";
@@ -378,6 +392,15 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
     // sealed range by range instead of gathered per block first: cold
     // reads 0.53 where it read 0.58; the other seven, and every tuple
     // count, skip and `sent`, did not move.
+    // The budgeted leg is new: both aggregate instances spill, the join
+    // does not. While a budgeted aggregate unrolled every sealed batch into
+    // rows and spilled one partial tuple a group, it read 8.39; folding
+    // batches on their columns and spilling sealed partial batches, 5.13.
+    // With a recording sealing each batch it is teed (one `Vec` of blocks
+    // a tee, where it kept the batch until commit), cold reads 0.42 where
+    // it read 0.41 and edited 0.15 where it read 0.14 (0.4120 -> 0.4177
+    // and 0.1449 -> 0.1466 to four places); the other seven, and every
+    // tuple count, skip and `sent`, did not move.
     let legs = [
         (
             "filter_chain",
@@ -407,6 +430,12 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
              0 skipped, 298 sent",
         ),
         ("spill_cache", Leg::SpillCache, 1.0, SPILL_CACHE_WORK),
+        (
+            "spill_cache_budgeted",
+            Leg::SpillCacheBudgeted,
+            6.0,
+            SPILL_CACHE_WORK,
+        ),
         (
             "spill_cache_cold",
             Leg::SpillCacheCold,

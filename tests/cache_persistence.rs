@@ -13,7 +13,7 @@ use std::sync::Arc;
 use scriptflow::core::{BackendKind, OpFingerprint};
 use scriptflow::datakit::{Batch, CmpOp, DataType, Schema, SchemaRef, Tuple, Value};
 use scriptflow::simcluster::SplitMix64;
-use scriptflow::workflow::ops::{FilterOp, ScanOp, SinkHandle, SinkOp};
+use scriptflow::workflow::ops::{AggFn, AggregateOp, FilterOp, ScanOp, SinkHandle, SinkOp};
 use scriptflow::workflow::{
     EngineConfig, ExecBackend, PartitionStrategy, ResultCache, Workflow, WorkflowBuilder,
 };
@@ -104,6 +104,59 @@ fn restart_serves_warm_reruns_byte_identical_from_disk() {
     );
     assert_eq!(warm.cache_published, 0, "nothing new to publish");
     assert_eq!(sorted_rows(&h), baseline, "served rows are byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold run of a DAG with three cacheable operators commits them in
+/// one go, indexed by the one `MANIFEST` the commit writes: on reopen
+/// every entry is listed, counts to the published bytes and is served
+/// off disk with the rows its operator emitted.
+#[test]
+fn a_cold_commit_indexes_every_entry_it_publishes() {
+    let dir = temp_dir("commit");
+    let batch = Batch::from_rows(
+        schema(),
+        (0..3_000)
+            .map(|i| vec![Value::Int(i * 7 % 1_009)])
+            .collect(),
+    )
+    .expect("rows conform");
+    let mut b = WorkflowBuilder::new();
+    let scan = b.add(Arc::new(ScanOp::new("scan", batch)), 1);
+    let keep = FilterOp::cmp("keep", "id", CmpOp::Ge, Value::Int(40));
+    let keep = b.add(Arc::new(keep), 2);
+    let per_id = AggregateOp::new("per_id", &["id"], vec![AggFn::Count("n".into())]);
+    let per_id = b.add(Arc::new(per_id), 2);
+    let sink = b.add(Arc::new(SinkOp::new("sink")), 1);
+    b.connect(scan, keep, 0, PartitionStrategy::RoundRobin);
+    b.connect(keep, per_id, 0, PartitionStrategy::Hash(vec!["id".into()]));
+    b.connect(per_id, sink, 0, PartitionStrategy::Single);
+    let wf = b.build().expect("valid DAG");
+
+    let cache = Arc::new(ResultCache::persistent(&dir).expect("open store"));
+    let cold = cached_backend(&cache).run_detached(&wf).expect("cold run");
+    assert_eq!(
+        cold.counters().cache_misses,
+        3,
+        "scan, keep and per_id record"
+    );
+    drop(cache);
+
+    let reopened = ResultCache::persistent(&dir).expect("reopen store");
+    let mut recorded: Vec<OpFingerprint> = ["scan", "keep", "per_id"]
+        .map(|name| wf.fingerprint(wf.op_by_name(name).unwrap()))
+        .to_vec();
+    recorded.sort_unstable();
+    assert_eq!(reopened.fingerprints(), recorded);
+    assert_eq!(reopened.bytes(), cold.cache_published);
+    for name in ["scan", "keep", "per_id"] {
+        let entry = reopened
+            .lookup(wf.fingerprint(wf.op_by_name(name).unwrap()))
+            .expect("every committed entry is served off disk");
+        let emitted = cold.metrics.by_name(name).unwrap().output_tuples;
+        assert_eq!(entry.rows(), emitted, "{name}");
+        assert_eq!(entry.tuples().len() as u64, emitted, "{name}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
