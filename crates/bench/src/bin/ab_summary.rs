@@ -6,7 +6,10 @@
 //! This reads those lines and prints, per workload and end-to-end metric
 //! of `BENCHMARK.json`: both sides' median and quartiles, how many pairs
 //! the change won, the gap between the medians against the parent's
-//! quartile range, failed/attempted operations per side, and a verdict.
+//! quartile range, failed/attempted operations per side, a verdict, and
+//! the median and quartiles of the per-pair ratio change ÷ parent. Both
+//! runs of a pair are read minutes apart, so host drift between pairs
+//! widens each side's quartiles but not the ratio's.
 //!
 //! ```text
 //! ab_summary BENCHMARK.json RESULTS        # the table
@@ -136,6 +139,8 @@ struct Row {
     change: (f64, f64, f64),
     wins: usize,
     pairs: usize,
+    /// Quartiles of change ÷ parent over the pairs with both results.
+    ratio: Option<(f64, f64, f64)>,
 }
 
 impl Row {
@@ -148,19 +153,27 @@ impl Row {
         if parent.is_empty() || change.is_empty() {
             return None;
         }
-        let won = |[p, c]: &[Run; 2]| match (
-            metric_value(p, &metric.name),
-            metric_value(c, &metric.name),
-        ) {
-            (Some(p), Some(c)) if metric.lower_is_better => c < p,
-            (Some(p), Some(c)) => c > p,
-            _ => false,
+        let both = |[p, c]: &[Run; 2]| {
+            Some((
+                metric_value(p, &metric.name)?,
+                metric_value(c, &metric.name)?,
+            ))
         };
+        let paired: Vec<(f64, f64)> = pairs.values().filter_map(both).collect();
+        let won = |&&(p, c): &&(f64, f64)| {
+            if metric.lower_is_better {
+                c < p
+            } else {
+                c > p
+            }
+        };
+        let ratios: Vec<f64> = paired.iter().map(|(p, c)| c / p).collect();
         Some(Row {
             parent: quartiles(parent),
             change: quartiles(change),
-            wins: pairs.values().filter(|pair| won(pair)).count(),
+            wins: paired.iter().filter(won).count(),
             pairs: pairs.len(),
+            ratio: (!ratios.is_empty()).then(|| quartiles(ratios)),
         })
     }
 
@@ -234,9 +247,12 @@ fn summary(benchmark: &Json, results: &str) -> Result<String, String> {
                 continue;
             };
             let (p, c) = (row.parent, row.change);
+            let ratio = row.ratio.map_or("-".into(), |(q1, m, q3)| {
+                format!("{m:.3} [{q1:.3} .. {q3:.3}]")
+            });
             out += &format!(
                 "  {:<13} {} -> {} {} ({:+.1} %)  parent [{} .. {}]  change [{} .. {}]  \
-                 wins {}/{}  gap {} vs parent IQR {}  {}\n",
+                 wins {}/{}  gap {} vs parent IQR {}  {}  pair ratio {ratio}\n",
                 metric.name,
                 num(p.1),
                 num(c.1),
@@ -345,26 +361,29 @@ mod tests {
                 "slow: 3 pairs; failed/attempted parent 0/300, change 1/200; \
                  results parent 3/3, change 2/3  MORE FAILURES  MISSING CHANGE RESULTS",
                 "  job_ms_p50    100.0 -> 130.0 ms (+30.0 %)  parent [100.0 .. 100.0]  \
-                 change [130.0 .. 130.0]  wins 0/3  gap 30.00 vs parent IQR 0.0000  worse",
+                 change [130.0 .. 130.0]  wins 0/3  gap 30.00 vs parent IQR 0.0000  worse  \
+                 pair ratio 1.300 [1.300 .. 1.300]",
                 "  tuples_per_s  1000000 -> 1000000 1/s (+0.0 %)  parent [1000000 .. 1000000]  \
                  change [1000000 .. 1000000]  wins 0/3  gap 0.0000 vs parent IQR 0.0000  \
-                 within bound",
+                 within bound  pair ratio 1.000 [1.000 .. 1.000]",
                 "fast: 10 pairs; failed/attempted parent 0/1000, change 0/1000; \
                  results parent 10/10, change 10/10",
                 "  job_ms_p50    144.5 -> 125.5 ms (-13.1 %)  parent [141.8 .. 147.2]  \
-                 change [121.8 .. 128.2]  wins 9/10  gap 19.00 vs parent IQR 5.50  claimable",
+                 change [121.8 .. 128.2]  wins 9/10  gap 19.00 vs parent IQR 5.50  claimable  \
+                 pair ratio 0.863 [0.859 .. 0.865]",
                 "  tuples_per_s  1000000 -> 900000 1/s (-10.0 %)  parent [1000000 .. 1000000]  \
                  change [900000 .. 900000]  wins 0/10  gap 100000 vs parent IQR 0.0000  \
-                 within bound",
+                 within bound  pair ratio 0.900 [0.900 .. 0.900]",
                 // Nine wins in eleven pairs run is no claim, though the
                 // ten pairs with both results would be.
                 "gappy: 11 pairs; failed/attempted parent 0/1100, change 0/1000; \
                  results parent 11/11, change 10/11  MISSING CHANGE RESULTS",
                 "  job_ms_p50    145.0 -> 125.5 ms (-13.4 %)  parent [142.0 .. 148.0]  \
-                 change [121.8 .. 128.2]  wins 9/11  gap 19.50 vs parent IQR 6.00  within bound",
+                 change [121.8 .. 128.2]  wins 9/11  gap 19.50 vs parent IQR 6.00  within bound  \
+                 pair ratio 0.863 [0.859 .. 0.865]",
                 "  tuples_per_s  1000000 -> 900000 1/s (-10.0 %)  parent [1000000 .. 1000000]  \
                  change [900000 .. 900000]  wins 0/11  gap 100000 vs parent IQR 0.0000  \
-                 within bound",
+                 within bound  pair ratio 0.900 [0.900 .. 0.900]",
             ]
         );
     }
@@ -378,6 +397,7 @@ mod tests {
             change,
             wins,
             pairs: 10,
+            ratio: None,
         };
         let p50 = &metrics[0];
         assert_eq!(
@@ -411,6 +431,41 @@ mod tests {
             ..row((9.9, 10.0, 10.1), (11.0, 12.0, 13.0), 2)
         };
         assert_eq!(two.verdict(tps), "within bound");
+    }
+
+    /// The host speeds up by half over ten pairs and the change reads
+    /// 20 % faster in every one: each side's quartile range spans the
+    /// drift, the per-pair ratio does not. A pair missing a side is left
+    /// out of the ratio, and a metric no pair holds on both sides has none.
+    #[test]
+    fn per_pair_ratios_see_through_host_drift() {
+        let benchmark = Json::parse(BENCHMARK).unwrap();
+        let (_, metrics) = declared(&benchmark).unwrap();
+        let mut series = BTreeMap::new();
+        for pair in 0..10u32 {
+            let p50 = 200.0 - 10.0 * f64::from(pair);
+            let parse = |p50| Json::parse(&line(0, p50, 1e6)).ok();
+            let change = (pair != 3).then(|| parse(0.8 * p50)).flatten();
+            series.insert(pair, [parse(p50), change]);
+        }
+        let row = Row::of(&series, &metrics[0]).unwrap();
+        assert_eq!(row.wins, 9);
+        assert!(row.parent.2 - row.parent.0 > 40.0, "{:?}", row.parent);
+        let (q1, median, q3) = row.ratio.unwrap();
+        assert!(
+            (q1 - 0.8).abs() < 1e-12 && (median - 0.8).abs() < 1e-12,
+            "{q1} {median}"
+        );
+        assert!((q3 - 0.8).abs() < 1e-12, "{q3}");
+        let table = summary(&benchmark, &results()).unwrap();
+        assert!(table
+            .lines()
+            .nth(1)
+            .unwrap()
+            .ends_with("pair ratio 1.300 [1.300 .. 1.300]"));
+        let run = || Json::parse(&line(0, 1.0, 1.0)).ok();
+        let apart = BTreeMap::from([(0, [run(), None]), (1, [None, run()])]);
+        assert_eq!(Row::of(&apart, &metrics[0]).unwrap().ratio, None);
     }
 
     #[test]

@@ -917,21 +917,26 @@ impl ColumnarBatch {
         Self::seal(self.schema.clone(), columns, indices.len())
     }
 
-    /// The batch cut into batches of at most `rows` rows, in order. A
-    /// batch that already fits is handed back as it is (a reference-count
-    /// bump); the pieces of a longer one are gathered with
-    /// [`ColumnarBatch::take`]. An empty batch has no pieces.
+    /// Piece `k` of the batch cut into pieces of at most `rows` rows:
+    /// rows `k * rows` onwards, copied as one range
+    /// ([`ColumnarBatch::concat`]), or the batch as it is (a
+    /// reference-count bump) when it fits in one piece. `None` once `k`
+    /// is past the last row.
+    pub fn chunk(&self, rows: usize, k: usize) -> Option<ColumnarBatch> {
+        assert!(rows > 0, "chunk size must be positive");
+        let start = k.checked_mul(rows).filter(|&start| start < self.len)?;
+        if self.len <= rows {
+            return Some(self.clone());
+        }
+        let range = start..self.len.min(start + rows);
+        Some(Self::concat(self.schema.clone(), &[(self.clone(), range)]))
+    }
+
+    /// Every [`ColumnarBatch::chunk`] of `rows` rows, in order. An empty
+    /// batch has no pieces.
     pub fn chunks(&self, rows: usize) -> impl Iterator<Item = ColumnarBatch> + '_ {
         assert!(rows > 0, "chunk size must be positive");
-        let fits = self.len <= rows;
-        let whole = (fits && !self.is_empty()).then(|| self.clone());
-        let pieces = if fits { 0 } else { self.len.div_ceil(rows) };
-        whole.into_iter().chain((0..pieces).map(move |k| {
-            let piece: Vec<u32> = (k * rows..self.len.min((k + 1) * rows))
-                .map(|i| i as u32)
-                .collect();
-            self.take(&piece)
-        }))
+        (0..).map_while(move |k| self.chunk(rows, k))
     }
 
     /// Schema handle.
@@ -1254,6 +1259,9 @@ mod tests {
         let rejoined: Vec<Tuple> = pieces.iter().flat_map(ColumnarBatch::to_tuples).collect();
         assert_eq!(rejoined, all);
         assert_eq!(cb.take(&[]).chunks(64).count(), 0);
+        assert_eq!(cb.chunk(64, 2).unwrap(), pieces[2]);
+        assert_eq!(cb.chunk(64, 4), None);
+        assert_eq!(cb.chunk(500, 1), None);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! flush policy: rows leave a buffer a full edge batch at a time — a hop
 //! that splits its input `w` ways still sends `batch_size` batches, not
 //! `w`-ths — and a remainder leaves when the task's quantum ends
-//! (`Pool::forward_rows`, `Pool::close_batches`). Sealed batches, a
-//! sealed source's cursor, mailboxes, faults, retries, the drain path and
-//! the stall rule are the pool's alone.
+//! (`Pool::forward_rows`, `Pool::close_batches`). Sealed batches (moved
+//! whole across a round-robin edge), a sealed source's cursor over
+//! contiguous chunks, mailboxes, faults, retries, the drain path and the
+//! stall rule are the pool's alone.
 //!
 //! This module owns what one run is made of — the task set
 //! (`build_tasks`), the per-run core (`Pool`: mailboxes, flushing,
@@ -123,6 +124,7 @@ use crate::metrics::{OpCounters, OperatorMetrics, OperatorState, RunMetrics};
 use crate::operator::{
     Emitted, Operator, OutputCollector, StarvedPort, WorkflowError, WorkflowResult,
 };
+use crate::partition::CompiledPartitioner;
 use crate::retry::{RetryBudget, RetryConfig};
 use crate::service::{RunOptions, ServiceConfig, Shared, TenantQuota};
 use crate::sync::lock;
@@ -752,7 +754,8 @@ struct TaskInner {
     /// batch at a time; a remainder waits there for more output of the
     /// same quantum, never beyond it ([`Pool::close_batches`]).
     router: Router,
-    /// Reusable row-index buffers for scattering a columnar batch.
+    /// Reusable row-index buffers for scattering a sealed batch across a
+    /// hash edge.
     scatter_rows: Vec<Vec<Vec<u32>>>,
     /// Routed messages awaiting delivery; kept FIFO so per-destination
     /// ordering (data before EOS) is preserved under backpressure.
@@ -795,7 +798,10 @@ struct Source {
     sealed: Option<SealedCursor>,
 }
 
-/// Worker `k` of `w` reads rows `k, k + w, …` of the sealed dataset.
+/// Worker `k` of `w` reads the sealed dataset's `batch_size`-row chunks
+/// `k, k + w, …`, each copied as one range of rows
+/// ([`ColumnarBatch::chunk`]); a dataset that fits in one chunk goes to
+/// worker 0 whole.
 struct SealedCursor {
     data: ColumnarBatch,
     next: usize,
@@ -809,15 +815,9 @@ impl Source {
             return Some(Emitted::Rows(rows));
         }
         let cursor = self.sealed.as_mut()?;
-        let rows: Vec<u32> = (cursor.next..cursor.data.len())
-            .step_by(cursor.stride)
-            .take(batch_size)
-            // `build_tasks` only seals datasets whose length fits.
-            .map(|i| i as u32)
-            .collect();
-        let last = *rows.last()?;
-        cursor.next = last as usize + cursor.stride;
-        Some(Emitted::Columnar(cursor.data.take(&rows)))
+        let chunk = cursor.data.chunk(batch_size, cursor.next)?;
+        cursor.next += cursor.stride;
+        Some(Emitted::Columnar(chunk))
     }
 }
 
@@ -1159,13 +1159,16 @@ impl Pool {
         }
     }
 
-    /// Route a sealed columnar batch without building rows: broadcast and
-    /// single-consumer edges pass the batch on (a reference-count bump);
-    /// scattered edges gather each destination's rows into a batch of its
-    /// own, with the row router's `seq` arithmetic and hash buckets, so
-    /// every tuple lands on the worker [`Pool::forward_rows`] would send
-    /// it to. A sealed batch is never merged with another: it leaves at
-    /// once, behind whatever rows the edge buffers still held.
+    /// Route a sealed columnar batch without building rows. A hash edge
+    /// gathers each destination's rows into a batch of its own, with the
+    /// row router's `seq` arithmetic and buckets, so every tuple lands on
+    /// the worker [`Pool::forward_rows`] would send it to. Every other edge
+    /// moves the batch whole, in `batch_size` pieces: a round-robin edge
+    /// to its next destination in rotation (`seq` advancing once a piece,
+    /// since placement there only balances load), a broadcast to all, a
+    /// single edge or a lone consumer to the first. A sealed batch is
+    /// never merged with another: it leaves at once, behind whatever rows
+    /// the edge buffers still held.
     fn forward_columnar(
         &self,
         meta: &TaskStatic,
@@ -1196,22 +1199,30 @@ impl Pool {
                     ));
                 }
             };
-            if edge.partitioner.is_broadcast() || edge.dests.len() == 1 {
-                for part in batch.chunks(meta.batch_size) {
-                    send(&edge.dests, part);
-                }
-            } else {
-                edge.partitioner.scatter_indices(
-                    &batch,
-                    &mut router.seqs[d],
-                    &mut scatter_rows[d],
-                )?;
+            let seq = &mut router.seqs[d];
+            let hashed = matches!(edge.partitioner, CompiledPartitioner::Hash { .. });
+            if hashed && edge.dests.len() > 1 {
+                edge.partitioner
+                    .scatter_indices(&batch, seq, &mut scatter_rows[d])?;
                 for (rows, dest) in scatter_rows[d].iter_mut().zip(&edge.dests) {
                     for part in rows.chunks(meta.batch_size) {
                         send(std::slice::from_ref(dest), batch.take(part));
                     }
                     rows.clear();
                 }
+                continue;
+            }
+            for part in batch.chunks(meta.batch_size) {
+                let dests = match edge.partitioner {
+                    CompiledPartitioner::Broadcast => &edge.dests[..],
+                    CompiledPartitioner::RoundRobin => {
+                        let w = (*seq % edge.dests.len() as u64) as usize;
+                        *seq += 1;
+                        &edge.dests[w..=w]
+                    }
+                    _ => &edge.dests[..1],
+                };
+                send(dests, part);
             }
         }
         Ok(())
@@ -1797,8 +1808,7 @@ pub(crate) fn build_tasks(
                 .all(|(_, e)| wf.op(e.to).desc().batch_kernel);
         let sealed = reads_columns
             .then(|| node.factory.source_columnar())
-            .flatten()
-            .filter(|data| u32::try_from(data.len()).is_ok());
+            .flatten();
         // A source is recorded here: the sealed dataset shared, not
         // copied; rows as they are dealt.
         let source_recording = record.filter(|_| ports == 0).map(|r| &recordings[r]);
@@ -2525,6 +2535,59 @@ mod tests {
         // Forwarding thirds would have sent more than N / 7 batches on the
         // last scattered edge alone.
         assert!(sent < 6 * N.div_ceil(BATCH), "{sent} batches sent");
+    }
+
+    /// Round-robin placement deals whole batches: worker `k` of a sealed
+    /// source's `w` sends the dataset's `batch_size`-row chunks `k, k + w,
+    /// …` (the last one short), every round-robin hop passes each batch on
+    /// whole, and the batches one producer sends differ by at most one
+    /// between its consumers.
+    #[test]
+    fn round_robin_deals_contiguous_chunks_and_moves_batches_whole() {
+        use scriptflow_datakit::CmpOp;
+        const N: i64 = 1_000;
+        const BATCH: i64 = 64;
+        let mut b = WorkflowBuilder::new();
+        let scan = b.add(Arc::new(ScanOp::new("scan", int_batch(N))), 2);
+        let all = |name| Arc::new(FilterOp::cmp(name, "id", CmpOp::Ge, Value::Int(0)));
+        let (f1, f2) = (b.add(all("f1"), 3), b.add(all("f2"), 2));
+        let sink_op = SinkOp::new("sink");
+        let handle = sink_op.handle();
+        let sink = b.add(Arc::new(sink_op), 1);
+        b.connect(scan, f1, 0, PartitionStrategy::RoundRobin);
+        b.connect(f1, f2, 0, PartitionStrategy::RoundRobin);
+        b.connect(f2, sink, 0, PartitionStrategy::Single);
+        let wf = b.build().unwrap();
+        let (pool, log, _) = drive(&wf, BATCH as usize);
+        assert_eq!(handle.len(), N as usize);
+        let chunks: Vec<Vec<i64>> = (0..(N + BATCH - 1) / BATCH)
+            .map(|j| (j * BATCH..N.min((j + 1) * BATCH)).collect())
+            .collect();
+        let batches_from = |tid: usize| -> Vec<(usize, &Vec<i64>)> {
+            let from = log.iter().filter(|d| d.from == tid);
+            from.filter_map(|d| Some((d.to, d.ids.as_ref()?))).collect()
+        };
+        for k in 0..2 {
+            // The log reads a quantum's deliveries mailbox by mailbox.
+            let mut dealt: Vec<&Vec<i64>> =
+                batches_from(k).into_iter().map(|(_, ids)| ids).collect();
+            dealt.sort();
+            let want: Vec<&Vec<i64>> = chunks.iter().skip(k).step_by(2).collect();
+            assert_eq!(dealt, want, "scan worker {k}");
+        }
+        for tid in 0..pool.tasks.len() - 1 {
+            let edge = &pool.tasks[tid].meta.downstream[0];
+            let mut per_dest = vec![0usize; edge.dests.len()];
+            for (to, ids) in batches_from(tid) {
+                assert!(
+                    chunks.contains(ids),
+                    "task {tid} sent a split batch {ids:?}"
+                );
+                per_dest[edge.dests.iter().position(|&d| d == to).unwrap()] += 1;
+            }
+            let spread = per_dest.iter().max().unwrap() - per_dest.iter().min().unwrap();
+            assert!(spread <= 1, "task {tid}: batches per consumer {per_dest:?}");
+        }
     }
 
     /// Coalescing reorders nothing: each (producer task, consumer task)

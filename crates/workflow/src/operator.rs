@@ -467,11 +467,12 @@ pub trait OperatorFactory: Send + Sync {
     /// For sources that can hand out their whole dataset as one sealed
     /// columnar batch (sealed once, shared by every run): that batch.
     /// Where every consumer has a [`OpDescriptor::batch_kernel`], the
-    /// pooled executor has worker `k` of `w` gather rows `k, k + w, …` —
-    /// the rows [`OperatorFactory::source_partitions`] deals it — one edge
-    /// batch at a time inside its own quanta, instead of materializing
-    /// every row up front. `None` (the default) keeps the source on
-    /// `source_partitions`.
+    /// pooled executor has worker `k` of `w` copy the batch's contiguous
+    /// edge-batch chunks `k, k + w, …`, one at a time inside its own
+    /// quanta, instead of materializing every row up front; which worker
+    /// holds a row is load balance only, so it need not be the one
+    /// [`OperatorFactory::source_partitions`] deals it to. `None` (the
+    /// default) keeps the source on `source_partitions`.
     fn source_columnar(&self) -> Option<ColumnarBatch> {
         None
     }
@@ -500,8 +501,7 @@ pub trait OperatorFactory: Send + Sync {
 }
 
 /// Deal `rows` round-robin over `workers` partitions: row `i` goes to
-/// partition `i % workers`. The one deal every row source shares, and the
-/// rows a sealed source's worker `k` gathers (`k, k + w, …`).
+/// partition `i % workers`. The one deal every row source shares.
 pub(crate) fn deal_round_robin(
     rows: impl IntoIterator<Item = Tuple>,
     workers: usize,

@@ -63,6 +63,9 @@ impl SortOp {
     }
 }
 
+/// The sort order of one key cell, total over numbers: nulls first,
+/// `-0.0 == 0.0`, and every NaN equal to every other and after every
+/// number (as [`scriptflow_datakit::HashKey`] folds NaNs).
 fn compare_values(a: &Value, b: &Value) -> Ordering {
     use Value::*;
     match (a, b) {
@@ -71,9 +74,11 @@ fn compare_values(a: &Value, b: &Value) -> Ordering {
         (_, Null) => Ordering::Greater,
         (Bool(x), Bool(y)) => x.cmp(y),
         (Int(x), Int(y)) => x.cmp(y),
-        (Float(x), Float(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Int(x), Float(y)) => (*x as f64).partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Float(x), Int(y)) => x.partial_cmp(&(*y as f64)).unwrap_or(Ordering::Equal),
+        (Int(_) | Float(_), Int(_) | Float(_)) => {
+            let number = |v: &Value| v.as_float().expect("a number cell widens to f64");
+            let (x, y) = (number(a), number(b));
+            (x.partial_cmp(&y)).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        }
         (Str(x), Str(y)) => x.cmp(y),
         // Mixed/unordered types: stable but arbitrary (by type tag).
         _ => format!("{a}").cmp(&format!("{b}")),
@@ -426,5 +431,71 @@ mod tests {
             compare_values(&Value::Bool(false), &Value::Bool(true)),
             Ordering::Less
         );
+        let (nan, neg_nan) = (Value::Float(f64::NAN), Value::Float(-f64::NAN));
+        assert_eq!(compare_values(&nan, &neg_nan), Ordering::Equal);
+        assert_eq!(
+            compare_values(&Value::Float(-0.0), &Value::Float(0.0)),
+            Ordering::Equal
+        );
+        for number in [
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Int(i64::MAX),
+        ] {
+            assert_eq!(compare_values(&number, &nan), Ordering::Less, "{number}");
+            assert_eq!(compare_values(&neg_nan, &number), Ordering::Greater);
+        }
+        assert_eq!(compare_values(&Value::Null, &nan), Ordering::Less);
+    }
+
+    /// 2 000 rows, about a fifth of them NaN keys: numbers ascending, then
+    /// every NaN, in memory and through spilled runs; descending reverses
+    /// it.
+    #[test]
+    fn float_keys_with_nan_sort_in_one_total_order() {
+        let schema = Schema::of(&[("x", DataType::Float), ("i", DataType::Int)]);
+        let mut rng = scriptflow_simcluster::SplitMix64::new(43);
+        let rows: Vec<Tuple> = (0..2_000i64)
+            .map(|i| {
+                let x = match rng.range(0..10usize) {
+                    0 => f64::NAN,
+                    1 => -f64::NAN,
+                    2 => -0.0,
+                    _ => rng.range(0..500usize) as f64 - 250.0,
+                };
+                Tuple::new(schema.clone(), vec![Value::Float(x), Value::Int(i)]).unwrap()
+            })
+            .collect();
+        let nans = (rows.iter())
+            .filter(|t| t.get_float("x").unwrap().is_nan())
+            .count();
+        assert!((300..500).contains(&nans), "{nans}");
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            for budget in [None, Some(2 << 10)] {
+                let mut inst = SortOp::new("s", &[("x", order)]).create();
+                inst.set_memory_budget(budget);
+                let mut out = OutputCollector::new();
+                for t in rows.clone() {
+                    inst.on_tuple(t, 0, &mut out).unwrap();
+                }
+                assert_eq!(out.spilled_blocks() > 0, budget.is_some());
+                inst.on_port_complete(0, &mut out).unwrap();
+                let mut keys: Vec<f64> = (out.take().iter())
+                    .map(|t| t.get_float("x").unwrap())
+                    .collect();
+                assert_eq!(keys.len(), rows.len());
+                if order == SortOrder::Descending {
+                    keys.reverse();
+                }
+                let numbers = keys.iter().take_while(|x| !x.is_nan()).count();
+                assert_eq!(keys.len() - numbers, nans, "{order:?} {budget:?}");
+                assert!(keys[numbers..].iter().all(|x| x.is_nan()));
+                assert!(
+                    keys[..numbers].windows(2).all(|w| w[0] <= w[1]),
+                    "{order:?} {budget:?}: numbers out of order"
+                );
+            }
+        }
     }
 }

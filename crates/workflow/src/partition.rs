@@ -177,50 +177,31 @@ impl CompiledPartitioner {
         Ok(())
     }
 
-    /// [`CompiledPartitioner::scatter`] for a sealed columnar batch: the
-    /// row *indices* each worker receives, keys read from the typed key
-    /// columns. Row `i` lands on the worker `scatter` would move tuple
-    /// `i` to, and `seq` advances the same way, so a run may mix the two
-    /// freely on one edge.
+    /// [`CompiledPartitioner::scatter`] for a sealed columnar batch on a
+    /// hash edge: the row *indices* each worker receives, keys read from
+    /// the typed key columns. Row `i` lands on the worker `scatter` would
+    /// move tuple `i` to, and `seq` advances the same way, so a run may mix
+    /// the two freely on one edge. Every other strategy moves a sealed
+    /// batch whole and has no row indices.
     pub(crate) fn scatter_indices(
         &self,
         batch: &ColumnarBatch,
         seq: &mut u64,
         out: &mut [Vec<u32>],
     ) -> WorkflowResult<()> {
-        debug_assert!(!out.is_empty());
-        debug_assert!(!self.is_broadcast());
-        let workers = out.len();
-        let rows = 0..batch.len() as u32;
-        match self {
-            CompiledPartitioner::RoundRobin => {
-                for i in rows {
-                    out[(*seq % workers as u64) as usize].push(i);
-                    *seq += 1;
-                }
-            }
-            CompiledPartitioner::Hash { indices } => {
-                for i in rows {
-                    let key = key_at(batch, indices, i as usize).map_err(|e| {
-                        WorkflowError::DataError {
-                            operator: "<partitioner>".into(),
-                            error: e,
-                        }
-                    })?;
-                    *seq += 1;
-                    out[key.bucket(workers)].push(i);
-                }
-            }
-            CompiledPartitioner::Single => {
-                *seq += rows.len() as u64;
-                out[0].extend(rows);
-            }
-            CompiledPartitioner::Broadcast => {
-                return Err(WorkflowError::OperatorFailed {
-                    operator: "<partitioner>".into(),
-                    message: "broadcast edges route whole batches, not single tuples".into(),
-                })
-            }
+        let CompiledPartitioner::Hash { indices } = self else {
+            return Err(WorkflowError::OperatorFailed {
+                operator: "<partitioner>".into(),
+                message: "only hash edges scatter a sealed batch by row".into(),
+            });
+        };
+        for i in 0..batch.len() {
+            let key = key_at(batch, indices, i).map_err(|e| WorkflowError::DataError {
+                operator: "<partitioner>".into(),
+                error: e,
+            })?;
+            *seq += 1;
+            out[key.bucket(out.len())].push(i as u32);
         }
         Ok(())
     }
@@ -363,8 +344,6 @@ mod tests {
             .collect();
         let batch = ColumnarBatch::from_tuples(schema.clone(), &tuples);
         for strategy in [
-            PartitionStrategy::RoundRobin,
-            PartitionStrategy::Single,
             PartitionStrategy::Hash(vec!["id".into()]),
             PartitionStrategy::Hash(vec!["name".into()]),
             PartitionStrategy::Hash(vec!["w".into()]),
@@ -386,6 +365,14 @@ mod tests {
             for (rows, indices) in by_rows.iter().zip(&by_cols) {
                 assert_eq!(*rows, batch.take(indices).to_tuples(), "{strategy:?}");
             }
+        }
+        for whole in [
+            CompiledPartitioner::RoundRobin,
+            CompiledPartitioner::Broadcast,
+            CompiledPartitioner::Single,
+        ] {
+            let mut by_cols: Vec<Vec<u32>> = vec![Vec::new(); 3];
+            assert!(whole.scatter_indices(&batch, &mut 0, &mut by_cols).is_err());
         }
     }
 

@@ -321,7 +321,7 @@ const SPILL_CACHE_BUDGET: usize = 12 << 10;
 
 /// Armed or not, the cache leaves the computed DAG's work as it is.
 const SPILL_CACHE_WORK: &str = "facts 0>100000, sink 240>0, dims 0>256, dims_k_lt 256>240, \
-     facts_v_ge 100000>93914, join 94394>88068, per_key 88068>240, 0 skipped, 1377 sent";
+     facts_v_ge 100000>93914, join 94394>88068, per_key 88068>240, 0 skipped, 397 sent";
 
 /// DICE's 13 operators at 1 000 pairs. ISSUE 21's parent sent the same
 /// tuples in 23 770 batches.
@@ -401,26 +401,37 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
     // it read 0.41 and edited 0.15 where it read 0.14 (0.4120 -> 0.4177
     // and 0.1449 -> 0.1466 to four places); the other seven, and every
     // tuple count, skip and `sent`, did not move.
+    // With sealed sources dealing contiguous chunks and round-robin edges
+    // moving sealed batches whole, instead of splitting each into `w`
+    // gathered halves, every leg whose scan is sealed moved, to four
+    // places: `filter_chain` 1.3705 -> 1.2365, `selective_filter` 0.0570
+    // -> 0.0413, `join_aggregate` 0.1982 -> 0.1193, `spill_cache` 0.4019
+    // -> 0.1391, budgeted 5.1338 -> 4.8539, cold 0.4177 -> 0.1490 and
+    // edited 0.1466 -> 0.0871; `udf_chain` and DICE (row edges) did not.
+    // Every tuple count is the parent's. `sent` fell on each of those
+    // legs (980 -> 294, 200 -> 100, 592 -> 298, 1 377 -> 397, 480 -> 241)
+    // and the skips with it (192 -> 96, 22 -> 11): a skipped batch is now
+    // a whole chunk where it was one of its two halves.
     let legs = [
         (
             "filter_chain",
             Leg::FilterChain,
             1.6,
             "facts 0>100000, sink 58629>0, k_lt 100000>78089, v_ge 78089>58629, \
-             0 skipped, 980 sent",
+             0 skipped, 294 sent",
         ),
         (
             "selective_filter",
             Leg::Selective,
             1.0,
-            "facts 0>100000, sink 1000>0, top 100000>1000, 192 skipped, 200 sent",
+            "facts 0>100000, sink 1000>0, top 100000>1000, 96 skipped, 100 sent",
         ),
         (
             "join_aggregate",
             Leg::JoinAggregate,
             1.0,
             "facts 0>100000, sink 256>0, dims 0>256, join 100512>100000, \
-             per_key 100000>256, 0 skipped, 592 sent",
+             per_key 100000>256, 0 skipped, 298 sent",
         ),
         (
             "udf_chain",
@@ -447,7 +458,7 @@ fn allocations_per_source_tuple_stay_inside_their_budgets() {
             Leg::SpillCacheEdited(80_000),
             0.3,
             "sink 240>0, join 0>88068, per_key 70448>240, last_id_lt 88068>70448, \
-             22 skipped, 480 sent",
+             11 skipped, 241 sent",
         ),
         ("dice", Leg::Dice, 18.0, DICE_WORK),
     ];
