@@ -15,19 +15,20 @@ use crate::value::Value;
 /// exactly the knob the paper contrasts with hand-tuned `DataLoader`
 /// batching in the notebook (Fig. 10). The simulator charges serialization
 /// per batch boundary crossing.
+///
+/// The tuples sit behind one shared allocation, so a clone of the batch —
+/// and a [`ColumnarBatch::from_batch`] seal, which keeps the rows it was
+/// sealed from — shares them instead of copying.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: SchemaRef,
-    tuples: Vec<Tuple>,
+    tuples: Arc<Vec<Tuple>>,
 }
 
 impl Batch {
     /// An empty batch of the given schema.
     pub fn empty(schema: SchemaRef) -> Self {
-        Batch {
-            schema,
-            tuples: Vec::new(),
-        }
+        Batch::new_unchecked(schema, Vec::new())
     }
 
     /// Build a batch, verifying every tuple carries the same schema.
@@ -40,7 +41,7 @@ impl Batch {
                 });
             }
         }
-        Ok(Batch { schema, tuples })
+        Ok(Batch::new_unchecked(schema, tuples))
     }
 
     /// Build from already-validated tuples without re-walking them.
@@ -50,13 +51,20 @@ impl Batch {
     /// though internal producers (operators whose output schema was
     /// verified at DAG-build time, [`ColumnarBatch::to_batch`], chunk
     /// re-assembly) have already proven conformance. Those paths use
-    /// this constructor; the check survives as a `debug_assert`.
+    /// this constructor; the check survives as a `debug_assert`. Cell
+    /// types are not checked, even then: a cell that does not conform to
+    /// its column's type stays in the row, and
+    /// [`ColumnarBatch::from_batch`] seals such a batch without keeping
+    /// its rows (the column reads the cell as null).
     pub fn new_unchecked(schema: SchemaRef, tuples: Vec<Tuple>) -> Self {
         debug_assert!(
             tuples.iter().all(|t| **t.schema() == *schema),
             "new_unchecked requires schema-homogeneous tuples"
         );
-        Batch { schema, tuples }
+        Batch {
+            schema,
+            tuples: Arc::new(tuples),
+        }
     }
 
     /// Build from rows of raw values, validating each against the schema.
@@ -65,7 +73,7 @@ impl Batch {
         for row in rows {
             tuples.push(Tuple::new(schema.clone(), row)?);
         }
-        Ok(Batch { schema, tuples })
+        Ok(Batch::new_unchecked(schema, tuples))
     }
 
     /// Schema handle.
@@ -78,9 +86,16 @@ impl Batch {
         &self.tuples
     }
 
-    /// Consume into the tuple vector.
+    /// The shared tuple array itself: what a sealed batch keeps of the
+    /// rows it was sealed from.
+    pub(crate) fn shared_tuples(&self) -> &Arc<Vec<Tuple>> {
+        &self.tuples
+    }
+
+    /// Consume into the tuple vector; the tuples are cloned only when a
+    /// clone of this batch (or a batch sealed from it) still shares them.
     pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples
+        Arc::try_unwrap(self.tuples).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Number of tuples.
@@ -106,10 +121,7 @@ impl Batch {
         assert!(size > 0, "chunk size must be positive");
         self.tuples
             .chunks(size)
-            .map(|c| Batch {
-                schema: self.schema.clone(),
-                tuples: c.to_vec(),
-            })
+            .map(|c| Batch::new_unchecked(self.schema.clone(), c.to_vec()))
             .collect()
     }
 
@@ -132,7 +144,7 @@ impl Batch {
                     right: b.schema.to_string(),
                 });
             }
-            first.tuples.extend(b.tuples);
+            Arc::make_mut(&mut first.tuples).extend(b.into_tuples());
         }
         Ok(first)
     }
@@ -295,10 +307,7 @@ impl BatchBuilder {
 
     /// Finish into a batch.
     pub fn build(self) -> Batch {
-        Batch {
-            schema: self.schema,
-            tuples: self.tuples,
-        }
+        Batch::new_unchecked(self.schema, self.tuples)
     }
 }
 

@@ -23,6 +23,7 @@
 //! round-trip tested, so an engine can freely mix representations.
 
 use std::cmp::Ordering;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -228,6 +229,12 @@ impl StrVec {
         }
         out
     }
+}
+
+/// Whether a column of `dtype` keeps its cells boxed
+/// ([`ColumnVec::Mixed`]), as they are, rather than in a typed vector.
+fn boxed(dtype: DataType) -> bool {
+    matches!(dtype, DataType::Null | DataType::Bytes | DataType::List)
 }
 
 /// One column of a [`ColumnarBatch`]: a typed vector plus a validity
@@ -781,11 +788,120 @@ impl ColStats {
 /// [`ColumnarBatch::to_tuples`]. The columns are immutable once sealed
 /// and sit behind one `Arc`, so cloning a batch — an operator passing
 /// its input through, a broadcast edge — is a reference-count bump.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// **Rows are materialized late.** A batch sealed from a row [`Batch`]
+/// ([`ColumnarBatch::from_batch`], a scan's seal) keeps that batch's
+/// tuple array and which of its rows it holds, and [`ColumnarBatch::take`],
+/// [`ColumnarBatch::chunk`] and [`ColumnarBatch::concat`] carry them
+/// along while every piece comes from one array. Such a batch hands out
+/// the array's own tuples ([`ColumnarBatch::tuple_at`],
+/// [`ColumnarBatch::to_tuples`]: two reference-count bumps a row) instead
+/// of building rows from the columns; every other constructor builds
+/// batches that build their rows. Either way the rows are the ones the
+/// columns hold. A batch that keeps its rows also keeps the whole array
+/// alive while it is held. Equality and `Debug` see the columns only.
+#[derive(Clone)]
 pub struct ColumnarBatch {
     schema: SchemaRef,
     columns: Arc<Vec<ColumnVec>>,
     len: usize,
+    /// The row array this batch was sealed from and which of its rows it
+    /// holds, when it has them.
+    source: Option<SourceRows>,
+}
+
+impl PartialEq for ColumnarBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.columns == other.columns && self.len == other.len
+    }
+}
+
+impl fmt::Debug for ColumnarBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnarBatch")
+            .field("schema", &self.schema)
+            .field("columns", &self.columns)
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+/// Rows of a sealed row array, by position: `ids` names, in the batch's
+/// row order, the tuple of `base` each row of the batch is.
+#[derive(Clone)]
+struct SourceRows {
+    base: Arc<Vec<Tuple>>,
+    ids: RowIds,
+}
+
+/// Positions in a [`SourceRows`] base.
+#[derive(Clone)]
+enum RowIds {
+    /// A contiguous run: a chunk of the base, no allocation.
+    Run(Range<usize>),
+    /// Gathered positions.
+    List(Arc<[u32]>),
+}
+
+impl RowIds {
+    fn len(&self) -> usize {
+        match self {
+            RowIds::Run(run) => run.len(),
+            RowIds::List(ids) => ids.len(),
+        }
+    }
+
+    /// The base position of row `i`.
+    fn get(&self, i: usize) -> usize {
+        match self {
+            RowIds::Run(run) => {
+                debug_assert!(i < run.len());
+                run.start + i
+            }
+            RowIds::List(ids) => ids[i] as usize,
+        }
+    }
+
+    /// The positions of rows `rows`.
+    fn slice(&self, rows: Range<usize>) -> RowIds {
+        match self {
+            RowIds::Run(run) => RowIds::Run(run.start + rows.start..run.start + rows.end),
+            RowIds::List(ids) => RowIds::List(ids[rows].into()),
+        }
+    }
+
+    /// The positions of the rows at `indices`, in that order.
+    fn take(&self, indices: &[u32]) -> RowIds {
+        RowIds::List(
+            indices
+                .iter()
+                .map(|&i| self.get(i as usize) as u32)
+                .collect(),
+        )
+    }
+
+    /// Every position in row order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// `parts` back to back: still a run when each part starts where the
+    /// one before ended.
+    fn join(parts: Vec<RowIds>) -> RowIds {
+        let mut run = 0..0;
+        for part in &parts {
+            match part {
+                RowIds::Run(r) if r.is_empty() => {}
+                RowIds::Run(r) if run.is_empty() => run = r.clone(),
+                RowIds::Run(r) if r.start == run.end => run.end = r.end,
+                _ => {
+                    let ids = parts.iter().flat_map(RowIds::iter).map(|id| id as u32);
+                    return RowIds::List(ids.collect());
+                }
+            }
+        }
+        RowIds::Run(run)
+    }
 }
 
 impl ColumnarBatch {
@@ -874,6 +990,10 @@ impl ColumnarBatch {
     /// `schema`, the schema every piece shares: the batch
     /// [`ColumnarBatch::from_tuples`] builds of those rows, without
     /// building them.
+    ///
+    /// The result keeps source rows when every piece has them, all from
+    /// one row array; pieces from two arrays, or one piece without, give
+    /// a batch that builds its rows.
     pub fn concat(schema: SchemaRef, pieces: &[(ColumnarBatch, Range<usize>)]) -> Self {
         debug_assert!(
             pieces.iter().all(|(b, _)| *b.schema == *schema),
@@ -892,29 +1012,85 @@ impl ColumnarBatch {
                 col
             })
             .collect();
-        Self::seal(schema, columns, len)
+        let mut batch = Self::seal(schema, columns, len);
+        batch.source = Self::joined_source(pieces);
+        batch
     }
 
-    /// Convert a row batch.
+    /// The source rows of `pieces` back to back, if every piece has them
+    /// from one base.
+    fn joined_source(pieces: &[(ColumnarBatch, Range<usize>)]) -> Option<SourceRows> {
+        if let [(batch, rows)] = pieces {
+            // A chunk: no list of parts to join.
+            let source = batch.source.as_ref()?;
+            let ids = source.ids.slice(rows.clone());
+            let base = source.base.clone();
+            return Some(SourceRows { base, ids });
+        }
+        let (first, _) = pieces.first()?;
+        let base = &first.source.as_ref()?.base;
+        let parts = pieces.iter().map(|(batch, rows)| {
+            let source = batch
+                .source
+                .as_ref()
+                .filter(|s| Arc::ptr_eq(&s.base, base))?;
+            Some(source.ids.slice(rows.clone()))
+        });
+        Some(SourceRows {
+            base: base.clone(),
+            ids: RowIds::join(parts.collect::<Option<_>>()?),
+        })
+    }
+
+    /// Seal a row batch, keeping its tuples as the batch's source rows:
+    /// [`ColumnarBatch::tuple_at`] and [`ColumnarBatch::to_tuples`] of it,
+    /// and of every batch cut from it, hand out those tuples instead of
+    /// building rows. A batch of unchecked rows
+    /// ([`Batch::new_unchecked`]) holding a cell the columns cannot keep —
+    /// a value not of its column's type, which a dense column reads as
+    /// null, or more values than the schema has columns — is sealed
+    /// without them, so its rows are always what its columns hold.
     pub fn from_batch(batch: &Batch) -> Self {
-        Self::from_tuples(batch.schema().clone(), batch.tuples())
+        let schema = batch.schema().clone();
+        let tuples = batch.tuples();
+        let mut sealed = Self::from_tuples(schema.clone(), tuples);
+        let survives = |t: &Tuple| {
+            let fields = schema.fields();
+            t.values().len() == fields.len()
+                && (fields.iter().zip(t.values()))
+                    .all(|(f, v)| boxed(f.dtype()) || v.conforms_to(f.dtype()))
+        };
+        if u32::try_from(tuples.len()).is_ok() && tuples.iter().all(survives) {
+            sealed.source = Some(SourceRows {
+                base: batch.shared_tuples().clone(),
+                ids: RowIds::Run(0..tuples.len()),
+            });
+        }
+        sealed
     }
 
+    /// A batch of `columns` that builds its rows.
     pub(crate) fn seal(schema: SchemaRef, columns: Vec<ColumnVec>, len: usize) -> Self {
         ColumnarBatch {
             schema,
             columns: Arc::new(columns),
             len,
+            source: None,
         }
     }
 
     /// Gather the rows at `indices`, in that order, into a new batch whose
     /// statistics, when read, cover exactly those rows — the batch
     /// [`ColumnarBatch::from_tuples`] would build from the same rows,
-    /// without materializing them.
+    /// without materializing them. Source rows are gathered along.
     pub fn take(&self, indices: &[u32]) -> ColumnarBatch {
         let columns = self.columns.iter().map(|c| c.take(indices)).collect();
-        Self::seal(self.schema.clone(), columns, indices.len())
+        let mut batch = Self::seal(self.schema.clone(), columns, indices.len());
+        batch.source = self.source.as_ref().map(|s| SourceRows {
+            base: s.base.clone(),
+            ids: s.ids.take(indices),
+        });
+        batch
     }
 
     /// Piece `k` of the batch cut into pieces of at most `rows` rows:
@@ -970,8 +1146,13 @@ impl ColumnarBatch {
         Arc::strong_count(&self.columns)
     }
 
-    /// Materialize row `i` as a [`Tuple`] (schema shared, not cloned).
+    /// Row `i` as a [`Tuple`]: the source row itself when the batch keeps
+    /// them (two reference-count bumps), else built from the columns in
+    /// place (schema shared, not cloned; one allocation).
     pub fn tuple_at(&self, i: usize) -> Tuple {
+        if let Some(source) = &self.source {
+            return source.base[source.ids.get(i)].clone();
+        }
         let values = self.columns.iter().map(|c| c.value_at(i));
         Tuple::collect_unchecked(self.schema.clone(), values)
     }
@@ -987,10 +1168,17 @@ impl ColumnarBatch {
         rows
     }
 
-    /// Materialize all rows as tuples (the row-compatibility path), each
-    /// built in place: one allocation per row.
+    /// All rows as tuples (the row-compatibility path), each as
+    /// [`ColumnarBatch::tuple_at`] gives it: the source rows cloned, or
+    /// rows built in place, one allocation each.
     pub fn to_tuples(&self) -> Vec<Tuple> {
-        (0..self.len).map(|i| self.tuple_at(i)).collect()
+        let Some(SourceRows { base, ids }) = &self.source else {
+            return (0..self.len).map(|i| self.tuple_at(i)).collect();
+        };
+        match ids {
+            RowIds::Run(run) => base[run.clone()].to_vec(),
+            RowIds::List(ids) => ids.iter().map(|&id| base[id as usize].clone()).collect(),
+        }
     }
 
     /// Convert back to a row [`Batch`].
@@ -1493,5 +1681,184 @@ mod tests {
                 "case {case}"
             );
         }
+    }
+
+    /// What a batch's source rows should be: which of a case's bases, and
+    /// the positions in it, in row order.
+    type Model = Option<(usize, Vec<usize>)>;
+
+    /// The source rows `batch` keeps, as a [`Model`] over `bases`.
+    fn source_of(batch: &ColumnarBatch, bases: &[Arc<Vec<Tuple>>]) -> Model {
+        let source = batch.source.as_ref()?;
+        let base = bases.iter().position(|b| Arc::ptr_eq(b, &source.base));
+        Some((
+            base.expect("a base of this case"),
+            source.ids.iter().collect(),
+        ))
+    }
+
+    /// The [`Model`] of `pieces` back to back: source rows only when
+    /// every piece has them, all from one base.
+    fn joined(pieces: Vec<(Model, Range<usize>)>) -> Model {
+        let mut out: Model = None;
+        for (model, rows) in pieces {
+            let (base, ids) = model?;
+            let (joined_base, joined_ids) = out.get_or_insert_with(|| (base, Vec::new()));
+            if *joined_base != base {
+                return None;
+            }
+            joined_ids.extend_from_slice(&ids[rows]);
+        }
+        out
+    }
+
+    /// Cells as `Debug` text, where NaN equals itself and `-0.0` differs
+    /// from `0.0`.
+    fn cells(values: &[Value]) -> String {
+        format!("{values:?}")
+    }
+
+    /// Random chains of `chunk`, `take` and `concat` starting from two
+    /// batches sealed from rows (`from_batch`, as a scan seals): every
+    /// result's `to_tuples` and `tuple_at` are the rows its columns hold
+    /// (`to_rows`, built from the columns, is the oracle); it keeps source
+    /// rows exactly where the model says (every piece from one base, so a
+    /// batch built from two bases keeps none), and then hands out the
+    /// base's own tuples; and neither `==` nor `Debug` sees them.
+    #[test]
+    fn source_rows_follow_chunk_take_and_concat() {
+        let mut rng = SplitMix64::new(0x1A7E_0045);
+        for case in 0..150 {
+            let sources: Vec<Batch> = (0..2)
+                .map(|_| {
+                    let cb = random_batch(&mut rng);
+                    Batch::new_unchecked(cb.schema().clone(), cb.to_tuples())
+                })
+                .collect();
+            let bases: Vec<Arc<Vec<Tuple>>> =
+                sources.iter().map(|b| b.shared_tuples().clone()).collect();
+            let mut pool: Vec<(ColumnarBatch, Model)> = (sources.iter().enumerate())
+                .map(|(k, b)| {
+                    (
+                        ColumnarBatch::from_batch(b),
+                        Some((k, (0..b.len()).collect())),
+                    )
+                })
+                .collect();
+            for step in 0..8 {
+                let (batch, model) = match rng.range(0..3usize) {
+                    0 => {
+                        let (b, m) = &pool[rng.range(0..pool.len())];
+                        let rows = rng.range(1..b.len() + 3);
+                        let k = rng.range(0..b.len() / rows + 2);
+                        let Some(chunk) = b.chunk(rows, k) else {
+                            assert!(k * rows >= b.len(), "case {case} step {step}");
+                            continue;
+                        };
+                        let range = k * rows..b.len().min(k * rows + rows);
+                        (chunk, joined(vec![(m.clone(), range)]))
+                    }
+                    1 => {
+                        let (b, m) = &pool[rng.range(0..pool.len())];
+                        let picked = if b.is_empty() {
+                            0
+                        } else {
+                            rng.range(0..b.len() + 3)
+                        };
+                        let indices: Vec<u32> =
+                            (0..picked).map(|_| rng.range(0..b.len()) as u32).collect();
+                        let model = m.as_ref().map(|(base, ids)| {
+                            (*base, indices.iter().map(|&i| ids[i as usize]).collect())
+                        });
+                        (b.take(&indices), model)
+                    }
+                    _ => {
+                        let mut pieces = Vec::new();
+                        let mut models = Vec::new();
+                        for _ in 0..rng.range(0..4usize) {
+                            let (b, m) = &pool[rng.range(0..pool.len())];
+                            let start = rng.range(0..b.len() + 1);
+                            let end = rng.range(start..b.len() + 1);
+                            pieces.push((b.clone(), start..end));
+                            models.push((m.clone(), start..end));
+                        }
+                        let schema = sources[0].schema().clone();
+                        let model = if pieces.is_empty() {
+                            None
+                        } else {
+                            joined(models)
+                        };
+                        (ColumnarBatch::concat(schema, &pieces), model)
+                    }
+                };
+                let at = format!("case {case} step {step}");
+                assert_eq!(source_of(&batch, &bases), model, "{at}");
+                let oracle = batch.to_rows();
+                let tuples = batch.to_tuples();
+                assert_eq!((tuples.len(), oracle.len()), (batch.len(), batch.len()));
+                for (i, (tuple, row)) in tuples.iter().zip(&oracle).enumerate() {
+                    assert_eq!(cells(tuple.values()), cells(row), "{at} row {i}");
+                    assert_eq!(
+                        cells(batch.tuple_at(i).values()),
+                        cells(row),
+                        "{at} row {i}"
+                    );
+                    if let Some((base, ids)) = &model {
+                        let own = bases[*base][ids[i]].values();
+                        assert!(std::ptr::eq(tuple.values(), own), "{at} row {i}");
+                    }
+                }
+                let bare = ColumnarBatch {
+                    source: None,
+                    ..batch.clone()
+                };
+                let shown = format!("{batch:?}");
+                assert_eq!(format!("{bare:?}"), shown, "{at}");
+                if !shown.contains("NaN") {
+                    assert_eq!(bare, batch, "{at}");
+                }
+                pool.push((batch, model));
+            }
+        }
+    }
+
+    /// A seal keeps its rows only when every cell survives into the
+    /// columns: unchecked rows ([`Batch::new_unchecked`]) holding a value
+    /// of another type in a typed column (read back as null) are sealed
+    /// without them, so their batch builds the rows its columns hold. A
+    /// boxed column keeps any cell as it is.
+    #[test]
+    fn a_seal_keeps_its_rows_only_where_the_columns_hold_them() {
+        let s = Schema::of(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("l", DataType::List),
+        ]);
+        let row = |cells: Vec<Value>| Tuple::new_unchecked(s.clone(), cells);
+        let good = row(vec![Value::Int(1), Value::Float(-0.0), Value::Int(5)]);
+        let kept = ColumnarBatch::from_batch(&Batch::new_unchecked(s.clone(), vec![good.clone()]));
+        assert!(kept.source.is_some());
+        assert!(std::ptr::eq(kept.tuple_at(0).values(), good.values()));
+        for (bad, read) in [
+            (
+                vec![Value::Str("x".into()), Value::Float(1.0), Value::Null],
+                vec![Value::Null, Value::Float(1.0), Value::Null],
+            ),
+            (
+                vec![Value::Int(1), Value::Int(2), Value::Null],
+                vec![Value::Int(1), Value::Null, Value::Null],
+            ),
+        ] {
+            let batch = Batch::new_unchecked(s.clone(), vec![good.clone(), row(bad)]);
+            let sealed = ColumnarBatch::from_batch(&batch);
+            assert!(sealed.source.is_none());
+            assert_eq!(sealed.to_rows()[1], read);
+            assert_eq!(sealed.to_tuples()[1].values(), read);
+            assert_eq!(sealed.tuple_at(1).values(), read);
+        }
+        // A run stays a run: a chunk of a sealed batch allocates no ids.
+        let many = Batch::new_unchecked(s.clone(), vec![good; 10]);
+        let chunk = ColumnarBatch::from_batch(&many).chunk(4, 1).unwrap();
+        assert!(matches!(chunk.source.map(|s| s.ids), Some(RowIds::Run(r)) if r == (4..8)));
     }
 }

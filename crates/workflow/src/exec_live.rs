@@ -2042,6 +2042,73 @@ mod tests {
         assert_eq!(m.input_tuples, 104, "replayed tuples must not recount");
     }
 
+    /// Rows leave the engine as they entered: a sealed scan's rows reach
+    /// the sink through two column filters as the scan's own tuples (the
+    /// same value allocation, nothing rebuilt), and so do the rows a
+    /// fault-armed chunk unrolls and its replay stash holds; a result-cache
+    /// replay serves equal rows, built fresh from its blocks.
+    #[test]
+    fn a_sealed_scans_rows_reach_the_sink_as_its_own_tuples() {
+        use crate::cache::ResultCache;
+        use scriptflow_datakit::CmpOp;
+        const N: i64 = 500;
+        let data = int_batch(N);
+        let scan = Arc::new(ScanOp::new("scan", data.clone()));
+        let wf = || {
+            let mut b = WorkflowBuilder::new();
+            let s = b.add(scan.clone(), 2);
+            let f1 = b.add(
+                Arc::new(FilterOp::cmp("ge", "id", CmpOp::Ge, Value::Int(100))),
+                2,
+            );
+            let f2 = b.add(
+                Arc::new(FilterOp::cmp("lt", "id", CmpOp::Lt, Value::Int(450))),
+                2,
+            );
+            let sink_op = SinkOp::new("sink");
+            let handle = sink_op.handle();
+            let sink = b.add(Arc::new(sink_op), 1);
+            b.connect(s, f1, 0, PartitionStrategy::RoundRobin);
+            b.connect(f1, f2, 0, PartitionStrategy::RoundRobin);
+            b.connect(f2, sink, 0, PartitionStrategy::Single);
+            (b.build().unwrap(), handle)
+        };
+        // Sorted by id, each with whether it is the scan's own tuple.
+        let read = |exec: &LiveExecutor| {
+            let (wf, handle) = wf();
+            let run = exec.run(&wf).unwrap();
+            let mut rows: Vec<(i64, bool)> = (handle.results().iter())
+                .map(|t| {
+                    let id = t.get_int("id").unwrap();
+                    let own = data.tuples()[id as usize].values();
+                    (id, std::ptr::eq(t.values(), own))
+                })
+                .collect();
+            rows.sort_unstable();
+            (rows, run)
+        };
+        let expect = |own: bool| (100..450).map(|id| (id, own)).collect::<Vec<_>>();
+        let plain = LiveExecutor::new(16).with_pool_size(2);
+        assert_eq!(read(&plain).0, expect(true), "plain run");
+
+        let policy = RetryPolicy::attempts(2).with_backoff(crate::retry::Backoff::none());
+        let faulted = (LiveExecutor::new(16).with_pool_size(1))
+            .with_faults(FaultPlan::new(0).kill_worker("ge", 41))
+            .with_retry(RetryConfig::uniform(policy));
+        let (rows, run) = read(&faulted);
+        assert_eq!(run.pool.unwrap().retries_succeeded, 1);
+        assert_eq!(rows, expect(true), "a fault-armed chunk replayed");
+
+        let cached = plain.with_result_cache(Arc::new(ResultCache::new()));
+        assert_eq!(read(&cached).0, expect(true), "cold run");
+        let (rows, run) = read(&cached);
+        let hits: u64 = (run.metrics.operators.iter())
+            .map(|m| m.counters.cache_hits)
+            .sum();
+        assert!(hits > 0, "the rerun is served from the cache");
+        assert_eq!(rows, expect(false), "replayed from blocks");
+    }
+
     #[test]
     fn live_join_blocks_probe_until_build_done() {
         let build_schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);

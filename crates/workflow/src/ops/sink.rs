@@ -63,7 +63,9 @@ fn read(received: &Mutex<Received>) -> Vec<Tuple> {
 ///
 /// The sink materializes on read: a sealed batch that reached it is kept
 /// as it is (a reference-count bump on the pool thread) and turned into
-/// rows by [`SinkHandle::results`], on the reader's thread.
+/// rows by [`SinkHandle::results`], on the reader's thread. A batch sealed
+/// from a scan hands out the scan's own tuples, and while it is held it
+/// keeps the scan's row array alive.
 pub struct SinkOp {
     desc: OpDescriptor,
     results: Arc<Mutex<Received>>,
@@ -110,7 +112,10 @@ pub struct SinkHandle {
 impl SinkHandle {
     /// Snapshot of the tuples collected so far, in arrival order. Sealed
     /// batches the sink holds are materialized here, on the caller's
-    /// thread, each time this is called.
+    /// thread, each time this is called: rows of a batch sealed from a
+    /// scan are the scan's own tuples, cloned (no row is built); other
+    /// batches build theirs from their columns
+    /// ([`ColumnarBatch::to_tuples`]).
     pub fn results(&self) -> Vec<Tuple> {
         read(&self.results)
     }
